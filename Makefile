@@ -8,7 +8,7 @@ GO ?= go
 #   make bench-json BENCH_JSON=BENCH_PR5.json
 BENCH_JSON ?= BENCH_PR9.json
 
-.PHONY: build lint test race bench-smoke bench-json fuzz-smoke server-smoke docs ci
+.PHONY: build lint test race bench-smoke bench-check bench-json fuzz-smoke server-smoke docs ci
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,16 @@ race:
 # measurement run.
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkParallel' -benchtime 1x .
+
+# One short pass of the repo benchmark (BENCHMARK.json, bench/README.md): five
+# workloads for a second each, ~16 s in all. The numbers are discarded; the
+# exit status is the benchmark's own correctness gate — DAG and spill results
+# byte-identical to their references, acked commits all counted, zero leaked
+# slots, sessions and exchange/spill blobs. A PR that moves an internal API
+# out from under bench/, or breaks an identity the benchmark checks, fails
+# here rather than in the benchmark pipeline.
+bench-check:
+	$(GO) run ./bench -seconds 1 -trace 0 >/dev/null
 
 # Full micro-benchmark measurement written as machine-readable JSON: the
 # per-PR perf trajectory (ns/op + allocs/op for ParallelScan/ParallelJoin/
@@ -97,4 +107,4 @@ docs:
 	@$(GO) doc ./internal/colfile >/dev/null
 	@echo "docs OK"
 
-ci: build lint test race fuzz-smoke bench-smoke server-smoke docs
+ci: build lint test race fuzz-smoke bench-smoke bench-check server-smoke docs

@@ -2,9 +2,9 @@
 // go/analysis-style passes (internal/lint) that mechanize the normative
 // prose contracts — cross-DOP byte-identity determinism, the
 // selection-vector aliasing rules, the spill-namespace cleanup invariant,
-// and the fan-out cancellation contract — plus bundled implementations of
-// four upstream-style vet passes. See docs/LINT.md for the analyzer
-// catalog and annotation grammar.
+// and the fan-out cancellation contract — plus a bundled nilness pass (the
+// one upstream check `go vet` does not run by default). See docs/LINT.md for
+// the analyzer catalog and annotation grammar.
 //
 // Usage:
 //

@@ -62,17 +62,42 @@ func MicroFiles() ([]exec.ScanFile, int64, error) {
 	return d.files, d.rows, d.err
 }
 
+// compileFor compiles benchmark expressions once per run against the dataset's
+// schema (read from the first file; all files share it). The programs are
+// immutable, so every morsel's operators share them.
+func compileFor(files []exec.ScanFile, exprs ...exec.Expr) (colfile.Schema, []*exec.Prog, error) {
+	r, err := colfile.OpenReader(files[0].Data)
+	if err != nil {
+		return nil, nil, err
+	}
+	progs := make([]*exec.Prog, len(exprs))
+	for i, e := range exprs {
+		if progs[i], err = exec.Compile(e, r.Schema()); err != nil {
+			return nil, nil, err
+		}
+	}
+	return r.Schema(), progs, nil
+}
+
+// valBelow is the micro-benchmarks' scan predicate: val < limit.
+func valBelow(limit int64) exec.Expr {
+	return exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: limit}}
+}
+
 // ParallelScanAggregate runs the scan micro-benchmark pipeline — scan →
 // filter → grouped integer aggregation — at the given DOP through the
 // morsel-driven executor, returning the merged result.
 func ParallelScanAggregate(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
-	pred := exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(900)}}
-	groupBy := []exec.Expr{exec.ColRef{Idx: 0, Name: "grp"}}
+	_, progs, err := compileFor(files, valBelow(900), exec.ColRef{Idx: 0, Name: "grp"}, exec.ColRef{Idx: 1})
+	if err != nil {
+		return nil, err
+	}
+	pred, groupBy, val := progs[0], progs[1:2], progs[2]
 	aggs := []exec.AggSpec{
 		{Kind: exec.AggCountStar, Name: "n"},
-		{Kind: exec.AggSum, Arg: exec.ColRef{Idx: 1}, Name: "sv"},
-		{Kind: exec.AggMin, Arg: exec.ColRef{Idx: 1}, Name: "mn"},
-		{Kind: exec.AggMax, Arg: exec.ColRef{Idx: 1}, Name: "mx"},
+		{Kind: exec.AggSum, Arg: val, Name: "sv"},
+		{Kind: exec.AggMin, Arg: val, Name: "mn"},
+		{Kind: exec.AggMax, Arg: val, Name: "mx"},
 	}
 	morsels, err := exec.SplitMorsels(files, dop*4)
 	if err != nil {
@@ -88,11 +113,7 @@ func ParallelScanAggregate(files []exec.ScanFile, dop int) (*colfile.Batch, erro
 	if err != nil {
 		return nil, err
 	}
-	r, err := colfile.OpenReader(files[0].Data)
-	if err != nil {
-		return nil, err
-	}
-	proto := &exec.HashAgg{In: exec.NewBatchSource(colfile.NewBatch(r.Schema())), GroupBy: groupBy, Aggs: aggs, Partial: true}
+	proto := &exec.HashAgg{GroupBy: groupBy, Aggs: aggs, Partial: true}
 	merge := &exec.MergeAgg{In: exec.NewBatchList(proto.Schema(), batches), Groups: 1, Aggs: aggs}
 	return exec.Collect(merge)
 }
@@ -194,7 +215,10 @@ func ParallelJoinTable() (*exec.JoinTable, error) {
 // shared JoinTable, merged in morsel order. Every surviving probe row
 // (val < 64, ~6% of the dataset) finds 4 matches (grp < 31 < 2^14).
 func ParallelJoinProbe(files []exec.ScanFile, table *exec.JoinTable, dop int) (*colfile.Batch, error) {
-	pred := exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(64)}}
+	schema, progs, err := compileFor(files, valBelow(64))
+	if err != nil {
+		return nil, err
+	}
 	morsels, err := exec.SplitMorsels(files, dop*4)
 	if err != nil {
 		return nil, err
@@ -204,16 +228,12 @@ func ParallelJoinProbe(files []exec.ScanFile, table *exec.JoinTable, dop int) (*
 		if err != nil {
 			return nil, err
 		}
-		return &exec.Probe{In: &exec.Filter{In: s, Pred: pred}, Table: table, LeftKeys: []int{0}}, nil
+		return &exec.Probe{In: &exec.Filter{In: s, Pred: progs[0]}, Table: table, LeftKeys: []int{0}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	r, err := colfile.OpenReader(files[0].Data)
-	if err != nil {
-		return nil, err
-	}
-	proto := &exec.Probe{In: exec.NewBatchSource(colfile.NewBatch(r.Schema())), Table: table, LeftKeys: []int{0}}
+	proto := &exec.Probe{In: exec.NewBatchSource(colfile.NewBatch(schema)), Table: table, LeftKeys: []int{0}}
 	return exec.Collect(exec.NewBatchList(proto.Schema(), batches))
 }
 
@@ -337,7 +357,10 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if src.Spilled == nil {
 		return nil, fmt.Errorf("bench: build side did not spill under %d-byte budget", ParallelJoinSpillBudget)
 	}
-	pred := exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(64)}}
+	schema, progs, err := compileFor(files, valBelow(64))
+	if err != nil {
+		return nil, err
+	}
 	morsels, err := exec.SplitMorsels(files, dop*4)
 	if err != nil {
 		return nil, err
@@ -347,20 +370,16 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &exec.Filter{In: s, Pred: pred}, nil
+		return &exec.Filter{In: s, Pred: progs[0]}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	r, err := colfile.OpenReader(files[0].Data)
+	joined, err := src.Spilled.JoinBatches(probes, []int{0}, schema, dop)
 	if err != nil {
 		return nil, err
 	}
-	joined, err := src.Spilled.JoinBatches(probes, []int{0}, r.Schema(), dop)
-	if err != nil {
-		return nil, err
-	}
-	outSchema := append(append(colfile.Schema{}, r.Schema()...), buildSide().Schema...)
+	outSchema := append(append(colfile.Schema{}, schema...), buildSide().Schema...)
 	return exec.Collect(exec.NewBatchList(outSchema, joined))
 }
 

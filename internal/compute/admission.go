@@ -90,13 +90,15 @@ func (a *Admission) Acquire(ctx context.Context) (*SlotLease, time.Duration, err
 	if want < 1 {
 		want = 1
 	}
+	// The clock starts before the deadline is fixed, so a timed-out wait is
+	// never reported shorter than WaitTimeout.
+	start := time.Now()
 	wctx := ctx
 	if a.cfg.WaitTimeout > 0 {
 		var cancel context.CancelFunc
 		wctx, cancel = context.WithTimeout(ctx, a.cfg.WaitTimeout)
 		defer cancel()
 	}
-	start := time.Now()
 	lease, queued, err := a.f.LeaseSlotsCtx(wctx, want, a.cfg.MaxQueue)
 	wait := time.Since(start)
 	if queued {

@@ -58,7 +58,11 @@ func sumC2(t *testing.T, tx *Txn, table string, asOf int64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := &exec.HashAgg{In: op, Aggs: []exec.AggSpec{{Kind: exec.AggSum, Arg: exec.ColRef{Idx: 0}}}}
+	c2, err := exec.Compile(exec.ColRef{Idx: 0}, op.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &exec.HashAgg{In: op, Aggs: []exec.AggSpec{{Kind: exec.AggSum, Arg: c2}}}
 	out, err := exec.Collect(agg)
 	if err != nil {
 		t.Fatal(err)
@@ -676,7 +680,11 @@ func TestScanColumnsAndPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Collect(&exec.Filter{In: op, Pred: exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(100)}}})
+	pred, err := exec.Compile(exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(100)}}, op.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Collect(&exec.Filter{In: op, Pred: pred})
 	if err != nil {
 		t.Fatal(err)
 	}

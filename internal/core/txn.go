@@ -217,6 +217,19 @@ func (t *Txn) Commit() error {
 		events = append(events, pendingEvent{tableID: id, manifest: mf, actions: ts.actions})
 	}
 
+	// Advance the snapshot cache under the commit lock, so the cache sees
+	// every table's manifests in commit-sequence order: advanced after the
+	// lock is released, two commits could arrive as seq 6 then seq 5, and a
+	// state for 6 built on 4 would hide txn 5's files from every later reader.
+	if len(events) > 0 {
+		t.catTx.DeferWithSeq(func(seq int64) []catalog.KV {
+			for _, ev := range events {
+				t.eng.Cache.Advance(ev.tableID, seq, ev.actions)
+			}
+			return nil
+		})
+	}
+
 	// Step 4: catalog commit — validation happens here.
 	if err := t.catTx.Commit(); err != nil {
 		// Rolled back: private files become dangling, GC reclaims them; the
@@ -230,7 +243,6 @@ func (t *Txn) Commit() error {
 	seq := t.catTx.CommitSeq()
 	now := time.Now()
 	for _, ev := range events {
-		t.eng.Cache.Advance(ev.tableID, seq, ev.actions)
 		t.eng.notify(CommitEvent{
 			TableID: ev.tableID, TxnID: t.id, Seq: seq,
 			Manifest: ev.manifest, Actions: ev.actions, When: now,

@@ -224,15 +224,31 @@ func sliceCols(b *colfile.Batch, lo, hi int) *colfile.Batch {
 // In copy-on-write mode (2.1) affected files are rewritten without the
 // deleted rows.
 func (t *Txn) Delete(table string, pred exec.Expr) (int64, error) {
-	if err := t.check(); err != nil {
+	meta, err := t.Table(table)
+	if err != nil {
 		return 0, err
+	}
+	// Compile before any IO: an ill-typed predicate is the statement's
+	// error whatever the table holds.
+	prog, err := exec.Compile(pred, meta.Schema)
+	if err != nil {
+		return 0, err
+	}
+	if prog.OutType() != colfile.Bool {
+		return 0, fmt.Errorf("core: DELETE predicate is %s, not bool", prog.OutType())
 	}
 	state, meta, err := t.Snapshot(table, -1)
 	if err != nil {
 		return 0, err
 	}
+	return t.deleteMatching(state, meta, prog)
+}
+
+// deleteMatching is Delete over an already reconstructed snapshot and an
+// already compiled boolean predicate (Update shares both with its scan).
+func (t *Txn) deleteMatching(state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog) (int64, error) {
 	ts := t.tableState(meta)
-	matched, err := t.matchRows(state, meta, pred)
+	matched, err := t.matchRows(state, pred)
 	if err != nil {
 		return 0, err
 	}
@@ -395,8 +411,11 @@ func (t *Txn) deleteCopyOnWrite(state *manifest.TableState, meta catalog.TableMe
 }
 
 // matchRows evaluates pred over each live file and returns, per file, the
-// matching row ordinals (file-global, DV-adjusted rows excluded).
-func (t *Txn) matchRows(state *manifest.TableState, meta catalog.TableMeta, pred exec.Expr) (map[string][]uint32, error) {
+// matching row ordinals (file-global, DV-adjusted rows excluded). One EvalCtx
+// serves the whole statement, so kernel scratch is reused across row groups.
+// Row groups are read dense (no Sel), so row i is lane i of the result.
+func (t *Txn) matchRows(state *manifest.TableState, pred *exec.Prog) (map[string][]uint32, error) {
+	ctx := pred.NewCtx()
 	out := make(map[string][]uint32)
 	node := t.writeNode()
 	for _, fe := range state.LiveFiles() {
@@ -427,12 +446,9 @@ func (t *Txn) matchRows(state *manifest.TableState, meta catalog.TableMeta, pred
 			if err != nil {
 				return nil, err
 			}
-			pv, err := pred.Eval(batch)
+			pv, err := pred.Run(ctx, batch)
 			if err != nil {
 				return nil, err
-			}
-			if pv.Type != colfile.Bool {
-				return nil, fmt.Errorf("core: DELETE predicate is %s, not bool", pv.Type)
 			}
 			for i := 0; i < batch.NumRows(); i++ {
 				ord := base + uint32(i)
@@ -529,10 +545,7 @@ func reconcileActions(actions []manifest.Action) []manifest.Action {
 // the old row versions plus an insertion of the new versions (4.1.1 step 2).
 // set maps column names to expressions evaluated over the old rows.
 func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (int64, error) {
-	if err := t.check(); err != nil {
-		return 0, err
-	}
-	state, meta, err := t.Snapshot(table, -1)
+	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
 	}
@@ -541,12 +554,32 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 			return 0, fmt.Errorf("core: unknown column %q in UPDATE", col)
 		}
 	}
+	// Compile the predicate and the new-version expressions before any IO;
+	// the scan below and the delete step share the one compiled predicate.
+	predProg, err := exec.Compile(pred, meta.Schema)
+	if err != nil {
+		return 0, err
+	}
+	exprs := make([]*exec.Prog, len(meta.Schema))
+	for i, f := range meta.Schema {
+		var e exec.Expr = exec.ColRef{Idx: i, Name: f.Name}
+		if se, ok := set[f.Name]; ok {
+			e = se
+		}
+		if exprs[i], err = exec.Compile(e, meta.Schema); err != nil {
+			return 0, err
+		}
+	}
+	state, meta, err := t.Snapshot(table, -1)
+	if err != nil {
+		return 0, err
+	}
 	// Materialize the new versions of matching rows before deleting them.
 	op, _, err := t.scanState(state, meta, ScanOptions{})
 	if err != nil {
 		return 0, err
 	}
-	matching, err := exec.Collect(&exec.Filter{In: op, Pred: pred})
+	matching, err := exec.Collect(&exec.Filter{In: op, Pred: predProg})
 	if err != nil {
 		return 0, err
 	}
@@ -554,14 +587,6 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 		return 0, nil
 	}
 	updated := colfile.NewBatch(meta.Schema)
-	exprs := make([]exec.Expr, len(meta.Schema))
-	for i, f := range meta.Schema {
-		if e, ok := set[f.Name]; ok {
-			exprs[i] = e
-		} else {
-			exprs[i] = exec.ColRef{Idx: i, Name: f.Name}
-		}
-	}
 	proj := &exec.Project{In: exec.NewBatchSource(matching), Exprs: exprs, Names: fieldNames(meta.Schema)}
 	newRows, err := exec.Collect(proj)
 	if err != nil {
@@ -573,7 +598,7 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 			return 0, err
 		}
 	}
-	n, err := t.Delete(table, pred)
+	n, err := t.deleteMatching(state, meta, predProg)
 	if err != nil {
 		return 0, err
 	}

@@ -17,6 +17,26 @@ func intSchema(names ...string) colfile.Schema {
 	return s
 }
 
+// prog compiles an expression against an operator's input schema: operators
+// take compiled programs only, so tests compile where they construct.
+func prog(t testing.TB, in colfile.Schema, e Expr) *Prog {
+	t.Helper()
+	p, err := Compile(e, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func progs(t testing.TB, in colfile.Schema, es ...Expr) []*Prog {
+	t.Helper()
+	out := make([]*Prog, len(es))
+	for i, e := range es {
+		out[i] = prog(t, in, e)
+	}
+	return out
+}
+
 func makeFile(t *testing.T, schema colfile.Schema, rowGroups [][][]any) []byte {
 	t.Helper()
 	w := colfile.NewWriter(schema)
@@ -184,7 +204,7 @@ func TestFilterOperator(t *testing.T) {
 	f := lineFile(t, 100)
 	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
 	// qty = 3
-	flt := &Filter{In: s, Pred: Bin{Kind: OpEq, L: ColRef{Idx: 1}, R: Const{Val: int64(3)}}}
+	flt := &Filter{In: s, Pred: prog(t, s.Schema(), Bin{Kind: OpEq, L: ColRef{Idx: 1}, R: Const{Val: int64(3)}})}
 	out, err := Collect(flt)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +230,7 @@ func TestFilterComplexPredicate(t *testing.T) {
 		},
 		R: Bin{Kind: OpEq, L: ColRef{Idx: 3}, R: Const{Val: "tag0"}},
 	}
-	out, err := Collect(&Filter{In: s, Pred: pred})
+	out, err := Collect(&Filter{In: s, Pred: prog(t, s.Schema(), pred)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +250,11 @@ func TestProjectExpressions(t *testing.T) {
 	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
 	p := &Project{
 		In: s,
-		Exprs: []Expr{
+		Exprs: progs(t, s.Schema(),
 			ColRef{Idx: 0, Name: "id"},
 			Bin{Kind: OpMul, L: ColRef{Idx: 1}, R: Const{Val: int64(2)}},
 			Bin{Kind: OpMul, L: ColRef{Idx: 2}, R: Const{Val: 2.0}},
-		},
+		),
 		Names: []string{"id", "qty2", "price2"},
 	}
 	out, err := Collect(p)
@@ -372,13 +392,13 @@ func TestHashAggGrouped(t *testing.T) {
 	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
 	agg := &HashAgg{
 		In:      s,
-		GroupBy: []Expr{ColRef{Idx: 3, Name: "tag"}},
+		GroupBy: progs(t, s.Schema(), ColRef{Idx: 3, Name: "tag"}),
 		Aggs: []AggSpec{
 			{Kind: AggCountStar, Name: "n"},
-			{Kind: AggSum, Arg: ColRef{Idx: 1}, Name: "sq"},
-			{Kind: AggMin, Arg: ColRef{Idx: 0}, Name: "mn"},
-			{Kind: AggMax, Arg: ColRef{Idx: 0}, Name: "mx"},
-			{Kind: AggAvg, Arg: ColRef{Idx: 2}, Name: "ap"},
+			{Kind: AggSum, Arg: prog(t, s.Schema(), ColRef{Idx: 1}), Name: "sq"},
+			{Kind: AggMin, Arg: prog(t, s.Schema(), ColRef{Idx: 0}), Name: "mn"},
+			{Kind: AggMax, Arg: prog(t, s.Schema(), ColRef{Idx: 0}), Name: "mx"},
+			{Kind: AggAvg, Arg: prog(t, s.Schema(), ColRef{Idx: 2}), Name: "ap"},
 		},
 	}
 	out, err := Collect(agg)
@@ -399,10 +419,10 @@ func TestHashAggGlobalEmptyInput(t *testing.T) {
 	f := lineFile(t, 10)
 	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
 	// filter everything out, then COUNT(*) must still return one row with 0
-	flt := &Filter{In: s, Pred: Const{Val: false}}
+	flt := &Filter{In: s, Pred: prog(t, s.Schema(), Const{Val: false})}
 	agg := &HashAgg{In: flt, Aggs: []AggSpec{
 		{Kind: AggCountStar, Name: "n"},
-		{Kind: AggSum, Arg: ColRef{Idx: 1}, Name: "s"},
+		{Kind: AggSum, Arg: prog(t, s.Schema(), ColRef{Idx: 1}), Name: "s"},
 	}}
 	out, err := Collect(agg)
 	if err != nil {
@@ -419,7 +439,7 @@ func TestHashAggGlobalEmptyInput(t *testing.T) {
 func TestHashAggSumFloat(t *testing.T) {
 	f := lineFile(t, 4) // price = 0, 1.5, 3, 4.5
 	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
-	agg := &HashAgg{In: s, Aggs: []AggSpec{{Kind: AggSum, Arg: ColRef{Idx: 2}}}}
+	agg := &HashAgg{In: s, Aggs: []AggSpec{{Kind: AggSum, Arg: prog(t, s.Schema(), ColRef{Idx: 2})}}}
 	out, err := Collect(agg)
 	if err != nil {
 		t.Fatal(err)
@@ -597,11 +617,11 @@ func TestPropertyFilterPartition(t *testing.T) {
 			_ = b.AppendRow(int64(v))
 		}
 		pred := Bin{Kind: OpGe, L: ColRef{Idx: 0}, R: Const{Val: int64(0)}}
-		pos, err := Collect(&Filter{In: NewBatchSource(b), Pred: pred})
+		pos, err := Collect(&Filter{In: NewBatchSource(b), Pred: prog(t, schema, pred)})
 		if err != nil {
 			return false
 		}
-		neg, err := Collect(&Filter{In: NewBatchSource(b), Pred: Not{E: pred}})
+		neg, err := Collect(&Filter{In: NewBatchSource(b), Pred: prog(t, schema, Not{E: pred})})
 		if err != nil {
 			return false
 		}

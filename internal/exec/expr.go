@@ -4,30 +4,28 @@
 // zone-map pruning, plus filter, project, hash join, hash aggregation, sort
 // and limit operators working batch-at-a-time over colfile vectors.
 //
-// Expressions evaluate through compiled kernel programs (Compile → Prog,
-// immutable and shared across workers, with per-worker EvalCtx scratch);
-// filters pass selection vectors (colfile.Batch.Sel) instead of materialized
-// copies. The normative kernel contract — catalog, selection and NULL
-// semantics, aliasing rules, and the guarantee of observational equivalence
-// with the scalar reference evaluator (Expr.Eval) — is docs/VECTORIZATION.md.
+// Expressions have exactly one executable form: Compile lowers an Expr tree
+// to a kernel program (Prog, immutable and shared across workers, with
+// per-worker EvalCtx scratch) or fails with the statement's type error.
+// Filter, Project and HashAgg are configured with Progs only; filters pass
+// selection vectors (colfile.Batch.Sel) instead of materialized copies. The
+// normative kernel contract — catalog, selection and NULL semantics, aliasing
+// rules, and observational equivalence with the test-only reference
+// evaluator (reference_test.go) — is docs/VECTORIZATION.md.
 package exec
-
-//polaris:kernelfile the scalar reference evaluator reads lanes at already-translated physical positions (Batch.Row semantics)
 
 import (
 	"fmt"
-	"strings"
 
 	"polaris/internal/colfile"
 )
 
-// Expr is a vectorized expression evaluated over a batch.
+// Expr is an unevaluated expression tree over a batch's columns. A tree is
+// made executable by Compile and in no other way; the node types are the ones
+// declared in this file.
 type Expr interface {
-	// Type reports the result type given the input schema.
-	Type(schema colfile.Schema) (colfile.DataType, error)
-	// Eval computes the expression for every row of the batch.
-	Eval(b *colfile.Batch) (*colfile.Vec, error)
-	// String renders the expression for plan display.
+	// String renders the expression for plan display and default output
+	// column names.
 	String() string
 }
 
@@ -35,22 +33,6 @@ type Expr interface {
 type ColRef struct {
 	Idx  int
 	Name string // display only
-}
-
-// Type implements Expr.
-func (c ColRef) Type(schema colfile.Schema) (colfile.DataType, error) {
-	if c.Idx < 0 || c.Idx >= len(schema) {
-		return 0, fmt.Errorf("exec: column %d out of range", c.Idx)
-	}
-	return schema[c.Idx].Type, nil
-}
-
-// Eval implements Expr.
-func (c ColRef) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	if c.Idx < 0 || c.Idx >= len(b.Cols) {
-		return nil, fmt.Errorf("exec: column %d out of range", c.Idx)
-	}
-	return b.Cols[c.Idx], nil
 }
 
 // String implements Expr.
@@ -66,9 +48,9 @@ type Const struct {
 	Val any // int64, float64, string, bool, or nil
 }
 
-// Type implements Expr.
-func (c Const) Type(colfile.Schema) (colfile.DataType, error) {
-	switch c.Val.(type) {
+// constType reports a literal's vector type (a typed NULL defaults to int).
+func constType(val any) (colfile.DataType, error) {
+	switch val.(type) {
 	case int64, int:
 		return colfile.Int64, nil
 	case float64:
@@ -78,26 +60,10 @@ func (c Const) Type(colfile.Schema) (colfile.DataType, error) {
 	case bool:
 		return colfile.Bool, nil
 	case nil:
-		return colfile.Int64, nil // typed NULL defaults to int
+		return colfile.Int64, nil
 	default:
-		return 0, fmt.Errorf("exec: unsupported literal %T", c.Val)
+		return 0, fmt.Errorf("exec: unsupported literal %T", val)
 	}
-}
-
-// Eval implements Expr.
-func (c Const) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	n := b.NumRows()
-	t, err := c.Type(nil)
-	if err != nil {
-		return nil, err
-	}
-	v := colfile.NewVec(t)
-	for i := 0; i < n; i++ {
-		if err := v.AppendValue(normalize(c.Val)); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
 }
 
 func normalize(x any) any {
@@ -153,113 +119,9 @@ func (k BinKind) IsComparison() bool { return k >= OpEq && k <= OpGe }
 // IsLogical reports whether the operator combines booleans.
 func (k BinKind) IsLogical() bool { return k == OpAnd || k == OpOr }
 
-// Type implements Expr.
-func (e Bin) Type(schema colfile.Schema) (colfile.DataType, error) {
-	lt, err := e.L.Type(schema)
-	if err != nil {
-		return 0, err
-	}
-	rt, err := e.R.Type(schema)
-	if err != nil {
-		return 0, err
-	}
-	if e.Kind.IsComparison() || e.Kind.IsLogical() {
-		return colfile.Bool, nil
-	}
-	// arithmetic: float wins over int
-	if lt == colfile.Float64 || rt == colfile.Float64 {
-		return colfile.Float64, nil
-	}
-	if lt == colfile.Int64 && rt == colfile.Int64 {
-		return colfile.Int64, nil
-	}
-	if lt == colfile.String && rt == colfile.String && e.Kind == OpAdd {
-		return colfile.String, nil // concatenation
-	}
-	return 0, fmt.Errorf("exec: cannot apply %s to %s and %s", binNames[e.Kind], lt, rt)
-}
-
-// Eval implements Expr.
-func (e Bin) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	lv, err := e.L.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := e.R.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	n := b.NumRows()
-	outType, err := e.Type(b.Schema)
-	if err != nil {
-		return nil, err
-	}
-	out := colfile.NewVec(outType)
-	for i := 0; i < n; i++ {
-		if lv.IsNull(i) || rv.IsNull(i) {
-			out.AppendNull() // SQL three-valued logic collapses to NULL
-			continue
-		}
-		switch {
-		case e.Kind.IsLogical():
-			out.AppendBool(evalLogical(e.Kind, lv.Bools[i], rv.Bools[i]))
-		case e.Kind.IsComparison():
-			cmp, err := compareAt(lv, rv, i)
-			if err != nil {
-				return nil, err
-			}
-			out.AppendBool(cmpToBool(e.Kind, cmp))
-		default:
-			if err := evalArith(e.Kind, lv, rv, i, out); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // String implements Expr.
 func (e Bin) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.L, binNames[e.Kind], e.R)
-}
-
-func evalLogical(k BinKind, l, r bool) bool {
-	if k == OpAnd {
-		return l && r
-	}
-	return l || r
-}
-
-// compareAt compares position i of two vectors, coercing int/float.
-func compareAt(l, r *colfile.Vec, i int) (int, error) {
-	if l.Type == r.Type {
-		switch l.Type {
-		case colfile.Int64:
-			return cmpOrd(l.Ints[i], r.Ints[i]), nil
-		case colfile.Float64:
-			return cmpOrd(l.Floats[i], r.Floats[i]), nil
-		case colfile.String:
-			return strings.Compare(l.Strs[i], r.Strs[i]), nil
-		case colfile.Bool:
-			return cmpOrd(b2i(l.Bools[i]), b2i(r.Bools[i])), nil
-		}
-	}
-	lf, lok := numAt(l, i)
-	rf, rok := numAt(r, i)
-	if lok && rok {
-		return cmpOrd(lf, rf), nil
-	}
-	return 0, fmt.Errorf("exec: cannot compare %s and %s", l.Type, r.Type)
-}
-
-func numAt(v *colfile.Vec, i int) (float64, bool) {
-	switch v.Type {
-	case colfile.Int64:
-		return float64(v.Ints[i]), true
-	case colfile.Float64:
-		return v.Floats[i], true
-	}
-	return 0, false
 }
 
 func cmpOrd[T int64 | float64](a, b T) int {
@@ -298,86 +160,8 @@ func cmpToBool(k BinKind, cmp int) bool {
 	return false
 }
 
-func evalArith(k BinKind, l, r *colfile.Vec, i int, out *colfile.Vec) error {
-	if out.Type == colfile.String {
-		out.AppendStr(l.Strs[i] + r.Strs[i])
-		return nil
-	}
-	if out.Type == colfile.Int64 {
-		a, b := l.Ints[i], r.Ints[i]
-		switch k {
-		case OpAdd:
-			out.AppendInt(a + b)
-		case OpSub:
-			out.AppendInt(a - b)
-		case OpMul:
-			out.AppendInt(a * b)
-		case OpDiv:
-			if b == 0 {
-				return fmt.Errorf("exec: integer division by zero")
-			}
-			out.AppendInt(a / b)
-		case OpMod:
-			if b == 0 {
-				return fmt.Errorf("exec: modulo by zero")
-			}
-			out.AppendInt(a % b)
-		default:
-			return fmt.Errorf("exec: bad int arith %s", binNames[k])
-		}
-		return nil
-	}
-	a, _ := numAt(l, i)
-	b, _ := numAt(r, i)
-	switch k {
-	case OpAdd:
-		out.AppendFloat(a + b)
-	case OpSub:
-		out.AppendFloat(a - b)
-	case OpMul:
-		out.AppendFloat(a * b)
-	case OpDiv:
-		if b == 0 {
-			return fmt.Errorf("exec: division by zero")
-		}
-		out.AppendFloat(a / b)
-	default:
-		return fmt.Errorf("exec: bad float arith %s", binNames[k])
-	}
-	return nil
-}
-
 // Not negates a boolean expression.
 type Not struct{ E Expr }
-
-// Type implements Expr.
-func (n Not) Type(schema colfile.Schema) (colfile.DataType, error) {
-	t, err := n.E.Type(schema)
-	if err != nil {
-		return 0, err
-	}
-	if t != colfile.Bool {
-		return 0, fmt.Errorf("exec: NOT of %s", t)
-	}
-	return colfile.Bool, nil
-}
-
-// Eval implements Expr.
-func (n Not) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	v, err := n.E.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	out := colfile.NewVec(colfile.Bool)
-	for i := 0; i < v.Len(); i++ {
-		if v.IsNull(i) {
-			out.AppendNull()
-		} else {
-			out.AppendBool(!v.Bools[i])
-		}
-	}
-	return out, nil
-}
 
 // String implements Expr.
 func (n Not) String() string { return fmt.Sprintf("NOT %s", n.E) }
@@ -386,22 +170,6 @@ func (n Not) String() string { return fmt.Sprintf("NOT %s", n.E) }
 type IsNull struct {
 	E      Expr
 	Negate bool
-}
-
-// Type implements Expr.
-func (e IsNull) Type(colfile.Schema) (colfile.DataType, error) { return colfile.Bool, nil }
-
-// Eval implements Expr.
-func (e IsNull) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	v, err := e.E.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	out := colfile.NewVec(colfile.Bool)
-	for i := 0; i < v.Len(); i++ {
-		out.AppendBool(v.IsNull(i) != e.Negate)
-	}
-	return out, nil
 }
 
 // String implements Expr.
@@ -418,86 +186,14 @@ type Like struct {
 	Pattern string
 }
 
-// Type implements Expr.
-func (e Like) Type(colfile.Schema) (colfile.DataType, error) { return colfile.Bool, nil }
-
-// Eval implements Expr.
-func (e Like) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	v, err := e.E.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Type != colfile.String {
-		return nil, fmt.Errorf("exec: LIKE over %s", v.Type)
-	}
-	out := colfile.NewVec(colfile.Bool)
-	for i := 0; i < v.Len(); i++ {
-		if v.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		out.AppendBool(likeMatch(v.Strs[i], e.Pattern))
-	}
-	return out, nil
-}
-
 // String implements Expr.
 func (e Like) String() string { return fmt.Sprintf("%s LIKE '%s'", e.E, e.Pattern) }
-
-// likeMatch supports % (any run) and _ (any single char).
-func likeMatch(s, pat string) bool {
-	// dynamic programming over pattern segments
-	var match func(si, pi int) bool
-	memo := make(map[[2]int]bool)
-	match = func(si, pi int) bool {
-		key := [2]int{si, pi}
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		var res bool
-		switch {
-		case pi == len(pat):
-			res = si == len(s)
-		case pat[pi] == '%':
-			res = match(si, pi+1) || (si < len(s) && match(si+1, pi))
-		case si < len(s) && (pat[pi] == '_' || pat[pi] == s[si]):
-			res = match(si+1, pi+1)
-		}
-		memo[key] = res
-		return res
-	}
-	return match(0, 0)
-}
 
 // InList tests membership in a literal list.
 type InList struct {
 	E      Expr
 	Vals   []any
 	Negate bool
-}
-
-// Type implements Expr.
-func (e InList) Type(colfile.Schema) (colfile.DataType, error) { return colfile.Bool, nil }
-
-// Eval implements Expr.
-func (e InList) Eval(b *colfile.Batch) (*colfile.Vec, error) {
-	v, err := e.E.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[any]bool, len(e.Vals))
-	for _, x := range e.Vals {
-		set[normalize(x)] = true
-	}
-	out := colfile.NewVec(colfile.Bool)
-	for i := 0; i < v.Len(); i++ {
-		if v.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		out.AppendBool(set[v.Value(i)] != e.Negate)
-	}
-	return out, nil
 }
 
 // String implements Expr.

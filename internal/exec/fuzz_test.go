@@ -17,7 +17,9 @@ import (
 
 // fuzzExprs is the catalog sampled by the fuzzer. Columns: 0=i (Int64),
 // 1=j (Int64), 2=f (Float64), 3=s (String), 4=b (Bool). Every kernel family
-// appears, including the faulting ones (div/mod by fuzzer-chosen values).
+// appears, including the faulting ones (div/mod by fuzzer-chosen values), and
+// the tail is statically ill-typed trees: Compile's error must equal the
+// reference's, and must win over any data-dependent error below it.
 var fuzzExprs = []Expr{
 	Bin{Kind: OpEq, L: ColRef{Idx: 0}, R: ColRef{Idx: 1}},
 	Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: ColRef{Idx: 2}}, // mixed int/float
@@ -38,6 +40,16 @@ var fuzzExprs = []Expr{
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(0), int64(1), int64(-1)}},
 	InList{E: ColRef{Idx: 3}, Vals: []any{"a", ""}, Negate: true},
 	Bin{Kind: OpLt, L: ColRef{Idx: 3}, R: ColRef{Idx: 0}}, // lazy type error
+	Not{E: ColRef{Idx: 0}},
+	Bin{Kind: OpAnd, L: ColRef{Idx: 0}, R: ColRef{Idx: 4}},
+	Bin{Kind: OpOr, L: ColRef{Idx: 4}, R: ColRef{Idx: 3}},
+	Like{E: ColRef{Idx: 2}, Pattern: "%"},
+	Bin{Kind: OpSub, L: ColRef{Idx: 3}, R: ColRef{Idx: 3}},
+	Bin{Kind: OpAdd, L: ColRef{Idx: 0}, R: ColRef{Idx: 3}},
+	IsNull{E: Not{E: ColRef{Idx: 3}}},
+	InList{E: Bin{Kind: OpAnd, L: ColRef{Idx: 4}, R: ColRef{Idx: 1}}, Vals: []any{true}},
+	Not{E: Bin{Kind: OpDiv, L: ColRef{Idx: 0}, R: ColRef{Idx: 1}}}, // NOT of int64, even when a lane divides by zero
+	ColRef{Idx: 9},
 }
 
 var fuzzSchema = colfile.Schema{
@@ -52,6 +64,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(3), int64(0), 1.5, "al%pha", true, uint8(0b10101), uint8(8), uint8(2), 5)
 	f.Add(int64(-7), int64(2), -0.0, "", false, uint8(0), uint8(9), uint8(0), 1)
 	f.Add(int64(42), int64(-1), 1e18, "a_b", true, uint8(0xff), uint8(18), uint8(3), 9)
+	for pick := 19; pick < len(fuzzExprs); pick++ { // every ill-typed tree, over zero divisors
+		f.Add(int64(1), int64(0), 0.0, "s", true, uint8(0), uint8(pick), uint8(pick), 4)
+	}
 	f.Fuzz(func(t *testing.T, i, j int64, fv float64, s string, bv bool,
 		nulls uint8, exprPick uint8, selPick uint8, n int) {
 		if n < 1 || n > 64 {
@@ -89,7 +104,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		e := fuzzExprs[int(exprPick)%len(fuzzExprs)]
 
-		want, wantErr := e.Eval(b.Materialize())
+		want, wantErr := evalScalar(e, b)
 		got, gotErr := evalVector(e, b)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: vectorized %v, scalar reference %v", e, gotErr, wantErr)

@@ -320,7 +320,7 @@ var aggNames = map[AggKind]string{
 // AggSpec is one aggregate in a HashAgg.
 type AggSpec struct {
 	Kind AggKind
-	Arg  Expr // nil for COUNT(*)
+	Arg  *Prog // compiled against the HashAgg's input schema; nil for COUNT(*)
 	Name string
 }
 
@@ -328,21 +328,16 @@ type AggSpec struct {
 // (the per-worker phase of two-phase parallel aggregation) it emits
 // mergeable partial states — per aggregate a value column plus, for SUM/AVG,
 // a non-NULL count column — which MergeAgg folds into final values.
-// Group-by and aggregate-argument expressions run as compiled kernel
-// programs (pre-compiled by the planner via GroupProgs/ArgProgs or compiled
-// on first use), and the accumulation loop reads typed payload slices
-// directly — per input row it boxes nothing.
+// Group-by and aggregate-argument expressions are kernel programs compiled
+// against In's schema (immutable, shareable across per-morsel instances),
+// and the accumulation loop reads typed payload slices directly — per input
+// row it boxes nothing.
 type HashAgg struct {
 	In      Operator
-	GroupBy []Expr
+	GroupBy []*Prog
 	Aggs    []AggSpec
 	Partial bool
 	Tel     *Telemetry
-	// GroupProgs/ArgProgs optionally carry the planner's pre-compiled
-	// programs, parallel to GroupBy/Aggs (ArgProgs entries are nil for
-	// COUNT(*)). When nil the operator compiles on first use.
-	GroupProgs []*Prog
-	ArgProgs   []*Prog
 
 	schema colfile.Schema
 	done   bool
@@ -429,20 +424,15 @@ func (st *aggState) minmaxValue(i int) any {
 	return nil
 }
 
-// Schema implements Operator.
+// Schema implements Operator. The output schema is a function of the compiled
+// programs alone (source rendering for names, OutType for types), so a
+// HashAgg with no input attached still describes its output.
 func (h *HashAgg) Schema() colfile.Schema {
 	if h.schema != nil {
 		return h.schema
 	}
-	in := h.In.Schema()
-	for i, g := range h.GroupBy {
-		t, err := g.Type(in)
-		if err != nil {
-			t = colfile.Int64
-		}
-		name := g.String()
-		_ = i
-		h.schema = append(h.schema, colfile.Field{Name: name, Type: t})
+	for _, g := range h.GroupBy {
+		h.schema = append(h.schema, colfile.Field{Name: g.String(), Type: g.OutType()})
 	}
 	for _, a := range h.Aggs {
 		t := colfile.Int64
@@ -451,9 +441,7 @@ func (h *HashAgg) Schema() colfile.Schema {
 			t = colfile.Float64
 		case AggSum, AggMin, AggMax:
 			if a.Arg != nil {
-				if at, err := a.Arg.Type(in); err == nil {
-					t = at
-				}
+				t = a.Arg.OutType()
 			}
 			if a.Kind == AggSum && t == colfile.Bool {
 				t = colfile.Int64
@@ -487,49 +475,8 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 	var order []string
 	var keyBuf []byte
 
-	// Compile group-by and argument expressions once for the whole drain;
-	// exotic expressions fall back to the scalar reference path.
-	in := h.In.Schema()
-	keyProgs, argProgs := h.GroupProgs, h.ArgProgs
-	fallback := false
-	if keyProgs == nil {
-		keyProgs = make([]*Prog, len(h.GroupBy))
-		for i, g := range h.GroupBy {
-			p, err := Compile(g, in)
-			if err != nil {
-				fallback = true
-				break
-			}
-			keyProgs[i] = p
-		}
-	}
-	if !fallback && argProgs == nil {
-		argProgs = make([]*Prog, len(h.Aggs))
-		for i, a := range h.Aggs {
-			if a.Arg == nil {
-				continue
-			}
-			p, err := Compile(a.Arg, in)
-			if err != nil {
-				fallback = true
-				break
-			}
-			argProgs[i] = p
-		}
-	}
-	var keyCtxs, argCtxs []*EvalCtx
-	if !fallback {
-		keyCtxs = make([]*EvalCtx, len(keyProgs))
-		for i, p := range keyProgs {
-			keyCtxs[i] = p.NewCtx()
-		}
-		argCtxs = make([]*EvalCtx, len(argProgs))
-		for i, p := range argProgs {
-			if p != nil {
-				argCtxs[i] = p.NewCtx()
-			}
-		}
-	}
+	keyCtxs := make([]EvalCtx, len(h.GroupBy))
+	argCtxs := make([]EvalCtx, len(h.Aggs))
 	keyVecs := make([]*colfile.Vec, len(h.GroupBy))
 	argVecs := make([]*colfile.Vec, len(h.Aggs))
 
@@ -544,35 +491,18 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 		if h.Tel != nil {
 			h.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
-		if fallback {
-			b = b.Materialize() // the scalar reference is defined over dense batches
-		}
-		for i := range h.GroupBy {
-			var v *colfile.Vec
-			if fallback {
-				v, err = h.GroupBy[i].Eval(b)
-			} else {
-				v, err = keyProgs[i].Run(keyCtxs[i], b)
-			}
-			if err != nil {
+		for i, g := range h.GroupBy {
+			if keyVecs[i], err = g.Run(&keyCtxs[i], b); err != nil {
 				return nil, err
 			}
-			keyVecs[i] = v
 		}
 		for i, a := range h.Aggs {
 			if a.Arg == nil {
 				continue
 			}
-			var v *colfile.Vec
-			if fallback {
-				v, err = a.Arg.Eval(b)
-			} else {
-				v, err = argProgs[i].Run(argCtxs[i], b)
-			}
-			if err != nil {
+			if argVecs[i], err = a.Arg.Run(&argCtxs[i], b); err != nil {
 				return nil, err
 			}
-			argVecs[i] = v
 		}
 		for r := 0; r < b.NumRows(); r++ {
 			phys := b.RowIdx(r)

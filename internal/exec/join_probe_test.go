@@ -61,7 +61,7 @@ func TestTypedKeysFixSeparatorCollision(t *testing.T) {
 	// End to end: GROUP BY (c1, c2) must produce two groups, not one.
 	agg := &HashAgg{
 		In:      NewBatchSource(b),
-		GroupBy: []Expr{ColRef{Idx: 0, Name: "c1"}, ColRef{Idx: 1, Name: "c2"}},
+		GroupBy: progs(t, b.Schema, ColRef{Idx: 0, Name: "c1"}, ColRef{Idx: 1, Name: "c2"}),
 		Aggs:    []AggSpec{{Kind: AggCountStar, Name: "n"}},
 	}
 	out, err := Collect(agg)
@@ -235,13 +235,14 @@ func TestMergeFreeConcatMatchesMergingPath(t *testing.T) {
 		_ = cellA.AppendRow(int64(i%3), int64(i))       // groups 0..2
 		_ = cellB.AppendRow(int64(3+(i%4)), int64(i*2)) // groups 3..6
 	}
-	groupBy := []Expr{ColRef{Idx: 0, Name: "g"}}
+	groupBy := progs(t, schema, ColRef{Idx: 0, Name: "g"})
+	v := prog(t, schema, ColRef{Idx: 1})
 	aggs := []AggSpec{
 		{Kind: AggCountStar, Name: "n"},
-		{Kind: AggSum, Arg: ColRef{Idx: 1}, Name: "s"},
-		{Kind: AggAvg, Arg: ColRef{Idx: 1}, Name: "a"},
-		{Kind: AggMin, Arg: ColRef{Idx: 1}, Name: "mn"},
-		{Kind: AggMax, Arg: ColRef{Idx: 1}, Name: "mx"},
+		{Kind: AggSum, Arg: v, Name: "s"},
+		{Kind: AggAvg, Arg: v, Name: "a"},
+		{Kind: AggMin, Arg: v, Name: "mn"},
+		{Kind: AggMax, Arg: v, Name: "mx"},
 	}
 	partials := func() []*colfile.Batch {
 		var out []*colfile.Batch

@@ -14,8 +14,8 @@
 //     kernels never append or allocate in steady state).
 //   - NULLs: unless documented otherwise a kernel is NULL-propagating — an
 //     output lane is NULL iff any input lane it read is NULL (the engine's
-//     collapsed three-valued logic, identical to the scalar reference
-//     Expr.Eval). Value slots of NULL lanes hold unspecified values that
+//     collapsed three-valued logic, identical to the test-only scalar
+//     reference in reference_test.go). Value slots of NULL lanes hold unspecified values that
 //     faulting kernels (division) must not trap on.
 //   - Faulting kernels (integer/float division, modulo) check selected,
 //     non-NULL lanes only, and return the same error strings the scalar

@@ -361,25 +361,21 @@ func (s *BatchSource) Next() (*colfile.Batch, error) {
 }
 
 // Filter passes through rows where the predicate evaluates to true
-// (NULL is not true). The predicate is compiled into a kernel program on the
-// first batch (or supplied pre-compiled via Prog by the planner) and rows are
-// passed through as a selection vector over the input's physical columns —
-// no copies. The emitted batch aliases the filter's internal selection
-// buffer: it is valid until the next call to Next (the standard operator
-// output contract, docs/VECTORIZATION.md).
+// (NULL is not true). Rows are passed through as a selection vector over the
+// input's physical columns — no copies. The emitted batch aliases the
+// filter's internal selection buffer: it is valid until the next call to Next
+// (the standard operator output contract, docs/VECTORIZATION.md).
 type Filter struct {
-	In   Operator
-	Pred Expr
+	In Operator
+	// Pred is the predicate, compiled against In's schema. The Prog is
+	// immutable and may be shared by many Filter instances (one per morsel
+	// worker); the evaluation scratch is per instance.
+	Pred *Prog
 	Tel  *Telemetry
-	// Prog optionally carries the planner's pre-compiled predicate; when nil
-	// the filter compiles Pred itself on first use.
-	Prog *Prog
 
-	ctx      *EvalCtx
-	compiled bool
-	fallback bool
-	selBuf   []int
-	out      colfile.Batch
+	ctx    EvalCtx
+	selBuf []int
+	out    colfile.Batch
 }
 
 // Schema implements Operator.
@@ -389,36 +385,19 @@ func (f *Filter) Schema() colfile.Schema { return f.In.Schema() }
 //
 //polaris:kernel pv is position-aligned with the input batch, so its lanes are read at the physical positions Batch.Sel (or dense [0,n)) yields
 func (f *Filter) Next() (*colfile.Batch, error) {
+	// Checked before any input is pulled, so a non-boolean predicate is an
+	// error whether or not the input has rows.
+	if t := f.Pred.OutType(); t != colfile.Bool {
+		return nil, fmt.Errorf("exec: predicate yields %s, not bool", t)
+	}
 	for {
 		b, err := f.In.Next()
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if !f.compiled {
-			f.compiled = true
-			if f.Prog == nil {
-				prog, err := Compile(f.Pred, f.In.Schema())
-				if err != nil {
-					// Exotic Expr the compiler does not know: keep the
-					// scalar reference path (it reports the same type errors).
-					f.fallback = true
-				} else {
-					f.Prog = prog
-				}
-			}
-			if f.Prog != nil {
-				f.ctx = f.Prog.NewCtx()
-			}
-		}
-		if f.fallback {
-			return f.nextScalar(b)
-		}
-		pv, err := f.Prog.Run(f.ctx, b)
+		pv, err := f.Pred.Run(&f.ctx, b)
 		if err != nil {
 			return nil, err
-		}
-		if pv.Type != colfile.Bool {
-			return nil, fmt.Errorf("exec: predicate yields %s, not bool", pv.Type)
 		}
 		if f.Tel != nil {
 			f.Tel.RowsProcessed.Add(int64(b.NumRows()))
@@ -450,82 +429,36 @@ func (f *Filter) Next() (*colfile.Batch, error) {
 	}
 }
 
-// nextScalar is the pre-vectorization filter body, kept as the fallback for
-// predicates the compiler cannot lower.
-//
-//polaris:kernel the batch is Materialized first, so logical row i is physical lane i
-func (f *Filter) nextScalar(b *colfile.Batch) (*colfile.Batch, error) {
-	for {
-		b = b.Materialize() // the scalar reference is defined over dense batches
-		pv, err := f.Pred.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		if pv.Type != colfile.Bool {
-			return nil, fmt.Errorf("exec: predicate yields %s, not bool", pv.Type)
-		}
-		if f.Tel != nil {
-			f.Tel.RowsProcessed.Add(int64(b.NumRows()))
-		}
-		keep := make([]bool, b.NumRows())
-		kept := 0
-		for i := range keep {
-			if !pv.IsNull(i) && pv.Bools[i] {
-				keep[i] = true
-				kept++
-			}
-		}
-		if kept > 0 {
-			if kept == b.NumRows() {
-				return b, nil
-			}
-			return b.Filter(keep), nil
-		}
-		b, err = f.In.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-	}
-}
-
 // Project computes output expressions batch-at-a-time through compiled
-// kernel programs (with the scalar reference as fallback for expressions the
-// compiler cannot lower). Output batches are always dense: column references
-// over dense input alias the input vector (as the scalar path did), computed
-// columns are bulk-copied out of the per-operator scratch.
+// kernel programs. Output batches are always dense: column references over
+// dense input alias the input vector, computed columns are bulk-copied out of
+// the per-operator scratch.
 type Project struct {
-	In    Operator
-	Exprs []Expr
+	In Operator
+	// Exprs are the output expressions, compiled against In's schema.
+	Exprs []*Prog
+	// Names are the output column names; an empty or missing entry defaults
+	// to the expression's source rendering.
 	Names []string
 	Tel   *Telemetry
-	// Progs optionally carries the planner's pre-compiled programs, parallel
-	// to Exprs; when nil the operator compiles on first use.
-	Progs []*Prog
 
-	schema   colfile.Schema
-	ctxs     []*EvalCtx
-	compiled bool
-	fallback bool
+	schema colfile.Schema
+	ctxs   []EvalCtx
 }
 
-// Schema implements Operator.
+// Schema implements Operator: names from Names, types from the programs.
 func (p *Project) Schema() colfile.Schema {
 	if p.schema == nil {
-		in := p.In.Schema()
 		p.schema = make(colfile.Schema, len(p.Exprs))
-		for i, e := range p.Exprs {
-			t, err := e.Type(in)
-			if err != nil {
-				t = colfile.Int64
-			}
+		for i, prog := range p.Exprs {
 			name := ""
 			if i < len(p.Names) {
 				name = p.Names[i]
 			}
 			if name == "" {
-				name = e.String()
+				name = prog.String()
 			}
-			p.schema[i] = colfile.Field{Name: name, Type: t}
+			p.schema[i] = colfile.Field{Name: name, Type: prog.OutType()}
 		}
 	}
 	return p.schema
@@ -540,43 +473,12 @@ func (p *Project) Next() (*colfile.Batch, error) {
 	if p.Tel != nil {
 		p.Tel.RowsProcessed.Add(int64(b.NumRows()))
 	}
-	if !p.compiled {
-		p.compiled = true
-		if p.Progs == nil {
-			progs := make([]*Prog, len(p.Exprs))
-			for i, e := range p.Exprs {
-				prog, err := Compile(e, p.In.Schema())
-				if err != nil {
-					p.fallback = true
-					break
-				}
-				progs[i] = prog
-			}
-			if !p.fallback {
-				p.Progs = progs
-			}
-		}
-		if p.Progs != nil {
-			p.ctxs = make([]*EvalCtx, len(p.Progs))
-			for i, prog := range p.Progs {
-				p.ctxs[i] = prog.NewCtx()
-			}
-		}
+	if p.ctxs == nil {
+		p.ctxs = make([]EvalCtx, len(p.Exprs))
 	}
 	out := &colfile.Batch{Schema: p.Schema(), Cols: make([]*colfile.Vec, len(p.Exprs))}
-	if p.fallback {
-		b = b.Materialize() // the scalar reference is defined over dense batches
-		for i, e := range p.Exprs {
-			v, err := e.Eval(b)
-			if err != nil {
-				return nil, err
-			}
-			out.Cols[i] = v
-		}
-		return out, nil
-	}
-	for i, prog := range p.Progs {
-		v, err := prog.Run(p.ctxs[i], b)
+	for i, prog := range p.Exprs {
+		v, err := prog.Run(&p.ctxs[i], b)
 		if err != nil {
 			return nil, err
 		}
@@ -585,7 +487,7 @@ func (p *Project) Next() (*colfile.Batch, error) {
 			out.Cols[i] = v.Take(b.Sel) // gather selected lanes densely
 		default:
 			if col, ok := prog.ColRef(); ok {
-				out.Cols[i] = b.Cols[col] // alias, as the scalar ColRef did
+				out.Cols[i] = b.Cols[col] // alias the input column
 				continue
 			}
 			// copy out of reusable scratch (broadcast constants may be

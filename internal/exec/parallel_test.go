@@ -90,11 +90,12 @@ func TestSplitMorselsCoversAllRowsInOrder(t *testing.T) {
 
 func TestRunMorselsProjectionIdenticalAcrossDOP(t *testing.T) {
 	files := groupedFiles(t, 4, 200, 32)
-	pred := Bin{Kind: OpLt, L: ColRef{Idx: 2}, R: Const{Val: int64(60)}}
-	exprs := []Expr{
+	in := files[0].schema(t)
+	pred := prog(t, in, Bin{Kind: OpLt, L: ColRef{Idx: 2}, R: Const{Val: int64(60)}})
+	exprs := progs(t, in,
 		ColRef{Idx: 0, Name: "id"},
 		Bin{Kind: OpMul, L: ColRef{Idx: 2}, R: Const{Val: int64(3)}},
-	}
+	)
 	run := func(dop int) string {
 		morsels, err := SplitMorsels(files, dop*4)
 		if err != nil {
@@ -137,15 +138,17 @@ func (f ScanFile) schema(t *testing.T) colfile.Schema {
 
 func TestPartialMergeAggMatchesSerial(t *testing.T) {
 	files := groupedFiles(t, 4, 250, 25)
-	groupBy := []Expr{ColRef{Idx: 1, Name: "grp"}}
+	in := files[0].schema(t)
+	groupBy := progs(t, in, ColRef{Idx: 1, Name: "grp"})
+	c := progs(t, in, ColRef{Idx: 0}, ColRef{Idx: 1}, ColRef{Idx: 2}, ColRef{Idx: 3})
 	aggs := []AggSpec{
 		{Kind: AggCountStar, Name: "n"},
-		{Kind: AggCount, Arg: ColRef{Idx: 2}, Name: "c"},
-		{Kind: AggSum, Arg: ColRef{Idx: 2}, Name: "sv"},
-		{Kind: AggSum, Arg: ColRef{Idx: 3}, Name: "sp"},
-		{Kind: AggAvg, Arg: ColRef{Idx: 2}, Name: "av"},
-		{Kind: AggMin, Arg: ColRef{Idx: 0}, Name: "mn"},
-		{Kind: AggMax, Arg: ColRef{Idx: 0}, Name: "mx"},
+		{Kind: AggCount, Arg: c[2], Name: "c"},
+		{Kind: AggSum, Arg: c[2], Name: "sv"},
+		{Kind: AggSum, Arg: c[3], Name: "sp"},
+		{Kind: AggAvg, Arg: c[2], Name: "av"},
+		{Kind: AggMin, Arg: c[0], Name: "mn"},
+		{Kind: AggMax, Arg: c[0], Name: "mx"},
 	}
 
 	serialScan, err := NewScan(files, nil, nil, nil)
@@ -190,12 +193,13 @@ func TestPartialMergeAggMatchesSerial(t *testing.T) {
 }
 
 func TestMergeAggGlobalEmptyInputYieldsOneRow(t *testing.T) {
+	schema := colfile.Schema{{Name: "v", Type: colfile.Int64}}
+	v := prog(t, schema, ColRef{Idx: 0})
 	aggs := []AggSpec{
 		{Kind: AggCountStar, Name: "n"},
-		{Kind: AggSum, Arg: ColRef{Idx: 0}, Name: "s"},
-		{Kind: AggMin, Arg: ColRef{Idx: 0}, Name: "mn"},
+		{Kind: AggSum, Arg: v, Name: "s"},
+		{Kind: AggMin, Arg: v, Name: "mn"},
 	}
-	schema := colfile.Schema{{Name: "v", Type: colfile.Int64}}
 	proto := &HashAgg{In: NewBatchSource(colfile.NewBatch(schema)), Aggs: aggs, Partial: true}
 	merged, err := Collect(&MergeAgg{In: NewBatchList(proto.Schema(), nil), Groups: 0, Aggs: aggs})
 	if err != nil {

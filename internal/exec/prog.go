@@ -1,10 +1,12 @@
 // Expression compilation: an Expr tree is compiled once per plan into a Prog,
 // a flat sequence of typed kernel instructions over value slots, and executed
-// batch-at-a-time with per-worker scratch (EvalCtx). The scalar Expr.Eval
-// methods remain the normative row-at-a-time reference; Prog.Run must be
-// observationally identical to them (same values, same NULLs, same error
-// strings) — pinned by the golden equivalence suite and FuzzKernelEquivalence.
-// The contract is documented in docs/VECTORIZATION.md.
+// batch-at-a-time with per-worker scratch (EvalCtx). Compile is the only way
+// an Expr becomes executable: its error is the statement's type error, and
+// there is no second evaluator to fall back to. The row-at-a-time reference
+// in reference_test.go is the test oracle; Prog.Run must be observationally
+// identical to it (same values, same NULLs, same error strings) — pinned by
+// the golden equivalence suite and FuzzKernelEquivalence. The contract is
+// documented in docs/VECTORIZATION.md.
 package exec
 
 //polaris:kernelfile compiled kernel programs copy lanes position-aligned under the kernel contract; sel translation happens at program boundaries
@@ -55,10 +57,15 @@ type Prog struct {
 	slots  []progSlot
 	instrs []progInstr
 	out    int
+	src    string
 }
 
 // OutType reports the static result type of the program.
 func (p *Prog) OutType() colfile.DataType { return p.slots[p.out].typ }
+
+// String renders the expression the program was compiled from; operators use
+// it as the default output column name.
+func (p *Prog) String() string { return p.src }
 
 // Cols returns the distinct input column indexes the program reads, in
 // ascending order. The scan uses it to decode only the predicate's columns
@@ -83,7 +90,7 @@ func (p *Prog) Cols() []int {
 
 // ColRef reports whether the program is a bare column reference, and which
 // input column it reads. Callers use it to alias the input vector directly
-// instead of copying (exactly what the scalar ColRef.Eval did).
+// instead of copying.
 func (p *Prog) ColRef() (int, bool) {
 	s := p.slots[p.out]
 	if s.kind == slotCol {
@@ -189,11 +196,14 @@ func fillConst(v *colfile.Vec, t colfile.DataType, val any, n int) {
 }
 
 // Compile lowers an Expr tree into a kernel program over the input schema.
-// Compilation fails for type errors the scalar reference also reports (same
-// messages) and for Expr implementations outside this package — operators
-// fall back to the scalar path in that case.
+// It fails for statically ill-typed trees (NOT or AND/OR over non-booleans,
+// LIKE over a non-string, arithmetic with no kernel, a column out of range)
+// and for Expr implementations outside this package; callers report that
+// error as the statement's. Errors that depend on the data — division by
+// zero, comparing a string with a number — compile to kernels that raise
+// them when a selected, non-NULL lane is reached.
 func Compile(e Expr, schema colfile.Schema) (*Prog, error) {
-	p := &Prog{}
+	p := &Prog{src: e.String()}
 	out, err := p.compileNode(e, schema)
 	if err != nil {
 		return nil, err
@@ -223,7 +233,7 @@ func (p *Prog) compileNode(e Expr, schema colfile.Schema) (int, error) {
 		}
 		return p.addSlot(progSlot{kind: slotCol, col: t.Idx, typ: schema[t.Idx].Type}), nil
 	case Const:
-		dt, err := t.Type(nil)
+		dt, err := constType(t.Val)
 		if err != nil {
 			return 0, err
 		}
@@ -286,7 +296,7 @@ func (p *Prog) compileBin(e Bin, schema colfile.Schema) (int, error) {
 	switch {
 	case e.Kind.IsLogical():
 		if lt != colfile.Bool || rt != colfile.Bool {
-			return 0, fmt.Errorf("exec: cannot compile %s over %s and %s", binNames[e.Kind], lt, rt)
+			return 0, fmt.Errorf("exec: cannot apply %s to %s and %s", binNames[e.Kind], lt, rt)
 		}
 		dst := p.scratch(colfile.Bool)
 		p.emit(logicalKernel(e.Kind), ls, rs, dst)

@@ -144,7 +144,7 @@ func selections(n int) map[string][]int {
 
 // evalScalar runs the scalar reference over the batch's logical rows.
 func evalScalar(e Expr, b *colfile.Batch) (*colfile.Vec, error) {
-	return e.Eval(b.Materialize())
+	return refEval(e, b.Materialize())
 }
 
 // evalVector compiles and runs the kernel program, then gathers the selected
@@ -215,8 +215,8 @@ func TestVectorizedFilterSelectionComposition(t *testing.T) {
 	pred1 := Bin{Kind: OpGt, L: col("i1"), R: Const{Val: -2}}
 	pred2 := Bin{Kind: OpLt, L: col("f2"), R: Const{Val: 5.0}}
 
-	f := &Filter{In: NewBatchSource(base), Pred: pred1}
-	f2 := &Filter{In: f, Pred: pred2}
+	f := &Filter{In: NewBatchSource(base), Pred: prog(t, goldenSchema, pred1)}
+	f2 := &Filter{In: f, Pred: prog(t, goldenSchema, pred2)}
 	got, err := Collect(f2)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestVectorizedFilterSelectionComposition(t *testing.T) {
 	for i := 0; i < base.NumRows(); i++ {
 		keep := true
 		for _, pred := range []Expr{Expr(pred1), Expr(pred2)} {
-			pv, err := pred.Eval(base)
+			pv, err := refEval(pred, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,14 +255,15 @@ func TestVectorizedFilterSelectionComposition(t *testing.T) {
 func TestVectorizedAggOverSelection(t *testing.T) {
 	base := goldenBatch(400)
 	pred := Bin{Kind: OpNe, L: col("i2"), R: Const{Val: 0}}
-	groupBy := []Expr{col("i2")}
+	arg := func(name string) *Prog { return prog(t, goldenSchema, col(name)) }
+	groupBy := progs(t, goldenSchema, col("i2"))
 	aggs := []AggSpec{
 		{Kind: AggCountStar, Name: "n"},
-		{Kind: AggSum, Arg: col("i1"), Name: "s"},
-		{Kind: AggMin, Arg: col("f1"), Name: "mnf"},
-		{Kind: AggMax, Arg: col("s1"), Name: "mxs"},
-		{Kind: AggMin, Arg: col("b1"), Name: "mnb"},
-		{Kind: AggAvg, Arg: col("i3"), Name: "av"},
+		{Kind: AggSum, Arg: arg("i1"), Name: "s"},
+		{Kind: AggMin, Arg: arg("f1"), Name: "mnf"},
+		{Kind: AggMax, Arg: arg("s1"), Name: "mxs"},
+		{Kind: AggMin, Arg: arg("b1"), Name: "mnb"},
+		{Kind: AggAvg, Arg: arg("i3"), Name: "av"},
 	}
 	run := func(in Operator) *colfile.Batch {
 		h := &HashAgg{In: in, GroupBy: groupBy, Aggs: aggs}
@@ -272,7 +273,7 @@ func TestVectorizedAggOverSelection(t *testing.T) {
 		}
 		return out
 	}
-	got := run(&Filter{In: NewBatchSource(base), Pred: pred})
+	got := run(&Filter{In: NewBatchSource(base), Pred: prog(t, goldenSchema, pred)})
 	// Reference input: materialized dense filter of the same rows.
 	pv, err := pred.Eval(base)
 	if err != nil {
@@ -365,11 +366,17 @@ func TestCompileErrorsMatchScalarTypeErrors(t *testing.T) {
 		{Not{E: col("i1")}, "exec: NOT of int64"},
 		{Like{E: col("i1"), Pattern: "%"}, "exec: LIKE over int64"},
 		{ColRef{Idx: 99}, "exec: column 99 out of range"},
+		{Bin{Kind: OpAnd, L: col("i1"), R: col("b1")}, "exec: cannot apply AND to int64 and bool"},
+		{Bin{Kind: OpOr, L: col("b1"), R: col("s1")}, "exec: cannot apply OR to bool and string"},
 	}
+	base := goldenBatch(8)
 	for _, c := range cases {
 		_, err := Compile(c.e, goldenSchema)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Compile(%s) error = %v, want %q", c.e, err, c.want)
+		}
+		if _, refErr := evalScalar(c.e, base); refErr == nil || err == nil || refErr.Error() != err.Error() {
+			t.Errorf("reference(%s) error = %v, Compile error = %v", c.e, refErr, err)
 		}
 	}
 }

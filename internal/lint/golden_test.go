@@ -20,7 +20,7 @@ func TestGolden(t *testing.T) {
 		{"selaware", []*lint.Analyzer{lint.SelAware}},
 		{"spillcleanup", []*lint.Analyzer{lint.SpillCleanup}},
 		{"ctxboundary", []*lint.Analyzer{lint.CtxBoundary}},
-		{"upstream", []*lint.Analyzer{lint.LostCancel, lint.CopyLocks, lint.AtomicAssign, lint.NilnessLite}},
+		{"upstream", []*lint.Analyzer{lint.NilnessLite}},
 		{"annotations", []*lint.Analyzer{lint.Annotations}},
 		{"stale", []*lint.Analyzer{lint.DetMapOrder}},
 	}

@@ -1,8 +1,8 @@
 package lint
 
 // Registry returns every analyzer in the polarisvet multichecker, in the
-// order findings group best: custom contract passes first, bundled
-// upstream-style passes after, annotation hygiene last. cmd/doccheck
+// order findings group best: custom contract passes first, the bundled
+// upstream-style pass after, annotation hygiene last. cmd/doccheck
 // verifies docs/LINT.md lists exactly these names, and cmd/polarisvet
 // -list prints them.
 func Registry() []*Analyzer {
@@ -12,9 +12,6 @@ func Registry() []*Analyzer {
 		SelAware,
 		SpillCleanup,
 		CtxBoundary,
-		LostCancel,
-		CopyLocks,
-		AtomicAssign,
 		NilnessLite,
 		Annotations,
 	}

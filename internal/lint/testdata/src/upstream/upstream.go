@@ -1,72 +1,11 @@
-// Package upstream exercises polarisvet's bundled upstream-style passes:
-// lostcancel, copylocks, atomic, and nilness.
+// Package upstream exercises polarisvet's bundled upstream-style pass,
+// nilness. (lostcancel, copylocks and atomic are go vet's job: `make lint`
+// runs `go vet ./...`.)
 package upstream
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-)
-
-// --- lostcancel ---
-
-// Discarded throws the cancel function away: flagged.
-func Discarded(ctx context.Context) context.Context {
-	c, _ := context.WithCancel(ctx) // want `cancel function returned by context\.WithCancel is discarded`
-	return c
-}
-
-// Deferred releases the context's resources: not flagged.
-func Deferred(ctx context.Context) error {
-	c, cancel := context.WithCancel(ctx)
-	defer cancel()
-	return c.Err()
-}
-
-// --- copylocks ---
-
 type guarded struct {
-	mu sync.Mutex
-	n  int
+	n int
 }
-
-// ByValue copies the mutex in its parameter: flagged.
-func ByValue(g guarded) int { // want `parameter copies .*guarded by value`
-	return g.n
-}
-
-// SumByValue copies the mutex in the range value: flagged.
-func SumByValue(gs []guarded) int {
-	n := 0
-	for _, g := range gs { // want `range value copies .*guarded by value`
-		n += g.n
-	}
-	return n
-}
-
-// ByPointer is the correct shape: not flagged.
-func ByPointer(g *guarded) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
-// --- atomic ---
-
-var counter int64
-
-// Bump stores the atomic result back into its own target: flagged.
-func Bump() int64 {
-	counter = atomic.AddInt64(&counter, 1) // want "races with the atomic update"
-	return atomic.LoadInt64(&counter)
-}
-
-// BumpOK uses the returned value: not flagged.
-func BumpOK() int64 {
-	return atomic.AddInt64(&counter, 1)
-}
-
-// --- nilness ---
 
 // Describe dereferences inside the nil branch: flagged.
 func Describe(g *guarded) int {

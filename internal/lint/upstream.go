@@ -4,183 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// This file bundles polarisvet's versions of four upstream go/analysis
-// passes (lostcancel, copylocks, atomic, nilness). The repo deliberately
-// has zero module dependencies, so these are conservative stdlib-only
-// re-implementations of the high-signal core of each upstream check, not
-// vendored copies: each flags only patterns that are unambiguously wrong,
-// trading the SSA-level recall of the originals for zero false positives.
-
-// LostCancel flags context.WithCancel/WithTimeout/WithDeadline calls whose
-// cancel function is discarded or never used: the derived context's
-// resources are held until the parent dies.
-var LostCancel = &Analyzer{
-	Name: "lostcancel",
-	Doc:  "the cancel function from context.With{Cancel,Timeout,Deadline} must be used",
-	Run:  runLostCancel,
-}
-
-var cancelReturning = map[string]bool{
-	"WithCancel": true, "WithTimeout": true, "WithDeadline": true,
-	"WithCancelCause": true, "WithTimeoutCause": true, "WithDeadlineCause": true,
-}
-
-func runLostCancel(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		forEachFunc(f, func(_ *ast.FuncType, body *ast.BlockStmt) {
-			inspectShallow(body, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-					return true
-				}
-				call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(p, call)
-				if fn == nil || funcPkgPath(fn) != "context" || !cancelReturning[fn.Name()] {
-					return true
-				}
-				cancel, ok := ast.Unparen(as.Lhs[1]).(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if cancel.Name == "_" {
-					p.Reportf(cancel.Pos(), "the cancel function returned by context.%s is discarded; deferring it releases the context's resources", fn.Name())
-					return true
-				}
-				obj := p.Pkg.Info.Defs[cancel]
-				if obj == nil {
-					return true // plain assignment to an existing var: assume used elsewhere
-				}
-				used := false
-				ast.Inspect(body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && id != cancel && p.Pkg.Info.Uses[id] == obj {
-						used = true
-					}
-					return !used
-				})
-				if !used {
-					p.Reportf(cancel.Pos(), "the cancel function %s is never used; defer %s() to release the context's resources", cancel.Name, cancel.Name)
-				}
-				return true
-			})
-		})
-	}
-}
-
-// CopyLocks flags signatures and range statements that copy a value
-// containing a sync or sync/atomic state-carrying type by value.
-var CopyLocks = &Analyzer{
-	Name: "copylocks",
-	Doc:  "flags by-value copies of types containing sync/sync-atomic state",
-	Run:  runCopyLocks,
-}
-
-func runCopyLocks(p *Pass) {
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			t := p.TypeOf(fld.Type)
-			if name := lockTypeIn(t, nil); name != "" {
-				p.Reportf(fld.Type.Pos(), "%s copies %s by value (contains %s); use a pointer", what, types.TypeString(t, nil), name)
-			}
-		}
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldList(n.Recv, "receiver")
-				checkFieldList(n.Type.Params, "parameter")
-				checkFieldList(n.Type.Results, "result")
-			case *ast.FuncLit:
-				checkFieldList(n.Type.Params, "parameter")
-				checkFieldList(n.Type.Results, "result")
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if name := lockTypeIn(p.TypeOf(n.Value), nil); name != "" {
-						p.Reportf(n.Value.Pos(), "range value copies %s by value (contains %s); iterate by index", types.TypeString(p.TypeOf(n.Value), nil), name)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// lockTypeIn returns the name of a sync/sync-atomic struct type contained
-// (transitively, by value) in t, or "".
-func lockTypeIn(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if pkg := obj.Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-			if _, isStruct := named.Underlying().(*types.Struct); isStruct {
-				return pkg.Path() + "." + obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockTypeIn(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockTypeIn(u.Elem(), seen)
-	}
-	return ""
-}
-
-// AtomicAssign flags `x = atomic.AddT(&x, ...)`: the plain store back into
-// x races with the atomic read-modify-write it is meant to protect.
-var AtomicAssign = &Analyzer{
-	Name: "atomic",
-	Doc:  "flags x = atomic.AddT(&x, ...) self-assignments that defeat the atomic op",
-	Run:  runAtomicAssign,
-}
-
-func runAtomicAssign(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					continue
-				}
-				fn := calleeFunc(p, call)
-				if fn == nil || funcPkgPath(fn) != "sync/atomic" || !strings.HasPrefix(fn.Name(), "Add") {
-					continue
-				}
-				addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-				if !ok || addr.Op != token.AND {
-					continue
-				}
-				if types.ExprString(ast.Unparen(addr.X)) == types.ExprString(ast.Unparen(as.Lhs[i])) {
-					p.Reportf(as.Pos(), "direct assignment of atomic.%s result back to %s races with the atomic update; drop the assignment", fn.Name(), types.ExprString(ast.Unparen(as.Lhs[i])))
-				}
-			}
-			return true
-		})
-	}
-}
+// This file holds polarisvet's one upstream-style pass. `make lint` runs the
+// originals of lostcancel, copylocks and atomic through `go vet ./...`, so
+// they are not re-implemented here; nilness is not in vet's default set, and
+// the repo deliberately has zero module dependencies, so it gets a
+// conservative stdlib-only re-implementation of its high-signal core: it
+// flags only patterns that are unambiguously wrong, trading the SSA-level
+// recall of the original for zero false positives.
 
 // NilnessLite flags uses of a pointer, interface, or func value inside the
 // taken branch of `if x == nil` when x is never reassigned in that branch:

@@ -11,6 +11,10 @@ import (
 type SnapshotCache struct {
 	mu     sync.Mutex
 	tables map[int64]*cachedTable
+	// committed is each table's newest sequence passed to Advance. It
+	// outlives Invalidate: a state older than it is missing commits, however
+	// it got into the cache, and must not be extended.
+	committed map[int64]int64
 	// Hits and Misses count lookups for the whole cache.
 	hits, misses int64
 }
@@ -24,7 +28,7 @@ type cachedTable struct {
 
 // NewSnapshotCache returns an empty cache.
 func NewSnapshotCache() *SnapshotCache {
-	return &SnapshotCache{tables: make(map[int64]*cachedTable)}
+	return &SnapshotCache{tables: make(map[int64]*cachedTable), committed: make(map[int64]int64)}
 }
 
 // Get returns the cached snapshot of tableID as of seq, or nil.
@@ -64,17 +68,28 @@ func (c *SnapshotCache) Put(tableID int64, s *TableState) {
 }
 
 // Advance applies a newly committed manifest to the cached latest snapshot,
-// keeping the cache warm without a full replay. It is a no-op when the table
-// is not cached or the sequence is not the immediate successor path.
+// keeping the cache warm without a full replay. Callers advance in commit
+// order (core does so under the catalog commit lock). The latest snapshot is
+// extended only when it is complete up to the previous commit: a base older
+// than that — an old reader's replayed state Put after the table was
+// invalidated, say — would yield a state missing the commits in between, so
+// the table then waits for the next replay instead. A sequence arriving out
+// of order drops the table: states cached for later sequences lack it.
 func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	prev := c.committed[tableID]
+	if seq <= prev {
+		delete(c.tables, tableID)
+		return
+	}
+	c.committed[tableID] = seq
 	t, ok := c.tables[tableID]
 	if !ok {
 		return
 	}
 	base, ok := t.states[t.latest]
-	if !ok || seq <= t.latest {
+	if !ok || t.latest < prev || seq <= t.latest {
 		return
 	}
 	next := base.Clone()

@@ -312,6 +312,60 @@ func TestSnapshotCacheAdvance(t *testing.T) {
 	}
 }
 
+// TestSnapshotCacheAdvanceEqualsReplay pins the incremental-maintenance
+// relation the cache exists for: whatever order commits and readers reach it
+// in, a snapshot it serves for sequence s equals the state replayed from the
+// manifests up to s — or it serves nothing and the reader replays. Both
+// interleavings below used to leave a state for seq 6 built on seq 4, so
+// every later snapshot missed txn 5's file.
+func TestSnapshotCacheAdvanceEqualsReplay(t *testing.T) {
+	const table = 7
+	commits := map[int64][]Action{
+		4: {addData("f4", 4)},
+		5: {addData("f5", 5)},
+		6: {addData("f6", 6)},
+	}
+	replayed := func(upTo int64) *TableState {
+		s := NewTableState()
+		for seq := int64(4); seq <= upTo; seq++ {
+			must(t, s.Apply(seq, commits[seq]))
+		}
+		return s
+	}
+	check := func(t *testing.T, c *SnapshotCache) {
+		t.Helper()
+		for seq := int64(4); seq <= 6; seq++ {
+			if got := c.Get(table, seq); got != nil && !reflect.DeepEqual(got, replayed(seq)) {
+				t.Errorf("cached state for seq %d has files %v, replay has %v",
+					seq, len(got.Files), len(replayed(seq).Files))
+			}
+		}
+	}
+
+	t.Run("out-of-order Advance", func(t *testing.T) {
+		c := NewSnapshotCache()
+		c.Put(table, replayed(4))
+		c.Advance(table, 6, commits[6])
+		c.Advance(table, 5, commits[5])
+		check(t, c)
+	})
+	t.Run("Put(old) then Advance", func(t *testing.T) {
+		c := NewSnapshotCache()
+		c.Advance(table, 5, commits[5]) // table not cached (e.g. invalidated): nothing to extend
+		c.Put(table, replayed(4))       // a reader whose snapshot predates commit 5
+		c.Advance(table, 6, commits[6])
+		check(t, c)
+		// The next reader's replay heals the cache, and advancing resumes.
+		c.Put(table, replayed(6))
+		c.Advance(table, 8, []Action{addData("f8", 8)})
+		want := replayed(6)
+		must(t, want.Apply(8, []Action{addData("f8", 8)}))
+		if got := c.Get(table, 8); !reflect.DeepEqual(got, want) {
+			t.Errorf("cache did not resume advancing from a complete base: %v", got)
+		}
+	})
+}
+
 func TestSnapshotCacheTrimAndInvalidate(t *testing.T) {
 	c := NewSnapshotCache()
 	for seq := int64(1); seq <= 5; seq++ {

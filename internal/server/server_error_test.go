@@ -43,6 +43,16 @@ func TestServerErrorMatrix(t *testing.T) {
 			wantErrSub: "no_such_table",
 		},
 		{
+			// A type error is the statement's error, reported at plan time;
+			// it used to panic in a pool worker and take the process down.
+			name:   "exec error ill-typed predicate",
+			method: "POST", path: "/v1/query",
+			body:       `{"sql": "SELECT k FROM ok WHERE NOT k"}`,
+			wantStatus: http.StatusBadRequest,
+			wantCode:   "exec_error",
+			wantErrSub: "exec: NOT of int64",
+		},
+		{
 			name:   "invalid json body",
 			method: "POST", path: "/v1/query",
 			body:       `{"sql": `,
@@ -138,6 +148,9 @@ func TestServerErrorMatrix(t *testing.T) {
 	}
 
 	// the server still works after the whole matrix
+	if code, body := e.get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after matrix: HTTP %d %s", code, body)
+	}
 	if r := e.query(sid, "SELECT COUNT(*) FROM ok"); r.Rows[0][0] != float64(1) {
 		t.Fatalf("post-matrix query: %v", r.Rows)
 	}

@@ -333,16 +333,9 @@ func runSelectDAG(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hint *ex
 		stageSchemas = append(stageSchemas, next)
 	}
 
-	var pred exec.Expr
-	var predProg *exec.Prog
-	if st.Where != nil {
-		pred, err = bind(st.Where, sc)
-		if err != nil {
-			return nil, true, err
-		}
-		if p, cerr := exec.Compile(pred, sc.schema); cerr == nil {
-			predProg = p
-		}
+	tail, err := compileTail(st, sc)
+	if err != nil {
+		return nil, true, err
 	}
 
 	// The exchange namespace lives exactly as long as the statement:
@@ -376,10 +369,7 @@ func runSelectDAG(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hint *ex
 						return nil, err
 					}
 					if J == 0 {
-						if pred != nil {
-							op = &exec.Filter{In: op, Pred: pred, Prog: predProg, Tel: ms.Tel}
-						}
-						if op, err = suffix(op); err != nil {
+						if op, err = suffix(tail.filter(op, ms.Tel)); err != nil {
 							return nil, err
 						}
 					}
@@ -520,11 +510,8 @@ func runSelectDAG(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hint *ex
 							op = pr
 						}
 						if last {
-							if pred != nil {
-								op = &exec.Filter{In: op, Pred: pred, Prog: predProg, Tel: ms.Tel}
-							}
 							var err error
-							if op, err = suffix(op); err != nil {
+							if op, err = suffix(tail.filter(op, ms.Tel)); err != nil {
 								return nil, err
 							}
 						}
@@ -585,5 +572,5 @@ func runSelectDAG(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hint *ex
 		return batches, nil
 	}
 
-	return finishParallelSelect(tx, st, sc, ms.Tel, mergeFree, runFragments)
+	return finishParallelSelect(tx, st, tail, ms.Tel, mergeFree, runFragments)
 }

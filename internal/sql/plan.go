@@ -142,7 +142,30 @@ func displayName(c ColName) string {
 	return c.Name
 }
 
-// bind lowers an AST expression to a vectorized exec expression over scope.
+// slotRef is a column the planner already resolved to a position in the
+// scope's schema — a * expansion, or a post-aggregation reference to a group
+// or aggregate output column — so bind lowers it without a name lookup.
+type slotRef struct {
+	idx  int
+	name string // display only
+}
+
+func (slotRef) expr() {}
+
+// compile binds an AST expression over the scope and lowers it to a kernel
+// program against the scope's schema. It is the only path from this package
+// to exec.Compile, and callers return its error as the statement's: a type
+// error is reported at plan time, before the statement's pipeline runs, by
+// the serial, morsel and DAG paths alike.
+func compile(e Expr, sc *scope) (*exec.Prog, error) {
+	bound, err := bind(e, sc)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Compile(bound, sc.schema)
+}
+
+// bind lowers an AST expression to an exec expression tree over scope.
 // Aggregate functions are rejected here; the aggregate path replaces them
 // before binding.
 func bind(e Expr, sc *scope) (exec.Expr, error) {
@@ -153,6 +176,8 @@ func bind(e Expr, sc *scope) (exec.Expr, error) {
 			return nil, err
 		}
 		return exec.ColRef{Idx: idx, Name: displayName(x)}, nil
+	case slotRef:
+		return exec.ColRef{Idx: x.idx, Name: x.name}, nil
 	case Lit:
 		return exec.Const{Val: x.Val}, nil
 	case BinExpr:
@@ -454,24 +479,56 @@ func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
 		sc = jsc
 	}
 
+	tail, err := compileTail(st, sc)
+	if err != nil {
+		return nil, err
+	}
+	op = tail.filter(op, nil)
+	if tail.agg != nil {
+		op = tail.agg.finish(&exec.HashAgg{In: op, GroupBy: tail.agg.groupBy, Aggs: tail.agg.aggs})
+	} else {
+		op = &exec.Project{In: op, Exprs: tail.proj, Names: tail.names}
+	}
+	return finishSelect(st, op)
+}
+
+// selectTail is the compiled part of a SELECT downstream of its joins: the
+// residual WHERE, then either the aggregation or the plain projection. It is
+// compiled once per statement against the post-join scope and consumed by the
+// serial tail, the morsel path and the DAG path; the Progs are immutable, so
+// per-morsel operator instances share them.
+type selectTail struct {
+	where *exec.Prog // nil = none
+	agg   *aggPlan   // nil = plain projection
+	proj  []*exec.Prog
+	names []string
+}
+
+func compileTail(st *SelectStmt, sc *scope) (*selectTail, error) {
+	t := &selectTail{}
+	var err error
 	if st.Where != nil {
-		pred, err := bind(st.Where, sc)
-		if err != nil {
+		if t.where, err = compile(st.Where, sc); err != nil {
 			return nil, err
 		}
-		op = &exec.Filter{In: op, Pred: pred}
 	}
-
-	var outOp exec.Operator
 	if selectHasAgg(st) {
-		outOp, err = planAggregate(st, op, sc)
+		t.agg, err = buildAggPlan(st, sc)
 	} else {
-		outOp, err = planProjection(st, op, sc)
+		t.proj, t.names, err = buildProjection(st, sc)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return finishSelect(st, outOp)
+	return t, nil
+}
+
+// filter stacks the residual WHERE, if any, on a plan fragment.
+func (t *selectTail) filter(op exec.Operator, tel *exec.Telemetry) exec.Operator {
+	if t.where == nil {
+		return op
+	}
+	return &exec.Filter{In: op, Pred: t.where, Tel: tel}
 }
 
 // bareLimitSelect reports a bare LIMIT query (no ORDER BY, no aggregation):
@@ -711,13 +768,12 @@ func runSpilledJoinStages(tx *core.Txn, ms *core.MorselScan, dop int, stages []p
 
 // baseScanPlan is the parallel path's per-morsel scan recipe for the probe
 // base: the projected columns, the resulting scan schema, and the pushed
-// predicate (bound and compiled once per statement, shared read-only by the
-// morsel workers — each scan owns its EvalCtx).
+// predicate (compiled once per statement, shared read-only by the morsel
+// workers — each scan owns its EvalCtx).
 type baseScanPlan struct {
 	cols   []string
 	schema colfile.Schema // projected scan output schema
-	pred   exec.Expr      // pushed conjunction (nil = none)
-	prog   *exec.Prog     // compiled form (nil = Filter fallback)
+	pred   *exec.Prog     // pushed conjunction (nil = none)
 }
 
 // newBaseScanPlan resolves the physical plan's projection and pushdown
@@ -736,14 +792,9 @@ func newBaseScanPlan(plan *physPlan, ref TableRef, ms *core.MorselScan) (*baseSc
 		b.schema = proj
 	}
 	if conj := plan.pushedFor(ref); len(conj) > 0 {
-		sc := singleTableScope(b.schema, aliasOf(ref))
-		pred, err := bind(andFold(conj), sc)
-		if err != nil {
+		var err error
+		if b.pred, err = compile(andFold(conj), singleTableScope(b.schema, aliasOf(ref))); err != nil {
 			return nil, err
-		}
-		b.pred = pred
-		if pr, cerr := exec.Compile(pred, b.schema); cerr == nil {
-			b.prog = pr
 		}
 	}
 	return b, nil
@@ -760,13 +811,10 @@ func (b *baseScanPlan) fragment(m exec.Morsel, ms *core.MorselScan, hint *exec.P
 	if err := s.SetSchema(ms.Schema); err != nil {
 		return nil, err
 	}
-	var op exec.Operator = s
-	if b.pred != nil {
-		if b.prog == nil || !s.PushPredicate(b.prog) {
-			op = &exec.Filter{In: op, Pred: b.pred, Prog: b.prog, Tel: ms.Tel}
-		}
+	if b.pred != nil && !s.PushPredicate(b.pred) {
+		return &exec.Filter{In: s, Pred: b.pred, Tel: ms.Tel}, nil
 	}
-	return op, nil
+	return s, nil
 }
 
 // groupByCoversDistCol reports whether a GROUP BY item names the table's
@@ -873,25 +921,14 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 		sc = jsc
 	}
 
-	var pred exec.Expr
-	var predProg *exec.Prog
-	if st.Where != nil {
-		pred, err = bind(st.Where, sc)
-		if err != nil {
-			return nil, true, err
-		}
-		// Compile the predicate into a kernel program once per statement; the
-		// immutable Prog is shared by every morsel worker's Filter instance
-		// (each owns its EvalCtx). A nil Prog makes the operator compile — or
-		// fall back to the scalar reference — itself.
-		if p, cerr := exec.Compile(pred, sc.schema); cerr == nil {
-			predProg = p
-		}
+	tail, err := compileTail(st, sc)
+	if err != nil {
+		return nil, true, err
 	}
 	// runFragments fans the embarrassingly parallel tail of the plan out
 	// over the workers and returns per-morsel batches in morsel order. In
 	// the streaming shape (no spilled build) each worker runs
-	// scan→[probe…]→filter→suffix per morsel: bound expressions and
+	// scan→[probe…]→filter→suffix per morsel: compiled programs and
 	// JoinTables are stateless/immutable values, safe to share across
 	// workers; each Probe instance owns its scratch buffers; the telemetry
 	// sink is atomic. When a build spilled, the join stages have already
@@ -911,10 +948,7 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 				op = &exec.Probe{In: op, Table: ps.src.Table, LeftKeys: ps.leftKeys, Tel: ms.Tel,
 					Bloom: ps.bloom, Pruned: pruned}
 			}
-			if pred != nil {
-				op = &exec.Filter{In: op, Pred: pred, Prog: predProg, Tel: ms.Tel}
-			}
-			return op, nil
+			return tail.filter(op, ms.Tel), nil
 		}
 		runFragments = func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
 			return exec.RunMorsels(ms.Morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
@@ -932,15 +966,11 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 		}
 		runFragments = func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
 			return exec.RunBatches(joined, dop, func(_ int, b *colfile.Batch) (exec.Operator, error) {
-				var op exec.Operator = exec.NewBatchSource(b)
-				if pred != nil {
-					op = &exec.Filter{In: op, Pred: pred, Prog: predProg, Tel: ms.Tel}
-				}
-				return suffix(op)
+				return suffix(tail.filter(exec.NewBatchSource(b), ms.Tel))
 			})
 		}
 	}
-	return finishParallelSelect(tx, st, sc, ms.Tel, mergeFree, runFragments)
+	return finishParallelSelect(tx, st, tail, ms.Tel, mergeFree, runFragments)
 }
 
 // finishParallelSelect runs the merge tail of a parallel SELECT: it drives
@@ -949,28 +979,18 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 // deterministic merge operators. Shared by the morsel-pool and DCP-DAG
 // executors — runFragments abstracts where the fragments ran, so the two
 // paths cannot drift apart downstream of the fragment boundary.
-func finishParallelSelect(tx *core.Txn, st *SelectStmt, sc *scope, tel *exec.Telemetry, mergeFree bool,
+func finishParallelSelect(tx *core.Txn, st *SelectStmt, tail *selectTail, tel *exec.Telemetry, mergeFree bool,
 	runFragments func(func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error)) (*colfile.Batch, bool, error) {
-	// schemaSource stands in for the plan prefix when instantiating
-	// prototype operators whose Schema() needs an input schema (sc.schema
-	// is the post-join schema).
-	schemaSource := func() exec.Operator { return exec.NewBatchSource(colfile.NewBatch(sc.schema)) }
-
 	var outOp exec.Operator
-	if selectHasAgg(st) {
+	if ap := tail.agg; ap != nil {
 		// ORDER BY over an aggregate stays on the serial Sort: the merged
 		// aggregate is already materialized on the FE, one group per row, so
 		// there is nothing left to fan out.
-		ap, err := buildAggPlan(st, sc)
-		if err != nil {
-			return nil, true, err
+		partial := func(op exec.Operator) *exec.HashAgg {
+			return &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
 		}
-		groupProgs, argProgs := compileAggProgs(ap.groupBy, ap.aggs, sc.schema)
 		batches, err := runFragments(func(op exec.Operator) (exec.Operator, error) {
-			return &exec.HashAgg{
-				In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true,
-				GroupProgs: groupProgs, ArgProgs: argProgs,
-			}, nil
+			return partial(op), nil
 		})
 		if err != nil {
 			return nil, true, err
@@ -978,33 +998,27 @@ func finishParallelSelect(tx *core.Txn, st *SelectStmt, sc *scope, tel *exec.Tel
 		if mergeFree {
 			tx.Work().MergeFreeAggs.Add(1)
 		}
-		partialProto := &exec.HashAgg{In: schemaSource(), GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
-		outOp = &exec.MergeAgg{
-			In:     exec.NewBatchList(partialProto.Schema(), batches),
+		outOp = ap.finish(&exec.MergeAgg{
+			// the partial layout is a function of the programs alone
+			In:     exec.NewBatchList(partial(nil).Schema(), batches),
 			Groups: len(ap.groupBy), Aggs: ap.aggs, MergeFree: mergeFree, Tel: tel,
-		}
-		if ap.having != nil {
-			outOp = &exec.Filter{In: outOp, Pred: ap.having, Prog: compileHaving(ap.having, outOp.Schema())}
-		}
-		outOp = &exec.Project{In: outOp, Exprs: ap.outExprs, Names: ap.outNames}
+		})
 	} else {
-		exprs, names, err := buildProjection(st, sc)
-		if err != nil {
-			return nil, true, err
+		project := func(op exec.Operator) exec.Operator {
+			return &exec.Project{In: op, Exprs: tail.proj, Names: tail.names}
 		}
-		projProgs := compileProgs(exprs, sc.schema)
-		proto := &exec.Project{In: schemaSource(), Exprs: exprs, Names: names}
+		outSchema := project(nil).Schema()
 		if len(st.OrderBy) > 0 {
-			b, err := runParallelOrderBy(tx, st, runFragments, tel, exprs, names, projProgs, proto.Schema())
+			b, err := runParallelOrderBy(tx, st, runFragments, tel, project, outSchema)
 			return b, true, err
 		}
 		batches, err := runFragments(func(op exec.Operator) (exec.Operator, error) {
-			return &exec.Project{In: op, Exprs: exprs, Names: names, Progs: projProgs}, nil
+			return project(op), nil
 		})
 		if err != nil {
 			return nil, true, err
 		}
-		outOp = exec.NewBatchList(proto.Schema(), batches)
+		outOp = exec.NewBatchList(outSchema, batches)
 	}
 
 	b, err := finishSelect(st, outOp)
@@ -1023,7 +1037,7 @@ func finishParallelSelect(tx *core.Txn, st *SelectStmt, sc *scope, tel *exec.Tel
 // the FE ever materialize the full sorted result.
 func runParallelOrderBy(tx *core.Txn, st *SelectStmt,
 	runFragments func(func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error),
-	tel *exec.Telemetry, exprs []exec.Expr, names []string, progs []*exec.Prog,
+	tel *exec.Telemetry, project func(exec.Operator) exec.Operator,
 	outSchema colfile.Schema) (*colfile.Batch, error) {
 	keys, err := orderKeys(st, outSchema)
 	if err != nil {
@@ -1034,7 +1048,7 @@ func runParallelOrderBy(tx *core.Txn, st *SelectStmt,
 		bound = st.Limit + st.Offset
 	}
 	batches, err := runFragments(func(op exec.Operator) (exec.Operator, error) {
-		op = &exec.Project{In: op, Exprs: exprs, Names: names, Progs: progs}
+		op = project(op)
 		if bound >= 0 {
 			return &exec.TopN{In: op, Keys: keys, N: bound, Tel: tel}, nil
 		}
@@ -1051,45 +1065,6 @@ func runParallelOrderBy(tx *core.Txn, st *SelectStmt,
 		out = &exec.Limit{In: out, N: st.Limit, Offset: st.Offset}
 	}
 	return exec.Collect(out)
-}
-
-// compileProgs lowers bound expressions into kernel programs once per
-// statement against the fragment input schema; the resulting Progs are
-// immutable and shared read-only by every morsel worker (each operator
-// instance owns its EvalCtx). Returns nil when any expression cannot be
-// lowered — operators then compile or fall back themselves.
-func compileProgs(exprs []exec.Expr, schema colfile.Schema) []*exec.Prog {
-	progs := make([]*exec.Prog, len(exprs))
-	for i, e := range exprs {
-		p, err := exec.Compile(e, schema)
-		if err != nil {
-			return nil
-		}
-		progs[i] = p
-	}
-	return progs
-}
-
-// compileAggProgs compiles the group-by and aggregate-argument expressions of
-// a parallel aggregation (nil entries for COUNT(*)); all-or-nothing per list
-// so HashAgg's fallback logic stays simple.
-func compileAggProgs(groupBy []exec.Expr, aggs []exec.AggSpec, schema colfile.Schema) (groupProgs, argProgs []*exec.Prog) {
-	groupProgs = compileProgs(groupBy, schema)
-	if groupProgs == nil {
-		return nil, nil
-	}
-	argProgs = make([]*exec.Prog, len(aggs))
-	for i, a := range aggs {
-		if a.Arg == nil {
-			continue
-		}
-		p, err := exec.Compile(a.Arg, schema)
-		if err != nil {
-			return nil, nil
-		}
-		argProgs[i] = p
-	}
-	return groupProgs, argProgs
 }
 
 func aliasOf(r TableRef) string {
@@ -1166,34 +1141,33 @@ func equiKeys(on Expr, left, right *scope) (lk, rk []int, err error) {
 	return lk, rk, nil
 }
 
-func planProjection(st *SelectStmt, op exec.Operator, sc *scope) (exec.Operator, error) {
-	exprs, names, err := buildProjection(st, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &exec.Project{In: op, Exprs: exprs, Names: names}, nil
-}
-
-// buildProjection binds the SELECT items to output expressions and names.
-func buildProjection(st *SelectStmt, sc *scope) ([]exec.Expr, []string, error) {
-	var exprs []exec.Expr
+// buildProjection compiles the SELECT items to output programs and names.
+func buildProjection(st *SelectStmt, sc *scope) ([]*exec.Prog, []string, error) {
+	var progs []*exec.Prog
 	var names []string
+	add := func(e Expr, name string) error {
+		p, err := compile(e, sc)
+		if err != nil {
+			return err
+		}
+		progs = append(progs, p)
+		names = append(names, name)
+		return nil
+	}
 	for _, it := range st.Items {
 		if it.Star {
 			for i, f := range sc.schema {
-				exprs = append(exprs, exec.ColRef{Idx: i, Name: f.Name})
-				names = append(names, f.Name)
+				if err := add(slotRef{idx: i, name: f.Name}, f.Name); err != nil {
+					return nil, nil, err
+				}
 			}
 			continue
 		}
-		e, err := bind(it.Expr, sc)
-		if err != nil {
+		if err := add(it.Expr, itemName(it)); err != nil {
 			return nil, nil, err
 		}
-		exprs = append(exprs, e)
-		names = append(names, itemName(it))
 	}
-	return exprs, names, nil
+	return progs, names, nil
 }
 
 func itemName(it SelectItem) string {
@@ -1206,90 +1180,72 @@ func itemName(it SelectItem) string {
 	return ""
 }
 
-// aggPlan is the lowered form of an aggregate query: group-key and aggregate
-// specs for the (serial or partial/merge) aggregation stage, plus the
-// post-aggregation projection and HAVING predicate over its output.
+// aggPlan is the compiled form of an aggregate query: group-key and aggregate
+// argument programs over the input scope for the (serial or partial/merge)
+// aggregation stage, plus the post-aggregation projection and HAVING
+// predicate, compiled over the aggregate's output schema.
 type aggPlan struct {
-	groupBy  []exec.Expr
+	groupBy  []*exec.Prog
 	aggs     []exec.AggSpec
-	outExprs []exec.Expr
+	out      []*exec.Prog
 	outNames []string
-	having   exec.Expr
+	having   *exec.Prog // nil = none
 }
 
-// planAggregate lowers GROUP BY queries for the serial path: the HashAgg
-// computes group keys and every aggregate found in the items/HAVING; a
-// post-projection then maps item expressions over the aggregate's output.
-func planAggregate(st *SelectStmt, op exec.Operator, sc *scope) (exec.Operator, error) {
-	ap, err := buildAggPlan(st, sc)
-	if err != nil {
-		return nil, err
-	}
-	var out exec.Operator = &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs}
+// finish stacks HAVING and the output projection on the final aggregate (a
+// serial HashAgg or the parallel paths' MergeAgg — same output schema).
+func (ap *aggPlan) finish(agg exec.Operator) exec.Operator {
 	if ap.having != nil {
-		out = &exec.Filter{In: out, Pred: ap.having, Prog: compileHaving(ap.having, out.Schema())}
+		agg = &exec.Filter{In: agg, Pred: ap.having}
 	}
-	return &exec.Project{In: out, Exprs: ap.outExprs, Names: ap.outNames}, nil
+	return &exec.Project{In: agg, Exprs: ap.out, Names: ap.outNames}
 }
 
-// compileHaving lowers a HAVING predicate into a kernel program against the
-// aggregate's output schema, once per statement — the same treatment WHERE
-// predicates get. Nil on failure: the Filter then compiles or falls back
-// itself.
-func compileHaving(having exec.Expr, schema colfile.Schema) *exec.Prog {
-	p, err := exec.Compile(having, schema)
-	if err != nil {
-		return nil
-	}
-	return p
-}
-
-// buildAggPlan binds an aggregate query's pieces against the input scope.
+// buildAggPlan compiles an aggregate query's pieces: group keys and aggregate
+// arguments against the input scope, then the item and HAVING expressions —
+// rewritten over [groups..., aggs...] — against the aggregate's output.
 func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
-	groupExprs := make([]exec.Expr, len(st.GroupBy))
+	ap := &aggPlan{groupBy: make([]*exec.Prog, len(st.GroupBy))}
 	for i, g := range st.GroupBy {
-		e, err := bind(g, sc)
+		p, err := compile(g, sc)
 		if err != nil {
 			return nil, err
 		}
-		groupExprs[i] = e
+		ap.groupBy[i] = p
 	}
 
 	// Collect aggregates in item order, then HAVING.
-	var aggs []exec.AggSpec
 	aggIndex := map[string]int{} // rendered key -> agg slot
 	addAgg := func(f FuncExpr) (int, error) {
 		kind, err := aggKind(f)
 		if err != nil {
 			return 0, err
 		}
-		var arg exec.Expr
+		var arg *exec.Prog
 		key := f.Name + "(*)"
 		if !f.Star {
-			bound, err := bind(f.Arg, sc)
-			if err != nil {
+			if arg, err = compile(f.Arg, sc); err != nil {
 				return 0, err
 			}
-			arg = bound
-			key = f.Name + "(" + bound.String() + ")"
+			key = f.Name + "(" + arg.String() + ")"
 		}
 		if i, ok := aggIndex[key]; ok {
 			return i, nil
 		}
-		aggs = append(aggs, exec.AggSpec{Kind: kind, Arg: arg, Name: key})
-		aggIndex[key] = len(aggs) - 1
-		return len(aggs) - 1, nil
+		ap.aggs = append(ap.aggs, exec.AggSpec{Kind: kind, Arg: arg, Name: key})
+		aggIndex[key] = len(ap.aggs) - 1
+		return len(ap.aggs) - 1, nil
 	}
 
 	// replaceAgg rewrites an item expression into a post-aggregation
 	// expression over [groups..., aggs...].
-	var replaceAgg func(e Expr) (exec.Expr, error)
-	replaceAgg = func(e Expr) (exec.Expr, error) {
+	var replaceAgg func(e Expr) (Expr, error)
+	replaceAgg = func(e Expr) (Expr, error) {
 		// An item expression structurally equal to a GROUP BY expression maps
 		// to that group column (e.g. GROUP BY d/30 ... SELECT d/30).
 		for i, g := range st.GroupBy {
 			if reflect.DeepEqual(e, g) {
-				return exec.ColRef{Idx: i, Name: fmt.Sprintf("group%d", i)}, nil
+				return slotRef{idx: i, name: fmt.Sprintf("group%d", i)}, nil
 			}
 		}
 		switch x := e.(type) {
@@ -1298,18 +1254,18 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return exec.ColRef{Idx: len(groupExprs) + slot, Name: aggs[slot].Name}, nil
+			return slotRef{idx: len(st.GroupBy) + slot, name: ap.aggs[slot].Name}, nil
 		case ColName:
 			// must match a GROUP BY expression
 			for i, g := range st.GroupBy {
 				if gc, ok := g.(ColName); ok && strings.EqualFold(gc.Name, x.Name) &&
 					(x.Table == "" || strings.EqualFold(gc.Table, x.Table) || gc.Table == "") {
-					return exec.ColRef{Idx: i, Name: x.Name}, nil
+					return slotRef{idx: i, name: x.Name}, nil
 				}
 			}
 			return nil, fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", displayName(x))
 		case Lit:
-			return exec.Const{Val: x.Val}, nil
+			return x, nil
 		case BinExpr:
 			l, err := replaceAgg(x.L)
 			if err != nil {
@@ -1319,25 +1275,20 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 			if err != nil {
 				return nil, err
 			}
-			kind, ok := binOpKind(x.Op)
-			if !ok {
-				return nil, fmt.Errorf("sql: unsupported operator %q", x.Op)
-			}
-			return exec.Bin{Kind: kind, L: l, R: r}, nil
+			return BinExpr{Op: x.Op, L: l, R: r}, nil
 		case NotExpr:
 			inner, err := replaceAgg(x.E)
 			if err != nil {
 				return nil, err
 			}
-			return exec.Not{E: inner}, nil
+			return NotExpr{E: inner}, nil
 		default:
 			return nil, fmt.Errorf("sql: unsupported expression %T in aggregate query", e)
 		}
 	}
 
-	var outExprs []exec.Expr
-	var outNames []string
-	for _, it := range st.Items {
+	items := make([]Expr, len(st.Items))
+	for i, it := range st.Items {
 		if it.Star {
 			return nil, errors.New("sql: SELECT * with GROUP BY is not supported")
 		}
@@ -1345,22 +1296,34 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		outExprs = append(outExprs, e)
-		outNames = append(outNames, itemName(it))
+		items[i] = e
+		ap.outNames = append(ap.outNames, itemName(it))
 	}
-	var havingExpr exec.Expr
+	var having Expr
 	if st.Having != nil {
 		var err error
-		havingExpr, err = replaceAgg(st.Having)
-		if err != nil {
+		if having, err = replaceAgg(st.Having); err != nil {
 			return nil, err
 		}
 	}
 
-	return &aggPlan{
-		groupBy: groupExprs, aggs: aggs,
-		outExprs: outExprs, outNames: outNames, having: havingExpr,
-	}, nil
+	// Every aggregate is registered now, so the aggregate's output schema is
+	// known; it is a function of the compiled programs alone.
+	asc := &scope{schema: (&exec.HashAgg{GroupBy: ap.groupBy, Aggs: ap.aggs}).Schema()}
+	for _, e := range items {
+		p, err := compile(e, asc)
+		if err != nil {
+			return nil, err
+		}
+		ap.out = append(ap.out, p)
+	}
+	if having != nil {
+		var err error
+		if ap.having, err = compile(having, asc); err != nil {
+			return nil, err
+		}
+	}
+	return ap, nil
 }
 
 func aggKind(f FuncExpr) (exec.AggKind, error) {

@@ -444,19 +444,13 @@ func (p *physPlan) choosePushdown() {
 // compilable verifies a conjunct binds and compiles to a Bool kernel program
 // over its relation's schema. Compilation success depends on column types
 // only, so the same program compiles against any projection of the schema
-// that contains the referenced columns.
+// that contains the referenced columns. A conjunct that does not compile is
+// not an error here: it stays in the residual WHERE, whose compilation
+// (compileTail) reports the error as the statement's.
 func (p *physPlan) compilable(e Expr, alias string) bool {
 	t := p.tables[alias]
-	sc := singleTableScope(t.meta.Schema, aliasOf(t.ref))
-	pred, err := bind(e, sc)
-	if err != nil {
-		return false
-	}
-	prog, err := exec.Compile(pred, t.meta.Schema)
-	if err != nil {
-		return false
-	}
-	return len(prog.Cols()) > 0 && prog.OutType() == colfile.Bool
+	prog, err := compile(e, singleTableScope(t.meta.Schema, aliasOf(t.ref)))
+	return err == nil && len(prog.Cols()) > 0 && prog.OutType() == colfile.Bool
 }
 
 func singleTableScope(schema colfile.Schema, alias string) *scope {
@@ -575,18 +569,14 @@ func applyPushdown(op exec.Operator, sc *scope, conjuncts []Expr) (exec.Operator
 	if len(conjuncts) == 0 {
 		return op, nil
 	}
-	pred, err := bind(andFold(conjuncts), sc)
+	pred, err := compile(andFold(conjuncts), sc)
 	if err != nil {
 		return nil, err
 	}
-	var prog *exec.Prog
-	if pr, cerr := exec.Compile(pred, sc.schema); cerr == nil {
-		prog = pr
-	}
-	if prog != nil && pushIntoScan(op, prog) {
+	if pushIntoScan(op, pred) {
 		return op, nil
 	}
-	return &exec.Filter{In: op, Pred: pred, Prog: prog}, nil
+	return &exec.Filter{In: op, Pred: pred}, nil
 }
 
 // pushIntoScan pushes a compiled predicate into every scan leg of op.

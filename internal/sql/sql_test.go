@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -457,5 +458,67 @@ func TestAmbiguousColumn(t *testing.T) {
 	res := mustExec(t, s, `SELECT i.id FROM items i JOIN other o ON i.id = o.id`)
 	if res.Batch.NumRows() != 1 {
 		t.Fatalf("rows = %d", res.Batch.NumRows())
+	}
+}
+
+// TestIllTypedStatementsAreErrors pins compile-or-fail: a statement whose
+// expression tree has a static type error fails at plan time with
+// exec.Compile's message — on the serial tail, the morsel path and the DAG
+// path alike, and whether or not the table holds a row — and leaves nothing
+// behind. These statements used to reach the scalar fallback, which indexed an
+// empty Bools slice: a panic, in a pool goroutine at Parallelism > 1.
+func TestIllTypedStatementsAreErrors(t *testing.T) {
+	cases := []struct{ stmt, want string }{
+		{`SELECT k FROM %s WHERE NOT k`, "exec: NOT of int64"},
+		{`SELECT k FROM %s WHERE k AND k`, "exec: cannot apply AND to int64 and int64"},
+		{`SELECT NOT k FROM %s`, "exec: NOT of int64"},
+		{`SELECT k + v FROM %s`, "exec: cannot apply + to int64 and string"},
+		{`SELECT k FROM %s WHERE k LIKE 'a'`, "exec: LIKE over int64"},
+		{`SELECT k FROM %s WHERE NOT k LIMIT 1`, "exec: NOT of int64"},
+		{`DELETE FROM %s WHERE NOT k`, "exec: NOT of int64"},
+		{`DELETE FROM %s WHERE k AND k`, "exec: cannot apply AND to int64 and int64"},
+		{`UPDATE %s SET k = NOT k`, "exec: NOT of int64"},
+		{`UPDATE %s SET v = 'x' WHERE NOT k`, "exec: NOT of int64"},
+	}
+	for _, par := range []int{1, 4} {
+		for _, distributed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("dop%d/dag=%v", par, distributed), func(t *testing.T) {
+				env := newDagEnv(t, func(o *core.Options) {
+					o.Parallelism = par
+					o.DistributedQueries = distributed
+				})
+				const rows = 300 // several files per distribution, so several morsels
+				for _, table := range []string{"full", "empty"} {
+					mustExec(t, env.sess, `CREATE TABLE `+table+` (k INT, v VARCHAR) WITH (DISTRIBUTION = k)`)
+				}
+				var sb strings.Builder
+				sb.WriteString("INSERT INTO full VALUES ")
+				for i := 0; i < rows; i++ {
+					if i > 0 {
+						sb.WriteString(", ")
+					}
+					fmt.Fprintf(&sb, "(%d, 'v%d')", i, i%7)
+				}
+				mustExec(t, env.sess, sb.String())
+
+				for _, c := range cases {
+					for _, table := range []string{"full", "empty"} {
+						q := fmt.Sprintf(c.stmt, table)
+						if _, err := env.sess.Exec(q); err == nil || err.Error() != c.want {
+							t.Errorf("%s: err = %v, want %q", q, err, c.want)
+						}
+						assertNoSpillLeaks(t, env.store, "after "+q)
+						if got := env.eng.Fabric.LeasedSlots(); got != 0 {
+							t.Fatalf("%s: %d fabric slots still leased", q, got)
+						}
+					}
+				}
+				// The failed DML changed nothing and the session still works.
+				res := mustExec(t, env.sess, `SELECT COUNT(*), SUM(k) FROM full`)
+				if got := res.Batch.Row(0); got[0] != int64(rows) || got[1] != int64(rows*(rows-1)/2) {
+					t.Fatalf("table changed under failed statements: %v", got)
+				}
+			})
+		}
 	}
 }
