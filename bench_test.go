@@ -434,8 +434,7 @@ func BenchmarkAblationWLM(b *testing.B) {
 // (on), at growing DOP. The DAG path pays the exchange serialization tax for
 // fault-tolerant re-runnable stages; this benchmark tracks that overhead and
 // pins byte-identity between the two paths on the first iteration of every
-// sub-benchmark. (At dop=1 the gate keeps the statement on the serial path,
-// so that sub-benchmark is the no-DAG baseline: tasks/op = 0.)
+// sub-benchmark. (dop=1 is the same task graph run by one worker.)
 func BenchmarkParallelDAGQuery(b *testing.B) {
 	for _, dop := range []int{1, 4, 8} {
 		morsel, err := bench.PrepareDAGQuery(false, dop)

@@ -202,8 +202,8 @@ func runMicroJSON(path string) error {
 
 	// Distributed DAG execution vs the in-process morsel path for the same
 	// SQL join+aggregate: the pair quantifies the object-store exchange tax
-	// (dop=1 stays on the serial path by the planner gate, so only 4/8 are
-	// measured distributed).
+	// (measured distributed at 4/8 only, the rows the committed snapshots
+	// have).
 	for _, dop := range []int{1, 4, 8} {
 		for _, distributed := range []bool{false, true} {
 			name := "ParallelDAGQuery/morsel"

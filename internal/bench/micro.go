@@ -7,6 +7,7 @@ package bench
 // (BENCH_PR2.json) rather than paper-shape comparisons.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -375,7 +376,7 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	joined, err := src.Spilled.JoinBatches(probes, []int{0}, schema, dop)
+	joined, err := src.Spilled.JoinBatches(context.Background(), probes, []int{0}, schema, dop)
 	if err != nil {
 		return nil, err
 	}

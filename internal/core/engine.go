@@ -90,11 +90,11 @@ type Options struct {
 	// TaskFailureInjector, when non-nil, is consulted before every DCP task
 	// attempt (failure testing); a non-nil error fails that attempt.
 	TaskFailureInjector func(taskID, attempt int, node *compute.Node) error
-	// DistributedQueries routes parallel SELECTs through the DCP as task
-	// DAGs (scan/build/probe/merge stages on the read pool, object-store
-	// exchange between stages) instead of the in-process morsel pool. Off by
-	// default: output is byte-identical either way (the morsel decomposition
-	// is shared), so this only changes where the work runs.
+	// DistributedQueries routes SELECTs (bare-LIMIT ones excepted) through
+	// the DCP as task DAGs (scan/build/probe/merge stages on the read pool,
+	// object-store exchange between stages) instead of the in-process morsel
+	// pool. Off by default: output is byte-identical either way (the morsel
+	// decomposition is shared), so this only changes where the work runs.
 	DistributedQueries bool
 	// QueryFailureInjector, when non-nil, is consulted after every
 	// query-DAG task attempt (failure testing for DistributedQueries); a

@@ -5,8 +5,8 @@ import (
 	"polaris/internal/dcp"
 )
 
-// DistributedQueries reports whether parallel SELECTs should be lowered to
-// DCP task DAGs (Options.DistributedQueries) instead of the in-process
+// DistributedQueries reports whether SELECT stages should run as
+// DCP task DAGs (Options.DistributedQueries) instead of on the in-process
 // morsel pool.
 func (t *Txn) DistributedQueries() bool { return t.eng.opts.DistributedQueries }
 

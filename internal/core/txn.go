@@ -59,8 +59,9 @@ type Txn struct {
 	// releases it when the statement finishes).
 	adoptedDOP int
 	// qctx, when non-nil, is the cancellation context the front end
-	// attached for the current statement (Session.ExecOpts.Ctx); query DAG
-	// runs observe it. Never stored across statements.
+	// attached for the current statement (Session.ExecOpts.Ctx); SELECT
+	// execution — morsel pool and query DAG alike — observes it. Never
+	// stored across statements.
 	qctx context.Context
 }
 

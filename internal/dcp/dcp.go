@@ -61,6 +61,7 @@ type Ctx struct {
 // notices a canceled run without waiting for the task to finish.
 func (c *Ctx) Context() context.Context {
 	if c.ctx == nil {
+		//polaris:ctx nil-context default: the zero Ctx stays usable and is simply never cancelled
 		return context.Background()
 	}
 	return c.ctx
@@ -172,6 +173,7 @@ type lane struct {
 // makespan. Execution is really parallel (bounded by node slots); virtual
 // time is tracked per slot lane.
 func Run(g *Graph, pools Pools, opts Options) (*Result, error) {
+	//polaris:ctx entry point of the storage engine's own DAGs (fetch, write, compaction), which have no statement context
 	return RunCtx(context.Background(), g, pools, opts)
 }
 
@@ -182,6 +184,7 @@ func Run(g *Graph, pools Pools, opts Options) (*Result, error) {
 // context.DeadlineExceeded).
 func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, error) {
 	if ctx == nil {
+		//polaris:ctx nil-context default, so RunCtx(nil, …) means "not cancellable" rather than a panic
 		ctx = context.Background()
 	}
 	if opts.MaxAttempts <= 0 {

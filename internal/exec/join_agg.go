@@ -258,7 +258,7 @@ func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
 //
 // The SQL planner does NOT use this operator: it drains every build through
 // BuildGraceJoin — which honors the join memory budget and may spill — and
-// fans Probe (or SpilledProbe) out itself. HashJoin is the always-in-memory
+// fans Probe (or, for a spilled build, JoinBatches) out itself. HashJoin is the always-in-memory
 // reference composition of BuildHashJoin+Probe, kept as the oracle the join
 // semantics tests compare against; new callers wanting budget-aware joins
 // should go through BuildGraceJoin.

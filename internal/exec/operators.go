@@ -578,8 +578,11 @@ func (u *UnionAll) Next() (*colfile.Batch, error) {
 	return nil, nil
 }
 
-// Collect drains an operator into a single batch.
+// Collect drains an operator into a single batch, for callers with no
+// statement context: the storage engine's DML scans, benchmarks and tests.
+// SELECT execution uses CollectCtx.
 func Collect(op Operator) (*colfile.Batch, error) {
+	//polaris:ctx entry point for callers outside statement execution (core DML, harnesses)
 	return CollectCtx(context.Background(), op)
 }
 

@@ -6,32 +6,37 @@
 // merge stage combines the per-morsel outputs deterministically. Because the
 // morsel decomposition is fixed by configuration (not by how many workers
 // the fabric grants), results are byte-stable for a given Parallelism
-// setting; across different settings, and against the serial executor,
-// float SUM/AVG may differ in the last ulp because summation order changes.
+// setting; across different settings float SUM/AVG may differ in the last
+// ulp because summation order changes — and nothing else does: a DOP of 1
+// is this same plan run by one worker, there is no separate serial executor.
 //
 // Hash-join probes are morsel-parallel too, with a stronger determinism
 // contract: the JoinTable built from the build side is immutable and shared
 // by every probe worker, each worker probes its morsels in morsel order, and
 // within a morsel the output order is fixed by probe-row order then
 // build-row order (partitioned parallel builds insert rows in build-row
-// order, so match lists are identical to a serial build's). RunMorsels
-// returns per-morsel outputs in morsel order and BatchList concatenates them
-// in that order, so join results are byte-identical across every degree of
-// parallelism — joins carry none of the float-summation caveat because the
-// probe never reorders or recombines values.
+// order, so match lists are identical to a single-threaded build's).
+// RunIndexed returns per-morsel outputs in morsel order and BatchList
+// concatenates them in that order, so join results are byte-identical across
+// every degree of parallelism — joins carry none of the float-summation
+// caveat because the probe never reorders or recombines values.
 //
 // ORDER BY is morsel-parallel as well (sort.go): workers stable-sort their
 // morsels into runs (SortRuns) — or keep only the LIMIT+OFFSET smallest rows
 // (TopN) — and a loser-tree k-way merge (MergeRuns) combines the runs,
 // breaking ties by lowest morsel index. Stable runs plus that tie-break
-// reproduce a serial stable sort byte-for-byte at every DOP: NULLs first
-// ascending / last descending, DESC keys, and ties by input order.
+// reproduce one stable sort of the whole input byte-for-byte at every DOP:
+// NULLs first ascending / last descending, DESC keys, and ties by input
+// order.
 //
 // Every fan-out above runs on one worker-pool primitive, ForEachIndexed:
-// workers claim indexes from a shared queue, and the first failure cancels a
-// context the in-flight units observe (CollectCtx checks it between batches),
-// so a failed unit stops its siblings at their next batch boundary instead of
+// workers claim indexes from a shared queue, and the first failure — or the
+// caller's context, which for a SELECT is the statement's — cancels a context
+// the in-flight units observe (CollectCtx checks it between batches), so a
+// failed unit stops its siblings at their next batch boundary instead of
 // letting them drain doomed scans, probes and spill writes to completion.
+// RunIndexed is the operator-per-index form the SQL layer calls;
+// RunIndexedPrefix is its early-stopping variant for a bare LIMIT.
 // Spilled joins (spill.go) reuse the same primitive to fan the partition-wise
 // grace join out over depth-0 partitions, with the nested hash-join build
 // parallelism capped so the partition tasks and their inner builds together
@@ -183,31 +188,18 @@ func ForEachIndexed(ctx context.Context, n, dop int, work func(ctx context.Conte
 }
 
 // RunIndexed runs one operator per index over the ForEachIndexed pool and
-// collects each operator's output into results[i] — the generic indexed
-// fan-out behind RunMorsels and RunBatches. A (nil, nil) return from build
-// skips the index (its result stays nil); an index that produces no rows also
-// yields nil. Results are indexed by input position, never completion order,
-// which is what makes the downstream merges deterministic. Operator execution
-// observes ctx (and the pool's first-failure cancellation) between batches
-// via CollectCtx.
+// collects each operator's output into results[i] — the engine's indexed
+// fan-out. A (nil, nil) return from build skips the index (its result stays
+// nil); an index that produces no rows also yields nil. Results are indexed by
+// input position, never completion order, which is what makes the downstream
+// merges deterministic. Operator execution observes ctx (and the pool's
+// first-failure cancellation) between batches via CollectCtx.
 func RunIndexed(ctx context.Context, n, dop int, build func(i int) (Operator, error)) ([]*colfile.Batch, error) {
 	results := make([]*colfile.Batch, n)
 	err := ForEachIndexed(ctx, n, dop, func(ctx context.Context, i int) error {
-		op, err := build(i)
-		if err != nil {
-			return err
-		}
-		if op == nil {
-			return nil
-		}
-		b, err := CollectCtx(ctx, op)
-		if err != nil {
-			return err
-		}
-		if b != nil && b.NumRows() > 0 {
-			results[i] = b
-		}
-		return nil
+		b, err := runUnit(ctx, i, build)
+		results[i] = b
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -215,31 +207,104 @@ func RunIndexed(ctx context.Context, n, dop int, build func(i int) (Operator, er
 	return results, nil
 }
 
-// RunMorsels fans the morsels out over a pool of dop workers. For each morsel
-// the builder constructs the per-worker plan fragment (typically
-// scan→filter→project or scan→filter→partial-agg); the fragment's output is
-// collected into one batch per morsel. Results are returned in morsel order,
-// which is what makes the downstream merge deterministic. A nil batch is
-// returned for morsels that produced no rows. Thin wrapper over RunIndexed.
-func RunMorsels(morsels []Morsel, dop int, build func(m Morsel) (Operator, error)) ([]*colfile.Batch, error) {
-	return RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
-		return build(morsels[i])
-	})
+// runUnit builds and drains one unit of an indexed fan-out; nil for a skipped
+// index or one that produced no rows.
+func runUnit(ctx context.Context, i int, build func(i int) (Operator, error)) (*colfile.Batch, error) {
+	op, err := build(i)
+	if err != nil || op == nil {
+		return nil, err
+	}
+	b, err := CollectCtx(ctx, op)
+	if err != nil || b.NumRows() == 0 {
+		return nil, err
+	}
+	return b, nil
 }
 
-// RunBatches fans pre-materialized per-morsel batches out over a pool of dop
-// workers, the batch-driven counterpart of RunMorsels: the planner's grace-
-// join spill path materializes the join output per morsel and then runs the
-// remaining plan fragment (filter, project, partial aggregation, sorted runs)
-// over those batches with the same morsel-indexed determinism. Nil input
-// batches yield nil outputs at the same index; results are returned in input
-// order regardless of completion order. Thin wrapper over RunIndexed.
-func RunBatches(batches []*colfile.Batch, dop int, build func(i int, b *colfile.Batch) (Operator, error)) ([]*colfile.Batch, error) {
-	return RunIndexed(context.Background(), len(batches), dop, func(i int) (Operator, error) {
-		if batches[i] == nil || batches[i].NumRows() == 0 {
-			return nil, nil
+// RunIndexedPrefix is RunIndexed for a consumer that reads only the first
+// limit rows of the results' in-order concatenation (a bare LIMIT): once the
+// completed prefix of units holds limit rows it cancels the pool, and the
+// units that cancellation stops — whose output the consumer never reaches —
+// are not errors. Workers run at most dop units ahead of the completed
+// prefix, so a small limit builds O(dop) units however many there are and
+// whichever worker is slowest. Entries past the prefix that filled the limit
+// may or may not be present. A unit failure before the prefix fills, and a
+// cancellation of ctx itself, are returned as by RunIndexed.
+func RunIndexedPrefix(ctx context.Context, n, dop int, limit int64, build func(i int) (Operator, error)) ([]*colfile.Batch, error) {
+	results := make([]*colfile.Batch, n)
+	if limit <= 0 {
+		return results, ctx.Err()
+	}
+	if dop < 1 {
+		dop = 1
+	}
+	// pctx is the one context the window is built on: the caller's cancel,
+	// the early stop and a unit failure all cancel it, its error is set
+	// before Done closes, and the watcher below turns Done into a wake-up.
+	pctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		mu     sync.Mutex
+		moved  = sync.NewCond(&mu) // prefix advanced, or pctx was cancelled
+		done   = make([]bool, n)
+		prefix int   // units [0, prefix) have completed
+		rows   int64 // rows they produced
+	)
+	go func() {
+		<-pctx.Done()
+		mu.Lock()
+		moved.Broadcast()
+		mu.Unlock()
+	}()
+	err := ForEachIndexed(pctx, n, dop, func(ctx context.Context, i int) error {
+		mu.Lock()
+		for i >= prefix+dop && pctx.Err() == nil {
+			moved.Wait()
 		}
-		return build(i, batches[i])
+		mu.Unlock()
+		if pctx.Err() != nil {
+			return nil // stopped or cancelled; the checks below report which
+		}
+		b, err := runUnit(ctx, i, build)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if rows >= limit {
+				return nil // the stop cancelled this unit
+			}
+			stop()
+			return err
+		}
+		results[i], done[i] = b, true
+		for prefix < n && done[prefix] {
+			if results[prefix] != nil {
+				rows += int64(results[prefix].NumRows())
+			}
+			prefix++
+		}
+		moved.Broadcast()
+		if rows >= limit {
+			stop()
+		}
+		return nil
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	if err != nil && rows < limit {
+		return nil, err
+	}
+	return results, nil
+}
+
+// RunMorsels fans the morsels out over a pool of dop workers: RunIndexed over
+// a morsel list with no caller context. It is the entry point of the operator
+// benchmarks and harnesses (bench/, internal/bench, the exec tests); the SQL
+// layer calls RunIndexed with the statement's context.
+func RunMorsels(morsels []Morsel, dop int, build func(m Morsel) (Operator, error)) ([]*colfile.Batch, error) {
+	//polaris:ctx harness entry point: benchmarks and tests have no statement context to pass
+	return RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
+		return build(morsels[i])
 	})
 }
 

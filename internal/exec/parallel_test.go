@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"polaris/internal/colfile"
 )
@@ -326,29 +328,161 @@ func TestForEachIndexedHonorsCallerContext(t *testing.T) {
 	}
 }
 
-// TestRunBatchesSkipsNilEntries pins the wrapper contract RunIndexed inherits
-// from the old RunBatches: nil and empty input batches yield nil outputs at
-// the same index without invoking the builder.
-func TestRunBatchesSkipsNilEntries(t *testing.T) {
+// TestRunIndexedSkipsNilBuilds pins RunIndexed's (nil, nil) contract, which
+// the staged join pipeline leans on to skip morsels an earlier stage left
+// empty: a nil operator skips the index, and a unit that produces no rows
+// yields nil too.
+func TestRunIndexedSkipsNilBuilds(t *testing.T) {
 	schema := colfile.Schema{{Name: "x", Type: colfile.Int64}}
 	full := colfile.NewBatch(schema)
 	if err := full.AppendRow(int64(7)); err != nil {
 		t.Fatal(err)
 	}
 	in := []*colfile.Batch{nil, colfile.NewBatch(schema), full}
-	outs, err := RunBatches(in, 4, func(i int, b *colfile.Batch) (Operator, error) {
-		if i != 2 {
-			return nil, fmt.Errorf("builder invoked for skippable index %d", i)
+	outs, err := RunIndexed(context.Background(), len(in), 4, func(i int) (Operator, error) {
+		if in[i] == nil {
+			return nil, nil
 		}
-		return NewBatchSource(b), nil
+		return NewBatchSource(in[i]), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if outs[0] != nil || outs[1] != nil {
-		t.Fatalf("nil/empty inputs produced non-nil outputs: %v", outs[:2])
+		t.Fatalf("skipped/empty units produced non-nil outputs: %v", outs[:2])
 	}
 	if outs[2] == nil || outs[2].NumRows() != 1 {
 		t.Fatalf("live input lost: %v", outs[2])
+	}
+}
+
+// prefixUnits returns n single-batch units for the RunIndexedPrefix tests —
+// unit i holds the one row (i) — and a counter of how many were ever built.
+func prefixUnits(t *testing.T, n int) (func(i int) (Operator, error), *atomic.Int64) {
+	t.Helper()
+	schema := colfile.Schema{{Name: "x", Type: colfile.Int64}}
+	var built atomic.Int64
+	return func(i int) (Operator, error) {
+		built.Add(1)
+		b := colfile.NewBatch(schema)
+		if err := b.AppendRow(int64(i)); err != nil {
+			return nil, err
+		}
+		return NewBatchSource(b), nil
+	}, &built
+}
+
+// TestRunIndexedPrefixStopsEarly: a bare LIMIT's fan-out builds O(dop) units,
+// not all of them, returns the in-order prefix, and does not report the units
+// its own stop cancelled as errors.
+func TestRunIndexedPrefixStopsEarly(t *testing.T) {
+	const n, dop = 64, 2
+	for iter := 0; iter < 50; iter++ {
+		build, built := prefixUnits(t, n)
+		outs, err := RunIndexedPrefix(context.Background(), n, dop, 1, build)
+		if err != nil {
+			t.Fatalf("iter %d: stopped fan-out returned %v", iter, err)
+		}
+		if got := built.Load(); got > dop+1 {
+			t.Fatalf("iter %d: built %d of %d units for LIMIT 1 at dop %d, want <= %d", iter, got, n, dop, dop+1)
+		}
+		if len(outs) != n || outs[0] == nil || outs[0].NumRows() != 1 || outs[0].Row(0)[0] != int64(0) {
+			t.Fatalf("iter %d: result is not the first row of unit 0: %v", iter, outs[0])
+		}
+	}
+
+	// A limit the units never fill runs every unit, like RunIndexed.
+	build, built := prefixUnits(t, n)
+	outs, err := RunIndexedPrefix(context.Background(), n, dop, n+1, build)
+	if err != nil || built.Load() != n {
+		t.Fatalf("unfilled limit: err=%v built=%d, want nil and %d", err, built.Load(), n)
+	}
+	for i, b := range outs {
+		if b == nil || b.Row(0)[0] != int64(i) {
+			t.Fatalf("unfilled limit: unit %d = %v", i, b)
+		}
+	}
+
+	// LIMIT 0 reads nothing, so nothing is built.
+	build, built = prefixUnits(t, n)
+	if _, err := RunIndexedPrefix(context.Background(), n, dop, 0, build); err != nil || built.Load() != 0 {
+		t.Fatalf("limit 0: err=%v built=%d, want nil and 0", err, built.Load())
+	}
+}
+
+// TestRunIndexedPrefixReturnsFailures: a unit that fails before the prefix
+// fills is the fan-out's error (and wakes the workers held back by the
+// look-ahead window), and a cancellation of the caller's context wins over a
+// filled prefix.
+func TestRunIndexedPrefixReturnsFailures(t *testing.T) {
+	const n, dop = 64, 2
+	boom := errors.New("unit 0 failed")
+	build, _ := prefixUnits(t, n)
+	unit1 := make(chan struct{}) // unit 0 fails once the other worker is past unit 1, i.e. at the window
+	_, err := RunIndexedPrefix(context.Background(), n, dop, 8, func(i int) (Operator, error) {
+		switch i {
+		case 0:
+			<-unit1
+			return nil, boom
+		case 1:
+			close(unit1)
+		}
+		return build(i)
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the unit failure", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	build, _ = prefixUnits(t, n)
+	_, err = RunIndexedPrefix(ctx, n, dop, 1, func(i int) (Operator, error) {
+		cancel()
+		return build(i)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from the caller's context", err)
+	}
+}
+
+// TestRunIndexedPrefixOuterCancelWakesParkedWorkers: cancelling the caller's
+// context while unit 0 is in flight and the other workers are parked at the
+// look-ahead window must wake them — a statement cancelled mid-LIMIT returns
+// instead of holding its lease forever. The wake-up races the cancellation's
+// propagation through the derived contexts, so the case is repeated.
+func TestRunIndexedPrefixOuterCancelWakesParkedWorkers(t *testing.T) {
+	const n, dop = 64, 4
+	iters := 20000
+	if testing.Short() {
+		iters = 2000
+	}
+	for iter := 0; iter < iters; iter++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		build, _ := prefixUnits(t, n)
+		release := make(chan struct{})
+		var ahead atomic.Int64 // units [1, dop) built: the next claims park
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunIndexedPrefix(ctx, n, dop, n, func(i int) (Operator, error) {
+				if i == 0 {
+					<-release
+				} else if ahead.Add(1) == dop-1 {
+					go func() {
+						runtime.Gosched() // let the workers reach the window
+						cancel()
+						close(release)
+					}()
+				}
+				return build(i)
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("iter %d: err = %v, want context.Canceled", iter, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iter %d: fan-out hung after its context was cancelled", iter)
+		}
 	}
 }

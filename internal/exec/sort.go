@@ -348,11 +348,12 @@ func (m *MergeRuns) Next() (*colfile.Batch, error) {
 			return nil, nil
 		}
 		m.pos = make([]int, len(m.runs))
-		// RunMorsels ships only batches, so the runs' keys are re-encoded
+		// The fan-out ships only batches, so the runs' keys are re-encoded
 		// here — fanned over the shared ForEachIndexed pool, one unit per
 		// run, as the last parallel stage before the inherently serial
 		// merge. Encoding is infallible, so the error is statically nil.
 		m.ek = make([]encodedKeys, len(m.runs))
+		//polaris:ctx Operator.Next carries no context; one bounded, infallible key-encoding pass per run
 		_ = ForEachIndexed(context.Background(), len(m.runs), len(m.runs), func(_ context.Context, i int) error {
 			m.ek[i] = encodeSortKeys(m.runs[i], m.keys)
 			return nil

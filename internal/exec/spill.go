@@ -353,9 +353,9 @@ func partDir(dir string, p int) string { return fmt.Sprintf("%s/p%03d", dir, p) 
 // JoinTable (identical to BuildHashJoin). The moment it exceeds the budget,
 // the rows drained so far and the remainder of the stream are hash-
 // partitioned into spill files and a SpilledJoin is returned instead; the
-// caller then joins via JoinBatches (parallel planner) or SpilledProbe
-// (serial planner). Build rows with NULL keys are dropped at partition time —
-// they can never match, and no join type emits an unmatched build row.
+// caller then joins via JoinBatches. Build rows with NULL keys are dropped at
+// partition time — they can never match, and no join type emits an unmatched
+// build row.
 func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, cfg SpillConfig, tel *Telemetry) (*JoinSource, error) {
 	schema := build.Schema()
 	var drained []*colfile.Batch
@@ -521,8 +521,9 @@ func (sj *SpilledJoin) readSpillFiles(dir string) ([]*colfile.Batch, error) {
 // build side still exceeds the budget), each leaf join's inner BuildHashJoin
 // capped to parallelism/dop workers so the fan-out as a whole stays within
 // the configured Parallelism. The partition outputs — each ascending in the
-// carried row ordinal — are merged back into global row order.
-func (sj *SpilledJoin) JoinBatches(probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, dop int) ([]*colfile.Batch, error) {
+// carried row ordinal — are merged back into global row order. ctx cancels
+// the partition fan-out (observed between spill files and batches).
+func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, dop int) ([]*colfile.Batch, error) {
 	// Global row ordinals: offsets[i] is the first ordinal of morsel i.
 	offsets := make([]int64, len(probe)+1)
 	for i, b := range probe {
@@ -628,7 +629,7 @@ func (sj *SpilledJoin) JoinBatches(probe []*colfile.Batch, leftKeys []int, leftS
 		buildPar = 1
 	}
 	partLeaves := make([][]*colfile.Batch, sj.fanout)
-	err := ForEachIndexed(context.Background(), sj.fanout, effDop, func(ctx context.Context, p int) error {
+	err := ForEachIndexed(ctx, sj.fanout, effDop, func(ctx context.Context, p int) error {
 		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, &partLeaves[p])
 	})
 	if err != nil {
@@ -785,49 +786,6 @@ func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfi
 		}
 	}
 	return w.finish()
-}
-
-// SpilledProbe is the serial executor's probe over a spilled build side: it
-// materializes its input, runs the partition-wise join, and emits the single
-// merged batch — byte-identical to streaming the input through an in-memory
-// Probe.
-type SpilledProbe struct {
-	In       Operator
-	Join     *SpilledJoin
-	LeftKeys []int
-
-	schema colfile.Schema
-	done   bool
-}
-
-// Schema implements Operator.
-func (p *SpilledProbe) Schema() colfile.Schema {
-	if p.schema == nil {
-		l := p.In.Schema()
-		if p.Join.typ == SemiJoin {
-			p.schema = l
-		} else {
-			p.schema = append(append(colfile.Schema{}, l...), p.Join.buildSchema...)
-		}
-	}
-	return p.schema
-}
-
-// Next implements Operator.
-func (p *SpilledProbe) Next() (*colfile.Batch, error) {
-	if p.done {
-		return nil, nil
-	}
-	p.done = true
-	in, err := Collect(p.In)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := p.Join.JoinBatches([]*colfile.Batch{in}, p.LeftKeys, p.In.Schema(), p.Join.parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
 }
 
 // MemSpillStore is an in-process SpillStore for tests and benchmarks.

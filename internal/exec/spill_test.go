@@ -6,6 +6,7 @@ package exec
 // spill write must surface a clean error.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -105,7 +106,7 @@ func spilledResult(t *testing.T, build *colfile.Batch, probe []*colfile.Batch, t
 	if src.Spilled == nil {
 		t.Fatalf("build of %d bytes did not spill under budget %d", build.MemSize(), cfg.Budget)
 	}
-	outs, err := src.Spilled.JoinBatches(probe, leftKeys, probe[0].Schema, 4)
+	outs, err := src.Spilled.JoinBatches(context.Background(), probe, leftKeys, probe[0].Schema, 4)
 	if err != nil {
 		t.Fatalf("spilled join: %v", err)
 	}
@@ -253,7 +254,7 @@ func TestSpilledJoinReuse(t *testing.T) {
 		t.Fatal("expected a spilled build")
 	}
 	for call := 0; call < 3; call++ {
-		outs, err := src.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, 4)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
 		if err != nil {
 			t.Fatalf("call %d: %v", call, err)
 		}
@@ -294,7 +295,7 @@ func TestSpilledJoinConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			outs, err := src.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, 2)
+			outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 2)
 			if err != nil {
 				errs[c] = err
 				return
@@ -341,7 +342,7 @@ func TestSpilledJoinDopInvariant(t *testing.T) {
 		if src.Spilled == nil {
 			t.Fatal("expected a spilled build")
 		}
-		outs, err := src.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, dop)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, dop)
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)
 		}
@@ -409,7 +410,7 @@ func TestGraceJoinSpillWriteFailure(t *testing.T) {
 			if src.Spilled == nil {
 				t.Fatalf("failAt=%d: expected a spilled build", failAt)
 			}
-			_, err = src.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, 4)
+			_, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
 		}
 		if err == nil {
 			t.Fatalf("failAt=%d: injected put failure surfaced no error", failAt)
@@ -463,7 +464,7 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildPuts := clean.puts
-	if _, err := srcClean.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, 1); err != nil {
+	if _, err := srcClean.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 1); err != nil {
 		t.Fatal(err)
 	}
 	joinPuts := clean.puts - buildPuts
@@ -478,10 +479,10 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.FailPut = buildPuts + joinPuts*(frac-1)/frac + 1
-		if _, err := src.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, 1); err == nil {
+		if _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 1); err == nil {
 			t.Fatalf("frac=%d: injected put failure surfaced no error", frac)
 		}
-		outs, err := src.Spilled.JoinBatches(probe, []int{0}, probe[0].Schema, 1)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 1)
 		if err != nil {
 			t.Fatalf("frac=%d: retry after failure: %v", frac, err)
 		}
@@ -497,28 +498,5 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 		if got, durable := src.Spilled.SpillBytes(), store.TotalBytes(); got != durable {
 			t.Fatalf("frac=%d: after retry SpillBytes = %d, store holds %d bytes (rewrites double-counted?)", frac, got, durable)
 		}
-	}
-}
-
-// TestSpilledProbeOperator runs the serial executor's SpilledProbe and
-// compares against streaming the same input through an in-memory Probe.
-func TestSpilledProbeOperator(t *testing.T) {
-	build := buildSideBatch(500)
-	probe := probeSideBatches(300, 1)
-	want := inMemoryReference(t, build, probe, LeftOuterJoin, []int{0}, []int{0})
-	src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, LeftOuterJoin, 2,
-		SpillConfig{Budget: 2048, Store: NewMemSpillStore()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Spilled == nil {
-		t.Fatal("expected a spilled build")
-	}
-	got, err := Collect(&SpilledProbe{In: NewBatchSource(probe[0]), Join: src.Spilled, LeftKeys: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderSpillBatch(got) != want[0] {
-		t.Fatalf("SpilledProbe differs from in-memory probe:\ngot:\n%s\nwant:\n%s", renderSpillBatch(got), want[0])
 	}
 }

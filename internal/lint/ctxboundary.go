@@ -13,11 +13,17 @@ import (
 // (objectstore Put) or drains an operator (exec.Collect) must mention a
 // context-typed value in its body — ctx.Err(), CollectCtx(ctx, ...), a
 // select on ctx.Done(), all qualify. Loops in functions with no context in
-// scope are serial paths and exempt. //polaris:ctx <reason> escapes loops
+// scope are harness paths and exempt. //polaris:ctx <reason> escapes loops
 // whose per-iteration work is provably bounded.
+//
+// The contract only holds if the statement's context is the one in scope, so
+// the execution packages may not mint a root context either: a call to
+// context.Background() or context.TODO() is a finding unless the site is
+// annotated //polaris:ctx <reason> (a harness entry point with no statement
+// behind it, a nil-context default). Test files are not loaded.
 var CtxBoundary = &Analyzer{
 	Name: "ctxboundary",
-	Doc:  "fan-out loops calling Put/Collect must observe a context at batch/file boundaries",
+	Doc:  "fan-out loops calling Put/Collect must observe a context at batch/file boundaries; no context.Background()/TODO() in the execution packages",
 	AppliesTo: inPkgs(
 		"polaris/internal/exec",
 		"polaris/internal/dcp",
@@ -28,6 +34,20 @@ var CtxBoundary = &Analyzer{
 
 func runCtxBoundary(p *Pass) {
 	for _, f := range p.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := calleeFunc(p, call)
+			if funcPkgPath(fn) != "context" || (fn.Name() != "Background" && fn.Name() != "TODO") {
+				return true
+			}
+			if !p.Suppressed("ctx", call.Pos()) {
+				p.Reportf(call.Pos(), "context.%s() in an execution package detaches the work below it from statement cancellation: pass the caller's context down, or annotate //polaris:ctx <reason> (docs/DCP-QUERIES.md)", fn.Name())
+			}
+			return true
+		})
 		forEachFunc(f, func(ftype *ast.FuncType, body *ast.BlockStmt) {
 			if !funcHasContext(p, ftype, body) {
 				return

@@ -1,7 +1,8 @@
 // Package ctxboundary exercises the ctxboundary analyzer: fan-out loops
 // that drain operators or write spill files without observing an available
 // context, the boundary-check shapes it must accept, the no-context-in-scope
-// exemption, and the //polaris:ctx escape.
+// exemption, root contexts minted inside an execution package, and the
+// //polaris:ctx escape for both.
 package ctxboundary
 
 import (
@@ -75,4 +76,20 @@ func Bounded(ctx context.Context, ops []exec.Operator) error {
 		}
 	}
 	return ctx.Err()
+}
+
+// Detached mints a root context below the statement: flagged.
+func Detached(ops []exec.Operator) error {
+	return DrainCtx(context.Background(), ops) // want `context\.Background\(\) in an execution package`
+}
+
+// Placeholder is no better: flagged.
+func Placeholder(ops []exec.Operator) error {
+	return DrainCtx(context.TODO(), ops) // want `context\.TODO\(\) in an execution package`
+}
+
+// HarnessEntry is annotated: it is called by benchmarks, never by a statement.
+func HarnessEntry(ops []exec.Operator) error {
+	//polaris:ctx harness entry point: no statement context exists above this call
+	return DrainCtx(context.Background(), ops)
 }

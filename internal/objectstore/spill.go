@@ -3,6 +3,7 @@ package objectstore
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 )
 
 // SpillPrefix is the root namespace for query-scoped spill files. It is
@@ -19,6 +20,7 @@ const SpillPrefix = "spill/"
 type SpillDir struct {
 	store  *Store
 	prefix string
+	wrote  atomic.Bool // a Put was attempted: there may be files to clean
 }
 
 // NewSpillDir creates a spill namespace rooted at SpillPrefix + id + "/".
@@ -33,6 +35,7 @@ func (d *SpillDir) Prefix() string { return d.prefix }
 
 // Put writes one spill file (name is relative to the namespace).
 func (d *SpillDir) Put(name string, data []byte) error {
+	d.wrote.Store(true)
 	return d.store.Put(d.prefix+name, data, 0)
 }
 
@@ -56,8 +59,14 @@ func (d *SpillDir) Count() int { return len(d.store.List(d.prefix)) }
 
 // Cleanup deletes every file in the namespace. It keeps deleting past
 // individual failures and returns the errors joined, so a transient delete
-// fault cannot strand the rest of the namespace.
+// fault cannot strand the rest of the namespace. A namespace is written only
+// through its SpillDir (ids are unique per query), so one that was never Put
+// to is empty and costs no listing: a statement may register a namespace per
+// join build up front and pay for cleanup only where a build spilled.
 func (d *SpillDir) Cleanup() error {
+	if !d.wrote.Load() {
+		return nil
+	}
 	var errs []error
 	for _, name := range d.store.List(d.prefix) {
 		if err := d.store.Delete(name); err != nil {

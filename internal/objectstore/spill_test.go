@@ -85,3 +85,30 @@ func TestSpillDirCleanupKeepsDeleting(t *testing.T) {
 		t.Fatalf("blobs remain after retry: %d", n)
 	}
 }
+
+// TestSpillDirCleanupUnwrittenIsFree pins that cleaning a namespace nothing
+// was ever Put to costs no store round trip — statements register one per
+// join build up front and most builds never spill — while one attempted Put,
+// even a failed one, makes Cleanup list.
+func TestSpillDirCleanupUnwrittenIsFree(t *testing.T) {
+	faults := NewFaultInjector(7)
+	s := New(WithFaults(faults))
+	d := NewSpillDir(s, "t3-q1")
+	if err := d.Cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Lists; got != 0 {
+		t.Fatalf("cleanup of an unwritten namespace listed the store %d times", got)
+	}
+	faults.SetProbability(OpPut, 1)
+	if err := d.Put("a", []byte("x")); err == nil {
+		t.Fatal("injected put fault did not fire")
+	}
+	faults.SetProbability(OpPut, 0)
+	if err := d.Cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Lists; got != 1 {
+		t.Fatalf("cleanup after an attempted put listed the store %d times, want 1", got)
+	}
+}

@@ -523,11 +523,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		lastDOP = lease.Granted()
-		res, err = ss.s.ExecParsedWith(st, sql.ExecOpts{DOP: lease.Granted()})
+		res, err = ss.s.ExecParsedWith(st, sql.ExecOpts{DOP: lease.Granted(), Ctx: r.Context()})
 		lease.Release()
 		if err != nil {
-			s.record(req, http.StatusBadRequest, "exec_error", lastDOP, totalWait, nil)
-			writeErr(w, http.StatusBadRequest, "exec_error", err.Error())
+			status, codeStr := http.StatusBadRequest, "exec_error"
+			if r.Context().Err() != nil {
+				// The client went away mid-statement and the executor stopped
+				// on its context: same rendering as a wait it abandoned.
+				status, codeStr = http.StatusServiceUnavailable, "canceled"
+			}
+			s.record(req, status, codeStr, lastDOP, totalWait, nil)
+			writeErr(w, status, codeStr, err.Error())
 			return
 		}
 	}

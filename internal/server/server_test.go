@@ -14,10 +14,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"polaris"
+	"polaris/internal/catalog"
+	"polaris/internal/compute"
+	"polaris/internal/core"
+	"polaris/internal/objectstore"
 )
 
 type env struct {
@@ -286,6 +291,68 @@ func TestServerPerSessionBudgetFeedsSpill(t *testing.T) {
 	e.query(out.Session, "SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k")
 	if got := e.db.Engine().Work.JoinSpills.Load(); got != mid {
 		t.Fatalf("unlimited-budget session spilled (JoinSpills %d -> %d)", mid, got)
+	}
+}
+
+// TestServerStatementObservesRequestContext: the request context reaches the
+// executor, not just admission. The store stamps every write with its clock,
+// so once armed the statement's first spill write cancels the request — after
+// admission, mid-join; the statement must stop (503 canceled, not a result
+// and not the client's 400), release its slots and clean its spill files.
+func TestServerStatementObservesRequestContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var armed atomic.Bool
+	store := objectstore.New(objectstore.WithClock(func() time.Time {
+		if armed.Load() {
+			cancel()
+		}
+		return time.Now()
+	}))
+	opts := core.DefaultOptions()
+	opts.Parallelism = 2
+	opts.JoinMemoryBudget = 1 << 10
+	eng := core.NewEngine(catalog.NewDB(), store,
+		compute.NewFabric(compute.Config{Elastic: true, InitNodes: 2, SlotsPer: 2}), opts)
+	srv := New(eng, Config{})
+	do := func(ctx context.Context, sqlText string) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(queryRequest{SQL: sqlText})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO build VALUES ")
+	for i := 0; i < 512; i++ {
+		if i > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, %d)", i, i*3)
+	}
+	for _, q := range []string{
+		"CREATE TABLE probe (k INT, p INT) WITH (DISTRIBUTION = k)",
+		"CREATE TABLE build (k INT, b INT) WITH (DISTRIBUTION = k)",
+		ins.String(),
+		"INSERT INTO probe SELECT k, b FROM build",
+	} {
+		if rec := do(context.Background(), q); rec.Code != http.StatusOK {
+			t.Fatalf("seed %q: %d %s", q, rec.Code, rec.Body)
+		}
+	}
+
+	armed.Store(true)
+	rec := do(ctx, "SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k")
+	if eb := decodeErr(t, rec.Body.Bytes()); rec.Code != http.StatusServiceUnavailable || eb.Code != "canceled" {
+		t.Fatalf("canceled mid-statement: %d %s, want 503 canceled", rec.Code, rec.Body)
+	}
+	if eng.Work.JoinSpills.Load() == 0 {
+		t.Fatal("the cancel was meant to land on a spill write, but no build spilled")
+	}
+	if n := eng.Fabric.LeasedSlots(); n != 0 {
+		t.Fatalf("%d slots still leased after the canceled statement", n)
+	}
+	if leaked := store.List(objectstore.SpillPrefix); len(leaked) != 0 {
+		t.Fatalf("%d spill blobs leaked, e.g. %s", len(leaked), leaked[0])
 	}
 }
 

@@ -1,28 +1,26 @@
 package sql
 
-// Distributed query execution (paper Sections 1, 3.3): a parallel SELECT is
-// lowered onto a DCP task DAG instead of the in-process morsel pool when
-// Options.DistributedQueries is set. The DAG is query-shaped — per-morsel
-// scan tasks, one build task per join, a gather barrier per join stage, and
-// per-morsel probe tasks — placed on the read pool with per-node slot
-// placement. Stage outputs cross task boundaries through a query-scoped
+// Distributed query execution (paper Sections 1, 3.3): under
+// Options.DistributedQueries a lowered SELECT's stages run as a DCP task DAG
+// instead of on the in-process morsel pool. The DAG is query-shaped —
+// per-morsel scan tasks, one build task per join, a gather barrier per join
+// stage, and per-morsel probe tasks — placed on the read pool with per-node
+// slot placement. Stage outputs cross task boundaries through a query-scoped
 // object-store exchange namespace (the grace-join spill format), so every
 // stage is durable and re-runnable: a task lost to a node failure is retried
 // on another node and deterministically rewrites the same exchange files,
 // which is exactly the object-store block semantics the paper's retry story
-// relies on. Output is byte-identical to the morsel executor at every DOP,
-// join-memory budget and failure schedule — both paths share the morsel
-// decomposition, the fragment operators and the merge tail
-// (finishParallelSelect). See docs/DCP-QUERIES.md.
+// relies on. Output is byte-identical to the pool's at every DOP,
+// join-memory budget and failure schedule — both stage runners consume one
+// lowering (lowerSelect: the morsel decomposition, the fragment operators,
+// the joins) and feed one merge tail (mergeSelect). See docs/DCP-QUERIES.md.
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"polaris/internal/catalog"
 	"polaris/internal/colfile"
 	"polaris/internal/compute"
 	"polaris/internal/core"
@@ -182,37 +180,6 @@ func (t *exchangeTee) Next() (*colfile.Batch, error) {
 	return b, nil
 }
 
-// dagJoin is one join clause lowered for DAG execution. Everything here is
-// resolved on the FE at graph-build time; only the operators themselves are
-// opened inside the build task, freshly per attempt, so a retry re-drains a
-// new stream instead of resuming a half-consumed one.
-type dagJoin struct {
-	rbase               *baseScanPlan
-	rms                 *core.MorselScan
-	leftKeys, rightKeys []int
-	typ                 exec.JoinType
-	cfg                 exec.SpillConfig
-}
-
-// openRight opens the build side as a fresh operator: the right table's
-// per-file fragments concatenated in file order (the same global row order
-// the serial scan streams), teed into the exchange for durability.
-func (d *dagJoin) openRight(qc *dcp.Ctx, ex *dagExchange, j int) (exec.Operator, error) {
-	ops := make([]exec.Operator, 0, len(d.rms.Morsels))
-	for _, m := range d.rms.Morsels {
-		op, err := d.rbase.fragment(m, d.rms, nil)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	if len(ops) == 0 {
-		return exec.NewBatchList(d.rbase.schema, nil), nil
-	}
-	var in exec.Operator = &exec.UnionAll{Ins: ops}
-	return &exchangeTee{in: in, ex: ex, qc: qc, prefix: fmt.Sprintf("build%d", j)}, nil
-}
-
 // dagState carries the build results across tasks. Builds publish under a
 // mutex and every gather (and through it every probe) depends on all build
 // tasks, so readers always observe the complete set. A retried build
@@ -246,331 +213,247 @@ func (s *dagState) anySpilled() bool {
 	return false
 }
 
-// runSelectDAG executes a parallel SELECT as a DCP task DAG. It mirrors
-// runSelectParallel stage for stage: the same morsel decomposition (sized by
-// the configured parallelism), the same fragment operators, and the same
-// merge tail — only the execution substrate differs, so output is
-// byte-identical by construction. Returns handled=false only for an empty
-// table, which falls back to the serial path for the schema.
+// runStagesDAG runs a lowered SELECT's stages as a DCP task DAG and returns
+// the per-morsel outputs of the final stage in morsel order. It is
+// runStagesPool on another substrate: the same morsels, fragment operators and
+// joins (one lowering), with stage outputs crossing task boundaries through
+// the exchange and build inputs teed into it.
 //
-// Shape mirroring is exact in both executor modes: while no build spills,
-// every morsel runs probe→filter→suffix even when its scan came up empty
-// (the streaming shape — a global aggregate still emits its zero partial);
-// once any build spills, empty per-morsel batches skip downstream stages
-// (the staged shape of runSpilledJoinStages). Which mode applies is decided
-// at probe time from the completed builds, exactly like the morsel path
-// decides it after draining the builds.
-func runSelectDAG(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hint *exec.PruneHint, spill *joinSpill) (*colfile.Batch, bool, error) {
-	st := plan.st
-	dop, release := tx.LeaseDOP(tx.Parallelism())
-	defer release()
-	alias := aliasOf(st.From)
-	mergeFree := len(st.Joins) == 0 && len(st.GroupBy) > 0 && selectHasAgg(st) &&
-		groupByCoversDistCol(st, meta.DistributionCol, alias)
-
-	var ms *core.MorselScan
-	var err error
-	if mergeFree {
-		ms, err = tx.ScanCellMorsels(st.From.Name, st.From.AsOfSeq)
-	} else {
-		ms, err = tx.ScanMorsels(st.From.Name, st.From.AsOfSeq, tx.Parallelism()*morselsPerWorker)
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	if len(ms.Morsels) == 0 {
-		return nil, false, nil // empty table: serial path supplies the schema
-	}
-
-	base, err := newBaseScanPlan(plan, st.From, ms)
-	if err != nil {
-		return nil, true, err
-	}
-	sc := singleTableScope(base.schema, alias)
-
-	// Lower the joins: resolve keys, types and spill configs on the FE now;
-	// the builds themselves run inside DAG tasks. Spill namespaces go on the
-	// cleanup list immediately (hold) because the build outcome is only
-	// known after the graph runs — possibly after retries.
-	joins := make([]*dagJoin, 0, len(st.Joins))
-	stageSchemas := []colfile.Schema{base.schema}
-	for _, j := range st.Joins {
-		rmeta, err := tx.Table(j.Table.Name)
-		if err != nil {
-			return nil, true, err
-		}
-		rms, err := tx.ScanMorsels(j.Table.Name, j.Table.AsOfSeq, 1)
-		if err != nil {
-			return nil, true, err
-		}
-		rbase, err := newBaseScanPlan(plan, j.Table, rms)
-		if err != nil {
-			return nil, true, err
-		}
-		rsc := singleTableScope(rbase.schema, aliasOf(j.Table))
-		lk, rk, err := equiKeys(j.On, sc, rsc)
-		if err != nil {
-			return nil, true, err
-		}
-		typ := exec.InnerJoin
-		if j.Left {
-			typ = exec.LeftOuterJoin
-		}
-		distAligned := len(rk) == 1 && rmeta.DistributionCol != "" &&
-			strings.EqualFold(rsc.schema[rk[0]].Name, rmeta.DistributionCol)
-		cfg := spill.config(&boundJoin{distAligned: distAligned})
-		spill.hold()
-		joins = append(joins, &dagJoin{rbase: rbase, rms: rms, leftKeys: lk, rightKeys: rk, typ: typ, cfg: cfg})
-		sc = &scope{
-			schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),
-			quals:  append(append([]string{}, sc.quals...), rsc.quals...),
-		}
-		prev := stageSchemas[len(stageSchemas)-1]
-		next := prev
-		if typ != exec.SemiJoin {
-			next = append(append(colfile.Schema{}, prev...), rbase.schema...)
-		}
-		stageSchemas = append(stageSchemas, next)
-	}
-
-	tail, err := compileTail(st, sc)
-	if err != nil {
-		return nil, true, err
-	}
+// Both executor shapes carry over: while no build spills, every morsel runs
+// probe→filter→suffix even when its scan came up empty (the streaming shape
+// — a global aggregate still emits its zero partial); once any build spills,
+// empty per-morsel batches skip downstream stages (the staged shape). Which
+// applies is decided at probe time from the completed builds, exactly like
+// the pool decides it after draining the builds.
+func runStagesDAG(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
+	suffix func(exec.Operator) exec.Operator) ([]*colfile.Batch, error) {
+	base, joins, tail := lo.base, lo.joins, lo.tail
+	ms := base.ms
 
 	// The exchange namespace lives exactly as long as the statement:
 	// joinSpill.finish deletes it on success and error alike, so neither a
 	// completed query nor one killed mid-DAG leaks exchange files.
-	ex := &dagExchange{dir: tx.NewSpillDir(), model: tx.CostModel()}
+	ex := &dagExchange{dir: spill.newDir(), model: tx.CostModel()}
 	if budget := tx.JoinMemoryBudget(); budget > 0 {
 		ex.flush = budget / exchangeFanout
 		if ex.flush < minExchangeFlush {
 			ex.flush = minExchangeFlush
 		}
 	}
-	spill.dirs = append(spill.dirs, ex.dir)
 
 	M := len(ms.Morsels)
 	J := len(joins)
 	state := &dagState{srcs: make([]*exec.JoinSource, J)}
+	g := dcp.NewGraph()
 
-	runFragments := func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
-		g := dcp.NewGraph()
-
-		// Stage 0: one scan task per morsel. With no joins the whole
-		// fragment (scan→filter→suffix) is fused into it.
-		for i, m := range ms.Morsels {
-			i, m := i, m
-			if err := g.Add(&dcp.Task{
-				ID: dagScanID(i), Name: fmt.Sprintf("scan-m%d", i), Pool: dcp.ReadPool,
-				Exec: func(qc *dcp.Ctx) (any, error) {
-					op, err := base.fragment(m, ms, hint)
-					if err != nil {
-						return nil, err
-					}
-					if J == 0 {
-						if op, err = suffix(tail.filter(op, ms.Tel)); err != nil {
-							return nil, err
-						}
-					}
-					b, err := exec.CollectCtx(qc.Context(), op)
-					if err != nil {
-						return nil, err
-					}
-					names, err := ex.write(qc, fmt.Sprintf("s0/m%05d", i), b)
-					if err != nil {
-						return nil, err
-					}
-					return &dagOut{names: names}, nil
-				},
-			}); err != nil {
-				return nil, err
-			}
-		}
-
-		buildIDs := make([]int, J)
-		for j := range joins {
-			buildIDs[j] = dagBuildID(j)
-		}
-		prevID := dagScanID
-		for j, dj := range joins {
-			j, dj := j, dj
-			prev := prevID
-			leftSchema := stageSchemas[j]
-			last := j == J-1
-
-			if err := g.Add(&dcp.Task{
-				ID: dagBuildID(j), Name: fmt.Sprintf("build-j%d", j), Pool: dcp.ReadPool,
-				Exec: func(qc *dcp.Ctx) (any, error) {
-					right, err := dj.openRight(qc, ex, j)
-					if err != nil {
-						return nil, err
-					}
-					src, err := exec.BuildGraceJoin(right, dj.rightKeys, dj.typ, tx.Parallelism(), dj.cfg, ms.Tel)
-					if err != nil {
-						return nil, err
-					}
-					state.set(j, src)
-					return nil, nil
-				},
-			}); err != nil {
-				return nil, err
-			}
-
-			// The gather barrier: for a spilled build it assembles the full
-			// per-morsel batch list (nil entries preserved — the partition-
-			// wise join's global ordinal merge depends on them) and runs the
-			// partition-wise grace join; for an in-memory build it is a pure
-			// synchronization point. It depends on every build so probes can
-			// tell which executor shape (streaming vs staged) applies.
-			gdeps := append([]int{}, buildIDs...)
-			for i := 0; i < M; i++ {
-				gdeps = append(gdeps, prev(i))
-			}
-			if err := g.Add(&dcp.Task{
-				ID: dagGatherID(j), Name: fmt.Sprintf("gather-j%d", j), Pool: dcp.ReadPool, Deps: gdeps,
-				Exec: func(qc *dcp.Ctx) (any, error) {
-					src := state.get(j)
-					if src == nil || src.Spilled == nil {
-						return nil, nil // in-memory build: probes share the JoinTable
-					}
-					batches := make([]*colfile.Batch, M)
-					for i := 0; i < M; i++ {
-						b, err := ex.read(qc.Context(), qc, dagOutOf(qc.Inputs[prev(i)]).names)
-						if err != nil {
-							return nil, err
-						}
-						batches[i] = b
-					}
-					joined, err := src.Spilled.JoinBatches(batches, dj.leftKeys, leftSchema, dop)
-					if err != nil {
-						return nil, err
-					}
-					outs := make([]*dagOut, M)
-					for i, b := range joined {
-						names, err := ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b)
-						if err != nil {
-							return nil, err
-						}
-						outs[i] = &dagOut{names: names}
-					}
-					return outs, nil
-				},
-			}); err != nil {
-				return nil, err
-			}
-
-			for i := 0; i < M; i++ {
-				i := i
-				if err := g.Add(&dcp.Task{
-					ID: dagProbeID(j, i), Name: fmt.Sprintf("probe-j%d-m%d", j, i), Pool: dcp.ReadPool,
-					Deps: []int{dagGatherID(j), prev(i)},
-					Exec: func(qc *dcp.Ctx) (any, error) {
-						ctx := qc.Context()
-						src := state.get(j)
-						var localPruned atomic.Int64
-						var op exec.Operator
-						if src.Spilled != nil {
-							outs, _ := qc.Inputs[dagGatherID(j)].([]*dagOut)
-							var names []string
-							if outs != nil {
-								names = outs[i].names
-							}
-							if !last {
-								// Forward: the joined batch is already durable
-								// in the gather's exchange files.
-								return &dagOut{names: names}, nil
-							}
-							b, err := ex.read(ctx, qc, names)
-							if err != nil {
-								return nil, err
-							}
-							if b == nil {
-								return &dagOut{}, nil // staged shape: empty skips the suffix
-							}
-							op = exec.NewBatchSource(b)
-						} else {
-							b, err := ex.read(ctx, qc, dagOutOf(qc.Inputs[prev(i)]).names)
-							if err != nil {
-								return nil, err
-							}
-							if b == nil {
-								if state.anySpilled() {
-									return &dagOut{}, nil // staged shape: empty skips this stage
-								}
-								// Streaming shape: probe/filter/suffix run on the
-								// empty stream too, like the fused morsel fragment.
-								b = colfile.NewBatch(stageSchemas[j])
-							}
-							pr := &exec.Probe{In: exec.NewBatchSource(b), Table: src.Table, LeftKeys: dj.leftKeys, Tel: ms.Tel}
-							if dj.typ != exec.LeftOuterJoin {
-								pr.Bloom = src.Table.BloomFilter()
-								pr.Pruned = &localPruned
-							}
-							op = pr
-						}
-						if last {
-							var err error
-							if op, err = suffix(tail.filter(op, ms.Tel)); err != nil {
-								return nil, err
-							}
-						}
-						b, err := exec.CollectCtx(ctx, op)
-						if err != nil {
-							return nil, err
-						}
-						names, err := ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b)
-						if err != nil {
-							return nil, err
-						}
-						return &dagOut{names: names, pruned: localPruned.Load()}, nil
-					},
-				}); err != nil {
+	// Stage 0: one scan task per morsel. With no joins the whole
+	// fragment (scan→filter→suffix) is fused into it.
+	for i, m := range ms.Morsels {
+		i, m := i, m
+		if err := g.Add(&dcp.Task{
+			ID: dagScanID(i), Name: fmt.Sprintf("scan-m%d", i), Pool: dcp.ReadPool,
+			Exec: func(qc *dcp.Ctx) (any, error) {
+				op, err := base.fragment(m)
+				if err != nil {
 					return nil, err
 				}
-			}
-			prevID = func(i int) int { return dagProbeID(j, i) }
+				if J == 0 {
+					op = suffix(tail.filter(op, ms.Tel))
+				}
+				b, err := exec.CollectCtx(qc.Context(), op)
+				if err != nil {
+					return nil, err
+				}
+				names, err := ex.write(qc, fmt.Sprintf("s0/m%05d", i), b)
+				if err != nil {
+					return nil, err
+				}
+				return &dagOut{names: names}, nil
+			},
+		}); err != nil {
+			return nil, err
 		}
+	}
 
-		stages := 1
-		if J > 0 {
-			stages = 1 + J
-		}
-		res, err := tx.RunQueryDAG(g, stages)
-		for jx := range joins {
-			spill.trackDAG(state.get(jx)) // completed builds count even if the run failed
-		}
-		if err != nil {
+	buildIDs := make([]int, J)
+	for j := range joins {
+		buildIDs[j] = dagBuildID(j)
+	}
+	prevID := dagScanID
+	for j, dj := range joins {
+		j, dj := j, dj
+		prev := prevID
+		last := j == J-1
+
+		if err := g.Add(&dcp.Task{
+			ID: dagBuildID(j), Name: fmt.Sprintf("build-j%d", j), Pool: dcp.ReadPool,
+			Exec: func(qc *dcp.Ctx) (any, error) {
+				right, err := dj.openBuild()
+				if err != nil {
+					return nil, err
+				}
+				// The build's input is teed into the exchange as it drains,
+				// so it is durable alongside its spill partitions.
+				right = &exchangeTee{in: right, ex: ex, qc: qc, prefix: fmt.Sprintf("build%d", j)}
+				src, err := exec.BuildGraceJoin(right, dj.rightKeys, dj.typ, tx.Parallelism(), dj.cfg, ms.Tel)
+				if err != nil {
+					return nil, err
+				}
+				state.set(j, src)
+				return nil, nil
+			},
+		}); err != nil {
 			return nil, err
 		}
 
-		// Fold the winning attempts' pruned-row counts into WorkStats (the
-		// totals are row-based and so identical to the morsel path's).
-		var pruned int64
-		for j := 0; j < J; j++ {
-			for i := 0; i < M; i++ {
-				pruned += dagOutOf(res.Outputs[dagProbeID(j, i)]).pruned
-			}
+		// The gather barrier: for a spilled build it assembles the full
+		// per-morsel batch list (nil entries preserved — the partition-
+		// wise join's global ordinal merge depends on them) and runs the
+		// partition-wise grace join; for an in-memory build it is a pure
+		// synchronization point. It depends on every build so probes can
+		// tell which executor shape (streaming vs staged) applies.
+		gdeps := append([]int{}, buildIDs...)
+		for i := 0; i < M; i++ {
+			gdeps = append(gdeps, prev(i))
 		}
-		if pruned > 0 {
-			tx.Work().RuntimeFilterRows.Add(pruned)
+		if err := g.Add(&dcp.Task{
+			ID: dagGatherID(j), Name: fmt.Sprintf("gather-j%d", j), Pool: dcp.ReadPool, Deps: gdeps,
+			Exec: func(qc *dcp.Ctx) (any, error) {
+				src := state.get(j)
+				if src == nil || src.Spilled == nil {
+					return nil, nil // in-memory build: probes share the JoinTable
+				}
+				batches := make([]*colfile.Batch, M)
+				for i := 0; i < M; i++ {
+					b, err := ex.read(qc.Context(), qc, dagOutOf(qc.Inputs[prev(i)]).names)
+					if err != nil {
+						return nil, err
+					}
+					batches[i] = b
+				}
+				joined, err := src.Spilled.JoinBatches(qc.Context(), batches, dj.leftKeys, dj.leftSchema, dop)
+				if err != nil {
+					return nil, err
+				}
+				outs := make([]*dagOut, M)
+				for i, b := range joined {
+					names, err := ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b)
+					if err != nil {
+						return nil, err
+					}
+					outs[i] = &dagOut{names: names}
+				}
+				return outs, nil
+			},
+		}); err != nil {
+			return nil, err
 		}
 
-		finalID := dagScanID
-		if J > 0 {
-			finalID = func(i int) int { return dagProbeID(J-1, i) }
-		}
-		fctx := tx.Context()
-		batches := make([]*colfile.Batch, M)
 		for i := 0; i < M; i++ {
-			b, err := ex.read(fctx, nil, dagOutOf(res.Outputs[finalID(i)]).names)
-			if err != nil {
+			i := i
+			if err := g.Add(&dcp.Task{
+				ID: dagProbeID(j, i), Name: fmt.Sprintf("probe-j%d-m%d", j, i), Pool: dcp.ReadPool,
+				Deps: []int{dagGatherID(j), prev(i)},
+				Exec: func(qc *dcp.Ctx) (any, error) {
+					ctx := qc.Context()
+					src := state.get(j)
+					var localPruned atomic.Int64
+					var op exec.Operator
+					if src.Spilled != nil {
+						outs, _ := qc.Inputs[dagGatherID(j)].([]*dagOut)
+						var names []string
+						if outs != nil {
+							names = outs[i].names
+						}
+						if !last {
+							// Forward: the joined batch is already durable
+							// in the gather's exchange files.
+							return &dagOut{names: names}, nil
+						}
+						b, err := ex.read(ctx, qc, names)
+						if err != nil {
+							return nil, err
+						}
+						if b == nil {
+							return &dagOut{}, nil // staged shape: empty skips the suffix
+						}
+						op = exec.NewBatchSource(b)
+					} else {
+						b, err := ex.read(ctx, qc, dagOutOf(qc.Inputs[prev(i)]).names)
+						if err != nil {
+							return nil, err
+						}
+						if b == nil {
+							if state.anySpilled() {
+								return &dagOut{}, nil // staged shape: empty skips this stage
+							}
+							// Streaming shape: probe/filter/suffix run on the
+							// empty stream too, like the fused morsel fragment.
+							b = colfile.NewBatch(dj.leftSchema)
+						}
+						pr := &exec.Probe{In: exec.NewBatchSource(b), Table: src.Table, LeftKeys: dj.leftKeys, Tel: ms.Tel}
+						if dj.typ != exec.LeftOuterJoin {
+							pr.Bloom = src.Table.BloomFilter()
+							pr.Pruned = &localPruned
+						}
+						op = pr
+					}
+					if last {
+						op = suffix(tail.filter(op, ms.Tel))
+					}
+					b, err := exec.CollectCtx(ctx, op)
+					if err != nil {
+						return nil, err
+					}
+					names, err := ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b)
+					if err != nil {
+						return nil, err
+					}
+					return &dagOut{names: names, pruned: localPruned.Load()}, nil
+				},
+			}); err != nil {
 				return nil, err
 			}
-			batches[i] = b
 		}
-		return batches, nil
+		prevID = func(i int) int { return dagProbeID(j, i) }
 	}
 
-	return finishParallelSelect(tx, st, tail, ms.Tel, mergeFree, runFragments)
+	stages := 1
+	if J > 0 {
+		stages = 1 + J
+	}
+	res, err := tx.RunQueryDAG(g, stages)
+	for jx := range joins {
+		spill.count(state.get(jx)) // completed builds count even if the run failed
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Fold the winning attempts' pruned-row counts into WorkStats (the
+	// totals are row-based and so identical to the morsel path's).
+	var pruned int64
+	for j := 0; j < J; j++ {
+		for i := 0; i < M; i++ {
+			pruned += dagOutOf(res.Outputs[dagProbeID(j, i)]).pruned
+		}
+	}
+	if pruned > 0 {
+		tx.Work().RuntimeFilterRows.Add(pruned)
+	}
+
+	finalID := dagScanID
+	if J > 0 {
+		finalID = func(i int) int { return dagProbeID(J-1, i) }
+	}
+	fctx := tx.Context()
+	batches := make([]*colfile.Batch, M)
+	for i := 0; i < M; i++ {
+		b, err := ex.read(fctx, nil, dagOutOf(res.Outputs[finalID(i)]).names)
+		if err != nil {
+			return nil, err
+		}
+		batches[i] = b
+	}
+	return batches, nil
 }

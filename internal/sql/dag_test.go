@@ -1,9 +1,10 @@
 package sql
 
-// Tests for distributed query execution (runSelectDAG): the failure-sweep
-// harness proving byte-identity of DAG output against the serial reference
-// under every single-task kill schedule, plus budget propagation,
-// cancellation, counter determinism and the EXPLAIN annotation. See
+// Tests for distributed query execution (runStagesDAG): the failure-sweep
+// harness proving byte-identity of DAG output against the in-process
+// reference under every single-task kill schedule, plus budget propagation,
+// cancellation on both stage runners, counter determinism and the EXPLAIN
+// annotation. See
 // docs/DCP-QUERIES.md for the execution model under test.
 
 import (
@@ -14,7 +15,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"polaris/internal/catalog"
 	"polaris/internal/colfile"
@@ -33,8 +36,9 @@ type dagEnv struct {
 
 // newDagEnv builds a 4-node fabric engine with the distributed-query path
 // enabled at DOP 4 by default; mut adjusts options before the engine is
-// constructed (set Parallelism, budgets, or a failure injector there).
-func newDagEnv(t *testing.T, mut func(*core.Options)) *dagEnv {
+// constructed (set Parallelism, budgets, or a failure injector there), and
+// storeOpts configure the object store.
+func newDagEnv(t *testing.T, mut func(*core.Options), storeOpts ...objectstore.Option) *dagEnv {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Distributions = 4
@@ -45,7 +49,7 @@ func newDagEnv(t *testing.T, mut func(*core.Options)) *dagEnv {
 	if mut != nil {
 		mut(&opts)
 	}
-	store := objectstore.New()
+	store := objectstore.New(storeOpts...)
 	fabric := compute.NewFabric(compute.Config{Elastic: true, InitNodes: 4, SlotsPer: 2})
 	eng := core.NewEngine(catalog.NewDB(), store, fabric, opts)
 	return &dagEnv{store: store, eng: eng, sess: NewSession(eng)}
@@ -196,7 +200,7 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 					}
 					mu.Unlock()
 					sort.Ints(ids)
-					if dop > 1 && len(ids) == 0 {
+					if len(ids) == 0 {
 						t.Fatalf("query %d: distributed path produced no DAG tasks at dop %d", qi, dop)
 					}
 					if testing.Short() && len(ids) > 8 {
@@ -302,7 +306,7 @@ func TestDAGSurvivesNodeDeath(t *testing.T) {
 			if armed && !killed {
 				killed = true
 				node.Kill()
-				return fmt.Errorf("node %v lost mid-task", node)
+				return fmt.Errorf("node %d lost mid-task", node.ID)
 			}
 			return nil
 		}
@@ -363,6 +367,88 @@ func TestDAGStatementCancel(t *testing.T) {
 	assertNoSpillLeaks(t, env.store, "after canceled statement")
 	if got := env.eng.Fabric.LeasedSlots(); got != 0 {
 		t.Fatalf("%d fabric slots still leased after canceled statement", got)
+	}
+}
+
+// TestMorselStatementCancel is TestDAGStatementCancel for the in-process
+// stage runner: a statement whose ExecOpts.Ctx is cancelled — before it
+// starts, or mid-flight — stops with context.Canceled at Parallelism 1 and 4
+// alike, holds no worker slot and leaves nothing under spill/. Mid-flight
+// means during the statement's scan fetch, or, under a spilling budget, at
+// its first spill write: by then a build has partition files in the store
+// and the partition-wise join is still to run.
+func TestMorselStatementCancel(t *testing.T) {
+	q := sweepQueries[1]
+	for _, dop := range []int{1, 4} {
+		for _, budget := range []int64{0, 256} {
+			for _, when := range []string{"before", "mid-flight"} {
+				t.Run(fmt.Sprintf("dop=%d,budget=%d,%s", dop, budget, when), func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var armed atomic.Bool
+					cancelIfArmed := func() {
+						if armed.Load() {
+							cancel()
+						}
+					}
+					// The store stamps every write with its clock, and a
+					// SELECT's only writes are spill files.
+					clock := func() time.Time {
+						if budget > 0 {
+							cancelIfArmed()
+						}
+						return time.Now()
+					}
+					env := newDagEnv(t, func(o *core.Options) {
+						o.Parallelism = dop
+						o.DistributedQueries = false
+						o.JoinMemoryBudget = budget
+						o.TaskFailureInjector = func(int, int, *compute.Node) error {
+							if budget == 0 {
+								cancelIfArmed()
+							}
+							return nil
+						}
+					}, objectstore.WithClock(clock))
+					seedDag(t, env.sess)
+					if when == "before" {
+						cancel()
+					} else {
+						armed.Store(true)
+					}
+					spillsBefore := env.eng.Work.JoinSpills.Load()
+					_, err := env.sess.ExecWith(q, ExecOpts{Ctx: ctx})
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled in chain", err)
+					}
+					if when == "mid-flight" && budget > 0 && env.eng.Work.JoinSpills.Load() == spillsBefore {
+						t.Fatal("the cancel was meant to land after a build spilled, but none did")
+					}
+					assertNoSpillLeaks(t, env.store, "after canceled statement")
+					if got := env.eng.Fabric.LeasedSlots(); got != 0 {
+						t.Fatalf("%d fabric slots still leased after canceled statement", got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDAGAtParallelismOne: DistributedQueries is honoured by a one-worker
+// engine — EXPLAIN says so and the statement really runs as a task DAG.
+func TestDAGAtParallelismOne(t *testing.T) {
+	env := newDagEnv(t, func(o *core.Options) { o.Parallelism = 1 })
+	seedDag(t, env.sess)
+	for _, q := range sweepQueries {
+		res := mustExec(t, env.sess, `EXPLAIN `+q)
+		if line := res.Batch.Row(0)[0].(string); !strings.Contains(line, " [dag]") {
+			t.Fatalf("scan line %q missing [dag] annotation at Parallelism 1", line)
+		}
+		before := env.eng.Work.DagTasks.Load()
+		mustExec(t, env.sess, q)
+		if env.eng.Work.DagTasks.Load() == before {
+			t.Fatalf("DagTasks did not advance at Parallelism 1: %s", q)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -155,8 +156,8 @@ func (slotRef) expr() {}
 // compile binds an AST expression over the scope and lowers it to a kernel
 // program against the scope's schema. It is the only path from this package
 // to exec.Compile, and callers return its error as the statement's: a type
-// error is reported at plan time, before the statement's pipeline runs, by
-// the serial, morsel and DAG paths alike.
+// error is reported at plan time, before the statement's pipeline runs,
+// whichever stage runner executes it.
 func compile(e Expr, sc *scope) (*exec.Prog, error) {
 	bound, err := bind(e, sc)
 	if err != nil {
@@ -278,31 +279,6 @@ func binOpKind(op string) (exec.BinKind, bool) {
 	return 0, false
 }
 
-// scanTable opens a table scan and returns its operator plus scope. The
-// physical plan (optional) projects the scan to the referenced columns and
-// pushes the relation's WHERE conjuncts into it.
-func scanTable(tx *core.Txn, ref TableRef, hint *exec.PruneHint, plan *physPlan) (exec.Operator, *scope, error) {
-	op, _, err := tx.Scan(ref.Name, core.ScanOptions{Columns: plan.colsFor(ref), AsOfSeq: ref.AsOfSeq, Prune: hint})
-	if err != nil {
-		return nil, nil, err
-	}
-	alias := ref.Alias
-	if alias == "" {
-		alias = ref.Name
-	}
-	schema := op.Schema()
-	quals := make([]string, len(schema))
-	for i := range quals {
-		quals[i] = alias
-	}
-	sc := &scope{schema: schema, quals: quals}
-	op, err = applyPushdown(op, sc, plan.pushedFor(ref))
-	if err != nil {
-		return nil, nil, err
-	}
-	return op, sc, nil
-}
-
 // prunableRange extracts a zone-map hint from the WHERE clause: a conjunct of
 // the form col >= lo / col <= hi / col = v / col BETWEEN over an int column of
 // the base table.
@@ -390,113 +366,54 @@ func prunableRange(where Expr, meta catalog.TableMeta, alias string) *exec.Prune
 	return nil
 }
 
+// runSelect executes a SELECT. There is one executor: the statement is
+// planned, lowered once onto the morsel decomposition (lowerSelect), its
+// per-morsel fragments run on one of two stage runners — the in-process morsel
+// pool or, under DistributedQueries, a DCP task DAG — and the per-morsel
+// outputs are combined by the deterministic merge tail (mergeSelect).
+// Parallelism sizes the decomposition and the worker lease; it selects no code
+// path, so Parallelism 1 is the same plan run by one worker.
 func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
 	// Cost-based physical planning: stats-driven join reordering, predicate
 	// and projection pushdown. The plan rewrites the statement; everything
-	// below consumes the rewritten form, so the serial and parallel paths
-	// execute the same plan shape.
+	// below consumes the rewritten form.
 	plan := planSelect(tx, st)
 	plan.recordWork(tx)
-	st = plan.st
-	meta, err := tx.Table(st.From.Name)
-	if err != nil {
-		return nil, err
-	}
-	var hint *exec.PruneHint
-	if len(st.Joins) == 0 {
-		// The hint is extracted from the original WHERE so conjuncts the
-		// planner pushed into the scan still contribute zone-map pruning.
-		hint = prunableRange(plan.where, meta, aliasOf(st.From))
-	}
 
-	// Grace-join spill context: the engine's JoinMemoryBudget plus a lazily
-	// allocated query-scoped spill namespace. finish() runs after the result
-	// is materialized, so spill files are deleted on success and error alike.
+	// Grace-join spill context: the join memory budget plus the statement's
+	// spill and exchange namespaces. finish() runs after the result is
+	// materialized, so they are deleted on success and error alike.
 	spill := newJoinSpill(tx)
 	defer spill.finish()
 
-	// Statements go through the morsel-driven parallel executor when the
-	// engine has a parallelism target — joins and ORDER BY included: build
-	// sides are materialized into shared JoinTables once, the probe side
-	// fans out over the left table's morsels, and ORDER BY sorts per-morsel
-	// runs that a k-way merge combines (with top-N pushdown under LIMIT).
-	// The exception is bare LIMIT queries (no ORDER BY, no aggregation),
-	// where the serial streaming path stops scanning after N rows while the
-	// parallel path would materialize every morsel first.
-	if tx.Parallelism() > 1 && !bareLimitSelect(st) {
-		var (
-			b       *colfile.Batch
-			handled bool
-		)
-		if tx.DistributedQueries() {
-			// Distributed execution: the same plan is lowered onto DCP task
-			// DAGs with object-store exchange between stages (docs/
-			// DCP-QUERIES.md). Byte-identical to the morsel path by
-			// construction — both share the morsel decomposition and the
-			// merge operators.
-			b, handled, err = runSelectDAG(tx, plan, meta, hint, spill)
-		} else {
-			b, handled, err = runSelectParallel(tx, plan, meta, hint, spill)
-		}
-		if handled {
-			return b, err
-		}
-	}
-
-	op, sc, err := scanTable(tx, st.From, hint, plan)
+	// When concurrent queries hold the fabric's slots the lease degrades the
+	// worker count (possibly to 1); the plan shape — and therefore the output
+	// — depends on the configured Parallelism only.
+	dop, release := tx.LeaseDOP(tx.Parallelism())
+	defer release()
+	lo, err := lowerSelect(tx, plan, spill)
 	if err != nil {
 		return nil, err
 	}
-
-	// Joins: hash equi-joins extracted from the ON conjunction. Each build
-	// side is drained eagerly under the join memory budget: while it fits,
-	// the probe streams against an in-memory JoinTable exactly as before; a
-	// build that overflows grace-spills and the probe joins partition-wise
-	// (byte-identical output either way).
-	for _, j := range st.Joins {
-		bj, jsc, err := bindJoin(tx, j, sc, plan)
-		if err != nil {
-			return nil, err
+	return mergeSelect(tx, lo, func(suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
+		switch {
+		case len(lo.base.ms.Morsels) == 0:
+			// Nothing to scan, so nothing to build or probe either: the merge
+			// tail turns the empty list into the empty (or, for a global
+			// aggregate, the one zero) result.
+			return nil, nil
+		case plan.dag:
+			return runStagesDAG(tx, lo, dop, spill, suffix)
+		default:
+			return runStagesPool(tx, lo, dop, spill, suffix, limit)
 		}
-		src, err := exec.BuildGraceJoin(bj.right, bj.rightKeys, bj.typ, tx.Parallelism(), spill.config(bj), nil)
-		if err != nil {
-			return nil, err
-		}
-		spill.track(src)
-		if src.Spilled != nil {
-			// The spilled path carries its own runtime filter, accumulated
-			// while the build drained; joinSpill.finish folds its pruned-row
-			// count into WorkStats.
-			op = &exec.SpilledProbe{In: op, Join: src.Spilled, LeftKeys: bj.leftKeys}
-		} else {
-			pr := &exec.Probe{In: op, Table: src.Table, LeftKeys: bj.leftKeys}
-			if bj.typ != exec.LeftOuterJoin {
-				pr.Bloom = src.Table.BloomFilter()
-				pr.Pruned = &tx.Work().RuntimeFilterRows
-			}
-			op = pr
-		}
-		sc = jsc
-	}
-
-	tail, err := compileTail(st, sc)
-	if err != nil {
-		return nil, err
-	}
-	op = tail.filter(op, nil)
-	if tail.agg != nil {
-		op = tail.agg.finish(&exec.HashAgg{In: op, GroupBy: tail.agg.groupBy, Aggs: tail.agg.aggs})
-	} else {
-		op = &exec.Project{In: op, Exprs: tail.proj, Names: tail.names}
-	}
-	return finishSelect(st, op)
+	})
 }
 
 // selectTail is the compiled part of a SELECT downstream of its joins: the
 // residual WHERE, then either the aggregation or the plain projection. It is
-// compiled once per statement against the post-join scope and consumed by the
-// serial tail, the morsel path and the DAG path; the Progs are immutable, so
-// per-morsel operator instances share them.
+// compiled once per statement against the post-join scope (lowerSelect); the
+// Progs are immutable, so per-morsel operator instances share them.
 type selectTail struct {
 	where *exec.Prog // nil = none
 	agg   *aggPlan   // nil = plain projection
@@ -531,9 +448,12 @@ func (t *selectTail) filter(op exec.Operator, tel *exec.Telemetry) exec.Operator
 	return &exec.Filter{In: op, Pred: t.where, Tel: tel}
 }
 
-// bareLimitSelect reports a bare LIMIT query (no ORDER BY, no aggregation):
-// the serial streaming path stops scanning after N rows, while a parallel
-// executor would materialize every morsel first — so these stay serial.
+// bareLimitSelect reports a bare LIMIT query (no ORDER BY, no aggregation).
+// Its answer is a prefix of the morsel-order concatenation, so the in-process
+// pool stops scanning once the completed prefix of morsels holds LIMIT+OFFSET
+// rows (exec.RunIndexedPrefix); a task DAG would run — and write to the
+// exchange — every morsel first, so these statements stay in-process even
+// under DistributedQueries.
 func bareLimitSelect(st *SelectStmt) bool {
 	return st.Limit >= 0 && len(st.OrderBy) == 0 && !selectHasAgg(st)
 }
@@ -552,7 +472,7 @@ func selectHasAgg(st *SelectStmt) bool {
 }
 
 // finishSelect applies ORDER BY and LIMIT and materializes the result.
-func finishSelect(st *SelectStmt, outOp exec.Operator) (*colfile.Batch, error) {
+func finishSelect(ctx context.Context, st *SelectStmt, outOp exec.Operator) (*colfile.Batch, error) {
 	if len(st.OrderBy) > 0 {
 		keys, err := orderKeys(st, outOp.Schema())
 		if err != nil {
@@ -563,65 +483,27 @@ func finishSelect(st *SelectStmt, outOp exec.Operator) (*colfile.Batch, error) {
 	if st.Limit >= 0 {
 		outOp = &exec.Limit{In: outOp, N: st.Limit, Offset: st.Offset}
 	}
-	return exec.Collect(outOp)
+	return exec.CollectCtx(ctx, outOp)
 }
 
 // morselsPerWorker over-decomposes the scan so the morsel queue
 // load-balances across workers with uneven morsel costs.
 const morselsPerWorker = 4
 
-// boundJoin is one join clause's planning product: the build-side operator,
-// the resolved key columns and the join type. Both the serial and parallel
-// paths drain it through BuildGraceJoin, so their join semantics (and the
-// spill decision) cannot drift apart. distAligned marks a join whose key
-// covers the build table's distribution column, letting a spilling build
-// reuse the table's cell boundaries as partition seams.
-type boundJoin struct {
-	right               exec.Operator
-	leftKeys, rightKeys []int
-	typ                 exec.JoinType
-	distAligned         bool
-}
-
-// bindJoin opens the join's right table, resolves the equi-join keys against
-// the current scope, and returns the binding plus the joined output scope.
-func bindJoin(tx *core.Txn, j JoinClause, sc *scope, plan *physPlan) (*boundJoin, *scope, error) {
-	rop, rsc, err := scanTable(tx, j.Table, nil, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	rmeta, err := tx.Table(j.Table.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	lk, rk, err := equiKeys(j.On, sc, rsc)
-	if err != nil {
-		return nil, nil, err
-	}
-	typ := exec.InnerJoin
-	if j.Left {
-		typ = exec.LeftOuterJoin
-	}
-	joined := &scope{
-		schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),
-		quals:  append(append([]string{}, sc.quals...), rsc.quals...),
-	}
-	distAligned := len(rk) == 1 && rmeta.DistributionCol != "" &&
-		strings.EqualFold(rsc.schema[rk[0]].Name, rmeta.DistributionCol)
-	return &boundJoin{right: rop, leftKeys: lk, rightKeys: rk, typ: typ, distAligned: distAligned}, joined, nil
-}
-
-// joinSpill carries one statement's grace-join spill state: the engine's
-// build-side memory budget, the per-build spill namespaces, and the spilled
-// builds to account for. Each build gets its own namespace — two spilling
-// joins in one statement write identical relative partition paths, so
-// sharing a namespace would let the second build overwrite the first's
-// files. It exists per statement so finish() can delete the namespaces
-// exactly when the result is materialized.
+// joinSpill carries one statement's grace-join spill state: the join memory
+// budget, every spill and exchange namespace the statement allocated, and the
+// spilled builds to account for. Each build gets its own namespace — two
+// spilling joins in one statement write identical relative partition paths,
+// so sharing one would let the second build overwrite the first's files.
+// Namespaces are registered when the statement is lowered, before any build
+// runs (on the DAG inside tasks, possibly more than once under retry), so
+// finish deletes them whatever happened in between; creating one is pure
+// bookkeeping and cleaning one that was never written is free (SpillDir lists
+// only a namespace that was Put to), so a build that stays in memory costs no
+// store round trip.
 type joinSpill struct {
 	tx      *core.Txn
 	budget  int64
-	pending *objectstore.SpillDir // namespace handed to the build in flight
 	dirs    []*objectstore.SpillDir
 	spilled []*exec.SpilledJoin
 }
@@ -630,20 +512,24 @@ func newJoinSpill(tx *core.Txn) *joinSpill {
 	return &joinSpill{tx: tx, budget: tx.JoinMemoryBudget()}
 }
 
+// newDir allocates a query-scoped namespace and registers it for cleanup.
+func (s *joinSpill) newDir() *objectstore.SpillDir {
+	dir := s.tx.NewSpillDir()
+	s.dirs = append(s.dirs, dir)
+	return dir
+}
+
 // config assembles the spill configuration for one join build: the budget, a
 // namespace of its own, and — when the join key covers the build table's
 // distribution column — a d(r) partitioner, so spill partitions coincide
-// with the table's storage cells. Namespace creation is pure bookkeeping (no
-// store IO); only builds that actually spill retain theirs (note), so the
-// no-spill path never pays a cleanup round trip.
-func (s *joinSpill) config(bj *boundJoin) exec.SpillConfig {
+// with the table's storage cells.
+func (s *joinSpill) config(distAligned bool) exec.SpillConfig {
 	cfg := exec.SpillConfig{Budget: s.budget}
 	if s.budget <= 0 {
 		return cfg
 	}
-	s.pending = s.tx.NewSpillDir()
-	cfg.Store = s.pending
-	if bj.distAligned {
+	cfg.Store = s.newDir()
+	if distAligned {
 		fanout := s.tx.Distributions()
 		cfg.Fanout = fanout
 		cfg.Partition = func(b *colfile.Batch, keyCols []int, row int, _ []byte) int {
@@ -657,37 +543,11 @@ func (s *joinSpill) config(bj *boundJoin) exec.SpillConfig {
 	return cfg
 }
 
-// track resolves the pending namespace after a build completes: a spilled
-// build is recorded in the engine-wide work counters (plan choice is
-// deterministic for a given snapshot and budget, so tests assert on it) and
-// its namespace kept for cleanup; an in-memory build wrote nothing, so its
-// namespace is simply dropped — no cleanup round trip on the no-spill path.
-func (s *joinSpill) track(src *exec.JoinSource) {
-	if src.Spilled != nil {
-		s.spilled = append(s.spilled, src.Spilled)
-		s.dirs = append(s.dirs, s.pending)
-		s.tx.Work().JoinSpills.Add(1)
-	}
-	s.pending = nil
-}
-
-// hold retains the pending namespace for end-of-statement cleanup without
-// waiting for a build outcome. The DAG path allocates every join's spill
-// namespace at graph-build time — the builds themselves run later, inside
-// DCP tasks, possibly more than once under retry — so the namespaces must
-// be on the cleanup list before the graph runs. Cleanup of a namespace that
-// never spilled is a cheap empty listing.
-func (s *joinSpill) hold() {
-	if s.pending != nil {
-		s.dirs = append(s.dirs, s.pending)
-		s.pending = nil
-	}
-}
-
-// trackDAG records a DAG build task's outcome in the work counters. Unlike
-// track, it does not manage namespaces (hold already did) and tolerates nil
-// (a run that failed before the build completed).
-func (s *joinSpill) trackDAG(src *exec.JoinSource) {
+// count records one completed build, once per statement: a spilled build is
+// recorded in the engine-wide work counters (plan choice is deterministic for
+// a given snapshot and budget, so tests assert on it) and kept for finish's
+// byte accounting. nil is a DAG build task that never completed.
+func (s *joinSpill) count(src *exec.JoinSource) {
 	if src != nil && src.Spilled != nil {
 		s.spilled = append(s.spilled, src.Spilled)
 		s.tx.Work().JoinSpills.Add(1)
@@ -697,89 +557,36 @@ func (s *joinSpill) trackDAG(src *exec.JoinSource) {
 // finish adds the spill accounting — bytes durably written (sj.SpillBytes
 // counts successful puts only, so a build that errored mid-spill contributes
 // exactly what reached the store) and partition-wise join tasks — and deletes
-// the query's spill namespaces, including a still-pending one, which means
-// the build errored mid-spill and may have partition files on disk already.
-// Cleanup is best effort (errors leave orphans confined to the spill/
-// namespace, outside GC's and the publishers' prefixes).
+// the statement's namespaces. Cleanup is best effort (errors leave orphans
+// confined to the spill/ namespace, outside GC's and the publishers'
+// prefixes).
 func (s *joinSpill) finish() {
 	for _, sj := range s.spilled {
 		s.tx.Work().JoinSpillBytes.Add(sj.SpillBytes())
 		s.tx.Work().JoinSpillPartitions.Add(sj.PartitionsJoined())
 		s.tx.Work().RuntimeFilterRows.Add(sj.BloomPrunedRows())
 	}
-	if s.pending != nil {
-		_ = s.pending.Cleanup()
-	}
 	for _, dir := range s.dirs {
 		_ = dir.Cleanup()
 	}
 }
 
-// probeStage is one planned join stage of a parallel SELECT: an in-memory
-// JoinTable shared by per-morsel Probe operators, or a spilled build joined
-// partition-wise.
-type probeStage struct {
-	src      *exec.JoinSource
-	leftKeys []int
-	typ      exec.JoinType
-	// bloom is the stage's runtime filter, derived once from the completed
-	// in-memory build and shared read-only by every probe worker (nil for
-	// LEFT OUTER, where probe rows survive regardless).
-	bloom *exec.Bloom
-}
-
-// runSpilledJoinStages executes a parallel SELECT's join pipeline when at
-// least one build spilled: the probe-side scan is materialized per morsel,
-// then each stage transforms the per-morsel batches in order — in-memory
-// stages probe every batch in parallel against the shared JoinTable, spilled
-// stages fan the partition-wise grace join over the same leased worker pool,
-// one depth-0 partition per task with the nested build parallelism capped
-// (whose per-morsel outputs are byte-identical to in-memory probes of the
-// same batches). Morsel order, and with it the downstream determinism
-// contract, is preserved throughout.
-func runSpilledJoinStages(tx *core.Txn, ms *core.MorselScan, dop int, stages []probeStage, hint *exec.PruneHint, base *baseScanPlan) ([]*colfile.Batch, error) {
-	cur, err := exec.RunMorsels(ms.Morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		return base.fragment(m, ms, hint)
-	})
-	if err != nil {
-		return nil, err
-	}
-	leftSchema := base.schema
-	for _, ps := range stages {
-		if ps.src.Table != nil {
-			table, keys, bloom := ps.src.Table, ps.leftKeys, ps.bloom
-			pruned := &tx.Work().RuntimeFilterRows
-			cur, err = exec.RunBatches(cur, dop, func(_ int, b *colfile.Batch) (exec.Operator, error) {
-				return &exec.Probe{In: exec.NewBatchSource(b), Table: table, LeftKeys: keys, Tel: ms.Tel,
-					Bloom: bloom, Pruned: pruned}, nil
-			})
-		} else {
-			cur, err = ps.src.Spilled.JoinBatches(cur, ps.leftKeys, leftSchema, dop)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ps.typ != exec.SemiJoin {
-			leftSchema = append(append(colfile.Schema{}, leftSchema...), ps.src.BuildSchema()...)
-		}
-	}
-	return cur, nil
-}
-
-// baseScanPlan is the parallel path's per-morsel scan recipe for the probe
-// base: the projected columns, the resulting scan schema, and the pushed
-// predicate (compiled once per statement, shared read-only by the morsel
-// workers — each scan owns its EvalCtx).
+// baseScanPlan is the per-morsel scan recipe for one relation: its morsels,
+// the projected columns, the resulting scan schema, the zone-map hint and the
+// pushed predicate (compiled once per statement, shared read-only by the
+// morsel workers — each scan owns its EvalCtx).
 type baseScanPlan struct {
+	ms     *core.MorselScan
 	cols   []string
 	schema colfile.Schema // projected scan output schema
-	pred   *exec.Prog     // pushed conjunction (nil = none)
+	hint   *exec.PruneHint
+	pred   *exec.Prog // pushed conjunction (nil = none)
 }
 
 // newBaseScanPlan resolves the physical plan's projection and pushdown
-// decisions for the probe base against a morsel scan's full table schema.
-func newBaseScanPlan(plan *physPlan, ref TableRef, ms *core.MorselScan) (*baseScanPlan, error) {
-	b := &baseScanPlan{cols: plan.colsFor(ref), schema: ms.Schema}
+// decisions for one relation against its morsel scan's full table schema.
+func newBaseScanPlan(plan *physPlan, ref TableRef, ms *core.MorselScan, hint *exec.PruneHint) (*baseScanPlan, error) {
+	b := &baseScanPlan{ms: ms, cols: plan.colsFor(ref), schema: ms.Schema, hint: hint}
 	if b.cols != nil {
 		proj := make(colfile.Schema, len(b.cols))
 		for i, name := range b.cols {
@@ -803,16 +610,16 @@ func newBaseScanPlan(plan *physPlan, ref TableRef, ms *core.MorselScan) (*baseSc
 // fragment opens one morsel's scan with the plan's projection and pushed
 // predicate applied. Rows a pushed predicate rejects are dropped inside the
 // scan, before unreferenced columns are even decoded.
-func (b *baseScanPlan) fragment(m exec.Morsel, ms *core.MorselScan, hint *exec.PruneHint) (exec.Operator, error) {
-	s, err := exec.NewMorselScan(m, b.cols, hint, ms.Tel)
+func (b *baseScanPlan) fragment(m exec.Morsel) (exec.Operator, error) {
+	s, err := exec.NewMorselScan(m, b.cols, b.hint, b.ms.Tel)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.SetSchema(ms.Schema); err != nil {
+	if err := s.SetSchema(b.ms.Schema); err != nil {
 		return nil, err
 	}
 	if b.pred != nil && !s.PushPredicate(b.pred) {
-		return &exec.Filter{In: s, Pred: b.pred, Tel: ms.Tel}, nil
+		return &exec.Filter{In: s, Pred: b.pred, Tel: b.ms.Tel}, nil
 	}
 	return s, nil
 }
@@ -838,222 +645,328 @@ func groupByCoversDistCol(st *SelectStmt, distCol, alias string) bool {
 	return false
 }
 
-// runSelectParallel executes a SELECT on the morsel-driven parallel
-// executor: the left (probe-side) scan is split into morsels, a worker pool
-// sized by the fabric's slot lease runs scan→[probe…]→filter→project (or
-// →partial aggregation, or →sorted run) per morsel, and a deterministic
-// merge — ordered concatenation for projections and joins, key-ordered
-// MergeAgg for aggregates, loser-tree MergeRuns for ORDER BY — combines the
-// per-morsel outputs. Join build sides are materialized once into immutable
-// JoinTables shared by every probe worker.
-// When the GROUP BY key set covers the table's distribution column, morsels
-// are cell-aligned and the merge degenerates to concatenation (merge-free
-// distribution-aware aggregation, counted in WorkStats.MergeFreeAggs).
-// When concurrent queries hold the fabric's slots the lease degrades the
-// worker count (possibly to 1) but the plan shape — and therefore the
-// output order — stays the same for a given Parallelism config. Returns
-// handled=false only for an empty table, which falls back to the serial
-// path.
-// Join build sides are drained under the join memory budget: a build that
-// overflows grace-spills both sides to the query's spill namespace and the
-// join runs partition-wise, producing per-morsel outputs byte-identical to
-// the in-memory probes', so everything downstream of the join stages is
-// unchanged.
-func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hint *exec.PruneHint, spill *joinSpill) (*colfile.Batch, bool, error) {
+// loweredJoin is one join clause resolved for execution: the build side's
+// scan recipe, the key columns, the join type and the spill configuration.
+// Only the operators themselves are opened by the stage runner — on the DAG
+// inside the build task, freshly per attempt, so a retry re-drains a new
+// stream instead of resuming a half-consumed one.
+type loweredJoin struct {
+	build               *baseScanPlan
+	leftKeys, rightKeys []int
+	typ                 exec.JoinType
+	cfg                 exec.SpillConfig
+	leftSchema          colfile.Schema // the probe side entering this stage
+}
+
+// openBuild opens the build side as a fresh operator: the right table's
+// per-cell fragments concatenated in cell order, the table's global row order.
+func (lj *loweredJoin) openBuild() (exec.Operator, error) {
+	morsels := lj.build.ms.Morsels
+	if len(morsels) == 0 {
+		return exec.NewBatchList(lj.build.schema, nil), nil
+	}
+	ops := make([]exec.Operator, len(morsels))
+	for i, m := range morsels {
+		op, err := lj.build.fragment(m)
+		if err != nil {
+			return nil, err
+		}
+		ops[i] = op
+	}
+	return &exec.UnionAll{Ins: ops}, nil
+}
+
+// loweredSelect is a planned SELECT lowered onto the morsel decomposition:
+// the probe base's scan recipe and morsels, the joins in execution order, the
+// compiled tail, and whether the aggregation is merge-free. It is computed
+// once (lowerSelect) and consumed by both stage runners, which differ only in
+// where the fragments and builds run.
+type loweredSelect struct {
+	st    *SelectStmt
+	base  *baseScanPlan
+	joins []*loweredJoin
+	tail  *selectTail
+	// mergeFree: the GROUP BY key set covers the table's distribution column,
+	// so the morsels are cell-aligned, every per-morsel partial is complete
+	// for its groups, and MergeAgg skips the merge (distribution-aware
+	// aggregation, counted in WorkStats.MergeFreeAggs).
+	mergeFree bool
+}
+
+// lowerSelect turns a planned SELECT into what executes. The probe base's
+// morsel split is sized from the CONFIGURED parallelism, not the granted one:
+// a lease only caps live workers, so the decomposition — and with it
+// float-aggregation order — cannot shift under slot contention; the cell
+// split of a merge-free aggregation does not depend on the parallelism at
+// all. Join build sides are drained whole, in table order, so they take the
+// cell split too: one scan leg per cell, however many small files it holds.
+// Each build gets its spill namespace here, before anything runs.
+func lowerSelect(tx *core.Txn, plan *physPlan, spill *joinSpill) (*loweredSelect, error) {
 	st := plan.st
-	dop, release := tx.LeaseDOP(tx.Parallelism())
-	defer release()
+	meta, err := tx.Table(st.From.Name)
+	if err != nil {
+		return nil, err
+	}
 	alias := aliasOf(st.From)
-	// Distribution-aware aggregation: cell-aligned morsels make per-morsel
-	// partials complete, so MergeAgg can skip the merge. The cell split is
-	// DOP-independent, so results stay identical at every parallelism.
-	mergeFree := len(st.Joins) == 0 && len(st.GroupBy) > 0 && selectHasAgg(st) &&
-		groupByCoversDistCol(st, meta.DistributionCol, alias)
-
-	// The morsel split is sized from the CONFIGURED parallelism, not the
-	// granted one: the lease only caps live workers, so the decomposition —
-	// and with it float-aggregation order — cannot shift under slot
-	// contention.
-	var ms *core.MorselScan
-	var err error
-	if mergeFree {
-		ms, err = tx.ScanCellMorsels(st.From.Name, st.From.AsOfSeq)
-	} else {
-		ms, err = tx.ScanMorsels(st.From.Name, st.From.AsOfSeq, tx.Parallelism()*morselsPerWorker)
+	lo := &loweredSelect{st: st}
+	var hint *exec.PruneHint
+	if len(st.Joins) == 0 {
+		// The hint is extracted from the original WHERE so conjuncts the
+		// planner pushed into the scan still contribute zone-map pruning.
+		hint = prunableRange(plan.where, meta, alias)
+		lo.mergeFree = groupByCoversDistCol(st, meta.DistributionCol, alias)
 	}
+	scan := func(ref TableRef, byCell bool) (*core.MorselScan, error) {
+		if byCell {
+			return tx.ScanCellMorsels(ref.Name, ref.AsOfSeq)
+		}
+		return tx.ScanMorsels(ref.Name, ref.AsOfSeq, tx.Parallelism()*morselsPerWorker)
+	}
+	ms, err := scan(st.From, lo.mergeFree)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	if len(ms.Morsels) == 0 {
-		return nil, false, nil // empty table: serial path supplies the schema
+	if lo.base, err = newBaseScanPlan(plan, st.From, ms, hint); err != nil {
+		return nil, err
 	}
+	sc := singleTableScope(lo.base.schema, alias)
 
-	base, err := newBaseScanPlan(plan, st.From, ms)
-	if err != nil {
-		return nil, true, err
-	}
-	sc := singleTableScope(base.schema, alias)
-
-	// Joins: drain each right side once under the join memory budget —
-	// into an immutable shared JoinTable while it fits (the build itself is
-	// partition-parallel), or into spill partitions when it overflows —
-	// extending the scope as the serial planner would.
-	var stages []probeStage
-	anySpilled := false
 	for _, j := range st.Joins {
-		bj, jsc, err := bindJoin(tx, j, sc, plan)
+		rmeta, err := tx.Table(j.Table.Name)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		src, err := exec.BuildGraceJoin(bj.right, bj.rightKeys, bj.typ, tx.Parallelism(), spill.config(bj), ms.Tel)
+		rms, err := scan(j.Table, true)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		spill.track(src)
+		build, err := newBaseScanPlan(plan, j.Table, rms, nil)
+		if err != nil {
+			return nil, err
+		}
+		rsc := singleTableScope(build.schema, aliasOf(j.Table))
+		lk, rk, err := equiKeys(j.On, sc, rsc)
+		if err != nil {
+			return nil, err
+		}
+		typ := exec.InnerJoin
+		if j.Left {
+			typ = exec.LeftOuterJoin
+		}
+		// A join whose key covers the build table's distribution column lets
+		// a spilling build reuse the table's cell boundaries as partition
+		// seams.
+		distAligned := len(rk) == 1 && rmeta.DistributionCol != "" &&
+			strings.EqualFold(rsc.schema[rk[0]].Name, rmeta.DistributionCol)
+		lo.joins = append(lo.joins, &loweredJoin{
+			build: build, leftKeys: lk, rightKeys: rk, typ: typ,
+			cfg: spill.config(distAligned), leftSchema: sc.schema,
+		})
+		sc = &scope{
+			schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),
+			quals:  append(append([]string{}, sc.quals...), rsc.quals...),
+		}
+	}
+
+	if lo.tail, err = compileTail(st, sc); err != nil {
+		return nil, err
+	}
+	return lo, nil
+}
+
+// runStagesPool runs a lowered SELECT's stages on the in-process morsel pool,
+// under the statement's context, and returns the per-morsel outputs in morsel
+// order. Build sides are drained once under the join memory budget: into an
+// immutable JoinTable shared by every probe worker while they fit (the build
+// itself is partition-parallel), into spill partitions when they overflow.
+//
+// While no build spilled, each worker runs scan→[probe…]→filter→suffix per
+// morsel (the streaming shape): compiled programs and JoinTables are
+// stateless/immutable values, safe to share across workers; each Probe owns
+// its scratch buffers; the telemetry sink is atomic. Once a build spilled the
+// joins run stage by stage over materialized per-morsel batches (the staged
+// shape) — in-memory stages probe every batch in parallel, spilled stages fan
+// the partition-wise grace join over the same leased workers — and each
+// worker then runs filter→suffix over its batch. The batches are byte-wise
+// what the streaming probes would have produced and morsel order is kept
+// throughout, so everything downstream is unchanged.
+//
+// limit >= 0 (a bare LIMIT) lets the stage that runs the suffix stop early.
+func runStagesPool(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
+	suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
+	ctx := tx.Context()
+	morsels, tel := lo.base.ms.Morsels, lo.base.ms.Tel
+	pruned := &tx.Work().RuntimeFilterRows
+
+	// blooms[j] is join j's runtime filter, derived once from the completed
+	// in-memory build and shared read-only by every probe worker (nil for
+	// LEFT OUTER, where probe rows survive regardless).
+	srcs := make([]*exec.JoinSource, len(lo.joins))
+	blooms := make([]*exec.Bloom, len(lo.joins))
+	probe := func(j int, in exec.Operator) exec.Operator {
+		return &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: lo.joins[j].leftKeys, Tel: tel,
+			Bloom: blooms[j], Pruned: pruned}
+	}
+	anySpilled := false
+	for j, lj := range lo.joins {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		right, err := lj.openBuild()
+		if err != nil {
+			return nil, err
+		}
+		src, err := exec.BuildGraceJoin(right, lj.rightKeys, lj.typ, tx.Parallelism(), lj.cfg, tel)
+		if err != nil {
+			return nil, err
+		}
+		spill.count(src)
+		srcs[j] = src
 		if src.Spilled != nil {
 			anySpilled = true
+		} else if lj.typ != exec.LeftOuterJoin {
+			blooms[j] = src.Table.BloomFilter()
 		}
-		ps := probeStage{src: src, leftKeys: bj.leftKeys, typ: bj.typ}
-		if src.Table != nil && bj.typ != exec.LeftOuterJoin {
-			ps.bloom = src.Table.BloomFilter()
-		}
-		stages = append(stages, ps)
-		sc = jsc
 	}
 
-	tail, err := compileTail(st, sc)
-	if err != nil {
-		return nil, true, err
+	last := func(n int, build func(i int) (exec.Operator, error)) ([]*colfile.Batch, error) {
+		if limit >= 0 {
+			return exec.RunIndexedPrefix(ctx, n, dop, limit, build)
+		}
+		return exec.RunIndexed(ctx, n, dop, build)
 	}
-	// runFragments fans the embarrassingly parallel tail of the plan out
-	// over the workers and returns per-morsel batches in morsel order. In
-	// the streaming shape (no spilled build) each worker runs
-	// scan→[probe…]→filter→suffix per morsel: compiled programs and
-	// JoinTables are stateless/immutable values, safe to share across
-	// workers; each Probe instance owns its scratch buffers; the telemetry
-	// sink is atomic. When a build spilled, the join stages have already
-	// materialized per-morsel batches (runSpilledJoinStages) and each worker
-	// runs filter→suffix over its batch — the batches are byte-wise what the
-	// streaming probes would have produced, so the downstream plan and its
-	// determinism are unchanged.
-	var runFragments func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error)
 	if !anySpilled {
-		pruned := &tx.Work().RuntimeFilterRows
-		fragment := func(m exec.Morsel) (exec.Operator, error) {
-			op, err := base.fragment(m, ms, hint)
+		return last(len(morsels), func(i int) (exec.Operator, error) {
+			op, err := lo.base.fragment(morsels[i])
 			if err != nil {
 				return nil, err
 			}
-			for _, ps := range stages {
-				op = &exec.Probe{In: op, Table: ps.src.Table, LeftKeys: ps.leftKeys, Tel: ms.Tel,
-					Bloom: ps.bloom, Pruned: pruned}
+			for j := range lo.joins {
+				op = probe(j, op)
 			}
-			return tail.filter(op, ms.Tel), nil
-		}
-		runFragments = func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
-			return exec.RunMorsels(ms.Morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-				op, err := fragment(m)
-				if err != nil {
-					return nil, err
-				}
-				return suffix(op)
-			})
-		}
-	} else {
-		joined, err := runSpilledJoinStages(tx, ms, dop, stages, hint, base)
-		if err != nil {
-			return nil, true, err
-		}
-		runFragments = func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
-			return exec.RunBatches(joined, dop, func(_ int, b *colfile.Batch) (exec.Operator, error) {
-				return suffix(tail.filter(exec.NewBatchSource(b), ms.Tel))
-			})
+			return suffix(lo.tail.filter(op, tel)), nil
+		})
+	}
+
+	// over runs one operator per non-empty per-morsel batch of the previous
+	// stage; empty morsels skip the remaining stages.
+	over := func(in []*colfile.Batch, build func(b *colfile.Batch) exec.Operator) func(int) (exec.Operator, error) {
+		return func(i int) (exec.Operator, error) {
+			if in[i] == nil {
+				return nil, nil
+			}
+			return build(in[i]), nil
 		}
 	}
-	return finishParallelSelect(tx, st, tail, ms.Tel, mergeFree, runFragments)
+	cur, err := exec.RunIndexed(ctx, len(morsels), dop, func(i int) (exec.Operator, error) {
+		return lo.base.fragment(morsels[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	for j, lj := range lo.joins {
+		if srcs[j].Spilled != nil {
+			cur, err = srcs[j].Spilled.JoinBatches(ctx, cur, lj.leftKeys, lj.leftSchema, dop)
+		} else {
+			cur, err = exec.RunIndexed(ctx, len(cur), dop, over(cur, func(b *colfile.Batch) exec.Operator {
+				return probe(j, exec.NewBatchSource(b))
+			}))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return last(len(cur), over(cur, func(b *colfile.Batch) exec.Operator {
+		return suffix(lo.tail.filter(exec.NewBatchSource(b), tel))
+	}))
 }
 
-// finishParallelSelect runs the merge tail of a parallel SELECT: it drives
-// runFragments with the plan's per-fragment suffix (partial aggregation,
-// projection, or sorted runs) and combines the per-morsel batches with the
-// deterministic merge operators. Shared by the morsel-pool and DCP-DAG
-// executors — runFragments abstracts where the fragments ran, so the two
-// paths cannot drift apart downstream of the fragment boundary.
-func finishParallelSelect(tx *core.Txn, st *SelectStmt, tail *selectTail, tel *exec.Telemetry, mergeFree bool,
-	runFragments func(func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error)) (*colfile.Batch, bool, error) {
+// fragmentRunner runs a lowered SELECT's per-morsel fragments, each ending in
+// suffix, wherever the statement executes and returns their outputs in morsel
+// order (nil = no rows). limit >= 0 tells it the merge reads only the first
+// limit rows of that order.
+type fragmentRunner func(suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error)
+
+// mergeSelect is the merge tail of a SELECT: it drives run with the plan's
+// per-fragment suffix (partial aggregation, projection, or sorted runs) and
+// combines the per-morsel batches with the deterministic merge operators —
+// ordered concatenation for projections and joins, key-ordered MergeAgg for
+// aggregates, loser-tree MergeRuns for ORDER BY. The stage runners only
+// decide where the fragments run, so they cannot drift apart downstream of
+// the fragment boundary.
+func mergeSelect(tx *core.Txn, lo *loweredSelect, run fragmentRunner) (*colfile.Batch, error) {
+	st, tail, tel := lo.st, lo.tail, lo.base.ms.Tel
 	var outOp exec.Operator
 	if ap := tail.agg; ap != nil {
-		// ORDER BY over an aggregate stays on the serial Sort: the merged
-		// aggregate is already materialized on the FE, one group per row, so
-		// there is nothing left to fan out.
-		partial := func(op exec.Operator) *exec.HashAgg {
+		// ORDER BY over an aggregate is a plain Sort: the merged aggregate is
+		// already materialized on the FE, one group per row, so there is
+		// nothing left to fan out.
+		partial := func(op exec.Operator) exec.Operator {
 			return &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
 		}
-		batches, err := runFragments(func(op exec.Operator) (exec.Operator, error) {
-			return partial(op), nil
-		})
+		batches, err := run(partial, -1)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		if mergeFree {
+		if lo.mergeFree {
 			tx.Work().MergeFreeAggs.Add(1)
 		}
 		outOp = ap.finish(&exec.MergeAgg{
 			// the partial layout is a function of the programs alone
 			In:     exec.NewBatchList(partial(nil).Schema(), batches),
-			Groups: len(ap.groupBy), Aggs: ap.aggs, MergeFree: mergeFree, Tel: tel,
+			Groups: len(ap.groupBy), Aggs: ap.aggs, MergeFree: lo.mergeFree, Tel: tel,
 		})
 	} else {
 		project := func(op exec.Operator) exec.Operator {
 			return &exec.Project{In: op, Exprs: tail.proj, Names: tail.names}
 		}
 		outSchema := project(nil).Schema()
-		if len(st.OrderBy) > 0 {
-			b, err := runParallelOrderBy(tx, st, runFragments, tel, project, outSchema)
-			return b, true, err
+		// Rows each fragment must ship: all of them (-1), or LIMIT+OFFSET —
+		// under ORDER BY its smallest (TopN), else its first.
+		bound := int64(-1)
+		if st.Limit >= 0 {
+			bound = st.Limit + st.Offset
 		}
-		batches, err := runFragments(func(op exec.Operator) (exec.Operator, error) {
-			return project(op), nil
-		})
+		if len(st.OrderBy) > 0 {
+			return mergeOrderBy(tx, lo, run, project, outSchema, bound)
+		}
+		batches, err := run(func(op exec.Operator) exec.Operator {
+			if bound >= 0 {
+				return &exec.Limit{In: project(op), N: bound}
+			}
+			return project(op)
+		}, bound)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
 		outOp = exec.NewBatchList(outSchema, batches)
 	}
-
-	b, err := finishSelect(st, outOp)
-	return b, true, err
+	return finishSelect(tx.Context(), st, outOp)
 }
 
-// runParallelOrderBy executes a projection's ORDER BY [LIMIT/OFFSET] on the
-// morsel executor instead of a monolithic FE sort: every worker sorts its
+// mergeOrderBy executes a projection's ORDER BY [LIMIT/OFFSET] on the morsel
+// decomposition instead of a monolithic FE sort: every fragment sorts its
 // morsel's projected rows into a tie-stable run (SortRuns), and the FE k-way
 // merges the runs over a loser tree with the lowest morsel index winning
-// ties — byte-identical to the serial stable sort at every DOP, NULL
-// ordering and DESC keys included. When a LIMIT bounds the output, each
-// worker instead keeps only its LIMIT+OFFSET smallest rows (TopN pushdown,
+// ties — byte-identical to one stable sort of the whole input at every DOP,
+// NULL ordering and DESC keys included. When a LIMIT bounds the output, each
+// fragment instead keeps only its LIMIT+OFFSET smallest rows (TopN pushdown,
 // the paper's distributed top-N shape, counted in WorkStats.TopNPushdowns)
 // and the merge cuts off after LIMIT+OFFSET rows, so neither the workers nor
 // the FE ever materialize the full sorted result.
-func runParallelOrderBy(tx *core.Txn, st *SelectStmt,
-	runFragments func(func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error),
-	tel *exec.Telemetry, project func(exec.Operator) exec.Operator,
-	outSchema colfile.Schema) (*colfile.Batch, error) {
+func mergeOrderBy(tx *core.Txn, lo *loweredSelect, run fragmentRunner,
+	project func(exec.Operator) exec.Operator, outSchema colfile.Schema, bound int64) (*colfile.Batch, error) {
+	st, tel := lo.st, lo.base.ms.Tel
 	keys, err := orderKeys(st, outSchema)
 	if err != nil {
 		return nil, err
 	}
-	bound := int64(-1) // rows each worker must ship; -1 = all (full sort)
-	if st.Limit >= 0 {
-		bound = st.Limit + st.Offset
-	}
-	batches, err := runFragments(func(op exec.Operator) (exec.Operator, error) {
-		op = project(op)
+	batches, err := run(func(op exec.Operator) exec.Operator {
 		if bound >= 0 {
-			return &exec.TopN{In: op, Keys: keys, N: bound, Tel: tel}, nil
+			return &exec.TopN{In: project(op), Keys: keys, N: bound, Tel: tel}
 		}
-		return &exec.SortRuns{In: op, Keys: keys, Tel: tel}, nil
-	})
+		return &exec.SortRuns{In: project(op), Keys: keys, Tel: tel}
+	}, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -1064,7 +977,7 @@ func runParallelOrderBy(tx *core.Txn, st *SelectStmt,
 	if st.Limit >= 0 {
 		out = &exec.Limit{In: out, N: st.Limit, Offset: st.Offset}
 	}
-	return exec.Collect(out)
+	return exec.CollectCtx(tx.Context(), out)
 }
 
 func aliasOf(r TableRef) string {
@@ -1181,8 +1094,8 @@ func itemName(it SelectItem) string {
 }
 
 // aggPlan is the compiled form of an aggregate query: group-key and aggregate
-// argument programs over the input scope for the (serial or partial/merge)
-// aggregation stage, plus the post-aggregation projection and HAVING
+// argument programs over the input scope for the partial/merge aggregation
+// stages, plus the post-aggregation projection and HAVING
 // predicate, compiled over the aggregate's output schema.
 type aggPlan struct {
 	groupBy  []*exec.Prog
@@ -1192,8 +1105,7 @@ type aggPlan struct {
 	having   *exec.Prog // nil = none
 }
 
-// finish stacks HAVING and the output projection on the final aggregate (a
-// serial HashAgg or the parallel paths' MergeAgg — same output schema).
+// finish stacks HAVING and the output projection on the merged aggregate.
 func (ap *aggPlan) finish(agg exec.Operator) exec.Operator {
 	if ap.having != nil {
 		agg = &exec.Filter{In: agg, Pred: ap.having}

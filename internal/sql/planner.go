@@ -6,7 +6,6 @@ import (
 	"polaris/internal/catalog"
 	"polaris/internal/colfile"
 	"polaris/internal/core"
-	"polaris/internal/exec"
 )
 
 // planTable is one base relation of a SELECT as the cost-based planner sees
@@ -20,10 +19,10 @@ type planTable struct {
 	est   float64 // estimated scan output rows after local conjuncts; -1 unknown
 }
 
-// physPlan is the cost-based planning product of one SELECT statement. The
-// serial executor, the parallel executor and EXPLAIN all consume the same
-// plan, so the three can never disagree about join order, build sides,
-// pushed predicates or scan projections. Planning is best-effort: any shape
+// physPlan is the cost-based planning product of one SELECT statement.
+// Execution and EXPLAIN consume the same plan, so they can never disagree
+// about join order, build sides, pushed predicates, scan projections or which
+// stage runner executes the statement. Planning is best-effort: any shape
 // the planner doesn't understand (unknown tables, duplicate aliases,
 // non-equi ONs, missing statistics) degrades to the syntactic statement
 // untouched, and execution surfaces errors exactly as before.
@@ -43,9 +42,10 @@ type physPlan struct {
 	order  []*planTable // syntactic order
 	tables map[string]*planTable
 
-	// dag marks a plan that will execute as a DCP task DAG
-	// (Options.DistributedQueries with a parallelism target); EXPLAIN
-	// renders it as a [dag] annotation on the probe-base scan.
+	// dag marks a plan whose stages run as a DCP task DAG rather than on the
+	// in-process morsel pool: Options.DistributedQueries, except for a bare
+	// LIMIT (see bareLimitSelect). runSelect routes on it and EXPLAIN renders
+	// it as a [dag] annotation on the probe-base scan.
 	dag bool
 }
 
@@ -56,7 +56,7 @@ func planSelect(tx *core.Txn, st *SelectStmt) *physPlan {
 		pushed: map[string][]Expr{}, scanCols: map[string][]string{},
 		tables: map[string]*planTable{},
 	}
-	p.dag = tx.DistributedQueries() && tx.Parallelism() > 1 && !bareLimitSelect(st)
+	p.dag = tx.DistributedQueries() && !bareLimitSelect(st)
 	if !p.loadTables(tx, st) {
 		return p
 	}
@@ -558,40 +558,4 @@ func (p *physPlan) pushedFor(ref TableRef) []Expr {
 		return nil
 	}
 	return p.pushed[strings.ToLower(aliasOf(ref))]
-}
-
-// applyPushdown attaches a relation's pushed conjuncts to a freshly opened
-// scan operator: compiled into the scan legs themselves when possible (a
-// bare Scan, or the per-cell UnionAll the serial read path returns), else as
-// a Filter directly above — either way the rows never reach the rest of the
-// plan, so the split is invisible downstream.
-func applyPushdown(op exec.Operator, sc *scope, conjuncts []Expr) (exec.Operator, error) {
-	if len(conjuncts) == 0 {
-		return op, nil
-	}
-	pred, err := compile(andFold(conjuncts), sc)
-	if err != nil {
-		return nil, err
-	}
-	if pushIntoScan(op, pred) {
-		return op, nil
-	}
-	return &exec.Filter{In: op, Pred: pred}, nil
-}
-
-// pushIntoScan pushes a compiled predicate into every scan leg of op.
-func pushIntoScan(op exec.Operator, prog *exec.Prog) bool {
-	switch s := op.(type) {
-	case *exec.Scan:
-		return s.PushPredicate(prog)
-	case *exec.UnionAll:
-		for _, in := range s.Ins {
-			leg, ok := in.(*exec.Scan)
-			if !ok || !leg.PushPredicate(prog) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -108,9 +108,10 @@ type ExecOpts struct {
 	// from the fabric again. The caller owns the lease and releases it
 	// after the statement returns.
 	DOP int
-	// Ctx, when non-nil, is a cancellation context for the statement.
-	// Distributed (DAG-executed) queries observe it at task boundaries and
-	// return its error; the statement's spill and exchange files are
+	// Ctx, when non-nil, is a cancellation context for the statement. A
+	// SELECT observes it on either stage runner — between batches and spill
+	// files in the in-process pool, at task boundaries on a DAG — and
+	// returns its error; the statement's spill and exchange files are
 	// cleaned up as on any other error path.
 	Ctx context.Context
 }

@@ -23,11 +23,12 @@
 // the Parallelism config knob (default GOMAXPROCS) and capped by the compute
 // fabric's free slots, with filters, projections, join probes, partial
 // aggregations and per-morsel ORDER BY runs (top-N-bounded under LIMIT)
-// running per worker ahead of a deterministic merge: results are stable run
-// to run for a given Parallelism setting (across different settings, float
-// SUM/AVG may differ in the last ulp as summation order changes). The full
-// cross-DOP determinism contract is documented in docs/ARCHITECTURE.md. Set
-// Parallelism to 1 to force serial execution.
+// running per worker ahead of a deterministic merge. Every SELECT runs this
+// way — Parallelism 1 is the same plan with one worker — so results are
+// byte-identical at every Parallelism setting, row order included (the one
+// exception: float SUM/AVG may differ in the last ulp between settings, as
+// summation order follows the morsel split). The full cross-DOP determinism
+// contract is documented in docs/ARCHITECTURE.md.
 package polaris
 
 import (
@@ -58,9 +59,10 @@ type Config struct {
 	// Parallelism is the intra-query degree of parallelism for the
 	// morsel-driven executor: the target worker-pool size for parallel
 	// scans, filters, projections and partial aggregation, and the build
-	// partition count for parallel hash joins. 0 means GOMAXPROCS; 1
-	// disables parallel execution. The effective degree is capped by the
-	// fabric's free compute slots when the query starts.
+	// partition count for parallel hash joins. 0 means GOMAXPROCS; 1 runs
+	// the same plan with one worker (it selects no other code path, and —
+	// float SUM/AVG ulps aside — no other result). The effective degree is
+	// capped by the fabric's free compute slots when the query starts.
 	Parallelism int
 	// JoinMemoryBudget caps, in bytes, the memory a hash-join build side may
 	// occupy. A build that exceeds it takes the grace-join path: both sides
@@ -96,8 +98,8 @@ type Config struct {
 	PublishIceberg bool
 	// StoreLatency attaches a simulated-latency model to the object store.
 	StoreLatency bool
-	// DistributedQueries executes parallel SELECTs as DCP task DAGs over
-	// the compute fabric — per-morsel scan, join-build, and probe tasks
+	// DistributedQueries executes SELECTs (bare-LIMIT statements excepted,
+	// at every Parallelism) as DCP task DAGs over the compute fabric — per-morsel scan, join-build, and probe tasks
 	// with object-store exchange between stages and task-level retry with
 	// re-placement on node failure (paper Sections 1, 3.3; see
 	// docs/DCP-QUERIES.md). Off by default: output is byte-identical to

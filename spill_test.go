@@ -282,9 +282,9 @@ func TestMultiSpilledJoinStages(t *testing.T) {
 	}
 }
 
-// TestJoinSpillEdges covers the plan shapes that bypass the parallel path or
-// carry no probe rows: an empty probe side against an over-budget build, a
-// bare-LIMIT join (serial executor + SpilledProbe), and INSERT ... SELECT
+// TestJoinSpillEdges covers the plan shapes that stop early or carry no probe
+// rows: an empty probe side against an over-budget build, a bare-LIMIT join
+// (the staged shape with an early-stopping last stage), and INSERT ... SELECT
 // over a spilled join — all with the spill namespace empty afterwards.
 func TestJoinSpillEdges(t *testing.T) {
 	cfg := DefaultConfig()
@@ -320,7 +320,8 @@ func TestJoinSpillEdges(t *testing.T) {
 	}
 	db.MustExec(sb.String())
 
-	// Bare LIMIT goes through the serial executor's SpilledProbe.
+	// Bare LIMIT over a spilled join: the join stages run whole, the suffix
+	// stage stops once the morsel prefix holds 7 rows.
 	r = db.MustExec(`SELECT a.v, b.tag FROM el a JOIN eb b ON a.k = b.k LIMIT 7`)
 	if r.Len() != 7 {
 		t.Fatalf("bare-limit spilled join rows = %d", r.Len())
