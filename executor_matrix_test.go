@@ -24,6 +24,9 @@ type matrixStmt struct {
 	// float marks SUM/AVG over a float column: summation order follows the
 	// morsel split, so bytes are compared per fixed Parallelism only.
 	float bool
+	// want, when set, is the rendering every cell must produce; wantErr the
+	// plan-time error every cell must return instead of rows.
+	want, wantErr string
 }
 
 var matrixStmts = []matrixStmt{
@@ -76,6 +79,13 @@ var matrixStmts = []matrixStmt{
 	{sql: `SELECT * FROM e LIMIT 3`},
 	{sql: `SELECT * FROM e ORDER BY ek LIMIT 3`},
 	{sql: `SELECT ek + 1 AS x FROM e WHERE ek > 0 ORDER BY x`},
+	// ORDER BY t.c sorts by that relation's column, not by the first output
+	// column that happens to share its name — and is an error, at plan time,
+	// when that column is not in the output.
+	{sql: `SELECT a.v, c.v FROM a JOIN c ON a.id = c.id ORDER BY c.v`,
+		want: "[v v]\n[3 100]\n[2 200]\n[1 300]\n"},
+	{sql: `SELECT a.v FROM a JOIN c ON a.id = c.id ORDER BY c.v`,
+		wantErr: `sql: ORDER BY column "c.v" not in output`},
 	// HAVING that filters everything.
 	{sql: `SELECT s, COUNT(*) AS n FROM a GROUP BY s HAVING COUNT(*) > 100000`},
 	{sql: `SELECT COUNT(*) AS n FROM a HAVING COUNT(*) < 0`},
@@ -84,8 +94,8 @@ var matrixStmts = []matrixStmt{
 // openMatrixDB loads the matrix dataset: a — 600 rows over 4 distributions in
 // six inserts, so two dozen small files that every Parallelism splits
 // differently; b — a build side with duplicate, unmatched and NULL-tagged
-// keys; e — empty. Values derive from the row index, so every cell loads
-// identical bytes.
+// keys; c — three rows whose v runs against a's; e — empty. Values derive from
+// the row index, so every cell loads identical bytes.
 func openMatrixDB(t *testing.T, parallelism int, dag bool, budget int64) *DB {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -124,6 +134,8 @@ func openMatrixDB(t *testing.T, parallelism int, dag bool, budget int64) *DB {
 		fmt.Fprintf(&sb, ", (%d, 'tag-%02d')", bk, i%9)
 	}
 	db.MustExec(sb.String())
+	db.MustExec(`CREATE TABLE c (id INT, v INT) WITH (DISTRIBUTION = id)`)
+	db.MustExec(`INSERT INTO c VALUES (1, 300), (2, 200), (3, 100)`)
 	db.MustExec(`CREATE TABLE e (ek INT, ev VARCHAR) WITH (DISTRIBUTION = ek)`)
 	return db
 }
@@ -158,10 +170,19 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 			work := &c.db.Engine().Work
 			before := choices{work.TopNPushdowns.Load(), work.MergeFreeAggs.Load(), work.JoinSpills.Load()}
 			r, err := c.db.Query(st.sql)
+			if st.wantErr != "" {
+				if err == nil || err.Error() != st.wantErr {
+					t.Errorf("%s: err = %v, want %q\nsql: %s", c.name, err, st.wantErr, st.sql)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.name, st.sql, err)
 			}
 			got := renderRows(r)
+			if st.want != "" && got != st.want {
+				t.Errorf("%s: wrong result\nsql: %s\ngot:\n%s\nwant:\n%s", c.name, st.sql, got, st.want)
+			}
 			key := 0
 			if st.float {
 				key = c.parallelism

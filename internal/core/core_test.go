@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"polaris/internal/catalog"
@@ -537,6 +538,66 @@ func TestRestoreAsOf(t *testing.T) {
 	defer r.Rollback()
 	if got := sumC2(t, r, "t1", -1); got != 1 {
 		t.Fatalf("restored sum = %d", got)
+	}
+}
+
+// TestRestoreThenCommitCacheEqualsReplay: a reader whose snapshot predates a
+// RESTORE reads the table while the restore is in flight and again after it
+// committed, so the snapshot cache is handed the pre-restore state both before
+// and after the restore's commit. The next commit must not extend that state:
+// what the cache then serves equals a replay from the manifests.
+func TestRestoreThenCommitCacheEqualsReplay(t *testing.T) {
+	e := testEngine(t)
+	mustCreate(t, e, "t1")
+	insert := func(c1 string, c2 int64) {
+		t.Helper()
+		if err := e.AutoCommit(func(tx *Txn) error {
+			_, err := tx.Insert("t1", rowsBatch(t, t1Schema(), []any{c1, c2}))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert("A", 1)
+	seq1 := e.Catalog.CurrentSeq()
+	insert("B", 2)
+
+	old := e.Begin()
+	restore := e.Begin()
+	if err := restore.RestoreTableAsOf("t1", seq1); err != nil {
+		t.Fatal(err)
+	}
+	if got := sumC2(t, old, "t1", -1); got != 3 {
+		t.Fatalf("pre-restore reader sees %d, want 3", got)
+	}
+	if err := restore.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sumC2(t, old, "t1", -1); got != 3 {
+		t.Fatalf("pre-restore reader sees %d after the restore committed, want 3", got)
+	}
+	old.Rollback()
+	insert("C", 4)
+
+	snapshot := func() (*manifest.TableState, int64) {
+		t.Helper()
+		tx := e.Begin()
+		defer tx.Rollback()
+		state, meta, err := tx.Snapshot("t1", -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state, meta.ID
+	}
+	cached, id := snapshot()
+	e.Cache.Invalidate(id)
+	replayed, _ := snapshot()
+	if !reflect.DeepEqual(cached, replayed) {
+		t.Fatalf("cached snapshot has %d files (%d rows), a replay has %d (%d rows)",
+			len(cached.Files), cached.TotalRows(), len(replayed.Files), replayed.TotalRows())
+	}
+	if replayed.TotalRows() != 2 {
+		t.Fatalf("restored table + one insert has %d rows, want 2", replayed.TotalRows())
 	}
 }
 

@@ -95,8 +95,14 @@ func (t *Txn) RestoreTableAsOf(table string, asOfSeq int64) error {
 			}
 		}
 	}
-	// The snapshot cache may hold states newer than the restore point.
-	t.eng.Cache.Invalidate(meta.ID)
+	// The snapshot cache may hold states newer than the restore point. Drop
+	// them when the restore commits, under the commit lock: invalidating any
+	// earlier lets a reader with an older snapshot re-Put the pre-restore
+	// state before the commit, and the next commit's Advance would extend it.
+	t.catTx.DeferWithSeq(func(seq int64) []catalog.KV {
+		t.eng.Cache.Rewound(meta.ID, seq)
+		return nil
+	})
 	return nil
 }
 

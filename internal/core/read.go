@@ -160,10 +160,9 @@ type ScanOptions struct {
 	Prune *exec.PruneHint
 }
 
-// Scan executes a distributed read of a table: one DCP task per non-empty
-// cell set fetches that cell's data and deletion-vector files through the
-// node cache hierarchy, charging simulated IO and CPU; the FE unions the
-// results. The returned operator streams the visible rows.
+// Scan executes a distributed read of a table and returns an operator
+// streaming the visible rows in the table's global row order: one scan leg per
+// non-empty distribution cell (see Morsels), unioned in cell order.
 func (t *Txn) Scan(table string, opts ScanOptions) (exec.Operator, *exec.Telemetry, error) {
 	if opts.AsOfSeq == 0 {
 		opts.AsOfSeq = -1
@@ -175,12 +174,36 @@ func (t *Txn) Scan(table string, opts ScanOptions) (exec.Operator, *exec.Telemet
 	return t.scanState(state, meta, opts)
 }
 
+func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts ScanOptions) (exec.Operator, *exec.Telemetry, error) {
+	ms, err := t.Morsels(state, meta, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	cells := ms.Morsels
+	if len(cells) == 0 {
+		cells = []exec.Morsel{{}} // empty table: one empty leg carrying the schema
+	}
+	ops := make([]exec.Operator, len(cells))
+	for i, m := range cells {
+		s, err := exec.NewMorselScan(m, opts.Columns, opts.Prune, ms.Tel)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := s.SetSchema(meta.Schema); err != nil {
+			return nil, nil, err
+		}
+		ops[i] = s
+	}
+	return &exec.UnionAll{Ins: ops}, ms.Tel, nil
+}
+
 // fetchScanFiles runs the distributed fetch phase of a read: one DCP task
 // per non-empty cell set pulls that cell's data and deletion-vector files
 // through the node cache hierarchy, charging simulated IO and CPU plus the
-// engine-wide modeled work counters. Cell file lists are returned in cell
-// order, which fixes the global row order every downstream path (serial
-// union or morsel-parallel merge) preserves.
+// engine-wide modeled work counters. It runs under the statement's context,
+// so a cancelled statement abandons the cells not yet started. Cell file
+// lists are returned in cell order, which fixes the global row order every
+// downstream packaging preserves.
 func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta) ([][]exec.ScanFile, error) {
 	cells := partitionCells(state, t.eng.opts.Distributions)
 
@@ -244,7 +267,7 @@ func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta)
 	}
 
 	nodes, delay := t.eng.Fabric.AllocateForJob(len(taskIDs))
-	res, err := dcp.Run(g, t.eng.pools(nodes), dcp.Options{
+	res, err := dcp.RunCtx(t.Context(), g, t.eng.pools(nodes), dcp.Options{
 		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
 		Overhead:        model.TaskOverhead,
 		StartOffset:     delay,
@@ -262,42 +285,9 @@ func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta)
 	return out, nil
 }
 
-func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts ScanOptions) (exec.Operator, *exec.Telemetry, error) {
-	tel := &exec.Telemetry{}
-	cellFiles, err := t.fetchScanFiles(state, meta)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if len(cellFiles) == 0 {
-		// Empty table: an empty scan with the table schema.
-		s, err := exec.NewScan(nil, opts.Columns, opts.Prune, tel)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := s.SetSchema(meta.Schema); err != nil {
-			return nil, nil, err
-		}
-		return s, tel, nil
-	}
-
-	var ops []exec.Operator
-	for _, files := range cellFiles {
-		s, err := exec.NewScan(files, opts.Columns, opts.Prune, tel)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := s.SetSchema(meta.Schema); err != nil {
-			return nil, nil, err
-		}
-		ops = append(ops, s)
-	}
-	return &exec.UnionAll{Ins: ops}, tel, nil
-}
-
 // MorselScan is the input of a morsel-parallel table read: the snapshot's
 // live files fetched through the fabric, split into morsels whose in-order
-// concatenation equals the serial scan's row order, plus the table schema
+// concatenation equals the table's global row order, plus the table schema
 // and a shared thread-safe telemetry sink.
 type MorselScan struct {
 	Morsels []exec.Morsel
@@ -305,13 +295,44 @@ type MorselScan struct {
 	Tel     *exec.Telemetry
 }
 
-// ScanMorsels fetches a table snapshot like Scan but hands back the morsel
-// list instead of a flat operator, so the SQL layer can fan the morsels out
-// over a worker pool; column projection and zone-map pruning are applied by
-// the caller when it builds the per-morsel scans. asOfSeq time-travels the
-// read (0 or negative = current snapshot). `want` is the desired morsel
-// count (typically a small multiple of the worker count, so the queue
-// load-balances).
+// Morsels fetches the live files of an already-resolved snapshot (see
+// Snapshot) — the one fetch every read shares — and packages them as morsels;
+// column projection and zone-map pruning are applied by the caller when it
+// builds the per-morsel scans. want > 0 asks for about that many morsels
+// (typically a small multiple of the worker count, so the queue
+// load-balances): one per file, large files further split by row group.
+// want <= 0 aligns the morsels with the table's distribution cells instead:
+// one morsel per non-empty cell, holding all of that cell's files. Because
+// d(r) assigns every row with a given distribution-column value (NULLs
+// included) to exactly one cell, a per-morsel aggregation grouped on the
+// distribution column is then already complete for its groups — the plan can
+// skip the merge phase entirely (MergeAgg{MergeFree: true}) — and the
+// decomposition is independent of the degree of parallelism.
+func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
+	cellFiles, err := t.fetchScanFiles(state, meta)
+	if err != nil {
+		return nil, err
+	}
+	ms := &MorselScan{Schema: meta.Schema, Tel: &exec.Telemetry{}}
+	if want <= 0 {
+		for _, files := range cellFiles {
+			ms.Morsels = append(ms.Morsels, exec.Morsel{Files: files})
+		}
+		return ms, nil
+	}
+	var flat []exec.ScanFile
+	for _, files := range cellFiles {
+		flat = append(flat, files...)
+	}
+	if ms.Morsels, err = exec.SplitMorsels(flat, want); err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
+
+// ScanMorsels resolves a table snapshot and fetches it as about want morsels
+// (see Morsels), so a caller can fan them out over a worker pool. asOfSeq
+// time-travels the read (0 or negative = current snapshot).
 func (t *Txn) ScanMorsels(table string, asOfSeq int64, want int) (*MorselScan, error) {
 	if asOfSeq == 0 {
 		asOfSeq = -1
@@ -320,48 +341,10 @@ func (t *Txn) ScanMorsels(table string, asOfSeq int64, want int) (*MorselScan, e
 	if err != nil {
 		return nil, err
 	}
-	cellFiles, err := t.fetchScanFiles(state, meta)
-	if err != nil {
-		return nil, err
+	if want < 1 {
+		want = 1
 	}
-	var flat []exec.ScanFile
-	for _, files := range cellFiles {
-		flat = append(flat, files...)
-	}
-	morsels, err := exec.SplitMorsels(flat, want)
-	if err != nil {
-		return nil, err
-	}
-	return &MorselScan{Morsels: morsels, Schema: meta.Schema, Tel: &exec.Telemetry{}}, nil
-}
-
-// ScanCellMorsels fetches a table snapshot like ScanMorsels but aligns the
-// morsels with the table's distribution cells: one morsel per non-empty cell,
-// holding all of that cell's files. Because d(r) assigns every row with a
-// given distribution-column value (NULLs included) to exactly one cell, a
-// per-morsel aggregation grouped on the distribution column is already
-// complete for its groups — the plan can skip the merge phase entirely
-// (MergeAgg{MergeFree: true}). The decomposition is independent of the
-// degree of parallelism, so results are identical at every DOP.
-func (t *Txn) ScanCellMorsels(table string, asOfSeq int64) (*MorselScan, error) {
-	if asOfSeq == 0 {
-		asOfSeq = -1
-	}
-	state, meta, err := t.Snapshot(table, asOfSeq)
-	if err != nil {
-		return nil, err
-	}
-	cellFiles, err := t.fetchScanFiles(state, meta)
-	if err != nil {
-		return nil, err
-	}
-	var morsels []exec.Morsel
-	for _, files := range cellFiles {
-		if len(files) > 0 {
-			morsels = append(morsels, exec.Morsel{Files: files})
-		}
-	}
-	return &MorselScan{Morsels: morsels, Schema: meta.Schema, Tel: &exec.Telemetry{}}, nil
+	return t.Morsels(state, meta, want)
 }
 
 // Parallelism returns the engine's configured intra-query parallelism target.

@@ -11,8 +11,8 @@ import (
 type SnapshotCache struct {
 	mu     sync.Mutex
 	tables map[int64]*cachedTable
-	// committed is each table's newest sequence passed to Advance. It
-	// outlives Invalidate: a state older than it is missing commits, however
+	// committed is each table's newest sequence passed to Advance or Rewound.
+	// It outlives Invalidate: a state older than it is missing commits, however
 	// it got into the cache, and must not be extended.
 	committed map[int64]int64
 	// Hits and Misses count lookups for the whole cache.
@@ -108,6 +108,20 @@ func (c *SnapshotCache) Invalidate(tableID int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.tables, tableID)
+}
+
+// Rewound drops all cached snapshots for a table whose history the commit at
+// seq rewrote (RESTORE deletes Manifests rows), and records seq as the table's
+// newest commit: a pre-restore state that a reader with an older snapshot Puts
+// afterwards is then never extended by Advance. Like Advance it is called in
+// commit order, under the catalog commit lock.
+func (c *SnapshotCache) Rewound(tableID, seq int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.tables, tableID)
+	if seq > c.committed[tableID] {
+		c.committed[tableID] = seq
+	}
 }
 
 // Trim drops cached snapshots older than keepSeq for a table, bounding

@@ -364,6 +364,23 @@ func TestSnapshotCacheAdvanceEqualsReplay(t *testing.T) {
 			t.Errorf("cache did not resume advancing from a complete base: %v", got)
 		}
 	})
+	// RESTORE AS OF 4 commits as seq 7 and deletes the rows of 5 and 6. A
+	// reader whose snapshot predates it re-Puts the state for 6; the next
+	// commit must not extend that state — f5 and f6 are gone.
+	t.Run("Put(pre-restore) then Advance", func(t *testing.T) {
+		c := NewSnapshotCache()
+		c.Put(table, replayed(4))
+		c.Advance(table, 5, commits[5])
+		c.Advance(table, 6, commits[6])
+		c.Rewound(table, 7)
+		c.Put(table, replayed(6))
+		c.Advance(table, 8, []Action{addData("f8", 8)})
+		want := replayed(4)
+		must(t, want.Apply(8, []Action{addData("f8", 8)}))
+		if got := c.Get(table, 8); got != nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("cached state for seq 8 has %d files, the restored table has %d", len(got.Files), len(want.Files))
+		}
+	})
 }
 
 func TestSnapshotCacheTrimAndInvalidate(t *testing.T) {

@@ -53,6 +53,16 @@ func TestServerErrorMatrix(t *testing.T) {
 			wantErrSub: "exec: NOT of int64",
 		},
 		{
+			// EXPLAIN plans or fails: it returns the error executing the
+			// statement would, not a plan for a statement that cannot run.
+			name:   "exec error explain of ill-typed predicate",
+			method: "POST", path: "/v1/query",
+			body:       `{"sql": "EXPLAIN SELECT k FROM ok WHERE NOT k"}`,
+			wantStatus: http.StatusBadRequest,
+			wantCode:   "exec_error",
+			wantErrSub: "exec: NOT of int64",
+		},
+		{
 			name:   "invalid json body",
 			method: "POST", path: "/v1/query",
 			body:       `{"sql": `,

@@ -1,7 +1,7 @@
 package sql
 
 // Distributed query execution (paper Sections 1, 3.3): under
-// Options.DistributedQueries a lowered SELECT's stages run as a DCP task DAG
+// Options.DistributedQueries an opened plan's stages run as a DCP task DAG
 // instead of on the in-process morsel pool. The DAG is query-shaped —
 // per-morsel scan tasks, one build task per join, a gather barrier per join
 // stage, and per-morsel probe tasks — placed on the read pool with per-node
@@ -12,7 +12,7 @@ package sql
 // which is exactly the object-store block semantics the paper's retry story
 // relies on. Output is byte-identical to the pool's at every DOP,
 // join-memory budget and failure schedule — both stage runners consume one
-// lowering (lowerSelect: the morsel decomposition, the fragment operators,
+// plan value (planSelect: the morsel decomposition, the fragment operators,
 // the joins) and feed one merge tail (mergeSelect). See docs/DCP-QUERIES.md.
 
 import (
@@ -213,10 +213,10 @@ func (s *dagState) anySpilled() bool {
 	return false
 }
 
-// runStagesDAG runs a lowered SELECT's stages as a DCP task DAG and returns
+// runStagesDAG runs an opened plan's stages as a DCP task DAG and returns
 // the per-morsel outputs of the final stage in morsel order. It is
 // runStagesPool on another substrate: the same morsels, fragment operators and
-// joins (one lowering), with stage outputs crossing task boundaries through
+// joins (one plan), with stage outputs crossing task boundaries through
 // the exchange and build inputs teed into it.
 //
 // Both executor shapes carry over: while no build spills, every morsel runs
@@ -225,9 +225,9 @@ func (s *dagState) anySpilled() bool {
 // empty per-morsel batches skip downstream stages (the staged shape). Which
 // applies is decided at probe time from the completed builds, exactly like
 // the pool decides it after draining the builds.
-func runStagesDAG(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
+func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	suffix func(exec.Operator) exec.Operator) ([]*colfile.Batch, error) {
-	base, joins, tail := lo.base, lo.joins, lo.tail
+	base, joins, tail := p.base, p.joins, p.tail
 	ms := base.ms
 
 	// The exchange namespace lives exactly as long as the statement:

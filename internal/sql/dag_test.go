@@ -376,7 +376,8 @@ func TestDAGStatementCancel(t *testing.T) {
 // alike, holds no worker slot and leaves nothing under spill/. Mid-flight
 // means during the statement's scan fetch, or, under a spilling budget, at
 // its first spill write: by then a build has partition files in the store
-// and the partition-wise join is still to run.
+// and the partition-wise join is still to run. The last case pins that the
+// scan fetch itself stops on the cancel.
 func TestMorselStatementCancel(t *testing.T) {
 	q := sweepQueries[1]
 	for _, dop := range []int{1, 4} {
@@ -432,6 +433,59 @@ func TestMorselStatementCancel(t *testing.T) {
 			}
 		}
 	}
+	// The scan fetch runs under the statement's context like every later
+	// stage: a cancel raised while the first cells are being fetched returns
+	// context.Canceled and abandons the cells not yet started, instead of
+	// fetching the whole table for a doomed statement.
+	t.Run("scan-fetch", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var canceling atomic.Bool
+		var fetched atomic.Int64 // cell fetch tasks that ran to completion
+		env := newDagEnv(t, func(o *core.Options) {
+			o.DistributedQueries = false
+			o.Distributions = 64 // many more cells than the fabric's 8 slots
+			o.TaskFailureInjector = func(int, int, *compute.Node) error {
+				fetched.Add(1)
+				if canceling.Load() {
+					cancel()
+					return errors.New("node lost while canceling")
+				}
+				return nil
+			}
+		})
+		mustExec(t, env.sess, `CREATE TABLE many (k INT, v INT) WITH (DISTRIBUTION = k)`)
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO many VALUES ")
+		for i := 0; i < 512; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d)", i, i%7)
+		}
+		mustExec(t, env.sess, sb.String())
+
+		const q = `SELECT COUNT(*), SUM(v) FROM many`
+		fetched.Store(0)
+		mustExec(t, env.sess, q)
+		cells := fetched.Load()
+		if cells < 32 {
+			t.Fatalf("a clean run fetched %d cells; the table was meant to fill most of 64", cells)
+		}
+
+		fetched.Store(0)
+		canceling.Store(true)
+		_, err := env.sess.ExecWith(q, ExecOpts{Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled in chain", err)
+		}
+		if got := fetched.Load(); got >= cells {
+			t.Fatalf("the cancelled statement still fetched %d of %d cells", got, cells)
+		}
+		if got := env.eng.Fabric.LeasedSlots(); got != 0 {
+			t.Fatalf("%d fabric slots still leased after canceled statement", got)
+		}
+	})
 }
 
 // TestDAGAtParallelismOne: DistributedQueries is honoured by a one-worker

@@ -1,5 +1,9 @@
 package sql
 
+// EXPLAIN: the renderer of a selectPlan. It reads the plan value planSelect
+// returned — never the statement — so the text it prints describes exactly
+// what runSelect would open and run.
+
 import (
 	"fmt"
 	"strconv"
@@ -7,18 +11,24 @@ import (
 
 	"polaris/internal/colfile"
 	"polaris/internal/core"
+	"polaris/internal/exec"
 )
 
-// runExplain plans a SELECT without executing it and renders the physical
-// plan as a one-column batch, one operator per row in execution order: the
-// base scan first, then each join build, then the residual filter and the
-// statement tail. The text is deterministic for a fixed snapshot (estimates
-// come from the merged sketches), so golden tests can pin it.
+// runExplain plans a SELECT without executing it and renders the plan — the
+// value runSelect would open and run — as a one-column batch, one operator per
+// row in execution order: the base scan first, then each join build, then the
+// residual filter and the statement tail. A statement that cannot be planned
+// returns the error executing it would. The text is deterministic for a fixed
+// snapshot (estimates come from the merged sketches), so golden tests can pin
+// it.
 func runExplain(tx *core.Txn, st *SelectStmt) (*Result, error) {
-	plan := planSelect(tx, st)
+	p, err := planSelect(tx, st)
+	if err != nil {
+		return nil, err
+	}
 	schema := colfile.Schema{{Name: "plan", Type: colfile.String}}
 	b := colfile.NewBatch(schema)
-	for _, line := range plan.describe() {
+	for _, line := range p.describe() {
 		if err := b.AppendRow(line); err != nil {
 			return nil, err
 		}
@@ -27,34 +37,53 @@ func runExplain(tx *core.Txn, st *SelectStmt) (*Result, error) {
 }
 
 // describe renders the plan, one line per operator.
-func (p *physPlan) describe() []string {
-	st := p.st
+func (p *selectPlan) describe() []string {
 	var lines []string
 
-	lines = append(lines, p.scanLine(st.From))
-	for i, j := range st.Joins {
-		lines = append(lines, p.joinLine(i, j))
+	// The probe-base scan: projected columns, pushed predicates, the
+	// estimated output cardinality, and the stage runner.
+	line := "scan " + p.base.describe() + " [est=" + p.base.estString() + "]"
+	if p.dag {
+		line += " [dag]"
 	}
-	if st.Where != nil {
-		lines = append(lines, "filter "+exprString(st.Where))
+	lines = append(lines, line)
+	// One line per join build: the build relation, the key condition, the
+	// join type, whether a bloom runtime filter prunes the probe side, and
+	// whether cost-based reordering moved this build relative to the
+	// syntactic statement.
+	for _, j := range p.joins {
+		line := "join build " + j.build.describe() + " [on=" + exprString(j.on) + "]"
+		if j.typ == exec.LeftOuterJoin {
+			line += " [left outer]"
+		} else {
+			line += " [inner, bloom]"
+		}
+		line += " [est=" + j.build.estString() + "]"
+		if j.reordered {
+			line += " [reordered]"
+		}
+		lines = append(lines, line)
 	}
-	if selectHasAgg(st) {
+	if p.where != nil {
+		lines = append(lines, "filter "+exprString(p.where))
+	}
+	if p.tail.agg != nil {
 		var groups []string
-		for _, g := range st.GroupBy {
+		for _, g := range p.groupBy {
 			groups = append(groups, exprString(g))
 		}
 		line := "aggregate"
 		if len(groups) > 0 {
 			line += " [groups=" + strings.Join(groups, ", ") + "]"
 		}
-		if st.Having != nil {
-			line += " [having=" + exprString(st.Having) + "]"
+		if p.having != nil {
+			line += " [having=" + exprString(p.having) + "]"
 		}
 		lines = append(lines, line)
 	}
-	if len(st.OrderBy) > 0 {
+	if len(p.orderBy) > 0 {
 		var keys []string
-		for _, o := range st.OrderBy {
+		for _, o := range p.orderBy {
 			k := exprString(o.Expr)
 			if o.Desc {
 				k += " DESC"
@@ -63,15 +92,15 @@ func (p *physPlan) describe() []string {
 		}
 		lines = append(lines, "sort ["+strings.Join(keys, ", ")+"]")
 	}
-	if st.Limit >= 0 {
-		line := "limit " + strconv.FormatInt(st.Limit, 10)
-		if st.Offset > 0 {
-			line += " offset " + strconv.FormatInt(st.Offset, 10)
+	if p.limit >= 0 {
+		line := "limit " + strconv.FormatInt(p.limit, 10)
+		if p.offset > 0 {
+			line += " offset " + strconv.FormatInt(p.offset, 10)
 		}
 		lines = append(lines, line)
 	}
 	var names []string
-	for _, it := range st.Items {
+	for _, it := range p.items {
 		if it.Star {
 			names = append(names, "*")
 			continue
@@ -86,55 +115,25 @@ func (p *physPlan) describe() []string {
 	return lines
 }
 
-// scanLine renders the probe-base scan: projected columns, pushed
-// predicates and the estimated output cardinality.
-func (p *physPlan) scanLine(ref TableRef) string {
-	line := "scan " + refString(ref)
-	if cols := p.colsFor(ref); cols != nil {
-		line += " [cols=" + strings.Join(cols, ", ") + "]"
+// describe renders a relation's scan: the table, its projected columns and
+// the conjunction pushed into it.
+func (r *relation) describe() string {
+	s := refString(r.ref)
+	if r.cols != nil {
+		s += " [cols=" + strings.Join(r.cols, ", ") + "]"
 	}
-	if pushed := p.pushedFor(ref); len(pushed) > 0 {
-		line += " [pushed=" + exprString(andFold(pushed)) + "]"
+	if r.pushed != nil {
+		s += " [pushed=" + exprString(r.pushed) + "]"
 	}
-	line += " [est=" + p.estString(ref) + "]"
-	if p.dag {
-		line += " [dag]"
-	}
-	return line
-}
-
-// joinLine renders one join build: the build relation (with its own
-// projection/pushdown), the key condition, the join type, whether a bloom
-// runtime filter prunes the probe side, and whether cost-based reordering
-// moved this build relative to the syntactic statement.
-func (p *physPlan) joinLine(i int, j JoinClause) string {
-	line := "join build " + refString(j.Table)
-	if cols := p.colsFor(j.Table); cols != nil {
-		line += " [cols=" + strings.Join(cols, ", ") + "]"
-	}
-	if pushed := p.pushedFor(j.Table); len(pushed) > 0 {
-		line += " [pushed=" + exprString(andFold(pushed)) + "]"
-	}
-	line += " [on=" + exprString(j.On) + "]"
-	if j.Left {
-		line += " [left outer]"
-	} else {
-		line += " [inner, bloom]"
-	}
-	line += " [est=" + p.estString(j.Table) + "]"
-	if t, ok := p.tables[strings.ToLower(aliasOf(j.Table))]; ok && p.reordered && t.pos != i+1 {
-		line += " [reordered]"
-	}
-	return line
+	return s
 }
 
 // estString formats a relation's estimated post-filter cardinality.
-func (p *physPlan) estString(ref TableRef) string {
-	t, ok := p.tables[strings.ToLower(aliasOf(ref))]
-	if !ok || t.est < 0 {
+func (r *relation) estString() string {
+	if r.est < 0 {
 		return "? rows"
 	}
-	return strconv.FormatInt(int64(t.est+0.5), 10) + " rows"
+	return strconv.FormatInt(int64(r.est+0.5), 10) + " rows"
 }
 
 func refString(ref TableRef) string {

@@ -1,5 +1,12 @@
 package sql
 
+// Statement execution. Execute dispatches a parsed statement. A SELECT runs
+// one way: planSelect (planner.go) returns the plan, open fetches its morsels,
+// a stage runner executes the per-morsel fragments — runStagesPool here,
+// runStagesDAG in dag.go — and mergeSelect combines their outputs. bind and
+// compile are the package's only path from an AST expression to a kernel
+// program; the DML statements at the end of the file use them too.
+
 import (
 	"context"
 	"errors"
@@ -367,18 +374,19 @@ func prunableRange(where Expr, meta catalog.TableMeta, alias string) *exec.Prune
 }
 
 // runSelect executes a SELECT. There is one executor: the statement is
-// planned, lowered once onto the morsel decomposition (lowerSelect), its
-// per-morsel fragments run on one of two stage runners — the in-process morsel
-// pool or, under DistributedQueries, a DCP task DAG — and the per-morsel
-// outputs are combined by the deterministic merge tail (mergeSelect).
-// Parallelism sizes the decomposition and the worker lease; it selects no code
-// path, so Parallelism 1 is the same plan run by one worker.
+// planned once (planSelect), the plan is opened — every relation's morsels
+// fetched from the snapshot the plan resolved, every build given its spill
+// namespace — its per-morsel fragments run on one of two stage runners, the
+// in-process morsel pool or, under DistributedQueries, a DCP task DAG, and the
+// per-morsel outputs are combined by the deterministic merge tail
+// (mergeSelect). Parallelism sizes the decomposition and the worker lease; it
+// selects no code path, so Parallelism 1 is the same plan run by one worker.
 func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
-	// Cost-based physical planning: stats-driven join reordering, predicate
-	// and projection pushdown. The plan rewrites the statement; everything
-	// below consumes the rewritten form.
-	plan := planSelect(tx, st)
-	plan.recordWork(tx)
+	p, err := planSelect(tx, st)
+	if err != nil {
+		return nil, err
+	}
+	p.recordWork(tx)
 
 	// Grace-join spill context: the join memory budget plus the statement's
 	// spill and exchange namespaces. finish() runs after the result is
@@ -391,29 +399,55 @@ func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
 	// — depends on the configured Parallelism only.
 	dop, release := tx.LeaseDOP(tx.Parallelism())
 	defer release()
-	lo, err := lowerSelect(tx, plan, spill)
-	if err != nil {
+	if err := p.open(tx, spill); err != nil {
 		return nil, err
 	}
-	return mergeSelect(tx, lo, func(suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
+	return mergeSelect(tx, p, func(suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
 		switch {
-		case len(lo.base.ms.Morsels) == 0:
+		case len(p.base.ms.Morsels) == 0:
 			// Nothing to scan, so nothing to build or probe either: the merge
 			// tail turns the empty list into the empty (or, for a global
 			// aggregate, the one zero) result.
 			return nil, nil
-		case plan.dag:
-			return runStagesDAG(tx, lo, dop, spill, suffix)
+		case p.dag:
+			return runStagesDAG(tx, p, dop, spill, suffix)
 		default:
-			return runStagesPool(tx, lo, dop, spill, suffix, limit)
+			return runStagesPool(tx, p, dop, spill, suffix, limit)
 		}
 	})
 }
 
+// open fetches every relation's morsels from the snapshot the plan already
+// holds and gives each build its spill namespace, before anything runs. The
+// probe base's split is sized from the CONFIGURED parallelism, not the granted
+// one: a lease only caps live workers, so the decomposition — and with it
+// float-aggregation order — cannot shift under slot contention; a cell split
+// does not depend on the parallelism at all.
+func (p *selectPlan) open(tx *core.Txn, spill *joinSpill) error {
+	fetch := func(r *relation) (err error) {
+		want := tx.Parallelism() * morselsPerWorker
+		if r.byCell {
+			want = 0
+		}
+		r.ms, err = tx.Morsels(r.state, r.meta, want)
+		return err
+	}
+	if err := fetch(p.base); err != nil {
+		return err
+	}
+	for _, j := range p.joins {
+		if err := fetch(j.build); err != nil {
+			return err
+		}
+		j.cfg = spill.config(j.distAligned)
+	}
+	return nil
+}
+
 // selectTail is the compiled part of a SELECT downstream of its joins: the
 // residual WHERE, then either the aggregation or the plain projection. It is
-// compiled once per statement against the post-join scope (lowerSelect); the
-// Progs are immutable, so per-morsel operator instances share them.
+// compiled once per statement against the post-join scope; the Progs are
+// immutable, so per-morsel operator instances share them.
 type selectTail struct {
 	where *exec.Prog // nil = none
 	agg   *aggPlan   // nil = plain projection
@@ -421,23 +455,37 @@ type selectTail struct {
 	names []string
 }
 
-func compileTail(st *SelectStmt, sc *scope) (*selectTail, error) {
+func compileTail(p *selectPlan, sc *scope) (*selectTail, error) {
 	t := &selectTail{}
 	var err error
-	if st.Where != nil {
-		if t.where, err = compile(st.Where, sc); err != nil {
+	if p.where != nil {
+		if t.where, err = compile(p.where, sc); err != nil {
 			return nil, err
 		}
 	}
-	if selectHasAgg(st) {
-		t.agg, err = buildAggPlan(st, sc)
+	if hasAgg(p.items, p.groupBy, p.having) {
+		t.agg, err = buildAggPlan(p.items, p.groupBy, p.having, sc)
 	} else {
-		t.proj, t.names, err = buildProjection(st, sc)
+		t.proj, t.names, err = buildProjection(p.items, sc)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// project stacks the output projection on a plan fragment.
+func (t *selectTail) project(op exec.Operator) exec.Operator {
+	return &exec.Project{In: op, Exprs: t.proj, Names: t.names}
+}
+
+// outSchema is the statement's output schema; it is a function of the
+// compiled programs alone.
+func (t *selectTail) outSchema() colfile.Schema {
+	if t.agg != nil {
+		return t.agg.finish(nil).Schema()
+	}
+	return t.project(nil).Schema()
 }
 
 // filter stacks the residual WHERE, if any, on a plan fragment.
@@ -459,11 +507,13 @@ func bareLimitSelect(st *SelectStmt) bool {
 }
 
 // selectHasAgg reports whether the statement needs an aggregation stage.
-func selectHasAgg(st *SelectStmt) bool {
-	if len(st.GroupBy) > 0 || st.Having != nil {
+func selectHasAgg(st *SelectStmt) bool { return hasAgg(st.Items, st.GroupBy, st.Having) }
+
+func hasAgg(items []SelectItem, groupBy []Expr, having Expr) bool {
+	if len(groupBy) > 0 || having != nil {
 		return true
 	}
-	for _, it := range st.Items {
+	for _, it := range items {
 		if containsAgg(it.Expr) {
 			return true
 		}
@@ -472,16 +522,12 @@ func selectHasAgg(st *SelectStmt) bool {
 }
 
 // finishSelect applies ORDER BY and LIMIT and materializes the result.
-func finishSelect(ctx context.Context, st *SelectStmt, outOp exec.Operator) (*colfile.Batch, error) {
-	if len(st.OrderBy) > 0 {
-		keys, err := orderKeys(st, outOp.Schema())
-		if err != nil {
-			return nil, err
-		}
-		outOp = &exec.Sort{In: outOp, Keys: keys}
+func finishSelect(ctx context.Context, p *selectPlan, outOp exec.Operator) (*colfile.Batch, error) {
+	if len(p.sortKeys) > 0 {
+		outOp = &exec.Sort{In: outOp, Keys: p.sortKeys}
 	}
-	if st.Limit >= 0 {
-		outOp = &exec.Limit{In: outOp, N: st.Limit, Offset: st.Offset}
+	if p.limit >= 0 {
+		outOp = &exec.Limit{In: outOp, N: p.limit, Offset: p.offset}
 	}
 	return exec.CollectCtx(ctx, outOp)
 }
@@ -495,7 +541,7 @@ const morselsPerWorker = 4
 // spilled builds to account for. Each build gets its own namespace — two
 // spilling joins in one statement write identical relative partition paths,
 // so sharing one would let the second build overwrite the first's files.
-// Namespaces are registered when the statement is lowered, before any build
+// Namespaces are registered when the plan is opened, before any build
 // runs (on the DAG inside tasks, possibly more than once under retry), so
 // finish deletes them whatever happened in between; creating one is pure
 // bookkeeping and cleaning one that was never written is free (SpillDir lists
@@ -571,55 +617,19 @@ func (s *joinSpill) finish() {
 	}
 }
 
-// baseScanPlan is the per-morsel scan recipe for one relation: its morsels,
-// the projected columns, the resulting scan schema, the zone-map hint and the
-// pushed predicate (compiled once per statement, shared read-only by the
-// morsel workers — each scan owns its EvalCtx).
-type baseScanPlan struct {
-	ms     *core.MorselScan
-	cols   []string
-	schema colfile.Schema // projected scan output schema
-	hint   *exec.PruneHint
-	pred   *exec.Prog // pushed conjunction (nil = none)
-}
-
-// newBaseScanPlan resolves the physical plan's projection and pushdown
-// decisions for one relation against its morsel scan's full table schema.
-func newBaseScanPlan(plan *physPlan, ref TableRef, ms *core.MorselScan, hint *exec.PruneHint) (*baseScanPlan, error) {
-	b := &baseScanPlan{ms: ms, cols: plan.colsFor(ref), schema: ms.Schema, hint: hint}
-	if b.cols != nil {
-		proj := make(colfile.Schema, len(b.cols))
-		for i, name := range b.cols {
-			idx := ms.Schema.ColIndex(name)
-			if idx < 0 {
-				return nil, fmt.Errorf("sql: unknown column %q", name)
-			}
-			proj[i] = ms.Schema[idx]
-		}
-		b.schema = proj
-	}
-	if conj := plan.pushedFor(ref); len(conj) > 0 {
-		var err error
-		if b.pred, err = compile(andFold(conj), singleTableScope(b.schema, aliasOf(ref))); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
 // fragment opens one morsel's scan with the plan's projection and pushed
 // predicate applied. Rows a pushed predicate rejects are dropped inside the
 // scan, before unreferenced columns are even decoded.
-func (b *baseScanPlan) fragment(m exec.Morsel) (exec.Operator, error) {
-	s, err := exec.NewMorselScan(m, b.cols, b.hint, b.ms.Tel)
+func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
+	s, err := exec.NewMorselScan(m, r.cols, r.hint, r.ms.Tel)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.SetSchema(b.ms.Schema); err != nil {
+	if err := s.SetSchema(r.meta.Schema); err != nil {
 		return nil, err
 	}
-	if b.pred != nil && !s.PushPredicate(b.pred) {
-		return &exec.Filter{In: s, Pred: b.pred, Tel: b.ms.Tel}, nil
+	if r.pred != nil && !s.PushPredicate(r.pred) {
+		return &exec.Filter{In: s, Pred: r.pred, Tel: r.ms.Tel}, nil
 	}
 	return s, nil
 }
@@ -629,11 +639,11 @@ func (b *baseScanPlan) fragment(m exec.Morsel) (exec.Operator, error) {
 // it does, every group lives entirely inside one distribution cell — rows
 // sharing a distribution-column value (NULLs included) are assigned to one
 // cell by d(r) — so cell-aligned per-morsel partials need no merge.
-func groupByCoversDistCol(st *SelectStmt, distCol, alias string) bool {
+func groupByCoversDistCol(groupBy []Expr, distCol, alias string) bool {
 	if distCol == "" {
 		return false
 	}
-	for _, g := range st.GroupBy {
+	for _, g := range groupBy {
 		c, ok := g.(ColName)
 		if !ok {
 			continue
@@ -645,29 +655,16 @@ func groupByCoversDistCol(st *SelectStmt, distCol, alias string) bool {
 	return false
 }
 
-// loweredJoin is one join clause resolved for execution: the build side's
-// scan recipe, the key columns, the join type and the spill configuration.
-// Only the operators themselves are opened by the stage runner — on the DAG
-// inside the build task, freshly per attempt, so a retry re-drains a new
-// stream instead of resuming a half-consumed one.
-type loweredJoin struct {
-	build               *baseScanPlan
-	leftKeys, rightKeys []int
-	typ                 exec.JoinType
-	cfg                 exec.SpillConfig
-	leftSchema          colfile.Schema // the probe side entering this stage
-}
-
 // openBuild opens the build side as a fresh operator: the right table's
 // per-cell fragments concatenated in cell order, the table's global row order.
-func (lj *loweredJoin) openBuild() (exec.Operator, error) {
-	morsels := lj.build.ms.Morsels
+func (j *planJoin) openBuild() (exec.Operator, error) {
+	morsels := j.build.ms.Morsels
 	if len(morsels) == 0 {
-		return exec.NewBatchList(lj.build.schema, nil), nil
+		return exec.NewBatchList(j.build.schema, nil), nil
 	}
 	ops := make([]exec.Operator, len(morsels))
 	for i, m := range morsels {
-		op, err := lj.build.fragment(m)
+		op, err := j.build.fragment(m)
 		if err != nil {
 			return nil, err
 		}
@@ -676,105 +673,7 @@ func (lj *loweredJoin) openBuild() (exec.Operator, error) {
 	return &exec.UnionAll{Ins: ops}, nil
 }
 
-// loweredSelect is a planned SELECT lowered onto the morsel decomposition:
-// the probe base's scan recipe and morsels, the joins in execution order, the
-// compiled tail, and whether the aggregation is merge-free. It is computed
-// once (lowerSelect) and consumed by both stage runners, which differ only in
-// where the fragments and builds run.
-type loweredSelect struct {
-	st    *SelectStmt
-	base  *baseScanPlan
-	joins []*loweredJoin
-	tail  *selectTail
-	// mergeFree: the GROUP BY key set covers the table's distribution column,
-	// so the morsels are cell-aligned, every per-morsel partial is complete
-	// for its groups, and MergeAgg skips the merge (distribution-aware
-	// aggregation, counted in WorkStats.MergeFreeAggs).
-	mergeFree bool
-}
-
-// lowerSelect turns a planned SELECT into what executes. The probe base's
-// morsel split is sized from the CONFIGURED parallelism, not the granted one:
-// a lease only caps live workers, so the decomposition — and with it
-// float-aggregation order — cannot shift under slot contention; the cell
-// split of a merge-free aggregation does not depend on the parallelism at
-// all. Join build sides are drained whole, in table order, so they take the
-// cell split too: one scan leg per cell, however many small files it holds.
-// Each build gets its spill namespace here, before anything runs.
-func lowerSelect(tx *core.Txn, plan *physPlan, spill *joinSpill) (*loweredSelect, error) {
-	st := plan.st
-	meta, err := tx.Table(st.From.Name)
-	if err != nil {
-		return nil, err
-	}
-	alias := aliasOf(st.From)
-	lo := &loweredSelect{st: st}
-	var hint *exec.PruneHint
-	if len(st.Joins) == 0 {
-		// The hint is extracted from the original WHERE so conjuncts the
-		// planner pushed into the scan still contribute zone-map pruning.
-		hint = prunableRange(plan.where, meta, alias)
-		lo.mergeFree = groupByCoversDistCol(st, meta.DistributionCol, alias)
-	}
-	scan := func(ref TableRef, byCell bool) (*core.MorselScan, error) {
-		if byCell {
-			return tx.ScanCellMorsels(ref.Name, ref.AsOfSeq)
-		}
-		return tx.ScanMorsels(ref.Name, ref.AsOfSeq, tx.Parallelism()*morselsPerWorker)
-	}
-	ms, err := scan(st.From, lo.mergeFree)
-	if err != nil {
-		return nil, err
-	}
-	if lo.base, err = newBaseScanPlan(plan, st.From, ms, hint); err != nil {
-		return nil, err
-	}
-	sc := singleTableScope(lo.base.schema, alias)
-
-	for _, j := range st.Joins {
-		rmeta, err := tx.Table(j.Table.Name)
-		if err != nil {
-			return nil, err
-		}
-		rms, err := scan(j.Table, true)
-		if err != nil {
-			return nil, err
-		}
-		build, err := newBaseScanPlan(plan, j.Table, rms, nil)
-		if err != nil {
-			return nil, err
-		}
-		rsc := singleTableScope(build.schema, aliasOf(j.Table))
-		lk, rk, err := equiKeys(j.On, sc, rsc)
-		if err != nil {
-			return nil, err
-		}
-		typ := exec.InnerJoin
-		if j.Left {
-			typ = exec.LeftOuterJoin
-		}
-		// A join whose key covers the build table's distribution column lets
-		// a spilling build reuse the table's cell boundaries as partition
-		// seams.
-		distAligned := len(rk) == 1 && rmeta.DistributionCol != "" &&
-			strings.EqualFold(rsc.schema[rk[0]].Name, rmeta.DistributionCol)
-		lo.joins = append(lo.joins, &loweredJoin{
-			build: build, leftKeys: lk, rightKeys: rk, typ: typ,
-			cfg: spill.config(distAligned), leftSchema: sc.schema,
-		})
-		sc = &scope{
-			schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),
-			quals:  append(append([]string{}, sc.quals...), rsc.quals...),
-		}
-	}
-
-	if lo.tail, err = compileTail(st, sc); err != nil {
-		return nil, err
-	}
-	return lo, nil
-}
-
-// runStagesPool runs a lowered SELECT's stages on the in-process morsel pool,
+// runStagesPool runs an opened plan's stages on the in-process morsel pool,
 // under the statement's context, and returns the per-morsel outputs in morsel
 // order. Build sides are drained once under the join memory budget: into an
 // immutable JoinTable shared by every probe worker while they fit (the build
@@ -792,31 +691,31 @@ func lowerSelect(tx *core.Txn, plan *physPlan, spill *joinSpill) (*loweredSelect
 // throughout, so everything downstream is unchanged.
 //
 // limit >= 0 (a bare LIMIT) lets the stage that runs the suffix stop early.
-func runStagesPool(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
+func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
 	ctx := tx.Context()
-	morsels, tel := lo.base.ms.Morsels, lo.base.ms.Tel
+	morsels, tel := p.base.ms.Morsels, p.base.ms.Tel
 	pruned := &tx.Work().RuntimeFilterRows
 
 	// blooms[j] is join j's runtime filter, derived once from the completed
 	// in-memory build and shared read-only by every probe worker (nil for
 	// LEFT OUTER, where probe rows survive regardless).
-	srcs := make([]*exec.JoinSource, len(lo.joins))
-	blooms := make([]*exec.Bloom, len(lo.joins))
+	srcs := make([]*exec.JoinSource, len(p.joins))
+	blooms := make([]*exec.Bloom, len(p.joins))
 	probe := func(j int, in exec.Operator) exec.Operator {
-		return &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: lo.joins[j].leftKeys, Tel: tel,
+		return &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys, Tel: tel,
 			Bloom: blooms[j], Pruned: pruned}
 	}
 	anySpilled := false
-	for j, lj := range lo.joins {
+	for j, pj := range p.joins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		right, err := lj.openBuild()
+		right, err := pj.openBuild()
 		if err != nil {
 			return nil, err
 		}
-		src, err := exec.BuildGraceJoin(right, lj.rightKeys, lj.typ, tx.Parallelism(), lj.cfg, tel)
+		src, err := exec.BuildGraceJoin(right, pj.rightKeys, pj.typ, tx.Parallelism(), pj.cfg, tel)
 		if err != nil {
 			return nil, err
 		}
@@ -824,7 +723,7 @@ func runStagesPool(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
 		srcs[j] = src
 		if src.Spilled != nil {
 			anySpilled = true
-		} else if lj.typ != exec.LeftOuterJoin {
+		} else if pj.typ != exec.LeftOuterJoin {
 			blooms[j] = src.Table.BloomFilter()
 		}
 	}
@@ -837,14 +736,14 @@ func runStagesPool(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
 	}
 	if !anySpilled {
 		return last(len(morsels), func(i int) (exec.Operator, error) {
-			op, err := lo.base.fragment(morsels[i])
+			op, err := p.base.fragment(morsels[i])
 			if err != nil {
 				return nil, err
 			}
-			for j := range lo.joins {
+			for j := range p.joins {
 				op = probe(j, op)
 			}
-			return suffix(lo.tail.filter(op, tel)), nil
+			return suffix(p.tail.filter(op, tel)), nil
 		})
 	}
 
@@ -859,14 +758,14 @@ func runStagesPool(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
 		}
 	}
 	cur, err := exec.RunIndexed(ctx, len(morsels), dop, func(i int) (exec.Operator, error) {
-		return lo.base.fragment(morsels[i])
+		return p.base.fragment(morsels[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for j, lj := range lo.joins {
+	for j, pj := range p.joins {
 		if srcs[j].Spilled != nil {
-			cur, err = srcs[j].Spilled.JoinBatches(ctx, cur, lj.leftKeys, lj.leftSchema, dop)
+			cur, err = srcs[j].Spilled.JoinBatches(ctx, cur, pj.leftKeys, pj.leftSchema, dop)
 		} else {
 			cur, err = exec.RunIndexed(ctx, len(cur), dop, over(cur, func(b *colfile.Batch) exec.Operator {
 				return probe(j, exec.NewBatchSource(b))
@@ -877,11 +776,11 @@ func runStagesPool(tx *core.Txn, lo *loweredSelect, dop int, spill *joinSpill,
 		}
 	}
 	return last(len(cur), over(cur, func(b *colfile.Batch) exec.Operator {
-		return suffix(lo.tail.filter(exec.NewBatchSource(b), tel))
+		return suffix(p.tail.filter(exec.NewBatchSource(b), tel))
 	}))
 }
 
-// fragmentRunner runs a lowered SELECT's per-morsel fragments, each ending in
+// fragmentRunner runs an opened plan's per-morsel fragments, each ending in
 // suffix, wherever the statement executes and returns their outputs in morsel
 // order (nil = no rows). limit >= 0 tells it the merge reads only the first
 // limit rows of that order.
@@ -894,8 +793,8 @@ type fragmentRunner func(suffix func(exec.Operator) exec.Operator, limit int64) 
 // aggregates, loser-tree MergeRuns for ORDER BY. The stage runners only
 // decide where the fragments run, so they cannot drift apart downstream of
 // the fragment boundary.
-func mergeSelect(tx *core.Txn, lo *loweredSelect, run fragmentRunner) (*colfile.Batch, error) {
-	st, tail, tel := lo.st, lo.tail, lo.base.ms.Tel
+func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batch, error) {
+	tail, tel := p.tail, p.base.ms.Tel
 	var outOp exec.Operator
 	if ap := tail.agg; ap != nil {
 		// ORDER BY over an aggregate is a plain Sort: the merged aggregate is
@@ -908,40 +807,36 @@ func mergeSelect(tx *core.Txn, lo *loweredSelect, run fragmentRunner) (*colfile.
 		if err != nil {
 			return nil, err
 		}
-		if lo.mergeFree {
+		if p.mergeFree {
 			tx.Work().MergeFreeAggs.Add(1)
 		}
 		outOp = ap.finish(&exec.MergeAgg{
 			// the partial layout is a function of the programs alone
 			In:     exec.NewBatchList(partial(nil).Schema(), batches),
-			Groups: len(ap.groupBy), Aggs: ap.aggs, MergeFree: lo.mergeFree, Tel: tel,
+			Groups: len(ap.groupBy), Aggs: ap.aggs, MergeFree: p.mergeFree, Tel: tel,
 		})
 	} else {
-		project := func(op exec.Operator) exec.Operator {
-			return &exec.Project{In: op, Exprs: tail.proj, Names: tail.names}
-		}
-		outSchema := project(nil).Schema()
 		// Rows each fragment must ship: all of them (-1), or LIMIT+OFFSET —
 		// under ORDER BY its smallest (TopN), else its first.
 		bound := int64(-1)
-		if st.Limit >= 0 {
-			bound = st.Limit + st.Offset
+		if p.limit >= 0 {
+			bound = p.limit + p.offset
 		}
-		if len(st.OrderBy) > 0 {
-			return mergeOrderBy(tx, lo, run, project, outSchema, bound)
+		if len(p.sortKeys) > 0 {
+			return mergeOrderBy(tx, p, run, bound)
 		}
 		batches, err := run(func(op exec.Operator) exec.Operator {
 			if bound >= 0 {
-				return &exec.Limit{In: project(op), N: bound}
+				return &exec.Limit{In: tail.project(op), N: bound}
 			}
-			return project(op)
+			return tail.project(op)
 		}, bound)
 		if err != nil {
 			return nil, err
 		}
-		outOp = exec.NewBatchList(outSchema, batches)
+		outOp = exec.NewBatchList(tail.outSchema(), batches)
 	}
-	return finishSelect(tx.Context(), st, outOp)
+	return finishSelect(tx.Context(), p, outOp)
 }
 
 // mergeOrderBy executes a projection's ORDER BY [LIMIT/OFFSET] on the morsel
@@ -954,13 +849,8 @@ func mergeSelect(tx *core.Txn, lo *loweredSelect, run fragmentRunner) (*colfile.
 // the paper's distributed top-N shape, counted in WorkStats.TopNPushdowns)
 // and the merge cuts off after LIMIT+OFFSET rows, so neither the workers nor
 // the FE ever materialize the full sorted result.
-func mergeOrderBy(tx *core.Txn, lo *loweredSelect, run fragmentRunner,
-	project func(exec.Operator) exec.Operator, outSchema colfile.Schema, bound int64) (*colfile.Batch, error) {
-	st, tel := lo.st, lo.base.ms.Tel
-	keys, err := orderKeys(st, outSchema)
-	if err != nil {
-		return nil, err
-	}
+func mergeOrderBy(tx *core.Txn, p *selectPlan, run fragmentRunner, bound int64) (*colfile.Batch, error) {
+	project, keys, tel := p.tail.project, p.sortKeys, p.base.ms.Tel
 	batches, err := run(func(op exec.Operator) exec.Operator {
 		if bound >= 0 {
 			return &exec.TopN{In: project(op), Keys: keys, N: bound, Tel: tel}
@@ -973,9 +863,9 @@ func mergeOrderBy(tx *core.Txn, lo *loweredSelect, run fragmentRunner,
 	if bound >= 0 {
 		tx.Work().TopNPushdowns.Add(1)
 	}
-	var out exec.Operator = exec.NewMergeRuns(outSchema, batches, keys, bound)
-	if st.Limit >= 0 {
-		out = &exec.Limit{In: out, N: st.Limit, Offset: st.Offset}
+	var out exec.Operator = exec.NewMergeRuns(p.tail.outSchema(), batches, keys, bound)
+	if p.limit >= 0 {
+		out = &exec.Limit{In: out, N: p.limit, Offset: p.offset}
 	}
 	return exec.CollectCtx(tx.Context(), out)
 }
@@ -1006,18 +896,7 @@ func containsAgg(e Expr) bool {
 // equiKeys extracts hash-join keys from an ON conjunction of equalities, each
 // relating one left-scope column to one right-scope column.
 func equiKeys(on Expr, left, right *scope) (lk, rk []int, err error) {
-	var conjuncts []Expr
-	var split func(e Expr)
-	split = func(e Expr) {
-		if b, ok := e.(BinExpr); ok && b.Op == "AND" {
-			split(b.L)
-			split(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	split(on)
-	for _, c := range conjuncts {
+	for _, c := range splitAnd(on) {
 		b, ok := c.(BinExpr)
 		if !ok || b.Op != "=" {
 			return nil, nil, fmt.Errorf("sql: JOIN ON supports equality conjunctions only")
@@ -1055,7 +934,7 @@ func equiKeys(on Expr, left, right *scope) (lk, rk []int, err error) {
 }
 
 // buildProjection compiles the SELECT items to output programs and names.
-func buildProjection(st *SelectStmt, sc *scope) ([]*exec.Prog, []string, error) {
+func buildProjection(items []SelectItem, sc *scope) ([]*exec.Prog, []string, error) {
 	var progs []*exec.Prog
 	var names []string
 	add := func(e Expr, name string) error {
@@ -1067,7 +946,7 @@ func buildProjection(st *SelectStmt, sc *scope) ([]*exec.Prog, []string, error) 
 		names = append(names, name)
 		return nil
 	}
-	for _, it := range st.Items {
+	for _, it := range items {
 		if it.Star {
 			for i, f := range sc.schema {
 				if err := add(slotRef{idx: i, name: f.Name}, f.Name); err != nil {
@@ -1116,9 +995,9 @@ func (ap *aggPlan) finish(agg exec.Operator) exec.Operator {
 // buildAggPlan compiles an aggregate query's pieces: group keys and aggregate
 // arguments against the input scope, then the item and HAVING expressions —
 // rewritten over [groups..., aggs...] — against the aggregate's output.
-func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
-	ap := &aggPlan{groupBy: make([]*exec.Prog, len(st.GroupBy))}
-	for i, g := range st.GroupBy {
+func buildAggPlan(items []SelectItem, groupBy []Expr, having Expr, sc *scope) (*aggPlan, error) {
+	ap := &aggPlan{groupBy: make([]*exec.Prog, len(groupBy))}
+	for i, g := range groupBy {
 		p, err := compile(g, sc)
 		if err != nil {
 			return nil, err
@@ -1155,7 +1034,7 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 	replaceAgg = func(e Expr) (Expr, error) {
 		// An item expression structurally equal to a GROUP BY expression maps
 		// to that group column (e.g. GROUP BY d/30 ... SELECT d/30).
-		for i, g := range st.GroupBy {
+		for i, g := range groupBy {
 			if reflect.DeepEqual(e, g) {
 				return slotRef{idx: i, name: fmt.Sprintf("group%d", i)}, nil
 			}
@@ -1166,10 +1045,10 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return slotRef{idx: len(st.GroupBy) + slot, name: ap.aggs[slot].Name}, nil
+			return slotRef{idx: len(groupBy) + slot, name: ap.aggs[slot].Name}, nil
 		case ColName:
 			// must match a GROUP BY expression
-			for i, g := range st.GroupBy {
+			for i, g := range groupBy {
 				if gc, ok := g.(ColName); ok && strings.EqualFold(gc.Name, x.Name) &&
 					(x.Table == "" || strings.EqualFold(gc.Table, x.Table) || gc.Table == "") {
 					return slotRef{idx: i, name: x.Name}, nil
@@ -1199,8 +1078,8 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 		}
 	}
 
-	items := make([]Expr, len(st.Items))
-	for i, it := range st.Items {
+	outs := make([]Expr, len(items))
+	for i, it := range items {
 		if it.Star {
 			return nil, errors.New("sql: SELECT * with GROUP BY is not supported")
 		}
@@ -1208,13 +1087,12 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		items[i] = e
+		outs[i] = e
 		ap.outNames = append(ap.outNames, itemName(it))
 	}
-	var having Expr
-	if st.Having != nil {
+	if having != nil {
 		var err error
-		if having, err = replaceAgg(st.Having); err != nil {
+		if having, err = replaceAgg(having); err != nil {
 			return nil, err
 		}
 	}
@@ -1222,7 +1100,7 @@ func buildAggPlan(st *SelectStmt, sc *scope) (*aggPlan, error) {
 	// Every aggregate is registered now, so the aggregate's output schema is
 	// known; it is a function of the compiled programs alone.
 	asc := &scope{schema: (&exec.HashAgg{GroupBy: ap.groupBy, Aggs: ap.aggs}).Schema()}
-	for _, e := range items {
+	for _, e := range outs {
 		p, err := compile(e, asc)
 		if err != nil {
 			return nil, err
@@ -1255,35 +1133,6 @@ func aggKind(f FuncExpr) (exec.AggKind, error) {
 		return exec.AggMax, nil
 	}
 	return 0, fmt.Errorf("sql: unknown aggregate %s", f.Name)
-}
-
-// orderKeys resolves ORDER BY items against the output schema by alias/name.
-func orderKeys(st *SelectStmt, schema colfile.Schema) ([]exec.SortKey, error) {
-	var keys []exec.SortKey
-	for _, o := range st.OrderBy {
-		c, ok := o.Expr.(ColName)
-		if !ok {
-			if l, isLit := o.Expr.(Lit); isLit {
-				if pos, isInt := l.Val.(int64); isInt && pos >= 1 && int(pos) <= len(schema) {
-					keys = append(keys, exec.SortKey{Col: int(pos - 1), Desc: o.Desc})
-					continue
-				}
-			}
-			return nil, errors.New("sql: ORDER BY supports output columns or positions")
-		}
-		idx := -1
-		for i, f := range schema {
-			if strings.EqualFold(f.Name, c.Name) {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("sql: ORDER BY column %q not in output", c.Name)
-		}
-		keys = append(keys, exec.SortKey{Col: idx, Desc: o.Desc})
-	}
-	return keys, nil
 }
 
 func runInsert(tx *core.Txn, st *InsertStmt) (*Result, error) {
@@ -1416,7 +1265,7 @@ func runUpdate(tx *core.Txn, st *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := tableScope(meta)
+	sc := singleTableScope(meta.Schema, meta.Name)
 	// Bind SET expressions in column order so a statement with two bad
 	// assignments reports the same error every run.
 	setCols := make([]string, 0, len(st.Set))
@@ -1448,7 +1297,7 @@ func runDelete(tx *core.Txn, st *DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := wherePred(st.Where, tableScope(meta))
+	pred, err := wherePred(st.Where, singleTableScope(meta.Schema, meta.Name))
 	if err != nil {
 		return nil, err
 	}
@@ -1457,14 +1306,6 @@ func runDelete(tx *core.Txn, st *DeleteStmt) (*Result, error) {
 		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
-}
-
-func tableScope(meta catalog.TableMeta) *scope {
-	quals := make([]string, len(meta.Schema))
-	for i := range quals {
-		quals[i] = meta.Name
-	}
-	return &scope{schema: meta.Schema, quals: quals}
 }
 
 func wherePred(where Expr, sc *scope) (exec.Expr, error) {

@@ -1,111 +1,268 @@
 package sql
 
+// The plan of a SELECT is one value. planSelect resolves the statement's
+// relations, makes the cost-based decisions (join order and build sides, scan
+// pushdown and projection), binds the joins and compiles every expression —
+// or fails with the statement's plan-time error. EXPLAIN renders the value it
+// returns (explain.go) and runSelect opens and executes that same value
+// (plan.go, dag.go), so the two cannot disagree. The pipeline shape is fixed
+// — scan → joins* → filter → aggregate|project → sort → limit — so the plan
+// is a flat struct, and a relation is addressed by its position in it: 0 is
+// the probe base, j+1 the build side of join j.
+
 import (
+	"errors"
+	"fmt"
 	"strings"
 
 	"polaris/internal/catalog"
 	"polaris/internal/colfile"
 	"polaris/internal/core"
+	"polaris/internal/exec"
+	"polaris/internal/manifest"
 )
 
-// planTable is one base relation of a SELECT as the cost-based planner sees
-// it: syntactic position, catalog metadata and folded statistics.
-type planTable struct {
+// relation is one base table of a SELECT: what the planner decided about its
+// scan, and what the executor needs to run it.
+type relation struct {
 	ref   TableRef
-	alias string // lower-cased alias (or table name)
-	pos   int    // syntactic position: 0 = FROM, i+1 = Joins[i]
 	meta  catalog.TableMeta
-	stats *tableStats
-	est   float64 // estimated scan output rows after local conjuncts; -1 unknown
+	state *manifest.TableState // the snapshot the statement reads, resolved once
+	pos   int                  // syntactic position: 0 = FROM, i+1 = Joins[i]
+	est   float64              // estimated scan output rows after local conjuncts; -1 unknown
+
+	cols   []string       // projected scan columns (nil = all)
+	schema colfile.Schema // scan output schema
+	pushed Expr           // WHERE conjunction the scan evaluates, as written (nil = none)
+	pred   *exec.Prog     // the same conjunction compiled over schema, shared read-only by the workers
+	hint   *exec.PruneHint
+	byCell bool // morsels are the table's distribution cells, not a Parallelism-sized split
+
+	ms *core.MorselScan // the fetched morsels: set by open, nil under EXPLAIN
 }
 
-// physPlan is the cost-based planning product of one SELECT statement.
-// Execution and EXPLAIN consume the same plan, so they can never disagree
-// about join order, build sides, pushed predicates, scan projections or which
-// stage runner executes the statement. Planning is best-effort: any shape
-// the planner doesn't understand (unknown tables, duplicate aliases,
-// non-equi ONs, missing statistics) degrades to the syntactic statement
-// untouched, and execution surfaces errors exactly as before.
-type physPlan struct {
-	st    *SelectStmt // possibly rewritten: joins reordered, star pre-expanded
-	where Expr        // original WHERE (zone-map hint extraction sees pushed conjuncts too)
+// planJoin is one join in execution order: the build relation, the key
+// columns and the join type. Only the operators are opened by the stage
+// runner — on the DAG inside the build task, freshly per attempt, so a retry
+// re-drains a new stream instead of resuming a half-consumed one.
+type planJoin struct {
+	build               *relation
+	on                  Expr
+	leftKeys, rightKeys []int
+	typ                 exec.JoinType
+	// distAligned: the join key covers the build table's distribution column,
+	// so a spilling build reuses the table's cell boundaries as partition seams.
+	distAligned bool
+	leftSchema  colfile.Schema // the probe side entering this stage
+	reordered   bool           // cost-based reordering moved this build from its syntactic slot
 
-	reordered   bool
-	swaps       int64 // join slots whose build table differs from syntactic
-	pushedCount int64 // WHERE conjuncts moved into scans
+	cfg exec.SpillConfig // budget and spill namespace: set by open
+}
 
-	// pushed maps a table alias to the WHERE conjuncts its scan evaluates.
-	pushed map[string][]Expr
-	// scanCols maps a table alias to the projected scan columns (nil = all).
-	scanCols map[string][]string
+// selectPlan is a planned SELECT: the probe base, the joins in execution
+// order, the compiled tail, and the statement's remaining clauses as written
+// (EXPLAIN prints them; the merge tail reads the sort keys and the limit).
+type selectPlan struct {
+	base  *relation
+	joins []*planJoin
+	tail  *selectTail
 
-	order  []*planTable // syntactic order
-	tables map[string]*planTable
+	where    Expr // residual WHERE: what no scan evaluates
+	items    []SelectItem
+	groupBy  []Expr
+	having   Expr
+	orderBy  []OrderItem
+	sortKeys []exec.SortKey // orderBy resolved against the output columns
+	limit    int64          // -1 = none
+	offset   int64
 
-	// dag marks a plan whose stages run as a DCP task DAG rather than on the
-	// in-process morsel pool: Options.DistributedQueries, except for a bare
-	// LIMIT (see bareLimitSelect). runSelect routes on it and EXPLAIN renders
-	// it as a [dag] annotation on the probe-base scan.
+	// mergeFree: the GROUP BY key set covers the table's distribution column,
+	// so the morsels are cell-aligned, every per-morsel partial is complete
+	// for its groups, and MergeAgg skips the merge (distribution-aware
+	// aggregation, counted in WorkStats.MergeFreeAggs).
+	mergeFree bool
+	// dag: the stages run as a DCP task DAG rather than on the in-process
+	// morsel pool — Options.DistributedQueries, except for a bare LIMIT (see
+	// bareLimitSelect). EXPLAIN renders it as [dag] on the base scan.
 	dag bool
+
+	pushedCount int64 // WHERE conjuncts moved into scans
 }
 
-// planSelect runs cost-based physical planning over one SELECT.
-func planSelect(tx *core.Txn, st *SelectStmt) *physPlan {
-	p := &physPlan{
-		st: st, where: st.Where,
-		pushed: map[string][]Expr{}, scanCols: map[string][]string{},
-		tables: map[string]*planTable{},
+// planSelect plans one SELECT against the transaction's snapshot.
+func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
+	rels, err := resolveRelations(tx, st)
+	if err != nil {
+		return nil, err
 	}
-	p.dag = tx.DistributedQueries() && !bareLimitSelect(st)
-	if !p.loadTables(tx, st) {
-		return p
+	p := &selectPlan{
+		items: st.Items, groupBy: st.GroupBy, having: st.Having,
+		orderBy: st.OrderBy, limit: st.Limit, offset: st.Offset,
+		dag: tx.DistributedQueries() && !bareLimitSelect(st),
 	}
-	p.estimate()
-	p.reorderJoins(st)
-	p.choosePushdown()
-	p.chooseProjection()
-	return p
+
+	// Cost-based decisions. Two relations under one alias leave qualified
+	// references ambiguous, so such a statement runs exactly as written.
+	order, ons := rels, make([]Expr, len(st.Joins))
+	for i, j := range st.Joins {
+		ons[i] = j.On
+	}
+	conjuncts := splitAnd(st.Where)
+	owners := make([]*relation, len(conjuncts)) // the relation whose scan evaluates conjunct i; nil = the residual WHERE
+	if rels.distinctAliases() {
+		rels.estimate(conjuncts)
+		if o, e := rels.reorderJoins(st); o != nil {
+			order, ons = o, e
+			p.items = rels.expandStar(st.Items)
+		}
+		rels.chooseProjection(st)
+		rels.choosePushdown(st, conjuncts, owners, order[0])
+	}
+
+	// Bind and compile in execution order. The probe base's morsel split is
+	// sized from the configured Parallelism unless the aggregation is
+	// merge-free; build sides are drained whole, in table order, so they take
+	// the cell split: one scan leg per cell, however many small files it holds.
+	p.base = order[0]
+	alias := aliasOf(p.base.ref)
+	if len(st.Joins) == 0 {
+		// The hint is extracted from the whole WHERE so conjuncts pushed into
+		// the scan still contribute zone-map pruning.
+		p.base.hint = prunableRange(st.Where, p.base.meta, alias)
+		p.mergeFree = groupByCoversDistCol(st.GroupBy, p.base.meta.DistributionCol, alias)
+		p.base.byCell = p.mergeFree
+	}
+	sc := singleTableScope(p.base.schema, alias)
+	if err := p.push(p.base, conjuncts, owners, sc); err != nil {
+		return nil, err
+	}
+	for i, build := range order[1:] {
+		build.byCell = true
+		rsc := singleTableScope(build.schema, aliasOf(build.ref))
+		if err := p.push(build, conjuncts, owners, rsc); err != nil {
+			return nil, err
+		}
+		lk, rk, err := equiKeys(ons[i], sc, rsc)
+		if err != nil {
+			return nil, err
+		}
+		typ := exec.InnerJoin
+		if st.Joins[i].Left { // only all-inner statements are reordered, so slot i's flag holds either way
+			typ = exec.LeftOuterJoin
+		}
+		dist := build.meta.DistributionCol
+		p.joins = append(p.joins, &planJoin{
+			build: build, on: ons[i], leftKeys: lk, rightKeys: rk, typ: typ,
+			distAligned: len(rk) == 1 && dist != "" && strings.EqualFold(rsc.schema[rk[0]].Name, dist),
+			leftSchema:  sc.schema,
+			reordered:   build.pos != i+1,
+		})
+		sc = &scope{
+			schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),
+			quals:  append(append([]string{}, sc.quals...), rsc.quals...),
+		}
+	}
+	// What no scan took stays in the post-join Filter, in WHERE order.
+	p.where = st.Where
+	if p.pushedCount > 0 {
+		var rest []Expr
+		for i, c := range conjuncts {
+			if owners[i] == nil {
+				rest = append(rest, c)
+			}
+		}
+		p.where = andFold(rest)
+	}
+	if p.tail, err = compileTail(p, sc); err != nil {
+		return nil, err
+	}
+	if p.sortKeys, err = orderKeys(p.orderBy, p.items, sc, p.tail.outSchema()); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// push compiles the conjunction a relation's scan evaluates, once: the
+// program that proves the conjuncts run as a kernel is the one the scan runs.
+// A compile error is the statement's. A lone conjunct that is not boolean is
+// handed back to the residual WHERE, whose Filter reports it.
+func (p *selectPlan) push(r *relation, conjuncts []Expr, owners []*relation, sc *scope) error {
+	var mine []Expr
+	for i, c := range conjuncts {
+		if owners[i] == r {
+			mine = append(mine, c)
+		}
+	}
+	if len(mine) == 0 {
+		return nil
+	}
+	conj := andFold(mine)
+	prog, err := compile(conj, sc)
+	if err != nil {
+		return err
+	}
+	if prog.OutType() != colfile.Bool {
+		for i := range owners {
+			if owners[i] == r {
+				owners[i] = nil
+			}
+		}
+		return nil
+	}
+	r.pushed, r.pred = conj, prog
+	p.pushedCount += int64(len(mine))
+	return nil
 }
 
 // recordWork publishes the plan-shape counters once per executed statement.
 // EXPLAIN does not call this — it plans without executing.
-func (p *physPlan) recordWork(tx *core.Txn) {
-	if p.swaps > 0 {
-		tx.Work().BuildSideSwaps.Add(p.swaps)
+func (p *selectPlan) recordWork(tx *core.Txn) {
+	var swaps int64 // join slots whose build table differs from the syntactic one
+	for _, j := range p.joins {
+		if j.reordered {
+			swaps++
+		}
+	}
+	if swaps > 0 {
+		tx.Work().BuildSideSwaps.Add(swaps)
 	}
 	if p.pushedCount > 0 {
 		tx.Work().PushedFilters.Add(p.pushedCount)
 	}
 }
 
-// loadTables resolves every base relation and its statistics. Reports false
-// (planning disabled) when a table is unknown or two relations share an
-// alias — execution reproduces the original error in the former case, and
-// ambiguity handling stays bind's job in the latter.
-func (p *physPlan) loadTables(tx *core.Txn, st *SelectStmt) bool {
-	add := func(ref TableRef, pos int) bool {
-		alias := strings.ToLower(aliasOf(ref))
-		if _, dup := p.tables[alias]; dup {
-			return false
+// relations are a SELECT's base tables in syntactic order (index = pos).
+type relations []*relation
+
+// resolveRelations resolves every base relation's metadata and snapshot, once
+// per statement: the planner folds its statistics from the same snapshot the
+// executor later fetches.
+func resolveRelations(tx *core.Txn, st *SelectStmt) (relations, error) {
+	refs := []TableRef{st.From}
+	for _, j := range st.Joins {
+		refs = append(refs, j.Table)
+	}
+	rels := make(relations, len(refs))
+	for pos, ref := range refs {
+		asOf := ref.AsOfSeq
+		if asOf == 0 {
+			asOf = -1
 		}
-		meta, err := tx.Table(ref.Name)
+		state, meta, err := tx.Snapshot(ref.Name, asOf)
 		if err != nil {
-			return false
+			return nil, err
 		}
-		t := &planTable{ref: ref, alias: alias, pos: pos, meta: meta, est: -1}
-		if ts, err := collectStats(tx, ref); err == nil {
-			t.stats = ts
-		}
-		p.order = append(p.order, t)
-		p.tables[alias] = t
-		return true
+		rels[pos] = &relation{ref: ref, meta: meta, state: state, pos: pos, est: -1, schema: meta.Schema}
 	}
-	if !add(st.From, 0) {
-		return false
-	}
-	for i, j := range st.Joins {
-		if !add(j.Table, i+1) {
-			return false
+	return rels, nil
+}
+
+func (rs relations) distinctAliases() bool {
+	for i, r := range rs {
+		for _, o := range rs[:i] {
+			if strings.EqualFold(aliasOf(r.ref), aliasOf(o.ref)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -113,15 +270,15 @@ func (p *physPlan) loadTables(tx *core.Txn, st *SelectStmt) bool {
 
 // estimate computes each relation's post-filter cardinality estimate from
 // its statistics and the single-table WHERE conjuncts that apply to it.
-func (p *physPlan) estimate() {
-	local := map[string][]Expr{}
-	for _, c := range splitAnd(p.st.Where) {
-		if owner := p.conjunctOwner(c); owner != "" {
-			local[owner] = append(local[owner], c)
+func (rs relations) estimate(conjuncts []Expr) {
+	local := make([][]Expr, len(rs))
+	for _, c := range conjuncts {
+		if owner := rs.conjunctOwner(c); owner != nil {
+			local[owner.pos] = append(local[owner.pos], c)
 		}
 	}
-	for _, t := range p.order {
-		t.est = estimateRows(t.stats, local[t.alias])
+	for _, r := range rs {
+		r.est = estimateRows(collectStats(r.state, r.meta.Schema), local[r.pos])
 	}
 }
 
@@ -176,10 +333,13 @@ func walkCols(e Expr, f func(ColName)) {
 	}
 }
 
-// schemaHas reports whether a schema contains a column (case-insensitive).
-func schemaHas(s colfile.Schema, name string) bool {
-	for _, f := range s {
-		if strings.EqualFold(f.Name, name) {
+// has reports whether a column reference can name a column of this relation.
+func (r *relation) has(c ColName) bool {
+	if c.Table != "" && !strings.EqualFold(c.Table, aliasOf(r.ref)) {
+		return false
+	}
+	for _, f := range r.meta.Schema {
+		if strings.EqualFold(f.Name, c.Name) {
 			return true
 		}
 	}
@@ -187,85 +347,78 @@ func schemaHas(s colfile.Schema, name string) bool {
 }
 
 // ownerOf resolves a column reference to the single relation that owns it,
-// or "" when the reference is unknown or ambiguous.
-func (p *physPlan) ownerOf(c ColName) string {
-	if c.Table != "" {
-		a := strings.ToLower(c.Table)
-		if t, ok := p.tables[a]; ok && schemaHas(t.meta.Schema, c.Name) {
-			return a
-		}
-		return ""
-	}
-	owner := ""
-	//polaris:nondet unique-or-empty fold: one match yields that alias, two yield "" whichever is seen first
-	for a, t := range p.tables {
-		if schemaHas(t.meta.Schema, c.Name) {
-			if owner != "" {
-				return "" // ambiguous
+// or nil when the reference is unknown or ambiguous.
+func (rs relations) ownerOf(c ColName) *relation {
+	var owner *relation
+	for _, r := range rs {
+		if r.has(c) {
+			if owner != nil {
+				return nil // ambiguous
 			}
-			owner = a
+			owner = r
 		}
 	}
 	return owner
 }
 
-// conjunctOwner returns the alias of the single relation a conjunct reads,
-// or "" when it spans relations, contains aggregates, or references unknown
-// or ambiguous columns. A conjunct with no column references has no owner.
-func (p *physPlan) conjunctOwner(e Expr) string {
+// conjunctOwner returns the single relation a conjunct reads, or nil when it
+// spans relations, contains aggregates, references unknown or ambiguous
+// columns, or references no column at all.
+func (rs relations) conjunctOwner(e Expr) *relation {
 	if containsAgg(e) {
-		return ""
+		return nil
 	}
-	owner, bad := "", false
+	var owner *relation
+	bad := false
 	walkCols(e, func(c ColName) {
-		o := p.ownerOf(c)
-		if o == "" || (owner != "" && o != owner) {
+		o := rs.ownerOf(c)
+		if o == nil || (owner != nil && o != owner) {
 			bad = true
 			return
 		}
 		owner = o
 	})
 	if bad {
-		return ""
+		return nil
 	}
 	return owner
 }
 
-// reorderJoins rewrites the FROM/JOIN sequence by estimated cardinality:
-// the largest-estimate relation becomes the probe base and the remaining
+// reorderJoins picks the join order by estimated cardinality: the
+// largest-estimate relation becomes the probe base and the remaining
 // relations join greedily smallest-first among those connected to the tables
 // already in scope, so every build side is as small as the statistics allow.
 // Only all-inner joins with pure two-relation equi ONs are reordered —
 // inner-join conjuncts commute, so redistributing the ON edges over a new
 // order preserves results. Ties keep syntactic order, which also makes the
-// rewrite deterministic for a fixed snapshot (the byte-identity suites rely
-// on that).
-func (p *physPlan) reorderJoins(orig *SelectStmt) {
-	st := p.st
+// choice deterministic for a fixed snapshot (the byte-identity suites rely
+// on that). It returns the relations in execution order and the ON condition
+// of each join, or nil when the statement keeps its syntactic order.
+func (rs relations) reorderJoins(st *SelectStmt) (relations, []Expr) {
 	if len(st.Joins) == 0 {
-		return
+		return nil, nil
 	}
 	for _, j := range st.Joins {
 		if j.Left {
-			return
+			return nil, nil
 		}
 	}
-	for _, t := range p.order {
-		if t.est < 0 {
-			return // a relation without statistics: don't compare garbage
+	for _, r := range rs {
+		if r.est < 0 {
+			return nil, nil // a relation without statistics: don't compare garbage
 		}
 	}
-	// SELECT * with GROUP BY errors later; keep the syntactic statement so
-	// the error text is unchanged.
+	// SELECT * with GROUP BY errors later; keep the syntactic order so the
+	// star is still there to report.
 	if selectHasAgg(st) {
 		for _, it := range st.Items {
 			if it.Star {
-				return
+				return nil, nil
 			}
 		}
 	}
 	type edge struct {
-		a, b string
+		a, b *relation
 		expr Expr
 		used bool
 	}
@@ -274,43 +427,47 @@ func (p *physPlan) reorderJoins(orig *SelectStmt) {
 		for _, c := range splitAnd(j.On) {
 			b, ok := c.(BinExpr)
 			if !ok || b.Op != "=" {
-				return
+				return nil, nil
 			}
 			lc, ok1 := b.L.(ColName)
 			rc, ok2 := b.R.(ColName)
 			if !ok1 || !ok2 {
-				return
+				return nil, nil
 			}
-			la, ra := p.ownerOf(lc), p.ownerOf(rc)
-			if la == "" || ra == "" || la == ra {
-				return
+			la, ra := rs.ownerOf(lc), rs.ownerOf(rc)
+			if la == nil || ra == nil || la == ra {
+				return nil, nil
 			}
 			edges = append(edges, &edge{a: la, b: ra, expr: c})
 		}
 	}
+	inScope := make([]bool, len(rs))
+	connects := func(e *edge, r *relation) bool {
+		return (inScope[e.a.pos] && e.b == r) || (inScope[e.b.pos] && e.a == r)
+	}
 
 	// Pick the probe base: the largest estimate (strictly larger wins, so
 	// equal-size relations keep syntactic order).
-	base := p.order[0]
-	for _, t := range p.order[1:] {
-		if t.est > base.est {
-			base = t
+	base := rs[0]
+	for _, r := range rs[1:] {
+		if r.est > base.est {
+			base = r
 		}
 	}
-	inScope := map[string]bool{base.alias: true}
-	order := []*planTable{base}
-	var remaining []*planTable
-	for _, t := range p.order {
-		if t != base {
-			remaining = append(remaining, t)
+	inScope[base.pos] = true
+	order := relations{base}
+	var remaining relations
+	for _, r := range rs {
+		if r != base {
+			remaining = append(remaining, r)
 		}
 	}
 	for len(remaining) > 0 {
 		pick := -1
-		for i, t := range remaining {
+		for i, r := range remaining {
 			connected := false
 			for _, e := range edges {
-				if (inScope[e.a] && e.b == t.alias) || (inScope[e.b] && e.a == t.alias) {
+				if connects(e, r) {
 					connected = true
 					break
 				}
@@ -318,101 +475,84 @@ func (p *physPlan) reorderJoins(orig *SelectStmt) {
 			if !connected {
 				continue
 			}
-			if pick < 0 || t.est < remaining[pick].est {
+			if pick < 0 || r.est < remaining[pick].est {
 				pick = i
 			}
 		}
 		if pick < 0 {
-			return // disconnected join graph under this base: keep syntactic
+			return nil, nil // disconnected join graph under this base: keep syntactic
 		}
-		t := remaining[pick]
-		inScope[t.alias] = true
-		order = append(order, t)
+		r := remaining[pick]
+		inScope[r.pos] = true
+		order = append(order, r)
 		remaining = append(remaining[:pick:pick], remaining[pick+1:]...)
 	}
 	same := true
-	for i, t := range order {
-		if t != p.order[i] {
+	for i, r := range order {
+		if r != rs[i] {
 			same = false
 			break
 		}
 	}
 	if same {
-		return
+		return nil, nil
 	}
 
-	// Rebuild the join clauses: each relation takes every still-unused ON
+	// Rebuild the join conditions: each relation takes every still-unused ON
 	// edge that connects it to the scope built so far.
-	inScope = map[string]bool{order[0].alias: true}
-	newJoins := make([]JoinClause, 0, len(order)-1)
-	for _, t := range order[1:] {
+	inScope = make([]bool, len(rs))
+	inScope[order[0].pos] = true
+	ons := make([]Expr, 0, len(order)-1)
+	for _, r := range order[1:] {
 		var on []Expr
 		for _, e := range edges {
-			if e.used {
-				continue
-			}
-			if (inScope[e.a] && e.b == t.alias) || (inScope[e.b] && e.a == t.alias) {
+			if !e.used && connects(e, r) {
 				e.used = true
 				on = append(on, e.expr)
 			}
 		}
 		if len(on) == 0 {
-			return
+			return nil, nil
 		}
-		inScope[t.alias] = true
-		newJoins = append(newJoins, JoinClause{Table: t.ref, On: andFold(on)})
+		inScope[r.pos] = true
+		ons = append(ons, andFold(on))
 	}
 	for _, e := range edges {
 		if !e.used {
-			return // an edge never found a home (e.g. redundant predicate)
+			return nil, nil // an edge never found a home (e.g. redundant predicate)
 		}
 	}
-
-	cp := *st
-	cp.From = order[0].ref
-	cp.Joins = newJoins
-	cp.Items = p.expandStar(st.Items)
-	for i := range newJoins {
-		if !strings.EqualFold(aliasOf(newJoins[i].Table), aliasOf(orig.Joins[i].Table)) {
-			p.swaps++
-		}
-	}
-	p.st = &cp
-	p.reordered = true
+	return order, ons
 }
 
 // expandStar rewrites * items into qualified column references in the
-// original syntactic scope order, so a reordered join changes row order at
-// most — never the output columns.
-func (p *physPlan) expandStar(items []SelectItem) []SelectItem {
+// syntactic scope order, so a reordered join changes row order at most —
+// never the output columns.
+func (rs relations) expandStar(items []SelectItem) []SelectItem {
 	out := make([]SelectItem, 0, len(items))
 	for _, it := range items {
 		if !it.Star {
 			out = append(out, it)
 			continue
 		}
-		for _, t := range p.order {
-			for _, f := range t.meta.Schema {
-				out = append(out, SelectItem{Expr: ColName{Table: aliasOf(t.ref), Name: f.Name}})
+		for _, r := range rs {
+			for _, f := range r.meta.Schema {
+				out = append(out, SelectItem{Expr: ColName{Table: aliasOf(r.ref), Name: f.Name}})
 			}
 		}
 	}
 	return out
 }
 
-// choosePushdown splits the WHERE conjunction into conjuncts each scan can
-// evaluate itself and the residual the post-join Filter keeps. SQL's
-// three-valued AND is order-independent, so evaluating a conjunct early
-// never changes which rows survive the full conjunction. A conjunct is
-// pushable when it reads exactly one relation, cannot raise a runtime error,
-// and compiles to a kernel program; conjuncts on non-base relations
-// additionally require every join to be inner (a filtered build side would
-// change LEFT JOIN padding).
-func (p *physPlan) choosePushdown() {
-	st := p.st
-	if st.Where == nil {
-		return
-	}
+// choosePushdown assigns each WHERE conjunct a scan can evaluate itself to
+// that scan's relation (owners[i]); the rest stay in the residual the
+// post-join Filter keeps. SQL's three-valued AND is order-independent, so
+// evaluating a conjunct early never changes which rows survive the full
+// conjunction. A conjunct is pushable when it reads exactly one relation and
+// cannot raise a runtime error; conjuncts on non-base relations additionally
+// require every join to be inner (a filtered build side would change LEFT
+// JOIN padding).
+func (rs relations) choosePushdown(st *SelectStmt, conjuncts []Expr, owners []*relation, base *relation) {
 	allInner := true
 	for _, j := range st.Joins {
 		if j.Left {
@@ -420,37 +560,12 @@ func (p *physPlan) choosePushdown() {
 			break
 		}
 	}
-	baseAlias := strings.ToLower(aliasOf(st.From))
-	var residual []Expr
-	for _, c := range splitAnd(st.Where) {
-		owner := p.conjunctOwner(c)
-		ok := owner != "" && !exprCanError(c) &&
-			(owner == baseAlias || allInner) && p.compilable(c, owner)
-		if !ok {
-			residual = append(residual, c)
-			continue
+	for i, c := range conjuncts {
+		owner := rs.conjunctOwner(c)
+		if owner != nil && !exprCanError(c) && (owner == base || allInner) {
+			owners[i] = owner
 		}
-		p.pushed[owner] = append(p.pushed[owner], c)
-		p.pushedCount++
 	}
-	if p.pushedCount == 0 {
-		return
-	}
-	cp := *st
-	cp.Where = andFold(residual)
-	p.st = &cp
-}
-
-// compilable verifies a conjunct binds and compiles to a Bool kernel program
-// over its relation's schema. Compilation success depends on column types
-// only, so the same program compiles against any projection of the schema
-// that contains the referenced columns. A conjunct that does not compile is
-// not an error here: it stays in the residual WHERE, whose compilation
-// (compileTail) reports the error as the statement's.
-func (p *physPlan) compilable(e Expr, alias string) bool {
-	t := p.tables[alias]
-	prog, err := compile(e, singleTableScope(t.meta.Schema, aliasOf(t.ref)))
-	return err == nil && len(prog.Cols()) > 0 && prog.OutType() == colfile.Bool
 }
 
 func singleTableScope(schema colfile.Schema, alias string) *scope {
@@ -461,54 +576,31 @@ func singleTableScope(schema colfile.Schema, alias string) *scope {
 	return &scope{schema: schema, quals: quals}
 }
 
-// chooseProjection computes, per relation, the set of columns the query
-// actually references (select items, residual and pushed predicates, join
-// keys, grouping, HAVING, ORDER BY). A scan whose referenced set is a strict
-// subset of the schema is projected, so unreferenced columns are never
-// decoded. Unqualified names owned by several relations count for each —
-// over-inclusion is always safe.
-func (p *physPlan) chooseProjection() {
-	st := p.st
-	need := map[string]map[string]bool{}
-	full := map[string]bool{}
+// chooseProjection computes, per relation, the set of columns the statement
+// references (select items, WHERE, join keys, grouping, HAVING, ORDER BY). A
+// scan whose referenced set is a strict subset of the schema is projected, so
+// unreferenced columns are never decoded. Unqualified names owned by several
+// relations count for each — over-inclusion is always safe.
+func (rs relations) chooseProjection(st *SelectStmt) {
+	need := make([]map[string]bool, len(rs))
+	for i := range need {
+		need[i] = map[string]bool{}
+	}
 	addCol := func(c ColName) {
-		mark := func(alias string) {
-			if need[alias] == nil {
-				need[alias] = map[string]bool{}
-			}
-			need[alias][strings.ToLower(c.Name)] = true
-		}
-		if c.Table != "" {
-			a := strings.ToLower(c.Table)
-			if t, ok := p.tables[a]; ok && schemaHas(t.meta.Schema, c.Name) {
-				mark(a)
-			}
-			return
-		}
-		//polaris:nondet mark only inserts into the per-alias need set keyed by the range key; set inserts commute
-		for a, t := range p.tables {
-			if schemaHas(t.meta.Schema, c.Name) {
-				mark(a)
+		for _, r := range rs {
+			if r.has(c) {
+				need[r.pos][strings.ToLower(c.Name)] = true
 			}
 		}
 	}
 	for _, it := range st.Items {
 		if it.Star {
-			for a := range p.tables {
-				full[a] = true
-			}
-			continue
+			return // every column of every relation is output
 		}
 		walkCols(it.Expr, addCol)
 	}
 	if st.Where != nil {
 		walkCols(st.Where, addCol)
-	}
-	//polaris:nondet addCol only accumulates per-alias need/full sets; which conjunct marks a column first is immaterial
-	for _, cs := range p.pushed {
-		for _, c := range cs {
-			walkCols(c, addCol)
-		}
 	}
 	for _, j := range st.Joins {
 		walkCols(j.On, addCol)
@@ -522,40 +614,85 @@ func (p *physPlan) chooseProjection() {
 	for _, o := range st.OrderBy {
 		walkCols(o.Expr, addCol)
 	}
-	//polaris:nondet each iteration writes only scanCols[a] for its own range key; list is rebuilt per alias in schema order
-	for a, t := range p.tables {
-		if full[a] {
-			continue
-		}
-		var list []string
-		for _, f := range t.meta.Schema {
-			if need[a][strings.ToLower(f.Name)] {
-				list = append(list, f.Name)
+	for _, r := range rs {
+		var proj colfile.Schema
+		for _, f := range r.meta.Schema {
+			if need[r.pos][strings.ToLower(f.Name)] {
+				proj = append(proj, f)
 			}
 		}
 		// A query referencing no columns of a relation (SELECT COUNT(*))
 		// still needs one column for row counts.
-		if len(list) == 0 {
-			list = []string{t.meta.Schema[0].Name}
+		if len(proj) == 0 {
+			proj = r.meta.Schema[:1]
 		}
-		if len(list) < len(t.meta.Schema) {
-			p.scanCols[a] = list
+		if len(proj) < len(r.meta.Schema) {
+			r.schema = proj
+			r.cols = make([]string, len(proj))
+			for i, f := range proj {
+				r.cols[i] = f.Name
+			}
 		}
 	}
 }
 
-// colsFor returns the projected scan column list for a relation (nil = all).
-func (p *physPlan) colsFor(ref TableRef) []string {
-	if p == nil {
-		return nil
+// orderKeys resolves the ORDER BY items against the output columns. A bare
+// name is an output column's alias or name; a qualified name matches only an
+// output column that passes through the scope column it names (so t.c is
+// never taken for another relation's c); a literal is an output position.
+func orderKeys(orderBy []OrderItem, items []SelectItem, sc *scope, out colfile.Schema) ([]exec.SortKey, error) {
+	if len(orderBy) == 0 {
+		return nil, nil
 	}
-	return p.scanCols[strings.ToLower(aliasOf(ref))]
-}
-
-// pushedFor returns the conjuncts a relation's scan evaluates.
-func (p *physPlan) pushedFor(ref TableRef) []Expr {
-	if p == nil {
-		return nil
+	// slots[i] is the scope column output column i passes through (-1: computed).
+	var slots []int
+	for _, it := range items {
+		if it.Star {
+			for i := range sc.schema {
+				slots = append(slots, i)
+			}
+			continue
+		}
+		slot := -1
+		if c, ok := it.Expr.(ColName); ok {
+			if i, err := sc.resolve(c); err == nil {
+				slot = i
+			}
+		}
+		slots = append(slots, slot)
 	}
-	return p.pushed[strings.ToLower(aliasOf(ref))]
+	keys := make([]exec.SortKey, 0, len(orderBy))
+	for _, o := range orderBy {
+		c, ok := o.Expr.(ColName)
+		if !ok {
+			if l, isLit := o.Expr.(Lit); isLit {
+				if pos, isInt := l.Val.(int64); isInt && pos >= 1 && int(pos) <= len(out) {
+					keys = append(keys, exec.SortKey{Col: int(pos - 1), Desc: o.Desc})
+					continue
+				}
+			}
+			return nil, errors.New("sql: ORDER BY supports output columns or positions")
+		}
+		idx := -1
+		if c.Table == "" {
+			for i, f := range out {
+				if strings.EqualFold(f.Name, c.Name) {
+					idx = i
+					break
+				}
+			}
+		} else if want, err := sc.resolve(c); err == nil {
+			for i, slot := range slots {
+				if slot == want {
+					idx = i
+					break
+				}
+			}
+		}
+		if idx < 0 {
+			return nil, fmt.Errorf("sql: ORDER BY column %q not in output", displayName(c))
+		}
+		keys = append(keys, exec.SortKey{Col: idx, Desc: o.Desc})
+	}
+	return keys, nil
 }

@@ -11,11 +11,11 @@ func statsFor(t *testing.T, s *Session, table string) *tableStats {
 	t.Helper()
 	tx := engineOf(s).Begin()
 	defer tx.Rollback()
-	ts, err := collectStats(tx, TableRef{Name: table, AsOfSeq: -1})
+	state, meta, err := tx.Snapshot(table, -1)
 	if err != nil {
-		t.Fatalf("collectStats(%s): %v", table, err)
+		t.Fatalf("Snapshot(%s): %v", table, err)
 	}
-	return ts
+	return collectStats(state, meta.Schema)
 }
 
 func TestTableStatsFollowDML(t *testing.T) {
@@ -241,18 +241,72 @@ func TestPlannerWorkCounters(t *testing.T) {
 }
 
 func TestExplainDoesNotExecuteOrCount(t *testing.T) {
-	s := testSession(t)
-	seed(t, s)
-	w := &engineOf(s).Work
-	swaps, pushed := w.BuildSideSwaps.Load(), w.PushedFilters.Load()
-	res := mustExec(t, s, `EXPLAIN SELECT * FROM items WHERE id = 1`)
-	if res.Batch.NumRows() == 0 {
-		t.Fatal("EXPLAIN returned no plan rows")
+	s := seedStability(t)
+	eng := engineOf(s)
+	w := &eng.Work
+	for _, q := range []string{
+		`SELECT * FROM items WHERE id = 1`,
+		`SELECT o.oid, i.name FROM items i JOIN orders o ON o.item_id = i.id WHERE o.qty > 1`,
+	} {
+		swaps, pushed := w.BuildSideSwaps.Load(), w.PushedFilters.Load()
+		files, rows := w.FilesRead.Load(), w.RowsScanned.Load()
+		res := mustExec(t, s, `EXPLAIN `+q)
+		if res.Batch.NumRows() == 0 {
+			t.Fatal("EXPLAIN returned no plan rows")
+		}
+		if cols := res.Batch.Schema; len(cols) != 1 || cols[0].Name != "plan" {
+			t.Fatalf("EXPLAIN schema = %v, want single plan column", cols)
+		}
+		if w.BuildSideSwaps.Load() != swaps || w.PushedFilters.Load() != pushed {
+			t.Fatal("EXPLAIN must not move the planner work counters")
+		}
+		if w.FilesRead.Load() != files || w.RowsScanned.Load() != rows {
+			t.Fatal("EXPLAIN must not read a data file")
+		}
 	}
-	if cols := res.Batch.Schema; len(cols) != 1 || cols[0].Name != "plan" {
-		t.Fatalf("EXPLAIN schema = %v, want single plan column", cols)
+
+	// What EXPLAIN renders is the planned, unopened value: it holds no
+	// morsels and, even under a spilling budget, no spill namespace.
+	st, err := Parse(`SELECT o.oid, i.name FROM items i JOIN orders o ON o.item_id = i.id`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.BuildSideSwaps.Load() != swaps || w.PushedFilters.Load() != pushed {
-		t.Fatal("EXPLAIN must not move the planner work counters")
+	tx := eng.Begin()
+	defer tx.Rollback()
+	tx.SetJoinMemoryBudget(64)
+	p, err := planSelect(tx, st.(*SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.base.ms != nil || p.joins[0].build.ms != nil || p.joins[0].cfg.Store != nil {
+		t.Fatal("planSelect fetched morsels or allocated a spill namespace")
+	}
+}
+
+// TestSelectResolvesEachRelationOnce: the plan holds the snapshot the
+// statement reads, so planning and execution together look each relation up in
+// the snapshot cache once — statistics are folded from, and morsels fetched
+// from, that one resolved state — and EXPLAIN resolves exactly what execution
+// would.
+func TestSelectResolvesEachRelationOnce(t *testing.T) {
+	s := seedStability(t)
+	lookups := func() int64 {
+		hits, misses := engineOf(s).Cache.Stats()
+		return hits + misses
+	}
+	for _, c := range []struct {
+		q         string
+		relations int64
+	}{
+		{`SELECT oid FROM orders WHERE qty > 1`, 1},
+		{`SELECT o.oid, i.name FROM orders o JOIN items i ON o.item_id = i.id`, 2},
+	} {
+		for _, prefix := range []string{"", "EXPLAIN "} {
+			before := lookups()
+			mustExec(t, s, prefix+c.q)
+			if got := lookups() - before; got != c.relations {
+				t.Errorf("%s%s: %d snapshot-cache lookups, want %d (one per relation)", prefix, c.q, got, c.relations)
+			}
+		}
 	}
 }

@@ -461,11 +461,13 @@ func TestAmbiguousColumn(t *testing.T) {
 	}
 }
 
-// TestIllTypedStatementsAreErrors pins compile-or-fail: a statement whose
+// TestIllTypedStatementsAreErrors pins plan-or-fail: a statement whose
 // expression tree has a static type error fails at plan time with
-// exec.Compile's message — on the serial tail, the morsel path and the DAG
-// path alike, and whether or not the table holds a row — and leaves nothing
-// behind. These statements used to reach the scalar fallback, which indexed an
+// exec.Compile's message, and one that names an unknown table or column, joins
+// on a non-equality or orders by a column it does not output with the
+// planner's — at every Parallelism, on the morsel pool and the DAG alike,
+// whether or not the table holds a row, for the statement and for its EXPLAIN
+// — and leaves nothing behind. These statements used to reach the scalar fallback, which indexed an
 // empty Bools slice: a panic, in a pool goroutine at Parallelism > 1.
 func TestIllTypedStatementsAreErrors(t *testing.T) {
 	cases := []struct{ stmt, want string }{
@@ -475,6 +477,12 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 		{`SELECT k + v FROM %s`, "exec: cannot apply + to int64 and string"},
 		{`SELECT k FROM %s WHERE k LIKE 'a'`, "exec: LIKE over int64"},
 		{`SELECT k FROM %s WHERE NOT k LIMIT 1`, "exec: NOT of int64"},
+		{`SELECT k FROM %s WHERE k AND v = 'x'`, "exec: cannot apply AND to int64 and bool"},
+		{`SELECT nosuch FROM %s`, `sql: unknown column "nosuch"`},
+		{`SELECT t.k FROM %s t JOIN nosuch n ON t.k = n.k`, "catalog: table not found: nosuch"},
+		{`SELECT a.k FROM %[1]s a JOIN %[1]s b ON a.k < b.k`, "sql: JOIN ON supports equality conjunctions only"},
+		{`SELECT k FROM %s ORDER BY v`, `sql: ORDER BY column "v" not in output`},
+		{`SELECT k, COUNT(*) FROM %s GROUP BY k ORDER BY v`, `sql: ORDER BY column "v" not in output`},
 		{`DELETE FROM %s WHERE NOT k`, "exec: NOT of int64"},
 		{`DELETE FROM %s WHERE k AND k`, "exec: cannot apply AND to int64 and int64"},
 		{`UPDATE %s SET k = NOT k`, "exec: NOT of int64"},
@@ -506,6 +514,13 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 						q := fmt.Sprintf(c.stmt, table)
 						if _, err := env.sess.Exec(q); err == nil || err.Error() != c.want {
 							t.Errorf("%s: err = %v, want %q", q, err, c.want)
+						}
+						// EXPLAIN renders the plan execution runs, so a SELECT
+						// that cannot be planned has no EXPLAIN either.
+						if strings.HasPrefix(q, "SELECT") {
+							if _, err := env.sess.Exec("EXPLAIN " + q); err == nil || err.Error() != c.want {
+								t.Errorf("EXPLAIN %s: err = %v, want %q", q, err, c.want)
+							}
 						}
 						assertNoSpillLeaks(t, env.store, "after "+q)
 						if got := env.eng.Fabric.LeasedSlots(); got != 0 {

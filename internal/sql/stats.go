@@ -4,7 +4,7 @@ import (
 	"strings"
 
 	"polaris/internal/colfile"
-	"polaris/internal/core"
+	"polaris/internal/manifest"
 )
 
 // tableStats is the planner's view of one table snapshot: the live row count
@@ -25,25 +25,21 @@ type tableStats struct {
 // column sketches. A snapshot containing any file sealed without sketches
 // yields row counts only: partial min/max would silently misestimate ranges,
 // so the fold is all-or-nothing per table.
-func collectStats(tx *core.Txn, ref TableRef) (*tableStats, error) {
-	state, meta, err := tx.Snapshot(ref.Name, ref.AsOfSeq)
-	if err != nil {
-		return nil, err
-	}
+func collectStats(state *manifest.TableState, schema colfile.Schema) *tableStats {
 	ts := &tableStats{rows: state.TotalRows(), cols: map[string]colfile.ColSketch{}}
-	merged := make([]colfile.ColSketch, len(meta.Schema))
+	merged := make([]colfile.ColSketch, len(schema))
 	for _, f := range state.LiveFiles() {
-		if len(f.Sketches) != len(meta.Schema) {
-			return ts, nil // pre-sketch file in the snapshot: rows only
+		if len(f.Sketches) != len(schema) {
+			return ts // pre-sketch file in the snapshot: rows only
 		}
 		for i := range merged {
 			merged[i].Merge(f.Sketches[i])
 		}
 	}
-	for i, fld := range meta.Schema {
+	for i, fld := range schema {
 		ts.cols[strings.ToLower(fld.Name)] = merged[i]
 	}
-	return ts, nil
+	return ts
 }
 
 // colSketch returns the merged sketch for a column (case-insensitive), if
