@@ -72,13 +72,16 @@ bench-json:
 	$(GO) run ./cmd/benchrunner -json $(BENCH_JSON)
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
-# on (join/group keys, ORDER BY keys, spill batch round-trip). The seed
+# on (join/group keys, ORDER BY keys, spill batch round-trip) and of the
+# decoder of the transient batch frame (arbitrary bytes in: a batch or an
+# error, never a panic, never an allocation the input cannot back). The seed
 # corpora already run inside `make test`; this adds a few seconds of
 # coverage-guided search per target on every push.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzAppendKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzAppendSortKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzBatchSpillRoundTrip$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 
 # End-to-end lifecycle gate for the multi-session HTTP front end: boots

@@ -5,13 +5,20 @@
 //
 //   - row groups of column chunks, readable independently and in parallel;
 //   - columnar encodings (plain, dictionary, run-length) plus flate
-//     compression;
+//     compression (the deflate state is pooled and Reset per chunk, which
+//     leaves every byte where a fresh state would put it);
 //   - per-row-group, per-column min/max zone maps for predicate pruning;
 //   - a self-describing footer so a file is usable given only its bytes.
 //
 // Files are write-once: a Writer accumulates row groups and Finish seals the
 // file. Readers never mutate file bytes, which is what makes log-structured
 // storage's "discard on failure" recovery story work.
+//
+// Transient data takes another route: a batch that is spilled or exchanged —
+// written once, read once, deleted inside the statement — is serialized by
+// MarshalBatch as a raw frame closed by a checksum (spill.go), with none of
+// the statistics, encodings, compression or footer a durable file earns back
+// over its lifetime.
 //
 // In-memory, Vec and Batch are also the executor's vectorized currency:
 // batches may carry a transient selection vector (Batch.Sel) between pipeline

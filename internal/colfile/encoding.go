@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Column-chunk encodings. The writer picks automatically: dictionary when a
@@ -17,6 +18,15 @@ const (
 	encPlain byte = iota
 	encDict
 	encRLE
+)
+
+// Deflate state is pooled: a flate.Writer is over a megabyte of tables that
+// NewWriter zeroes, which dwarfs the work of compressing one column chunk of
+// a small file. Reset restores the state NewWriter and NewReader start from,
+// so a chunk's bytes do not depend on what the state compressed before.
+var (
+	flateWriters sync.Pool // *flate.Writer at flate.BestSpeed
+	flateReaders sync.Pool // io.ReadCloser from flate.NewReader; a flate.Resetter
 )
 
 // encodeChunk serializes one column vector to bytes:
@@ -36,10 +46,16 @@ func encodeChunk(v *Vec) ([]byte, error) {
 		encodeRLE(raw, v)
 	}
 	comp := &bytes.Buffer{}
-	fw, err := flate.NewWriter(comp, flate.BestSpeed)
-	if err != nil {
-		return nil, err
+	fw, _ := flateWriters.Get().(*flate.Writer)
+	if fw == nil {
+		var err error
+		if fw, err = flate.NewWriter(comp, flate.BestSpeed); err != nil {
+			return nil, err
+		}
+	} else {
+		fw.Reset(comp)
 	}
+	defer flateWriters.Put(fw)
 	if _, err := fw.Write(raw.Bytes()); err != nil {
 		return nil, err
 	}
@@ -51,8 +67,15 @@ func encodeChunk(v *Vec) ([]byte, error) {
 
 // decodeChunk reverses encodeChunk. n is the row count recorded in the footer.
 func decodeChunk(data []byte, t DataType, n int) (*Vec, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
+	src := bytes.NewReader(data)
+	fr, _ := flateReaders.Get().(io.ReadCloser)
+	if fr == nil {
+		fr = flate.NewReader(src)
+	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, fmt.Errorf("colfile: decompress chunk: %w", err)
+	}
 	raw, err := io.ReadAll(fr)
+	flateReaders.Put(fr)
 	if err != nil {
 		return nil, fmt.Errorf("colfile: decompress chunk: %w", err)
 	}
@@ -111,32 +134,46 @@ func chooseEncoding(v *Vec) byte {
 	return encPlain
 }
 
-func writeNulls(w *bytes.Buffer, v *Vec) {
-	if v.Nulls == nil {
-		w.WriteByte(0)
-		return
-	}
-	any := false
-	for _, b := range v.Nulls {
-		if b {
-			any = true
-			break
+// liveNulls returns a NULL bitmap, or nil when it marks no row: an all-false
+// bitmap and an absent one are the same column, in files and in frames.
+func liveNulls(nulls []bool) []bool {
+	for _, isNull := range nulls {
+		if isNull {
+			return nulls
 		}
 	}
-	if !any {
+	return nil
+}
+
+// appendNullBits appends the bitmap bit-packed, (len+7)/8 bytes.
+func appendNullBits(dst []byte, nulls []bool) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, (len(nulls)+7)/8)...)
+	for i, isNull := range nulls {
+		if isNull {
+			dst[at+i/8] |= 1 << (i % 8)
+		}
+	}
+	return dst
+}
+
+// unpackNullBits reverses appendNullBits for n rows.
+func unpackNullBits(bits []byte, n int) []bool {
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = bits[i/8]&(1<<(i%8)) != 0
+	}
+	return nulls
+}
+
+func writeNulls(w *bytes.Buffer, v *Vec) {
+	nulls := liveNulls(v.Nulls)
+	if nulls == nil {
 		w.WriteByte(0)
 		return
 	}
 	w.WriteByte(1)
-	// bit-packed null bitmap
-	nb := (len(v.Nulls) + 7) / 8
-	bits := make([]byte, nb)
-	for i, isNull := range v.Nulls {
-		if isNull {
-			bits[i/8] |= 1 << (i % 8)
-		}
-	}
-	w.Write(bits)
+	w.Write(appendNullBits(nil, nulls))
 }
 
 func readNulls(r *bytes.Reader, n int) ([]bool, error) {
@@ -147,16 +184,11 @@ func readNulls(r *bytes.Reader, n int) ([]bool, error) {
 	if flag == 0 {
 		return nil, nil
 	}
-	nb := (n + 7) / 8
-	bits := make([]byte, nb)
+	bits := make([]byte, (n+7)/8)
 	if _, err := io.ReadFull(r, bits); err != nil {
 		return nil, fmt.Errorf("colfile: null bitmap: %w", err)
 	}
-	nulls := make([]bool, n)
-	for i := range nulls {
-		nulls[i] = bits[i/8]&(1<<(i%8)) != 0
-	}
-	return nulls, nil
+	return unpackNullBits(bits, n), nil
 }
 
 func encodePlain(w *bytes.Buffer, v *Vec) {

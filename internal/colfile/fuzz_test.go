@@ -261,3 +261,56 @@ func FuzzBatchSpillRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalBatch feeds the frame decoder arbitrary bytes: it returns a
+// batch or an error, never panics, never allocates more than a small multiple
+// of its input (a count is checked against the bytes left before anything is
+// sized by it), and a batch it does return is one MarshalBatch/UnmarshalBatch
+// carry unchanged. The seeds are valid frames, their truncations, and valid
+// frames whose body was mutated and the checksum recomputed — the mutants the
+// fuzzer needs to get past the CRC to the structural checks.
+func FuzzUnmarshalBatch(f *testing.F) {
+	empty := NewBatch(frameBatch().Schema)
+	for _, b := range []*Batch{frameBatch(), empty, NewBatch(Schema{}), frameBatch().Take([]int{2, 4, 9})} {
+		data, err := MarshalBatch(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-1])
+		body := data[:len(data)-frameSumSize]
+		for _, at := range []int{len(frameMagic), len(body) / 3, len(body) / 2, len(body) - 1} {
+			if at < len(body) {
+				mutant := append([]byte(nil), body...)
+				mutant[at] ^= 0x55
+				f.Add(sealFrame(mutant))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out *Batch
+		var err error
+		grew := allocatedBy(func() { out, err = UnmarshalBatch(data) })
+		// A one-byte string costs a 16-byte header plus its copy, a one-bit
+		// NULL a one-byte bool: 32x covers both with room for the schema.
+		if limit := uint64(32*len(data) + 16<<10); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			if out != nil {
+				t.Fatalf("error %v returned with a batch", err)
+			}
+			return
+		}
+		again, err := MarshalBatch(out)
+		if err != nil {
+			t.Fatalf("re-marshal of an accepted frame: %v", err)
+		}
+		back, err := UnmarshalBatch(again)
+		if err != nil {
+			t.Fatalf("re-unmarshal of an accepted frame: %v", err)
+		}
+		sameBatch(t, back, out)
+	})
+}

@@ -68,6 +68,7 @@ type Scan struct {
 
 	fileIdx  int
 	reader   *colfile.Reader
+	opened   *colfile.Reader // files[0], opened by NewScan for its schema; Next starts from it
 	groupIdx int
 	rowBase  uint32 // global row ordinal of current group within current file
 	prepared bool
@@ -86,6 +87,7 @@ func NewScan(files []ScanFile, cols []string, hint *PruneHint, tel *Telemetry) (
 		if err := s.project(r.Schema()); err != nil {
 			return nil, err
 		}
+		s.opened = r
 	}
 	return s, nil
 }
@@ -152,9 +154,13 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 			if s.fileIdx >= len(s.files) {
 				return nil, nil
 			}
-			r, err := colfile.OpenReader(s.files[s.fileIdx].Data)
-			if err != nil {
-				return nil, err
+			r := s.opened
+			s.opened = nil
+			if r == nil {
+				var err error
+				if r, err = colfile.OpenReader(s.files[s.fileIdx].Data); err != nil {
+					return nil, err
+				}
 			}
 			if s.schema == nil {
 				if err := s.project(r.Schema()); err != nil {

@@ -486,3 +486,47 @@ func TestRunIndexedPrefixOuterCancelWakesParkedWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestMorselScanOpensItsFileOnce: SplitMorsels puts one file in a morsel, so
+// a scan that parses its first file's footer once for the schema and again
+// to read it doubles the footer work of nearly every scanned file. Counted in
+// allocations, which repeat exactly: over a wide file read through a one-
+// column projection the footer parse dominates, so NewMorselScan plus the
+// drain must stay under two footer parses.
+func TestMorselScanOpensItsFileOnce(t *testing.T) {
+	schema := make(colfile.Schema, 32)
+	row := make([]any, len(schema))
+	for c := range schema {
+		schema[c] = colfile.Field{Name: fmt.Sprintf("c%02d", c), Type: colfile.Int64}
+		row[c] = int64(c)
+	}
+	file := makeFile(t, schema, [][][]any{{row, row, row}})
+	morsels, err := SplitMorsels([]ScanFile{{Data: file}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(morsels) != 1 {
+		t.Fatalf("%d morsels for one single-group file", len(morsels))
+	}
+	open := testing.AllocsPerRun(20, func() {
+		if _, err := colfile.OpenReader(file); err != nil {
+			t.Fatal(err)
+		}
+	})
+	scan := testing.AllocsPerRun(20, func() {
+		s, err := NewMorselScan(morsels[0], []string{"c07"}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Collect(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.NumRows() != 3 {
+			t.Fatalf("scanned %d rows, want 3", b.NumRows())
+		}
+	})
+	if scan >= 2*open {
+		t.Fatalf("scan + drain made %.0f allocations, opening the file makes %.0f: the footer was parsed twice", scan, open)
+	}
+}

@@ -7,12 +7,14 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"polaris/internal/colfile"
+	"polaris/internal/objectstore"
 )
 
 // buildSideBatch returns a build side over (k INT, tag VARCHAR) with
@@ -497,6 +499,79 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 		}
 		if got, durable := src.Spilled.SpillBytes(), store.TotalBytes(); got != durable {
 			t.Fatalf("frac=%d: after retry SpillBytes = %d, store holds %d bytes (rewrites double-counted?)", frac, got, durable)
+		}
+	}
+}
+
+// flippingStore hands back the flipAt-th Get (1-based) with one bit of one
+// byte inverted, as a store that damaged a spill chunk at rest would.
+type flippingStore struct {
+	SpillStore
+	mu     sync.Mutex
+	gets   int
+	flipAt int
+}
+
+func (f *flippingStore) Get(name string) ([]byte, error) {
+	data, err := f.SpillStore.Get(name)
+	f.mu.Lock()
+	f.gets++
+	hit := f.gets == f.flipAt
+	f.mu.Unlock()
+	if err != nil || !hit {
+		return data, err
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)/2] ^= 0x10
+	return bad, nil
+}
+
+// TestSpilledJoinRejectsCorruptChunk: a spill chunk that comes back from the
+// store with a flipped bit fails the join with the frame's checksum error —
+// wherever in the partition-wise join the read lands — instead of joining
+// damaged rows. The failed call holds nothing: the same build re-probed over
+// a clean store gives the in-memory result, and Cleanup empties the namespace.
+func TestSpilledJoinRejectsCorruptChunk(t *testing.T) {
+	build := buildSideBatch(600)
+	probe := probeSideBatches(400, 4)
+	want := inMemoryReference(t, build, probe, LeftOuterJoin, []int{0}, []int{0})
+	for _, flipAt := range []int{1, 2, 7, 19} {
+		store := objectstore.New()
+		dir := objectstore.NewSpillDir(store, fmt.Sprintf("q%d", flipAt))
+		flip := &flippingStore{SpillStore: dir, flipAt: flipAt}
+		src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, LeftOuterJoin, 2,
+			SpillConfig{Budget: 2048, Store: flip}, nil)
+		if err != nil {
+			t.Fatalf("flipAt=%d: build: %v", flipAt, err)
+		}
+		if src.Spilled == nil {
+			t.Fatalf("flipAt=%d: expected a spilled build", flipAt)
+		}
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
+		if !errors.Is(err, colfile.ErrChecksum) {
+			t.Fatalf("flipAt=%d (%d gets): err = %v, want colfile.ErrChecksum", flipAt, flip.gets, err)
+		}
+		if outs != nil {
+			t.Fatalf("flipAt=%d: a failed join returned %d outputs", flipAt, len(outs))
+		}
+		outs, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
+		if err != nil {
+			t.Fatalf("flipAt=%d: re-probe over the clean store: %v", flipAt, err)
+		}
+		for i, b := range outs {
+			got := emptyRender(probe[i])
+			if b != nil {
+				got = renderSpillBatch(b)
+			}
+			if got != want[i] {
+				t.Fatalf("flipAt=%d: re-probe morsel %d differs from the in-memory join", flipAt, i)
+			}
+		}
+		if err := dir.Cleanup(); err != nil {
+			t.Fatal(err)
+		}
+		if left := store.List(objectstore.SpillPrefix); len(left) != 0 {
+			t.Fatalf("flipAt=%d: %d spill blobs left after Cleanup: %v", flipAt, len(left), left[:min(3, len(left))])
 		}
 	}
 }

@@ -6,7 +6,8 @@ package sql
 // per-morsel scan tasks, one build task per join, a gather barrier per join
 // stage, and per-morsel probe tasks — placed on the read pool with per-node
 // slot placement. Stage outputs cross task boundaries through a query-scoped
-// object-store exchange namespace (the grace-join spill format), so every
+// object-store exchange namespace (colfile's transient batch frame, which the
+// grace-join spill also writes: raw columns closed by a checksum), so every
 // stage is durable and re-runnable: a task lost to a node failure is retried
 // on another node and deterministically rewrites the same exchange files,
 // which is exactly the object-store block semantics the paper's retry story
@@ -68,7 +69,7 @@ func dagOutOf(v any) *dagOut {
 	return &dagOut{}
 }
 
-// dagExchange is the query's task-boundary exchange: a spill-format
+// dagExchange is the query's task-boundary exchange: a batch-frame
 // namespace in the object store plus the cost model for charging simulated
 // remote IO to the task doing the transfer.
 type dagExchange struct {
@@ -128,9 +129,11 @@ func (ex *dagExchange) write(qc *dcp.Ctx, prefix string, b *colfile.Batch) ([]st
 	return names, nil
 }
 
-// read concatenates a stage output's chunks back into one dense batch (nil
-// when the producing morsel had no rows). qc is nil when the FE gathers the
-// final stage — the transfer is then part of the statement, not a task.
+// read returns a stage output as one dense batch (nil when the producing
+// morsel had no rows): the decoded chunk itself when the output is a single
+// chunk — every output under an unlimited join budget — and the chunks
+// concatenated otherwise. qc is nil when the FE gathers the final stage —
+// the transfer is then part of the statement, not a task.
 func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, names []string) (*colfile.Batch, error) {
 	var out *colfile.Batch
 	for _, name := range names {
@@ -147,6 +150,9 @@ func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, names []string) (*
 		chunk, err := colfile.UnmarshalBatch(data)
 		if err != nil {
 			return nil, err
+		}
+		if len(names) == 1 {
+			return chunk, nil
 		}
 		if out == nil {
 			out = colfile.NewBatch(chunk.Schema)
