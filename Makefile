@@ -72,16 +72,19 @@ bench-json:
 	$(GO) run ./cmd/benchrunner -json $(BENCH_JSON)
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
-# on (join/group keys, ORDER BY keys, spill batch round-trip) and of the
-# decoder of the transient batch frame (arbitrary bytes in: a batch or an
-# error, never a panic, never an allocation the input cannot back). The seed
-# corpora already run inside `make test`; this adds a few seconds of
-# coverage-guided search per target on every push.
+# on (join/group keys, ORDER BY keys, spill batch round-trip) and of the two
+# decoders that take bytes from outside the process: the transient batch
+# frame (arbitrary bytes in: a batch or an error, never a panic, never an
+# allocation the input cannot back) and the durable file reader (a reader or
+# an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
+# returns, never panics). The seed corpora already run inside `make test`;
+# this adds a few seconds of coverage-guided search per target on every push.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzAppendKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzAppendSortKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzBatchSpillRoundTrip$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 
 # End-to-end lifecycle gate for the multi-session HTTP front end: boots

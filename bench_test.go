@@ -153,7 +153,7 @@ func BenchmarkParallelScan(b *testing.B) {
 					}
 				}
 			}
-			b.SetBytes(int64(len(files)) * int64(len(files[0].Data)))
+			b.SetBytes(int64(len(files)) * files[0].R.Size())
 			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}

@@ -55,7 +55,7 @@ func AblationConflictGranularity(writers int) []AblationRow {
 		for i, tx := range txs {
 			if _, err := tx.Delete("t", exec.Bin{
 				Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(i)},
-			}); err != nil {
+			}, nil); err != nil {
 				panic(err)
 			}
 		}
@@ -166,7 +166,7 @@ func AblationCompaction() []AblationRow {
 					Kind: exec.OpEq,
 					L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(5)}},
 					R:    exec.Const{Val: k},
-				})
+				}, nil)
 				return err
 			})
 			if err != nil {
@@ -238,7 +238,7 @@ func AblationCoWvsMoR() []AblationRow {
 				Kind: exec.OpEq,
 				L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(100)}},
 				R:    exec.Const{Val: int64(7)},
-			})
+			}, nil)
 			delCost = tx.SimTime() - before
 			return err
 		})

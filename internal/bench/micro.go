@@ -56,7 +56,12 @@ func MicroFiles() ([]exec.ScanFile, int64, error) {
 				d.err = err
 				return
 			}
-			d.files = append(d.files, exec.ScanFile{Data: data})
+			r, err := colfile.OpenReader(data)
+			if err != nil {
+				d.err = err
+				return
+			}
+			d.files = append(d.files, exec.ScanFile{R: r})
 		}
 		d.rows = row
 	})
@@ -67,17 +72,15 @@ func MicroFiles() ([]exec.ScanFile, int64, error) {
 // schema (read from the first file; all files share it). The programs are
 // immutable, so every morsel's operators share them.
 func compileFor(files []exec.ScanFile, exprs ...exec.Expr) (colfile.Schema, []*exec.Prog, error) {
-	r, err := colfile.OpenReader(files[0].Data)
-	if err != nil {
-		return nil, nil, err
-	}
+	schema := files[0].R.Schema()
 	progs := make([]*exec.Prog, len(exprs))
 	for i, e := range exprs {
-		if progs[i], err = exec.Compile(e, r.Schema()); err != nil {
+		var err error
+		if progs[i], err = exec.Compile(e, schema); err != nil {
 			return nil, nil, err
 		}
 	}
-	return r.Schema(), progs, nil
+	return schema, progs, nil
 }
 
 // valBelow is the micro-benchmarks' scan predicate: val < limit.
@@ -100,10 +103,7 @@ func ParallelScanAggregate(files []exec.ScanFile, dop int) (*colfile.Batch, erro
 		{Kind: exec.AggMin, Arg: val, Name: "mn"},
 		{Kind: exec.AggMax, Arg: val, Name: "mx"},
 	}
-	morsels, err := exec.SplitMorsels(files, dop*4)
-	if err != nil {
-		return nil, err
-	}
+	morsels := exec.SplitMorsels(files, dop*4)
 	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
 		s, err := exec.NewMorselScan(m, nil, nil, nil)
 		if err != nil {
@@ -132,10 +132,7 @@ func sortKeys() []exec.SortKey {
 // byte-identical at every DOP.
 func ParallelSort(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	keys := sortKeys()
-	morsels, err := exec.SplitMorsels(files, dop*4)
-	if err != nil {
-		return nil, err
-	}
+	morsels := exec.SplitMorsels(files, dop*4)
 	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
 		s, err := exec.NewMorselScan(m, nil, nil, nil)
 		if err != nil {
@@ -146,11 +143,7 @@ func ParallelSort(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := colfile.OpenReader(files[0].Data)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(exec.NewMergeRuns(r.Schema(), batches, keys, -1))
+	return exec.Collect(exec.NewMergeRuns(files[0].R.Schema(), batches, keys, -1))
 }
 
 // ParallelTopNRows is the bound of the top-N micro-benchmark: the ORDER BY
@@ -162,10 +155,7 @@ const ParallelTopNRows = 100
 // rows) merged with early cutoff — the distributed ORDER BY ... LIMIT plan.
 func ParallelTopN(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	keys := sortKeys()
-	morsels, err := exec.SplitMorsels(files, dop*4)
-	if err != nil {
-		return nil, err
-	}
+	morsels := exec.SplitMorsels(files, dop*4)
 	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
 		s, err := exec.NewMorselScan(m, nil, nil, nil)
 		if err != nil {
@@ -176,11 +166,7 @@ func ParallelTopN(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := colfile.OpenReader(files[0].Data)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(exec.NewMergeRuns(r.Schema(), batches, keys, ParallelTopNRows))
+	return exec.Collect(exec.NewMergeRuns(files[0].R.Schema(), batches, keys, ParallelTopNRows))
 }
 
 // joinBuild lazily builds the join micro-benchmark's shared build side:
@@ -220,10 +206,7 @@ func ParallelJoinProbe(files []exec.ScanFile, table *exec.JoinTable, dop int) (*
 	if err != nil {
 		return nil, err
 	}
-	morsels, err := exec.SplitMorsels(files, dop*4)
-	if err != nil {
-		return nil, err
-	}
+	morsels := exec.SplitMorsels(files, dop*4)
 	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
 		s, err := exec.NewMorselScan(m, nil, nil, nil)
 		if err != nil {
@@ -286,10 +269,7 @@ func ParallelJoinBloom(files []exec.ScanFile, table *exec.JoinTable, dop int, bl
 	if bloom {
 		filter = table.BloomFilter()
 	}
-	morsels, err := exec.SplitMorsels(files, dop*4)
-	if err != nil {
-		return nil, 0, err
-	}
+	morsels := exec.SplitMorsels(files, dop*4)
 	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
 		s, err := exec.NewMorselScan(m, nil, nil, nil)
 		if err != nil {
@@ -300,11 +280,7 @@ func ParallelJoinBloom(files []exec.ScanFile, table *exec.JoinTable, dop int, bl
 	if err != nil {
 		return nil, 0, err
 	}
-	r, err := colfile.OpenReader(files[0].Data)
-	if err != nil {
-		return nil, 0, err
-	}
-	proto := &exec.Probe{In: exec.NewBatchSource(colfile.NewBatch(r.Schema())), Table: table, LeftKeys: []int{1}}
+	proto := &exec.Probe{In: exec.NewBatchSource(colfile.NewBatch(files[0].R.Schema())), Table: table, LeftKeys: []int{1}}
 	out, err := exec.Collect(exec.NewBatchList(proto.Schema(), batches))
 	if err != nil {
 		return nil, 0, err
@@ -362,10 +338,7 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	morsels, err := exec.SplitMorsels(files, dop*4)
-	if err != nil {
-		return nil, err
-	}
+	morsels := exec.SplitMorsels(files, dop*4)
 	probes, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
 		s, err := exec.NewMorselScan(m, nil, nil, nil)
 		if err != nil {

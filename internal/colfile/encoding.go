@@ -88,15 +88,15 @@ func decodeChunk(data []byte, t DataType, n int) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch raw[0] {
-	case encPlain:
+	switch {
+	case raw[0] == encPlain:
 		err = decodePlain(buf, v, n)
-	case encDict:
+	case raw[0] == encDict && t == String:
 		err = decodeDict(buf, v, n)
-	case encRLE:
+	case raw[0] == encRLE && t == Int64:
 		err = decodeRLE(buf, v, n)
 	default:
-		return nil, fmt.Errorf("colfile: unknown encoding %d", raw[0])
+		return nil, fmt.Errorf("colfile: unknown encoding %d of a %s chunk", raw[0], t)
 	}
 	if err != nil {
 		return nil, err
@@ -184,6 +184,9 @@ func readNulls(r *bytes.Reader, n int) ([]bool, error) {
 	if flag == 0 {
 		return nil, nil
 	}
+	if (n+7)/8 > r.Len() {
+		return nil, fmt.Errorf("colfile: null bitmap: %w", io.ErrUnexpectedEOF)
+	}
 	bits := make([]byte, (n+7)/8)
 	if _, err := io.ReadFull(r, bits); err != nil {
 		return nil, fmt.Errorf("colfile: null bitmap: %w", err)
@@ -223,7 +226,31 @@ func encodePlain(w *bytes.Buffer, v *Vec) {
 	}
 }
 
+// readString reads one length-prefixed string; the length is checked against
+// the bytes left before anything is sized by it.
+func readString(r *bytes.Reader) (string, error) {
+	l, err := binary.ReadUvarint(r)
+	if err != nil {
+		return "", err
+	}
+	if l > uint64(r.Len()) {
+		return "", io.ErrUnexpectedEOF
+	}
+	b := make([]byte, l)
+	_, err = io.ReadFull(r, b)
+	return string(b), err
+}
+
 func decodePlain(r *bytes.Reader, v *Vec, n int) error {
+	// Every plain value takes at least one byte (a float eight), so a row
+	// count the chunk cannot back is rejected before it sizes a slice.
+	width := 1
+	if v.Type == Float64 {
+		width = 8
+	}
+	if n > r.Len()/width {
+		return fmt.Errorf("colfile: %d %s values in a %d-byte chunk", n, v.Type, r.Len())
+	}
 	switch v.Type {
 	case Int64:
 		v.Ints = make([]int64, n)
@@ -246,15 +273,11 @@ func decodePlain(r *bytes.Reader, v *Vec, n int) error {
 	case String:
 		v.Strs = make([]string, n)
 		for i := 0; i < n; i++ {
-			l, err := binary.ReadUvarint(r)
+			s, err := readString(r)
 			if err != nil {
-				return fmt.Errorf("colfile: string len %d: %w", i, err)
-			}
-			b := make([]byte, l)
-			if _, err := io.ReadFull(r, b); err != nil {
 				return fmt.Errorf("colfile: string value %d: %w", i, err)
 			}
-			v.Strs[i] = string(b)
+			v.Strs[i] = s
 		}
 	case Bool:
 		v.Bools = make([]bool, n)
@@ -297,17 +320,15 @@ func decodeDict(r *bytes.Reader, v *Vec, n int) error {
 	if err != nil {
 		return fmt.Errorf("colfile: dict size: %w", err)
 	}
+	// An entry and a code take at least one byte each.
+	if dn > uint64(r.Len()) || n > r.Len() {
+		return fmt.Errorf("colfile: %d dict entries and %d codes in a %d-byte chunk", dn, n, r.Len())
+	}
 	dict := make([]string, dn)
 	for i := range dict {
-		l, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("colfile: dict entry len %d: %w", i, err)
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
+		if dict[i], err = readString(r); err != nil {
 			return fmt.Errorf("colfile: dict entry %d: %w", i, err)
 		}
-		dict[i] = string(b)
 	}
 	v.Strs = make([]string, n)
 	for i := 0; i < n; i++ {
@@ -340,7 +361,9 @@ func encodeRLE(w *bytes.Buffer, v *Vec) {
 }
 
 func decodeRLE(r *bytes.Reader, v *Vec, n int) error {
-	v.Ints = make([]int64, 0, n)
+	// A run costs two bytes however long it is, so n is bounded by the
+	// footer alone: grow into it instead of trusting it with one allocation.
+	v.Ints = make([]int64, 0, min(n, 1<<16))
 	for len(v.Ints) < n {
 		val, err := binary.ReadVarint(r)
 		if err != nil {
@@ -350,7 +373,7 @@ func decodeRLE(r *bytes.Reader, v *Vec, n int) error {
 		if err != nil {
 			return fmt.Errorf("colfile: rle run: %w", err)
 		}
-		if run == 0 || len(v.Ints)+int(run) > n {
+		if run == 0 || run > uint64(n-len(v.Ints)) {
 			return fmt.Errorf("colfile: rle run %d overflows %d rows", run, n)
 		}
 		for k := uint64(0); k < run; k++ {

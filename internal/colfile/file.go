@@ -192,13 +192,21 @@ func computeStats(v *Vec) ColStats {
 
 func ptr[T any](x T) *T { v := x; return &v }
 
-// Reader provides random access to a sealed file's row groups.
+// Reader provides random access to a sealed file's row groups. It is
+// immutable after OpenReader returns: every method only reads the footer and
+// the file bytes, so one Reader may be shared by any number of goroutines and
+// kept for as long as the bytes it was opened over (the compute cache keeps
+// it beside them). Slices it hands out — Schema, Sketches — are the footer's
+// own and must not be written to.
 type Reader struct {
 	data []byte
 	meta footer
 }
 
-// OpenReader parses the footer of a sealed file.
+// OpenReader parses and validates the footer of a sealed file. A reader it
+// returns can serve every row group the footer describes: chunk extents lie
+// inside the data region, every group has one chunk per schema column, and
+// row counts are non-negative and sum to the file's.
 func OpenReader(data []byte) (*Reader, error) {
 	if len(data) < 12 || !bytes.Equal(data[len(data)-4:], fileMagic) {
 		return nil, errors.New("colfile: bad magic")
@@ -212,7 +220,47 @@ func OpenReader(data []byte) (*Reader, error) {
 	if err := json.Unmarshal(data[fstart:fstart+flen], &meta); err != nil {
 		return nil, fmt.Errorf("colfile: parse footer: %w", err)
 	}
+	if err := meta.validate(int64(fstart)); err != nil {
+		return nil, err
+	}
 	return &Reader{data: data, meta: meta}, nil
+}
+
+// validate checks the footer against the file it came from; dataEnd is where
+// the chunk region ends and the footer starts.
+func (m *footer) validate(dataEnd int64) error {
+	if len(m.Sketches) != 0 && len(m.Sketches) != len(m.Schema) {
+		return fmt.Errorf("colfile: footer has %d sketches for %d columns", len(m.Sketches), len(m.Schema))
+	}
+	for c, f := range m.Schema {
+		if f.Type > Bool {
+			return fmt.Errorf("colfile: column %d has unknown type %s", c, f.Type)
+		}
+	}
+	var rows int64
+	for g, rg := range m.RowGroups {
+		if rg.NumRows < 0 {
+			return fmt.Errorf("colfile: row group %d has %d rows", g, rg.NumRows)
+		}
+		if len(rg.Chunks) != len(m.Schema) {
+			return fmt.Errorf("colfile: row group %d has %d chunks for %d columns", g, len(rg.Chunks), len(m.Schema))
+		}
+		for c, ch := range rg.Chunks {
+			// Offset ≤ dataEnd first, so the subtraction cannot overflow.
+			if ch.Offset < 0 || ch.Length < 0 || ch.Offset > dataEnd || ch.Length > dataEnd-ch.Offset {
+				return fmt.Errorf("colfile: row group %d column %d chunk out of file bounds", g, c)
+			}
+		}
+		// Row ordinals — deletion vectors, the scan's row base — are 32-bit
+		// (and checking per group keeps the sum from wrapping).
+		if rows += int64(rg.NumRows); rows > math.MaxUint32 {
+			return fmt.Errorf("colfile: more than %d rows", uint32(math.MaxUint32))
+		}
+	}
+	if rows != m.NumRows {
+		return fmt.Errorf("colfile: row groups hold %d rows, footer says %d", rows, m.NumRows)
+	}
+	return nil
 }
 
 // Schema returns the file schema.
@@ -220,6 +268,9 @@ func (r *Reader) Schema() Schema { return r.meta.Schema }
 
 // NumRows returns the total number of rows in the file.
 func (r *Reader) NumRows() int64 { return r.meta.NumRows }
+
+// Size returns the length of the sealed file in bytes.
+func (r *Reader) Size() int64 { return int64(len(r.data)) }
 
 // NumRowGroups returns the number of row groups.
 func (r *Reader) NumRowGroups() int { return len(r.meta.RowGroups) }
@@ -246,10 +297,7 @@ func (r *Reader) ReadColumn(g, c int) (*Vec, error) {
 	if c < 0 || c >= len(rg.Chunks) {
 		return nil, fmt.Errorf("colfile: column %d out of range", c)
 	}
-	ch := rg.Chunks[c]
-	if ch.Offset+ch.Length > int64(len(r.data)) {
-		return nil, errors.New("colfile: chunk out of file bounds")
-	}
+	ch := rg.Chunks[c] // extent validated by OpenReader
 	return decodeChunk(r.data[ch.Offset:ch.Offset+ch.Length], r.meta.Schema[c].Type, rg.NumRows)
 }
 

@@ -10,8 +10,12 @@ package colfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -313,4 +317,171 @@ func FuzzUnmarshalBatch(f *testing.F) {
 		}
 		sameBatch(t, back, out)
 	})
+}
+
+// sealedFile is a small real file — two row groups, every type, NULLs, an
+// RLE and a dictionary chunk — for the reader tests to open and to damage.
+func sealedFile(tb testing.TB) []byte {
+	tb.Helper()
+	schema := Schema{
+		{Name: "k", Type: Int64}, {Name: "v", Type: Float64},
+		{Name: "s", Type: String}, {Name: "b", Type: Bool}, {Name: "run", Type: Int64},
+	}
+	w := NewWriter(schema)
+	w.SetSortedBy("k")
+	for g := 0; g < 2; g++ {
+		b := NewBatch(schema)
+		for r := 0; r < 24; r++ {
+			vals := []any{int64(g*24 + r), float64(r) / 4, []string{"x", "y", "z"}[r%3], r%2 == 0, int64(g)}
+			if r%7 == 3 {
+				vals[1], vals[2] = nil, nil
+			}
+			if err := b.AppendRow(vals...); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := w.WriteBatch(b); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// refooter returns the file with its footer edited: the chunk region is kept
+// and the edited footer re-sealed behind it.
+func refooter(tb testing.TB, data []byte, edit func(*footer)) []byte {
+	tb.Helper()
+	flen := binary.LittleEndian.Uint64(data[len(data)-12:])
+	fstart := len(data) - 12 - int(flen)
+	var meta footer
+	if err := json.Unmarshal(data[fstart:fstart+int(flen)], &meta); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&meta)
+	fj, err := json.Marshal(meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := append([]byte(nil), data[:fstart]...)
+	out = append(out, fj...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(fj)))
+	return append(out, fileMagic...)
+}
+
+// malformedFooters are footers OpenReader used to accept and then could not
+// serve: each opened without error on the parent of the change that added
+// footer validation, and the first three then panicked in ReadColumn, Stats
+// and decodeChunk.
+func malformedFooters(tb testing.TB) map[string][]byte {
+	data := sealedFile(tb)
+	return map[string][]byte{
+		"negative chunk offset":   refooter(tb, data, func(m *footer) { m.RowGroups[0].Chunks[1].Offset = -1 }),
+		"group short of chunks":   refooter(tb, data, func(m *footer) { m.RowGroups[1].Chunks = m.RowGroups[1].Chunks[:2] }),
+		"negative group rows":     refooter(tb, data, func(m *footer) { m.RowGroups[0].NumRows = -24; m.NumRows = 0 }),
+		"negative chunk length":   refooter(tb, data, func(m *footer) { m.RowGroups[0].Chunks[0].Length = -5 }),
+		"chunk past the footer":   refooter(tb, data, func(m *footer) { m.RowGroups[1].Chunks[4].Length += 9 }),
+		"offset+length overflows": refooter(tb, data, func(m *footer) { m.RowGroups[0].Chunks[0].Length = math.MaxInt64 }),
+		"rows do not sum":         refooter(tb, data, func(m *footer) { m.NumRows++ }),
+		"sketches off the schema": refooter(tb, data, func(m *footer) { m.Sketches = m.Sketches[:3] }),
+		"unknown column type":     refooter(tb, data, func(m *footer) { m.Schema[2].Type = 9 }),
+	}
+}
+
+func TestOpenReaderRejectsMalformedFooter(t *testing.T) {
+	if _, err := OpenReader(refooter(t, sealedFile(t), func(*footer) {})); err != nil {
+		t.Fatalf("an unedited footer must re-seal to a file that opens: %v", err)
+	}
+	for name, data := range malformedFooters(t) {
+		if r, err := OpenReader(data); err == nil {
+			t.Errorf("%s: opened (%d rows)", name, r.NumRows())
+		}
+	}
+}
+
+// exerciseReader calls everything a scan, a planner or a compaction calls on
+// an opened reader. None of it may panic, whatever the footer said.
+func exerciseReader(r *Reader) (rows int64, err error) {
+	for g := 0; g < r.NumRowGroups(); g++ {
+		for c := range r.Schema() {
+			_ = r.Stats(g, c)
+			_ = r.PruneInt(g, c, -1, 1)
+			_ = r.PruneStr(g, c, "a", "b")
+		}
+		b, err := r.ReadRowGroup(g, nil)
+		if err != nil {
+			return 0, err
+		}
+		if b.NumRows() != r.RowGroupRows(g) && len(r.Schema()) > 0 {
+			return 0, fmt.Errorf("group %d decoded %d rows, footer says %d", g, b.NumRows(), r.RowGroupRows(g))
+		}
+	}
+	all, err := r.ReadAll()
+	if err != nil {
+		return 0, err
+	}
+	return int64(all.NumRows()), nil
+}
+
+// FuzzOpenReader feeds the file reader arbitrary bytes: OpenReader returns a
+// reader or an error, and on a reader every Stats, PruneInt, ReadRowGroup and
+// ReadAll returns a value or an error — never a panic. The seeds are a real
+// sealed file, its truncations, and the malformed footers above.
+func FuzzOpenReader(f *testing.F) {
+	data := sealedFile(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(data[len(data)/2:])
+	for _, bad := range malformedFooters(f) {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := OpenReader(data)
+		if err != nil {
+			if r != nil {
+				t.Fatalf("error %v returned with a reader", err)
+			}
+			return
+		}
+		// A run-length chunk backs any row count with two bytes, so a footer
+		// can honestly claim more rows than a fuzz iteration should decode.
+		if r.NumRows() > 1<<16 {
+			return
+		}
+		if rows, err := exerciseReader(r); err == nil && rows != r.NumRows() && len(r.Schema()) > 0 {
+			t.Fatalf("decoded %d rows, footer says %d", rows, r.NumRows())
+		}
+	})
+}
+
+// TestReaderSharedAcrossGoroutines pins the Reader's contract — immutable
+// after open — under the race detector: the compute cache hands one reader to
+// every session that scans the file.
+func TestReaderSharedAcrossGoroutines(t *testing.T) {
+	r, err := OpenReader(sealedFile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exerciseReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got, err := exerciseReader(r); err != nil || got != want {
+					t.Errorf("shared reader: %d rows, %v", got, err)
+					return
+				}
+				_, _, _, _ = r.Schema(), r.Sketches(), r.SortedBy(), r.Size()
+			}
+		}()
+	}
+	wg.Wait()
 }

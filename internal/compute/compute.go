@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"polaris/internal/colfile"
 	"polaris/internal/objectstore"
 )
 
@@ -81,7 +82,10 @@ func (c *CostModel) CPU(rows int64) time.Duration {
 // CacheStats counts cache effectiveness per node.
 type CacheStats struct {
 	MemHits, SSDHits, Misses int64
-	BytesFromRemote          int64
+	// FooterParses counts OpenFile calls that had to parse the file's footer
+	// because no parsed reader was cached beside its bytes.
+	FooterParses    int64
+	BytesFromRemote int64
 }
 
 // Node is one compute server: an Execution Service + SQL Server instance in
@@ -146,33 +150,78 @@ func (n *Node) Stats() CacheStats {
 // files (paper Section 4) is what makes this cache trivially coherent: a
 // cached path never changes, so invalidation is never needed.
 func (n *Node) ReadFile(store *objectstore.Store, path string) ([]byte, time.Duration, error) {
-	n.mu.Lock()
-	if data, ok := n.memCache.get(path); ok {
-		n.stats.MemHits++
-		d := n.model.MemRead(int64(len(data)))
-		n.mu.Unlock()
-		return data, d, nil
+	data, _, d, err := n.read(store, path)
+	return data, d, err
+}
+
+// OpenFile is ReadFile for a sealed data file: it returns the file opened for
+// reading. The same immutability extends the cache from the bytes to what is
+// derived from them: the parsed reader is kept on the memory-cache entry
+// beside the bytes it was parsed from and lives exactly as long as they do —
+// eviction, Kill, InvalidateCached and an overwrite drop both — so a file's
+// footer is parsed once per cached copy, however many statements and sessions
+// read it (a colfile.Reader is immutable, so they share it). A file that
+// fails to open is an error on every call; nothing is kept for it.
+func (n *Node) OpenFile(store *objectstore.Store, path string) (*colfile.Reader, time.Duration, error) {
+	data, r, d, err := n.read(store, path)
+	if err != nil || r != nil {
+		return r, d, err
 	}
-	if data, ok := n.ssdCache.get(path); ok {
-		n.stats.SSDHits++
-		n.memCache.put(path, data)
-		d := n.model.SSDRead(int64(len(data)))
+	// Parsed outside the lock, like the remote Get of a miss: openers racing
+	// on a cold entry may each parse, and all leave with the first attached.
+	if r, err = colfile.OpenReader(data); err != nil {
+		return nil, 0, fmt.Errorf("compute: open %s: %w", path, err)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stats.FooterParses++
+	// Attach only to the bytes that were parsed: the entry may have been
+	// evicted or overwritten meanwhile (a sealed file is never empty).
+	if e := n.memCache.entries[path]; e != nil && len(e.data) == len(data) && &e.data[0] == &data[0] {
+		if e.reader != nil {
+			return e.reader, d, nil
+		}
+		e.reader = r
+	}
+	return r, d, nil
+}
+
+// read is the cache walk behind ReadFile and OpenFile; r is the parsed reader
+// cached beside the bytes, nil when there is none yet.
+func (n *Node) read(store *objectstore.Store, path string) (data []byte, r *colfile.Reader, d time.Duration, err error) {
+	n.mu.Lock()
+	if e := n.memCache.get(path); e != nil {
+		n.stats.MemHits++
+		data, r = e.data, e.reader
 		n.mu.Unlock()
-		return data, d, nil
+		return data, r, n.model.MemRead(int64(len(data))), nil
+	}
+	if e := n.ssdCache.get(path); e != nil {
+		n.stats.SSDHits++
+		data = e.data
+		n.memCache.put(path, data)
+		n.mu.Unlock()
+		return data, nil, n.model.SSDRead(int64(len(data))), nil
 	}
 	n.stats.Misses++
 	n.mu.Unlock()
 
-	data, err := store.Get(path)
+	data, err = store.Get(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	n.mu.Lock()
 	n.stats.BytesFromRemote += int64(len(data))
-	n.memCache.put(path, data)
-	n.ssdCache.put(path, data)
+	if e := n.memCache.get(path); e != nil {
+		// A racing miss cached the path first: keep its copy, so that
+		// concurrent cold openers end up sharing one reader.
+		data, r = e.data, e.reader
+	} else {
+		n.memCache.put(path, data)
+		n.ssdCache.put(path, data)
+	}
 	n.mu.Unlock()
-	return data, n.model.RemoteRead(int64(len(data))), nil
+	return data, r, n.model.RemoteRead(int64(len(data))), nil
 }
 
 // WriteFile writes a blob to remote storage (write-through: the new file is
@@ -207,8 +256,13 @@ type lru struct {
 }
 
 type lruEntry struct {
-	key        string
-	data       []byte
+	key  string
+	data []byte
+	// reader is data opened as a sealed colfile (Node.OpenFile); it is
+	// dropped with the entry and whenever data is replaced. The capacity
+	// counts data alone: a parsed footer is small beside the chunks it
+	// describes (for a file of a few dozen rows it is not — about 8 KB).
+	reader     *colfile.Reader
 	prev, next *lruEntry
 }
 
@@ -216,13 +270,14 @@ func newLRU(capacity int64) *lru {
 	return &lru{capacity: capacity, entries: make(map[string]*lruEntry)}
 }
 
-func (l *lru) get(key string) ([]byte, bool) {
+// get returns the entry for key, marking it most recently used; nil on a miss.
+func (l *lru) get(key string) *lruEntry {
 	e, ok := l.entries[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	l.moveToFront(e)
-	return e.data, true
+	return e
 }
 
 func (l *lru) put(key string, data []byte) {
@@ -231,7 +286,7 @@ func (l *lru) put(key string, data []byte) {
 	}
 	if e, ok := l.entries[key]; ok {
 		l.used += int64(len(data)) - int64(len(e.data))
-		e.data = data
+		e.data, e.reader = data, nil
 		l.moveToFront(e)
 	} else {
 		e := &lruEntry{key: key, data: data}

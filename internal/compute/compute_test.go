@@ -2,9 +2,11 @@ package compute
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"polaris/internal/colfile"
 	"polaris/internal/objectstore"
 )
 
@@ -118,17 +120,17 @@ func TestLRUEviction(t *testing.T) {
 	l := newLRU(250)
 	l.put("a", make([]byte, 100))
 	l.put("b", make([]byte, 100))
-	if _, ok := l.get("a"); !ok {
+	if l.get("a") == nil {
 		t.Fatal("a evicted prematurely")
 	}
 	l.put("c", make([]byte, 100)) // must evict b (a was touched)
-	if _, ok := l.get("b"); ok {
+	if l.get("b") != nil {
 		t.Fatal("b should be evicted")
 	}
-	if _, ok := l.get("a"); !ok {
+	if l.get("a") == nil {
 		t.Fatal("a lost")
 	}
-	if _, ok := l.get("c"); !ok {
+	if l.get("c") == nil {
 		t.Fatal("c lost")
 	}
 }
@@ -136,7 +138,7 @@ func TestLRUEviction(t *testing.T) {
 func TestLRUOversizedRejected(t *testing.T) {
 	l := newLRU(10)
 	l.put("big", make([]byte, 100))
-	if _, ok := l.get("big"); ok {
+	if l.get("big") != nil {
 		t.Fatal("oversized entry cached")
 	}
 	if l.used != 0 {
@@ -151,8 +153,8 @@ func TestLRUUpdateSameKey(t *testing.T) {
 	if l.used != 200 {
 		t.Fatalf("used = %d after update", l.used)
 	}
-	got, ok := l.get("k")
-	if !ok || len(got) != 200 {
+	got := l.get("k")
+	if got == nil || len(got.data) != 200 {
 		t.Fatal("update lost")
 	}
 }
@@ -287,4 +289,142 @@ func TestLeaseSlotsBoundsAndRelease(t *testing.T) {
 		t.Fatalf("full-fabric lease granted %d, want 8", l4.Granted())
 	}
 	l4.Release()
+}
+
+// sealed returns a small sealed colfile of n rows.
+func sealed(t *testing.T, n int) []byte {
+	t.Helper()
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}}
+	b := colfile.NewBatch(schema)
+	for i := 0; i < n; i++ {
+		b.Cols[0].AppendInt(int64(i))
+	}
+	w := colfile.NewWriter(schema)
+	if err := w.WriteBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func mustOpenFile(t *testing.T, n *Node, store *objectstore.Store, path string) *colfile.Reader {
+	t.Helper()
+	r, _, err := n.OpenFile(store, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestOpenFileParsesOncePerCachedCopy(t *testing.T) {
+	store := objectstore.New()
+	_ = store.Put("f", sealed(t, 10), 0)
+	n := NewNode(0, 4, 1<<20, 1<<24, DefaultCostModel())
+
+	r1 := mustOpenFile(t, n, store, "f")
+	for i := 0; i < 5; i++ {
+		if r := mustOpenFile(t, n, store, "f"); r != r1 {
+			t.Fatal("a cached file was opened again")
+		}
+	}
+	if st := n.Stats(); st.FooterParses != 1 || st.Misses != 1 || st.MemHits != 5 {
+		t.Fatalf("stats = %+v, want one parse, one miss, five hits", st)
+	}
+	// ReadFile shares the entry and never parses.
+	if _, _, err := n.ReadFile(store, "f"); err != nil || n.Stats().FooterParses != 1 {
+		t.Fatalf("ReadFile: err %v, stats %+v", err, n.Stats())
+	}
+}
+
+func TestOpenFileReaderDiesWithItsBytes(t *testing.T) {
+	store := objectstore.New()
+	f, g := sealed(t, 10), sealed(t, 20)
+	_ = store.Put("f", f, 0)
+	_ = store.Put("g", g, 0)
+	drops := map[string]func(n *Node){
+		// The memory tier fits one of the two files: opening g evicts f,
+		// whose next open is an SSD hit over a fresh copy of the entry.
+		"eviction":   func(n *Node) { mustOpenFile(t, n, store, "g") },
+		"kill":       func(n *Node) { n.Kill(); n.Revive() },
+		"invalidate": func(n *Node) { n.InvalidateCached("f") },
+		"overwrite": func(n *Node) {
+			if _, err := n.WriteFile(store, "f", g, 0); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, drop := range drops {
+		n := NewNode(0, 4, int64(len(g))+10, 1<<24, DefaultCostModel())
+		r1 := mustOpenFile(t, n, store, "f")
+		before := n.Stats().FooterParses
+		drop(n)
+		r2 := mustOpenFile(t, n, store, "f")
+		if r2 == r1 {
+			t.Errorf("%s: the parsed reader outlived the cached bytes", name)
+		}
+		if got := n.Stats().FooterParses - before; got < 1 {
+			t.Errorf("%s: %d parses after the drop, want a re-parse", name, got)
+		}
+		if name == "overwrite" && r2.NumRows() != 20 {
+			t.Errorf("overwrite: reader still serves the old bytes (%d rows)", r2.NumRows())
+		}
+		_ = store.Put("f", f, 0)
+	}
+}
+
+func TestOpenFileErrorIsNeverCached(t *testing.T) {
+	store := objectstore.New()
+	bad := sealed(t, 10)
+	bad[len(bad)-13] = '!' // the footer's closing brace
+	_ = store.Put("bad", bad, 0)
+	n := NewNode(0, 4, 1<<20, 1<<24, DefaultCostModel())
+	for i := 0; i < 3; i++ {
+		if r, _, err := n.OpenFile(store, "bad"); err == nil || r != nil {
+			t.Fatalf("call %d: corrupt file opened (%v, %v)", i, r, err)
+		}
+	}
+	if st := n.Stats(); st.FooterParses != 0 {
+		t.Fatalf("failed opens counted as parses: %+v", st)
+	}
+	// The bytes themselves are still served.
+	if data, _, err := n.ReadFile(store, "bad"); err != nil || len(data) != len(bad) {
+		t.Fatalf("ReadFile of the corrupt blob: %d bytes, %v", len(data), err)
+	}
+}
+
+func TestOpenFileConcurrentOpenersShareOneReader(t *testing.T) {
+	store := objectstore.New()
+	_ = store.Put("f", sealed(t, 100), 0)
+	n := NewNode(0, 4, 1<<20, 1<<24, DefaultCostModel())
+	const openers = 16
+	readers := make([]*colfile.Reader, openers)
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, _, err := n.OpenFile(store, "f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := r.ReadAll(); err != nil {
+				t.Error(err)
+			}
+			readers[i] = r
+		}()
+	}
+	wg.Wait()
+	for i, r := range readers {
+		if r != readers[0] {
+			t.Fatalf("opener %d got its own reader", i)
+		}
+	}
+	before := n.Stats().FooterParses
+	if r := mustOpenFile(t, n, store, "f"); r != readers[0] || n.Stats().FooterParses != before {
+		t.Fatal("the shared reader was not the one kept")
+	}
 }

@@ -153,7 +153,7 @@ func TestPaperSection42Example(t *testing.T) {
 	if _, err := x2.Insert("T1", rowsBatch(t, t1Schema(), []any{"D", int64(4)}, []any{"E", int64(5)})); err != nil {
 		t.Fatal(err)
 	}
-	n, err := x2.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+	n, err := x2.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPaperSection42Example(t *testing.T) {
 	if err := x2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x3.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
+	if _, err := x3.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// X3 still sees its snapshot minus B: 1+3 = 4... wait, snapshot had A,B,C.
@@ -208,7 +208,7 @@ func TestDeleteWithMergedDV(t *testing.T) {
 	// two committed deletes against the same files: the second must merge
 	for _, victim := range []string{"A", "C"} {
 		err := e.AutoCommit(func(tx *Txn) error {
-			n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: victim}})
+			n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: victim}}, nil)
 			if err != nil {
 				return err
 			}
@@ -247,7 +247,7 @@ func TestMultiStatementVisibility(t *testing.T) {
 		t.Fatalf("stmt2 cannot see stmt1: %d", got)
 	}
 	// statement 3 deletes the row inserted by statement 1
-	n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+	n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestUpdateIsDeletePlusInsert(t *testing.T) {
 	err := e.AutoCommit(func(tx *Txn) error {
 		n, err := tx.Update("t1",
 			exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}},
-			map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpMul, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(100)}}})
+			map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpMul, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(100)}}}, nil)
 		if err != nil {
 			return err
 		}
@@ -331,10 +331,10 @@ func TestConcurrentUpdatersConflictAndRetrySucceeds(t *testing.T) {
 	b := e.Begin()
 	delA := exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}
 	delB := exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}
-	if _, err := a.Delete("t1", delA); err != nil {
+	if _, err := a.Delete("t1", delA, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", delB); err != nil {
+	if _, err := b.Delete("t1", delB, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -345,7 +345,7 @@ func TestConcurrentUpdatersConflictAndRetrySucceeds(t *testing.T) {
 	}
 	// paper: the failed transaction is retried and then succeeds
 	err := e.RunWithRetries(3, func(tx *Txn) error {
-		_, err := tx.Delete("t1", delB)
+		_, err := tx.Delete("t1", delB, nil)
 		return err
 	})
 	if err != nil {
@@ -379,10 +379,10 @@ func TestFileGranularityAllowsDisjointFileUpdates(t *testing.T) {
 
 	a := e.Begin()
 	b := e.Begin()
-	if _, err := a.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}); err != nil {
+	if _, err := a.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
+	if _, err := b.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -406,10 +406,10 @@ func TestFileGranularitySameFileConflicts(t *testing.T) {
 	pred := exec.Bin{Kind: exec.OpGe, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(1)}}
 	a := e.Begin()
 	b := e.Begin()
-	if _, err := a.Delete("t1", pred); err != nil {
+	if _, err := a.Delete("t1", pred, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", pred); err != nil {
+	if _, err := b.Delete("t1", pred, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -645,13 +645,13 @@ func TestMultiTableRollbackIsAtomic(t *testing.T) {
 	pred := exec.Bin{Kind: exec.OpGe, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(0)}}
 	txA := e.Begin()
 	txB := e.Begin()
-	if _, err := txA.Delete("a", pred); err != nil {
+	if _, err := txA.Delete("a", pred, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txB.Delete("a", pred); err != nil {
+	if _, err := txB.Delete("a", pred, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txB.Delete("b", pred); err != nil {
+	if _, err := txB.Delete("b", pred, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := txA.Commit(); err != nil {
@@ -706,7 +706,7 @@ func TestStats(t *testing.T) {
 		return err
 	})
 	_ = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
 		return err
 	})
 	tx := e.Begin()
@@ -868,7 +868,7 @@ func TestCopyOnWriteDelete(t *testing.T) {
 		return err
 	})
 	err := e.AutoCommit(func(tx *Txn) error {
-		n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}})
+		n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}, nil)
 		if err != nil {
 			return err
 		}
@@ -895,7 +895,7 @@ func TestCopyOnWriteDelete(t *testing.T) {
 	}
 	// repeated delete on the rewritten file still works
 	err = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
 		return err
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"polaris/internal/catalog"
 	"polaris/internal/colfile"
-	"polaris/internal/deletevector"
 	"polaris/internal/manifest"
 )
 
@@ -61,33 +60,17 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	node := t.writeNode()
 	byPartition := make(map[int]*colfile.Batch)
 	for _, fe := range victims {
-		data, d, err := node.ReadFile(t.eng.Store, fe.Path)
+		sf, _, d, err := t.eng.openLive(node, fe)
 		if err != nil {
 			return res, err
 		}
 		t.charge(d)
-		var dv *deletevector.Vector
-		if fe.DV != "" {
-			dvData, dd, err := node.ReadFile(t.eng.Store, fe.DV)
-			if err != nil {
-				return res, err
-			}
-			t.charge(dd)
-			dv, err = deletevector.Unmarshal(dvData)
-			if err != nil {
-				return res, err
-			}
-		}
-		r, err := colfile.OpenReader(data)
+		all, err := sf.R.ReadAll()
 		if err != nil {
 			return res, err
 		}
-		all, err := r.ReadAll()
-		if err != nil {
-			return res, err
-		}
-		if dv != nil {
-			keep := dv.FilterMask(all.NumRows())
+		if sf.DV != nil {
+			keep := sf.DV.FilterMask(all.NumRows())
 			res.RowsDropped += int64(all.NumRows()) - int64(countTrue(keep))
 			all = all.Filter(keep)
 		}

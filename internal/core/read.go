@@ -131,9 +131,11 @@ func (t *Txn) writeNode() *compute.Node {
 }
 
 // cellFiles holds one scan task's inputs: the files of a disjoint set of
-// cells (a distribution bucket).
+// cells (a distribution bucket). After the fetch phase, opened[i] is files[i]
+// opened for scanning.
 type cellFiles struct {
-	files []*manifest.FileEntry
+	files  []*manifest.FileEntry
+	opened []exec.ScanFile
 }
 
 // partitionCells groups a snapshot's live files into per-distribution cell
@@ -203,21 +205,21 @@ func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts
 // engine-wide modeled work counters. It runs under the statement's context,
 // so a cancelled statement abandons the cells not yet started. Cell file
 // lists are returned in cell order, which fixes the global row order every
-// downstream packaging preserves.
-func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta) ([][]exec.ScanFile, error) {
-	cells := partitionCells(state, t.eng.opts.Distributions)
-
+// downstream packaging preserves; empty cells are dropped.
+func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta) ([]cellFiles, error) {
 	g := dcp.NewGraph()
-	store := t.eng.Store
+	eng := t.eng
 	model := t.eng.Fabric.Model()
 	work := &t.eng.Work
+	var cells []cellFiles
 	var taskIDs []int
-	for i, cell := range cells {
+	for i, cell := range partitionCells(state, t.eng.opts.Distributions) {
 		if len(cell.files) == 0 {
 			continue
 		}
 		cell := cell
 		id := i + 1
+		cells = append(cells, cell)
 		taskIDs = append(taskIDs, id)
 		err := g.Add(&dcp.Task{
 			ID: id, Name: fmt.Sprintf("scan-%s-cell%d", meta.Name, i), Pool: dcp.ReadPool,
@@ -225,30 +227,16 @@ func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta)
 				var files []exec.ScanFile
 				var rows, bytes int64
 				for _, fe := range cell.files {
-					data, d, err := ctx.Node.ReadFile(store, fe.Path)
+					sf, n, d, err := eng.openLive(ctx.Node, fe)
 					if err != nil {
 						return nil, err
 					}
 					ctx.Charge(d)
-					sf := exec.ScanFile{Data: data}
-					if fe.DV != "" {
-						dvData, dd, err := ctx.Node.ReadFile(store, fe.DV)
-						if err != nil {
-							return nil, err
-						}
-						ctx.Charge(dd)
-						dv, err := deletevector.Unmarshal(dvData)
-						if err != nil {
-							return nil, fmt.Errorf("core: corrupt dv %s: %w", fe.DV, err)
-						}
-						sf.DV = dv
-						bytes += int64(len(dvData))
-					}
 					files = append(files, sf)
 					// Merge-on-read scans pay for physical rows: deleted
 					// rows are read and filtered out at scan time (2.1).
 					rows += fe.Rows
-					bytes += int64(len(data))
+					bytes += n
 				}
 				ctx.Charge(model.CPU(rows)) // per-cell scan CPU
 				work.RowsScanned.Add(rows)
@@ -278,11 +266,43 @@ func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta)
 	}
 	t.charge(res.Makespan)
 
-	out := make([][]exec.ScanFile, 0, len(taskIDs))
-	for _, o := range dcp.Gather(res, taskIDs) {
-		out = append(out, o.([]exec.ScanFile))
+	for i, o := range dcp.Gather(res, taskIDs) {
+		cells[i].opened = o.([]exec.ScanFile)
 	}
-	return out, nil
+	return cells, nil
+}
+
+// openLive opens one live data file and its deletion vector (nil when it has
+// none) through node's cache hierarchy: the file comes back as the reader the
+// node keeps beside its cached bytes. It returns the bytes read — file plus
+// vector — and the simulated time the reads take.
+func (e *Engine) openLive(node *compute.Node, fe *manifest.FileEntry) (sf exec.ScanFile, bytes int64, d time.Duration, err error) {
+	if sf.R, d, err = node.OpenFile(e.Store, fe.Path); err != nil {
+		return exec.ScanFile{}, 0, 0, err
+	}
+	bytes = sf.R.Size()
+	if fe.DV != "" {
+		dv, n, dd, err := e.readDV(node, fe.DV)
+		if err != nil {
+			return exec.ScanFile{}, 0, 0, err
+		}
+		sf.DV, bytes, d = dv, bytes+n, d+dd
+	}
+	return sf, bytes, d, nil
+}
+
+// readDV reads and decodes one deletion-vector file through node's cache,
+// returning its size and the simulated time of the read.
+func (e *Engine) readDV(node *compute.Node, path string) (*deletevector.Vector, int64, time.Duration, error) {
+	data, d, err := node.ReadFile(e.Store, path)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("core: read dv %s: %w", path, err)
+	}
+	dv, err := deletevector.Unmarshal(data)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("core: corrupt dv %s: %w", path, err)
+	}
+	return dv, int64(len(data)), d, nil
 }
 
 // MorselScan is the input of a morsel-parallel table read: the snapshot's
@@ -309,24 +329,22 @@ type MorselScan struct {
 // skip the merge phase entirely (MergeAgg{MergeFree: true}) — and the
 // decomposition is independent of the degree of parallelism.
 func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
-	cellFiles, err := t.fetchScanFiles(state, meta)
+	cells, err := t.fetchScanFiles(state, meta)
 	if err != nil {
 		return nil, err
 	}
 	ms := &MorselScan{Schema: meta.Schema, Tel: &exec.Telemetry{}}
 	if want <= 0 {
-		for _, files := range cellFiles {
-			ms.Morsels = append(ms.Morsels, exec.Morsel{Files: files})
+		for _, cell := range cells {
+			ms.Morsels = append(ms.Morsels, exec.Morsel{Files: cell.opened})
 		}
 		return ms, nil
 	}
 	var flat []exec.ScanFile
-	for _, files := range cellFiles {
-		flat = append(flat, files...)
+	for _, cell := range cells {
+		flat = append(flat, cell.opened...)
 	}
-	if ms.Morsels, err = exec.SplitMorsels(flat, want); err != nil {
-		return nil, err
-	}
+	ms.Morsels = exec.SplitMorsels(flat, want)
 	return ms, nil
 }
 

@@ -222,8 +222,10 @@ func sliceCols(b *colfile.Batch, lo, hi int) *colfile.Batch {
 // file already carries a DV (committed or from an earlier statement of this
 // txn), the new DV is the merge, recorded as Remove(old)+Add(merged) (4.2).
 // In copy-on-write mode (2.1) affected files are rewritten without the
-// deleted rows.
-func (t *Txn) Delete(table string, pred exec.Expr) (int64, error) {
+// deleted rows. prune is an optional zone-map range pred implies — every row
+// satisfying pred has prune.Col in [Lo, Hi] — that lets the row finder skip
+// row groups; nil reads them all.
+func (t *Txn) Delete(table string, pred exec.Expr, prune *exec.PruneHint) (int64, error) {
 	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
@@ -241,20 +243,21 @@ func (t *Txn) Delete(table string, pred exec.Expr) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.deleteMatching(state, meta, prog)
-}
-
-// deleteMatching is Delete over an already reconstructed snapshot and an
-// already compiled boolean predicate (Update shares both with its scan).
-func (t *Txn) deleteMatching(state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog) (int64, error) {
-	ts := t.tableState(meta)
-	matched, err := t.matchRows(state, pred)
+	// The finder decodes the predicate's columns and nothing else.
+	found, err := t.findRows(state, meta, prog, prune, false)
 	if err != nil {
 		return 0, err
 	}
+	return t.deleteRows(state, meta, found.ords)
+}
+
+// deleteRows deletes the rows the row finder matched — per data file, their
+// file-global ordinals — from an already reconstructed snapshot.
+func (t *Txn) deleteRows(state *manifest.TableState, meta catalog.TableMeta, matched map[string][]uint32) (int64, error) {
 	if len(matched) == 0 {
 		return 0, nil
 	}
+	ts := t.tableState(meta)
 	if t.eng.opts.Deletes == CopyOnWrite {
 		return t.deleteCopyOnWrite(state, meta, ts, matched)
 	}
@@ -275,15 +278,11 @@ func (t *Txn) deleteMatching(state *manifest.TableState, meta catalog.TableMeta,
 		fe := state.Files[path]
 		merged := deletevector.FromRows(rows)
 		if fe.DV != "" {
-			oldData, d, err := node.ReadFile(t.eng.Store, fe.DV)
+			old, _, d, err := t.eng.readDV(node, fe.DV)
 			if err != nil {
-				return 0, fmt.Errorf("core: read dv %s: %w", fe.DV, err)
+				return 0, err
 			}
 			t.charge(d)
-			old, err := deletevector.Unmarshal(oldData)
-			if err != nil {
-				return 0, fmt.Errorf("core: corrupt dv %s: %w", fe.DV, err)
-			}
 			before := old.Cardinality()
 			merged.Union(old)
 			deleted += int64(merged.Cardinality() - before)
@@ -333,32 +332,19 @@ func (t *Txn) deleteCopyOnWrite(state *manifest.TableState, meta catalog.TableMe
 	sort.Strings(files)
 	for _, path := range files {
 		fe := state.Files[path]
-		data, d, err := node.ReadFile(t.eng.Store, path)
+		sf, _, d, err := t.eng.openLive(node, fe)
 		if err != nil {
 			return 0, err
 		}
 		t.charge(d)
-		r, err := colfile.OpenReader(data)
-		if err != nil {
-			return 0, err
-		}
-		all, err := r.ReadAll()
+		all, err := sf.R.ReadAll()
 		if err != nil {
 			return 0, err
 		}
 		drop := deletevector.FromRows(matched[path])
 		deleted += int64(drop.Cardinality())
-		if fe.DV != "" {
-			dvData, dd, err := node.ReadFile(t.eng.Store, fe.DV)
-			if err != nil {
-				return 0, err
-			}
-			t.charge(dd)
-			old, err := deletevector.Unmarshal(dvData)
-			if err != nil {
-				return 0, err
-			}
-			drop.Union(old)
+		if sf.DV != nil {
+			drop.Union(sf.DV)
 		}
 		survivors := all.Filter(drop.FilterMask(all.NumRows()))
 		newActions = append(newActions, manifest.Action{
@@ -410,60 +396,84 @@ func (t *Txn) deleteCopyOnWrite(state *manifest.TableState, meta catalog.TableMe
 	return deleted, nil
 }
 
-// matchRows evaluates pred over each live file and returns, per file, the
-// matching row ordinals (file-global, DV-adjusted rows excluded). One EvalCtx
-// serves the whole statement, so kernel scratch is reused across row groups.
-// Row groups are read dense (no Sel), so row i is lane i of the result.
-func (t *Txn) matchRows(state *manifest.TableState, pred *exec.Prog) (map[string][]uint32, error) {
-	ctx := pred.NewCtx()
-	out := make(map[string][]uint32)
-	node := t.writeNode()
-	for _, fe := range state.LiveFiles() {
-		data, d, err := node.ReadFile(t.eng.Store, fe.Path)
-		if err != nil {
-			return nil, err
-		}
-		t.charge(d)
-		r, err := colfile.OpenReader(data)
-		if err != nil {
-			return nil, err
-		}
-		var dv *deletevector.Vector
-		if fe.DV != "" {
-			dvData, dd, err := node.ReadFile(t.eng.Store, fe.DV)
-			if err != nil {
-				return nil, err
-			}
-			t.charge(dd)
-			dv, err = deletevector.Unmarshal(dvData)
-			if err != nil {
-				return nil, err
-			}
-		}
-		base := uint32(0)
-		for g := 0; g < r.NumRowGroups(); g++ {
-			batch, err := r.ReadRowGroup(g, nil)
-			if err != nil {
-				return nil, err
-			}
-			pv, err := pred.Run(ctx, batch)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < batch.NumRows(); i++ {
-				ord := base + uint32(i)
-				if dv != nil && dv.Contains(ord) {
-					continue // already deleted
-				}
-				if !pv.IsNull(i) && pv.Bools[i] {
-					out[fe.Path] = append(out[fe.Path], ord)
-				}
-			}
-			base += uint32(batch.NumRows())
-		}
-		t.charge(t.eng.Fabric.Model().CPU(int64(r.NumRows())))
+// foundRows is what the row finder reports: per data file, the ascending
+// file-global ordinals of its matching live rows; the rows themselves, all
+// columns, in the table's global row order (when asked for); and the scan's
+// work counters.
+type foundRows struct {
+	ords map[string][]uint32
+	rows *colfile.Batch
+	tel  exec.Telemetry
+}
+
+// findRows is the row finder behind UPDATE and DELETE: the live rows of a
+// snapshot that satisfy pred, found the way SELECT finds them. The snapshot's
+// files come through the shared fetch (fetchScanFiles), and each cell runs as
+// one exec.Scan with pred pushed into it — deletion-vector-live rows only,
+// the predicate's columns decoded first, the rest only for row groups with a
+// match — under the caller's zone-map range, so the work follows the rows
+// touched rather than the table. Rows a deletion vector already removed are
+// never evaluated; a runtime error on a live row is the statement's error.
+// Without wide the scan is projected to the predicate's columns (DELETE needs
+// ordinals only); with it every column is read and the matching old row
+// versions are returned too (UPDATE computes the new versions from them).
+func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog, prune *exec.PruneHint, wide bool) (*foundRows, error) {
+	cells, err := t.fetchScanFiles(state, meta)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	found := &foundRows{ords: make(map[string][]uint32)}
+	var cols []string // nil = all
+	if wide {
+		found.rows = colfile.NewBatch(meta.Schema)
+	} else {
+		idxs := pred.Cols()
+		if len(idxs) == 0 {
+			idxs = []int{0} // a constant predicate still needs the row counts
+		}
+		for _, c := range idxs {
+			cols = append(cols, meta.Schema[c].Name)
+		}
+		pred = pred.Narrow()
+	}
+	for _, cell := range cells {
+		s, err := exec.NewScan(cell.opened, cols, prune, &found.tel)
+		if err != nil {
+			return nil, err
+		}
+		// A predicate that reads no column (DELETE FROM t, WHERE 1 = 1) is
+		// not pushable: it runs in a Filter over every live row instead.
+		var op exec.Operator = s
+		pushed := s.PushPredicate(pred)
+		if !pushed {
+			op = &exec.Filter{In: s, Pred: pred}
+		}
+		for {
+			b, err := op.Next()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				break
+			}
+			file, ords := s.Ordinals()
+			if !pushed && b.Sel != nil {
+				// The Filter kept some of the scan's dense batch: its
+				// selection indexes the rows Ordinals enumerated.
+				kept := make([]uint32, len(b.Sel))
+				for i, p := range b.Sel {
+					kept[i] = ords[p]
+				}
+				ords = kept
+			}
+			path := cell.files[file].Path
+			found.ords[path] = append(found.ords[path], ords...)
+			if wide {
+				found.rows.AppendBatch(b)
+			}
+		}
+	}
+	return found, nil
 }
 
 // rewriteManifest reconciles the transaction's pending actions with a new
@@ -543,8 +553,9 @@ func reconcileActions(actions []manifest.Action) []manifest.Action {
 
 // Update rewrites matching rows: per the paper, an update is a deletion of
 // the old row versions plus an insertion of the new versions (4.1.1 step 2).
-// set maps column names to expressions evaluated over the old rows.
-func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (int64, error) {
+// set maps column names to expressions evaluated over the old rows; prune is
+// the optional zone-map range of Delete.
+func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr, prune *exec.PruneHint) (int64, error) {
 	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
@@ -554,11 +565,15 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 			return 0, fmt.Errorf("core: unknown column %q in UPDATE", col)
 		}
 	}
-	// Compile the predicate and the new-version expressions before any IO;
-	// the scan below and the delete step share the one compiled predicate.
+	// Compile the predicate and the new-version expressions before any IO.
 	predProg, err := exec.Compile(pred, meta.Schema)
 	if err != nil {
 		return 0, err
+	}
+	if predProg.OutType() != colfile.Bool {
+		// exec.Filter's words, so UPDATE and SELECT reject WHERE k alike —
+		// over an empty table too, where no scan would get to say them.
+		return 0, fmt.Errorf("exec: predicate yields %s, not bool", predProg.OutType())
 	}
 	exprs := make([]*exec.Prog, len(meta.Schema))
 	for i, f := range meta.Schema {
@@ -574,31 +589,25 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 	if err != nil {
 		return 0, err
 	}
-	// Materialize the new versions of matching rows before deleting them.
-	op, _, err := t.scanState(state, meta, ScanOptions{})
+	// One pass finds the matching rows' ordinals and their old versions;
+	// the new versions are materialized before the old ones are deleted.
+	found, err := t.findRows(state, meta, predProg, prune, true)
 	if err != nil {
 		return 0, err
 	}
-	matching, err := exec.Collect(&exec.Filter{In: op, Pred: predProg})
-	if err != nil {
-		return 0, err
-	}
-	if matching.NumRows() == 0 {
+	if found.rows.NumRows() == 0 {
 		return 0, nil
 	}
-	updated := colfile.NewBatch(meta.Schema)
-	proj := &exec.Project{In: exec.NewBatchSource(matching), Exprs: exprs, Names: fieldNames(meta.Schema)}
+	proj := &exec.Project{In: exec.NewBatchSource(found.rows), Exprs: exprs, Names: fieldNames(meta.Schema)}
 	newRows, err := exec.Collect(proj)
 	if err != nil {
 		return 0, err
 	}
-	// Project loses exact schema names/types match; rebuild as table schema.
-	for r := 0; r < newRows.NumRows(); r++ {
-		if err := updated.AppendRow(newRows.Row(r)...); err != nil {
-			return 0, err
-		}
+	updated, err := adoptSchema(newRows, meta.Schema)
+	if err != nil {
+		return 0, err
 	}
-	n, err := t.deleteMatching(state, meta, predProg)
+	n, err := t.deleteRows(state, meta, found.ords)
 	if err != nil {
 		return 0, err
 	}
@@ -607,6 +616,27 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 	}
 	t.tableState(meta).kind = wroteUpdates // insert reset would mark inserts
 	return n, nil
+}
+
+// adoptSchema retypes a projected batch as the table's: a column already of
+// the table's type is adopted as it is; a mismatched one — a NULL literal is
+// typed int64, numeric literals convert — goes value by value through
+// AppendValue, with its conversions and its errors.
+func adoptSchema(b *colfile.Batch, schema colfile.Schema) (*colfile.Batch, error) {
+	out := &colfile.Batch{Schema: schema, Cols: make([]*colfile.Vec, len(schema))}
+	for i, v := range b.Cols {
+		if v.Type == schema[i].Type {
+			out.Cols[i] = v
+			continue
+		}
+		out.Cols[i] = colfile.NewVec(schema[i].Type)
+		for r := 0; r < v.Len(); r++ {
+			if err := out.Cols[i].AppendValue(v.Value(r)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
 func fieldNames(s colfile.Schema) []string {

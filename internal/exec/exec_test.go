@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,16 @@ func progs(t testing.TB, in colfile.Schema, es ...Expr) []*Prog {
 		out[i] = prog(t, in, e)
 	}
 	return out
+}
+
+// mustOpen opens a sealed file for a ScanFile.
+func mustOpen(t testing.TB, data []byte) *colfile.Reader {
+	t.Helper()
+	r, err := colfile.OpenReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func makeFile(t *testing.T, schema colfile.Schema, rowGroups [][][]any) []byte {
@@ -78,7 +89,7 @@ func lineFile(t *testing.T, n int) []byte {
 func TestScanAllRows(t *testing.T) {
 	f := lineFile(t, 100)
 	tel := &Telemetry{}
-	s, err := NewScan([]ScanFile{{Data: f}}, nil, nil, tel)
+	s, err := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +107,7 @@ func TestScanAllRows(t *testing.T) {
 
 func TestScanProjection(t *testing.T) {
 	f := lineFile(t, 10)
-	s, err := NewScan([]ScanFile{{Data: f}}, []string{"price", "id"}, nil, nil)
+	s, err := NewScan([]ScanFile{{R: mustOpen(t, f)}}, []string{"price", "id"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +118,7 @@ func TestScanProjection(t *testing.T) {
 	if out.Cols[1].Ints[3] != 3 {
 		t.Fatalf("id[3] = %d", out.Cols[1].Ints[3])
 	}
-	if _, err := NewScan([]ScanFile{{Data: f}}, []string{"ghost"}, nil, nil); err == nil {
+	if _, err := NewScan([]ScanFile{{R: mustOpen(t, f)}}, []string{"ghost"}, nil, nil); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }
@@ -115,7 +126,7 @@ func TestScanProjection(t *testing.T) {
 func TestScanDeleteVectorFiltering(t *testing.T) {
 	f := lineFile(t, 10)
 	dv := deletevector.FromRows([]uint32{0, 5, 9})
-	s, err := NewScan([]ScanFile{{Data: f, DV: dv}}, []string{"id"}, nil, nil)
+	s, err := NewScan([]ScanFile{{R: mustOpen(t, f), DV: dv}}, []string{"id"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +154,7 @@ func TestScanDVSpansRowGroups(t *testing.T) {
 	}
 	f := makeFile(t, schema, groups)
 	dv := deletevector.FromRows([]uint32{4, 5, 14}) // last of g0, first of g1, last of g2
-	s, _ := NewScan([]ScanFile{{Data: f, DV: dv}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f), DV: dv}}, nil, nil, nil)
 	out, _ := Collect(s)
 	if out.NumRows() != 12 {
 		t.Fatalf("rows = %d", out.NumRows())
@@ -158,7 +169,7 @@ func TestScanDVSpansRowGroups(t *testing.T) {
 func TestScanFullyDeletedFile(t *testing.T) {
 	f := lineFile(t, 4)
 	dv := deletevector.FromRows([]uint32{0, 1, 2, 3})
-	s, _ := NewScan([]ScanFile{{Data: f, DV: dv}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f), DV: dv}}, nil, nil, nil)
 	out, _ := Collect(s)
 	if out.NumRows() != 0 {
 		t.Fatalf("rows = %d", out.NumRows())
@@ -177,7 +188,7 @@ func TestScanZoneMapPruning(t *testing.T) {
 	}
 	f := makeFile(t, schema, groups)
 	tel := &Telemetry{}
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, &PruneHint{Col: "k", Lo: 200, Hi: 209}, tel)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, &PruneHint{Col: "k", Lo: 200, Hi: 209}, tel)
 	out, _ := Collect(s)
 	if out.NumRows() != 10 {
 		t.Fatalf("rows = %d", out.NumRows())
@@ -193,7 +204,7 @@ func TestScanZoneMapPruning(t *testing.T) {
 func TestScanMultipleFiles(t *testing.T) {
 	f1 := lineFile(t, 10)
 	f2 := lineFile(t, 20)
-	s, _ := NewScan([]ScanFile{{Data: f1}, {Data: f2}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f1)}, {R: mustOpen(t, f2)}}, nil, nil, nil)
 	out, _ := Collect(s)
 	if out.NumRows() != 30 {
 		t.Fatalf("rows = %d", out.NumRows())
@@ -202,7 +213,7 @@ func TestScanMultipleFiles(t *testing.T) {
 
 func TestFilterOperator(t *testing.T) {
 	f := lineFile(t, 100)
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	// qty = 3
 	flt := &Filter{In: s, Pred: prog(t, s.Schema(), Bin{Kind: OpEq, L: ColRef{Idx: 1}, R: Const{Val: int64(3)}})}
 	out, err := Collect(flt)
@@ -221,7 +232,7 @@ func TestFilterOperator(t *testing.T) {
 
 func TestFilterComplexPredicate(t *testing.T) {
 	f := lineFile(t, 100)
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	// (id < 50 AND qty >= 5) OR tag = 'tag0'
 	pred := Bin{Kind: OpOr,
 		L: Bin{Kind: OpAnd,
@@ -247,7 +258,7 @@ func TestFilterComplexPredicate(t *testing.T) {
 
 func TestProjectExpressions(t *testing.T) {
 	f := lineFile(t, 5)
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	p := &Project{
 		In: s,
 		Exprs: progs(t, s.Schema(),
@@ -271,7 +282,7 @@ func TestProjectExpressions(t *testing.T) {
 
 func TestLimitAndOffset(t *testing.T) {
 	f := lineFile(t, 100)
-	s, _ := NewScan([]ScanFile{{Data: f}}, []string{"id"}, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, []string{"id"}, nil, nil)
 	out, err := Collect(&Limit{In: s, N: 5, Offset: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +294,7 @@ func TestLimitAndOffset(t *testing.T) {
 
 func TestSortAscDesc(t *testing.T) {
 	f := lineFile(t, 50)
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	srt := &Sort{In: s, Keys: []SortKey{{Col: 1, Desc: true}, {Col: 0, Desc: false}}}
 	out, err := Collect(srt)
 	if err != nil {
@@ -311,8 +322,8 @@ func TestHashJoinInner(t *testing.T) {
 	right := makeFile(t, intSchema("x", "y"), [][][]any{{
 		{int64(2), int64(200)}, {int64(3), int64(300)}, {int64(3), int64(301)}, {int64(4), int64(400)},
 	}})
-	ls, _ := NewScan([]ScanFile{{Data: left}}, nil, nil, nil)
-	rs, _ := NewScan([]ScanFile{{Data: right}}, nil, nil, nil)
+	ls, _ := NewScan([]ScanFile{{R: mustOpen(t, left)}}, nil, nil, nil)
+	rs, _ := NewScan([]ScanFile{{R: mustOpen(t, right)}}, nil, nil, nil)
 	j := &HashJoin{Left: ls, Right: rs, LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin}
 	out, err := Collect(j)
 	if err != nil {
@@ -329,8 +340,8 @@ func TestHashJoinInner(t *testing.T) {
 func TestHashJoinLeftOuter(t *testing.T) {
 	left := makeFile(t, intSchema("a"), [][][]any{{{int64(1)}, {int64(2)}}})
 	right := makeFile(t, intSchema("x"), [][][]any{{{int64(2)}}})
-	ls, _ := NewScan([]ScanFile{{Data: left}}, nil, nil, nil)
-	rs, _ := NewScan([]ScanFile{{Data: right}}, nil, nil, nil)
+	ls, _ := NewScan([]ScanFile{{R: mustOpen(t, left)}}, nil, nil, nil)
+	rs, _ := NewScan([]ScanFile{{R: mustOpen(t, right)}}, nil, nil, nil)
 	j := &HashJoin{Left: ls, Right: rs, LeftKeys: []int{0}, RightKeys: []int{0}, Type: LeftOuterJoin}
 	out, err := Collect(j)
 	if err != nil {
@@ -354,8 +365,8 @@ func TestHashJoinLeftOuter(t *testing.T) {
 func TestHashJoinSemi(t *testing.T) {
 	left := makeFile(t, intSchema("a"), [][][]any{{{int64(1)}, {int64(2)}, {int64(3)}}})
 	right := makeFile(t, intSchema("x"), [][][]any{{{int64(2)}, {int64(2)}, {int64(3)}}})
-	ls, _ := NewScan([]ScanFile{{Data: left}}, nil, nil, nil)
-	rs, _ := NewScan([]ScanFile{{Data: right}}, nil, nil, nil)
+	ls, _ := NewScan([]ScanFile{{R: mustOpen(t, left)}}, nil, nil, nil)
+	rs, _ := NewScan([]ScanFile{{R: mustOpen(t, right)}}, nil, nil, nil)
 	j := &HashJoin{Left: ls, Right: rs, LeftKeys: []int{0}, RightKeys: []int{0}, Type: SemiJoin}
 	out, err := Collect(j)
 	if err != nil {
@@ -389,7 +400,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 
 func TestHashAggGrouped(t *testing.T) {
 	f := lineFile(t, 30) // tags tag0/tag1/tag2, 10 each
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	agg := &HashAgg{
 		In:      s,
 		GroupBy: progs(t, s.Schema(), ColRef{Idx: 3, Name: "tag"}),
@@ -417,7 +428,7 @@ func TestHashAggGrouped(t *testing.T) {
 
 func TestHashAggGlobalEmptyInput(t *testing.T) {
 	f := lineFile(t, 10)
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	// filter everything out, then COUNT(*) must still return one row with 0
 	flt := &Filter{In: s, Pred: prog(t, s.Schema(), Const{Val: false})}
 	agg := &HashAgg{In: flt, Aggs: []AggSpec{
@@ -438,7 +449,7 @@ func TestHashAggGlobalEmptyInput(t *testing.T) {
 
 func TestHashAggSumFloat(t *testing.T) {
 	f := lineFile(t, 4) // price = 0, 1.5, 3, 4.5
-	s, _ := NewScan([]ScanFile{{Data: f}}, nil, nil, nil)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
 	agg := &HashAgg{In: s, Aggs: []AggSpec{{Kind: AggSum, Arg: prog(t, s.Schema(), ColRef{Idx: 2})}}}
 	out, err := Collect(agg)
 	if err != nil {
@@ -452,8 +463,8 @@ func TestHashAggSumFloat(t *testing.T) {
 func TestUnionAll(t *testing.T) {
 	f1 := lineFile(t, 5)
 	f2 := lineFile(t, 7)
-	s1, _ := NewScan([]ScanFile{{Data: f1}}, nil, nil, nil)
-	s2, _ := NewScan([]ScanFile{{Data: f2}}, nil, nil, nil)
+	s1, _ := NewScan([]ScanFile{{R: mustOpen(t, f1)}}, nil, nil, nil)
+	s2, _ := NewScan([]ScanFile{{R: mustOpen(t, f2)}}, nil, nil, nil)
 	out, err := Collect(&UnionAll{Ins: []Operator{s1, s2}})
 	if err != nil {
 		t.Fatal(err)
@@ -659,5 +670,86 @@ func TestPropertySortIsPermutationAndOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanOrdinals: every batch a scan returns can name the file and the
+// file-global ordinals of its rows — with and without a pushed predicate,
+// past a deletion vector, across files, and inside a row-group window.
+func TestScanOrdinals(t *testing.T) {
+	schema := colfile.Schema{{Name: "tag", Type: colfile.String}, {Name: "k", Type: colfile.Int64}}
+	file := func(first int) []byte {
+		var groups [][][]any
+		for g := 0; g < 3; g++ {
+			var rows [][]any
+			for i := 0; i < 5; i++ {
+				rows = append(rows, []any{"x", int64(first + g*5 + i)})
+			}
+			groups = append(groups, rows)
+		}
+		return makeFile(t, schema, groups)
+	}
+	files := []ScanFile{
+		{R: mustOpen(t, file(0)), DV: deletevector.FromRows([]uint32{4, 5, 6})},
+		{R: mustOpen(t, file(100))},
+	}
+	// k is the projection's second column and the file's second: the
+	// narrowed program addresses it as column 0 of a scan projected to k.
+	even, err := Compile(Bin{Kind: OpEq, L: Bin{Kind: OpMod, L: ColRef{Idx: 1}, R: Const{Val: int64(2)}}, R: Const{Val: int64(0)}}, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func(s *Scan) map[int][]uint32 {
+		got := map[int][]uint32{}
+		for {
+			b, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				return got
+			}
+			file, ords := s.Ordinals()
+			if len(ords) != b.NumRows() {
+				t.Fatalf("%d ordinals for a batch of %d rows", len(ords), b.NumRows())
+			}
+			// k equals first + ordinal, so the rows name their own ordinals.
+			kcol := b.Schema.ColIndex("k")
+			for i, o := range ords {
+				if k := b.Cols[kcol].Ints[b.RowIdx(i)]; k != int64(file*100)+int64(o) {
+					t.Fatalf("file %d row %d: ordinal %d for k = %d", file, i, o, k)
+				}
+			}
+			got[file] = append(got[file], ords...)
+		}
+	}
+
+	s, _ := NewScan(files, nil, nil, nil)
+	if got := collect(s); len(got[0]) != 12 || len(got[1]) != 15 || got[0][4] != 7 {
+		t.Fatalf("plain scan ordinals = %v", got)
+	}
+
+	s, _ = NewScan(files, []string{"k"}, nil, nil)
+	if !s.PushPredicate(even.Narrow()) {
+		t.Fatal("narrowed predicate not pushable")
+	}
+	want := map[int][]uint32{0: {0, 2, 8, 10, 12, 14}, 1: {0, 2, 4, 6, 8, 10, 12, 14}}
+	if got := collect(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pushed scan ordinals = %v, want %v", got, want)
+	}
+
+	// The wide scan: the predicate's column is not the leading one.
+	s, _ = NewScan(files, nil, nil, nil)
+	if !s.PushPredicate(even) {
+		t.Fatal("predicate not pushable")
+	}
+	if got := collect(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wide pushed scan ordinals = %v, want %v", got, want)
+	}
+
+	// A windowed morsel starts counting at its window's first row.
+	s, _ = NewMorselScan(Morsel{Files: files[:1], GroupLo: 1, GroupHi: 2}, nil, nil, nil)
+	if got := collect(s); !reflect.DeepEqual(got, map[int][]uint32{0: {7, 8, 9}}) {
+		t.Fatalf("windowed scan ordinals = %v", got)
 	}
 }

@@ -190,10 +190,7 @@ func TestParallelProbeIdenticalAcrossDOP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			morsels, err := SplitMorsels(probeFiles, dop*4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			morsels := SplitMorsels(probeFiles, dop*4)
 			batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
 				s, err := NewMorselScan(m, nil, nil, nil)
 				if err != nil {
@@ -204,7 +201,7 @@ func TestParallelProbeIdenticalAcrossDOP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			proto := &Probe{In: NewBatchSource(colfile.NewBatch(probeFiles[0].schema(t))), Table: table, LeftKeys: []int{1}}
+			proto := &Probe{In: NewBatchSource(colfile.NewBatch(probeFiles[0].R.Schema())), Table: table, LeftKeys: []int{1}}
 			out, err := Collect(NewBatchList(proto.Schema(), batches))
 			if err != nil {
 				t.Fatal(err)

@@ -27,10 +27,13 @@ type Operator interface {
 // DefaultBatchSize is the row-count target per batch.
 const DefaultBatchSize = 4096
 
-// ScanFile is one input to a Scan: a sealed colfile plus its deletion vector.
+// ScanFile is one input to a Scan: a sealed colfile, opened, plus its deletion
+// vector. The reader is immutable and usually shared — the compute cache hands
+// every statement the one it parsed beside the file's cached bytes — so
+// building morsels and scans over a file opens nothing.
 type ScanFile struct {
-	Data []byte
-	DV   *deletevector.Vector // nil when no rows are deleted
+	R  *colfile.Reader
+	DV *deletevector.Vector // nil when no rows are deleted
 }
 
 // PruneHint lets the scan skip row groups using zone maps: row groups whose
@@ -68,10 +71,13 @@ type Scan struct {
 
 	fileIdx  int
 	reader   *colfile.Reader
-	opened   *colfile.Reader // files[0], opened by NewScan for its schema; Next starts from it
 	groupIdx int
 	rowBase  uint32 // global row ordinal of current group within current file
-	prepared bool
+
+	// Where the batch Next last returned came from, for Ordinals.
+	lastFile, lastRows int
+	lastBase           uint32
+	lastSel            []int // the pushed predicate's survivors; nil = every live row of the group
 }
 
 // NewScan builds a scan operator. The schema is taken from the first file;
@@ -80,14 +86,9 @@ type Scan struct {
 func NewScan(files []ScanFile, cols []string, hint *PruneHint, tel *Telemetry) (*Scan, error) {
 	s := &Scan{files: files, cols: cols, hint: hint, tel: tel}
 	if len(files) > 0 {
-		r, err := colfile.OpenReader(files[0].Data)
-		if err != nil {
+		if err := s.project(files[0].R.Schema()); err != nil {
 			return nil, err
 		}
-		if err := s.project(r.Schema()); err != nil {
-			return nil, err
-		}
-		s.opened = r
 	}
 	return s, nil
 }
@@ -123,11 +124,13 @@ func (s *Scan) project(full colfile.Schema) error {
 func (s *Scan) Schema() colfile.Schema { return s.schema }
 
 // PushPredicate attaches a compiled predicate evaluated inside the scan.
-// The Prog must be compiled against the scan's projected schema, return
-// Bool, and be unable to error at runtime (the planner only pushes such
-// conjuncts): a row the predicate rejects is dropped before downstream
-// operators — or the remaining columns — ever see it. Deleted rows are
-// excluded before evaluation, so a pushed predicate cannot observe them.
+// The Prog must be compiled against the scan's projected schema and return
+// Bool: a row the predicate rejects is dropped before downstream operators —
+// or the remaining columns — ever see it. Deleted rows are excluded before
+// evaluation, so a pushed predicate cannot observe them, and a runtime error
+// on a live row is the scan's error, exactly as from a Filter above it. (The
+// planner pushes only conjuncts that cannot raise one, but that is its own
+// rule for reordering conjuncts of a WHERE, not something the scan needs.)
 // Reports whether the predicate was attached (a program reading no columns
 // is refused — constant predicates stay in the Filter above the scan).
 func (s *Scan) PushPredicate(p *Prog) bool {
@@ -154,14 +157,7 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 			if s.fileIdx >= len(s.files) {
 				return nil, nil
 			}
-			r := s.opened
-			s.opened = nil
-			if r == nil {
-				var err error
-				if r, err = colfile.OpenReader(s.files[s.fileIdx].Data); err != nil {
-					return nil, err
-				}
-			}
+			r := s.files[s.fileIdx].R
 			if s.schema == nil {
 				if err := s.project(r.Schema()); err != nil {
 					return nil, err
@@ -179,7 +175,7 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 			// window accounts the file's bytes, keeping totals stable across
 			// degrees of parallelism.
 			if s.tel != nil && s.groupLo == 0 {
-				s.tel.BytesScanned.Add(int64(len(s.files[s.fileIdx].Data)))
+				s.tel.BytesScanned.Add(r.Size())
 			}
 		}
 		end := s.reader.NumRowGroups()
@@ -218,6 +214,7 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 			if batch == nil {
 				continue
 			}
+			s.lastFile, s.lastBase, s.lastRows, s.lastSel = s.fileIdx, base, groupRows, batch.Sel
 			return batch, nil
 		}
 
@@ -248,8 +245,32 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 		if batch.NumRows() == 0 {
 			continue
 		}
+		s.lastFile, s.lastBase, s.lastRows, s.lastSel = s.fileIdx, base, groupRows, nil
 		return batch, nil
 	}
+}
+
+// Ordinals reports where the batch Next last returned came from: the index of
+// its file in the scan's file list and the file-global ordinal of each of its
+// logical rows, in row order — what UPDATE and DELETE record in a deletion
+// vector. A batch never spans row groups, so its rows are one group's live
+// rows, or the pushed predicate's survivors among them.
+func (s *Scan) Ordinals() (file int, ords []uint32) {
+	if s.lastSel != nil {
+		ords = make([]uint32, len(s.lastSel))
+		for i, p := range s.lastSel {
+			ords[i] = s.lastBase + uint32(p)
+		}
+		return s.lastFile, ords
+	}
+	dv := s.files[s.lastFile].DV
+	ords = make([]uint32, 0, s.lastRows)
+	for i := 0; i < s.lastRows; i++ {
+		if o := s.lastBase + uint32(i); dv == nil || !dv.Contains(o) {
+			ords = append(ords, o)
+		}
+	}
+	return s.lastFile, ords
 }
 
 // readGroupPushdown reads row group g under the pushed predicate. Order

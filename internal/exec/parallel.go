@@ -71,29 +71,25 @@ type Morsel struct {
 // large files further split by row group so at least `want` morsels exist
 // when the data allows. The concatenation of all morsels in order preserves
 // the input's global row order exactly.
-func SplitMorsels(files []ScanFile, want int) ([]Morsel, error) {
+func SplitMorsels(files []ScanFile, want int) []Morsel {
 	if want < 1 {
 		want = 1
 	}
 	if len(files) == 0 {
-		return nil, nil
+		return nil
 	}
 	var morsels []Morsel
 	if len(files) >= want {
 		for _, f := range files {
 			morsels = append(morsels, Morsel{Files: []ScanFile{f}})
 		}
-		return morsels, nil
+		return morsels
 	}
 	// Fewer files than wanted workers: split each file into up to
 	// ceil(want/len(files)) row-group windows.
 	per := (want + len(files) - 1) / len(files)
 	for _, f := range files {
-		r, err := colfile.OpenReader(f.Data)
-		if err != nil {
-			return nil, err
-		}
-		groups := r.NumRowGroups()
+		groups := f.R.NumRowGroups()
 		parts := per
 		if parts > groups {
 			parts = groups
@@ -111,7 +107,7 @@ func SplitMorsels(files []ScanFile, want int) ([]Morsel, error) {
 			morsels = append(morsels, Morsel{Files: []ScanFile{f}, GroupLo: lo, GroupHi: hi})
 		}
 	}
-	return morsels, nil
+	return morsels
 }
 
 // NewMorselScan builds a scan over one morsel.

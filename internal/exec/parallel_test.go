@@ -50,7 +50,7 @@ func groupedFiles(t *testing.T, nFiles, rowsPerFile, rowsPerGroup int) []ScanFil
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, ScanFile{Data: data})
+		files = append(files, ScanFile{R: mustOpen(t, data)})
 	}
 	return files
 }
@@ -58,10 +58,7 @@ func groupedFiles(t *testing.T, nFiles, rowsPerFile, rowsPerGroup int) []ScanFil
 func TestSplitMorselsCoversAllRowsInOrder(t *testing.T) {
 	files := groupedFiles(t, 3, 100, 10)
 	for _, want := range []int{1, 4, 8, 100} {
-		morsels, err := SplitMorsels(files, want)
-		if err != nil {
-			t.Fatal(err)
-		}
+		morsels := SplitMorsels(files, want)
 		if want > 3 && len(morsels) <= 3 {
 			t.Fatalf("want=%d produced only %d morsels; files not split by row group", want, len(morsels))
 		}
@@ -92,17 +89,14 @@ func TestSplitMorselsCoversAllRowsInOrder(t *testing.T) {
 
 func TestRunMorselsProjectionIdenticalAcrossDOP(t *testing.T) {
 	files := groupedFiles(t, 4, 200, 32)
-	in := files[0].schema(t)
+	in := files[0].R.Schema()
 	pred := prog(t, in, Bin{Kind: OpLt, L: ColRef{Idx: 2}, R: Const{Val: int64(60)}})
 	exprs := progs(t, in,
 		ColRef{Idx: 0, Name: "id"},
 		Bin{Kind: OpMul, L: ColRef{Idx: 2}, R: Const{Val: int64(3)}},
 	)
 	run := func(dop int) string {
-		morsels, err := SplitMorsels(files, dop*4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		morsels := SplitMorsels(files, dop*4)
 		batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
 			s, err := NewMorselScan(m, nil, nil, nil)
 			if err != nil {
@@ -113,7 +107,7 @@ func TestRunMorselsProjectionIdenticalAcrossDOP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proto := &Project{In: NewBatchSource(colfile.NewBatch(files[0].schema(t))), Exprs: exprs, Names: []string{"id", "v3"}}
+		proto := &Project{In: NewBatchSource(colfile.NewBatch(files[0].R.Schema())), Exprs: exprs, Names: []string{"id", "v3"}}
 		b, err := Collect(NewBatchList(proto.Schema(), batches))
 		if err != nil {
 			t.Fatal(err)
@@ -128,19 +122,9 @@ func TestRunMorselsProjectionIdenticalAcrossDOP(t *testing.T) {
 	}
 }
 
-// schema reads the file's schema (test helper on ScanFile).
-func (f ScanFile) schema(t *testing.T) colfile.Schema {
-	t.Helper()
-	r, err := colfile.OpenReader(f.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.Schema()
-}
-
 func TestPartialMergeAggMatchesSerial(t *testing.T) {
 	files := groupedFiles(t, 4, 250, 25)
-	in := files[0].schema(t)
+	in := files[0].R.Schema()
 	groupBy := progs(t, in, ColRef{Idx: 1, Name: "grp"})
 	c := progs(t, in, ColRef{Idx: 0}, ColRef{Idx: 1}, ColRef{Idx: 2}, ColRef{Idx: 3})
 	aggs := []AggSpec{
@@ -169,10 +153,7 @@ func TestPartialMergeAggMatchesSerial(t *testing.T) {
 	}
 
 	for _, dop := range []int{1, 3, 8} {
-		morsels, err := SplitMorsels(files, dop*4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		morsels := SplitMorsels(files, dop*4)
 		batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
 			s, err := NewMorselScan(m, nil, nil, nil)
 			if err != nil {
@@ -183,7 +164,7 @@ func TestPartialMergeAggMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proto := &HashAgg{In: NewBatchSource(colfile.NewBatch(files[0].schema(t))), GroupBy: groupBy, Aggs: aggs, Partial: true}
+		proto := &HashAgg{In: NewBatchSource(colfile.NewBatch(files[0].R.Schema())), GroupBy: groupBy, Aggs: aggs, Partial: true}
 		merged, err := Collect(&MergeAgg{In: NewBatchList(proto.Schema(), batches), Groups: 1, Aggs: aggs})
 		if err != nil {
 			t.Fatal(err)
@@ -249,12 +230,9 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 
 func TestRunMorselsPropagatesErrors(t *testing.T) {
 	files := groupedFiles(t, 2, 50, 10)
-	morsels, err := SplitMorsels(files, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	morsels := SplitMorsels(files, 8)
 	boom := errors.New("boom")
-	_, err = RunMorsels(morsels, 4, func(m Morsel) (Operator, error) {
+	_, err := RunMorsels(morsels, 4, func(m Morsel) (Operator, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
@@ -501,10 +479,7 @@ func TestMorselScanOpensItsFileOnce(t *testing.T) {
 		row[c] = int64(c)
 	}
 	file := makeFile(t, schema, [][][]any{{row, row, row}})
-	morsels, err := SplitMorsels([]ScanFile{{Data: file}}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	morsels := SplitMorsels([]ScanFile{{R: mustOpen(t, file)}}, 4)
 	if len(morsels) != 1 {
 		t.Fatalf("%d morsels for one single-group file", len(morsels))
 	}

@@ -88,6 +88,26 @@ func (p *Prog) Cols() []int {
 	return out[:n]
 }
 
+// Narrow returns the program re-addressed to a batch that holds only the
+// columns it reads, in Cols() order: input column Cols()[i] becomes column i.
+// A scan projected to exactly a predicate's columns pushes the narrowed
+// program. Kernels and constants are shared with p; only the slot table is
+// copied.
+func (p *Prog) Narrow() *Prog {
+	pos := make(map[int]int)
+	for i, c := range p.Cols() {
+		pos[c] = i
+	}
+	q := *p
+	q.slots = append([]progSlot(nil), p.slots...)
+	for i := range q.slots {
+		if q.slots[i].kind == slotCol {
+			q.slots[i].col = pos[q.slots[i].col]
+		}
+	}
+	return &q
+}
+
 // ColRef reports whether the program is a bare column reference, and which
 // input column it reads. Callers use it to alias the input vector directly
 // instead of copying.

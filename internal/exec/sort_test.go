@@ -392,10 +392,7 @@ func TestParallelSortViaMorselsMatchesSerial(t *testing.T) {
 		}
 		wantStr := renderBatch(t, want)
 		for _, dop := range []int{1, 2, 4, 8} {
-			morsels, err := SplitMorsels(files, dop*4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			morsels := SplitMorsels(files, dop*4)
 			batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
 				s, err := NewMorselScan(m, nil, nil, nil)
 				if err != nil {
@@ -409,7 +406,7 @@ func TestParallelSortViaMorselsMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged, err := Collect(NewMergeRuns(files[0].schema(t), batches, keys, limit))
+			merged, err := Collect(NewMergeRuns(files[0].R.Schema(), batches, keys, limit))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1285,7 +1285,7 @@ func runUpdate(tx *core.Txn, st *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := tx.Update(st.Table, pred, set)
+	n, err := tx.Update(st.Table, pred, set, prunableRange(st.Where, meta, meta.Name))
 	if err != nil {
 		return nil, err
 	}
@@ -1301,7 +1301,7 @@ func runDelete(tx *core.Txn, st *DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := tx.Delete(st.Table, pred)
+	n, err := tx.Delete(st.Table, pred, prunableRange(st.Where, meta, meta.Name))
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestAutoCompactRestoresHealth(t *testing.T) {
 	insertRows(t, e, "t", 0, 200)
 	// delete 60% of rows -> fragmentation beyond threshold
 	if err := e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(120)}})
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(120)}}, nil)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestCompactionPhysicallyDropsDeletedRows(t *testing.T) {
 	createTable(t, e, "t")
 	insertRows(t, e, "t", 0, 100)
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(50)}})
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(50)}}, nil)
 		return err
 	})
 	s.Compact("t")
@@ -190,7 +190,7 @@ func TestCompactionConflictsWithConcurrentUserTxnAndRetries(t *testing.T) {
 	createTable(t, e, "t")
 	insertRows(t, e, "t", 0, 100)
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}})
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}}, nil)
 		return err
 	})
 	// A user transaction commits an update between compaction's snapshot and
@@ -202,7 +202,7 @@ func TestCompactionConflictsWithConcurrentUserTxnAndRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(70)}})
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(70)}}, nil)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestGarbageCollectionRetention(t *testing.T) {
 	// removing commit.
 	setRetention(t, e, "t", 0)
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}})
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}}, nil)
 		return err
 	})
 	s.Compact("t") // logically removes the fragmented originals
@@ -311,7 +311,7 @@ func TestGCCloneSharedLineage(t *testing.T) {
 	}
 	// src compacts away its original files; the clone still references them.
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("src", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(40)}})
+		_, err := tx.Delete("src", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(40)}}, nil)
 		return err
 	})
 	s.Compact("src")
