@@ -77,8 +77,10 @@ bench-json:
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
 # allocation the input cannot back) and the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
-# returns, never panics). The seed corpora already run inside `make test`;
-# this adds a few seconds of coverage-guided search per target on every push.
+# returns, never panics, and ReadColumn memoizes a vector, never an error,
+# billing exactly what it keeps). The seed corpora already run inside
+# `make test`; this adds a few seconds of coverage-guided search per target on
+# every push.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzAppendKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzAppendSortKey$$' -fuzztime 5s ./internal/colfile

@@ -24,9 +24,15 @@ const (
 // NewWriter zeroes, which dwarfs the work of compressing one column chunk of
 // a small file. Reset restores the state NewWriter and NewReader start from,
 // so a chunk's bytes do not depend on what the state compressed before.
+//
+// A chunk is inflated into pooled scratch as well. The scratch goes back to
+// the pool when decodeChunk returns, so nothing a decoder keeps may alias it:
+// numbers and bitmaps are converted into slices of their own, and a string
+// column takes one copy of its region (sliceStrings).
 var (
 	flateWriters sync.Pool // *flate.Writer at flate.BestSpeed
 	flateReaders sync.Pool // io.ReadCloser from flate.NewReader; a flate.Resetter
+	inflateBufs  sync.Pool // *bytes.Buffer
 )
 
 // encodeChunk serializes one column vector to bytes:
@@ -74,27 +80,33 @@ func decodeChunk(data []byte, t DataType, n int) (*Vec, error) {
 	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
 		return nil, fmt.Errorf("colfile: decompress chunk: %w", err)
 	}
-	raw, err := io.ReadAll(fr)
+	buf, _ := inflateBufs.Get().(*bytes.Buffer)
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
+	buf.Reset()
+	defer inflateBufs.Put(buf)
+	_, err := buf.ReadFrom(fr)
 	flateReaders.Put(fr)
 	if err != nil {
 		return nil, fmt.Errorf("colfile: decompress chunk: %w", err)
 	}
+	raw := buf.Bytes()
 	if len(raw) == 0 {
 		return nil, errors.New("colfile: empty chunk")
 	}
-	buf := bytes.NewReader(raw[1:])
 	v := NewVec(t)
-	nulls, err := readNulls(buf, n)
+	nulls, body, err := readNulls(raw[1:], n)
 	if err != nil {
 		return nil, err
 	}
 	switch {
 	case raw[0] == encPlain:
-		err = decodePlain(buf, v, n)
+		err = decodePlain(body, v, n)
 	case raw[0] == encDict && t == String:
-		err = decodeDict(buf, v, n)
+		err = decodeDict(body, v, n)
 	case raw[0] == encRLE && t == Int64:
-		err = decodeRLE(buf, v, n)
+		err = decodeRLE(body, v, n)
 	default:
 		return nil, fmt.Errorf("colfile: unknown encoding %d of a %s chunk", raw[0], t)
 	}
@@ -176,22 +188,19 @@ func writeNulls(w *bytes.Buffer, v *Vec) {
 	w.Write(appendNullBits(nil, nulls))
 }
 
-func readNulls(r *bytes.Reader, n int) ([]bool, error) {
-	flag, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("colfile: null flag: %w", err)
+// readNulls reads a chunk's null section and returns what follows it.
+func readNulls(b []byte, n int) (nulls []bool, rest []byte, err error) {
+	if len(b) == 0 {
+		return nil, nil, fmt.Errorf("colfile: null flag: %w", io.EOF)
 	}
-	if flag == 0 {
-		return nil, nil
+	if b[0] == 0 {
+		return nil, b[1:], nil
 	}
-	if (n+7)/8 > r.Len() {
-		return nil, fmt.Errorf("colfile: null bitmap: %w", io.ErrUnexpectedEOF)
+	b = b[1:]
+	if (n+7)/8 > len(b) {
+		return nil, nil, fmt.Errorf("colfile: null bitmap: %w", io.ErrUnexpectedEOF)
 	}
-	bits := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(r, bits); err != nil {
-		return nil, fmt.Errorf("colfile: null bitmap: %w", err)
-	}
-	return unpackNullBits(bits, n), nil
+	return unpackNullBits(b, n), b[(n+7)/8:], nil
 }
 
 func encodePlain(w *bytes.Buffer, v *Vec) {
@@ -226,67 +235,103 @@ func encodePlain(w *bytes.Buffer, v *Vec) {
 	}
 }
 
-// readString reads one length-prefixed string; the length is checked against
-// the bytes left before anything is sized by it.
-func readString(r *bytes.Reader) (string, error) {
-	l, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
+// errVarintOverflow is encoding/binary's own overflow error, which it does
+// not export.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// varintErr is the error binary.ReadVarint or ReadUvarint would return where
+// binary.Varint or Uvarint, given the left bytes that remain, returned
+// w <= 0: the decoders read slices, and keep the stream readers' errors.
+func varintErr(left, w int) error {
+	switch {
+	case w < 0:
+		return errVarintOverflow
+	case left == 0:
+		return io.EOF
 	}
-	if l > uint64(r.Len()) {
-		return "", io.ErrUnexpectedEOF
-	}
-	b := make([]byte, l)
-	_, err = io.ReadFull(r, b)
-	return string(b), err
+	return io.ErrUnexpectedEOF
 }
 
-func decodePlain(r *bytes.Reader, v *Vec, n int) error {
+// readUvarint reads one uvarint and returns what follows it.
+func readUvarint(b []byte) (uint64, []byte, error) {
+	x, w := binary.Uvarint(b)
+	if w <= 0 {
+		return 0, nil, varintErr(len(b), w)
+	}
+	return x, b[w:], nil
+}
+
+// sliceStrings decodes a run of n length-prefixed strings whose lengths the
+// caller has walked and found inside the run: the run is copied once and the
+// values are sliced from the copy, so a string column costs two allocations
+// however many rows it has and aliases nothing of the buffer it came from.
+func sliceStrings(run []byte, n int) []string {
+	region := string(run)
+	strs := make([]string, n)
+	at := 0
+	for r := range strs {
+		l, w := binary.Uvarint(run[at:])
+		at += w
+		strs[r] = region[at : at+int(l)]
+		at += int(l)
+	}
+	return strs
+}
+
+// readStrings reads n length-prefixed strings and returns what follows them;
+// every length is checked against the bytes left before anything is sized by
+// it. what names the values in the error.
+func readStrings(b []byte, n int, what string) ([]string, []byte, error) {
+	rest := b
+	for i := 0; i < n; i++ {
+		l, after, err := readUvarint(rest)
+		if err == nil && l > uint64(len(after)) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("colfile: %s %d: %w", what, i, err)
+		}
+		rest = after[l:]
+	}
+	return sliceStrings(b[:len(b)-len(rest)], n), rest, nil
+}
+
+func decodePlain(b []byte, v *Vec, n int) error {
 	// Every plain value takes at least one byte (a float eight), so a row
 	// count the chunk cannot back is rejected before it sizes a slice.
 	width := 1
 	if v.Type == Float64 {
 		width = 8
 	}
-	if n > r.Len()/width {
-		return fmt.Errorf("colfile: %d %s values in a %d-byte chunk", n, v.Type, r.Len())
+	if n > len(b)/width {
+		return fmt.Errorf("colfile: %d %s values in a %d-byte chunk", n, v.Type, len(b))
 	}
 	switch v.Type {
 	case Int64:
 		v.Ints = make([]int64, n)
-		for i := 0; i < n; i++ {
-			x, err := binary.ReadVarint(r)
-			if err != nil {
-				return fmt.Errorf("colfile: int64 value %d: %w", i, err)
+		at := 0
+		for i := range v.Ints {
+			x, w := binary.Varint(b[at:])
+			if w <= 0 {
+				return fmt.Errorf("colfile: int64 value %d: %w", i, varintErr(len(b)-at, w))
 			}
 			v.Ints[i] = x
+			at += w
 		}
 	case Float64:
 		v.Floats = make([]float64, n)
-		var tmp [8]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(r, tmp[:]); err != nil {
-				return fmt.Errorf("colfile: float64 value %d: %w", i, err)
-			}
-			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))
+		for i := range v.Floats {
+			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 	case String:
-		v.Strs = make([]string, n)
-		for i := 0; i < n; i++ {
-			s, err := readString(r)
-			if err != nil {
-				return fmt.Errorf("colfile: string value %d: %w", i, err)
-			}
-			v.Strs[i] = s
+		var err error
+		if v.Strs, _, err = readStrings(b, n, "string value"); err != nil {
+			return err
 		}
 	case Bool:
 		v.Bools = make([]bool, n)
-		for i := 0; i < n; i++ {
-			b, err := r.ReadByte()
-			if err != nil {
-				return fmt.Errorf("colfile: bool value %d: %w", i, err)
-			}
-			v.Bools[i] = b != 0
+		for i := range v.Bools {
+			v.Bools[i] = b[i] != 0
 		}
 	}
 	return nil
@@ -315,31 +360,31 @@ func encodeDict(w *bytes.Buffer, v *Vec) {
 	}
 }
 
-func decodeDict(r *bytes.Reader, v *Vec, n int) error {
-	dn, err := binary.ReadUvarint(r)
+func decodeDict(b []byte, v *Vec, n int) error {
+	dn, b, err := readUvarint(b)
 	if err != nil {
 		return fmt.Errorf("colfile: dict size: %w", err)
 	}
 	// An entry and a code take at least one byte each.
-	if dn > uint64(r.Len()) || n > r.Len() {
-		return fmt.Errorf("colfile: %d dict entries and %d codes in a %d-byte chunk", dn, n, r.Len())
+	if dn > uint64(len(b)) || n > len(b) {
+		return fmt.Errorf("colfile: %d dict entries and %d codes in a %d-byte chunk", dn, n, len(b))
 	}
-	dict := make([]string, dn)
-	for i := range dict {
-		if dict[i], err = readString(r); err != nil {
-			return fmt.Errorf("colfile: dict entry %d: %w", i, err)
-		}
+	dict, b, err := readStrings(b, int(dn), "dict entry")
+	if err != nil {
+		return err
 	}
 	v.Strs = make([]string, n)
-	for i := 0; i < n; i++ {
-		idx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("colfile: dict code %d: %w", i, err)
+	at := 0
+	for i := range v.Strs {
+		idx, w := binary.Uvarint(b[at:])
+		if w <= 0 {
+			return fmt.Errorf("colfile: dict code %d: %w", i, varintErr(len(b)-at, w))
 		}
 		if idx >= dn {
 			return fmt.Errorf("colfile: dict code %d out of range", idx)
 		}
 		v.Strs[i] = dict[idx]
+		at += w
 	}
 	return nil
 }
@@ -360,19 +405,22 @@ func encodeRLE(w *bytes.Buffer, v *Vec) {
 	}
 }
 
-func decodeRLE(r *bytes.Reader, v *Vec, n int) error {
+func decodeRLE(b []byte, v *Vec, n int) error {
 	// A run costs two bytes however long it is, so n is bounded by the
 	// footer alone: grow into it instead of trusting it with one allocation.
 	v.Ints = make([]int64, 0, min(n, 1<<16))
+	at := 0
 	for len(v.Ints) < n {
-		val, err := binary.ReadVarint(r)
-		if err != nil {
-			return fmt.Errorf("colfile: rle value: %w", err)
+		val, w := binary.Varint(b[at:])
+		if w <= 0 {
+			return fmt.Errorf("colfile: rle value: %w", varintErr(len(b)-at, w))
 		}
-		run, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("colfile: rle run: %w", err)
+		at += w
+		run, w := binary.Uvarint(b[at:])
+		if w <= 0 {
+			return fmt.Errorf("colfile: rle run: %w", varintErr(len(b)-at, w))
 		}
+		at += w
 		if run == 0 || run > uint64(n-len(v.Ints)) {
 			return fmt.Errorf("colfile: rle run %d overflows %d rows", run, n)
 		}

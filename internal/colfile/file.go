@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // File layout:
@@ -193,14 +194,26 @@ func computeStats(v *Vec) ColStats {
 func ptr[T any](x T) *T { v := x; return &v }
 
 // Reader provides random access to a sealed file's row groups. It is
-// immutable after OpenReader returns: every method only reads the footer and
-// the file bytes, so one Reader may be shared by any number of goroutines and
-// kept for as long as the bytes it was opened over (the compute cache keeps
-// it beside them). Slices it hands out — Schema, Sketches — are the footer's
-// own and must not be written to.
+// logically immutable after OpenReader returns: the footer and the file bytes
+// are only read, and the one thing a method changes — ReadColumn keeping the
+// vector it decoded, behind an atomic pointer — no caller can observe except
+// as speed. One Reader may therefore be shared by any number of goroutines
+// and kept for as long as the bytes it was opened over (the compute cache
+// keeps it beside them, and charges its capacity what Retained reports).
+//
+// Everything a Reader hands out is shared and read-only: Schema and Sketches
+// are the footer's own slices, and the vectors of ReadColumn and ReadRowGroup
+// are the ones every other reader of the file receives. An operator that
+// wants to change a column copies it first (Take, Slice, Filter, AppendBatch
+// and Materialize of a selected batch all do).
 type Reader struct {
 	data []byte
 	meta footer
+	// chunks memoizes ReadColumn, row group major: a file's bytes never
+	// change, so neither does what a chunk decodes to.
+	chunks   []atomic.Pointer[Vec]
+	retained atomic.Int64 // parsed footer + MemSize of every memoized vector
+	decodes  atomic.Int64
 }
 
 // OpenReader parses and validates the footer of a sealed file. A reader it
@@ -223,7 +236,12 @@ func OpenReader(data []byte) (*Reader, error) {
 	if err := meta.validate(int64(fstart)); err != nil {
 		return nil, err
 	}
-	return &Reader{data: data, meta: meta}, nil
+	r := &Reader{data: data, meta: meta, chunks: make([]atomic.Pointer[Vec], len(meta.RowGroups)*len(meta.Schema))}
+	// The parsed footer is charged at its encoded length, which its size in
+	// memory tracks: both are a few dozen bytes a field, zone map and chunk,
+	// and the sketch bitmaps dominate either.
+	r.retained.Store(int64(flen))
+	return r, nil
 }
 
 // validate checks the footer against the file it came from; dataEnd is where
@@ -288,7 +306,21 @@ func (r *Reader) Sketches() []ColSketch { return r.meta.Sketches }
 // Stats returns the zone map for column c of row group g.
 func (r *Reader) Stats(g, c int) ColStats { return r.meta.RowGroups[g].Chunks[c].Stats }
 
-// ReadColumn decodes column c of row group g.
+// Retained estimates the bytes the reader holds beyond the file's own: the
+// parsed footer plus every vector ReadColumn has memoized so far. It only
+// grows, and is what a cache keeping the reader should count against its
+// capacity beside the file bytes.
+func (r *Reader) Retained() int64 { return r.retained.Load() }
+
+// ChunkDecodes counts the column chunks the reader has inflated and decoded:
+// one per chunk read, however often it is read (a few more when first readers
+// race).
+func (r *Reader) ChunkDecodes() int64 { return r.decodes.Load() }
+
+// ReadColumn returns column c of row group g, decoding it on the first call
+// and returning the same vector on every later one. The vector is shared with
+// every other caller and must not be written to. A chunk that fails to decode
+// fails again on the next call: nothing is kept for it.
 func (r *Reader) ReadColumn(g, c int) (*Vec, error) {
 	if g < 0 || g >= len(r.meta.RowGroups) {
 		return nil, fmt.Errorf("colfile: row group %d out of range", g)
@@ -297,12 +329,27 @@ func (r *Reader) ReadColumn(g, c int) (*Vec, error) {
 	if c < 0 || c >= len(rg.Chunks) {
 		return nil, fmt.Errorf("colfile: column %d out of range", c)
 	}
+	memo := &r.chunks[g*len(rg.Chunks)+c]
+	if v := memo.Load(); v != nil {
+		return v, nil
+	}
 	ch := rg.Chunks[c] // extent validated by OpenReader
-	return decodeChunk(r.data[ch.Offset:ch.Offset+ch.Length], r.meta.Schema[c].Type, rg.NumRows)
+	v, err := decodeChunk(r.data[ch.Offset:ch.Offset+ch.Length], r.meta.Schema[c].Type, rg.NumRows)
+	if err != nil {
+		return nil, err
+	}
+	r.decodes.Add(1)
+	// Readers racing on a cold chunk all leave with the first vector stored.
+	if !memo.CompareAndSwap(nil, v) {
+		return memo.Load(), nil
+	}
+	r.retained.Add(v.MemSize())
+	return v, nil
 }
 
-// ReadRowGroup decodes the given columns (all columns when cols is nil) of
-// row group g into a batch whose schema is the projection.
+// ReadRowGroup returns the given columns (all columns when cols is nil) of
+// row group g as a batch whose schema is the projection. The batch is the
+// caller's; its vectors are ReadColumn's, shared and read-only.
 func (r *Reader) ReadRowGroup(g int, cols []int) (*Batch, error) {
 	if cols == nil {
 		cols = make([]int, len(r.meta.Schema))
@@ -326,7 +373,8 @@ func (r *Reader) ReadRowGroup(g int, cols []int) (*Batch, error) {
 	return &Batch{Schema: schema, Cols: vecs}, nil
 }
 
-// ReadAll decodes the whole file into one batch (all row groups, all columns).
+// ReadAll copies the whole file into one batch (all row groups, all columns)
+// that is the caller's to change.
 func (r *Reader) ReadAll() (*Batch, error) {
 	out := NewBatch(r.meta.Schema)
 	for g := 0; g < r.NumRowGroups(); g++ {

@@ -10,9 +10,11 @@ package colfile
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -426,15 +428,80 @@ func exerciseReader(r *Reader) (rows int64, err error) {
 	return int64(all.NumRows()), nil
 }
 
+// damagedChunks returns the sealed file with the first bytes of one column
+// chunk overwritten: it opens, and that chunk fails to decode.
+func damagedChunks(tb testing.TB) []byte {
+	data := append([]byte(nil), sealedFile(tb)...)
+	r, err := OpenReader(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	copy(data[r.meta.RowGroups[1].Chunks[2].Offset:], "\xff\xff\xff\xff")
+	return data
+}
+
+// checkMemo reads every chunk of a cold or warm reader twice and checks what
+// ReadColumn memoizes: a vector is the identical pointer the second time, an
+// error is the same error again with nothing kept for it, and Retained is
+// exactly the footer plus the MemSize of the vectors returned — nothing
+// billed twice, nothing billed for a failed decode.
+//
+// How much a reader can come to retain is bounded per chunk, against the
+// bytes the chunk inflates to: a plain value costs at least one inflated byte
+// and at most 17 of MemSize (an empty string and its NULL flag), so a plain
+// chunk retains under 32x what it inflates to. The other two encodings back
+// any amount with a few bytes and are exempt: a run-length chunk spends two
+// bytes on a run of any length (the case ROADMAP records: a hostile footer
+// can ask for 2^32 rows), and a dictionary chunk's rows share their entry's
+// bytes while MemSize counts them per row. Before this reader memoized, such
+// a vector was garbage as soon as the statement ended; now it is retained for
+// as long as the file is cached, which is why it is charged to the cache that
+// keeps it (compute's lru evicts an entry that outgrows it). The file's own
+// length bounds none of this — deflate shrinks a chunk of zeros a
+// thousandfold, and nothing stops two footer entries naming one extent.
+func checkMemo(t *testing.T, r *Reader, footerLen int) {
+	t.Helper()
+	want := int64(footerLen)
+	for g := 0; g < r.NumRowGroups(); g++ {
+		for c := range r.Schema() {
+			v, err := r.ReadColumn(g, c)
+			again, errAgain := r.ReadColumn(g, c)
+			if err != nil {
+				if v != nil || again != nil || errAgain == nil || errAgain.Error() != err.Error() {
+					t.Fatalf("chunk %d/%d: %v, then (%v, %v)", g, c, err, again, errAgain)
+				}
+				continue
+			}
+			if again != v || errAgain != nil {
+				t.Fatalf("chunk %d/%d: second read returned another vector (%v)", g, c, errAgain)
+			}
+			want += v.MemSize()
+			ch := r.meta.RowGroups[g].Chunks[c]
+			raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(r.data[ch.Offset : ch.Offset+ch.Length])))
+			if err != nil {
+				t.Fatalf("chunk %d/%d decoded but does not inflate: %v", g, c, err)
+			}
+			if raw[0] == encPlain && v.MemSize() > int64(32*len(raw)) {
+				t.Fatalf("chunk %d/%d: %d inflated bytes retained as %d", g, c, len(raw), v.MemSize())
+			}
+		}
+	}
+	if got := r.Retained(); got != want {
+		t.Fatalf("reader reports %d bytes retained, footer and vectors sum to %d", got, want)
+	}
+}
+
 // FuzzOpenReader feeds the file reader arbitrary bytes: OpenReader returns a
 // reader or an error, and on a reader every Stats, PruneInt, ReadRowGroup and
-// ReadAll returns a value or an error — never a panic. The seeds are a real
-// sealed file, its truncations, and the malformed footers above.
+// ReadAll returns a value or an error — never a panic — and ReadColumn
+// memoizes what checkMemo says. The seeds are a real sealed file, its
+// truncations, a damaged chunk, and the malformed footers above.
 func FuzzOpenReader(f *testing.F) {
 	data := sealedFile(f)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add(data[len(data)/2:])
+	f.Add(damagedChunks(f))
 	for _, bad := range malformedFooters(f) {
 		f.Add(bad)
 	}
@@ -451,25 +518,53 @@ func FuzzOpenReader(f *testing.F) {
 		if r.NumRows() > 1<<16 {
 			return
 		}
+		checkMemo(t, r, int(binary.LittleEndian.Uint64(data[len(data)-12:])))
 		if rows, err := exerciseReader(r); err == nil && rows != r.NumRows() && len(r.Schema()) > 0 {
 			t.Fatalf("decoded %d rows, footer says %d", rows, r.NumRows())
 		}
 	})
 }
 
-// TestReaderSharedAcrossGoroutines pins the Reader's contract — immutable
-// after open — under the race detector: the compute cache hands one reader to
-// every session that scans the file.
+// TestReaderSharedAcrossGoroutines pins the Reader's contract — logically
+// immutable after open, memoizing behind atomics — under the race detector:
+// the compute cache hands one reader to every session that scans the file.
 func TestReaderSharedAcrossGoroutines(t *testing.T) {
 	r, err := OpenReader(sealedFile(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// First readers racing on one cold chunk all leave with the same vector.
+	const racers = 16
+	start := make(chan struct{})
+	vecs := make([]*Vec, racers)
+	var wg sync.WaitGroup
+	for i := range vecs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			v, err := r.ReadColumn(1, 2)
+			if err != nil {
+				t.Error(err)
+			}
+			vecs[i] = v
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, v := range vecs {
+		if v == nil || v != vecs[0] {
+			t.Fatalf("racer %d left with its own vector", i)
+		}
+	}
+	if kept, err := r.ReadColumn(1, 2); err != nil || kept != vecs[0] {
+		t.Fatalf("the vector the racers share is not the one kept (%v)", err)
+	}
+
 	want, err := exerciseReader(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {

@@ -301,10 +301,9 @@ func (d *frameReader) nulls(n int) ([]bool, error) {
 	return liveNulls(unpackNullBits(bits, n)), nil
 }
 
-// strings reads n length-prefixed strings. The first walk validates every
-// length and finds the column's end; the column is then copied out of the
-// frame once and the second walk slices the values from that copy, so a
-// column costs two allocations however many rows it has.
+// strings reads n length-prefixed strings: one walk validates every length
+// and finds the column's end, then sliceStrings copies the column out of the
+// frame once.
 func (d *frameReader) strings(n int) ([]string, error) {
 	start := d.pos
 	for r := 0; r < n; r++ {
@@ -314,16 +313,7 @@ func (d *frameReader) strings(n int) ([]string, error) {
 		}
 		d.pos += l
 	}
-	region := string(d.buf[start:d.pos])
-	strs := make([]string, n)
-	at := 0
-	for r := range strs {
-		l, w := binary.Uvarint(d.buf[start+at:])
-		at += w
-		strs[r] = region[at : at+int(l)]
-		at += int(l)
-	}
-	return strs, nil
+	return sliceStrings(d.buf[start:d.pos], n), nil
 }
 
 // rowMemSize estimates the bytes position i of the vector occupies in

@@ -84,7 +84,11 @@ type CacheStats struct {
 	MemHits, SSDHits, Misses int64
 	// FooterParses counts OpenFile calls that had to parse the file's footer
 	// because no parsed reader was cached beside its bytes.
-	FooterParses    int64
+	FooterParses int64
+	// ChunkDecodes counts the column chunks the node's cached readers have
+	// inflated and decoded. A warm statement adds none: a chunk is decoded
+	// once per cached copy of its file.
+	ChunkDecodes    int64
 	BytesFromRemote int64
 }
 
@@ -142,7 +146,9 @@ func (n *Node) Revive() {
 func (n *Node) Stats() CacheStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.stats
+	st := n.stats
+	st.ChunkDecodes = n.memCache.chunkDecodes()
+	return st
 }
 
 // ReadFile reads a blob through the node's cache hierarchy, returning the
@@ -156,12 +162,15 @@ func (n *Node) ReadFile(store *objectstore.Store, path string) ([]byte, time.Dur
 
 // OpenFile is ReadFile for a sealed data file: it returns the file opened for
 // reading. The same immutability extends the cache from the bytes to what is
-// derived from them: the parsed reader is kept on the memory-cache entry
-// beside the bytes it was parsed from and lives exactly as long as they do —
-// eviction, Kill, InvalidateCached and an overwrite drop both — so a file's
-// footer is parsed once per cached copy, however many statements and sessions
-// read it (a colfile.Reader is immutable, so they share it). A file that
-// fails to open is an error on every call; nothing is kept for it.
+// derived from them: the parsed reader — and with it every column chunk the
+// reader has decoded — is kept on the memory-cache entry beside the bytes it
+// was parsed from and lives exactly as long as they do: eviction, Kill,
+// InvalidateCached and an overwrite drop all three. So a file's footer is
+// parsed and each of its chunks decoded once per cached copy, however many
+// statements and sessions read it; they share the reader and its vectors,
+// which are read-only. The entry counts against the memory tier's capacity
+// for its bytes plus what the reader retains, as of the entry's last touch.
+// A file that fails to open is an error on every call; nothing is kept for it.
 func (n *Node) OpenFile(store *objectstore.Store, path string) (*colfile.Reader, time.Duration, error) {
 	data, r, d, err := n.read(store, path)
 	if err != nil || r != nil {
@@ -182,6 +191,7 @@ func (n *Node) OpenFile(store *objectstore.Store, path string) (*colfile.Reader,
 			return e.reader, d, nil
 		}
 		e.reader = r
+		n.memCache.recharge(e)
 	}
 	return r, d, nil
 }
@@ -249,20 +259,25 @@ func (n *Node) InvalidateCached(path string) {
 // lru is a byte-capacity-bounded cache.
 type lru struct {
 	capacity int64
-	used     int64
+	used     int64 // sum of the entries' charges
 	entries  map[string]*lruEntry
 	head     *lruEntry // most recent
 	tail     *lruEntry // least recent
+	// retiredDecodes sums ChunkDecodes of the readers that have left.
+	retiredDecodes int64
 }
 
 type lruEntry struct {
 	key  string
 	data []byte
-	// reader is data opened as a sealed colfile (Node.OpenFile); it is
-	// dropped with the entry and whenever data is replaced. The capacity
-	// counts data alone: a parsed footer is small beside the chunks it
-	// describes (for a file of a few dozen rows it is not — about 8 KB).
-	reader     *colfile.Reader
+	// reader is data opened as a sealed colfile (Node.OpenFile), holding the
+	// parsed footer and the chunks decoded so far; it is dropped with the
+	// entry and whenever data is replaced.
+	reader *colfile.Reader
+	// charge is what the entry counts against the capacity: len(data) plus
+	// what reader retained when the entry was last touched. Decoding goes on
+	// after the touch, so the charge trails it by one use of the entry.
+	charge     int64
 	prev, next *lruEntry
 }
 
@@ -270,33 +285,51 @@ func newLRU(capacity int64) *lru {
 	return &lru{capacity: capacity, entries: make(map[string]*lruEntry)}
 }
 
-// get returns the entry for key, marking it most recently used; nil on a miss.
+// get returns the entry for key, marking it most recently used and bringing
+// its charge up to date; nil on a miss. The charge may have outgrown the
+// cache, in which case the entry returned is no longer in it.
 func (l *lru) get(key string) *lruEntry {
 	e, ok := l.entries[key]
 	if !ok {
 		return nil
 	}
 	l.moveToFront(e)
+	l.recharge(e)
 	return e
 }
 
-func (l *lru) put(key string, data []byte) {
-	if int64(len(data)) > l.capacity {
-		return // larger than the whole cache
+// recharge re-reads what e's reader retains and evicts until the cache fits
+// again: e itself when it alone exceeds the capacity (whoever holds its bytes
+// and reader keeps them), least recently used entries otherwise.
+func (l *lru) recharge(e *lruEntry) {
+	charge := int64(len(e.data))
+	if e.reader != nil {
+		charge += e.reader.Retained()
 	}
-	if e, ok := l.entries[key]; ok {
-		l.used += int64(len(data)) - int64(len(e.data))
-		e.data, e.reader = data, nil
-		l.moveToFront(e)
-	} else {
-		e := &lruEntry{key: key, data: data}
-		l.entries[key] = e
-		l.pushFront(e)
-		l.used += int64(len(data))
+	l.used += charge - e.charge
+	e.charge = charge
+	if charge > l.capacity {
+		l.evict(e)
 	}
 	for l.used > l.capacity && l.tail != nil {
 		l.evict(l.tail)
 	}
+}
+
+// put caches data under key, replacing what the key held. A blob larger than
+// the whole cache is not kept — and neither is what it replaces.
+func (l *lru) put(key string, data []byte) {
+	e, ok := l.entries[key]
+	if !ok {
+		e = &lruEntry{key: key}
+		l.entries[key] = e
+		l.pushFront(e)
+	} else {
+		l.retireReader(e)
+		l.moveToFront(e)
+	}
+	e.data, e.reader = data, nil
+	l.recharge(e)
 }
 
 func (l *lru) remove(key string) {
@@ -306,6 +339,9 @@ func (l *lru) remove(key string) {
 }
 
 func (l *lru) clear() {
+	for _, e := range l.entries {
+		l.retireReader(e)
+	}
 	l.entries = make(map[string]*lruEntry)
 	l.head, l.tail, l.used = nil, nil, 0
 }
@@ -313,7 +349,27 @@ func (l *lru) clear() {
 func (l *lru) evict(e *lruEntry) {
 	l.unlink(e)
 	delete(l.entries, e.key)
-	l.used -= int64(len(e.data))
+	l.used -= e.charge
+	l.retireReader(e)
+}
+
+// retireReader keeps the decode count of a reader that is leaving the cache,
+// with its entry or because the entry's data is being replaced.
+func (l *lru) retireReader(e *lruEntry) {
+	if e.reader != nil {
+		l.retiredDecodes += e.reader.ChunkDecodes()
+	}
+}
+
+// chunkDecodes sums ChunkDecodes over every reader the cache holds or held.
+func (l *lru) chunkDecodes() int64 {
+	n := l.retiredDecodes
+	for _, e := range l.entries {
+		if e.reader != nil {
+			n += e.reader.ChunkDecodes()
+		}
+	}
+	return n
 }
 
 func (l *lru) pushFront(e *lruEntry) {

@@ -146,6 +146,21 @@ func TestLRUOversizedRejected(t *testing.T) {
 	}
 }
 
+// An overwrite the cache cannot hold must not leave the key serving what it
+// held before: on the parent of this test put returned early and did.
+func TestLRUOversizedOverwriteDropsTheKey(t *testing.T) {
+	l := newLRU(150)
+	l.put("k", make([]byte, 100))
+	l.put("other", make([]byte, 40))
+	l.put("k", make([]byte, 200))
+	if e := l.get("k"); e != nil {
+		t.Fatalf("after an oversize overwrite the key still serves %d bytes", len(e.data))
+	}
+	if l.get("other") == nil || l.used != 40 {
+		t.Fatalf("the overwrite disturbed another entry: used = %d", l.used)
+	}
+}
+
 func TestLRUUpdateSameKey(t *testing.T) {
 	l := newLRU(300)
 	l.put("k", make([]byte, 100))
@@ -339,15 +354,42 @@ func TestOpenFileParsesOncePerCachedCopy(t *testing.T) {
 	}
 }
 
+// charge is what a fully decoded file counts against a memory tier: its bytes
+// plus everything its reader then retains.
+func charge(t *testing.T, data []byte) int64 {
+	t.Helper()
+	r, err := colfile.OpenReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadAll(); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(data)) + r.Retained()
+}
+
+func mustReadColumn(t *testing.T, r *colfile.Reader) *colfile.Vec {
+	t.Helper()
+	v, err := r.ReadColumn(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestOpenFileReaderDiesWithItsBytes(t *testing.T) {
 	store := objectstore.New()
 	f, g := sealed(t, 10), sealed(t, 20)
 	_ = store.Put("f", f, 0)
 	_ = store.Put("g", g, 0)
 	drops := map[string]func(n *Node){
-		// The memory tier fits one of the two files: opening g evicts f,
-		// whose next open is an SSD hit over a fresh copy of the entry.
-		"eviction":   func(n *Node) { mustOpenFile(t, n, store, "g") },
+		// The memory tier fits one of the two files decoded: opening g, after
+		// a second touch of f has booked f's decoded column, evicts f, whose
+		// next open is an SSD hit over a fresh copy of the entry.
+		"eviction": func(n *Node) {
+			mustOpenFile(t, n, store, "f")
+			mustOpenFile(t, n, store, "g")
+		},
 		"kill":       func(n *Node) { n.Kill(); n.Revive() },
 		"invalidate": func(n *Node) { n.InvalidateCached("f") },
 		"overwrite": func(n *Node) {
@@ -357,21 +399,147 @@ func TestOpenFileReaderDiesWithItsBytes(t *testing.T) {
 		},
 	}
 	for name, drop := range drops {
-		n := NewNode(0, 4, int64(len(g))+10, 1<<24, DefaultCostModel())
+		n := NewNode(0, 4, charge(t, g)+10, 1<<24, DefaultCostModel())
 		r1 := mustOpenFile(t, n, store, "f")
-		before := n.Stats().FooterParses
+		v1 := mustReadColumn(t, r1)
+		if mustReadColumn(t, mustOpenFile(t, n, store, "f")) != v1 {
+			t.Fatalf("%s: a cached file's column was decoded again", name)
+		}
+		before := n.Stats()
 		drop(n)
 		r2 := mustOpenFile(t, n, store, "f")
 		if r2 == r1 {
 			t.Errorf("%s: the parsed reader outlived the cached bytes", name)
 		}
-		if got := n.Stats().FooterParses - before; got < 1 {
+		if got := n.Stats().FooterParses - before.FooterParses; got < 1 {
 			t.Errorf("%s: %d parses after the drop, want a re-parse", name, got)
 		}
 		if name == "overwrite" && r2.NumRows() != 20 {
 			t.Errorf("overwrite: reader still serves the old bytes (%d rows)", r2.NumRows())
 		}
+		// The decoded column died with the reader: the next read decodes.
+		if v2 := mustReadColumn(t, r2); v2 == v1 {
+			t.Errorf("%s: the decoded column outlived the cached bytes", name)
+		}
+		if got := n.Stats().ChunkDecodes - before.ChunkDecodes; got != 1 {
+			t.Errorf("%s: %d chunks decoded after the drop, want 1", name, got)
+		}
 		_ = store.Put("f", f, 0)
+	}
+}
+
+// An overwrite larger than the memory tier must not leave the tier serving
+// the bytes and the reader it held before (on the parent it did: lru.put
+// returned early); the read falls through to the SSD tier's new copy.
+func TestOversizeOverwriteIsNotServedStale(t *testing.T) {
+	store := objectstore.New()
+	small, big := sealed(t, 10), sealed(t, 4000)
+	n := NewNode(0, 4, int64(len(big))-1, 1<<24, DefaultCostModel())
+	if _, err := n.WriteFile(store, "f", small, 0); err != nil {
+		t.Fatal(err)
+	}
+	if r := mustOpenFile(t, n, store, "f"); r.NumRows() != 10 {
+		t.Fatalf("%d rows before the overwrite", r.NumRows())
+	}
+	if _, err := n.WriteFile(store, "f", big, 0); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := n.ReadFile(store, "f"); err != nil || len(data) != len(big) {
+		t.Fatalf("ReadFile after the overwrite: %d bytes (%v), want %d", len(data), err, len(big))
+	}
+	if r := mustOpenFile(t, n, store, "f"); r.NumRows() != 4000 {
+		t.Fatalf("OpenFile after the overwrite serves %d rows, want 4000", r.NumRows())
+	}
+}
+
+// An entry whose decoded form outgrows the whole memory tier is evicted at
+// its next touch — once, not looped on — and whoever holds its reader keeps a
+// working one.
+func TestEntryOutgrowingTheCacheIsEvicted(t *testing.T) {
+	store := objectstore.New()
+	data := sealed(t, 500)
+	_ = store.Put("f", data, 0)
+	_ = store.Put("small", make([]byte, 64), 0)
+	n := NewNode(0, 4, charge(t, data)-1, 1<<24, DefaultCostModel())
+	if _, _, err := n.ReadFile(store, "small"); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		r := mustOpenFile(t, n, store, "f")
+		if n.memCache.entries["f"] == nil {
+			t.Fatalf("pass %d: bytes and footer fit, yet the entry is gone", pass)
+		}
+		if all, err := r.ReadAll(); err != nil || all.NumRows() != 500 {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		// The touch that books the decoded column finds the entry too large.
+		if data, _, err := n.ReadFile(store, "f"); err != nil || len(data) == 0 {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if n.memCache.entries["f"] != nil {
+			t.Fatalf("pass %d: an entry larger than the cache stayed in it", pass)
+		}
+		if n.memCache.entries["small"] == nil {
+			t.Fatalf("pass %d: the oversize entry pushed out another", pass)
+		}
+		if n.memCache.used > n.memCache.capacity {
+			t.Fatalf("pass %d: used %d of %d", pass, n.memCache.used, n.memCache.capacity)
+		}
+		if v, err := r.ReadColumn(0, 0); err != nil || v.Len() != 500 {
+			t.Fatalf("pass %d: the evicted entry's reader stopped working: %v", pass, err)
+		}
+	}
+	if st := n.Stats(); st.ChunkDecodes != 3 || st.Misses+st.SSDHits != 4 {
+		t.Fatalf("stats = %+v, want one decode and one fetch into the memory tier per pass", st)
+	}
+}
+
+// TestDecodedBytesCountAgainstCapacity: decoded vectors are billed to the one
+// capacity the cache has. A node whose memory tier holds the files' bytes but
+// not their decoded form evicts while a scan cycles over them, never books
+// more than its capacity, and answers exactly like a node that holds it all.
+func TestDecodedBytesCountAgainstCapacity(t *testing.T) {
+	store := objectstore.New()
+	const files, rows = 8, 400
+	var bytes, decoded int64
+	for i := 0; i < files; i++ {
+		data := sealed(t, rows+i)
+		_ = store.Put(fmt.Sprint("f", i), data, 0)
+		bytes += int64(len(data))
+		decoded += charge(t, data)
+	}
+	tight := NewNode(0, 4, (bytes+decoded)/2, 1<<24, DefaultCostModel())
+	roomy := NewNode(1, 4, 1<<24, 1<<24, DefaultCostModel())
+	scan := func(n *Node) (frames [][]byte) {
+		for i := 0; i < files; i++ {
+			all, err := mustOpenFile(t, n, store, fmt.Sprint("f", i)).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := colfile.MarshalBatch(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame)
+			if n.memCache.used > n.memCache.capacity {
+				t.Fatalf("file %d: used %d of %d", i, n.memCache.used, n.memCache.capacity)
+			}
+		}
+		return frames
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, want := scan(tight), scan(roomy)
+		for i := range want {
+			if string(got[i]) != string(want[i]) {
+				t.Fatalf("pass %d file %d: the bounded node's rows differ", pass, i)
+			}
+		}
+	}
+	if st := roomy.Stats(); st.ChunkDecodes != files || st.SSDHits != 0 {
+		t.Fatalf("unbounded node: %+v, want %d decodes", st, files)
+	}
+	if st := tight.Stats(); st.ChunkDecodes <= files || st.SSDHits == 0 {
+		t.Fatalf("bounded node: %+v, want evictions and more than %d decodes", st, files)
 	}
 }
 

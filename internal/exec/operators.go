@@ -28,9 +28,11 @@ type Operator interface {
 const DefaultBatchSize = 4096
 
 // ScanFile is one input to a Scan: a sealed colfile, opened, plus its deletion
-// vector. The reader is immutable and usually shared — the compute cache hands
-// every statement the one it parsed beside the file's cached bytes — so
-// building morsels and scans over a file opens nothing.
+// vector. The reader is usually shared — the compute cache hands every
+// statement the one it parsed beside the file's cached bytes — so building
+// morsels and scans over a file opens nothing, and so are the column vectors
+// it decodes: a batch a Scan emits carries vectors other statements are
+// reading, which no operator may write (docs/VECTORIZATION.md).
 type ScanFile struct {
 	R  *colfile.Reader
 	DV *deletevector.Vector // nil when no rows are deleted

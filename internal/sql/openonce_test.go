@@ -15,6 +15,15 @@ func footerParses(s *Session) int64 {
 	return n
 }
 
+// chunkDecodes sums the column chunks the engine's nodes have decoded so far.
+func chunkDecodes(s *Session) int64 {
+	var n int64
+	for _, node := range s.eng.Fabric.Nodes() {
+		n += node.Stats().ChunkDecodes
+	}
+	return n
+}
+
 // TestWarmStatementsParseNoFooters: a sealed file is opened once per cached
 // copy of its bytes. After one warming statement, SELECT, DELETE and UPDATE
 // over a table of many cached files parse no footer at all; the files an
@@ -59,6 +68,55 @@ func TestWarmStatementsParseNoFooters(t *testing.T) {
 	mustExec(t, s, `SELECT COUNT(*) FROM t`)
 	if got := footerParses(s) - again; got != 0 {
 		t.Fatalf("a second pass parsed %d footers", got)
+	}
+}
+
+// TestWarmStatementsDecodeNoChunks: a column chunk is decoded once per cached
+// copy of its file. After one warming pass over both columns, SELECT, DELETE
+// and UPDATE over the cached files decode nothing; the files an UPDATE writes
+// are decoded once, by the first statement that reads them.
+func TestWarmStatementsDecodeNoChunks(t *testing.T) {
+	s := testSession(t)
+	mustExec(t, s, `CREATE TABLE t (k INT, v INT) WITH (DISTRIBUTION = k, SORTCOL = k)`)
+	const inserts, perInsert = 6, 40
+	for i := 0; i < inserts; i++ {
+		var vals []string
+		for r := 0; r < perInsert; r++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d)", i*perInsert+r, r))
+		}
+		mustExec(t, s, "INSERT INTO t VALUES "+strings.Join(vals, ", "))
+	}
+	cold := chunkDecodes(s)
+	mustExec(t, s, `SELECT SUM(k), SUM(v) FROM t`) // the warming pass
+	chunks := chunkDecodes(s) - cold
+	if chunks < 2*inserts {
+		t.Fatalf("warming two columns of %d inserts decoded %d chunks", inserts, chunks)
+	}
+
+	warm := chunkDecodes(s)
+	for i := 0; i < 3; i++ {
+		mustExec(t, s, `SELECT SUM(v) FROM t WHERE k >= 10`)
+		mustExec(t, s, fmt.Sprintf(`DELETE FROM t WHERE k = %d`, 7+i))
+		mustExec(t, s, `SELECT k, v FROM t ORDER BY k LIMIT 5`)
+	}
+	if res := mustExec(t, s, `UPDATE t SET v = v + 1 WHERE k BETWEEN 100 AND 109`); res.RowsAffected != 10 {
+		t.Fatalf("updated %d rows", res.RowsAffected)
+	}
+	if got := chunkDecodes(s) - warm; got != 0 {
+		t.Fatalf("ten statements over %d decoded chunks decoded %d more, want 0", chunks, got)
+	}
+	// The UPDATE's new files are new bytes: decoded once, then shared.
+	if res := mustExec(t, s, `SELECT SUM(k), SUM(v) FROM t`); res.Batch.NumRows() != 1 {
+		t.Fatalf("%d rows", res.Batch.NumRows())
+	}
+	if got := chunkDecodes(s) - warm; got < 2 || got > 8 {
+		t.Fatalf("reading the UPDATE's output decoded %d chunks, want two per file it wrote (2..8)", got)
+	}
+	again := chunkDecodes(s)
+	mustExec(t, s, `DELETE FROM t WHERE k < 3`)
+	mustExec(t, s, `SELECT SUM(k), SUM(v) FROM t`)
+	if got := chunkDecodes(s) - again; got != 0 {
+		t.Fatalf("a second pass decoded %d chunks", got)
 	}
 }
 
