@@ -88,18 +88,17 @@ func (f *Bloom) MayContain(key []byte) bool {
 }
 
 // BloomFilter derives the runtime filter from a completed build: one Add per
-// distinct build key. Partition map iteration order does not matter — the
-// filter is an order-independent OR of bit patterns.
+// distinct build key.
 func (jt *JoinTable) BloomFilter() *Bloom {
 	n := 0
-	for _, part := range jt.parts {
-		n += len(part)
+	for i := range jt.parts {
+		n += jt.parts[i].keys.len()
 	}
 	f := NewBloom(n)
-	for _, part := range jt.parts {
-		//polaris:nondet Bloom.Add ORs bits into the filter; OR is commutative so key order cannot change the result
-		for k := range part {
-			f.Add([]byte(k))
+	for i := range jt.parts {
+		keys := &jt.parts[i].keys
+		for id := 0; id < keys.len(); id++ {
+			f.Add(keys.key(int32(id)))
 		}
 	}
 	return f

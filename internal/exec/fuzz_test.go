@@ -125,3 +125,30 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAggEquivalence drives HashAgg — alone, and as partial aggregates under a
+// MergeAgg — against the scalar reference aggregator (refAggregate) with
+// fuzzer-chosen data, grouping columns, NULL rate, batch splits, morsel count
+// and selection shape. Any difference in groups, their order, values, NULLs or
+// float bits is a bug in the operators or the key table under them.
+func FuzzAggEquivalence(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(9), uint8(20), uint8(0b00001), uint8(4), uint8(0), false)
+	f.Add(int64(2), uint16(700), uint8(5), uint8(0), uint8(0b01100), uint8(7), uint8(3), true)
+	f.Add(int64(3), uint16(0), uint8(2), uint8(50), uint8(0), uint8(1), uint8(1), false)
+	f.Add(int64(4), uint16(40), uint8(200), uint8(90), uint8(0b10111), uint8(9), uint8(9), true)
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, domain, nullPct, groupMask, splits, morsels uint8, selected bool) {
+		if rows > 2000 {
+			return
+		}
+		c := aggCase{
+			seed: seed, rows: int(rows), domain: 2 + int(domain), nullPct: int(nullPct) % 101,
+			splits: 1 + int(splits)%12, morsels: int(morsels) % 12, selected: selected,
+		}
+		for col := 0; col < 5; col++ { // the five key columns of diffSchema
+			if groupMask&(1<<col) != 0 {
+				c.groupCols = append(c.groupCols, col)
+			}
+		}
+		checkAggAgainstReference(t, c)
+	})
+}

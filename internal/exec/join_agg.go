@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"strings"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -25,23 +25,51 @@ const (
 // concurrently without synchronization — the foundation of the
 // morsel-parallel probe.
 type JoinTable struct {
-	parts []map[string][]int // len is the build partition count
+	parts []joinPart // len is the build partition count
 	build *colfile.Batch
 	typ   JoinType
+}
+
+// joinPart is one build partition: the distinct keys that hash to it and,
+// per key id, its build rows in build-row order —
+// rows[start[id]:start[id+1]].
+type joinPart struct {
+	keys  keyTable
+	start []int32
+	rows  []int32
 }
 
 // BuildSchema returns the build side's schema.
 func (jt *JoinTable) BuildSchema() colfile.Schema { return jt.build.Schema }
 
-// lookup finds the build rows matching an encoded probe key (no allocation:
-// the []byte→string map index is allocation-free in Go).
-func (jt *JoinTable) lookup(k []byte) []int {
-	return jt.parts[fnv32a(k)%uint32(len(jt.parts))][string(k)]
+// partOf assigns a key hash to one of n build partitions. It reads the high
+// half of the hash; a partition's keyTable places by the low bits.
+func partOf(h uint64, n int) int { return int((h >> 32) % uint64(n)) }
+
+// lookup finds the build rows matching an encoded probe key, in build-row
+// order; the result aliases the table.
+func (jt *JoinTable) lookup(k []byte) []int32 {
+	h := hashKey(k)
+	p := &jt.parts[partOf(h, len(jt.parts))]
+	id := p.keys.find(k, h)
+	if id < 0 {
+		return nil
+	}
+	return p.rows[p.start[id]:p.start[id+1]]
 }
 
 // buildParallelMinRows is the build-side size below which a partitioned
 // parallel build is not worth the fan-out overhead.
 const buildParallelMinRows = 4096
+
+// rangeKeys is what pass 1 of a build leaves for one range of build rows: the
+// encoded key of every row whose key is not NULL, with its row number, and
+// per build partition the keys that belong to it, in row order.
+type rangeKeys struct {
+	keyList
+	row   []int32   // build row of key j
+	parts [][]int32 // [partition] -> key indexes j, ascending
+}
 
 // BuildHashJoin drains the build operator and constructs the shared probe
 // table. With parallelism > 1 and a large enough build side, the build is
@@ -54,31 +82,32 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 		return nil, err
 	}
 	n := all.NumRows()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("exec: join build side of %d rows exceeds 2^31-1", n)
+	}
 	p := parallelism
 	if p < 1 || n < buildParallelMinRows {
 		p = 1
 	}
 
 	// Pass 1: typed key encoding and partition bucketing, parallel over row
-	// ranges (NULL keys get no bucket and never match). Each range worker
-	// appends its row indices to per-(range, partition) buckets in row
-	// order, keeping total work O(n).
-	rowKeys := make([]string, n)
-	buckets := make([][][]int, p) // [range][partition] -> row indices
+	// ranges (NULL keys get no entry and never match). Each range worker
+	// appends its keys to its own list and their indexes to per-partition
+	// lists in row order, keeping total work O(n).
+	ranges := make([]rangeKeys, p)
 	chunk := (n + p - 1) / p
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		buckets[w] = make([][]int, p)
+		ranges[w].parts = make([][]int32, p)
+		lo, hi := w*chunk, min((w+1)*chunk, n)
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(rk *rangeKeys, lo, hi int) {
 			defer wg.Done()
+			rk.reserve(hi - lo)
+			rk.row = make([]int32, 0, hi-lo)
 			var scratch []byte
 			for i := lo; i < hi; i++ {
 				k, ok := appendRowKey(scratch[:0], all, keys, i)
@@ -86,29 +115,25 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 				if !ok {
 					continue
 				}
-				rowKeys[i] = string(k)
-				part := int(fnv32a(k) % uint32(p))
-				buckets[w][part] = append(buckets[w][part], i)
+				h := hashKey(k)
+				part := partOf(h, p)
+				rk.parts[part] = append(rk.parts[part], int32(rk.len()))
+				rk.add(k, h)
+				rk.row = append(rk.row, int32(i))
 			}
-		}(w, lo, hi)
+		}(&ranges[w], lo, hi)
 	}
 	wg.Wait()
 
-	// Pass 2: each worker owns one hash partition and inserts its buckets
-	// in range order — row order overall — so lookups see matches in the
-	// same order a serial build would produce.
-	parts := make([]map[string][]int, p)
+	// Pass 2: each worker owns one hash partition and inserts its keys in
+	// range order — row order overall — so lookups see matches in the same
+	// order a serial build would produce.
+	parts := make([]joinPart, p)
 	for w := 0; w < p; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			part := make(map[string][]int)
-			for r := 0; r < p; r++ {
-				for _, i := range buckets[r][w] {
-					part[rowKeys[i]] = append(part[rowKeys[i]], i)
-				}
-			}
-			parts[w] = part
+			parts[w] = buildJoinPart(ranges, w)
 		}(w)
 	}
 	wg.Wait()
@@ -119,14 +144,44 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 	return &JoinTable{parts: parts, build: all, typ: typ}, nil
 }
 
-// fnv32a is the FNV-1a hash used to assign encoded keys to build partitions.
-func fnv32a(s []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// buildJoinPart builds partition w from every range's keys for it: one pass
+// numbers the keys and counts their rows, a second lays the rows out per key.
+// Both walk the ranges in order, so a key's rows stay in build-row order.
+func buildJoinPart(ranges []rangeKeys, w int) joinPart {
+	total := 0
+	for r := range ranges {
+		total += len(ranges[r].parts[w])
 	}
-	return h
+	var jp joinPart
+	ids := make([]int32, 0, total)
+	for r := range ranges {
+		rk := &ranges[r]
+		for _, j := range rk.parts[w] {
+			id, _ := jp.keys.insert(rk.key(j), rk.hashes[j])
+			ids = append(ids, id)
+		}
+	}
+	// start[id+1] counts key id's rows, then becomes the running offset.
+	jp.start = make([]int32, jp.keys.len()+1)
+	for _, id := range ids {
+		jp.start[id+1]++
+	}
+	for id := 1; id < len(jp.start); id++ {
+		jp.start[id] += jp.start[id-1]
+	}
+	jp.rows = make([]int32, total)
+	next := append([]int32(nil), jp.start[:jp.keys.len()]...)
+	k := 0
+	for r := range ranges {
+		rk := &ranges[r]
+		for _, j := range rk.parts[w] {
+			id := ids[k]
+			k++
+			jp.rows[next[id]] = rk.row[j]
+			next[id]++
+		}
+	}
+	return jp
 }
 
 // appendRowKey encodes the key columns of row i into dst (see Vec.AppendKey);
@@ -203,13 +258,22 @@ func (p *Probe) Next() (*colfile.Batch, error) {
 // materialization.
 func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
 	jt := p.Table
+	n := lb.NumRows()
+	if cap(p.lIdx) < n {
+		// One row out per probe row is the common case; a fan-out join grows
+		// the lists from there.
+		p.lIdx = make([]int, 0, n)
+		if jt.typ != SemiJoin {
+			p.rIdx = make([]int, 0, n)
+		}
+	}
 	p.lIdx, p.rIdx = p.lIdx[:0], p.rIdx[:0]
 	var pruned int64
-	for i := 0; i < lb.NumRows(); i++ {
+	for i := 0; i < n; i++ {
 		phys := lb.RowIdx(i)
 		k, ok := appendRowKey(p.keyBuf[:0], lb, p.LeftKeys, phys)
 		p.keyBuf = k[:0]
-		var matches []int
+		var matches []int32
 		if ok {
 			if p.Bloom != nil && !p.Bloom.MayContain(k) {
 				pruned++ // provably no match: skip the hash-table walk
@@ -225,7 +289,7 @@ func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
 		case InnerJoin:
 			for _, m := range matches {
 				p.lIdx = append(p.lIdx, phys)
-				p.rIdx = append(p.rIdx, m)
+				p.rIdx = append(p.rIdx, int(m))
 			}
 		case LeftOuterJoin:
 			if len(matches) == 0 {
@@ -234,7 +298,7 @@ func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
 			} else {
 				for _, m := range matches {
 					p.lIdx = append(p.lIdx, phys)
-					p.rIdx = append(p.rIdx, m)
+					p.rIdx = append(p.rIdx, int(m))
 				}
 			}
 		}
@@ -329,9 +393,10 @@ type AggSpec struct {
 // mergeable partial states — per aggregate a value column plus, for SUM/AVG,
 // a non-NULL count column — which MergeAgg folds into final values.
 // Group-by and aggregate-argument expressions are kernel programs compiled
-// against In's schema (immutable, shareable across per-morsel instances),
-// and the accumulation loop reads typed payload slices directly — per input
-// row it boxes nothing.
+// against In's schema (immutable, shareable across per-morsel instances).
+// Per batch it resolves one group id per row, then folds every aggregate into
+// columnar state indexed by that id (aggCol); nothing is allocated per row or
+// per group, and the output columns are the state.
 type HashAgg struct {
 	In      Operator
 	GroupBy []*Prog
@@ -341,87 +406,6 @@ type HashAgg struct {
 
 	schema colfile.Schema
 	done   bool
-}
-
-// aggState accumulates one group. MIN/MAX state is typed (mmT selects the
-// payload): values are compared and stored unboxed per row and boxed exactly
-// once per group when the result row is rendered — the dominant allocation
-// in the pre-vectorized profile.
-type aggState struct {
-	groupVals []any
-	count     []int64
-	sumF      []float64
-	sumI      []int64
-	isFloat   []bool
-	seen      []bool
-	mmT       []colfile.DataType
-	mmI       []int64
-	mmF       []float64
-	mmS       []string
-	mmB       []bool
-}
-
-// observeMinMax folds physical lane p of v into min/max slot i.
-//
-//polaris:kernel p is a physical position the caller already translated through the batch's selection
-func (st *aggState) observeMinMax(k AggKind, v *colfile.Vec, p, i int) {
-	if !st.seen[i] {
-		st.seen[i] = true
-		st.mmT[i] = v.Type
-		switch v.Type {
-		case colfile.Int64:
-			st.mmI[i] = v.Ints[p]
-		case colfile.Float64:
-			st.mmF[i] = v.Floats[p]
-		case colfile.String:
-			st.mmS[i] = v.Strs[p]
-		case colfile.Bool:
-			st.mmB[i] = v.Bools[p]
-		}
-		return
-	}
-	var c int
-	switch v.Type {
-	case colfile.Int64:
-		c = cmpOrd(v.Ints[p], st.mmI[i])
-	case colfile.Float64:
-		c = cmpOrd(v.Floats[p], st.mmF[i])
-	case colfile.String:
-		c = strings.Compare(v.Strs[p], st.mmS[i])
-	case colfile.Bool:
-		c = cmpOrd(b2i(v.Bools[p]), b2i(st.mmB[i]))
-	}
-	if (k == AggMin && c < 0) || (k == AggMax && c > 0) {
-		switch v.Type {
-		case colfile.Int64:
-			st.mmI[i] = v.Ints[p]
-		case colfile.Float64:
-			st.mmF[i] = v.Floats[p]
-		case colfile.String:
-			st.mmS[i] = v.Strs[p]
-		case colfile.Bool:
-			st.mmB[i] = v.Bools[p]
-		}
-	}
-}
-
-// minmaxValue boxes min/max slot i's value for result rendering (nil when the
-// group saw no non-NULL values).
-func (st *aggState) minmaxValue(i int) any {
-	if !st.seen[i] {
-		return nil
-	}
-	switch st.mmT[i] {
-	case colfile.Int64:
-		return st.mmI[i]
-	case colfile.Float64:
-		return st.mmF[i]
-	case colfile.String:
-		return st.mmS[i]
-	case colfile.Bool:
-		return st.mmB[i]
-	}
-	return nil
 }
 
 // Schema implements Operator. The output schema is a function of the compiled
@@ -435,18 +419,7 @@ func (h *HashAgg) Schema() colfile.Schema {
 		h.schema = append(h.schema, colfile.Field{Name: g.String(), Type: g.OutType()})
 	}
 	for _, a := range h.Aggs {
-		t := colfile.Int64
-		switch a.Kind {
-		case AggAvg:
-			t = colfile.Float64
-		case AggSum, AggMin, AggMax:
-			if a.Arg != nil {
-				t = a.Arg.OutType()
-			}
-			if a.Kind == AggSum && t == colfile.Bool {
-				t = colfile.Int64
-			}
-		}
+		t, _ := a.OutType() // an ill-typed aggregate is Next's error; its column is never filled
 		name := a.Name
 		if name == "" {
 			if a.Arg != nil {
@@ -463,18 +436,28 @@ func (h *HashAgg) Schema() colfile.Schema {
 	return h.schema
 }
 
-// Next implements Operator.
-//
-//polaris:kernel the aggregation loop walks phys positions taken from Batch.Sel (or dense [0,n)) before touching lanes
+// Next implements Operator. Per batch it resolves one group id per row
+// (groupTable), then folds each aggregate's argument into its columnar state
+// with one typed loop; the result is the group-key columns and the state
+// columns as they stand, groups in first-seen order.
 func (h *HashAgg) Next() (*colfile.Batch, error) {
 	if h.done {
 		return nil, nil
 	}
 	h.done = true
-	groups := make(map[string]*aggState)
-	var order []string
-	var keyBuf []byte
-
+	// Checked before any input is pulled, so an ill-typed aggregate is an
+	// error whether or not the input has rows.
+	cols := make([]aggCol, len(h.Aggs))
+	for i, a := range h.Aggs {
+		if _, err := a.OutType(); err != nil {
+			return nil, err
+		}
+		cols[i].kind = a.Kind
+		if a.Arg != nil {
+			cols[i].typ = a.Arg.OutType()
+		}
+	}
+	var groups groupTable
 	keyCtxs := make([]EvalCtx, len(h.GroupBy))
 	argCtxs := make([]EvalCtx, len(h.Aggs))
 	keyVecs := make([]*colfile.Vec, len(h.GroupBy))
@@ -504,107 +487,35 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 				return nil, err
 			}
 		}
-		for r := 0; r < b.NumRows(); r++ {
-			phys := b.RowIdx(r)
-			keyBuf = appendGroupKey(keyBuf[:0], keyVecs, phys)
-			st, ok := groups[string(keyBuf)]
-			if !ok {
-				st = newAggState(groupVals(keyVecs, phys), len(h.Aggs))
-				key := string(keyBuf)
-				groups[key] = st
-				order = append(order, key)
-			}
-			for i, a := range h.Aggs {
-				if a.Kind == AggCountStar {
-					st.count[i]++
-					continue
-				}
-				v := argVecs[i]
-				if v.IsNull(phys) {
-					continue // aggregates skip NULLs
-				}
-				st.count[i]++
-				switch a.Kind {
-				case AggSum, AggAvg:
-					switch v.Type {
-					case colfile.Int64:
-						st.sumI[i] += v.Ints[phys]
-						st.sumF[i] += float64(v.Ints[phys])
-					case colfile.Float64:
-						st.isFloat[i] = true
-						st.sumF[i] += v.Floats[phys]
-					default:
-						return nil, fmt.Errorf("exec: SUM over %s", v.Type)
-					}
-				case AggMin, AggMax:
-					st.observeMinMax(a.Kind, v, phys, i)
-				}
-			}
+		ids, err := groups.resolve(keyVecs, b.Sel, b.NumRows())
+		if err != nil {
+			return nil, err
+		}
+		for i := range cols {
+			cols[i].grow(groups.keys.len())
+			cols[i].fold(argVecs[i], b.Sel, ids)
 		}
 	}
 
 	// Global aggregate with no groups and no input still yields one row
 	// (in partial mode MergeAgg synthesizes it, so workers stay silent).
-	if len(h.GroupBy) == 0 && len(order) == 0 && !h.Partial {
-		groups[""] = newAggState(nil, len(h.Aggs))
-		order = append(order, "")
+	n := groups.keys.len()
+	if n == 0 && len(h.GroupBy) == 0 && !h.Partial {
+		n = 1
 	}
-
-	out := colfile.NewBatch(h.Schema())
-	for _, key := range order {
-		st := groups[key]
-		row := make([]any, 0, len(h.Schema()))
-		row = append(row, st.groupVals...)
-		for i, a := range h.Aggs {
-			if h.Partial {
-				row = h.appendPartial(row, a.Kind, st, i)
-				continue
-			}
-			row = append(row, finalAggValue(a.Kind, st, i, h.schema[len(h.GroupBy)+i].Type))
-		}
-		if err := out.AppendRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	if out.NumRows() == 0 {
+	if n == 0 {
 		return nil, nil
 	}
-	return out, nil
-}
-
-// appendPartial emits the mergeable state of one aggregate: its running
-// value, plus the non-NULL count for SUM/AVG (needed so the merge can tell
-// "all NULL" from zero).
-func (h *HashAgg) appendPartial(row []any, k AggKind, st *aggState, i int) []any {
-	switch k {
-	case AggCount, AggCountStar:
-		return append(row, st.count[i])
-	case AggSum:
-		var v any
-		if st.count[i] > 0 {
-			if st.isFloat[i] || h.partialSumType(i) == colfile.Float64 {
-				v = st.sumF[i]
-			} else {
-				v = st.sumI[i]
-			}
+	out := &colfile.Batch{Schema: h.Schema(), Cols: append([]*colfile.Vec(nil), groups.vals...)}
+	for i := range cols {
+		cols[i].grow(n) // the synthesized row; every seen group is there already
+		if h.Partial {
+			out.Cols = append(out.Cols, cols[i].partialCols()...)
+		} else {
+			out.Cols = append(out.Cols, cols[i].finalCol())
 		}
-		return append(append(row, v), st.count[i])
-	case AggAvg:
-		return append(append(row, st.sumF[i]), st.count[i])
-	case AggMin, AggMax:
-		return append(row, st.minmaxValue(i))
 	}
-	return append(row, nil)
-}
-
-// partialSumType returns the declared type of aggregate slot i's value column
-// in the partial schema.
-func (h *HashAgg) partialSumType(i int) colfile.DataType {
-	col := len(h.GroupBy)
-	for j := 0; j < i; j++ {
-		col += partialWidth(h.Aggs[j].Kind)
-	}
-	return h.Schema()[col].Type
+	return out, nil
 }
 
 // appendGroupKey encodes row r's group-key columns into dst with the typed,
@@ -618,14 +529,4 @@ func appendGroupKey(dst []byte, vecs []*colfile.Vec, r int) []byte {
 		dst = v.AppendKey(dst, r)
 	}
 	return dst
-}
-
-// groupVals materializes row r's group-key values (nil for NULL) for result
-// rendering — called once per distinct group, not per row.
-func groupVals(vecs []*colfile.Vec, r int) []any {
-	vals := make([]any, len(vecs))
-	for i, v := range vecs {
-		vals[i] = v.Value(r)
-	}
-	return vals
 }

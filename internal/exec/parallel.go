@@ -49,9 +49,10 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -345,13 +346,14 @@ type MergeAgg struct {
 	In     Operator // stream of partial batches (groups + partial agg states)
 	Groups int      // number of leading group-key columns
 	Aggs   []AggSpec
-	// MergeFree asserts that no group key appears in more than one partial
-	// input row: distribution-aware aggregation. When the GROUP BY key set
-	// covers the table's distribution column, cells are disjoint by d(r) and
-	// cell-aligned morsels make every per-morsel partial already complete
-	// for its groups, so the merge degenerates to finalizing each partial
-	// row directly — no hash table, no state folding. Output remains ordered
-	// by encoded group key, identical to the merging path's order.
+	// MergeFree records the planner's proof that no group key appears in
+	// more than one partial input row: distribution-aware aggregation. When
+	// the GROUP BY key set covers the table's distribution column, cells are
+	// disjoint by d(r) and cell-aligned morsels make every per-morsel partial
+	// already complete for its groups. The merge needs no second code path
+	// for it — fed one row per group it adds each partial to an empty state
+	// (0 + x = x) and orders the same keys the same way — so the flag only
+	// labels the plan (WorkStats.MergeFreeAggs counts such statements).
 	MergeFree bool
 	Tel       *Telemetry
 
@@ -394,19 +396,26 @@ func (m *MergeAgg) Schema() colfile.Schema {
 	return m.schema
 }
 
-// Next implements Operator.
-//
-//polaris:kernel partial-state batches are produced dense by HashAgg (no Sel), so row index == physical lane
+// Next implements Operator. It is HashAgg's loop over partial states: one
+// group id per partial row, each aggregate's partial columns merged into its
+// columnar state in arrival order — morsel order — and the groups emitted by
+// ascending encoded key, the order of the table's arena bytes.
 func (m *MergeAgg) Next() (*colfile.Batch, error) {
 	if m.done {
 		return nil, nil
 	}
 	m.done = true
-	if m.MergeFree {
-		return m.concat()
+	in := m.In.Schema()
+	cols := make([]aggCol, len(m.Aggs))
+	col := m.Groups
+	for i, a := range m.Aggs {
+		cols[i].kind = a.Kind
+		if col < len(in) {
+			cols[i].typ = in[col].Type
+		}
+		col += partialWidth(a.Kind)
 	}
-	groups := make(map[string]*aggState)
-	var keyBuf []byte
+	var groups groupTable
 	for {
 		b, err := m.In.Next()
 		if err != nil {
@@ -418,191 +427,46 @@ func (m *MergeAgg) Next() (*colfile.Batch, error) {
 		if m.Tel != nil {
 			m.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
-		for r := 0; r < b.NumRows(); r++ {
-			keyBuf = appendGroupKey(keyBuf[:0], b.Cols[:m.Groups], r)
-			st, ok := groups[string(keyBuf)]
-			if !ok {
-				st = newAggState(groupVals(b.Cols[:m.Groups], r), len(m.Aggs))
-				groups[string(keyBuf)] = st
+		ids, err := groups.resolve(b.Cols[:m.Groups], b.Sel, b.NumRows())
+		if err != nil {
+			return nil, err
+		}
+		col := m.Groups
+		for i := range cols {
+			cols[i].grow(groups.keys.len())
+			var cnt *colfile.Vec
+			if partialWidth(cols[i].kind) == 2 {
+				cnt = b.Cols[col+1]
 			}
-			col := m.Groups
-			for i, a := range m.Aggs {
-				v := b.Cols[col]
-				switch a.Kind {
-				case AggCount, AggCountStar:
-					st.count[i] += v.Ints[r]
-				case AggSum:
-					cnt := b.Cols[col+1].Ints[r]
-					st.count[i] += cnt
-					if cnt > 0 {
-						switch v.Type {
-						case colfile.Int64:
-							st.sumI[i] += v.Ints[r]
-							st.sumF[i] += float64(v.Ints[r])
-						case colfile.Float64:
-							st.isFloat[i] = true
-							st.sumF[i] += v.Floats[r]
-						}
-					}
-				case AggAvg:
-					cnt := b.Cols[col+1].Ints[r]
-					st.count[i] += cnt
-					if cnt > 0 {
-						st.sumF[i] += v.Floats[r]
-					}
-				case AggMin, AggMax:
-					if v.IsNull(r) {
-						break // this worker saw no values for the group
-					}
-					st.observeMinMax(a.Kind, v, r, i)
-				}
-				col += partialWidth(a.Kind)
-			}
+			cols[i].merge(b.Cols[col], cnt, b.Sel, ids)
+			col += partialWidth(cols[i].kind)
 		}
 	}
 
 	// A global aggregate over zero partial rows still yields one row.
-	if m.Groups == 0 && len(groups) == 0 {
-		groups[""] = newAggState(nil, len(m.Aggs))
+	n := groups.keys.len()
+	if n == 0 && m.Groups == 0 {
+		n = 1
 	}
-
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := colfile.NewBatch(m.Schema())
-	for _, key := range keys {
-		st := groups[key]
-		row := make([]any, 0, m.Groups+len(m.Aggs))
-		row = append(row, st.groupVals...)
-		for i, a := range m.Aggs {
-			row = append(row, finalAggValue(a.Kind, st, i, m.schema[m.Groups+i].Type))
-		}
-		if err := out.AppendRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	if out.NumRows() == 0 {
+	if n == 0 {
 		return nil, nil
 	}
-	return out, nil
-}
-
-// concat is the merge-free path: every partial input row is a complete group
-// (disjoint by d(r)), so each row is finalized directly and the rows are
-// ordered by encoded group key — the same output order the merging path
-// produces.
-func (m *MergeAgg) concat() (*colfile.Batch, error) {
-	type keyedRow struct {
-		key  string
-		vals []any
+	out := &colfile.Batch{Schema: m.Schema(), Cols: append([]*colfile.Vec(nil), groups.vals...)}
+	for i := range cols {
+		cols[i].grow(n) // the synthesized row; every seen group is there already
+		out.Cols = append(out.Cols, cols[i].finalCol())
 	}
-	var rows []keyedRow
-	var keyBuf []byte
-	for {
-		b, err := m.In.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if m.Tel != nil {
-			m.Tel.RowsProcessed.Add(int64(b.NumRows()))
-		}
-		for r := 0; r < b.NumRows(); r++ {
-			keyBuf = appendGroupKey(keyBuf[:0], b.Cols[:m.Groups], r)
-			vals := make([]any, 0, m.Groups+len(m.Aggs))
-			vals = append(vals, groupVals(b.Cols[:m.Groups], r)...)
-			col := m.Groups
-			for _, a := range m.Aggs {
-				vals = append(vals, finalizePartial(a.Kind, b, col, r))
-				col += partialWidth(a.Kind)
-			}
-			rows = append(rows, keyedRow{key: string(keyBuf), vals: vals})
-		}
+	if n == 1 {
+		return out, nil
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	out := colfile.NewBatch(m.Schema())
-	for _, kr := range rows {
-		if err := out.AppendRow(kr.vals...); err != nil {
-			return nil, err
-		}
+	// Keys are distinct, so their byte order is a total order and the sort
+	// needs no tie-break to be deterministic.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	if out.NumRows() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// finalizePartial renders one aggregate's final value directly from its
-// partial-state columns at row r (value column at col; SUM/AVG carry a
-// non-NULL count at col+1).
-//
-//polaris:kernel partial-state batches are dense (no Sel), so r is already a physical lane
-func finalizePartial(k AggKind, b *colfile.Batch, col, r int) any {
-	v := b.Cols[col]
-	switch k {
-	case AggCount, AggCountStar:
-		return v.Ints[r]
-	case AggSum:
-		if b.Cols[col+1].Ints[r] == 0 {
-			return nil
-		}
-		if v.Type == colfile.Float64 {
-			return v.Floats[r]
-		}
-		return v.Ints[r]
-	case AggAvg:
-		cnt := b.Cols[col+1].Ints[r]
-		if cnt == 0 {
-			return nil
-		}
-		return v.Floats[r] / float64(cnt)
-	case AggMin, AggMax:
-		return v.Value(r)
-	}
-	return nil
-}
-
-// newAggState builds an empty accumulator for nAggs aggregates.
-func newAggState(groupVals []any, nAggs int) *aggState {
-	return &aggState{
-		groupVals: groupVals,
-		count:     make([]int64, nAggs),
-		sumF:      make([]float64, nAggs),
-		sumI:      make([]int64, nAggs),
-		isFloat:   make([]bool, nAggs),
-		seen:      make([]bool, nAggs),
-		mmT:       make([]colfile.DataType, nAggs),
-		mmI:       make([]int64, nAggs),
-		mmF:       make([]float64, nAggs),
-		mmS:       make([]string, nAggs),
-		mmB:       make([]bool, nAggs),
-	}
-}
-
-// finalAggValue renders one aggregate's final value from its accumulator.
-func finalAggValue(k AggKind, st *aggState, i int, outType colfile.DataType) any {
-	switch k {
-	case AggCount, AggCountStar:
-		return st.count[i]
-	case AggSum:
-		if st.count[i] == 0 {
-			return nil
-		}
-		if st.isFloat[i] || outType == colfile.Float64 {
-			return st.sumF[i]
-		}
-		return st.sumI[i]
-	case AggAvg:
-		if st.count[i] == 0 {
-			return nil
-		}
-		return st.sumF[i] / float64(st.count[i])
-	case AggMin, AggMax:
-		return st.minmaxValue(i)
-	}
-	return nil
+	slices.SortFunc(order, func(a, b int) int {
+		return bytes.Compare(groups.keys.key(int32(a)), groups.keys.key(int32(b)))
+	})
+	return out.Take(order), nil
 }

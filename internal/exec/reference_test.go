@@ -1,14 +1,17 @@
 package exec
 
-// The scalar reference evaluator: a row-at-a-time Type/Eval pair per Expr node
-// that the golden equivalence suite (vector_test.go) and FuzzKernelEquivalence
-// compare compiled programs against — same values, same NULLs, same error
-// strings. It is test-only: production code makes an Expr executable through
-// Compile and nothing else. The reference is total: a tree Compile rejects is
-// rejected here with the same message, never a panic.
+// The scalar references. First the evaluator: a row-at-a-time Type/Eval pair
+// per Expr node that the golden equivalence suite (vector_test.go) and
+// FuzzKernelEquivalence compare compiled programs against — same values, same
+// NULLs, same error strings. It is test-only: production code makes an Expr
+// executable through Compile and nothing else. The reference is total: a tree
+// Compile rejects is rejected here with the same message, never a panic. Then,
+// at the end of the file, the reference aggregator and nested-loop join the
+// operators are compared against.
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"polaris/internal/colfile"
@@ -365,4 +368,169 @@ func (e InList) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 		out.AppendBool(set[v.Value(i)] != e.Negate)
 	}
 	return out, nil
+}
+
+// The scalar reference operators: a row-at-a-time aggregator and a
+// nested-loop join over boxed values, sharing nothing with HashAgg, MergeAgg,
+// JoinTable or the key encoding — groups and join matches are found by
+// comparing values, never bytes. The differential test and FuzzAggEquivalence
+// (agg_join_test.go, fuzz_test.go) hold the operators to them.
+
+// refAgg is one aggregate of the reference: kind over input column col
+// (ignored for COUNT(*)).
+type refAgg struct {
+	kind AggKind
+	col  int
+}
+
+// refSame is group and join-key equality: NULL equals NULL here (the join
+// excludes NULL keys before asking), and floats are the same value only when
+// they are the same bits, as the key encoding has it (-0 and +0 are two
+// groups).
+func refSame(a, b any) bool {
+	af, aok := a.(float64)
+	bf, bok := b.(float64)
+	if aok && bok {
+		return math.Float64bits(af) == math.Float64bits(bf)
+	}
+	return a == b
+}
+
+// refLess orders two non-NULL values of one type the way MIN and MAX do.
+func refLess(a, b any) bool {
+	switch x := a.(type) {
+	case int64:
+		return x < b.(int64)
+	case float64:
+		return x < b.(float64)
+	case string:
+		return x < b.(string)
+	case bool:
+		return !x && b.(bool)
+	}
+	return false
+}
+
+// refAggregate groups rows by the values of groupCols and computes aggs one
+// row at a time. It returns one row per group, [group values..., aggregate
+// values...], groups in first-seen order.
+func refAggregate(rows [][]any, groupCols []int, aggs []refAgg) [][]any {
+	type state struct {
+		count int64
+		sumI  int64
+		sumF  float64
+		float bool
+		mm    any
+	}
+	var keys [][]any
+	var states [][]state
+	for _, row := range rows {
+		g := -1
+		for i, k := range keys {
+			same := true
+			for j, c := range groupCols {
+				same = same && refSame(k[j], row[c])
+			}
+			if same {
+				g = i
+				break
+			}
+		}
+		if g < 0 {
+			k := make([]any, len(groupCols))
+			for j, c := range groupCols {
+				k[j] = row[c]
+			}
+			keys, states = append(keys, k), append(states, make([]state, len(aggs)))
+			g = len(keys) - 1
+		}
+		for i, a := range aggs {
+			st := &states[g][i]
+			if a.kind == AggCountStar {
+				st.count++
+				continue
+			}
+			v := row[a.col]
+			if v == nil {
+				continue
+			}
+			st.count++
+			switch a.kind {
+			case AggSum, AggAvg:
+				switch x := v.(type) {
+				case int64:
+					st.sumI += x
+					st.sumF += float64(x)
+				case float64:
+					st.float = true
+					st.sumF += x
+				}
+			case AggMin:
+				if st.mm == nil || refLess(v, st.mm) {
+					st.mm = v
+				}
+			case AggMax:
+				if st.mm == nil || refLess(st.mm, v) {
+					st.mm = v
+				}
+			}
+		}
+	}
+	if len(groupCols) == 0 && len(keys) == 0 {
+		keys, states = append(keys, nil), append(states, make([]state, len(aggs)))
+	}
+	out := make([][]any, len(keys))
+	for g, k := range keys {
+		row := append([]any(nil), k...)
+		for i, a := range aggs {
+			st := states[g][i]
+			switch {
+			case a.kind == AggCount || a.kind == AggCountStar:
+				row = append(row, st.count)
+			case a.kind == AggMin || a.kind == AggMax:
+				row = append(row, st.mm)
+			case st.count == 0:
+				row = append(row, nil)
+			case a.kind == AggAvg:
+				row = append(row, st.sumF/float64(st.count))
+			case st.float:
+				row = append(row, st.sumF)
+			default:
+				row = append(row, st.sumI)
+			}
+		}
+		out[g] = row
+	}
+	return out
+}
+
+// refJoin is the nested-loop equi-join: probe rows in order, each against the
+// build rows in order; a NULL on either side of any key column never matches.
+func refJoin(probe, build [][]any, probeKeys, buildKeys []int, typ JoinType, buildWidth int) [][]any {
+	var out [][]any
+	for _, l := range probe {
+		matched := false
+		for _, r := range build {
+			match := true
+			for i := range probeKeys {
+				lv, rv := l[probeKeys[i]], r[buildKeys[i]]
+				match = match && lv != nil && rv != nil && refSame(lv, rv)
+			}
+			if !match {
+				continue
+			}
+			matched = true
+			if typ == SemiJoin {
+				break
+			}
+			out = append(out, append(append([]any(nil), l...), r...))
+		}
+		switch {
+		case typ == SemiJoin && matched:
+			out = append(out, append([]any(nil), l...))
+		case typ == LeftOuterJoin && !matched:
+			out = append(out, append(append([]any(nil), l...), make([]any, buildWidth)...))
+		}
+	}
+	return out
 }

@@ -69,8 +69,8 @@ func sortBatch(all *colfile.Batch, keys []SortKey) *colfile.Batch {
 }
 
 // Sort materializes the input and emits it ordered by the given keys — the
-// serial ORDER BY operator (Parallelism 1, and post-aggregation ordering,
-// where the merged aggregate already lives on the FE). Parallel plans use
+// serial ORDER BY operator: post-aggregation ordering without a LIMIT, where
+// the merged aggregate already lives on the FE. Projections use
 // SortRuns/TopN per morsel worker plus MergeRuns instead.
 type Sort struct {
 	In   Operator
@@ -142,7 +142,8 @@ func (s *SortRuns) Next() (*colfile.Batch, error) {
 // sorted run: the per-worker top-N pushdown of ORDER BY ... LIMIT [OFFSET]
 // (N = limit+offset), the classic distributed top-N of the paper's task-DAG
 // model — each worker ships at most N rows to the FE merge no matter how
-// many rows its morsel holds.
+// many rows its morsel holds. The FE runs it too, over the merged groups of
+// ORDER BY <aggregate> LIMIT k, in place of a full Sort.
 //
 // Memory is bounded by O(N + batch): a max-heap of the current N best rows
 // ordered by (encoded key, arrival), so a late-arriving tie always loses and
@@ -256,7 +257,8 @@ func (t *TopN) Next() (*colfile.Batch, error) {
 				heap = append(heap, e)
 				heap.siftUp(len(heap) - 1)
 			case bytes.Compare(keyBuf, heap[0].key) < 0:
-				heap[0] = topEntry{key: append([]byte(nil), keyBuf...), row: appendRow(b, phys), seq: seq}
+				// the evicted root's key buffer becomes the newcomer's
+				heap[0] = topEntry{key: append(heap[0].key[:0], keyBuf...), row: appendRow(b, phys), seq: seq}
 				heap.siftDown(0)
 			}
 		}

@@ -521,9 +521,14 @@ func hasAgg(items []SelectItem, groupBy []Expr, having Expr) bool {
 	return false
 }
 
-// finishSelect applies ORDER BY and LIMIT and materializes the result.
+// finishSelect applies ORDER BY and LIMIT and materializes the result. Under
+// a LIMIT the order is a bounded heap of the LIMIT+OFFSET smallest rows
+// (exec.TopN, tie-stable, so the rows a full stable sort would put first).
 func finishSelect(ctx context.Context, p *selectPlan, outOp exec.Operator) (*colfile.Batch, error) {
-	if len(p.sortKeys) > 0 {
+	switch {
+	case len(p.sortKeys) > 0 && p.limit >= 0:
+		outOp = &exec.TopN{In: outOp, Keys: p.sortKeys, N: p.limit + p.offset}
+	case len(p.sortKeys) > 0:
 		outOp = &exec.Sort{In: outOp, Keys: p.sortKeys}
 	}
 	if p.limit >= 0 {
@@ -797,9 +802,9 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 	tail, tel := p.tail, p.base.ms.Tel
 	var outOp exec.Operator
 	if ap := tail.agg; ap != nil {
-		// ORDER BY over an aggregate is a plain Sort: the merged aggregate is
-		// already materialized on the FE, one group per row, so there is
-		// nothing left to fan out.
+		// ORDER BY over an aggregate runs on the FE (finishSelect): the merged
+		// aggregate is already materialized there, one group per row, so
+		// there is nothing left to fan out.
 		partial := func(op exec.Operator) exec.Operator {
 			return &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
 		}
@@ -1023,7 +1028,11 @@ func buildAggPlan(items []SelectItem, groupBy []Expr, having Expr, sc *scope) (*
 		if i, ok := aggIndex[key]; ok {
 			return i, nil
 		}
-		ap.aggs = append(ap.aggs, exec.AggSpec{Kind: kind, Arg: arg, Name: key})
+		spec := exec.AggSpec{Kind: kind, Arg: arg, Name: key}
+		if _, err := spec.OutType(); err != nil {
+			return 0, err
+		}
+		ap.aggs = append(ap.aggs, spec)
 		aggIndex[key] = len(ap.aggs) - 1
 		return len(ap.aggs) - 1, nil
 	}

@@ -483,6 +483,9 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 		{`SELECT a.k FROM %[1]s a JOIN %[1]s b ON a.k < b.k`, "sql: JOIN ON supports equality conjunctions only"},
 		{`SELECT k FROM %s ORDER BY v`, `sql: ORDER BY column "v" not in output`},
 		{`SELECT k, COUNT(*) FROM %s GROUP BY k ORDER BY v`, `sql: ORDER BY column "v" not in output`},
+		{`SELECT SUM(v) FROM %s`, "exec: SUM over string"},
+		{`SELECT k, AVG(v) FROM %s GROUP BY k`, "exec: AVG over string"},
+		{`SELECT k FROM %s GROUP BY k HAVING SUM(k = 1) > 0`, "exec: SUM over bool"},
 		{`DELETE FROM %s WHERE NOT k`, "exec: NOT of int64"},
 		{`DELETE FROM %s WHERE k AND k`, "exec: cannot apply AND to int64 and int64"},
 		{`UPDATE %s SET k = NOT k`, "exec: NOT of int64"},
