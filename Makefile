@@ -3,12 +3,7 @@
 
 GO ?= go
 
-# Output of the machine-readable micro-benchmark run. Parameterized so each
-# PR bumps one variable (or CI overrides it) instead of editing the target:
-#   make bench-json BENCH_JSON=BENCH_PR5.json
-BENCH_JSON ?= BENCH_PR9.json
-
-.PHONY: build lint test race bench-smoke bench-check bench-json fuzz-smoke server-smoke docs ci
+.PHONY: build lint test race bench-check fuzz-smoke server-smoke docs ci
 
 build:
 	$(GO) build ./...
@@ -45,13 +40,6 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# One iteration of every parallel-executor benchmark (scan, join, spilled
-# join, sort, top-N): catches bit-rot in the benchmark harness (and the
-# cross-DOP identity checks inside them) without paying for a full
-# measurement run.
-bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkParallel' -benchtime 1x .
-
 # One short pass of the repo benchmark (BENCHMARK.json, bench/README.md): five
 # workloads for a second each, ~16 s in all. The numbers are discarded; the
 # exit status is the benchmark's own correctness gate — DAG and spill results
@@ -61,15 +49,6 @@ bench-smoke:
 # here rather than in the benchmark pipeline.
 bench-check:
 	$(GO) run ./bench -seconds 1 -trace 0 >/dev/null
-
-# Full micro-benchmark measurement written as machine-readable JSON: the
-# per-PR perf trajectory (ns/op + allocs/op for ParallelScan/ParallelJoin/
-# ParallelJoinSpill/ParallelSort/ParallelTopN at DOP 1/4/8 plus the
-# fmt-vs-typed key-encoding baseline). CI uploads the file as a workflow
-# artifact next to the previous PR's snapshot so the trajectory is diffable
-# per commit.
-bench-json:
-	$(GO) run ./cmd/benchrunner -json $(BENCH_JSON)
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
 # on (join/group keys, ORDER BY keys, spill batch round-trip) and of the two
@@ -100,22 +79,17 @@ server-smoke:
 	$(GO) run ./cmd/polaris-server -smoke
 
 # Documentation gate: every relative markdown link AND #fragment anchor in
-# the doc set must resolve, benchmark-snapshot references must not be stale
-# relative to $(BENCH_JSON), the docs/LINT.md analyzer catalog must match
-# the polarisvet registry both ways (-lint-catalog), docs/PERF.md must match
-# the committed BENCH_PR*.json snapshots byte-for-byte (perfdoc -check), and
-# the package docs for the public API and the executor must render (catches
-# syntax-level doc rot).
+# the doc set must resolve, the docs/LINT.md analyzer catalog must match the
+# polarisvet registry both ways (-lint-catalog), and the package docs for the
+# public API and the executor must render (catches syntax-level doc rot).
 docs:
-	$(GO) run ./cmd/doccheck -bench-default $(BENCH_JSON) -lint-catalog docs/LINT.md \
-		README.md ROADMAP.md PAPER.md \
-		docs/ARCHITECTURE.md docs/VECTORIZATION.md docs/PLANNER.md docs/PERF.md \
+	$(GO) run ./cmd/doccheck -lint-catalog docs/LINT.md \
+		README.md ROADMAP.md PAPER.md CHANGES.md \
+		docs/ARCHITECTURE.md docs/VECTORIZATION.md docs/PLANNER.md \
 		docs/SERVER.md docs/DCP-QUERIES.md docs/LINT.md
-	$(GO) run ./cmd/doccheck CHANGES.md  # historical log: links only, past defaults allowed
-	$(GO) run ./cmd/perfdoc -check
 	@$(GO) doc . >/dev/null
 	@$(GO) doc ./internal/exec >/dev/null
 	@$(GO) doc ./internal/colfile >/dev/null
 	@echo "docs OK"
 
-ci: build lint test race fuzz-smoke bench-smoke bench-check server-smoke docs
+ci: build lint test race fuzz-smoke bench-check server-smoke docs

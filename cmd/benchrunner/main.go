@@ -1,6 +1,7 @@
 // Command benchrunner regenerates every table and figure of the paper's
-// evaluation (Section 7) plus the DESIGN.md ablations, printing the same
-// rows/series the paper reports. Times are simulated (cost-model) durations;
+// evaluation (Section 7) plus ablations of the design choices the paper argues
+// for (Sections 2.1, 4.3, 4.4.1, 5.1 and 5.2), printing the same rows/series
+// the paper reports. Times are simulated (cost-model) durations;
 // compare shapes against the paper, not absolute values.
 //
 // Usage:
@@ -9,37 +10,24 @@
 //	benchrunner -fig 9               # one figure
 //	benchrunner -scale 1.0           # bigger workloads, sharper curves
 //	benchrunner -ablations           # the ablation suite
-//	benchrunner -json BENCH_PR3.json # wall-clock micro-bench suite → JSON
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
-	"testing"
 
 	"polaris/internal/bench"
-	"polaris/internal/colfile"
 )
 
 func main() {
 	fig := flag.Int("fig", 0, "figure number to run (7-12); 0 = all")
 	scale := flag.Float64("scale", 0.5, "workload scale multiplier")
 	ablations := flag.Bool("ablations", false, "run the ablation suite instead of figures")
-	jsonPath := flag.String("json", "", "run the wall-clock micro-benchmarks and write results to this JSON file")
 	flag.Parse()
 
 	s := bench.Scale(*scale)
-	if *jsonPath != "" {
-		if err := runMicroJSON(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *ablations {
 		runAblations()
 		return
@@ -67,198 +55,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-}
-
-// microResult is one row of the machine-readable benchmark output: the
-// wall-clock and allocation profile of a micro-benchmark at one
-// configuration. The file these land in (BENCH_PR2.json and successors) is
-// the per-PR perf trajectory: later PRs diff their numbers against it.
-type microResult struct {
-	Name        string  `json:"name"`
-	DOP         int     `json:"dop,omitempty"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// microReport is the top-level JSON document.
-type microReport struct {
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Results    []microResult `json:"results"`
-}
-
-// runMicroJSON measures the parallel scan, join, full-sort and top-N
-// micro-benchmarks at DOP 1/4/8 plus the fmt-vs-typed key-encoding baseline,
-// and writes the results as JSON. The key-encoding pair is the measured
-// evidence for the PR2 typed-key claim: "fmt" is the legacy per-row boxed
-// encoding kept only as a baseline, "typed" is what the executor now runs;
-// the sort/top-N pair (PR3) measures what the LIMIT pushdown saves over a
-// full parallel sort.
-func runMicroJSON(path string) error {
-	files, _, err := bench.MicroFiles()
-	if err != nil {
-		return err
-	}
-	table, err := bench.ParallelJoinTable()
-	if err != nil {
-		return err
-	}
-	var report microReport
-	report.GoVersion = runtime.Version()
-	report.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	record := func(name string, dop int, r testing.BenchmarkResult) {
-		report.Results = append(report.Results, microResult{
-			Name: name, DOP: dop, Iterations: r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
-		})
-		fmt.Printf("%-24s dop=%d  %12.0f ns/op  %9d allocs/op\n",
-			name, dop, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp())
-	}
-
-	for _, dop := range []int{1, 4, 8} {
-		dop := dop
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.ParallelScanAggregate(files, dop); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		record("ParallelScan", dop, r)
-	}
-	for _, dop := range []int{1, 4, 8} {
-		dop := dop
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.ParallelJoinProbe(files, table, dop); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		record("ParallelJoin", dop, r)
-	}
-	for _, dop := range []int{1, 4, 8} {
-		dop := dop
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.ParallelJoinSpill(files, dop); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		record("ParallelJoinSpill", dop, r)
-	}
-	bloomTable, err := bench.ParallelJoinBloomTable()
-	if err != nil {
-		return err
-	}
-	for _, dop := range []int{1, 4, 8} {
-		dop := dop
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, pruned, err := bench.ParallelJoinBloom(files, bloomTable, dop, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.NumRows() == 0 || pruned == 0 {
-					b.Fatalf("bloom probe: %d rows, %d pruned", out.NumRows(), pruned)
-				}
-			}
-		})
-		record("ParallelJoinBloom", dop, r)
-	}
-	for _, dop := range []int{1, 4, 8} {
-		dop := dop
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.ParallelSort(files, dop); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		record("ParallelSort", dop, r)
-	}
-	for _, dop := range []int{1, 4, 8} {
-		dop := dop
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.ParallelTopN(files, dop); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		record("ParallelTopN", dop, r)
-	}
-
-	// Distributed DAG execution vs the in-process morsel path for the same
-	// SQL join+aggregate: the pair quantifies the object-store exchange tax
-	// (measured distributed at 4/8 only, the rows the committed snapshots
-	// have).
-	for _, dop := range []int{1, 4, 8} {
-		for _, distributed := range []bool{false, true} {
-			name := "ParallelDAGQuery/morsel"
-			if distributed {
-				if dop == 1 {
-					continue
-				}
-				name = "ParallelDAGQuery/dag"
-			}
-			h, err := bench.PrepareDAGQuery(distributed, dop)
-			if err != nil {
-				return err
-			}
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := h.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			record(name, dop, r)
-		}
-	}
-
-	batch := bench.KeyEncodeBatch(1 << 14)
-	keyEncoders := []struct {
-		name string
-		fn   func(*colfile.Batch, []int) int
-	}{
-		{"KeyEncoding/fmt", bench.FmtKeyEncode},
-		{"KeyEncoding/typed", bench.TypedKeyEncode},
-	}
-	for _, e := range keyEncoders {
-		e := e
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if e.fn(batch, []int{0, 1}) == 0 {
-					b.Fatal("empty encoding")
-				}
-			}
-		})
-		record(e.name, 0, r)
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func header(title, paperShape string) {

@@ -7,11 +7,6 @@
 //     (`VECTORIZATION.md#kernel-catalog`) — resolves to a real heading in
 //     the target markdown file, using GitHub's heading-slug rules, so
 //     section anchors cannot rot when headings are reworded;
-//   - with -bench-default, benchmark-snapshot references cannot go stale:
-//     any `BENCH_PRn.json` mention must exist on disk, and any line that
-//     declares a default (contains "default" or "BENCH_JSON") must name the
-//     current snapshot. Historical trajectory mentions on other lines are
-//     exempt — docs/PERF.md legitimately cites every past snapshot.
 //   - with -lint-catalog, the analyzer catalog in docs/LINT.md cannot drift
 //     from the polarisvet registry: every analyzer in lint.Registry() must
 //     appear as a backticked table-row name in the catalog, and every
@@ -22,7 +17,7 @@
 //
 // Usage:
 //
-//	doccheck [-bench-default BENCH_PR6.json] [-lint-catalog docs/LINT.md] FILE.md ...
+//	doccheck [-lint-catalog docs/LINT.md] FILE.md ...
 package main
 
 import (
@@ -41,9 +36,6 @@ import (
 // match too, which is what we want: a broken diagram is still a broken link.
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 
-// benchRe matches benchmark snapshot file references in prose or code spans.
-var benchRe = regexp.MustCompile(`BENCH_PR\d+\.json`)
-
 // headingRe matches ATX headings; setext headings are not used in this repo.
 var headingRe = regexp.MustCompile(`^#{1,6}\s+(.*)$`)
 
@@ -52,57 +44,17 @@ var headingRe = regexp.MustCompile(`^#{1,6}\s+(.*)$`)
 var catalogRowRe = regexp.MustCompile("^\\|\\s*`([a-z][a-z0-9-]*)`\\s*\\|")
 
 func main() {
-	benchDefault := flag.String("bench-default", "",
-		"current BENCH_PRn.json snapshot; flags dangling or stale snapshot references")
 	lintCatalog := flag.String("lint-catalog", "",
 		"markdown file whose analyzer catalog table must match the polarisvet registry")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck [-bench-default BENCH_PRn.json] FILE.md ...")
+		fmt.Fprintln(os.Stderr, "usage: doccheck [-lint-catalog docs/LINT.md] FILE.md ...")
 		os.Exit(2)
 	}
 	broken := 0
 	anchors := map[string]map[string]bool{} // md path -> heading slug set
 	for _, file := range flag.Args() {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			broken++
-			continue
-		}
-		text := string(data)
-		checked, frags := 0, 0
-		for _, m := range linkRe.FindAllStringSubmatch(text, -1) {
-			target := m[1]
-			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
-				continue
-			}
-			path, frag := splitFragment(file, target)
-			if path != file {
-				checked++
-				if _, err := os.Stat(path); err != nil {
-					fmt.Fprintf(os.Stderr, "doccheck: %s: broken link %q (no file %s)\n", file, target, path)
-					broken++
-					continue
-				}
-			}
-			if frag != "" && strings.HasSuffix(path, ".md") {
-				frags++
-				slugs, err := headingSlugs(anchors, path)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", file, err)
-					broken++
-				} else if !slugs[frag] {
-					fmt.Fprintf(os.Stderr, "doccheck: %s: broken anchor %q (no heading #%s in %s)\n",
-						file, target, frag, path)
-					broken++
-				}
-			}
-		}
-		if *benchDefault != "" {
-			broken += checkBenchRefs(file, text, *benchDefault)
-		}
-		fmt.Printf("doccheck: %s: %d relative links, %d anchors checked\n", file, checked, frags)
+		broken += checkLinks(file, anchors)
 	}
 	if *lintCatalog != "" {
 		broken += checkLintCatalog(*lintCatalog)
@@ -110,6 +62,48 @@ func main() {
 	if broken > 0 {
 		os.Exit(1)
 	}
+}
+
+// checkLinks resolves every relative link in one markdown file: the target
+// file must exist and a #fragment into a markdown file must name one of its
+// headings. anchors caches each target's heading slugs across files. It
+// returns the number of broken references.
+func checkLinks(file string, anchors map[string]map[string]bool) int {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		return 1
+	}
+	broken, checked, frags := 0, 0, 0
+	for _, m := range linkRe.FindAllStringSubmatch(string(data), -1) {
+		target := m[1]
+		if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+			continue
+		}
+		path, frag := splitFragment(file, target)
+		if path != file {
+			checked++
+			if _, err := os.Stat(path); err != nil {
+				fmt.Fprintf(os.Stderr, "doccheck: %s: broken link %q (no file %s)\n", file, target, path)
+				broken++
+				continue
+			}
+		}
+		if frag != "" && strings.HasSuffix(path, ".md") {
+			frags++
+			slugs, err := headingSlugs(anchors, path)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", file, err)
+				broken++
+			} else if !slugs[frag] {
+				fmt.Fprintf(os.Stderr, "doccheck: %s: broken anchor %q (no heading #%s in %s)\n",
+					file, target, frag, path)
+				broken++
+			}
+		}
+	}
+	fmt.Printf("doccheck: %s: %d relative links, %d anchors checked\n", file, checked, frags)
+	return broken
 }
 
 // checkLintCatalog compares the backticked first-column names in the catalog
@@ -239,33 +233,4 @@ func slugify(h string) string {
 		}
 	}
 	return b.String()
-}
-
-// checkBenchRefs flags benchmark-snapshot drift in one file: references to
-// snapshots that don't exist on disk, and default-declaring lines that name
-// a snapshot other than the current one.
-func checkBenchRefs(file, text, current string) int {
-	bad := 0
-	for i, line := range strings.Split(text, "\n") {
-		refs := benchRe.FindAllString(line, -1)
-		if len(refs) == 0 {
-			continue
-		}
-		declaresDefault := strings.Contains(strings.ToLower(line), "default") ||
-			strings.Contains(line, "BENCH_JSON")
-		for _, ref := range refs {
-			if _, err := os.Stat(ref); err != nil {
-				fmt.Fprintf(os.Stderr, "doccheck: %s:%d: reference to %s, which does not exist on disk\n",
-					file, i+1, ref)
-				bad++
-				continue
-			}
-			if declaresDefault && ref != current {
-				fmt.Fprintf(os.Stderr, "doccheck: %s:%d: stale default %s (current snapshot is %s)\n",
-					file, i+1, ref, current)
-				bad++
-			}
-		}
-	}
-	return bad
 }

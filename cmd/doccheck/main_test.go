@@ -3,66 +3,86 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"polaris/internal/lint"
 )
 
-// chdirTemp runs the test from a fresh temp dir so checkBenchRefs's
-// os.Stat probes see exactly the snapshot files the test creates.
-func chdirTemp(t *testing.T) string {
+// writeDocs writes name → content into a fresh directory and returns it.
+func writeDocs(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
-	old, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = os.Chdir(old) })
 	return dir
 }
 
-func touch(t *testing.T, dir, name string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
+func TestCheckLinks(t *testing.T) {
+	target := strings.Join([]string{
+		"# Guide",
+		"## Setup",
+		"## Setup", // GitHub anchors the repeat as #setup-1
+		"```sh",
+		"# not-a-heading",
+		"```",
+		"## `Code` and [link](x.md)",
+	}, "\n")
+	cases := []struct {
+		name, doc string
+		broken    int
+	}{
+		{"present file", "[g](guide.md)", 0},
+		{"missing file", "[g](gone.md)", 1},
+		{"heading anchor", "[s](guide.md#setup) [c](guide.md#code-and-link)", 0},
+		{"missing anchor", "[s](guide.md#teardown)", 1},
+		{"duplicate heading slug", "[s](guide.md#setup-1)", 0},
+		{"past the last duplicate", "[s](guide.md#setup-2)", 1},
+		{"heading inside a code fence", "[n](guide.md#not-a-heading)", 1},
+		{"same-file anchor", "# Top\n[t](#top) [u](#bottom)", 1},
+		{"external link", "[e](https://example.com/x.md#nowhere)", 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := writeDocs(t, map[string]string{"guide.md": target, "doc.md": c.doc})
+			if got := checkLinks(filepath.Join(dir, "doc.md"), map[string]map[string]bool{}); got != c.broken {
+				t.Fatalf("%q: %d broken references, want %d", c.doc, got, c.broken)
+			}
+		})
 	}
 }
 
-func TestBenchRefsMissingSnapshotFails(t *testing.T) {
-	dir := chdirTemp(t)
-	touch(t, dir, "BENCH_PR6.json")
-	// BENCH_PR7.json is referenced but absent from disk: the doc gate must
-	// fail instead of letting the reference dangle.
-	text := "Current numbers live in BENCH_PR7.json.\n"
-	if bad := checkBenchRefs("README.md", text, "BENCH_PR7.json"); bad != 1 {
-		t.Fatalf("missing snapshot: %d findings, want 1", bad)
+func TestCheckLintCatalog(t *testing.T) {
+	var rows []string
+	for _, a := range lint.Registry() {
+		rows = append(rows, "| `"+a.Name+"` | checks |")
 	}
-	touch(t, dir, "BENCH_PR7.json")
-	if bad := checkBenchRefs("README.md", text, "BENCH_PR7.json"); bad != 0 {
-		t.Fatalf("present snapshot: %d findings, want 0", bad)
+	if len(rows) < 2 {
+		t.Fatalf("registry has %d analyzers; the drift cases need two", len(rows))
 	}
-}
-
-func TestBenchRefsStaleDefaultFails(t *testing.T) {
-	dir := chdirTemp(t)
-	touch(t, dir, "BENCH_PR6.json")
-	touch(t, dir, "BENCH_PR7.json")
-	// A default-declaring line naming last PR's snapshot is stale even though
-	// the file still exists.
-	stale := "The default snapshot is BENCH_PR6.json.\n"
-	if bad := checkBenchRefs("README.md", stale, "BENCH_PR7.json"); bad != 1 {
-		t.Fatalf("stale default: %d findings, want 1", bad)
+	catalog := func(rows []string) string {
+		return "# Lint\n\n## Analyzer catalog\n\n| Name | What |\n|---|---|\n" + strings.Join(rows, "\n") +
+			"\n\n## Annotation keys\n\n| `not-an-analyzer` | ignored: another table |\n"
 	}
-	// The same mention on a non-default line is a legitimate historical
-	// reference (docs/PERF.md cites every past snapshot).
-	history := "PR 6 recorded its numbers in BENCH_PR6.json.\n"
-	if bad := checkBenchRefs("docs/PERF.md", history, "BENCH_PR7.json"); bad != 0 {
-		t.Fatalf("historical mention: %d findings, want 0", bad)
+	cases := []struct {
+		name   string
+		rows   []string
+		broken int
+	}{
+		{"in sync", rows, 0},
+		{"registered analyzer missing from the docs", rows[1:], 1},
+		{"documented analyzer no longer registered", append(append([]string{}, rows...), "| `retired` | gone |"), 1},
+		{"empty catalog table", nil, 1},
 	}
-	// BENCH_JSON assignment lines count as default declarations too.
-	makefile := "BENCH_JSON ?= BENCH_PR6.json\n"
-	if bad := checkBenchRefs("Makefile", makefile, "BENCH_PR7.json"); bad != 1 {
-		t.Fatalf("stale BENCH_JSON default: %d findings, want 1", bad)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := writeDocs(t, map[string]string{"LINT.md": catalog(c.rows)})
+			if got := checkLintCatalog(filepath.Join(dir, "LINT.md")); got != c.broken {
+				t.Fatalf("%d findings, want %d", got, c.broken)
+			}
+		})
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"polaris/internal/workload"
 )
 
-// Ablations for the design choices DESIGN.md calls out. Each returns rows
-// comparing the design point used by the paper against the alternative.
+// Ablations for the design choices the paper argues for: merge-on-read deletes
+// (Section 2.1), workload management (4.3), file-granularity conflicts
+// (4.4.1), compaction (5.1) and the checkpoint threshold (5.2). Each returns
+// rows comparing the design point used by the paper against the alternative.
 
 // AblationRow is one configuration's outcome in an ablation.
 type AblationRow struct {

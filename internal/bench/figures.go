@@ -1,7 +1,7 @@
 // Package bench reproduces every evaluation figure of the paper (Section 7)
-// as a programmatic experiment returning structured rows. The root-level
-// testing.B benchmarks and cmd/benchrunner both drive these functions; the
-// numbers they report are *simulated* durations from the compute cost model,
+// as a programmatic experiment returning structured rows. cmd/benchrunner
+// prints them and figures_test.go asserts their shapes; the numbers they
+// report are *simulated* durations from the compute cost model,
 // so the comparison against the paper is about shape — who wins, by what
 // rough factor, where crossovers fall — not absolute values.
 package bench
@@ -21,8 +21,8 @@ import (
 	"polaris/internal/workload"
 )
 
-// Scale multiplies all workload sizes; 1.0 is the quick default used by `go
-// test -bench`, larger values sharpen the curves for cmd/benchrunner.
+// Scale multiplies all workload sizes; the figure tests run at 0.1–0.2, and
+// larger values sharpen the curves cmd/benchrunner prints.
 type Scale float64
 
 func newEngine(elastic bool, maxNodes int) *core.Engine {

@@ -6,7 +6,7 @@ import (
 )
 
 // These tests assert the *shapes* the paper reports for each figure at a tiny
-// scale; the root benchmarks re-run them at measurement scale.
+// scale; cmd/benchrunner prints the full tables at any -scale.
 
 func TestFig7SubLinearScaling(t *testing.T) {
 	if testing.Short() {

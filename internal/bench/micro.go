@@ -1,16 +1,15 @@
 package bench
 
-// Wall-clock micro-benchmarks of the morsel-driven parallel executor, shared
-// by the root-level testing.B benchmarks (bench_test.go) and cmd/benchrunner
-// -json. Unlike the figure experiments these measure real time and real
-// allocations, so their results feed the per-PR perf trajectory
-// (BENCH_PR2.json) rather than paper-shape comparisons.
+// Operator pipelines of the morsel-driven parallel executor over a shared 1M-row
+// dataset, below SQL: the repo benchmark times them as its exec.* rungs
+// (bench/rungs.go, bench/README.md), and micro_test.go holds them to the same
+// result at every DOP. Unlike the figure experiments they run in real time,
+// not simulated time.
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"polaris/internal/colfile"
 	"polaris/internal/exec"
@@ -221,73 +220,6 @@ func ParallelJoinProbe(files []exec.ScanFile, table *exec.JoinTable, dop int) (*
 	return exec.Collect(exec.NewBatchList(proto.Schema(), batches))
 }
 
-// bloomBuild lazily builds the build side of the bloom-filter join
-// micro-benchmark: 64Ki rows over 16Ki distinct keys, of which only 16 fall
-// inside the probe key domain (val ∈ [0, 997)). The hash table is far too
-// large to stay cache-resident, which is exactly the case the build-side
-// bloom filter pays for: ~98% of probe rows are rejected by a couple of
-// bitmap probes instead of a cold map lookup.
-var bloomBuild struct {
-	once  sync.Once
-	table *exec.JoinTable
-	err   error
-}
-
-// ParallelJoinBloomTable returns the immutable build side of the
-// bloom-pruning join micro-benchmark, built once.
-func ParallelJoinBloomTable() (*exec.JoinTable, error) {
-	d := &bloomBuild
-	d.once.Do(func() {
-		schema := colfile.Schema{
-			{Name: "k", Type: colfile.Int64},
-			{Name: "tag", Type: colfile.Int64},
-		}
-		b := colfile.NewBatch(schema)
-		for i := int64(0); i < 1<<16; i++ {
-			k := 997 + i%(1<<14) // outside val's [0, 997): never matches
-			if i < 16 {
-				k = i * 61 // the 16 matchable keys, one build row each
-			}
-			b.Cols[0].AppendInt(k)
-			b.Cols[1].AppendInt(i)
-		}
-		d.table, d.err = exec.BuildHashJoin(exec.NewBatchSource(b), []int{0}, exec.InnerJoin, 4, nil)
-	})
-	return d.table, d.err
-}
-
-// ParallelJoinBloom probes the 1M-row dataset's val column against the
-// sparse build table at the given DOP, with the build-side bloom runtime
-// filter attached when bloom is true. Only ~1.6% of probe rows carry one of
-// the 16 build keys, so the filter rejects the rest before the hash-table
-// walk; the returned count is the number of probe rows it pruned. Output is
-// byte-identical with and without the filter at every DOP — the bloom is
-// pure pruning, never semantics.
-func ParallelJoinBloom(files []exec.ScanFile, table *exec.JoinTable, dop int, bloom bool) (*colfile.Batch, int64, error) {
-	var pruned atomic.Int64
-	var filter *exec.Bloom
-	if bloom {
-		filter = table.BloomFilter()
-	}
-	morsels := exec.SplitMorsels(files, dop*4)
-	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.Probe{In: s, Table: table, LeftKeys: []int{1}, Bloom: filter, Pruned: &pruned}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	proto := &exec.Probe{In: exec.NewBatchSource(colfile.NewBatch(files[0].R.Schema())), Table: table, LeftKeys: []int{1}}
-	out, err := exec.Collect(exec.NewBatchList(proto.Schema(), batches))
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, pruned.Load(), nil
-}
-
 // joinBuildBatch lazily materializes the raw build-side batch of the join
 // micro-benchmarks (the spill variant re-drains it per iteration, since a
 // grace build consumes its input).
@@ -355,59 +287,4 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	}
 	outSchema := append(append(colfile.Schema{}, schema...), buildSide().Schema...)
 	return exec.Collect(exec.NewBatchList(outSchema, joined))
-}
-
-// FmtKeyEncode is the pre-PR2 fmt-based key encoding ("%v\x00" separators,
-// one boxed Value call and one Fprintf per column per row), kept as the
-// measured baseline the typed encoding is compared against in BENCH_PR2.json.
-// Returns a checksum so the compiler cannot elide the work.
-func FmtKeyEncode(b *colfile.Batch, keys []int) int {
-	total := 0
-	for i := 0; i < b.NumRows(); i++ {
-		var sb []byte
-		for _, c := range keys {
-			v := b.Cols[c]
-			if v.IsNull(i) {
-				continue
-			}
-			sb = fmt.Appendf(sb, "%v\x00", v.Value(i))
-		}
-		total += len(sb)
-	}
-	return total
-}
-
-// TypedKeyEncode encodes the same keys with the zero-box Vec.AppendKey path
-// and a reused scratch buffer — the encoding the executor now uses for join
-// probes and group keys.
-func TypedKeyEncode(b *colfile.Batch, keys []int) int {
-	total := 0
-	var scratch []byte
-	for i := 0; i < b.NumRows(); i++ {
-		scratch = scratch[:0]
-		for _, c := range keys {
-			v := b.Cols[c]
-			if v.IsNull(i) {
-				continue
-			}
-			scratch = v.AppendKey(scratch, i)
-		}
-		total += len(scratch)
-	}
-	return total
-}
-
-// KeyEncodeBatch builds the mixed-type batch (int64 + string columns) both
-// key-encoding benchmarks run over.
-func KeyEncodeBatch(rows int) *colfile.Batch {
-	schema := colfile.Schema{
-		{Name: "k", Type: colfile.Int64},
-		{Name: "s", Type: colfile.String},
-	}
-	b := colfile.NewBatch(schema)
-	for i := 0; i < rows; i++ {
-		b.Cols[0].AppendInt(int64(i % 4096))
-		b.Cols[1].AppendStr(fmt.Sprintf("key-%d", i%512))
-	}
-	return b
 }

@@ -9,11 +9,14 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"polaris/internal/colfile"
@@ -119,17 +122,28 @@ func diffBatches(t testing.TB, rng *rand.Rand, schema colfile.Schema, rows [][]a
 	return out
 }
 
-// batchBytes renders a batch's logical rows with floats as bits, so -0 and a
-// last-ulp difference are differences.
+// batchBytes renders a batch's logical rows, each value tagged with its
+// vector's type and floats as bits, so -0 and a last-ulp difference are
+// differences. It reads the typed slices directly: the sweeps render millions
+// of values, and under the race detector fmt made them the slowest tests here.
 func batchBytes(b *colfile.Batch) []byte {
 	var out []byte
 	for r := 0; r < b.NumRows(); r++ {
-		for _, x := range b.Row(r) {
-			if f, ok := x.(float64); ok {
-				out = fmt.Appendf(out, "f%016x|", math.Float64bits(f))
-			} else {
-				out = fmt.Appendf(out, "%T %#v|", x, x)
+		i := b.RowIdx(r)
+		for _, v := range b.Cols {
+			switch {
+			case v.IsNull(i):
+				out = append(out, "null"...)
+			case v.Type == colfile.Int64:
+				out = strconv.AppendInt(append(out, 'i'), v.Ints[i], 10)
+			case v.Type == colfile.Float64:
+				out = strconv.AppendUint(append(out, 'f'), math.Float64bits(v.Floats[i]), 16)
+			case v.Type == colfile.String:
+				out = strconv.AppendQuote(append(out, 's'), v.Strs[i])
+			default:
+				out = strconv.AppendBool(append(out, 'b'), v.Bools[i])
 			}
+			out = append(out, '|')
 		}
 		out = append(out, '\n')
 	}
@@ -250,26 +264,62 @@ type joinCase struct {
 	splits             int
 	selected           bool
 	parallelism        int
+	// bloom also runs the join with its runtime filter: the probe through the
+	// table's BloomFilter, and a grace build spilled under a one-byte budget,
+	// whose own filter prunes probe rows before they are partitioned.
+	bloom bool
 }
 
-func checkJoinAgainstReference(t testing.TB, c joinCase) {
+// checkJoinAgainstReference runs one case through the operators and through
+// refJoin and compares the bytes. With c.bloom it returns the probe rows each
+// runtime filter pruned: the in-memory probe's and the spilled join's.
+func checkJoinAgainstReference(t testing.TB, c joinCase) (pruned, spillPruned int64) {
 	rng := rand.New(rand.NewSource(c.seed))
 	probe := diffRows(rng, c.probeRows, c.domain, c.nullPct)
 	build := diffRows(rng, c.build, c.domain, c.nullPct)
-	jt, err := BuildHashJoin(NewBatchList(diffSchema, diffBatches(t, rng, diffSchema, build, 3, c.selected)),
-		c.bldKeys, c.typ, c.parallelism, nil)
+	buildBatches := diffBatches(t, rng, diffSchema, build, 3, c.selected)
+	jt, err := BuildHashJoin(NewBatchList(diffSchema, buildBatches), c.bldKeys, c.typ, c.parallelism, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Probe{In: NewBatchList(diffSchema, diffBatches(t, rng, diffSchema, probe, c.splits, c.selected)), Table: jt, LeftKeys: c.probeKeys}
-	got, err := Collect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probeBatches := diffBatches(t, rng, diffSchema, probe, c.splits, c.selected)
+	p := &Probe{In: NewBatchList(diffSchema, probeBatches), Table: jt, LeftKeys: c.probeKeys}
 	want := rowsBatch(t, p.Schema(), refJoin(probe, build, c.probeKeys, c.bldKeys, c.typ, len(diffSchema)))
-	if g, w := batchBytes(got), batchBytes(want); !bytes.Equal(g, w) {
-		t.Fatalf("%+v: join differs from the reference (%d rows, want %d)", c, got.NumRows(), want.NumRows())
+	wantBytes := batchBytes(want)
+	check := func(what string, got *colfile.Batch, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(batchBytes(got), wantBytes) {
+			t.Fatalf("%+v: %s differs from the reference (%d rows, want %d)", c, what, got.NumRows(), want.NumRows())
+		}
 	}
+	got, err := Collect(p)
+	check("join", got, err)
+	if !c.bloom {
+		return 0, 0
+	}
+
+	var n atomic.Int64
+	got, err = Collect(&Probe{In: NewBatchList(diffSchema, probeBatches), Table: jt, LeftKeys: c.probeKeys, Bloom: jt.BloomFilter(), Pruned: &n})
+	check("bloom-filtered join", got, err)
+
+	src, err := BuildGraceJoin(NewBatchList(diffSchema, buildBatches), c.bldKeys, c.typ, c.parallelism,
+		SpillConfig{Budget: 1, Store: NewMemSpillStore()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Spilled == nil {
+		t.Fatalf("%+v: grace build did not spill under a one-byte budget", c)
+	}
+	joined, err := src.Spilled.JoinBatches(context.Background(), probeBatches, c.probeKeys, diffSchema, c.parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = Collect(NewBatchList(p.Schema(), joined))
+	check("spilled bloom-filtered join", got, err)
+	return n.Load(), src.Spilled.BloomPrunedRows()
 }
 
 func TestJoinMatchesReference(t *testing.T) {
@@ -289,11 +339,21 @@ func TestJoinMatchesReference(t *testing.T) {
 						checkJoinAgainstReference(t, joinCase{
 							seed: seed, probeRows: size[0], build: size[1], domain: size[2], nullPct: 15,
 							probeKeys: ks[0], bldKeys: ks[1], typ: typ, splits: 1 + int(seed%4), selected: selected, parallelism: par,
+							bloom: typ != LeftOuterJoin,
 						})
 					}
 				}
 			}
 		}
+	}
+	// A sparse build: 40 keys out of a domain of 900, so most probe rows carry
+	// a key the build lacks and both filters must drop rows, not just agree.
+	pruned, spillPruned := checkJoinAgainstReference(t, joinCase{
+		seed: 2000, probeRows: 600, build: 40, domain: 900, nullPct: 15,
+		probeKeys: []int{0}, bldKeys: []int{0}, typ: InnerJoin, splits: 3, parallelism: 4, bloom: true,
+	})
+	if pruned == 0 || spillPruned == 0 {
+		t.Fatalf("sparse build: the probe's filter pruned %d rows, the spilled join's %d; want both > 0", pruned, spillPruned)
 	}
 }
 

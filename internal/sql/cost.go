@@ -18,13 +18,8 @@ const (
 )
 
 // estimateRows returns the estimated visible-row output of scanning a table
-// with the given predicate conjuncts applied (independence assumed). A table
-// without statistics estimates to -1 ("unknown"), which disables cost-based
-// reordering rather than comparing garbage numbers.
+// with the given predicate conjuncts applied (independence assumed).
 func estimateRows(ts *tableStats, conjuncts []Expr) float64 {
-	if ts == nil {
-		return -1
-	}
 	rows := float64(ts.rows)
 	if rows <= 0 {
 		return 0

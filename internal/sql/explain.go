@@ -130,9 +130,6 @@ func (r *relation) describe() string {
 
 // estString formats a relation's estimated post-filter cardinality.
 func (r *relation) estString() string {
-	if r.est < 0 {
-		return "? rows"
-	}
 	return strconv.FormatInt(int64(r.est+0.5), 10) + " rows"
 }
 

@@ -29,7 +29,7 @@ type relation struct {
 	meta  catalog.TableMeta
 	state *manifest.TableState // the snapshot the statement reads, resolved once
 	pos   int                  // syntactic position: 0 = FROM, i+1 = Joins[i]
-	est   float64              // estimated scan output rows after local conjuncts; -1 unknown
+	est   float64              // estimated scan output rows after local conjuncts
 
 	cols   []string       // projected scan columns (nil = all)
 	schema colfile.Schema // scan output schema
@@ -95,29 +95,29 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := rels.checkExposedNames(); err != nil {
+		return nil, err
+	}
 	p := &selectPlan{
 		items: st.Items, groupBy: st.GroupBy, having: st.Having,
 		orderBy: st.OrderBy, limit: st.Limit, offset: st.Offset,
 		dag: tx.DistributedQueries() && !bareLimitSelect(st),
 	}
 
-	// Cost-based decisions. Two relations under one alias leave qualified
-	// references ambiguous, so such a statement runs exactly as written.
+	// Cost-based decisions.
 	order, ons := rels, make([]Expr, len(st.Joins))
 	for i, j := range st.Joins {
 		ons[i] = j.On
 	}
 	conjuncts := splitAnd(st.Where)
 	owners := make([]*relation, len(conjuncts)) // the relation whose scan evaluates conjunct i; nil = the residual WHERE
-	if rels.distinctAliases() {
-		rels.estimate(conjuncts)
-		if o, e := rels.reorderJoins(st); o != nil {
-			order, ons = o, e
-			p.items = rels.expandStar(st.Items)
-		}
-		rels.chooseProjection(st)
-		rels.choosePushdown(st, conjuncts, owners, order[0])
+	rels.estimate(conjuncts)
+	if o, e := rels.reorderJoins(st); o != nil {
+		order, ons = o, e
+		p.items = rels.expandStar(st.Items)
 	}
+	rels.chooseProjection(st)
+	rels.choosePushdown(st, conjuncts, owners, order[0])
 
 	// Bind and compile in execution order. The probe base's morsel split is
 	// sized from the configured Parallelism unless the aggregation is
@@ -252,20 +252,23 @@ func resolveRelations(tx *core.Txn, st *SelectStmt) (relations, error) {
 		if err != nil {
 			return nil, err
 		}
-		rels[pos] = &relation{ref: ref, meta: meta, state: state, pos: pos, est: -1, schema: meta.Schema}
+		rels[pos] = &relation{ref: ref, meta: meta, state: state, pos: pos, schema: meta.Schema}
 	}
 	return rels, nil
 }
 
-func (rs relations) distinctAliases() bool {
+// checkExposedNames rejects two relations under one exposed name (alias, or
+// table name when unaliased; compared case-insensitively), which T-SQL also
+// refuses: every qualified reference to that name would be ambiguous.
+func (rs relations) checkExposedNames() error {
 	for i, r := range rs {
 		for _, o := range rs[:i] {
 			if strings.EqualFold(aliasOf(r.ref), aliasOf(o.ref)) {
-				return false
+				return fmt.Errorf("sql: two FROM relations share the exposed name %q; use distinct aliases", aliasOf(r.ref))
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // estimate computes each relation's post-filter cardinality estimate from
@@ -401,11 +404,6 @@ func (rs relations) reorderJoins(st *SelectStmt) (relations, []Expr) {
 	for _, j := range st.Joins {
 		if j.Left {
 			return nil, nil
-		}
-	}
-	for _, r := range rs {
-		if r.est < 0 {
-			return nil, nil // a relation without statistics: don't compare garbage
 		}
 	}
 	// SELECT * with GROUP BY errors later; keep the syntactic order so the

@@ -101,12 +101,9 @@ func TestEstimatorSanityBounds(t *testing.T) {
 			t.Errorf("estimateRows(%q) = %.1f, want within [%.0f, %.0f]", c.pred, got, c.lo, c.hi)
 		}
 	}
-	// No predicate: the full row count. No stats: the unknown sentinel.
+	// No predicate: the full row count.
 	if got := estimateRows(ts, nil); got != 200 {
 		t.Errorf("estimateRows(no pred) = %.1f, want 200", got)
-	}
-	if got := estimateRows(nil, nil); got >= 0 {
-		t.Errorf("estimateRows(nil stats) = %.1f, want negative (unknown)", got)
 	}
 	// Estimates never exceed the table and never go below one row.
 	if got := estimateRows(ts, splitAnd(where("k = 1 AND k = 2 AND k = 3 AND f < 0.0"))); got < 1 {

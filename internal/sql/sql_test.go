@@ -464,8 +464,9 @@ func TestAmbiguousColumn(t *testing.T) {
 // TestIllTypedStatementsAreErrors pins plan-or-fail: a statement whose
 // expression tree has a static type error fails at plan time with
 // exec.Compile's message, and one that names an unknown table or column, joins
-// on a non-equality or orders by a column it does not output with the
-// planner's — at every Parallelism, on the morsel pool and the DAG alike,
+// on a non-equality, puts two relations under one exposed name or orders by a
+// column it does not output with the planner's — at every Parallelism, on the
+// morsel pool and the DAG alike,
 // whether or not the table holds a row, for the statement and for its EXPLAIN
 // — and leaves nothing behind. These statements used to reach the scalar fallback, which indexed an
 // empty Bools slice: a panic, in a pool goroutine at Parallelism > 1.
@@ -481,6 +482,9 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 		{`SELECT nosuch FROM %s`, `sql: unknown column "nosuch"`},
 		{`SELECT t.k FROM %s t JOIN nosuch n ON t.k = n.k`, "catalog: table not found: nosuch"},
 		{`SELECT a.k FROM %[1]s a JOIN %[1]s b ON a.k < b.k`, "sql: JOIN ON supports equality conjunctions only"},
+		{`SELECT COUNT(*) FROM %[1]s JOIN %[1]s ON %[1]s.k = %[1]s.k`, `sql: two FROM relations share the exposed name "%[1]s"; use distinct aliases`},
+		{`SELECT a.k FROM %[1]s a JOIN %[1]s A ON a.k = A.k`, `sql: two FROM relations share the exposed name "A"; use distinct aliases`},
+		{`SELECT x.k FROM %s x JOIN dim x ON x.k = x.k`, `sql: two FROM relations share the exposed name "x"; use distinct aliases`},
 		{`SELECT k FROM %s ORDER BY v`, `sql: ORDER BY column "v" not in output`},
 		{`SELECT k, COUNT(*) FROM %s GROUP BY k ORDER BY v`, `sql: ORDER BY column "v" not in output`},
 		{`SELECT SUM(v) FROM %s`, "exec: SUM over string"},
@@ -502,6 +506,7 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 				for _, table := range []string{"full", "empty"} {
 					mustExec(t, env.sess, `CREATE TABLE `+table+` (k INT, v VARCHAR) WITH (DISTRIBUTION = k)`)
 				}
+				mustExec(t, env.sess, `CREATE TABLE dim (k INT) WITH (DISTRIBUTION = k)`)
 				var sb strings.Builder
 				sb.WriteString("INSERT INTO full VALUES ")
 				for i := 0; i < rows; i++ {
@@ -514,15 +519,15 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 
 				for _, c := range cases {
 					for _, table := range []string{"full", "empty"} {
-						q := fmt.Sprintf(c.stmt, table)
-						if _, err := env.sess.Exec(q); err == nil || err.Error() != c.want {
-							t.Errorf("%s: err = %v, want %q", q, err, c.want)
+						q, want := fmt.Sprintf(c.stmt, table), strings.ReplaceAll(c.want, "%[1]s", table)
+						if _, err := env.sess.Exec(q); err == nil || err.Error() != want {
+							t.Errorf("%s: err = %v, want %q", q, err, want)
 						}
 						// EXPLAIN renders the plan execution runs, so a SELECT
 						// that cannot be planned has no EXPLAIN either.
 						if strings.HasPrefix(q, "SELECT") {
-							if _, err := env.sess.Exec("EXPLAIN " + q); err == nil || err.Error() != c.want {
-								t.Errorf("EXPLAIN %s: err = %v, want %q", q, err, c.want)
+							if _, err := env.sess.Exec("EXPLAIN " + q); err == nil || err.Error() != want {
+								t.Errorf("EXPLAIN %s: err = %v, want %q", q, err, want)
 							}
 						}
 						assertNoSpillLeaks(t, env.store, "after "+q)

@@ -45,9 +45,6 @@ func collectStats(state *manifest.TableState, schema colfile.Schema) *tableStats
 // colSketch returns the merged sketch for a column (case-insensitive), if
 // the table has complete statistics.
 func (ts *tableStats) colSketch(name string) (colfile.ColSketch, bool) {
-	if ts == nil {
-		return colfile.ColSketch{}, false
-	}
 	s, ok := ts.cols[strings.ToLower(name)]
 	return s, ok
 }

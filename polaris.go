@@ -15,8 +15,8 @@
 // Explicit transactions, time travel (AS OF), zero-copy clones, restore, and
 // the autonomous storage optimizations (compaction, checkpointing, garbage
 // collection, Delta-format publishing) are all exposed; see the examples/
-// directory for tour programs and bench_test.go plus cmd/benchrunner for the
-// reproduction of the paper's evaluation figures.
+// directory for tour programs and cmd/benchrunner for the reproduction of the
+// paper's evaluation figures.
 //
 // Query execution is morsel-driven parallel: table scans are split into
 // per-file (or per-row-group) morsels fanned out over a worker pool sized by
