@@ -57,9 +57,12 @@ bench-check:
 # allocation the input cannot back) and the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
 # returns, never panics, and ReadColumn memoizes a vector, never an error,
-# billing exactly what it keeps), plus the two evaluator-vs-reference targets
+# billing exactly what it keeps), plus the three evaluator-vs-reference targets
 # in internal/exec (compiled kernels against the scalar evaluator, the
-# aggregation operators against the scalar aggregator). The seed corpora already run inside
+# aggregation operators against the scalar aggregator, and the join — in
+# memory with and without its bloom filter, and spilled — against a
+# nested-loop join).
+# The seed corpora already run inside
 # `make test`; this adds a few seconds of coverage-guided search per target on
 # every push.
 fuzz-smoke:
@@ -70,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzAggEquivalence$$' -fuzztime 5s ./internal/exec
+	$(GO) test -run NONE -fuzz '^FuzzJoinEquivalence$$' -fuzztime 5s ./internal/exec
 
 # End-to-end lifecycle gate for the multi-session HTTP front end: boots
 # polaris-server on an ephemeral port, health-checks it, runs DDL + DML + a

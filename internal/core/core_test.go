@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
@@ -924,5 +926,42 @@ func TestReconcileActions(t *testing.T) {
 	out = reconcileActions([]manifest.Action{a1, {Op: manifest.OpRemove, Kind: manifest.KindData, Path: "f1"}})
 	if len(out) != 0 {
 		t.Fatalf("cancelled = %+v", out)
+	}
+}
+
+// TestDistHashMatchesFmt pins d(r): the typed DistHash puts every value in the
+// bucket the boxed fmt form ("%v" text through FNV-1a 32) put it in, so no
+// stored row changes cell. The values are the ones where integer, float and
+// string formatting could differ: the integer extremes, both zeros, NaN, the
+// infinities, and the floats at which %v switches to exponent form.
+func TestDistHashMatchesFmt(t *testing.T) {
+	fmtHash := func(v any, buckets int) int {
+		h := fnv.New32a()
+		fmt.Fprintf(h, "%v", v)
+		return int(h.Sum32() % uint32(buckets))
+	}
+	vals := []any{
+		int64(math.MinInt64), int64(math.MaxInt64), int64(-1), int64(0), int64(1), int64(4607182418800017408),
+		0.0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e21, 1e20, 1e-7, 1e-4, 0.1, -2.5,
+		math.MaxFloat64, math.SmallestNonzeroFloat64,
+		"", "a", "hello, world", "ünïcode", "a\x00b", true, false,
+	}
+	for _, v := range vals {
+		vec := colfile.NewVec(colfile.Int64)
+		switch x := v.(type) {
+		case float64:
+			vec = &colfile.Vec{Type: colfile.Float64, Floats: []float64{x}}
+		case string:
+			vec = &colfile.Vec{Type: colfile.String, Strs: []string{x}}
+		case bool:
+			vec = &colfile.Vec{Type: colfile.Bool, Bools: []bool{x}}
+		default:
+			vec.AppendInt(x.(int64))
+		}
+		for _, buckets := range []int{1, 7, 60, 1 << 20} {
+			if got, want := DistHash(vec, 0, buckets), fmtHash(v, buckets); got != want {
+				t.Errorf("DistHash(%#v, %d) = %d, fmt form %d", v, buckets, got, want)
+			}
+		}
 	}
 }

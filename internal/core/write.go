@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"polaris/internal/catalog"
 	"polaris/internal/colfile"
@@ -14,13 +14,36 @@ import (
 )
 
 // DistHash is d(r): the system-defined distribution function mapping a row
-// to a bucket (paper 2.3). Exported because the SQL planner reuses it to
-// cell-align grace-join spill partitions with the table's storage cells —
-// one implementation, so the alignment cannot drift from the write path.
-func DistHash(v any, buckets int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%v", v)
-	return int(h.Sum32() % uint32(buckets))
+// to a bucket (paper 2.3), here by lane i (not NULL) of its distribution
+// column v. Exported because the SQL planner reuses it to cell-align
+// grace-join spill partitions with the table's storage cells — one
+// implementation, so the alignment cannot drift from the write path.
+//
+// The bucket is FNV-1a 32 over the value's text as fmt's %v prints it —
+// the decimal integer, the shortest 'g' float, the string itself, true or
+// false — formatted from the typed lane, so no value is boxed. Those bytes
+// are where every stored row's cell came from; they may not change.
+func DistHash(v *colfile.Vec, i, buckets int) int {
+	var buf [32]byte
+	var text []byte
+	h := uint32(2166136261)
+	switch v.Type {
+	case colfile.Int64:
+		text = strconv.AppendInt(buf[:0], v.Ints[i], 10)
+	case colfile.Float64:
+		text = strconv.AppendFloat(buf[:0], v.Floats[i], 'g', -1, 64)
+	case colfile.String:
+		s := v.Strs[i]
+		for j := 0; j < len(s); j++ {
+			h = (h ^ uint32(s[j])) * 16777619
+		}
+	case colfile.Bool:
+		text = strconv.AppendBool(buf[:0], v.Bools[i])
+	}
+	for _, c := range text {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(buckets))
 }
 
 // partitionBatch splits rows by d(r) over the distribution column.
@@ -33,7 +56,7 @@ func partitionBatch(b *colfile.Batch, distCol string, buckets int) []*colfile.Ba
 	for r := 0; r < b.NumRows(); r++ {
 		p := 0
 		if dc >= 0 && !b.Cols[dc].IsNull(r) {
-			p = DistHash(b.Cols[dc].Value(r), buckets)
+			p = DistHash(b.Cols[dc], r, buckets)
 		} else if dc < 0 {
 			p = r % buckets // round-robin when no distribution column
 		}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -360,7 +361,10 @@ func TestJoinMatchesReference(t *testing.T) {
 // TestKeyTableMatchesMap holds keyTable to a Go map under first-seen
 // numbering, with the real hash and with one constant hash for every key: ids,
 // finds and stored bytes may not depend on hash values. The key set crosses
-// several growth boundaries and holds the column-boundary pair.
+// several growth boundaries and holds the column-boundary pair. The word
+// subtests do the same for Int64 words — the extremes, 0 and -1 among them —
+// plus a NULL key that keeps its id across growths, is never found, and
+// orders first.
 func TestKeyTableMatchesMap(t *testing.T) {
 	pairA := appendGroupKey(nil, []*colfile.Vec{{Type: colfile.String, Strs: []string{"a\x00"}}, {Type: colfile.String, Strs: []string{"b"}}}, 0)
 	pairB := appendGroupKey(nil, []*colfile.Vec{{Type: colfile.String, Strs: []string{"a"}}, {Type: colfile.String, Strs: []string{"\x00b"}}}, 0)
@@ -368,7 +372,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		t.Fatal(`("a\x00","b") and ("a","\x00b") encode to the same key`)
 	}
 	hashes := map[string]func([]byte) uint64{
-		"hashKey":  hashKey,
+		"hashKey":  hashKey[[]byte],
 		"constant": func([]byte) uint64 { return 42 },
 		"zero":     func([]byte) uint64 { return 0 },
 	}
@@ -415,6 +419,82 @@ func TestKeyTableMatchesMap(t *testing.T) {
 				k := append([]byte{9}, byte(i)) // symbol 9 is in no inserted key
 				if got := kt.find(k, hash(k)); got != -1 {
 					t.Fatalf("find(absent %q) = %d", k, got)
+				}
+			}
+		})
+	}
+
+	// The word path: one Int64 column's values as machine words, the
+	// extremes among them, and a NULL group that takes an id but no slot.
+	wordHashes := map[string]func(int64) uint64{
+		"hashKeys": func(w int64) uint64 { return rowHash([]*colfile.Vec{{Type: colfile.Int64, Ints: []int64{w}}}, 0) },
+		"constant": func(int64) uint64 { return 42 },
+		"zero":     func(int64) uint64 { return 0 },
+	}
+	for name, hash := range wordHashes {
+		t.Run("word/"+name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			var kt keyTable
+			want := map[int64]int{}
+			next, nullID := 0, -1 // the id the next new key gets; the NULL key's
+			insertNull := func() {
+				first := nullID < 0
+				if first {
+					nullID = next
+					next++
+				}
+				if id, added := kt.insertNull(); int(id) != nullID || added != first {
+					t.Fatalf("insertNull() = (%d, %v), want (%d, %v)", id, added, nullID, first)
+				}
+			}
+			insert := func(w int64) {
+				wantID, seen := want[w]
+				if !seen {
+					wantID = next
+					want[w] = next
+					next++
+				}
+				if id, added := kt.insertWord(w, hash(w)); int(id) != wantID || added == seen {
+					t.Fatalf("insertWord(%d) = (%d, %v), want (%d, %v)", w, id, added, wantID, !seen)
+				}
+			}
+			insertNull() // first, so after each growth its id precedes every value's
+			for _, w := range []int64{math.MinInt64, math.MaxInt64, 0, -1} {
+				insert(w)
+			}
+			for i := 0; i < 3000; i++ {
+				insert(int64(rng.Intn(1200) - 600))
+				if i == 1500 {
+					insertNull() // the same id, after several growths
+				}
+			}
+			if kt.len() != next || kt.len() < 600 {
+				t.Fatalf("len = %d, want %d (and past several growths)", kt.len(), next)
+			}
+			for w, id := range want {
+				if got := kt.findWord(w, hash(w)); int(got) != id || kt.words[id] != w {
+					t.Fatalf("findWord(%d) = %d, want %d", w, got, id)
+				}
+			}
+			for _, w := range []int64{601, -601, math.MinInt64 + 1, math.MaxInt64 - 1} {
+				if got := kt.findWord(w, hash(w)); got != -1 {
+					t.Fatalf("findWord(absent %d) = %d", w, got)
+				}
+			}
+			// Word order is AppendKey byte order: NULL first, then by value.
+			enc := make([][]byte, kt.len())
+			ids := make([]int32, kt.len())
+			for id := range enc {
+				v := &colfile.Vec{Type: colfile.Int64, Ints: []int64{kt.words[id]}}
+				if id == nullID {
+					v.Nulls = []bool{true}
+				}
+				enc[id], ids[id] = v.AppendKey(nil, 0), int32(id)
+			}
+			slices.SortFunc(ids, kt.compareWords)
+			for i := 1; i < len(ids); i++ {
+				if bytes.Compare(enc[ids[i-1]], enc[ids[i]]) >= 0 {
+					t.Fatalf("compareWords puts %q before %q", enc[ids[i-1]], enc[ids[i]])
 				}
 			}
 		})
@@ -478,7 +558,7 @@ func TestBuildHashJoinAllocationGate(t *testing.T) {
 		in := distinctKeyBatch(t, n)
 		return testing.AllocsPerRun(3, func() {
 			jt, err := BuildHashJoin(NewBatchSource(in), []int{0}, InnerJoin, parts, nil)
-			if err != nil || len(jt.lookup(appendGroupKey(nil, in.Cols[:1], n-1))) != 1 {
+			if err != nil || len(jt.lookupWord(in.Cols[0].Ints[n-1], rowHash(in.Cols[:1], n-1))) != 1 {
 				t.Fatalf("build of %d rows: err %v", n, err)
 			}
 		})
@@ -492,4 +572,75 @@ func TestBuildHashJoinAllocationGate(t *testing.T) {
 		t.Fatalf("BuildHashJoin allocates %.0f objects over %d rows but %.0f over %d: growth is not logarithmic",
 			large, 16*buildParallelMinRows, small, buildParallelMinRows)
 	}
+}
+
+// TestProbeAllocationGate: probing 4,096 rows against a word table allocates
+// the output batch, each output column's gather and the probe's scratch —
+// a count fixed by the output column count, not by the rows.
+func TestProbeAllocationGate(t *testing.T) {
+	const rows = 4096
+	in := distinctKeyBatch(t, rows)
+	jt, err := BuildHashJoin(NewBatchSource(in), []int{0}, InnerJoin, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bloom := jt.BloomFilter()
+	outCols := 2 * len(in.Cols)
+	allocs := testing.AllocsPerRun(5, func() {
+		out, err := (&Probe{In: NewBatchSource(in), Table: jt, LeftKeys: []int{0}, Bloom: bloom}).Next()
+		if err != nil || out.NumRows() != rows {
+			t.Fatalf("probe: %d rows, err %v", out.NumRows(), err)
+		}
+	})
+	if bound := float64(4*outCols + 16); allocs > bound {
+		t.Fatalf("probing %d rows allocates %.0f objects, want at most %.0f (%d output columns)", rows, allocs, bound, outCols)
+	}
+}
+
+// TestMergeAggWordKeyOrder: a MergeAgg over one Int64 group key keys its
+// table by word, and still emits groups in the order of their AppendKey
+// bytes — NULL first, then by value, negatives before positives.
+func TestMergeAggWordKeyOrder(t *testing.T) {
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}}
+	keys := [][]any{
+		{int64(5), nil, int64(-3), int64(math.MaxInt64)},
+		{int64(0), int64(math.MinInt64), int64(-1), int64(5)},
+		{nil, int64(-3), int64(1), int64(-600), int64(600)},
+	}
+	groupBy := progs(t, schema, ColRef{Idx: 0, Name: "k"})
+	aggs := []AggSpec{{Kind: AggCountStar, Name: "n"}}
+	var partials []*colfile.Batch
+	for _, rows := range keys {
+		in := colfile.NewBatch(schema)
+		for _, k := range rows {
+			if err := in.AppendRow(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := Collect(&HashAgg{In: NewBatchSource(in), GroupBy: groupBy, Aggs: aggs, Partial: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	got, err := Collect(&MergeAgg{In: NewBatchList(partials[0].Schema, partials), Groups: 1, Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "null|i2|\ni-9223372036854775808|i1|\ni-600|i1|\ni-3|i2|\ni-1|i1|\ni0|i1|\ni1|i1|\ni5|i2|\ni600|i1|\ni9223372036854775807|i1|\n"
+	if g := string(batchBytes(got)); g != want {
+		t.Fatalf("merged groups:\n%s\nwant:\n%s", g, want)
+	}
+	for r := 1; r < got.NumRows(); r++ {
+		if bytes.Compare(got.Cols[0].AppendKey(nil, r-1), got.Cols[0].AppendKey(nil, r)) >= 0 {
+			t.Fatalf("groups %d and %d are not in AppendKey byte order", r-1, r)
+		}
+	}
+}
+
+// rowHash is the key hash hashKeys gives row r of the key columns vecs.
+func rowHash(vecs []*colfile.Vec, r int) uint64 {
+	hs := make([]uint64, 1)
+	hashKeys(hs, vecs, []int{r}, 0)
+	return hs[0]
 }

@@ -2,10 +2,10 @@ package exec
 
 import "sync/atomic"
 
-// Bloom is a join runtime filter: a bloom filter over the encoded build-side
-// join keys, consulted on the probe side before the hash-table walk (and, on
-// the spilled path, before probe rows are even partitioned to the object
-// store). A Bloom has no false negatives, so dropping rows it rejects cannot
+// Bloom is a join runtime filter: a bloom filter over the build-side join
+// keys' hashes (hashKeys), consulted on the probe side before the hash-table
+// walk (and, on the spilled path, before probe rows are even partitioned to
+// the object store). A Bloom has no false negatives, so dropping rows it rejects cannot
 // change join results — the cross-DOP byte-identity contract
 // (docs/ARCHITECTURE.md) is preserved by construction. Its contents are a
 // pure set-OR of per-key bit patterns, independent of insertion order, so
@@ -50,21 +50,20 @@ func NewBloom(n int) *Bloom {
 	return &Bloom{bits: make([]uint64, bits/64), mask: bits - 1, k: bloomProbes}
 }
 
-// bloomHash64 is FNV-1a 64 over the encoded key; split into two halves it
-// seeds the double-hashing probe sequence.
-func bloomHash64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
+// bloomSeed selects the remix of a key hash the filter's probe positions
+// come from, so they are independent of the bits that place the key in its
+// table and partition.
+const bloomSeed = 1
+
+// probes returns the double-hashing start and stride of a key hash.
+func probes(h uint64) (h1, h2 uint64) {
+	h1 = remix(h, bloomSeed)
+	return h1, (h1 >> 33) | 1 // h2 odd => full-period probe sequence
 }
 
-// Add inserts an encoded key.
-func (f *Bloom) Add(key []byte) {
-	h := bloomHash64(key)
-	h1, h2 := h, (h>>33)|1 // h2 odd => full-period probe sequence
+// Add inserts a key by its hash.
+func (f *Bloom) Add(h uint64) {
+	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
 		bit := h1 & f.mask
 		f.bits[bit/64] |= 1 << (bit % 64)
@@ -72,11 +71,10 @@ func (f *Bloom) Add(key []byte) {
 	}
 }
 
-// MayContain reports whether key may have been added. False means
-// definitely absent.
-func (f *Bloom) MayContain(key []byte) bool {
-	h := bloomHash64(key)
-	h1, h2 := h, (h>>33)|1
+// MayContain reports whether a key with hash h may have been added. False
+// means definitely absent.
+func (f *Bloom) MayContain(h uint64) bool {
+	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
 		bit := h1 & f.mask
 		if f.bits[bit/64]&(1<<(bit%64)) == 0 {
@@ -88,7 +86,7 @@ func (f *Bloom) MayContain(key []byte) bool {
 }
 
 // BloomFilter derives the runtime filter from a completed build: one Add per
-// distinct build key.
+// distinct build key, from the hash its table stored.
 func (jt *JoinTable) BloomFilter() *Bloom {
 	n := 0
 	for i := range jt.parts {
@@ -96,9 +94,8 @@ func (jt *JoinTable) BloomFilter() *Bloom {
 	}
 	f := NewBloom(n)
 	for i := range jt.parts {
-		keys := &jt.parts[i].keys
-		for id := 0; id < keys.len(); id++ {
-			f.Add(keys.key(int32(id)))
+		for _, h := range jt.parts[i].keys.hashes {
+			f.Add(h)
 		}
 	}
 	return f

@@ -152,3 +152,35 @@ func FuzzAggEquivalence(f *testing.F) {
 		checkAggAgainstReference(t, c)
 	})
 }
+
+// fuzzJoinKeys are the key shapes FuzzJoinEquivalence draws from, as (probe,
+// build) columns of diffSchema: one Int64 column (the word path, also across
+// two different columns), composite keys, and keys of every other type (the
+// encoded-byte path).
+var fuzzJoinKeys = [][2][]int{
+	{{0}, {0}}, {{0}, {5}}, {{0, 2}, {5, 3}}, {{2}, {3}}, {{2, 3}, {2, 3}}, {{1}, {1}}, {{4}, {4}}, {{0, 4}, {0, 4}},
+}
+
+// FuzzJoinEquivalence drives the join — the in-memory probe without and with
+// its bloom filter, and the grace join spilled under a one-byte budget — over
+// fuzzer-chosen keys, NULL rate, sizes, join type, batch splits, selection and
+// build parallelism, against the nested-loop reference join (refJoin) byte
+// for byte. A match the key table, the hash, the filter or the spill
+// partitioner loses or invents shows up as a difference.
+func FuzzJoinEquivalence(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint16(150), uint8(9), uint8(15), uint8(0), uint8(0), uint8(3), false, uint8(1))
+	f.Add(int64(2), uint16(90), uint16(400), uint8(40), uint8(30), uint8(2), uint8(1), uint8(1), true, uint8(4))
+	f.Add(int64(3), uint16(300), uint16(1), uint8(3), uint8(0), uint8(3), uint8(2), uint8(5), false, uint8(3))
+	f.Add(int64(4), uint16(0), uint16(60), uint8(200), uint8(90), uint8(7), uint8(0), uint8(2), true, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, probeRows, buildRows uint16, domain, nullPct, keyPick, typ, splits uint8, selected bool, par uint8) {
+		if probeRows > 500 || buildRows < 1 || buildRows > 500 {
+			return
+		}
+		ks := fuzzJoinKeys[int(keyPick)%len(fuzzJoinKeys)]
+		checkJoinAgainstReference(t, joinCase{
+			seed: seed, probeRows: int(probeRows), build: int(buildRows), domain: 2 + int(domain), nullPct: int(nullPct) % 101,
+			probeKeys: ks[0], bldKeys: ks[1], typ: []JoinType{InnerJoin, LeftOuterJoin, SemiJoin}[int(typ)%3],
+			splits: 1 + int(splits)%8, selected: selected, parallelism: 1 + int(par)%4, bloom: true,
+		})
+	})
+}

@@ -27,6 +27,7 @@ const (
 type JoinTable struct {
 	parts []joinPart // len is the build partition count
 	build *colfile.Batch
+	keys  []*colfile.Vec // the build side's key columns
 	typ   JoinType
 }
 
@@ -46,12 +47,21 @@ func (jt *JoinTable) BuildSchema() colfile.Schema { return jt.build.Schema }
 // half of the hash; a partition's keyTable places by the low bits.
 func partOf(h uint64, n int) int { return int((h >> 32) % uint64(n)) }
 
-// lookup finds the build rows matching an encoded probe key, in build-row
-// order; the result aliases the table.
-func (jt *JoinTable) lookup(k []byte) []int32 {
-	h := hashKey(k)
+// lookup finds the build rows matching an encoded probe key with hash h, in
+// build-row order; the result aliases the table.
+func (jt *JoinTable) lookup(k []byte, h uint64) []int32 {
 	p := &jt.parts[partOf(h, len(jt.parts))]
-	id := p.keys.find(k, h)
+	return p.match(p.keys.find(k, h))
+}
+
+// lookupWord is lookup for a word key.
+func (jt *JoinTable) lookupWord(w int64, h uint64) []int32 {
+	p := &jt.parts[partOf(h, len(jt.parts))]
+	return p.match(p.keys.findWord(w, h))
+}
+
+// match returns key id's build rows, none for -1.
+func (p *joinPart) match(id int32) []int32 {
 	if id < 0 {
 		return nil
 	}
@@ -63,8 +73,9 @@ func (jt *JoinTable) lookup(k []byte) []int32 {
 const buildParallelMinRows = 4096
 
 // rangeKeys is what pass 1 of a build leaves for one range of build rows: the
-// encoded key of every row whose key is not NULL, with its row number, and
-// per build partition the keys that belong to it, in row order.
+// key and hash of every row whose key is not NULL, with its row number, and
+// per build partition the keys that belong to it, in row order. A word key is
+// not copied: it is the build column's value at that row.
 type rangeKeys struct {
 	keyList
 	row   []int32   // build row of key j
@@ -89,11 +100,13 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 	if p < 1 || n < buildParallelMinRows {
 		p = 1
 	}
+	vecs := keyVecs(nil, all, keys)
+	word := wordKey(vecs)
 
-	// Pass 1: typed key encoding and partition bucketing, parallel over row
-	// ranges (NULL keys get no entry and never match). Each range worker
-	// appends its keys to its own list and their indexes to per-partition
-	// lists in row order, keeping total work O(n).
+	// Pass 1: key hashing and partition bucketing, parallel over row ranges
+	// (NULL keys get no entry and never match). Each range worker hashes its
+	// rows column at a time, appends its keys to its own list and their
+	// indexes to per-partition lists in row order, keeping total work O(n).
 	ranges := make([]rangeKeys, p)
 	chunk := (n + p - 1) / p
 	var wg sync.WaitGroup
@@ -106,20 +119,31 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 		wg.Add(1)
 		go func(rk *rangeKeys, lo, hi int) {
 			defer wg.Done()
-			rk.reserve(hi - lo)
+			rk.hashes = make([]uint64, 0, hi-lo)
 			rk.row = make([]int32, 0, hi-lo)
+			if !word {
+				rk.ends = make([]int, 0, hi-lo)
+			}
+			buf := make([]uint64, min(hashChunk, hi-lo))
 			var scratch []byte
-			for i := lo; i < hi; i++ {
-				k, ok := appendRowKey(scratch[:0], all, keys, i)
-				scratch = k
-				if !ok {
-					continue
+			for c := lo; c < hi; c += len(buf) {
+				hs := buf[:min(len(buf), hi-c)]
+				hashKeys(hs, vecs, nil, c)
+				for j, h := range hs {
+					i := c + j
+					switch {
+					case anyNull(vecs, i):
+						continue
+					case word:
+						rk.hashes = append(rk.hashes, h)
+					default:
+						scratch = appendGroupKey(scratch[:0], vecs, i)
+						rk.add(scratch, h)
+					}
+					part := partOf(h, p)
+					rk.parts[part] = append(rk.parts[part], int32(rk.len()-1))
+					rk.row = append(rk.row, int32(i))
 				}
-				h := hashKey(k)
-				part := partOf(h, p)
-				rk.parts[part] = append(rk.parts[part], int32(rk.len()))
-				rk.add(k, h)
-				rk.row = append(rk.row, int32(i))
 			}
 		}(&ranges[w], lo, hi)
 	}
@@ -133,7 +157,7 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			parts[w] = buildJoinPart(ranges, w)
+			parts[w] = buildJoinPart(ranges, w, vecs)
 		}(w)
 	}
 	wg.Wait()
@@ -141,23 +165,33 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 	if tel != nil {
 		tel.RowsProcessed.Add(int64(n))
 	}
-	return &JoinTable{parts: parts, build: all, typ: typ}, nil
+	return &JoinTable{parts: parts, build: all, keys: vecs, typ: typ}, nil
 }
 
 // buildJoinPart builds partition w from every range's keys for it: one pass
 // numbers the keys and counts their rows, a second lays the rows out per key.
 // Both walk the ranges in order, so a key's rows stay in build-row order.
-func buildJoinPart(ranges []rangeKeys, w int) joinPart {
+// keys are the build side's key columns.
+//
+//polaris:kernel the build side is collected dense, so a build row is a physical lane
+func buildJoinPart(ranges []rangeKeys, w int, keys []*colfile.Vec) joinPart {
+	word := wordKey(keys)
 	total := 0
 	for r := range ranges {
 		total += len(ranges[r].parts[w])
 	}
 	var jp joinPart
+	jp.keys.reserve(total, word) // at most one key per build row
 	ids := make([]int32, 0, total)
 	for r := range ranges {
 		rk := &ranges[r]
 		for _, j := range rk.parts[w] {
-			id, _ := jp.keys.insert(rk.key(j), rk.hashes[j])
+			var id int32
+			if word {
+				id, _ = jp.keys.insertWord(keys[0].Ints[rk.row[j]], rk.hashes[j])
+			} else {
+				id, _ = jp.keys.insert(rk.key(j), rk.hashes[j])
+			}
 			ids = append(ids, id)
 		}
 	}
@@ -184,23 +218,30 @@ func buildJoinPart(ranges []rangeKeys, w int) joinPart {
 	return jp
 }
 
-// appendRowKey encodes the key columns of row i into dst (see Vec.AppendKey);
-// ok=false when any key column is NULL — a NULL key never matches.
-func appendRowKey(dst []byte, b *colfile.Batch, keys []int, i int) ([]byte, bool) {
-	for _, c := range keys {
-		v := b.Cols[c]
+// anyNull reports whether lane i of any key column is NULL: a NULL key never
+// matches.
+func anyNull(vecs []*colfile.Vec, i int) bool {
+	for _, v := range vecs {
 		if v.IsNull(i) {
-			return dst, false
+			return true
 		}
-		dst = v.AppendKey(dst, i)
 	}
-	return dst, true
+	return false
+}
+
+// keyVecs returns batch b's key columns, reusing dst.
+func keyVecs(dst []*colfile.Vec, b *colfile.Batch, keys []int) []*colfile.Vec {
+	dst = dst[:0]
+	for _, c := range keys {
+		dst = append(dst, b.Cols[c])
+	}
+	return dst
 }
 
 // Probe streams probe-side batches against a shared JoinTable. Each Probe
-// owns its scratch buffers (key encoding plus the two-sided gather index
-// lists), so one JoinTable feeds many concurrent Probe instances — one per
-// morsel worker — race-free. Matched rows are emitted as a bulk two-sided
+// owns its scratch buffers (key hashes and encoding plus the two-sided gather
+// index lists), so one JoinTable feeds many concurrent Probe instances — one
+// per morsel worker — race-free. Matched rows are emitted as a bulk two-sided
 // gather (Vec.Take) instead of row-at-a-time appends.
 type Probe struct {
 	In       Operator
@@ -217,6 +258,8 @@ type Probe struct {
 
 	schema colfile.Schema
 	keyBuf []byte
+	vecs   []*colfile.Vec
+	hashes []uint64
 	lIdx   []int // probe-row gather indexes
 	rIdx   []int // build-row gather indexes; -1 pads outer-join misses
 }
@@ -244,7 +287,11 @@ func (p *Probe) Next() (*colfile.Batch, error) {
 		if p.Tel != nil {
 			p.Tel.RowsProcessed.Add(int64(lb.NumRows()))
 		}
-		if out := p.probeBatch(lb); out.NumRows() > 0 {
+		out, err := p.probeBatch(lb)
+		if err != nil {
+			return nil, err
+		}
+		if out.NumRows() > 0 {
 			return out, nil
 		}
 	}
@@ -255,9 +302,18 @@ func (p *Probe) Next() (*colfile.Batch, error) {
 // deterministic for any decomposition of the probe stream into batches.
 // Selected batches are probed through their selection vector (logical order
 // equals ascending physical order), so a filtered probe side needs no
-// materialization.
-func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
+// materialization. Every row's key is hashed once, column at a time; the
+// bloom filter and the table both read that hash.
+//
+//polaris:kernel lanes are addressed through lb.Sel (RowIdx), the translation the batch carries
+func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
 	jt := p.Table
+	p.vecs = keyVecs(p.vecs, lb, p.LeftKeys)
+	for i, v := range p.vecs {
+		if bt := jt.keys[i].Type; v.Type != bt {
+			return nil, fmt.Errorf("exec: join key %d compares %s with %s", i, v.Type, bt)
+		}
+	}
 	n := lb.NumRows()
 	if cap(p.lIdx) < n {
 		// One row out per probe row is the common case; a fan-out join grows
@@ -267,38 +323,47 @@ func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
 			p.rIdx = make([]int, 0, n)
 		}
 	}
+	if m := min(n, hashChunk); cap(p.hashes) < m {
+		p.hashes = make([]uint64, m)
+	}
+	word := wordKey(jt.keys)
 	p.lIdx, p.rIdx = p.lIdx[:0], p.rIdx[:0]
 	var pruned int64
-	for i := 0; i < n; i++ {
-		phys := lb.RowIdx(i)
-		k, ok := appendRowKey(p.keyBuf[:0], lb, p.LeftKeys, phys)
-		p.keyBuf = k[:0]
-		var matches []int32
-		if ok {
-			if p.Bloom != nil && !p.Bloom.MayContain(k) {
+	for lo := 0; lo < n; lo += hashChunk {
+		hs := p.hashes[:min(hashChunk, n-lo)]
+		hashKeys(hs, p.vecs, lb.Sel, lo)
+		for j, h := range hs {
+			phys := lb.RowIdx(lo + j)
+			var matches []int32
+			switch {
+			case anyNull(p.vecs, phys):
+			case p.Bloom != nil && !p.Bloom.MayContain(h):
 				pruned++ // provably no match: skip the hash-table walk
-			} else {
-				matches = jt.lookup(k)
+			case word:
+				matches = jt.lookupWord(p.vecs[0].Ints[phys], h)
+			default:
+				p.keyBuf = appendGroupKey(p.keyBuf[:0], p.vecs, phys)
+				matches = jt.lookup(p.keyBuf, h)
 			}
-		}
-		switch jt.typ {
-		case SemiJoin:
-			if len(matches) > 0 {
-				p.lIdx = append(p.lIdx, phys)
-			}
-		case InnerJoin:
-			for _, m := range matches {
-				p.lIdx = append(p.lIdx, phys)
-				p.rIdx = append(p.rIdx, int(m))
-			}
-		case LeftOuterJoin:
-			if len(matches) == 0 {
-				p.lIdx = append(p.lIdx, phys)
-				p.rIdx = append(p.rIdx, -1)
-			} else {
+			switch jt.typ {
+			case SemiJoin:
+				if len(matches) > 0 {
+					p.lIdx = append(p.lIdx, phys)
+				}
+			case InnerJoin:
 				for _, m := range matches {
 					p.lIdx = append(p.lIdx, phys)
 					p.rIdx = append(p.rIdx, int(m))
+				}
+			case LeftOuterJoin:
+				if len(matches) == 0 {
+					p.lIdx = append(p.lIdx, phys)
+					p.rIdx = append(p.rIdx, -1)
+				} else {
+					for _, m := range matches {
+						p.lIdx = append(p.lIdx, phys)
+						p.rIdx = append(p.rIdx, int(m))
+					}
 				}
 			}
 		}
@@ -313,7 +378,7 @@ func (p *Probe) probeBatch(lb *colfile.Batch) *colfile.Batch {
 	for c := leftCols; c < len(schema); c++ {
 		out.Cols[c] = jt.build.Cols[c-leftCols].Take(p.rIdx)
 	}
-	return out
+	return out, nil
 }
 
 // HashJoin is a build/probe equi-join. The right child is the build side.
@@ -518,12 +583,13 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 	return out, nil
 }
 
-// appendGroupKey encodes row r's group-key columns into dst with the typed,
-// self-delimiting Vec.AppendKey encoding (NULL is a distinct one-byte tag,
-// so a NULL group can never collide with any value). Both aggregation phases
-// — the partial HashAgg workers and the final MergeAgg — go through this one
-// encoding: groups merge iff their keys are byte-identical, and a bytewise
-// sort of keys orders numeric groups by value.
+// appendGroupKey encodes row r's key columns — a group key, or a join key
+// off the word path — into dst with the typed, self-delimiting Vec.AppendKey
+// encoding (NULL is a distinct one-byte tag, so a NULL group can never
+// collide with any value). Both aggregation phases — the partial HashAgg
+// workers and the final MergeAgg — go through this one encoding: groups
+// merge iff their keys are byte-identical, and a bytewise sort of keys orders
+// numeric groups by value.
 func appendGroupKey(dst []byte, vecs []*colfile.Vec, r int) []byte {
 	for _, v := range vecs {
 		dst = v.AppendKey(dst, r)

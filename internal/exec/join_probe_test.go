@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -49,11 +50,8 @@ func TestTypedKeysFixSeparatorCollision(t *testing.T) {
 	}
 
 	// The typed encoding keeps the rows distinct.
-	n0, ok0 := appendRowKey(nil, b, []int{0, 1}, 0)
-	n1, ok1 := appendRowKey(nil, b, []int{0, 1}, 1)
-	if !ok0 || !ok1 {
-		t.Fatal("non-NULL keys reported as NULL")
-	}
+	n0 := appendGroupKey(nil, b.Cols, 0)
+	n1 := appendGroupKey(nil, b.Cols, 1)
 	if string(n0) == string(n1) {
 		t.Fatalf("typed keys collide: %q", n0)
 	}
@@ -264,5 +262,23 @@ func TestMergeFreeConcatMatchesMergingPath(t *testing.T) {
 	want := run(false)
 	if got := run(true); got != want {
 		t.Fatalf("merge-free output differs from merging path:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestProbeRejectsMixedKeyTypes: keys match by their typed encoding, so an
+// Int64 probe key against a Float64 build key is an error, never a match
+// between an integer and a float with the same bits.
+func TestProbeRejectsMixedKeyTypes(t *testing.T) {
+	build := colfile.NewBatch(colfile.Schema{{Name: "f", Type: colfile.Float64}})
+	build.Cols[0].AppendFloat(1.0)
+	probe := colfile.NewBatch(colfile.Schema{{Name: "k", Type: colfile.Int64}})
+	probe.Cols[0].AppendInt(int64(math.Float64bits(1.0)))
+	jt, err := BuildHashJoin(NewBatchSource(build), []int{0}, InnerJoin, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Collect(&Probe{In: NewBatchSource(probe), Table: jt, LeftKeys: []int{0}})
+	if want := "exec: join key 0 compares int64 with float64"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

@@ -49,7 +49,6 @@
 package exec
 
 import (
-	"bytes"
 	"context"
 	"runtime"
 	"slices"
@@ -399,7 +398,7 @@ func (m *MergeAgg) Schema() colfile.Schema {
 // Next implements Operator. It is HashAgg's loop over partial states: one
 // group id per partial row, each aggregate's partial columns merged into its
 // columnar state in arrival order — morsel order — and the groups emitted by
-// ascending encoded key, the order of the table's arena bytes.
+// ascending encoded key (groupTable.compare).
 func (m *MergeAgg) Next() (*colfile.Batch, error) {
 	if m.done {
 		return nil, nil
@@ -459,14 +458,12 @@ func (m *MergeAgg) Next() (*colfile.Batch, error) {
 	if n == 1 {
 		return out, nil
 	}
-	// Keys are distinct, so their byte order is a total order and the sort
-	// needs no tie-break to be deterministic.
+	// Keys are distinct, so their order is a total order and the sort needs
+	// no tie-break to be deterministic.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		return bytes.Compare(groups.keys.key(int32(a)), groups.keys.key(int32(b)))
-	})
+	slices.SortFunc(order, func(a, b int) int { return groups.compare(int32(a), int32(b)) })
 	return out.Take(order), nil
 }

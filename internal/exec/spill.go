@@ -13,9 +13,9 @@ package exec
 // probe-row order, so a spilled join's output is byte-identical to the
 // in-memory join's at every degree of parallelism and every budget setting
 // (see docs/ARCHITECTURE.md, "Cross-DOP determinism contract"). Skewed
-// partitions that still exceed the budget are recursively repartitioned with
-// a depth-seeded hash; a partition a recursion cannot shrink (a single hot
-// key) is joined in memory as a last resort.
+// partitions that still exceed the budget are recursively repartitioned by a
+// depth-seeded remix of the rows' key hashes; a partition a recursion cannot
+// shrink (a single hot key) is joined in memory as a last resort.
 //
 // Probe-side spill files are namespaced per JoinBatches call (l/cNNN/d0),
 // so re-probing the same spilled build — or probing it from two goroutines
@@ -44,10 +44,10 @@ type SpillStore interface {
 }
 
 // PartitionFunc assigns a row to a spill partition given its batch, the key
-// column indexes, the row index and the row's encoded join key. Both join
-// sides must use the same function so matching rows land in the same
-// partition.
-type PartitionFunc func(b *colfile.Batch, keyCols []int, row int, key []byte) int
+// column indexes, the row index and the row's key hash (the one hash of the
+// row every consumer shares; see hashKeys). Both join sides must use the same
+// function so matching rows land in the same partition.
+type PartitionFunc func(b *colfile.Batch, keyCols []int, row int, h uint64) int
 
 // Spill tuning constants.
 const (
@@ -70,30 +70,34 @@ type SpillConfig struct {
 	// Fanout is the partition count at depth 0; defaults to
 	// defaultSpillFanout. Recursive levels always use the default.
 	Fanout int
-	// Partition overrides the depth-0 partitioner; defaults to a seeded
-	// hash of the encoded join key. The planner passes a d(r)-based
-	// partitioner (core.DistHash over the key value) when the join key
-	// covers the build table's distribution column, so spill partitions
-	// align with the table's storage cells.
+	// Partition overrides the depth-0 partitioner; defaults to a remix of
+	// the row's key hash. The planner passes a d(r)-based partitioner
+	// (core.DistHash over the key value) when the join key covers the build
+	// table's distribution column, so spill partitions align with the
+	// table's storage cells.
 	Partition PartitionFunc
 }
 
-// spillHash hashes an encoded key with a depth-seeded FNV-1a basis, so each
-// recursion level redistributes the keys its parent level hashed together.
-func spillHash(key []byte, depth int) uint32 {
-	h := uint32(2166136261) ^ (uint32(depth) * 0x9E3779B9)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+// hashPartitioner partitions by a depth-seeded remix of the row's key hash,
+// so each recursion level redistributes the keys its parent level put
+// together. The seeds are not bloomSeed, so partitions and filter bits are
+// independent too.
+func hashPartitioner(depth, fanout int) PartitionFunc {
+	return func(_ *colfile.Batch, _ []int, _ int, h uint64) int {
+		return int(remix(h, uint64(depth)+2) % uint64(fanout))
 	}
-	return h
 }
 
-// hashPartitioner partitions by the depth-seeded hash of the encoded key.
-func hashPartitioner(depth, fanout int) PartitionFunc {
-	return func(_ *colfile.Batch, _ []int, _ int, key []byte) int {
-		return int(spillHash(key, depth) % uint32(fanout))
+// batchHashes returns the key hash of every row of dense batch b, reusing
+// dst, and b's key columns.
+func batchHashes(dst []uint64, b *colfile.Batch, keys []int) ([]uint64, []*colfile.Vec) {
+	n := b.NumRows()
+	if cap(dst) < n {
+		dst = make([]uint64, n)
 	}
+	vecs := keyVecs(nil, b, keys)
+	hashKeys(dst[:n], vecs, nil, 0)
+	return dst[:n], vecs
 }
 
 // JoinSource is the product of a budget-aware hash-join build: exactly one of
@@ -408,6 +412,7 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 	}
 
 	w := newSpillWriter(sj, "b/d0", schema, fanout)
+	var hs []uint64
 	spillBatch := func(b *colfile.Batch) error {
 		if b.Sel != nil {
 			// The partition loop below indexes rows physically; densify
@@ -415,17 +420,16 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 			// before keying and spilling them.
 			b = b.Materialize()
 		}
-		var keyBuf []byte
-		for r := 0; r < b.NumRows(); r++ {
-			k, ok := appendRowKey(keyBuf[:0], b, keys, r)
-			keyBuf = k
-			if !ok {
+		var vecs []*colfile.Vec
+		hs, vecs = batchHashes(hs, b, keys)
+		for r, h := range hs {
+			if anyNull(vecs, r) {
 				continue // NULL build key: unmatched forever, drop
 			}
 			if sj.bloom != nil {
-				sj.bloom.Add(k)
+				sj.bloom.Add(h)
 			}
-			if err := w.add(part(b, keys, r, k), b, r); err != nil {
+			if err := w.add(part(b, keys, r, h), b, r); err != nil {
 				return err
 			}
 		}
@@ -541,6 +545,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	rowNumIdx := len(leftSchema)
 	w := newSpillWriter(sj, probeRoot, spillSchema, sj.fanout)
 	var pruned int64
+	var hs []uint64
 	for i, b := range probe {
 		if b == nil {
 			continue
@@ -558,12 +563,11 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 			nums.AppendInt(offsets[i] + int64(r))
 		}
 		ext.Cols[rowNumIdx] = nums
-		var keyBuf []byte
-		for r := 0; r < b.NumRows(); r++ {
-			k, ok := appendRowKey(keyBuf[:0], ext, leftKeys, r)
-			keyBuf = k
+		var vecs []*colfile.Vec
+		hs, vecs = batchHashes(hs, ext, leftKeys)
+		for r, h := range hs {
 			p := 0
-			if !ok {
+			if anyNull(vecs, r) {
 				// NULL probe keys never match. Only a left outer join emits
 				// them (as a NULL-padded row, via partition 0's leaf probe);
 				// inner and semi joins drop them here instead of paying the
@@ -572,14 +576,14 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 					continue
 				}
 			} else {
-				if sj.bloom != nil && !sj.bloom.MayContain(k) {
+				if sj.bloom != nil && !sj.bloom.MayContain(h) {
 					// Runtime filter: provably no build match, so an inner or
 					// semi join emits nothing for this row — skip the spill
 					// round trip entirely.
 					pruned++
 					continue
 				}
-				p = sj.partition(ext, leftKeys, r, k)
+				p = sj.partition(ext, leftKeys, r, h)
 			}
 			if err := w.add(p, ext, r); err != nil {
 				return nil, err
@@ -760,6 +764,7 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 // order — and rows split stably). ctx is checked per input file, so a
 // cancelled partition task stops its doomed spill reads and writes early.
 func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfile.Schema, keys []int, part PartitionFunc, w *spillWriter) error {
+	var hs []uint64
 	for _, name := range sj.store.List(dir + "/f") {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -772,13 +777,12 @@ func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfi
 		if err != nil {
 			return err
 		}
-		var keyBuf []byte
-		for r := 0; r < b.NumRows(); r++ {
-			k, ok := appendRowKey(keyBuf[:0], b, keys, r)
-			keyBuf = k
+		var vecs []*colfile.Vec
+		hs, vecs = batchHashes(hs, b, keys)
+		for r, h := range hs {
 			p := 0
-			if ok {
-				p = part(b, keys, r, k)
+			if !anyNull(vecs, r) {
+				p = part(b, keys, r, h)
 			}
 			if err := w.add(p, b, r); err != nil {
 				return err

@@ -184,6 +184,64 @@ func TestGraceJoinSkewRecursion(t *testing.T) {
 	}
 }
 
+// TestGraceJoinSplitsAtEveryDepth: under skew (one hot key holds a third of
+// the build) a depth-0 partition and then its depth-1 sub-partitions still
+// exceed the budget, and each repartition must spread its keys over several
+// sub-partitions — every depth partitions by its own remix of the row hash, so
+// the bits that put keys together at one depth do not keep them together at
+// the next. Output stays byte-identical to the in-memory join.
+func TestGraceJoinSplitsAtEveryDepth(t *testing.T) {
+	schema := colfile.Schema{
+		{Name: "k", Type: colfile.Int64},
+		{Name: "tag", Type: colfile.String},
+	}
+	build := colfile.NewBatch(schema)
+	for i := 0; i < 6000; i++ {
+		k := int64(i)
+		if i%3 == 0 {
+			k = 7 // the hot key
+		}
+		build.Cols[0].AppendInt(k)
+		build.Cols[1].AppendStr(fmt.Sprintf("t%04d", i))
+	}
+	probe := []*colfile.Batch{colfile.NewBatch(colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "v", Type: colfile.Int64}})}
+	for i := 0; i < 6000; i += 5 {
+		probe[0].Cols[0].AppendInt(int64(i))
+		probe[0].Cols[1].AppendInt(int64(i))
+	}
+	want := inMemoryReference(t, build, probe, InnerJoin, []int{0}, []int{0})
+	store := NewMemSpillStore()
+	_, got := spilledResult(t, build, probe, InnerJoin, []int{0}, []int{0},
+		SpillConfig{Budget: 1024, Store: store})
+	if got[0] != want[0] {
+		t.Fatalf("spilled join under skew differs:\ngot:\n%s\nwant:\n%s", got[0], want[0])
+	}
+	// children[dir] is the set of sub-partitions a build directory split
+	// into; a leaf file's directory is "b/d0/pAAA[/pBBB[/pCCC]]".
+	children := map[string]map[string]bool{}
+	deepest := 0
+	for _, name := range store.List("b/d0/") {
+		dirs := strings.Split(name, "/")
+		dirs = dirs[2 : len(dirs)-1] // drop "b", "d0" and the file
+		deepest = max(deepest, len(dirs)-1)
+		for d := 1; d < len(dirs); d++ {
+			parent := strings.Join(dirs[:d], "/")
+			if children[parent] == nil {
+				children[parent] = map[string]bool{}
+			}
+			children[parent][dirs[d]] = true
+		}
+	}
+	if deepest != 2 {
+		t.Fatalf("build side split to depth %d, want 2", deepest)
+	}
+	for parent, subs := range children {
+		if len(subs) < 2 {
+			t.Errorf("partition %s repartitioned into %d sub-partition(s), want several", parent, len(subs))
+		}
+	}
+}
+
 // TestGraceJoinCustomPartitioner pins the pluggable depth-0 partitioner (the
 // hook the planner uses to cell-align partitions with d(r)): any partitioner
 // applied to both sides keeps results byte-identical.
@@ -192,7 +250,7 @@ func TestGraceJoinCustomPartitioner(t *testing.T) {
 	probe := probeSideBatches(300, 4)
 	// A value-based partitioner in the shape of core's d(r): buckets by the
 	// first key column's value, NULLs to partition 0.
-	byValue := func(b *colfile.Batch, keyCols []int, row int, _ []byte) int {
+	byValue := func(b *colfile.Batch, keyCols []int, row int, _ uint64) int {
 		v := b.Cols[keyCols[0]]
 		if v.IsNull(row) {
 			return 0

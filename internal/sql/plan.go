@@ -143,6 +143,11 @@ func (s *scope) resolve(c ColName) (int, error) {
 	return found, nil
 }
 
+// qualified renders column i as alias.name.
+func (s *scope) qualified(i int) string {
+	return displayName(ColName{Table: s.quals[i], Name: s.schema[i].Name})
+}
+
 func displayName(c ColName) string {
 	if c.Table != "" {
 		return c.Table + "." + c.Name
@@ -583,12 +588,12 @@ func (s *joinSpill) config(distAligned bool) exec.SpillConfig {
 	if distAligned {
 		fanout := s.tx.Distributions()
 		cfg.Fanout = fanout
-		cfg.Partition = func(b *colfile.Batch, keyCols []int, row int, _ []byte) int {
+		cfg.Partition = func(b *colfile.Batch, keyCols []int, row int, _ uint64) int {
 			v := b.Cols[keyCols[0]]
 			if v.IsNull(row) {
 				return 0
 			}
-			return core.DistHash(v.Value(row), fanout)
+			return core.DistHash(v, row, fanout)
 		}
 	}
 	return cfg
@@ -899,7 +904,10 @@ func containsAgg(e Expr) bool {
 }
 
 // equiKeys extracts hash-join keys from an ON conjunction of equalities, each
-// relating one left-scope column to one right-scope column.
+// relating one left-scope column to one right-scope column of the same type:
+// the join matches keys by their typed encoding, so an INT key never equals a
+// FLOAT or a VARCHAR one, and such a join is a plan-time error rather than a
+// result that depends on bit patterns.
 func equiKeys(on Expr, left, right *scope) (lk, rk []int, err error) {
 	for _, c := range splitAnd(on) {
 		b, ok := c.(BinExpr)
@@ -934,6 +942,12 @@ func equiKeys(on Expr, left, right *scope) (lk, rk []int, err error) {
 	}
 	if len(lk) == 0 {
 		return nil, nil, fmt.Errorf("sql: JOIN requires at least one equality key")
+	}
+	for i := range lk {
+		if lt, rt := left.schema[lk[i]].Type, right.schema[rk[i]].Type; lt != rt {
+			return nil, nil, fmt.Errorf("sql: JOIN key %s (%s) and %s (%s) have different types",
+				left.qualified(lk[i]), lt, right.qualified(rk[i]), rt)
+		}
 	}
 	return lk, rk, nil
 }

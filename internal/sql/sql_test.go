@@ -485,6 +485,8 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 		{`SELECT COUNT(*) FROM %[1]s JOIN %[1]s ON %[1]s.k = %[1]s.k`, `sql: two FROM relations share the exposed name "%[1]s"; use distinct aliases`},
 		{`SELECT a.k FROM %[1]s a JOIN %[1]s A ON a.k = A.k`, `sql: two FROM relations share the exposed name "A"; use distinct aliases`},
 		{`SELECT x.k FROM %s x JOIN dim x ON x.k = x.k`, `sql: two FROM relations share the exposed name "x"; use distinct aliases`},
+		{`SELECT a.k FROM %s a JOIN dim d ON a.k = d.f`, "sql: JOIN key a.k (int64) and d.f (float64) have different types"},
+		{`SELECT a.k FROM %s a JOIN dim d ON d.k = a.v`, "sql: JOIN key a.v (string) and d.k (int64) have different types"},
 		{`SELECT k FROM %s ORDER BY v`, `sql: ORDER BY column "v" not in output`},
 		{`SELECT k, COUNT(*) FROM %s GROUP BY k ORDER BY v`, `sql: ORDER BY column "v" not in output`},
 		{`SELECT SUM(v) FROM %s`, "exec: SUM over string"},
@@ -506,7 +508,7 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 				for _, table := range []string{"full", "empty"} {
 					mustExec(t, env.sess, `CREATE TABLE `+table+` (k INT, v VARCHAR) WITH (DISTRIBUTION = k)`)
 				}
-				mustExec(t, env.sess, `CREATE TABLE dim (k INT) WITH (DISTRIBUTION = k)`)
+				mustExec(t, env.sess, `CREATE TABLE dim (k INT, f FLOAT) WITH (DISTRIBUTION = k)`)
 				var sb strings.Builder
 				sb.WriteString("INSERT INTO full VALUES ")
 				for i := 0; i < rows; i++ {
