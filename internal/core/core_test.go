@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"polaris/internal/catalog"
@@ -962,6 +963,59 @@ func TestDistHashMatchesFmt(t *testing.T) {
 			if got, want := DistHash(vec, 0, buckets), fmtHash(v, buckets); got != want {
 				t.Errorf("DistHash(%#v, %d) = %d, fmt form %d", v, buckets, got, want)
 			}
+		}
+	}
+}
+
+// TestBulkLoadRejectsMismatchedSchema: a source whose schema is not the
+// table's fails the load, as it fails an INSERT, and leaves the table's rows
+// and the store as they were.
+func TestBulkLoadRejectsMismatchedSchema(t *testing.T) {
+	e := testEngine(t)
+	mustCreate(t, e, "t1")
+	if err := e.AutoCommit(func(tx *Txn) error {
+		_, err := tx.Insert("t1", rowsBatch(t, t1Schema(), []any{"A", int64(1)}))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Store.List("")
+	wrong := rowsBatch(t, colfile.Schema{{Name: "c1", Type: colfile.String}, {Name: "c2", Type: colfile.Float64}},
+		[]any{"B", 2.5})
+	err := e.AutoCommit(func(tx *Txn) error {
+		_, err := tx.BulkLoad("t1", []SourceFile{{Name: "bad", Rows: func() (*colfile.Batch, error) { return wrong, nil }}})
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "schema mismatch") {
+		t.Fatalf("err = %v, want a schema mismatch", err)
+	}
+	if after := e.Store.List(""); !reflect.DeepEqual(after, before) {
+		t.Fatalf("store changed:\n%v\n->\n%v", before, after)
+	}
+	tx := e.Begin()
+	defer tx.Rollback()
+	rs, err := tx.ReadAll("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.NumRows() != 1 || sumC2(t, tx, "t1", -1) != 1 {
+		t.Fatalf("table changed: %d rows, sum %d", rs.NumRows(), sumC2(t, tx, "t1", -1))
+	}
+}
+
+// TestUpdateUnknownColumnErrorIsStable: SET targets are checked in sorted
+// order, so a statement with two unknown targets names the same one every
+// run.
+func TestUpdateUnknownColumnErrorIsStable(t *testing.T) {
+	e := testEngine(t)
+	mustCreate(t, e, "t1")
+	one := exec.Const{Val: int64(1)}
+	for run := 0; run < 20; run++ {
+		tx := e.Begin()
+		_, err := tx.Update("t1", exec.Const{Val: true}, map[string]exec.Expr{"zz": one, "yy": one}, nil)
+		tx.Rollback()
+		if want := `core: unknown column "yy" in UPDATE`; err == nil || err.Error() != want {
+			t.Fatalf("run %d: err = %v, want %s", run, err, want)
 		}
 	}
 }

@@ -294,6 +294,7 @@ func (e *Engine) MinActiveTxnID() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	min := e.nextTxnID + 1
+	//polaris:nondet min fold: the smallest ID is the same whatever order the IDs are visited in
 	for id := range e.activeTxns {
 		if id < min {
 			min = id
@@ -353,12 +354,11 @@ func (e *Engine) BeginLevel(level catalog.IsolationLevel) *Txn {
 	id := e.nextTxnID
 	e.mu.Unlock()
 	t := &Txn{
-		eng:     e,
-		id:      id,
-		catTx:   e.Catalog.Begin(level),
-		level:   level,
-		tables:  make(map[int64]*txnTable),
-		started: time.Now(),
+		eng:    e,
+		id:     id,
+		catTx:  e.Catalog.Begin(level),
+		level:  level,
+		tables: make(map[int64]*txnTable),
 	}
 	e.mu.Lock()
 	e.activeTxns[id] = t

@@ -56,90 +56,43 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	res.InputFiles = len(victims)
 
 	// Read the surviving rows of each victim, grouped by partition so the
-	// replacement files keep the cell model intact.
+	// replacement files keep the cell model intact, and remove the victim
+	// logically (GC deletes it after retention, 5.1) ...
 	node := t.writeNode()
+	ts := t.tableState(meta)
+	var actions []manifest.Action
 	byPartition := make(map[int]*colfile.Batch)
 	for _, fe := range victims {
-		sf, _, d, err := t.eng.openLive(node, fe)
+		live, err := t.liveRows(node, fe, nil)
 		if err != nil {
 			return res, err
 		}
-		t.charge(d)
-		all, err := sf.R.ReadAll()
-		if err != nil {
-			return res, err
+		res.RowsDropped += fe.Rows - int64(live.NumRows())
+		res.RowsKept += int64(live.NumRows())
+		if byPartition[fe.Partition] == nil {
+			byPartition[fe.Partition] = colfile.NewBatch(meta.Schema)
 		}
-		if sf.DV != nil {
-			keep := sf.DV.FilterMask(all.NumRows())
-			res.RowsDropped += int64(all.NumRows()) - int64(countTrue(keep))
-			all = all.Filter(keep)
-		}
-		dst, ok := byPartition[fe.Partition]
-		if !ok {
-			dst = colfile.NewBatch(meta.Schema)
-			byPartition[fe.Partition] = dst
-		}
-		dst.AppendBatch(all)
-		res.RowsKept += int64(all.NumRows())
+		byPartition[fe.Partition].AppendBatch(live)
+		actions = append(actions, ts.removeFile(fe)...)
 	}
-
-	ts := t.tableState(meta)
+	// ... replaced by the compacted files, partitions in ascending order so
+	// file numbers and action order do not depend on map order.
 	paths := TablePaths{ID: meta.ID}
-	var actions []manifest.Action
-	// Logical removal of the rewritten files (GC deletes them after
-	// retention, 5.1) ...
-	for _, fe := range victims {
-		actions = append(actions, manifest.Action{Op: manifest.OpRemove, Kind: manifest.KindData, Path: fe.Path})
-		if fe.DV != "" {
-			actions = append(actions, manifest.Action{
-				Op: manifest.OpRemove, Kind: manifest.KindDV, Path: fe.DV, Target: fe.Path,
-			})
-		}
-		ts.touchedFiles[fe.Path] = true
-	}
-	// ... replaced by the compacted files.
 	n := ts.blockSeq * 100
-	for p, batch := range byPartition {
-		if batch.NumRows() == 0 {
-			continue
+	for _, p := range sortedKeys(byPartition) {
+		sorted, err := sortBatchBy(byPartition[p], meta.SortCol)
+		if err != nil {
+			return res, err
 		}
-		sorted := sortBatchBy(batch, meta.SortCol)
-		for lo := 0; lo < sorted.NumRows(); lo += t.eng.opts.RowsPerFile {
-			hi := lo + t.eng.opts.RowsPerFile
-			if hi > sorted.NumRows() {
-				hi = sorted.NumRows()
-			}
-			w := colfile.NewWriter(meta.Schema)
-			if meta.SortCol != "" {
-				w.SetSortedBy(meta.SortCol)
-			}
-			for g0 := lo; g0 < hi; g0 += t.eng.opts.RowsPerGroup {
-				g1 := g0 + t.eng.opts.RowsPerGroup
-				if g1 > hi {
-					g1 = hi
-				}
-				if err := w.WriteBatch(sliceCols(sorted, g0, g1)); err != nil {
-					return res, err
-				}
-			}
-			data, err := w.Finish()
-			if err != nil {
-				return res, err
-			}
-			path := fmt.Sprintf("%scompact-%d-p%d-%d.pcf", paths.DataPrefix(), t.id, p, n)
-			n++
-			d, err := node.WriteFile(t.eng.Store, path, data, t.id)
-			if err != nil {
-				return res, err
-			}
-			t.charge(d)
-			actions = append(actions, manifest.Action{
-				Op: manifest.OpAdd, Kind: manifest.KindData, Path: path,
-				Rows: int64(hi - lo), Size: int64(len(data)), Partition: p,
-				Sketches: w.Sketches(),
-			})
-			res.OutputFiles++
+		written, err := t.eng.writeDataFiles(node, t.charge, t.id, meta, p, sorted, t.eng.opts.RowsPerFile, func(i int) string {
+			return fmt.Sprintf("%scompact-%d-p%d-%d.pcf", paths.DataPrefix(), t.id, p, n+i)
+		})
+		if err != nil {
+			return res, err
 		}
+		n += len(written)
+		res.OutputFiles += len(written)
+		actions = append(actions, written...)
 	}
 	t.charge(t.eng.Fabric.Model().CPU(res.RowsKept))
 
@@ -148,16 +101,6 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	}
 	ts.kind = wroteUpdates
 	return res, nil
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckpointTable compacts the manifest list into a checkpoint file (5.2).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"polaris/internal/compute"
 	"polaris/internal/dcp"
 )
@@ -14,6 +16,27 @@ func (t *Txn) DistributedQueries() bool { return t.eng.opts.DistributedQueries }
 // simulated IO for exchange reads/writes from inside DAG tasks.
 func (t *Txn) CostModel() *compute.CostModel { return t.eng.Fabric.Model() }
 
+// runJob runs a task DAG on the compute fabric under ctx — nodes allocated
+// for its task count, the engine's retry policy, injector consulted after
+// every attempt — and charges its simulated makespan to the transaction.
+// Every DCP job the engine launches goes through it: the read fetch
+// (fetchScanFiles), query DAGs (RunQueryDAG) and the INSERT and BULK LOAD
+// write jobs (commitWriteJob).
+func (t *Txn) runJob(ctx context.Context, g *dcp.Graph, injector func(taskID, attempt int, node *compute.Node) error) (*dcp.Result, error) {
+	nodes, delay := t.eng.Fabric.AllocateForJob(g.Len())
+	res, err := dcp.RunCtx(ctx, g, t.eng.pools(nodes), dcp.Options{
+		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
+		Overhead:        t.eng.Fabric.Model().TaskOverhead,
+		StartOffset:     delay,
+		FailureInjector: injector,
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.charge(res.Makespan)
+	return res, nil
+}
+
 // RunQueryDAG executes a query-shaped task DAG on the compute fabric with
 // the engine's retry policy and the statement's cancellation context, then
 // charges the simulated makespan to the transaction and records the Dag*
@@ -26,17 +49,10 @@ func (t *Txn) RunQueryDAG(g *dcp.Graph, stages int) (*dcp.Result, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	nodes, delay := t.eng.Fabric.AllocateForJob(g.Len())
-	res, err := dcp.RunCtx(t.Context(), g, t.eng.pools(nodes), dcp.Options{
-		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
-		Overhead:        t.eng.Fabric.Model().TaskOverhead,
-		StartOffset:     delay,
-		FailureInjector: t.eng.opts.QueryFailureInjector,
-	})
+	res, err := t.runJob(t.Context(), g, t.eng.opts.QueryFailureInjector)
 	if err != nil {
 		return nil, err
 	}
-	t.charge(res.Makespan)
 	w := t.Work()
 	w.DagTasks.Add(int64(g.Len()))
 	w.DagRetries.Add(int64(res.Retries))

@@ -254,18 +254,10 @@ func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta)
 		return nil, nil
 	}
 
-	nodes, delay := t.eng.Fabric.AllocateForJob(len(taskIDs))
-	res, err := dcp.RunCtx(t.Context(), g, t.eng.pools(nodes), dcp.Options{
-		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
-		Overhead:        model.TaskOverhead,
-		StartOffset:     delay,
-		FailureInjector: t.eng.opts.TaskFailureInjector,
-	})
+	res, err := t.runJob(t.Context(), g, t.eng.opts.TaskFailureInjector)
 	if err != nil {
 		return nil, err
 	}
-	t.charge(res.Makespan)
-
 	for i, o := range dcp.Gather(res, taskIDs) {
 		cells[i].opened = o.([]exec.ScanFile)
 	}
@@ -326,7 +318,7 @@ type MorselScan struct {
 // d(r) assigns every row with a given distribution-column value (NULLs
 // included) to exactly one cell, a per-morsel aggregation grouped on the
 // distribution column is then already complete for its groups — the plan can
-// skip the merge phase entirely (MergeAgg{MergeFree: true}) — and the
+// skip the merge phase entirely (a merge-free plan) — and the
 // decomposition is independent of the degree of parallelism.
 func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
 	cells, err := t.fetchScanFiles(state, meta)
@@ -507,6 +499,7 @@ func (t *Txn) Stats(table string) (TableStats, error) {
 		Name: meta.Name, TableID: meta.ID,
 		Files: len(state.Files), Rows: state.TotalRows(), Deleted: deleted,
 		SizeBytes: state.TotalSize(), Manifests: len(rows), LastSeq: state.LastSeq,
+		//polaris:nondet SnapshotAt is the wall-clock time the statistics were taken, reported to the caller and never written to storage
 		Health: h, SnapshotAt: time.Now(),
 	}, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"polaris/internal/catalog"
@@ -42,14 +44,13 @@ type txnTable struct {
 // Txn is a Polaris user transaction: multi-statement and multi-table, with
 // Snapshot Isolation semantics.
 type Txn struct {
-	eng     *Engine
-	id      int64
-	catTx   *catalog.Tx
-	level   catalog.IsolationLevel
-	tables  map[int64]*txnTable
-	started time.Time
-	sim     time.Duration
-	done    bool
+	eng    *Engine
+	id     int64
+	catTx  *catalog.Tx
+	level  catalog.IsolationLevel
+	tables map[int64]*txnTable
+	sim    time.Duration
+	done   bool
 	// joinBudget, when non-nil, overrides the engine-wide JoinMemoryBudget
 	// for this transaction (per-session budgets in a serving front end).
 	joinBudget *int64
@@ -162,6 +163,17 @@ func (t *Txn) ListTables() ([]catalog.TableMeta, error) {
 	return catalog.ListTables(t.catTx)
 }
 
+// sortedKeys returns m's keys in ascending order, so what a loop over them
+// writes or commits does not depend on map order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 func (t *Txn) tableState(meta catalog.TableMeta) *txnTable {
 	ts, ok := t.tables[meta.ID]
 	if !ok {
@@ -191,7 +203,8 @@ func (t *Txn) Commit() error {
 	}
 	var events []pendingEvent
 
-	for id, ts := range t.tables {
+	for _, id := range sortedKeys(t.tables) {
+		ts := t.tables[id]
 		if ts.kind == wroteNothing || len(ts.actions) == 0 {
 			continue
 		}
@@ -204,7 +217,7 @@ func (t *Txn) Commit() error {
 					return err
 				}
 			case FileGranularity:
-				for f := range ts.touchedFiles {
+				for _, f := range sortedKeys(ts.touchedFiles) {
 					if err := catalog.UpsertWriteSetFile(t.catTx, id, f); err != nil {
 						t.catTx.Rollback()
 						return err
@@ -235,13 +248,14 @@ func (t *Txn) Commit() error {
 	if err := t.catTx.Commit(); err != nil {
 		// Rolled back: private files become dangling, GC reclaims them; the
 		// staged manifest blocks are discarded.
-		for id := range t.tables {
+		for _, id := range sortedKeys(t.tables) {
 			t.eng.Store.DiscardStaged(TablePaths{ID: id}.ManifestFile(t.id))
 		}
 		return err
 	}
 
 	seq := t.catTx.CommitSeq()
+	//polaris:nondet the commit's wall-clock time, which only the Delta and Iceberg publishers record; no data file or manifest carries it
 	now := time.Now()
 	for _, ev := range events {
 		t.eng.notify(CommitEvent{
@@ -261,7 +275,7 @@ func (t *Txn) Rollback() {
 	}
 	t.done = true
 	t.catTx.Rollback()
-	for id := range t.tables {
+	for _, id := range sortedKeys(t.tables) {
 		t.eng.Store.DiscardStaged(TablePaths{ID: id}.ManifestFile(t.id))
 	}
 	t.eng.finishTxn(t)

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
+	"time"
 
 	"polaris/internal/catalog"
 	"polaris/internal/colfile"
+	"polaris/internal/compute"
 	"polaris/internal/dcp"
 	"polaris/internal/deletevector"
 	"polaris/internal/exec"
@@ -69,25 +72,126 @@ func partitionBatch(b *colfile.Batch, distCol string, buckets int) []*colfile.Ba
 
 // sortBatchBy orders rows by the clustering column p(r) so zone maps are
 // selective (the Z-order stand-in).
-func sortBatchBy(b *colfile.Batch, col string) *colfile.Batch {
+func sortBatchBy(b *colfile.Batch, col string) (*colfile.Batch, error) {
 	c := b.Schema.ColIndex(col)
 	if c < 0 || b.NumRows() == 0 {
-		return b
+		return b, nil
 	}
-	srt := &exec.Sort{In: exec.NewBatchSource(b), Keys: []exec.SortKey{{Col: c}}}
-	out, err := exec.Collect(srt)
-	if err != nil {
-		return b
+	return exec.Collect(&exec.Sort{In: exec.NewBatchSource(b), Keys: []exec.SortKey{{Col: c}}})
+}
+
+// writeDataFiles seals rows, already in their final order, as data files of
+// at most perFile rows each (0: one file) in RowsPerGroup row groups, the
+// table's clustering column recorded in every footer; name(i) is the i-th
+// file's path. Each file is written through node and its cost charged to the
+// caller, and yields one Add action carrying its sketches. It is the one
+// place data files are sealed: INSERT and BULK LOAD tasks (3.2.2),
+// copy-on-write DELETE (2.1) and COMPACT (5.1) all call it.
+func (e *Engine) writeDataFiles(node *compute.Node, charge func(time.Duration), creator int64, meta catalog.TableMeta, partition int, rows *colfile.Batch, perFile int, name func(i int) string) ([]manifest.Action, error) {
+	total := rows.NumRows()
+	if perFile <= 0 {
+		perFile = total
+	}
+	var actions []manifest.Action
+	for lo := 0; lo < total; lo += perFile {
+		hi := min(lo+perFile, total)
+		w := colfile.NewWriter(meta.Schema)
+		if meta.SortCol != "" {
+			w.SetSortedBy(meta.SortCol)
+		}
+		for g0 := lo; g0 < hi; g0 += e.opts.RowsPerGroup {
+			if err := w.WriteBatch(sliceCols(rows, g0, min(g0+e.opts.RowsPerGroup, hi))); err != nil {
+				return nil, err
+			}
+		}
+		data, err := w.Finish()
+		if err != nil {
+			return nil, err
+		}
+		path := name(len(actions))
+		d, err := node.WriteFile(e.Store, path, data, creator)
+		if err != nil {
+			return nil, err
+		}
+		charge(d)
+		actions = append(actions, manifest.Action{
+			Op: manifest.OpAdd, Kind: manifest.KindData, Path: path,
+			Rows: int64(hi - lo), Size: int64(len(data)), Partition: partition,
+			Sketches: w.Sketches(),
+		})
+	}
+	return actions, nil
+}
+
+func sliceCols(b *colfile.Batch, lo, hi int) *colfile.Batch {
+	out := &colfile.Batch{Schema: b.Schema, Cols: make([]*colfile.Vec, len(b.Cols))}
+	for i, v := range b.Cols {
+		out.Cols[i] = v.Slice(lo, hi)
 	}
 	return out
 }
 
-// writeTaskResult is one write task's contribution: staged manifest block IDs
-// plus the pending actions they encode (3.2.2 step 6).
+// writeTaskResult is one write task's contribution: its staged manifest
+// block plus the pending actions it encodes (3.2.2 step 6).
 type writeTaskResult struct {
-	blockIDs []string
-	actions  []manifest.Action
-	rows     int64
+	blockID string
+	actions []manifest.Action
+	rows    int64
+}
+
+// stageBlock ends a write task: it stages the task's actions as one manifest
+// block, its ID unique per writing attempt (3.2.2), and charges the task's
+// CPU and the block's upload.
+func (e *Engine) stageBlock(ctx *dcp.Ctx, blob, blockID string, actions []manifest.Action) (writeTaskResult, error) {
+	res := writeTaskResult{blockID: blockID, actions: actions}
+	for _, a := range actions {
+		res.rows += a.Rows
+	}
+	model := e.Fabric.Model()
+	ctx.Charge(model.CPU(res.rows))
+	payload := manifest.Encode(actions)
+	if err := e.Store.StageBlock(blob, blockID, payload); err != nil {
+		return res, err
+	}
+	ctx.Charge(model.RemoteWrite(int64(len(payload))))
+	return res, nil
+}
+
+// commitWriteJob runs an INSERT or BULK LOAD job and does its FE half
+// (3.2.3): the tasks' block IDs are gathered, sorted and committed after the
+// blocks earlier statements of this transaction committed to the table's
+// manifest blob, and only then do the tasks' actions join the transaction's
+// pending state.
+func (t *Txn) commitWriteJob(ts *txnTable, g *dcp.Graph, taskIDs []int) (int64, error) {
+	// Write jobs run to completion, not under the statement's context: an
+	// UPDATE cancelled between its delete half and its insert half would
+	// leave an explicit transaction holding the delete alone.
+	res, err := t.runJob(context.Background(), g, t.eng.opts.TaskFailureInjector)
+	if err != nil {
+		return 0, err
+	}
+	var blocks []string
+	var actions []manifest.Action
+	var rows int64
+	for _, out := range dcp.Gather(res, taskIDs) {
+		wr := out.(writeTaskResult)
+		blocks = append(blocks, wr.blockID)
+		actions = append(actions, wr.actions...)
+		rows += wr.rows
+	}
+	sort.Strings(blocks)
+	all := append(append([]string{}, ts.blockIDs...), blocks...)
+	if err := t.eng.Store.CommitBlockList(TablePaths{ID: ts.meta.ID}.ManifestFile(t.id), all, t.id); err != nil {
+		return 0, err
+	}
+	t.charge(t.eng.Fabric.Model().RemoteWrite(0))
+	ts.blockIDs = all
+	ts.actions = append(ts.actions, actions...)
+	ts.blockSeq++
+	if ts.kind == wroteNothing {
+		ts.kind = wroteInserts
+	}
+	return rows, nil
 }
 
 // Insert appends rows to a table. The DML is compiled into one DCP write task
@@ -109,135 +213,43 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 		return 0, nil
 	}
 	ts := t.tableState(meta)
-	parts := partitionBatch(rows, meta.DistributionCol, t.eng.opts.Distributions)
+	eng, txnID := t.eng, t.id
+	paths := TablePaths{ID: meta.ID}
+	rowsPerFile := eng.opts.RowsPerFile
 
 	g := dcp.NewGraph()
-	paths := TablePaths{ID: meta.ID}
-	manifestBlob := paths.ManifestFile(t.id)
-	store := t.eng.Store
-	model := t.eng.Fabric.Model()
-	rowsPerFile := t.eng.opts.RowsPerFile
-	rowsPerGroup := t.eng.opts.RowsPerGroup
-	sortCol := meta.SortCol
-	txnID := t.id
-
 	var taskIDs []int
 	fileSeq := ts.blockSeq * 1000 // unique file numbering across statements
-	for p, part := range parts {
+	for p, part := range partitionBatch(rows, meta.DistributionCol, eng.opts.Distributions) {
 		if part.NumRows() == 0 {
 			continue
 		}
-		p, part := p, part
 		base := fileSeq
 		fileSeq += (part.NumRows()+rowsPerFile-1)/rowsPerFile + 1
-		id := p + 1
-		taskIDs = append(taskIDs, id)
+		taskIDs = append(taskIDs, p+1)
 		err := g.Add(&dcp.Task{
-			ID: id, Name: fmt.Sprintf("insert-%s-p%d", meta.Name, p), Pool: dcp.WritePool,
+			ID: p + 1, Name: fmt.Sprintf("insert-%s-p%d", meta.Name, p), Pool: dcp.WritePool,
 			Exec: func(ctx *dcp.Ctx) (any, error) {
-				sorted := sortBatchBy(part, sortCol)
-				var res writeTaskResult
-				n := 0
-				for lo := 0; lo < sorted.NumRows(); lo += rowsPerFile {
-					hi := lo + rowsPerFile
-					if hi > sorted.NumRows() {
-						hi = sorted.NumRows()
-					}
-					w := colfile.NewWriter(sorted.Schema)
-					if sortCol != "" {
-						w.SetSortedBy(sortCol)
-					}
-					for g0 := lo; g0 < hi; g0 += rowsPerGroup {
-						g1 := g0 + rowsPerGroup
-						if g1 > hi {
-							g1 = hi
-						}
-						if err := w.WriteBatch(sliceCols(sorted, g0, g1)); err != nil {
-							return nil, err
-						}
-					}
-					data, err := w.Finish()
-					if err != nil {
-						return nil, err
-					}
-					// Attempt-unique path: a retried task writes fresh files;
-					// the originals become dangling and are GC'd (4.3).
-					path := paths.DataFile(txnID, p, base+n*10+ctx.Attempt)
-					d, err := ctx.Node.WriteFile(store, path, data, txnID)
-					if err != nil {
-						return nil, err
-					}
-					ctx.Charge(d)
-					res.actions = append(res.actions, manifest.Action{
-						Op: manifest.OpAdd, Kind: manifest.KindData, Path: path,
-						Rows: int64(hi - lo), Size: int64(len(data)), Partition: p,
-						Sketches: w.Sketches(),
-					})
-					res.rows += int64(hi - lo)
-					n++
-				}
-				ctx.Charge(model.CPU(res.rows))
-				// Stage this task's manifest block (3.2.2: block ID unique
-				// per writing BE attempt).
-				blockID := fmt.Sprintf("t%d-p%d-a%d", txnID, p, ctx.Attempt)
-				payload := manifest.Encode(res.actions)
-				if err := store.StageBlock(manifestBlob, blockID, payload); err != nil {
+				sorted, err := sortBatchBy(part, meta.SortCol)
+				if err != nil {
 					return nil, err
 				}
-				ctx.Charge(model.RemoteWrite(int64(len(payload))))
-				res.blockIDs = []string{blockID}
-				return res, nil
+				// Attempt-unique paths: a retried task writes fresh files;
+				// the originals become dangling and are GC'd (4.3).
+				actions, err := eng.writeDataFiles(ctx.Node, ctx.Charge, txnID, meta, p, sorted, rowsPerFile, func(n int) string {
+					return paths.DataFile(txnID, p, base+n*10+ctx.Attempt)
+				})
+				if err != nil {
+					return nil, err
+				}
+				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-p%d-a%d", txnID, p, ctx.Attempt), actions)
 			},
 		})
 		if err != nil {
 			return 0, err
 		}
 	}
-
-	nodes, delay := t.eng.Fabric.AllocateForJob(len(taskIDs))
-	res, err := dcp.Run(g, t.eng.pools(nodes), dcp.Options{
-		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
-		Overhead:        model.TaskOverhead,
-		StartOffset:     delay,
-		FailureInjector: t.eng.opts.TaskFailureInjector,
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.charge(res.Makespan)
-
-	// FE: aggregate block IDs from all tasks and commit the manifest blob,
-	// appending to blocks committed by prior statements of this txn.
-	var newBlocks []string
-	var newActions []manifest.Action
-	var inserted int64
-	for _, out := range dcp.Gather(res, taskIDs) {
-		wr := out.(writeTaskResult)
-		newBlocks = append(newBlocks, wr.blockIDs...)
-		newActions = append(newActions, wr.actions...)
-		inserted += wr.rows
-	}
-	sort.Strings(newBlocks)
-	all := append(append([]string{}, ts.blockIDs...), newBlocks...)
-	if err := store.CommitBlockList(manifestBlob, all, t.id); err != nil {
-		return 0, err
-	}
-	t.charge(model.RemoteWrite(0))
-	ts.blockIDs = all
-	ts.actions = append(ts.actions, newActions...)
-	ts.blockSeq++
-	if ts.kind == wroteNothing {
-		ts.kind = wroteInserts
-	}
-	return inserted, nil
-}
-
-func sliceCols(b *colfile.Batch, lo, hi int) *colfile.Batch {
-	out := &colfile.Batch{Schema: b.Schema, Cols: make([]*colfile.Vec, len(b.Cols))}
-	for i, v := range b.Cols {
-		out.Cols[i] = v.Slice(lo, hi)
-	}
-	return out
+	return t.commitWriteJob(ts, g, taskIDs)
 }
 
 // Delete removes rows matching pred. In merge-on-read mode (the default,
@@ -275,62 +287,69 @@ func (t *Txn) Delete(table string, pred exec.Expr, prune *exec.PruneHint) (int64
 }
 
 // deleteRows deletes the rows the row finder matched — per data file, their
-// file-global ordinals — from an already reconstructed snapshot.
+// file-global ordinals — from an already reconstructed snapshot, file by file
+// in path order. Merge-on-read writes each file's deletion vector, merged
+// with the one the file already carries; copy-on-write rewrites the file
+// without the rows (paper 2.1: "deletes the entire data file where rows are
+// being updated and replaces it with a new file").
 func (t *Txn) deleteRows(state *manifest.TableState, meta catalog.TableMeta, matched map[string][]uint32) (int64, error) {
 	if len(matched) == 0 {
 		return 0, nil
 	}
 	ts := t.tableState(meta)
-	if t.eng.opts.Deletes == CopyOnWrite {
-		return t.deleteCopyOnWrite(state, meta, ts, matched)
-	}
-
 	paths := TablePaths{ID: meta.ID}
-	model := t.eng.Fabric.Model()
 	node := t.writeNode()
 	var deleted int64
 	var newActions []manifest.Action
 	n := ts.blockSeq * 100
-	files := make([]string, 0, len(matched))
-	for f := range matched {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, path := range files {
-		rows := matched[path]
+	for _, path := range sortedKeys(matched) {
 		fe := state.Files[path]
-		merged := deletevector.FromRows(rows)
+		drop := deletevector.FromRows(matched[path])
+		if t.eng.opts.Deletes == CopyOnWrite {
+			deleted += int64(drop.Cardinality())
+			survivors, err := t.liveRows(node, fe, drop)
+			if err != nil {
+				return 0, err
+			}
+			newActions = append(newActions, ts.removeFile(fe)...)
+			written, err := t.eng.writeDataFiles(node, t.charge, t.id, meta, fe.Partition, survivors, 0, func(int) string {
+				return fmt.Sprintf("%scow-%d-%d.pcf", paths.DataPrefix(), t.id, n)
+			})
+			if err != nil {
+				return 0, err
+			}
+			n += len(written)
+			newActions = append(newActions, written...)
+			continue
+		}
+		before := 0
 		if fe.DV != "" {
 			old, _, d, err := t.eng.readDV(node, fe.DV)
 			if err != nil {
 				return 0, err
 			}
 			t.charge(d)
-			before := old.Cardinality()
-			merged.Union(old)
-			deleted += int64(merged.Cardinality() - before)
+			before = old.Cardinality()
+			drop.Union(old)
 			newActions = append(newActions, manifest.Action{
 				Op: manifest.OpRemove, Kind: manifest.KindDV, Path: fe.DV, Target: path,
 			})
-		} else {
-			deleted += int64(merged.Cardinality())
 		}
+		deleted += int64(drop.Cardinality() - before)
 		dvPath := paths.DVFile(t.id, n)
 		n++
-		data := merged.Marshal()
-		d, err := node.WriteFile(t.eng.Store, dvPath, data, t.id)
+		d, err := node.WriteFile(t.eng.Store, dvPath, drop.Marshal(), t.id)
 		if err != nil {
 			return 0, err
 		}
 		t.charge(d)
 		newActions = append(newActions, manifest.Action{
 			Op: manifest.OpAdd, Kind: manifest.KindDV, Path: dvPath, Target: path,
-			DeletedRows: int64(merged.Cardinality()), Partition: fe.Partition,
+			DeletedRows: int64(drop.Cardinality()), Partition: fe.Partition,
 		})
 		ts.touchedFiles[path] = true
 	}
-	t.charge(model.CPU(deleted))
-
+	t.charge(t.eng.Fabric.Model().CPU(deleted))
 	if err := t.rewriteManifest(ts, paths, newActions); err != nil {
 		return 0, err
 	}
@@ -338,85 +357,41 @@ func (t *Txn) deleteRows(state *manifest.TableState, meta catalog.TableMeta, mat
 	return deleted, nil
 }
 
-// deleteCopyOnWrite rewrites every affected data file without the matched
-// rows (paper 2.1: "deletes the entire data file where rows are being updated
-// and replaces it with a new file").
-func (t *Txn) deleteCopyOnWrite(state *manifest.TableState, meta catalog.TableMeta, ts *txnTable, matched map[string][]uint32) (int64, error) {
-	paths := TablePaths{ID: meta.ID}
-	node := t.writeNode()
-	model := t.eng.Fabric.Model()
-	var deleted int64
-	var newActions []manifest.Action
-	n := ts.blockSeq * 100
-	files := make([]string, 0, len(matched))
-	for f := range matched {
-		files = append(files, f)
+// liveRows reads a data file whole through node and returns the rows that
+// survive its deletion vector and drop (nil: the vector alone) — what
+// copy-on-write DELETE and COMPACT rewrite. drop is modified.
+func (t *Txn) liveRows(node *compute.Node, fe *manifest.FileEntry, drop *deletevector.Vector) (*colfile.Batch, error) {
+	sf, _, d, err := t.eng.openLive(node, fe)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(files)
-	for _, path := range files {
-		fe := state.Files[path]
-		sf, _, d, err := t.eng.openLive(node, fe)
-		if err != nil {
-			return 0, err
-		}
-		t.charge(d)
-		all, err := sf.R.ReadAll()
-		if err != nil {
-			return 0, err
-		}
-		drop := deletevector.FromRows(matched[path])
-		deleted += int64(drop.Cardinality())
-		if sf.DV != nil {
-			drop.Union(sf.DV)
-		}
-		survivors := all.Filter(drop.FilterMask(all.NumRows()))
-		newActions = append(newActions, manifest.Action{
-			Op: manifest.OpRemove, Kind: manifest.KindData, Path: path,
+	t.charge(d)
+	all, err := sf.R.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case drop == nil && sf.DV == nil:
+		return all, nil
+	case drop == nil:
+		drop = sf.DV
+	case sf.DV != nil:
+		drop.Union(sf.DV)
+	}
+	return all.Filter(drop.FilterMask(all.NumRows())), nil
+}
+
+// removeFile logically removes a data file being rewritten, and its deletion
+// vector, and adds the file to the transaction's conflict set.
+func (ts *txnTable) removeFile(fe *manifest.FileEntry) []manifest.Action {
+	ts.touchedFiles[fe.Path] = true
+	actions := []manifest.Action{{Op: manifest.OpRemove, Kind: manifest.KindData, Path: fe.Path}}
+	if fe.DV != "" {
+		actions = append(actions, manifest.Action{
+			Op: manifest.OpRemove, Kind: manifest.KindDV, Path: fe.DV, Target: fe.Path,
 		})
-		if fe.DV != "" {
-			newActions = append(newActions, manifest.Action{
-				Op: manifest.OpRemove, Kind: manifest.KindDV, Path: fe.DV, Target: path,
-			})
-		}
-		ts.touchedFiles[path] = true
-		if survivors.NumRows() > 0 {
-			w := colfile.NewWriter(meta.Schema)
-			if meta.SortCol != "" {
-				w.SetSortedBy(meta.SortCol)
-			}
-			for g0 := 0; g0 < survivors.NumRows(); g0 += t.eng.opts.RowsPerGroup {
-				g1 := g0 + t.eng.opts.RowsPerGroup
-				if g1 > survivors.NumRows() {
-					g1 = survivors.NumRows()
-				}
-				if err := w.WriteBatch(sliceCols(survivors, g0, g1)); err != nil {
-					return 0, err
-				}
-			}
-			out, err := w.Finish()
-			if err != nil {
-				return 0, err
-			}
-			newPath := fmt.Sprintf("%scow-%d-%d.pcf", paths.DataPrefix(), t.id, n)
-			n++
-			d, err := node.WriteFile(t.eng.Store, newPath, out, t.id)
-			if err != nil {
-				return 0, err
-			}
-			t.charge(d)
-			newActions = append(newActions, manifest.Action{
-				Op: manifest.OpAdd, Kind: manifest.KindData, Path: newPath,
-				Rows: int64(survivors.NumRows()), Size: int64(len(out)), Partition: fe.Partition,
-				Sketches: w.Sketches(),
-			})
-		}
 	}
-	t.charge(model.CPU(deleted))
-	if err := t.rewriteManifest(ts, paths, newActions); err != nil {
-		return 0, err
-	}
-	ts.kind = wroteUpdates
-	return deleted, nil
+	return actions
 }
 
 // foundRows is what the row finder reports: per data file, the ascending
@@ -583,7 +558,9 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr, pru
 	if err != nil {
 		return 0, err
 	}
-	for col := range set {
+	// In sorted order, the order runUpdate binds them in, so the error names
+	// the same column every run.
+	for _, col := range sortedKeys(set) {
 		if meta.Schema.ColIndex(col) < 0 {
 			return 0, fmt.Errorf("core: unknown column %q in UPDATE", col)
 		}
@@ -684,6 +661,8 @@ type SourceFile struct {
 
 // BulkLoad ingests a set of source files into a table: one DCP write task per
 // source file, sized by cost-based allocation over the fabric (Section 7.1).
+// A task writes one file per distribution cell its source reaches, however
+// many rows that is.
 func (t *Txn) BulkLoad(table string, sources []SourceFile) (int64, error) {
 	if err := t.check(); err != nil {
 		return 0, err
@@ -693,114 +672,46 @@ func (t *Txn) BulkLoad(table string, sources []SourceFile) (int64, error) {
 		return 0, err
 	}
 	ts := t.tableState(meta)
+	eng, txnID := t.eng, t.id
 	paths := TablePaths{ID: meta.ID}
-	manifestBlob := paths.ManifestFile(t.id)
-	store := t.eng.Store
-	model := t.eng.Fabric.Model()
-	rowsPerGroup := t.eng.opts.RowsPerGroup
-	txnID := t.id
-	distributions := t.eng.opts.Distributions
-	sortCol := meta.SortCol
-	distCol := meta.DistributionCol
 
 	g := dcp.NewGraph()
 	var taskIDs []int
 	base := ts.blockSeq * 1000
 	for i, src := range sources {
-		i, src := i, src
-		id := i + 1
-		taskIDs = append(taskIDs, id)
+		taskIDs = append(taskIDs, i+1)
 		err := g.Add(&dcp.Task{
-			ID: id, Name: "load-" + src.Name, Pool: dcp.WritePool,
+			ID: i + 1, Name: "load-" + src.Name, Pool: dcp.WritePool,
 			Exec: func(ctx *dcp.Ctx) (any, error) {
 				batch, err := src.Rows()
 				if err != nil {
 					return nil, err
 				}
+				if !batch.Schema.Equal(meta.Schema) {
+					return nil, fmt.Errorf("core: bulk load schema mismatch for %s (source %s)", meta.Name, src.Name)
+				}
 				// Simulated read of the source file.
-				ctx.Charge(model.RemoteRead(src.SizeHint))
-				var res writeTaskResult
-				parts := partitionBatch(batch, distCol, distributions)
-				for p, part := range parts {
-					if part.NumRows() == 0 {
-						continue
-					}
-					sorted := sortBatchBy(part, sortCol)
-					w := colfile.NewWriter(sorted.Schema)
-					if sortCol != "" {
-						w.SetSortedBy(sortCol)
-					}
-					for g0 := 0; g0 < sorted.NumRows(); g0 += rowsPerGroup {
-						g1 := g0 + rowsPerGroup
-						if g1 > sorted.NumRows() {
-							g1 = sorted.NumRows()
-						}
-						if err := w.WriteBatch(sliceCols(sorted, g0, g1)); err != nil {
-							return nil, err
-						}
-					}
-					data, err := w.Finish()
+				ctx.Charge(eng.Fabric.Model().RemoteRead(src.SizeHint))
+				var actions []manifest.Action
+				for p, part := range partitionBatch(batch, meta.DistributionCol, eng.opts.Distributions) {
+					sorted, err := sortBatchBy(part, meta.SortCol)
 					if err != nil {
 						return nil, err
 					}
-					path := paths.DataFile(txnID, p, base+i*100+p*10+ctx.Attempt)
-					d, err := ctx.Node.WriteFile(store, path, data, txnID)
-					if err != nil {
-						return nil, err
-					}
-					ctx.Charge(d)
-					res.actions = append(res.actions, manifest.Action{
-						Op: manifest.OpAdd, Kind: manifest.KindData, Path: path,
-						Rows: int64(sorted.NumRows()), Size: int64(len(data)), Partition: p,
-						Sketches: w.Sketches(),
+					written, err := eng.writeDataFiles(ctx.Node, ctx.Charge, txnID, meta, p, sorted, 0, func(int) string {
+						return paths.DataFile(txnID, p, base+i*100+p*10+ctx.Attempt)
 					})
-					res.rows += int64(sorted.NumRows())
+					if err != nil {
+						return nil, err
+					}
+					actions = append(actions, written...)
 				}
-				ctx.Charge(model.CPU(res.rows))
-				blockID := fmt.Sprintf("t%d-s%d-a%d", txnID, i, ctx.Attempt)
-				payload := manifest.Encode(res.actions)
-				if err := store.StageBlock(manifestBlob, blockID, payload); err != nil {
-					return nil, err
-				}
-				ctx.Charge(model.RemoteWrite(int64(len(payload))))
-				res.blockIDs = []string{blockID}
-				return res, nil
+				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-s%d-a%d", txnID, i, ctx.Attempt), actions)
 			},
 		})
 		if err != nil {
 			return 0, err
 		}
 	}
-
-	nodes, delay := t.eng.Fabric.AllocateForJob(len(sources))
-	res, err := dcp.Run(g, t.eng.pools(nodes), dcp.Options{
-		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
-		Overhead:        model.TaskOverhead,
-		StartOffset:     delay,
-		FailureInjector: t.eng.opts.TaskFailureInjector,
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.charge(res.Makespan)
-
-	var newBlocks []string
-	var loaded int64
-	for _, out := range dcp.Gather(res, taskIDs) {
-		wr := out.(writeTaskResult)
-		newBlocks = append(newBlocks, wr.blockIDs...)
-		ts.actions = append(ts.actions, wr.actions...)
-		loaded += wr.rows
-	}
-	sort.Strings(newBlocks)
-	all := append(append([]string{}, ts.blockIDs...), newBlocks...)
-	if err := store.CommitBlockList(manifestBlob, all, t.id); err != nil {
-		return 0, err
-	}
-	ts.blockIDs = all
-	ts.blockSeq++
-	if ts.kind == wroteNothing {
-		ts.kind = wroteInserts
-	}
-	return loaded, nil
+	return t.commitWriteJob(ts, g, taskIDs)
 }

@@ -173,7 +173,7 @@ type lane struct {
 // makespan. Execution is really parallel (bounded by node slots); virtual
 // time is tracked per slot lane.
 func Run(g *Graph, pools Pools, opts Options) (*Result, error) {
-	//polaris:ctx entry point of the storage engine's own DAGs (fetch, write, compaction), which have no statement context
+	//polaris:ctx entry point for harnesses and tests (the benchrunner's scheduling ablation), which have no statement context
 	return RunCtx(context.Background(), g, pools, opts)
 }
 

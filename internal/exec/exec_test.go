@@ -315,6 +315,21 @@ func TestSortAscDesc(t *testing.T) {
 	}
 }
 
+// hashJoin joins left to right the way the planner composes a join: a
+// JoinTable built over right, probed by left.
+func hashJoin(t *testing.T, left, right Operator, leftKeys, rightKeys []int, typ JoinType, parallelism int) *colfile.Batch {
+	t.Helper()
+	jt, err := BuildHashJoin(right, rightKeys, typ, parallelism, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Collect(&Probe{In: left, Table: jt, LeftKeys: leftKeys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestHashJoinInner(t *testing.T) {
 	left := makeFile(t, intSchema("a", "b"), [][][]any{{
 		{int64(1), int64(10)}, {int64(2), int64(20)}, {int64(3), int64(30)},
@@ -324,11 +339,7 @@ func TestHashJoinInner(t *testing.T) {
 	}})
 	ls, _ := NewScan([]ScanFile{{R: mustOpen(t, left)}}, nil, nil, nil)
 	rs, _ := NewScan([]ScanFile{{R: mustOpen(t, right)}}, nil, nil, nil)
-	j := &HashJoin{Left: ls, Right: rs, LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin}
-	out, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := hashJoin(t, ls, rs, []int{0}, []int{0}, InnerJoin, 1)
 	if out.NumRows() != 3 { // 2 matches once, 3 matches twice
 		t.Fatalf("rows = %d", out.NumRows())
 	}
@@ -342,11 +353,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	right := makeFile(t, intSchema("x"), [][][]any{{{int64(2)}}})
 	ls, _ := NewScan([]ScanFile{{R: mustOpen(t, left)}}, nil, nil, nil)
 	rs, _ := NewScan([]ScanFile{{R: mustOpen(t, right)}}, nil, nil, nil)
-	j := &HashJoin{Left: ls, Right: rs, LeftKeys: []int{0}, RightKeys: []int{0}, Type: LeftOuterJoin}
-	out, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := hashJoin(t, ls, rs, []int{0}, []int{0}, LeftOuterJoin, 1)
 	if out.NumRows() != 2 {
 		t.Fatalf("rows = %d", out.NumRows())
 	}
@@ -367,11 +374,7 @@ func TestHashJoinSemi(t *testing.T) {
 	right := makeFile(t, intSchema("x"), [][][]any{{{int64(2)}, {int64(2)}, {int64(3)}}})
 	ls, _ := NewScan([]ScanFile{{R: mustOpen(t, left)}}, nil, nil, nil)
 	rs, _ := NewScan([]ScanFile{{R: mustOpen(t, right)}}, nil, nil, nil)
-	j := &HashJoin{Left: ls, Right: rs, LeftKeys: []int{0}, RightKeys: []int{0}, Type: SemiJoin}
-	out, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := hashJoin(t, ls, rs, []int{0}, []int{0}, SemiJoin, 1)
 	if out.NumRows() != 2 || len(out.Schema) != 1 {
 		t.Fatalf("semi rows = %d schema = %v", out.NumRows(), out.Schema)
 	}
@@ -385,14 +388,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	rb := colfile.NewBatch(schema)
 	_ = rb.AppendRow(nil)
 	_ = rb.AppendRow(int64(1))
-	j := &HashJoin{
-		Left: NewBatchSource(lb), Right: NewBatchSource(rb),
-		LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin,
-	}
-	out, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := hashJoin(t, NewBatchSource(lb), NewBatchSource(rb), []int{0}, []int{0}, InnerJoin, 1)
 	if out.NumRows() != 1 {
 		t.Fatalf("rows = %d; NULL = NULL must not match", out.NumRows())
 	}

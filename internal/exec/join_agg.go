@@ -381,53 +381,6 @@ func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
 	return out, nil
 }
 
-// HashJoin is a build/probe equi-join. The right child is the build side.
-// With Parallelism > 1 the build side is hash-partitioned and the partition
-// tables are built concurrently. Next runs the probe serially over Left.
-//
-// The SQL planner does NOT use this operator: it drains every build through
-// BuildGraceJoin — which honors the join memory budget and may spill — and
-// fans Probe (or, for a spilled build, JoinBatches) out itself. HashJoin is the always-in-memory
-// reference composition of BuildHashJoin+Probe, kept as the oracle the join
-// semantics tests compare against; new callers wanting budget-aware joins
-// should go through BuildGraceJoin.
-type HashJoin struct {
-	Left, Right Operator
-	// LeftKeys and RightKeys are column indexes into each child's schema.
-	LeftKeys, RightKeys []int
-	Type                JoinType
-	Parallelism         int
-	Tel                 *Telemetry
-
-	probe  *Probe
-	schema colfile.Schema
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() colfile.Schema {
-	if j.schema == nil {
-		l := j.Left.Schema()
-		if j.Type == SemiJoin {
-			j.schema = l
-		} else {
-			j.schema = append(append(colfile.Schema{}, l...), j.Right.Schema()...)
-		}
-	}
-	return j.schema
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next() (*colfile.Batch, error) {
-	if j.probe == nil {
-		jt, err := BuildHashJoin(j.Right, j.RightKeys, j.Type, j.Parallelism, j.Tel)
-		if err != nil {
-			return nil, err
-		}
-		j.probe = &Probe{In: j.Left, Table: jt, LeftKeys: j.LeftKeys, Tel: j.Tel}
-	}
-	return j.probe.Next()
-}
-
 // AggKind enumerates aggregate functions.
 type AggKind int
 

@@ -71,14 +71,7 @@ func TestTypedKeysFixSeparatorCollision(t *testing.T) {
 	}
 
 	// And a join on both columns must not cross-match the two rows.
-	j := &HashJoin{
-		Left: NewBatchSource(b), Right: NewBatchSource(b),
-		LeftKeys: []int{0, 1}, RightKeys: []int{0, 1}, Type: InnerJoin,
-	}
-	jout, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jout := hashJoin(t, NewBatchSource(b), NewBatchSource(b), []int{0, 1}, []int{0, 1}, InnerJoin, 1)
 	if jout.NumRows() != 2 {
 		t.Fatalf("join cross-matched colliding keys: %d rows, want 2 (self-matches only)", jout.NumRows())
 	}
@@ -133,15 +126,8 @@ func TestJoinNullKeySemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			j := &HashJoin{
-				Left:     NewBatchSource(probeRows(tc.probeNull)),
-				Right:    NewBatchSource(buildRows(tc.buildNull)),
-				LeftKeys: []int{0}, RightKeys: []int{0}, Type: tc.typ,
-			}
-			out, err := Collect(j)
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := hashJoin(t, NewBatchSource(probeRows(tc.probeNull)), NewBatchSource(buildRows(tc.buildNull)),
+				[]int{0}, []int{0}, tc.typ, 1)
 			if out.NumRows() != tc.wantRows {
 				t.Fatalf("rows = %d, want %d:\n%s", out.NumRows(), tc.wantRows, renderBatch(t, out))
 			}
@@ -215,53 +201,6 @@ func TestParallelProbeIdenticalAcrossDOP(t *testing.T) {
 				t.Fatalf("type %v dop=%d probe output differs from dop=1", typ, dop)
 			}
 		}
-	}
-}
-
-// TestMergeFreeConcatMatchesMergingPath runs the same partial batches through
-// MergeAgg with and without MergeFree. When each group appears in exactly one
-// partial input (the distribution-aware case), both paths must agree bytewise.
-func TestMergeFreeConcatMatchesMergingPath(t *testing.T) {
-	schema := intSchema("g", "v")
-	// Two "cells": disjoint group keys, as d(r)-aligned morsels guarantee.
-	cellA := colfile.NewBatch(schema)
-	cellB := colfile.NewBatch(schema)
-	for i := 0; i < 100; i++ {
-		_ = cellA.AppendRow(int64(i%3), int64(i))       // groups 0..2
-		_ = cellB.AppendRow(int64(3+(i%4)), int64(i*2)) // groups 3..6
-	}
-	groupBy := progs(t, schema, ColRef{Idx: 0, Name: "g"})
-	v := prog(t, schema, ColRef{Idx: 1})
-	aggs := []AggSpec{
-		{Kind: AggCountStar, Name: "n"},
-		{Kind: AggSum, Arg: v, Name: "s"},
-		{Kind: AggAvg, Arg: v, Name: "a"},
-		{Kind: AggMin, Arg: v, Name: "mn"},
-		{Kind: AggMax, Arg: v, Name: "mx"},
-	}
-	partials := func() []*colfile.Batch {
-		var out []*colfile.Batch
-		for _, cell := range []*colfile.Batch{cellA, cellB} {
-			p, err := Collect(&HashAgg{In: NewBatchSource(cell), GroupBy: groupBy, Aggs: aggs, Partial: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, p)
-		}
-		return out
-	}
-	run := func(mergeFree bool) string {
-		proto := &HashAgg{In: NewBatchSource(colfile.NewBatch(schema)), GroupBy: groupBy, Aggs: aggs, Partial: true}
-		m := &MergeAgg{In: NewBatchList(proto.Schema(), partials()), Groups: 1, Aggs: aggs, MergeFree: mergeFree}
-		out, err := Collect(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderBatch(t, out)
-	}
-	want := run(false)
-	if got := run(true); got != want {
-		t.Fatalf("merge-free output differs from merging path:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

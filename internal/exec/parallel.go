@@ -341,20 +341,13 @@ func (l *BatchList) Next() (*colfile.Batch, error) {
 // the partial-state batches emitted by HashAgg{Partial: true} workers and
 // folds them into final aggregate values. Output rows are ordered by encoded
 // group key, so the result is identical for every degree of parallelism.
+// Distribution-aware (merge-free) aggregation is the same path fed one partial
+// row per group: each partial is added to an empty state (0 + x = x).
 type MergeAgg struct {
 	In     Operator // stream of partial batches (groups + partial agg states)
 	Groups int      // number of leading group-key columns
 	Aggs   []AggSpec
-	// MergeFree records the planner's proof that no group key appears in
-	// more than one partial input row: distribution-aware aggregation. When
-	// the GROUP BY key set covers the table's distribution column, cells are
-	// disjoint by d(r) and cell-aligned morsels make every per-morsel partial
-	// already complete for its groups. The merge needs no second code path
-	// for it — fed one row per group it adds each partial to an empty state
-	// (0 + x = x) and orders the same keys the same way — so the flag only
-	// labels the plan (WorkStats.MergeFreeAggs counts such statements).
-	MergeFree bool
-	Tel       *Telemetry
+	Tel    *Telemetry
 
 	schema colfile.Schema
 	done   bool

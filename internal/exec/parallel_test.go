@@ -210,15 +210,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		_ = probe.AppendRow(int64(i))
 	}
 	run := func(par int) string {
-		j := &HashJoin{
-			Left: NewBatchSource(probe), Right: NewBatchSource(build),
-			LeftKeys: []int{0}, RightKeys: []int{0}, Type: InnerJoin, Parallelism: par,
-		}
-		out, err := Collect(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderBatch(t, out)
+		return renderBatch(t, hashJoin(t, NewBatchSource(probe), NewBatchSource(build), []int{0}, []int{0}, InnerJoin, par))
 	}
 	want := run(1)
 	for _, par := range []int{2, 4, 8} {

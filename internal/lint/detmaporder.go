@@ -19,6 +19,7 @@ var DeterministicPackages = []string{
 	"polaris/internal/colfile",
 	"polaris/internal/manifest",
 	"polaris/internal/server",
+	"polaris/internal/core",
 }
 
 // inPkgs matches package paths against repo package identities by suffix

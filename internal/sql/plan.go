@@ -823,7 +823,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 		outOp = ap.finish(&exec.MergeAgg{
 			// the partial layout is a function of the programs alone
 			In:     exec.NewBatchList(partial(nil).Schema(), batches),
-			Groups: len(ap.groupBy), Aggs: ap.aggs, MergeFree: p.mergeFree, Tel: tel,
+			Groups: len(ap.groupBy), Aggs: ap.aggs, Tel: tel,
 		})
 	} else {
 		// Rows each fragment must ship: all of them (-1), or LIMIT+OFFSET —

@@ -78,8 +78,9 @@ type selectPlan struct {
 
 	// mergeFree: the GROUP BY key set covers the table's distribution column,
 	// so the morsels are cell-aligned, every per-morsel partial is complete
-	// for its groups, and MergeAgg skips the merge (distribution-aware
-	// aggregation, counted in WorkStats.MergeFreeAggs).
+	// for its groups, and MergeAgg, fed one partial row per group, has nothing
+	// to merge (distribution-aware aggregation, counted in
+	// WorkStats.MergeFreeAggs; it takes no code path of its own).
 	mergeFree bool
 	// dag: the stages run as a DCP task DAG rather than on the in-process
 	// morsel pool — Options.DistributedQueries, except for a bare LIMIT (see
