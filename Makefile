@@ -51,13 +51,16 @@ bench-check:
 	$(GO) run ./bench -seconds 1 -trace 0 >/dev/null
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
-# on (join/group keys, ORDER BY keys, spill batch round-trip) and of the two
+# on (join/group keys, ORDER BY keys, spill batch round-trip) and of the three
 # decoders that take bytes from outside the process: the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
-# allocation the input cannot back) and the durable file reader (a reader or
+# allocation the input cannot back), the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
 # returns, never panics, and ReadColumn memoizes a vector, never an error,
-# billing exactly what it keeps), plus the three evaluator-vs-reference targets
+# billing exactly what it keeps) and the deletion-vector decoder (a vector or
+# an error; a vector's runs are ascending, non-empty, non-adjacent and inside
+# the uint32 row space, and it survives a Marshal round trip), plus the three
+# evaluator-vs-reference targets
 # in internal/exec (compiled kernels against the scalar evaluator, the
 # aggregation operators against the scalar aggregator, and the join — in
 # memory with and without its bloom filter, and spilled — against a
@@ -71,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzBatchSpillRoundTrip$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzDeletionVectorUnmarshal$$' -fuzztime 5s ./internal/deletevector
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzAggEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzJoinEquivalence$$' -fuzztime 5s ./internal/exec

@@ -191,7 +191,7 @@ func ParallelJoinTable() (*exec.JoinTable, error) {
 			b.Cols[0].AppendInt(i % (1 << 14))
 			b.Cols[1].AppendInt(i)
 		}
-		d.table, d.err = exec.BuildHashJoin(exec.NewBatchSource(b), []int{0}, exec.InnerJoin, 4, nil)
+		d.table, d.err = exec.BuildHashJoin(exec.NewBatchSource(b), []int{0}, exec.InnerJoin, 4)
 	})
 	return d.table, d.err
 }
@@ -259,7 +259,7 @@ const ParallelJoinSpillBudget = 128 << 10
 // multi-core hardware instead of staying single-threaded.
 func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	src, err := exec.BuildGraceJoin(exec.NewBatchSource(buildSide()), []int{0}, exec.InnerJoin, dop,
-		exec.SpillConfig{Budget: ParallelJoinSpillBudget, Store: exec.NewMemSpillStore()}, nil)
+		exec.SpillConfig{Budget: ParallelJoinSpillBudget, Store: exec.NewMemSpillStore()})
 	if err != nil {
 		return nil, err
 	}

@@ -238,6 +238,11 @@ func InsertCheckpointRow(tx *Tx, row CheckpointRow) error {
 	return tx.Put(keyCheckpoint(row.TableID, row.Seq), row)
 }
 
+// DeleteCheckpointRow removes a Checkpoints row (restore-driven truncation).
+func DeleteCheckpointRow(tx *Tx, tableID, seq int64) error {
+	return tx.Delete(keyCheckpoint(tableID, seq))
+}
+
 // LatestCheckpoint returns the newest checkpoint row with Seq <= asOfSeq
 // (any when asOfSeq < 0), or ok=false when none qualifies.
 func LatestCheckpoint(tx *Tx, tableID, asOfSeq int64) (CheckpointRow, bool, error) {

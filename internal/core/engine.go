@@ -80,8 +80,6 @@ type Options struct {
 	JoinMemoryBudget int64
 	// MaxTaskAttempts bounds DCP task retries.
 	MaxTaskAttempts int
-	// CheckpointEvery is the manifest-count threshold the STO uses.
-	CheckpointEvery int
 	// CompactSmallRows and CompactDeletedFrac are storage-health thresholds.
 	CompactSmallRows   int64
 	CompactDeletedFrac float64
@@ -115,7 +113,6 @@ func DefaultOptions() Options {
 		WLMSeparate:        true,
 		Parallelism:        exec.DefaultDOP(),
 		MaxTaskAttempts:    3,
-		CheckpointEvery:    10,
 		CompactSmallRows:   1024,
 		CompactDeletedFrac: 0.3,
 		RetentionSeqs:      1 << 30,

@@ -90,7 +90,7 @@ func (t *Txn) RestoreTableAsOf(table string, asOfSeq int64) error {
 	}
 	for _, cp := range cps {
 		if cp.Seq > asOfSeq {
-			if err := t.catTx.Delete(checkpointKeyForRestore(meta.ID, cp.Seq)); err != nil {
+			if err := catalog.DeleteCheckpointRow(t.catTx, meta.ID, cp.Seq); err != nil {
 				return err
 			}
 		}
@@ -104,12 +104,6 @@ func (t *Txn) RestoreTableAsOf(table string, asOfSeq int64) error {
 		return nil
 	})
 	return nil
-}
-
-// checkpointKeyForRestore mirrors the catalog's checkpoint key layout; kept
-// here to avoid widening the catalog API for one caller.
-func checkpointKeyForRestore(tableID, seq int64) string {
-	return fmt.Sprintf("checkpoints/%016d/%016d", tableID, seq)
 }
 
 // LineageTables returns the IDs of all tables sharing lineage with tableID:

@@ -300,7 +300,9 @@ func (e *Engine) readDV(node *compute.Node, path string) (*deletevector.Vector, 
 // MorselScan is the input of a morsel-parallel table read: the snapshot's
 // live files fetched through the fabric, split into morsels whose in-order
 // concatenation equals the table's global row order, plus the table schema
-// and a shared thread-safe telemetry sink.
+// and Tel, a thread-safe scan sink the morsels' scans may share (rows and
+// bytes read, row groups pruned). Txn.Scan hands it to its callers; SELECT
+// passes none, and nothing turns it into simulated CPU.
 type MorselScan struct {
 	Morsels []exec.Morsel
 	Schema  colfile.Schema
@@ -432,7 +434,7 @@ func (t *Txn) ClearAdoptedLease() { t.adoptedDOP = 0 }
 
 // ReadAll is a convenience that scans a table and materializes all rows.
 func (t *Txn) ReadAll(table string) (*ResultSet, error) {
-	op, tel, err := t.Scan(table, ScanOptions{})
+	op, _, err := t.Scan(table, ScanOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -440,8 +442,6 @@ func (t *Txn) ReadAll(table string) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// FE-side operator CPU.
-	t.charge(t.eng.Fabric.Model().CPU(tel.RowsProcessed.Load()))
 	return &ResultSet{Batch: b}, nil
 }
 

@@ -120,16 +120,14 @@ func (g *Graph) Len() int { return len(g.tasks) }
 type Options struct {
 	// MaxAttempts bounds per-task attempts (default 3).
 	MaxAttempts int
-	// RetryPenalty is virtual time added per retry (rescheduling cost);
-	// defaults to the cost model's task overhead.
-	RetryPenalty time.Duration
 	// FailureInjector, when non-nil, is consulted after each attempt's Exec
 	// completes; a non-nil error simulates the node dying before reporting
 	// success — the attempt's side effects (files written, blocks staged)
 	// persist but its output is discarded and the task is retried elsewhere,
 	// exactly the failure mode the paper's GC story covers (4.3, 5.3).
 	FailureInjector func(taskID, attempt int, node *compute.Node) error
-	// Overhead is per-task virtual scheduling overhead; defaults to 15ms.
+	// Overhead is per-task virtual scheduling overhead, charged again for
+	// every retry (the rescheduling cost); defaults to 15ms.
 	Overhead time.Duration
 	// StartOffset shifts the virtual clock (e.g. topology provisioning
 	// delay from Fabric.AllocateForJob).
@@ -192,9 +190,6 @@ func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, 
 	}
 	if opts.Overhead == 0 {
 		opts.Overhead = 15 * time.Millisecond
-	}
-	if opts.RetryPenalty == 0 {
-		opts.RetryPenalty = opts.Overhead
 	}
 
 	// Validate deps and topologically sort (Kahn) to detect cycles. Tasks are
@@ -473,7 +468,7 @@ func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, 
 				break
 			}
 			lastNode = l.node.ID
-			penalty += opts.RetryPenalty
+			penalty += opts.Overhead
 			releaseLane(l, 0)
 		}
 		if err != nil {

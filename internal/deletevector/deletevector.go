@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -175,7 +176,9 @@ func (v *Vector) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal parses a serialized vector.
+// Unmarshal parses a serialized vector. It accepts only what Marshal writes:
+// non-empty runs in ascending order, none adjoining the one before it, all
+// inside the uint32 row space, and no bytes after the last run.
 func Unmarshal(data []byte) (*Vector, error) {
 	if len(data) < 4 || binary.LittleEndian.Uint32(data[:4]) != magic {
 		return nil, errors.New("deletevector: bad magic")
@@ -187,7 +190,7 @@ func Unmarshal(data []byte) (*Vector, error) {
 	}
 	p = p[k:]
 	v := New()
-	var prevEnd uint32
+	var prevEnd uint64
 	for i := uint64(0); i < n; i++ {
 		gap, k1 := binary.Uvarint(p)
 		if k1 <= 0 {
@@ -199,10 +202,18 @@ func Unmarshal(data []byte) (*Vector, error) {
 			return nil, fmt.Errorf("deletevector: truncated or empty run %d", i)
 		}
 		p = p[k2:]
-		start := prevEnd + uint32(gap)
-		end := start + uint32(length)
-		v.runs = append(v.runs, run{start, end})
-		prevEnd = end
+		if i > 0 && gap == 0 {
+			return nil, fmt.Errorf("deletevector: run %d adjoins the run before it", i)
+		}
+		if gap > math.MaxUint32 || length > math.MaxUint32 || prevEnd+gap+length > math.MaxUint32 {
+			return nil, fmt.Errorf("deletevector: run %d ends past the last row ordinal", i)
+		}
+		start := prevEnd + gap
+		prevEnd = start + length
+		v.runs = append(v.runs, run{uint32(start), uint32(prevEnd)})
+	}
+	if len(p) > 0 {
+		return nil, fmt.Errorf("deletevector: %d bytes after the last run", len(p))
 	}
 	return v, nil
 }

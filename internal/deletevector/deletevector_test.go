@@ -1,6 +1,8 @@
 package deletevector
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,17 +133,63 @@ func TestMarshalEmpty(t *testing.T) {
 	}
 }
 
-func TestUnmarshalCorrupt(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2, 3},
-		{0x43, 0x45, 0x56, 0x44, 0xFF}, // magic ok, truncated count varint... 0xFF needs continuation
+// encoded returns the magic followed by vals as uvarints: a run count, then
+// (gap, length) pairs.
+func encoded(vals ...uint64) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, magic)
+	for _, x := range vals {
+		buf = binary.AppendUvarint(buf, x)
 	}
-	for i, c := range cases {
-		if _, err := Unmarshal(c); err == nil {
-			t.Fatalf("case %d: corrupt input accepted", i)
+	return buf
+}
+
+func TestUnmarshalCorrupt(t *testing.T) {
+	cases := map[string][]byte{
+		"nil":                     nil,
+		"short":                   {1, 2, 3},
+		"truncated count":         {0x43, 0x45, 0x56, 0x44, 0xFF}, // magic ok, 0xFF needs continuation
+		"empty run":               encoded(1, 3, 0),
+		"end wraps the row space": encoded(1, math.MaxUint32, 2),
+		"length past uint32":      encoded(1, 0, 1<<32),
+		"adjacent runs":           encoded(2, 0, 1, 0, 1),
+		"trailing bytes":          append(FromRows([]uint32{4, 9}).Marshal(), 0),
+	}
+	for name, c := range cases {
+		if v, err := Unmarshal(c); err == nil {
+			t.Errorf("%s: corrupt input accepted as %v", name, v)
 		}
 	}
+}
+
+// FuzzDeletionVectorUnmarshal: any bytes give a vector or an error, never a
+// panic, and a vector is canonical — its runs ascending, non-empty,
+// non-adjacent and inside the uint32 row space — and survives a Marshal
+// round trip.
+func FuzzDeletionVectorUnmarshal(f *testing.F) {
+	f.Add(New().Marshal())
+	f.Add(FromRows([]uint32{0, 1, 2, 100, 5000, 5001}).Marshal())
+	f.Add(FromRows([]uint32{math.MaxUint32 - 1}).Marshal())
+	f.Add(encoded(1, math.MaxUint32, 2))
+	f.Add(encoded(1, 0, 1<<32))
+	f.Add(encoded(2, 0, 1, 0, 1))
+	f.Add(append(FromRows([]uint32{4, 9}).Marshal(), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		first, prevEnd := true, uint32(0)
+		v.ForEachRun(func(start, end uint32) {
+			if start >= end || (!first && start <= prevEnd) {
+				t.Fatalf("non-canonical run [%d,%d) after end %d in %v", start, end, prevEnd, v)
+			}
+			first, prevEnd = false, end
+		})
+		back, err := Unmarshal(v.Marshal())
+		if err != nil || !back.Equal(v) {
+			t.Fatalf("round trip of %v: %v, %v", v, back, err)
+		}
+	})
 }
 
 func TestForEachRun(t *testing.T) {

@@ -279,7 +279,7 @@ func checkJoinAgainstReference(t testing.TB, c joinCase) (pruned, spillPruned in
 	probe := diffRows(rng, c.probeRows, c.domain, c.nullPct)
 	build := diffRows(rng, c.build, c.domain, c.nullPct)
 	buildBatches := diffBatches(t, rng, diffSchema, build, 3, c.selected)
-	jt, err := BuildHashJoin(NewBatchList(diffSchema, buildBatches), c.bldKeys, c.typ, c.parallelism, nil)
+	jt, err := BuildHashJoin(NewBatchList(diffSchema, buildBatches), c.bldKeys, c.typ, c.parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func checkJoinAgainstReference(t testing.TB, c joinCase) (pruned, spillPruned in
 	check("bloom-filtered join", got, err)
 
 	src, err := BuildGraceJoin(NewBatchList(diffSchema, buildBatches), c.bldKeys, c.typ, c.parallelism,
-		SpillConfig{Budget: 1, Store: NewMemSpillStore()}, nil)
+		SpillConfig{Budget: 1, Store: NewMemSpillStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestBuildHashJoinAllocationGate(t *testing.T) {
 	build := func(n int) float64 {
 		in := distinctKeyBatch(t, n)
 		return testing.AllocsPerRun(3, func() {
-			jt, err := BuildHashJoin(NewBatchSource(in), []int{0}, InnerJoin, parts, nil)
+			jt, err := BuildHashJoin(NewBatchSource(in), []int{0}, InnerJoin, parts)
 			if err != nil || len(jt.lookupWord(in.Cols[0].Ints[n-1], rowHash(in.Cols[:1], n-1))) != 1 {
 				t.Fatalf("build of %d rows: err %v", n, err)
 			}
@@ -580,7 +580,7 @@ func TestBuildHashJoinAllocationGate(t *testing.T) {
 func TestProbeAllocationGate(t *testing.T) {
 	const rows = 4096
 	in := distinctKeyBatch(t, rows)
-	jt, err := BuildHashJoin(NewBatchSource(in), []int{0}, InnerJoin, 1, nil)
+	jt, err := BuildHashJoin(NewBatchSource(in), []int{0}, InnerJoin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

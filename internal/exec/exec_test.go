@@ -319,7 +319,7 @@ func TestSortAscDesc(t *testing.T) {
 // JoinTable built over right, probed by left.
 func hashJoin(t *testing.T, left, right Operator, leftKeys, rightKeys []int, typ JoinType, parallelism int) *colfile.Batch {
 	t.Helper()
-	jt, err := BuildHashJoin(right, rightKeys, typ, parallelism, nil)
+	jt, err := BuildHashJoin(right, rightKeys, typ, parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,6 @@ type joinPart struct {
 	rows  []int32
 }
 
-// BuildSchema returns the build side's schema.
-func (jt *JoinTable) BuildSchema() colfile.Schema { return jt.build.Schema }
-
 // partOf assigns a key hash to one of n build partitions. It reads the high
 // half of the hash; a partition's keyTable places by the low bits.
 func partOf(h uint64, n int) int { return int((h >> 32) % uint64(n)) }
@@ -87,7 +84,7 @@ type rangeKeys struct {
 // hash-partitioned and the partition tables are built concurrently; probe
 // results are identical to a serial build because each partition inserts its
 // rows in build-row order.
-func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, tel *Telemetry) (*JoinTable, error) {
+func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int) (*JoinTable, error) {
 	all, err := Collect(build)
 	if err != nil {
 		return nil, err
@@ -162,9 +159,6 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int, te
 	}
 	wg.Wait()
 
-	if tel != nil {
-		tel.RowsProcessed.Add(int64(n))
-	}
 	return &JoinTable{parts: parts, build: all, keys: vecs, typ: typ}, nil
 }
 
@@ -247,7 +241,6 @@ type Probe struct {
 	In       Operator
 	Table    *JoinTable
 	LeftKeys []int
-	Tel      *Telemetry
 	// Bloom, when set, short-circuits the hash-table walk for probe keys the
 	// runtime filter proves absent. No false negatives, so results are
 	// byte-identical with or without it (docs/PLANNER.md).
@@ -283,9 +276,6 @@ func (p *Probe) Next() (*colfile.Batch, error) {
 		lb, err := p.In.Next()
 		if err != nil || lb == nil {
 			return nil, err
-		}
-		if p.Tel != nil {
-			p.Tel.RowsProcessed.Add(int64(lb.NumRows()))
 		}
 		out, err := p.probeBatch(lb)
 		if err != nil {
@@ -420,7 +410,6 @@ type HashAgg struct {
 	GroupBy []*Prog
 	Aggs    []AggSpec
 	Partial bool
-	Tel     *Telemetry
 
 	schema colfile.Schema
 	done   bool
@@ -488,9 +477,6 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 		}
 		if b == nil {
 			break
-		}
-		if h.Tel != nil {
-			h.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
 		for i, g := range h.GroupBy {
 			if keyVecs[i], err = g.Run(&keyCtxs[i], b); err != nil {

@@ -170,7 +170,7 @@ func TestParallelProbeIdenticalAcrossDOP(t *testing.T) {
 
 	for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, SemiJoin} {
 		run := func(dop int) string {
-			table, err := BuildHashJoin(NewBatchSource(build), []int{0}, typ, dop, nil)
+			table, err := BuildHashJoin(NewBatchSource(build), []int{0}, typ, dop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestProbeRejectsMixedKeyTypes(t *testing.T) {
 	build.Cols[0].AppendFloat(1.0)
 	probe := colfile.NewBatch(colfile.Schema{{Name: "k", Type: colfile.Int64}})
 	probe.Cols[0].AppendInt(int64(math.Float64bits(1.0)))
-	jt, err := BuildHashJoin(NewBatchSource(build), []int{0}, InnerJoin, 1, nil)
+	jt, err := BuildHashJoin(NewBatchSource(build), []int{0}, InnerJoin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,13 @@ import (
 	"polaris/internal/deletevector"
 )
 
-// Telemetry counts work done by operators; the transaction layer converts
-// these into simulated CPU time via the compute cost model.
+// Telemetry is a Scan's sink: the rows and bytes it read and the row groups
+// its zone maps pruned. Scan is the only operator that writes one, and nothing
+// turns it into simulated CPU time; its readers are core.Txn.Scan's callers.
 type Telemetry struct {
-	RowsScanned   atomic.Int64
-	RowsProcessed atomic.Int64
-	BytesScanned  atomic.Int64
-	GroupsPruned  atomic.Int64
+	RowsScanned  atomic.Int64
+	BytesScanned atomic.Int64
+	GroupsPruned atomic.Int64
 }
 
 // Operator is a pull-based batch iterator. Next returns nil at end of stream.
@@ -400,7 +400,6 @@ type Filter struct {
 	// immutable and may be shared by many Filter instances (one per morsel
 	// worker); the evaluation scratch is per instance.
 	Pred *Prog
-	Tel  *Telemetry
 
 	ctx    EvalCtx
 	selBuf []int
@@ -427,9 +426,6 @@ func (f *Filter) Next() (*colfile.Batch, error) {
 		pv, err := f.Pred.Run(&f.ctx, b)
 		if err != nil {
 			return nil, err
-		}
-		if f.Tel != nil {
-			f.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
 		sel := f.selBuf[:0]
 		if b.Sel == nil {
@@ -469,7 +465,6 @@ type Project struct {
 	// Names are the output column names; an empty or missing entry defaults
 	// to the expression's source rendering.
 	Names []string
-	Tel   *Telemetry
 
 	schema colfile.Schema
 	ctxs   []EvalCtx
@@ -498,9 +493,6 @@ func (p *Project) Next() (*colfile.Batch, error) {
 	b, err := p.In.Next()
 	if err != nil || b == nil {
 		return nil, err
-	}
-	if p.Tel != nil {
-		p.Tel.RowsProcessed.Add(int64(b.NumRows()))
 	}
 	if p.ctxs == nil {
 		p.ctxs = make([]EvalCtx, len(p.Exprs))

@@ -347,7 +347,6 @@ type MergeAgg struct {
 	In     Operator // stream of partial batches (groups + partial agg states)
 	Groups int      // number of leading group-key columns
 	Aggs   []AggSpec
-	Tel    *Telemetry
 
 	schema colfile.Schema
 	done   bool
@@ -415,9 +414,6 @@ func (m *MergeAgg) Next() (*colfile.Batch, error) {
 		}
 		if b == nil {
 			break
-		}
-		if m.Tel != nil {
-			m.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
 		ids, err := groups.resolve(b.Cols[:m.Groups], b.Sel, b.NumRows())
 		if err != nil {

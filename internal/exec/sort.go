@@ -75,7 +75,6 @@ func sortBatch(all *colfile.Batch, keys []SortKey) *colfile.Batch {
 type Sort struct {
 	In   Operator
 	Keys []SortKey
-	Tel  *Telemetry
 
 	done bool
 }
@@ -96,9 +95,6 @@ func (s *Sort) Next() (*colfile.Batch, error) {
 	if all.NumRows() == 0 {
 		return nil, nil
 	}
-	if s.Tel != nil {
-		s.Tel.RowsProcessed.Add(int64(all.NumRows()))
-	}
 	return sortBatch(all, s.Keys), nil
 }
 
@@ -111,7 +107,6 @@ func (s *Sort) Next() (*colfile.Batch, error) {
 type SortRuns struct {
 	In   Operator
 	Keys []SortKey
-	Tel  *Telemetry
 
 	done bool
 }
@@ -132,9 +127,6 @@ func (s *SortRuns) Next() (*colfile.Batch, error) {
 	if all.NumRows() == 0 {
 		return nil, nil
 	}
-	if s.Tel != nil {
-		s.Tel.RowsProcessed.Add(int64(all.NumRows()))
-	}
 	return sortBatch(all, s.Keys), nil
 }
 
@@ -154,7 +146,6 @@ type TopN struct {
 	In   Operator
 	Keys []SortKey
 	N    int64 // max rows to keep; <= 0 keeps none
-	Tel  *Telemetry
 
 	done bool
 }
@@ -243,9 +234,6 @@ func (t *TopN) Next() (*colfile.Batch, error) {
 		}
 		if b == nil {
 			break
-		}
-		if t.Tel != nil {
-			t.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
 		for r := 0; r < b.NumRows(); r++ {
 			phys := b.RowIdx(r) // logical order == ascending physical order

@@ -108,14 +108,6 @@ type JoinSource struct {
 	Spilled *SpilledJoin
 }
 
-// BuildSchema returns the build side's schema.
-func (s *JoinSource) BuildSchema() colfile.Schema {
-	if s.Table != nil {
-		return s.Table.BuildSchema()
-	}
-	return s.Spilled.buildSchema
-}
-
 // SpilledJoin is the spilled counterpart of JoinTable: the build side lives
 // in per-partition spill files, and JoinBatches runs the partition-wise join
 // against a probe side it partitions the same way.
@@ -129,7 +121,6 @@ type SpilledJoin struct {
 	flushBytes  int64
 	parallelism int
 	partition   PartitionFunc
-	tel         *Telemetry
 
 	// partMem is the in-memory byte estimate of each depth-0 build
 	// partition, the quantity compared against the budget to decide
@@ -164,7 +155,6 @@ type SpilledJoin struct {
 
 	mu           sync.Mutex
 	bytesWritten int64
-	filesWritten int64
 	partsJoined  int64
 	// written records every spill file name already accounted. Spill file
 	// content is a deterministic function of its name, so a rewrite (a
@@ -229,16 +219,6 @@ func (sj *SpilledJoin) SpillBytes() int64 {
 	return sj.bytesWritten
 }
 
-// SpillFiles returns the number of spill files written so far.
-func (sj *SpilledJoin) SpillFiles() int64 {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return sj.filesWritten
-}
-
-// Partitions returns the depth-0 partition count.
-func (sj *SpilledJoin) Partitions() int { return sj.fanout }
-
 // BloomPrunedRows returns how many probe rows the build-side runtime bloom
 // filter dropped before spilling, across all JoinBatches calls. Row-based, so
 // deterministic and DOP-invariant; the planner folds it into
@@ -266,7 +246,6 @@ func (sj *SpilledJoin) put(name string, data []byte) error {
 		}
 		sj.written[name] = struct{}{}
 		sj.bytesWritten += int64(len(data))
-		sj.filesWritten++
 	}
 	sj.mu.Unlock()
 	return nil
@@ -360,7 +339,7 @@ func partDir(dir string, p int) string { return fmt.Sprintf("%s/p%03d", dir, p) 
 // caller then joins via JoinBatches. Build rows with NULL keys are dropped at
 // partition time — they can never match, and no join type emits an unmatched
 // build row.
-func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, cfg SpillConfig, tel *Telemetry) (*JoinSource, error) {
+func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, cfg SpillConfig) (*JoinSource, error) {
 	schema := build.Schema()
 	var drained []*colfile.Batch
 	var total int64
@@ -371,7 +350,7 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 		}
 		if b == nil {
 			// Everything fit: the ordinary in-memory build.
-			jt, err := BuildHashJoin(NewBatchList(schema, drained), keys, typ, parallelism, tel)
+			jt, err := BuildHashJoin(NewBatchList(schema, drained), keys, typ, parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -402,7 +381,7 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 	sj := &SpilledJoin{
 		store: cfg.Store, typ: typ, buildKeys: keys, buildSchema: schema,
 		fanout: fanout, budget: cfg.Budget, flushBytes: flush,
-		parallelism: parallelism, partition: part, tel: tel,
+		parallelism: parallelism, partition: part,
 	}
 	if typ != LeftOuterJoin {
 		// The key count is unknown while streaming; size for the spill
@@ -435,9 +414,7 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 		}
 		return nil
 	}
-	var buildRows int64
 	for _, b := range drained {
-		buildRows += int64(b.NumRows())
 		if err := spillBatch(b); err != nil {
 			return nil, err
 		}
@@ -451,7 +428,6 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 		if b == nil {
 			break
 		}
-		buildRows += int64(b.NumRows())
 		if err := spillBatch(b); err != nil {
 			return nil, err
 		}
@@ -460,9 +436,6 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 		return nil, err
 	}
 	sj.partMem = w.mem
-	if tel != nil {
-		tel.RowsProcessed.Add(buildRows)
-	}
 	return &JoinSource{Spilled: sj}, nil
 }
 
@@ -738,13 +711,13 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 	if err != nil {
 		return err
 	}
-	jt, err := BuildHashJoin(NewBatchList(sj.buildSchema, buildBatches), sj.buildKeys, sj.typ, buildPar, nil)
+	jt, err := BuildHashJoin(NewBatchList(sj.buildSchema, buildBatches), sj.buildKeys, sj.typ, buildPar)
 	if err != nil {
 		return err
 	}
 	out, err := CollectCtx(ctx, &Probe{
 		In:    &spillFileSource{store: sj.store, names: probeNames, schema: probeSchema},
-		Table: jt, LeftKeys: leftKeys, Tel: sj.tel,
+		Table: jt, LeftKeys: leftKeys,
 	})
 	if err != nil {
 		return err

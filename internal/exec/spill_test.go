@@ -80,7 +80,7 @@ func renderSpillBatch(b *colfile.Batch) string {
 // returning per-batch renders — the bytes a spilled join must reproduce.
 func inMemoryReference(t *testing.T, build *colfile.Batch, probe []*colfile.Batch, typ JoinType, leftKeys, rightKeys []int) []string {
 	t.Helper()
-	jt, err := BuildHashJoin(NewBatchSource(build), rightKeys, typ, 4, nil)
+	jt, err := BuildHashJoin(NewBatchSource(build), rightKeys, typ, 4)
 	if err != nil {
 		t.Fatalf("in-memory build: %v", err)
 	}
@@ -101,7 +101,7 @@ func inMemoryReference(t *testing.T, build *colfile.Batch, probe []*colfile.Batc
 
 func spilledResult(t *testing.T, build *colfile.Batch, probe []*colfile.Batch, typ JoinType, leftKeys, rightKeys []int, cfg SpillConfig) (*SpilledJoin, []string) {
 	t.Helper()
-	src, err := BuildGraceJoin(NewBatchSource(build), rightKeys, typ, 4, cfg, nil)
+	src, err := BuildGraceJoin(NewBatchSource(build), rightKeys, typ, 4, cfg)
 	if err != nil {
 		t.Fatalf("grace build: %v", err)
 	}
@@ -146,8 +146,8 @@ func TestGraceJoinSpilledMatchesInMemory(t *testing.T) {
 				t.Fatalf("type %d morsel %d: spilled join differs from in-memory:\ngot:\n%s\nwant:\n%s", typ, i, got[i], want[i])
 			}
 		}
-		if sj.SpillBytes() == 0 || sj.SpillFiles() == 0 {
-			t.Fatalf("type %d: spill accounting empty: bytes=%d files=%d", typ, sj.SpillBytes(), sj.SpillFiles())
+		if sj.SpillBytes() == 0 {
+			t.Fatalf("type %d: spill accounting empty", typ)
 		}
 		if store.Count() == 0 {
 			t.Fatalf("type %d: no spill files written", typ)
@@ -306,7 +306,7 @@ func TestSpilledJoinReuse(t *testing.T) {
 	want := inMemoryReference(t, build, probe, InnerJoin, []int{0}, []int{0})
 	store := NewMemSpillStore()
 	src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, InnerJoin, 4,
-		SpillConfig{Budget: 2048, Store: store}, nil)
+		SpillConfig{Budget: 2048, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestSpilledJoinConcurrentCalls(t *testing.T) {
 	probe := probeSideBatches(400, 5)
 	want := inMemoryReference(t, build, probe, InnerJoin, []int{0}, []int{0})
 	src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, InnerJoin, 4,
-		SpillConfig{Budget: 2048, Store: NewMemSpillStore()}, nil)
+		SpillConfig{Budget: 2048, Store: NewMemSpillStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestSpilledJoinDopInvariant(t *testing.T) {
 	var wantParts int64
 	for _, dop := range []int{1, 2, 4, 16} { // 16 > fanout: dop must clamp
 		src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, LeftOuterJoin, 4,
-			SpillConfig{Budget: 2048, Store: NewMemSpillStore()}, nil)
+			SpillConfig{Budget: 2048, Store: NewMemSpillStore()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestGraceJoinUnderBudgetStaysInMemory(t *testing.T) {
 	build := buildSideBatch(50)
 	store := NewMemSpillStore()
 	src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, InnerJoin, 2,
-		SpillConfig{Budget: 1 << 20, Store: store}, nil)
+		SpillConfig{Budget: 1 << 20, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestGraceJoinSpillWriteFailure(t *testing.T) {
 		store := NewMemSpillStore()
 		store.FailPut = failAt
 		src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, InnerJoin, 2,
-			SpillConfig{Budget: 2048, Store: store}, nil)
+			SpillConfig{Budget: 2048, Store: store})
 		if err == nil {
 			// The build survived (failure lands on the probe side).
 			if src.Spilled == nil {
@@ -519,7 +519,7 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 	// after the build spill, inside JoinBatches (probe partitioning and the
 	// recursive build repartition).
 	clean := NewMemSpillStore()
-	srcClean, err := BuildGraceJoin(NewBatchSource(mkBuild()), []int{0}, InnerJoin, 1, cfg(clean), nil)
+	srcClean, err := BuildGraceJoin(NewBatchSource(mkBuild()), []int{0}, InnerJoin, 1, cfg(clean))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 
 	for _, frac := range []int{4, 2, 3} { // early, middle, late within JoinBatches
 		store := NewMemSpillStore()
-		src, err := BuildGraceJoin(NewBatchSource(mkBuild()), []int{0}, InnerJoin, 1, cfg(store), nil)
+		src, err := BuildGraceJoin(NewBatchSource(mkBuild()), []int{0}, InnerJoin, 1, cfg(store))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,7 +598,7 @@ func TestSpilledJoinRejectsCorruptChunk(t *testing.T) {
 		dir := objectstore.NewSpillDir(store, fmt.Sprintf("q%d", flipAt))
 		flip := &flippingStore{SpillStore: dir, flipAt: flipAt}
 		src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, LeftOuterJoin, 2,
-			SpillConfig{Budget: 2048, Store: flip}, nil)
+			SpillConfig{Budget: 2048, Store: flip})
 		if err != nil {
 			t.Fatalf("flipAt=%d: build: %v", flipAt, err)
 		}

@@ -40,25 +40,15 @@ func dagGatherID(j int) int   { return 1024 + j }
 func dagScanID(i int) int     { return dagStageStride + i }
 func dagProbeID(j, i int) int { return (j+2)*dagStageStride + i }
 
-// Exchange chunk sizing mirrors the grace-join spill writer: chunks are
-// bounded by budget/exchangeFanout, floored so pathological budgets still
-// make progress. A tiny per-txn SetJoinMemoryBudget override therefore puts
-// the same many-small-files pressure on the exchange that it puts on the
-// spill path; budget 0 (unlimited) writes one file per stage output.
-const (
-	exchangeFanout   = 8
-	minExchangeFlush = 4 << 10
-)
-
-// dagOut is the value a stage task hands its dependents: the exchange file
-// names holding the task's output batch (empty = the morsel produced no
-// rows, mirroring the morsel executor's nil entries) and the probe rows its
+// dagOut is the value a stage task hands its dependents: the name of the
+// exchange frame holding the task's output batch ("" = the morsel produced
+// no rows, mirroring the morsel executor's nil entries) and the probe rows its
 // bloom filter pruned. Pruned counts ride in the output rather than going
 // straight to WorkStats so only the winning attempt of a retried task is
 // counted — a failed attempt's side effects stand but its output (and with
 // it the count) is discarded.
 type dagOut struct {
-	names  []string
+	name   string
 	pruned int64
 }
 
@@ -75,115 +65,45 @@ func dagOutOf(v any) *dagOut {
 type dagExchange struct {
 	dir   *objectstore.SpillDir
 	model *compute.CostModel
-	flush int64 // max bytes per chunk; <= 0 writes one chunk per batch
 }
 
-// write persists one stage output batch under prefix and returns the chunk
-// names in order. Names are deterministic per (prefix, chunking), so a
-// retried task overwrites its failed attempt's files with identical bytes.
-func (ex *dagExchange) write(qc *dcp.Ctx, prefix string, b *colfile.Batch) ([]string, error) {
+// write persists one stage output batch as a single frame named name and
+// returns the name, or "" for an empty output, which writes nothing. Names
+// are a pure function of (stage, morsel), so a retried task overwrites its
+// failed attempt's frame with identical bytes.
+func (ex *dagExchange) write(qc *dcp.Ctx, name string, b *colfile.Batch) (string, error) {
 	if b == nil || b.NumRows() == 0 {
+		return "", nil
+	}
+	data, err := colfile.MarshalBatch(b.Materialize())
+	if err != nil {
+		return "", err
+	}
+	if err := ex.dir.Put(name, data); err != nil {
+		return "", err
+	}
+	qc.Charge(ex.model.RemoteWrite(int64(len(data))))
+	return name, nil
+}
+
+// read returns the batch of the frame named name (nil for "", a morsel that
+// had no rows). qc is nil when the FE gathers the final stage — the transfer
+// is then part of the statement, not a task.
+func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, name string) (*colfile.Batch, error) {
+	if name == "" {
 		return nil, nil
 	}
-	b = b.Materialize()
-	var names []string
-	put := func(chunk *colfile.Batch) error {
-		data, err := colfile.MarshalBatch(chunk)
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("%s/f%06d", prefix, len(names))
-		if err := ex.dir.Put(name, data); err != nil {
-			return err
-		}
-		qc.Charge(ex.model.RemoteWrite(int64(len(data))))
-		names = append(names, name)
-		return nil
-	}
-	if ex.flush <= 0 {
-		if err := put(b); err != nil {
-			return nil, err
-		}
-		return names, nil
-	}
-	buf := colfile.NewBatch(b.Schema)
-	var mem int64
-	for r := 0; r < b.NumRows(); r++ {
-		for c := range buf.Cols {
-			buf.Cols[c].Append(b.Cols[c], r)
-		}
-		mem += b.RowMemSize(r)
-		if mem >= ex.flush {
-			if err := put(buf); err != nil {
-				return nil, err
-			}
-			buf = colfile.NewBatch(b.Schema)
-			mem = 0
-		}
-	}
-	if buf.NumRows() > 0 {
-		if err := put(buf); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
-}
-
-// read returns a stage output as one dense batch (nil when the producing
-// morsel had no rows): the decoded chunk itself when the output is a single
-// chunk — every output under an unlimited join budget — and the chunks
-// concatenated otherwise. qc is nil when the FE gathers the final stage —
-// the transfer is then part of the statement, not a task.
-func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, names []string) (*colfile.Batch, error) {
-	var out *colfile.Batch
-	for _, name := range names {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		data, err := ex.dir.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		if qc != nil {
-			qc.Charge(ex.model.RemoteRead(int64(len(data))))
-		}
-		chunk, err := colfile.UnmarshalBatch(data)
-		if err != nil {
-			return nil, err
-		}
-		if len(names) == 1 {
-			return chunk, nil
-		}
-		if out == nil {
-			out = colfile.NewBatch(chunk.Schema)
-		}
-		out.AppendBatch(chunk)
-	}
-	return out, nil
-}
-
-// exchangeTee mirrors a build-side stream into the exchange as it drains, so
-// the build stage's input is durable alongside its spill partitions.
-type exchangeTee struct {
-	in     exec.Operator
-	ex     *dagExchange
-	qc     *dcp.Ctx
-	prefix string
-	seq    int
-}
-
-func (t *exchangeTee) Schema() colfile.Schema { return t.in.Schema() }
-
-func (t *exchangeTee) Next() (*colfile.Batch, error) {
-	b, err := t.in.Next()
-	if err != nil || b == nil {
-		return b, err
-	}
-	if _, err := t.ex.write(t.qc, fmt.Sprintf("%s/b%06d", t.prefix, t.seq), b); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t.seq++
-	return b, nil
+	data, err := ex.dir.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	if qc != nil {
+		qc.Charge(ex.model.RemoteRead(int64(len(data))))
+	}
+	return colfile.UnmarshalBatch(data)
 }
 
 // dagState carries the build results across tasks. Builds publish under a
@@ -223,7 +143,9 @@ func (s *dagState) anySpilled() bool {
 // the per-morsel outputs of the final stage in morsel order. It is
 // runStagesPool on another substrate: the same morsels, fragment operators and
 // joins (one plan), with stage outputs crossing task boundaries through
-// the exchange and build inputs teed into it.
+// the exchange. A build task drains its input straight into the JoinSource:
+// the build side is re-read from the table's immutable files on a retry, so
+// nothing of it crosses the exchange.
 //
 // Both executor shapes carry over: while no build spills, every morsel runs
 // probe→filter→suffix even when its scan came up empty (the streaming shape
@@ -240,12 +162,6 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	// joinSpill.finish deletes it on success and error alike, so neither a
 	// completed query nor one killed mid-DAG leaks exchange files.
 	ex := &dagExchange{dir: spill.newDir(), model: tx.CostModel()}
-	if budget := tx.JoinMemoryBudget(); budget > 0 {
-		ex.flush = budget / exchangeFanout
-		if ex.flush < minExchangeFlush {
-			ex.flush = minExchangeFlush
-		}
-	}
 
 	M := len(ms.Morsels)
 	J := len(joins)
@@ -264,17 +180,17 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 					return nil, err
 				}
 				if J == 0 {
-					op = suffix(tail.filter(op, ms.Tel))
+					op = suffix(tail.filter(op))
 				}
 				b, err := exec.CollectCtx(qc.Context(), op)
 				if err != nil {
 					return nil, err
 				}
-				names, err := ex.write(qc, fmt.Sprintf("s0/m%05d", i), b)
+				name, err := ex.write(qc, fmt.Sprintf("s0/m%05d", i), b)
 				if err != nil {
 					return nil, err
 				}
-				return &dagOut{names: names}, nil
+				return &dagOut{name: name}, nil
 			},
 		}); err != nil {
 			return nil, err
@@ -298,10 +214,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 				if err != nil {
 					return nil, err
 				}
-				// The build's input is teed into the exchange as it drains,
-				// so it is durable alongside its spill partitions.
-				right = &exchangeTee{in: right, ex: ex, qc: qc, prefix: fmt.Sprintf("build%d", j)}
-				src, err := exec.BuildGraceJoin(right, dj.rightKeys, dj.typ, tx.Parallelism(), dj.cfg, ms.Tel)
+				src, err := exec.BuildGraceJoin(right, dj.rightKeys, dj.typ, tx.Parallelism(), dj.cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -331,7 +244,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 				}
 				batches := make([]*colfile.Batch, M)
 				for i := 0; i < M; i++ {
-					b, err := ex.read(qc.Context(), qc, dagOutOf(qc.Inputs[prev(i)]).names)
+					b, err := ex.read(qc.Context(), qc, dagOutOf(qc.Inputs[prev(i)]).name)
 					if err != nil {
 						return nil, err
 					}
@@ -343,11 +256,11 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 				}
 				outs := make([]*dagOut, M)
 				for i, b := range joined {
-					names, err := ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b)
+					name, err := ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b)
 					if err != nil {
 						return nil, err
 					}
-					outs[i] = &dagOut{names: names}
+					outs[i] = &dagOut{name: name}
 				}
 				return outs, nil
 			},
@@ -367,16 +280,16 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 					var op exec.Operator
 					if src.Spilled != nil {
 						outs, _ := qc.Inputs[dagGatherID(j)].([]*dagOut)
-						var names []string
+						var name string
 						if outs != nil {
-							names = outs[i].names
+							name = outs[i].name
 						}
 						if !last {
 							// Forward: the joined batch is already durable
-							// in the gather's exchange files.
-							return &dagOut{names: names}, nil
+							// in the gather's exchange frame.
+							return &dagOut{name: name}, nil
 						}
-						b, err := ex.read(ctx, qc, names)
+						b, err := ex.read(ctx, qc, name)
 						if err != nil {
 							return nil, err
 						}
@@ -385,7 +298,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 						}
 						op = exec.NewBatchSource(b)
 					} else {
-						b, err := ex.read(ctx, qc, dagOutOf(qc.Inputs[prev(i)]).names)
+						b, err := ex.read(ctx, qc, dagOutOf(qc.Inputs[prev(i)]).name)
 						if err != nil {
 							return nil, err
 						}
@@ -397,7 +310,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 							// empty stream too, like the fused morsel fragment.
 							b = colfile.NewBatch(dj.leftSchema)
 						}
-						pr := &exec.Probe{In: exec.NewBatchSource(b), Table: src.Table, LeftKeys: dj.leftKeys, Tel: ms.Tel}
+						pr := &exec.Probe{In: exec.NewBatchSource(b), Table: src.Table, LeftKeys: dj.leftKeys}
 						if dj.typ != exec.LeftOuterJoin {
 							pr.Bloom = src.Table.BloomFilter()
 							pr.Pruned = &localPruned
@@ -405,17 +318,17 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 						op = pr
 					}
 					if last {
-						op = suffix(tail.filter(op, ms.Tel))
+						op = suffix(tail.filter(op))
 					}
 					b, err := exec.CollectCtx(ctx, op)
 					if err != nil {
 						return nil, err
 					}
-					names, err := ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b)
+					name, err := ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b)
 					if err != nil {
 						return nil, err
 					}
-					return &dagOut{names: names, pruned: localPruned.Load()}, nil
+					return &dagOut{name: name, pruned: localPruned.Load()}, nil
 				},
 			}); err != nil {
 				return nil, err
@@ -455,7 +368,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	fctx := tx.Context()
 	batches := make([]*colfile.Batch, M)
 	for i := 0; i < M; i++ {
-		b, err := ex.read(fctx, nil, dagOutOf(res.Outputs[finalID(i)]).names)
+		b, err := ex.read(fctx, nil, dagOutOf(res.Outputs[finalID(i)]).name)
 		if err != nil {
 			return nil, err
 		}

@@ -535,6 +535,26 @@ func TestDAGCountersDeterministic(t *testing.T) {
 	}
 }
 
+// TestDAGExchangeWritesOnlyWhatItReads pins the exchange's frame contract
+// (docs/DCP-QUERIES.md): every frame a DAG statement writes is read once and
+// deleted inside the statement, so on a warm engine — the compute cache holds
+// every data file, leaving the exchange the store's only traffic — a
+// statement's puts, gets and deletes are equal.
+func TestDAGExchangeWritesOnlyWhatItReads(t *testing.T) {
+	env := newDagEnv(t, nil) // budget 0: no join spills
+	seedDag(t, env.sess)
+	for qi, q := range sweepQueries {
+		mustExec(t, env.sess, q) // warm the compute cache
+		before := env.store.Metrics()
+		mustExec(t, env.sess, q)
+		after := env.store.Metrics()
+		puts, gets, dels := after.Puts-before.Puts, after.Gets-before.Gets, after.Deletes-before.Deletes
+		if puts == 0 || puts != gets || puts != dels {
+			t.Fatalf("query %d: warm run put %d, got %d and deleted %d blobs; want equal and non-zero", qi, puts, gets, dels)
+		}
+	}
+}
+
 // TestExplainDagAnnotation pins the [dag] marker: present on the base scan
 // when the distributed path will execute the statement, absent for bare
 // LIMIT statements (which stay on the streaming path) and when the flag is

@@ -494,11 +494,11 @@ func (t *selectTail) outSchema() colfile.Schema {
 }
 
 // filter stacks the residual WHERE, if any, on a plan fragment.
-func (t *selectTail) filter(op exec.Operator, tel *exec.Telemetry) exec.Operator {
+func (t *selectTail) filter(op exec.Operator) exec.Operator {
 	if t.where == nil {
 		return op
 	}
-	return &exec.Filter{In: op, Pred: t.where, Tel: tel}
+	return &exec.Filter{In: op, Pred: t.where}
 }
 
 // bareLimitSelect reports a bare LIMIT query (no ORDER BY, no aggregation).
@@ -631,7 +631,7 @@ func (s *joinSpill) finish() {
 // predicate applied. Rows a pushed predicate rejects are dropped inside the
 // scan, before unreferenced columns are even decoded.
 func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
-	s, err := exec.NewMorselScan(m, r.cols, r.hint, r.ms.Tel)
+	s, err := exec.NewMorselScan(m, r.cols, r.hint, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +639,7 @@ func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
 		return nil, err
 	}
 	if r.pred != nil && !s.PushPredicate(r.pred) {
-		return &exec.Filter{In: s, Pred: r.pred, Tel: r.ms.Tel}, nil
+		return &exec.Filter{In: s, Pred: r.pred}, nil
 	}
 	return s, nil
 }
@@ -692,11 +692,11 @@ func (j *planJoin) openBuild() (exec.Operator, error) {
 // While no build spilled, each worker runs scan→[probe…]→filter→suffix per
 // morsel (the streaming shape): compiled programs and JoinTables are
 // stateless/immutable values, safe to share across workers; each Probe owns
-// its scratch buffers; the telemetry sink is atomic. Once a build spilled the
-// joins run stage by stage over materialized per-morsel batches (the staged
-// shape) — in-memory stages probe every batch in parallel, spilled stages fan
-// the partition-wise grace join over the same leased workers — and each
-// worker then runs filter→suffix over its batch. The batches are byte-wise
+// its scratch buffers. Once a build spilled the joins run stage by stage over
+// materialized per-morsel batches (the staged shape) — in-memory stages probe
+// every batch in parallel, spilled stages fan the partition-wise grace join
+// over the same leased workers — and each worker then runs filter→suffix
+// over its batch. The batches are byte-wise
 // what the streaming probes would have produced and morsel order is kept
 // throughout, so everything downstream is unchanged.
 //
@@ -704,7 +704,7 @@ func (j *planJoin) openBuild() (exec.Operator, error) {
 func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
 	ctx := tx.Context()
-	morsels, tel := p.base.ms.Morsels, p.base.ms.Tel
+	morsels := p.base.ms.Morsels
 	pruned := &tx.Work().RuntimeFilterRows
 
 	// blooms[j] is join j's runtime filter, derived once from the completed
@@ -713,7 +713,7 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	srcs := make([]*exec.JoinSource, len(p.joins))
 	blooms := make([]*exec.Bloom, len(p.joins))
 	probe := func(j int, in exec.Operator) exec.Operator {
-		return &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys, Tel: tel,
+		return &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
 			Bloom: blooms[j], Pruned: pruned}
 	}
 	anySpilled := false
@@ -725,7 +725,7 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		if err != nil {
 			return nil, err
 		}
-		src, err := exec.BuildGraceJoin(right, pj.rightKeys, pj.typ, tx.Parallelism(), pj.cfg, tel)
+		src, err := exec.BuildGraceJoin(right, pj.rightKeys, pj.typ, tx.Parallelism(), pj.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -753,7 +753,7 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 			for j := range p.joins {
 				op = probe(j, op)
 			}
-			return suffix(p.tail.filter(op, tel)), nil
+			return suffix(p.tail.filter(op)), nil
 		})
 	}
 
@@ -786,7 +786,7 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		}
 	}
 	return last(len(cur), over(cur, func(b *colfile.Batch) exec.Operator {
-		return suffix(p.tail.filter(exec.NewBatchSource(b), tel))
+		return suffix(p.tail.filter(exec.NewBatchSource(b)))
 	}))
 }
 
@@ -804,7 +804,7 @@ type fragmentRunner func(suffix func(exec.Operator) exec.Operator, limit int64) 
 // decide where the fragments run, so they cannot drift apart downstream of
 // the fragment boundary.
 func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batch, error) {
-	tail, tel := p.tail, p.base.ms.Tel
+	tail := p.tail
 	var outOp exec.Operator
 	if ap := tail.agg; ap != nil {
 		// ORDER BY over an aggregate runs on the FE (finishSelect): the merged
@@ -823,7 +823,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 		outOp = ap.finish(&exec.MergeAgg{
 			// the partial layout is a function of the programs alone
 			In:     exec.NewBatchList(partial(nil).Schema(), batches),
-			Groups: len(ap.groupBy), Aggs: ap.aggs, Tel: tel,
+			Groups: len(ap.groupBy), Aggs: ap.aggs,
 		})
 	} else {
 		// Rows each fragment must ship: all of them (-1), or LIMIT+OFFSET —
@@ -860,12 +860,12 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 // and the merge cuts off after LIMIT+OFFSET rows, so neither the workers nor
 // the FE ever materialize the full sorted result.
 func mergeOrderBy(tx *core.Txn, p *selectPlan, run fragmentRunner, bound int64) (*colfile.Batch, error) {
-	project, keys, tel := p.tail.project, p.sortKeys, p.base.ms.Tel
+	project, keys := p.tail.project, p.sortKeys
 	batches, err := run(func(op exec.Operator) exec.Operator {
 		if bound >= 0 {
-			return &exec.TopN{In: project(op), Keys: keys, N: bound, Tel: tel}
+			return &exec.TopN{In: project(op), Keys: keys, N: bound}
 		}
-		return &exec.SortRuns{In: project(op), Keys: keys, Tel: tel}
+		return &exec.SortRuns{In: project(op), Keys: keys}
 	}, -1)
 	if err != nil {
 		return nil, err

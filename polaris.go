@@ -174,7 +174,6 @@ func Open(cfg Config) *DB {
 		opts.Isolation = catalog.Snapshot
 	}
 	opts.WLMSeparate = cfg.WLMSeparate
-	opts.CheckpointEvery = cfg.CheckpointEvery
 	opts.DistributedQueries = cfg.DistributedQueries
 	eng := core.NewEngine(catalog.NewDB(), store, fabric, opts)
 	orch := sto.New(eng, sto.Config{
