@@ -51,8 +51,10 @@ bench-check:
 	$(GO) run ./bench -seconds 1 -trace 0 >/dev/null
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
-# on (join/group keys, ORDER BY keys, spill batch round-trip) and of the three
-# decoders that take bytes from outside the process: the transient batch
+# on (join/group keys, ORDER BY keys, spill batch round-trip), of the SQL
+# parser (any text: statements or an error, never a panic — clients send it
+# straight to Parse), and of the three decoders that take bytes from outside
+# the process: the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
 # allocation the input cannot back), the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzAggEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzJoinEquivalence$$' -fuzztime 5s ./internal/exec
+	$(GO) test -run NONE -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/sql
 
 # End-to-end lifecycle gate for the multi-session HTTP front end: boots
 # polaris-server on an ephemeral port, health-checks it, runs DDL + DML + a

@@ -13,7 +13,7 @@ import (
 // render identical bytes at every Parallelism × DistributedQueries ×
 // JoinMemoryBudget setting, Parallelism 1 included (it is the same plan with
 // one worker), leak no spill blob or worker slot, and make the same plan
-// choices (top-N pushdown, merge-free aggregation, join spills) at every
+// choices (top-N pushdown, join spills) at every
 // Parallelism. The statements are the shapes where a separate serial path
 // used to disagree with the morsel plan — unordered GROUP BY, ties under
 // ORDER BY agg LIMIT — and the shapes it alone used to serve: bare LIMIT,
@@ -30,8 +30,8 @@ type matrixStmt struct {
 }
 
 var matrixStmts = []matrixStmt{
-	// Unordered GROUP BY: single key, multi key, merge-free (k is the
-	// distribution column), with NULLs in the aggregated column.
+	// Unordered GROUP BY: single key, multi key, the distribution column k,
+	// with NULLs in the aggregated column.
 	{sql: `SELECT s, COUNT(*) AS n, SUM(v) AS sv, MIN(id) AS lo FROM a GROUP BY s`},
 	{sql: `SELECT s, v, COUNT(*) AS n FROM a GROUP BY s, v`},
 	{sql: `SELECT k, COUNT(*) AS n, MAX(id) AS hi FROM a GROUP BY k`},
@@ -141,7 +141,7 @@ func openMatrixDB(t *testing.T, parallelism int, dag bool, budget int64) *DB {
 }
 
 func TestExecutorMatrixIdentity(t *testing.T) {
-	type choices struct{ topN, mergeFree, joinSpills int64 }
+	type choices struct{ topN, joinSpills int64 }
 	type cell struct {
 		name        string
 		parallelism int
@@ -168,7 +168,7 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 		wantChoices := map[int64]choices{} // plan choices by budget
 		for _, c := range cells {
 			work := &c.db.Engine().Work
-			before := choices{work.TopNPushdowns.Load(), work.MergeFreeAggs.Load(), work.JoinSpills.Load()}
+			before := choices{work.TopNPushdowns.Load(), work.JoinSpills.Load()}
 			r, err := c.db.Query(st.sql)
 			if st.wantErr != "" {
 				if err == nil || err.Error() != st.wantErr {
@@ -193,8 +193,7 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 				t.Errorf("%s: result differs from the first cell's\nsql: %s\ngot:\n%s\nwant:\n%s", c.name, st.sql, got, ref)
 			}
 
-			made := choices{work.TopNPushdowns.Load() - before.topN, work.MergeFreeAggs.Load() - before.mergeFree,
-				work.JoinSpills.Load() - before.joinSpills}
+			made := choices{work.TopNPushdowns.Load() - before.topN, work.JoinSpills.Load() - before.joinSpills}
 			if ref, ok := wantChoices[c.budget]; !ok {
 				wantChoices[c.budget] = made
 			} else if made != ref {
@@ -212,8 +211,8 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 				t.Fatalf("%s: %d worker slots still leased\nsql: %s", c.name, n, st.sql)
 			}
 		}
-		if a, b := wantChoices[0], wantChoices[256]; a.topN != b.topN || a.mergeFree != b.mergeFree {
-			t.Errorf("top-N/merge-free choices depend on the join budget: %+v vs %+v\nsql: %s", a, b, st.sql)
+		if a, b := wantChoices[0], wantChoices[256]; a.topN != b.topN {
+			t.Errorf("top-N choices depend on the join budget: %+v vs %+v\nsql: %s", a, b, st.sql)
 		}
 	}
 	if !spillsSeen {

@@ -287,19 +287,6 @@ func TestSortedByMetadata(t *testing.T) {
 	}
 }
 
-func TestQuickStats(t *testing.T) {
-	w := NewWriter(testSchema())
-	_ = w.WriteBatch(buildBatch(t, 42, 4))
-	data, _ := w.Finish()
-	st, err := QuickStats(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumRows != 42 || st.NumGroups != 1 || st.SizeBytes != int64(len(data)) {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestVecFilterSlice(t *testing.T) {
 	v := NewVec(Int64)
 	for i := 0; i < 10; i++ {

@@ -396,28 +396,3 @@ func (r *Reader) PruneInt(g, c int, lo, hi int64) bool {
 	}
 	return *st.MinInt > hi || *st.MaxInt < lo
 }
-
-// PruneStr is the string analogue of PruneInt.
-func (r *Reader) PruneStr(g, c int, lo, hi string) bool {
-	st := r.Stats(g, c)
-	if st.MinStr == nil || st.MaxStr == nil {
-		return false
-	}
-	return *st.MinStr > hi || *st.MaxStr < lo
-}
-
-// FileStats summarizes a file for compaction decisions (paper Section 5.1).
-type FileStats struct {
-	NumRows   int64
-	NumGroups int
-	SizeBytes int64
-}
-
-// QuickStats reads only the footer-derived statistics.
-func QuickStats(data []byte) (FileStats, error) {
-	r, err := OpenReader(data)
-	if err != nil {
-		return FileStats{}, err
-	}
-	return FileStats{NumRows: r.NumRows(), NumGroups: r.NumRowGroups(), SizeBytes: int64(len(data))}, nil
-}

@@ -411,7 +411,6 @@ func exerciseReader(r *Reader) (rows int64, err error) {
 		for c := range r.Schema() {
 			_ = r.Stats(g, c)
 			_ = r.PruneInt(g, c, -1, 1)
-			_ = r.PruneStr(g, c, "a", "b")
 		}
 		b, err := r.ReadRowGroup(g, nil)
 		if err != nil {

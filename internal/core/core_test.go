@@ -977,7 +977,7 @@ func TestReconcileActions(t *testing.T) {
 	}
 }
 
-// TestDistHashMatchesFmt pins d(r): the typed DistHash puts every value in the
+// TestDistHashMatchesFmt pins d(r): the typed distHash puts every value in the
 // bucket the boxed fmt form ("%v" text through FNV-1a 32) put it in, so no
 // stored row changes cell. The values are the ones where integer, float and
 // string formatting could differ: the integer extremes, both zeros, NaN, the
@@ -1007,8 +1007,8 @@ func TestDistHashMatchesFmt(t *testing.T) {
 			vec.AppendInt(x.(int64))
 		}
 		for _, buckets := range []int{1, 7, 60, 1 << 20} {
-			if got, want := DistHash(vec, 0, buckets), fmtHash(v, buckets); got != want {
-				t.Errorf("DistHash(%#v, %d) = %d, fmt form %d", v, buckets, got, want)
+			if got, want := distHash(vec, 0, buckets), fmtHash(v, buckets); got != want {
+				t.Errorf("distHash(%#v, %d) = %d, fmt form %d", v, buckets, got, want)
 			}
 		}
 	}

@@ -138,15 +138,15 @@ type WorkStats struct {
 	RowsScanned atomic.Int64
 	FilesRead   atomic.Int64
 	BytesRead   atomic.Int64
-	// MergeFreeAggs counts aggregate plans that took the distribution-aware
-	// merge-free path (GROUP BY covers the distribution column, so per-cell
-	// partials are disjoint by d(r) and the merge phase is skipped). Plan
-	// choice is deterministic, so tests assert on this counter.
+	// MergeFreeAggs is always 0: the executor no longer has a merge-free
+	// aggregation plan (every GROUP BY merges its per-morsel partials). It
+	// stays because the benchmark reads it and /metrics' pinned document
+	// carries it as mergeFreeAggs; nothing increments it.
 	MergeFreeAggs atomic.Int64
 	// TopNPushdowns counts ORDER BY ... LIMIT plans that pushed a bounded
 	// top-N into the morsel workers (each worker ships at most LIMIT+OFFSET
-	// rows; the FE k-way merge cuts off early). Like MergeFreeAggs, the plan
-	// choice is deterministic, so tests assert on this counter.
+	// rows; the FE k-way merge cuts off early). The plan choice is
+	// deterministic, so tests assert on this counter.
 	TopNPushdowns atomic.Int64
 	// JoinSpills counts hash-join builds that exceeded JoinMemoryBudget and
 	// took the grace-join spill path (both sides partitioned to the object

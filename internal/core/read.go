@@ -163,8 +163,8 @@ type ScanOptions struct {
 }
 
 // Scan executes a distributed read of a table and returns an operator
-// streaming the visible rows in the table's global row order: one scan leg per
-// non-empty distribution cell (see Morsels), unioned in cell order.
+// streaming the visible rows in the table's global row order: one scan over
+// the snapshot's files (see Morsels).
 func (t *Txn) Scan(table string, opts ScanOptions) (exec.Operator, *exec.Telemetry, error) {
 	if opts.AsOfSeq == 0 {
 		opts.AsOfSeq = -1
@@ -181,22 +181,14 @@ func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	cells := ms.Morsels
-	if len(cells) == 0 {
-		cells = []exec.Morsel{{}} // empty table: one empty leg carrying the schema
+	s, err := exec.NewMorselScan(ms.Morsels[0], opts.Columns, opts.Prune, ms.Tel)
+	if err != nil {
+		return nil, nil, err
 	}
-	ops := make([]exec.Operator, len(cells))
-	for i, m := range cells {
-		s, err := exec.NewMorselScan(m, opts.Columns, opts.Prune, ms.Tel)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := s.SetSchema(meta.Schema); err != nil {
-			return nil, nil, err
-		}
-		ops[i] = s
+	if err := s.SetSchema(meta.Schema); err != nil {
+		return nil, nil, err
 	}
-	return &exec.UnionAll{Ins: ops}, ms.Tel, nil
+	return s, ms.Tel, nil
 }
 
 // fetchScanFiles runs the distributed fetch phase of a read: one DCP task
@@ -298,8 +290,10 @@ func (e *Engine) readDV(node *compute.Node, path string) (*deletevector.Vector, 
 }
 
 // MorselScan is the input of a morsel-parallel table read: the snapshot's
-// live files fetched through the fabric, split into morsels whose in-order
-// concatenation equals the table's global row order, plus the table schema
+// live files fetched through the fabric — one fetch task per distribution
+// cell, the one place a read still follows d(r) — split into morsels whose
+// in-order concatenation equals the table's global row order (see Morsels:
+// a Parallelism-sized split, or one morsel of every file), plus the table schema
 // and Tel, a thread-safe scan sink the morsels' scans may share (rows and
 // bytes read, row groups pruned). Txn.Scan hands it to its callers; SELECT
 // passes none, and nothing turns it into simulated CPU.
@@ -314,31 +308,25 @@ type MorselScan struct {
 // column projection and zone-map pruning are applied by the caller when it
 // builds the per-morsel scans. want > 0 asks for about that many morsels
 // (typically a small multiple of the worker count, so the queue
-// load-balances): one per file, large files further split by row group.
-// want <= 0 aligns the morsels with the table's distribution cells instead:
-// one morsel per non-empty cell, holding all of that cell's files. Because
-// d(r) assigns every row with a given distribution-column value (NULLs
-// included) to exactly one cell, a per-morsel aggregation grouped on the
-// distribution column is then already complete for its groups — the plan can
-// skip the merge phase entirely (a merge-free plan) — and the
-// decomposition is independent of the degree of parallelism.
+// load-balances): one per file, large files further split by row group, and
+// none for an empty table. want <= 0 asks for exactly one morsel holding every
+// file in table order (empty for an empty table) — the input of a consumer
+// that drains the table whole, a join build or Scan.
 func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
 	cells, err := t.fetchScanFiles(state, meta)
 	if err != nil {
 		return nil, err
 	}
-	ms := &MorselScan{Schema: meta.Schema, Tel: &exec.Telemetry{}}
-	if want <= 0 {
-		for _, cell := range cells {
-			ms.Morsels = append(ms.Morsels, exec.Morsel{Files: cell.opened})
-		}
-		return ms, nil
-	}
 	var flat []exec.ScanFile
 	for _, cell := range cells {
 		flat = append(flat, cell.opened...)
 	}
-	ms.Morsels = exec.SplitMorsels(flat, want)
+	ms := &MorselScan{Schema: meta.Schema, Tel: &exec.Telemetry{}}
+	if want <= 0 {
+		ms.Morsels = []exec.Morsel{{Files: flat}}
+	} else {
+		ms.Morsels = exec.SplitMorsels(flat, want)
+	}
 	return ms, nil
 }
 
@@ -378,10 +366,6 @@ func (t *Txn) JoinMemoryBudget() int64 {
 // its own memory budget (0 or negative = unlimited). Call before the
 // statement's joins start draining their build sides.
 func (t *Txn) SetJoinMemoryBudget(b int64) { t.joinBudget = &b }
-
-// Distributions returns the engine's distribution bucket count — the cell
-// count of d(r), which a cell-aligned grace-join spill partitions by.
-func (t *Txn) Distributions() int { return t.eng.opts.Distributions }
 
 // NewSpillDir allocates a fresh query-scoped spill namespace in the object
 // store for a grace-spilling join. The caller owns cleanup: spill files are

@@ -78,9 +78,6 @@ func (t *Txn) Context() context.Context {
 	return t.qctx
 }
 
-// ID returns the durable transaction identifier.
-func (t *Txn) ID() int64 { return t.id }
-
 // SimTime returns the simulated time consumed by this transaction so far.
 func (t *Txn) SimTime() time.Duration { return t.sim }
 

@@ -16,17 +16,15 @@ import (
 	"polaris/internal/manifest"
 )
 
-// DistHash is d(r): the system-defined distribution function mapping a row
+// distHash is d(r): the system-defined distribution function mapping a row
 // to a bucket (paper 2.3), here by lane i (not NULL) of its distribution
-// column v. Exported because the SQL planner reuses it to cell-align
-// grace-join spill partitions with the table's storage cells — one
-// implementation, so the alignment cannot drift from the write path.
+// column v.
 //
 // The bucket is FNV-1a 32 over the value's text as fmt's %v prints it —
 // the decimal integer, the shortest 'g' float, the string itself, true or
 // false — formatted from the typed lane, so no value is boxed. Those bytes
 // are where every stored row's cell came from; they may not change.
-func DistHash(v *colfile.Vec, i, buckets int) int {
+func distHash(v *colfile.Vec, i, buckets int) int {
 	var buf [32]byte
 	var text []byte
 	h := uint32(2166136261)
@@ -59,7 +57,7 @@ func partitionBatch(b *colfile.Batch, distCol string, buckets int) []*colfile.Ba
 	for r := 0; r < b.NumRows(); r++ {
 		p := 0
 		if dc >= 0 && !b.Cols[dc].IsNull(r) {
-			p = DistHash(b.Cols[dc], r, buckets)
+			p = distHash(b.Cols[dc], r, buckets)
 		} else if dc < 0 {
 			p = r % buckets // round-robin when no distribution column
 		}

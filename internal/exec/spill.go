@@ -7,15 +7,17 @@ package exec
 // are independent work units, so JoinBatches fans them out over the same
 // ForEachIndexed worker pool that runs morsels, with the nested BuildHashJoin
 // parallelism capped to parallelism/dop so partition tasks and their inner
-// builds together stay within the configured Parallelism. Probe rows carry
-// their global row ordinal through the spill files, and the partition outputs
-// — concatenated in partition order, then merged by ordinal — restore global
-// probe-row order, so a spilled join's output is byte-identical to the
-// in-memory join's at every degree of parallelism and every budget setting
-// (see docs/ARCHITECTURE.md, "Cross-DOP determinism contract"). Skewed
-// partitions that still exceed the budget are recursively repartitioned by a
-// depth-seeded remix of the rows' key hashes; a partition a recursion cannot
-// shrink (a single hot key) is joined in memory as a last resort.
+// builds together stay within the configured Parallelism. Every depth
+// partitions by one function of the row's key hash (spillPartition). Probe
+// rows carry their global row ordinal through the spill files, and the
+// partition outputs are placed back by that ordinal — a counting placement,
+// one pass over the rows whatever partitions they came through — so a spilled
+// join's output is byte-identical to the in-memory join's at every degree of
+// parallelism and every budget setting (see docs/ARCHITECTURE.md,
+// "Cross-DOP determinism contract"). Skewed partitions that still exceed the
+// budget are recursively repartitioned by the next depth's remix of the
+// rows' key hashes; a partition a recursion cannot shrink (a single hot key)
+// is joined in memory as a last resort.
 //
 // Probe-side spill files are namespaced per JoinBatches call (l/cNNN/d0),
 // so re-probing the same spilled build — or probing it from two goroutines
@@ -43,16 +45,10 @@ type SpillStore interface {
 	List(prefix string) []string
 }
 
-// PartitionFunc assigns a row to a spill partition given its batch, the key
-// column indexes, the row index and the row's key hash (the one hash of the
-// row every consumer shares; see hashKeys). Both join sides must use the same
-// function so matching rows land in the same partition.
-type PartitionFunc func(b *colfile.Batch, keyCols []int, row int, h uint64) int
-
 // Spill tuning constants.
 const (
-	// defaultSpillFanout is the partition count per partitioning level.
-	defaultSpillFanout = 8
+	// spillParts is the partition count per partitioning level.
+	spillParts = 8
 	// maxSpillDepth bounds recursive repartitioning of skewed partitions.
 	maxSpillDepth = 3
 	// minSpillFlushBytes floors the per-partition write buffer so tiny
@@ -67,25 +63,16 @@ type SpillConfig struct {
 	Budget int64
 	// Store receives the spill files; required when Budget > 0.
 	Store SpillStore
-	// Fanout is the partition count at depth 0; defaults to
-	// defaultSpillFanout. Recursive levels always use the default.
-	Fanout int
-	// Partition overrides the depth-0 partitioner; defaults to a remix of
-	// the row's key hash. The planner passes a d(r)-based partitioner
-	// (core.DistHash over the key value) when the join key covers the build
-	// table's distribution column, so spill partitions align with the
-	// table's storage cells.
-	Partition PartitionFunc
 }
 
-// hashPartitioner partitions by a depth-seeded remix of the row's key hash,
-// so each recursion level redistributes the keys its parent level put
-// together. The seeds are not bloomSeed, so partitions and filter bits are
-// independent too.
-func hashPartitioner(depth, fanout int) PartitionFunc {
-	return func(_ *colfile.Batch, _ []int, _ int, h uint64) int {
-		return int(remix(h, uint64(depth)+2) % uint64(fanout))
-	}
+// spillPartition is the partition of a row with key hash h (the one hash of
+// the row every consumer shares; see hashKeys) at recursion depth depth. The
+// remix is seeded by the depth, so each level redistributes the keys its
+// parent level put together; the seeds are not bloomSeed, so partitions and
+// filter bits are independent too. Both join sides use it, so matching rows
+// land in the same partition.
+func spillPartition(h uint64, depth int) int {
+	return int(remix(h, uint64(depth)+2) % spillParts)
 }
 
 // batchHashes returns the key hash of every row of dense batch b, reusing
@@ -116,11 +103,9 @@ type SpilledJoin struct {
 	typ         JoinType
 	buildKeys   []int
 	buildSchema colfile.Schema
-	fanout      int
 	budget      int64
 	flushBytes  int64
 	parallelism int
-	partition   PartitionFunc
 
 	// partMem is the in-memory byte estimate of each depth-0 build
 	// partition, the quantity compared against the budget to decide
@@ -176,14 +161,14 @@ type buildRepart struct {
 	mem  []int64
 }
 
-// repartitionBuild splits buildDir's leaf files into depth-seeded
+// repartitionBuild splits buildDir's leaf files into depth's
 // sub-partitions at most once per SpilledJoin, however many (possibly
 // concurrent) JoinBatches calls reach the same over-budget partition: later
 // callers reuse the sub-partition files and memory estimates instead of
 // re-reading and rewriting them. Waiting for a concurrent caller's
 // repartition observes ctx, so a cancelled task unwinds instead of blocking
 // behind a sibling call's latency-modeled I/O.
-func (sj *SpilledJoin) repartitionBuild(ctx context.Context, buildDir string, part PartitionFunc) ([]int64, error) {
+func (sj *SpilledJoin) repartitionBuild(ctx context.Context, buildDir string, depth int) ([]int64, error) {
 	sj.repartMu.Lock()
 	r, ok := sj.buildReparts[buildDir]
 	if !ok {
@@ -203,8 +188,8 @@ func (sj *SpilledJoin) repartitionBuild(ctx context.Context, buildDir string, pa
 	if r.done {
 		return r.mem, nil
 	}
-	bw := newSpillWriter(sj, buildDir, sj.buildSchema, defaultSpillFanout)
-	if err := sj.repartition(ctx, buildDir, sj.buildSchema, sj.buildKeys, part, bw); err != nil {
+	bw := newSpillWriter(sj, buildDir, sj.buildSchema)
+	if err := sj.repartition(ctx, buildDir, sj.buildSchema, sj.buildKeys, depth, bw); err != nil {
 		return nil, err
 	}
 	r.mem, r.done = bw.mem, true
@@ -268,14 +253,14 @@ type spillWriter struct {
 	rows   []int64
 }
 
-func newSpillWriter(sj *SpilledJoin, dir string, schema colfile.Schema, fanout int) *spillWriter {
+func newSpillWriter(sj *SpilledJoin, dir string, schema colfile.Schema) *spillWriter {
 	w := &spillWriter{
 		sj: sj, dir: dir, schema: schema,
-		bufs:   make([]*colfile.Batch, fanout),
-		bufMem: make([]int64, fanout),
-		seqs:   make([]int, fanout),
-		mem:    make([]int64, fanout),
-		rows:   make([]int64, fanout),
+		bufs:   make([]*colfile.Batch, spillParts),
+		bufMem: make([]int64, spillParts),
+		seqs:   make([]int, spillParts),
+		mem:    make([]int64, spillParts),
+		rows:   make([]int64, spillParts),
 	}
 	for i := range w.bufs {
 		w.bufs[i] = colfile.NewBatch(schema)
@@ -366,22 +351,13 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("exec: join build exceeds budget (%d bytes) and no spill store is configured", cfg.Budget)
 	}
-	fanout := cfg.Fanout
-	if fanout <= 0 {
-		fanout = defaultSpillFanout
-	}
-	part := cfg.Partition
-	if part == nil {
-		part = hashPartitioner(0, fanout)
-	}
-	flush := cfg.Budget / int64(fanout)
+	flush := cfg.Budget / spillParts
 	if flush < minSpillFlushBytes {
 		flush = minSpillFlushBytes
 	}
 	sj := &SpilledJoin{
 		store: cfg.Store, typ: typ, buildKeys: keys, buildSchema: schema,
-		fanout: fanout, budget: cfg.Budget, flushBytes: flush,
-		parallelism: parallelism, partition: part,
+		budget: cfg.Budget, flushBytes: flush, parallelism: parallelism,
 	}
 	if typ != LeftOuterJoin {
 		// The key count is unknown while streaming; size for the spill
@@ -390,7 +366,7 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 		sj.bloom = NewBloom(spillBloomKeyHint)
 	}
 
-	w := newSpillWriter(sj, "b/d0", schema, fanout)
+	w := newSpillWriter(sj, "b/d0", schema)
 	var hs []uint64
 	spillBatch := func(b *colfile.Batch) error {
 		if b.Sel != nil {
@@ -408,7 +384,7 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 			if sj.bloom != nil {
 				sj.bloom.Add(h)
 			}
-			if err := w.add(part(b, keys, r, h), b, r); err != nil {
+			if err := w.add(spillPartition(h, 0), b, r); err != nil {
 				return err
 			}
 		}
@@ -497,8 +473,8 @@ func (sj *SpilledJoin) readSpillFiles(dir string) ([]*colfile.Batch, error) {
 // ForEachIndexed pool of dop workers (recursively repartitioned while a
 // build side still exceeds the budget), each leaf join's inner BuildHashJoin
 // capped to parallelism/dop workers so the fan-out as a whole stays within
-// the configured Parallelism. The partition outputs — each ascending in the
-// carried row ordinal — are merged back into global row order. ctx cancels
+// the configured Parallelism. The partition outputs are placed back into
+// global row order by the row ordinal they carry. ctx cancels
 // the partition fan-out (observed between spill files and batches).
 func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, dop int) ([]*colfile.Batch, error) {
 	// Global row ordinals: offsets[i] is the first ordinal of morsel i.
@@ -516,7 +492,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	probeRoot := fmt.Sprintf("l/c%03d/d0", sj.probeCalls.Add(1)-1)
 	spillSchema := append(append(colfile.Schema{}, leftSchema...), rowNumField)
 	rowNumIdx := len(leftSchema)
-	w := newSpillWriter(sj, probeRoot, spillSchema, sj.fanout)
+	w := newSpillWriter(sj, probeRoot, spillSchema)
 	var pruned int64
 	var hs []uint64
 	for i, b := range probe {
@@ -556,7 +532,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 					pruned++
 					continue
 				}
-				p = sj.partition(ext, leftKeys, r, h)
+				p = spillPartition(h, 0)
 			}
 			if err := w.add(p, ext, r); err != nil {
 				return nil, err
@@ -570,17 +546,16 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 
 	// Join the depth-0 partitions — independent (build, probe) pairs — over
 	// the shared worker pool, recursing while a build side exceeds budget.
-	// Each partition collects its leaves privately; concatenating them in
-	// partition order afterwards reproduces the serial depth-first leaf
-	// order exactly, so the fan-out cannot perturb the merge below. The
-	// inner hash-join builds are capped so partition tasks × build workers
-	// stays within the configured parallelism.
+	// Each partition collects its leaves privately, and the placement below
+	// reads only the ordinals they carry, so the fan-out cannot perturb the
+	// output. The inner hash-join builds are capped so partition tasks ×
+	// build workers stays within the configured parallelism.
 	// Partitions with no probe rows exit their task immediately, so size the
 	// pool (and with it the nested-build share below) by the live partitions
 	// only: a fully skewed probe (one hot partition) then gets the whole
 	// Parallelism for its inner build instead of idling dop-1 workers.
 	live := 0
-	for p := 0; p < sj.fanout; p++ {
+	for p := 0; p < spillParts; p++ {
 		if w.rows[p] > 0 {
 			live++
 		}
@@ -605,8 +580,8 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	if buildPar < 1 {
 		buildPar = 1
 	}
-	partLeaves := make([][]*colfile.Batch, sj.fanout)
-	err := ForEachIndexed(ctx, sj.fanout, effDop, func(ctx context.Context, p int) error {
+	partLeaves := make([][]*colfile.Batch, spillParts)
+	err := ForEachIndexed(ctx, spillParts, effDop, func(ctx context.Context, p int) error {
 		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, &partLeaves[p])
 	})
 	if err != nil {
@@ -617,27 +592,38 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 		leaves = append(leaves, pl...)
 	}
 
-	// Merge leaf outputs into global probe-row order. Every probe row lives
-	// in exactly one leaf and each leaf is ascending by ordinal, so a stable
-	// sort on the ordinal restores global order while keeping a row's
-	// matches in build order.
+	// Place the leaf rows in global probe-row order by counting, not
+	// sorting: count the output rows of each probe ordinal, prefix-sum the
+	// counts into each ordinal's first slot, then put every leaf row at its
+	// ordinal's next slot — one pass over the rows, whatever partitions they
+	// came through. Stable, because an ordinal's matches sit together in one
+	// leaf, in build order.
 	outSchema := leftSchema
 	if sj.typ != SemiJoin {
 		outSchema = append(append(colfile.Schema{}, leftSchema...), sj.buildSchema...)
+	}
+	next := make([]int, offsets[len(probe)]+1)
+	for _, lb := range leaves {
+		//polaris:kernel leaf batches come back dense from the spill reader, so lanes are rows
+		for _, num := range lb.Cols[rowNumIdx].Ints[:lb.NumRows()] {
+			next[num+1]++
+		}
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
 	}
 	type ref struct {
 		leaf, row int
 		num       int64
 	}
-	var refs []ref
+	refs := make([]ref, next[len(next)-1])
 	for li, lb := range leaves {
-		nums := lb.Cols[rowNumIdx]
-		for r := 0; r < lb.NumRows(); r++ {
-			//polaris:kernel leaf batches come back dense from the spill reader, so r is a physical lane
-			refs = append(refs, ref{leaf: li, row: r, num: nums.Ints[r]})
+		//polaris:kernel leaf batches come back dense from the spill reader, so lanes are rows
+		for r, num := range lb.Cols[rowNumIdx].Ints[:lb.NumRows()] {
+			refs[next[num]] = ref{leaf: li, row: r, num: num}
+			next[num]++
 		}
 	}
-	sort.SliceStable(refs, func(i, j int) bool { return refs[i].num < refs[j].num })
 
 	// Split back into per-morsel batches by ordinal range, dropping the
 	// ordinal column (leaf columns are left..., __rownum, build...).
@@ -675,7 +661,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 // between spill files and batches so a doomed partition stops paying
 // object-store reads and writes early. While the build side's in-memory
 // estimate exceeds the budget and depth remains, both sides are repartitioned
-// with the next depth's seeded hash and the sub-partitions recurse (serially,
+// with the next depth's partition and the sub-partitions recurse (serially,
 // within this partition's task); otherwise the partition is joined in memory
 // (for a single hot key recursion cannot split, this is the documented last
 // resort).
@@ -690,16 +676,15 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 		return nil
 	}
 	if buildMem > sj.budget && depth+1 < maxSpillDepth {
-		next := hashPartitioner(depth+1, defaultSpillFanout)
-		subMem, err := sj.repartitionBuild(ctx, buildDir, next)
+		subMem, err := sj.repartitionBuild(ctx, buildDir, depth+1)
 		if err != nil {
 			return err
 		}
-		lw := newSpillWriter(sj, probeDir, probeSchema, defaultSpillFanout)
-		if err := sj.repartition(ctx, probeDir, probeSchema, leftKeys, next, lw); err != nil {
+		lw := newSpillWriter(sj, probeDir, probeSchema)
+		if err := sj.repartition(ctx, probeDir, probeSchema, leftKeys, depth+1, lw); err != nil {
 			return err
 		}
-		for p := 0; p < defaultSpillFanout; p++ {
+		for p := 0; p < spillParts; p++ {
 			if err := sj.joinPartition(ctx, partDir(buildDir, p), partDir(probeDir, p), subMem[p], depth+1, buildPar, leftKeys, probeSchema, leaves); err != nil {
 				return err
 			}
@@ -732,11 +717,11 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 }
 
 // repartition redistributes a partition's leaf files into sub-partitions
-// under the same directory using the next level's partitioner, preserving
+// under the same directory by depth's partition, preserving
 // row order within every sub-partition (files are read in name order — write
 // order — and rows split stably). ctx is checked per input file, so a
 // cancelled partition task stops its doomed spill reads and writes early.
-func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfile.Schema, keys []int, part PartitionFunc, w *spillWriter) error {
+func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfile.Schema, keys []int, depth int, w *spillWriter) error {
 	var hs []uint64
 	for _, name := range sj.store.List(dir + "/f") {
 		if err := ctx.Err(); err != nil {
@@ -755,7 +740,7 @@ func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfi
 		for r, h := range hs {
 			p := 0
 			if !anyNull(vecs, r) {
-				p = part(b, keys, r, h)
+				p = spillPartition(h, depth)
 			}
 			if err := w.add(p, b, r); err != nil {
 				return err

@@ -242,31 +242,6 @@ func TestGraceJoinSplitsAtEveryDepth(t *testing.T) {
 	}
 }
 
-// TestGraceJoinCustomPartitioner pins the pluggable depth-0 partitioner (the
-// hook the planner uses to cell-align partitions with d(r)): any partitioner
-// applied to both sides keeps results byte-identical.
-func TestGraceJoinCustomPartitioner(t *testing.T) {
-	build := buildSideBatch(500)
-	probe := probeSideBatches(300, 4)
-	// A value-based partitioner in the shape of core's d(r): buckets by the
-	// first key column's value, NULLs to partition 0.
-	byValue := func(b *colfile.Batch, keyCols []int, row int, _ uint64) int {
-		v := b.Cols[keyCols[0]]
-		if v.IsNull(row) {
-			return 0
-		}
-		return int(uint64(v.Ints[row]) % 8)
-	}
-	want := inMemoryReference(t, build, probe, InnerJoin, []int{0}, []int{0})
-	_, got := spilledResult(t, build, probe, InnerJoin, []int{0}, []int{0},
-		SpillConfig{Budget: 2048, Store: NewMemSpillStore(), Fanout: 8, Partition: byValue})
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("morsel %d under custom partitioning differs:\ngot:\n%s\nwant:\n%s", i, got[i], want[i])
-		}
-	}
-}
-
 // TestGraceJoinMultiColumnStringKeys exercises multi-column keys with strings
 // (the self-delimiting AppendKey encoding) through the spill path.
 func TestGraceJoinMultiColumnStringKeys(t *testing.T) {

@@ -248,7 +248,7 @@ type workCounters struct {
 	RowsScanned         int64 `json:"rowsScanned"`
 	FilesRead           int64 `json:"filesRead"`
 	BytesRead           int64 `json:"bytesRead"`
-	MergeFreeAggs       int64 `json:"mergeFreeAggs"`
+	MergeFreeAggs       int64 `json:"mergeFreeAggs"` // always 0; kept so the document's fields do not move
 	TopNPushdowns       int64 `json:"topNPushdowns"`
 	JoinSpills          int64 `json:"joinSpills"`
 	JoinSpillBytes      int64 `json:"joinSpillBytes"`

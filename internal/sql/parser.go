@@ -508,7 +508,11 @@ func (p *parser) createStmt() (Statement, error) {
 			return nil, err
 		}
 		for {
-			key := strings.ToUpper(p.cur().text)
+			t := p.cur()
+			if t.kind == tokEOF {
+				return nil, fmt.Errorf("sql: expected table option at %d", t.pos)
+			}
+			key := strings.ToUpper(t.text)
 			p.i++
 			if _, err := p.expect(tokSymbol, "="); err != nil {
 				return nil, err

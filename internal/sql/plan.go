@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -293,7 +294,8 @@ func binOpKind(op string) (exec.BinKind, bool) {
 
 // prunableRange extracts a zone-map hint from the WHERE clause: a conjunct of
 // the form col >= lo / col <= hi / col = v / col BETWEEN over an int column of
-// the base table.
+// the base table. A bound the WHERE leaves open is the end of the int64 range,
+// so no stored value falls outside it.
 func prunableRange(where Expr, meta catalog.TableMeta, alias string) *exec.PruneHint {
 	lo := map[string]int64{}
 	hi := map[string]int64{}
@@ -361,7 +363,7 @@ func prunableRange(where Expr, meta catalog.TableMeta, alias string) *exec.Prune
 	}
 	sort.Strings(loCols)
 	for _, col := range loCols {
-		h := int64(1<<62 - 1)
+		h := int64(math.MaxInt64)
 		if v, ok := hi[col]; ok {
 			h = v
 		}
@@ -373,7 +375,7 @@ func prunableRange(where Expr, meta catalog.TableMeta, alias string) *exec.Prune
 	}
 	sort.Strings(hiCols)
 	for _, col := range hiCols {
-		return &exec.PruneHint{Col: col, Lo: -(1 << 62), Hi: hi[col]}
+		return &exec.PruneHint{Col: col, Lo: math.MinInt64, Hi: hi[col]}
 	}
 	return nil
 }
@@ -426,25 +428,17 @@ func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
 // holds and gives each build its spill namespace, before anything runs. The
 // probe base's split is sized from the CONFIGURED parallelism, not the granted
 // one: a lease only caps live workers, so the decomposition — and with it
-// float-aggregation order — cannot shift under slot contention; a cell split
-// does not depend on the parallelism at all.
-func (p *selectPlan) open(tx *core.Txn, spill *joinSpill) error {
-	fetch := func(r *relation) (err error) {
-		want := tx.Parallelism() * morselsPerWorker
-		if r.byCell {
-			want = 0
-		}
-		r.ms, err = tx.Morsels(r.state, r.meta, want)
-		return err
-	}
-	if err := fetch(p.base); err != nil {
+// float-aggregation order — cannot shift under slot contention. A build side
+// is drained whole, in table order, so it is one morsel holding all its files.
+func (p *selectPlan) open(tx *core.Txn, spill *joinSpill) (err error) {
+	if p.base.ms, err = tx.Morsels(p.base.state, p.base.meta, tx.Parallelism()*morselsPerWorker); err != nil {
 		return err
 	}
 	for _, j := range p.joins {
-		if err := fetch(j.build); err != nil {
+		if j.build.ms, err = tx.Morsels(j.build.state, j.build.meta, 0); err != nil {
 			return err
 		}
-		j.cfg = spill.config(j.distAligned)
+		j.cfg = spill.config()
 	}
 	return nil
 }
@@ -575,26 +569,12 @@ func (s *joinSpill) newDir() *objectstore.SpillDir {
 	return dir
 }
 
-// config assembles the spill configuration for one join build: the budget, a
-// namespace of its own, and — when the join key covers the build table's
-// distribution column — a d(r) partitioner, so spill partitions coincide
-// with the table's storage cells.
-func (s *joinSpill) config(distAligned bool) exec.SpillConfig {
+// config assembles the spill configuration for one join build: the budget
+// and a namespace of its own.
+func (s *joinSpill) config() exec.SpillConfig {
 	cfg := exec.SpillConfig{Budget: s.budget}
-	if s.budget <= 0 {
-		return cfg
-	}
-	cfg.Store = s.newDir()
-	if distAligned {
-		fanout := s.tx.Distributions()
-		cfg.Fanout = fanout
-		cfg.Partition = func(b *colfile.Batch, keyCols []int, row int, _ uint64) int {
-			v := b.Cols[keyCols[0]]
-			if v.IsNull(row) {
-				return 0
-			}
-			return core.DistHash(v, row, fanout)
-		}
+	if s.budget > 0 {
+		cfg.Store = s.newDir()
 	}
 	return cfg
 }
@@ -644,43 +624,10 @@ func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
 	return s, nil
 }
 
-// groupByCoversDistCol reports whether a GROUP BY item names the table's
-// distribution column (unqualified or qualified with the table alias). When
-// it does, every group lives entirely inside one distribution cell — rows
-// sharing a distribution-column value (NULLs included) are assigned to one
-// cell by d(r) — so cell-aligned per-morsel partials need no merge.
-func groupByCoversDistCol(groupBy []Expr, distCol, alias string) bool {
-	if distCol == "" {
-		return false
-	}
-	for _, g := range groupBy {
-		c, ok := g.(ColName)
-		if !ok {
-			continue
-		}
-		if strings.EqualFold(c.Name, distCol) && (c.Table == "" || strings.EqualFold(c.Table, alias)) {
-			return true
-		}
-	}
-	return false
-}
-
-// openBuild opens the build side as a fresh operator: the right table's
-// per-cell fragments concatenated in cell order, the table's global row order.
+// openBuild opens the build side as a fresh operator: one scan over the
+// right table's files, in the table's global row order.
 func (j *planJoin) openBuild() (exec.Operator, error) {
-	morsels := j.build.ms.Morsels
-	if len(morsels) == 0 {
-		return exec.NewBatchList(j.build.schema, nil), nil
-	}
-	ops := make([]exec.Operator, len(morsels))
-	for i, m := range morsels {
-		op, err := j.build.fragment(m)
-		if err != nil {
-			return nil, err
-		}
-		ops[i] = op
-	}
-	return &exec.UnionAll{Ins: ops}, nil
+	return j.build.fragment(j.build.ms.Morsels[0])
 }
 
 // runStagesPool runs an opened plan's stages on the in-process morsel pool,
@@ -816,9 +763,6 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 		batches, err := run(partial, -1)
 		if err != nil {
 			return nil, err
-		}
-		if p.mergeFree {
-			tx.Work().MergeFreeAggs.Add(1)
 		}
 		outOp = ap.finish(&exec.MergeAgg{
 			// the partial layout is a function of the programs alone

@@ -36,7 +36,6 @@ type relation struct {
 	pushed Expr           // WHERE conjunction the scan evaluates, as written (nil = none)
 	pred   *exec.Prog     // the same conjunction compiled over schema, shared read-only by the workers
 	hint   *exec.PruneHint
-	byCell bool // morsels are the table's distribution cells, not a Parallelism-sized split
 
 	ms *core.MorselScan // the fetched morsels: set by open, nil under EXPLAIN
 }
@@ -50,11 +49,8 @@ type planJoin struct {
 	on                  Expr
 	leftKeys, rightKeys []int
 	typ                 exec.JoinType
-	// distAligned: the join key covers the build table's distribution column,
-	// so a spilling build reuses the table's cell boundaries as partition seams.
-	distAligned bool
-	leftSchema  colfile.Schema // the probe side entering this stage
-	reordered   bool           // cost-based reordering moved this build from its syntactic slot
+	leftSchema          colfile.Schema // the probe side entering this stage
+	reordered           bool           // cost-based reordering moved this build from its syntactic slot
 
 	cfg exec.SpillConfig // budget and spill namespace: set by open
 }
@@ -76,12 +72,6 @@ type selectPlan struct {
 	limit    int64          // -1 = none
 	offset   int64
 
-	// mergeFree: the GROUP BY key set covers the table's distribution column,
-	// so the morsels are cell-aligned, every per-morsel partial is complete
-	// for its groups, and MergeAgg, fed one partial row per group, has nothing
-	// to merge (distribution-aware aggregation, counted in
-	// WorkStats.MergeFreeAggs; it takes no code path of its own).
-	mergeFree bool
 	// dag: the stages run as a DCP task DAG rather than on the in-process
 	// morsel pool — Options.DistributedQueries, except for a bare LIMIT (see
 	// bareLimitSelect). EXPLAIN renders it as [dag] on the base scan.
@@ -120,25 +110,19 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 	rels.chooseProjection(st)
 	rels.choosePushdown(st, conjuncts, owners, order[0])
 
-	// Bind and compile in execution order. The probe base's morsel split is
-	// sized from the configured Parallelism unless the aggregation is
-	// merge-free; build sides are drained whole, in table order, so they take
-	// the cell split: one scan leg per cell, however many small files it holds.
+	// Bind and compile in execution order.
 	p.base = order[0]
 	alias := aliasOf(p.base.ref)
 	if len(st.Joins) == 0 {
 		// The hint is extracted from the whole WHERE so conjuncts pushed into
 		// the scan still contribute zone-map pruning.
 		p.base.hint = prunableRange(st.Where, p.base.meta, alias)
-		p.mergeFree = groupByCoversDistCol(st.GroupBy, p.base.meta.DistributionCol, alias)
-		p.base.byCell = p.mergeFree
 	}
 	sc := singleTableScope(p.base.schema, alias)
 	if err := p.push(p.base, conjuncts, owners, sc); err != nil {
 		return nil, err
 	}
 	for i, build := range order[1:] {
-		build.byCell = true
 		rsc := singleTableScope(build.schema, aliasOf(build.ref))
 		if err := p.push(build, conjuncts, owners, rsc); err != nil {
 			return nil, err
@@ -151,12 +135,10 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 		if st.Joins[i].Left { // only all-inner statements are reordered, so slot i's flag holds either way
 			typ = exec.LeftOuterJoin
 		}
-		dist := build.meta.DistributionCol
 		p.joins = append(p.joins, &planJoin{
 			build: build, on: ons[i], leftKeys: lk, rightKeys: rk, typ: typ,
-			distAligned: len(rk) == 1 && dist != "" && strings.EqualFold(rsc.schema[rk[0]].Name, dist),
-			leftSchema:  sc.schema,
-			reordered:   build.pos != i+1,
+			leftSchema: sc.schema,
+			reordered:  build.pos != i+1,
 		})
 		sc = &scope{
 			schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),

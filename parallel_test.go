@@ -154,12 +154,9 @@ func TestParallelJoinProbeMatchesSerialOnTPCH(t *testing.T) {
 	}
 }
 
-// TestDistributionAwareMergeFreeAggregation asserts that a GROUP BY covering
-// the table's distribution column takes the merge-free plan (cells are
-// disjoint by d(r), so per-cell partials need no merge phase), that the plan
-// choice is observable via WorkStats.MergeFreeAggs, and that its results
-// match the serial executor at every DOP.
-func TestDistributionAwareMergeFreeAggregation(t *testing.T) {
+// TestGroupByDistributionColumnAcrossDOP asserts that GROUP BYs on, with and
+// without the table's distribution column match Parallelism 1 at every DOP.
+func TestGroupByDistributionColumnAcrossDOP(t *testing.T) {
 	load := func(parallelism int) *DB {
 		cfg := DefaultConfig()
 		cfg.Parallelism = parallelism
@@ -179,43 +176,25 @@ func TestDistributionAwareMergeFreeAggregation(t *testing.T) {
 		return db
 	}
 
-	queries := []struct {
-		sql       string
-		mergeFree bool
-	}{
-		{`SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS mn FROM m GROUP BY k ORDER BY k`, true},
-		{`SELECT k, g, COUNT(*) AS n FROM m GROUP BY k, g ORDER BY k, g`, true}, // key set covers k
-		{`SELECT g, COUNT(*) AS n, SUM(v) AS s FROM m GROUP BY g ORDER BY g`, false},
-		{`SELECT k, SUM(v) AS s FROM m WHERE v % 3 = 0 GROUP BY k HAVING COUNT(*) > 2 ORDER BY k`, true},
+	queries := []string{
+		`SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS mn FROM m GROUP BY k ORDER BY k`,
+		`SELECT k, g, COUNT(*) AS n FROM m GROUP BY k, g ORDER BY k, g`, // key set covers k
+		`SELECT g, COUNT(*) AS n, SUM(v) AS s FROM m GROUP BY g ORDER BY g`,
+		`SELECT k, SUM(v) AS s FROM m WHERE v % 3 = 0 GROUP BY k HAVING COUNT(*) > 2 ORDER BY k`,
 	}
 
 	serial := load(1)
 	defer serial.Close()
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		want[i] = renderRows(serial.MustExec(q.sql))
-	}
-	var wantMergeFree int64
-	for _, q := range queries {
-		if q.mergeFree {
-			wantMergeFree++
-		}
-	}
-	if got := serial.Engine().Work.MergeFreeAggs.Load(); got != wantMergeFree {
-		t.Fatalf("Parallelism 1 took the merge-free path %d times, want %d: it is the same plan with one worker", got, wantMergeFree)
+		want[i] = renderRows(serial.MustExec(q))
 	}
 
 	for _, dop := range []int{4, 8} {
 		db := load(dop)
 		for i, q := range queries {
-			before := db.Engine().Work.MergeFreeAggs.Load()
-			got := renderRows(db.MustExec(q.sql))
-			if got != want[i] {
+			if got := renderRows(db.MustExec(q)); got != want[i] {
 				t.Fatalf("dop=%d query %d differs from serial:\ngot:\n%s\nwant:\n%s", dop, i, got, want[i])
-			}
-			tookMergeFree := db.Engine().Work.MergeFreeAggs.Load() > before
-			if tookMergeFree != q.mergeFree {
-				t.Fatalf("dop=%d query %d: merge-free = %v, want %v (%s)", dop, i, tookMergeFree, q.mergeFree, q.sql)
 			}
 		}
 		db.Close()
