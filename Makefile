@@ -53,15 +53,18 @@ bench-check:
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
 # on (join/group keys, ORDER BY keys, spill batch round-trip), of the SQL
 # parser (any text: statements or an error, never a panic — clients send it
-# straight to Parse), and of the three decoders that take bytes from outside
+# straight to Parse), and of the five decoders that take bytes from outside
 # the process: the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
 # allocation the input cannot back), the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
 # returns, never panics, and ReadColumn memoizes a vector, never an error,
-# billing exactly what it keeps) and the deletion-vector decoder (a vector or
+# billing exactly what it keeps), the deletion-vector decoder (a vector or
 # an error; a vector's runs are ascending, non-empty, non-adjacent and inside
-# the uint32 row space, and it survives a Marshal round trip), plus the three
+# the uint32 row space, and it survives a Marshal round trip), the manifest
+# decoder (actions or an error; every action passes Validate and re-encoding
+# is stable) and the checkpoint decoder (a checkpoint or an error; its state
+# names every file by a non-empty path), plus the three
 # evaluator-vs-reference targets
 # in internal/exec (compiled kernels against the scalar evaluator, the
 # aggregation operators against the scalar aggregator, and the join — in
@@ -77,6 +80,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzDeletionVectorUnmarshal$$' -fuzztime 5s ./internal/deletevector
+	$(GO) test -run NONE -fuzz '^FuzzManifestDecode$$' -fuzztime 5s ./internal/manifest
+	$(GO) test -run NONE -fuzz '^FuzzUnmarshalCheckpoint$$' -fuzztime 5s ./internal/manifest
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzAggEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzJoinEquivalence$$' -fuzztime 5s ./internal/exec

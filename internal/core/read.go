@@ -18,7 +18,8 @@ import (
 // (paper 3.2.1, 4.1.1): the Manifests rows visible under catalog SI, replayed
 // over the newest usable checkpoint, overlaid with the transaction's own
 // pending changes. asOfSeq >= 0 time-travels to that commit sequence
-// (Query As Of, 6.1).
+// (Query As Of, 6.1). The state may be shared with other readers: callers
+// must not write it.
 func (t *Txn) Snapshot(table string, asOfSeq int64) (*manifest.TableState, catalog.TableMeta, error) {
 	if err := t.check(); err != nil {
 		return nil, catalog.TableMeta{}, err
@@ -43,7 +44,8 @@ func (t *Txn) Snapshot(table string, asOfSeq int64) (*manifest.TableState, catal
 }
 
 // reconstruct builds the committed snapshot of a table as of asOfSeq
-// (negative = transaction snapshot).
+// (negative = transaction snapshot). The state is shared with the snapshot
+// cache and every other reader of that sequence: callers never write it.
 func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.TableState, error) {
 	rows, err := catalog.ScanManifests(t.catTx, meta.ID, asOfSeq)
 	if err != nil {
@@ -53,7 +55,7 @@ func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.Tabl
 	if len(rows) > 0 {
 		wantSeq = rows[len(rows)-1].Seq
 	}
-	// Snapshot cache: exact state for this sequence may already be cached.
+	// Snapshot cache: the table's newest state may be the one wanted.
 	if cached := t.eng.Cache.Get(meta.ID, wantSeq); cached != nil {
 		return cached, nil
 	}
@@ -100,6 +102,8 @@ func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.Tabl
 	if err != nil {
 		return nil, err
 	}
+	// The only write to a replayed state outside its replay, made before Put
+	// publishes it.
 	if state.LastSeq < wantSeq {
 		state.LastSeq = wantSeq // empty-manifest commits still advance
 	}

@@ -269,8 +269,8 @@ func (t *Txn) Delete(table string, pred exec.Expr, prune *exec.PruneHint) (int64
 	if err != nil {
 		return 0, err
 	}
-	if prog.OutType() != colfile.Bool {
-		return 0, fmt.Errorf("core: DELETE predicate is %s, not bool", prog.OutType())
+	if err := exec.CheckPredicate(prog); err != nil {
+		return 0, err
 	}
 	state, meta, err := t.Snapshot(table, -1)
 	if err != nil {
@@ -568,10 +568,8 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr, pru
 	if err != nil {
 		return 0, err
 	}
-	if predProg.OutType() != colfile.Bool {
-		// exec.Filter's words, so UPDATE and SELECT reject WHERE k alike —
-		// over an empty table too, where no scan would get to say them.
-		return 0, fmt.Errorf("exec: predicate yields %s, not bool", predProg.OutType())
+	if err := exec.CheckPredicate(predProg); err != nil {
+		return 0, err
 	}
 	exprs := make([]*exec.Prog, len(meta.Schema))
 	for i, f := range meta.Schema {

@@ -109,11 +109,6 @@ func (v *Vector) Union(o *Vector) *Vector {
 	return v
 }
 
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	return &Vector{runs: append([]run(nil), v.runs...)}
-}
-
 // Rows returns all deleted row ordinals in ascending order.
 func (v *Vector) Rows() []uint32 {
 	out := make([]uint32, 0, v.Cardinality())

@@ -87,18 +87,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := FromRows([]uint32{1, 5})
-	b := a.Clone()
-	b.Add(9)
-	if a.Contains(9) {
-		t.Fatal("clone aliases parent")
-	}
-	if !a.Equal(FromRows([]uint32{1, 5})) {
-		t.Fatal("parent mutated")
-	}
-}
-
 func TestFilterMask(t *testing.T) {
 	v := FromRows([]uint32{0, 2, 9})
 	mask := v.FilterMask(5)

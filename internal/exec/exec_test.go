@@ -456,20 +456,6 @@ func TestHashAggSumFloat(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	f1 := lineFile(t, 5)
-	f2 := lineFile(t, 7)
-	s1, _ := NewScan([]ScanFile{{R: mustOpen(t, f1)}}, nil, nil, nil)
-	s2, _ := NewScan([]ScanFile{{R: mustOpen(t, f2)}}, nil, nil, nil)
-	out, err := Collect(&UnionAll{Ins: []Operator{s1, s2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 12 {
-		t.Fatalf("rows = %d", out.NumRows())
-	}
-}
-
 func TestExprLike(t *testing.T) {
 	schema := colfile.Schema{{Name: "s", Type: colfile.String}}
 	b := colfile.NewBatch(schema)

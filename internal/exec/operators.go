@@ -389,6 +389,15 @@ func (s *BatchSource) Next() (*colfile.Batch, error) {
 	return s.batch, nil
 }
 
+// CheckPredicate reports a WHERE program that does not yield a boolean. The
+// planners call it before any scan, so the error does not depend on the data.
+func CheckPredicate(p *Prog) error {
+	if t := p.OutType(); t != colfile.Bool {
+		return fmt.Errorf("exec: predicate yields %s, not bool", t)
+	}
+	return nil
+}
+
 // Filter passes through rows where the predicate evaluates to true
 // (NULL is not true). Rows are passed through as a selection vector over the
 // input's physical columns — no copies. The emitted batch aliases the
@@ -415,8 +424,8 @@ func (f *Filter) Schema() colfile.Schema { return f.In.Schema() }
 func (f *Filter) Next() (*colfile.Batch, error) {
 	// Checked before any input is pulled, so a non-boolean predicate is an
 	// error whether or not the input has rows.
-	if t := f.Pred.OutType(); t != colfile.Bool {
-		return nil, fmt.Errorf("exec: predicate yields %s, not bool", t)
+	if err := CheckPredicate(f.Pred); err != nil {
+		return nil, err
 	}
 	for {
 		b, err := f.In.Next()
@@ -567,36 +576,6 @@ func sliceBatch(b *colfile.Batch, lo, hi int) *colfile.Batch {
 		out.Cols[i] = v.Slice(lo, hi)
 	}
 	return out
-}
-
-// UnionAll concatenates child streams (the exchange/gather operator: BE task
-// outputs are unioned at the FE or at repartition boundaries).
-type UnionAll struct {
-	Ins []Operator
-	idx int
-}
-
-// Schema implements Operator.
-func (u *UnionAll) Schema() colfile.Schema {
-	if len(u.Ins) == 0 {
-		return nil
-	}
-	return u.Ins[0].Schema()
-}
-
-// Next implements Operator.
-func (u *UnionAll) Next() (*colfile.Batch, error) {
-	for u.idx < len(u.Ins) {
-		b, err := u.Ins[u.idx].Next()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		u.idx++
-	}
-	return nil, nil
 }
 
 // Collect drains an operator into a single batch, for callers with no

@@ -4,13 +4,17 @@ import (
 	"sync"
 )
 
-// SnapshotCache caches reconstructed table states per table, organized so
-// any point-in-time snapshot can be served and incrementally advanced as new
-// transactions commit (paper 3.2.1). Losing the cache never affects
-// correctness: it is rebuilt by replay from the durable manifests.
+// SnapshotCache keeps one reconstructed state per table, the newest, warm
+// across transactions and advanced incrementally as transactions commit
+// (paper 3.2.1). It hands out the state itself: a cached state is published
+// and never written (see TableState), so readers share it without copying.
+// An older snapshot — a lagging reader's, or an AS OF read's — is not kept;
+// it is replayed from the newest checkpoint at or below it. Losing the cache
+// never affects correctness: it is rebuilt by replay from the durable
+// manifests.
 type SnapshotCache struct {
 	mu     sync.Mutex
-	tables map[int64]*cachedTable
+	tables map[int64]*TableState
 	// committed is each table's newest sequence passed to Advance or Rewound.
 	// It outlives Invalidate: a state older than it is missing commits, however
 	// it got into the cache, and must not be extended.
@@ -19,62 +23,44 @@ type SnapshotCache struct {
 	hits, misses int64
 }
 
-type cachedTable struct {
-	// states holds reconstructed snapshots keyed by sequence; the latest is
-	// advanced incrementally, older ones serve time-travel reads.
-	states map[int64]*TableState
-	latest int64
-}
-
 // NewSnapshotCache returns an empty cache.
 func NewSnapshotCache() *SnapshotCache {
-	return &SnapshotCache{tables: make(map[int64]*cachedTable), committed: make(map[int64]int64)}
+	return &SnapshotCache{tables: make(map[int64]*TableState), committed: make(map[int64]int64)}
 }
 
-// Get returns the cached snapshot of tableID as of seq, or nil.
+// Get returns the cached state of tableID when it is the snapshot as of seq,
+// and nil otherwise. The caller shares the state and must not write it.
 func (c *SnapshotCache) Get(tableID, seq int64) *TableState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[tableID]
-	if !ok {
-		c.misses++
-		return nil
-	}
-	if seq < 0 {
-		seq = t.latest
-	}
-	s, ok := t.states[seq]
-	if !ok {
+	s := c.tables[tableID]
+	if s == nil || s.LastSeq != seq {
 		c.misses++
 		return nil
 	}
 	c.hits++
-	return s.Clone() // callers must not mutate cached state
+	return s
 }
 
-// Put stores a snapshot.
+// Put publishes s as tableID's cached state unless a newer one is cached.
+// The cache keeps s itself: the caller must not write it afterwards.
 func (c *SnapshotCache) Put(tableID int64, s *TableState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[tableID]
-	if !ok {
-		t = &cachedTable{states: make(map[int64]*TableState)}
-		c.tables[tableID] = t
-	}
-	t.states[s.LastSeq] = s.Clone()
-	if s.LastSeq > t.latest {
-		t.latest = s.LastSeq
+	if cur := c.tables[tableID]; cur == nil || cur.LastSeq <= s.LastSeq {
+		c.tables[tableID] = s
 	}
 }
 
-// Advance applies a newly committed manifest to the cached latest snapshot,
-// keeping the cache warm without a full replay. Callers advance in commit
-// order (core does so under the catalog commit lock). The latest snapshot is
-// extended only when it is complete up to the previous commit: a base older
-// than that — an old reader's replayed state Put after the table was
-// invalidated, say — would yield a state missing the commits in between, so
-// the table then waits for the next replay instead. A sequence arriving out
-// of order drops the table: states cached for later sequences lack it.
+// Advance applies a newly committed manifest to the cached state, keeping the
+// cache warm without a full replay: the cached state's successor replaces it.
+// Callers advance in commit order (core does so under the catalog commit
+// lock). The state is extended only when it is complete up to the previous
+// commit: a base older than that — an old reader's replayed state Put after
+// the table was invalidated, say — would yield a state missing the commits in
+// between, so the table then waits for the next replay instead. A sequence
+// arriving out of order drops the table: a state cached for a later sequence
+// lacks it.
 func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -84,34 +70,29 @@ func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 		return
 	}
 	c.committed[tableID] = seq
-	t, ok := c.tables[tableID]
-	if !ok {
+	base := c.tables[tableID]
+	if base == nil || base.LastSeq < prev || seq <= base.LastSeq {
 		return
 	}
-	base, ok := t.states[t.latest]
-	if !ok || t.latest < prev || seq <= t.latest {
-		return
-	}
-	next := base.Clone()
-	if err := next.Apply(seq, actions); err != nil {
+	next, err := base.next(seq, actions)
+	if err != nil {
 		// A replay error means the cache is stale relative to storage; drop
 		// the table and force reconstruction.
 		delete(c.tables, tableID)
 		return
 	}
-	t.states[seq] = next
-	t.latest = seq
+	c.tables[tableID] = next
 }
 
-// Invalidate drops all cached snapshots for a table.
+// Invalidate drops the cached state of a table.
 func (c *SnapshotCache) Invalidate(tableID int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.tables, tableID)
 }
 
-// Rewound drops all cached snapshots for a table whose history the commit at
-// seq rewrote (RESTORE deletes Manifests rows), and records seq as the table's
+// Rewound drops the cached state of a table whose history the commit at seq
+// rewrote (RESTORE deletes Manifests rows), and records seq as the table's
 // newest commit: a pre-restore state that a reader with an older snapshot Puts
 // afterwards is then never extended by Advance. Like Advance it is called in
 // commit order, under the catalog commit lock.
@@ -121,22 +102,6 @@ func (c *SnapshotCache) Rewound(tableID, seq int64) {
 	delete(c.tables, tableID)
 	if seq > c.committed[tableID] {
 		c.committed[tableID] = seq
-	}
-}
-
-// Trim drops cached snapshots older than keepSeq for a table, bounding
-// memory while preserving newer time-travel reads.
-func (c *SnapshotCache) Trim(tableID, keepSeq int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[tableID]
-	if !ok {
-		return
-	}
-	for seq := range t.states {
-		if seq < keepSeq && seq != t.latest {
-			delete(t.states, seq)
-		}
 	}
 }
 

@@ -31,13 +31,13 @@ func BuildCheckpoint(tableID int64, s *TableState) *Checkpoint {
 }
 
 // State reconstitutes the checkpoint into a TableState ready for further
-// replay.
+// replay. The state shares the checkpoint's file entries, which replay never
+// writes.
 func (cp *Checkpoint) State() *TableState {
 	s := NewTableState()
 	s.LastSeq = cp.Seq
 	for _, f := range cp.Files {
-		cpf := *f
-		s.Files[f.Path] = &cpf
+		s.Files[f.Path] = f
 	}
 	s.Tombstones = append(s.Tombstones, cp.Tombstones...)
 	return s
@@ -46,11 +46,17 @@ func (cp *Checkpoint) State() *TableState {
 // Marshal serializes the checkpoint.
 func (cp *Checkpoint) Marshal() ([]byte, error) { return json.Marshal(cp) }
 
-// UnmarshalCheckpoint parses a serialized checkpoint.
+// UnmarshalCheckpoint parses a serialized checkpoint. It rejects a file entry
+// that is null or has no path, so State never meets one.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("manifest: parse checkpoint: %w", err)
+	}
+	for i, f := range cp.Files {
+		if f == nil || f.Path == "" {
+			return nil, fmt.Errorf("manifest: checkpoint file %d has no path", i)
+		}
 	}
 	return &cp, nil
 }

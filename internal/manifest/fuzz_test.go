@@ -1,0 +1,85 @@
+package manifest
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestUnmarshalCheckpointRejectsCorrupt: a checkpoint blob is bytes from
+// storage, so a damaged one must be an error at unmarshal time, never a state
+// that panics its readers.
+func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"not json", `{"files":`, "parse checkpoint"},
+		{"wrong type", `{"files":{}}`, "parse checkpoint"},
+		{"null file", `{"files":[null]}`, "checkpoint file 0 has no path"},
+		{"empty path", `{"seq":3,"files":[{"path":"a","rows":1},{"path":"","rows":1}]}`, "checkpoint file 1 has no path"},
+		{"missing path", `{"files":[{"rows":1}]}`, "checkpoint file 0 has no path"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := UnmarshalCheckpoint([]byte(tc.body))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("UnmarshalCheckpoint(%s) = %v, %v; want an error containing %q", tc.body, cp, err, tc.want)
+			}
+		})
+	}
+}
+
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	s := NewTableState()
+	if err := s.Apply(1, []Action{addData("a", 10), addData("b", 20)}); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Apply(2, []Action{addDV("dv", "a", 2), removeData("b")}); err != nil {
+		f.Fatal(err)
+	}
+	good, err := BuildCheckpoint(42, s).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"files":[null]}`))
+	f.Add([]byte(`{"files":[{"path":""}]}`))
+	f.Add([]byte(`{"files":[{"path":"a"},{"path":"a","dv":"x"}],"tombstones":[null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		for path, fe := range cp.State().Files {
+			if fe == nil || fe.Path == "" || fe.Path != path {
+				t.Fatalf("state of %q has file %q: %+v", data, path, fe)
+			}
+		}
+	})
+}
+
+func FuzzManifestDecode(f *testing.F) {
+	f.Add(Encode([]Action{addData("a", 10), addDV("dv", "a", 2), removeDV("dv", "a"), removeData("a")}))
+	f.Add([]byte(`{"op":"add","kind":"data","path":"p","sketches":[{"rows":1,"stats":{"min_float":-0,"min_str":"` + "\xff" + `"},"ndv":""}]}`))
+	f.Add([]byte(`{"op":"add","kind":"dv","path":"p"}`))
+	f.Add([]byte("null\n{}"))
+	f.Add([]byte(`{"op":"remove","kind":"data","path":"x"} {"op":"add"`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		actions, err := Decode(data)
+		if err != nil {
+			return
+		}
+		for i, a := range actions {
+			if err := a.Validate(); err != nil {
+				t.Fatalf("action %d of %q fails Validate: %v", i, data, err)
+			}
+		}
+		enc := Encode(actions)
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", enc, err)
+		}
+		if again := Encode(back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable:\n%s\n%s", enc, again)
+		}
+	})
+}

@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"polaris/internal/colfile"
@@ -130,6 +132,13 @@ type Tombstone struct {
 }
 
 // TableState is a reconstructed snapshot of a log-structured table.
+//
+// A state is read-only once it is published: once the snapshot cache holds
+// it or a transaction's Snapshot returns it, any number of readers share the
+// pointer, and nothing writes it again. A change yields a successor (next)
+// instead. Only the state a replay is still building is written, by Apply.
+// File entries are never written once they are in a state's Files, so a
+// successor shares every entry its actions leave alone.
 type TableState struct {
 	Files      map[string]*FileEntry `json:"files"`
 	Tombstones []Tombstone           `json:"tombstones,omitempty"`
@@ -141,23 +150,20 @@ func NewTableState() *TableState {
 	return &TableState{Files: make(map[string]*FileEntry)}
 }
 
-// Clone deep-copies the state.
-func (s *TableState) Clone() *TableState {
-	out := &TableState{
-		Files:      make(map[string]*FileEntry, len(s.Files)),
-		Tombstones: append([]Tombstone(nil), s.Tombstones...),
-		LastSeq:    s.LastSeq,
+// next returns the successor of s with actions applied at seq, leaving s as
+// it was: the copy-and-apply of the snapshot cache's Advance and of Overlay.
+func (s *TableState) next(seq int64, actions []Action) (*TableState, error) {
+	out := &TableState{Files: maps.Clone(s.Files), Tombstones: slices.Clip(s.Tombstones), LastSeq: s.LastSeq}
+	if err := out.Apply(seq, actions); err != nil {
+		return nil, err
 	}
-	for p, f := range s.Files {
-		cp := *f
-		out.Files[p] = &cp
-	}
-	return out
+	return out, nil
 }
 
 // Apply replays one committed manifest (its actions) at the given commit
 // sequence onto the state. Replay is how the SQL BE physical metadata layer
-// reconstructs a snapshot (paper 3.2.1).
+// reconstructs a snapshot (paper 3.2.1). A deletion-vector change replaces
+// its data file's entry rather than writing it.
 func (s *TableState) Apply(seq int64, actions []Action) error {
 	for _, a := range actions {
 		switch {
@@ -178,13 +184,14 @@ func (s *TableState) Apply(seq int64, actions []Action) error {
 			if !ok {
 				return fmt.Errorf("manifest: dv %s targets unknown data file %s at seq %d", a.Path, a.Target, seq)
 			}
-			f.DV = a.Path
-			f.DeletedRows = a.DeletedRows
+			cp := *f
+			cp.DV, cp.DeletedRows = a.Path, a.DeletedRows
+			s.Files[a.Target] = &cp
 		case a.Kind == KindDV && a.Op == OpRemove:
-			f, ok := s.Files[a.Target]
-			if ok && f.DV == a.Path {
-				f.DV = ""
-				f.DeletedRows = 0
+			if f, ok := s.Files[a.Target]; ok && f.DV == a.Path {
+				cp := *f
+				cp.DV, cp.DeletedRows = "", 0
+				s.Files[a.Target] = &cp
 			}
 			s.Tombstones = append(s.Tombstones, Tombstone{Path: a.Path, Kind: KindDV, RemovedSeq: seq})
 		}
@@ -228,11 +235,7 @@ func (s *TableState) TotalSize() int64 {
 // snapshot, producing the view a subsequent statement of the same transaction
 // must see (paper 3.2.3). The committed state is not modified.
 func (s *TableState) Overlay(actions []Action) (*TableState, error) {
-	out := s.Clone()
-	if err := out.Apply(s.LastSeq, actions); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.next(s.LastSeq, actions)
 }
 
 // Health summarizes storage quality for compaction decisions (paper 5.1).

@@ -1,6 +1,8 @@
 package manifest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -118,19 +120,45 @@ func TestApplyErrors(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+// TestSuccessorNeverWritesReceiver: a published state is shared, so the
+// copy-and-apply that builds its successor must leave it exactly as it was —
+// its files, its tombstones, and the file entries both states share.
+func TestSuccessorNeverWritesReceiver(t *testing.T) {
 	s := NewTableState()
-	must(t, s.Apply(1, []Action{addData("a", 10)}))
-	c := s.Clone()
-	must(t, c.Apply(2, []Action{removeData("a")}))
-	if len(s.Files) != 1 || s.LastSeq != 1 {
-		t.Fatal("clone mutated parent")
+	must(t, s.Apply(1, []Action{addData("a", 10), addData("b", 10)}))
+	must(t, s.Apply(2, []Action{addDV("dv1", "b", 2), removeData("a"), addData("a2", 10)}))
+	before, err := json.Marshal(s)
+	must(t, err)
+	entryA2, entryB := s.Files["a2"], s.Files["b"]
+
+	c, err := s.next(3, []Action{removeData("a2"), addDV("dv2", "b", 4), removeDV("dv1", "b")})
+	must(t, err)
+	if c.Files["b"].DV != "dv2" || c.Files["b"].DeletedRows != 4 || c.LastSeq != 3 {
+		t.Fatalf("successor b = %+v at seq %d", c.Files["b"], c.LastSeq)
 	}
-	// deep: mutating a file entry in clone must not affect parent
-	c2 := s.Clone()
-	c2.Files["a"].DeletedRows = 99
-	if s.Files["a"].DeletedRows != 0 {
-		t.Fatal("clone aliases file entries")
+	// A second successor of the same receiver appends its own tombstones.
+	d, err := s.next(3, []Action{removeDV("dv1", "b")})
+	must(t, err)
+	if d.Files["b"].DV != "" || d.Tombstones[len(d.Tombstones)-1].Path != "dv1" {
+		t.Fatalf("second successor b = %+v, tombstones %v", d.Files["b"], d.Tombstones)
+	}
+	if c.Tombstones[len(c.Tombstones)-2].Path != "a2" {
+		t.Fatalf("second successor overwrote the first's tombstones: %v", c.Tombstones)
+	}
+
+	after, err := json.Marshal(s)
+	must(t, err)
+	if !bytes.Equal(before, after) {
+		t.Fatalf("successor wrote its receiver:\n%s\n%s", before, after)
+	}
+	if s.Files["a2"] != entryA2 || s.Files["b"] != entryB || entryB.DV != "dv1" || entryB.DeletedRows != 2 {
+		t.Fatalf("receiver's entries moved or were written: b = %+v", entryB)
+	}
+	if _, err := s.next(3, []Action{removeData("ghost")}); err == nil {
+		t.Fatal("successor of a bad manifest accepted")
+	}
+	if len(s.Files) != 2 || s.LastSeq != 2 {
+		t.Fatal("failed successor wrote its receiver")
 	}
 }
 
@@ -272,8 +300,6 @@ func TestSnapshotCacheBasics(t *testing.T) {
 	if got == nil || got.TotalRows() != 10 {
 		t.Fatalf("cache get = %v", got)
 	}
-	// mutation of returned state must not poison the cache
-	must(t, got.Apply(2, []Action{removeData("a")}))
 	again := c.Get(7, 1)
 	if again.TotalRows() != 10 {
 		t.Fatal("cache returned aliased state")
@@ -297,17 +323,12 @@ func TestSnapshotCacheAdvance(t *testing.T) {
 	if got == nil || got.TotalRows() != 15 {
 		t.Fatalf("advanced = %v", got)
 	}
-	// latest lookup via negative seq
-	if latest := c.Get(7, -1); latest == nil || latest.LastSeq != 2 {
+	if latest := c.Get(7, 2); latest == nil || latest.LastSeq != 2 {
 		t.Fatalf("latest = %v", latest)
-	}
-	// old snapshot still served (time travel)
-	if old := c.Get(7, 1); old == nil || old.TotalRows() != 10 {
-		t.Fatalf("old = %v", old)
 	}
 	// bad advance (unknown file removal) drops the table
 	c.Advance(7, 3, []Action{removeData("ghost")})
-	if c.Get(7, -1) != nil {
+	if c.Get(7, 2) != nil {
 		t.Fatal("cache kept state after failed advance")
 	}
 }
@@ -383,23 +404,60 @@ func TestSnapshotCacheAdvanceEqualsReplay(t *testing.T) {
 	})
 }
 
-func TestSnapshotCacheTrimAndInvalidate(t *testing.T) {
+func TestSnapshotCacheInvalidate(t *testing.T) {
 	c := NewSnapshotCache()
 	for seq := int64(1); seq <= 5; seq++ {
 		s := NewTableState()
 		must(t, s.Apply(seq, []Action{addData(fmt.Sprintf("f%d", seq), 1)}))
 		c.Put(1, s)
 	}
-	c.Trim(1, 4)
-	if c.Get(1, 2) != nil {
-		t.Fatal("trimmed snapshot still served")
-	}
 	if c.Get(1, 5) == nil {
-		t.Fatal("latest snapshot trimmed")
+		t.Fatal("latest snapshot not served")
 	}
 	c.Invalidate(1)
 	if c.Get(1, 5) != nil {
 		t.Fatal("invalidated table still served")
+	}
+}
+
+// TestSnapshotCacheServesOnlyTheNewestState bounds the cache: however many
+// commits advance a table, it holds one state — the newest, equal to the
+// replay — and serves no older sequence.
+func TestSnapshotCacheServesOnlyTheNewestState(t *testing.T) {
+	const table, commits = 3, 1000
+	manifests := []CommittedManifest{{Seq: 1, Actions: []Action{addData("f1", 10)}}}
+	for seq := int64(2); seq <= commits+1; seq++ {
+		actions := []Action{addData(fmt.Sprintf("f%d", seq), seq)}
+		switch seq % 3 {
+		case 0:
+			actions = append(actions, addDV(fmt.Sprintf("dv%d", seq), fmt.Sprintf("f%d", seq-1), 1))
+		case 1:
+			actions = append(actions, removeData(fmt.Sprintf("f%d", seq-2)))
+		}
+		manifests = append(manifests, CommittedManifest{Seq: seq, Actions: actions})
+	}
+	replay := func(upTo int64) *TableState {
+		s, err := Reconstruct(nil, manifests, upTo)
+		must(t, err)
+		return s
+	}
+
+	c := NewSnapshotCache()
+	c.Put(table, replay(1))
+	for _, m := range manifests[1:] {
+		c.Advance(table, m.Seq, m.Actions)
+	}
+	for seq := int64(1); seq <= commits; seq++ {
+		if got := c.Get(table, seq); got != nil {
+			t.Fatalf("cache still serves seq %d of %d", seq, commits+1)
+		}
+	}
+	got, want := c.Get(table, commits+1), replay(commits+1)
+	if got == nil {
+		t.Fatal("newest state not served")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("newest cached state differs from the replay: %d files, replay %d", len(got.Files), len(want.Files))
 	}
 }
 

@@ -461,6 +461,9 @@ func compileTail(p *selectPlan, sc *scope) (*selectTail, error) {
 		if t.where, err = compile(p.where, sc); err != nil {
 			return nil, err
 		}
+		if err = exec.CheckPredicate(t.where); err != nil {
+			return nil, err
+		}
 	}
 	if hasAgg(p.items, p.groupBy, p.having) {
 		t.agg, err = buildAggPlan(p.items, p.groupBy, p.having, sc)

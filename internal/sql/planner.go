@@ -167,8 +167,7 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 
 // push compiles the conjunction a relation's scan evaluates, once: the
 // program that proves the conjuncts run as a kernel is the one the scan runs.
-// A compile error is the statement's. A lone conjunct that is not boolean is
-// handed back to the residual WHERE, whose Filter reports it.
+// A compile error, or a conjunct that is not boolean, is the statement's.
 func (p *selectPlan) push(r *relation, conjuncts []Expr, owners []*relation, sc *scope) error {
 	var mine []Expr
 	for i, c := range conjuncts {
@@ -184,13 +183,8 @@ func (p *selectPlan) push(r *relation, conjuncts []Expr, owners []*relation, sc 
 	if err != nil {
 		return err
 	}
-	if prog.OutType() != colfile.Bool {
-		for i := range owners {
-			if owners[i] == r {
-				owners[i] = nil
-			}
-		}
-		return nil
+	if err := exec.CheckPredicate(prog); err != nil {
+		return err
 	}
 	r.pushed, r.pred = conj, prog
 	p.pushedCount += int64(len(mine))

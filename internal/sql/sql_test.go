@@ -479,6 +479,8 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 		{`SELECT k FROM %s WHERE k LIKE 'a'`, "exec: LIKE over int64"},
 		{`SELECT k FROM %s WHERE NOT k LIMIT 1`, "exec: NOT of int64"},
 		{`SELECT k FROM %s WHERE k AND v = 'x'`, "exec: cannot apply AND to int64 and bool"},
+		{`SELECT k FROM %s WHERE k`, "exec: predicate yields int64, not bool"},
+		{`SELECT COUNT(*) FROM %s WHERE k`, "exec: predicate yields int64, not bool"},
 		{`SELECT nosuch FROM %s`, `sql: unknown column "nosuch"`},
 		{`SELECT t.k FROM %s t JOIN nosuch n ON t.k = n.k`, "catalog: table not found: nosuch"},
 		{`SELECT a.k FROM %[1]s a JOIN %[1]s b ON a.k < b.k`, "sql: JOIN ON supports equality conjunctions only"},
