@@ -30,7 +30,9 @@ test:
 # executor and the SQL surface that drives it — including the grace-join
 # spill path (root spill_test.go and internal/exec/spill_test.go run
 # tiny-budget spilling joins, the parallel partition-wise fan-out, and
-# concurrent JoinBatches calls under -race on every push), the
+# concurrent JoinBatches calls under -race on every push, and root
+# mixed_plan_test.go runs statements that spill one join build and probe the
+# other in memory, on the morsel pool and the DCP DAG), the
 # queued-admission fabric leasing, the multi-session HTTP server (bounded
 # concurrent-traffic stress with STO maintenance, the admission unit suite,
 # and the two-session interleaved-transaction test), and the DCP task

@@ -216,6 +216,6 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 		}
 	}
 	if !spillsSeen {
-		t.Fatal("the tiny budget never spilled a join build; the matrix does not cover the staged shape")
+		t.Fatal("the tiny budget never spilled a join build; the matrix does not cover a spilled join")
 	}
 }

@@ -126,7 +126,7 @@ func sortKeys() []exec.SortKey {
 }
 
 // ParallelSort runs the full-sort micro-benchmark at the given DOP: each
-// morsel worker sorts its share of the 1M-row dataset into a run (SortRuns),
+// morsel worker sorts its share of the 1M-row dataset into a run (Sort),
 // and a loser-tree k-way merge (MergeRuns) combines the runs. Output is
 // byte-identical at every DOP.
 func ParallelSort(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
@@ -137,7 +137,7 @@ func ParallelSort(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &exec.SortRuns{In: s, Keys: keys}, nil
+		return &exec.Sort{In: s, Keys: keys}, nil
 	})
 	if err != nil {
 		return nil, err

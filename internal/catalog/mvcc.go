@@ -61,19 +61,19 @@ func (l IsolationLevel) String() string {
 }
 
 type version struct {
-	commitTS int64
-	value    any
-	deleted  bool
+	seq     int64 // commit sequence that installed it
+	value   any
+	deleted bool
 }
 
 type record struct {
-	versions []version // ascending commitTS
+	versions []version // ascending seq
 }
 
-func (r *record) visible(ts int64) (any, bool) {
+func (r *record) visible(seq int64) (any, bool) {
 	for i := len(r.versions) - 1; i >= 0; i-- {
 		v := r.versions[i]
-		if v.commitTS <= ts {
+		if v.seq <= seq {
 			if v.deleted {
 				return nil, false
 			}
@@ -83,11 +83,11 @@ func (r *record) visible(ts int64) (any, bool) {
 	return nil, false
 }
 
-func (r *record) latestTS() int64 {
+func (r *record) latestSeq() int64 {
 	if len(r.versions) == 0 {
 		return 0
 	}
-	return r.versions[len(r.versions)-1].commitTS
+	return r.versions[len(r.versions)-1].seq
 }
 
 // DB is the multi-version catalog store. The zero value is not usable; call
@@ -95,13 +95,15 @@ func (r *record) latestTS() int64 {
 type DB struct {
 	mu      sync.RWMutex
 	records map[string]*record
-	ts      int64 // last assigned commit timestamp
 
 	// commitMu is the paper's "commit lock ... to ensure a serializable
 	// order for the transaction to be committed" (4.1.2 step 2). It also
 	// serializes sequence-number allocation with commit ordering.
 	commitMu sync.Mutex
-	seq      int64 // last assigned logical commit sequence (Manifests.SequenceID)
+	// seq is the last assigned commit sequence (Manifests.SequenceID), the
+	// catalog's one commit counter: a snapshot is the sequence it reads at.
+	// Commit moves it under both locks, so either lock reads it.
+	seq int64
 
 	stats Stats
 }
@@ -121,29 +123,23 @@ func NewDB() *DB {
 // Begin starts a transaction at the current snapshot.
 func (db *DB) Begin(level IsolationLevel) *Tx {
 	db.mu.Lock()
-	start := db.ts
+	start := db.seq
 	db.stats.Begun++
 	db.mu.Unlock()
 	return &Tx{
-		db:      db,
-		level:   level,
-		startTS: start,
-		writes:  make(map[string]writeOp),
-		reads:   make(map[string]struct{}),
+		db:       db,
+		level:    level,
+		startSeq: start,
+		writes:   make(map[string]writeOp),
+		reads:    make(map[string]struct{}),
 	}
 }
 
-// CurrentTS returns the latest commit timestamp (the current snapshot edge).
-func (db *DB) CurrentTS() int64 {
+// CurrentSeq returns the last assigned commit sequence (the current snapshot
+// edge).
+func (db *DB) CurrentSeq() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.ts
-}
-
-// CurrentSeq returns the last allocated logical commit sequence.
-func (db *DB) CurrentSeq() int64 {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
 	return db.seq
 }
 
@@ -162,12 +158,12 @@ type writeOp struct {
 // Tx is a catalog transaction. It is not safe for concurrent use by multiple
 // goroutines; Polaris runs the root transaction single-threaded in the FE.
 type Tx struct {
-	db      *DB
-	level   IsolationLevel
-	startTS int64
-	writes  map[string]writeOp
-	reads   map[string]struct{} // serializable read-set
-	scans   []string            // serializable scanned prefixes
+	db       *DB
+	level    IsolationLevel
+	startSeq int64
+	writes   map[string]writeOp
+	reads    map[string]struct{} // serializable read-set
+	scans    []string            // serializable scanned prefixes
 	// deferred writes are materialized under the commit lock once the commit
 	// sequence is known — the paper's "insert transaction manifest into the
 	// Manifests table" happens here (4.1.2 step 3), because the Manifests row
@@ -180,15 +176,12 @@ type Tx struct {
 	commitSeq int64
 }
 
-func (tx *Tx) readTS() int64 {
+func (tx *Tx) readSeq() int64 {
 	if tx.level == ReadCommittedSnapshot {
-		return tx.db.CurrentTS() // each read sees latest committed
+		return tx.db.CurrentSeq() // each read sees latest committed
 	}
-	return tx.startTS
+	return tx.startSeq
 }
-
-// StartTS returns the transaction's snapshot timestamp.
-func (tx *Tx) StartTS() int64 { return tx.startTS }
 
 // CommitSeq returns the sequence assigned at commit (0 before commit).
 func (tx *Tx) CommitSeq() int64 { return tx.commitSeq }
@@ -212,7 +205,7 @@ func (tx *Tx) Get(key string) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	v, ok := r.visible(tx.readTS())
+	v, ok := r.visible(tx.readSeq())
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
@@ -256,14 +249,14 @@ func (tx *Tx) Scan(prefix string) ([]KV, error) {
 		return nil, ErrTxDone
 	}
 	tx.scans = append(tx.scans, prefix)
-	readTS := tx.readTS()
+	readSeq := tx.readSeq()
 	merged := make(map[string]any)
 	tx.db.mu.RLock()
 	for key, r := range tx.db.records {
 		if !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		if v, ok := r.visible(readTS); ok {
+		if v, ok := r.visible(readSeq); ok {
 			merged[key] = v
 		}
 	}
@@ -295,8 +288,8 @@ func (tx *Tx) DeferWithSeq(f func(seq int64) []KV) {
 }
 
 // Commit runs the validation phase and installs the transaction's writes.
-// On success the transaction's CommitSeq is set; the commit timestamp order
-// equals the sequence order because both are assigned under the commit lock.
+// On success the transaction's CommitSeq is set, assigned under the commit
+// lock, so sequence order is commit order.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -317,7 +310,7 @@ func (tx *Tx) Commit() error {
 	// First-committer-wins: any committed version of a written key newer
 	// than our snapshot aborts the transaction (paper 4.1.2 step 4).
 	for key := range tx.writes {
-		if r, ok := db.records[key]; ok && r.latestTS() > tx.startTS {
+		if r, ok := db.records[key]; ok && r.latestSeq() > tx.startSeq {
 			db.stats.WriteConflicts++
 			db.stats.Aborted++
 			return fmt.Errorf("%w: key %s", ErrWriteConflict, key)
@@ -325,7 +318,7 @@ func (tx *Tx) Commit() error {
 	}
 	if tx.level == Serializable {
 		for key := range tx.reads {
-			if r, ok := db.records[key]; ok && r.latestTS() > tx.startTS {
+			if r, ok := db.records[key]; ok && r.latestSeq() > tx.startSeq {
 				db.stats.ReadConflicts++
 				db.stats.Aborted++
 				return fmt.Errorf("%w: key %s", ErrReadConflict, key)
@@ -333,7 +326,7 @@ func (tx *Tx) Commit() error {
 		}
 		for _, prefix := range tx.scans {
 			for key, r := range db.records {
-				if strings.HasPrefix(key, prefix) && r.latestTS() > tx.startTS {
+				if strings.HasPrefix(key, prefix) && r.latestSeq() > tx.startSeq {
 					db.stats.ReadConflicts++
 					db.stats.Aborted++
 					return fmt.Errorf("%w: range %s*", ErrReadConflict, prefix)
@@ -342,8 +335,6 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	db.ts++
-	commitTS := db.ts
 	db.seq++
 	tx.commitSeq = db.seq
 	for key, w := range tx.writes {
@@ -352,7 +343,7 @@ func (tx *Tx) Commit() error {
 			r = &record{}
 			db.records[key] = r
 		}
-		r.versions = append(r.versions, version{commitTS: commitTS, value: w.value, deleted: w.deleted})
+		r.versions = append(r.versions, version{seq: tx.commitSeq, value: w.value, deleted: w.deleted})
 	}
 	for _, f := range tx.deferred {
 		for _, kv := range f(tx.commitSeq) {
@@ -361,7 +352,7 @@ func (tx *Tx) Commit() error {
 				r = &record{}
 				db.records[kv.Key] = r
 			}
-			r.versions = append(r.versions, version{commitTS: commitTS, value: kv.Value})
+			r.versions = append(r.versions, version{seq: tx.commitSeq, value: kv.Value})
 		}
 	}
 	db.stats.Committed++
@@ -380,17 +371,17 @@ func (tx *Tx) Rollback() {
 }
 
 // CompactVersions drops versions that are no longer visible to any snapshot
-// at or after minTS, keeping at least the newest version per key. Mirrors
-// SQL Server's version-store cleanup.
-func (db *DB) CompactVersions(minTS int64) int {
+// at or after sequence minSeq, keeping at least the newest version per key.
+// Mirrors SQL Server's version-store cleanup.
+func (db *DB) CompactVersions(minSeq int64) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	dropped := 0
 	for key, r := range db.records {
-		// find newest version with commitTS <= minTS; older ones are dead
+		// find newest version with seq <= minSeq; older ones are dead
 		cut := -1
 		for i := len(r.versions) - 1; i >= 0; i-- {
-			if r.versions[i].commitTS <= minTS {
+			if r.versions[i].seq <= minSeq {
 				cut = i
 				break
 			}
@@ -399,7 +390,7 @@ func (db *DB) CompactVersions(minTS int64) int {
 			dropped += cut
 			r.versions = append([]version(nil), r.versions[cut:]...)
 		}
-		if len(r.versions) == 1 && r.versions[0].deleted && r.versions[0].commitTS <= minTS {
+		if len(r.versions) == 1 && r.versions[0].deleted && r.versions[0].seq <= minSeq {
 			delete(db.records, key)
 		}
 	}

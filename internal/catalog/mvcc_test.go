@@ -314,7 +314,7 @@ func TestCompactVersions(t *testing.T) {
 		must(t, tx.Put("k", i))
 		must(t, tx.Commit())
 	}
-	dropped := db.CompactVersions(db.CurrentTS())
+	dropped := db.CompactVersions(db.CurrentSeq())
 	if dropped != 4 {
 		t.Fatalf("dropped = %d", dropped)
 	}
@@ -326,7 +326,7 @@ func TestCompactVersions(t *testing.T) {
 	del := db.Begin(Snapshot)
 	must(t, del.Delete("k"))
 	must(t, del.Commit())
-	db.CompactVersions(db.CurrentTS())
+	db.CompactVersions(db.CurrentSeq())
 	late := db.Begin(Snapshot)
 	if _, err := late.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("deleted key resurrected")

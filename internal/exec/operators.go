@@ -610,5 +610,5 @@ func CollectCtx(ctx context.Context, op Operator) (*colfile.Batch, error) {
 	}
 }
 
-// Sort, SortRuns, TopN and MergeRuns — the ORDER BY operator family — live
-// in sort.go.
+// Sort, TopN and MergeRuns — the ORDER BY operator family — live in
+// sort.go.

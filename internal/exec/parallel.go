@@ -2,10 +2,10 @@
 // engines): a table scan is split into morsels — per-file, or per-row-group
 // windows of a large file — which a pool of workers pulls from a shared
 // queue. Each worker runs the embarrassingly parallel fragment of the plan
-// (scan, filter, project, partial aggregation) over its morsels; a final
-// merge stage combines the per-morsel outputs deterministically. Because the
-// morsel decomposition is fixed by configuration (not by how many workers
-// the fabric grants), results are byte-stable for a given Parallelism
+// (scan, join probes, filter, project, partial aggregation) over its morsels;
+// a final merge stage combines the per-morsel outputs deterministically.
+// Because the morsel decomposition is fixed by configuration (not by how many
+// workers the fabric grants), results are byte-stable for a given Parallelism
 // setting; across different settings float SUM/AVG may differ in the last
 // ulp because summation order changes — and nothing else does: a DOP of 1
 // is this same plan run by one worker, there is no separate serial executor.
@@ -22,7 +22,7 @@
 // caveat because the probe never reorders or recombines values.
 //
 // ORDER BY is morsel-parallel as well (sort.go): workers stable-sort their
-// morsels into runs (SortRuns) — or keep only the LIMIT+OFFSET smallest rows
+// morsels into runs (Sort) — or keep only the LIMIT+OFFSET smallest rows
 // (TopN) — and a loser-tree k-way merge (MergeRuns) combines the runs,
 // breaking ties by lowest morsel index. Stable runs plus that tie-break
 // reproduce one stable sort of the whole input byte-for-byte at every DOP:
@@ -40,7 +40,10 @@
 // Spilled joins (spill.go) reuse the same primitive to fan the partition-wise
 // grace join out over depth-0 partitions, with the nested hash-join build
 // parallelism capped so the partition tasks and their inner builds together
-// stay within the configured Parallelism.
+// stay within the configured Parallelism. Such a join is a barrier inside the
+// per-morsel pipeline: the fragments before it are materialized per morsel,
+// JoinBatches returns per-morsel outputs in morsel order, and the fragments
+// after it read those; a morsel with no rows has none after the barrier.
 //
 // The full cross-DOP determinism contract — what is byte-identical, what is
 // merely deterministic per Parallelism setting, and the float caveats — is
@@ -341,8 +344,7 @@ func (l *BatchList) Next() (*colfile.Batch, error) {
 // the partial-state batches emitted by HashAgg{Partial: true} workers and
 // folds them into final aggregate values. Output rows are ordered by encoded
 // group key, so the result is identical for every degree of parallelism.
-// Distribution-aware (merge-free) aggregation is the same path fed one partial
-// row per group: each partial is added to an empty state (0 + x = x).
+// It is the only final aggregation: every GROUP BY merges its partials here.
 type MergeAgg struct {
 	In     Operator // stream of partial batches (groups + partial agg states)
 	Groups int      // number of leading group-key columns

@@ -299,7 +299,7 @@ func TestForEachIndexedHonorsCallerContext(t *testing.T) {
 }
 
 // TestRunIndexedSkipsNilBuilds pins RunIndexed's (nil, nil) contract, which
-// the staged join pipeline leans on to skip morsels an earlier stage left
+// the join pipeline leans on to skip morsels a spilled join's barrier left
 // empty: a nil operator skips the index, and a unit that produces no rows
 // yields nil too.
 func TestRunIndexedSkipsNilBuilds(t *testing.T) {

@@ -1,7 +1,7 @@
-// ORDER BY operators: the serial Sort, and the parallel family — per-worker
-// SortRuns / TopN producing sorted runs, merged at the FE by MergeRuns over a
-// loser tree. All four order rows by the same encoded sort key
-// (colfile.Vec.AppendSortKey, one memcmp per comparison regardless of key
+// ORDER BY operators: Sort and TopN producing sorted runs — one over the
+// whole input at the FE, or one per morsel worker merged at the FE by
+// MergeRuns over a loser tree. All three order rows by the same encoded sort
+// key (colfile.Vec.AppendSortKey, one memcmp per comparison regardless of key
 // arity or direction), so serial and parallel plans cannot disagree on
 // ordering semantics: NULLs sort first ascending and last descending, and
 // ties keep input order (stable). See docs/ARCHITECTURE.md for the full
@@ -68,10 +68,12 @@ func sortBatch(all *colfile.Batch, keys []SortKey) *colfile.Batch {
 	return all.Take(idx)
 }
 
-// Sort materializes the input and emits it ordered by the given keys — the
-// serial ORDER BY operator: post-aggregation ordering without a LIMIT, where
-// the merged aggregate already lives on the FE. Projections use
-// SortRuns/TopN per morsel worker plus MergeRuns instead.
+// Sort materializes the input and emits it as one run ordered by the given
+// keys: the FE's ORDER BY over a merged aggregate without a LIMIT, and the
+// per-worker phase of a projection's parallel ORDER BY. The run is tie-stable
+// by input order, so MergeRuns' lowest-run-index tie-break makes the k-way
+// merge of per-morsel runs byte-identical to a serial stable sort of the
+// morsels' concatenation — at every degree of parallelism.
 type Sort struct {
 	In   Operator
 	Keys []SortKey
@@ -84,38 +86,6 @@ func (s *Sort) Schema() colfile.Schema { return s.In.Schema() }
 
 // Next implements Operator.
 func (s *Sort) Next() (*colfile.Batch, error) {
-	if s.done {
-		return nil, nil
-	}
-	s.done = true
-	all, err := Collect(s.In)
-	if err != nil {
-		return nil, err
-	}
-	if all.NumRows() == 0 {
-		return nil, nil
-	}
-	return sortBatch(all, s.Keys), nil
-}
-
-// SortRuns is the per-worker phase of parallel ORDER BY: it drains one
-// morsel's stream and emits it as a single sorted run. Mechanically a Sort,
-// but with a narrower contract the merge relies on: the run is tie-stable by
-// the morsel's input order, so MergeRuns' lowest-run-index tie-break makes
-// the k-way merge of all runs byte-identical to a serial stable sort of the
-// morsels' concatenation — at every degree of parallelism.
-type SortRuns struct {
-	In   Operator
-	Keys []SortKey
-
-	done bool
-}
-
-// Schema implements Operator.
-func (s *SortRuns) Schema() colfile.Schema { return s.In.Schema() }
-
-// Next implements Operator.
-func (s *SortRuns) Next() (*colfile.Batch, error) {
 	if s.done {
 		return nil, nil
 	}
@@ -274,7 +244,7 @@ func (t *TopN) Next() (*colfile.Batch, error) {
 	return store.Take(idx), nil
 }
 
-// MergeRuns k-way merges the sorted runs produced by SortRuns or TopN
+// MergeRuns k-way merges the sorted runs produced by Sort or TopN
 // workers into one globally ordered stream — the gather side of parallel
 // ORDER BY. A loser tree picks the next row with one comparison per level
 // (log k memcmps per row); ties between runs resolve to the lowest run

@@ -157,7 +157,7 @@ func TestMergeRunsIdenticalToSerialSortAcrossSplits(t *testing.T) {
 		for _, parts := range []int{1, 2, 3, 5, 10, 25} {
 			var runs []*colfile.Batch
 			for _, piece := range runSplits(b, parts) {
-				run, err := Collect(&SortRuns{In: NewBatchSource(piece), Keys: keys})
+				run, err := Collect(&Sort{In: NewBatchSource(piece), Keys: keys})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func TestMergeRunsAllEqualKeysKeepsMorselOrder(t *testing.T) {
 	for _, parts := range []int{1, 4, 13} {
 		var runs []*colfile.Batch
 		for _, piece := range runSplits(b, parts) {
-			run, err := Collect(&SortRuns{In: NewBatchSource(piece), Keys: keys})
+			run, err := Collect(&Sort{In: NewBatchSource(piece), Keys: keys})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestMergeRunsEarlyCutoff(t *testing.T) {
 	}
 	var runs []*colfile.Batch
 	for _, piece := range runSplits(b, 4) {
-		run, err := Collect(&SortRuns{In: NewBatchSource(piece), Keys: keys})
+		run, err := Collect(&Sort{In: NewBatchSource(piece), Keys: keys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,9 +305,8 @@ func TestSortFamilyEmptyInput(t *testing.T) {
 	empty := colfile.NewBatch(schema)
 
 	for name, op := range map[string]Operator{
-		"Sort":     &Sort{In: NewBatchSource(empty), Keys: keys},
-		"SortRuns": &SortRuns{In: NewBatchSource(empty), Keys: keys},
-		"TopN":     &TopN{In: NewBatchSource(empty), Keys: keys, N: 10},
+		"Sort": &Sort{In: NewBatchSource(empty), Keys: keys},
+		"TopN": &TopN{In: NewBatchSource(empty), Keys: keys, N: 10},
 	} {
 		out, err := Collect(op)
 		if err != nil {
@@ -401,7 +400,7 @@ func TestParallelSortViaMorselsMatchesSerial(t *testing.T) {
 				if limit >= 0 {
 					return &TopN{In: s, Keys: keys, N: limit}, nil
 				}
-				return &SortRuns{In: s, Keys: keys}, nil
+				return &Sort{In: s, Keys: keys}, nil
 			})
 			if err != nil {
 				t.Fatal(err)

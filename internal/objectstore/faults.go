@@ -3,10 +3,9 @@ package objectstore
 import (
 	"math/rand"
 	"sync"
-	"time"
 )
 
-// OpKind identifies a storage operation class for latency and fault modeling.
+// OpKind identifies a storage operation class for fault injection.
 type OpKind int
 
 // Operation kinds.
@@ -37,54 +36,6 @@ func (k OpKind) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// LatencyModel approximates remote-storage timing: each operation pays a base
-// latency plus a transfer time proportional to payload size. A Scale of 0
-// disables sleeping entirely (pure accounting), which benches use to measure
-// simulated rather than wall-clock time.
-type LatencyModel struct {
-	Base       [opKinds]time.Duration
-	BytesPerNS float64 // throughput: bytes transferred per nanosecond
-	Scale      float64 // multiplier on real sleeps; 0 = account only
-
-	mu        sync.Mutex
-	simulated time.Duration // accumulated simulated time
-}
-
-// DefaultLatency returns a model with cloud-object-store-shaped constants:
-// ~2ms metadata ops, ~8ms first-byte for data ops, ~1 GiB/s transfer.
-// Scale 0 means the model only accounts time; callers that want wall-clock
-// realism can set Scale to 1.
-func DefaultLatency() *LatencyModel {
-	m := &LatencyModel{BytesPerNS: 1.0, Scale: 0}
-	m.Base[OpPut] = 8 * time.Millisecond
-	m.Base[OpGet] = 8 * time.Millisecond
-	m.Base[OpDelete] = 2 * time.Millisecond
-	m.Base[OpList] = 4 * time.Millisecond
-	m.Base[OpStage] = 6 * time.Millisecond
-	m.Base[OpCommit] = 10 * time.Millisecond
-	return m
-}
-
-func (m *LatencyModel) apply(op OpKind, bytes int) {
-	d := m.Base[op]
-	if m.BytesPerNS > 0 && bytes > 0 {
-		d += time.Duration(float64(bytes) / m.BytesPerNS)
-	}
-	m.mu.Lock()
-	m.simulated += d
-	m.mu.Unlock()
-	if m.Scale > 0 {
-		time.Sleep(time.Duration(float64(d) * m.Scale))
-	}
-}
-
-// Simulated returns the total simulated time accumulated across operations.
-func (m *LatencyModel) Simulated() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.simulated
 }
 
 // FaultInjector returns transient errors with a configured probability per

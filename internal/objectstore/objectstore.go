@@ -8,9 +8,9 @@
 //     discarded (this is how Polaris drops the work of failed task attempts).
 //   - Whole-blob Put/Get/Delete/List for data files and checkpoints.
 //
-// The store is in-process and thread-safe. A LatencyModel approximates cloud
-// storage behaviour (per-operation base latency plus throughput-proportional
-// transfer time) and a FaultInjector can return transient errors so the DCP's
+// The store is in-process and thread-safe. It simulates no latency: the
+// engine's one simulated clock is compute.CostModel, charged by the callers
+// that move bytes. A FaultInjector can return transient errors so the DCP's
 // retry machinery is exercised the way real ADLS exercises it.
 package objectstore
 
@@ -27,7 +27,6 @@ import (
 var (
 	ErrNotFound      = errors.New("objectstore: blob not found")
 	ErrBlockNotFound = errors.New("objectstore: staged block not found")
-	ErrAlreadyExists = errors.New("objectstore: blob already exists")
 	ErrTransient     = errors.New("objectstore: transient storage error")
 )
 
@@ -62,7 +61,6 @@ type Store struct {
 	mu      sync.RWMutex
 	blobs   map[string]*blob
 	staged  map[string]map[string]stagedBlock // blobName -> blockID -> data
-	latency *LatencyModel
 	faults  *FaultInjector
 	clock   func() time.Time
 	metrics Metrics
@@ -75,9 +73,6 @@ type stagedBlock struct {
 
 // Option configures a Store.
 type Option func(*Store)
-
-// WithLatency attaches a latency model; nil disables simulated latency.
-func WithLatency(m *LatencyModel) Option { return func(s *Store) { s.latency = m } }
 
 // WithFaults attaches a fault injector; nil disables fault injection.
 func WithFaults(f *FaultInjector) Option { return func(s *Store) { s.faults = f } }
@@ -100,7 +95,8 @@ func New(opts ...Option) *Store {
 
 func (s *Store) now() time.Time { return s.clock() }
 
-func (s *Store) simulate(op OpKind, bytes int) error {
+// injectFault returns the fault injector's transient error for op, if any.
+func (s *Store) injectFault(op OpKind) error {
 	if s.faults != nil {
 		if err := s.faults.maybeFail(op); err != nil {
 			s.mu.Lock()
@@ -109,40 +105,17 @@ func (s *Store) simulate(op OpKind, bytes int) error {
 			return err
 		}
 	}
-	if s.latency != nil {
-		s.latency.apply(op, bytes)
-	}
 	return nil
 }
 
 // Put atomically creates or replaces a whole blob.
 func (s *Store) Put(name string, data []byte, creatorStamp int64) error {
-	if err := s.simulate(OpPut, len(data)); err != nil {
+	if err := s.injectFault(OpPut); err != nil {
 		return err
 	}
 	cp := append([]byte(nil), data...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[name] = &blob{
-		data: cp,
-		info: BlobInfo{Name: name, Size: int64(len(cp)), Created: s.now(), CreatorStamp: creatorStamp},
-	}
-	s.metrics.Puts++
-	s.metrics.BytesWritten += int64(len(cp))
-	return nil
-}
-
-// PutIfAbsent creates a blob only if it does not already exist.
-func (s *Store) PutIfAbsent(name string, data []byte, creatorStamp int64) error {
-	if err := s.simulate(OpPut, len(data)); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blobs[name]; ok {
-		return fmt.Errorf("%w: %s", ErrAlreadyExists, name)
-	}
-	cp := append([]byte(nil), data...)
 	s.blobs[name] = &blob{
 		data: cp,
 		info: BlobInfo{Name: name, Size: int64(len(cp)), Created: s.now(), CreatorStamp: creatorStamp},
@@ -164,7 +137,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if err := s.simulate(OpGet, n); err != nil {
+	if err := s.injectFault(OpGet); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -178,39 +151,6 @@ func (s *Store) Get(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	return append([]byte(nil), b.data...), nil
-}
-
-// GetRange returns length bytes starting at offset. A negative length reads to
-// the end. Reading past the end returns what is available.
-func (s *Store) GetRange(name string, offset, length int64) ([]byte, error) {
-	s.mu.RLock()
-	b, ok := s.blobs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	s.mu.RLock()
-	data := b.data
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > int64(len(data)) {
-		offset = int64(len(data))
-	}
-	end := int64(len(data))
-	if length >= 0 && offset+length < end {
-		end = offset + length
-	}
-	out := append([]byte(nil), data[offset:end]...)
-	s.mu.RUnlock()
-	if err := s.simulate(OpGet, len(out)); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.metrics.Gets++
-	s.metrics.BytesRead += int64(len(out))
-	s.mu.Unlock()
-	return out, nil
 }
 
 // Head returns blob metadata without reading its contents.
@@ -235,7 +175,7 @@ func (s *Store) Exists(name string) bool {
 // Delete removes a blob. Deleting a missing blob is an error so callers
 // (garbage collection) can detect double-frees.
 func (s *Store) Delete(name string) error {
-	if err := s.simulate(OpDelete, 0); err != nil {
+	if err := s.injectFault(OpDelete); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -258,7 +198,7 @@ func (s *Store) List(prefix string) []string {
 		}
 	}
 	s.mu.RUnlock()
-	_ = s.simulate(OpList, 0)
+	_ = s.injectFault(OpList)
 	s.mu.Lock()
 	s.metrics.Lists++
 	s.mu.Unlock()
@@ -277,7 +217,7 @@ func (s *Store) ListInfo(prefix string) []BlobInfo {
 		}
 	}
 	s.mu.RUnlock()
-	_ = s.simulate(OpList, 0)
+	_ = s.injectFault(OpList)
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
@@ -286,7 +226,7 @@ func (s *Store) ListInfo(prefix string) []BlobInfo {
 // Block IDs must be unique per writer attempt; re-staging the same ID
 // overwrites the staged payload, matching Azure semantics.
 func (s *Store) StageBlock(blobName, blockID string, data []byte) error {
-	if err := s.simulate(OpStage, len(data)); err != nil {
+	if err := s.injectFault(OpStage); err != nil {
 		return err
 	}
 	cp := append([]byte(nil), data...)
@@ -310,7 +250,7 @@ func (s *Store) StageBlock(blobName, blockID string, data []byte) error {
 // committed list for multi-statement transactions (paper Section 3.2.3).
 // All staged blocks for the blob that are not in the list are discarded.
 func (s *Store) CommitBlockList(blobName string, blockIDs []string, creatorStamp int64) error {
-	if err := s.simulate(OpCommit, 0); err != nil {
+	if err := s.injectFault(OpCommit); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -148,10 +148,14 @@ func cmpSelectivity(x BinExpr, ts *tableStats) float64 {
 	if !okSk {
 		return selRangeDefault
 	}
-	if v, isInt := lit.Val.(int64); isInt && sk.Stats.MinInt != nil && sk.Stats.MaxInt != nil {
-		return intRangeSel(op, v, *sk.Stats.MinInt, *sk.Stats.MaxInt)
+	v, isF := lit.Val.(float64)
+	if i, isInt := lit.Val.(int64); isInt {
+		if sk.Stats.MinInt != nil && sk.Stats.MaxInt != nil {
+			return intRangeSel(op, i, *sk.Stats.MinInt, *sk.Stats.MaxInt)
+		}
+		v, isF = float64(i), true
 	}
-	if v, isF := toF(lit.Val); isF && sk.Stats.MinFloat != nil && sk.Stats.MaxFloat != nil {
+	if isF && sk.Stats.MinFloat != nil && sk.Stats.MaxFloat != nil {
 		return floatRangeSel(op, v, *sk.Stats.MinFloat, *sk.Stats.MaxFloat)
 	}
 	return selRangeDefault

@@ -106,37 +106,29 @@ func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, name string) (*col
 	return colfile.UnmarshalBatch(data)
 }
 
-// dagState carries the build results across tasks. Builds publish under a
-// mutex and every gather (and through it every probe) depends on all build
-// tasks, so readers always observe the complete set. A retried build
-// republishes an equivalent value — the inputs and the build algorithm are
-// deterministic — so last-write-wins is safe.
+// dagState carries the build results across tasks: join j's source and its
+// runtime filter (nil for a spilled or LEFT OUTER build), derived once by
+// build task b(j). b(j) publishes under a mutex and gather g(j) — and through
+// it every probe of join j — depends on it, so readers always observe the
+// completed build. A retried build republishes an equivalent value — the
+// inputs and the build algorithm are deterministic — so last-write-wins is
+// safe.
 type dagState struct {
-	mu   sync.Mutex
-	srcs []*exec.JoinSource
+	mu     sync.Mutex
+	srcs   []*exec.JoinSource
+	blooms []*exec.Bloom
 }
 
-func (s *dagState) set(j int, src *exec.JoinSource) {
+func (s *dagState) set(j int, src *exec.JoinSource, bloom *exec.Bloom) {
 	s.mu.Lock()
-	s.srcs[j] = src
+	s.srcs[j], s.blooms[j] = src, bloom
 	s.mu.Unlock()
 }
 
-func (s *dagState) get(j int) *exec.JoinSource {
+func (s *dagState) get(j int) (*exec.JoinSource, *exec.Bloom) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.srcs[j]
-}
-
-func (s *dagState) anySpilled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, src := range s.srcs {
-		if src != nil && src.Spilled != nil {
-			return true
-		}
-	}
-	return false
+	return s.srcs[j], s.blooms[j]
 }
 
 // runStagesDAG runs an opened plan's stages as a DCP task DAG and returns
@@ -145,14 +137,9 @@ func (s *dagState) anySpilled() bool {
 // joins (one plan), with stage outputs crossing task boundaries through
 // the exchange. A build task drains its input straight into the JoinSource:
 // the build side is re-read from the table's immutable files on a retry, so
-// nothing of it crosses the exchange.
-//
-// Both executor shapes carry over: while no build spills, every morsel runs
-// probe→filter→suffix even when its scan came up empty (the streaming shape
-// — a global aggregate still emits its zero partial); once any build spills,
-// empty per-morsel batches skip downstream stages (the staged shape). Which
-// applies is decided at probe time from the completed builds, exactly like
-// the pool decides it after draining the builds.
+// nothing of it crosses the exchange. A spilled join's gather is the pool's
+// barrier; a morsel with no rows has none after it, so its later tasks
+// forward the empty output without running a fragment.
 func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	suffix func(exec.Operator) exec.Operator) ([]*colfile.Batch, error) {
 	base, joins, tail := p.base, p.joins, p.tail
@@ -165,7 +152,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 
 	M := len(ms.Morsels)
 	J := len(joins)
-	state := &dagState{srcs: make([]*exec.JoinSource, J)}
+	state := &dagState{srcs: make([]*exec.JoinSource, J), blooms: make([]*exec.Bloom, J)}
 	g := dcp.NewGraph()
 
 	// Stage 0: one scan task per morsel. With no joins the whole
@@ -197,10 +184,6 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		}
 	}
 
-	buildIDs := make([]int, J)
-	for j := range joins {
-		buildIDs[j] = dagBuildID(j)
-	}
 	prevID := dagScanID
 	for j, dj := range joins {
 		j, dj := j, dj
@@ -218,7 +201,11 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 				if err != nil {
 					return nil, err
 				}
-				state.set(j, src)
+				var bloom *exec.Bloom
+				if src.Spilled == nil && dj.typ != exec.LeftOuterJoin {
+					bloom = src.Table.BloomFilter()
+				}
+				state.set(j, src, bloom)
 				return nil, nil
 			},
 		}); err != nil {
@@ -229,17 +216,17 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		// per-morsel batch list (nil entries preserved — the partition-
 		// wise join's global ordinal merge depends on them) and runs the
 		// partition-wise grace join; for an in-memory build it is a pure
-		// synchronization point. It depends on every build so probes can
-		// tell which executor shape (streaming vs staged) applies.
-		gdeps := append([]int{}, buildIDs...)
+		// synchronization point. It depends on its build and the previous
+		// stage.
+		gdeps := []int{dagBuildID(j)}
 		for i := 0; i < M; i++ {
 			gdeps = append(gdeps, prev(i))
 		}
 		if err := g.Add(&dcp.Task{
 			ID: dagGatherID(j), Name: fmt.Sprintf("gather-j%d", j), Pool: dcp.ReadPool, Deps: gdeps,
 			Exec: func(qc *dcp.Ctx) (any, error) {
-				src := state.get(j)
-				if src == nil || src.Spilled == nil {
+				src, _ := state.get(j)
+				if src.Spilled == nil {
 					return nil, nil // in-memory build: probes share the JoinTable
 				}
 				batches := make([]*colfile.Batch, M)
@@ -275,57 +262,36 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 				Deps: []int{dagGatherID(j), prev(i)},
 				Exec: func(qc *dcp.Ctx) (any, error) {
 					ctx := qc.Context()
-					src := state.get(j)
+					src, bloom := state.get(j)
 					var localPruned atomic.Int64
-					var op exec.Operator
+					name := dagOutOf(qc.Inputs[prev(i)]).name
 					if src.Spilled != nil {
-						outs, _ := qc.Inputs[dagGatherID(j)].([]*dagOut)
-						var name string
-						if outs != nil {
-							name = outs[i].name
-						}
+						name = qc.Inputs[dagGatherID(j)].([]*dagOut)[i].name
 						if !last {
 							// Forward: the joined batch is already durable
 							// in the gather's exchange frame.
 							return &dagOut{name: name}, nil
 						}
-						b, err := ex.read(ctx, qc, name)
-						if err != nil {
-							return nil, err
-						}
-						if b == nil {
-							return &dagOut{}, nil // staged shape: empty skips the suffix
-						}
-						op = exec.NewBatchSource(b)
-					} else {
-						b, err := ex.read(ctx, qc, dagOutOf(qc.Inputs[prev(i)]).name)
-						if err != nil {
-							return nil, err
-						}
-						if b == nil {
-							if state.anySpilled() {
-								return &dagOut{}, nil // staged shape: empty skips this stage
-							}
-							// Streaming shape: probe/filter/suffix run on the
-							// empty stream too, like the fused morsel fragment.
-							b = colfile.NewBatch(dj.leftSchema)
-						}
-						pr := &exec.Probe{In: exec.NewBatchSource(b), Table: src.Table, LeftKeys: dj.leftKeys}
-						if dj.typ != exec.LeftOuterJoin {
-							pr.Bloom = src.Table.BloomFilter()
-							pr.Pruned = &localPruned
-						}
-						op = pr
+					}
+					b, err := ex.read(ctx, qc, name)
+					if err != nil {
+						return nil, err
+					}
+					if b == nil {
+						return &dagOut{}, nil // no rows: none after the barrier either
+					}
+					var op exec.Operator = exec.NewBatchSource(b)
+					if src.Spilled == nil {
+						op = &exec.Probe{In: op, Table: src.Table, LeftKeys: dj.leftKeys,
+							Bloom: bloom, Pruned: &localPruned}
 					}
 					if last {
 						op = suffix(tail.filter(op))
 					}
-					b, err := exec.CollectCtx(ctx, op)
-					if err != nil {
+					if b, err = exec.CollectCtx(ctx, op); err != nil {
 						return nil, err
 					}
-					name, err := ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b)
-					if err != nil {
+					if name, err = ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b); err != nil {
 						return nil, err
 					}
 					return &dagOut{name: name, pruned: localPruned.Load()}, nil
@@ -343,7 +309,8 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	}
 	res, err := tx.RunQueryDAG(g, stages)
 	for jx := range joins {
-		spill.count(state.get(jx)) // completed builds count even if the run failed
+		src, _ := state.get(jx)
+		spill.count(src) // completed builds count even if the run failed
 	}
 	if err != nil {
 		return nil, err

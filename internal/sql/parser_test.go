@@ -177,7 +177,7 @@ func TestParseInsertVariants(t *testing.T) {
 	}
 	// constant arithmetic in VALUES
 	st = parseOK(t, `INSERT INTO t VALUES (1 + 2 * 3)`).(*InsertStmt)
-	v, err := evalConst(st.Rows[0][0])
+	v, err := valuesCell(st.Rows[0][0])
 	if err != nil || v != int64(7) {
 		t.Fatalf("const fold = %v, %v", v, err)
 	}

@@ -639,16 +639,15 @@ func (j *planJoin) openBuild() (exec.Operator, error) {
 // immutable JoinTable shared by every probe worker while they fit (the build
 // itself is partition-parallel), into spill partitions when they overflow.
 //
-// While no build spilled, each worker runs scan→[probe…]→filter→suffix per
-// morsel (the streaming shape): compiled programs and JoinTables are
-// stateless/immutable values, safe to share across workers; each Probe owns
-// its scratch buffers. Once a build spilled the joins run stage by stage over
-// materialized per-morsel batches (the staged shape) — in-memory stages probe
-// every batch in parallel, spilled stages fan the partition-wise grace join
-// over the same leased workers — and each worker then runs filter→suffix
-// over its batch. The batches are byte-wise
-// what the streaming probes would have produced and morsel order is kept
-// throughout, so everything downstream is unchanged.
+// Each worker runs one pipeline per morsel: scan→[probe…]→filter→suffix.
+// Compiled programs and JoinTables are stateless/immutable values, safe to
+// share across workers; each Probe owns its scratch buffers. A spilled join
+// is a barrier inside that pipeline: the fragments up to it are materialized
+// per morsel, the partition-wise grace join runs over the same leased
+// workers, and the fragments after it read its per-morsel batches. A morsel
+// with no rows has none after a barrier, so it runs no later fragment. The
+// batches are byte-wise what a probe would have produced and morsel order is
+// kept throughout, so everything downstream is unchanged.
 //
 // limit >= 0 (a bare LIMIT) lets the stage that runs the suffix stop early.
 func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
@@ -662,11 +661,6 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	// LEFT OUTER, where probe rows survive regardless).
 	srcs := make([]*exec.JoinSource, len(p.joins))
 	blooms := make([]*exec.Bloom, len(p.joins))
-	probe := func(j int, in exec.Operator) exec.Operator {
-		return &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
-			Bloom: blooms[j], Pruned: pruned}
-	}
-	anySpilled := false
 	for j, pj := range p.joins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -681,63 +675,58 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		}
 		spill.count(src)
 		srcs[j] = src
-		if src.Spilled != nil {
-			anySpilled = true
-		} else if pj.typ != exec.LeftOuterJoin {
+		if src.Spilled == nil && pj.typ != exec.LeftOuterJoin {
 			blooms[j] = src.Table.BloomFilter()
 		}
 	}
 
-	last := func(n int, build func(i int) (exec.Operator, error)) ([]*colfile.Batch, error) {
-		if limit >= 0 {
-			return exec.RunIndexedPrefix(ctx, n, dop, limit, build)
+	// fragment opens morsel i's pipeline through the probes of joins
+	// [from, to): its scan before the first barrier, the last barrier's
+	// batch i after it (nil: no rows, no fragment).
+	var cur []*colfile.Batch
+	fragment := func(i, from, to int) (op exec.Operator, err error) {
+		switch {
+		case from == 0:
+			op, err = p.base.fragment(morsels[i])
+		case cur[i] != nil:
+			op = exec.NewBatchSource(cur[i])
 		}
-		return exec.RunIndexed(ctx, n, dop, build)
-	}
-	if !anySpilled {
-		return last(len(morsels), func(i int) (exec.Operator, error) {
-			op, err := p.base.fragment(morsels[i])
-			if err != nil {
-				return nil, err
-			}
-			for j := range p.joins {
-				op = probe(j, op)
-			}
-			return suffix(p.tail.filter(op)), nil
-		})
-	}
-
-	// over runs one operator per non-empty per-morsel batch of the previous
-	// stage; empty morsels skip the remaining stages.
-	over := func(in []*colfile.Batch, build func(b *colfile.Batch) exec.Operator) func(int) (exec.Operator, error) {
-		return func(i int) (exec.Operator, error) {
-			if in[i] == nil {
-				return nil, nil
-			}
-			return build(in[i]), nil
+		if op == nil || err != nil {
+			return nil, err
 		}
+		for j := from; j < to; j++ {
+			op = &exec.Probe{In: op, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
+				Bloom: blooms[j], Pruned: pruned}
+		}
+		return op, nil
 	}
-	cur, err := exec.RunIndexed(ctx, len(morsels), dop, func(i int) (exec.Operator, error) {
-		return p.base.fragment(morsels[i])
-	})
-	if err != nil {
-		return nil, err
-	}
+	from := 0
 	for j, pj := range p.joins {
-		if srcs[j].Spilled != nil {
-			cur, err = srcs[j].Spilled.JoinBatches(ctx, cur, pj.leftKeys, pj.leftSchema, dop)
-		} else {
-			cur, err = exec.RunIndexed(ctx, len(cur), dop, over(cur, func(b *colfile.Batch) exec.Operator {
-				return probe(j, exec.NewBatchSource(b))
-			}))
+		if srcs[j].Spilled == nil {
+			continue
 		}
+		in, err := exec.RunIndexed(ctx, len(morsels), dop, func(i int) (exec.Operator, error) {
+			return fragment(i, from, j)
+		})
 		if err != nil {
 			return nil, err
 		}
+		if cur, err = srcs[j].Spilled.JoinBatches(ctx, in, pj.leftKeys, pj.leftSchema, dop); err != nil {
+			return nil, err
+		}
+		from = j + 1
 	}
-	return last(len(cur), over(cur, func(b *colfile.Batch) exec.Operator {
-		return suffix(p.tail.filter(exec.NewBatchSource(b)))
-	}))
+	last := func(i int) (exec.Operator, error) {
+		op, err := fragment(i, from, len(p.joins))
+		if op == nil || err != nil {
+			return nil, err
+		}
+		return suffix(p.tail.filter(op)), nil
+	}
+	if limit >= 0 {
+		return exec.RunIndexedPrefix(ctx, len(morsels), dop, limit, last)
+	}
+	return exec.RunIndexed(ctx, len(morsels), dop, last)
 }
 
 // fragmentRunner runs an opened plan's per-morsel fragments, each ending in
@@ -798,7 +787,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 
 // mergeOrderBy executes a projection's ORDER BY [LIMIT/OFFSET] on the morsel
 // decomposition instead of a monolithic FE sort: every fragment sorts its
-// morsel's projected rows into a tie-stable run (SortRuns), and the FE k-way
+// morsel's projected rows into a tie-stable run (Sort), and the FE k-way
 // merges the runs over a loser tree with the lowest morsel index winning
 // ties — byte-identical to one stable sort of the whole input at every DOP,
 // NULL ordering and DESC keys included. When a LIMIT bounds the output, each
@@ -812,7 +801,7 @@ func mergeOrderBy(tx *core.Txn, p *selectPlan, run fragmentRunner, bound int64) 
 		if bound >= 0 {
 			return &exec.TopN{In: project(op), Keys: keys, N: bound}
 		}
-		return &exec.SortRuns{In: project(op), Keys: keys}
+		return &exec.Sort{In: project(op), Keys: keys}
 	}, -1)
 	if err != nil {
 		return nil, err
@@ -1148,7 +1137,7 @@ func runInsert(tx *core.Txn, st *InsertStmt) (*Result, error) {
 			}
 			vals := make([]any, len(meta.Schema)) // unnamed columns are NULL
 			for i, e := range row {
-				lit, err := evalConst(e)
+				lit, err := valuesCell(e)
 				if err != nil {
 					return nil, err
 				}
@@ -1166,68 +1155,25 @@ func runInsert(tx *core.Txn, st *InsertStmt) (*Result, error) {
 	return &Result{RowsAffected: n}, nil
 }
 
-// evalConst folds a literal-only expression (VALUES rows).
-func evalConst(e Expr) (any, error) {
-	switch x := e.(type) {
-	case Lit:
-		return x.Val, nil
-	case BinExpr:
-		l, err := evalConst(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalConst(x.R)
-		if err != nil {
-			return nil, err
-		}
-		li, lok := l.(int64)
-		ri, rok := r.(int64)
-		if lok && rok {
-			switch x.Op {
-			case "+":
-				return li + ri, nil
-			case "-":
-				return li - ri, nil
-			case "*":
-				return li * ri, nil
-			case "/":
-				if ri == 0 {
-					return nil, errors.New("sql: division by zero")
-				}
-				return li / ri, nil
-			}
-		}
-		lf, lok := toF(l)
-		rf, rok := toF(r)
-		if lok && rok {
-			switch x.Op {
-			case "+":
-				return lf + rf, nil
-			case "-":
-				return lf - rf, nil
-			case "*":
-				return lf * rf, nil
-			case "/":
-				if rf == 0 {
-					return nil, errors.New("sql: division by zero")
-				}
-				return lf / rf, nil
-			}
-		}
-		return nil, fmt.Errorf("sql: VALUES expressions must be constant")
-	default:
-		return nil, fmt.Errorf("sql: VALUES expressions must be literals")
+// valuesCell evaluates one VALUES cell. A literal is its own value; any other
+// expression is compiled against an empty scope (a column reference is an
+// unknown column) and run over one row, so it folds with SELECT's kernels,
+// NULL semantics and errors.
+func valuesCell(e Expr) (any, error) {
+	if lit, ok := e.(Lit); ok {
+		return lit.Val, nil
 	}
-}
-
-func toF(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
+	prog, err := compile(e, &scope{})
+	if err != nil {
+		return nil, err
 	}
-	return 0, false
+	row := colfile.NewVec(colfile.Int64)
+	row.AppendInt(0)
+	v, err := prog.Run(prog.NewCtx(), &colfile.Batch{Cols: []*colfile.Vec{row}})
+	if err != nil {
+		return nil, err
+	}
+	return v.Value(0), nil
 }
 
 func runUpdate(tx *core.Txn, st *UpdateStmt) (*Result, error) {

@@ -549,3 +549,45 @@ func TestIllTypedStatementsAreErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestValuesEvaluateLikeSelect pins INSERT … VALUES to SELECT's evaluator: a
+// non-literal cell folds with the same kernels, NULL semantics and error text
+// as the same expression in a select list, and a column reference is an
+// unknown column.
+func TestValuesEvaluateLikeSelect(t *testing.T) {
+	s := testSession(t)
+	mustExec(t, s, `CREATE TABLE t (k INT, v INT) WITH (DISTRIBUTION = k)`)
+	mustExec(t, s, `INSERT INTO t VALUES (7 % 2, 1), (NULL + 1, 2), (-3 * 2, 3)`)
+	res := mustExec(t, s, `SELECT k, v FROM t ORDER BY v`)
+	if got, want := fmt.Sprint(rowsOf(res)), "[[1 1] [<nil> 2] [-6 3]]"; got != want {
+		t.Errorf("VALUES rows = %s, want %s", got, want)
+	}
+	sel := mustExec(t, s, `SELECT 7 % 2, NULL + 1 FROM t WHERE v = 1`)
+	if got, want := fmt.Sprint(rowsOf(sel)), "[[1 <nil>]]"; got != want {
+		t.Errorf("SELECT 7 %% 2, NULL + 1 = %s, want %s", got, want)
+	}
+	for _, c := range []struct{ values, selectList, want string }{
+		{`(1 / 0, 3)`, `1 / 0`, "exec: integer division by zero"},
+		{`(NOT 1, 0)`, `NOT 1`, "exec: NOT of int64"},
+		{`(k, 0)`, `nosuch`, `sql: unknown column "k"`},
+	} {
+		if _, err := s.Exec(`INSERT INTO t VALUES ` + c.values); err == nil || err.Error() != c.want {
+			t.Errorf("VALUES %s: err = %v, want %q", c.values, err, c.want)
+		}
+		if _, err := s.Exec(`SELECT ` + c.selectList + ` FROM t`); err == nil ||
+			strings.ReplaceAll(c.want, `"k"`, `"nosuch"`) != err.Error() {
+			t.Errorf("SELECT %s: err = %v, want the VALUES text", c.selectList, err)
+		}
+	}
+	if got := mustExec(t, s, `SELECT COUNT(*) FROM t`).Batch.Row(0)[0]; got != int64(3) {
+		t.Fatalf("failed VALUES inserted rows: count = %v", got)
+	}
+}
+
+func rowsOf(res *Result) [][]any {
+	out := make([][]any, res.Batch.NumRows())
+	for i := range out {
+		out[i] = res.Batch.Row(i)
+	}
+	return out
+}

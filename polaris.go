@@ -96,8 +96,6 @@ type Config struct {
 	// PublishIceberg additionally publishes Iceberg-shaped metadata (the
 	// planned multi-format converter path, paper footnote 1).
 	PublishIceberg bool
-	// StoreLatency attaches a simulated-latency model to the object store.
-	StoreLatency bool
 	// DistributedQueries executes SELECTs (bare-LIMIT statements excepted,
 	// at every Parallelism) as DCP task DAGs over the compute fabric — per-morsel scan, join-build, and probe tasks
 	// with object-store exchange between stages and task-level retry with
@@ -139,11 +137,7 @@ func Open(cfg Config) *DB {
 	if cfg.Distributions == 0 {
 		cfg = DefaultConfig()
 	}
-	var storeOpts []objectstore.Option
-	if cfg.StoreLatency {
-		storeOpts = append(storeOpts, objectstore.WithLatency(objectstore.DefaultLatency()))
-	}
-	store := objectstore.New(storeOpts...)
+	store := objectstore.New()
 	fabric := compute.NewFabric(compute.Config{
 		Elastic:   cfg.Elastic,
 		MaxNodes:  cfg.MaxNodes,
