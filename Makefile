@@ -66,7 +66,10 @@ bench-check:
 # the uint32 row space, and it survives a Marshal round trip), the manifest
 # decoder (actions or an error; every action passes Validate and re-encoding
 # is stable) and the checkpoint decoder (a checkpoint or an error; its state
-# names every file by a non-empty path), plus the three
+# names every file by a non-empty path), the catalog's key index (op
+# sequences at all three isolation levels: every prefix scan and newest-key
+# lookup equals a walk of every record, and every commit fails exactly when
+# a brute-force validation says it must), plus the three
 # evaluator-vs-reference targets
 # in internal/exec (compiled kernels against the scalar evaluator, the
 # aggregation operators against the scalar aggregator, and the join — in
@@ -84,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzDeletionVectorUnmarshal$$' -fuzztime 5s ./internal/deletevector
 	$(GO) test -run NONE -fuzz '^FuzzManifestDecode$$' -fuzztime 5s ./internal/manifest
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalCheckpoint$$' -fuzztime 5s ./internal/manifest
+	$(GO) test -run NONE -fuzz '^FuzzCatalogIndex$$' -fuzztime 5s ./internal/catalog
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzAggEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzJoinEquivalence$$' -fuzztime 5s ./internal/exec

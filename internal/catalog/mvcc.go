@@ -95,6 +95,7 @@ func (r *record) latestSeq() int64 {
 type DB struct {
 	mu      sync.RWMutex
 	records map[string]*record
+	index   keyIndex // the keys of records, for prefix scans
 
 	// commitMu is the paper's "commit lock ... to ensure a serializable
 	// order for the transaction to be committed" (4.1.2 step 2). It also
@@ -117,7 +118,7 @@ type Stats struct {
 
 // NewDB creates an empty catalog database.
 func NewDB() *DB {
-	return &DB{records: make(map[string]*record)}
+	return &DB{records: make(map[string]*record), index: newKeyIndex()}
 }
 
 // Begin starts a transaction at the current snapshot.
@@ -198,7 +199,9 @@ func (tx *Tx) Get(key string) (any, error) {
 		}
 		return w.value, nil
 	}
-	tx.reads[key] = struct{}{}
+	if tx.level == Serializable {
+		tx.reads[key] = struct{}{}
+	}
 	tx.db.mu.RLock()
 	defer tx.db.mu.RUnlock()
 	r, ok := tx.db.records[key]
@@ -243,40 +246,86 @@ type KV struct {
 }
 
 // Scan returns all visible pairs with the given prefix, sorted by key,
-// overlaid with the transaction's own writes.
+// overlaid with the transaction's own writes. It visits only the keys under
+// the prefix.
 func (tx *Tx) Scan(prefix string) ([]KV, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	tx.scans = append(tx.scans, prefix)
+	tx.readRange(prefix)
 	readSeq := tx.readSeq()
-	merged := make(map[string]any)
+	out := []KV{}
+	runs := 0
 	tx.db.mu.RLock()
-	for key, r := range tx.db.records {
-		if !strings.HasPrefix(key, prefix) {
-			continue
+	tx.db.index.each(prefix, func(run []indexEntry) {
+		runs++
+		for _, e := range run {
+			if _, own := tx.writes[e.key]; own {
+				continue
+			}
+			if v, ok := e.rec.visible(readSeq); ok {
+				out = append(out, KV{Key: e.key, Value: v})
+			}
 		}
-		if v, ok := r.visible(readSeq); ok {
-			merged[key] = v
-		}
-	}
+	})
 	tx.db.mu.RUnlock()
+	sorted := runs <= 1
 	for key, w := range tx.writes {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		if w.deleted {
-			delete(merged, key)
-		} else {
-			merged[key] = w.value
+		if !w.deleted && strings.HasPrefix(key, prefix) {
+			out = append(out, KV{Key: key, Value: w.value})
+			sorted = false
 		}
 	}
-	out := make([]KV, 0, len(merged))
-	for k, v := range merged {
-		out = append(out, KV{Key: k, Value: v})
+	if !sorted {
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
+}
+
+// Last returns the visible pair with the greatest key under prefix that is
+// at most upTo (any key when upTo is empty), overlaid with the transaction's
+// own writes, and ok=false when there is none. It reads like a Scan of the
+// prefix, but walks each directory's keys down from upTo and stops at the
+// first visible one.
+func (tx *Tx) Last(prefix, upTo string) (kv KV, ok bool, err error) {
+	if tx.done {
+		return KV{}, false, ErrTxDone
+	}
+	tx.readRange(prefix)
+	inRange := func(key string) bool { return upTo == "" || key <= upTo }
+	for key, w := range tx.writes {
+		if !w.deleted && strings.HasPrefix(key, prefix) && inRange(key) && (!ok || key > kv.Key) {
+			kv, ok = KV{Key: key, Value: w.value}, true
+		}
+	}
+	readSeq := tx.readSeq()
+	tx.db.mu.RLock()
+	defer tx.db.mu.RUnlock()
+	tx.db.index.each(prefix, func(run []indexEntry) {
+		i := len(run)
+		if upTo != "" {
+			i = sort.Search(len(run), func(j int) bool { return run[j].key > upTo })
+		}
+		for i--; i >= 0 && (!ok || run[i].key > kv.Key); i-- {
+			e := run[i]
+			if _, own := tx.writes[e.key]; own {
+				continue
+			}
+			if v, vis := e.rec.visible(readSeq); vis {
+				kv, ok = KV{Key: e.key, Value: v}, true
+				return
+			}
+		}
+	})
+	return kv, ok, nil
+}
+
+// readRange records a scanned prefix in a serializable transaction's read
+// set: a commit under it by another transaction fails this one's validation.
+func (tx *Tx) readRange(prefix string) {
+	if tx.level == Serializable {
+		tx.scans = append(tx.scans, prefix)
+	}
 }
 
 // DeferWithSeq registers a function producing writes that are installed
@@ -325,12 +374,16 @@ func (tx *Tx) Commit() error {
 			}
 		}
 		for _, prefix := range tx.scans {
-			for key, r := range db.records {
-				if strings.HasPrefix(key, prefix) && r.latestSeq() > tx.startSeq {
-					db.stats.ReadConflicts++
-					db.stats.Aborted++
-					return fmt.Errorf("%w: range %s*", ErrReadConflict, prefix)
+			changed := false
+			db.index.each(prefix, func(run []indexEntry) {
+				for i := 0; i < len(run) && !changed; i++ {
+					changed = run[i].rec.latestSeq() > tx.startSeq
 				}
+			})
+			if changed {
+				db.stats.ReadConflicts++
+				db.stats.Aborted++
+				return fmt.Errorf("%w: range %s*", ErrReadConflict, prefix)
 			}
 		}
 	}
@@ -338,25 +391,27 @@ func (tx *Tx) Commit() error {
 	db.seq++
 	tx.commitSeq = db.seq
 	for key, w := range tx.writes {
-		r, ok := db.records[key]
-		if !ok {
-			r = &record{}
-			db.records[key] = r
-		}
-		r.versions = append(r.versions, version{seq: tx.commitSeq, value: w.value, deleted: w.deleted})
+		db.install(key, version{seq: tx.commitSeq, value: w.value, deleted: w.deleted})
 	}
 	for _, f := range tx.deferred {
 		for _, kv := range f(tx.commitSeq) {
-			r, ok := db.records[kv.Key]
-			if !ok {
-				r = &record{}
-				db.records[kv.Key] = r
-			}
-			r.versions = append(r.versions, version{seq: tx.commitSeq, value: kv.Value})
+			db.install(kv.Key, version{seq: tx.commitSeq, value: kv.Value})
 		}
 	}
 	db.stats.Committed++
 	return nil
+}
+
+// install appends a committed version to key's record, creating and
+// indexing the record for a new key. The caller holds db.mu.
+func (db *DB) install(key string, v version) {
+	r, ok := db.records[key]
+	if !ok {
+		r = &record{}
+		db.records[key] = r
+		db.index.insert(key, r)
+	}
+	r.versions = append(r.versions, v)
 }
 
 // Rollback abandons the transaction. Safe to call after Commit (no-op).
@@ -392,6 +447,7 @@ func (db *DB) CompactVersions(minSeq int64) int {
 		}
 		if len(r.versions) == 1 && r.versions[0].deleted && r.versions[0].seq <= minSeq {
 			delete(db.records, key)
+			db.index.remove(key)
 		}
 	}
 	return dropped

@@ -203,6 +203,22 @@ func ScanManifests(tx *Tx, tableID int64, asOfSeq int64) ([]ManifestRow, error) 
 	return out, nil
 }
 
+// LatestManifestSeq returns the sequence of the newest Manifests row of a
+// table visible to the transaction — with Seq <= asOfSeq when asOfSeq is
+// non-negative — or 0 when there is none. It is the Seq of ScanManifests'
+// last row, found without reading the others.
+func LatestManifestSeq(tx *Tx, tableID, asOfSeq int64) (int64, error) {
+	upTo := ""
+	if asOfSeq >= 0 {
+		upTo = keyManifest(tableID, asOfSeq)
+	}
+	kv, ok, err := tx.Last(keyManifestPrefix(tableID), upTo)
+	if err != nil || !ok {
+		return 0, err
+	}
+	return kv.Value.(ManifestRow).Seq, nil
+}
+
 // DeleteManifestRow removes a Manifests row (restore-driven truncation).
 func DeleteManifestRow(tx *Tx, tableID, seq int64) error {
 	return tx.Delete(keyManifest(tableID, seq))

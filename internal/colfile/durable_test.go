@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -65,11 +67,79 @@ func writeDurable(schema Schema, groups []*Batch) ([]byte, error) {
 	return w.Finish()
 }
 
-// durableGolden is the SHA-256 of writeDurable(durableFixture()) recorded on
-// the commit before deflate state was pooled (34b2215, go1.24.0). Pooling
-// must not move a durable byte: Reset restores a flate.Writer's initial
-// state, so the space ratios the benchmark reports stay where they were.
-const durableGolden = "d9e1cc778a6d5f0f05d3f7a27fd8a762d22341d682f142b99f41e295bcda1d6f"
+// durableGolden is the SHA-256 of writeDurable(durableFixture()): the chunk
+// bytes, unchanged since they were recorded before deflate state was pooled
+// (34b2215, go1.24.0), behind the v2 footer. Pooling must not move a durable
+// byte: Reset restores a flate.Writer's initial state, so the space ratios
+// the benchmark reports stay where they were.
+const durableGolden = "8ef281d9f68d34b63d6e517df99bde11f290d96fd2a8f9421b978b56127d602e"
+
+// v1Golden is the SHA-256 of testdata/v1.pcf: writeDurable(durableFixture())
+// as sealed with the JSON footer, the format before v2.
+const v1Golden = "d9e1cc778a6d5f0f05d3f7a27fd8a762d22341d682f142b99f41e295bcda1d6f"
+
+func v1Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/v1.pcf")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestV1FileReadsBack opens the committed v1 file and reads back the rows it
+// was written from, byte for byte, beside the same rows sealed today: both
+// footers describe the same chunk region.
+func TestV1FileReadsBack(t *testing.T) {
+	v1 := v1Fixture(t)
+	if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != v1Golden {
+		t.Fatalf("testdata/v1.pcf is not the file v1Golden names")
+	}
+	schema, groups := durableFixture()
+	want := NewBatch(schema)
+	for _, b := range groups {
+		want.AppendBatch(b)
+	}
+	wantRows, err := MarshalBatch(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := writeDurable(schema, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := OpenReader(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenReader(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataEnd := func(r *Reader) int64 { off, n := r.ChunkExtent(r.NumRowGroups()-1, len(schema)-1); return off + n }
+	if e1, e2 := dataEnd(r1), dataEnd(r2); !bytes.Equal(v1[:e1], v2[:e2]) {
+		t.Fatalf("the chunk regions differ: %d bytes in v1, %d sealed today", e1, e2)
+	}
+	for _, r := range []*Reader{r1, r2} {
+		all, err := r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MarshalBatch(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantRows) {
+			t.Fatalf("rows read back differ from the rows written")
+		}
+		if !r.Schema().Equal(schema) || r.SortedBy() != "id" || r.NumRowGroups() != len(groups) {
+			t.Fatalf("footer: schema %v, sorted by %q, %d groups", r.Schema(), r.SortedBy(), r.NumRowGroups())
+		}
+	}
+	if !reflect.DeepEqual(r1.meta, r2.meta) {
+		t.Fatalf("the v1 and v2 footers of one chunk region differ:\n%+v\n%+v", r1.meta, r2.meta)
+	}
+}
 
 func TestDurableBytesGolden(t *testing.T) {
 	schema, groups := durableFixture()

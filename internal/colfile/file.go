@@ -12,11 +12,24 @@ import (
 
 // File layout:
 //
-//	[chunk bytes ...][footer JSON][footer length: 8 bytes LE][magic: 4 bytes]
+//	[chunk bytes ...][footer][footer length: 8 bytes LE][magic: 4 bytes]
 //
-// The footer records the schema, each row group's per-column chunk offsets,
-// and zone-map statistics.
-var fileMagic = []byte("PCF1")
+// The footer records the schema, the sort column, the row counts, each row
+// group's per-column chunk extents, and zone-map statistics. Its encoding is
+// named by the magic: "PCF2" is the binary footer every writer seals (see
+// footer.go), "PCF1" the JSON footer of files sealed before it, which also
+// carried per-column sketches that readers skip. OpenReader reads both and
+// validates both the same way.
+var (
+	magicV1 = []byte("PCF1")
+	magicV2 = []byte("PCF2")
+)
+
+// MaxGroupRows is the most rows one row group may hold: WriteBatch refuses a
+// larger batch and OpenReader a footer that claims one. A run-length chunk
+// backs any row count with two bytes, so without a cap a footer alone could
+// size a group's decode.
+const MaxGroupRows = 1 << 16
 
 // ColStats holds the zone map for one column chunk. Min/Max are stored as the
 // JSON-friendly representations of the column type; NullCount counts NULLs.
@@ -50,10 +63,6 @@ type footer struct {
 	// SortedBy names the column the writer declared rows ordered by within
 	// each row group (Z-order / clustering stand-in); empty if unsorted.
 	SortedBy string `json:"sorted_by,omitempty"`
-	// Sketches holds one per-column statistics sketch (row/NULL counts,
-	// min/max, NDV bitmap) for the whole file, schema-aligned. Absent in
-	// files sealed before sketches existed — readers must tolerate nil.
-	Sketches []ColSketch `json:"sketches,omitempty"`
 }
 
 // Writer builds a columnar file in memory.
@@ -62,6 +71,7 @@ type Writer struct {
 	sortedBy string
 	buf      bytes.Buffer
 	meta     footer
+	sketches []ColSketch
 	finished bool
 }
 
@@ -88,15 +98,18 @@ func (w *Writer) WriteBatch(b *Batch) error {
 	if n == 0 {
 		return nil
 	}
-	if w.meta.Sketches == nil {
-		w.meta.Sketches = make([]ColSketch, len(w.schema))
+	if n > MaxGroupRows {
+		return fmt.Errorf("colfile: row group of %d rows exceeds %d", n, MaxGroupRows)
+	}
+	if w.sketches == nil {
+		w.sketches = make([]ColSketch, len(w.schema))
 	}
 	rg := rowGroupMeta{NumRows: n, Chunks: make([]chunkMeta, len(b.Cols))}
 	for i, col := range b.Cols {
 		if col.Len() != n {
 			return fmt.Errorf("colfile: column %d has %d rows, batch has %d", i, col.Len(), n)
 		}
-		w.meta.Sketches[i].Observe(col)
+		w.sketches[i].Observe(col)
 		data, err := encodeChunk(col)
 		if err != nil {
 			return err
@@ -120,25 +133,20 @@ func (w *Writer) Finish() ([]byte, error) {
 	}
 	w.finished = true
 	w.meta.SortedBy = w.sortedBy
-	fj, err := json.Marshal(w.meta)
-	if err != nil {
-		return nil, err
-	}
-	w.buf.Write(fj)
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(fj)))
-	w.buf.Write(lenBuf[:])
-	w.buf.Write(fileMagic)
-	return w.buf.Bytes(), nil
+	dataEnd := w.buf.Len()
+	out := w.meta.appendV2(w.buf.Bytes())
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(out)-dataEnd))
+	return append(out, magicV2...), nil
 }
 
 // NumRows returns the rows written so far.
 func (w *Writer) NumRows() int64 { return w.meta.NumRows }
 
 // Sketches returns the per-column statistics sketches accumulated so far
-// (schema-aligned; nil before the first batch). Write paths attach these to
-// the manifest action after sealing so table stats stay fresh under DML.
-func (w *Writer) Sketches() []ColSketch { return w.meta.Sketches }
+// (schema-aligned; nil before the first batch). They are not sealed into the
+// file: write paths attach them to the manifest's Add action, where table
+// stats are folded from.
+func (w *Writer) Sketches() []ColSketch { return w.sketches }
 
 func computeStats(v *Vec) ColStats {
 	var st ColStats
@@ -201,8 +209,8 @@ func ptr[T any](x T) *T { v := x; return &v }
 // and kept for as long as the bytes it was opened over (the compute cache
 // keeps it beside them, and charges its capacity what Retained reports).
 //
-// Everything a Reader hands out is shared and read-only: Schema and Sketches
-// are the footer's own slices, and the vectors of ReadColumn and ReadRowGroup
+// Everything a Reader hands out is shared and read-only: Schema is the
+// footer's own slice, and the vectors of ReadColumn and ReadRowGroup
 // are the ones every other reader of the file receives. An operator that
 // wants to change a column copies it first (Take, Slice, Filter, AppendBatch
 // and Materialize of a selected batch all do).
@@ -216,12 +224,18 @@ type Reader struct {
 	decodes  atomic.Int64
 }
 
-// OpenReader parses and validates the footer of a sealed file. A reader it
-// returns can serve every row group the footer describes: chunk extents lie
-// inside the data region, every group has one chunk per schema column, and
-// row counts are non-negative and sum to the file's.
+// OpenReader parses and validates the footer of a sealed file, v1 or v2. A
+// reader it returns can serve every row group the footer describes: chunk
+// extents lie inside the data region, every group has one chunk per schema
+// column and at most MaxGroupRows rows, and row counts are non-negative and
+// sum to the file's.
 func OpenReader(data []byte) (*Reader, error) {
-	if len(data) < 12 || !bytes.Equal(data[len(data)-4:], fileMagic) {
+	if len(data) < 12 {
+		return nil, errors.New("colfile: bad magic")
+	}
+	magic := data[len(data)-4:]
+	v2 := bytes.Equal(magic, magicV2)
+	if !v2 && !bytes.Equal(magic, magicV1) {
 		return nil, errors.New("colfile: bad magic")
 	}
 	flen := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
@@ -229,27 +243,27 @@ func OpenReader(data []byte) (*Reader, error) {
 	if flen > uint64(len(data))-12 {
 		return nil, errors.New("colfile: footer length out of range")
 	}
+	raw := data[fstart : fstart+flen]
 	var meta footer
-	if err := json.Unmarshal(data[fstart:fstart+flen], &meta); err != nil {
+	if v2 {
+		var err error
+		if meta, err = decodeFooterV2(raw); err != nil {
+			return nil, err
+		}
+	} else if err := json.Unmarshal(raw, &meta); err != nil {
 		return nil, fmt.Errorf("colfile: parse footer: %w", err)
 	}
 	if err := meta.validate(int64(fstart)); err != nil {
 		return nil, err
 	}
 	r := &Reader{data: data, meta: meta, chunks: make([]atomic.Pointer[Vec], len(meta.RowGroups)*len(meta.Schema))}
-	// The parsed footer is charged at its encoded length, which its size in
-	// memory tracks: both are a few dozen bytes a field, zone map and chunk,
-	// and the sketch bitmaps dominate either.
-	r.retained.Store(int64(flen))
+	r.retained.Store(r.footerSize())
 	return r, nil
 }
 
 // validate checks the footer against the file it came from; dataEnd is where
 // the chunk region ends and the footer starts.
 func (m *footer) validate(dataEnd int64) error {
-	if len(m.Sketches) != 0 && len(m.Sketches) != len(m.Schema) {
-		return fmt.Errorf("colfile: footer has %d sketches for %d columns", len(m.Sketches), len(m.Schema))
-	}
 	for c, f := range m.Schema {
 		if f.Type > Bool {
 			return fmt.Errorf("colfile: column %d has unknown type %s", c, f.Type)
@@ -257,7 +271,7 @@ func (m *footer) validate(dataEnd int64) error {
 	}
 	var rows int64
 	for g, rg := range m.RowGroups {
-		if rg.NumRows < 0 {
+		if rg.NumRows < 0 || rg.NumRows > MaxGroupRows {
 			return fmt.Errorf("colfile: row group %d has %d rows", g, rg.NumRows)
 		}
 		if len(rg.Chunks) != len(m.Schema) {
@@ -281,6 +295,16 @@ func (m *footer) validate(dataEnd int64) error {
 	return nil
 }
 
+// footerSize is what the parsed footer holds in memory: memSize's estimate,
+// plus for a v2 footer the copy of its bytes that its strings are sliced from.
+func (r *Reader) footerSize() int64 {
+	n := r.meta.memSize()
+	if bytes.Equal(r.data[len(r.data)-4:], magicV2) {
+		n += int64(binary.LittleEndian.Uint64(r.data[len(r.data)-12:]))
+	}
+	return n
+}
+
 // Schema returns the file schema.
 func (r *Reader) Schema() Schema { return r.meta.Schema }
 
@@ -299,12 +323,14 @@ func (r *Reader) RowGroupRows(g int) int { return r.meta.RowGroups[g].NumRows }
 // SortedBy returns the clustering column declared by the writer.
 func (r *Reader) SortedBy() string { return r.meta.SortedBy }
 
-// Sketches returns the file-level per-column statistics sketches, or nil for
-// files sealed before sketches existed.
-func (r *Reader) Sketches() []ColSketch { return r.meta.Sketches }
-
 // Stats returns the zone map for column c of row group g.
 func (r *Reader) Stats(g, c int) ColStats { return r.meta.RowGroups[g].Chunks[c].Stats }
+
+// ChunkExtent returns where column c of row group g lies in the file's bytes.
+func (r *Reader) ChunkExtent(g, c int) (offset, length int64) {
+	ch := r.meta.RowGroups[g].Chunks[c]
+	return ch.Offset, ch.Length
+}
 
 // Retained estimates the bytes the reader holds beyond the file's own: the
 // parsed footer plus every vector ReadColumn has memoized so far. It only

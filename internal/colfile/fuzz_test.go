@@ -353,54 +353,140 @@ func sealedFile(tb testing.TB) []byte {
 	return data
 }
 
-// refooter returns the file with its footer edited: the chunk region is kept
-// and the edited footer re-sealed behind it.
-func refooter(tb testing.TB, data []byte, edit func(*footer)) []byte {
+// refooter returns the file with its footer edited and re-sealed in footer
+// format version v (1: JSON, 2: binary) behind the same chunk region. The
+// footer is the one OpenReader parsed from the file.
+func refooter(tb testing.TB, data []byte, v int, edit func(*footer)) []byte {
 	tb.Helper()
-	flen := binary.LittleEndian.Uint64(data[len(data)-12:])
-	fstart := len(data) - 12 - int(flen)
-	var meta footer
-	if err := json.Unmarshal(data[fstart:fstart+int(flen)], &meta); err != nil {
-		tb.Fatal(err)
-	}
-	edit(&meta)
-	fj, err := json.Marshal(meta)
+	r, err := OpenReader(data)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out := append([]byte(nil), data[:fstart]...)
-	out = append(out, fj...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(fj)))
-	return append(out, fileMagic...)
+	meta := r.meta
+	edit(&meta)
+	enc, magic := meta.appendV2(nil), magicV2
+	if v == 1 {
+		if enc, err = json.Marshal(meta); err != nil {
+			tb.Fatal(err)
+		}
+		magic = magicV1
+	}
+	return resealFooter(data, enc, magic)
+}
+
+// resealFooter puts enc behind data's chunk region as a footer under magic.
+func resealFooter(data, enc, magic []byte) []byte {
+	dataEnd := len(data) - 12 - int(binary.LittleEndian.Uint64(data[len(data)-12:]))
+	out := append([]byte(nil), data[:dataEnd]...)
+	out = append(out, enc...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(enc)))
+	return append(out, magic...)
 }
 
 // malformedFooters are footers OpenReader used to accept and then could not
 // serve: each opened without error on the parent of the change that added
 // footer validation, and the first three then panicked in ReadColumn, Stats
-// and decodeChunk.
+// and decodeChunk. Each is sealed in both footer versions; the binary-only
+// cases break the v2 encoding itself.
 func malformedFooters(tb testing.TB) map[string][]byte {
 	data := sealedFile(tb)
-	return map[string][]byte{
-		"negative chunk offset":   refooter(tb, data, func(m *footer) { m.RowGroups[0].Chunks[1].Offset = -1 }),
-		"group short of chunks":   refooter(tb, data, func(m *footer) { m.RowGroups[1].Chunks = m.RowGroups[1].Chunks[:2] }),
-		"negative group rows":     refooter(tb, data, func(m *footer) { m.RowGroups[0].NumRows = -24; m.NumRows = 0 }),
-		"negative chunk length":   refooter(tb, data, func(m *footer) { m.RowGroups[0].Chunks[0].Length = -5 }),
-		"chunk past the footer":   refooter(tb, data, func(m *footer) { m.RowGroups[1].Chunks[4].Length += 9 }),
-		"offset+length overflows": refooter(tb, data, func(m *footer) { m.RowGroups[0].Chunks[0].Length = math.MaxInt64 }),
-		"rows do not sum":         refooter(tb, data, func(m *footer) { m.NumRows++ }),
-		"sketches off the schema": refooter(tb, data, func(m *footer) { m.Sketches = m.Sketches[:3] }),
-		"unknown column type":     refooter(tb, data, func(m *footer) { m.Schema[2].Type = 9 }),
+	edits := map[string]func(m *footer){
+		"negative chunk offset":   func(m *footer) { m.RowGroups[0].Chunks[1].Offset = -1 },
+		"group short of chunks":   func(m *footer) { m.RowGroups[1].Chunks = m.RowGroups[1].Chunks[:2] },
+		"negative group rows":     func(m *footer) { m.RowGroups[0].NumRows = -24; m.NumRows = 0 },
+		"negative chunk length":   func(m *footer) { m.RowGroups[0].Chunks[0].Length = -5 },
+		"chunk past the footer":   func(m *footer) { m.RowGroups[1].Chunks[4].Length += 9 },
+		"offset+length overflows": func(m *footer) { m.RowGroups[0].Chunks[0].Length = math.MaxInt64 },
+		"rows do not sum":         func(m *footer) { m.NumRows++ },
+		"unknown column type":     func(m *footer) { m.Schema[2].Type = 9 },
+		"group over the row cap": func(m *footer) {
+			m.RowGroups[0].NumRows += MaxGroupRows
+			m.NumRows += MaxGroupRows
+		},
 	}
+	out := map[string][]byte{}
+	for name, edit := range edits {
+		for v := 1; v <= 2; v++ {
+			out[fmt.Sprintf("v%d %s", v, name)] = refooter(tb, data, v, edit)
+		}
+	}
+	r, err := OpenReader(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc := r.meta.appendV2(nil)
+	// The encoding up to the row-group count, which is one byte here: the
+	// columns, the sort column and the row count.
+	head := (&footer{Schema: r.meta.Schema, SortedBy: r.meta.SortedBy, NumRows: r.meta.NumRows}).appendV2(nil)
+	atGroups := len(head) - 1
+	// The first column's name length sits behind the column count and its
+	// type byte.
+	const atName = 2
+	splice := func(at int, with []byte) []byte {
+		return append(append(append([]byte(nil), enc[:at]...), with...), enc[at+1:]...)
+	}
+	out["v2 truncated varint"] = resealFooter(data, append(enc[:atGroups:atGroups], 0x80), magicV2)
+	out["v2 count past the bytes left"] = resealFooter(data, splice(atGroups, binary.AppendUvarint(nil, 1<<40)), magicV2)
+	out["v2 string past the end"] = resealFooter(data, splice(atName, binary.AppendUvarint(nil, uint64(len(enc)))), magicV2)
+	out["v2 trailing bytes"] = resealFooter(data, append(enc[:len(enc):len(enc)], 0), magicV2)
+	return out
 }
 
 func TestOpenReaderRejectsMalformedFooter(t *testing.T) {
-	if _, err := OpenReader(refooter(t, sealedFile(t), func(*footer) {})); err != nil {
-		t.Fatalf("an unedited footer must re-seal to a file that opens: %v", err)
+	for v := 1; v <= 2; v++ {
+		if _, err := OpenReader(refooter(t, sealedFile(t), v, func(*footer) {})); err != nil {
+			t.Fatalf("an unedited footer must re-seal to a v%d file that opens: %v", v, err)
+		}
 	}
 	for name, data := range malformedFooters(t) {
 		if r, err := OpenReader(data); err == nil {
 			t.Errorf("%s: opened (%d rows)", name, r.NumRows())
 		}
+	}
+}
+
+// TestOpenReaderRejectsOversizeGroup is a hostile file that decodes: one
+// run-length chunk of a few bytes that backs a group of 2^30 rows. Before
+// the row-group cap it opened in both versions, and a scan then sized its
+// decode and keep mask by the footer's count.
+func TestOpenReaderRejectsOversizeGroup(t *testing.T) {
+	raw := binary.AppendUvarint(binary.AppendVarint([]byte{encRLE, 0}, 7), 1<<30)
+	var chunk bytes.Buffer
+	fw, err := flate.NewWriter(&chunk, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seven := int64(7)
+	meta := footer{
+		Schema:  Schema{{Name: "k", Type: Int64}},
+		NumRows: 1 << 30,
+		RowGroups: []rowGroupMeta{{NumRows: 1 << 30, Chunks: []chunkMeta{{
+			Length: int64(chunk.Len()), Stats: ColStats{MinInt: &seven, MaxInt: &seven},
+		}}}},
+	}
+	v1, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append(chunk.Bytes(), make([]byte, 12)...) // an empty footer to replace
+	for _, f := range [][]byte{resealFooter(data, v1, magicV1), resealFooter(data, meta.appendV2(nil), magicV2)} {
+		if r, err := OpenReader(f); err == nil {
+			t.Fatalf("a %d-row group opened (%d rows)", r.RowGroupRows(0), r.NumRows())
+		}
+	}
+	w := NewWriter(Schema{{Name: "k", Type: Int64}})
+	b := NewBatch(w.schema)
+	for i := 0; i <= MaxGroupRows; i++ {
+		b.Cols[0].AppendInt(7)
+	}
+	if err := w.WriteBatch(b); err == nil {
+		t.Fatalf("WriteBatch sealed a group of %d rows", b.NumRows())
 	}
 }
 
@@ -442,8 +528,8 @@ func damagedChunks(tb testing.TB) []byte {
 // checkMemo reads every chunk of a cold or warm reader twice and checks what
 // ReadColumn memoizes: a vector is the identical pointer the second time, an
 // error is the same error again with nothing kept for it, and Retained is
-// exactly the footer plus the MemSize of the vectors returned — nothing
-// billed twice, nothing billed for a failed decode.
+// exactly the footer's estimate plus the MemSize of the vectors returned —
+// nothing billed twice, nothing billed for a failed decode.
 //
 // How much a reader can come to retain is bounded per chunk, against the
 // bytes the chunk inflates to: a plain value costs at least one inflated byte
@@ -458,9 +544,9 @@ func damagedChunks(tb testing.TB) []byte {
 // keeps it (compute's lru evicts an entry that outgrows it). The file's own
 // length bounds none of this — deflate shrinks a chunk of zeros a
 // thousandfold, and nothing stops two footer entries naming one extent.
-func checkMemo(t *testing.T, r *Reader, footerLen int) {
+func checkMemo(t *testing.T, r *Reader) {
 	t.Helper()
-	want := int64(footerLen)
+	want := r.footerSize()
 	for g := 0; g < r.NumRowGroups(); g++ {
 		for c := range r.Schema() {
 			v, err := r.ReadColumn(g, c)
@@ -493,14 +579,18 @@ func checkMemo(t *testing.T, r *Reader, footerLen int) {
 // FuzzOpenReader feeds the file reader arbitrary bytes: OpenReader returns a
 // reader or an error, and on a reader every Stats, PruneInt, ReadRowGroup and
 // ReadAll returns a value or an error — never a panic — and ReadColumn
-// memoizes what checkMemo says. The seeds are a real sealed file, its
-// truncations, a damaged chunk, and the malformed footers above.
+// memoizes what checkMemo says. The seeds are a real sealed file in both
+// footer versions, their truncations, a damaged chunk, the committed v1
+// fixture, and the malformed footers above.
 func FuzzOpenReader(f *testing.F) {
-	data := sealedFile(f)
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add(data[len(data)/2:])
+	v2 := sealedFile(f)
+	for _, data := range [][]byte{v2, refooter(f, v2, 1, func(*footer) {})} {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[len(data)/2:])
+	}
 	f.Add(damagedChunks(f))
+	f.Add(v1Fixture(f))
 	for _, bad := range malformedFooters(f) {
 		f.Add(bad)
 	}
@@ -517,7 +607,7 @@ func FuzzOpenReader(f *testing.F) {
 		if r.NumRows() > 1<<16 {
 			return
 		}
-		checkMemo(t, r, int(binary.LittleEndian.Uint64(data[len(data)-12:])))
+		checkMemo(t, r)
 		if rows, err := exerciseReader(r); err == nil && rows != r.NumRows() && len(r.Schema()) > 0 {
 			t.Fatalf("decoded %d rows, footer says %d", rows, r.NumRows())
 		}
@@ -573,7 +663,7 @@ func TestReaderSharedAcrossGoroutines(t *testing.T) {
 					t.Errorf("shared reader: %d rows, %v", got, err)
 					return
 				}
-				_, _, _, _ = r.Schema(), r.Sketches(), r.SortedBy(), r.Size()
+				_, _, _ = r.Schema(), r.SortedBy(), r.Size()
 			}
 		}()
 	}

@@ -1,9 +1,6 @@
 package colfile
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func intVec(vals ...int64) *Vec {
 	v := NewVec(Int64)
@@ -125,44 +122,5 @@ func TestSketchSaturation(t *testing.T) {
 	s.Observe(v)
 	if got := s.NDV(); got != 100_000 {
 		t.Fatalf("saturated NDV = %d, want the row-count upper bound", got)
-	}
-}
-
-func TestSketchRidesFileFooter(t *testing.T) {
-	// Writer → Finish → OpenReader round-trips the per-column sketches.
-	schema := Schema{{Name: "a", Type: Int64}, {Name: "s", Type: String}}
-	w := NewWriter(schema)
-	b := NewBatch(schema)
-	for i := 0; i < 100; i++ {
-		b.Cols[0].AppendInt(int64(i % 10))
-		b.Cols[1].AppendStr(fmt.Sprintf("v%d", i%5))
-	}
-	if err := w.WriteBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	sk := w.Sketches()
-	if len(sk) != 2 {
-		t.Fatalf("writer sketches = %d cols", len(sk))
-	}
-	data, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.Sketches()
-	if len(got) != 2 {
-		t.Fatalf("reader sketches = %d cols", len(got))
-	}
-	if got[0].Rows != 100 || got[1].Rows != 100 {
-		t.Fatalf("sketch rows = %d/%d, want 100", got[0].Rows, got[1].Rows)
-	}
-	if ndv := got[0].NDV(); ndv < 9 || ndv > 11 {
-		t.Fatalf("int col NDV = %d, want ≈10", ndv)
-	}
-	if ndv := got[1].NDV(); ndv < 4 || ndv > 6 {
-		t.Fatalf("string col NDV = %d, want ≈5", ndv)
 	}
 }

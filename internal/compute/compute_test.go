@@ -1,7 +1,9 @@
 package compute
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -428,6 +430,54 @@ func TestOpenFileReaderDiesWithItsBytes(t *testing.T) {
 	}
 }
 
+// A file of many small row groups is mostly footer: its zone maps and chunk
+// extents, parsed, hold several times the footer's encoded length. The cache
+// entry must be charged at least what the parsed reader holds on the heap,
+// or a memory tier full of such files would overshoot its capacity.
+func TestFooterChargedAtItsDecodedSize(t *testing.T) {
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "s", Type: colfile.String}}
+	w := colfile.NewWriter(schema)
+	for g := 0; g < 2000; g++ {
+		b := colfile.NewBatch(schema)
+		for i := 0; i < 4; i++ {
+			b.Cols[0].AppendInt(int64(g*4 + i))
+			b.Cols[1].AppendStr(fmt.Sprintf("s%d", g*4+i))
+		}
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twice: the first collection only moves sync.Pool caches — the
+	// writer's pooled deflate state among them — to where the second frees
+	// them.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := colfile.OpenReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(r)
+
+	store := objectstore.New()
+	_ = store.Put("f", data, 0)
+	n := NewNode(0, 4, 1<<30, 1<<30, DefaultCostModel())
+	mustOpenFile(t, n, store, "f")
+	charged := n.memCache.entries["f"].charge - int64(len(data))
+	if charged < held {
+		t.Fatalf("a reader holding %d bytes of heap is charged %d (footer %d bytes)",
+			held, charged, binary.LittleEndian.Uint64(data[len(data)-12:]))
+	}
+}
+
 // An overwrite larger than the memory tier must not leave the tier serving
 // the bytes and the reader it held before (on the parent it did: lru.put
 // returned early); the read falls through to the SSD tier's new copy.
@@ -546,7 +596,11 @@ func TestDecodedBytesCountAgainstCapacity(t *testing.T) {
 func TestOpenFileErrorIsNeverCached(t *testing.T) {
 	store := objectstore.New()
 	bad := sealed(t, 10)
-	bad[len(bad)-13] = '!' // the footer's closing brace
+	// Garble the whole footer: its length and the magic stay valid.
+	flen := int(binary.LittleEndian.Uint64(bad[len(bad)-12:]))
+	for i := len(bad) - 12 - flen; i < len(bad)-12; i++ {
+		bad[i] = 0xff
+	}
 	_ = store.Put("bad", bad, 0)
 	n := NewNode(0, 4, 1<<20, 1<<24, DefaultCostModel())
 	for i := 0; i < 3; i++ {

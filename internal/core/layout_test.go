@@ -14,7 +14,7 @@ import (
 // storageLayoutGolden is the SHA-256 storageLayoutHash computes. Every write
 // path contributes to it: a change that moves a path, a data-file byte or a
 // manifest line changes it on purpose or not at all.
-const storageLayoutGolden = "cdd3960167fb011f40d32696fa6a2c0e8e91aa89dbf91c9de7be3a300dd9f995"
+const storageLayoutGolden = "fe3a7bca98813033887bfb21a1136cfcda800ebb3759b36bb5f2ed673ca12e5f"
 
 // layoutRows builds rows [lo, hi) of the layout script's table: 97 distinct
 // distribution keys, a scattered sort column.

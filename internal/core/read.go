@@ -46,18 +46,21 @@ func (t *Txn) Snapshot(table string, asOfSeq int64) (*manifest.TableState, catal
 // reconstruct builds the committed snapshot of a table as of asOfSeq
 // (negative = transaction snapshot). The state is shared with the snapshot
 // cache and every other reader of that sequence: callers never write it.
+//
+// The warm path reads one catalog row: the newest visible Manifests row names
+// the sequence wanted, and the snapshot cache holds the table's newest state.
+// Only a miss lists the table's Manifests rows and looks up its checkpoint.
 func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.TableState, error) {
-	rows, err := catalog.ScanManifests(t.catTx, meta.ID, asOfSeq)
+	wantSeq, err := catalog.LatestManifestSeq(t.catTx, meta.ID, asOfSeq)
 	if err != nil {
 		return nil, err
 	}
-	wantSeq := int64(0)
-	if len(rows) > 0 {
-		wantSeq = rows[len(rows)-1].Seq
-	}
-	// Snapshot cache: the table's newest state may be the one wanted.
 	if cached := t.eng.Cache.Get(meta.ID, wantSeq); cached != nil {
 		return cached, nil
+	}
+	rows, err := catalog.ScanManifests(t.catTx, meta.ID, wantSeq)
+	if err != nil {
+		return nil, err
 	}
 
 	// Checkpoint: load the newest checkpoint at or below the snapshot (5.2).

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -370,8 +368,8 @@ func TestDMLPredicateNeverSeesDeletedRows(t *testing.T) {
 
 // damageColumn garbles, in every data file of the table, column col's chunk
 // in the row groups damage(g) selects, then drops every node's cached copy so
-// the next statement reads the damaged bytes. The footer is the file's own
-// JSON, so the chunk extents are read from it.
+// the next statement reads the damaged bytes. The chunk extents are the ones
+// the file's reader serves.
 func damageColumn(t *testing.T, e *Engine, col int, damage func(g int) bool) {
 	t.Helper()
 	tx := e.Begin()
@@ -385,19 +383,14 @@ func damageColumn(t *testing.T, e *Engine, col int, damage func(g int) bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flen := int(binary.LittleEndian.Uint64(data[len(data)-12:]))
-		var footer struct {
-			RowGroups []struct {
-				Chunks []struct{ Offset, Length int }
-			} `json:"row_groups"`
-		}
-		if err := json.Unmarshal(data[len(data)-12-flen:len(data)-12], &footer); err != nil {
+		r, err := colfile.OpenReader(data)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for g, rg := range footer.RowGroups {
+		for g := 0; g < r.NumRowGroups(); g++ {
 			if damage(g) {
-				ch := rg.Chunks[col]
-				for i := ch.Offset; i < ch.Offset+ch.Length; i++ {
+				off, n := r.ChunkExtent(g, col)
+				for i := off; i < off+n; i++ {
 					data[i] = 0xff
 				}
 			}

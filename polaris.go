@@ -76,7 +76,8 @@ type Config struct {
 	JoinMemoryBudget int64
 	// Distributions is the number of cell buckets of d(r).
 	Distributions int
-	// RowsPerFile / RowsPerGroup control data file layout.
+	// RowsPerFile / RowsPerGroup control data file layout. RowsPerGroup is
+	// at most colfile.MaxGroupRows: Open panics on a larger one.
 	RowsPerFile  int
 	RowsPerGroup int
 	// FileGranularityConflicts switches WW conflict detection from table to
@@ -152,6 +153,9 @@ func Open(cfg Config) *DB {
 	opts.JoinMemoryBudget = cfg.JoinMemoryBudget
 	if cfg.RowsPerFile > 0 {
 		opts.RowsPerFile = cfg.RowsPerFile
+	}
+	if cfg.RowsPerGroup > colfile.MaxGroupRows {
+		panic(fmt.Sprintf("polaris: RowsPerGroup %d exceeds the file format's %d", cfg.RowsPerGroup, colfile.MaxGroupRows))
 	}
 	if cfg.RowsPerGroup > 0 {
 		opts.RowsPerGroup = cfg.RowsPerGroup

@@ -1,6 +1,7 @@
 package polaris
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -161,4 +162,18 @@ func itoa(n int64) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// A row group larger than the file format allows is a configuration error,
+// found at Open rather than by the first write.
+func TestOpenRejectsOversizeRowGroups(t *testing.T) {
+	cfg := smallConfig()
+	cfg.RowsPerGroup = 1<<16 + 1
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "RowsPerGroup") {
+			t.Fatalf("Open with RowsPerGroup %d: recovered %v", cfg.RowsPerGroup, r)
+		}
+	}()
+	db := Open(cfg)
+	db.Close()
 }
