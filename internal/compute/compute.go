@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"polaris/internal/colfile"
+	"polaris/internal/deletevector"
 	"polaris/internal/objectstore"
 )
 
@@ -88,7 +89,10 @@ type CacheStats struct {
 	// ChunkDecodes counts the column chunks the node's cached readers have
 	// inflated and decoded. A warm statement adds none: a chunk is decoded
 	// once per cached copy of its file.
-	ChunkDecodes    int64
+	ChunkDecodes int64
+	// DVDecodes counts OpenDV calls that had to decode the deletion vector
+	// because no decoded vector was cached beside its bytes.
+	DVDecodes       int64
 	BytesFromRemote int64
 }
 
@@ -160,6 +164,23 @@ func (n *Node) ReadFile(store *objectstore.Store, path string) ([]byte, time.Dur
 	return data, d, err
 }
 
+// derived is what the memory cache keeps beside a file's bytes, decoded
+// from them once: a data file's parsed reader, or a deletion vector.
+type derived struct {
+	reader *colfile.Reader
+	dv     *deletevector.Vector
+}
+
+// attach lets set keep what was decoded from data on path's memory-cache
+// entry — only while the entry still holds those very bytes (it may have been
+// evicted or overwritten meanwhile; a stored file is never empty) — and
+// recharges the entry when set reports it kept something. Callers hold n.mu.
+func (n *Node) attach(path string, data []byte, set func(e *lruEntry) bool) {
+	if e := n.memCache.entries[path]; e != nil && len(e.data) == len(data) && &e.data[0] == &data[0] && set(e) {
+		n.memCache.recharge(e)
+	}
+}
+
 // OpenFile is ReadFile for a sealed data file: it returns the file opened for
 // reading. The same immutability extends the cache from the bytes to what is
 // derived from them: the parsed reader — and with it every column chunk the
@@ -172,66 +193,95 @@ func (n *Node) ReadFile(store *objectstore.Store, path string) ([]byte, time.Dur
 // for its bytes plus what the reader retains, as of the entry's last touch.
 // A file that fails to open is an error on every call; nothing is kept for it.
 func (n *Node) OpenFile(store *objectstore.Store, path string) (*colfile.Reader, time.Duration, error) {
-	data, r, d, err := n.read(store, path)
-	if err != nil || r != nil {
-		return r, d, err
+	data, c, d, err := n.read(store, path)
+	if err != nil || c.reader != nil {
+		return c.reader, d, err
 	}
 	// Parsed outside the lock, like the remote Get of a miss: openers racing
 	// on a cold entry may each parse, and all leave with the first attached.
-	if r, err = colfile.OpenReader(data); err != nil {
+	r, err := colfile.OpenReader(data)
+	if err != nil {
 		return nil, 0, fmt.Errorf("compute: open %s: %w", path, err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.FooterParses++
-	// Attach only to the bytes that were parsed: the entry may have been
-	// evicted or overwritten meanwhile (a sealed file is never empty).
-	if e := n.memCache.entries[path]; e != nil && len(e.data) == len(data) && &e.data[0] == &data[0] {
-		if e.reader != nil {
-			return e.reader, d, nil
+	n.attach(path, data, func(e *lruEntry) bool {
+		if e.reader == nil {
+			e.reader = r
+			return true
 		}
-		e.reader = r
-		n.memCache.recharge(e)
-	}
+		r = e.reader
+		return false
+	})
 	return r, d, nil
 }
 
-// read is the cache walk behind ReadFile and OpenFile; r is the parsed reader
-// cached beside the bytes, nil when there is none yet.
-func (n *Node) read(store *objectstore.Store, path string) (data []byte, r *colfile.Reader, d time.Duration, err error) {
+// OpenDV is ReadFile for a deletion-vector file: it returns the vector
+// decoded. Like OpenFile's reader, the vector is kept on the memory-cache
+// entry beside the bytes it was decoded from and dropped with them, so a
+// vector is decoded once per cached copy however many statements read it.
+// They share it, and none may write it. A file that fails to decode is an
+// error on every call; nothing is kept for it.
+func (n *Node) OpenDV(store *objectstore.Store, path string) (*deletevector.Vector, int64, time.Duration, error) {
+	data, c, d, err := n.read(store, path)
+	if err != nil || c.dv != nil {
+		return c.dv, int64(len(data)), d, err
+	}
+	dv, err := deletevector.Unmarshal(data)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("compute: decode %s: %w", path, err)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stats.DVDecodes++
+	n.attach(path, data, func(e *lruEntry) bool {
+		if e.dv == nil {
+			e.dv = dv
+			return true
+		}
+		dv = e.dv
+		return false
+	})
+	return dv, int64(len(data)), d, nil
+}
+
+// read is the cache walk behind ReadFile, OpenFile and OpenDV; c is what is
+// cached beside the bytes, empty when nothing is yet.
+func (n *Node) read(store *objectstore.Store, path string) (data []byte, c derived, d time.Duration, err error) {
 	n.mu.Lock()
 	if e := n.memCache.get(path); e != nil {
 		n.stats.MemHits++
-		data, r = e.data, e.reader
+		data, c = e.data, e.derived
 		n.mu.Unlock()
-		return data, r, n.model.MemRead(int64(len(data))), nil
+		return data, c, n.model.MemRead(int64(len(data))), nil
 	}
 	if e := n.ssdCache.get(path); e != nil {
 		n.stats.SSDHits++
 		data = e.data
 		n.memCache.put(path, data)
 		n.mu.Unlock()
-		return data, nil, n.model.SSDRead(int64(len(data))), nil
+		return data, c, n.model.SSDRead(int64(len(data))), nil
 	}
 	n.stats.Misses++
 	n.mu.Unlock()
 
 	data, err = store.Get(path)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, c, 0, err
 	}
 	n.mu.Lock()
 	n.stats.BytesFromRemote += int64(len(data))
 	if e := n.memCache.get(path); e != nil {
 		// A racing miss cached the path first: keep its copy, so that
-		// concurrent cold openers end up sharing one reader.
-		data, r = e.data, e.reader
+		// concurrent cold openers end up sharing one decoded value.
+		data, c = e.data, e.derived
 	} else {
 		n.memCache.put(path, data)
 		n.ssdCache.put(path, data)
 	}
 	n.mu.Unlock()
-	return data, r, n.model.RemoteRead(int64(len(data))), nil
+	return data, c, n.model.RemoteRead(int64(len(data))), nil
 }
 
 // WriteFile writes a blob to remote storage (write-through: the new file is
@@ -270,10 +320,11 @@ type lru struct {
 type lruEntry struct {
 	key  string
 	data []byte
-	// reader is data opened as a sealed colfile (Node.OpenFile), holding the
-	// parsed footer and the chunks decoded so far; it is dropped with the
-	// entry and whenever data is replaced.
-	reader *colfile.Reader
+	// derived is decoded from data: the reader of data opened as a sealed
+	// colfile (Node.OpenFile), holding the parsed footer and the chunks
+	// decoded so far, or the deletion vector data holds (Node.OpenDV). It is
+	// dropped with the entry and whenever data is replaced.
+	derived
 	// charge is what the entry counts against the capacity: len(data) plus
 	// what reader retained when the entry was last touched. Decoding goes on
 	// after the touch, so the charge trails it by one use of the entry.
@@ -328,7 +379,7 @@ func (l *lru) put(key string, data []byte) {
 		l.retireReader(e)
 		l.moveToFront(e)
 	}
-	e.data, e.reader = data, nil
+	e.data, e.derived = data, derived{}
 	l.recharge(e)
 }
 

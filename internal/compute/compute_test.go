@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"polaris/internal/colfile"
+	"polaris/internal/deletevector"
 	"polaris/internal/objectstore"
 )
 
@@ -353,6 +354,46 @@ func TestOpenFileParsesOncePerCachedCopy(t *testing.T) {
 	// ReadFile shares the entry and never parses.
 	if _, _, err := n.ReadFile(store, "f"); err != nil || n.Stats().FooterParses != 1 {
 		t.Fatalf("ReadFile: err %v, stats %+v", err, n.Stats())
+	}
+}
+
+// TestOpenDVDecodesOncePerCachedCopy: a deletion vector is decoded once per
+// cached copy of its bytes and shared by every opener; overwriting the bytes
+// drops it, and bytes that do not decode are an error on every call.
+func TestOpenDVDecodesOncePerCachedCopy(t *testing.T) {
+	store := objectstore.New()
+	first := deletevector.FromRows([]uint32{1, 2, 3, 9})
+	_ = store.Put("d", first.Marshal(), 0)
+	n := NewNode(0, 4, 1<<20, 1<<24, DefaultCostModel())
+	open := func(path string) *deletevector.Vector {
+		t.Helper()
+		dv, size, _, err := n.OpenDV(store, path)
+		if err != nil || size == 0 {
+			t.Fatalf("OpenDV: %v, %d bytes", err, size)
+		}
+		return dv
+	}
+	dv := open("d")
+	for i := 0; i < 5; i++ {
+		if open("d") != dv {
+			t.Fatal("a cached deletion vector was decoded again")
+		}
+	}
+	if st := n.Stats(); st.DVDecodes != 1 || !dv.Equal(first) {
+		t.Fatalf("stats = %+v, vector %v", st, dv)
+	}
+	second := deletevector.FromRows([]uint32{4, 5, 6, 7})
+	if _, err := n.WriteFile(store, "d", second.Marshal(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := open("d"); got == dv || !got.Equal(second) || n.Stats().DVDecodes != 2 {
+		t.Fatalf("after an overwrite: %v, %d decodes", got, n.Stats().DVDecodes)
+	}
+	_ = store.Put("bad", []byte("not a vector"), 0)
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := n.OpenDV(store, "bad"); err == nil {
+			t.Fatal("corrupt deletion vector decoded")
+		}
 	}
 }
 

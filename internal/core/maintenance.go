@@ -199,7 +199,7 @@ func (e *Engine) GarbageCollect() (GCResult, error) {
 					active[f.DV] = true
 				}
 			}
-			for _, tomb := range state.Tombstones {
+			for _, tomb := range state.Tombstones() {
 				if currentSeq-tomb.RemovedSeq > meta.RetentionSeqs {
 					inactive[tomb.Path] = true
 				} else {

@@ -282,18 +282,15 @@ func (e *Engine) openLive(node *compute.Node, fe *manifest.FileEntry) (sf exec.S
 	return sf, bytes, d, nil
 }
 
-// readDV reads and decodes one deletion-vector file through node's cache,
-// returning its size and the simulated time of the read.
+// readDV reads one deletion-vector file through node's cache, returning it
+// decoded — the vector the node keeps beside its cached bytes, shared and
+// never written — with its size and the simulated time of the read.
 func (e *Engine) readDV(node *compute.Node, path string) (*deletevector.Vector, int64, time.Duration, error) {
-	data, d, err := node.ReadFile(e.Store, path)
+	dv, n, d, err := node.OpenDV(e.Store, path)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: read dv %s: %w", path, err)
 	}
-	dv, err := deletevector.Unmarshal(data)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: corrupt dv %s: %w", path, err)
-	}
-	return dv, int64(len(data)), d, nil
+	return dv, n, d, nil
 }
 
 // MorselScan is the input of a morsel-parallel table read: the snapshot's

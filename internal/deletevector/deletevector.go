@@ -84,6 +84,25 @@ func (v *Vector) Contains(row uint32) bool {
 	return i < len(v.runs) && v.runs[i].start <= row
 }
 
+// AppendLive appends to dst the offsets i in [0, n) whose row base+i is not
+// deleted, in ascending order: one binary search for the first run that can
+// reach the window, then a walk of the runs inside it — not a Contains per
+// row.
+func (v *Vector) AppendLive(dst []int, base uint32, n int) []int {
+	lo, end := uint64(base), uint64(base)+uint64(n)
+	next := lo // the first row not yet known deleted or emitted
+	for i := sort.Search(len(v.runs), func(i int) bool { return v.runs[i].end > base }); i < len(v.runs) && uint64(v.runs[i].start) < end; i++ {
+		for x := next; x < uint64(v.runs[i].start); x++ {
+			dst = append(dst, int(x-lo))
+		}
+		next = max(next, uint64(v.runs[i].end))
+	}
+	for x := next; x < end; x++ {
+		dst = append(dst, int(x-lo))
+	}
+	return dst
+}
+
 // Cardinality returns the number of deleted rows.
 func (v *Vector) Cardinality() int {
 	var n int
@@ -98,14 +117,29 @@ func (v *Vector) IsEmpty() bool { return len(v.runs) == 0 }
 
 // Union merges another vector into this one (in place) and returns v.
 // This implements the paper's "merged version" of a delete vector when a
-// statement deletes rows from a file that already has a delete vector.
+// statement deletes rows from a file that already has a delete vector. It is
+// one linear merge of the two sorted run lists into one new slice.
 func (v *Vector) Union(o *Vector) *Vector {
-	if o == nil {
+	if o == nil || len(o.runs) == 0 {
 		return v
 	}
-	for _, r := range o.runs {
-		v.AddRange(r.start, r.end)
+	merged := make([]run, 0, len(v.runs)+len(o.runs))
+	a, b := v.runs, o.runs
+	for len(a) > 0 || len(b) > 0 {
+		var r run
+		if len(b) == 0 || (len(a) > 0 && a[0].start <= b[0].start) {
+			r, a = a[0], a[1:]
+		} else {
+			r, b = b[0], b[1:]
+		}
+		// Runs arrive by start, so r overlaps or adjoins only the last one.
+		if last := len(merged) - 1; last >= 0 && r.start <= merged[last].end {
+			merged[last].end = max(merged[last].end, r.end)
+			continue
+		}
+		merged = append(merged, r)
 	}
+	v.runs = merged
 	return v
 }
 

@@ -277,3 +277,102 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		}
 	}
 }
+
+// liveByContains is the reference for AppendLive: one Contains per row.
+func liveByContains(v *Vector, base uint32, n int) []int {
+	var out []int
+	for i := 0; i < n; i++ {
+		if !v.Contains(base + uint32(i)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func sameInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendLiveMatchesContains: the run walk emits exactly the offsets a
+// Contains loop keeps, on random vectors and windows, and on the edges —
+// runs straddling either end of the window, an empty vector, a window past
+// the last run, a window inside one run, an empty window — appending after
+// what dst already holds.
+func TestAppendLiveMatchesContains(t *testing.T) {
+	check := func(v *Vector, base uint32, n int) {
+		t.Helper()
+		got := v.AppendLive([]int{-7}, base, n)
+		if want := append([]int{-7}, liveByContains(v, base, n)...); !sameInts(got, want) {
+			t.Fatalf("%v window [%d,%d): AppendLive = %v, want %v", v, base, uint64(base)+uint64(n), got, want)
+		}
+	}
+	straddle := FromRows([]uint32{2, 3, 4, 5, 9, 14, 15, 16})
+	check(straddle, 4, 10) // runs cross both ends
+	check(straddle, 0, 30)
+	check(straddle, 3, 2) // inside one run
+	check(straddle, 17, 8)
+	check(straddle, 100, 5) // past the last run
+	check(straddle, 5, 0)   // empty window
+	check(New(), 0, 10)
+	check(New(), 1<<31, 3)
+	edge := New()
+	edge.AddRange(math.MaxUint32-4, math.MaxUint32)
+	check(edge, math.MaxUint32-10, 10) // the window ends at the top of the row space
+
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		var rows []uint32
+		for j := r.Intn(60); j > 0; j-- {
+			start := uint32(r.Intn(400))
+			for k := r.Intn(8); k >= 0; k-- {
+				rows = append(rows, start+uint32(k))
+			}
+		}
+		check(FromRows(rows), uint32(r.Intn(420)), r.Intn(200))
+	}
+}
+
+// TestUnionMatchesFromRows: Union is the set union, built by one linear merge
+// into one new slice however many runs either side holds.
+func TestUnionMatchesFromRows(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	randomRows := func() []uint32 {
+		var rows []uint32
+		for j := r.Intn(40); j > 0; j-- {
+			start := uint32(r.Intn(300))
+			for k := r.Intn(6); k >= 0; k-- {
+				rows = append(rows, start+uint32(k))
+			}
+		}
+		return rows
+	}
+	for i := 0; i < 500; i++ {
+		a, b := randomRows(), randomRows()
+		got := FromRows(a).Union(FromRows(b))
+		if want := FromRows(append(append([]uint32(nil), a...), b...)); !got.Equal(want) {
+			t.Fatalf("%v ∪ %v = %v, want %v", FromRows(a), FromRows(b), got, want)
+		}
+	}
+
+	var ra, rb []uint32
+	for i := uint32(0); i < 2000; i++ {
+		ra = append(ra, 4*i)
+		rb = append(rb, 4*i+2)
+	}
+	a, b := FromRows(ra), FromRows(rb)
+	allocs := testing.AllocsPerRun(10, func() {
+		v := &Vector{runs: a.runs}
+		v.Union(b)
+	})
+	if allocs > 1 {
+		t.Fatalf("a union of two 2,000-run vectors allocates %.0f slices, want at most 1", allocs)
+	}
+}

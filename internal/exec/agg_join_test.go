@@ -314,7 +314,7 @@ func checkJoinAgainstReference(t testing.TB, c joinCase) (pruned, spillPruned in
 	if src.Spilled == nil {
 		t.Fatalf("%+v: grace build did not spill under a one-byte budget", c)
 	}
-	joined, err := src.Spilled.JoinBatches(context.Background(), probeBatches, c.probeKeys, diffSchema, c.parallelism)
+	joined, err := src.Spilled.JoinBatches(context.Background(), probeBatches, c.probeKeys, diffSchema, nil, c.parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,14 +233,20 @@ func keyVecs(dst []*colfile.Vec, b *colfile.Batch, keys []int) []*colfile.Vec {
 }
 
 // Probe streams probe-side batches against a shared JoinTable. Each Probe
-// owns its scratch buffers (key hashes and encoding plus the two-sided gather
+// holds its own scratch (key hashes and encoding plus the two-sided gather
 // index lists), so one JoinTable feeds many concurrent Probe instances — one
-// per morsel worker — race-free. Matched rows are emitted as a bulk two-sided
-// gather (Vec.Take) instead of row-at-a-time appends.
+// per morsel fragment — race-free. Matched rows are emitted as a bulk
+// two-sided gather (Vec.Take) of the columns the probe keeps.
 type Probe struct {
 	In       Operator
 	Table    *JoinTable
 	LeftKeys []int
+	// Cols, when set, lists the columns the probe gathers, in output order,
+	// as positions in its full output: the probe side's columns, then the
+	// build side's (a semi join's full output is the probe side's). The
+	// planner keeps what something after the join reads (late
+	// materialization, docs/ARCHITECTURE.md); nil gathers every column.
+	Cols []int
 	// Bloom, when set, short-circuits the hash-table walk for probe keys the
 	// runtime filter proves absent. No false negatives, so results are
 	// byte-identical with or without it (docs/PLANNER.md).
@@ -249,7 +255,16 @@ type Probe struct {
 	// DOP-invariant; the planner points it at WorkStats.RuntimeFilterRows).
 	Pruned *atomic.Int64
 
-	schema colfile.Schema
+	schema  colfile.Schema
+	scratch *probeScratch // taken on the first batch, given back at end of stream
+}
+
+// probeScratch is a Probe's working memory. It outlives its morsel: a Probe
+// takes one from probeScratchPool on its first batch and returns it at end of
+// stream, so a statement's many short-lived probes share a few sets of
+// buffers sized by the first batches they saw. Nothing in it escapes into an
+// emitted batch: the gather copies.
+type probeScratch struct {
 	keyBuf []byte
 	vecs   []*colfile.Vec
 	hashes []uint64
@@ -257,14 +272,21 @@ type Probe struct {
 	rIdx   []int // build-row gather indexes; -1 pads outer-join misses
 }
 
+var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
 // Schema implements Operator.
 func (p *Probe) Schema() colfile.Schema {
 	if p.schema == nil {
-		l := p.In.Schema()
-		if p.Table.typ == SemiJoin {
-			p.schema = l
-		} else {
-			p.schema = append(append(colfile.Schema{}, l...), p.Table.build.Schema...)
+		full := p.In.Schema()
+		if p.Table.typ != SemiJoin {
+			full = append(append(colfile.Schema{}, full...), p.Table.build.Schema...)
+		}
+		p.schema = full
+		if p.Cols != nil {
+			p.schema = make(colfile.Schema, len(p.Cols))
+			for i, c := range p.Cols {
+				p.schema[i] = full[c]
+			}
 		}
 	}
 	return p.schema
@@ -272,19 +294,34 @@ func (p *Probe) Schema() colfile.Schema {
 
 // Next implements Operator.
 func (p *Probe) Next() (*colfile.Batch, error) {
+	if p.scratch == nil {
+		p.scratch = probeScratchPool.Get().(*probeScratch)
+	}
 	for {
 		lb, err := p.In.Next()
 		if err != nil || lb == nil {
+			p.release()
 			return nil, err
 		}
 		out, err := p.probeBatch(lb)
 		if err != nil {
+			p.release()
 			return nil, err
 		}
 		if out.NumRows() > 0 {
 			return out, nil
 		}
 	}
+}
+
+// release gives the scratch back to the pool, dropping its references to the
+// last batch's key vectors.
+func (p *Probe) release() {
+	s := p.scratch
+	p.scratch = nil
+	clear(s.vecs)
+	s.vecs = s.vecs[:0]
+	probeScratchPool.Put(s)
 }
 
 // probeBatch joins one probe batch against the shared table. Output row
@@ -297,62 +334,62 @@ func (p *Probe) Next() (*colfile.Batch, error) {
 //
 //polaris:kernel lanes are addressed through lb.Sel (RowIdx), the translation the batch carries
 func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
-	jt := p.Table
-	p.vecs = keyVecs(p.vecs, lb, p.LeftKeys)
-	for i, v := range p.vecs {
+	jt, s := p.Table, p.scratch
+	s.vecs = keyVecs(s.vecs, lb, p.LeftKeys)
+	for i, v := range s.vecs {
 		if bt := jt.keys[i].Type; v.Type != bt {
 			return nil, fmt.Errorf("exec: join key %d compares %s with %s", i, v.Type, bt)
 		}
 	}
 	n := lb.NumRows()
-	if cap(p.lIdx) < n {
-		// One row out per probe row is the common case; a fan-out join grows
-		// the lists from there.
-		p.lIdx = make([]int, 0, n)
-		if jt.typ != SemiJoin {
-			p.rIdx = make([]int, 0, n)
-		}
+	// One row out per probe row is the common case; a fan-out join grows the
+	// lists from there.
+	if cap(s.lIdx) < n {
+		s.lIdx = make([]int, 0, n)
 	}
-	if m := min(n, hashChunk); cap(p.hashes) < m {
-		p.hashes = make([]uint64, m)
+	if jt.typ != SemiJoin && cap(s.rIdx) < n {
+		s.rIdx = make([]int, 0, n)
+	}
+	if m := min(n, hashChunk); cap(s.hashes) < m {
+		s.hashes = make([]uint64, m)
 	}
 	word := wordKey(jt.keys)
-	p.lIdx, p.rIdx = p.lIdx[:0], p.rIdx[:0]
+	s.lIdx, s.rIdx = s.lIdx[:0], s.rIdx[:0]
 	var pruned int64
 	for lo := 0; lo < n; lo += hashChunk {
-		hs := p.hashes[:min(hashChunk, n-lo)]
-		hashKeys(hs, p.vecs, lb.Sel, lo)
+		hs := s.hashes[:min(hashChunk, n-lo)]
+		hashKeys(hs, s.vecs, lb.Sel, lo)
 		for j, h := range hs {
 			phys := lb.RowIdx(lo + j)
 			var matches []int32
 			switch {
-			case anyNull(p.vecs, phys):
+			case anyNull(s.vecs, phys):
 			case p.Bloom != nil && !p.Bloom.MayContain(h):
 				pruned++ // provably no match: skip the hash-table walk
 			case word:
-				matches = jt.lookupWord(p.vecs[0].Ints[phys], h)
+				matches = jt.lookupWord(s.vecs[0].Ints[phys], h)
 			default:
-				p.keyBuf = appendGroupKey(p.keyBuf[:0], p.vecs, phys)
-				matches = jt.lookup(p.keyBuf, h)
+				s.keyBuf = appendGroupKey(s.keyBuf[:0], s.vecs, phys)
+				matches = jt.lookup(s.keyBuf, h)
 			}
 			switch jt.typ {
 			case SemiJoin:
 				if len(matches) > 0 {
-					p.lIdx = append(p.lIdx, phys)
+					s.lIdx = append(s.lIdx, phys)
 				}
 			case InnerJoin:
 				for _, m := range matches {
-					p.lIdx = append(p.lIdx, phys)
-					p.rIdx = append(p.rIdx, int(m))
+					s.lIdx = append(s.lIdx, phys)
+					s.rIdx = append(s.rIdx, int(m))
 				}
 			case LeftOuterJoin:
 				if len(matches) == 0 {
-					p.lIdx = append(p.lIdx, phys)
-					p.rIdx = append(p.rIdx, -1)
+					s.lIdx = append(s.lIdx, phys)
+					s.rIdx = append(s.rIdx, -1)
 				} else {
 					for _, m := range matches {
-						p.lIdx = append(p.lIdx, phys)
-						p.rIdx = append(p.rIdx, int(m))
+						s.lIdx = append(s.lIdx, phys)
+						s.rIdx = append(s.rIdx, int(m))
 					}
 				}
 			}
@@ -362,11 +399,16 @@ func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
 	schema := p.Schema()
 	out := &colfile.Batch{Schema: schema, Cols: make([]*colfile.Vec, len(schema))}
 	leftCols := len(lb.Cols)
-	for c := 0; c < leftCols; c++ {
-		out.Cols[c] = lb.Cols[c].Take(p.lIdx)
-	}
-	for c := leftCols; c < len(schema); c++ {
-		out.Cols[c] = jt.build.Cols[c-leftCols].Take(p.rIdx)
+	for i := range out.Cols {
+		c := i
+		if p.Cols != nil {
+			c = p.Cols[i]
+		}
+		if c < leftCols {
+			out.Cols[i] = lb.Cols[c].Take(s.lIdx)
+		} else {
+			out.Cols[i] = jt.build.Cols[c-leftCols].Take(s.rIdx)
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"polaris/internal/colfile"
@@ -80,6 +81,25 @@ type Scan struct {
 	lastFile, lastRows int
 	lastBase           uint32
 	lastSel            []int // the pushed predicate's survivors; nil = every live row of the group
+
+	// live holds a row group's live offsets under its deletion vector. It
+	// comes from liveSelPool on first use and goes back at end of stream;
+	// it never reaches an emitted batch (Take copies, and a pushed
+	// predicate's survivors are a selection of their own).
+	live *[]int
+}
+
+var liveSelPool = sync.Pool{New: func() any { return new([]int) }}
+
+// liveRows returns the offsets of the live rows among a group's n rows at
+// file ordinal base, in the scan's pooled selection; valid until the next
+// call.
+func (s *Scan) liveRows(dv *deletevector.Vector, base uint32, n int) []int {
+	if s.live == nil {
+		s.live = liveSelPool.Get().(*[]int)
+	}
+	*s.live = dv.AppendLive((*s.live)[:0], base, n)
+	return *s.live
 }
 
 // NewScan builds a scan operator. The schema is taken from the first file;
@@ -157,6 +177,10 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 	for {
 		if s.reader == nil {
 			if s.fileIdx >= len(s.files) {
+				if s.live != nil {
+					liveSelPool.Put(s.live)
+					s.live = nil
+				}
 				return nil, nil
 			}
 			r := s.files[s.fileIdx].R
@@ -227,21 +251,13 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 		if s.tel != nil {
 			s.tel.RowsScanned.Add(int64(groupRows))
 		}
-		dv := s.files[s.fileIdx].DV
-		if dv != nil && !dv.IsEmpty() {
-			keep := make([]bool, groupRows)
-			kept := 0
-			for i := range keep {
-				if !dv.Contains(base + uint32(i)) {
-					keep[i] = true
-					kept++
-				}
-			}
-			if kept == 0 {
+		if dv := s.files[s.fileIdx].DV; dv != nil && !dv.IsEmpty() {
+			live := s.liveRows(dv, base, groupRows)
+			if len(live) == 0 {
 				continue
 			}
-			if kept < groupRows {
-				batch = batch.Filter(keep)
+			if len(live) < groupRows {
+				batch = batch.Take(live)
 			}
 		}
 		if batch.NumRows() == 0 {
@@ -266,11 +282,17 @@ func (s *Scan) Ordinals() (file int, ords []uint32) {
 		return s.lastFile, ords
 	}
 	dv := s.files[s.lastFile].DV
-	ords = make([]uint32, 0, s.lastRows)
-	for i := 0; i < s.lastRows; i++ {
-		if o := s.lastBase + uint32(i); dv == nil || !dv.Contains(o) {
-			ords = append(ords, o)
+	if dv == nil {
+		ords = make([]uint32, s.lastRows)
+		for i := range ords {
+			ords[i] = s.lastBase + uint32(i)
 		}
+		return s.lastFile, ords
+	}
+	live := s.liveRows(dv, s.lastBase, s.lastRows)
+	ords = make([]uint32, len(live))
+	for i, p := range live {
+		ords[i] = s.lastBase + uint32(p)
 	}
 	return s.lastFile, ords
 }
@@ -285,14 +307,8 @@ func (s *Scan) Ordinals() (file int, ords []uint32) {
 //polaris:kernel the predicate program is position-aligned with its inputs, so pv lanes are read at the same physical positions the selection enumerates
 func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch, error) {
 	var sel []int
-	dv := s.files[s.fileIdx].DV
-	if dv != nil && !dv.IsEmpty() {
-		sel = make([]int, 0, groupRows)
-		for i := 0; i < groupRows; i++ {
-			if !dv.Contains(base + uint32(i)) {
-				sel = append(sel, i)
-			}
-		}
+	if dv := s.files[s.fileIdx].DV; dv != nil && !dv.IsEmpty() {
+		sel = s.liveRows(dv, base, groupRows)
 		if len(sel) == 0 {
 			return nil, nil
 		}

@@ -14,7 +14,9 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"sync/atomic"
 
 	"polaris/internal/colfile"
 )
@@ -31,7 +33,7 @@ type slotKind uint8
 
 const (
 	slotCol     slotKind = iota // aliases an input column of the batch
-	slotConst                   // broadcast literal, lazily filled per ctx
+	slotConst                   // broadcast literal, shared by every ctx (Prog.constants)
 	slotScratch                 // kernel output, ctx-owned and reused
 )
 
@@ -52,12 +54,53 @@ type progInstr struct {
 }
 
 // Prog is a compiled expression: immutable after Compile and safe to share
-// across goroutines — all mutable state lives in the per-worker EvalCtx.
+// across goroutines — all mutable state lives in the per-operator EvalCtx,
+// except the broadcast constants, which every ctx shares read-only.
 type Prog struct {
 	slots  []progSlot
 	instrs []progInstr
 	out    int
 	src    string
+	consts *constCache // nil when the program has no constant slot
+}
+
+// constCache holds a program's broadcast constants. A published constSet is
+// never written: a batch longer than the current set replaces it with a
+// longer one, so any number of contexts read the constants concurrently and
+// each literal is broadcast once per program, not once per context.
+type constCache struct{ cur atomic.Pointer[constSet] }
+
+// constSet is one generation of a program's constants: vecs[si] is constant
+// slot si broadcast to n lanes (other slots stay zero).
+type constSet struct {
+	n    int
+	vecs []colfile.Vec
+}
+
+// constants returns a constant set of at least n lanes, building (and
+// publishing) a longer one when the current set is too short. Growth at least
+// doubles, so a program broadcasts its constants a handful of times however
+// its batch sizes vary; racing callers each publish a set at least as long
+// as the one they saw, and any of them serves.
+func (p *Prog) constants(n int) *constSet {
+	cur := p.consts.cur.Load()
+	for cur == nil || cur.n < n {
+		size := n
+		if cur != nil {
+			size = max(n, 2*cur.n)
+		}
+		next := &constSet{n: size, vecs: make([]colfile.Vec, len(p.slots))}
+		for si, s := range p.slots {
+			if s.kind == slotConst {
+				fillConst(&next.vecs[si], s.typ, s.cval, size)
+			}
+		}
+		if p.consts.cur.CompareAndSwap(cur, next) {
+			return next
+		}
+		cur = p.consts.cur.Load()
+	}
+	return cur
 }
 
 // OutType reports the static result type of the program.
@@ -119,14 +162,15 @@ func (p *Prog) ColRef() (int, bool) {
 	return -1, false
 }
 
-// EvalCtx holds one worker's mutable evaluation state: resolved slot
-// pointers, owned scratch vectors for kernel outputs, and lazily filled
-// broadcast constants. An EvalCtx must not be shared across goroutines; the
-// vector returned by Run is valid until the next Run on the same ctx.
+// EvalCtx holds one operator instance's mutable evaluation state: resolved
+// slot pointers and owned scratch vectors for kernel outputs. A constant
+// slot's entry in own is only a capped view ([:n:n]) of the program's shared
+// broadcast, so nothing written through the ctx can reach the shared array.
+// An EvalCtx must not be shared across goroutines; the vector returned by Run
+// is valid until the next Run on the same ctx.
 type EvalCtx struct {
-	ptrs     []*colfile.Vec
-	own      []colfile.Vec
-	constLen []int
+	ptrs []*colfile.Vec
+	own  []colfile.Vec
 }
 
 // NewCtx returns a fresh evaluation context for the program.
@@ -142,10 +186,13 @@ func (p *Prog) Run(ctx *EvalCtx, b *colfile.Batch) (*colfile.Vec, error) {
 	if ctx.ptrs == nil {
 		ctx.ptrs = make([]*colfile.Vec, len(p.slots))
 		ctx.own = make([]colfile.Vec, len(p.slots))
-		ctx.constLen = make([]int, len(p.slots))
 	}
 	n := b.PhysRows()
 	sel := b.Sel
+	var consts *constSet
+	if p.consts != nil {
+		consts = p.constants(n)
+	}
 	for si := range p.slots {
 		s := &p.slots[si]
 		switch s.kind {
@@ -155,12 +202,8 @@ func (p *Prog) Run(ctx *EvalCtx, b *colfile.Batch) (*colfile.Vec, error) {
 			}
 			ctx.ptrs[si] = b.Cols[s.col]
 		case slotConst:
-			v := &ctx.own[si]
-			if ctx.constLen[si] < n {
-				fillConst(v, s.typ, s.cval, n)
-				ctx.constLen[si] = n
-			}
-			ctx.ptrs[si] = v
+			ctx.own[si] = capped(&consts.vecs[si], n)
+			ctx.ptrs[si] = &ctx.own[si]
 		case slotScratch:
 			ctx.ptrs[si] = &ctx.own[si]
 		}
@@ -179,9 +222,52 @@ func (p *Prog) Run(ctx *EvalCtx, b *colfile.Batch) (*colfile.Vec, error) {
 	return ctx.ptrs[p.out], nil
 }
 
-// fillConst (re)fills a broadcast constant vector to n lanes. Growth is rare
-// (at most a handful of times per ctx as batch sizes vary), so it refills the
-// whole range rather than tracking a prefix.
+// CheckConstants reports an error when a broadcast constant of the program
+// no longer holds its literal on every lane: the shared vectors are never
+// written, and this is how tests check that whatever ran the program kept to
+// it.
+func (p *Prog) CheckConstants() error {
+	if p.consts == nil {
+		return nil
+	}
+	cs := p.consts.cur.Load()
+	if cs == nil {
+		return nil
+	}
+	for si, s := range p.slots {
+		if s.kind != slotConst {
+			continue
+		}
+		var want colfile.Vec
+		fillConst(&want, s.typ, s.cval, cs.n)
+		if v := &cs.vecs[si]; !reflect.DeepEqual(*v, want) {
+			return fmt.Errorf("exec: broadcast constant %v of %q was written", s.cval, p.src)
+		}
+	}
+	return nil
+}
+
+// capped returns a view of v's first n lanes whose capacity is n too, so an
+// append through the view allocates instead of writing v's backing array.
+func capped(v *colfile.Vec, n int) colfile.Vec {
+	out := colfile.Vec{Type: v.Type}
+	switch v.Type {
+	case colfile.Int64:
+		out.Ints = v.Ints[:n:n]
+	case colfile.Float64:
+		out.Floats = v.Floats[:n:n]
+	case colfile.String:
+		out.Strs = v.Strs[:n:n]
+	case colfile.Bool:
+		out.Bools = v.Bools[:n:n]
+	}
+	if v.Nulls != nil {
+		out.Nulls = v.Nulls[:n:n]
+	}
+	return out
+}
+
+// fillConst fills a broadcast constant vector to n lanes.
 func fillConst(v *colfile.Vec, t colfile.DataType, val any, n int) {
 	v.ResetLen(t, n)
 	if val == nil {
@@ -256,6 +342,9 @@ func (p *Prog) compileNode(e Expr, schema colfile.Schema) (int, error) {
 		dt, err := constType(t.Val)
 		if err != nil {
 			return 0, err
+		}
+		if p.consts == nil {
+			p.consts = &constCache{}
 		}
 		return p.addSlot(progSlot{kind: slotConst, cval: normalize(t.Val), typ: dt}), nil
 	case Bin:

@@ -474,9 +474,11 @@ func (sj *SpilledJoin) readSpillFiles(dir string) ([]*colfile.Batch, error) {
 // build side still exceeds the budget), each leaf join's inner BuildHashJoin
 // capped to parallelism/dop workers so the fan-out as a whole stays within
 // the configured Parallelism. The partition outputs are placed back into
-// global row order by the row ordinal they carry. ctx cancels
-// the partition fan-out (observed between spill files and batches).
-func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, dop int) ([]*colfile.Batch, error) {
+// global row order by the row ordinal they carry. cols selects the output
+// columns as Probe.Cols does (nil = all), so a barrier emits what an
+// in-memory probe with the same Cols would. ctx cancels the partition
+// fan-out (observed between spill files and batches).
+func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, cols []int, dop int) ([]*colfile.Batch, error) {
 	// Global row ordinals: offsets[i] is the first ordinal of morsel i.
 	offsets := make([]int64, len(probe)+1)
 	for i, b := range probe {
@@ -580,9 +582,34 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	if buildPar < 1 {
 		buildPar = 1
 	}
+	// The leaf probes gather the output columns, then the ordinal: leaf
+	// column c < len(cols) is output column c. A leaf's full output is
+	// left..., __rownum, build..., so a build column sits one further on.
+	full := leftSchema
+	if sj.typ != SemiJoin {
+		full = append(append(colfile.Schema{}, leftSchema...), sj.buildSchema...)
+	}
+	if cols == nil {
+		cols = make([]int, len(full))
+		for c := range cols {
+			cols[c] = c
+		}
+	}
+	outSchema := make(colfile.Schema, len(cols))
+	leafCols := make([]int, len(cols)+1)
+	for i, c := range cols {
+		outSchema[i] = full[c]
+		leafCols[i] = c
+		if c >= rowNumIdx {
+			leafCols[i]++
+		}
+	}
+	leafCols[len(cols)] = rowNumIdx
+	leafNum := len(cols)
+
 	partLeaves := make([][]*colfile.Batch, spillParts)
 	err := ForEachIndexed(ctx, spillParts, effDop, func(ctx context.Context, p int) error {
-		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, &partLeaves[p])
+		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, leafCols, &partLeaves[p])
 	})
 	if err != nil {
 		return nil, err
@@ -598,14 +625,10 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	// ordinal's next slot — one pass over the rows, whatever partitions they
 	// came through. Stable, because an ordinal's matches sit together in one
 	// leaf, in build order.
-	outSchema := leftSchema
-	if sj.typ != SemiJoin {
-		outSchema = append(append(colfile.Schema{}, leftSchema...), sj.buildSchema...)
-	}
 	next := make([]int, offsets[len(probe)]+1)
 	for _, lb := range leaves {
 		//polaris:kernel leaf batches come back dense from the spill reader, so lanes are rows
-		for _, num := range lb.Cols[rowNumIdx].Ints[:lb.NumRows()] {
+		for _, num := range lb.Cols[leafNum].Ints[:lb.NumRows()] {
 			next[num+1]++
 		}
 	}
@@ -619,14 +642,14 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	refs := make([]ref, next[len(next)-1])
 	for li, lb := range leaves {
 		//polaris:kernel leaf batches come back dense from the spill reader, so lanes are rows
-		for r, num := range lb.Cols[rowNumIdx].Ints[:lb.NumRows()] {
+		for r, num := range lb.Cols[leafNum].Ints[:lb.NumRows()] {
 			refs[next[num]] = ref{leaf: li, row: r, num: num}
 			next[num]++
 		}
 	}
 
 	// Split back into per-morsel batches by ordinal range, dropping the
-	// ordinal column (leaf columns are left..., __rownum, build...).
+	// ordinal column.
 	outs := make([]*colfile.Batch, len(probe))
 	k := 0
 	for i := range probe {
@@ -640,11 +663,8 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 				out = colfile.NewBatch(outSchema)
 			}
 			lb := leaves[refs[k].leaf]
-			for c := 0; c < rowNumIdx; c++ {
+			for c := range outSchema {
 				out.Cols[c].Append(lb.Cols[c], refs[k].row)
-			}
-			for c := rowNumIdx; c < len(outSchema); c++ {
-				out.Cols[c].Append(lb.Cols[c+1], refs[k].row)
 			}
 			k++
 		}
@@ -665,7 +685,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 // within this partition's task); otherwise the partition is joined in memory
 // (for a single hot key recursion cannot split, this is the documented last
 // resort).
-func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir string, buildMem int64, depth, buildPar int, leftKeys []int, probeSchema colfile.Schema, leaves *[]*colfile.Batch) error {
+func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir string, buildMem int64, depth, buildPar int, leftKeys []int, probeSchema colfile.Schema, cols []int, leaves *[]*colfile.Batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -685,7 +705,7 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 			return err
 		}
 		for p := 0; p < spillParts; p++ {
-			if err := sj.joinPartition(ctx, partDir(buildDir, p), partDir(probeDir, p), subMem[p], depth+1, buildPar, leftKeys, probeSchema, leaves); err != nil {
+			if err := sj.joinPartition(ctx, partDir(buildDir, p), partDir(probeDir, p), subMem[p], depth+1, buildPar, leftKeys, probeSchema, cols, leaves); err != nil {
 				return err
 			}
 		}
@@ -702,7 +722,7 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 	}
 	out, err := CollectCtx(ctx, &Probe{
 		In:    &spillFileSource{store: sj.store, names: probeNames, schema: probeSchema},
-		Table: jt, LeftKeys: leftKeys,
+		Table: jt, LeftKeys: leftKeys, Cols: cols,
 	})
 	if err != nil {
 		return err

@@ -108,7 +108,7 @@ func spilledResult(t *testing.T, build *colfile.Batch, probe []*colfile.Batch, t
 	if src.Spilled == nil {
 		t.Fatalf("build of %d bytes did not spill under budget %d", build.MemSize(), cfg.Budget)
 	}
-	outs, err := src.Spilled.JoinBatches(context.Background(), probe, leftKeys, probe[0].Schema, 4)
+	outs, err := src.Spilled.JoinBatches(context.Background(), probe, leftKeys, probe[0].Schema, nil, 4)
 	if err != nil {
 		t.Fatalf("spilled join: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestSpilledJoinReuse(t *testing.T) {
 		t.Fatal("expected a spilled build")
 	}
 	for call := 0; call < 3; call++ {
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		if err != nil {
 			t.Fatalf("call %d: %v", call, err)
 		}
@@ -330,7 +330,7 @@ func TestSpilledJoinConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 2)
+			outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 2)
 			if err != nil {
 				errs[c] = err
 				return
@@ -377,7 +377,7 @@ func TestSpilledJoinDopInvariant(t *testing.T) {
 		if src.Spilled == nil {
 			t.Fatal("expected a spilled build")
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, dop)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, dop)
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)
 		}
@@ -445,7 +445,7 @@ func TestGraceJoinSpillWriteFailure(t *testing.T) {
 			if src.Spilled == nil {
 				t.Fatalf("failAt=%d: expected a spilled build", failAt)
 			}
-			_, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
+			_, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		}
 		if err == nil {
 			t.Fatalf("failAt=%d: injected put failure surfaced no error", failAt)
@@ -499,7 +499,7 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildPuts := clean.puts
-	if _, err := srcClean.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 1); err != nil {
+	if _, err := srcClean.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	joinPuts := clean.puts - buildPuts
@@ -514,10 +514,10 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.FailPut = buildPuts + joinPuts*(frac-1)/frac + 1
-		if _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 1); err == nil {
+		if _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1); err == nil {
 			t.Fatalf("frac=%d: injected put failure surfaced no error", frac)
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 1)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1)
 		if err != nil {
 			t.Fatalf("frac=%d: retry after failure: %v", frac, err)
 		}
@@ -580,14 +580,14 @@ func TestSpilledJoinRejectsCorruptChunk(t *testing.T) {
 		if src.Spilled == nil {
 			t.Fatalf("flipAt=%d: expected a spilled build", flipAt)
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		if !errors.Is(err, colfile.ErrChecksum) {
 			t.Fatalf("flipAt=%d (%d gets): err = %v, want colfile.ErrChecksum", flipAt, flip.gets, err)
 		}
 		if outs != nil {
 			t.Fatalf("flipAt=%d: a failed join returned %d outputs", flipAt, len(outs))
 		}
-		outs, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, 4)
+		outs, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		if err != nil {
 			t.Fatalf("flipAt=%d: re-probe over the clean store: %v", flipAt, err)
 		}
@@ -605,6 +605,75 @@ func TestSpilledJoinRejectsCorruptChunk(t *testing.T) {
 		}
 		if left := store.List(objectstore.SpillPrefix); len(left) != 0 {
 			t.Fatalf("flipAt=%d: %d spill blobs left after Cleanup: %v", flipAt, len(left), left[:min(3, len(left))])
+		}
+	}
+}
+
+// TestProbeColsGatherOnlyKept: a probe with Cols emits exactly the chosen
+// columns of its full output, in Cols order — in memory, and through a
+// spilled join's barrier, which must emit what the in-memory probe emits.
+func TestProbeColsGatherOnlyKept(t *testing.T) {
+	build := buildSideBatch(300)
+	probe := probeSideBatches(400, 4)
+	for _, c := range []struct {
+		typ  JoinType
+		cols []int
+	}{
+		{InnerJoin, []int{3, 1}}, // build tag, probe v
+		{InnerJoin, []int{0}},
+		{LeftOuterJoin, []int{1, 2}},
+		{SemiJoin, []int{1}},
+	} {
+		jt, err := BuildHashJoin(NewBatchSource(build), []int{0}, c.typ, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(probe))
+		for i, b := range probe {
+			if b == nil {
+				want[i] = "<nil>"
+				continue
+			}
+			full, err := Collect(&Probe{In: NewBatchSource(b), Table: jt, LeftKeys: []int{0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			picked := &colfile.Batch{}
+			for _, col := range c.cols {
+				picked.Schema = append(picked.Schema, full.Schema[col])
+				picked.Cols = append(picked.Cols, full.Cols[col])
+			}
+			want[i] = renderSpillBatch(picked)
+			p := &Probe{In: NewBatchSource(b), Table: jt, LeftKeys: []int{0}, Cols: c.cols}
+			got, err := Collect(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Schema.Equal(picked.Schema) || renderSpillBatch(got) != want[i] {
+				t.Fatalf("%v cols %v morsel %d: in-memory probe emitted %v\n%s\nwant %v\n%s",
+					c.typ, c.cols, i, got.Schema, renderSpillBatch(got), picked.Schema, want[i])
+			}
+		}
+
+		src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, c.typ, 4, SpillConfig{Budget: 256, Store: NewMemSpillStore()})
+		if err != nil || src.Spilled == nil {
+			t.Fatalf("grace build did not spill: %v", err)
+		}
+		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, c.cols, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range outs {
+			got := emptyRender(probe[i])
+			if b != nil {
+				if len(b.Cols) != len(c.cols) {
+					t.Fatalf("%v cols %v: the barrier emitted %d columns", c.typ, c.cols, len(b.Cols))
+				}
+				got = renderSpillBatch(b)
+			}
+			if got != want[i] {
+				t.Fatalf("%v cols %v morsel %d: spilled join emitted\n%s\nwant\n%s", c.typ, c.cols, i, got, want[i])
+			}
 		}
 	}
 }

@@ -25,21 +25,21 @@ func BuildCheckpoint(tableID int64, s *TableState) *Checkpoint {
 		TableID:    tableID,
 		Seq:        s.LastSeq,
 		Files:      s.LiveFiles(),
-		Tombstones: append([]Tombstone(nil), s.Tombstones...),
+		Tombstones: s.Tombstones(),
 	}
 	return cp
 }
 
 // State reconstitutes the checkpoint into a TableState ready for further
-// replay. The state shares the checkpoint's file entries, which replay never
-// writes.
+// replay. The state shares the checkpoint's file entries and tombstones,
+// which replay never writes.
 func (cp *Checkpoint) State() *TableState {
 	s := NewTableState()
 	s.LastSeq = cp.Seq
 	for _, f := range cp.Files {
 		s.Files[f.Path] = f
 	}
-	s.Tombstones = append(s.Tombstones, cp.Tombstones...)
+	s.addTombstones(cp.Tombstones)
 	return s
 }
 

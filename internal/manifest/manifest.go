@@ -16,8 +16,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
-	"slices"
 	"sort"
+	"sync/atomic"
 
 	"polaris/internal/colfile"
 )
@@ -138,11 +138,36 @@ type Tombstone struct {
 // pointer, and nothing writes it again. A change yields a successor (next)
 // instead. Only the state a replay is still building is written, by Apply.
 // File entries are never written once they are in a state's Files, so a
-// successor shares every entry its actions leave alone.
+// successor shares every entry its actions leave alone, and it shares its
+// predecessor's tombstone history too. What is derived from a published
+// state — its live files in path order and their sketch fold — is computed
+// once, on first use, and shared like the state.
 type TableState struct {
-	Files      map[string]*FileEntry `json:"files"`
-	Tombstones []Tombstone           `json:"tombstones,omitempty"`
-	LastSeq    int64                 `json:"last_seq"` // highest sequence replayed
+	Files   map[string]*FileEntry `json:"files"`
+	LastSeq int64                 `json:"last_seq"` // highest sequence replayed
+
+	tombs *tombstones // removal history; nil = none
+
+	live   atomic.Pointer[[]*FileEntry] // LiveFiles, once computed
+	sketch atomic.Pointer[sketchFold]   // Sketches, once computed
+}
+
+// tombstones is a persistent list of removal batches: each node holds what
+// one Apply removed and links to the history before it. A successor prepends
+// a node to the list its predecessor holds, so recording a commit costs what
+// the commit removed, not the whole history. A linked node is never written.
+type tombstones struct {
+	batch []Tombstone
+	prev  *tombstones
+	n     int // tombstones in this node and all older ones
+}
+
+// sketchFold is the per-column fold of the live files' sketches for a
+// schema of ncols columns; ok is false when a live file has none.
+type sketchFold struct {
+	ncols  int
+	merged []colfile.ColSketch
+	ok     bool
 }
 
 // NewTableState returns an empty state.
@@ -153,18 +178,50 @@ func NewTableState() *TableState {
 // next returns the successor of s with actions applied at seq, leaving s as
 // it was: the copy-and-apply of the snapshot cache's Advance and of Overlay.
 func (s *TableState) next(seq int64, actions []Action) (*TableState, error) {
-	out := &TableState{Files: maps.Clone(s.Files), Tombstones: slices.Clip(s.Tombstones), LastSeq: s.LastSeq}
+	out := &TableState{Files: maps.Clone(s.Files), tombs: s.tombs, LastSeq: s.LastSeq}
 	if err := out.Apply(seq, actions); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// Tombstones returns the files logically removed so far, oldest first, in a
+// slice the caller owns. Checkpoints and VACUUM read the history; nothing on
+// a statement's path does.
+func (s *TableState) Tombstones() []Tombstone {
+	if s.tombs == nil {
+		return nil
+	}
+	out := make([]Tombstone, s.tombs.n)
+	i := len(out)
+	for t := s.tombs; t != nil; t = t.prev {
+		i -= len(t.batch)
+		copy(out[i:], t.batch)
+	}
+	return out
+}
+
+// addTombstones links a batch of removals onto the history.
+func (s *TableState) addTombstones(batch []Tombstone) {
+	if len(batch) == 0 {
+		return
+	}
+	n := len(batch)
+	if s.tombs != nil {
+		n += s.tombs.n
+	}
+	s.tombs = &tombstones{batch: batch, prev: s.tombs, n: n}
+}
+
 // Apply replays one committed manifest (its actions) at the given commit
 // sequence onto the state. Replay is how the SQL BE physical metadata layer
 // reconstructs a snapshot (paper 3.2.1). A deletion-vector change replaces
-// its data file's entry rather than writing it.
+// its data file's entry rather than writing it. Apply is only for a state
+// nobody else holds yet; it drops what was derived from the state before.
 func (s *TableState) Apply(seq int64, actions []Action) error {
+	s.live.Store(nil)
+	s.sketch.Store(nil)
+	var removed []Tombstone
 	for _, a := range actions {
 		switch {
 		case a.Kind == KindData && a.Op == OpAdd:
@@ -178,7 +235,7 @@ func (s *TableState) Apply(seq int64, actions []Action) error {
 				return fmt.Errorf("manifest: remove of unknown data file %s at seq %d", a.Path, seq)
 			}
 			delete(s.Files, a.Path)
-			s.Tombstones = append(s.Tombstones, Tombstone{Path: a.Path, Kind: KindData, RemovedSeq: seq})
+			removed = append(removed, Tombstone{Path: a.Path, Kind: KindData, RemovedSeq: seq})
 		case a.Kind == KindDV && a.Op == OpAdd:
 			f, ok := s.Files[a.Target]
 			if !ok {
@@ -193,23 +250,52 @@ func (s *TableState) Apply(seq int64, actions []Action) error {
 				cp.DV, cp.DeletedRows = "", 0
 				s.Files[a.Target] = &cp
 			}
-			s.Tombstones = append(s.Tombstones, Tombstone{Path: a.Path, Kind: KindDV, RemovedSeq: seq})
+			removed = append(removed, Tombstone{Path: a.Path, Kind: KindDV, RemovedSeq: seq})
 		}
 	}
+	s.addTombstones(removed)
 	if seq > s.LastSeq {
 		s.LastSeq = seq
 	}
 	return nil
 }
 
-// LiveFiles returns the live file entries sorted by path.
+// LiveFiles returns the live file entries sorted by path. The slice is
+// computed once per state and shared: callers must not write it.
 func (s *TableState) LiveFiles() []*FileEntry {
+	if p := s.live.Load(); p != nil {
+		return *p
+	}
 	out := make([]*FileEntry, 0, len(s.Files))
 	for _, f := range s.Files {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	s.live.Store(&out)
 	return out
+}
+
+// Sketches folds the live files' per-column sketches for a table of ncols
+// columns, in path order. ok is false, and the fold nil, when a live file
+// carries no sketches for that many columns: partial statistics would
+// misestimate, so the fold is all or nothing. It is computed once per state
+// and shared: callers must not write it.
+func (s *TableState) Sketches(ncols int) (merged []colfile.ColSketch, ok bool) {
+	if f := s.sketch.Load(); f != nil && f.ncols == ncols {
+		return f.merged, f.ok
+	}
+	f := &sketchFold{ncols: ncols, merged: make([]colfile.ColSketch, ncols), ok: true}
+	for _, fe := range s.LiveFiles() {
+		if len(fe.Sketches) != ncols {
+			f.merged, f.ok = nil, false
+			break
+		}
+		for i := range f.merged {
+			f.merged[i].Merge(fe.Sketches[i])
+		}
+	}
+	s.sketch.Store(f)
+	return f.merged, f.ok
 }
 
 // TotalRows returns the number of visible rows across live files.

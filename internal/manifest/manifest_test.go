@@ -85,8 +85,8 @@ func TestApplyAddAndRemove(t *testing.T) {
 	if s.TotalRows() != 20 {
 		t.Fatalf("rows=%d", s.TotalRows())
 	}
-	if len(s.Tombstones) != 1 || s.Tombstones[0].Path != "a" || s.Tombstones[0].RemovedSeq != 2 {
-		t.Fatalf("tombstones = %+v", s.Tombstones)
+	if tombs := s.Tombstones(); len(tombs) != 1 || tombs[0].Path != "a" || tombs[0].RemovedSeq != 2 {
+		t.Fatalf("tombstones = %+v", tombs)
 	}
 	if s.LastSeq != 2 {
 		t.Fatalf("LastSeq = %d", s.LastSeq)
@@ -129,6 +129,7 @@ func TestSuccessorNeverWritesReceiver(t *testing.T) {
 	must(t, s.Apply(2, []Action{addDV("dv1", "b", 2), removeData("a"), addData("a2", 10)}))
 	before, err := json.Marshal(s)
 	must(t, err)
+	tombsBefore := s.Tombstones()
 	entryA2, entryB := s.Files["a2"], s.Files["b"]
 
 	c, err := s.next(3, []Action{removeData("a2"), addDV("dv2", "b", 4), removeDV("dv1", "b")})
@@ -139,17 +140,20 @@ func TestSuccessorNeverWritesReceiver(t *testing.T) {
 	// A second successor of the same receiver appends its own tombstones.
 	d, err := s.next(3, []Action{removeDV("dv1", "b")})
 	must(t, err)
-	if d.Files["b"].DV != "" || d.Tombstones[len(d.Tombstones)-1].Path != "dv1" {
-		t.Fatalf("second successor b = %+v, tombstones %v", d.Files["b"], d.Tombstones)
+	if dt := d.Tombstones(); d.Files["b"].DV != "" || dt[len(dt)-1].Path != "dv1" {
+		t.Fatalf("second successor b = %+v, tombstones %v", d.Files["b"], dt)
 	}
-	if c.Tombstones[len(c.Tombstones)-2].Path != "a2" {
-		t.Fatalf("second successor overwrote the first's tombstones: %v", c.Tombstones)
+	if ct := c.Tombstones(); ct[len(ct)-2].Path != "a2" {
+		t.Fatalf("second successor overwrote the first's tombstones: %v", ct)
 	}
 
 	after, err := json.Marshal(s)
 	must(t, err)
 	if !bytes.Equal(before, after) {
 		t.Fatalf("successor wrote its receiver:\n%s\n%s", before, after)
+	}
+	if tombsAfter := s.Tombstones(); !reflect.DeepEqual(tombsBefore, tombsAfter) {
+		t.Fatalf("successor wrote its receiver's tombstones:\n%v\n%v", tombsBefore, tombsAfter)
 	}
 	if s.Files["a2"] != entryA2 || s.Files["b"] != entryB || entryB.DV != "dv1" || entryB.DeletedRows != 2 {
 		t.Fatalf("receiver's entries moved or were written: b = %+v", entryB)
@@ -230,8 +234,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if rs.TotalRows() != 8 || rs.Files["a"].DV != "dv" {
 		t.Fatalf("restored rows = %d", rs.TotalRows())
 	}
-	if len(rs.Tombstones) != 1 {
-		t.Fatalf("tombstones = %v", rs.Tombstones)
+	if tombs := rs.Tombstones(); len(tombs) != 1 {
+		t.Fatalf("tombstones = %v", tombs)
 	}
 }
 

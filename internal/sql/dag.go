@@ -237,7 +237,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 					}
 					batches[i] = b
 				}
-				joined, err := src.Spilled.JoinBatches(qc.Context(), batches, dj.leftKeys, dj.leftSchema, dop)
+				joined, err := src.Spilled.JoinBatches(qc.Context(), batches, dj.leftKeys, dj.leftSchema, dj.cols, dop)
 				if err != nil {
 					return nil, err
 				}
@@ -283,7 +283,7 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 					var op exec.Operator = exec.NewBatchSource(b)
 					if src.Spilled == nil {
 						op = &exec.Probe{In: op, Table: src.Table, LeftKeys: dj.leftKeys,
-							Bloom: bloom, Pruned: &localPruned}
+							Cols: dj.cols, Bloom: bloom, Pruned: &localPruned}
 					}
 					if last {
 						op = suffix(tail.filter(op))

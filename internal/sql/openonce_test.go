@@ -24,6 +24,60 @@ func chunkDecodes(s *Session) int64 {
 	return n
 }
 
+// dvDecodes sums the deletion vectors the engine's nodes have decoded so far.
+func dvDecodes(s *Session) int64 {
+	var n int64
+	for _, node := range s.eng.Fabric.Nodes() {
+		n += node.Stats().DVDecodes
+	}
+	return n
+}
+
+// TestWarmStatementsDecodeNoDeletionVectors: a deletion vector is decoded
+// once per cached copy of its bytes, like a data file's footer. Once a
+// statement has read a table whose files carry deletion vectors, SELECTs —
+// pushed predicate or not — decode none. A DELETE then decodes at most the
+// vector it replaces (on the node that writes, which may not have read it
+// yet), and the next read only the one it wrote.
+func TestWarmStatementsDecodeNoDeletionVectors(t *testing.T) {
+	s := testSession(t)
+	mustExec(t, s, `CREATE TABLE t (k INT, v INT) WITH (DISTRIBUTION = k, SORTCOL = k)`)
+	for i := 0; i < 4; i++ {
+		var vals []string
+		for r := 0; r < 50; r++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d)", i*50+r, r))
+		}
+		mustExec(t, s, "INSERT INTO t VALUES "+strings.Join(vals, ", "))
+	}
+	mustExec(t, s, `DELETE FROM t WHERE k % 7 = 0`)
+	cold := dvDecodes(s)
+	mustExec(t, s, `SELECT COUNT(*) FROM t`) // the warming statement
+	if got := dvDecodes(s) - cold; got < 4 {
+		t.Fatalf("warming a table of 4 files with deletion vectors decoded %d vectors", got)
+	}
+	warm := dvDecodes(s)
+	for i := 0; i < 3; i++ {
+		if res := mustExec(t, s, `SELECT COUNT(*) FROM t WHERE v > 10`); res.Batch.Row(0)[0].(int64) == 0 {
+			t.Fatal("no rows")
+		}
+		mustExec(t, s, `SELECT k, v FROM t ORDER BY k LIMIT 5`)
+		mustExec(t, s, `SELECT SUM(v) FROM t`)
+	}
+	if got := dvDecodes(s) - warm; got != 0 {
+		t.Fatalf("nine warm statements decoded %d deletion vectors, want 0", got)
+	}
+	mustExec(t, s, `DELETE FROM t WHERE k = 1`)
+	mustExec(t, s, `SELECT COUNT(*) FROM t`)
+	if got := dvDecodes(s) - warm; got > 2 {
+		t.Fatalf("a one-row DELETE and a read decoded %d deletion vectors, want at most the one replaced and the one written", got)
+	}
+	again := dvDecodes(s)
+	mustExec(t, s, `SELECT COUNT(*) FROM t`)
+	if got := dvDecodes(s) - again; got != 0 {
+		t.Fatalf("a second pass decoded %d deletion vectors", got)
+	}
+}
+
 // TestWarmStatementsParseNoFooters: a sealed file is opened once per cached
 // copy of its bytes. After one warming statement, SELECT, DELETE and UPDATE
 // over a table of many cached files parse no footer at all; the files an

@@ -144,6 +144,42 @@ func (s *scope) resolve(c ColName) (int, error) {
 	return found, nil
 }
 
+// live returns the positions of the columns refs can name, matched as
+// resolve matches them — every candidate of a name, so a reference over the
+// kept columns resolves, or fails as ambiguous or unknown, exactly as it does
+// over the whole scope. It keeps at least column 0, so a batch of the kept
+// columns still counts its rows, and returns nil when it would keep them all.
+func (s *scope) live(refs []ColName) []int {
+	var cols []int
+	for i, f := range s.schema {
+		for _, c := range refs {
+			if strings.EqualFold(f.Name, c.Name) && (c.Table == "" || strings.EqualFold(s.quals[i], c.Table)) {
+				cols = append(cols, i)
+				break
+			}
+		}
+	}
+	switch {
+	case len(cols) == len(s.schema):
+		return nil
+	case len(cols) == 0:
+		return []int{0}
+	}
+	return cols
+}
+
+// pick returns the scope of the given columns, in that order (nil = all).
+func (s *scope) pick(cols []int) *scope {
+	if cols == nil {
+		return s
+	}
+	out := &scope{schema: make(colfile.Schema, len(cols)), quals: make([]string, len(cols))}
+	for i, c := range cols {
+		out.schema[i], out.quals[i] = s.schema[c], s.quals[c]
+	}
+	return out
+}
+
 // qualified renders column i as alias.name.
 func (s *scope) qualified(i int) string {
 	return displayName(ColName{Table: s.quals[i], Name: s.schema[i].Name})
@@ -393,6 +429,11 @@ func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.run(tx)
+}
+
+// run opens and executes a planned SELECT.
+func (p *selectPlan) run(tx *core.Txn) (*colfile.Batch, error) {
 	p.recordWork(tx)
 
 	// Grace-join spill context: the join memory budget plus the statement's
@@ -696,7 +737,7 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		}
 		for j := from; j < to; j++ {
 			op = &exec.Probe{In: op, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
-				Bloom: blooms[j], Pruned: pruned}
+				Cols: p.joins[j].cols, Bloom: blooms[j], Pruned: pruned}
 		}
 		return op, nil
 	}
@@ -711,7 +752,7 @@ func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		if err != nil {
 			return nil, err
 		}
-		if cur, err = srcs[j].Spilled.JoinBatches(ctx, in, pj.leftKeys, pj.leftSchema, dop); err != nil {
+		if cur, err = srcs[j].Spilled.JoinBatches(ctx, in, pj.leftKeys, pj.leftSchema, pj.cols, dop); err != nil {
 			return nil, err
 		}
 		from = j + 1

@@ -13,6 +13,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"polaris/internal/catalog"
@@ -50,6 +51,7 @@ type planJoin struct {
 	leftKeys, rightKeys []int
 	typ                 exec.JoinType
 	leftSchema          colfile.Schema // the probe side entering this stage
+	cols                []int          // the columns the probe gathers (exec.Probe.Cols; nil = all)
 	reordered           bool           // cost-based reordering moved this build from its syntactic slot
 
 	cfg exec.SpillConfig // budget and spill namespace: set by open
@@ -118,6 +120,18 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 		// the scan still contribute zone-map pruning.
 		p.base.hint = prunableRange(st.Where, p.base.meta, alias)
 	}
+	// What no scan takes stays in the post-join Filter, in WHERE order.
+	p.where = st.Where
+	if slices.ContainsFunc(owners, func(r *relation) bool { return r != nil }) {
+		var rest []Expr
+		for i, c := range conjuncts {
+			if owners[i] == nil {
+				rest = append(rest, c)
+			}
+		}
+		p.where = andFold(rest)
+	}
+	later := p.laterRefs(ons)
 	sc := singleTableScope(p.base.schema, alias)
 	if err := p.push(p.base, conjuncts, owners, sc); err != nil {
 		return nil, err
@@ -135,26 +149,22 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 		if st.Joins[i].Left { // only all-inner statements are reordered, so slot i's flag holds either way
 			typ = exec.LeftOuterJoin
 		}
-		p.joins = append(p.joins, &planJoin{
+		j := &planJoin{
 			build: build, on: ons[i], leftKeys: lk, rightKeys: rk, typ: typ,
 			leftSchema: sc.schema,
 			reordered:  build.pos != i+1,
-		})
+		}
 		sc = &scope{
 			schema: append(append(colfile.Schema{}, sc.schema...), rsc.schema...),
 			quals:  append(append([]string{}, sc.quals...), rsc.quals...),
 		}
-	}
-	// What no scan took stays in the post-join Filter, in WHERE order.
-	p.where = st.Where
-	if p.pushedCount > 0 {
-		var rest []Expr
-		for i, c := range conjuncts {
-			if owners[i] == nil {
-				rest = append(rest, c)
-			}
+		// Late materialization: the probe gathers only what is read after
+		// it, and everything after it binds against that narrower scope.
+		if later != nil {
+			j.cols = sc.live(later[i])
+			sc = sc.pick(j.cols)
 		}
-		p.where = andFold(rest)
+		p.joins = append(p.joins, j)
 	}
 	if p.tail, err = compileTail(p, sc); err != nil {
 		return nil, err
@@ -163,6 +173,39 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// laterRefs returns, for each join i, the column references something after
+// it reads: the ON conditions of the joins after it, then the tail — the
+// residual WHERE, the items, GROUP BY, HAVING and ORDER BY. It returns nil
+// when an item is *, which outputs every column of the joined scope.
+func (p *selectPlan) laterRefs(ons []Expr) [][]ColName {
+	var refs []ColName
+	add := func(c ColName) { refs = append(refs, c) }
+	for _, it := range p.items {
+		if it.Star {
+			return nil
+		}
+		walkCols(it.Expr, add)
+	}
+	if p.where != nil {
+		walkCols(p.where, add)
+	}
+	for _, g := range p.groupBy {
+		walkCols(g, add)
+	}
+	if p.having != nil {
+		walkCols(p.having, add)
+	}
+	for _, o := range p.orderBy {
+		walkCols(o.Expr, add)
+	}
+	later := make([][]ColName, len(ons))
+	for i := len(ons) - 1; i >= 0; i-- {
+		later[i] = slices.Clip(refs)
+		walkCols(ons[i], add)
+	}
+	return later
 }
 
 // push compiles the conjunction a relation's scan evaluates, once: the

@@ -27,14 +27,9 @@ type tableStats struct {
 // so the fold is all-or-nothing per table.
 func collectStats(state *manifest.TableState, schema colfile.Schema) *tableStats {
 	ts := &tableStats{rows: state.TotalRows(), cols: map[string]colfile.ColSketch{}}
-	merged := make([]colfile.ColSketch, len(schema))
-	for _, f := range state.LiveFiles() {
-		if len(f.Sketches) != len(schema) {
-			return ts // pre-sketch file in the snapshot: rows only
-		}
-		for i := range merged {
-			merged[i].Merge(f.Sketches[i])
-		}
+	merged, ok := state.Sketches(len(schema)) // folded once per snapshot
+	if !ok {
+		return ts // pre-sketch file in the snapshot: rows only
 	}
 	for i, fld := range schema {
 		ts.cols[strings.ToLower(fld.Name)] = merged[i]

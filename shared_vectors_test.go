@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"polaris/internal/colfile"
+	"polaris/internal/deletevector"
 )
 
 // Decoded column chunks are shared: a colfile.Reader memoizes every vector it
@@ -19,7 +20,13 @@ import (
 // and COMPACT, on both stage runners, spilling and not, and then compares
 // every vector the nodes' cached readers hold with a fresh decode of the same
 // bytes: values, NULL bitmap and length (an append through a shared slice
-// header shows as a length; capacity is not compared).
+// header shows as a length; capacity is not compared). Decoded deletion
+// vectors are shared the same way, kept beside their bytes in the same
+// cache, so the walk compares every cached vector with a fresh decode too.
+// (Each program's broadcast constants, shared by its operator instances
+// within a statement, are checked by internal/sql's
+// TestSharedConstantsAreNeverWritten, where the plan's programs are in
+// reach.)
 
 func sameVec(a, b *colfile.Vec) bool {
 	if len(a.Floats) != len(b.Floats) {
@@ -59,9 +66,33 @@ func TestSharedVectorsAreNeverWritten(t *testing.T) {
 				selects(db)
 
 				eng := db.Engine()
-				shared, chunks := 0, 0
+				shared, chunks, dvs := 0, 0, 0
 				for _, node := range eng.Fabric.Nodes() {
 					for _, path := range eng.Store.List("tables/") {
+						if strings.HasSuffix(path, ".dv") {
+							// The node's cached vector when it has one.
+							decodes := node.Stats().DVDecodes
+							kept, _, _, err := node.OpenDV(eng.Store, path)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if node.Stats().DVDecodes == decodes {
+								dvs++
+							}
+							data, err := eng.Store.Get(path)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							want, err := deletevector.Unmarshal(data)
+							if err != nil {
+								t.Fatalf("%s: %s: %v", name, path, err)
+							}
+							if !kept.Equal(want) {
+								t.Errorf("%s: node %d: %s: the shared deletion vector no longer matches its bytes\nkept: %v\nwant: %v",
+									name, node.ID, path, kept, want)
+							}
+							continue
+						}
 						if !strings.HasSuffix(path, ".pcf") {
 							continue
 						}
@@ -102,6 +133,9 @@ func TestSharedVectorsAreNeverWritten(t *testing.T) {
 				}
 				if shared < 20 {
 					t.Fatalf("%s: only %d cached readers had decoded anything (%d chunks compared); the walk is not reaching the shared vectors", name, shared, chunks)
+				}
+				if dvs == 0 {
+					t.Fatalf("%s: no node had a deletion vector cached; the walk is not reaching the shared vectors", name)
 				}
 			}
 		}
