@@ -13,11 +13,11 @@ import (
 // render identical bytes at every Parallelism × DistributedQueries ×
 // JoinMemoryBudget setting, Parallelism 1 included (it is the same plan with
 // one worker), leak no spill blob or worker slot, and make the same plan
-// choices (top-N pushdown, join spills) at every
-// Parallelism. The statements are the shapes where a separate serial path
-// used to disagree with the morsel plan — unordered GROUP BY, ties under
-// ORDER BY agg LIMIT — and the shapes it alone used to serve: bare LIMIT,
-// empty tables.
+// choices (top-N pushdown, join spills, rows pruned by runtime filters) at
+// every Parallelism, on the morsel pool and the task DAG alike. The
+// statements are the shapes where a separate serial path used to disagree
+// with the morsel plan — unordered GROUP BY, ties under ORDER BY agg LIMIT —
+// and the shapes it alone used to serve: bare LIMIT, empty tables.
 
 type matrixStmt struct {
 	sql string
@@ -140,8 +140,14 @@ func openMatrixDB(t *testing.T, parallelism int, dag bool, budget int64) *DB {
 	return db
 }
 
+// bareLimit reports a LIMIT without ORDER BY: the pool stops scanning once the
+// completed prefix of morsels holds enough rows.
+func bareLimit(sql string) bool {
+	return strings.Contains(sql, " LIMIT ") && !strings.Contains(sql, " ORDER BY ")
+}
+
 func TestExecutorMatrixIdentity(t *testing.T) {
-	type choices struct{ topN, joinSpills int64 }
+	type choices struct{ topN, joinSpills, filtered int64 }
 	type cell struct {
 		name        string
 		parallelism int
@@ -168,7 +174,7 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 		wantChoices := map[int64]choices{} // plan choices by budget
 		for _, c := range cells {
 			work := &c.db.Engine().Work
-			before := choices{work.TopNPushdowns.Load(), work.JoinSpills.Load()}
+			before := choices{work.TopNPushdowns.Load(), work.JoinSpills.Load(), work.RuntimeFilterRows.Load()}
 			r, err := c.db.Query(st.sql)
 			if st.wantErr != "" {
 				if err == nil || err.Error() != st.wantErr {
@@ -193,7 +199,14 @@ func TestExecutorMatrixIdentity(t *testing.T) {
 				t.Errorf("%s: result differs from the first cell's\nsql: %s\ngot:\n%s\nwant:\n%s", c.name, st.sql, got, ref)
 			}
 
-			made := choices{work.TopNPushdowns.Load() - before.topN, work.JoinSpills.Load() - before.joinSpills}
+			made := choices{work.TopNPushdowns.Load() - before.topN, work.JoinSpills.Load() - before.joinSpills,
+				work.RuntimeFilterRows.Load() - before.filtered}
+			if bareLimit(st.sql) {
+				// The early stop leaves which morsels past the prefix had
+				// already run — and the rows their blooms pruned — to
+				// scheduling.
+				made.filtered = 0
+			}
 			if ref, ok := wantChoices[c.budget]; !ok {
 				wantChoices[c.budget] = made
 			} else if made != ref {

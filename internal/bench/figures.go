@@ -260,7 +260,7 @@ func Fig10(s Scale) Fig10Result {
 		panic(fmt.Sprintf("bench: fig10 load: %v", err))
 	}
 	orch := sto.New(eng, sto.Config{
-		CheckpointEvery: 10, AutoCompact: true, PublishDelta: false, MaxCompactRetries: 3,
+		CheckpointEvery: 10, AutoCompact: true, PublishDelta: false,
 	})
 	queries := workload.DSQueries(8)
 	next := rows * 10
@@ -314,7 +314,7 @@ func Fig11(s Scale) []Fig11Row {
 		panic(fmt.Sprintf("bench: fig11 load: %v", err))
 	}
 	orch := sto.New(eng, sto.Config{
-		CheckpointEvery: 10, AutoCompact: false, PublishDelta: false, MaxCompactRetries: 3,
+		CheckpointEvery: 10, AutoCompact: false, PublishDelta: false,
 	})
 	next := rows * 10
 	const phases = 3
@@ -379,7 +379,7 @@ func Fig12(s Scale) []Fig12Row {
 	var commits atomic.Int64
 	eng.Subscribe(func(core.CommitEvent) { commits.Add(1) })
 	orch := sto.New(eng, sto.Config{
-		CheckpointEvery: 10, AutoCompact: false, PublishDelta: false, MaxCompactRetries: 3,
+		CheckpointEvery: 10, AutoCompact: false, PublishDelta: false,
 	})
 	remoteBytes := func() int64 {
 		var total int64

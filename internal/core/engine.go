@@ -78,8 +78,6 @@ type Options struct {
 	// store and joins partition-wise (byte-identical results either way).
 	// 0 or negative means unlimited — the build is always in-memory.
 	JoinMemoryBudget int64
-	// MaxTaskAttempts bounds DCP task retries.
-	MaxTaskAttempts int
 	// CompactSmallRows and CompactDeletedFrac are storage-health thresholds.
 	CompactSmallRows   int64
 	CompactDeletedFrac float64
@@ -112,7 +110,6 @@ func DefaultOptions() Options {
 		Isolation:          catalog.Snapshot,
 		WLMSeparate:        true,
 		Parallelism:        exec.DefaultDOP(),
-		MaxTaskAttempts:    3,
 		CompactSmallRows:   1024,
 		CompactDeletedFrac: 0.3,
 		RetentionSeqs:      1 << 30,

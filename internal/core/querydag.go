@@ -17,15 +17,14 @@ func (t *Txn) DistributedQueries() bool { return t.eng.opts.DistributedQueries }
 func (t *Txn) CostModel() *compute.CostModel { return t.eng.Fabric.Model() }
 
 // runJob runs a task DAG on the compute fabric under ctx — nodes allocated
-// for its task count, the engine's retry policy, injector consulted after
-// every attempt — and charges its simulated makespan to the transaction.
-// Every DCP job the engine launches goes through it: the read fetch
-// (fetchScanFiles), query DAGs (RunQueryDAG) and the INSERT and BULK LOAD
-// write jobs (commitWriteJob).
+// for its task count, dcp's default of three attempts per task, injector
+// consulted after every attempt — and charges its simulated makespan to the
+// transaction. Every DCP job the engine launches goes through it: the read
+// fetch (fetchScanFiles), query DAGs (RunQueryDAG) and the INSERT and BULK
+// LOAD write jobs (commitWriteJob).
 func (t *Txn) runJob(ctx context.Context, g *dcp.Graph, injector func(taskID, attempt int, node *compute.Node) error) (*dcp.Result, error) {
 	nodes, delay := t.eng.Fabric.AllocateForJob(g.Len())
 	res, err := dcp.RunCtx(ctx, g, t.eng.pools(nodes), dcp.Options{
-		MaxAttempts:     t.eng.opts.MaxTaskAttempts,
 		Overhead:        t.eng.Fabric.Model().TaskOverhead,
 		StartOffset:     delay,
 		FailureInjector: injector,

@@ -2,18 +2,20 @@ package sql
 
 // Distributed query execution (paper Sections 1, 3.3): under
 // Options.DistributedQueries an opened plan's stages run as a DCP task DAG
-// instead of on the in-process morsel pool. The DAG is query-shaped —
-// per-morsel scan tasks, one build task per join, a gather barrier per join
-// stage, and per-morsel probe tasks — placed on the read pool with per-node
-// slot placement. Stage outputs cross task boundaries through a query-scoped
-// object-store exchange namespace (colfile's transient batch frame, which the
-// grace-join spill also writes: raw columns closed by a checksum), so every
-// stage is durable and re-runnable: a task lost to a node failure is retried
-// on another node and deterministically rewrites the same exchange files,
-// which is exactly the object-store block semantics the paper's retry story
-// relies on. Output is byte-identical to the pool's at every DOP,
-// join-memory budget and failure schedule — both stage runners consume one
-// plan value (planSelect: the morsel decomposition, the fragment operators,
+// instead of on the in-process morsel pool. The DAG is query-shaped — one
+// build task per join, per-morsel scan tasks, a gather barrier per join stage,
+// and per-morsel probe tasks — placed on the read pool with per-node slot
+// placement. A task runs a whole pipeline segment (selectPlan.segment, the
+// pool's per-morsel chain), so data crosses a task boundary only where a
+// spilled join needs all of its input. Segment outputs go through a
+// query-scoped object-store exchange namespace (colfile's transient batch
+// frame, which the grace-join spill also writes: raw columns closed by a
+// checksum), so every stage is durable and re-runnable: a task lost to a node
+// failure is retried on another node and deterministically rewrites the same
+// exchange files, which is exactly the object-store block semantics the
+// paper's retry story relies on. Output is byte-identical to the pool's at
+// every DOP, join-memory budget and failure schedule — both stage runners
+// consume one plan value (planSelect: the morsel decomposition, the segments,
 // the joins) and feed one merge tail (mergeSelect). See docs/DCP-QUERIES.md.
 
 import (
@@ -50,13 +52,6 @@ func dagProbeID(j, i int) int { return (j+2)*dagStageStride + i }
 type dagOut struct {
 	name   string
 	pruned int64
-}
-
-func dagOutOf(v any) *dagOut {
-	if o, ok := v.(*dagOut); ok && o != nil {
-		return o
-	}
-	return &dagOut{}
 }
 
 // dagExchange is the query's task-boundary exchange: a batch-frame
@@ -108,11 +103,11 @@ func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, name string) (*col
 
 // dagState carries the build results across tasks: join j's source and its
 // runtime filter (nil for a spilled or LEFT OUTER build), derived once by
-// build task b(j). b(j) publishes under a mutex and gather g(j) — and through
-// it every probe of join j — depends on it, so readers always observe the
-// completed build. A retried build republishes an equivalent value — the
-// inputs and the build algorithm are deterministic — so last-write-wins is
-// safe.
+// build task b(j). b(j) publishes under a mutex, and every scan — and through
+// the scans every gather and probe — depends on every build, so readers always
+// observe the completed builds. A retried build republishes an equivalent
+// value — the inputs and the build algorithm are deterministic — so
+// last-write-wins is safe.
 type dagState struct {
 	mu     sync.Mutex
 	srcs   []*exec.JoinSource
@@ -125,85 +120,64 @@ func (s *dagState) set(j int, src *exec.JoinSource, bloom *exec.Bloom) {
 	s.mu.Unlock()
 }
 
-func (s *dagState) get(j int) (*exec.JoinSource, *exec.Bloom) {
+func (s *dagState) get() ([]*exec.JoinSource, []*exec.Bloom) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.srcs[j], s.blooms[j]
+	return s.srcs, s.blooms
 }
 
 // runStagesDAG runs an opened plan's stages as a DCP task DAG and returns
 // the per-morsel outputs of the final stage in morsel order. It is
-// runStagesPool on another substrate: the same morsels, fragment operators and
-// joins (one plan), with stage outputs crossing task boundaries through
-// the exchange. A build task drains its input straight into the JoinSource:
-// the build side is re-read from the table's immutable files on a retry, so
-// nothing of it crosses the exchange. A spilled join's gather is the pool's
-// barrier; a morsel with no rows has none after it, so its later tasks
-// forward the empty output without running a fragment.
+// runStagesPool on another substrate: the same morsels, builds and pipeline
+// segments (selectPlan.segment), with a segment's output crossing task
+// boundaries through the exchange. A build task drains its input straight
+// into the JoinSource: the build side is re-read from the table's immutable
+// files on a retry, so nothing of it crosses the exchange.
+//
+// The graph's shape is static — build b(j), gather g(j) and probes p(j,i) per
+// join, a scan s(i) per morsel — while the builds decide where the segments
+// end. Scan s(i) waits for every build and runs segment 0. A spilled join's
+// gather is the pool's barrier, and its probes run the segment after it; an
+// in-memory join was fused into the segment before it, so its gather does
+// nothing and its probes forward the frame they received. A morsel with no
+// rows has none after a barrier, so its later tasks forward the empty output.
 func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	suffix func(exec.Operator) exec.Operator) ([]*colfile.Batch, error) {
-	base, joins, tail := p.base, p.joins, p.tail
-	ms := base.ms
-
 	// The exchange namespace lives exactly as long as the statement:
 	// joinSpill.finish deletes it on success and error alike, so neither a
 	// completed query nor one killed mid-DAG leaks exchange files.
 	ex := &dagExchange{dir: spill.newDir(), model: tx.CostModel()}
 
-	M := len(ms.Morsels)
-	J := len(joins)
+	ms := p.base.ms.Morsels
+	M, J := len(ms), len(p.joins)
 	state := &dagState{srcs: make([]*exec.JoinSource, J), blooms: make([]*exec.Bloom, J)}
 	g := dcp.NewGraph()
 
-	// Stage 0: one scan task per morsel. With no joins the whole
-	// fragment (scan→filter→suffix) is fused into it.
-	for i, m := range ms.Morsels {
-		i, m := i, m
-		if err := g.Add(&dcp.Task{
-			ID: dagScanID(i), Name: fmt.Sprintf("scan-m%d", i), Pool: dcp.ReadPool,
-			Exec: func(qc *dcp.Ctx) (any, error) {
-				op, err := base.fragment(m)
-				if err != nil {
-					return nil, err
-				}
-				if J == 0 {
-					op = suffix(tail.filter(op))
-				}
-				b, err := exec.CollectCtx(qc.Context(), op)
-				if err != nil {
-					return nil, err
-				}
-				name, err := ex.write(qc, fmt.Sprintf("s0/m%05d", i), b)
-				if err != nil {
-					return nil, err
-				}
-				return &dagOut{name: name}, nil
-			},
-		}); err != nil {
+	// segment runs a morsel's segment that starts at join from over in, and
+	// writes its output as the frame called name.
+	segment := func(qc *dcp.Ctx, in exec.Operator, from int, name string) (any, error) {
+		srcs, blooms := state.get()
+		var pruned atomic.Int64
+		b, err := exec.CollectCtx(qc.Context(), p.segment(in, srcs, blooms, from, barrier(srcs, from), &pruned, suffix))
+		if err != nil {
 			return nil, err
 		}
+		if name, err = ex.write(qc, name, b); err != nil {
+			return nil, err
+		}
+		return &dagOut{name: name, pruned: pruned.Load()}, nil
 	}
 
-	prevID := dagScanID
-	for j, dj := range joins {
-		j, dj := j, dj
-		prev := prevID
-		last := j == J-1
-
+	builds := make([]int, J)
+	for j, pj := range p.joins {
+		j, pj := j, pj
+		builds[j] = dagBuildID(j)
 		if err := g.Add(&dcp.Task{
 			ID: dagBuildID(j), Name: fmt.Sprintf("build-j%d", j), Pool: dcp.ReadPool,
 			Exec: func(qc *dcp.Ctx) (any, error) {
-				right, err := dj.openBuild()
+				src, bloom, err := pj.runBuild(tx.Parallelism())
 				if err != nil {
 					return nil, err
-				}
-				src, err := exec.BuildGraceJoin(right, dj.rightKeys, dj.typ, tx.Parallelism(), dj.cfg)
-				if err != nil {
-					return nil, err
-				}
-				var bloom *exec.Bloom
-				if src.Spilled == nil && dj.typ != exec.LeftOuterJoin {
-					bloom = src.Table.BloomFilter()
 				}
 				state.set(j, src, bloom)
 				return nil, nil
@@ -211,33 +185,53 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 		}); err != nil {
 			return nil, err
 		}
+	}
+
+	for i, m := range ms {
+		i, m := i, m
+		if err := g.Add(&dcp.Task{
+			ID: dagScanID(i), Name: fmt.Sprintf("scan-m%d", i), Pool: dcp.ReadPool, Deps: builds,
+			Exec: func(qc *dcp.Ctx) (any, error) {
+				op, err := p.base.fragment(m)
+				if err != nil {
+					return nil, err
+				}
+				return segment(qc, op, 0, fmt.Sprintf("s0/m%05d", i))
+			},
+		}); err != nil {
+			return nil, err
+		}
+	}
+
+	prev := dagScanID
+	for j, pj := range p.joins {
+		j, pj, up := j, pj, prev
 
 		// The gather barrier: for a spilled build it assembles the full
-		// per-morsel batch list (nil entries preserved — the partition-
-		// wise join's global ordinal merge depends on them) and runs the
-		// partition-wise grace join; for an in-memory build it is a pure
-		// synchronization point. It depends on its build and the previous
+		// per-morsel batch list (nil entries preserved — the partition-wise
+		// join's global ordinal merge depends on them) and runs the
+		// partition-wise grace join. It depends on its build and the previous
 		// stage.
 		gdeps := []int{dagBuildID(j)}
 		for i := 0; i < M; i++ {
-			gdeps = append(gdeps, prev(i))
+			gdeps = append(gdeps, up(i))
 		}
 		if err := g.Add(&dcp.Task{
 			ID: dagGatherID(j), Name: fmt.Sprintf("gather-j%d", j), Pool: dcp.ReadPool, Deps: gdeps,
 			Exec: func(qc *dcp.Ctx) (any, error) {
-				src, _ := state.get(j)
-				if src.Spilled == nil {
-					return nil, nil // in-memory build: probes share the JoinTable
+				srcs, _ := state.get()
+				if srcs[j].Spilled == nil {
+					return nil, nil
 				}
 				batches := make([]*colfile.Batch, M)
 				for i := 0; i < M; i++ {
-					b, err := ex.read(qc.Context(), qc, dagOutOf(qc.Inputs[prev(i)]).name)
+					b, err := ex.read(qc.Context(), qc, qc.Inputs[up(i)].(*dagOut).name)
 					if err != nil {
 						return nil, err
 					}
 					batches[i] = b
 				}
-				joined, err := src.Spilled.JoinBatches(qc.Context(), batches, dj.leftKeys, dj.leftSchema, dj.cols, dop)
+				joined, err := srcs[j].Spilled.JoinBatches(qc.Context(), batches, pj.leftKeys, pj.leftSchema, pj.cols, dop)
 				if err != nil {
 					return nil, err
 				}
@@ -259,87 +253,61 @@ func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 			i := i
 			if err := g.Add(&dcp.Task{
 				ID: dagProbeID(j, i), Name: fmt.Sprintf("probe-j%d-m%d", j, i), Pool: dcp.ReadPool,
-				Deps: []int{dagGatherID(j), prev(i)},
+				Deps: []int{dagGatherID(j), up(i)},
 				Exec: func(qc *dcp.Ctx) (any, error) {
-					ctx := qc.Context()
-					src, bloom := state.get(j)
-					var localPruned atomic.Int64
-					name := dagOutOf(qc.Inputs[prev(i)]).name
-					if src.Spilled != nil {
-						name = qc.Inputs[dagGatherID(j)].([]*dagOut)[i].name
-						if !last {
-							// Forward: the joined batch is already durable
-							// in the gather's exchange frame.
-							return &dagOut{name: name}, nil
-						}
+					srcs, _ := state.get()
+					if srcs[j].Spilled == nil {
+						return &dagOut{name: qc.Inputs[up(i)].(*dagOut).name}, nil
 					}
-					b, err := ex.read(ctx, qc, name)
+					name := qc.Inputs[dagGatherID(j)].([]*dagOut)[i].name
+					if next := barrier(srcs, j+1); next == j+1 && next < J {
+						// An empty segment: the next barrier reads the
+						// gather's frame as it is.
+						return &dagOut{name: name}, nil
+					}
+					b, err := ex.read(qc.Context(), qc, name)
 					if err != nil {
 						return nil, err
 					}
 					if b == nil {
 						return &dagOut{}, nil // no rows: none after the barrier either
 					}
-					var op exec.Operator = exec.NewBatchSource(b)
-					if src.Spilled == nil {
-						op = &exec.Probe{In: op, Table: src.Table, LeftKeys: dj.leftKeys,
-							Cols: dj.cols, Bloom: bloom, Pruned: &localPruned}
-					}
-					if last {
-						op = suffix(tail.filter(op))
-					}
-					if b, err = exec.CollectCtx(ctx, op); err != nil {
-						return nil, err
-					}
-					if name, err = ex.write(qc, fmt.Sprintf("p%d/m%05d", j, i), b); err != nil {
-						return nil, err
-					}
-					return &dagOut{name: name, pruned: localPruned.Load()}, nil
+					return segment(qc, exec.NewBatchSource(b), j+1, fmt.Sprintf("p%d/m%05d", j, i))
 				},
 			}); err != nil {
 				return nil, err
 			}
 		}
-		prevID = func(i int) int { return dagProbeID(j, i) }
+		prev = func(i int) int { return dagProbeID(j, i) }
 	}
 
-	stages := 1
-	if J > 0 {
-		stages = 1 + J
-	}
-	res, err := tx.RunQueryDAG(g, stages)
-	for jx := range joins {
-		src, _ := state.get(jx)
+	res, err := tx.RunQueryDAG(g, 1+J)
+	srcs, _ := state.get()
+	for _, src := range srcs {
 		spill.count(src) // completed builds count even if the run failed
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	// Fold the winning attempts' pruned-row counts into WorkStats (the
-	// totals are row-based and so identical to the morsel path's).
+	// Fold the winning attempts' pruned-row counts into WorkStats (the totals
+	// are row-based and so identical to the pool's) and gather the frames of
+	// the final stage.
 	var pruned int64
-	for j := 0; j < J; j++ {
-		for i := 0; i < M; i++ {
-			pruned += dagOutOf(res.Outputs[dagProbeID(j, i)]).pruned
-		}
-	}
-	if pruned > 0 {
-		tx.Work().RuntimeFilterRows.Add(pruned)
-	}
-
-	finalID := dagScanID
-	if J > 0 {
-		finalID = func(i int) int { return dagProbeID(J-1, i) }
-	}
-	fctx := tx.Context()
 	batches := make([]*colfile.Batch, M)
 	for i := 0; i < M; i++ {
-		b, err := ex.read(fctx, nil, dagOutOf(res.Outputs[finalID(i)]).name)
+		pruned += res.Outputs[dagScanID(i)].(*dagOut).pruned
+		for j := 0; j < J; j++ {
+			pruned += res.Outputs[dagProbeID(j, i)].(*dagOut).pruned
+		}
+		b, err := ex.read(tx.Context(), nil, res.Outputs[prev(i)].(*dagOut).name)
 		if err != nil {
 			return nil, err
 		}
 		batches[i] = b
+	}
+	if pruned > 0 {
+		tx.Work().RuntimeFilterRows.Add(pruned)
 	}
 	return batches, nil
 }

@@ -131,6 +131,10 @@ var sweepQueries = []string{
 	`SELECT c.region, COUNT(*), SUM(o.qty) FROM orders o JOIN customers c ON o.cust = c.cid GROUP BY c.region ORDER BY c.region`,
 }
 
+// sweepSpillBudget is the join memory budget under which the sweep's join
+// queries spill their build.
+const sweepSpillBudget = 256
+
 // TestDAGFailureSweepByteIdentity is the failure-sweep property test. For
 // each DOP x join-budget cell it first runs every sweep query cleanly (the
 // discovery run records the full task-ID set via the injector), then re-runs
@@ -150,10 +154,13 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 		wantText[i], wantBytes[i] = renderResult(t, ref.sess, q)
 	}
 
+	// Budget 2048 keeps the customers build in memory, as budget 0 does,
+	// but under a spill configuration; sweepSpillBudget spills it.
 	dops := []int{1, 4, 8}
-	budgets := []int64{0, 2048}
+	budgets := []int64{0, 2048, sweepSpillBudget}
 	if testing.Short() {
 		dops = []int{4}
+		budgets = []int64{0, sweepSpillBudget}
 	}
 	for _, dop := range dops {
 		for _, budget := range budgets {
@@ -184,7 +191,11 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 					}
 					mu.Unlock()
 
+					spillsBefore := env.eng.Work.JoinSpills.Load()
 					gotText, gotBytes := renderResult(t, env.sess, q)
+					if spilled := env.eng.Work.JoinSpills.Load() > spillsBefore; spilled != (budget == sweepSpillBudget && qi > 0) {
+						t.Fatalf("query %d: spilled = %v under budget %d; the sweep needs the join build spilled at budget %d only", qi, spilled, budget, sweepSpillBudget)
+					}
 					if gotText != wantText[qi] {
 						t.Fatalf("query %d: clean DAG run diverged from serial reference\n got: %s\nwant: %s", qi, gotText, wantText[qi])
 					}
@@ -203,8 +214,8 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 					if len(ids) == 0 {
 						t.Fatalf("query %d: distributed path produced no DAG tasks at dop %d", qi, dop)
 					}
-					if testing.Short() && len(ids) > 8 {
-						ids = ids[:8]
+					if testing.Short() {
+						ids = shortSample(ids)
 					}
 
 					retriesBefore := env.eng.Work.DagRetries.Load()
@@ -233,6 +244,33 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// shortSample is the failure sweep's kill list under -short: the first and
+// last task ID of each task kind — build, gather, scan, probe — so every kind
+// is killed at most twice, and at least once. Budget 0 keeps the join build in
+// memory, so its probes forward a frame; sweepSpillBudget spills it, so its
+// probes run the segment after the gather. IDs come sorted and each kind is a
+// contiguous ID range.
+func shortSample(ids []int) []int {
+	kind := func(id int) int {
+		switch {
+		case id < dagGatherID(0):
+			return 0
+		case id < dagScanID(0):
+			return 1
+		case id < dagProbeID(0, 0):
+			return 2
+		}
+		return 3
+	}
+	var out []int
+	for i, id := range ids {
+		if i == 0 || i == len(ids)-1 || kind(ids[i-1]) != kind(id) || kind(ids[i+1]) != kind(id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // TestDAGMatchesMorselExecutorFloats compares the DAG path against the
@@ -539,18 +577,42 @@ func TestDAGCountersDeterministic(t *testing.T) {
 // (docs/DCP-QUERIES.md): every frame a DAG statement writes is read once and
 // deleted inside the statement, so on a warm engine — the compute cache holds
 // every data file, leaving the exchange the store's only traffic — a
-// statement's puts, gets and deletes are equal.
+// statement's puts, gets and deletes are equal. Frames exist only at segment
+// ends, and with no spilled join the whole pipeline is one segment, so a
+// statement puts at most one frame per base morsel.
 func TestDAGExchangeWritesOnlyWhatItReads(t *testing.T) {
-	env := newDagEnv(t, nil) // budget 0: no join spills
+	// scans collects the last statement's scan task IDs, one per base
+	// morsel. Budget 0: no join spills.
+	var mu sync.Mutex
+	scans := map[int]bool{}
+	env := newDagEnv(t, func(o *core.Options) {
+		o.QueryFailureInjector = func(taskID, attempt int, node *compute.Node) error {
+			if taskID >= dagScanID(0) && taskID < dagProbeID(0, 0) {
+				mu.Lock()
+				scans[taskID] = true
+				mu.Unlock()
+			}
+			return nil
+		}
+	})
 	seedDag(t, env.sess)
 	for qi, q := range sweepQueries {
 		mustExec(t, env.sess, q) // warm the compute cache
+		mu.Lock()
+		clear(scans)
+		mu.Unlock()
 		before := env.store.Metrics()
 		mustExec(t, env.sess, q)
 		after := env.store.Metrics()
 		puts, gets, dels := after.Puts-before.Puts, after.Gets-before.Gets, after.Deletes-before.Deletes
 		if puts == 0 || puts != gets || puts != dels {
 			t.Fatalf("query %d: warm run put %d, got %d and deleted %d blobs; want equal and non-zero", qi, puts, gets, dels)
+		}
+		mu.Lock()
+		morsels := int64(len(scans))
+		mu.Unlock()
+		if puts > morsels {
+			t.Fatalf("query %d: warm run put %d frames over %d base morsels; want at most one per morsel", qi, puts, morsels)
 		}
 	}
 }

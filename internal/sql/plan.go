@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"polaris/internal/catalog"
@@ -668,106 +669,118 @@ func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
 	return s, nil
 }
 
-// openBuild opens the build side as a fresh operator: one scan over the
-// right table's files, in the table's global row order.
-func (j *planJoin) openBuild() (exec.Operator, error) {
-	return j.build.fragment(j.build.ms.Morsels[0])
+// runBuild drains the build side — one fresh scan over the right table's
+// files, in the table's global row order — under the join memory budget: into
+// an immutable JoinTable while it fits (the build itself is
+// partition-parallel), into spill partitions when it overflows. The bloom is
+// the join's runtime filter, derived once from a completed in-memory build and
+// shared read-only by every probe (nil for a spilled or LEFT OUTER build).
+func (j *planJoin) runBuild(par int) (*exec.JoinSource, *exec.Bloom, error) {
+	right, err := j.build.fragment(j.build.ms.Morsels[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := exec.BuildGraceJoin(right, j.rightKeys, j.typ, par, j.cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var bloom *exec.Bloom
+	if src.Spilled == nil && j.typ != exec.LeftOuterJoin {
+		bloom = src.Table.BloomFilter()
+	}
+	return src, bloom, nil
+}
+
+// barrier returns the first spilled join at or after from, or len(srcs) when
+// there is none: the end of the pipeline segment that starts at from.
+func barrier(srcs []*exec.JoinSource, from int) int {
+	for from < len(srcs) && srcs[from].Spilled == nil {
+		from++
+	}
+	return from
+}
+
+// segment is one morsel's pipeline segment, the only per-morsel operator chain
+// either stage runner builds: in — the morsel's scan for the first segment,
+// the previous barrier's batch after it — through the in-memory probes of
+// joins [from, to), then, when to ends the pipeline, the residual filter and
+// suffix. Compiled programs, JoinTables and blooms are immutable values shared
+// by every worker; each Probe owns its scratch. pruned counts the probe rows
+// the blooms dropped.
+func (p *selectPlan) segment(in exec.Operator, srcs []*exec.JoinSource, blooms []*exec.Bloom,
+	from, to int, pruned *atomic.Int64, suffix func(exec.Operator) exec.Operator) exec.Operator {
+	for j := from; j < to; j++ {
+		in = &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
+			Cols: p.joins[j].cols, Bloom: blooms[j], Pruned: pruned}
+	}
+	if to == len(p.joins) {
+		in = suffix(p.tail.filter(in))
+	}
+	return in
 }
 
 // runStagesPool runs an opened plan's stages on the in-process morsel pool,
 // under the statement's context, and returns the per-morsel outputs in morsel
-// order. Build sides are drained once under the join memory budget: into an
-// immutable JoinTable shared by every probe worker while they fit (the build
-// itself is partition-parallel), into spill partitions when they overflow.
+// order. Build sides are drained once, before any probe.
 //
-// Each worker runs one pipeline per morsel: scan→[probe…]→filter→suffix.
-// Compiled programs and JoinTables are stateless/immutable values, safe to
-// share across workers; each Probe owns its scratch buffers. A spilled join
-// is a barrier inside that pipeline: the fragments up to it are materialized
-// per morsel, the partition-wise grace join runs over the same leased
-// workers, and the fragments after it read its per-morsel batches. A morsel
-// with no rows has none after a barrier, so it runs no later fragment. The
-// batches are byte-wise what a probe would have produced and morsel order is
-// kept throughout, so everything downstream is unchanged.
+// The pipeline is a loop over segments. A spilled join is a barrier: the
+// segment before it is materialized per morsel, the partition-wise grace join
+// runs over the same leased workers, and the next segment reads its per-morsel
+// batches. A morsel with no rows has none after a barrier, so it runs no later
+// segment. The batches are byte-wise what a probe would have produced and
+// morsel order is kept throughout, so everything downstream is unchanged.
 //
-// limit >= 0 (a bare LIMIT) lets the stage that runs the suffix stop early.
+// limit >= 0 (a bare LIMIT) lets the segment that runs the suffix stop early.
 func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
 	suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
 	ctx := tx.Context()
 	morsels := p.base.ms.Morsels
-	pruned := &tx.Work().RuntimeFilterRows
-
-	// blooms[j] is join j's runtime filter, derived once from the completed
-	// in-memory build and shared read-only by every probe worker (nil for
-	// LEFT OUTER, where probe rows survive regardless).
-	srcs := make([]*exec.JoinSource, len(p.joins))
-	blooms := make([]*exec.Bloom, len(p.joins))
+	J := len(p.joins)
+	srcs := make([]*exec.JoinSource, J)
+	blooms := make([]*exec.Bloom, J)
 	for j, pj := range p.joins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		right, err := pj.openBuild()
-		if err != nil {
-			return nil, err
-		}
-		src, err := exec.BuildGraceJoin(right, pj.rightKeys, pj.typ, tx.Parallelism(), pj.cfg)
+		src, bloom, err := pj.runBuild(tx.Parallelism())
 		if err != nil {
 			return nil, err
 		}
 		spill.count(src)
-		srcs[j] = src
-		if src.Spilled == nil && pj.typ != exec.LeftOuterJoin {
-			blooms[j] = src.Table.BloomFilter()
-		}
+		srcs[j], blooms[j] = src, bloom
 	}
 
-	// fragment opens morsel i's pipeline through the probes of joins
-	// [from, to): its scan before the first barrier, the last barrier's
-	// batch i after it (nil: no rows, no fragment).
-	var cur []*colfile.Batch
-	fragment := func(i, from, to int) (op exec.Operator, err error) {
+	var cur []*colfile.Batch // the last barrier's per-morsel batches
+	for from := 0; ; {
+		to := barrier(srcs, from)
+		open := func(i int) (op exec.Operator, err error) {
+			switch {
+			case from == 0:
+				op, err = p.base.fragment(morsels[i])
+			case cur[i] != nil:
+				op = exec.NewBatchSource(cur[i])
+			}
+			if op == nil || err != nil {
+				return nil, err
+			}
+			return p.segment(op, srcs, blooms, from, to, &tx.Work().RuntimeFilterRows, suffix), nil
+		}
 		switch {
-		case from == 0:
-			op, err = p.base.fragment(morsels[i])
-		case cur[i] != nil:
-			op = exec.NewBatchSource(cur[i])
+		case to == J && limit >= 0:
+			return exec.RunIndexedPrefix(ctx, len(morsels), dop, limit, open)
+		case to == J:
+			return exec.RunIndexed(ctx, len(morsels), dop, open)
 		}
-		if op == nil || err != nil {
-			return nil, err
-		}
-		for j := from; j < to; j++ {
-			op = &exec.Probe{In: op, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
-				Cols: p.joins[j].cols, Bloom: blooms[j], Pruned: pruned}
-		}
-		return op, nil
-	}
-	from := 0
-	for j, pj := range p.joins {
-		if srcs[j].Spilled == nil {
-			continue
-		}
-		in, err := exec.RunIndexed(ctx, len(morsels), dop, func(i int) (exec.Operator, error) {
-			return fragment(i, from, j)
-		})
+		in, err := exec.RunIndexed(ctx, len(morsels), dop, open)
 		if err != nil {
 			return nil, err
 		}
-		if cur, err = srcs[j].Spilled.JoinBatches(ctx, in, pj.leftKeys, pj.leftSchema, pj.cols, dop); err != nil {
+		pj := p.joins[to]
+		if cur, err = srcs[to].Spilled.JoinBatches(ctx, in, pj.leftKeys, pj.leftSchema, pj.cols, dop); err != nil {
 			return nil, err
 		}
-		from = j + 1
+		from = to + 1
 	}
-	last := func(i int) (exec.Operator, error) {
-		op, err := fragment(i, from, len(p.joins))
-		if op == nil || err != nil {
-			return nil, err
-		}
-		return suffix(p.tail.filter(op)), nil
-	}
-	if limit >= 0 {
-		return exec.RunIndexedPrefix(ctx, len(morsels), dop, limit, last)
-	}
-	return exec.RunIndexed(ctx, len(morsels), dop, last)
 }
 
 // fragmentRunner runs an opened plan's per-morsel fragments, each ending in

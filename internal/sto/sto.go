@@ -29,13 +29,14 @@ type Config struct {
 	// PublishIceberg additionally publishes Iceberg-shaped metadata (the
 	// multi-format converter path of footnote 1).
 	PublishIceberg bool
-	// MaxCompactRetries bounds conflict retries of the compaction txn.
-	MaxCompactRetries int
 }
+
+// compactRetries bounds conflict retries of the compaction txn.
+const compactRetries = 3
 
 // DefaultConfig matches the engine's defaults.
 func DefaultConfig() Config {
-	return Config{CheckpointEvery: 10, AutoCompact: true, PublishDelta: true, MaxCompactRetries: 3}
+	return Config{CheckpointEvery: 10, AutoCompact: true, PublishDelta: true}
 }
 
 // HealthSample is one point of a table's storage-health timeline (Fig. 10).
@@ -248,7 +249,7 @@ func (s *STO) SampleHealth() []HealthSample {
 // user transactions (the downside called out in 5.1).
 func (s *STO) Compact(table string) {
 	var result core.CompactionResult
-	err := s.eng.RunWithRetries(s.cfg.MaxCompactRetries, func(tx *core.Txn) error {
+	err := s.eng.RunWithRetries(compactRetries, func(tx *core.Txn) error {
 		res, err := tx.CompactTable(table)
 		result = res
 		return err

@@ -175,11 +175,10 @@ func Open(cfg Config) *DB {
 	opts.DistributedQueries = cfg.DistributedQueries
 	eng := core.NewEngine(catalog.NewDB(), store, fabric, opts)
 	orch := sto.New(eng, sto.Config{
-		CheckpointEvery:   cfg.CheckpointEvery,
-		AutoCompact:       cfg.AutoCompact,
-		PublishDelta:      cfg.PublishDelta,
-		PublishIceberg:    cfg.PublishIceberg,
-		MaxCompactRetries: 3,
+		CheckpointEvery: cfg.CheckpointEvery,
+		AutoCompact:     cfg.AutoCompact,
+		PublishDelta:    cfg.PublishDelta,
+		PublishIceberg:  cfg.PublishIceberg,
 	})
 	return &DB{eng: eng, sto: orch, main: sql.NewSession(eng)}
 }
