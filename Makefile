@@ -35,10 +35,11 @@ test:
 # other in memory, on the morsel pool and the DCP DAG), the
 # queued-admission fabric leasing, the multi-session HTTP server (bounded
 # concurrent-traffic stress with STO maintenance, the admission unit suite,
-# and the two-session interleaved-transaction test), and the DCP task
-# scheduler (retry/re-placement and the RunCtx cancellation watcher
-# exercised by the distributed-query DAG path). `./...` rather than a
-# package list so new packages are race-checked by default.
+# and the two-session interleaved-transaction test), and the DCP job API
+# (dcp.Start / Job.Run / Job.Close: retry/re-placement across batches and
+# the job's cancellation watcher, exercised by the distributed-query path,
+# which grows one job a stage at a time). `./...` rather than a package
+# list so new packages are race-checked by default.
 race:
 	$(GO) test -race -short ./...
 

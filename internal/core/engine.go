@@ -177,20 +177,19 @@ type WorkStats struct {
 	// across the DOP × budget sweep.
 	RuntimeFilterRows atomic.Int64
 	// DagTasks counts DCP tasks executed on behalf of distributed queries
-	// (Options.DistributedQueries). The DAG shape is a pure function of the
-	// plan and the configured parallelism — M scan tasks plus, per join, one
-	// gather and M probe tasks — so the count is deterministic per statement
-	// and invariant under failure injection (retries re-run a task, they do
-	// not add one).
+	// (Options.DistributedQueries): a build per join and M scans, plus per
+	// spilled join a gather and, unless the next join spills too, M segment
+	// tasks. The count is deterministic per statement and invariant under
+	// failure injection (retries re-run a task, they do not add one).
 	DagTasks atomic.Int64
 	// DagRetries counts query-DAG task attempts beyond the first (node lost
 	// after Exec, output discarded, task re-placed). Zero without injected
 	// or real node failures; the failure-sweep tests assert it goes ≥ 1 when
 	// a kill schedule is active.
 	DagRetries atomic.Int64
-	// DagStages counts pipeline stages executed by distributed queries: 1
-	// for a scan-only plan, 1 + number of joins otherwise. Deterministic per
-	// statement shape, like DagTasks.
+	// DagStages counts the pipeline depth of distributed queries: 1 for a
+	// scan-only plan, 1 + number of joins otherwise, whichever builds spill.
+	// Deterministic per statement shape, like DagTasks.
 	DagStages atomic.Int64
 	// Admission tracks front-door admission-control traffic when a serving
 	// process (cmd/polaris-server) multiplexes concurrent sessions over the

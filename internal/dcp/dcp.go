@@ -162,9 +162,10 @@ type Pools map[PoolKind][]*compute.Node
 // Exclusive occupancy is what makes the virtual-time accounting race-free and
 // keeps real parallelism equal to the simulated topology's.
 type lane struct {
-	node *compute.Node
-	free time.Duration
-	busy bool
+	node  *compute.Node
+	free  time.Duration
+	busy  bool
+	pools uint8 // bit p set: the lane serves PoolKind p
 }
 
 // Run executes the DAG to completion and returns outputs plus the simulated
@@ -175,14 +176,50 @@ func Run(g *Graph, pools Pools, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), g, pools, opts)
 }
 
-// RunCtx is Run with cancellation. When ctx is canceled mid-run, tasks that
-// have not started are abandoned, in-flight tasks observe the cancel through
-// Ctx.Context at their next boundary, no further retries are scheduled, and
-// the returned error wraps ctx.Err() (errors.Is-able as context.Canceled or
-// context.DeadlineExceeded).
+// RunCtx is Run with cancellation: Start, one Run of every task, Close. When
+// ctx is canceled mid-run, tasks that have not started are abandoned,
+// in-flight tasks observe the cancel through Ctx.Context at their next
+// boundary, no further retries are scheduled, and the returned error wraps
+// ctx.Err() (errors.Is-able as context.Canceled or context.DeadlineExceeded).
 func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, error) {
+	tasks := make([]*Task, 0, len(g.tasks))
+	//polaris:nondet Run dispatches in task-ID order whatever order it is given the tasks in
+	for _, t := range g.tasks {
+		tasks = append(tasks, t)
+	}
+	j := Start(ctx, pools, opts)
+	_, _ = j.Run(tasks...) // a failed Run fails the job, and Close reports it
+	return j.Close()
+}
+
+// Job is a DCP job grown one batch of tasks at a time: Start places it on its
+// pools, each Run dispatches a batch and waits for it, and Close returns the
+// Result of every batch. A task may depend on tasks of its batch and on tasks
+// an earlier Run completed, so the FE can choose the next batch from the last
+// one's outputs (distributed queries) while the job keeps one node set, one
+// virtual clock per lane and one cancellation watcher. The FE calls Run from
+// one goroutine and Close exactly once.
+type Job struct {
+	ctx   context.Context
+	opts  Options
+	lanes map[PoolKind][]*lane
+	stop  chan struct{}  // closed by Close: ends the cancellation watcher
+	wg    sync.WaitGroup // the running batch's tasks
+
+	mu         sync.Mutex
+	cond       *sync.Cond
+	err        error // the job's first error: once set, the job has failed
+	res        *Result
+	children   map[int][]*Task // each task's dependents in its batch
+	remaining  map[int]int     // each task Run was given: its unfinished dependencies in its batch
+	nextTicket int64
+	waiting    map[int64]PoolKind // tickets waiting for a lane, by dispatch order
+}
+
+// Start begins a job on pools. Nothing runs until Run.
+func Start(ctx context.Context, pools Pools, opts Options) *Job {
 	if ctx == nil {
-		//polaris:ctx nil-context default, so RunCtx(nil, …) means "not cancellable" rather than a panic
+		//polaris:ctx nil-context default, so Start(nil, …) means "not cancellable" rather than a panic
 		ctx = context.Background()
 	}
 	if opts.MaxAttempts <= 0 {
@@ -191,64 +228,23 @@ func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, 
 	if opts.Overhead == 0 {
 		opts.Overhead = 15 * time.Millisecond
 	}
-
-	// Validate deps and topologically sort (Kahn) to detect cycles. Tasks are
-	// visited in ID order so children/queue ordering — and therefore dispatch
-	// order — is identical run to run.
-	taskIDs := make([]int, 0, len(g.tasks))
-	for id := range g.tasks {
-		taskIDs = append(taskIDs, id)
+	j := &Job{
+		ctx: ctx, opts: opts,
+		lanes: make(map[PoolKind][]*lane),
+		stop:  make(chan struct{}),
+		res: &Result{Outputs: make(map[int]any), PerTask: make(map[int]TaskStats),
+			Makespan: opts.StartOffset},
+		children:  make(map[int][]*Task),
+		remaining: make(map[int]int),
+		waiting:   make(map[int64]PoolKind),
 	}
-	sort.Ints(taskIDs)
-	indeg := make(map[int]int, len(g.tasks))
-	children := make(map[int][]int)
-	for _, id := range taskIDs {
-		t := g.tasks[id]
-		if _, ok := indeg[id]; !ok {
-			indeg[id] = 0
-		}
-		for _, d := range t.Deps {
-			if _, ok := g.tasks[d]; !ok {
-				return nil, fmt.Errorf("dcp: task %d depends on unknown task %d", id, d)
-			}
-			indeg[id]++
-			children[d] = append(children[d], id)
-		}
-	}
-	processedCheck := 0
-	queue := make([]int, 0, len(g.tasks))
-	indegCopy := make(map[int]int, len(indeg))
-	for _, id := range taskIDs {
-		indegCopy[id] = indeg[id]
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	for i := 0; i < len(queue); i++ {
-		processedCheck++
-		for _, c := range children[queue[i]] {
-			indegCopy[c]--
-			if indegCopy[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if processedCheck != len(g.tasks) {
-		return nil, errors.New("dcp: dependency cycle")
-	}
+	j.cond = sync.NewCond(&j.mu)
 
 	// Build virtual lanes per pool. A node appearing in multiple pools (WLM
 	// separation disabled) contributes the SAME lane objects to each, so its
 	// slots are genuinely shared and interference shows up in virtual time.
-	lanes := make(map[PoolKind][]*lane)
 	laneByNodeSlot := make(map[[2]int]*lane)
-	poolKinds := make([]int, 0, len(pools))
-	for pool := range pools {
-		poolKinds = append(poolKinds, int(pool))
-	}
-	sort.Ints(poolKinds)
-	for _, pk := range poolKinds {
-		pool := PoolKind(pk)
+	for _, pool := range []PoolKind{ReadPool, WritePool} {
 		for _, n := range pools[pool] {
 			if !n.Alive() {
 				continue
@@ -260,272 +256,281 @@ func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, 
 					l = &lane{node: n, free: opts.StartOffset}
 					laneByNodeSlot[key] = l
 				}
-				lanes[pool] = append(lanes[pool], l)
+				j.lanes[pool] = append(j.lanes[pool], l)
+				l.pools |= 1 << pool
 			}
 		}
 	}
-	needPool := make(map[PoolKind]bool)
-	for _, t := range g.tasks {
-		needPool[t.Pool] = true
-	}
-	needKinds := make([]int, 0, len(needPool))
-	for p := range needPool {
-		needKinds = append(needKinds, int(p))
-	}
-	sort.Ints(needKinds)
-	for _, pk := range needKinds {
-		if p := PoolKind(pk); len(lanes[p]) == 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoNodes, p)
-		}
-	}
 
-	res := &Result{
-		Outputs: make(map[int]any, len(g.tasks)),
-		PerTask: make(map[int]TaskStats, len(g.tasks)),
-	}
-	var (
-		mu        sync.Mutex
-		wg        sync.WaitGroup
-		firstErr  error
-		remaining = make(map[int]int, len(indeg)) // indegree countdown
-		virtDone  = make(map[int]time.Duration)
-	)
-	cond := sync.NewCond(&mu)
-	for id, d := range indeg {
-		remaining[id] = d
-	}
-
-	// Cancellation: the watcher records the cancel as the run's first error
+	// Cancellation: the watcher records the cancel as the job's first error
 	// and wakes every lane waiter, so queued tasks bail out in acquireLane
 	// and the dispatch chain stops (children only dispatch after success).
 	if ctx.Done() != nil {
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
 		go func() {
 			select {
 			case <-ctx.Done():
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("dcp: run canceled: %w", ctx.Err())
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			case <-watcherDone:
+				j.fail(fmt.Errorf("dcp: run canceled: %w", ctx.Err()))
+			case <-j.stop:
 			}
 		}()
 	}
+	return j
+}
 
-	// Tickets impose FIFO lane granting in dispatch order, so the virtual
-	// schedule reflects queueing (a read dispatched after heavy writes on a
-	// shared pool waits behind them) instead of goroutine races. A younger
-	// ticket may take a lane only when no older waiting ticket's pool
-	// contains that lane — so disjoint WLM pools never block each other.
-	var nextTicket int64
-	waiting := make(map[int64]PoolKind)
-	laneInPool := make(map[PoolKind]map[*lane]bool)
-	for pool, ls := range lanes {
-		set := make(map[*lane]bool, len(ls))
-		for _, l := range ls {
-			set[l] = true
-		}
-		laneInPool[pool] = set
+// fail records err as the job's first error and wakes every lane waiter.
+func (j *Job) fail(err error) {
+	j.mu.Lock()
+	if j.err == nil {
+		j.err = err
 	}
-	// registerTicket is called synchronously at dispatch time, so FIFO order
-	// is fixed before any task goroutine races to acquire a lane.
-	registerTicket := func(pool PoolKind) int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		nextTicket++
-		waiting[nextTicket] = pool
-		return nextTicket
-	}
+	j.cond.Broadcast()
+	j.mu.Unlock()
+}
 
-	// acquireLane blocks until a free lane with an alive node is available to
-	// this ticket, preferring nodes other than notNode (retry re-placement).
-	// Returns nil when the pool has no alive nodes at all or the run failed.
-	acquireLane := func(pool PoolKind, ticket int64, notNode int) *lane {
-		mu.Lock()
-		defer mu.Unlock()
-		waiting[ticket] = pool // re-register on retries; dispatch registered first
-		defer func() {
-			delete(waiting, ticket)
-			cond.Broadcast()
-		}()
-		mayTake := func(l *lane) bool {
-			for t, p := range waiting {
-				if t < ticket && laneInPool[p][l] {
-					return false
-				}
-			}
-			return true
-		}
-		for {
-			if firstErr != nil {
-				return nil
-			}
-			var best, bestAny *lane
-			anyAlive := false
-			for _, l := range lanes[pool] {
-				if !l.node.Alive() {
-					continue
-				}
-				anyAlive = true
-				if l.busy || !mayTake(l) {
-					continue
-				}
-				if bestAny == nil || l.free < bestAny.free {
-					bestAny = l
-				}
-				if l.node.ID != notNode && (best == nil || l.free < best.free) {
-					best = l
-				}
-			}
-			if !anyAlive {
-				return nil
-			}
-			if best == nil {
-				best = bestAny // only the excluded node remains
-			}
-			if best != nil {
-				best.busy = true
-				return best
-			}
-			cond.Wait()
+// Run dispatches tasks and waits until each has completed or the job has
+// failed. It returns the tasks' outputs in argument order — nil for a task
+// that did not complete — and the job's error. A failed Run fails the job:
+// later Runs run nothing and return the same error.
+func (j *Job) Run(tasks ...*Task) ([]any, error) {
+	if err := j.ctx.Err(); err != nil {
+		j.fail(fmt.Errorf("dcp: run canceled: %w", err))
+	}
+	roots, err := j.plan(tasks)
+	if err != nil {
+		j.fail(err)
+	}
+	for _, t := range roots {
+		j.dispatch(t)
+	}
+	j.wg.Wait()
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	outs := make([]any, len(tasks))
+	for i, t := range tasks {
+		outs[i] = j.res.Outputs[t.ID]
+		if _, done := j.res.PerTask[t.ID]; !done && j.err == nil {
+			j.err = errors.New("dcp: dependency cycle") // its tasks never became ready
 		}
 	}
-	releaseLane := func(l *lane, newFree time.Duration) {
-		mu.Lock()
-		l.busy = false
-		if newFree > l.free {
-			l.free = newFree
+	return outs, j.err
+}
+
+// plan registers a batch — every ID new to the job, every dependency in the
+// batch or completed — and returns its tasks with no unfinished dependency in
+// ID order, so dispatch order is identical run to run.
+func (j *Job) plan(tasks []*Task) ([]*Task, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, t := range tasks {
+		if _, dup := j.remaining[t.ID]; dup {
+			return nil, fmt.Errorf("dcp: duplicate task id %d", t.ID)
 		}
-		cond.Broadcast()
-		mu.Unlock()
+		j.remaining[t.ID] = 0
 	}
-
-	var dispatch func(id int)
-	runTask := func(id int, ticket int64) {
-		defer wg.Done()
-		t := g.tasks[id]
-
-		mu.Lock()
-		if firstErr != nil {
-			mu.Unlock()
-			return
-		}
-		inputs := make(map[int]any, len(t.Deps))
-		var depsReady time.Duration
+	sorted := append([]*Task(nil), tasks...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].ID < sorted[b].ID })
+	var roots []*Task
+	for _, t := range sorted {
 		for _, d := range t.Deps {
-			inputs[d] = res.Outputs[d]
-			if virtDone[d] > depsReady {
-				depsReady = virtDone[d]
+			if _, done := j.res.PerTask[d]; done {
+				continue
 			}
+			if _, known := j.remaining[d]; !known {
+				return nil, fmt.Errorf("dcp: task %d depends on unknown task %d", t.ID, d)
+			}
+			j.remaining[t.ID]++
+			j.children[d] = append(j.children[d], t)
 		}
-		mu.Unlock()
+		if j.remaining[t.ID] == 0 {
+			roots = append(roots, t)
+		}
+	}
+	return roots, nil
+}
 
-		var (
-			out      any
-			err      error
-			tctx     *Ctx
-			attempts int
-			lastNode = -1
-			penalty  time.Duration
-		)
-		for attempts = 1; attempts <= opts.MaxAttempts; attempts++ {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr // canceled: don't burn retries, the watcher holds firstErr
-				break
-			}
-			l := acquireLane(t.Pool, ticket, lastNode)
-			if l == nil {
-				err = fmt.Errorf("%w: %s (all nodes lost)", ErrNoNodes, t.Pool)
-				break
-			}
-			tctx = &Ctx{Node: l.node, Attempt: attempts, Inputs: inputs, ctx: ctx}
-			out, err = t.Exec(tctx)
-			if err == nil && opts.FailureInjector != nil {
-				if ferr := opts.FailureInjector(id, attempts, l.node); ferr != nil {
-					// The attempt's side effects stand; its output is lost.
-					out, err = nil, ferr
-				}
-			}
-			if err == nil {
-				mu.Lock()
-				start := l.free
-				if depsReady > start {
-					start = depsReady
-				}
-				end := start + opts.Overhead + tctx.charged() + penalty
-				virtDone[id] = end
-				res.Outputs[id] = out
-				res.PerTask[id] = TaskStats{
-					Node: l.node.ID, Attempts: attempts,
-					VirtEnd: end, SimTime: tctx.charged(),
-				}
-				res.Retries += attempts - 1
-				mu.Unlock()
-				releaseLane(l, end)
-				break
-			}
-			lastNode = l.node.ID
-			penalty += opts.Overhead
-			releaseLane(l, 0)
-		}
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dcp: task %d (%s) failed after %d attempts: %w", id, t.Name, attempts-1, err)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-			return
-		}
+// Close ends the job and returns the Result of every batch it ran, or the
+// job's error if it failed. The makespan is the last virtual end of any task,
+// and never less than Options.StartOffset.
+func (j *Job) Close() (*Result, error) {
+	close(j.stop)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return nil, j.err
+	}
+	return j.res, nil
+}
 
-		// Unblock children.
-		mu.Lock()
-		var ready []int
-		for _, c := range children[id] {
-			remaining[c]--
-			if remaining[c] == 0 {
-				ready = append(ready, c)
+// dispatch starts task t. Tickets impose FIFO lane granting in dispatch
+// order, so the virtual schedule reflects queueing (a read dispatched after
+// heavy writes on a shared pool waits behind them) instead of goroutine
+// races; the ticket is registered here, synchronously, so FIFO order is
+// fixed before any task goroutine races to acquire a lane.
+func (j *Job) dispatch(t *Task) {
+	j.mu.Lock()
+	j.nextTicket++
+	ticket := j.nextTicket
+	j.waiting[ticket] = t.Pool
+	j.mu.Unlock()
+	j.wg.Add(1)
+	go j.runTask(t, ticket)
+}
+
+// acquireLane blocks until a free lane with an alive node is available to
+// this ticket, preferring nodes other than notNode (retry re-placement).
+// A younger ticket may take a lane only when no older waiting ticket's pool
+// contains that lane — so disjoint WLM pools never block each other.
+// Returns nil when the pool has no alive nodes at all or the job failed.
+func (j *Job) acquireLane(pool PoolKind, ticket int64, notNode int) *lane {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.waiting[ticket] = pool // re-register on retries; dispatch registered first
+	defer func() {
+		delete(j.waiting, ticket)
+		j.cond.Broadcast()
+	}()
+	mayTake := func(l *lane) bool {
+		for t, p := range j.waiting {
+			if t < ticket && l.pools&(1<<p) != 0 {
+				return false
 			}
 		}
-		mu.Unlock()
-		for _, c := range ready {
-			dispatch(c)
+		return true
+	}
+	for {
+		if j.err != nil {
+			return nil
+		}
+		var best, bestAny *lane
+		anyAlive := false
+		for _, l := range j.lanes[pool] {
+			if !l.node.Alive() {
+				continue
+			}
+			anyAlive = true
+			if l.busy || !mayTake(l) {
+				continue
+			}
+			if bestAny == nil || l.free < bestAny.free {
+				bestAny = l
+			}
+			if l.node.ID != notNode && (best == nil || l.free < best.free) {
+				best = l
+			}
+		}
+		if !anyAlive {
+			return nil
+		}
+		if best == nil {
+			best = bestAny // only the excluded node remains
+		}
+		if best != nil {
+			best.busy = true
+			return best
+		}
+		j.cond.Wait()
+	}
+}
+
+func (j *Job) releaseLane(l *lane, newFree time.Duration) {
+	j.mu.Lock()
+	l.busy = false
+	if newFree > l.free {
+		l.free = newFree
+	}
+	j.cond.Broadcast()
+	j.mu.Unlock()
+}
+
+// runTask runs task t to success or to its last attempt, then dispatches
+// the dependents it was the last unfinished dependency of.
+func (j *Job) runTask(t *Task, ticket int64) {
+	defer j.wg.Done()
+	id := t.ID
+
+	j.mu.Lock()
+	if j.err != nil {
+		j.mu.Unlock()
+		return
+	}
+	inputs := make(map[int]any, len(t.Deps))
+	var depsReady time.Duration
+	for _, d := range t.Deps {
+		inputs[d] = j.res.Outputs[d]
+		if end := j.res.PerTask[d].VirtEnd; end > depsReady {
+			depsReady = end
 		}
 	}
-	dispatch = func(id int) {
-		ticket := registerTicket(g.tasks[id].Pool)
-		wg.Add(1)
-		go runTask(id, ticket)
+	j.mu.Unlock()
+
+	var (
+		out      any
+		err      error
+		tctx     *Ctx
+		attempts int
+		lastNode = -1
+		penalty  time.Duration
+	)
+	for attempts = 1; attempts <= j.opts.MaxAttempts; attempts++ {
+		if cerr := j.ctx.Err(); cerr != nil {
+			err = cerr // canceled: don't burn retries, the watcher holds the job's error
+			break
+		}
+		l := j.acquireLane(t.Pool, ticket, lastNode)
+		if l == nil {
+			err = fmt.Errorf("%w: %s (all nodes lost)", ErrNoNodes, t.Pool)
+			break
+		}
+		tctx = &Ctx{Node: l.node, Attempt: attempts, Inputs: inputs, ctx: j.ctx}
+		out, err = t.Exec(tctx)
+		if err == nil && j.opts.FailureInjector != nil {
+			if ferr := j.opts.FailureInjector(id, attempts, l.node); ferr != nil {
+				// The attempt's side effects stand; its output is lost.
+				out, err = nil, ferr
+			}
+		}
+		if err == nil {
+			j.mu.Lock()
+			start := l.free
+			if depsReady > start {
+				start = depsReady
+			}
+			end := start + j.opts.Overhead + tctx.charged() + penalty
+			j.res.Outputs[id] = out
+			j.res.PerTask[id] = TaskStats{
+				Node: l.node.ID, Attempts: attempts,
+				VirtEnd: end, SimTime: tctx.charged(),
+			}
+			j.res.Retries += attempts - 1
+			if end > j.res.Makespan {
+				j.res.Makespan = end
+			}
+			j.mu.Unlock()
+			j.releaseLane(l, end)
+			break
+		}
+		lastNode = l.node.ID
+		penalty += j.opts.Overhead
+		j.releaseLane(l, 0)
+	}
+	if err != nil {
+		j.fail(fmt.Errorf("dcp: task %d (%s) failed after %d attempts: %w", id, t.Name, attempts-1, err))
+		return
 	}
 
-	var roots []int
-	for id, d := range indeg {
-		if d == 0 {
-			roots = append(roots, id)
+	// Unblock children.
+	j.mu.Lock()
+	var ready []*Task
+	for _, c := range j.children[id] {
+		if j.remaining[c.ID]--; j.remaining[c.ID] == 0 {
+			ready = append(ready, c)
 		}
 	}
-	sort.Ints(roots)
-	for _, id := range roots {
-		dispatch(id)
+	j.mu.Unlock()
+	for _, c := range ready {
+		j.dispatch(c)
 	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	//polaris:nondet max fold: Makespan is the maximum VirtEnd, which is the same whatever order the tasks are visited in
-	for _, st := range res.PerTask {
-		if st.VirtEnd > res.Makespan {
-			res.Makespan = st.VirtEnd
-		}
-	}
-	if res.Makespan < opts.StartOffset {
-		res.Makespan = opts.StartOffset
-	}
-	return res, nil
 }
 
 // Gather is a convenience for collecting the outputs of a set of task IDs in

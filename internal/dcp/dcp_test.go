@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -469,5 +470,180 @@ func TestRunBackgroundEquivalence(t *testing.T) {
 	if r1.Outputs[2] != r2.Outputs[2] || r1.Makespan != r2.Makespan {
 		t.Fatalf("Run vs RunCtx(Background) diverged: %v/%v vs %v/%v",
 			r1.Outputs[2], r1.Makespan, r2.Outputs[2], r2.Makespan)
+	}
+}
+
+// randomGraph is a seeded random DAG of n tasks: each depends on up to three
+// lower IDs, charges a random simulated cost, returns its ID, and (through
+// fail) fails its first attempt when the seed says so.
+func randomGraph(t *testing.T, seed int64, n int) (*Graph, func(taskID, attempt int, node *compute.Node) error) {
+	rng := rand.New(rand.NewSource(seed))
+	g := NewGraph()
+	failFirst := map[int]bool{}
+	for id := 1; id <= n; id++ {
+		var deps []int
+		for k := rng.Intn(4); k > 0 && id > 1; k-- {
+			deps = append(deps, 1+rng.Intn(id-1))
+		}
+		must(t, g.Add(simpleTask(id, deps, id, time.Duration(1+rng.Intn(20))*time.Millisecond)))
+		failFirst[id] = rng.Intn(5) == 0
+	}
+	return g, func(taskID, attempt int, _ *compute.Node) error {
+		if failFirst[taskID] && attempt == 1 {
+			return fmt.Errorf("injected failure of task %d", taskID)
+		}
+		return nil
+	}
+}
+
+// TestJobMatchesRunCtx: RunCtx is Start, one Run and Close, and growing the
+// job a batch at a time changes nothing either — the same outputs, attempts
+// and makespan for a seeded random DAG with retries. The pools have two free
+// lanes per task, so every attempt, a re-placed one too, starts on an unused
+// lane and the virtual schedule does not depend on goroutine timing.
+func TestJobMatchesRunCtx(t *testing.T) {
+	const n = 40
+	g, inject := randomGraph(t, 7, n)
+	opts := Options{Overhead: time.Millisecond, FailureInjector: inject}
+	p, _ := pools(n, 1)
+	want, err := RunCtx(context.Background(), g, p, opts)
+	must(t, err)
+
+	for _, cut := range []int{n, n / 2, 1} {
+		p, _ := pools(n, 1)
+		j := Start(context.Background(), p, opts)
+		for lo := 1; lo <= n; lo += cut {
+			var batch []*Task
+			for id := lo; id < lo+cut && id <= n; id++ {
+				batch = append(batch, g.tasks[id])
+			}
+			_, err := j.Run(batch...)
+			must(t, err)
+		}
+		got, err := j.Close()
+		must(t, err)
+		if got.Makespan != want.Makespan || got.Retries != want.Retries {
+			t.Fatalf("batches of %d: makespan %v, retries %d; RunCtx %v, %d", cut, got.Makespan, got.Retries, want.Makespan, want.Retries)
+		}
+		for id := 1; id <= n; id++ {
+			if got.Outputs[id] != want.Outputs[id] || got.PerTask[id].Attempts != want.PerTask[id].Attempts ||
+				got.PerTask[id].VirtEnd != want.PerTask[id].VirtEnd {
+				t.Fatalf("batches of %d: task %d: %v %+v, RunCtx %v %+v", cut, id,
+					got.Outputs[id], got.PerTask[id], want.Outputs[id], want.PerTask[id])
+			}
+		}
+	}
+}
+
+// TestJobLaterBatchSeesEarlierOutputs: a task may depend on tasks an earlier
+// Run completed, and its Inputs hold their outputs; Run returns a batch's
+// outputs in argument order.
+func TestJobLaterBatchSeesEarlierOutputs(t *testing.T) {
+	p, _ := pools(1, 1)
+	j := Start(context.Background(), p, Options{})
+	outs, err := j.Run(simpleTask(2, nil, int64(22), 0), simpleTask(1, nil, int64(20), 0))
+	must(t, err)
+	if outs[0] != int64(22) || outs[1] != int64(20) {
+		t.Fatalf("first batch outputs = %v, want [22 20]", outs)
+	}
+	outs, err = j.Run(&Task{ID: 3, Deps: []int{1, 2}, Exec: func(ctx *Ctx) (any, error) {
+		return ctx.Inputs[1].(int64) + ctx.Inputs[2].(int64), nil
+	}})
+	must(t, err)
+	if outs[0] != int64(42) {
+		t.Fatalf("sum of the earlier batch = %v, want 42", outs[0])
+	}
+	res, err := j.Close()
+	must(t, err)
+	if len(res.Outputs) != 3 {
+		t.Fatalf("result holds %d outputs, want every batch's 3", len(res.Outputs))
+	}
+}
+
+// TestJobRejectsIncompleteDependency: a dependency must be in the batch or
+// already completed. One that is neither — unknown to the job, or a task the
+// FE has not run yet — is an error that fails the job before its batch runs.
+func TestJobRejectsIncompleteDependency(t *testing.T) {
+	for _, dep := range []int{99, 1} {
+		p, _ := pools(1, 1)
+		j := Start(context.Background(), p, Options{})
+		var ran atomic.Int32
+		_, err := j.Run(&Task{ID: 2, Deps: []int{dep}, Exec: func(*Ctx) (any, error) {
+			ran.Add(1)
+			return nil, nil
+		}})
+		if err == nil {
+			t.Fatalf("dependency on task %d, not run yet, accepted", dep)
+		}
+		if ran.Load() != 0 {
+			t.Fatal("a batch with a missing dependency ran")
+		}
+		if _, again := j.Run(simpleTask(1, nil, nil, 0)); again == nil {
+			t.Fatal("a failed job ran another batch")
+		}
+		if _, cerr := j.Close(); cerr == nil {
+			t.Fatal("Close of a failed job returned a result")
+		}
+	}
+}
+
+// TestJobCancelBetweenBatches: a context canceled after one batch completes
+// stops the job — the next Run runs nothing and, like Close, returns
+// context.Canceled.
+func TestJobCancelBetweenBatches(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, _ := pools(1, 1)
+	j := Start(ctx, p, Options{})
+	_, err := j.Run(simpleTask(1, nil, nil, 0))
+	must(t, err)
+	cancel()
+	var ran atomic.Int32
+	if _, err := j.Run(&Task{ID: 2, Deps: []int{1}, Exec: func(*Ctx) (any, error) {
+		ran.Add(1)
+		return nil, nil
+	}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after cancel: err = %v, want context.Canceled", err)
+	}
+	if ran.Load() != 0 {
+		t.Fatal("a task ran after the job was canceled")
+	}
+	if _, err := j.Close(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Close after cancel: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestJobNodeDeathCarriesToNextBatch: a node killed in one batch is one node
+// of the job's allocation, not all of it. The task it ran is re-placed, and
+// the next batch runs on the survivor instead of failing with ErrNoNodes.
+func TestJobNodeDeathCarriesToNextBatch(t *testing.T) {
+	p, _ := pools(2, 1)
+	var killed atomic.Int32
+	killed.Store(-1)
+	j := Start(context.Background(), p, Options{FailureInjector: func(taskID, attempt int, node *compute.Node) error {
+		if taskID == 1 && attempt == 1 {
+			killed.Store(int32(node.ID))
+			node.Kill()
+			return fmt.Errorf("node %d lost", node.ID)
+		}
+		return nil
+	}})
+	_, err := j.Run(simpleTask(1, nil, nil, 0))
+	must(t, err)
+	var batch []*Task
+	for id := 2; id <= 5; id++ {
+		batch = append(batch, simpleTask(id, []int{1}, id, 0))
+	}
+	_, err = j.Run(batch...)
+	must(t, err)
+	res, err := j.Close()
+	must(t, err)
+	for id := 1; id <= 5; id++ {
+		if res.PerTask[id].Node == int(killed.Load()) {
+			t.Fatalf("task %d completed on the killed node %d", id, killed.Load())
+		}
+	}
+	if res.Retries != 1 {
+		t.Fatalf("retries = %d, want the one re-placement", res.Retries)
 	}
 }

@@ -236,32 +236,41 @@ func floatDivKernel() kernelFn {
 	}
 }
 
-// logicalKernel is AND/OR under the engine's collapsed NULL rule: any NULL
-// input lane yields NULL (identical to the scalar reference — no
-// three-valued short-circuit).
+// logicalKernel is AND/OR under SQL's three-valued (Kleene) logic: a non-NULL
+// lane holding the deciding value — FALSE for AND, TRUE for OR — decides the
+// output lane even beside a NULL; otherwise a NULL on either side makes it
+// NULL. Inputs without a NULL bitmap stop after the two-valued pass.
 func logicalKernel(kind BinKind) kernelFn {
-	and := kind == OpAnd
+	decide := kind == OpOr
 	return func(l, r, out *colfile.Vec, sel []int) error {
 		n := len(out.Bools)
 		ls, rs, ob := l.Bools, r.Bools, out.Bools
 		if sel == nil {
 			for i := 0; i < n; i++ {
-				if and {
-					ob[i] = ls[i] && rs[i]
-				} else {
-					ob[i] = ls[i] || rs[i]
-				}
+				ob[i] = (ls[i] == decide || rs[i] == decide) == decide
 			}
 		} else {
 			for _, i := range sel {
-				if and {
-					ob[i] = ls[i] && rs[i]
-				} else {
-					ob[i] = ls[i] || rs[i]
-				}
+				ob[i] = (ls[i] == decide || rs[i] == decide) == decide
 			}
 		}
-		unionNulls(l, r, out, sel, n)
+		if !l.HasNulls() && !r.HasNulls() {
+			return nil
+		}
+		mask := out.NullScratch(n)
+		nullAt := func(i int) {
+			ln, rn := l.IsNull(i), r.IsNull(i)
+			mask[i] = (ln || rn) && (ln || ls[i] != decide) && (rn || rs[i] != decide)
+		}
+		if sel == nil {
+			for i := 0; i < n; i++ {
+				nullAt(i)
+			}
+		} else {
+			for _, i := range sel {
+				nullAt(i)
+			}
+		}
 		return nil
 	}
 }

@@ -115,13 +115,19 @@ func (e Bin) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 	n := b.NumRows()
 	out := colfile.NewVec(outType)
 	for i := 0; i < n; i++ {
+		if e.Kind.IsLogical() {
+			if v := evalLogical(e.Kind, triAt(lv, i), triAt(rv, i)); v == nil {
+				out.AppendNull()
+			} else {
+				out.AppendBool(*v)
+			}
+			continue
+		}
 		if lv.IsNull(i) || rv.IsNull(i) {
-			out.AppendNull() // SQL three-valued logic collapses to NULL
+			out.AppendNull() // every other operator is NULL on a NULL input
 			continue
 		}
 		switch {
-		case e.Kind.IsLogical():
-			out.AppendBool(evalLogical(e.Kind, lv.Bools[i], rv.Bools[i]))
 		case e.Kind.IsComparison():
 			cmp, err := compareAt(lv, rv, i)
 			if err != nil {
@@ -137,11 +143,29 @@ func (e Bin) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 	return out, nil
 }
 
-func evalLogical(k BinKind, l, r bool) bool {
-	if k == OpAnd {
-		return l && r
+// triAt is position i of a Bool vector as a three-valued truth value: nil
+// for NULL.
+func triAt(v *colfile.Vec, i int) *bool {
+	if v.IsNull(i) {
+		return nil
 	}
-	return l || r
+	b := v.Bools[i]
+	return &b
+}
+
+// evalLogical is SQL's AND/OR over three-valued truth values (nil = NULL),
+// as the standard states it: FALSE AND anything is FALSE, TRUE OR anything
+// is TRUE, and otherwise a NULL operand makes the result NULL.
+func evalLogical(k BinKind, l, r *bool) *bool {
+	decided := k == OpOr // AND is decided by a FALSE, OR by a TRUE
+	switch {
+	case l != nil && *l == decided, r != nil && *r == decided:
+		return &decided
+	case l == nil || r == nil:
+		return nil
+	}
+	v := !decided
+	return &v
 }
 
 // compareAt compares position i of two vectors, coercing int/float.

@@ -1,40 +1,36 @@
 package sql
 
 // Distributed query execution (paper Sections 1, 3.3): under
-// Options.DistributedQueries an opened plan's stages run as a DCP task DAG
-// instead of on the in-process morsel pool. The DAG is query-shaped — one
-// build task per join, per-morsel scan tasks, a gather barrier per join stage,
-// and per-morsel probe tasks — placed on the read pool with per-node slot
-// placement. A task runs a whole pipeline segment (selectPlan.segment, the
-// pool's per-morsel chain), so data crosses a task boundary only where a
-// spilled join needs all of its input. Segment outputs go through a
-// query-scoped object-store exchange namespace (colfile's transient batch
-// frame, which the grace-join spill also writes: raw columns closed by a
-// checksum), so every stage is durable and re-runnable: a task lost to a node
-// failure is retried on another node and deterministically rewrites the same
-// exchange files, which is exactly the object-store block semantics the
-// paper's retry story relies on. Output is byte-identical to the pool's at
-// every DOP, join-memory budget and failure schedule — both stage runners
-// consume one plan value (planSelect: the morsel decomposition, the segments,
-// the joins) and feed one merge tail (mergeSelect). See docs/DCP-QUERIES.md.
+// Options.DistributedQueries runStages (plan.go) runs an opened plan's stages
+// as one DCP job on the read pool, grown a stage at a time — a build task per
+// join, then per segment a task per morsel and per spilled join one gather
+// task — so every task does real work. A task runs a whole pipeline segment,
+// so data crosses a task boundary only where a spilled join needs all of its
+// input, through a query-scoped object-store exchange (colfile's checksummed
+// batch frames, as the grace-join spill writes). Every stage is durable and
+// re-runnable: a task lost to a node failure is retried on another node and
+// deterministically rewrites the same frames — the object-store block
+// semantics the paper's retry story relies on. Output is byte-identical to
+// the pool's at every DOP, join-memory budget and failure schedule. See
+// docs/DCP-QUERIES.md.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"polaris/internal/colfile"
 	"polaris/internal/compute"
-	"polaris/internal/core"
 	"polaris/internal/dcp"
 	"polaris/internal/exec"
 	"polaris/internal/objectstore"
 )
 
-// Task-ID layout: IDs are a pure function of the plan shape, so a failure
-// schedule keyed by task ID is reproducible run over run. Stage strides keep
-// the spaces disjoint for any realistic morsel or join count.
+// Task-ID layout: IDs are a pure function of the plan and the build outcomes
+// — build b(j), scan s(i), gather g(j) of spilled join j, and p(j, i), morsel
+// i's segment after that gather — so a failure schedule keyed by task ID is
+// reproducible run over run. Stage strides keep the spaces disjoint for any
+// realistic morsel or join count.
 const dagStageStride = 1 << 20
 
 func dagBuildID(j int) int    { return 1 + j }
@@ -42,13 +38,12 @@ func dagGatherID(j int) int   { return 1024 + j }
 func dagScanID(i int) int     { return dagStageStride + i }
 func dagProbeID(j, i int) int { return (j+2)*dagStageStride + i }
 
-// dagOut is the value a stage task hands its dependents: the name of the
-// exchange frame holding the task's output batch ("" = the morsel produced
-// no rows, mirroring the morsel executor's nil entries) and the probe rows its
-// bloom filter pruned. Pruned counts ride in the output rather than going
-// straight to WorkStats so only the winning attempt of a retried task is
-// counted — a failed attempt's side effects stand but its output (and with
-// it the count) is discarded.
+// dagOut is what a segment task hands the FE: the name of the exchange frame
+// holding its output batch ("" = the morsel produced no rows, mirroring the
+// pool's nil entries) and the probe rows its blooms pruned. Pruned counts ride
+// in the output rather than going straight to WorkStats so only the winning
+// attempt of a retried task is counted — a failed attempt's side effects
+// stand but its output (and with it the count) is discarded.
 type dagOut struct {
 	name   string
 	pruned int64
@@ -101,213 +96,149 @@ func (ex *dagExchange) read(ctx context.Context, qc *dcp.Ctx, name string) (*col
 	return colfile.UnmarshalBatch(data)
 }
 
-// dagState carries the build results across tasks: join j's source and its
-// runtime filter (nil for a spilled or LEFT OUTER build), derived once by
-// build task b(j). b(j) publishes under a mutex, and every scan — and through
-// the scans every gather and probe — depends on every build, so readers always
-// observe the completed builds. A retried build republishes an equivalent
-// value — the inputs and the build algorithm are deterministic — so
-// last-write-wins is safe.
-type dagState struct {
-	mu     sync.Mutex
-	srcs   []*exec.JoinSource
-	blooms []*exec.Bloom
-}
-
-func (s *dagState) set(j int, src *exec.JoinSource, bloom *exec.Bloom) {
-	s.mu.Lock()
-	s.srcs[j], s.blooms[j] = src, bloom
-	s.mu.Unlock()
-}
-
-func (s *dagState) get() ([]*exec.JoinSource, []*exec.Bloom) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.srcs, s.blooms
-}
-
-// runStagesDAG runs an opened plan's stages as a DCP task DAG and returns
-// the per-morsel outputs of the final stage in morsel order. It is
-// runStagesPool on another substrate: the same morsels, builds and pipeline
-// segments (selectPlan.segment), with a segment's output crossing task
-// boundaries through the exchange. A build task drains its input straight
-// into the JoinSource: the build side is re-read from the table's immutable
-// files on a retry, so nothing of it crosses the exchange.
-//
-// The graph's shape is static — build b(j), gather g(j) and probes p(j,i) per
-// join, a scan s(i) per morsel — while the builds decide where the segments
-// end. Scan s(i) waits for every build and runs segment 0. A spilled join's
-// gather is the pool's barrier, and its probes run the segment after it; an
-// in-memory join was fused into the segment before it, so its gather does
-// nothing and its probes forward the frame they received. A morsel with no
-// rows has none after a barrier, so its later tasks forward the empty output.
-func runStagesDAG(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
-	suffix func(exec.Operator) exec.Operator) ([]*colfile.Batch, error) {
-	// The exchange namespace lives exactly as long as the statement:
-	// joinSpill.finish deletes it on success and error alike, so neither a
-	// completed query nor one killed mid-DAG leaks exchange files.
-	ex := &dagExchange{dir: spill.newDir(), model: tx.CostModel()}
-
-	ms := p.base.ms.Morsels
-	M, J := len(ms), len(p.joins)
-	state := &dagState{srcs: make([]*exec.JoinSource, J), blooms: make([]*exec.Bloom, J)}
-	g := dcp.NewGraph()
-
-	// segment runs a morsel's segment that starts at join from over in, and
-	// writes its output as the frame called name.
-	segment := func(qc *dcp.Ctx, in exec.Operator, from int, name string) (any, error) {
-		srcs, blooms := state.get()
-		var pruned atomic.Int64
-		b, err := exec.CollectCtx(qc.Context(), p.segment(in, srcs, blooms, from, barrier(srcs, from), &pruned, suffix))
-		if err != nil {
-			return nil, err
-		}
-		if name, err = ex.write(qc, name, b); err != nil {
-			return nil, err
-		}
-		return &dagOut{name: name, pruned: pruned.Load()}, nil
-	}
-
-	builds := make([]int, J)
-	for j, pj := range p.joins {
-		j, pj := j, pj
-		builds[j] = dagBuildID(j)
-		if err := g.Add(&dcp.Task{
-			ID: dagBuildID(j), Name: fmt.Sprintf("build-j%d", j), Pool: dcp.ReadPool,
-			Exec: func(qc *dcp.Ctx) (any, error) {
-				src, bloom, err := pj.runBuild(tx.Parallelism())
-				if err != nil {
-					return nil, err
-				}
-				state.set(j, src, bloom)
-				return nil, nil
-			},
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	for i, m := range ms {
-		i, m := i, m
-		if err := g.Add(&dcp.Task{
-			ID: dagScanID(i), Name: fmt.Sprintf("scan-m%d", i), Pool: dcp.ReadPool, Deps: builds,
-			Exec: func(qc *dcp.Ctx) (any, error) {
-				op, err := p.base.fragment(m)
-				if err != nil {
-					return nil, err
-				}
-				return segment(qc, op, 0, fmt.Sprintf("s0/m%05d", i))
-			},
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	prev := dagScanID
-	for j, pj := range p.joins {
-		j, pj, up := j, pj, prev
-
-		// The gather barrier: for a spilled build it assembles the full
-		// per-morsel batch list (nil entries preserved — the partition-wise
-		// join's global ordinal merge depends on them) and runs the
-		// partition-wise grace join. It depends on its build and the previous
-		// stage.
-		gdeps := []int{dagBuildID(j)}
-		for i := 0; i < M; i++ {
-			gdeps = append(gdeps, up(i))
-		}
-		if err := g.Add(&dcp.Task{
-			ID: dagGatherID(j), Name: fmt.Sprintf("gather-j%d", j), Pool: dcp.ReadPool, Deps: gdeps,
-			Exec: func(qc *dcp.Ctx) (any, error) {
-				srcs, _ := state.get()
-				if srcs[j].Spilled == nil {
-					return nil, nil
-				}
-				batches := make([]*colfile.Batch, M)
-				for i := 0; i < M; i++ {
-					b, err := ex.read(qc.Context(), qc, qc.Inputs[up(i)].(*dagOut).name)
-					if err != nil {
-						return nil, err
-					}
-					batches[i] = b
-				}
-				joined, err := srcs[j].Spilled.JoinBatches(qc.Context(), batches, pj.leftKeys, pj.leftSchema, pj.cols, dop)
-				if err != nil {
-					return nil, err
-				}
-				outs := make([]*dagOut, M)
-				for i, b := range joined {
-					name, err := ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b)
-					if err != nil {
-						return nil, err
-					}
-					outs[i] = &dagOut{name: name}
-				}
-				return outs, nil
-			},
-		}); err != nil {
-			return nil, err
-		}
-
-		for i := 0; i < M; i++ {
-			i := i
-			if err := g.Add(&dcp.Task{
-				ID: dagProbeID(j, i), Name: fmt.Sprintf("probe-j%d-m%d", j, i), Pool: dcp.ReadPool,
-				Deps: []int{dagGatherID(j), up(i)},
-				Exec: func(qc *dcp.Ctx) (any, error) {
-					srcs, _ := state.get()
-					if srcs[j].Spilled == nil {
-						return &dagOut{name: qc.Inputs[up(i)].(*dagOut).name}, nil
-					}
-					name := qc.Inputs[dagGatherID(j)].([]*dagOut)[i].name
-					if next := barrier(srcs, j+1); next == j+1 && next < J {
-						// An empty segment: the next barrier reads the
-						// gather's frame as it is.
-						return &dagOut{name: name}, nil
-					}
-					b, err := ex.read(qc.Context(), qc, name)
-					if err != nil {
-						return nil, err
-					}
-					if b == nil {
-						return &dagOut{}, nil // no rows: none after the barrier either
-					}
-					return segment(qc, exec.NewBatchSource(b), j+1, fmt.Sprintf("p%d/m%05d", j, i))
-				},
-			}); err != nil {
-				return nil, err
-			}
-		}
-		prev = func(i int) int { return dagProbeID(j, i) }
-	}
-
-	res, err := tx.RunQueryDAG(g, 1+J)
-	srcs, _ := state.get()
-	for _, src := range srcs {
-		spill.count(src) // completed builds count even if the run failed
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Fold the winning attempts' pruned-row counts into WorkStats (the totals
-	// are row-based and so identical to the pool's) and gather the frames of
-	// the final stage.
-	var pruned int64
-	batches := make([]*colfile.Batch, M)
-	for i := 0; i < M; i++ {
-		pruned += res.Outputs[dagScanID(i)].(*dagOut).pruned
-		for j := 0; j < J; j++ {
-			pruned += res.Outputs[dagProbeID(j, i)].(*dagOut).pruned
-		}
-		b, err := ex.read(tx.Context(), nil, res.Outputs[prev(i)].(*dagOut).name)
+// readAll reads the frames names, in order.
+func (ex *dagExchange) readAll(ctx context.Context, qc *dcp.Ctx, names []string) ([]*colfile.Batch, error) {
+	batches := make([]*colfile.Batch, len(names))
+	for i, name := range names {
+		b, err := ex.read(ctx, qc, name)
 		if err != nil {
 			return nil, err
 		}
 		batches[i] = b
 	}
-	if pruned > 0 {
-		tx.Work().RuntimeFilterRows.Add(pruned)
-	}
 	return batches, nil
+}
+
+// dagRunner runs each stage as one Run of a DCP job the FE grows a stage at a
+// time. The FE waits at every barrier anyway — every scan needs every build,
+// every gather every morsel — so growing the job costs no parallelism, and
+// one job keeps one node allocation, so a retry in any stage can re-place
+// onto a surviving node.
+type dagRunner struct {
+	stageEnv
+	ex    *dagExchange
+	job   *dcp.Job
+	deps  []int    // the last stage's task IDs, every next task's dependencies
+	names []string // the last stage's per-morsel frames
+}
+
+// builds starts the job and runs build task b(j) per join, whose output is
+// the join's source. A retried build re-reads the table's immutable files, so
+// nothing of it crosses the exchange. The exchange namespace is deleted with
+// the statement's spill state (joinSpill.finish), on success and error alike.
+func (r *dagRunner) builds() ([]*exec.JoinSource, error) {
+	r.ex = &dagExchange{dir: r.spill.newDir(), model: r.tx.CostModel()}
+	M, J := len(r.names), len(r.p.joins)
+	// Nodes are allocated once, for the most tasks the job can run: with
+	// every build spilled, each join adds a gather and M segment tasks.
+	var err error
+	if r.job, err = r.tx.StartQueryJob(J + M + J*(1+M)); err != nil {
+		return nil, err
+	}
+	tasks := make([]*dcp.Task, J)
+	for j, pj := range r.p.joins {
+		tasks[j] = &dcp.Task{
+			ID: dagBuildID(j), Name: fmt.Sprintf("build-j%d", j), Pool: dcp.ReadPool,
+			Exec: func(*dcp.Ctx) (any, error) { return pj.runBuild(r.tx.Parallelism()) },
+		}
+		r.deps = append(r.deps, dagBuildID(j))
+	}
+	outs, err := r.job.Run(tasks...)
+	srcs := make([]*exec.JoinSource, J)
+	for j, out := range outs {
+		srcs[j], _ = out.(*exec.JoinSource)
+		r.spill.count(srcs[j]) // completed builds count even if another failed
+	}
+	return srcs, err
+}
+
+// segment runs one task per morsel — scan task s(i) in the first segment,
+// p(j, i) after spilled join j — each writing its output as one frame.
+func (r *dagRunner) segment(from int, open segmentOpener, _ int64) error {
+	tasks := make([]*dcp.Task, len(r.names))
+	for i, prev := range r.names {
+		id, name, frame := dagScanID(i), fmt.Sprintf("scan-m%d", i), fmt.Sprintf("s0/m%05d", i)
+		if from > 0 {
+			j := from - 1
+			id, name, frame = dagProbeID(j, i), fmt.Sprintf("probe-j%d-m%d", j, i), fmt.Sprintf("p%d/m%05d", j, i)
+		}
+		tasks[i] = &dcp.Task{ID: id, Name: name, Pool: dcp.ReadPool, Deps: r.deps,
+			Exec: func(qc *dcp.Ctx) (any, error) {
+				b, err := r.ex.read(qc.Context(), qc, prev)
+				if err != nil {
+					return nil, err
+				}
+				var pruned atomic.Int64
+				op, err := open(i, b, &pruned)
+				if op == nil || err != nil {
+					return &dagOut{}, err
+				}
+				if b, err = exec.CollectCtx(qc.Context(), op); err != nil {
+					return nil, err
+				}
+				written, err := r.ex.write(qc, frame, b)
+				return &dagOut{name: written, pruned: pruned.Load()}, err
+			}}
+	}
+	outs, err := r.job.Run(tasks...)
+	if err != nil {
+		return err
+	}
+	// Only winning attempts' pruned rows are counted, so the row-based total
+	// equals the pool's.
+	var pruned int64
+	r.names, r.deps = make([]string, len(tasks)), make([]int, len(tasks))
+	for i, out := range outs {
+		o := out.(*dagOut)
+		r.names[i], r.deps[i], pruned = o.name, tasks[i].ID, pruned+o.pruned
+	}
+	r.tx.Work().RuntimeFilterRows.Add(pruned)
+	return nil
+}
+
+// join runs gather task g(j): the partition-wise join over the full
+// per-morsel batch list (nil entries kept: its global ordinal merge depends
+// on them), writing one frame per morsel.
+func (r *dagRunner) join(j int, sj *exec.SpilledJoin) error {
+	in := r.names
+	outs, err := r.job.Run(&dcp.Task{
+		ID: dagGatherID(j), Name: fmt.Sprintf("gather-j%d", j), Pool: dcp.ReadPool, Deps: r.deps,
+		Exec: func(qc *dcp.Ctx) (any, error) {
+			batches, err := r.ex.readAll(qc.Context(), qc, in)
+			if err != nil {
+				return nil, err
+			}
+			pj := r.p.joins[j]
+			joined, err := sj.JoinBatches(qc.Context(), batches, pj.leftKeys, pj.leftSchema, pj.cols, r.dop)
+			if err != nil {
+				return nil, err
+			}
+			names := make([]string, len(joined))
+			for i, b := range joined {
+				if names[i], err = r.ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b); err != nil {
+					return nil, err
+				}
+			}
+			return names, nil
+		},
+	})
+	if err != nil {
+		return err
+	}
+	r.names, r.deps = outs[0].([]string), []int{dagGatherID(j)}
+	return nil
+}
+
+// done closes the job, recording the plan's 1 + J stages, and reads the last
+// stage's frames on the FE.
+func (r *dagRunner) done(err error) ([]*colfile.Batch, error) {
+	if r.job != nil {
+		if cerr := r.tx.CloseQueryJob(r.job, 1+len(r.p.joins)); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.ex.readAll(r.tx.Context(), nil, r.names)
 }

@@ -1,6 +1,6 @@
 package sql
 
-// Tests for distributed query execution (runStagesDAG): the failure-sweep
+// Tests for distributed query execution (dagRunner): the failure-sweep
 // harness proving byte-identity of DAG output against the in-process
 // reference under every single-task kill schedule, plus budget propagation,
 // cancellation on both stage runners, counter determinism and the EXPLAIN
@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -214,8 +215,25 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 					if len(ids) == 0 {
 						t.Fatalf("query %d: distributed path produced no DAG tasks at dop %d", qi, dop)
 					}
+					kinds := map[int]bool{}
+					for _, id := range ids {
+						kinds[dagTaskKind(id)] = true
+					}
 					if testing.Short() {
 						ids = shortSample(ids)
+					}
+					// The kill list covers every task kind the statement ran;
+					// a spilled join runs a gather and post-barrier segment
+					// tasks.
+					killed := map[int]bool{}
+					for _, id := range ids {
+						killed[dagTaskKind(id)] = true
+					}
+					if len(killed) != len(kinds) {
+						t.Fatalf("query %d: kill list covers task kinds %v of the %v the statement ran", qi, killed, kinds)
+					}
+					if budget == sweepSpillBudget && qi > 0 && !(killed[dagKindGather] && killed[dagKindProbe]) {
+						t.Fatalf("query %d: kill list covers task kinds %v; a spilled join needs a gather and a post-barrier segment task killed", qi, killed)
 					}
 
 					retriesBefore := env.eng.Work.DagRetries.Load()
@@ -246,27 +264,38 @@ func TestDAGFailureSweepByteIdentity(t *testing.T) {
 	}
 }
 
-// shortSample is the failure sweep's kill list under -short: the first and
-// last task ID of each task kind — build, gather, scan, probe — so every kind
-// is killed at most twice, and at least once. Budget 0 keeps the join build in
-// memory, so its probes forward a frame; sweepSpillBudget spills it, so its
-// probes run the segment after the gather. IDs come sorted and each kind is a
-// contiguous ID range.
-func shortSample(ids []int) []int {
-	kind := func(id int) int {
-		switch {
-		case id < dagGatherID(0):
-			return 0
-		case id < dagScanID(0):
-			return 1
-		case id < dagProbeID(0, 0):
-			return 2
-		}
-		return 3
+// The task kinds of a query job, in task-ID order: builds, gathers, scans
+// and post-barrier segment tasks.
+const (
+	dagKindBuild = iota
+	dagKindGather
+	dagKindScan
+	dagKindProbe
+)
+
+// dagTaskKind is the kind of the task with ID id; each kind is a contiguous
+// ID range.
+func dagTaskKind(id int) int {
+	switch {
+	case id < dagGatherID(0):
+		return dagKindBuild
+	case id < dagScanID(0):
+		return dagKindGather
+	case id < dagProbeID(0, 0):
+		return dagKindScan
 	}
+	return dagKindProbe
+}
+
+// shortSample is the failure sweep's kill list under -short: the first and
+// last task ID of each task kind the statement ran, so every kind is killed
+// at most twice, and at least once. Budget 0 keeps the join build in memory,
+// so the job runs builds and scans only; sweepSpillBudget spills it, adding
+// the gather and the segment tasks after it. IDs come sorted.
+func shortSample(ids []int) []int {
 	var out []int
 	for i, id := range ids {
-		if i == 0 || i == len(ids)-1 || kind(ids[i-1]) != kind(id) || kind(ids[i+1]) != kind(id) {
+		if i == 0 || i == len(ids)-1 || dagTaskKind(ids[i-1]) != dagTaskKind(id) || dagTaskKind(ids[i+1]) != dagTaskKind(id) {
 			out = append(out, id)
 		}
 	}
@@ -361,6 +390,138 @@ func TestDAGSurvivesNodeDeath(t *testing.T) {
 		t.Fatal("node death did not register a DAG retry")
 	}
 	assertNoSpillLeaks(t, env.store, "after node-death run")
+
+	// Under a spilling budget the node dies in the stage after the barrier,
+	// when the job is three stages old: the retry must still find a live node
+	// among the ones the job was given at its start.
+	armed, killed = false, false
+	var killedTask int
+	spilling := newDagEnv(t, func(o *core.Options) {
+		o.JoinMemoryBudget = sweepSpillBudget
+		o.QueryFailureInjector = func(taskID, attempt int, node *compute.Node) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if armed && !killed && dagTaskKind(taskID) == dagKindProbe {
+				killed, killedTask = true, taskID
+				node.Kill()
+				return fmt.Errorf("node %d lost mid-task", node.ID)
+			}
+			return nil
+		}
+	})
+	seedDag(t, spilling.sess)
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+	spillsBefore := spilling.eng.Work.JoinSpills.Load()
+	gotText, gotBytes = renderResult(t, spilling.sess, q)
+	if gotText != wantText || !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("spilled-join DAG output diverged after node death in task %d\n got: %s\nwant: %s", killedTask, gotText, wantText)
+	}
+	if !killed || spilling.eng.Work.JoinSpills.Load() == spillsBefore {
+		t.Fatalf("killed = %v, spills = %d: the join was meant to spill and a post-barrier task to lose its node",
+			killed, spilling.eng.Work.JoinSpills.Load()-spillsBefore)
+	}
+	if spilling.eng.Work.DagRetries.Load() == 0 {
+		t.Fatal("node death after the barrier did not register a DAG retry")
+	}
+	assertNoSpillLeaks(t, spilling.store, "after post-barrier node-death run")
+}
+
+// TestDAGFailedStatementCountsItsBuilds: a build that completed is counted —
+// a spilled one in JoinSpills and its bytes — even when a later stage fails
+// the statement, while the success-only DAG counters stay put.
+func TestDAGFailedStatementCountsItsBuilds(t *testing.T) {
+	env := newDagEnv(t, func(o *core.Options) {
+		o.JoinMemoryBudget = sweepSpillBudget
+		o.QueryFailureInjector = func(taskID, attempt int, node *compute.Node) error {
+			if dagTaskKind(taskID) == dagKindScan {
+				return fmt.Errorf("persistent failure: task %d attempt %d", taskID, attempt)
+			}
+			return nil
+		}
+	})
+	seedDag(t, env.sess)
+	spills, spillBytes, tasks := env.eng.Work.JoinSpills.Load(), env.eng.Work.JoinSpillBytes.Load(), env.eng.Work.DagTasks.Load()
+	if _, err := env.sess.Exec(sweepQueries[1]); err == nil {
+		t.Fatal("want error from a job whose scans always fail")
+	}
+	if got := env.eng.Work.JoinSpills.Load() - spills; got != 1 {
+		t.Fatalf("JoinSpills moved by %d after the failed statement, want its one completed spilled build", got)
+	}
+	if env.eng.Work.JoinSpillBytes.Load() == spillBytes {
+		t.Fatal("the completed spilled build's bytes were not counted")
+	}
+	if got := env.eng.Work.DagTasks.Load(); got != tasks {
+		t.Fatalf("DagTasks moved by %d after a failed job, want 0", got-tasks)
+	}
+	assertNoSpillLeaks(t, env.store, "after failed statement")
+}
+
+// TestDAGAdjacentSpilledJoins: when two adjacent joins both spill, the
+// segment between their barriers would only copy its input, so the job runs
+// no segment task after the first gather — the second gather reads the
+// first's frames — and the result still matches the serial reference, also
+// when the second gather's first attempt is killed.
+func TestDAGAdjacentSpilledJoins(t *testing.T) {
+	q := `SELECT c.region, d.region, COUNT(*), SUM(o.qty) FROM orders o JOIN customers c ON o.cust = c.cid
+		JOIN customers d ON o.cust = d.cid GROUP BY c.region, d.region ORDER BY c.region, d.region`
+	ref := newDagEnv(t, func(o *core.Options) {
+		o.Parallelism = 1
+		o.DistributedQueries = false
+	})
+	seedDag(t, ref.sess)
+	wantText, wantBytes := renderResult(t, ref.sess, q)
+
+	var mu sync.Mutex
+	seen := map[int]bool{}
+	kill := -1
+	env := newDagEnv(t, func(o *core.Options) {
+		o.JoinMemoryBudget = sweepSpillBudget
+		o.QueryFailureInjector = func(taskID, attempt int, node *compute.Node) error {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[taskID] = true
+			if taskID == kill && attempt == 1 {
+				return fmt.Errorf("injected failure: task %d attempt %d", taskID, attempt)
+			}
+			return nil
+		}
+	})
+	seedDag(t, env.sess)
+	for _, k := range []int{-1, dagGatherID(1)} {
+		mu.Lock()
+		kill = k
+		clear(seen)
+		mu.Unlock()
+		spills, retries := env.eng.Work.JoinSpills.Load(), env.eng.Work.DagRetries.Load()
+		gotText, gotBytes := renderResult(t, env.sess, q)
+		if gotText != wantText || !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("kill %d: output diverged from the serial reference\n got: %s\nwant: %s", k, gotText, wantText)
+		}
+		if got := env.eng.Work.JoinSpills.Load() - spills; got != 2 {
+			t.Fatalf("kill %d: %d builds spilled, want both", k, got)
+		}
+		if k >= 0 && env.eng.Work.DagRetries.Load() == retries {
+			t.Fatalf("killing task %d registered no retry", k)
+		}
+		mu.Lock()
+		ids := make([]int, 0, len(seen))
+		for id := range seen {
+			ids = append(ids, id)
+		}
+		mu.Unlock()
+		sort.Ints(ids)
+		for _, id := range ids {
+			if id >= dagProbeID(0, 0) && id < dagProbeID(1, 0) {
+				t.Fatalf("kill %d: segment task %d ran between two adjacent barriers", k, id)
+			}
+		}
+		if !slices.Contains(ids, dagGatherID(0)) || !slices.Contains(ids, dagGatherID(1)) || !slices.Contains(ids, dagProbeID(1, 0)) {
+			t.Fatalf("kill %d: tasks %v lack a gather per join or the segment after the last one", k, ids)
+		}
+		assertNoSpillLeaks(t, env.store, fmt.Sprintf("after kill %d", k))
+	}
 }
 
 // TestDAGHardFailureCleansUp: when every attempt of every task fails, the

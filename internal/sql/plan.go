@@ -2,8 +2,8 @@ package sql
 
 // Statement execution. Execute dispatches a parsed statement. A SELECT runs
 // one way: planSelect (planner.go) returns the plan, open fetches its morsels,
-// a stage runner executes the per-morsel fragments — runStagesPool here,
-// runStagesDAG in dag.go — and mergeSelect combines their outputs. bind and
+// runStages runs its stages on a stage runner — the in-process pool here, a
+// DCP job in dag.go — and mergeSelect combines their outputs. bind and
 // compile are the package's only path from an AST expression to a kernel
 // program; the DML statements at the end of the file use them too.
 
@@ -451,19 +451,11 @@ func (p *selectPlan) run(tx *core.Txn) (*colfile.Batch, error) {
 	if err := p.open(tx, spill); err != nil {
 		return nil, err
 	}
-	return mergeSelect(tx, p, func(suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
-		switch {
-		case len(p.base.ms.Morsels) == 0:
-			// Nothing to scan, so nothing to build or probe either: the merge
-			// tail turns the empty list into the empty (or, for a global
-			// aggregate, the one zero) result.
-			return nil, nil
-		case p.dag:
-			return runStagesDAG(tx, p, dop, spill, suffix)
-		default:
-			return runStagesPool(tx, p, dop, spill, suffix, limit)
-		}
-	})
+	env, M := stageEnv{tx: tx, p: p, spill: spill, dop: dop}, len(p.base.ms.Morsels)
+	if p.dag {
+		return mergeSelect(tx, p, &dagRunner{stageEnv: env, names: make([]string, M)})
+	}
+	return mergeSelect(tx, p, &poolRunner{stageEnv: env, cur: make([]*colfile.Batch, M)})
 }
 
 // open fetches every relation's morsels from the snapshot the plan already
@@ -672,23 +664,13 @@ func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
 // runBuild drains the build side — one fresh scan over the right table's
 // files, in the table's global row order — under the join memory budget: into
 // an immutable JoinTable while it fits (the build itself is
-// partition-parallel), into spill partitions when it overflows. The bloom is
-// the join's runtime filter, derived once from a completed in-memory build and
-// shared read-only by every probe (nil for a spilled or LEFT OUTER build).
-func (j *planJoin) runBuild(par int) (*exec.JoinSource, *exec.Bloom, error) {
+// partition-parallel), into spill partitions when it overflows.
+func (j *planJoin) runBuild(par int) (*exec.JoinSource, error) {
 	right, err := j.build.fragment(j.build.ms.Morsels[0])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	src, err := exec.BuildGraceJoin(right, j.rightKeys, j.typ, par, j.cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var bloom *exec.Bloom
-	if src.Spilled == nil && j.typ != exec.LeftOuterJoin {
-		bloom = src.Table.BloomFilter()
-	}
-	return src, bloom, nil
+	return exec.BuildGraceJoin(right, j.rightKeys, j.typ, par, j.cfg)
 }
 
 // barrier returns the first spilled join at or after from, or len(srcs) when
@@ -700,103 +682,157 @@ func barrier(srcs []*exec.JoinSource, from int) int {
 	return from
 }
 
-// segment is one morsel's pipeline segment, the only per-morsel operator chain
-// either stage runner builds: in — the morsel's scan for the first segment,
-// the previous barrier's batch after it — through the in-memory probes of
-// joins [from, to), then, when to ends the pipeline, the residual filter and
-// suffix. Compiled programs, JoinTables and blooms are immutable values shared
-// by every worker; each Probe owns its scratch. pruned counts the probe rows
-// the blooms dropped.
-func (p *selectPlan) segment(in exec.Operator, srcs []*exec.JoinSource, blooms []*exec.Bloom,
-	from, to int, pruned *atomic.Int64, suffix func(exec.Operator) exec.Operator) exec.Operator {
-	for j := from; j < to; j++ {
-		in = &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
-			Cols: p.joins[j].cols, Bloom: blooms[j], Pruned: pruned}
-	}
-	if to == len(p.joins) {
-		in = suffix(p.tail.filter(in))
-	}
-	return in
+// stageRunner is where runStages runs the stages: the in-process morsel pool
+// (poolRunner) or a DCP job grown a stage at a time (dagRunner, dag.go). It
+// keeps the last stage's per-morsel outputs, batches or exchange frames.
+type stageRunner interface {
+	// builds drains every join's build side, counts each completed build
+	// with the statement's spill state and returns the sources in join
+	// order (nil for a build that did not complete).
+	builds() ([]*exec.JoinSource, error)
+	// segment runs open over every morsel and keeps what it produces. limit
+	// >= 0 (a bare LIMIT's last segment) lets it stop once the completed
+	// prefix holds limit rows.
+	segment(from int, open segmentOpener, limit int64) error
+	// join runs spilled join j's partition-wise join over the kept outputs
+	// and keeps its per-morsel batches.
+	join(j int, sj *exec.SpilledJoin) error
+	// done ends the runner and returns the kept outputs in morsel order, or
+	// err, the stages' error.
+	done(err error) ([]*colfile.Batch, error)
 }
 
-// runStagesPool runs an opened plan's stages on the in-process morsel pool,
-// under the statement's context, and returns the per-morsel outputs in morsel
-// order. Build sides are drained once, before any probe.
-//
-// The pipeline is a loop over segments. A spilled join is a barrier: the
-// segment before it is materialized per morsel, the partition-wise grace join
-// runs over the same leased workers, and the next segment reads its per-morsel
-// batches. A morsel with no rows has none after a barrier, so it runs no later
-// segment. The batches are byte-wise what a probe would have produced and
-// morsel order is kept throughout, so everything downstream is unchanged.
-//
-// limit >= 0 (a bare LIMIT) lets the segment that runs the suffix stop early.
-func runStagesPool(tx *core.Txn, p *selectPlan, dop int, spill *joinSpill,
-	suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
-	ctx := tx.Context()
-	morsels := p.base.ms.Morsels
-	J := len(p.joins)
-	srcs := make([]*exec.JoinSource, J)
-	blooms := make([]*exec.Bloom, J)
-	for j, pj := range p.joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		src, bloom, err := pj.runBuild(tx.Parallelism())
-		if err != nil {
-			return nil, err
-		}
-		spill.count(src)
-		srcs[j], blooms[j] = src, bloom
-	}
+// segmentOpener builds morsel i's operator chain over prev, its kept output
+// (nil in the first segment); pruned counts the rows the chain's blooms drop.
+// A nil operator means the morsel has nothing to run.
+type segmentOpener func(i int, prev *colfile.Batch, pruned *atomic.Int64) (exec.Operator, error)
 
-	var cur []*colfile.Batch // the last barrier's per-morsel batches
-	for from := 0; ; {
-		to := barrier(srcs, from)
-		open := func(i int) (op exec.Operator, err error) {
+// stageEnv is what both stage runners hold: the statement, its opened plan,
+// its spill state and the worker count its lease granted.
+type stageEnv struct {
+	tx    *core.Txn
+	p     *selectPlan
+	spill *joinSpill
+	dop   int
+}
+
+// runStages runs an opened plan's stages on r and returns the per-morsel
+// outputs in morsel order: the one place the stage sequence is written, and
+// the only per-morsel operator chain either runner builds. The builds decide
+// the stages: segment [0, b₁) — a morsel's scan through the in-memory probes
+// before the first spilled join b₁ — then b₁'s partition-wise join, segment
+// [b₁+1, b₂) over its batches, and so on; the last segment ends in the
+// residual filter and suffix. A segment between adjacent barriers would only
+// copy its input, so it does not run, and a morsel with no rows runs nothing
+// after a barrier. Programs, JoinTables and blooms are shared read-only by
+// every worker; each Probe owns its scratch.
+func runStages(p *selectPlan, r stageRunner, suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error) {
+	if len(p.base.ms.Morsels) == 0 {
+		// Nothing to scan, so nothing to build or probe either: the merge
+		// tail turns the empty list into the empty (or, for a global
+		// aggregate, the one zero) result.
+		return nil, nil
+	}
+	srcs, err := r.builds()
+	if err != nil {
+		return r.done(err)
+	}
+	// Each in-memory, non-LEFT-OUTER join's runtime filter is derived once.
+	J := len(p.joins)
+	blooms := make([]*exec.Bloom, J)
+	for j, src := range srcs {
+		if src.Spilled == nil && p.joins[j].typ != exec.LeftOuterJoin {
+			blooms[j] = src.Table.BloomFilter()
+		}
+	}
+	open := func(from, to int) segmentOpener {
+		return func(i int, prev *colfile.Batch, pruned *atomic.Int64) (in exec.Operator, err error) {
 			switch {
 			case from == 0:
-				op, err = p.base.fragment(morsels[i])
-			case cur[i] != nil:
-				op = exec.NewBatchSource(cur[i])
+				if in, err = p.base.fragment(p.base.ms.Morsels[i]); err != nil {
+					return nil, err
+				}
+			case prev == nil:
+				return nil, nil
+			default:
+				in = exec.NewBatchSource(prev)
 			}
-			if op == nil || err != nil {
-				return nil, err
+			for j := from; j < to; j++ {
+				in = &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
+					Cols: p.joins[j].cols, Bloom: blooms[j], Pruned: pruned}
 			}
-			return p.segment(op, srcs, blooms, from, to, &tx.Work().RuntimeFilterRows, suffix), nil
+			if to == J {
+				in = suffix(p.tail.filter(in))
+			}
+			return in, nil
 		}
-		switch {
-		case to == J && limit >= 0:
-			return exec.RunIndexedPrefix(ctx, len(morsels), dop, limit, open)
-		case to == J:
-			return exec.RunIndexed(ctx, len(morsels), dop, open)
-		}
-		in, err := exec.RunIndexed(ctx, len(morsels), dop, open)
-		if err != nil {
-			return nil, err
-		}
-		pj := p.joins[to]
-		if cur, err = srcs[to].Spilled.JoinBatches(ctx, in, pj.leftKeys, pj.leftSchema, pj.cols, dop); err != nil {
-			return nil, err
-		}
-		from = to + 1
 	}
+	from, to := 0, barrier(srcs, 0)
+	for ; to < J; from, to = to+1, barrier(srcs, to+1) {
+		if from == 0 || from < to {
+			if err := r.segment(from, open(from, to), -1); err != nil {
+				return r.done(err)
+			}
+		}
+		if err := r.join(to, srcs[to].Spilled); err != nil {
+			return r.done(err)
+		}
+	}
+	return r.done(r.segment(from, open(from, to), limit))
 }
 
-// fragmentRunner runs an opened plan's per-morsel fragments, each ending in
-// suffix, wherever the statement executes and returns their outputs in morsel
-// order (nil = no rows). limit >= 0 tells it the merge reads only the first
-// limit rows of that order.
-type fragmentRunner func(suffix func(exec.Operator) exec.Operator, limit int64) ([]*colfile.Batch, error)
+// poolRunner runs the stages on the in-process morsel pool under the
+// statement's context: the builds one after another, each segment on
+// exec.RunIndexed workers, each join on JoinBatches' fan-out over them.
+type poolRunner struct {
+	stageEnv
+	cur []*colfile.Batch // the last stage's per-morsel outputs
+}
 
-// mergeSelect is the merge tail of a SELECT: it drives run with the plan's
-// per-fragment suffix (partial aggregation, projection, or sorted runs) and
-// combines the per-morsel batches with the deterministic merge operators —
-// ordered concatenation for projections and joins, key-ordered MergeAgg for
-// aggregates, loser-tree MergeRuns for ORDER BY. The stage runners only
-// decide where the fragments run, so they cannot drift apart downstream of
-// the fragment boundary.
-func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batch, error) {
+func (r *poolRunner) builds() ([]*exec.JoinSource, error) {
+	srcs := make([]*exec.JoinSource, len(r.p.joins))
+	for j, pj := range r.p.joins {
+		if err := r.tx.Context().Err(); err != nil {
+			return srcs, err
+		}
+		src, err := pj.runBuild(r.tx.Parallelism())
+		if err != nil {
+			return srcs, err
+		}
+		r.spill.count(src)
+		srcs[j] = src
+	}
+	return srcs, nil
+}
+
+func (r *poolRunner) segment(_ int, open segmentOpener, limit int64) (err error) {
+	build := func(i int) (exec.Operator, error) {
+		return open(i, r.cur[i], &r.tx.Work().RuntimeFilterRows)
+	}
+	if limit >= 0 {
+		r.cur, err = exec.RunIndexedPrefix(r.tx.Context(), len(r.cur), r.dop, limit, build)
+	} else {
+		r.cur, err = exec.RunIndexed(r.tx.Context(), len(r.cur), r.dop, build)
+	}
+	return err
+}
+
+func (r *poolRunner) join(j int, sj *exec.SpilledJoin) (err error) {
+	pj := r.p.joins[j]
+	r.cur, err = sj.JoinBatches(r.tx.Context(), r.cur, pj.leftKeys, pj.leftSchema, pj.cols, r.dop)
+	return err
+}
+
+func (r *poolRunner) done(err error) ([]*colfile.Batch, error) { return r.cur, err }
+
+// mergeSelect is the merge tail of a SELECT: it runs the stages on r with
+// the plan's per-fragment suffix (partial aggregation, projection, or sorted
+// runs) and combines the per-morsel batches with the deterministic merge
+// operators — ordered concatenation for projections and joins, key-ordered
+// MergeAgg for aggregates, loser-tree MergeRuns for ORDER BY. The stage
+// runners only decide where the fragments run, so they cannot drift apart
+// downstream of the fragment boundary.
+func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, error) {
 	tail := p.tail
 	var outOp exec.Operator
 	if ap := tail.agg; ap != nil {
@@ -806,7 +842,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 		partial := func(op exec.Operator) exec.Operator {
 			return &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
 		}
-		batches, err := run(partial, -1)
+		batches, err := runStages(p, r, partial, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -823,9 +859,9 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 			bound = p.limit + p.offset
 		}
 		if len(p.sortKeys) > 0 {
-			return mergeOrderBy(tx, p, run, bound)
+			return mergeOrderBy(tx, p, r, bound)
 		}
-		batches, err := run(func(op exec.Operator) exec.Operator {
+		batches, err := runStages(p, r, func(op exec.Operator) exec.Operator {
 			if bound >= 0 {
 				return &exec.Limit{In: tail.project(op), N: bound}
 			}
@@ -849,9 +885,9 @@ func mergeSelect(tx *core.Txn, p *selectPlan, run fragmentRunner) (*colfile.Batc
 // the paper's distributed top-N shape, counted in WorkStats.TopNPushdowns)
 // and the merge cuts off after LIMIT+OFFSET rows, so neither the workers nor
 // the FE ever materialize the full sorted result.
-func mergeOrderBy(tx *core.Txn, p *selectPlan, run fragmentRunner, bound int64) (*colfile.Batch, error) {
+func mergeOrderBy(tx *core.Txn, p *selectPlan, r stageRunner, bound int64) (*colfile.Batch, error) {
 	project, keys := p.tail.project, p.sortKeys
-	batches, err := run(func(op exec.Operator) exec.Operator {
+	batches, err := runStages(p, r, func(op exec.Operator) exec.Operator {
 		if bound >= 0 {
 			return &exec.TopN{In: project(op), Keys: keys, N: bound}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"polaris/internal/catalog"
 	"polaris/internal/compute"
 	"polaris/internal/core"
+	"polaris/internal/exec"
 	"polaris/internal/objectstore"
 )
 
@@ -119,6 +121,147 @@ func TestZoneMapRangeCoversInt64(t *testing.T) {
 		mustExec(t, s, "ROLLBACK")
 		if got != want {
 			t.Fatalf("DELETE WHERE %s affected %d, want %d", where, got, want)
+		}
+	}
+}
+
+// tv is a three-valued truth value ordered FALSE < NULL < TRUE, so SQL's AND
+// is the minimum, OR the maximum and NOT the mirror image.
+type tv int
+
+const (
+	tvFalse tv = iota
+	tvNull
+	tvTrue
+)
+
+func tvAnd(a, b tv) tv {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func tvOr(a, b tv) tv {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func tvNot(a tv) tv { return tvTrue - a }
+
+// tvCmp is a comparison against a NULL-able column value.
+func tvCmp(v *int64, keep func(int64) bool) tv {
+	switch {
+	case v == nil:
+		return tvNull
+	case keep(*v):
+		return tvTrue
+	}
+	return tvFalse
+}
+
+// TestZoneMapOrPredicates pins what an OR does to scan planning, and that
+// three-valued logic does not change it: prunableRange reads only top-level
+// AND conjuncts, so an OR contributes no zone-map bound while a conjunct
+// beside it still does, and choosePushdown pushes each conjunct — an OR
+// whole — into the scan, leaving no residual WHERE. The rows SELECT COUNT(*),
+// UPDATE and DELETE count must equal a Go-side filter under SQL's
+// three-valued logic, over x and y values that include NULLs.
+func TestZoneMapOrPredicates(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Distributions = 4
+	opts.RowsPerFile = 4
+	opts.RowsPerGroup = 2
+	fabric := compute.NewFabric(compute.Config{Elastic: true, InitNodes: 2, SlotsPer: 2})
+	eng := core.NewEngine(catalog.NewDB(), objectstore.New(), fabric, opts)
+	s := NewSession(eng)
+
+	type row struct{ x, y *int64 }
+	var rows []row
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO z VALUES ")
+	for id := int64(0); id < 40; id++ {
+		x, y := id%13-3, id%7
+		r := row{&x, &y}
+		xs, ys := strconv.FormatInt(x, 10), strconv.FormatInt(y, 10)
+		if id%5 == 0 {
+			r.x, xs = nil, "NULL"
+		}
+		if id%6 == 1 {
+			r.y, ys = nil, "NULL"
+		}
+		rows = append(rows, r)
+		if id > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, %s, %s)", id, xs, ys)
+	}
+	mustExec(t, s, `CREATE TABLE z (id INT, x INT, y INT) WITH (DISTRIBUTION = id, SORTCOL = x)`)
+	mustExec(t, s, ins.String())
+
+	for _, c := range []struct {
+		where string
+		hint  *exec.PruneHint
+		keep  func(r row) tv
+	}{
+		{`x >= 5 OR y <= 1`, nil, func(r row) tv {
+			return tvOr(tvCmp(r.x, func(x int64) bool { return x >= 5 }), tvCmp(r.y, func(y int64) bool { return y <= 1 }))
+		}},
+		{`(x >= 5 OR y <= 1) AND x <= 7`, &exec.PruneHint{Col: "x", Lo: math.MinInt64, Hi: 7}, func(r row) tv {
+			return tvAnd(tvOr(tvCmp(r.x, func(x int64) bool { return x >= 5 }), tvCmp(r.y, func(y int64) bool { return y <= 1 })),
+				tvCmp(r.x, func(x int64) bool { return x <= 7 }))
+		}},
+		{`x = 2 OR x IS NULL`, nil, func(r row) tv {
+			isNull := tvFalse
+			if r.x == nil {
+				isNull = tvTrue
+			}
+			return tvOr(tvCmp(r.x, func(x int64) bool { return x == 2 }), isNull)
+		}},
+		{`NOT (x < 0 AND y > 3)`, nil, func(r row) tv {
+			return tvNot(tvAnd(tvCmp(r.x, func(x int64) bool { return x < 0 }), tvCmp(r.y, func(y int64) bool { return y > 3 })))
+		}},
+		{`x BETWEEN 0 AND 6 AND (y = 2 OR x > 4)`, &exec.PruneHint{Col: "x", Lo: 0, Hi: 6}, func(r row) tv {
+			return tvAnd(tvCmp(r.x, func(x int64) bool { return 0 <= x && x <= 6 }),
+				tvOr(tvCmp(r.y, func(y int64) bool { return y == 2 }), tvCmp(r.x, func(x int64) bool { return x > 4 })))
+		}},
+	} {
+		st, err := Parse("SELECT COUNT(*) FROM z WHERE " + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := eng.Begin()
+		p, err := planSelect(tx, st.(*SelectStmt))
+		tx.Rollback()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.base.hint, c.hint) {
+			t.Errorf("WHERE %s: zone-map hint %+v, want %+v", c.where, p.base.hint, c.hint)
+		}
+		if p.where != nil || p.base.pushed == nil {
+			t.Errorf("WHERE %s: residual %v, pushed %v; want every conjunct in the scan", c.where, p.where, p.base.pushed)
+		}
+
+		var want int64
+		for _, r := range rows {
+			if c.keep(r) == tvTrue {
+				want++
+			}
+		}
+		if got := mustExec(t, s, "SELECT COUNT(*) FROM z WHERE "+c.where).Batch.Cols[0].Ints[0]; got != want {
+			t.Errorf("SELECT COUNT(*) WHERE %s = %d, want %d", c.where, got, want)
+		}
+		if got := mustExec(t, s, "UPDATE z SET id = id WHERE "+c.where).RowsAffected; got != want {
+			t.Errorf("UPDATE WHERE %s affected %d, want %d", c.where, got, want)
+		}
+		mustExec(t, s, "BEGIN")
+		got := mustExec(t, s, "DELETE FROM z WHERE "+c.where).RowsAffected
+		mustExec(t, s, "ROLLBACK")
+		if got != want {
+			t.Errorf("DELETE WHERE %s affected %d, want %d", c.where, got, want)
 		}
 	}
 }
