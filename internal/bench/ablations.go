@@ -57,7 +57,7 @@ func AblationConflictGranularity(writers int) []AblationRow {
 		for i, tx := range txs {
 			if _, err := tx.Delete("t", exec.Bin{
 				Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(i)},
-			}, nil); err != nil {
+			}); err != nil {
 				panic(err)
 			}
 		}
@@ -168,7 +168,7 @@ func AblationCompaction() []AblationRow {
 					Kind: exec.OpEq,
 					L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(5)}},
 					R:    exec.Const{Val: k},
-				}, nil)
+				})
 				return err
 			})
 			if err != nil {
@@ -240,7 +240,7 @@ func AblationCoWvsMoR() []AblationRow {
 				Kind: exec.OpEq,
 				L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(100)}},
 				R:    exec.Const{Val: int64(7)},
-			}, nil)
+			})
 			delCost = tx.SimTime() - before
 			return err
 		})

@@ -281,7 +281,7 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	joined, err := src.Spilled.JoinBatches(context.Background(), probes, []int{0}, schema, nil, dop)
+	joined, _, err := src.Spilled.JoinBatches(context.Background(), probes, []int{0}, schema, nil, dop)
 	if err != nil {
 		return nil, err
 	}

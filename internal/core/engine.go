@@ -154,7 +154,9 @@ type WorkStats struct {
 	// joins (build and probe partitions, recursive repartitioning included)
 	// — the budget-accounting counterpart of BytesRead. Counted per durable
 	// write: a put that fails mid-spill contributes nothing, so the counter
-	// always equals the bytes that actually reached the store.
+	// always equals the bytes that actually reached the store, and a retried
+	// DAG gather's probe partitions count again, because they are written
+	// again.
 	JoinSpillBytes atomic.Int64
 	// JoinSpillPartitions counts the leaf (build, probe) partition pairs
 	// grace joins actually joined — the independent tasks the partition-wise

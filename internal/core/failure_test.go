@@ -245,7 +245,7 @@ func TestIcebergPublish(t *testing.T) {
 	}
 	// a delete adds a position-delete entry on the next publish
 	_ = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}, nil)
+		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 		return err
 	})
 	tx2 := e.Begin()

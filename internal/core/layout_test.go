@@ -62,17 +62,17 @@ func storageLayoutHash(t *testing.T) string {
 		return err
 	})
 	step("merge-on-read delete", func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(400)}}, nil)
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(400)}})
 		return err
 	})
 	step("update", func(tx *Txn) error {
 		set := map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpAdd, L: c2, R: exec.Const{Val: int64(1)}}}
-		_, err := tx.Update("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set, nil)
+		_, err := tx.Update("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set)
 		return err
 	})
 	e.opts.Deletes = CopyOnWrite
 	step("copy-on-write delete", func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k5"}}, nil)
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k5"}})
 		return err
 	})
 	e.opts.Deletes = MergeOnRead

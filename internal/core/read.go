@@ -165,8 +165,6 @@ type ScanOptions struct {
 	Columns []string
 	// AsOfSeq time-travels the read; negative = current snapshot.
 	AsOfSeq int64
-	// Prune optionally skips row groups via zone maps.
-	Prune *exec.PruneHint
 }
 
 // Scan executes a distributed read of a table and returns an operator
@@ -188,7 +186,7 @@ func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := exec.NewMorselScan(ms.Morsels[0], opts.Columns, opts.Prune, ms.Tel)
+	s, err := exec.NewMorselScan(ms.Morsels[0], opts.Columns, nil, ms.Tel)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -123,12 +123,10 @@ func randomRows(t *testing.T, rng *rand.Rand, n int) *colfile.Batch {
 	return b
 }
 
-// finderPred is a predicate over finderSchema with the zone-map range it
-// implies (nil when it implies none), the pair the SQL layer hands Delete and
-// Update.
+// finderPred is a predicate over finderSchema, as the SQL layer hands it to
+// Delete and Update.
 type finderPred struct {
-	expr  exec.Expr
-	prune *exec.PruneHint
+	expr exec.Expr
 }
 
 func randomPred(rng *rand.Rand) finderPred {
@@ -137,30 +135,29 @@ func randomPred(rng *rand.Rand) finderPred {
 		return exec.Bin{Kind: k, L: l, R: exec.Const{Val: v}}
 	}
 	and := func(l, r exec.Expr) exec.Expr { return exec.Bin{Kind: exec.OpAnd, L: l, R: r} }
-	const maxHi = int64(1<<62 - 1)
 	switch rng.Intn(9) {
 	case 0: // a range that prunes
 		lo := int64(rng.Intn(200))
 		hi := lo + int64(rng.Intn(40))
-		return finderPred{and(cmp(exec.OpGe, col(1), lo), cmp(exec.OpLe, col(1), hi)), &exec.PruneHint{Col: "k", Lo: lo, Hi: hi}}
+		return finderPred{and(cmp(exec.OpGe, col(1), lo), cmp(exec.OpLe, col(1), hi))}
 	case 1: // an equality that prunes
 		v := int64(rng.Intn(200))
-		return finderPred{cmp(exec.OpEq, col(1), v), &exec.PruneHint{Col: "k", Lo: v, Hi: v}}
+		return finderPred{cmp(exec.OpEq, col(1), v)}
 	case 2: // string equality on the leading column
-		return finderPred{cmp(exec.OpEq, col(0), "b"), nil}
+		return finderPred{cmp(exec.OpEq, col(0), "b")}
 	case 3:
-		return finderPred{exec.IsNull{E: col(rng.Intn(4))}, nil}
+		return finderPred{exec.IsNull{E: col(rng.Intn(4))}}
 	case 4: // an OR cannot prune
-		return finderPred{exec.Bin{Kind: exec.OpOr, L: cmp(exec.OpLt, col(1), int64(20)), R: cmp(exec.OpEq, col(0), "a")}, nil}
+		return finderPred{exec.Bin{Kind: exec.OpOr, L: cmp(exec.OpLt, col(1), int64(20)), R: cmp(exec.OpEq, col(0), "a")}}
 	case 5: // DELETE FROM t
-		return finderPred{exec.Const{Val: true}, nil}
+		return finderPred{exec.Const{Val: true}}
 	case 6: // a non-leading float column: the wide scan aliases Cols[0]
-		return finderPred{cmp(exec.OpGt, col(3), 5.0), nil}
+		return finderPred{cmp(exec.OpGt, col(3), 5.0)}
 	case 7: // pruned on one column, filtered on two
 		lo := int64(rng.Intn(150))
-		return finderPred{and(cmp(exec.OpEq, col(2), int64(rng.Intn(5))), cmp(exec.OpGe, col(1), lo)), &exec.PruneHint{Col: "k", Lo: lo, Hi: maxHi}}
+		return finderPred{and(cmp(exec.OpEq, col(2), int64(rng.Intn(5))), cmp(exec.OpGe, col(1), lo))}
 	default: // a constant that keeps nothing
-		return finderPred{exec.Const{Val: false}, nil}
+		return finderPred{exec.Const{Val: false}}
 	}
 }
 
@@ -204,7 +201,7 @@ func checkFinder(t *testing.T, tx *Txn, p finderPred) *colfile.Batch {
 		t.Fatal(err)
 	}
 	for _, wide := range []bool{false, true} {
-		got, err := tx.findRows(state, meta, prog, p.prune, wide)
+		got, err := tx.findRows(state, meta, prog, wide)
 		if err != nil {
 			t.Fatalf("findRows(%s, wide=%v): %v", p.expr, wide, err)
 		}
@@ -247,7 +244,7 @@ func TestRowFinderMatchesDenseReference(t *testing.T) {
 			// A committed delete, so files carry deletion vectors before
 			// the transaction under test starts.
 			committed := randomPred(rng)
-			if err := e.AutoCommit(func(tx *Txn) error { _, err := tx.Delete("t", committed.expr, committed.prune); return err }); err != nil {
+			if err := e.AutoCommit(func(tx *Txn) error { _, err := tx.Delete("t", committed.expr); return err }); err != nil {
 				t.Fatal(err)
 			}
 
@@ -267,7 +264,7 @@ func TestRowFinderMatchesDenseReference(t *testing.T) {
 				var n int64
 				var err error
 				if step%2 == 0 {
-					n, err = tx.Delete("t", p.expr, p.prune)
+					n, err = tx.Delete("t", p.expr)
 				} else {
 					// SET s = 'upd', k = k + 1000: new versions computed
 					// by hand from the reference's old versions.
@@ -275,7 +272,7 @@ func TestRowFinderMatchesDenseReference(t *testing.T) {
 						"s": exec.Const{Val: "upd"},
 						"k": exec.Bin{Kind: exec.OpAdd, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(1000)}},
 					}
-					n, err = tx.Update("t", p.expr, set, p.prune)
+					n, err = tx.Update("t", p.expr, set)
 					for i := 0; i < matched.NumRows(); i++ {
 						row := matched.Row(i)
 						row[0] = "upd"
@@ -322,7 +319,7 @@ func TestDMLPredicateNeverSeesDeletedRows(t *testing.T) {
 	}
 	k := exec.ColRef{Idx: 1, Name: "k"}
 	if err := e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: k, R: exec.Const{Val: int64(1)}}, nil)
+		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: k, R: exec.Const{Val: int64(1)}})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -345,22 +342,22 @@ func TestDMLPredicateNeverSeesDeletedRows(t *testing.T) {
 	if _, _, err := matchRowsDense(tx, state, meta, prog); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("the dense reference should trip over the deleted v = 0 row, got %v", err)
 	}
-	n, err := tx.Delete("t", pred, nil)
+	n, err := tx.Delete("t", pred)
 	if err != nil || n != 1 {
 		t.Fatalf("DELETE WHERE 10 / v = 1 over a deleted v = 0: %d rows, %v", n, err)
 	}
 	if n, err = tx.Update("t", tenOver(exec.Bin{Kind: exec.OpSub, L: exec.ColRef{Idx: 3}, R: exec.Const{Val: -5.0}}),
-		map[string]exec.Expr{"s": exec.Const{Val: "x"}}, nil); err != nil || n != 1 {
+		map[string]exec.Expr{"s": exec.Const{Val: "x"}}); err != nil || n != 1 {
 		t.Fatalf("UPDATE WHERE 10 / (v + 5) = 1 over a deleted v = 0: %d rows, %v", n, err)
 	}
 	// A live zero still fails the statement, in both DML statements.
 	if _, err := tx.Insert("t", rowsBatch(t, finderSchema(), []any{"live", int64(9), int64(0), 0.0})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Delete("t", pred, nil); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := tx.Delete("t", pred); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("DELETE over a live v = 0: %v", err)
 	}
-	if _, err := tx.Update("t", pred, map[string]exec.Expr{"s": exec.Const{Val: "x"}}, nil); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := tx.Update("t", pred, map[string]exec.Expr{"s": exec.Const{Val: "x"}}); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("UPDATE over a live v = 0: %v", err)
 	}
 	tx.Rollback()
@@ -438,7 +435,6 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 		expr: exec.Bin{Kind: exec.OpAnd,
 			L: exec.Bin{Kind: exec.OpGe, L: k, R: exec.Const{Val: int64(120)}},
 			R: exec.Bin{Kind: exec.OpLe, L: k, R: exec.Const{Val: int64(129)}}},
-		prune: &exec.PruneHint{Col: "k", Lo: 120, Hi: 129},
 	}
 	const hit = 12 // the row group holding keys 120..129
 
@@ -453,7 +449,7 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wide := range []bool{false, true} {
-		found, err := tx.findRows(state, meta, prog, keys.prune, wide)
+		found, err := tx.findRows(state, meta, prog, wide)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +473,7 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 		t.Fatal("a full scan decoded garbled chunks")
 	}
 	// UPDATE needs the old row versions, but only of the group that matched.
-	n, err := tx.Update("t", keys.expr, map[string]exec.Expr{"s": exec.Const{Val: "upd"}}, keys.prune)
+	n, err := tx.Update("t", keys.expr, map[string]exec.Expr{"s": exec.Const{Val: "upd"}})
 	if err != nil || n != 10 {
 		t.Fatalf("UPDATE of 10 keys: %d rows, %v", n, err)
 	}
@@ -487,7 +483,7 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 	damageColumn(t, e, 2, func(g int) bool { return true })
 	damageColumn(t, e, 3, func(g int) bool { return true })
 	tx = e.Begin()
-	n, err = tx.Delete("t", keys.expr, keys.prune)
+	n, err = tx.Delete("t", keys.expr)
 	if err != nil || n != 10 {
 		t.Fatalf("DELETE of 10 keys: %d rows, %v", n, err)
 	}

@@ -255,10 +255,8 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 // file already carries a DV (committed or from an earlier statement of this
 // txn), the new DV is the merge, recorded as Remove(old)+Add(merged) (4.2).
 // In copy-on-write mode (2.1) affected files are rewritten without the
-// deleted rows. prune is an optional zone-map range pred implies — every row
-// satisfying pred has prune.Col in [Lo, Hi] — that lets the row finder skip
-// row groups; nil reads them all.
-func (t *Txn) Delete(table string, pred exec.Expr, prune *exec.PruneHint) (int64, error) {
+// deleted rows.
+func (t *Txn) Delete(table string, pred exec.Expr) (int64, error) {
 	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
@@ -277,7 +275,7 @@ func (t *Txn) Delete(table string, pred exec.Expr, prune *exec.PruneHint) (int64
 		return 0, err
 	}
 	// The finder decodes the predicate's columns and nothing else.
-	found, err := t.findRows(state, meta, prog, prune, false)
+	found, err := t.findRows(state, meta, prog, false)
 	if err != nil {
 		return 0, err
 	}
@@ -405,15 +403,16 @@ type foundRows struct {
 // findRows is the row finder behind UPDATE and DELETE: the live rows of a
 // snapshot that satisfy pred, found the way SELECT finds them. The snapshot's
 // files come through the shared fetch (fetchScanFiles), and each cell runs as
-// one exec.Scan with pred pushed into it — deletion-vector-live rows only,
-// the predicate's columns decoded first, the rest only for row groups with a
-// match — under the caller's zone-map range, so the work follows the rows
-// touched rather than the table. Rows a deletion vector already removed are
-// never evaluated; a runtime error on a live row is the statement's error.
+// one exec.Scan with pred pushed into it — row groups outside the
+// predicate's zone-map ranges skipped, deletion-vector-live rows only, the
+// predicate's columns decoded first, the rest only for row groups with a
+// match — so the work follows the rows touched rather than the table. Rows a
+// deletion vector already removed are never evaluated; a runtime error on a
+// live row is the statement's error.
 // Without wide the scan is projected to the predicate's columns (DELETE needs
 // ordinals only); with it every column is read and the matching old row
 // versions are returned too (UPDATE computes the new versions from them).
-func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog, prune *exec.PruneHint, wide bool) (*foundRows, error) {
+func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog, wide bool) (*foundRows, error) {
 	cells, err := t.fetchScanFiles(state, meta)
 	if err != nil {
 		return nil, err
@@ -433,19 +432,12 @@ func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred 
 		pred = pred.Narrow()
 	}
 	for _, cell := range cells {
-		s, err := exec.NewScan(cell.opened, cols, prune, &found.tel)
+		s, err := exec.NewScan(cell.opened, cols, pred, &found.tel)
 		if err != nil {
 			return nil, err
 		}
-		// A predicate that reads no column (DELETE FROM t, WHERE 1 = 1) is
-		// not pushable: it runs in a Filter over every live row instead.
-		var op exec.Operator = s
-		pushed := s.PushPredicate(pred)
-		if !pushed {
-			op = &exec.Filter{In: s, Pred: pred}
-		}
 		for {
-			b, err := op.Next()
+			b, err := s.Next()
 			if err != nil {
 				return nil, err
 			}
@@ -453,15 +445,6 @@ func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred 
 				break
 			}
 			file, ords := s.Ordinals()
-			if !pushed && b.Sel != nil {
-				// The Filter kept some of the scan's dense batch: its
-				// selection indexes the rows Ordinals enumerated.
-				kept := make([]uint32, len(b.Sel))
-				for i, p := range b.Sel {
-					kept[i] = ords[p]
-				}
-				ords = kept
-			}
 			path := cell.files[file].Path
 			found.ords[path] = append(found.ords[path], ords...)
 			if wide {
@@ -549,9 +532,8 @@ func reconcileActions(actions []manifest.Action) []manifest.Action {
 
 // Update rewrites matching rows: per the paper, an update is a deletion of
 // the old row versions plus an insertion of the new versions (4.1.1 step 2).
-// set maps column names to expressions evaluated over the old rows; prune is
-// the optional zone-map range of Delete.
-func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr, prune *exec.PruneHint) (int64, error) {
+// set maps column names to expressions evaluated over the old rows.
+func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (int64, error) {
 	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
@@ -587,7 +569,7 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr, pru
 	}
 	// One pass finds the matching rows' ordinals and their old versions;
 	// the new versions are materialized before the old ones are deleted.
-	found, err := t.findRows(state, meta, predProg, prune, true)
+	found, err := t.findRows(state, meta, predProg, true)
 	if err != nil {
 		return 0, err
 	}

@@ -314,13 +314,13 @@ func checkJoinAgainstReference(t testing.TB, c joinCase) (pruned, spillPruned in
 	if src.Spilled == nil {
 		t.Fatalf("%+v: grace build did not spill under a one-byte budget", c)
 	}
-	joined, err := src.Spilled.JoinBatches(context.Background(), probeBatches, c.probeKeys, diffSchema, nil, c.parallelism)
+	joined, counts, err := src.Spilled.JoinBatches(context.Background(), probeBatches, c.probeKeys, diffSchema, nil, c.parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err = Collect(NewBatchList(p.Schema(), joined))
 	check("spilled bloom-filtered join", got, err)
-	return n.Load(), src.Spilled.BloomPrunedRows()
+	return n.Load(), counts.BloomPruned
 }
 
 func TestJoinMatchesReference(t *testing.T) {

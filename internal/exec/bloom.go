@@ -1,7 +1,5 @@
 package exec
 
-import "sync/atomic"
-
 // Bloom is a join runtime filter: a bloom filter over the build-side join
 // keys' hashes (hashKeys), consulted on the probe side before the hash-table
 // walk (and, on the spilled path, before probe rows are even partitioned to
@@ -99,11 +97,4 @@ func (jt *JoinTable) BloomFilter() *Bloom {
 		}
 	}
 	return f
-}
-
-// countPruned adds n to a shared pruned-row counter if one is attached.
-func countPruned(ctr *atomic.Int64, n int64) {
-	if ctr != nil && n > 0 {
-		ctr.Add(n)
-	}
 }

@@ -187,8 +187,14 @@ func TestScanZoneMapPruning(t *testing.T) {
 		groups = append(groups, rows)
 	}
 	f := makeFile(t, schema, groups)
+	pred, err := Compile(Bin{Kind: OpAnd,
+		L: Bin{Kind: OpGe, L: ColRef{Idx: 0}, R: Const{Val: int64(200)}},
+		R: Bin{Kind: OpLe, L: ColRef{Idx: 0}, R: Const{Val: int64(209)}}}, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tel := &Telemetry{}
-	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, &PruneHint{Col: "k", Lo: 200, Hi: 209}, tel)
+	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, pred, tel)
 	out, _ := Collect(s)
 	if out.NumRows() != 10 {
 		t.Fatalf("rows = %d", out.NumRows())
@@ -198,6 +204,30 @@ func TestScanZoneMapPruning(t *testing.T) {
 	}
 	if tel.RowsScanned.Load() != 10 {
 		t.Fatalf("scanned = %d, pruning ineffective", tel.RowsScanned.Load())
+	}
+
+	// A projected scan prunes on the file column its predicate's column
+	// names: k is the projection's first column and the file's second.
+	wide := colfile.Schema{{Name: "tag", Type: colfile.String}, {Name: "k", Type: colfile.Int64}}
+	groups = nil
+	for g := 0; g < 5; g++ {
+		var rows [][]any
+		for i := 0; i < 100; i++ {
+			rows = append(rows, []any{"x", int64(g*100 + i)})
+		}
+		groups = append(groups, rows)
+	}
+	lt, err := Compile(Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: Const{Val: int64(100)}}, wide[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel = &Telemetry{}
+	s, _ = NewScan([]ScanFile{{R: mustOpen(t, makeFile(t, wide, groups))}}, []string{"k"}, lt, tel)
+	if out, _ := Collect(s); out.NumRows() != 100 {
+		t.Fatalf("projected scan: rows = %d", out.NumRows())
+	}
+	if tel.GroupsPruned.Load() != 4 {
+		t.Fatalf("projected scan: pruned = %d, want 4", tel.GroupsPruned.Load())
 	}
 }
 
@@ -711,20 +741,14 @@ func TestScanOrdinals(t *testing.T) {
 		t.Fatalf("plain scan ordinals = %v", got)
 	}
 
-	s, _ = NewScan(files, []string{"k"}, nil, nil)
-	if !s.PushPredicate(even.Narrow()) {
-		t.Fatal("narrowed predicate not pushable")
-	}
+	s, _ = NewScan(files, []string{"k"}, even.Narrow(), nil)
 	want := map[int][]uint32{0: {0, 2, 8, 10, 12, 14}, 1: {0, 2, 4, 6, 8, 10, 12, 14}}
 	if got := collect(s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pushed scan ordinals = %v, want %v", got, want)
 	}
 
 	// The wide scan: the predicate's column is not the leading one.
-	s, _ = NewScan(files, nil, nil, nil)
-	if !s.PushPredicate(even) {
-		t.Fatal("predicate not pushable")
-	}
+	s, _ = NewScan(files, nil, even, nil)
 	if got := collect(s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("wide pushed scan ordinals = %v, want %v", got, want)
 	}

@@ -395,7 +395,9 @@ func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
 			}
 		}
 	}
-	countPruned(p.Pruned, pruned)
+	if p.Pruned != nil && pruned > 0 {
+		p.Pruned.Add(pruned)
+	}
 	schema := p.Schema()
 	out := &colfile.Batch{Schema: schema, Cols: make([]*colfile.Vec, len(schema))}
 	leftCols := len(lb.Cols)

@@ -39,20 +39,13 @@ type ScanFile struct {
 	DV *deletevector.Vector // nil when no rows are deleted
 }
 
-// PruneHint lets the scan skip row groups using zone maps: row groups whose
-// [min,max] for column Col cannot intersect [Lo,Hi] are skipped.
-type PruneHint struct {
-	Col    string
-	Lo, Hi int64
-}
-
 // Scan reads a set of immutable columnar files, filters deleted rows via the
-// deletion vector (merge-on-read, paper Section 2.1), prunes row groups via
-// zone maps, and projects the requested columns.
+// deletion vector (merge-on-read, paper Section 2.1), evaluates its
+// predicate, skipping the row groups whose zone maps rule it out, and
+// projects the requested columns.
 type Scan struct {
 	files   []ScanFile
 	cols    []string // nil = all
-	hint    *PruneHint
 	tel     *Telemetry
 	schema  colfile.Schema
 	colIdxs []int
@@ -63,13 +56,14 @@ type Scan struct {
 	// morsel's only file).
 	groupLo, groupHi int
 
-	// pred is a compiled predicate pushed into the scan by the planner
-	// (shared immutable Prog, per-scan EvalCtx). Per row group, the DV-live
-	// selection is computed first, then only the predicate's columns are
-	// decoded and evaluated; the remaining projected columns are decoded
-	// only for groups with at least one qualifying row. See PushPredicate.
+	// pred is the scan's predicate (shared immutable Prog, per-scan
+	// EvalCtx; nil = none). A row group outside one of its Ranges is
+	// skipped unread. Otherwise the DV-live selection is computed first,
+	// then only the predicate's columns are decoded and evaluated; the
+	// remaining projected columns are decoded only for groups with at
+	// least one qualifying row. See NewScan.
 	pred     *Prog
-	predCols []int // projected-schema positions the predicate reads
+	predCols []int // projected-schema positions decoded to evaluate pred
 	predCtx  *EvalCtx
 
 	fileIdx  int
@@ -105,8 +99,26 @@ func (s *Scan) liveRows(dv *deletevector.Vector, base uint32, n int) []int {
 // NewScan builds a scan operator. The schema is taken from the first file;
 // all files must share it. An empty file list yields an empty stream with a
 // nil schema unless SetSchema is called.
-func NewScan(files []ScanFile, cols []string, hint *PruneHint, tel *Telemetry) (*Scan, error) {
-	s := &Scan{files: files, cols: cols, hint: hint, tel: tel}
+//
+// pred (nil = none) is compiled against the projected schema and must
+// return Bool: a row it does not map to TRUE is dropped before downstream
+// operators — or the remaining columns — ever see it. Deleted rows are
+// excluded before evaluation, so the predicate cannot observe them, and a
+// runtime error on a live row is the scan's error, exactly as from a Filter
+// above it. (The planner pushes only conjuncts that cannot raise one, but
+// that is its own rule for reordering conjuncts of a WHERE, not something
+// the scan needs.)
+func NewScan(files []ScanFile, cols []string, pred *Prog, tel *Telemetry) (*Scan, error) {
+	s := &Scan{files: files, cols: cols, tel: tel}
+	if pred != nil {
+		if err := CheckPredicate(pred); err != nil {
+			return nil, err
+		}
+		s.pred, s.predCols, s.predCtx = pred, pred.Cols(), pred.NewCtx()
+		if len(s.predCols) == 0 {
+			s.predCols = []int{0} // a constant predicate still needs the row count
+		}
+	}
 	if len(files) > 0 {
 		if err := s.project(files[0].R.Schema()); err != nil {
 			return nil, err
@@ -144,25 +156,6 @@ func (s *Scan) project(full colfile.Schema) error {
 
 // Schema implements Operator.
 func (s *Scan) Schema() colfile.Schema { return s.schema }
-
-// PushPredicate attaches a compiled predicate evaluated inside the scan.
-// The Prog must be compiled against the scan's projected schema and return
-// Bool: a row the predicate rejects is dropped before downstream operators —
-// or the remaining columns — ever see it. Deleted rows are excluded before
-// evaluation, so a pushed predicate cannot observe them, and a runtime error
-// on a live row is the scan's error, exactly as from a Filter above it. (The
-// planner pushes only conjuncts that cannot raise one, but that is its own
-// rule for reordering conjuncts of a WHERE, not something the scan needs.)
-// Reports whether the predicate was attached (a program reading no columns
-// is refused — constant predicates stay in the Filter above the scan).
-func (s *Scan) PushPredicate(p *Prog) bool {
-	cols := p.Cols()
-	if len(cols) == 0 || p.OutType() != colfile.Bool {
-		return false
-	}
-	s.pred, s.predCols, s.predCtx = p, cols, p.NewCtx()
-	return true
-}
 
 // fileCol maps a projected-schema column position to its file column index.
 func (s *Scan) fileCol(c int) int {
@@ -219,17 +212,13 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 		base := s.rowBase
 		s.rowBase += uint32(groupRows)
 
-		if s.hint != nil {
-			c := s.reader.Schema().ColIndex(s.hint.Col)
-			if c >= 0 && s.reader.PruneInt(g, c, s.hint.Lo, s.hint.Hi) {
+		if s.pred != nil {
+			if s.pruned(g) {
 				if s.tel != nil {
 					s.tel.GroupsPruned.Add(1)
 				}
 				continue
 			}
-		}
-
-		if s.pred != nil {
 			batch, err := s.readGroupPushdown(g, groupRows, base)
 			if err != nil {
 				return nil, err
@@ -266,6 +255,17 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 		s.lastFile, s.lastBase, s.lastRows, s.lastSel = s.fileIdx, base, groupRows, nil
 		return batch, nil
 	}
+}
+
+// pruned reports whether row group g's zone maps prove that the predicate
+// maps none of its rows to TRUE: a range of the predicate excludes them all.
+func (s *Scan) pruned(g int) bool {
+	for _, r := range s.pred.Ranges() {
+		if s.reader.PruneInt(g, s.fileCol(r.Col), r.Lo, r.Hi) {
+			return true
+		}
+	}
+	return false
 }
 
 // Ordinals reports where the batch Next last returned came from: the index of

@@ -113,9 +113,9 @@ func SplitMorsels(files []ScanFile, want int) []Morsel {
 	return morsels
 }
 
-// NewMorselScan builds a scan over one morsel.
-func NewMorselScan(m Morsel, cols []string, hint *PruneHint, tel *Telemetry) (*Scan, error) {
-	s, err := NewScan(m.Files, cols, hint, tel)
+// NewMorselScan builds a scan over one morsel (see NewScan).
+func NewMorselScan(m Morsel, cols []string, pred *Prog, tel *Telemetry) (*Scan, error) {
+	s, err := NewScan(m.Files, cols, pred, tel)
 	if err != nil {
 		return nil, err
 	}

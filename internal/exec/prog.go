@@ -14,6 +14,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -62,6 +63,13 @@ type Prog struct {
 	out    int
 	src    string
 	consts *constCache // nil when the program has no constant slot
+	ranges []Range     // see Ranges
+}
+
+// Range is a closed interval [Lo, Hi] an Int64 input column must lie in.
+type Range struct {
+	Col    int
+	Lo, Hi int64
 }
 
 // constCache holds a program's broadcast constants. A published constSet is
@@ -148,8 +156,23 @@ func (p *Prog) Narrow() *Prog {
 			q.slots[i].col = pos[q.slots[i].col]
 		}
 	}
+	q.ranges = append([]Range(nil), p.ranges...)
+	for i := range q.ranges {
+		q.ranges[i].Col = pos[q.ranges[i].Col]
+	}
 	return &q
 }
+
+// Ranges returns, per Int64 input column, the closed range every row the
+// program maps to TRUE lies in: the intersection of the top-level AND
+// conjuncts of the form column op int-literal (op one of = < <= > >=). A
+// scan skips a row group whose zone map lies outside one of them. Under
+// Kleene AND a row is TRUE only when every conjunct is, and a comparison is
+// TRUE only on a non-NULL value that satisfies it; OR, NOT, IN, IS NULL,
+// <>, a NULL or non-integer literal and anything under them record nothing,
+// so the ranges never exclude a TRUE row. The slice is shared; do not
+// modify it.
+func (p *Prog) Ranges() []Range { return p.ranges }
 
 // ColRef reports whether the program is a bare column reference, and which
 // input column it reads. Callers use it to alias the input vector directly
@@ -315,7 +338,57 @@ func Compile(e Expr, schema colfile.Schema) (*Prog, error) {
 		return nil, err
 	}
 	p.out = out
+	p.ranges = addRanges(nil, e, schema)
 	return p, nil
+}
+
+// addRanges intersects into rs the range each top-level AND conjunct of e
+// implies (see Prog.Ranges). e has compiled, so its AND operands are boolean.
+func addRanges(rs []Range, e Expr, schema colfile.Schema) []Range {
+	b, ok := e.(Bin)
+	if !ok {
+		return rs
+	}
+	if b.Kind == OpAnd {
+		return addRanges(addRanges(rs, b.L, schema), b.R, schema)
+	}
+	c, cok := b.L.(ColRef)
+	k, kok := b.R.(Const)
+	if !cok || !kok || schema[c.Idx].Type != colfile.Int64 {
+		return rs
+	}
+	v, ok := normalize(k.Val).(int64)
+	if !ok {
+		return rs
+	}
+	r := Range{Col: c.Idx, Lo: math.MinInt64, Hi: math.MaxInt64}
+	switch b.Kind {
+	case OpEq:
+		r.Lo, r.Hi = v, v
+	case OpGe:
+		r.Lo = v
+	case OpGt: // > MaxInt64 holds on no row, so any range covers its rows
+		r.Lo = v
+		if v < math.MaxInt64 {
+			r.Lo++
+		}
+	case OpLe:
+		r.Hi = v
+	case OpLt: // likewise < MinInt64
+		r.Hi = v
+		if v > math.MinInt64 {
+			r.Hi--
+		}
+	default:
+		return rs
+	}
+	for i := range rs {
+		if rs[i].Col == r.Col {
+			rs[i].Lo, rs[i].Hi = max(rs[i].Lo, r.Lo), min(rs[i].Hi, r.Hi)
+			return rs
+		}
+	}
+	return append(rs, r)
 }
 
 func (p *Prog) addSlot(s progSlot) int {

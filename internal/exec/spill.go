@@ -119,9 +119,6 @@ type SpilledJoin struct {
 	// trip. No false negatives, so output is unchanged; the filter is an
 	// order-independent OR over the build keys, so it is deterministic.
 	bloom *Bloom
-	// bloomPruned counts probe rows the filter dropped (row-based, hence
-	// DOP-invariant).
-	bloomPruned atomic.Int64
 
 	// probeCalls numbers JoinBatches calls so each call's probe-side spill
 	// files live in their own namespace (l/cNNN/...): a second or concurrent
@@ -140,7 +137,6 @@ type SpilledJoin struct {
 
 	mu           sync.Mutex
 	bytesWritten int64
-	partsJoined  int64
 	// written records every spill file name already accounted. Spill file
 	// content is a deterministic function of its name, so a rewrite (a
 	// repartition retried after a failed put) overwrites identical bytes —
@@ -197,27 +193,34 @@ func (sj *SpilledJoin) repartitionBuild(ctx context.Context, buildDir string, de
 }
 
 // SpillBytes returns the total bytes written to the spill store so far
-// (build and probe sides, recursion included).
+// (build and probe sides, recursion included), by every JoinBatches call:
+// a retried call writes its probe side again, and those bytes are durable
+// writes too.
 func (sj *SpilledJoin) SpillBytes() int64 {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
 	return sj.bytesWritten
 }
 
-// BloomPrunedRows returns how many probe rows the build-side runtime bloom
-// filter dropped before spilling, across all JoinBatches calls. Row-based, so
-// deterministic and DOP-invariant; the planner folds it into
-// WorkStats.RuntimeFilterRows.
-func (sj *SpilledJoin) BloomPrunedRows() int64 { return sj.bloomPruned.Load() }
+// JoinCounts is what one JoinBatches call did. Both counts are row- or
+// partition-based, so deterministic and DOP-invariant for a fixed build,
+// probe and budget; a caller that retries a call counts only the call whose
+// output it keeps.
+type JoinCounts struct {
+	// BloomPruned is the probe rows the build-side runtime bloom filter
+	// dropped before spilling (WorkStats.RuntimeFilterRows).
+	BloomPruned int64
+	// Partitions is the (build, probe) partition pairs joined — the leaf
+	// tasks of the partition-wise fan-out, recursion included
+	// (WorkStats.JoinSpillPartitions).
+	Partitions int64
+}
 
-// PartitionsJoined returns how many (build, probe) partition pairs have been
-// joined so far — the leaf tasks of the partition-wise fan-out, recursion
-// included. Deterministic for a fixed build, probe and budget, so tests (and
-// WorkStats.JoinSpillPartitions) assert on it.
-func (sj *SpilledJoin) PartitionsJoined() int64 {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return sj.partsJoined
+// partJoin is what the leaf joins under one depth-0 partition produced:
+// their non-empty outputs, in leaf order, and how many leaf joins ran.
+type partJoin struct {
+	leaves []*colfile.Batch
+	joins  int64
 }
 
 func (sj *SpilledJoin) put(name string, data []byte) error {
@@ -477,8 +480,9 @@ func (sj *SpilledJoin) readSpillFiles(dir string) ([]*colfile.Batch, error) {
 // global row order by the row ordinal they carry. cols selects the output
 // columns as Probe.Cols does (nil = all), so a barrier emits what an
 // in-memory probe with the same Cols would. ctx cancels the partition
-// fan-out (observed between spill files and batches).
-func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, cols []int, dop int) ([]*colfile.Batch, error) {
+// fan-out (observed between spill files and batches). The counts are this
+// call's alone.
+func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, cols []int, dop int) ([]*colfile.Batch, JoinCounts, error) {
 	// Global row ordinals: offsets[i] is the first ordinal of morsel i.
 	offsets := make([]int64, len(probe)+1)
 	for i, b := range probe {
@@ -537,14 +541,13 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 				p = spillPartition(h, 0)
 			}
 			if err := w.add(p, ext, r); err != nil {
-				return nil, err
+				return nil, JoinCounts{}, err
 			}
 		}
 	}
 	if err := w.finish(); err != nil {
-		return nil, err
+		return nil, JoinCounts{}, err
 	}
-	countPruned(&sj.bloomPruned, pruned)
 
 	// Join the depth-0 partitions — independent (build, probe) pairs — over
 	// the shared worker pool, recursing while a build side exceeds budget.
@@ -607,16 +610,18 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	leafCols[len(cols)] = rowNumIdx
 	leafNum := len(cols)
 
-	partLeaves := make([][]*colfile.Batch, spillParts)
+	parts := make([]partJoin, spillParts)
 	err := ForEachIndexed(ctx, spillParts, effDop, func(ctx context.Context, p int) error {
-		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, leafCols, &partLeaves[p])
+		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, leafCols, &parts[p])
 	})
 	if err != nil {
-		return nil, err
+		return nil, JoinCounts{}, err
 	}
+	counts := JoinCounts{BloomPruned: pruned}
 	var leaves []*colfile.Batch
-	for _, pl := range partLeaves {
-		leaves = append(leaves, pl...)
+	for _, pj := range parts {
+		leaves = append(leaves, pj.leaves...)
+		counts.Partitions += pj.joins
 	}
 
 	// Place the leaf rows in global probe-row order by counting, not
@@ -672,7 +677,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 			outs[i] = out
 		}
 	}
-	return outs, nil
+	return outs, counts, nil
 }
 
 // joinPartition joins one (build, probe) partition pair as a unit of the
@@ -685,7 +690,7 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 // within this partition's task); otherwise the partition is joined in memory
 // (for a single hot key recursion cannot split, this is the documented last
 // resort).
-func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir string, buildMem int64, depth, buildPar int, leftKeys []int, probeSchema colfile.Schema, cols []int, leaves *[]*colfile.Batch) error {
+func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir string, buildMem int64, depth, buildPar int, leftKeys []int, probeSchema colfile.Schema, cols []int, out *partJoin) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -705,7 +710,7 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 			return err
 		}
 		for p := 0; p < spillParts; p++ {
-			if err := sj.joinPartition(ctx, partDir(buildDir, p), partDir(probeDir, p), subMem[p], depth+1, buildPar, leftKeys, probeSchema, cols, leaves); err != nil {
+			if err := sj.joinPartition(ctx, partDir(buildDir, p), partDir(probeDir, p), subMem[p], depth+1, buildPar, leftKeys, probeSchema, cols, out); err != nil {
 				return err
 			}
 		}
@@ -720,18 +725,16 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 	if err != nil {
 		return err
 	}
-	out, err := CollectCtx(ctx, &Probe{
+	leaf, err := CollectCtx(ctx, &Probe{
 		In:    &spillFileSource{store: sj.store, names: probeNames, schema: probeSchema},
 		Table: jt, LeftKeys: leftKeys, Cols: cols,
 	})
 	if err != nil {
 		return err
 	}
-	sj.mu.Lock()
-	sj.partsJoined++
-	sj.mu.Unlock()
-	if out.NumRows() > 0 {
-		*leaves = append(*leaves, out)
+	out.joins++
+	if leaf.NumRows() > 0 {
+		out.leaves = append(out.leaves, leaf)
 	}
 	return nil
 }

@@ -108,7 +108,7 @@ func spilledResult(t *testing.T, build *colfile.Batch, probe []*colfile.Batch, t
 	if src.Spilled == nil {
 		t.Fatalf("build of %d bytes did not spill under budget %d", build.MemSize(), cfg.Budget)
 	}
-	outs, err := src.Spilled.JoinBatches(context.Background(), probe, leftKeys, probe[0].Schema, nil, 4)
+	outs, _, err := src.Spilled.JoinBatches(context.Background(), probe, leftKeys, probe[0].Schema, nil, 4)
 	if err != nil {
 		t.Fatalf("spilled join: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestSpilledJoinReuse(t *testing.T) {
 		t.Fatal("expected a spilled build")
 	}
 	for call := 0; call < 3; call++ {
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
+		outs, _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		if err != nil {
 			t.Fatalf("call %d: %v", call, err)
 		}
@@ -330,7 +330,7 @@ func TestSpilledJoinConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 2)
+			outs, _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 2)
 			if err != nil {
 				errs[c] = err
 				return
@@ -377,7 +377,7 @@ func TestSpilledJoinDopInvariant(t *testing.T) {
 		if src.Spilled == nil {
 			t.Fatal("expected a spilled build")
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, dop)
+		outs, counts, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, dop)
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)
 		}
@@ -389,7 +389,7 @@ func TestSpilledJoinDopInvariant(t *testing.T) {
 				render[i] = renderSpillBatch(b)
 			}
 		}
-		parts := src.Spilled.PartitionsJoined()
+		parts := counts.Partitions
 		if parts == 0 {
 			t.Fatalf("dop=%d: no partitions joined", dop)
 		}
@@ -445,7 +445,7 @@ func TestGraceJoinSpillWriteFailure(t *testing.T) {
 			if src.Spilled == nil {
 				t.Fatalf("failAt=%d: expected a spilled build", failAt)
 			}
-			_, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
+			_, _, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		}
 		if err == nil {
 			t.Fatalf("failAt=%d: injected put failure surfaced no error", failAt)
@@ -499,7 +499,7 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildPuts := clean.puts
-	if _, err := srcClean.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1); err != nil {
+	if _, _, err := srcClean.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	joinPuts := clean.puts - buildPuts
@@ -514,10 +514,10 @@ func TestSpilledJoinRetryAfterWriteFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.FailPut = buildPuts + joinPuts*(frac-1)/frac + 1
-		if _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1); err == nil {
+		if _, _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1); err == nil {
 			t.Fatalf("frac=%d: injected put failure surfaced no error", frac)
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1)
+		outs, _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 1)
 		if err != nil {
 			t.Fatalf("frac=%d: retry after failure: %v", frac, err)
 		}
@@ -580,14 +580,14 @@ func TestSpilledJoinRejectsCorruptChunk(t *testing.T) {
 		if src.Spilled == nil {
 			t.Fatalf("flipAt=%d: expected a spilled build", flipAt)
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
+		outs, _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		if !errors.Is(err, colfile.ErrChecksum) {
 			t.Fatalf("flipAt=%d (%d gets): err = %v, want colfile.ErrChecksum", flipAt, flip.gets, err)
 		}
 		if outs != nil {
 			t.Fatalf("flipAt=%d: a failed join returned %d outputs", flipAt, len(outs))
 		}
-		outs, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
+		outs, _, err = src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, nil, 4)
 		if err != nil {
 			t.Fatalf("flipAt=%d: re-probe over the clean store: %v", flipAt, err)
 		}
@@ -659,7 +659,7 @@ func TestProbeColsGatherOnlyKept(t *testing.T) {
 		if err != nil || src.Spilled == nil {
 			t.Fatalf("grace build did not spill: %v", err)
 		}
-		outs, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, c.cols, 4)
+		outs, _, err := src.Spilled.JoinBatches(context.Background(), probe, []int{0}, probe[0].Schema, c.cols, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

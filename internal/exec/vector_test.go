@@ -9,6 +9,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -378,5 +380,62 @@ func TestCompileErrorsMatchScalarTypeErrors(t *testing.T) {
 		if _, refErr := evalScalar(c.e, base); refErr == nil || err == nil || refErr.Error() != err.Error() {
 			t.Errorf("reference(%s) error = %v, Compile error = %v", c.e, refErr, err)
 		}
+	}
+}
+
+// TestProgRanges pins the zone-map ranges Compile records, written out by
+// hand: only top-level AND conjuncts of the form Int64 column op int literal
+// give one, and a column's conjuncts intersect. Narrow re-addresses them.
+func TestProgRanges(t *testing.T) {
+	col := func(i int) Expr { return ColRef{Idx: i} }
+	cmp := func(k BinKind, c int, v any) Expr { return Bin{Kind: k, L: col(c), R: Const{Val: v}} }
+	and := func(l, r Expr) Expr { return Bin{Kind: OpAnd, L: l, R: r} }
+	const lo, hi = math.MinInt64, math.MaxInt64
+	for _, c := range []struct {
+		e    Expr
+		want []Range
+	}{
+		{cmp(OpEq, 1, int64(4)), []Range{{1, 4, 4}}},
+		{and(cmp(OpGe, 0, int64(-3)), cmp(OpLe, 0, int64(8))), []Range{{0, -3, 8}}}, // BETWEEN
+		{cmp(OpGe, 0, 5), []Range{{0, 5, hi}}},
+		{cmp(OpGt, 0, int64(5)), []Range{{0, 6, hi}}},
+		{cmp(OpLe, 1, int64(5)), []Range{{1, lo, 5}}},
+		{cmp(OpLt, 1, int64(5)), []Range{{1, lo, 4}}},
+		{cmp(OpGt, 0, int64(hi)), []Range{{0, hi, hi}}}, // TRUE on no row
+		{cmp(OpLt, 0, int64(lo)), []Range{{0, lo, lo}}},
+		{and(and(cmp(OpGt, 0, int64(1)), cmp(OpLe, 1, int64(7))), and(cmp(OpLt, 0, int64(10)), cmp(OpEq, 4, true))),
+			[]Range{{0, 2, 9}, {1, lo, 7}}},
+		{and(cmp(OpGe, 0, int64(5)), cmp(OpLe, 0, int64(1))), []Range{{0, 5, 1}}}, // empty
+		{Bin{Kind: OpOr, L: cmp(OpEq, 0, int64(1)), R: cmp(OpEq, 0, int64(2))}, nil},
+		{and(Bin{Kind: OpOr, L: cmp(OpGe, 0, int64(1)), R: cmp(OpEq, 1, int64(2))}, cmp(OpLe, 1, int64(3))), []Range{{1, lo, 3}}},
+		{Not{E: cmp(OpLt, 0, int64(3))}, nil},
+		{InList{E: col(0), Vals: []any{int64(1), int64(2)}}, nil},
+		{cmp(OpEq, 0, nil), nil},
+		{cmp(OpGe, 0, 2.5), nil},
+		{cmp(OpNe, 0, int64(3)), nil},
+		{IsNull{E: col(0), Negate: true}, nil},
+		{cmp(OpEq, 3, "x"), nil},
+		{Bin{Kind: OpLt, L: Const{Val: int64(3)}, R: col(0)}, nil}, // literal op column is not read
+	} {
+		p, err := Compile(c.e, fuzzSchema)
+		if err != nil {
+			t.Fatalf("%s: %v", c.e, err)
+		}
+		if got := p.Ranges(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ranges %v, want %v", c.e, got, c.want)
+		}
+	}
+
+	// Narrow: j is column 1 of the schema and column 0 of the narrowed
+	// program, which reads j and s.
+	p, err := Compile(and(cmp(OpNe, 3, "x"), cmp(OpLe, 1, int64(7))), fuzzSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Narrow().Ranges(), []Range{{0, lo, 7}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("narrowed ranges %v, want %v", got, want)
+	}
+	if got, want := p.Ranges(), []Range{{1, lo, 7}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Narrow changed the original's ranges to %v, want %v", got, want)
 	}
 }

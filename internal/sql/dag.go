@@ -49,6 +49,14 @@ type dagOut struct {
 	pruned int64
 }
 
+// gatherOut is what gather task g(j) hands the FE: its per-morsel frame
+// names and its JoinBatches call's counts, which ride in the output for the
+// same reason as dagOut's.
+type gatherOut struct {
+	names  []string
+	counts exec.JoinCounts
+}
+
 // dagExchange is the query's task-boundary exchange: a batch-frame
 // namespace in the object store plus the cost model for charging simulated
 // remote IO to the task doing the transfer.
@@ -209,23 +217,25 @@ func (r *dagRunner) join(j int, sj *exec.SpilledJoin) error {
 				return nil, err
 			}
 			pj := r.p.joins[j]
-			joined, err := sj.JoinBatches(qc.Context(), batches, pj.leftKeys, pj.leftSchema, pj.cols, r.dop)
+			joined, counts, err := sj.JoinBatches(qc.Context(), batches, pj.leftKeys, pj.leftSchema, pj.cols, r.dop)
 			if err != nil {
 				return nil, err
 			}
-			names := make([]string, len(joined))
+			g := &gatherOut{names: make([]string, len(joined)), counts: counts}
 			for i, b := range joined {
-				if names[i], err = r.ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b); err != nil {
+				if g.names[i], err = r.ex.write(qc, fmt.Sprintf("g%d/m%05d", j, i), b); err != nil {
 					return nil, err
 				}
 			}
-			return names, nil
+			return g, nil
 		},
 	})
 	if err != nil {
 		return err
 	}
-	r.names, r.deps = outs[0].([]string), []int{dagGatherID(j)}
+	g := outs[0].(*gatherOut)
+	r.spill.joined(g.counts)
+	r.names, r.deps = g.names, []int{dagGatherID(j)}
 	return nil
 }
 

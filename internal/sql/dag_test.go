@@ -734,6 +734,52 @@ func TestDAGCountersDeterministic(t *testing.T) {
 	}
 }
 
+// TestDAGRetriedGatherCountsItsJoinOnce: a spilled join's gather task that
+// is retried runs JoinBatches twice, but only the attempt whose output the
+// FE keeps is counted, so the bloom-pruned rows and the partition pairs
+// joined agree across the pool, a clean DAG run and a DAG run whose gather
+// lost its first attempt.
+func TestDAGRetriedGatherCountsItsJoinOnce(t *testing.T) {
+	const q = `SELECT c.region, COUNT(*) FROM orders o JOIN customers c ON o.cust = c.cid WHERE c.cid < 12 GROUP BY c.region ORDER BY c.region`
+	type counts struct{ pruned, parts, retries int64 }
+	run := func(dag, kill bool) counts {
+		env := newDagEnv(t, func(o *core.Options) {
+			o.JoinMemoryBudget = sweepSpillBudget
+			o.DistributedQueries = dag
+			o.QueryFailureInjector = func(taskID, attempt int, node *compute.Node) error {
+				if kill && taskID == dagGatherID(0) && attempt == 1 {
+					return fmt.Errorf("injected failure: gather attempt %d", attempt)
+				}
+				return nil
+			}
+		})
+		seedDag(t, env.sess)
+		w := &env.eng.Work
+		before := counts{w.RuntimeFilterRows.Load(), w.JoinSpillPartitions.Load(), w.DagRetries.Load()}
+		spills := w.JoinSpills.Load()
+		mustExec(t, env.sess, q)
+		if w.JoinSpills.Load() == spills {
+			t.Fatal("the join build did not spill")
+		}
+		return counts{w.RuntimeFilterRows.Load() - before.pruned, w.JoinSpillPartitions.Load() - before.parts, w.DagRetries.Load() - before.retries}
+	}
+	pool, clean, killed := run(false, false), run(true, false), run(true, true)
+	if pool.pruned == 0 || pool.parts == 0 {
+		t.Fatalf("pool run counted %+v; want bloom-pruned rows and joined partitions", pool)
+	}
+	if killed.retries == 0 {
+		t.Fatal("the gather's first attempt was not retried")
+	}
+	for _, c := range []struct {
+		name string
+		got  counts
+	}{{"clean DAG", clean}, {"killed-gather DAG", killed}} {
+		if c.got.pruned != pool.pruned || c.got.parts != pool.parts {
+			t.Errorf("%s counted %d bloom-pruned rows and %d partitions, the pool %d and %d", c.name, c.got.pruned, c.got.parts, pool.pruned, pool.parts)
+		}
+	}
+}
+
 // TestDAGExchangeWritesOnlyWhatItReads pins the exchange's frame contract
 // (docs/DCP-QUERIES.md): every frame a DAG statement writes is read once and
 // deleted inside the statement, so on a warm engine — the compute cache holds

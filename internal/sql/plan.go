@@ -11,14 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"polaris/internal/catalog"
 	"polaris/internal/colfile"
 	"polaris/internal/core"
 	"polaris/internal/exec"
@@ -329,94 +327,6 @@ func binOpKind(op string) (exec.BinKind, bool) {
 	return 0, false
 }
 
-// prunableRange extracts a zone-map hint from the WHERE clause: a conjunct of
-// the form col >= lo / col <= hi / col = v / col BETWEEN over an int column of
-// the base table. A bound the WHERE leaves open is the end of the int64 range,
-// so no stored value falls outside it.
-func prunableRange(where Expr, meta catalog.TableMeta, alias string) *exec.PruneHint {
-	lo := map[string]int64{}
-	hi := map[string]int64{}
-	var walk func(e Expr)
-	record := func(c ColName, op string, v int64) {
-		if c.Table != "" && !strings.EqualFold(c.Table, alias) {
-			return
-		}
-		idx := meta.Schema.ColIndex(c.Name)
-		if idx < 0 || meta.Schema[idx].Type != colfile.Int64 {
-			return
-		}
-		switch op {
-		case ">=", ">":
-			if cur, ok := lo[c.Name]; !ok || v > cur {
-				lo[c.Name] = v
-			}
-		case "<=", "<":
-			if cur, ok := hi[c.Name]; !ok || v < cur {
-				hi[c.Name] = v
-			}
-		case "=":
-			lo[c.Name], hi[c.Name] = v, v
-		}
-	}
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case BinExpr:
-			if x.Op == "AND" {
-				walk(x.L)
-				walk(x.R)
-				return
-			}
-			c, cok := x.L.(ColName)
-			l, lok := x.R.(Lit)
-			if cok && lok {
-				if v, ok := l.Val.(int64); ok {
-					record(c, x.Op, v)
-				}
-			}
-		case BetweenExpr:
-			c, cok := x.E.(ColName)
-			llo, lok := x.Lo.(Lit)
-			lhi, hok := x.Hi.(Lit)
-			if cok && lok && hok {
-				vlo, ok1 := llo.Val.(int64)
-				vhi, ok2 := lhi.Val.(int64)
-				if ok1 && ok2 {
-					record(c, ">=", vlo)
-					record(c, "<=", vhi)
-				}
-			}
-		}
-	}
-	if where == nil {
-		return nil
-	}
-	walk(where)
-	// Pick the lexicographically first bounded column so the same WHERE
-	// clause always yields the same hint (and the same EXPLAIN), whatever
-	// order the bounds were recorded in.
-	loCols := make([]string, 0, len(lo))
-	for col := range lo {
-		loCols = append(loCols, col)
-	}
-	sort.Strings(loCols)
-	for _, col := range loCols {
-		h := int64(math.MaxInt64)
-		if v, ok := hi[col]; ok {
-			h = v
-		}
-		return &exec.PruneHint{Col: col, Lo: lo[col], Hi: h}
-	}
-	hiCols := make([]string, 0, len(hi))
-	for col := range hi {
-		hiCols = append(hiCols, col)
-	}
-	sort.Strings(hiCols)
-	for _, col := range hiCols {
-		return &exec.PruneHint{Col: col, Lo: math.MinInt64, Hi: hi[col]}
-	}
-	return nil
-}
-
 // runSelect executes a SELECT. There is one executor: the statement is
 // planned once (planSelect), the plan is opened — every relation's morsels
 // fetched from the snapshot the plan resolved, every build given its spill
@@ -627,17 +537,21 @@ func (s *joinSpill) count(src *exec.JoinSource) {
 	}
 }
 
-// finish adds the spill accounting — bytes durably written (sj.SpillBytes
-// counts successful puts only, so a build that errored mid-spill contributes
-// exactly what reached the store) and partition-wise join tasks — and deletes
-// the statement's namespaces. Cleanup is best effort (errors leave orphans
-// confined to the spill/ namespace, outside GC's and the publishers'
+// joined records what the kept call of a spilled join's JoinBatches did.
+func (s *joinSpill) joined(c exec.JoinCounts) {
+	s.tx.Work().JoinSpillPartitions.Add(c.Partitions)
+	s.tx.Work().RuntimeFilterRows.Add(c.BloomPruned)
+}
+
+// finish adds the bytes the spilled joins durably wrote (sj.SpillBytes counts
+// successful puts only, so a build that errored mid-spill contributes exactly
+// what reached the store, and a retried call's writes count again) and
+// deletes the statement's namespaces. Cleanup is best effort (errors leave
+// orphans confined to the spill/ namespace, outside GC's and the publishers'
 // prefixes).
 func (s *joinSpill) finish() {
 	for _, sj := range s.spilled {
 		s.tx.Work().JoinSpillBytes.Add(sj.SpillBytes())
-		s.tx.Work().JoinSpillPartitions.Add(sj.PartitionsJoined())
-		s.tx.Work().RuntimeFilterRows.Add(sj.BloomPrunedRows())
 	}
 	for _, dir := range s.dirs {
 		_ = dir.Cleanup()
@@ -646,17 +560,15 @@ func (s *joinSpill) finish() {
 
 // fragment opens one morsel's scan with the plan's projection and pushed
 // predicate applied. Rows a pushed predicate rejects are dropped inside the
-// scan, before unreferenced columns are even decoded.
+// scan, before unreferenced columns are even decoded, and row groups its
+// zone-map ranges exclude are never read.
 func (r *relation) fragment(m exec.Morsel) (exec.Operator, error) {
-	s, err := exec.NewMorselScan(m, r.cols, r.hint, nil)
+	s, err := exec.NewMorselScan(m, r.cols, r.pred, nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.SetSchema(r.meta.Schema); err != nil {
 		return nil, err
-	}
-	if r.pred != nil && !s.PushPredicate(r.pred) {
-		return &exec.Filter{In: s, Pred: r.pred}, nil
 	}
 	return s, nil
 }
@@ -819,7 +731,10 @@ func (r *poolRunner) segment(_ int, open segmentOpener, limit int64) (err error)
 
 func (r *poolRunner) join(j int, sj *exec.SpilledJoin) (err error) {
 	pj := r.p.joins[j]
-	r.cur, err = sj.JoinBatches(r.tx.Context(), r.cur, pj.leftKeys, pj.leftSchema, pj.cols, r.dop)
+	var c exec.JoinCounts
+	if r.cur, c, err = sj.JoinBatches(r.tx.Context(), r.cur, pj.leftKeys, pj.leftSchema, pj.cols, r.dop); err == nil {
+		r.spill.joined(c)
+	}
 	return err
 }
 
@@ -1291,7 +1206,7 @@ func runUpdate(tx *core.Txn, st *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := tx.Update(st.Table, pred, set, prunableRange(st.Where, meta, meta.Name))
+	n, err := tx.Update(st.Table, pred, set)
 	if err != nil {
 		return nil, err
 	}
@@ -1307,7 +1222,7 @@ func runDelete(tx *core.Txn, st *DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := tx.Delete(st.Table, pred, prunableRange(st.Where, meta, meta.Name))
+	n, err := tx.Delete(st.Table, pred)
 	if err != nil {
 		return nil, err
 	}

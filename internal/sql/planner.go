@@ -35,8 +35,7 @@ type relation struct {
 	cols   []string       // projected scan columns (nil = all)
 	schema colfile.Schema // scan output schema
 	pushed Expr           // WHERE conjunction the scan evaluates, as written (nil = none)
-	pred   *exec.Prog     // the same conjunction compiled over schema, shared read-only by the workers
-	hint   *exec.PruneHint
+	pred   *exec.Prog     // the same conjunction compiled over schema, shared read-only by the workers; its ranges prune row groups
 
 	ms *core.MorselScan // the fetched morsels: set by open, nil under EXPLAIN
 }
@@ -114,12 +113,6 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 
 	// Bind and compile in execution order.
 	p.base = order[0]
-	alias := aliasOf(p.base.ref)
-	if len(st.Joins) == 0 {
-		// The hint is extracted from the whole WHERE so conjuncts pushed into
-		// the scan still contribute zone-map pruning.
-		p.base.hint = prunableRange(st.Where, p.base.meta, alias)
-	}
 	// What no scan takes stays in the post-join Filter, in WHERE order.
 	p.where = st.Where
 	if slices.ContainsFunc(owners, func(r *relation) bool { return r != nil }) {
@@ -132,7 +125,7 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 		p.where = andFold(rest)
 	}
 	later := p.laterRefs(ons)
-	sc := singleTableScope(p.base.schema, alias)
+	sc := singleTableScope(p.base.schema, aliasOf(p.base.ref))
 	if err := p.push(p.base, conjuncts, owners, sc); err != nil {
 		return nil, err
 	}

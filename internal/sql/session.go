@@ -172,39 +172,32 @@ func (s *Session) ExecParsedWith(st Statement, opts ExecOpts) (*Result, error) {
 			res.Scanned, res.DeletedData, res.DeletedDV, res.DeletedOrphans, res.Retained)}, nil
 	}
 
-	if s.tx != nil {
-		if opts.DOP > 0 {
-			s.tx.AdoptLease(opts.DOP)
-			defer s.tx.ClearAdoptedLease()
-		}
-		if opts.Ctx != nil {
-			s.tx.SetContext(opts.Ctx)
-			defer s.tx.SetContext(nil)
-		}
-		before := s.tx.SimTime()
-		res, err := Execute(s.tx, st)
-		if err != nil {
-			return nil, err
-		}
-		res.SimTime = s.tx.SimTime() - before
-		return res, nil
+	// Autocommit: the statement runs in a transaction of its own, committed
+	// (or rolled back) before it returns, and its SimTime includes the commit.
+	tx, auto := s.tx, s.tx == nil
+	if auto {
+		tx = s.begin()
 	}
-	// Autocommit: each statement runs in its own transaction.
-	tx := s.begin()
 	if opts.DOP > 0 {
 		tx.AdoptLease(opts.DOP)
+		defer tx.ClearAdoptedLease()
 	}
 	if opts.Ctx != nil {
 		tx.SetContext(opts.Ctx)
+		defer tx.SetContext(nil)
 	}
+	before := tx.SimTime()
 	res, err := Execute(tx, st)
+	if auto {
+		if err != nil {
+			tx.Rollback()
+		} else {
+			err = tx.Commit()
+		}
+	}
 	if err != nil {
-		tx.Rollback()
 		return nil, err
 	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	res.SimTime = tx.SimTime()
+	res.SimTime = tx.SimTime() - before
 	return res, nil
 }

@@ -1,11 +1,9 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"polaris/internal/catalog"
-	"polaris/internal/colfile"
 )
 
 // seedStability builds a fresh engine with the shared items seed plus an
@@ -33,8 +31,8 @@ func TestExplainStableAcrossRuns(t *testing.T) {
 		// renderers at once.
 		`SELECT o.oid, i.name FROM orders o JOIN items i ON o.item_id = i.id WHERE o.qty > 1 AND i.price < 5.0 ORDER BY o.oid LIMIT 2`,
 		// Bounds on several INT columns of one table: the rendered pushed
-		// conjuncts must not reorder run to run; the zone-map prune hint the
-		// same WHERE produces is pinned by TestPrunableRangeDeterministic.
+		// conjuncts must not reorder run to run; that every bound prunes is
+		// TestAnyConjunctBoundPrunes.
 		`SELECT oid FROM orders WHERE oid >= 100 AND item_id >= 1 AND qty >= 2`,
 		`SELECT name, SUM(price) FROM items WHERE active = TRUE GROUP BY name ORDER BY name`,
 	}
@@ -55,45 +53,36 @@ func TestExplainStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPrunableRangeDeterministic pins the unit-level fix behind the second
-// query above: with bounds recorded on several columns, prunableRange must
-// return the lexicographically first bounded column — the same hint on
-// every call, never a map-order-dependent one.
-func TestPrunableRangeDeterministic(t *testing.T) {
-	meta := catalog.TableMeta{Schema: colfile.Schema{
-		{Name: "a", Type: colfile.Int64},
-		{Name: "b", Type: colfile.Int64},
-		{Name: "c", Type: colfile.Int64},
-	}}
-	where := func(pred string) Expr {
-		t.Helper()
-		st, err := Parse("SELECT * FROM t WHERE " + pred)
-		if err != nil {
-			t.Fatalf("parse %q: %v", pred, err)
+// TestAnyConjunctBoundPrunes: the scan prunes on the range of every bounded
+// conjunct's column, not on one column chosen among them. Each statement
+// bounds a, b and c but only one column's bound is selective; run cold, it
+// decodes the predicate's two or three chunks of the row groups that
+// selective bound admits, and no others.
+func TestAnyConjunctBoundPrunes(t *testing.T) {
+	for _, c := range []struct {
+		where  string
+		groups int64 // row groups of ten rows the selective bound admits
+		cols   int64 // columns the WHERE reads
+		rows   int64
+	}{
+		{`a >= 0 AND b >= 0 AND c <= 2014`, 2, 3, 15},
+		{`a >= 0 AND b BETWEEN 1030 AND 1039 AND c >= 0`, 1, 3, 10},
+		{`c >= 0 AND a > 85`, 2, 2, 14},
+		{`b < 1005 AND a <= 99`, 1, 2, 5},
+	} {
+		s := prunedSession(t, 1, false)
+		mustExec(t, s, `CREATE TABLE t (a INT, b INT, c INT) WITH (DISTRIBUTION = a, SORTCOL = a)`)
+		var vals []string
+		for i := 0; i < 100; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d)", i, 1000+i, 2000+i))
 		}
-		return st.(*SelectStmt).Where
-	}
-
-	lower := where(`c >= 3 AND b >= 2 AND a >= 1 AND b <= 9`)
-	first := prunableRange(lower, meta, "t")
-	if first == nil || first.Col != "a" || first.Lo != 1 {
-		t.Fatalf("hint = %+v, want column a with lo=1", first)
-	}
-	for i := 0; i < 100; i++ {
-		if h := prunableRange(lower, meta, "t"); h == nil || *h != *first {
-			t.Fatalf("call %d: hint = %+v, want %+v every time", i, h, first)
+		mustExec(t, s, "INSERT INTO t VALUES "+strings.Join(vals, ", "))
+		before := chunkDecodes(s)
+		if got := mustExec(t, s, "SELECT COUNT(*) FROM t WHERE "+c.where).Batch.Cols[0].Ints[0]; got != c.rows {
+			t.Fatalf("WHERE %s counted %d rows, want %d", c.where, got, c.rows)
 		}
-	}
-
-	// Upper bounds only: same rule on the hi map.
-	upper := where(`c < 5 AND b < 7`)
-	firstHi := prunableRange(upper, meta, "t")
-	if firstHi == nil || firstHi.Col != "b" || firstHi.Hi != 7 {
-		t.Fatalf("hi-only hint = %+v, want column b with hi=7", firstHi)
-	}
-	for i := 0; i < 100; i++ {
-		if h := prunableRange(upper, meta, "t"); h == nil || *h != *firstHi {
-			t.Fatalf("call %d: hi-only hint = %+v, want %+v every time", i, h, firstHi)
+		if got, want := chunkDecodes(s)-before, c.groups*c.cols; got != want {
+			t.Errorf("WHERE %s decoded %d chunks, want %d (%d row groups × %d columns)", c.where, got, want, c.groups, c.cols)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -163,10 +164,10 @@ func tvCmp(v *int64, keep func(int64) bool) tv {
 }
 
 // TestZoneMapOrPredicates pins what an OR does to scan planning, and that
-// three-valued logic does not change it: prunableRange reads only top-level
-// AND conjuncts, so an OR contributes no zone-map bound while a conjunct
-// beside it still does, and choosePushdown pushes each conjunct — an OR
-// whole — into the scan, leaving no residual WHERE. The rows SELECT COUNT(*),
+// three-valued logic does not change it: the pushed program's ranges come
+// only from top-level AND conjuncts, so an OR contributes no zone-map bound
+// while a conjunct beside it still does, and choosePushdown pushes each
+// conjunct — an OR whole — into the scan, leaving no residual WHERE. The rows SELECT COUNT(*),
 // UPDATE and DELETE count must equal a Go-side filter under SQL's
 // three-valued logic, over x and y values that include NULLs.
 func TestZoneMapOrPredicates(t *testing.T) {
@@ -202,14 +203,14 @@ func TestZoneMapOrPredicates(t *testing.T) {
 	mustExec(t, s, ins.String())
 
 	for _, c := range []struct {
-		where string
-		hint  *exec.PruneHint
-		keep  func(r row) tv
+		where  string
+		ranges []exec.Range // over the scan's projection (x, y)
+		keep   func(r row) tv
 	}{
 		{`x >= 5 OR y <= 1`, nil, func(r row) tv {
 			return tvOr(tvCmp(r.x, func(x int64) bool { return x >= 5 }), tvCmp(r.y, func(y int64) bool { return y <= 1 }))
 		}},
-		{`(x >= 5 OR y <= 1) AND x <= 7`, &exec.PruneHint{Col: "x", Lo: math.MinInt64, Hi: 7}, func(r row) tv {
+		{`(x >= 5 OR y <= 1) AND x <= 7`, []exec.Range{{Col: 0, Lo: math.MinInt64, Hi: 7}}, func(r row) tv {
 			return tvAnd(tvOr(tvCmp(r.x, func(x int64) bool { return x >= 5 }), tvCmp(r.y, func(y int64) bool { return y <= 1 })),
 				tvCmp(r.x, func(x int64) bool { return x <= 7 }))
 		}},
@@ -223,7 +224,7 @@ func TestZoneMapOrPredicates(t *testing.T) {
 		{`NOT (x < 0 AND y > 3)`, nil, func(r row) tv {
 			return tvNot(tvAnd(tvCmp(r.x, func(x int64) bool { return x < 0 }), tvCmp(r.y, func(y int64) bool { return y > 3 })))
 		}},
-		{`x BETWEEN 0 AND 6 AND (y = 2 OR x > 4)`, &exec.PruneHint{Col: "x", Lo: 0, Hi: 6}, func(r row) tv {
+		{`x BETWEEN 0 AND 6 AND (y = 2 OR x > 4)`, []exec.Range{{Col: 0, Lo: 0, Hi: 6}}, func(r row) tv {
 			return tvAnd(tvCmp(r.x, func(x int64) bool { return 0 <= x && x <= 6 }),
 				tvOr(tvCmp(r.y, func(y int64) bool { return y == 2 }), tvCmp(r.x, func(x int64) bool { return x > 4 })))
 		}},
@@ -238,8 +239,8 @@ func TestZoneMapOrPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(p.base.hint, c.hint) {
-			t.Errorf("WHERE %s: zone-map hint %+v, want %+v", c.where, p.base.hint, c.hint)
+		if p.base.pred == nil || !reflect.DeepEqual(p.base.pred.Ranges(), c.ranges) {
+			t.Errorf("WHERE %s: pushed program %v, want zone-map ranges %+v", c.where, p.base.pred, c.ranges)
 		}
 		if p.where != nil || p.base.pushed == nil {
 			t.Errorf("WHERE %s: residual %v, pushed %v; want every conjunct in the scan", c.where, p.where, p.base.pushed)
@@ -262,6 +263,60 @@ func TestZoneMapOrPredicates(t *testing.T) {
 		mustExec(t, s, "ROLLBACK")
 		if got != want {
 			t.Errorf("DELETE WHERE %s affected %d, want %d", c.where, got, want)
+		}
+	}
+}
+
+// prunedSession is a session over one distribution with ten-row groups, so
+// every table in it is one file whose row groups are easy to count by hand.
+func prunedSession(t *testing.T, parallelism int, dag bool) *Session {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Distributions = 1
+	opts.RowsPerFile = 1000
+	opts.RowsPerGroup = 10
+	opts.Parallelism = parallelism
+	opts.DistributedQueries = dag
+	fabric := compute.NewFabric(compute.Config{Elastic: true, InitNodes: 2, SlotsPer: 2})
+	return NewSession(core.NewEngine(catalog.NewDB(), objectstore.New(), fabric, opts))
+}
+
+// TestJoinScansPruneBothSides: under a join, each scan prunes on its own
+// pushed range, the probe base's and the build's alike. a holds k = 0..99
+// in ten row groups and b id = 0..49 in five; the WHERE admits a's groups 2
+// and 3 and b's group 1, so a cold run decodes two chunks (k, v) in each of
+// a's two groups and two (id, w) in b's one, and nothing else — at
+// Parallelism 1 and 4, on the pool and the DAG, with the same result bytes.
+func TestJoinScansPruneBothSides(t *testing.T) {
+	const q = `SELECT a.k, b.w FROM a JOIN b ON a.v = b.id WHERE a.k >= 20 AND a.k <= 39 AND b.id BETWEEN 10 AND 19 ORDER BY a.k`
+	var want []byte
+	for _, par := range []int{1, 4} {
+		for _, dag := range []bool{false, true} {
+			s := prunedSession(t, par, dag)
+			mustExec(t, s, `CREATE TABLE a (k INT, v INT) WITH (DISTRIBUTION = k, SORTCOL = k)`)
+			mustExec(t, s, `CREATE TABLE b (id INT, w INT) WITH (DISTRIBUTION = id, SORTCOL = id)`)
+			var av, bv []string
+			for k := 0; k < 100; k++ {
+				av = append(av, fmt.Sprintf("(%d, %d)", k, k-10))
+			}
+			for id := 0; id < 50; id++ {
+				bv = append(bv, fmt.Sprintf("(%d, %d)", id, 7*id))
+			}
+			mustExec(t, s, "INSERT INTO a VALUES "+strings.Join(av, ", "))
+			mustExec(t, s, "INSERT INTO b VALUES "+strings.Join(bv, ", "))
+			before := chunkDecodes(s)
+			text, got := renderResult(t, s, q)
+			if n := chunkDecodes(s) - before; n != 2*2+1*2 {
+				t.Errorf("Parallelism %d, dag %v: decoded %d chunks, want 6", par, dag, n)
+			}
+			if want == nil {
+				if n := strings.Count(text, "\n"); n != 10 {
+					t.Fatalf("joined %d rows, want 10:\n%s", n, text)
+				}
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("Parallelism %d, dag %v: result bytes differ:\n%s", par, dag, text)
+			}
 		}
 	}
 }

@@ -177,7 +177,7 @@ func dmSteps(eng *core.Engine, cfg DMConfig, res *PhaseResult) []func() error {
 						Kind: exec.OpEq,
 						L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: cfg.DeleteEvery * 7}},
 						R:    exec.Const{Val: mod},
-					}, nil)
+					})
 					res.RowsDel += n
 					res.SimTime += tx.SimTime()
 					return err
