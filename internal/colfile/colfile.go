@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DataType enumerates supported column types.
@@ -343,6 +344,91 @@ func (v *Vec) Append(src *Vec, i int) {
 		v.AppendStr(src.Strs[i])
 	case Bool:
 		v.AppendBool(src.Bools[i])
+	}
+}
+
+// AppendTake appends positions idx of src (which must have the same type),
+// in order: the bulk form of calling Append once per index, leaving the same
+// vector — a NULL appends the type's zero value, and the NULL bitmap is
+// created only when a NULL is actually appended. Each payload is one typed
+// gather into capacity grown once; repeated indexes are allowed.
+func (v *Vec) AppendTake(src *Vec, idx []int) {
+	base := v.Len()
+	switch v.Type {
+	case Int64:
+		v.Ints = appendTake(v.Ints, src.Ints, idx)
+	case Float64:
+		v.Floats = appendTake(v.Floats, src.Floats, idx)
+	case String:
+		v.Strs = appendTake(v.Strs, src.Strs, idx)
+	case Bool:
+		v.Bools = appendTake(v.Bools, src.Bools, idx)
+	}
+	if v.Nulls == nil && !src.anyNullAt(idx) {
+		return
+	}
+	if v.Nulls == nil {
+		v.Nulls = make([]bool, base, base+len(idx))
+	}
+	if src.Nulls == nil {
+		v.Nulls = append(v.Nulls, make([]bool, len(idx))...)
+		return
+	}
+	for k, i := range idx {
+		null := src.Nulls[i]
+		v.Nulls = append(v.Nulls, null)
+		if !null {
+			continue
+		}
+		switch v.Type {
+		case Int64:
+			v.Ints[base+k] = 0
+		case Float64:
+			v.Floats[base+k] = 0
+		case String:
+			v.Strs[base+k] = ""
+		case Bool:
+			v.Bools[base+k] = false
+		}
+	}
+}
+
+// appendTake appends src[i] for every i in idx to dst, growing it once.
+func appendTake[T any](dst, src []T, idx []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:]
+	for k, i := range idx {
+		out[k] = src[i]
+	}
+	return dst
+}
+
+// anyNullAt reports whether any of positions idx is NULL.
+func (v *Vec) anyNullAt(idx []int) bool {
+	if v.Nulls == nil {
+		return false
+	}
+	for _, i := range idx {
+		if v.Nulls[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// Grow makes room for n more values, so appending them reallocates no
+// payload: the pre-sizing of a concatenation whose length is known.
+func (v *Vec) Grow(n int) {
+	switch v.Type {
+	case Int64:
+		v.Ints = slices.Grow(v.Ints, n)
+	case Float64:
+		v.Floats = slices.Grow(v.Floats, n)
+	case String:
+		v.Strs = slices.Grow(v.Strs, n)
+	case Bool:
+		v.Bools = slices.Grow(v.Bools, n)
 	}
 }
 
@@ -671,16 +757,21 @@ func (b *Batch) Take(idx []int) *Batch {
 }
 
 // AppendBatch appends all logical rows of src (same schema). A selection
-// vector on src is honored — only the selected rows are appended — so
-// collecting a filtered stream materializes it densely. A dense column
-// without NULLs, the common case under every Collect, is one typed append.
+// vector on src is honored — only the selected rows are appended, one
+// AppendTake per column — so collecting a filtered stream materializes it
+// densely. A dense column without NULLs, the common case under every
+// Collect, is one typed append.
 func (b *Batch) AppendBatch(src *Batch) {
 	n := src.NumRows()
 	for i, dst := range b.Cols {
 		sv := src.Cols[i]
-		if src.Sel != nil || sv.Nulls != nil {
+		if src.Sel != nil {
+			dst.AppendTake(sv, src.Sel)
+			continue
+		}
+		if sv.Nulls != nil {
 			for r := 0; r < n; r++ {
-				dst.Append(sv, src.RowIdx(r))
+				dst.Append(sv, r)
 			}
 			continue
 		}

@@ -603,3 +603,140 @@ func TestAppendSortKeyOrderPreserving(t *testing.T) {
 		t.Fatal("desc multi-column string keys not ordered by first column")
 	}
 }
+
+// takeSource returns an n-row vector of type t whose NULL positions (every
+// third, when nulls) hold a non-zero payload, so a gather that copied the
+// payload under a NULL instead of the type's zero value would show.
+func takeSource(t DataType, n int, nulls bool, rng *rand.Rand) *Vec {
+	v := NewVec(t)
+	for i := 0; i < n; i++ {
+		switch t {
+		case Int64:
+			v.AppendInt(rng.Int63n(1000) + 1)
+		case Float64:
+			v.AppendFloat(rng.Float64() + 1)
+		case String:
+			v.AppendStr(fmt.Sprintf("s%d", rng.Intn(1000)))
+		case Bool:
+			v.AppendBool(true)
+		}
+	}
+	if nulls {
+		v.Nulls = make([]bool, n)
+		for i := 0; i < n; i += 3 {
+			v.Nulls[i] = true
+		}
+	}
+	return v
+}
+
+// TestAppendTakeMatchesAppend: AppendTake leaves exactly the vector, and the
+// frame bytes, that one Append per index leaves — for every type, with and
+// without NULLs in the source, onto an empty vector, one with values and
+// no bitmap, and one that already has a bitmap, under random index lists
+// (empty and repeated indexes included). AppendBatch over a selected batch
+// matches the same per-row reference.
+func TestAppendTakeMatchesAppend(t *testing.T) {
+	// A fixed case written out: the bitmap appears with the first NULL and
+	// covers the values already there, and a NULL appends the zero value.
+	src := &Vec{Type: Int64, Ints: []int64{10, 99, 30, 99}, Nulls: []bool{false, true, false, true}}
+	dst := &Vec{Type: Int64, Ints: []int64{1, 2}}
+	dst.AppendTake(src, []int{2, 1, 1, 0})
+	want := &Vec{Type: Int64, Ints: []int64{1, 2, 30, 0, 0, 10}, Nulls: []bool{false, false, false, true, true, false}}
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("fixed case: got %+v, want %+v", dst, want)
+	}
+	// Selecting only non-NULL rows of a source with a bitmap creates none.
+	dst = NewVec(Int64)
+	dst.AppendTake(src, []int{0, 2})
+	if dst.Nulls != nil || !reflect.DeepEqual(dst.Ints, []int64{10, 30}) {
+		t.Fatalf("non-NULL rows: got %+v", dst)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	const n = 40
+	prefixes := []struct {
+		name string
+		make func(src *Vec) *Vec
+	}{
+		{"empty", func(src *Vec) *Vec { return NewVec(src.Type) }},
+		{"values", func(src *Vec) *Vec { v := NewVec(src.Type); v.Append(src, 1); return v }},
+		{"bitmap", func(src *Vec) *Vec { v := NewVec(src.Type); v.AppendNull(); return v }},
+	}
+	for _, typ := range []DataType{Int64, Float64, String, Bool} {
+		for _, nulls := range []bool{false, true} {
+			src := takeSource(typ, n, nulls, rng)
+			for _, prefix := range prefixes {
+				for trial := 0; trial < 20; trial++ {
+					idx := make([]int, rng.Intn(2*n)*(trial%4)/3) // trial%4 == 0: empty
+					for k := range idx {
+						idx[k] = rng.Intn(n) // repeats are likely
+					}
+					want, got := prefix.make(src), prefix.make(src)
+					for _, i := range idx {
+						want.Append(src, i)
+					}
+					got.AppendTake(src, idx)
+					cell := fmt.Sprintf("%v nulls=%v onto %s, %d indexes", typ, nulls, prefix.name, len(idx))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: got %+v, want %+v", cell, got, want)
+					}
+					sameFrame(t, cell, got, want)
+				}
+			}
+		}
+	}
+
+	schema := Schema{{Name: "i", Type: Int64}, {Name: "f", Type: Float64}, {Name: "s", Type: String}, {Name: "b", Type: Bool}}
+	for trial := 0; trial < 20; trial++ {
+		sel := &Batch{Schema: schema}
+		for c, f := range schema {
+			sel.Cols = append(sel.Cols, takeSource(f.Type, n, c%2 == trial%2, rng))
+		}
+		sel.Sel = []int{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				sel.Sel = append(sel.Sel, i)
+			}
+		}
+		want, got := NewBatch(schema), NewBatch(schema)
+		for c, v := range want.Cols {
+			for r := 0; r < sel.NumRows(); r++ {
+				v.Append(sel.Cols[c], sel.RowIdx(r))
+			}
+		}
+		got.AppendBatch(sel)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendBatch trial %d: got %+v, want %+v", trial, got, want)
+		}
+		wb, err := MarshalBatch(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := MarshalBatch(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gb) != string(wb) {
+			t.Fatalf("AppendBatch trial %d: frame bytes differ", trial)
+		}
+	}
+}
+
+// sameFrame fails unless one-column batches of got and want marshal to the
+// same frame.
+func sameFrame(t *testing.T, cell string, got, want *Vec) {
+	t.Helper()
+	schema := Schema{{Name: "c", Type: want.Type}}
+	wb, err := MarshalBatch(&Batch{Schema: schema, Cols: []*Vec{want}})
+	if err != nil {
+		t.Fatalf("%s: %v", cell, err)
+	}
+	gb, err := MarshalBatch(&Batch{Schema: schema, Cols: []*Vec{got}})
+	if err != nil {
+		t.Fatalf("%s: %v", cell, err)
+	}
+	if string(gb) != string(wb) {
+		t.Fatalf("%s: frame bytes differ", cell)
+	}
+}

@@ -316,27 +316,6 @@ func (d *frameReader) strings(n int) ([]string, error) {
 	return sliceStrings(d.buf[start:d.pos], n), nil
 }
 
-// rowMemSize estimates the bytes position i of the vector occupies in
-// memory: the single accounting rule MemSize and RowMemSize both sum, so the
-// whole-vector and row-at-a-time meters a spill budget compares cannot
-// drift apart. Strings count their header plus byte length; a null bitmap
-// entry counts when the bitmap exists.
-func (v *Vec) rowMemSize(i int) int64 {
-	var n int64
-	switch v.Type {
-	case String:
-		n = 16 + int64(len(v.Strs[i]))
-	case Bool:
-		n = 1
-	default:
-		n = 8
-	}
-	if v.Nulls != nil {
-		n++
-	}
-	return n
-}
-
 // MemSize estimates the in-memory footprint of the vector's payload in bytes:
 // the quantity a memory budget meters.
 func (v *Vec) MemSize() int64 {
@@ -365,12 +344,49 @@ func (b *Batch) MemSize() int64 {
 	return n
 }
 
-// RowMemSize estimates the bytes row r of the batch contributes to MemSize —
-// the incremental meter spill writers use to decide when to flush.
-func (b *Batch) RowMemSize(r int) int64 {
-	var n int64
-	for _, v := range b.Cols {
-		n += v.rowMemSize(r)
+// RowMeter is the incremental meter spill writers flush by: Row(r) is the
+// bytes physical row r of the metered columns adds to the MemSize of the
+// dense batch Materialize returns for them. Strings count their header plus
+// byte length; a NULL byte counts when that batch carries a bitmap — for a
+// selected batch, when one of its selected rows is NULL.
+type RowMeter struct {
+	fixed int64  // per row: fixed-width payloads, string headers, NULL bytes
+	strs  []*Vec // string columns, which add their byte length
+}
+
+// Meter returns the RowMeter of columns cols of b (nil: every column).
+func (b *Batch) Meter(cols []int) RowMeter {
+	var m RowMeter
+	meter := func(v *Vec) {
+		switch v.Type {
+		case String:
+			m.fixed += 16
+			m.strs = append(m.strs, v)
+		case Bool:
+			m.fixed++
+		default:
+			m.fixed += 8
+		}
+		if v.Nulls != nil && (b.Sel == nil || v.anyNullAt(b.Sel)) {
+			m.fixed++
+		}
+	}
+	if cols == nil {
+		for _, v := range b.Cols {
+			meter(v)
+		}
+	}
+	for _, c := range cols {
+		meter(b.Cols[c])
+	}
+	return m
+}
+
+// Row returns the bytes physical row r adds.
+func (m RowMeter) Row(r int) int64 {
+	n := m.fixed
+	for _, v := range m.strs {
+		n += int64(len(v.Strs[r]))
 	}
 	return n
 }

@@ -75,15 +75,15 @@ func spillPartition(h uint64, depth int) int {
 	return int(remix(h, uint64(depth)+2) % spillParts)
 }
 
-// batchHashes returns the key hash of every row of dense batch b, reusing
-// dst, and b's key columns.
+// batchHashes returns the key hash of every logical row of b (read through
+// its selection vector), reusing dst, and b's key columns.
 func batchHashes(dst []uint64, b *colfile.Batch, keys []int) ([]uint64, []*colfile.Vec) {
 	n := b.NumRows()
 	if cap(dst) < n {
 		dst = make([]uint64, n)
 	}
 	vecs := keyVecs(nil, b, keys)
-	hashKeys(dst[:n], vecs, nil, 0)
+	hashKeys(dst[:n], vecs, b.Sel, 0)
 	return dst[:n], vecs
 }
 
@@ -217,7 +217,7 @@ type JoinCounts struct {
 }
 
 // partJoin is what the leaf joins under one depth-0 partition produced:
-// their non-empty outputs, in leaf order, and how many leaf joins ran.
+// their probes' output batches, in leaf order, and how many leaf joins ran.
 type partJoin struct {
 	leaves []*colfile.Batch
 	joins  int64
@@ -245,20 +245,29 @@ func (sj *SpilledJoin) put(name string, data []byte) error {
 // of the next recursion level under prefix listing, and the zero-padded
 // sequence makes List order equal write order — which is what preserves row
 // order across a partition's files.
+//
+// Rows move a column at a time: a caller routes each row of a batch to its
+// partition (send), then scatter appends every partition's rows with one
+// typed gather per column. The buffers are reused after every flush
+// (MarshalBatch copies).
 type spillWriter struct {
 	sj     *SpilledJoin
 	dir    string
-	schema colfile.Schema
 	bufs   []*colfile.Batch
 	bufMem []int64 // running in-memory estimate of each unflushed buffer
 	seqs   []int
 	mem    []int64 // cumulative in-memory bytes routed to each partition
 	rows   []int64
+	// to and ords are the routing scratch of the batch being scattered: the
+	// physical rows sent to each partition and, on the probe side's first
+	// level, their ordinals.
+	to   [spillParts][]int
+	ords [spillParts][]int64
 }
 
 func newSpillWriter(sj *SpilledJoin, dir string, schema colfile.Schema) *spillWriter {
 	w := &spillWriter{
-		sj: sj, dir: dir, schema: schema,
+		sj: sj, dir: dir,
 		bufs:   make([]*colfile.Batch, spillParts),
 		bufMem: make([]int64, spillParts),
 		seqs:   make([]int, spillParts),
@@ -271,15 +280,73 @@ func newSpillWriter(sj *SpilledJoin, dir string, schema colfile.Schema) *spillWr
 	return w
 }
 
-func (w *spillWriter) add(p int, src *colfile.Batch, row int) error {
-	buf := w.bufs[p]
-	for c := range buf.Cols {
-		buf.Cols[c].Append(src.Cols[c], row)
+// send routes physical row r of the batch being scattered to partition p.
+func (w *spillWriter) send(p, r int) { w.to[p] = append(w.to[p], r) }
+
+// sendOrd routes physical row r to partition p with its ordinal.
+func (w *spillWriter) sendOrd(p, r int, ord int64) {
+	w.send(p, r)
+	w.ords[p] = append(w.ords[p], ord)
+}
+
+// scatter appends the rows routed since the last scatter, partition by
+// partition, and clears the routes. srcCols is as in addRows.
+func (w *spillWriter) scatter(src *colfile.Batch, srcCols []int) error {
+	for p, rows := range w.to {
+		if len(rows) == 0 {
+			continue
+		}
+		var ords []int64
+		if len(w.ords[p]) > 0 {
+			ords = w.ords[p]
+		}
+		if err := w.addRows(p, src, srcCols, rows, ords); err != nil {
+			return err
+		}
+		w.to[p], w.ords[p] = rows[:0], w.ords[p][:0]
 	}
-	w.rows[p]++
-	w.bufMem[p] += src.RowMemSize(row)
-	if w.bufMem[p] >= w.sj.flushBytes {
-		return w.flush(p)
+	return nil
+}
+
+// addRows appends physical rows rows of src to partition p: spill column c
+// is src column srcCols[c] (nil: column c), and ords, when set, fills the
+// ordinal column that closes the spill schema, one per row. Each column takes
+// its rows in one Vec.AppendTake per run; a run ends at the row whose meter
+// brings the buffer to flushBytes, where the buffer flushes — so each frame
+// holds the rows, and the bytes, a row-at-a-time writer would give it.
+func (w *spillWriter) addRows(p int, src *colfile.Batch, srcCols, rows []int, ords []int64) error {
+	meter := src.Meter(srcCols)
+	var ordMem int64
+	if ords != nil {
+		ordMem = 8 // an Int64 without NULLs
+	}
+	buf := w.bufs[p]
+	for len(rows) > 0 {
+		k := 0
+		for k < len(rows) && w.bufMem[p] < w.sj.flushBytes {
+			w.bufMem[p] += meter.Row(rows[k]) + ordMem
+			k++
+		}
+		cols := buf.Cols
+		if ords != nil {
+			num := cols[len(cols)-1]
+			num.Ints = append(num.Ints, ords[:k]...)
+			cols, ords = cols[:len(cols)-1], ords[k:]
+		}
+		for c, dst := range cols {
+			sc := c
+			if srcCols != nil {
+				sc = srcCols[c]
+			}
+			dst.AppendTake(src.Cols[sc], rows[:k])
+		}
+		w.rows[p] += int64(k)
+		rows = rows[k:]
+		if w.bufMem[p] >= w.sj.flushBytes {
+			if err := w.flush(p); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -302,7 +369,9 @@ func (w *spillWriter) flush(p int) error {
 	// mid-finish must leave mem[p] — like sj.put's SpillBytes, which feeds
 	// WorkStats.JoinSpillBytes — reflecting only bytes actually in the store.
 	w.mem[p] += w.bufMem[p]
-	w.bufs[p] = colfile.NewBatch(w.schema)
+	for _, v := range buf.Cols {
+		v.ResetLen(v.Type, 0)
+	}
 	w.bufMem[p] = 0
 	return nil
 }
@@ -372,26 +441,19 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 	w := newSpillWriter(sj, "b/d0", schema)
 	var hs []uint64
 	spillBatch := func(b *colfile.Batch) error {
-		if b.Sel != nil {
-			// The partition loop below indexes rows physically; densify
-			// selection-carrying batches (from pushed-down scan predicates)
-			// before keying and spilling them.
-			b = b.Materialize()
-		}
 		var vecs []*colfile.Vec
 		hs, vecs = batchHashes(hs, b, keys)
 		for r, h := range hs {
-			if anyNull(vecs, r) {
+			phys := b.RowIdx(r)
+			if anyNull(vecs, phys) {
 				continue // NULL build key: unmatched forever, drop
 			}
 			if sj.bloom != nil {
 				sj.bloom.Add(h)
 			}
-			if err := w.add(spillPartition(h, 0), b, r); err != nil {
-				return err
-			}
+			w.send(spillPartition(h, 0), phys)
 		}
-		return nil
+		return w.scatter(b, nil)
 	}
 	for _, b := range drained {
 		if err := spillBatch(b); err != nil {
@@ -479,9 +541,11 @@ func (sj *SpilledJoin) readSpillFiles(dir string) ([]*colfile.Batch, error) {
 // the configured Parallelism. The partition outputs are placed back into
 // global row order by the row ordinal they carry. cols selects the output
 // columns as Probe.Cols does (nil = all), so a barrier emits what an
-// in-memory probe with the same Cols would. ctx cancels the partition
-// fan-out (observed between spill files and batches). The counts are this
-// call's alone.
+// in-memory probe with the same Cols would; the probe side spills only its
+// keys, the probe columns cols keeps, and the ordinal. ctx cancels the
+// partitioning (observed per probe batch) and the partition fan-out
+// (observed between spill files and batches). The counts are this call's
+// alone.
 func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, leftKeys []int, leftSchema colfile.Schema, cols []int, dop int) ([]*colfile.Batch, JoinCounts, error) {
 	// Global row ordinals: offsets[i] is the first ordinal of morsel i.
 	offsets := make([]int64, len(probe)+1)
@@ -493,11 +557,63 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 		offsets[i+1] = offsets[i] + n
 	}
 
+	// The probe spill schema: the probe columns the join reads — its keys
+	// and the ones cols keeps — in probe order, then the ordinal. keyCols
+	// and leafCols re-address the keys and the output columns onto it; a
+	// leaf's full output is spillSchema..., build..., and its probe gathers
+	// the output columns, then the ordinal, so leaf column c < len(cols) is
+	// output column c.
+	full := leftSchema
+	if sj.typ != SemiJoin {
+		full = append(append(colfile.Schema{}, leftSchema...), sj.buildSchema...)
+	}
+	if cols == nil {
+		cols = make([]int, len(full))
+		for c := range cols {
+			cols[c] = c
+		}
+	}
+	read := make([]bool, len(leftSchema))
+	for _, c := range leftKeys {
+		read[c] = true
+	}
+	for _, c := range cols {
+		if c < len(leftSchema) {
+			read[c] = true
+		}
+	}
+	pos := make([]int, len(leftSchema)) // the spill column of each probe column read
+	var spillCols []int
+	var spillSchema colfile.Schema
+	for c, r := range read {
+		if r {
+			pos[c] = len(spillCols)
+			spillCols = append(spillCols, c)
+			spillSchema = append(spillSchema, leftSchema[c])
+		}
+	}
+	rowNumIdx := len(spillCols)
+	spillSchema = append(spillSchema, rowNumField)
+	keyCols := make([]int, len(leftKeys))
+	for i, c := range leftKeys {
+		keyCols[i] = pos[c]
+	}
+	outSchema := make(colfile.Schema, len(cols))
+	leafCols := make([]int, len(cols)+1)
+	for i, c := range cols {
+		outSchema[i] = full[c]
+		if c < len(leftSchema) {
+			leafCols[i] = pos[c]
+		} else {
+			leafCols[i] = len(spillSchema) + c - len(leftSchema)
+		}
+	}
+	leafCols[len(cols)] = rowNumIdx
+	leafNum := len(cols)
+
 	// Partition the probe side, each row extended with its ordinal, into
 	// this call's own namespace.
 	probeRoot := fmt.Sprintf("l/c%03d/d0", sj.probeCalls.Add(1)-1)
-	spillSchema := append(append(colfile.Schema{}, leftSchema...), rowNumField)
-	rowNumIdx := len(leftSchema)
 	w := newSpillWriter(sj, probeRoot, spillSchema)
 	var pruned int64
 	var hs []uint64
@@ -505,24 +621,15 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 		if b == nil {
 			continue
 		}
-		if b.Sel != nil {
-			// ext shares b's column vectors and is indexed physically below;
-			// densify selection-carrying batches first so the ordinal column
-			// and the key encoding line up row for row.
-			b = b.Materialize()
+		if err := ctx.Err(); err != nil {
+			return nil, JoinCounts{}, err
 		}
-		ext := &colfile.Batch{Schema: spillSchema, Cols: make([]*colfile.Vec, len(spillSchema))}
-		copy(ext.Cols, b.Cols)
-		nums := colfile.NewVec(colfile.Int64)
-		for r := 0; r < b.NumRows(); r++ {
-			nums.AppendInt(offsets[i] + int64(r))
-		}
-		ext.Cols[rowNumIdx] = nums
 		var vecs []*colfile.Vec
-		hs, vecs = batchHashes(hs, ext, leftKeys)
+		hs, vecs = batchHashes(hs, b, leftKeys)
 		for r, h := range hs {
+			phys := b.RowIdx(r)
 			p := 0
-			if anyNull(vecs, r) {
+			if anyNull(vecs, phys) {
 				// NULL probe keys never match. Only a left outer join emits
 				// them (as a NULL-padded row, via partition 0's leaf probe);
 				// inner and semi joins drop them here instead of paying the
@@ -540,9 +647,10 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 				}
 				p = spillPartition(h, 0)
 			}
-			if err := w.add(p, ext, r); err != nil {
-				return nil, JoinCounts{}, err
-			}
+			w.sendOrd(p, phys, offsets[i]+int64(r))
+		}
+		if err := w.scatter(b, spillCols); err != nil {
+			return nil, JoinCounts{}, err
 		}
 	}
 	if err := w.finish(); err != nil {
@@ -585,34 +693,10 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 	if buildPar < 1 {
 		buildPar = 1
 	}
-	// The leaf probes gather the output columns, then the ordinal: leaf
-	// column c < len(cols) is output column c. A leaf's full output is
-	// left..., __rownum, build..., so a build column sits one further on.
-	full := leftSchema
-	if sj.typ != SemiJoin {
-		full = append(append(colfile.Schema{}, leftSchema...), sj.buildSchema...)
-	}
-	if cols == nil {
-		cols = make([]int, len(full))
-		for c := range cols {
-			cols[c] = c
-		}
-	}
-	outSchema := make(colfile.Schema, len(cols))
-	leafCols := make([]int, len(cols)+1)
-	for i, c := range cols {
-		outSchema[i] = full[c]
-		leafCols[i] = c
-		if c >= rowNumIdx {
-			leafCols[i]++
-		}
-	}
-	leafCols[len(cols)] = rowNumIdx
-	leafNum := len(cols)
 
 	parts := make([]partJoin, spillParts)
 	err := ForEachIndexed(ctx, spillParts, effDop, func(ctx context.Context, p int) error {
-		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, leftKeys, spillSchema, leafCols, &parts[p])
+		return sj.joinPartition(ctx, partDir("b/d0", p), partDir(probeRoot, p), sj.partMem[p], 0, buildPar, keyCols, spillSchema, leafCols, &parts[p])
 	})
 	if err != nil {
 		return nil, JoinCounts{}, err
@@ -626,55 +710,52 @@ func (sj *SpilledJoin) JoinBatches(ctx context.Context, probe []*colfile.Batch, 
 
 	// Place the leaf rows in global probe-row order by counting, not
 	// sorting: count the output rows of each probe ordinal, prefix-sum the
-	// counts into each ordinal's first slot, then put every leaf row at its
-	// ordinal's next slot — one pass over the rows, whatever partitions they
-	// came through. Stable, because an ordinal's matches sit together in one
-	// leaf, in build order.
+	// counts into each ordinal's first slot, then give every leaf row (by
+	// its position in the leaves' concatenation) its ordinal's next slot of
+	// the permutation perm — one pass over the rows, whatever partitions
+	// they came through. Stable, because an ordinal's matches sit together
+	// in one leaf, in build order.
 	next := make([]int, offsets[len(probe)]+1)
 	for _, lb := range leaves {
-		//polaris:kernel leaf batches come back dense from the spill reader, so lanes are rows
-		for _, num := range lb.Cols[leafNum].Ints[:lb.NumRows()] {
+		//polaris:kernel leaf batches are fresh Take output, so lanes are rows
+		for _, num := range lb.Cols[leafNum].Ints {
 			next[num+1]++
 		}
 	}
 	for i := 1; i < len(next); i++ {
 		next[i] += next[i-1]
 	}
-	type ref struct {
-		leaf, row int
-		num       int64
+	total := next[len(next)-1]
+	perm := make([]int, total)
+	all := colfile.NewBatch(outSchema)
+	for _, v := range all.Cols {
+		v.Grow(total)
 	}
-	refs := make([]ref, next[len(next)-1])
-	for li, lb := range leaves {
-		//polaris:kernel leaf batches come back dense from the spill reader, so lanes are rows
-		for r, num := range lb.Cols[leafNum].Ints[:lb.NumRows()] {
-			refs[next[num]] = ref{leaf: li, row: r, num: num}
+	base := 0
+	for _, lb := range leaves {
+		//polaris:kernel leaf batches are fresh Take output, so lanes are rows
+		for r, num := range lb.Cols[leafNum].Ints {
+			perm[next[num]] = base + r
 			next[num]++
 		}
+		base += lb.NumRows()
+		all.AppendBatch(&colfile.Batch{Schema: outSchema, Cols: lb.Cols[:leafNum]})
 	}
 
-	// Split back into per-morsel batches by ordinal range, dropping the
-	// ordinal column.
+	// Each morsel's output is one gather per column over its ordinals' run
+	// of perm. The placement moved every ordinal's next slot to the next
+	// ordinal's first, so ordinal o's first slot is now next[o-1].
+	first := func(o int64) int {
+		if o == 0 {
+			return 0
+		}
+		return next[o-1]
+	}
 	outs := make([]*colfile.Batch, len(probe))
-	k := 0
 	for i := range probe {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo == hi {
-			continue
-		}
-		var out *colfile.Batch
-		for k < len(refs) && refs[k].num < hi {
-			if out == nil {
-				out = colfile.NewBatch(outSchema)
-			}
-			lb := leaves[refs[k].leaf]
-			for c := range outSchema {
-				out.Cols[c].Append(lb.Cols[c], refs[k].row)
-			}
-			k++
-		}
-		if out != nil && out.NumRows() > 0 {
-			outs[i] = out
+		lo, hi := first(offsets[i]), first(offsets[i+1])
+		if lo < hi {
+			outs[i] = all.Take(perm[lo:hi])
 		}
 	}
 	return outs, counts, nil
@@ -725,17 +806,26 @@ func (sj *SpilledJoin) joinPartition(ctx context.Context, buildDir, probeDir str
 	if err != nil {
 		return err
 	}
-	leaf, err := CollectCtx(ctx, &Probe{
+	// The leaf's output batches are fresh gathers, kept as they come: the
+	// placement concatenates every leaf once.
+	leaf := &Probe{
 		In:    &spillFileSource{store: sj.store, names: probeNames, schema: probeSchema},
 		Table: jt, LeftKeys: leftKeys, Cols: cols,
-	})
-	if err != nil {
-		return err
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		b, err := leaf.Next()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			break
+		}
+		out.leaves = append(out.leaves, b)
 	}
 	out.joins++
-	if leaf.NumRows() > 0 {
-		out.leaves = append(out.leaves, leaf)
-	}
 	return nil
 }
 
@@ -765,9 +855,10 @@ func (sj *SpilledJoin) repartition(ctx context.Context, dir string, schema colfi
 			if !anyNull(vecs, r) {
 				p = spillPartition(h, depth)
 			}
-			if err := w.add(p, b, r); err != nil {
-				return err
-			}
+			w.send(p, r)
+		}
+		if err := w.scatter(b, nil); err != nil {
+			return err
 		}
 	}
 	return w.finish()

@@ -677,3 +677,25 @@ func TestProbeColsGatherOnlyKept(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinBatchesCancelledBeforePartitioning: a call whose context is
+// already cancelled returns context.Canceled without writing a probe-side
+// spill file — the partitioning observes ctx per probe batch, not only the
+// fan-out after it.
+func TestJoinBatchesCancelledBeforePartitioning(t *testing.T) {
+	store := NewMemSpillStore()
+	src, err := BuildGraceJoin(NewBatchSource(buildSideBatch(600)), []int{0}, InnerJoin, 4,
+		SpillConfig{Budget: 256, Store: store})
+	if err != nil || src.Spilled == nil {
+		t.Fatalf("grace build: spilled=%v err=%v", src != nil && src.Spilled != nil, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	probe := probeSideBatches(400, 5)
+	if _, _, err := src.Spilled.JoinBatches(ctx, probe, []int{0}, probe[0].Schema, nil, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call: err = %v, want context.Canceled", err)
+	}
+	if names := store.List("l/"); len(names) != 0 {
+		t.Fatalf("cancelled call wrote %d probe-side spill files: %v", len(names), names[:min(3, len(names))])
+	}
+}

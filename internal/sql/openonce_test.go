@@ -174,11 +174,11 @@ func TestWarmStatementsDecodeNoChunks(t *testing.T) {
 	}
 }
 
-// TestDMLWhereReachesThePruneHint: UPDATE and DELETE hand the row finder the
-// zone-map range SELECT derives from the same WHERE (prunableRange), so like a
-// SELECT they never evaluate the rest of the predicate in row groups the
-// range excludes: v = 0 lives 300 keys away from the range, in another row
-// group.
+// TestDMLWhereReachesThePruneHint: UPDATE and DELETE compile their WHERE
+// into the program a SELECT's scan runs, and the row finder's scan reads
+// its zone-map ranges (Prog.Ranges), so like a SELECT they never evaluate
+// the rest of the predicate in row groups the range excludes: v = 0 lives
+// 300 keys away from the range, in another row group.
 func TestDMLWhereReachesThePruneHint(t *testing.T) {
 	s := testSession(t) // 100 rows per group
 	mustExec(t, s, `CREATE TABLE t (k INT, v INT) WITH (DISTRIBUTION = v, SORTCOL = k)`)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"polaris/internal/catalog"
+	"polaris/internal/colfile"
 	"polaris/internal/compute"
 	"polaris/internal/core"
 	"polaris/internal/objectstore"
@@ -578,4 +579,107 @@ func TestJoinSpillUnderStorageFaults(t *testing.T) {
 	if leaked := store.List(objectstore.SpillPrefix); len(leaked) != 0 {
 		t.Fatalf("%d spill files leaked after successful query", len(leaked))
 	}
+}
+
+// q12Shaped joins orders to lineitem under a predicate on a lineitem column
+// that nothing above the join reads (Q12 of the join_spill benchmark).
+// q12Widened reads that column above the join too, so its probe side must
+// spill it: the unnarrowed count the narrowed statement is held under.
+const (
+	q12Shaped = `SELECT o.o_orderpriority, COUNT(*) AS n FROM orders o
+		JOIN lineitem l ON o.o_orderkey = l.l_orderkey
+		WHERE l.l_shipdate > 9200 GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority`
+	q12Widened = `SELECT o.o_orderpriority, COUNT(*) AS n, MAX(l.l_shipdate) AS d FROM orders o
+		JOIN lineitem l ON o.o_orderkey = l.l_orderkey
+		WHERE l.l_shipdate > 9200 GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority`
+)
+
+// runKeepingSpills runs q on a fresh TPC-H engine at tinySpillBudget whose
+// store fails every delete, so the statement's spill files outlive it. It
+// returns the rendered rows, the statement's JoinSpillBytes and the schema
+// of one probe-side spill frame (a JoinBatches call's l/ namespace).
+func runKeepingSpills(t *testing.T, q string, par int, dag bool) (string, int64, colfile.Schema) {
+	t.Helper()
+	faults := objectstore.NewFaultInjector(1)
+	store := objectstore.New(objectstore.WithFaults(faults))
+	fabric := compute.NewFabric(compute.Config{Elastic: true, InitNodes: 4, SlotsPer: 4})
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	opts.DistributedQueries = dag
+	opts.JoinMemoryBudget = tinySpillBudget
+	eng := core.NewEngine(catalog.NewDB(), store, fabric, opts)
+	if _, err := workload.LoadTPCH(eng, 0.05, 2); err != nil {
+		t.Fatalf("load tpch: %v", err)
+	}
+	sess := sql.NewSession(eng)
+	defer sess.Close()
+	faults.SetProbability(objectstore.OpDelete, 1)
+	res, err := sess.Exec(q)
+	if err != nil {
+		t.Fatalf("par=%d dag=%v: %v", par, dag, err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%v\n", res.Columns())
+	for r := 0; r < res.Batch.NumRows(); r++ {
+		fmt.Fprintf(&sb, "%v\n", res.Batch.Row(r))
+	}
+	for _, name := range store.List(objectstore.SpillPrefix) {
+		if !strings.Contains(name, "/l/c") {
+			continue
+		}
+		data, err := store.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := colfile.UnmarshalBatch(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return sb.String(), eng.Work.JoinSpillBytes.Load(), frame.Schema
+	}
+	t.Fatalf("par=%d dag=%v: no probe-side spill frame among %d spill files", par, dag, len(store.List(objectstore.SpillPrefix)))
+	return "", 0, nil
+}
+
+// TestSpilledProbeCarriesOnlyWhatTheJoinReads: a spilled join's probe side
+// spills the join key, the probe columns kept above the join (none here) and
+// the row ordinal — not l_shipdate, which only the pushed predicate reads —
+// so it writes fewer bytes than the same join with l_shipdate kept, and its
+// result equals the unlimited-budget run at Parallelism {1,4} on the morsel
+// pool and the DAG.
+func TestSpilledProbeCarriesOnlyWhatTheJoinReads(t *testing.T) {
+	ref := openTPCHBudget(t, 1, 0)
+	r, err := ref.Query(q12Shaped)
+	ref.Close()
+	if err != nil || r.Len() == 0 {
+		t.Fatalf("unlimited run: %d rows, err %v", r.Len(), err)
+	}
+	want := renderRows(r)
+	for _, par := range []int{1, 4} {
+		for _, dag := range []bool{false, true} {
+			cell := fmt.Sprintf("par=%d dag=%v", par, dag)
+			got, narrowed, schema := runKeepingSpills(t, q12Shaped, par, dag)
+			if got != want {
+				t.Fatalf("%s: result differs from the unlimited budget:\ngot:\n%s\nwant:\n%s", cell, got, want)
+			}
+			if names := fmt.Sprint(schemaNames(schema)); names != "[l_orderkey __rownum]" {
+				t.Fatalf("%s: probe spill frame carries %s, want the key and the ordinal", cell, names)
+			}
+			_, unnarrowed, wide := runKeepingSpills(t, q12Widened, par, dag)
+			if names := fmt.Sprint(schemaNames(wide)); names != "[l_orderkey l_shipdate __rownum]" {
+				t.Fatalf("%s: widened probe spill frame carries %s", cell, names)
+			}
+			if narrowed >= unnarrowed {
+				t.Fatalf("%s: JoinSpillBytes %d, not below the %d of the join that keeps l_shipdate", cell, narrowed, unnarrowed)
+			}
+		}
+	}
+}
+
+func schemaNames(s colfile.Schema) []string {
+	names := make([]string, len(s))
+	for i, f := range s {
+		names[i] = f.Name
+	}
+	return names
 }
