@@ -310,10 +310,11 @@ type MorselScan struct {
 // column projection and zone-map pruning are applied by the caller when it
 // builds the per-morsel scans. want > 0 asks for about that many morsels
 // (typically a small multiple of the worker count, so the queue
-// load-balances): one per file, large files further split by row group, and
-// none for an empty table. want <= 0 asks for exactly one morsel holding every
-// file in table order (empty for an empty table) — the input of a consumer
-// that drains the table whole, a join build or Scan.
+// load-balances) sized by rows — consecutive small files packed together,
+// large files split by row group (exec.SplitMorsels) — and none for an empty
+// table. want <= 0 asks for exactly one morsel holding every file in table
+// order (empty for an empty table) — the input of a consumer that drains the
+// table whole, a join build or Scan.
 func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
 	cells, err := t.fetchScanFiles(state, meta)
 	if err != nil {

@@ -1,14 +1,16 @@
 // Morsel-driven parallel execution (in the spirit of modern analytic
-// engines): a table scan is split into morsels — per-file, or per-row-group
-// windows of a large file — which a pool of workers pulls from a shared
-// queue. Each worker runs the embarrassingly parallel fragment of the plan
-// (scan, join probes, filter, project, partial aggregation) over its morsels;
-// a final merge stage combines the per-morsel outputs deterministically.
-// Because the morsel decomposition is fixed by configuration (not by how many
-// workers the fabric grants), results are byte-stable for a given Parallelism
-// setting; across different settings float SUM/AVG may differ in the last
-// ulp because summation order changes — and nothing else does: a DOP of 1
-// is this same plan run by one worker, there is no separate serial executor.
+// engines): a table scan is split into morsels sized by rows — runs of
+// consecutive small files, or row-group windows of a large file — which a
+// pool of workers pulls from a shared queue. Each worker runs the
+// embarrassingly parallel fragment of the plan (scan, join probes, filter,
+// project, partial aggregation) over its morsels; a final merge stage
+// combines the per-morsel outputs deterministically. Because the morsel
+// decomposition is fixed by the snapshot and configuration (not by how many
+// workers the fabric grants), results are byte-stable for a given
+// Parallelism setting; across different settings float SUM/AVG may differ in
+// the last ulp because the morsel boundaries, and so summation order, change
+// — and nothing else does: a DOP of 1 is this same plan run by one worker,
+// there is no separate serial executor.
 //
 // Hash-join probes are morsel-parallel too, with a stronger determinism
 // contract: the JoinTable built from the build side is immutable and shared
@@ -70,10 +72,16 @@ type Morsel struct {
 	GroupLo, GroupHi int
 }
 
-// SplitMorsels slices a flat scan-file list into morsels: one per file, with
-// large files further split by row group so at least `want` morsels exist
-// when the data allows. The concatenation of all morsels in order preserves
-// the input's global row order exactly.
+// SplitMorsels slices a flat scan-file list into morsels sized by rows, not
+// by file count. With at least `want` files it packs runs of consecutive
+// files into at most `want` morsels of about total/want rows each (row counts
+// from the footers): a morsel closes at the file that brings the rows so far
+// to the next multiple of total/want, so none holds more than total/want
+// rows plus its last file's. With fewer files it splits each file into
+// row-group windows so at least `want` morsels exist when the data allows.
+// Either way the decomposition is a pure function of the files and want, and
+// the concatenation of all morsels in order preserves the input's global row
+// order exactly.
 func SplitMorsels(files []ScanFile, want int) []Morsel {
 	if want < 1 {
 		want = 1
@@ -81,15 +89,12 @@ func SplitMorsels(files []ScanFile, want int) []Morsel {
 	if len(files) == 0 {
 		return nil
 	}
-	var morsels []Morsel
 	if len(files) >= want {
-		for _, f := range files {
-			morsels = append(morsels, Morsel{Files: []ScanFile{f}})
-		}
-		return morsels
+		return packMorsels(files, int64(want))
 	}
 	// Fewer files than wanted workers: split each file into up to
 	// ceil(want/len(files)) row-group windows.
+	var morsels []Morsel
 	per := (want + len(files) - 1) / len(files)
 	for _, f := range files {
 		groups := f.R.NumRowGroups()
@@ -111,6 +116,29 @@ func SplitMorsels(files []ScanFile, want int) []Morsel {
 		}
 	}
 	return morsels
+}
+
+// packMorsels packs consecutive files into at most want morsels. Morsel k
+// (from 1) closes at the first file whose cumulative rows reach k·total/want;
+// a file that crosses several thresholds closes one morsel and skips the rest,
+// and only thresholds below want close, so the last morsel takes whatever
+// files remain. When every footer reports zero rows nothing closes and the
+// files form one morsel.
+func packMorsels(files []ScanFile, want int64) []Morsel {
+	var total int64
+	for _, f := range files {
+		total += f.R.NumRows()
+	}
+	morsels := make([]Morsel, 0, want)
+	start, cum, k := 0, int64(0), int64(1)
+	for i, f := range files[:len(files)-1] {
+		cum += f.R.NumRows()
+		if total > 0 && k < want && cum*want >= k*total {
+			morsels = append(morsels, Morsel{Files: files[start : i+1 : i+1]})
+			start, k = i+1, cum*want/total+1
+		}
+	}
+	return append(morsels, Morsel{Files: files[start:len(files):len(files)]})
 }
 
 // NewMorselScan builds a scan over one morsel (see NewScan).

@@ -24,6 +24,17 @@ func renderBatch(t *testing.T, b *colfile.Batch) string {
 
 func groupedFiles(t *testing.T, nFiles, rowsPerFile, rowsPerGroup int) []ScanFile {
 	t.Helper()
+	sizes := make([]int, nFiles)
+	for f := range sizes {
+		sizes[f] = rowsPerFile
+	}
+	return sizedFiles(t, sizes, rowsPerGroup)
+}
+
+// sizedFiles writes one file per entry of sizes, holding that many rows in
+// groups of rowsPerGroup; ids run 0, 1, 2, ... across the files in order.
+func sizedFiles(t *testing.T, sizes []int, rowsPerGroup int) []ScanFile {
+	t.Helper()
 	schema := colfile.Schema{
 		{Name: "id", Type: colfile.Int64},
 		{Name: "grp", Type: colfile.Int64},
@@ -32,7 +43,7 @@ func groupedFiles(t *testing.T, nFiles, rowsPerFile, rowsPerGroup int) []ScanFil
 	}
 	var files []ScanFile
 	row := 0
-	for f := 0; f < nFiles; f++ {
+	for _, rowsPerFile := range sizes {
 		w := colfile.NewWriter(schema)
 		for lo := 0; lo < rowsPerFile; lo += rowsPerGroup {
 			b := colfile.NewBatch(schema)
@@ -55,33 +66,74 @@ func groupedFiles(t *testing.T, nFiles, rowsPerFile, rowsPerGroup int) []ScanFil
 	return files
 }
 
+// TestSplitMorselsCoversAllRowsInOrder: concatenating the morsel scans in
+// order reproduces the serial scan exactly, whether SplitMorsels splits a few
+// files into row-group windows or packs many small files — the write path's
+// one file per distribution cell per load — into at most `want` morsels of
+// about total/want rows each, empty footers included.
 func TestSplitMorselsCoversAllRowsInOrder(t *testing.T) {
-	files := groupedFiles(t, 3, 100, 10)
-	for _, want := range []int{1, 4, 8, 100} {
-		morsels := SplitMorsels(files, want)
-		if want > 3 && len(morsels) <= 3 {
-			t.Fatalf("want=%d produced only %d morsels; files not split by row group", want, len(morsels))
+	uneven := make([]int, 32)
+	for f := range uneven {
+		uneven[f] = 1 + f*29%61
+	}
+	inputs := []struct {
+		name  string
+		files []ScanFile
+	}{
+		{"3 grouped files", groupedFiles(t, 3, 100, 10)},
+		{"32 uneven files", sizedFiles(t, uneven, 64)},
+		{"32 files, the last 4 empty", sizedFiles(t, append(uneven[:28:28], 0, 0, 0, 0), 64)},
+		{"32 empty files", groupedFiles(t, 32, 0, 1)},
+	}
+	for _, in := range inputs {
+		var total, largest int64
+		groups := 0
+		for _, f := range in.files {
+			total += f.R.NumRows()
+			largest = max(largest, f.R.NumRows())
+			groups += f.R.NumRowGroups()
 		}
-		// Concatenating morsel scans in order must reproduce the serial scan
-		// exactly: same rows, same order.
-		var ids []int64
-		for _, m := range morsels {
-			s, err := NewMorselScan(m, []string{"id"}, nil, nil)
-			if err != nil {
-				t.Fatal(err)
+		for _, want := range []int{1, 4, 8, 32, 100} {
+			morsels := SplitMorsels(in.files, want)
+			if len(in.files) < want && len(morsels) < min(want, groups) {
+				t.Fatalf("%s, want=%d: only %d morsels; files not split by row group", in.name, want, len(morsels))
 			}
-			b, err := Collect(s)
-			if err != nil {
-				t.Fatal(err)
+			if len(in.files) >= want && len(morsels) > want {
+				t.Fatalf("%s, want=%d: %d morsels; small files not packed", in.name, want, len(morsels))
 			}
-			ids = append(ids, b.Cols[0].Ints...)
-		}
-		if len(ids) != 300 {
-			t.Fatalf("want=%d: rows = %d", want, len(ids))
-		}
-		for i, id := range ids {
-			if id != int64(i) {
-				t.Fatalf("want=%d: row %d has id %d; morsel order broken", want, i, id)
+			var ids []int64
+			next := 0 // index of the file the next whole-file morsel must start at
+			for i, m := range morsels {
+				if m.GroupHi == 0 {
+					for j, f := range m.Files {
+						if next+j >= len(in.files) || f.R != in.files[next+j].R {
+							t.Fatalf("%s, want=%d: morsel %d does not hold contiguous files from %d", in.name, want, i, next)
+						}
+					}
+					next += len(m.Files)
+				} else if m.GroupHi == m.Files[0].R.NumRowGroups() {
+					next++
+				}
+				s, err := NewMorselScan(m, []string{"id"}, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := Collect(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(in.files) >= want && int64(b.NumRows()) > total/int64(want)+largest {
+					t.Fatalf("%s, want=%d: morsel %d holds %d rows, more than %d/%d + %d", in.name, want, i, b.NumRows(), total, want, largest)
+				}
+				ids = append(ids, b.Cols[0].Ints...)
+			}
+			if next != len(in.files) || int64(len(ids)) != total {
+				t.Fatalf("%s, want=%d: morsels cover %d files and %d rows of %d and %d", in.name, want, next, len(ids), len(in.files), total)
+			}
+			for i, id := range ids {
+				if id != int64(i) {
+					t.Fatalf("%s, want=%d: row %d has id %d; morsel order broken", in.name, want, i, id)
+				}
 			}
 		}
 	}
@@ -457,12 +509,14 @@ func TestRunIndexedPrefixOuterCancelWakesParkedWorkers(t *testing.T) {
 	}
 }
 
-// TestMorselScanOpensItsFileOnce: SplitMorsels puts one file in a morsel, so
-// a scan that parses its first file's footer once for the schema and again
-// to read it doubles the footer work of nearly every scanned file. Counted in
-// allocations, which repeat exactly: over a wide file read through a one-
-// column projection the footer parse dominates, so NewMorselScan plus the
-// drain must stay under two footer parses.
+// TestMorselScanOpensItsFileOnce: a scan that parses its first file's footer
+// once for the schema and again to read it doubles the footer work of every
+// morsel's first file — and of every file when a morsel holds one, as the
+// row-group windows of a large file and the morsels of a table with fewer
+// files than the split wants do. Counted in allocations, which repeat
+// exactly: over a wide file read through a one-column projection the footer
+// parse dominates, so NewMorselScan plus the drain must stay under two footer
+// parses.
 func TestMorselScanOpensItsFileOnce(t *testing.T) {
 	schema := make(colfile.Schema, 32)
 	row := make([]any, len(schema))

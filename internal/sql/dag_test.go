@@ -734,6 +734,38 @@ func TestDAGCountersDeterministic(t *testing.T) {
 	}
 }
 
+// TestDAGScanTasksFollowRowsNotFiles: the write path leaves one file per
+// distribution cell per INSERT, and a DAG statement runs one scan task per
+// base morsel, so the morsel split must pack those small files by rows. A
+// GROUP BY over 32 files at Parallelism 2 (no join, so no builds) runs at
+// most Parallelism×4 = 8 tasks, not one per file.
+func TestDAGScanTasksFollowRowsNotFiles(t *testing.T) {
+	env := newDagEnv(t, func(o *core.Options) { o.Parallelism = 2 })
+	mustExec(t, env.sess, `CREATE TABLE cells (k INT, v INT) WITH (DISTRIBUTION = k)`)
+	for load := 0; load < 8; load++ {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO cells VALUES ")
+		for i := 0; i < 40; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d)", i, load*40+i)
+		}
+		mustExec(t, env.sess, sb.String())
+	}
+	if files := mustExec(t, env.sess, `SHOW STATS cells`).Batch.Row(0)[1].(int64); files < 32 {
+		t.Fatalf("cells has %d files, want at least 32", files)
+	}
+	before := env.eng.Work.DagTasks.Load()
+	res := mustExec(t, env.sess, `SELECT k % 5, COUNT(*), SUM(v) FROM cells GROUP BY k % 5`)
+	if tasks := env.eng.Work.DagTasks.Load() - before; tasks > 8 {
+		t.Fatalf("GROUP BY over 32 files ran %d DAG tasks, want at most 8", tasks)
+	}
+	if res.Batch.NumRows() != 5 {
+		t.Fatalf("GROUP BY returned %d groups, want 5", res.Batch.NumRows())
+	}
+}
+
 // TestDAGRetriedGatherCountsItsJoinOnce: a spilled join's gather task that
 // is retried runs JoinBatches twice, but only the attempt whose output the
 // FE keeps is counted, so the bloom-pruned rows and the partition pairs

@@ -19,16 +19,17 @@
 // paper's evaluation figures.
 //
 // Query execution is morsel-driven parallel: table scans are split into
-// per-file (or per-row-group) morsels fanned out over a worker pool sized by
-// the Parallelism config knob (default GOMAXPROCS) and capped by the compute
-// fabric's free slots, with filters, projections, join probes, partial
-// aggregations and per-morsel ORDER BY runs (top-N-bounded under LIMIT)
-// running per worker ahead of a deterministic merge. Every SELECT runs this
-// way — Parallelism 1 is the same plan with one worker — so results are
-// byte-identical at every Parallelism setting, row order included (the one
-// exception: float SUM/AVG may differ in the last ulp between settings, as
-// summation order follows the morsel split). The full cross-DOP determinism
-// contract is documented in docs/ARCHITECTURE.md.
+// morsels sized by rows (runs of small files, or row-group windows of a large
+// one) fanned out over a worker pool sized by the Parallelism config knob
+// (default GOMAXPROCS) and capped by the compute fabric's free slots, with
+// filters, projections, join probes, partial aggregations and per-morsel
+// ORDER BY runs (top-N-bounded under LIMIT) running per worker ahead of a
+// deterministic merge. Every SELECT runs this way — Parallelism 1 is the same
+// plan with one worker — so results are byte-identical at every Parallelism
+// setting, row order included (the one exception: float SUM/AVG may differ in
+// the last ulp between settings, as summation order follows the morsel
+// split). The full cross-DOP determinism contract is documented in
+// docs/ARCHITECTURE.md.
 package polaris
 
 import (
