@@ -37,9 +37,10 @@ test:
 # concurrent-traffic stress with STO maintenance, the admission unit suite,
 # and the two-session interleaved-transaction test), and the DCP job API
 # (dcp.Start / Job.Run / Job.Close: retry/re-placement across batches and
-# the job's cancellation watcher, exercised by the distributed-query path,
-# which grows one job a stage at a time). `./...` rather than a package
-# list so new packages are race-checked by default.
+# the job's cancellation watcher), the one way every DCP job runs — each
+# read's fetch, each INSERT and BULK LOAD, and the distributed query that
+# grows one job a stage at a time. `./...` rather than a package list so
+# new packages are race-checked by default.
 race:
 	$(GO) test -race -short ./...
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -287,28 +288,24 @@ func AblationWLM() []AblationRow {
 		} else {
 			pools = dcp.Pools{dcp.ReadPool: nodes, dcp.WritePool: nodes}
 		}
-		g := dcp.NewGraph()
 		// 16 heavy writes (a load job) dispatched before 8 light reads
 		// (reporting queries).
+		var tasks []*dcp.Task
 		for i := 1; i <= 16; i++ {
-			id := i
-			if err := g.Add(&dcp.Task{ID: id, Pool: dcp.WritePool, Exec: func(ctx *dcp.Ctx) (any, error) {
+			tasks = append(tasks, &dcp.Task{ID: i, Pool: dcp.WritePool, Exec: func(ctx *dcp.Ctx) (any, error) {
 				ctx.Charge(80 * time.Millisecond)
 				return nil, nil
-			}}); err != nil {
-				panic(err)
-			}
+			}})
 		}
 		for i := 1; i <= 8; i++ {
-			id := 100 + i
-			if err := g.Add(&dcp.Task{ID: id, Pool: dcp.ReadPool, Exec: func(ctx *dcp.Ctx) (any, error) {
+			tasks = append(tasks, &dcp.Task{ID: 100 + i, Pool: dcp.ReadPool, Exec: func(ctx *dcp.Ctx) (any, error) {
 				ctx.Charge(5 * time.Millisecond)
 				return nil, nil
-			}}); err != nil {
-				panic(err)
-			}
+			}})
 		}
-		res, err := dcp.Run(g, pools, dcp.Options{Overhead: time.Millisecond})
+		job := dcp.Start(context.Background(), pools, dcp.Options{Overhead: time.Millisecond})
+		_, _ = job.Run(tasks...) // a failed Run fails the job, and Close reports it
+		res, err := job.Close()
 		if err != nil {
 			panic(err)
 		}

@@ -128,6 +128,48 @@ func TestPermanentTaskFailureAbortsStatement(t *testing.T) {
 	}
 }
 
+// TestRetriedFetchCountsOnce: a read's fetch tasks count the rows, files and
+// bytes the statement scanned, not the attempts that scanned them — the
+// deltas of one read are the same whether every first attempt succeeds or
+// is discarded and retried.
+func TestRetriedFetchCountsOnce(t *testing.T) {
+	e := testEngine(t)
+	mustCreate(t, e, "t1")
+	if err := e.AutoCommit(func(tx *Txn) error {
+		_, err := tx.Insert("t1", rowsBatch(t, t1Schema(),
+			[]any{"A", int64(1)}, []any{"B", int64(2)}, []any{"C", int64(3)}, []any{"D", int64(4)}))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	read := func() [3]int64 {
+		rows, files, bytes := e.Work.Snapshot()
+		tx := e.Begin()
+		defer tx.Rollback()
+		if _, err := tx.ReadAll("t1"); err != nil {
+			t.Fatal(err)
+		}
+		r, f, b := e.Work.Snapshot()
+		return [3]int64{r - rows, f - files, b - bytes}
+	}
+	clean := read()
+	var failed atomic.Int32
+	e.opts.TaskFailureInjector = func(taskID, attempt int, node *compute.Node) error {
+		if attempt == 1 {
+			failed.Add(1)
+			return errors.New("injected task failure")
+		}
+		return nil
+	}
+	retried := read()
+	if failed.Load() == 0 {
+		t.Fatal("no fetch attempt failed")
+	}
+	if clean[0] == 0 || retried != clean {
+		t.Fatalf("rows, files, bytes scanned: %v with retries, %v clean", retried, clean)
+	}
+}
+
 func TestNodeLossDuringTopologyChange(t *testing.T) {
 	// Paper 3.3: nodes can leave the topology without affecting in-flight
 	// transactions; caches replenish from OneLake.

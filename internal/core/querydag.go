@@ -16,29 +16,35 @@ func (t *Txn) DistributedQueries() bool { return t.eng.opts.DistributedQueries }
 // simulated IO for exchange reads/writes from inside DAG tasks.
 func (t *Txn) CostModel() *compute.CostModel { return t.eng.Fabric.Model() }
 
-// runJob runs a task DAG on the compute fabric under ctx — nodes allocated
-// for its task count, dcp's default of three attempts per task, injector
-// consulted after every attempt — and charges its simulated makespan to the
-// transaction. The read fetch (fetchScanFiles) and the INSERT and BULK LOAD
-// write jobs (commitWriteJob) go through it.
-func (t *Txn) runJob(ctx context.Context, g *dcp.Graph, injector func(taskID, attempt int, node *compute.Node) error) (*dcp.Result, error) {
-	pools, opts := t.place(g.Len(), injector)
-	return t.charged(dcp.RunCtx(ctx, g, pools, opts))
+// runJob runs tasks as one DCP job under ctx — startJob, one Run, closeJob —
+// with the engine's TaskFailureInjector, and returns their outputs in
+// argument order. The read fetch (fetchScanFiles) and the INSERT and BULK
+// LOAD write jobs (commitWriteJob) go through it.
+func (t *Txn) runJob(ctx context.Context, tasks []*dcp.Task) ([]any, error) {
+	job := t.startJob(ctx, len(tasks), t.eng.opts.TaskFailureInjector)
+	outs, _ := job.Run(tasks...) // a failed Run fails the job, and closeJob reports it
+	if _, err := t.closeJob(job); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }
 
-// place allocates fabric nodes for a job of want tasks and returns its pools
-// and options; a provisioning delay starts the job's virtual clock.
-func (t *Txn) place(want int, injector func(taskID, attempt int, node *compute.Node) error) (dcp.Pools, dcp.Options) {
+// startJob starts a DCP job under ctx on fabric nodes allocated for want
+// tasks, injector consulted after every attempt; a provisioning delay starts
+// the job's virtual clock. Every DCP job the engine runs starts here.
+func (t *Txn) startJob(ctx context.Context, want int, injector func(taskID, attempt int, node *compute.Node) error) *dcp.Job {
 	nodes, delay := t.eng.Fabric.AllocateForJob(want)
-	return t.eng.pools(nodes), dcp.Options{
+	return dcp.Start(ctx, t.eng.pools(nodes), dcp.Options{
 		Overhead:        t.eng.Fabric.Model().TaskOverhead,
 		StartOffset:     delay,
 		FailureInjector: injector,
-	}
+	})
 }
 
-// charged charges a completed job's simulated makespan to the transaction.
-func (t *Txn) charged(res *dcp.Result, err error) (*dcp.Result, error) {
+// closeJob closes a job and charges its simulated makespan to the
+// transaction.
+func (t *Txn) closeJob(job *dcp.Job) (*dcp.Result, error) {
+	res, err := job.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +59,7 @@ func (t *Txn) StartQueryJob(want int) (*dcp.Job, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	pools, opts := t.place(want, t.eng.opts.QueryFailureInjector)
-	return dcp.Start(t.Context(), pools, opts), nil
+	return t.startJob(t.Context(), want, t.eng.opts.QueryFailureInjector), nil
 }
 
 // CloseQueryJob closes a query job, charges its makespan and records the Dag*
@@ -62,7 +67,7 @@ func (t *Txn) StartQueryJob(want int) (*dcp.Job, error) {
 // on success: a failed job's partial work is discarded wholesale, like a
 // failed task attempt's output.
 func (t *Txn) CloseQueryJob(job *dcp.Job, stages int) error {
-	res, err := t.charged(job.Close())
+	res, err := t.closeJob(job)
 	if err != nil {
 		return err
 	}

@@ -204,61 +204,63 @@ func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts
 // lists are returned in cell order, which fixes the global row order every
 // downstream packaging preserves; empty cells are dropped.
 func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta) ([]cellFiles, error) {
-	g := dcp.NewGraph()
 	eng := t.eng
 	model := t.eng.Fabric.Model()
-	work := &t.eng.Work
 	var cells []cellFiles
-	var taskIDs []int
+	var tasks []*dcp.Task
 	for i, cell := range partitionCells(state, t.eng.opts.Distributions) {
 		if len(cell.files) == 0 {
 			continue
 		}
-		cell := cell
-		id := i + 1
 		cells = append(cells, cell)
-		taskIDs = append(taskIDs, id)
-		err := g.Add(&dcp.Task{
-			ID: id, Name: fmt.Sprintf("scan-%s-cell%d", meta.Name, i), Pool: dcp.ReadPool,
+		tasks = append(tasks, &dcp.Task{
+			ID: i + 1, Name: fmt.Sprintf("scan-%s-cell%d", meta.Name, i), Pool: dcp.ReadPool,
 			Exec: func(ctx *dcp.Ctx) (any, error) {
-				var files []exec.ScanFile
-				var rows, bytes int64
+				var out fetchOut
 				for _, fe := range cell.files {
 					sf, n, d, err := eng.openLive(ctx.Node, fe)
 					if err != nil {
 						return nil, err
 					}
 					ctx.Charge(d)
-					files = append(files, sf)
+					out.files = append(out.files, sf)
 					// Merge-on-read scans pay for physical rows: deleted
 					// rows are read and filtered out at scan time (2.1).
-					rows += fe.Rows
-					bytes += n
+					out.rows += fe.Rows
+					out.bytes += n
 				}
-				ctx.Charge(model.CPU(rows)) // per-cell scan CPU
-				work.RowsScanned.Add(rows)
-				work.FilesRead.Add(int64(len(files)))
-				work.BytesRead.Add(bytes)
-				return files, nil
+				ctx.Charge(model.CPU(out.rows)) // per-cell scan CPU
+				return out, nil
 			},
 		})
-		if err != nil {
-			return nil, err
-		}
 	}
 
-	if len(taskIDs) == 0 {
+	if len(tasks) == 0 {
 		return nil, nil
 	}
 
-	res, err := t.runJob(t.Context(), g, t.eng.opts.TaskFailureInjector)
+	outs, err := t.runJob(t.Context(), tasks)
 	if err != nil {
 		return nil, err
 	}
-	for i, o := range dcp.Gather(res, taskIDs) {
-		cells[i].opened = o.([]exec.ScanFile)
+	// Counted from the winning attempts only: a retried cell reads its files
+	// again, but the statement scanned them once.
+	work := &t.eng.Work
+	for i, o := range outs {
+		out := o.(fetchOut)
+		cells[i].opened = out.files
+		work.RowsScanned.Add(out.rows)
+		work.FilesRead.Add(int64(len(out.files)))
+		work.BytesRead.Add(out.bytes)
 	}
 	return cells, nil
+}
+
+// fetchOut is one fetch task's output: its cell's opened files and the rows
+// and bytes it read.
+type fetchOut struct {
+	files       []exec.ScanFile
+	rows, bytes int64
 }
 
 // openLive opens one live data file and its deletion vector (nil when it has

@@ -160,18 +160,18 @@ func (e *Engine) stageBlock(ctx *dcp.Ctx, blob, blockID string, actions []manife
 // blocks earlier statements of this transaction committed to the table's
 // manifest blob, and only then do the tasks' actions join the transaction's
 // pending state.
-func (t *Txn) commitWriteJob(ts *txnTable, g *dcp.Graph, taskIDs []int) (int64, error) {
+func (t *Txn) commitWriteJob(ts *txnTable, tasks []*dcp.Task) (int64, error) {
 	// Write jobs run to completion, not under the statement's context: an
 	// UPDATE cancelled between its delete half and its insert half would
 	// leave an explicit transaction holding the delete alone.
-	res, err := t.runJob(context.Background(), g, t.eng.opts.TaskFailureInjector)
+	outs, err := t.runJob(context.Background(), tasks)
 	if err != nil {
 		return 0, err
 	}
 	var blocks []string
 	var actions []manifest.Action
 	var rows int64
-	for _, out := range dcp.Gather(res, taskIDs) {
+	for _, out := range outs {
 		wr := out.(writeTaskResult)
 		blocks = append(blocks, wr.blockID)
 		actions = append(actions, wr.actions...)
@@ -215,8 +215,7 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 	paths := TablePaths{ID: meta.ID}
 	rowsPerFile := eng.opts.RowsPerFile
 
-	g := dcp.NewGraph()
-	var taskIDs []int
+	var tasks []*dcp.Task
 	fileSeq := ts.blockSeq * 1000 // unique file numbering across statements
 	for p, part := range partitionBatch(rows, meta.DistributionCol, eng.opts.Distributions) {
 		if part.NumRows() == 0 {
@@ -224,8 +223,7 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 		}
 		base := fileSeq
 		fileSeq += (part.NumRows()+rowsPerFile-1)/rowsPerFile + 1
-		taskIDs = append(taskIDs, p+1)
-		err := g.Add(&dcp.Task{
+		tasks = append(tasks, &dcp.Task{
 			ID: p + 1, Name: fmt.Sprintf("insert-%s-p%d", meta.Name, p), Pool: dcp.WritePool,
 			Exec: func(ctx *dcp.Ctx) (any, error) {
 				sorted, err := sortBatchBy(part, meta.SortCol)
@@ -243,11 +241,8 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-p%d-a%d", txnID, p, ctx.Attempt), actions)
 			},
 		})
-		if err != nil {
-			return 0, err
-		}
 	}
-	return t.commitWriteJob(ts, g, taskIDs)
+	return t.commitWriteJob(ts, tasks)
 }
 
 // Delete removes rows matching pred. In merge-on-read mode (the default,
@@ -653,12 +648,10 @@ func (t *Txn) BulkLoad(table string, sources []SourceFile) (int64, error) {
 	eng, txnID := t.eng, t.id
 	paths := TablePaths{ID: meta.ID}
 
-	g := dcp.NewGraph()
-	var taskIDs []int
+	var tasks []*dcp.Task
 	base := ts.blockSeq * 1000
 	for i, src := range sources {
-		taskIDs = append(taskIDs, i+1)
-		err := g.Add(&dcp.Task{
+		tasks = append(tasks, &dcp.Task{
 			ID: i + 1, Name: "load-" + src.Name, Pool: dcp.WritePool,
 			Exec: func(ctx *dcp.Ctx) (any, error) {
 				batch, err := src.Rows()
@@ -687,9 +680,6 @@ func (t *Txn) BulkLoad(table string, sources []SourceFile) (int64, error) {
 				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-s%d-a%d", txnID, i, ctx.Attempt), actions)
 			},
 		})
-		if err != nil {
-			return 0, err
-		}
 	}
-	return t.commitWriteJob(ts, g, taskIDs)
+	return t.commitWriteJob(ts, tasks)
 }

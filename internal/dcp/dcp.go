@@ -1,8 +1,10 @@
 // Package dcp implements the Polaris Distributed Computation Platform
 // (paper Sections 1, 3.3, 4.3): a task-level workflow-DAG executor over the
-// simulated compute fabric. Reads and writes are both modeled as DAGs of
-// tasks, which is the paper's key architectural move — the DCP executes
-// write transactions "as if they were queries".
+// simulated compute fabric. A read's fetch, an INSERT or BULK LOAD, and a
+// distributed query are all jobs of the same kind, which is the paper's key
+// architectural move — the DCP executes write transactions "as if they were
+// queries". A job is started on its pools (Start), grown one batch of tasks
+// at a time (Job.Run) and closed (Job.Close) for its Result.
 //
 // Features reproduced:
 //   - dependency-ordered execution with per-node slot parallelism;
@@ -48,24 +50,16 @@ type Ctx struct {
 	Node *compute.Node
 	// Attempt is 1-based; retries increment it.
 	Attempt int
-	// Inputs holds the outputs of the task's dependencies, keyed by task ID.
-	Inputs map[int]any
 
 	mu  sync.Mutex
 	sim time.Duration
 	ctx context.Context
 }
 
-// Context returns the run's cancellation context (never nil). Long-running
-// Exec functions should observe it at batch boundaries so an in-flight task
-// notices a canceled run without waiting for the task to finish.
-func (c *Ctx) Context() context.Context {
-	if c.ctx == nil {
-		//polaris:ctx nil-context default: the zero Ctx stays usable and is simply never cancelled
-		return context.Background()
-	}
-	return c.ctx
-}
+// Context returns the job's cancellation context. Long-running Exec
+// functions should observe it at batch boundaries so an in-flight task
+// notices a canceled job without waiting for the task to finish.
+func (c *Ctx) Context() context.Context { return c.ctx }
 
 // Charge adds simulated time to this task attempt (IO and CPU costs).
 func (c *Ctx) Charge(d time.Duration) {
@@ -92,34 +86,11 @@ type Task struct {
 	Exec func(ctx *Ctx) (any, error)
 }
 
-// Graph is a workflow DAG of tasks.
-type Graph struct {
-	tasks map[int]*Task
-}
+// maxAttempts bounds a task's attempts.
+const maxAttempts = 3
 
-// NewGraph returns an empty DAG.
-func NewGraph() *Graph { return &Graph{tasks: make(map[int]*Task)} }
-
-// Add inserts a task. IDs must be unique; dependencies may be added in any
-// order but must exist by Run time.
-func (g *Graph) Add(t *Task) error {
-	if t.Exec == nil {
-		return fmt.Errorf("dcp: task %d has no Exec", t.ID)
-	}
-	if _, ok := g.tasks[t.ID]; ok {
-		return fmt.Errorf("dcp: duplicate task id %d", t.ID)
-	}
-	g.tasks[t.ID] = t
-	return nil
-}
-
-// Len returns the number of tasks.
-func (g *Graph) Len() int { return len(g.tasks) }
-
-// Options configures a run.
+// Options configures a job.
 type Options struct {
-	// MaxAttempts bounds per-task attempts (default 3).
-	MaxAttempts int
 	// FailureInjector, when non-nil, is consulted after each attempt's Exec
 	// completes; a non-nil error simulates the node dying before reporting
 	// success — the attempt's side effects (files written, blocks staged)
@@ -139,12 +110,10 @@ type TaskStats struct {
 	Node     int
 	Attempts int
 	VirtEnd  time.Duration
-	SimTime  time.Duration
 }
 
-// Result is the outcome of executing a DAG.
+// Result is the outcome of a job.
 type Result struct {
-	Outputs  map[int]any
 	Makespan time.Duration // simulated job duration including StartOffset
 	PerTask  map[int]TaskStats
 	Retries  int
@@ -168,30 +137,6 @@ type lane struct {
 	pools uint8 // bit p set: the lane serves PoolKind p
 }
 
-// Run executes the DAG to completion and returns outputs plus the simulated
-// makespan. Execution is really parallel (bounded by node slots); virtual
-// time is tracked per slot lane.
-func Run(g *Graph, pools Pools, opts Options) (*Result, error) {
-	//polaris:ctx entry point for harnesses and tests (the benchrunner's scheduling ablation), which have no statement context
-	return RunCtx(context.Background(), g, pools, opts)
-}
-
-// RunCtx is Run with cancellation: Start, one Run of every task, Close. When
-// ctx is canceled mid-run, tasks that have not started are abandoned,
-// in-flight tasks observe the cancel through Ctx.Context at their next
-// boundary, no further retries are scheduled, and the returned error wraps
-// ctx.Err() (errors.Is-able as context.Canceled or context.DeadlineExceeded).
-func RunCtx(ctx context.Context, g *Graph, pools Pools, opts Options) (*Result, error) {
-	tasks := make([]*Task, 0, len(g.tasks))
-	//polaris:nondet Run dispatches in task-ID order whatever order it is given the tasks in
-	for _, t := range g.tasks {
-		tasks = append(tasks, t)
-	}
-	j := Start(ctx, pools, opts)
-	_, _ = j.Run(tasks...) // a failed Run fails the job, and Close reports it
-	return j.Close()
-}
-
 // Job is a DCP job grown one batch of tasks at a time: Start places it on its
 // pools, each Run dispatches a batch and waits for it, and Close returns the
 // Result of every batch. A task may depend on tasks of its batch and on tasks
@@ -210,6 +155,7 @@ type Job struct {
 	cond       *sync.Cond
 	err        error // the job's first error: once set, the job has failed
 	res        *Result
+	outputs    map[int]any     // each completed task's output
 	children   map[int][]*Task // each task's dependents in its batch
 	remaining  map[int]int     // each task Run was given: its unfinished dependencies in its batch
 	nextTicket int64
@@ -218,22 +164,15 @@ type Job struct {
 
 // Start begins a job on pools. Nothing runs until Run.
 func Start(ctx context.Context, pools Pools, opts Options) *Job {
-	if ctx == nil {
-		//polaris:ctx nil-context default, so Start(nil, …) means "not cancellable" rather than a panic
-		ctx = context.Background()
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
 	if opts.Overhead == 0 {
 		opts.Overhead = 15 * time.Millisecond
 	}
 	j := &Job{
 		ctx: ctx, opts: opts,
-		lanes: make(map[PoolKind][]*lane),
-		stop:  make(chan struct{}),
-		res: &Result{Outputs: make(map[int]any), PerTask: make(map[int]TaskStats),
-			Makespan: opts.StartOffset},
+		lanes:     make(map[PoolKind][]*lane),
+		stop:      make(chan struct{}),
+		res:       &Result{PerTask: make(map[int]TaskStats), Makespan: opts.StartOffset},
+		outputs:   make(map[int]any),
 		children:  make(map[int][]*Task),
 		remaining: make(map[int]int),
 		waiting:   make(map[int64]PoolKind),
@@ -308,7 +247,7 @@ func (j *Job) Run(tasks ...*Task) ([]any, error) {
 	defer j.mu.Unlock()
 	outs := make([]any, len(tasks))
 	for i, t := range tasks {
-		outs[i] = j.res.Outputs[t.ID]
+		outs[i] = j.outputs[t.ID]
 		if _, done := j.res.PerTask[t.ID]; !done && j.err == nil {
 			j.err = errors.New("dcp: dependency cycle") // its tasks never became ready
 		}
@@ -316,13 +255,17 @@ func (j *Job) Run(tasks ...*Task) ([]any, error) {
 	return outs, j.err
 }
 
-// plan registers a batch — every ID new to the job, every dependency in the
-// batch or completed — and returns its tasks with no unfinished dependency in
-// ID order, so dispatch order is identical run to run.
+// plan registers a batch — every task with an Exec and an ID new to the job,
+// every dependency in the batch or completed — and returns its tasks with no
+// unfinished dependency in ID order, so dispatch order is identical run to
+// run.
 func (j *Job) plan(tasks []*Task) ([]*Task, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, t := range tasks {
+		if t.Exec == nil {
+			return nil, fmt.Errorf("dcp: task %d has no Exec", t.ID)
+		}
 		if _, dup := j.remaining[t.ID]; dup {
 			return nil, fmt.Errorf("dcp: duplicate task id %d", t.ID)
 		}
@@ -454,10 +397,8 @@ func (j *Job) runTask(t *Task, ticket int64) {
 		j.mu.Unlock()
 		return
 	}
-	inputs := make(map[int]any, len(t.Deps))
 	var depsReady time.Duration
 	for _, d := range t.Deps {
-		inputs[d] = j.res.Outputs[d]
 		if end := j.res.PerTask[d].VirtEnd; end > depsReady {
 			depsReady = end
 		}
@@ -472,7 +413,7 @@ func (j *Job) runTask(t *Task, ticket int64) {
 		lastNode = -1
 		penalty  time.Duration
 	)
-	for attempts = 1; attempts <= j.opts.MaxAttempts; attempts++ {
+	for attempts = 1; attempts <= maxAttempts; attempts++ {
 		if cerr := j.ctx.Err(); cerr != nil {
 			err = cerr // canceled: don't burn retries, the watcher holds the job's error
 			break
@@ -482,7 +423,7 @@ func (j *Job) runTask(t *Task, ticket int64) {
 			err = fmt.Errorf("%w: %s (all nodes lost)", ErrNoNodes, t.Pool)
 			break
 		}
-		tctx = &Ctx{Node: l.node, Attempt: attempts, Inputs: inputs, ctx: j.ctx}
+		tctx = &Ctx{Node: l.node, Attempt: attempts, ctx: j.ctx}
 		out, err = t.Exec(tctx)
 		if err == nil && j.opts.FailureInjector != nil {
 			if ferr := j.opts.FailureInjector(id, attempts, l.node); ferr != nil {
@@ -497,11 +438,8 @@ func (j *Job) runTask(t *Task, ticket int64) {
 				start = depsReady
 			}
 			end := start + j.opts.Overhead + tctx.charged() + penalty
-			j.res.Outputs[id] = out
-			j.res.PerTask[id] = TaskStats{
-				Node: l.node.ID, Attempts: attempts,
-				VirtEnd: end, SimTime: tctx.charged(),
-			}
+			j.outputs[id] = out
+			j.res.PerTask[id] = TaskStats{Node: l.node.ID, Attempts: attempts, VirtEnd: end}
 			j.res.Retries += attempts - 1
 			if end > j.res.Makespan {
 				j.res.Makespan = end
@@ -531,16 +469,4 @@ func (j *Job) runTask(t *Task, ticket int64) {
 	for _, c := range ready {
 		j.dispatch(c)
 	}
-}
-
-// Gather is a convenience for collecting the outputs of a set of task IDs in
-// ID order (e.g. aggregating per-task block lists in the FE).
-func Gather(res *Result, ids []int) []any {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	out := make([]any, 0, len(sorted))
-	for _, id := range sorted {
-		out = append(out, res.Outputs[id])
-	}
-	return out
 }

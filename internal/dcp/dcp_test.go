@@ -31,16 +31,24 @@ func simpleTask(id int, deps []int, out any, sim time.Duration) *Task {
 	}
 }
 
+// run runs tasks as one job — Start, one Run, Close — and returns their
+// outputs in argument order with the job's Result.
+func run(ctx context.Context, p Pools, opts Options, tasks ...*Task) ([]any, *Result, error) {
+	j := Start(ctx, p, opts)
+	outs, _ := j.Run(tasks...) // a failed Run fails the job, and Close reports it
+	res, err := j.Close()
+	return outs, res, err
+}
+
 func TestLinearChain(t *testing.T) {
-	g := NewGraph()
-	must(t, g.Add(simpleTask(1, nil, "a", 10*time.Millisecond)))
-	must(t, g.Add(simpleTask(2, []int{1}, "b", 10*time.Millisecond)))
-	must(t, g.Add(simpleTask(3, []int{2}, "c", 10*time.Millisecond)))
 	p, _ := pools(2, 1)
-	res, err := Run(g, p, Options{Overhead: time.Millisecond})
+	outs, res, err := run(context.Background(), p, Options{Overhead: time.Millisecond},
+		simpleTask(1, nil, "a", 10*time.Millisecond),
+		simpleTask(2, []int{1}, "b", 10*time.Millisecond),
+		simpleTask(3, []int{2}, "c", 10*time.Millisecond))
 	must(t, err)
-	if res.Outputs[3] != "c" || len(res.Outputs) != 3 {
-		t.Fatalf("outputs = %v", res.Outputs)
+	if outs[2] != "c" || len(res.PerTask) != 3 {
+		t.Fatalf("outputs = %v, %d tasks completed", outs, len(res.PerTask))
 	}
 	// serialized: makespan >= 3 * (10ms + 1ms overhead)
 	if res.Makespan < 33*time.Millisecond {
@@ -49,12 +57,12 @@ func TestLinearChain(t *testing.T) {
 }
 
 func TestParallelFanOutOverlaps(t *testing.T) {
-	g := NewGraph()
+	var tasks []*Task
 	for i := 1; i <= 8; i++ {
-		must(t, g.Add(simpleTask(i, nil, i, 10*time.Millisecond)))
+		tasks = append(tasks, simpleTask(i, nil, i, 10*time.Millisecond))
 	}
 	p, _ := pools(2, 1) // 2 nodes x 2 slots = 4 lanes
-	res, err := Run(g, p, Options{Overhead: time.Millisecond})
+	_, res, err := run(context.Background(), p, Options{Overhead: time.Millisecond}, tasks...)
 	must(t, err)
 	// 8 tasks over 4 lanes: 2 waves => ~22ms, far below serial 88ms
 	if res.Makespan > 40*time.Millisecond {
@@ -65,61 +73,63 @@ func TestParallelFanOutOverlaps(t *testing.T) {
 	}
 }
 
-func TestInputsFlowToChildren(t *testing.T) {
-	g := NewGraph()
-	must(t, g.Add(simpleTask(1, nil, int64(20), 0)))
-	must(t, g.Add(simpleTask(2, nil, int64(22), 0)))
-	must(t, g.Add(&Task{
-		ID: 3, Deps: []int{1, 2},
-		Exec: func(ctx *Ctx) (any, error) {
-			return ctx.Inputs[1].(int64) + ctx.Inputs[2].(int64), nil
-		},
-	}))
-	p, _ := pools(1, 1)
-	res, err := Run(g, p, Options{})
-	must(t, err)
-	if res.Outputs[3] != int64(42) {
-		t.Fatalf("sum = %v", res.Outputs[3])
-	}
-}
-
 func TestCycleDetection(t *testing.T) {
-	g := NewGraph()
-	must(t, g.Add(simpleTask(1, []int{2}, nil, 0)))
-	must(t, g.Add(simpleTask(2, []int{1}, nil, 0)))
 	p, _ := pools(1, 1)
-	if _, err := Run(g, p, Options{}); err == nil {
+	if _, _, err := run(context.Background(), p, Options{},
+		simpleTask(1, []int{2}, nil, 0), simpleTask(2, []int{1}, nil, 0)); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
 
 func TestUnknownDependency(t *testing.T) {
-	g := NewGraph()
-	must(t, g.Add(simpleTask(1, []int{99}, nil, 0)))
 	p, _ := pools(1, 1)
-	if _, err := Run(g, p, Options{}); err == nil {
+	if _, _, err := run(context.Background(), p, Options{}, simpleTask(1, []int{99}, nil, 0)); err == nil {
 		t.Fatal("unknown dep accepted")
 	}
 }
 
+// TestGraphValidation: a task without Exec and a task ID already in the job —
+// in the same batch or an earlier one — are Run errors that fail the job
+// before the batch runs anything.
 func TestGraphValidation(t *testing.T) {
-	g := NewGraph()
-	if err := g.Add(&Task{ID: 1}); err == nil {
-		t.Fatal("task without Exec accepted")
+	var ran atomic.Int32
+	counted := func(id int) *Task {
+		return &Task{ID: id, Exec: func(*Ctx) (any, error) {
+			ran.Add(1)
+			return nil, nil
+		}}
 	}
-	must(t, g.Add(simpleTask(1, nil, nil, 0)))
-	if err := g.Add(simpleTask(1, nil, nil, 0)); err == nil {
-		t.Fatal("duplicate id accepted")
-	}
-	if g.Len() != 1 {
-		t.Fatalf("len = %d", g.Len())
+	for _, c := range []struct {
+		name           string
+		earlier, batch []*Task
+	}{
+		{"missing Exec", nil, []*Task{counted(1), {ID: 2}}},
+		{"duplicate id in a batch", nil, []*Task{counted(1), counted(1)}},
+		{"duplicate id across batches", []*Task{counted(1)}, []*Task{counted(1)}},
+	} {
+		p, _ := pools(1, 1)
+		j := Start(context.Background(), p, Options{})
+		if c.earlier != nil {
+			_, err := j.Run(c.earlier...)
+			must(t, err)
+		}
+		ran.Store(0)
+		if _, err := j.Run(c.batch...); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if ran.Load() != 0 {
+			t.Fatalf("%s: the batch ran", c.name)
+		}
+		if _, err := j.Close(); err == nil {
+			t.Fatalf("%s: Close of the failed job returned a result", c.name)
+		}
 	}
 }
 
 func TestRetryOnTransientFailure(t *testing.T) {
-	g := NewGraph()
 	var calls int32
-	must(t, g.Add(&Task{
+	p, _ := pools(2, 1)
+	outs, res, err := run(context.Background(), p, Options{}, &Task{
 		ID: 1,
 		Exec: func(ctx *Ctx) (any, error) {
 			if atomic.AddInt32(&calls, 1) < 3 {
@@ -127,12 +137,10 @@ func TestRetryOnTransientFailure(t *testing.T) {
 			}
 			return "ok", nil
 		},
-	}))
-	p, _ := pools(2, 1)
-	res, err := Run(g, p, Options{MaxAttempts: 3})
+	})
 	must(t, err)
-	if res.Outputs[1] != "ok" || res.Retries != 2 {
-		t.Fatalf("out=%v retries=%d", res.Outputs[1], res.Retries)
+	if outs[0] != "ok" || res.Retries != 2 {
+		t.Fatalf("out=%v retries=%d", outs[0], res.Retries)
 	}
 	if res.PerTask[1].Attempts != 3 {
 		t.Fatalf("attempts = %d", res.PerTask[1].Attempts)
@@ -140,36 +148,38 @@ func TestRetryOnTransientFailure(t *testing.T) {
 }
 
 func TestPermanentFailure(t *testing.T) {
-	g := NewGraph()
-	must(t, g.Add(&Task{
+	var calls atomic.Int32
+	p, _ := pools(1, 1)
+	_, _, err := run(context.Background(), p, Options{}, &Task{
 		ID:   1,
 		Name: "doomed",
-		Exec: func(ctx *Ctx) (any, error) { return nil, errors.New("boom") },
-	}))
-	must(t, g.Add(simpleTask(2, []int{1}, "never", 0)))
-	p, _ := pools(1, 1)
-	_, err := Run(g, p, Options{MaxAttempts: 2})
+		Exec: func(ctx *Ctx) (any, error) {
+			calls.Add(1)
+			return nil, errors.New("boom")
+		},
+	}, simpleTask(2, []int{1}, "never", 0))
 	if err == nil {
 		t.Fatal("permanent failure not reported")
+	}
+	if n := calls.Load(); n != maxAttempts {
+		t.Fatalf("doomed task ran %d times, want %d", n, maxAttempts)
 	}
 }
 
 func TestFailureInjectorRePlacement(t *testing.T) {
 	// The failed attempt's Exec runs (side effects persist), its output is
 	// discarded, and the retry lands on a different node.
-	g := NewGraph()
 	var nodesSeen []int
-	must(t, g.Add(&Task{
+	task := &Task{
 		ID: 1,
 		Exec: func(ctx *Ctx) (any, error) {
 			nodesSeen = append(nodesSeen, ctx.Node.ID)
 			return fmt.Sprintf("attempt-%d", ctx.Attempt), nil
 		},
-	}))
+	}
 	p, _ := pools(3, 1)
 	injected := false
 	opts := Options{
-		MaxAttempts: 3,
 		FailureInjector: func(taskID, attempt int, node *compute.Node) error {
 			if attempt == 1 && !injected {
 				injected = true
@@ -178,7 +188,7 @@ func TestFailureInjectorRePlacement(t *testing.T) {
 			return nil
 		},
 	}
-	res, err := Run(g, p, opts)
+	outs, res, err := run(context.Background(), p, opts, task)
 	must(t, err)
 	if res.Retries != 1 {
 		t.Fatalf("retries = %d", res.Retries)
@@ -186,21 +196,19 @@ func TestFailureInjectorRePlacement(t *testing.T) {
 	if len(nodesSeen) != 2 || nodesSeen[0] == nodesSeen[1] {
 		t.Fatalf("re-placement failed: nodes = %v", nodesSeen)
 	}
-	if res.Outputs[1] != "attempt-2" {
-		t.Fatalf("failed attempt's output survived: %v", res.Outputs[1])
+	if outs[0] != "attempt-2" {
+		t.Fatalf("failed attempt's output survived: %v", outs[0])
 	}
 }
 
 func TestDeadNodesSkipped(t *testing.T) {
 	p, f := pools(2, 1)
 	f.KillNode(p[ReadPool][0].ID)
-	g := NewGraph()
 	var node int
-	must(t, g.Add(&Task{ID: 1, Exec: func(ctx *Ctx) (any, error) {
+	_, res, err := run(context.Background(), p, Options{}, &Task{ID: 1, Exec: func(ctx *Ctx) (any, error) {
 		node = ctx.Node.ID
 		return nil, nil
-	}}))
-	res, err := Run(g, p, Options{})
+	}})
 	must(t, err)
 	if node != p[ReadPool][1].ID {
 		t.Fatalf("task placed on dead node %d", res.PerTask[1].Node)
@@ -210,9 +218,7 @@ func TestDeadNodesSkipped(t *testing.T) {
 func TestAllNodesDead(t *testing.T) {
 	p, f := pools(1, 1)
 	f.KillNode(p[ReadPool][0].ID)
-	g := NewGraph()
-	must(t, g.Add(simpleTask(1, nil, nil, 0)))
-	if _, err := Run(g, p, Options{}); !errors.Is(err, ErrNoNodes) {
+	if _, _, err := run(context.Background(), p, Options{}, simpleTask(1, nil, nil, 0)); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -220,20 +226,20 @@ func TestAllNodesDead(t *testing.T) {
 func TestWLMSeparation(t *testing.T) {
 	p, _ := pools(2, 2)
 	readIDs := map[int]bool{p[ReadPool][0].ID: true, p[ReadPool][1].ID: true}
-	g := NewGraph()
+	var tasks []*Task
 	for i := 1; i <= 4; i++ {
 		pool := ReadPool
 		if i%2 == 0 {
 			pool = WritePool
 		}
-		id := i
-		must(t, g.Add(&Task{ID: id, Pool: pool, Exec: func(ctx *Ctx) (any, error) {
+		tasks = append(tasks, &Task{ID: i, Pool: pool, Exec: func(ctx *Ctx) (any, error) {
 			return ctx.Node.ID, nil
-		}}))
+		}})
 	}
-	res, err := Run(g, p, Options{})
+	outs, _, err := run(context.Background(), p, Options{}, tasks...)
 	must(t, err)
-	for id, out := range res.Outputs {
+	for i, out := range outs {
+		id := i + 1
 		onRead := readIDs[out.(int)]
 		wantRead := id%2 == 1
 		if onRead != wantRead {
@@ -253,13 +259,13 @@ func TestWritesDoNotDelayReadsUnderWLM(t *testing.T) {
 		} else {
 			p = Pools{ReadPool: nodes[:1], WritePool: nodes[1:]}
 		}
-		g := NewGraph()
 		// 4 heavy writes + 4 light reads
+		var tasks []*Task
 		for i := 1; i <= 4; i++ {
-			must(nil, g.Add(simpleTaskPool(i, WritePool, 100*time.Millisecond)))
-			must(nil, g.Add(simpleTaskPool(10+i, ReadPool, time.Millisecond)))
+			tasks = append(tasks, simpleTaskPool(i, WritePool, 100*time.Millisecond),
+				simpleTaskPool(10+i, ReadPool, time.Millisecond))
 		}
-		res, err := Run(g, p, Options{Overhead: time.Nanosecond})
+		_, res, err := run(context.Background(), p, Options{Overhead: time.Nanosecond}, tasks...)
 		if err != nil {
 			panic(err)
 		}
@@ -286,10 +292,9 @@ func simpleTaskPool(id int, pool PoolKind, sim time.Duration) *Task {
 }
 
 func TestStartOffsetShiftsMakespan(t *testing.T) {
-	g := NewGraph()
-	must(t, g.Add(simpleTask(1, nil, nil, 10*time.Millisecond)))
 	p, _ := pools(1, 1)
-	res, err := Run(g, p, Options{StartOffset: time.Second, Overhead: 0})
+	_, res, err := run(context.Background(), p, Options{StartOffset: time.Second, Overhead: 0},
+		simpleTask(1, nil, nil, 10*time.Millisecond))
 	must(t, err)
 	if res.Makespan < time.Second+10*time.Millisecond {
 		t.Fatalf("makespan = %v", res.Makespan)
@@ -298,41 +303,28 @@ func TestStartOffsetShiftsMakespan(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	p, _ := pools(1, 1)
-	res, err := Run(NewGraph(), p, Options{})
+	outs, res, err := run(context.Background(), p, Options{})
 	must(t, err)
-	if res.Makespan != 0 || len(res.Outputs) != 0 {
+	if res.Makespan != 0 || len(outs) != 0 || len(res.PerTask) != 0 {
 		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestGather(t *testing.T) {
-	res := &Result{Outputs: map[int]any{3: "c", 1: "a", 2: "b"}}
-	got := Gather(res, []int{2, 3, 1})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("gather = %v", got)
 	}
 }
 
 func TestMoreNodesShrinkMakespan(t *testing.T) {
 	// The elasticity premise: the same task set on a bigger topology has a
 	// smaller simulated makespan (Fig. 8's mechanism).
-	build := func() *Graph {
-		g := NewGraph()
-		for i := 1; i <= 32; i++ {
-			_ = g.Add(simpleTask(i, nil, nil, 50*time.Millisecond))
-		}
-		return g
+	var tasks []*Task
+	for i := 1; i <= 32; i++ {
+		tasks = append(tasks, simpleTask(i, nil, nil, 50*time.Millisecond))
 	}
-	run := func(nodes int) time.Duration {
+	makespan := func(nodes int) time.Duration {
 		f := compute.NewFabric(compute.Config{Elastic: true, InitNodes: nodes, SlotsPer: 2})
-		res, err := Run(build(), Pools{ReadPool: f.Nodes(), WritePool: f.Nodes()}, Options{Overhead: 0})
-		if err != nil {
-			panic(err)
-		}
+		_, res, err := run(context.Background(), Pools{ReadPool: f.Nodes(), WritePool: f.Nodes()}, Options{Overhead: 0}, tasks...)
+		must(t, err)
 		return res.Makespan
 	}
-	small := run(2)  // 4 lanes: 8 waves
-	large := run(16) // 32 lanes: 1 wave
+	small := makespan(2)  // 4 lanes: 8 waves
+	large := makespan(16) // 32 lanes: 1 wave
 	if large >= small {
 		t.Fatalf("scale-out did not help: %v vs %v", large, small)
 	}
@@ -343,44 +335,38 @@ func TestMoreNodesShrinkMakespan(t *testing.T) {
 }
 
 func must(t *testing.T, err error) {
-	if t != nil {
-		t.Helper()
-	}
+	t.Helper()
 	if err != nil {
-		if t == nil {
-			panic(err)
-		}
 		t.Fatal(err)
 	}
 }
 
-// TestRunCtxCancelStopsUnstartedTasks pins the first cancellation guarantee:
-// once the context is canceled, tasks that have not started never execute
-// their payload, and the run reports an error satisfying
+// TestRunCtxCancelStopsUnstartedTasks pins the first cancellation guarantee
+// of a job's Run: once the context is canceled, tasks that have not started
+// never execute their payload, and the job reports an error satisfying
 // errors.Is(err, context.Canceled). A gate task holds the DAG open until the
 // cancel has definitely happened, so the dependents deterministically observe
 // it (either the scheduler abandons them outright, or their first attempt
 // sees the canceled context before doing work).
 func TestRunCtxCancelStopsUnstartedTasks(t *testing.T) {
-	g := NewGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
-	must(t, g.Add(&Task{ID: 1, Name: "gate", Exec: func(tc *Ctx) (any, error) {
+	tasks := []*Task{{ID: 1, Name: "gate", Exec: func(tc *Ctx) (any, error) {
 		close(started)
 		<-release
 		return "gate", nil
-	}}))
+	}}}
 	var ran atomic.Int32
 	for i := 2; i <= 6; i++ {
-		must(t, g.Add(&Task{ID: i, Name: fmt.Sprintf("child%d", i), Deps: []int{1},
+		tasks = append(tasks, &Task{ID: i, Name: fmt.Sprintf("child%d", i), Deps: []int{1},
 			Exec: func(tc *Ctx) (any, error) {
 				if err := tc.Context().Err(); err != nil {
 					return nil, err
 				}
 				ran.Add(1)
 				return nil, nil
-			}}))
+			}})
 	}
 	p, _ := pools(2, 1)
 	done := make(chan struct{})
@@ -388,7 +374,7 @@ func TestRunCtxCancelStopsUnstartedTasks(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		res, err = RunCtx(ctx, g, p, Options{Overhead: time.Millisecond})
+		_, res, err = run(ctx, p, Options{Overhead: time.Millisecond}, tasks...)
 	}()
 	<-started
 	cancel()
@@ -407,23 +393,22 @@ func TestRunCtxCancelStopsUnstartedTasks(t *testing.T) {
 
 // TestRunCtxCancelObservedInFlight pins the second guarantee: a task that is
 // already executing sees the cancellation through Ctx.Context at its next
-// boundary and can return early; the run surfaces a clean error rather than
+// boundary and can return early; the job surfaces a clean error rather than
 // hanging.
 func TestRunCtxCancelObservedInFlight(t *testing.T) {
-	g := NewGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	entered := make(chan struct{})
-	must(t, g.Add(&Task{ID: 1, Name: "inflight", Exec: func(tc *Ctx) (any, error) {
+	task := &Task{ID: 1, Name: "inflight", Exec: func(tc *Ctx) (any, error) {
 		close(entered)
 		<-tc.Context().Done() // an operator checking at a batch boundary
 		return nil, tc.Context().Err()
-	}}))
+	}}
 	go func() {
 		<-entered
 		cancel()
 	}()
 	p, _ := pools(1, 1)
-	res, err := RunCtx(ctx, g, p, Options{Overhead: time.Millisecond})
+	_, res, err := run(ctx, p, Options{Overhead: time.Millisecond}, task)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in chain", err)
 	}
@@ -432,19 +417,17 @@ func TestRunCtxCancelObservedInFlight(t *testing.T) {
 	}
 }
 
-// TestRunCtxPreCanceled: a context canceled before the run starts executes
-// no task payloads at all.
+// TestRunCtxPreCanceled: a job started under a context canceled before its
+// first Run executes no task payloads at all.
 func TestRunCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := NewGraph()
 	var ran atomic.Int32
-	must(t, g.Add(&Task{ID: 1, Name: "never", Exec: func(tc *Ctx) (any, error) {
+	p, _ := pools(1, 1)
+	if _, _, err := run(ctx, p, Options{}, &Task{ID: 1, Name: "never", Exec: func(tc *Ctx) (any, error) {
 		ran.Add(1)
 		return nil, nil
-	}}))
-	p, _ := pools(1, 1)
-	if _, err := RunCtx(ctx, g, p, Options{}); err == nil || !errors.Is(err, context.Canceled) {
+	}}); err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran.Load() != 0 {
@@ -452,43 +435,22 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestRunBackgroundEquivalence: Run is RunCtx with a background context —
-// same outputs, no cancellation machinery engaged.
-func TestRunBackgroundEquivalence(t *testing.T) {
-	build := func() *Graph {
-		g := NewGraph()
-		must(t, g.Add(simpleTask(1, nil, "a", time.Millisecond)))
-		must(t, g.Add(simpleTask(2, []int{1}, "b", time.Millisecond)))
-		return g
-	}
-	p1, _ := pools(2, 1)
-	r1, err := Run(build(), p1, Options{})
-	must(t, err)
-	p2, _ := pools(2, 1)
-	r2, err := RunCtx(context.Background(), build(), p2, Options{})
-	must(t, err)
-	if r1.Outputs[2] != r2.Outputs[2] || r1.Makespan != r2.Makespan {
-		t.Fatalf("Run vs RunCtx(Background) diverged: %v/%v vs %v/%v",
-			r1.Outputs[2], r1.Makespan, r2.Outputs[2], r2.Makespan)
-	}
-}
-
 // randomGraph is a seeded random DAG of n tasks: each depends on up to three
 // lower IDs, charges a random simulated cost, returns its ID, and (through
 // fail) fails its first attempt when the seed says so.
-func randomGraph(t *testing.T, seed int64, n int) (*Graph, func(taskID, attempt int, node *compute.Node) error) {
+func randomGraph(seed int64, n int) ([]*Task, func(taskID, attempt int, node *compute.Node) error) {
 	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph()
+	var tasks []*Task
 	failFirst := map[int]bool{}
 	for id := 1; id <= n; id++ {
 		var deps []int
 		for k := rng.Intn(4); k > 0 && id > 1; k-- {
 			deps = append(deps, 1+rng.Intn(id-1))
 		}
-		must(t, g.Add(simpleTask(id, deps, id, time.Duration(1+rng.Intn(20))*time.Millisecond)))
+		tasks = append(tasks, simpleTask(id, deps, id, time.Duration(1+rng.Intn(20))*time.Millisecond))
 		failFirst[id] = rng.Intn(5) == 0
 	}
-	return g, func(taskID, attempt int, _ *compute.Node) error {
+	return tasks, func(taskID, attempt int, _ *compute.Node) error {
 		if failFirst[taskID] && attempt == 1 {
 			return fmt.Errorf("injected failure of task %d", taskID)
 		}
@@ -496,58 +458,58 @@ func randomGraph(t *testing.T, seed int64, n int) (*Graph, func(taskID, attempt 
 	}
 }
 
-// TestJobMatchesRunCtx: RunCtx is Start, one Run and Close, and growing the
-// job a batch at a time changes nothing either — the same outputs, attempts
-// and makespan for a seeded random DAG with retries. The pools have two free
-// lanes per task, so every attempt, a re-placed one too, starts on an unused
-// lane and the virtual schedule does not depend on goroutine timing.
+// TestJobMatchesRunCtx: growing a job a batch at a time changes nothing —
+// batches of n, n/2 and 1 task of a seeded random DAG with retries give the
+// same outputs, attempts, virtual ends, makespan and retries as one Run of
+// every task. The pools have two free lanes per task, so every attempt, a
+// re-placed one too, starts on an unused lane and the virtual schedule does
+// not depend on goroutine timing.
 func TestJobMatchesRunCtx(t *testing.T) {
 	const n = 40
-	g, inject := randomGraph(t, 7, n)
+	tasks, inject := randomGraph(7, n)
 	opts := Options{Overhead: time.Millisecond, FailureInjector: inject}
 	p, _ := pools(n, 1)
-	want, err := RunCtx(context.Background(), g, p, opts)
+	wantOuts, want, err := run(context.Background(), p, opts, tasks...)
 	must(t, err)
 
 	for _, cut := range []int{n, n / 2, 1} {
 		p, _ := pools(n, 1)
 		j := Start(context.Background(), p, opts)
-		for lo := 1; lo <= n; lo += cut {
-			var batch []*Task
-			for id := lo; id < lo+cut && id <= n; id++ {
-				batch = append(batch, g.tasks[id])
-			}
-			_, err := j.Run(batch...)
+		var outs []any
+		for lo := 0; lo < n; lo += cut {
+			batch, err := j.Run(tasks[lo:min(lo+cut, n)]...)
 			must(t, err)
+			outs = append(outs, batch...)
 		}
 		got, err := j.Close()
 		must(t, err)
 		if got.Makespan != want.Makespan || got.Retries != want.Retries {
-			t.Fatalf("batches of %d: makespan %v, retries %d; RunCtx %v, %d", cut, got.Makespan, got.Retries, want.Makespan, want.Retries)
+			t.Fatalf("batches of %d: makespan %v, retries %d; one Run %v, %d", cut, got.Makespan, got.Retries, want.Makespan, want.Retries)
 		}
-		for id := 1; id <= n; id++ {
-			if got.Outputs[id] != want.Outputs[id] || got.PerTask[id].Attempts != want.PerTask[id].Attempts ||
+		for i, task := range tasks {
+			id := task.ID
+			if outs[i] != wantOuts[i] || got.PerTask[id].Attempts != want.PerTask[id].Attempts ||
 				got.PerTask[id].VirtEnd != want.PerTask[id].VirtEnd {
-				t.Fatalf("batches of %d: task %d: %v %+v, RunCtx %v %+v", cut, id,
-					got.Outputs[id], got.PerTask[id], want.Outputs[id], want.PerTask[id])
+				t.Fatalf("batches of %d: task %d: %v %+v, one Run %v %+v", cut, id,
+					outs[i], got.PerTask[id], wantOuts[i], want.PerTask[id])
 			}
 		}
 	}
 }
 
 // TestJobLaterBatchSeesEarlierOutputs: a task may depend on tasks an earlier
-// Run completed, and its Inputs hold their outputs; Run returns a batch's
-// outputs in argument order.
+// Run completed, and the FE hands it their outputs by closure; Run returns a
+// batch's outputs in argument order.
 func TestJobLaterBatchSeesEarlierOutputs(t *testing.T) {
 	p, _ := pools(1, 1)
 	j := Start(context.Background(), p, Options{})
-	outs, err := j.Run(simpleTask(2, nil, int64(22), 0), simpleTask(1, nil, int64(20), 0))
+	first, err := j.Run(simpleTask(2, nil, int64(22), 0), simpleTask(1, nil, int64(20), 0))
 	must(t, err)
-	if outs[0] != int64(22) || outs[1] != int64(20) {
-		t.Fatalf("first batch outputs = %v, want [22 20]", outs)
+	if first[0] != int64(22) || first[1] != int64(20) {
+		t.Fatalf("first batch outputs = %v, want [22 20]", first)
 	}
-	outs, err = j.Run(&Task{ID: 3, Deps: []int{1, 2}, Exec: func(ctx *Ctx) (any, error) {
-		return ctx.Inputs[1].(int64) + ctx.Inputs[2].(int64), nil
+	outs, err := j.Run(&Task{ID: 3, Deps: []int{1, 2}, Exec: func(ctx *Ctx) (any, error) {
+		return first[0].(int64) + first[1].(int64), nil
 	}})
 	must(t, err)
 	if outs[0] != int64(42) {
@@ -555,8 +517,8 @@ func TestJobLaterBatchSeesEarlierOutputs(t *testing.T) {
 	}
 	res, err := j.Close()
 	must(t, err)
-	if len(res.Outputs) != 3 {
-		t.Fatalf("result holds %d outputs, want every batch's 3", len(res.Outputs))
+	if len(res.PerTask) != 3 {
+		t.Fatalf("result holds %d tasks, want every batch's 3", len(res.PerTask))
 	}
 }
 

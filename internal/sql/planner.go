@@ -587,26 +587,18 @@ func singleTableScope(schema colfile.Schema, alias string) *scope {
 	return &scope{schema: schema, quals: quals}
 }
 
-// chooseProjection computes, per relation, the set of columns the statement
-// references (select items, WHERE, join keys, grouping, HAVING, ORDER BY). A
-// scan whose referenced set is a strict subset of the schema is projected, so
-// unreferenced columns are never decoded. Unqualified names owned by several
-// relations count for each — over-inclusion is always safe.
+// chooseProjection projects each relation's scan to the columns the statement
+// references (select items, WHERE, join keys, grouping, HAVING, ORDER BY),
+// matched as scope.live matches them, so unreferenced columns are never
+// decoded. Unqualified names owned by several relations count for each —
+// over-inclusion is always safe. A * item outputs every column of every
+// relation, so nothing is projected.
 func (rs relations) chooseProjection(st *SelectStmt) {
-	need := make([]map[string]bool, len(rs))
-	for i := range need {
-		need[i] = map[string]bool{}
-	}
-	addCol := func(c ColName) {
-		for _, r := range rs {
-			if r.has(c) {
-				need[r.pos][strings.ToLower(c.Name)] = true
-			}
-		}
-	}
+	var refs []ColName
+	addCol := func(c ColName) { refs = append(refs, c) }
 	for _, it := range st.Items {
 		if it.Star {
-			return // every column of every relation is output
+			return
 		}
 		walkCols(it.Expr, addCol)
 	}
@@ -626,23 +618,15 @@ func (rs relations) chooseProjection(st *SelectStmt) {
 		walkCols(o.Expr, addCol)
 	}
 	for _, r := range rs {
-		var proj colfile.Schema
-		for _, f := range r.meta.Schema {
-			if need[r.pos][strings.ToLower(f.Name)] {
-				proj = append(proj, f)
-			}
+		cols := singleTableScope(r.meta.Schema, aliasOf(r.ref)).live(refs)
+		if cols == nil {
+			continue
 		}
-		// A query referencing no columns of a relation (SELECT COUNT(*))
-		// still needs one column for row counts.
-		if len(proj) == 0 {
-			proj = r.meta.Schema[:1]
-		}
-		if len(proj) < len(r.meta.Schema) {
-			r.schema = proj
-			r.cols = make([]string, len(proj))
-			for i, f := range proj {
-				r.cols[i] = f.Name
-			}
+		r.schema = make(colfile.Schema, len(cols))
+		r.cols = make([]string, len(cols))
+		for i, c := range cols {
+			r.schema[i] = r.meta.Schema[c]
+			r.cols[i] = r.schema[i].Name
 		}
 	}
 }
