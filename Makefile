@@ -55,7 +55,9 @@ bench-check:
 	$(GO) run ./bench -seconds 1 -trace 0 >/dev/null
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
-# on (join/group keys, ORDER BY keys, spill batch round-trip), of the SQL
+# on (join/group keys, ORDER BY keys, spill batch round-trip), of the column
+# copies every gather and range copy runs on (AppendTake, Take, Slice and
+# AppendBatch against per-row Append, never a panic), of the SQL
 # parser (any text: statements or an error, never a panic — clients send it
 # straight to Parse), and of the five decoders that take bytes from outside
 # the process: the transient batch
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzBatchSpillRoundTrip$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzVecCopies$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzDeletionVectorUnmarshal$$' -fuzztime 5s ./internal/deletevector
 	$(GO) test -run NONE -fuzz '^FuzzManifestDecode$$' -fuzztime 5s ./internal/manifest
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalCheckpoint$$' -fuzztime 5s ./internal/manifest

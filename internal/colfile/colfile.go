@@ -350,58 +350,62 @@ func (v *Vec) Append(src *Vec, i int) {
 // AppendTake appends positions idx of src (which must have the same type),
 // in order: the bulk form of calling Append once per index, leaving the same
 // vector — a NULL appends the type's zero value, and the NULL bitmap is
-// created only when a NULL is actually appended. Each payload is one typed
-// gather into capacity grown once; repeated indexes are allowed.
+// created only when a NULL is actually appended. An index of -1 appends a
+// NULL, which is how join gathers pad the unmatched side of an outer join.
+// Each payload is one typed gather into capacity grown once; repeated
+// indexes are allowed. It is the one gather of column values: Take and
+// AppendBatch of a selected batch run on it.
 func (v *Vec) AppendTake(src *Vec, idx []int) {
 	base := v.Len()
+	var null bool
 	switch v.Type {
 	case Int64:
-		v.Ints = appendTake(v.Ints, src.Ints, idx)
+		v.Ints, null = appendTake(v.Ints, src.Ints, src.Nulls, idx)
 	case Float64:
-		v.Floats = appendTake(v.Floats, src.Floats, idx)
+		v.Floats, null = appendTake(v.Floats, src.Floats, src.Nulls, idx)
 	case String:
-		v.Strs = appendTake(v.Strs, src.Strs, idx)
+		v.Strs, null = appendTake(v.Strs, src.Strs, src.Nulls, idx)
 	case Bool:
-		v.Bools = appendTake(v.Bools, src.Bools, idx)
+		v.Bools, null = appendTake(v.Bools, src.Bools, src.Nulls, idx)
 	}
-	if v.Nulls == nil && !src.anyNullAt(idx) {
+	if v.Nulls == nil && !null {
 		return
 	}
 	if v.Nulls == nil {
 		v.Nulls = make([]bool, base, base+len(idx))
 	}
-	if src.Nulls == nil {
-		v.Nulls = append(v.Nulls, make([]bool, len(idx))...)
-		return
-	}
-	for k, i := range idx {
-		null := src.Nulls[i]
-		v.Nulls = append(v.Nulls, null)
-		if !null {
-			continue
-		}
-		switch v.Type {
-		case Int64:
-			v.Ints[base+k] = 0
-		case Float64:
-			v.Floats[base+k] = 0
-		case String:
-			v.Strs[base+k] = ""
-		case Bool:
-			v.Bools[base+k] = false
-		}
+	for _, i := range idx {
+		v.Nulls = append(v.Nulls, i < 0 || src.IsNull(i))
 	}
 }
 
-// appendTake appends src[i] for every i in idx to dst, growing it once.
-func appendTake[T any](dst, src []T, idx []int) []T {
+// appendTake appends src[i] for every i in idx to dst, growing it once: the
+// zero value where i is -1 or nulls marks i. It reports whether it appended
+// any such NULL.
+func appendTake[T any](dst, src []T, nulls []bool, idx []int) ([]T, bool) {
 	n := len(dst)
 	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
 	out := dst[n:]
+	var zero T
+	null := false
+	if nulls == nil {
+		for k, i := range idx {
+			if i < 0 {
+				out[k], null = zero, true
+				continue
+			}
+			out[k] = src[i]
+		}
+		return dst, null
+	}
 	for k, i := range idx {
+		if i < 0 || nulls[i] {
+			out[k], null = zero, true
+			continue
+		}
 		out[k] = src[i]
 	}
-	return dst
+	return dst, null
 }
 
 // anyNullAt reports whether any of positions idx is NULL.
@@ -415,6 +419,51 @@ func (v *Vec) anyNullAt(idx []int) bool {
 		}
 	}
 	return false
+}
+
+// appendRange appends positions [lo, hi) of src (which must have the same
+// type): what one Append per position leaves — the zero value under a NULL,
+// and a NULL bitmap only once a NULL is appended — as one typed append per
+// payload. Slice and AppendBatch of a dense batch run on it.
+func (v *Vec) appendRange(src *Vec, lo, hi int) {
+	base := v.Len()
+	var nulls []bool
+	if src.Nulls != nil && slices.Contains(src.Nulls[lo:hi], true) {
+		nulls = src.Nulls[lo:hi]
+	}
+	switch v.Type {
+	case Int64:
+		v.Ints = appendRange(v.Ints, src.Ints[lo:hi], nulls)
+	case Float64:
+		v.Floats = appendRange(v.Floats, src.Floats[lo:hi], nulls)
+	case String:
+		v.Strs = appendRange(v.Strs, src.Strs[lo:hi], nulls)
+	case Bool:
+		v.Bools = appendRange(v.Bools, src.Bools[lo:hi], nulls)
+	}
+	switch {
+	case nulls != nil:
+		if v.Nulls == nil {
+			v.Nulls = make([]bool, base, base+len(nulls))
+		}
+		v.Nulls = append(v.Nulls, nulls...)
+	case v.Nulls != nil:
+		v.Nulls = append(v.Nulls, make([]bool, hi-lo)...)
+	}
+}
+
+// appendRange appends src to dst, the zero value where nulls (nil, or as
+// long as src) marks a position.
+func appendRange[T any](dst, src []T, nulls []bool) []T {
+	n := len(dst)
+	dst = append(dst, src...)
+	var zero T
+	for k, null := range nulls {
+		if null {
+			dst[n+k] = zero
+		}
+	}
+	return dst
 }
 
 // Grow makes room for n more values, so appending them reallocates no
@@ -477,162 +526,19 @@ func (v *Vec) AppendValue(x any) error {
 	return nil
 }
 
-// Take gathers the given positions into a new vector: out[k] = v[idx[k]].
-// An index of -1 yields NULL, which is how join gathers pad the unmatched
-// side of an outer join. The gather is a typed bulk copy — no per-row
-// interface boxing.
+// Take gathers the given positions into a new vector: out[k] = v[idx[k]],
+// an index of -1 yielding NULL (see AppendTake).
 func (v *Vec) Take(idx []int) *Vec {
-	n := len(idx)
-	out := &Vec{Type: v.Type}
-	var nulls []bool
-	setNull := func(k int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
-		}
-		nulls[k] = true
-	}
-	switch v.Type {
-	case Int64:
-		out.Ints = make([]int64, n)
-		for k, i := range idx {
-			if i < 0 || v.IsNull(i) {
-				setNull(k)
-				continue
-			}
-			out.Ints[k] = v.Ints[i]
-		}
-	case Float64:
-		out.Floats = make([]float64, n)
-		for k, i := range idx {
-			if i < 0 || v.IsNull(i) {
-				setNull(k)
-				continue
-			}
-			out.Floats[k] = v.Floats[i]
-		}
-	case String:
-		out.Strs = make([]string, n)
-		for k, i := range idx {
-			if i < 0 || v.IsNull(i) {
-				setNull(k)
-				continue
-			}
-			out.Strs[k] = v.Strs[i]
-		}
-	case Bool:
-		out.Bools = make([]bool, n)
-		for k, i := range idx {
-			if i < 0 || v.IsNull(i) {
-				setNull(k)
-				continue
-			}
-			out.Bools[k] = v.Bools[i]
-		}
-	}
-	out.Nulls = nulls
-	return out
-}
-
-// Filter returns a new vector containing only positions where keep[i] is
-// true. The kept positions are copied with typed bulk loops rather than
-// per-row appends.
-func (v *Vec) Filter(keep []bool) *Vec {
-	kept := 0
-	for _, k := range keep {
-		if k {
-			kept++
-		}
-	}
-	out := &Vec{Type: v.Type}
-	var nulls []bool
-	hasNull := false
-	if v.Nulls != nil {
-		nulls = make([]bool, kept)
-	}
-	o := 0
-	fill := func(i int) {
-		if nulls != nil && v.Nulls[i] {
-			nulls[o] = true
-			hasNull = true
-		}
-	}
-	switch v.Type {
-	case Int64:
-		out.Ints = make([]int64, kept)
-		for i, k := range keep {
-			if k {
-				out.Ints[o] = v.Ints[i]
-				fill(i)
-				o++
-			}
-		}
-	case Float64:
-		out.Floats = make([]float64, kept)
-		for i, k := range keep {
-			if k {
-				out.Floats[o] = v.Floats[i]
-				fill(i)
-				o++
-			}
-		}
-	case String:
-		out.Strs = make([]string, kept)
-		for i, k := range keep {
-			if k {
-				out.Strs[o] = v.Strs[i]
-				fill(i)
-				o++
-			}
-		}
-	case Bool:
-		out.Bools = make([]bool, kept)
-		for i, k := range keep {
-			if k {
-				out.Bools[o] = v.Bools[i]
-				fill(i)
-				o++
-			}
-		}
-	}
-	if hasNull {
-		out.Nulls = nulls
-	}
+	out := NewVec(v.Type)
+	out.AppendTake(v, idx)
 	return out
 }
 
 // Slice returns a new vector with positions [lo, hi), as a bulk copy (the
-// result does not alias the source).
+// result does not alias the source) that leaves what Append would.
 func (v *Vec) Slice(lo, hi int) *Vec {
-	n := hi - lo
-	out := &Vec{Type: v.Type}
-	switch v.Type {
-	case Int64:
-		out.Ints = make([]int64, n)
-		copy(out.Ints, v.Ints[lo:hi])
-	case Float64:
-		out.Floats = make([]float64, n)
-		copy(out.Floats, v.Floats[lo:hi])
-	case String:
-		out.Strs = make([]string, n)
-		copy(out.Strs, v.Strs[lo:hi])
-	case Bool:
-		out.Bools = make([]bool, n)
-		copy(out.Bools, v.Bools[lo:hi])
-	}
-	if v.Nulls != nil {
-		hasNull := false
-		nulls := make([]bool, n)
-		copy(nulls, v.Nulls[lo:hi])
-		for _, b := range nulls {
-			if b {
-				hasNull = true
-				break
-			}
-		}
-		if hasNull {
-			out.Nulls = nulls
-		}
-	}
+	out := NewVec(v.Type)
+	out.appendRange(v, lo, hi)
 	return out
 }
 
@@ -732,16 +638,27 @@ func (b *Batch) Row(i int) []any {
 	return out
 }
 
-// Filter returns a new dense batch keeping only logical rows where keep[i]
-// is true. keep is indexed by logical row (a selected batch is materialized
-// first).
-func (b *Batch) Filter(keep []bool) *Batch {
+// Convert retypes the logical rows of b (as many columns as schema) as a
+// dense batch of schema: a column already of its field's type is adopted as
+// it is; a mismatched one — a NULL literal is typed int64, numeric values
+// convert — goes value by value through AppendValue, with its conversions
+// and its errors. INSERT … SELECT and UPDATE store rows through it.
+func (b *Batch) Convert(schema Schema) (*Batch, error) {
 	b = b.Materialize()
-	out := &Batch{Schema: b.Schema, Cols: make([]*Vec, len(b.Cols))}
+	out := &Batch{Schema: schema, Cols: make([]*Vec, len(schema))}
 	for i, v := range b.Cols {
-		out.Cols[i] = v.Filter(keep)
+		if v.Type == schema[i].Type {
+			out.Cols[i] = v
+			continue
+		}
+		out.Cols[i] = NewVec(schema[i].Type)
+		for r := 0; r < v.Len(); r++ {
+			if err := out.Cols[i].AppendValue(v.Value(r)); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return out
+	return out, nil
 }
 
 // Take gathers the given physical row positions into a new dense batch (see
@@ -756,37 +673,15 @@ func (b *Batch) Take(idx []int) *Batch {
 	return out
 }
 
-// AppendBatch appends all logical rows of src (same schema). A selection
-// vector on src is honored — only the selected rows are appended, one
-// AppendTake per column — so collecting a filtered stream materializes it
-// densely. A dense column without NULLs, the common case under every
-// Collect, is one typed append.
+// AppendBatch appends all logical rows of src (same schema): one AppendTake
+// per column of a selected batch, so collecting a filtered stream
+// materializes it densely, and one range copy per column of a dense one.
 func (b *Batch) AppendBatch(src *Batch) {
-	n := src.NumRows()
 	for i, dst := range b.Cols {
-		sv := src.Cols[i]
 		if src.Sel != nil {
-			dst.AppendTake(sv, src.Sel)
-			continue
-		}
-		if sv.Nulls != nil {
-			for r := 0; r < n; r++ {
-				dst.Append(sv, r)
-			}
-			continue
-		}
-		switch dst.Type {
-		case Int64:
-			dst.Ints = append(dst.Ints, sv.Ints[:n]...)
-		case Float64:
-			dst.Floats = append(dst.Floats, sv.Floats[:n]...)
-		case String:
-			dst.Strs = append(dst.Strs, sv.Strs[:n]...)
-		case Bool:
-			dst.Bools = append(dst.Bools, sv.Bools[:n]...)
-		}
-		if dst.Nulls != nil {
-			dst.Nulls = append(dst.Nulls, make([]bool, n)...)
+			dst.AppendTake(src.Cols[i], src.Sel)
+		} else {
+			dst.appendRange(src.Cols[i], 0, src.NumRows())
 		}
 	}
 }

@@ -292,11 +292,9 @@ func TestVecFilterSlice(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		v.AppendInt(int64(i))
 	}
-	keep := make([]bool, 10)
-	keep[2], keep[5] = true, true
-	f := v.Filter(keep)
+	f := v.Take([]int{2, 5}) // the kept positions
 	if f.Len() != 2 || f.Ints[0] != 2 || f.Ints[1] != 5 {
-		t.Fatalf("filter = %v", f.Ints)
+		t.Fatalf("take = %v", f.Ints)
 	}
 	s := v.Slice(3, 6)
 	if s.Len() != 3 || s.Ints[0] != 3 {
@@ -477,9 +475,9 @@ func TestVecFilterSliceWithNulls(t *testing.T) {
 	v.AppendNull()
 	v.AppendStr("c")
 	v.AppendStr("d")
-	f := v.Filter([]bool{true, true, false, true})
+	f := v.Take([]int{0, 1, 3}) // the kept positions
 	if f.Len() != 3 || f.Strs[0] != "a" || !f.IsNull(1) || f.Strs[2] != "d" {
-		t.Fatalf("filter = %v nulls=%v", f.Strs, f.Nulls)
+		t.Fatalf("take = %v nulls=%v", f.Strs, f.Nulls)
 	}
 	s := v.Slice(1, 3)
 	if s.Len() != 2 || !s.IsNull(0) || s.Strs[1] != "c" {
@@ -605,8 +603,9 @@ func TestAppendSortKeyOrderPreserving(t *testing.T) {
 }
 
 // takeSource returns an n-row vector of type t whose NULL positions (every
-// third, when nulls) hold a non-zero payload, so a gather that copied the
-// payload under a NULL instead of the type's zero value would show.
+// third, when nulls) hold a non-zero payload, as kernel scratch leaves it, so
+// a copy that kept the payload under a NULL instead of the type's zero value
+// would show.
 func takeSource(t DataType, n int, nulls bool, rng *rand.Rand) *Vec {
 	v := NewVec(t)
 	for i := 0; i < n; i++ {
@@ -630,12 +629,91 @@ func takeSource(t DataType, n int, nulls bool, rng *rand.Rand) *Vec {
 	return v
 }
 
-// TestAppendTakeMatchesAppend: AppendTake leaves exactly the vector, and the
-// frame bytes, that one Append per index leaves — for every type, with and
-// without NULLs in the source, onto an empty vector, one with values and
-// no bitmap, and one that already has a bitmap, under random index lists
-// (empty and repeated indexes included). AppendBatch over a selected batch
-// matches the same per-row reference.
+// appendRef is the per-row reference every bulk copy must match: one Append
+// per index onto dst, and one AppendNull per -1.
+func appendRef(dst, src *Vec, idx []int) *Vec {
+	for _, i := range idx {
+		if i < 0 {
+			dst.AppendNull()
+		} else {
+			dst.Append(src, i)
+		}
+	}
+	return dst
+}
+
+// copyPrefixes are the vectors the bulk copies append onto: an empty one,
+// one holding a value and no bitmap, and one that already has a bitmap.
+var copyPrefixes = []struct {
+	name string
+	make func(t DataType) *Vec
+}{
+	{"empty", NewVec},
+	{"values", func(t DataType) *Vec {
+		v := NewVec(t)
+		_ = v.AppendValue(map[DataType]any{Int64: int64(7), Float64: 1.5, String: "v", Bool: true}[t])
+		return v
+	}},
+	{"bitmap", func(t DataType) *Vec { v := NewVec(t); v.AppendNull(); return v }},
+}
+
+// window returns positions [lo, hi) of v as a vector sharing its slices.
+func window(v *Vec, lo, hi int) *Vec {
+	w := &Vec{Type: v.Type}
+	switch v.Type {
+	case Int64:
+		w.Ints = v.Ints[lo:hi]
+	case Float64:
+		w.Floats = v.Floats[lo:hi]
+	case String:
+		w.Strs = v.Strs[lo:hi]
+	case Bool:
+		w.Bools = v.Bools[lo:hi]
+	}
+	if v.Nulls != nil {
+		w.Nulls = v.Nulls[lo:hi]
+	}
+	return w
+}
+
+// checkCopies fails unless every bulk copy of src leaves the vector, and the
+// frame bytes, of per-row Append: Take and AppendTake of idx (-1 included),
+// Slice of [lo, hi), and AppendBatch of a dense batch holding [lo, hi), the
+// appends onto each of copyPrefixes.
+func checkCopies(t *testing.T, cell string, src *Vec, idx []int, lo, hi int) {
+	t.Helper()
+	check := func(what string, got, want *Vec) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %s: got %+v, want %+v", cell, what, got, want)
+		}
+		sameFrame(t, cell+" "+what, got, want)
+	}
+	span := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		span = append(span, i)
+	}
+	check("Take", src.Take(idx), appendRef(NewVec(src.Type), src, idx))
+	check("Slice", src.Slice(lo, hi), appendRef(NewVec(src.Type), src, span))
+	schema := Schema{{Name: "c", Type: src.Type}}
+	for _, p := range copyPrefixes {
+		got := p.make(src.Type)
+		got.AppendTake(src, idx)
+		check("AppendTake onto "+p.name, got, appendRef(p.make(src.Type), src, idx))
+		b := &Batch{Schema: schema, Cols: []*Vec{p.make(src.Type)}}
+		b.AppendBatch(&Batch{Schema: schema, Cols: []*Vec{window(src, lo, hi)}})
+		check("AppendBatch onto "+p.name, b.Cols[0], appendRef(p.make(src.Type), src, span))
+	}
+}
+
+// TestAppendTakeMatchesAppend: every copy of column values — AppendTake and
+// Take under random index lists (empty, repeated and -1 indexes included),
+// Slice and AppendBatch of a dense batch under random ranges — leaves
+// exactly the vector, and the frame bytes, that one Append per row leaves:
+// for every type, with and without NULLs in the source (a non-zero payload
+// under each), onto an empty vector, one with values and no bitmap, and one
+// that already has a bitmap. AppendBatch over a selected batch matches the
+// same per-row reference.
 func TestAppendTakeMatchesAppend(t *testing.T) {
 	// A fixed case written out: the bitmap appears with the first NULL and
 	// covers the values already there, and a NULL appends the zero value.
@@ -655,34 +733,18 @@ func TestAppendTakeMatchesAppend(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	const n = 40
-	prefixes := []struct {
-		name string
-		make func(src *Vec) *Vec
-	}{
-		{"empty", func(src *Vec) *Vec { return NewVec(src.Type) }},
-		{"values", func(src *Vec) *Vec { v := NewVec(src.Type); v.Append(src, 1); return v }},
-		{"bitmap", func(src *Vec) *Vec { v := NewVec(src.Type); v.AppendNull(); return v }},
-	}
 	for _, typ := range []DataType{Int64, Float64, String, Bool} {
 		for _, nulls := range []bool{false, true} {
 			src := takeSource(typ, n, nulls, rng)
-			for _, prefix := range prefixes {
-				for trial := 0; trial < 20; trial++ {
-					idx := make([]int, rng.Intn(2*n)*(trial%4)/3) // trial%4 == 0: empty
-					for k := range idx {
-						idx[k] = rng.Intn(n) // repeats are likely
-					}
-					want, got := prefix.make(src), prefix.make(src)
-					for _, i := range idx {
-						want.Append(src, i)
-					}
-					got.AppendTake(src, idx)
-					cell := fmt.Sprintf("%v nulls=%v onto %s, %d indexes", typ, nulls, prefix.name, len(idx))
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: got %+v, want %+v", cell, got, want)
-					}
-					sameFrame(t, cell, got, want)
+			for trial := 0; trial < 20; trial++ {
+				idx := make([]int, rng.Intn(2*n)*(trial%4)/3) // trial%4 == 0: empty
+				for k := range idx {
+					idx[k] = rng.Intn(n+1) - 1 // repeats are likely; -1 pads
 				}
+				lo := rng.Intn(n + 1)
+				hi := lo + rng.Intn(n+1-lo)
+				cell := fmt.Sprintf("%v nulls=%v, %d indexes, range [%d,%d)", typ, nulls, len(idx), lo, hi)
+				checkCopies(t, cell, src, idx, lo, hi)
 			}
 		}
 	}

@@ -669,3 +669,48 @@ func TestReaderSharedAcrossGoroutines(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// FuzzVecCopies: for a fuzzed type, length, NULL pattern (junk payload under
+// each NULL; nulls == 0 is no bitmap, a pattern past the last row an
+// all-false one), index list (repeats and -1s) and range, AppendTake, Take,
+// Slice and AppendBatch each leave the vector of per-row Append, and none
+// panics.
+func FuzzVecCopies(f *testing.F) {
+	f.Add(uint8(0), uint64(0), []byte{1, 2, 3, 4}, []byte{0, 4, 2, 2}, uint8(1), uint8(3))
+	f.Add(uint8(1), uint64(0b1010), []byte{9, 8, 7, 6, 5}, []byte{5, 0, 1}, uint8(0), uint8(5))
+	f.Add(uint8(2), uint64(1<<63), []byte{1, 2}, []byte{}, uint8(2), uint8(0))
+	f.Add(uint8(3), uint64(0b111), []byte{1, 0, 1}, []byte{3, 3, 0}, uint8(1), uint8(2))
+	f.Add(uint8(0), uint64(1), []byte{}, []byte{7}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, typ uint8, nulls uint64, vals, idxBytes []byte, lo, hi uint8) {
+		src := NewVec(DataType(typ % 4))
+		vals = vals[:min(len(vals), 64)]
+		for _, b := range vals {
+			switch src.Type {
+			case Int64:
+				src.AppendInt(int64(int8(b)))
+			case Float64:
+				src.AppendFloat(float64(int8(b)) / 4)
+			case String:
+				src.AppendStr(fmt.Sprint(b))
+			case Bool:
+				src.AppendBool(b&1 == 1)
+			}
+		}
+		n := len(vals)
+		if nulls != 0 {
+			src.Nulls = make([]bool, n)
+			for i := range src.Nulls {
+				src.Nulls[i] = nulls>>i&1 == 1
+			}
+		}
+		idx := make([]int, len(idxBytes))
+		for k, b := range idxBytes {
+			idx[k] = int(b)%(n+1) - 1
+		}
+		l, h := int(lo)%(n+1), int(hi)%(n+1)
+		if l > h {
+			l, h = h, l
+		}
+		checkCopies(t, fmt.Sprintf("%v, %d rows", src.Type, n), src, idx, l, h)
+	})
+}

@@ -83,8 +83,11 @@ type Options struct {
 	CompactDeletedFrac float64
 	// RetentionSeqs bounds time travel and GC of removed files.
 	RetentionSeqs int64
-	// TaskFailureInjector, when non-nil, is consulted before every DCP task
-	// attempt (failure testing); a non-nil error fails that attempt.
+	// TaskFailureInjector, when non-nil, is consulted after every storage
+	// DCP task attempt (fetch, INSERT, BULK LOAD; failure testing) as the
+	// job's dcp.Options.FailureInjector: a non-nil error fails that attempt
+	// after it ran, so its side effects (files written, blocks staged)
+	// stand, its output is discarded and the task is retried elsewhere.
 	TaskFailureInjector func(taskID, attempt int, node *compute.Node) error
 	// DistributedQueries routes SELECTs (bare-LIMIT ones excepted) through
 	// the DCP as task DAGs (scan/build/probe/merge stages on the read pool,

@@ -47,23 +47,24 @@ func distHash(v *colfile.Vec, i, buckets int) int {
 	return int(h % uint32(buckets))
 }
 
-// partitionBatch splits rows by d(r) over the distribution column.
+// partitionBatch splits rows by d(r) over the distribution column: each
+// row's position goes to its cell's list, then each cell gathers its rows
+// with one Take.
 func partitionBatch(b *colfile.Batch, distCol string, buckets int) []*colfile.Batch {
-	out := make([]*colfile.Batch, buckets)
-	for i := range out {
-		out[i] = colfile.NewBatch(b.Schema)
-	}
+	cells := make([][]int, buckets)
 	dc := b.Schema.ColIndex(distCol)
-	for r := 0; r < b.NumRows(); r++ {
-		p := 0
+	for k := 0; k < b.NumRows(); k++ {
+		r, p := b.RowIdx(k), 0
 		if dc >= 0 && !b.Cols[dc].IsNull(r) {
 			p = distHash(b.Cols[dc], r, buckets)
 		} else if dc < 0 {
-			p = r % buckets // round-robin when no distribution column
+			p = k % buckets // round-robin when no distribution column
 		}
-		for c := range b.Cols {
-			out[p].Cols[c].Append(b.Cols[c], r)
-		}
+		cells[p] = append(cells[p], r)
+	}
+	out := make([]*colfile.Batch, buckets)
+	for p, idx := range cells {
+		out[p] = b.Take(idx)
 	}
 	return out
 }
@@ -369,7 +370,7 @@ func (t *Txn) liveRows(node *compute.Node, fe *manifest.FileEntry, drop *deletev
 	case sf.DV != nil:
 		drop.Union(sf.DV)
 	}
-	return all.Filter(drop.FilterMask(all.NumRows())), nil
+	return all.Take(drop.AppendLive(nil, 0, all.NumRows())), nil
 }
 
 // removeFile logically removes a data file being rewritten, and its deletion
@@ -576,7 +577,7 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 	if err != nil {
 		return 0, err
 	}
-	updated, err := adoptSchema(newRows, meta.Schema)
+	updated, err := newRows.Convert(meta.Schema)
 	if err != nil {
 		return 0, err
 	}
@@ -589,27 +590,6 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 	}
 	t.tableState(meta).kind = wroteUpdates // insert reset would mark inserts
 	return n, nil
-}
-
-// adoptSchema retypes a projected batch as the table's: a column already of
-// the table's type is adopted as it is; a mismatched one — a NULL literal is
-// typed int64, numeric literals convert — goes value by value through
-// AppendValue, with its conversions and its errors.
-func adoptSchema(b *colfile.Batch, schema colfile.Schema) (*colfile.Batch, error) {
-	out := &colfile.Batch{Schema: schema, Cols: make([]*colfile.Vec, len(schema))}
-	for i, v := range b.Cols {
-		if v.Type == schema[i].Type {
-			out.Cols[i] = v
-			continue
-		}
-		out.Cols[i] = colfile.NewVec(schema[i].Type)
-		for r := 0; r < v.Len(); r++ {
-			if err := out.Cols[i].AppendValue(v.Value(r)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 func fieldNames(s colfile.Schema) []string {

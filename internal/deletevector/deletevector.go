@@ -174,21 +174,6 @@ func (v *Vector) Equal(o *Vector) bool {
 	return true
 }
 
-// FilterMask returns a boolean slice of length n where true means the row
-// survives (is NOT deleted). Rows at or beyond n are ignored.
-func (v *Vector) FilterMask(n int) []bool {
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = true
-	}
-	for _, r := range v.runs {
-		for x := r.start; x < r.end && int(x) < n; x++ {
-			mask[x] = false
-		}
-	}
-	return mask
-}
-
 const magic = uint32(0x44564543) // "DVEC"
 
 // Marshal serializes the vector: magic, run count, then delta-varint runs.

@@ -87,14 +87,12 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestFilterMask(t *testing.T) {
+// TestAppendLiveIgnoresRowsPastWindow: a fixed case written out — deleted
+// rows inside the window are skipped and one past it is ignored.
+func TestAppendLiveIgnoresRowsPastWindow(t *testing.T) {
 	v := FromRows([]uint32{0, 2, 9})
-	mask := v.FilterMask(5)
-	want := []bool{false, true, false, true, true}
-	for i := range want {
-		if mask[i] != want[i] {
-			t.Fatalf("mask = %v, want %v", mask, want)
-		}
+	if got, want := v.AppendLive(nil, 0, 5), []int{1, 3, 4}; !sameInts(got, want) {
+		t.Fatalf("live = %v, want %v", got, want)
 	}
 }
 

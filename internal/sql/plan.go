@@ -1113,11 +1113,8 @@ func runInsert(tx *core.Txn, st *InsertStmt) (*Result, error) {
 		if len(qb.Schema) != len(meta.Schema) {
 			return nil, fmt.Errorf("sql: INSERT SELECT arity %d, table has %d columns", len(qb.Schema), len(meta.Schema))
 		}
-		batch = colfile.NewBatch(meta.Schema)
-		for i := 0; i < qb.NumRows(); i++ {
-			if err := batch.AppendRow(qb.Row(i)...); err != nil {
-				return nil, err
-			}
+		if batch, err = qb.Convert(meta.Schema); err != nil {
+			return nil, err
 		}
 	} else {
 		cols := st.Columns

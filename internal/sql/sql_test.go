@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -340,6 +341,43 @@ func TestInsertSelect(t *testing.T) {
 	if q.Batch.Cols[0].Ints[0] != 3 {
 		t.Fatalf("count = %v", q.Batch.Row(0))
 	}
+}
+
+// TestInsertSelectConvertsColumns: INSERT … SELECT stores INT values into a
+// FLOAT column and FLOAT values into an INT column (truncated toward zero),
+// NULLs staying NULL; VARCHAR into an INT column is an error that inserts
+// nothing.
+func TestInsertSelectConvertsColumns(t *testing.T) {
+	s := testSession(t)
+	mustExec(t, s, `CREATE TABLE src (k INT, i INT, f FLOAT, s VARCHAR) WITH (DISTRIBUTION = k)`)
+	mustExec(t, s, `INSERT INTO src VALUES (1, 7, 2.75, 'x'), (2, NULL, NULL, 'y'), (3, -3, -1.5, NULL)`)
+	mustExec(t, s, `CREATE TABLE dst (k INT, f FLOAT, i INT) WITH (DISTRIBUTION = k)`)
+	if res := mustExec(t, s, `INSERT INTO dst SELECT k, i, f FROM src`); res.RowsAffected != 3 {
+		t.Fatalf("inserted = %d", res.RowsAffected)
+	}
+	want := [][]any{
+		{int64(1), float64(7), int64(2)},
+		{int64(2), nil, nil},
+		{int64(3), float64(-3), int64(-1)},
+	}
+	check := func() {
+		t.Helper()
+		q := mustExec(t, s, `SELECT k, f, i FROM dst ORDER BY k`)
+		if q.Batch.NumRows() != len(want) {
+			t.Fatalf("rows = %d, want %d", q.Batch.NumRows(), len(want))
+		}
+		for r, w := range want {
+			if got := q.Batch.Row(r); !reflect.DeepEqual(got, w) {
+				t.Fatalf("row %d = %v, want %v", r, got, w)
+			}
+		}
+	}
+	check()
+	_, err := s.Exec(`INSERT INTO dst SELECT k, f, s FROM src`)
+	if err == nil || !strings.Contains(err.Error(), "cannot append string to int64 column") {
+		t.Fatalf("VARCHAR into INT: err = %v", err)
+	}
+	check()
 }
 
 func TestInsertColumnSubset(t *testing.T) {
