@@ -59,8 +59,9 @@ bench-check:
 # copies every gather and range copy runs on (AppendTake, Take, Slice and
 # AppendBatch against per-row Append, never a panic), of the SQL
 # parser (any text: statements or an error, never a panic — clients send it
-# straight to Parse), and of the five decoders that take bytes from outside
-# the process: the transient batch
+# straight to Parse), and of the six decoders that take bytes from outside
+# the process: the sketch NDV bitmap (dense or sparse wire form: a dense
+# bitmap or an error, and re-encoding is stable), the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
 # allocation the input cannot back), the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzVecCopies$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzNDVBitmap$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzDeletionVectorUnmarshal$$' -fuzztime 5s ./internal/deletevector
 	$(GO) test -run NONE -fuzz '^FuzzManifestDecode$$' -fuzztime 5s ./internal/manifest
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalCheckpoint$$' -fuzztime 5s ./internal/manifest

@@ -11,6 +11,7 @@ package colfile
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -712,5 +713,59 @@ func FuzzVecCopies(f *testing.F) {
 			l, h = h, l
 		}
 		checkCopies(t, fmt.Sprintf("%v, %d rows", src.Type, n), src, idx, l, h)
+	})
+}
+
+// FuzzNDVBitmap: any bytes, as the wire text of an NDVBitmap (its base64
+// payload) and as the JSON value json.Unmarshal hands it, give a dense bitmap,
+// nil for JSON null, or an error — never a panic. Fed as the base64 of the
+// bytes, the sparse decoder sees them directly. Whatever decodes re-encodes
+// stably: decoding the encoding gives the same bitmap, and encoding that gives
+// the same text. (A dense input with few bits set legitimately comes back
+// sparse.)
+func FuzzNDVBitmap(f *testing.F) {
+	full := bytes.Repeat([]byte{0xFF}, sketchBits/8)
+	for _, seed := range []string{
+		`""`, `"AP8P"`, `null`, `"gA=="`, `"gBA="`, `"BQA="`, `"hQA="`, `[1,2]`, `7`, `"\u0041P8P"`,
+		`"` + base64.StdEncoding.EncodeToString(make([]byte, sketchBits/8)) + `"`,
+		`"` + base64.StdEncoding.EncodeToString(full) + `"`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Add([]byte{0x00, 0xFF, 0x0F})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decoded := make([]NDVBitmap, 0, 3)
+		for _, text := range [][]byte{data, []byte(base64.StdEncoding.EncodeToString(data))} {
+			var b NDVBitmap
+			if err := b.UnmarshalText(text); err == nil {
+				if b == nil {
+					t.Fatalf("text %q decoded to nil", text)
+				}
+				decoded = append(decoded, b)
+			}
+		}
+		var b NDVBitmap
+		if err := json.Unmarshal(data, &b); err == nil && b != nil {
+			decoded = append(decoded, b)
+		}
+		for _, b := range decoded {
+			if len(b) != sketchBits/8 {
+				t.Fatalf("%q decoded to %d bytes", data, len(b))
+			}
+			enc, err := b.MarshalText()
+			if err != nil {
+				t.Fatalf("encode %x: %v", b, err)
+			}
+			var back NDVBitmap
+			if err := back.UnmarshalText(enc); err != nil {
+				t.Fatalf("re-decode of %s: %v", enc, err)
+			}
+			if !bytes.Equal(back, b) {
+				t.Fatalf("%s decodes to %x, want %x", enc, back, b)
+			}
+			if again, _ := back.MarshalText(); !bytes.Equal(again, enc) {
+				t.Fatalf("re-encoding is not stable: %s then %s", enc, again)
+			}
+		}
 	})
 }

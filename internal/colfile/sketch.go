@@ -1,11 +1,18 @@
 package colfile
 
-import "math"
+import (
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // ColSketch is the per-column statistics sketch a Writer computes while a
 // file is sealed: row/NULL counts, file-level min/max, and a fixed-size
 // linear-counting bitmap estimating the number of distinct values. Sketches
-// ride in the file footer and on the manifest entry of every data file, so
+// ride on the manifest entry of every data file (not in its footer), so
 // table-level statistics are a pure fold over the live file entries — DML
 // keeps them fresh with no separate ANALYZE pass.
 //
@@ -13,8 +20,8 @@ import "math"
 // is the OR of their bitmaps), which is exactly how table-level NDV is
 // derived. Estimates are estimates: deletions are not subtracted (a file's
 // sketch describes the rows it was sealed with), and the bitmap saturates
-// around sketchBits distinct values — both acceptable for the planner, which
-// only needs relative cardinalities.
+// after a few thousand distinct values (measured at sketchBits) — both
+// acceptable for the planner, which only needs relative cardinalities.
 type ColSketch struct {
 	// Rows counts every value observed, NULLs included.
 	Rows int64 `json:"rows"`
@@ -23,14 +30,107 @@ type ColSketch struct {
 	Stats ColStats `json:"stats"`
 	// Bitmap is the linear-counting bitmap (sketchBits bits). Nil means NDV
 	// is unknown for this column (e.g. a merge involving a pre-sketch file).
-	Bitmap []byte `json:"ndv,omitempty"`
+	Bitmap NDVBitmap `json:"ndv,omitempty"`
 }
 
-// sketchBits sizes the linear-counting bitmap. 2048 bits (256 bytes per
-// column per file) keeps the estimate within a few percent up to roughly a
-// thousand distinct values and degrades gracefully into saturation above —
-// plenty of resolution for join-order and selectivity decisions.
+// sketchBits sizes the linear-counting bitmap: 256 bytes per column per file
+// in memory, and on the wire as little as a few bytes for a small file (see
+// NDVBitmap). The estimate is coarse, which the planner tolerates since it
+// only compares cardinalities. Measured on sequential integers (the generator
+// of TestSketchSaturation, each value observed four times so the row-count
+// clamp hides nothing): 3 % high at 100 distinct values, 15 % high at 500 and
+// 37 % high at 1,000, and every bit is set from 3,072 distinct values on,
+// where the estimate falls back to the row count. FNV-1a's low 11 bits nearly
+// permute small sequential integers, so they collide less than linear
+// counting assumes and fill the bitmap early. Distinct strings ("v" plus a
+// counter) first set every bit at about 13.4 k, near the 2048·ln 2048 ≈
+// 15.6 k expected of a uniform hash.
 const sketchBits = 2048
+
+// NDVBitmap is a sketch's linear-counting bitmap. In memory it is always
+// dense (sketchBits/8 bytes) or nil. On the wire (manifests and checkpoints)
+// it is a base64 JSON string in whichever of two forms is shorter:
+//   - dense: the sketchBits/8 bitmap bytes;
+//   - sparse: the positions of the set bits in ascending order, each written
+//     as a uvarint delta from the previous one (the first from zero).
+//
+// The decoded length tells them apart: exactly sketchBits/8 bytes is dense,
+// anything else is sparse. Sparse is written only when shorter, so an
+// all-zero bitmap (an all-NULL column) is the empty string and a file of n
+// rows costs at most about 2n bytes. The sparse decoder accepts only the
+// form the encoder writes.
+type NDVBitmap []byte
+
+// MarshalText writes the shorter wire form as base64 text, which
+// encoding/json writes as a string. Only a sketchBits/8-byte bitmap has a
+// wire form; ColSketch omits a nil one. It is a TextMarshaler rather than a
+// json.Marshaler because encoding/json re-scans a MarshalJSON result to
+// compact it, which made a checkpoint's Marshal about half again slower.
+func (b NDVBitmap) MarshalText() ([]byte, error) {
+	if len(b) != sketchBits/8 {
+		return nil, fmt.Errorf("colfile: ndv bitmap of %d bytes, want %d", len(b), sketchBits/8)
+	}
+	var scratch [sketchBits / 8]byte
+	raw, prev := scratch[:0], 0
+	for w := 0; w < len(b) && len(raw) < len(b); w += 8 {
+		for x := binary.LittleEndian.Uint64(b[w:]); x != 0; x &= x - 1 {
+			bit := w*8 + bits.TrailingZeros64(x)
+			raw = binary.AppendUvarint(raw, uint64(bit-prev))
+			prev = bit
+		}
+	}
+	if len(raw) >= len(b) {
+		raw = b
+	}
+	return base64.StdEncoding.AppendEncode(nil, raw), nil
+}
+
+// UnmarshalText reads either wire form into a dense bitmap (encoding/json
+// leaves it nil on null). A malformed sparse form is an error, never a panic.
+func (b *NDVBitmap) UnmarshalText(text []byte) error {
+	raw := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+	n, err := base64.StdEncoding.Decode(raw, text)
+	if err != nil {
+		return fmt.Errorf("colfile: ndv bitmap: %w", err)
+	}
+	if raw = raw[:n]; len(raw) == sketchBits/8 {
+		*b = raw
+		return nil
+	}
+	dense, err := decodeSparse(raw)
+	if err != nil {
+		return fmt.Errorf("colfile: ndv bitmap: %w", err)
+	}
+	*b = dense
+	return nil
+}
+
+// decodeSparse expands the sparse wire form, rejecting every byte string the
+// encoder cannot have written.
+func decodeSparse(raw []byte) (NDVBitmap, error) {
+	if len(raw) > sketchBits/8 {
+		return nil, errors.New("sparse form longer than dense")
+	}
+	dense := make(NDVBitmap, sketchBits/8)
+	prev := 0
+	for off := 0; off < len(raw); {
+		d, n := binary.Uvarint(raw[off:])
+		switch {
+		case n <= 0:
+			return nil, fmt.Errorf("truncated or overlong varint at byte %d", off)
+		case n > 1 && raw[off+n-1] == 0:
+			return nil, fmt.Errorf("non-minimal varint at byte %d", off)
+		case off > 0 && d == 0:
+			return nil, fmt.Errorf("duplicate position %d", prev)
+		case d >= uint64(sketchBits-prev):
+			return nil, fmt.Errorf("position %d+%d beyond %d bits", prev, d, sketchBits)
+		}
+		prev += int(d)
+		dense[prev/8] |= 1 << (prev % 8)
+		off += n
+	}
+	return dense, nil
+}
 
 // fnv64a hashes an encoded value for the NDV bitmap.
 func fnv64a(b []byte) uint64 {

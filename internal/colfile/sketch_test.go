@@ -1,6 +1,12 @@
 package colfile
 
-import "testing"
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"strings"
+	"testing"
+)
 
 func intVec(vals ...int64) *Vec {
 	v := NewVec(Int64)
@@ -122,5 +128,101 @@ func TestSketchSaturation(t *testing.T) {
 	s.Observe(v)
 	if got := s.NDV(); got != 100_000 {
 		t.Fatalf("saturated NDV = %d, want the row-count upper bound", got)
+	}
+}
+
+// bitmapWith returns a dense bitmap with exactly the given bits set.
+func bitmapWith(bits ...int) NDVBitmap {
+	b := make(NDVBitmap, sketchBits/8)
+	for _, bit := range bits {
+		b[bit/8] |= 1 << (bit % 8)
+	}
+	return b
+}
+
+// TestNDVBitmapWireForms pins the hand-written wire forms of a sketch's
+// bitmap: absent for nil, the empty string for an all-NULL column, the
+// sparse positions when they are shorter and the dense bytes when not.
+func TestNDVBitmapWireForms(t *testing.T) {
+	allNull := NewVec(Int64)
+	allNull.AppendNull()
+	allNull.AppendNull()
+	var nullSk ColSketch
+	nullSk.Observe(allNull)
+	saturated := make(NDVBitmap, sketchBits/8)
+	for i := range saturated {
+		saturated[i] = 0xFF
+	}
+	for _, tc := range []struct {
+		name   string
+		sk     ColSketch
+		want   string // the sketch's JSON
+		bitmap NDVBitmap
+	}{
+		{"nil is absent", ColSketch{Rows: 3}, `{"rows":3,"stats":{"null_count":0}}`, nil},
+		{"all-NULL is empty", nullSk, `{"rows":2,"stats":{"null_count":2},"ndv":""}`, bitmapWith()},
+		// Positions 0 and 2047: uvarints 0x00 and 0xFF 0x0F.
+		{"bits 0 and 2047", ColSketch{Rows: 2, Bitmap: bitmapWith(0, 2047)}, `{"rows":2,"stats":{"null_count":0},"ndv":"AP8P"}`, bitmapWith(0, 2047)},
+		{"saturated stays dense", ColSketch{Rows: 9, Bitmap: saturated}, `{"rows":9,"stats":{"null_count":0},"ndv":"` + strings.Repeat("/", 340) + `/w=="}`, saturated},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := json.Marshal(tc.sk)
+			if err != nil || string(got) != tc.want {
+				t.Fatalf("Marshal = %s, %v; want %s", got, err, tc.want)
+			}
+			var back ColSketch
+			if err := json.Unmarshal([]byte(tc.want), &back); err != nil {
+				t.Fatal(err)
+			}
+			if (back.Bitmap == nil) != (tc.bitmap == nil) || !bytes.Equal(back.Bitmap, tc.bitmap) {
+				t.Fatalf("decoded bitmap = %x (nil %v), want %x (nil %v)", back.Bitmap, back.Bitmap == nil, tc.bitmap, tc.bitmap == nil)
+			}
+		})
+	}
+}
+
+// TestNDVBitmapDenseStaysReadable: a dense bitmap with few bits set, as
+// written before the sparse form existed, decodes to the same bitmap and
+// re-encodes to the sparse form.
+func TestNDVBitmapDenseStaysReadable(t *testing.T) {
+	want := bitmapWith(3, 700, 701)
+	dense := `"` + base64.StdEncoding.EncodeToString(want) + `"`
+	var got NDVBitmap
+	if err := json.Unmarshal([]byte(dense), &got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("decode dense = %x, %v", got, err)
+	}
+	// Positions 3, 700, 701: uvarints 0x03, 0xB9 0x05 (697) and 0x01.
+	wantSparse := `"` + base64.StdEncoding.EncodeToString([]byte{0x03, 0xB9, 0x05, 0x01}) + `"`
+	if enc, err := json.Marshal(got); err != nil || string(enc) != wantSparse {
+		t.Fatalf("re-encode = %s, %v; want %s", enc, err, wantSparse)
+	}
+}
+
+// TestNDVBitmapRejectsMalformed: every sparse form the encoder cannot write is
+// an error, never a panic and never a bitmap.
+func TestNDVBitmapRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"truncated varint", []byte{0x05, 0x80}, "truncated"},
+		{"position past the bitmap", []byte{0x80, 0x10}, "beyond 2048 bits"},
+		{"position past the bitmap by delta", []byte{0xFF, 0x0F, 0x01}, "beyond 2048 bits"},
+		{"duplicate position", []byte{0x05, 0x00}, "duplicate position 5"},
+		{"non-minimal varint", []byte{0x85, 0x00}, "non-minimal"},
+		{"longer than dense", bytes.Repeat([]byte{0x01}, sketchBits/8+1), "longer than dense"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b NDVBitmap
+			err := b.UnmarshalText([]byte(base64.StdEncoding.EncodeToString(tc.raw)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("UnmarshalText(%x) = %x, %v; want an error containing %q", tc.raw, b, err, tc.want)
+			}
+		})
+	}
+	var b NDVBitmap
+	if err := b.UnmarshalText([]byte("not base64!")); err == nil {
+		t.Fatal("bad base64 decoded")
 	}
 }

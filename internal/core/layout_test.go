@@ -14,7 +14,7 @@ import (
 // storageLayoutGolden is the SHA-256 storageLayoutHash computes. Every write
 // path contributes to it: a change that moves a path, a data-file byte or a
 // manifest line changes it on purpose or not at all.
-const storageLayoutGolden = "fe3a7bca98813033887bfb21a1136cfcda800ebb3759b36bb5f2ed673ca12e5f"
+const storageLayoutGolden = "c7fa4a55f79981f96a915300257ac3ceeb3e70150ef09aad4a0dd3ee17d6fc6d"
 
 // layoutRows builds rows [lo, hi) of the layout script's table: 97 distinct
 // distribution keys, a scattered sort column.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -13,15 +15,32 @@ import (
 // accumulates for one sealed file through the three places the planner's
 // table stats can fold them from: INSERT's Add action, the FileEntry a
 // snapshot reconstructs from it, and a checkpoint's round trip. The data
-// file itself does not carry them.
+// file itself does not carry them. At each place every bitmap is byte-equal
+// to the writer's: a and s hold a few distinct values (sparse on the wire),
+// n only NULLs (a zero bitmap, not a nil one) and w 1,500 (dense on the wire).
 func TestSketchesRideTheManifest(t *testing.T) {
+	const rows = 1500
 	e := testEngine(t)
-	e.opts.Distributions = 1 // one file holds all 100 rows
-	schema := colfile.Schema{{Name: "a", Type: colfile.Int64}, {Name: "s", Type: colfile.String}}
+	e.opts.Distributions = 1 // one file holds all the rows
+	e.opts.RowsPerFile = rows
+	schema := colfile.Schema{
+		{Name: "a", Type: colfile.Int64}, {Name: "s", Type: colfile.String},
+		{Name: "n", Type: colfile.Int64}, {Name: "w", Type: colfile.Int64},
+	}
 	b := colfile.NewBatch(schema)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < rows; i++ {
 		b.Cols[0].AppendInt(int64(i % 10))
 		b.Cols[1].AppendStr(fmt.Sprintf("v%d", i%5))
+		b.Cols[2].AppendNull()
+		b.Cols[3].AppendInt(int64(i))
+	}
+	w := colfile.NewWriter(schema)
+	if err := w.WriteBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	want := w.Sketches()
+	if enc, _ := json.Marshal(want[3].Bitmap); len(enc) != 2+344 {
+		t.Fatalf("w's bitmap encodes to %d bytes, not the dense 344 of base64", len(enc)-2)
 	}
 	var cpPath string
 	if err := e.AutoCommit(func(tx *Txn) error {
@@ -42,17 +61,28 @@ func TestSketchesRideTheManifest(t *testing.T) {
 
 	check := func(where string, sk []colfile.ColSketch) {
 		t.Helper()
-		if len(sk) != 2 {
-			t.Fatalf("%s: %d sketches, want 2", where, len(sk))
+		if len(sk) != len(want) {
+			t.Fatalf("%s: %d sketches, want %d", where, len(sk), len(want))
 		}
-		if sk[0].Rows != 100 || sk[1].Rows != 100 {
-			t.Fatalf("%s: sketch rows = %d/%d, want 100", where, sk[0].Rows, sk[1].Rows)
+		for i := range sk {
+			if sk[i].Rows != rows {
+				t.Fatalf("%s: col %d sketch rows = %d, want %d", where, i, sk[i].Rows, rows)
+			}
+			if (sk[i].Bitmap == nil) != (want[i].Bitmap == nil) || !bytes.Equal(sk[i].Bitmap, want[i].Bitmap) {
+				t.Fatalf("%s: col %d bitmap differs from the writer's", where, i)
+			}
 		}
 		if ndv := sk[0].NDV(); ndv < 9 || ndv > 11 {
 			t.Fatalf("%s: int col NDV = %d, want ≈10", where, ndv)
 		}
 		if ndv := sk[1].NDV(); ndv < 4 || ndv > 6 {
 			t.Fatalf("%s: string col NDV = %d, want ≈5", where, ndv)
+		}
+		if ndv := sk[2].NDV(); ndv != 0 || sk[2].Bitmap == nil {
+			t.Fatalf("%s: all-NULL col NDV = %d, nil bitmap %v; want 0 and a zero bitmap", where, ndv, sk[2].Bitmap == nil)
+		}
+		if ndv := sk[3].NDV(); ndv < 1000 {
+			t.Fatalf("%s: wide col NDV = %d, want over 1,000", where, ndv)
 		}
 	}
 
@@ -66,11 +96,11 @@ func TestSketchesRideTheManifest(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("%d live files, want 1", len(files))
 	}
-	rows, err := catalog.ScanManifests(tx.catTx, meta.ID, -1)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("manifests: %v, %v", rows, err)
+	mrows, err := catalog.ScanManifests(tx.catTx, meta.ID, -1)
+	if err != nil || len(mrows) == 0 {
+		t.Fatalf("manifests: %v, %v", mrows, err)
 	}
-	data, err := e.Store.Get(rows[len(rows)-1].ManifestFile)
+	data, err := e.Store.Get(mrows[len(mrows)-1].ManifestFile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"polaris/internal/colfile"
 )
 
 // TestUnmarshalCheckpointRejectsCorrupt: a checkpoint blob is bytes from
@@ -16,6 +18,10 @@ func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
 		{"null file", `{"files":[null]}`, "checkpoint file 0 has no path"},
 		{"empty path", `{"seq":3,"files":[{"path":"a","rows":1},{"path":"","rows":1}]}`, "checkpoint file 1 has no path"},
 		{"missing path", `{"files":[{"rows":1}]}`, "checkpoint file 0 has no path"},
+		// Sparse sketch bitmaps: a truncated varint (0x80) and position 2048
+		// (uvarint 0x80 0x10).
+		{"truncated ndv", `{"files":[{"path":"a","sketches":[{"rows":1,"ndv":"gA=="}]}]}`, "ndv bitmap: truncated"},
+		{"ndv past the bitmap", `{"files":[{"path":"a","sketches":[{"rows":1,"ndv":"gBA="}]}]}`, "ndv bitmap: position"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp, err := UnmarshalCheckpoint([]byte(tc.body))
@@ -24,6 +30,28 @@ func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sparseSketchCheckpoint is a checkpoint seed whose file carries sketches in
+// both wire forms: a sparse bitmap of three positions, an all-NULL column's
+// empty one and a saturated dense one.
+func sparseSketchCheckpoint(f *testing.F) []byte {
+	few, full := make(colfile.NDVBitmap, 256), make(colfile.NDVBitmap, 256)
+	few[0], few[100], few[255] = 0x01, 0x10, 0x80
+	for i := range full {
+		full[i] = 0xFF
+	}
+	a := addData("a", 10)
+	a.Sketches = []colfile.ColSketch{{Rows: 10, Bitmap: few}, {Rows: 10, Stats: colfile.ColStats{NullCount: 10}, Bitmap: make(colfile.NDVBitmap, 256)}, {Rows: 10, Bitmap: full}}
+	s := NewTableState()
+	if err := s.Apply(1, []Action{a}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := BuildCheckpoint(7, s).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
 }
 
 func FuzzUnmarshalCheckpoint(f *testing.F) {
@@ -39,6 +67,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	f.Add(sparseSketchCheckpoint(f))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"files":[null]}`))
@@ -60,6 +89,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 func FuzzManifestDecode(f *testing.F) {
 	f.Add(Encode([]Action{addData("a", 10), addDV("dv", "a", 2), removeDV("dv", "a"), removeData("a")}))
 	f.Add([]byte(`{"op":"add","kind":"data","path":"p","sketches":[{"rows":1,"stats":{"min_float":-0,"min_str":"` + "\xff" + `"},"ndv":""}]}`))
+	f.Add([]byte(`{"op":"add","kind":"data","path":"p","sketches":[{"rows":2,"stats":{"null_count":0},"ndv":"AP8P"}]}`))
 	f.Add([]byte(`{"op":"add","kind":"dv","path":"p"}`))
 	f.Add([]byte("null\n{}"))
 	f.Add([]byte(`{"op":"remove","kind":"data","path":"x"} {"op":"add"`))

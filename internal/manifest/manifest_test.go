@@ -53,6 +53,11 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	if _, err := Decode([]byte("{garbage")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A sparse sketch bitmap naming position 5 twice (uvarints 0x05 0x00).
+	dup := `{"op":"add","kind":"data","path":"p","sketches":[{"rows":2,"stats":{"null_count":0},"ndv":"BQA="}]}`
+	if _, err := Decode([]byte(dup)); err == nil || !strings.Contains(err.Error(), "ndv bitmap: duplicate position") {
+		t.Fatalf("duplicate sketch position: err = %v", err)
+	}
 }
 
 func TestDecodeEmptyIsEmpty(t *testing.T) {
