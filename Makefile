@@ -59,14 +59,17 @@ bench-check:
 # copies every gather and range copy runs on (AppendTake, Take, Slice and
 # AppendBatch against per-row Append, never a panic), of the SQL
 # parser (any text: statements or an error, never a panic — clients send it
-# straight to Parse), and of the six decoders that take bytes from outside
+# straight to Parse), and of the seven decoders that take bytes from outside
 # the process: the sketch NDV bitmap (dense or sparse wire form: a dense
 # bitmap or an error, and re-encoding is stable), the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
 # allocation the input cannot back), the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
 # returns, never panics, and ReadColumn memoizes a vector, never an error,
-# billing exactly what it keeps), the deletion-vector decoder (a vector or
+# billing exactly what it keeps), the column chunk body behind the reader's
+# inflate (a vector of the asked row count or an error, never an allocation
+# the input cannot back but a run-length chunk's, and it re-encodes to
+# itself), the deletion-vector decoder (a vector or
 # an error; a vector's runs are ascending, non-empty, non-adjacent and inside
 # the uint32 row space, and it survives a Marshal round trip), the manifest
 # decoder (actions or an error; every action passes Validate and re-encoding
@@ -89,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzBatchSpillRoundTrip$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzUnmarshalBatch$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzOpenReader$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzChunkBody$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzVecCopies$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzNDVBitmap$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzDeletionVectorUnmarshal$$' -fuzztime 5s ./internal/deletevector

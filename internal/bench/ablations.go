@@ -190,15 +190,8 @@ func AblationCompaction() []AblationRow {
 		// scanned (physical) for one full read plus the warm scan sim time.
 		tx := eng.Begin()
 		before := tx.SimTime()
-		op, tel, err := tx.Scan("t", core.ScanOptions{})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := exec.Collect(op); err != nil {
-			panic(err)
-		}
+		scanned := scanRows(tx, "t")
 		scan := tx.SimTime() - before
-		scanned := tel.RowsScanned.Load()
 		tx.Rollback()
 		label := "fragmented"
 		if compact {
@@ -209,6 +202,27 @@ func AblationCompaction() []AblationRow {
 		})
 	}
 	return out
+}
+
+// scanRows reads table whole, as a statement's scan does, and returns the
+// rows it read: the live rows plus those merge-on-read deletes leave behind.
+func scanRows(tx *core.Txn, table string) int64 {
+	state, meta, err := tx.Snapshot(table, -1)
+	if err != nil {
+		panic(err)
+	}
+	ms, err := tx.Morsels(state, meta, 0)
+	if err != nil {
+		panic(err)
+	}
+	s, err := exec.NewMorselScan(ms.Morsels[0], nil, nil, ms.Tel)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := exec.Collect(s); err != nil {
+		panic(err)
+	}
+	return ms.Tel.RowsScanned.Load()
 }
 
 // AblationCoWvsMoR compares delete cost and subsequent scan cost between
@@ -251,14 +265,7 @@ func AblationCoWvsMoR() []AblationRow {
 		delBytes := eng.Store.Metrics().BytesWritten - bytesBefore
 		// Read amplification afterwards: CoW scans only live rows.
 		tx := eng.Begin()
-		op, tel, err := tx.Scan("t", core.ScanOptions{})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := exec.Collect(op); err != nil {
-			panic(err)
-		}
-		scanned := tel.RowsScanned.Load()
+		scanned := scanRows(tx, "t")
 		tx.Rollback()
 		label := "merge-on-read"
 		if mode == core.CopyOnWrite {

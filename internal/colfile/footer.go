@@ -2,7 +2,6 @@ package colfile
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"unsafe"
 )
@@ -19,8 +18,9 @@ import (
 //	           values the flags name in flag order — ints as zig-zag
 //	           varints, floats as 8 bytes little endian, strings
 //
-// Nothing follows the last chunk. It holds exactly what a Reader serves:
-// the per-column sketches are in the manifest's Add action, not here.
+// It holds exactly what a Reader serves: the per-column sketches are in the
+// manifest's Add action, not here. It decodes under the rules every colfile
+// decoder shares (byteReader; docs/ARCHITECTURE.md, "Data files").
 
 // Zone-map flags: which ColStats pointers a chunk's stats carry.
 const (
@@ -80,156 +80,31 @@ func (m *footer) appendV2(dst []byte) []byte {
 	return dst
 }
 
-// footerDecoder walks a v2 footer. The first error sticks: every later read
-// returns a zero value, so the walk ends without sizing anything by it. A
-// count is checked against the bytes left before anything is allocated for
-// it. Names and zone-map strings are sliced from one copy of the footer, and
-// the zone-map values of the whole file share three backing arrays, sized for
-// two values per chunk of a column of their type.
-type footerDecoder struct {
-	b   []byte
-	s   string // b, copied once
-	pos int
-	err error
-
-	ints   []int64
-	floats []float64
-	strs   []string
-}
-
-func (d *footerDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("colfile: footer: "+format, args...)
-	}
-}
-
-func (d *footerDecoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	x, w := binary.Uvarint(d.b[d.pos:])
-	if w <= 0 {
-		d.fail("bad %s varint", what)
-		return 0
-	}
-	d.pos += w
-	return x
-}
-
-// count reads a uvarint announcing that many items of at least width bytes.
-func (d *footerDecoder) count(what string, width int) int {
-	x := d.uvarint(what)
-	if left := len(d.b) - d.pos; x > uint64(left/width) {
-		d.fail("%d %s exceed the %d bytes left", x, what, left)
-		return 0
-	}
-	return int(x)
-}
-
-func (d *footerDecoder) take(what string, n int) int {
-	if d.err == nil && n > len(d.b)-d.pos {
-		d.fail("%s needs %d bytes, %d left", what, n, len(d.b)-d.pos)
-	}
-	if d.err != nil {
-		return -1
-	}
-	d.pos += n
-	return d.pos - n
-}
-
-func (d *footerDecoder) str(what string) string {
-	n := d.count(what+" bytes", 1)
-	if at := d.take(what, n); at >= 0 {
-		return d.s[at : at+n]
-	}
-	return ""
-}
-
-func (d *footerDecoder) byte(what string) byte {
-	if at := d.take(what, 1); at >= 0 {
-		return d.b[at]
-	}
-	return 0
-}
-
-func (d *footerDecoder) intPtr() *int64 {
-	x, w := binary.Varint(d.b[d.pos:])
-	if d.err != nil || w <= 0 {
-		d.fail("bad zone-map int varint")
-		return nil
-	}
-	d.pos += w
-	d.ints = append(d.ints, x)
-	return &d.ints[len(d.ints)-1]
-}
-
-func (d *footerDecoder) floatPtr() *float64 {
-	at := d.take("zone-map float", 8)
-	if at < 0 {
-		return nil
-	}
-	d.floats = append(d.floats, math.Float64frombits(binary.LittleEndian.Uint64(d.b[at:])))
-	return &d.floats[len(d.floats)-1]
-}
-
-func (d *footerDecoder) strPtr() *string {
-	s := d.str("zone-map string")
-	if d.err != nil {
-		return nil
-	}
-	d.strs = append(d.strs, s)
-	return &d.strs[len(d.strs)-1]
-}
-
-func (d *footerDecoder) chunk(ch *chunkMeta) {
-	ch.Offset = int64(d.uvarint("chunk offset"))
-	ch.Length = int64(d.uvarint("chunk length"))
-	st := &ch.Stats
-	st.NullCount = int(d.uvarint("null count"))
-	flags := d.byte("zone-map flags")
-	if flags&^statAll != 0 {
-		d.fail("unknown zone-map flags %#x", flags)
-	}
-	// Flags that do not match the column's type can outgrow a backing
-	// array: the values after that go to a new one, and the pointers
-	// already taken keep the old one alive.
-	if flags&statMinInt != 0 {
-		st.MinInt = d.intPtr()
-	}
-	if flags&statMaxInt != 0 {
-		st.MaxInt = d.intPtr()
-	}
-	if flags&statMinFloat != 0 {
-		st.MinFloat = d.floatPtr()
-	}
-	if flags&statMaxFloat != 0 {
-		st.MaxFloat = d.floatPtr()
-	}
-	if flags&statMinStr != 0 {
-		st.MinStr = d.strPtr()
-	}
-	if flags&statMaxStr != 0 {
-		st.MaxStr = d.strPtr()
-	}
-}
-
-// decodeFooterV2 parses a v2 footer. It checks the encoding — every count,
-// length and varint inside the bytes, none left over — and leaves what the
-// values mean to footer.validate.
+// decodeFooterV2 parses a v2 footer: it checks the encoding (see byteReader)
+// and leaves what the values mean to footer.validate. Names and zone-map
+// strings are sliced from one copy of the footer, and the zone-map values of
+// the whole file share three backing arrays, sized for two values per chunk
+// of a column of their type.
 func decodeFooterV2(b []byte) (footer, error) {
-	d := footerDecoder{b: b, s: string(b)}
+	r := byteReader{b: b}
+	s := string(b)
+	str := func() string {
+		n := r.count("string bytes", 1)
+		r.pos += n
+		return s[r.pos-n : r.pos]
+	}
 	var m footer
 	// A column is a type byte and a name length at least; a chunk four
 	// varints and a flags byte; a group its row count and its chunks.
-	ncols := d.count("columns", 2)
+	ncols := r.count("columns", 2)
 	m.Schema = make(Schema, ncols)
 	for i := range m.Schema {
-		m.Schema[i].Type = DataType(d.byte("column type"))
-		m.Schema[i].Name = d.str("column name")
+		m.Schema[i].Type = DataType(r.byte("column type bytes"))
+		m.Schema[i].Name = str()
 	}
-	m.SortedBy = d.str("sort column")
-	m.NumRows = int64(d.uvarint("row count"))
-	ngroups := d.count("row groups", 1+4*ncols)
+	m.SortedBy = str()
+	m.NumRows = int64(r.uvarint("row count"))
+	ngroups := r.count("row groups", 1+4*ncols)
 	chunks := make([]chunkMeta, ngroups*ncols)
 	var perType [Bool + 1]int
 	for _, f := range m.Schema {
@@ -237,23 +112,64 @@ func decodeFooterV2(b []byte) (footer, error) {
 			perType[f.Type] += 2 * ngroups
 		}
 	}
-	d.ints = make([]int64, 0, perType[Int64])
-	d.floats = make([]float64, 0, perType[Float64])
-	d.strs = make([]string, 0, perType[String])
+	// Flags that do not match the column's type can outgrow a backing array:
+	// the values after that go to a new one, and the pointers already taken
+	// keep the old one alive.
+	ints := make([]int64, 0, perType[Int64])
+	floats := make([]float64, 0, perType[Float64])
+	strs := make([]string, 0, perType[String])
+	intPtr := func() *int64 {
+		ints = append(ints, r.varint("zone-map ints"))
+		return &ints[len(ints)-1]
+	}
+	floatPtr := func() *float64 {
+		floats = append(floats, 0)
+		if f := r.take("zone-map float bytes", 1, 8); f != nil {
+			floats[len(floats)-1] = math.Float64frombits(binary.LittleEndian.Uint64(f))
+		}
+		return &floats[len(floats)-1]
+	}
+	strPtr := func() *string {
+		strs = append(strs, str())
+		return &strs[len(strs)-1]
+	}
 	m.RowGroups = make([]rowGroupMeta, ngroups)
 	for g := range m.RowGroups {
 		rg := &m.RowGroups[g]
-		rg.NumRows = int(d.uvarint("group rows"))
+		rg.NumRows = int(r.uvarint("group rows"))
 		rg.Chunks = chunks[g*ncols : (g+1)*ncols : (g+1)*ncols]
 		for c := range rg.Chunks {
-			d.chunk(&rg.Chunks[c])
+			ch := &rg.Chunks[c]
+			ch.Offset = int64(r.uvarint("chunk offset"))
+			ch.Length = int64(r.uvarint("chunk length"))
+			st := &ch.Stats
+			st.NullCount = int(r.uvarint("null count"))
+			flags := r.byte("zone-map flag bytes")
+			if flags&^statAll != 0 {
+				r.fail("unknown zone-map flags %#x", flags)
+			}
+			if flags&statMinInt != 0 {
+				st.MinInt = intPtr()
+			}
+			if flags&statMaxInt != 0 {
+				st.MaxInt = intPtr()
+			}
+			if flags&statMinFloat != 0 {
+				st.MinFloat = floatPtr()
+			}
+			if flags&statMaxFloat != 0 {
+				st.MaxFloat = floatPtr()
+			}
+			if flags&statMinStr != 0 {
+				st.MinStr = strPtr()
+			}
+			if flags&statMaxStr != 0 {
+				st.MaxStr = strPtr()
+			}
 		}
 	}
-	if d.err == nil && d.pos != len(b) {
-		d.fail("%d trailing bytes", len(b)-d.pos)
-	}
-	if d.err != nil {
-		return footer{}, d.err
+	if err := r.end("footer"); err != nil {
+		return footer{}, err
 	}
 	return m, nil
 }

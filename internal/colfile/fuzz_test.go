@@ -615,6 +615,89 @@ func FuzzOpenReader(f *testing.F) {
 	})
 }
 
+// chunkSeeds are one vector per encoding and type, each also with NULLs: the
+// inputs FuzzChunkBody starts from, inflated.
+func chunkSeeds() []*Vec {
+	runs, codes := NewVec(Int64), NewVec(String)
+	for i := 0; i < 32; i++ {
+		runs.AppendInt(int64(i / 8))
+		codes.AppendStr([]string{"x", "", "zz"}[i%3])
+	}
+	vecs := []*Vec{
+		{Type: Int64, Ints: []int64{0, -1, 1, 300, math.MinInt64, math.MaxInt64}},
+		runs,
+		{Type: Float64, Floats: []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 2.5}},
+		{Type: String, Strs: []string{"", "a", "\x00\xff", "long enough to need its own bytes"}},
+		codes,
+		{Type: Bool, Bools: []bool{true, false, true}},
+	}
+	for _, v := range vecs {
+		withNulls := v.Slice(0, v.Len())
+		withNulls.Nulls = make([]bool, v.Len())
+		for r := 0; r < v.Len(); r += 3 {
+			withNulls.Nulls[r] = true
+		}
+		vecs = append(vecs, withNulls)
+	}
+	return vecs
+}
+
+// FuzzChunkBody feeds the chunk body decoder arbitrary inflated bytes as a
+// chunk of a fuzzed type and row count; FuzzOpenReader's inputs rarely get
+// past inflate. It returns a vector of exactly that many rows or an error,
+// never panics, and allocates no more than a small multiple of its input —
+// except for a run-length chunk, which backs any row count with two bytes
+// (see checkMemo). A vector it returns re-encodes to a chunk that decodes
+// back to the same vector, payload under NULLs and float bits included. The
+// seeds are chunkSeeds and their truncations.
+func FuzzChunkBody(f *testing.F) {
+	for _, v := range chunkSeeds() {
+		data, err := encodeChunk(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, cut := range []int{len(raw), len(raw) - 1, len(raw) / 2, 1} {
+			f.Add(raw[:cut], byte(v.Type), uint16(v.Len()))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, typ byte, rows uint16) {
+		dt, n := DataType(typ%byte(Bool+1)), int(rows)
+		var v *Vec
+		var err error
+		grew := allocatedBy(func() { v, err = decodeChunkBody(raw, dt, n) })
+		// As in FuzzUnmarshalBatch: a string costs a 16-byte header and its
+		// copy, a NULL bit a one-byte bool, a dictionary code a header.
+		if limit := uint64(32*len(raw) + 16<<10); grew > limit && (len(raw) == 0 || raw[0] != encRLE) {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), grew, limit)
+		}
+		if err != nil {
+			if v != nil {
+				t.Fatalf("error %v returned with a vector", err)
+			}
+			return
+		}
+		if v.Type != dt || v.Len() != n || (v.Nulls != nil && len(v.Nulls) != n) {
+			t.Fatalf("%v chunk of %d rows decoded to a %v vector of %d rows, %d NULL flags", dt, n, v.Type, v.Len(), len(v.Nulls))
+		}
+		data, err := encodeChunk(v)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted chunk: %v", err)
+		}
+		back, err := decodeChunk(data, dt, n)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted chunk: %v", err)
+		}
+		sameFrame(t, "re-decoded chunk", back, v)
+		if again, err := encodeChunk(back); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("re-decoded chunk re-encodes differently (%v)", err)
+		}
+	})
+}
+
 // TestReaderSharedAcrossGoroutines pins the Reader's contract — logically
 // immutable after open, memoizing behind atomics — under the race detector:
 // the compute cache hands one reader to every session that scans the file.

@@ -3,7 +3,6 @@ package colfile
 import (
 	"encoding/base64"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -99,35 +98,36 @@ func (b *NDVBitmap) UnmarshalText(text []byte) error {
 	}
 	dense, err := decodeSparse(raw)
 	if err != nil {
-		return fmt.Errorf("colfile: ndv bitmap: %w", err)
+		return err
 	}
 	*b = dense
 	return nil
 }
 
 // decodeSparse expands the sparse wire form, rejecting every byte string the
-// encoder cannot have written.
+// encoder cannot have written: beyond byteReader's rules, a form longer than
+// dense, a position past the bitmap and a repeated position.
 func decodeSparse(raw []byte) (NDVBitmap, error) {
+	r := byteReader{b: raw}
 	if len(raw) > sketchBits/8 {
-		return nil, errors.New("sparse form longer than dense")
+		r.fail("sparse form longer than dense")
 	}
 	dense := make(NDVBitmap, sketchBits/8)
-	prev := 0
-	for off := 0; off < len(raw); {
-		d, n := binary.Uvarint(raw[off:])
-		switch {
-		case n <= 0:
-			return nil, fmt.Errorf("truncated or overlong varint at byte %d", off)
-		case n > 1 && raw[off+n-1] == 0:
-			return nil, fmt.Errorf("non-minimal varint at byte %d", off)
-		case off > 0 && d == 0:
-			return nil, fmt.Errorf("duplicate position %d", prev)
+	for prev := 0; r.err == nil && r.pos < len(raw); {
+		first := r.pos == 0
+		switch d := r.uvarint("positions"); {
+		case r.err != nil:
+		case !first && d == 0:
+			r.fail("duplicate position %d", prev)
 		case d >= uint64(sketchBits-prev):
-			return nil, fmt.Errorf("position %d+%d beyond %d bits", prev, d, sketchBits)
+			r.fail("position %d+%d beyond %d bits", prev, d, sketchBits)
+		default:
+			prev += int(d)
+			dense[prev/8] |= 1 << (prev % 8)
 		}
-		prev += int(d)
-		dense[prev/8] |= 1 << (prev % 8)
-		off += n
+	}
+	if err := r.end("ndv bitmap"); err != nil {
+		return nil, err
 	}
 	return dense, nil
 }

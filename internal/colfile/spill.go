@@ -22,10 +22,10 @@ package colfile
 // flag 0 exactly like a nil one, and the payload slot under a NULL is written
 // as the zero value whatever the vector holds there. A retried DAG task
 // therefore overwrites its exchange chunk with identical bytes, and two
-// results can be compared by comparing their frames. The decoder rejects a
-// damaged frame — bad magic, checksum mismatch, a count or length that claims
-// more than the bytes that remain (checked before anything is allocated for
-// it), an unknown type, trailing bytes — instead of returning rows.
+// results can be compared by comparing their frames. The decoder rejects bad
+// magic, a checksum mismatch and an unknown type, and decodes the rest under
+// the rules every colfile decoder shares (byteReader; docs/ARCHITECTURE.md,
+// "Data files").
 
 import (
 	"encoding/binary"
@@ -97,18 +97,12 @@ func MarshalBatch(b *Batch) ([]byte, error) {
 	buf = append(buf, frameMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Schema)))
 	for _, f := range b.Schema {
-		buf = append(buf, byte(f.Type))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
-		buf = append(buf, f.Name...)
+		buf = appendString(append(buf, byte(f.Type)), f.Name)
 	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for i, v := range b.Cols {
 		null := nulls[i]
-		if null == nil {
-			buf = append(buf, 0)
-		} else {
-			buf = appendNullBits(append(buf, 1), null)
-		}
+		buf = appendNulls(buf, null)
 		switch v.Type {
 		case Int64:
 			for r, x := range v.Ints {
@@ -129,8 +123,7 @@ func MarshalBatch(b *Batch) ([]byte, error) {
 				if null != nil && null[r] {
 					s = ""
 				}
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				buf = append(buf, s...)
+				buf = appendString(buf, s)
 			}
 		case Bool:
 			for r, x := range v.Bools {
@@ -145,47 +138,6 @@ func MarshalBatch(b *Batch) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
 }
 
-// frameReader walks a frame body. Every read is bounds-checked against the
-// bytes that remain, and counts are checked before the caller allocates.
-type frameReader struct {
-	buf []byte
-	pos int
-}
-
-func (d *frameReader) remaining() int { return len(d.buf) - d.pos }
-
-func (d *frameReader) uvarint(what string) (uint64, error) {
-	x, w := binary.Uvarint(d.buf[d.pos:])
-	if w <= 0 {
-		return 0, fmt.Errorf("colfile: batch frame: bad %s", what)
-	}
-	d.pos += w
-	return x, nil
-}
-
-// count reads a uvarint that announces that many items of at least width
-// bytes each, and fails if the remaining bytes cannot hold them.
-func (d *frameReader) count(what string, width int) (int, error) {
-	x, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if x > uint64(d.remaining()/width) {
-		return 0, fmt.Errorf("colfile: batch frame: %s %d exceeds the %d bytes left", what, x, d.remaining())
-	}
-	return int(x), nil
-}
-
-// take returns the next n items of width bytes each.
-func (d *frameReader) take(what string, n, width int) ([]byte, error) {
-	if n > d.remaining()/width {
-		return nil, fmt.Errorf("colfile: batch frame: %s needs %d x %d bytes, %d left", what, n, width, d.remaining())
-	}
-	out := d.buf[d.pos : d.pos+n*width]
-	d.pos += n * width
-	return out, nil
-}
-
 // UnmarshalBatch decodes a frame written by MarshalBatch into a dense batch
 // (an empty one, with its schema, for an empty frame). A frame that fails its
 // checksum returns ErrChecksum; every other defect returns an error naming
@@ -198,122 +150,44 @@ func UnmarshalBatch(data []byte) (*Batch, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, ErrChecksum
 	}
-	d := &frameReader{buf: body, pos: len(frameMagic)}
-
-	ncols, err := d.count("column count", 2) // type byte + name length
-	if err != nil {
-		return nil, err
-	}
-	schema := make(Schema, ncols)
+	r := byteReader{b: body, pos: len(frameMagic)}
+	schema := make(Schema, r.count("columns", 2)) // type byte + name length
 	for i := range schema {
-		t, err := d.take("column type", 1, 1)
-		if err != nil {
-			return nil, err
+		t := DataType(r.byte("column type bytes"))
+		if t > Bool {
+			r.fail("column %d has unknown type %d", i, t)
 		}
-		if DataType(t[0]) > Bool {
-			return nil, fmt.Errorf("colfile: batch frame: column %d has unknown type %d", i, t[0])
-		}
-		l, err := d.count("column name length", 1)
-		if err != nil {
-			return nil, err
-		}
-		name, err := d.take("column name", l, 1)
-		if err != nil {
-			return nil, err
-		}
-		schema[i] = Field{Name: string(name), Type: DataType(t[0])}
+		schema[i] = Field{Name: string(r.take("column name bytes", r.count("column name bytes", 1), 1)), Type: t}
 	}
-
 	// Every column spends at least one byte per row, so the row count is
 	// bounded by the bytes left; a frame without columns has no rows.
-	n, err := d.count("row count", 1)
-	if err != nil {
-		return nil, err
+	n := r.count("rows", 1)
+	if len(schema) == 0 && n != 0 {
+		r.fail("%d rows without columns", n)
 	}
-	if ncols == 0 && n != 0 {
-		return nil, fmt.Errorf("colfile: batch frame: %d rows without columns", n)
-	}
-	cols := make([]*Vec, ncols)
+	cols := make([]*Vec, len(schema))
 	for i, f := range schema {
-		v := &Vec{Type: f.Type}
-		if v.Nulls, err = d.nulls(n); err != nil {
-			return nil, err
-		}
+		v := &Vec{Type: f.Type, Nulls: r.nulls(n)}
 		switch f.Type {
 		case Int64:
-			raw, err := d.take("int64 column", n, 8)
-			if err != nil {
-				return nil, err
-			}
-			v.Ints = make([]int64, n)
-			for r := range v.Ints {
-				v.Ints[r] = int64(binary.LittleEndian.Uint64(raw[8*r:]))
+			raw := r.take("int64 values", n, 8)
+			v.Ints = make([]int64, len(raw)/8)
+			for j := range v.Ints {
+				v.Ints[j] = int64(binary.LittleEndian.Uint64(raw[8*j:]))
 			}
 		case Float64:
-			raw, err := d.take("float64 column", n, 8)
-			if err != nil {
-				return nil, err
-			}
-			v.Floats = make([]float64, n)
-			for r := range v.Floats {
-				v.Floats[r] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*r:]))
-			}
+			v.Floats = r.floats(n)
 		case String:
-			if v.Strs, err = d.strings(n); err != nil {
-				return nil, err
-			}
+			v.Strs = r.strings("string values", n)
 		case Bool:
-			raw, err := d.take("bool column", n, 1)
-			if err != nil {
-				return nil, err
-			}
-			v.Bools = make([]bool, n)
-			for r, x := range raw {
-				v.Bools[r] = x != 0
-			}
+			v.Bools = r.bools(n)
 		}
 		cols[i] = v
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("colfile: batch frame: %d trailing bytes", d.remaining())
+	if err := r.end("batch frame"); err != nil {
+		return nil, err
 	}
 	return &Batch{Schema: schema, Cols: cols}, nil
-}
-
-// nulls reads one column's null section; a bitmap that marks no row decodes
-// to nil like an absent one.
-func (d *frameReader) nulls(n int) ([]bool, error) {
-	flag, err := d.take("null flag", 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	switch flag[0] {
-	case 0:
-		return nil, nil
-	case 1:
-	default:
-		return nil, fmt.Errorf("colfile: batch frame: null flag %d", flag[0])
-	}
-	bits, err := d.take("null bitmap", (n+7)/8, 1)
-	if err != nil {
-		return nil, err
-	}
-	return liveNulls(unpackNullBits(bits, n)), nil
-}
-
-// strings reads n length-prefixed strings: one walk validates every length
-// and finds the column's end, then sliceStrings copies the column out of the
-// frame once.
-func (d *frameReader) strings(n int) ([]string, error) {
-	start := d.pos
-	for r := 0; r < n; r++ {
-		l, err := d.count("string length", 1)
-		if err != nil {
-			return nil, err
-		}
-		d.pos += l
-	}
-	return sliceStrings(d.buf[start:d.pos], n), nil
 }
 
 // MemSize estimates the in-memory footprint of the vector's payload in bytes:

@@ -56,9 +56,37 @@ func mustCreate(t *testing.T, e *Engine, name string) {
 	}
 }
 
+// scanTable reads columns cols (nil: all) of table as of asOfSeq (negative:
+// the transaction's snapshot) the way every read does: the snapshot's live
+// files fetched as one morsel and scanned.
+func scanTable(tx *Txn, table string, cols []string, asOfSeq int64) (exec.Operator, error) {
+	state, meta, err := tx.Snapshot(table, asOfSeq)
+	if err != nil {
+		return nil, err
+	}
+	ms, err := tx.Morsels(state, meta, 0)
+	if err != nil {
+		return nil, err
+	}
+	s, err := exec.NewMorselScan(ms.Morsels[0], cols, nil, ms.Tel)
+	if err != nil {
+		return nil, err
+	}
+	return s, s.SetSchema(meta.Schema)
+}
+
+// readAll collects every visible row of table.
+func readAll(tx *Txn, table string) (*colfile.Batch, error) {
+	op, err := scanTable(tx, table, nil, -1)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Collect(op)
+}
+
 func sumC2(t *testing.T, tx *Txn, table string, asOf int64) int64 {
 	t.Helper()
-	op, _, err := tx.Scan(table, ScanOptions{Columns: []string{"c2"}, AsOfSeq: asOf})
+	op, err := scanTable(tx, table, []string{"c2"}, asOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +123,7 @@ func TestInsertAndReadBack(t *testing.T) {
 	}
 	tx := e.Begin()
 	defer tx.Rollback()
-	rs, err := tx.ReadAll("t1")
+	rs, err := readAll(tx, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +254,7 @@ func TestDeleteWithMergedDV(t *testing.T) {
 	}
 	tx := e.Begin()
 	defer tx.Rollback()
-	rs, err := tx.ReadAll("t1")
+	rs, err := readAll(tx, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +815,7 @@ func TestScanColumnsAndPruning(t *testing.T) {
 	})
 	tx := e.Begin()
 	defer tx.Rollback()
-	op, _, err := tx.Scan("t1", ScanOptions{Columns: []string{"c2"}})
+	op, err := scanTable(tx, "t1", []string{"c2"}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,7 +860,7 @@ func TestSimTimeAccrues(t *testing.T) {
 		t.Fatal("no simulated time charged for insert")
 	}
 	before := tx.SimTime()
-	if _, err := tx.ReadAll("t1"); err != nil {
+	if _, err := readAll(tx, "t1"); err != nil {
 		t.Fatal(err)
 	}
 	if tx.SimTime() <= before {
@@ -852,7 +880,7 @@ func TestTxnAfterDoneFails(t *testing.T) {
 	if _, err := tx.Insert("t1", rowsBatch(t, t1Schema(), []any{"A", int64(1)})); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("insert after commit: %v", err)
 	}
-	if _, err := tx.ReadAll("t1"); !errors.Is(err, ErrTxnDone) {
+	if _, err := readAll(tx, "t1"); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("read after commit: %v", err)
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrTxnDone) {
@@ -865,15 +893,15 @@ func TestEmptyTableScan(t *testing.T) {
 	mustCreate(t, e, "t1")
 	tx := e.Begin()
 	defer tx.Rollback()
-	rs, err := tx.ReadAll("t1")
+	rs, err := readAll(tx, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.NumRows() != 0 {
 		t.Fatalf("rows = %d", rs.NumRows())
 	}
-	if cols := rs.Columns(); len(cols) != 2 || cols[0] != "c1" {
-		t.Fatalf("columns = %v", cols)
+	if len(rs.Schema) != 2 || rs.Schema[0].Name != "c1" {
+		t.Fatalf("columns = %v", rs.Schema)
 	}
 }
 
@@ -1038,7 +1066,7 @@ func TestBulkLoadRejectsMismatchedSchema(t *testing.T) {
 	}
 	tx := e.Begin()
 	defer tx.Rollback()
-	rs, err := tx.ReadAll("t1")
+	rs, err := readAll(tx, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}

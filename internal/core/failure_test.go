@@ -42,7 +42,7 @@ func TestInsertSurvivesTaskFailures(t *testing.T) {
 	if got := sumC2(t, tx, "t1", -1); got != 10 {
 		t.Fatalf("sum = %d, data corrupted by retries", got)
 	}
-	rs, _ := tx.ReadAll("t1")
+	rs, _ := readAll(tx, "t1")
 	if rs.NumRows() != 4 {
 		t.Fatalf("rows = %d (duplicates from retried attempts?)", rs.NumRows())
 	}
@@ -146,7 +146,7 @@ func TestRetriedFetchCountsOnce(t *testing.T) {
 		rows, files, bytes := e.Work.Snapshot()
 		tx := e.Begin()
 		defer tx.Rollback()
-		if _, err := tx.ReadAll("t1"); err != nil {
+		if _, err := readAll(tx, "t1"); err != nil {
 			t.Fatal(err)
 		}
 		r, f, b := e.Work.Snapshot()

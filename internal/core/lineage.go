@@ -8,7 +8,7 @@ import (
 
 // This file implements the data-lineage features of paper Section 6:
 // zero-copy table cloning as of a point in time (6.2) and metadata-only
-// restore (6.3). Query As Of (6.1) is ScanOptions.AsOfSeq on the read path.
+// restore (6.3). Query As Of (6.1) is Txn.Snapshot's asOfSeq on the read path.
 
 // CloneTable creates a zero-copy clone of source as of asOfSeq (negative =
 // now): a new table whose Manifests rows are copies of the source's rows up

@@ -159,43 +159,6 @@ func partitionCells(state *manifest.TableState, distributions int) []cellFiles {
 	return cells
 }
 
-// ScanOptions tune a table scan.
-type ScanOptions struct {
-	// Columns projects the scan; nil reads all columns.
-	Columns []string
-	// AsOfSeq time-travels the read; negative = current snapshot.
-	AsOfSeq int64
-}
-
-// Scan executes a distributed read of a table and returns an operator
-// streaming the visible rows in the table's global row order: one scan over
-// the snapshot's files (see Morsels).
-func (t *Txn) Scan(table string, opts ScanOptions) (exec.Operator, *exec.Telemetry, error) {
-	if opts.AsOfSeq == 0 {
-		opts.AsOfSeq = -1
-	}
-	state, meta, err := t.Snapshot(table, opts.AsOfSeq)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.scanState(state, meta, opts)
-}
-
-func (t *Txn) scanState(state *manifest.TableState, meta catalog.TableMeta, opts ScanOptions) (exec.Operator, *exec.Telemetry, error) {
-	ms, err := t.Morsels(state, meta, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := exec.NewMorselScan(ms.Morsels[0], opts.Columns, nil, ms.Tel)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.SetSchema(meta.Schema); err != nil {
-		return nil, nil, err
-	}
-	return s, ms.Tel, nil
-}
-
 // fetchScanFiles runs the distributed fetch phase of a read: one DCP task
 // per non-empty cell set pulls that cell's data and deletion-vector files
 // through the node cache hierarchy, charging simulated IO and CPU plus the
@@ -299,8 +262,8 @@ func (e *Engine) readDV(node *compute.Node, path string) (*deletevector.Vector, 
 // in-order concatenation equals the table's global row order (see Morsels:
 // a Parallelism-sized split, or one morsel of every file), plus the table schema
 // and Tel, a thread-safe scan sink the morsels' scans may share (rows and
-// bytes read, row groups pruned). Txn.Scan hands it to its callers; SELECT
-// passes none, and nothing turns it into simulated CPU.
+// bytes read, row groups pruned). SELECT passes none to its scans, and
+// nothing turns it into simulated CPU.
 type MorselScan struct {
 	Morsels []exec.Morsel
 	Schema  colfile.Schema
@@ -316,7 +279,7 @@ type MorselScan struct {
 // large files split by row group (exec.SplitMorsels) — and none for an empty
 // table. want <= 0 asks for exactly one morsel holding every file in table
 // order (empty for an empty table) — the input of a consumer that drains the
-// table whole, a join build or Scan.
+// table whole, such as a join build.
 func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
 	cells, err := t.fetchScanFiles(state, meta)
 	if err != nil {
@@ -420,39 +383,6 @@ func (t *Txn) AdoptLease(granted int) {
 // ClearAdoptedLease detaches the admission-granted slot count set by
 // AdoptLease, returning the transaction to direct fabric leasing.
 func (t *Txn) ClearAdoptedLease() { t.adoptedDOP = 0 }
-
-// ReadAll is a convenience that scans a table and materializes all rows.
-func (t *Txn) ReadAll(table string) (*ResultSet, error) {
-	op, _, err := t.Scan(table, ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	b, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{Batch: b}, nil
-}
-
-// ResultSet is a materialized query result.
-type ResultSet struct {
-	Batch *colfile.Batch
-}
-
-// NumRows returns the number of rows in the result.
-func (r *ResultSet) NumRows() int { return r.Batch.NumRows() }
-
-// Row materializes row i as Go values.
-func (r *ResultSet) Row(i int) []any { return r.Batch.Row(i) }
-
-// Columns returns the result column names.
-func (r *ResultSet) Columns() []string {
-	out := make([]string, len(r.Batch.Schema))
-	for i, f := range r.Batch.Schema {
-		out[i] = f.Name
-	}
-	return out
-}
 
 // TableStats summarizes a table snapshot for the STO and for SHOW commands.
 type TableStats struct {

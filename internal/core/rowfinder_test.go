@@ -177,11 +177,11 @@ func sorted(xs []string) []string {
 
 func tableRows(t *testing.T, tx *Txn) []string {
 	t.Helper()
-	rs, err := tx.ReadAll("t")
+	rs, err := readAll(tx, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sorted(rowStrings(rs.Batch))
+	return sorted(rowStrings(rs))
 }
 
 // checkFinder compares findRows, narrow and wide, with the dense oracle on
@@ -469,7 +469,7 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 	}
 	damageColumn(t, e, 1, func(g int) bool { return g != hit })
 	tx = e.Begin()
-	if _, err := tx.ReadAll("t"); err == nil {
+	if _, err := readAll(tx, "t"); err == nil {
 		t.Fatal("a full scan decoded garbled chunks")
 	}
 	// UPDATE needs the old row versions, but only of the group that matched.

@@ -12,7 +12,8 @@ import (
 
 // Telemetry is a Scan's sink: the rows and bytes it read and the row groups
 // its zone maps pruned. Scan is the only operator that writes one, and nothing
-// turns it into simulated CPU time; its readers are core.Txn.Scan's callers.
+// turns it into simulated CPU time; its readers are the callers that build
+// a MorselScan over core.Txn.Morsels themselves (the benchmark, ablations).
 type Telemetry struct {
 	RowsScanned  atomic.Int64
 	BytesScanned atomic.Int64

@@ -58,11 +58,23 @@ func countRows(t *testing.T, e *core.Engine, table string) int {
 	t.Helper()
 	tx := e.Begin()
 	defer tx.Rollback()
-	rs, err := tx.ReadAll(table)
+	state, meta, err := tx.Snapshot(table, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs.NumRows()
+	ms, err := tx.Morsels(state, meta, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := exec.NewMorselScan(ms.Morsels[0], nil, nil, ms.Tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Collect(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows.NumRows()
 }
 
 func TestCheckpointTriggeredByThreshold(t *testing.T) {
