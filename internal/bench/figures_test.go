@@ -110,36 +110,46 @@ func TestFig10CompactionRestoresGreen(t *testing.T) {
 	}
 }
 
-func TestFig11OneCheckpointPerTablePerPhase(t *testing.T) {
+// TestFig11CheckpointWhenReplayOutweighsCheckpoint pins the STO's checkpoint
+// rule over the WP1 phases: per table, each checkpoint is superseded at the
+// next one's sequence and exactly one stays open; each folds manifests that
+// weigh at least the previous checkpoint (or, for the first, the first
+// manifest the STO saw) decoded, and without its newest folded manifest they
+// would not have.
+func TestFig11CheckpointWhenReplayOutweighsCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow figure experiment; run without -short")
 	}
 	rows := Fig11(0.2)
-	perTable := map[string]int{}
+	byTable := map[string][]Fig11Row{}
 	for _, r := range rows {
-		perTable[r.Table]++
-		if r.Folded != 10 {
-			t.Fatalf("checkpoint folded %d manifests, want 10 (paper: each DM phase creates 10 new manifest files)", r.Folded)
+		byTable[r.Table] = append(byTable[r.Table], r)
+	}
+	if len(byTable) != 7 {
+		t.Fatalf("tables checkpointed = %d, want 7", len(byTable))
+	}
+	for tbl, cps := range byTable {
+		if len(cps) < 2 {
+			t.Fatalf("%s has %d checkpoints over 3 phases of 10 manifests", tbl, len(cps))
 		}
-	}
-	if len(perTable) != 7 {
-		t.Fatalf("tables checkpointed = %d, want 7", len(perTable))
-	}
-	for tbl, n := range perTable {
-		if n != 3 { // 3 phases
-			t.Fatalf("%s has %d checkpoints, want 3", tbl, n)
-		}
-	}
-	// all but the newest checkpoint per table must have closed lifetimes
-	open := map[string]int{}
-	for _, r := range rows {
-		if r.EndSeq == 0 {
-			open[r.Table]++
-		}
-	}
-	for tbl, n := range open {
-		if n != 1 {
-			t.Fatalf("%s has %d open checkpoints", tbl, n)
+		for i, cp := range cps {
+			if cp.Bytes <= 0 || cp.Bytes >= cp.Decoded || cp.Folded <= 0 || cp.LastFolded <= 0 || cp.LastFolded > cp.FoldedBytes {
+				t.Fatalf("%s checkpoint %d = %+v", tbl, i, cp)
+			}
+			if i+1 < len(cps) && cp.EndSeq != cps[i+1].StartSeq {
+				t.Fatalf("%s checkpoint at %d superseded at %d, the next was made at %d", tbl, cp.StartSeq, cp.EndSeq, cps[i+1].StartSeq)
+			}
+			if i+1 == len(cps) && cp.EndSeq != 0 {
+				t.Fatalf("%s newest checkpoint closed at %d", tbl, cp.EndSeq)
+			}
+			if i == 0 {
+				continue
+			}
+			prev := cps[i-1].Decoded
+			if cp.FoldedBytes < prev || cp.FoldedBytes-cp.LastFolded >= prev {
+				t.Fatalf("%s checkpoint at %d folded %d manifest bytes (newest %d) after a checkpoint of %d decoded bytes: not the first commit to reach it",
+					tbl, cp.StartSeq, cp.FoldedBytes, cp.LastFolded, prev)
+			}
 		}
 	}
 }

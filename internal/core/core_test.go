@@ -652,8 +652,8 @@ func TestRestorePastCheckpoint(t *testing.T) {
 	seq1 := e.Catalog.CurrentSeq()
 	insert("B", 2)
 	if err := e.AutoCommit(func(tx *Txn) error {
-		path, err := tx.CheckpointTable("t1")
-		if err == nil && path == "" {
+		cp, err := tx.CheckpointTable("t1")
+		if err == nil && cp.Path == "" {
 			err = fmt.Errorf("nothing checkpointed")
 		}
 		return err
@@ -844,8 +844,12 @@ func TestCommitEventNotification(t *testing.T) {
 	if len(events) != 1 || events[0].TableID != 1 || len(events[0].Actions) == 0 {
 		t.Fatalf("events = %+v", events)
 	}
-	if !e.Store.Exists(events[0].Manifest) {
-		t.Fatal("manifest blob missing")
+	blob, err := e.Store.Get(events[0].Manifest)
+	if err != nil {
+		t.Fatalf("manifest blob missing: %v", err)
+	}
+	if events[0].Bytes != int64(len(blob)) {
+		t.Fatalf("event carries %d manifest bytes, the blob holds %d", events[0].Bytes, len(blob))
 	}
 }
 

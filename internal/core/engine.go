@@ -125,6 +125,7 @@ type CommitEvent struct {
 	TxnID    int64
 	Seq      int64
 	Manifest string
+	Bytes    int64 // size of the committed manifest blob
 	Actions  []manifest.Action
 	When     time.Time
 }
@@ -427,7 +428,7 @@ func (p TablePaths) ManifestFile(txnID int64) string {
 	return fmt.Sprintf("%s%d.json", p.ManifestPrefix(), txnID)
 }
 
-// CheckpointFile names a checkpoint file at a sequence.
+// CheckpointFile names a checkpoint file at a sequence: gzip-compressed JSON.
 func (p TablePaths) CheckpointFile(seq int64) string {
-	return fmt.Sprintf("%s%d.json", p.CheckpointPrefix(), seq)
+	return fmt.Sprintf("%s%d.json.gz", p.CheckpointPrefix(), seq)
 }

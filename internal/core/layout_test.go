@@ -14,7 +14,7 @@ import (
 // storageLayoutGolden is the SHA-256 storageLayoutHash computes. Every write
 // path contributes to it: a change that moves a path, a data-file byte or a
 // manifest line changes it on purpose or not at all.
-const storageLayoutGolden = "c7fa4a55f79981f96a915300257ac3ceeb3e70150ef09aad4a0dd3ee17d6fc6d"
+const storageLayoutGolden = "dd251577606843c5e5ea0362736bdb15b18848511aac44010d4172047cb867fb"
 
 // layoutRows builds rows [lo, hi) of the layout script's table: 97 distinct
 // distribution keys, a scattered sort column.

@@ -103,39 +103,47 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	return res, nil
 }
 
+// Checkpoint is one checkpoint file CheckpointTable wrote.
+type Checkpoint struct {
+	Path    string
+	Seq     int64 // the newest manifest sequence it folds
+	Bytes   int64 // the file's size
+	Decoded int64 // the size of the JSON it compresses: what a reader decodes
+}
+
 // CheckpointTable compacts the manifest list into a checkpoint file (5.2).
 // Unlike data compaction it modifies no data files and cannot conflict with
 // concurrent user transactions: the Checkpoints row it inserts is keyed by a
-// fresh sequence.
-func (t *Txn) CheckpointTable(table string) (string, error) {
+// fresh sequence. A table with no manifest yet gets none: Path is empty.
+func (t *Txn) CheckpointTable(table string) (Checkpoint, error) {
 	if err := t.check(); err != nil {
-		return "", err
+		return Checkpoint{}, err
 	}
 	state, meta, err := t.Snapshot(table, -1)
 	if err != nil {
-		return "", err
+		return Checkpoint{}, err
 	}
 	if state.LastSeq == 0 {
-		return "", nil // nothing to checkpoint
+		return Checkpoint{}, nil // nothing to checkpoint
 	}
 	cp := manifest.BuildCheckpoint(meta.ID, state)
-	data, err := cp.Marshal()
+	data, decoded, err := cp.Marshal()
 	if err != nil {
-		return "", err
+		return Checkpoint{}, err
 	}
 	path := TablePaths{ID: meta.ID}.CheckpointFile(cp.Seq)
 	node := t.writeNode()
 	d, err := node.WriteFile(t.eng.Store, path, data, t.id)
 	if err != nil {
-		return "", err
+		return Checkpoint{}, err
 	}
 	t.charge(d)
 	if err := catalog.InsertCheckpointRow(t.catTx, catalog.CheckpointRow{
 		TableID: meta.ID, Seq: cp.Seq, Path: path,
 	}); err != nil {
-		return "", err
+		return Checkpoint{}, err
 	}
-	return path, nil
+	return Checkpoint{Path: path, Seq: cp.Seq, Bytes: int64(len(data)), Decoded: decoded}, nil
 }
 
 // GCResult reports a garbage-collection pass (5.3).

@@ -52,8 +52,9 @@ func TestSketchesRideTheManifest(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AutoCommit(func(tx *Txn) (err error) {
-		cpPath, err = tx.CheckpointTable("t")
+	if err := e.AutoCommit(func(tx *Txn) error {
+		cp, err := tx.CheckpointTable("t")
+		cpPath = cp.Path
 		return err
 	}); err != nil {
 		t.Fatal(err)

@@ -33,6 +33,7 @@ type txnTable struct {
 	meta     catalog.TableMeta
 	actions  []manifest.Action // reconciled pending actions
 	blockIDs []string          // committed block list of the manifest blob
+	bytes    int64             // size of the committed manifest blob
 	kind     writeKind
 	// touchedFiles are data files whose deletion state this txn changed —
 	// the file-granularity conflict set (4.4.1).
@@ -196,6 +197,7 @@ func (t *Txn) Commit() error {
 	type pendingEvent struct {
 		tableID  int64
 		manifest string
+		bytes    int64
 		actions  []manifest.Action
 	}
 	var events []pendingEvent
@@ -225,7 +227,7 @@ func (t *Txn) Commit() error {
 		// Step 3 (deferred under the commit lock): Manifests row insert.
 		mf := TablePaths{ID: id}.ManifestFile(t.id)
 		catalog.InsertManifestAtCommit(t.catTx, id, mf, t.id)
-		events = append(events, pendingEvent{tableID: id, manifest: mf, actions: ts.actions})
+		events = append(events, pendingEvent{tableID: id, manifest: mf, bytes: ts.bytes, actions: ts.actions})
 	}
 
 	// Advance the snapshot cache under the commit lock, so the cache sees
@@ -257,7 +259,7 @@ func (t *Txn) Commit() error {
 	for _, ev := range events {
 		t.eng.notify(CommitEvent{
 			TableID: ev.tableID, TxnID: t.id, Seq: seq,
-			Manifest: ev.manifest, Actions: ev.actions, When: now,
+			Manifest: ev.manifest, Bytes: ev.bytes, Actions: ev.actions, When: now,
 		})
 	}
 	return nil

@@ -136,6 +136,7 @@ type writeTaskResult struct {
 	blockID string
 	actions []manifest.Action
 	rows    int64
+	bytes   int64 // the staged block's size
 }
 
 // stageBlock ends a write task: it stages the task's actions as one manifest
@@ -152,7 +153,8 @@ func (e *Engine) stageBlock(ctx *dcp.Ctx, blob, blockID string, actions []manife
 	if err := e.Store.StageBlock(blob, blockID, payload); err != nil {
 		return res, err
 	}
-	ctx.Charge(model.RemoteWrite(int64(len(payload))))
+	res.bytes = int64(len(payload))
+	ctx.Charge(model.RemoteWrite(res.bytes))
 	return res, nil
 }
 
@@ -171,12 +173,13 @@ func (t *Txn) commitWriteJob(ts *txnTable, tasks []*dcp.Task) (int64, error) {
 	}
 	var blocks []string
 	var actions []manifest.Action
-	var rows int64
+	var rows, bytes int64
 	for _, out := range outs {
 		wr := out.(writeTaskResult)
 		blocks = append(blocks, wr.blockID)
 		actions = append(actions, wr.actions...)
 		rows += wr.rows
+		bytes += wr.bytes
 	}
 	sort.Strings(blocks)
 	all := append(append([]string{}, ts.blockIDs...), blocks...)
@@ -185,6 +188,7 @@ func (t *Txn) commitWriteJob(ts *txnTable, tasks []*dcp.Task) (int64, error) {
 	}
 	t.charge(t.eng.Fabric.Model().RemoteWrite(0))
 	ts.blockIDs = all
+	ts.bytes += bytes
 	ts.actions = append(ts.actions, actions...)
 	ts.blockSeq++
 	if ts.kind == wroteNothing {
@@ -470,6 +474,7 @@ func (t *Txn) rewriteManifest(ts *txnTable, paths TablePaths, newActions []manif
 	t.charge(t.eng.Fabric.Model().RemoteWrite(int64(len(payload))))
 	ts.actions = combined
 	ts.blockIDs = []string{blockID}
+	ts.bytes = int64(len(payload))
 	ts.blockSeq++
 	return nil
 }

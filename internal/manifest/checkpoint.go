@@ -1,9 +1,13 @@
 package manifest
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Checkpoint is a compacted representation of a table's full state as of a
@@ -43,14 +47,59 @@ func (cp *Checkpoint) State() *TableState {
 	return s
 }
 
-// Marshal serializes the checkpoint.
-func (cp *Checkpoint) Marshal() ([]byte, error) { return json.Marshal(cp) }
+// checkpointZ is the one gzip writer checkpoints compress through. Its
+// deflate tables are about half a megabyte, more than most checkpoints it
+// compresses, and checkpoints are rare enough that a GC would empty a pool
+// between two of them; so one writer stays resident and checkpoints
+// compress one at a time.
+var checkpointZ struct {
+	sync.Mutex
+	w *gzip.Writer // at gzip.BestSpeed; nil until the first checkpoint
+}
 
-// UnmarshalCheckpoint parses a serialized checkpoint. It rejects a file entry
-// that is null or has no path, so State never meets one.
+// Marshal serializes the checkpoint: its JSON, gzip-compressed. A checkpoint
+// is every live file's entry and every tombstone, mostly repeated keys and
+// paths, so it stores in a third to a fifth of its JSON. Marshal returns the
+// stored bytes and the size of the JSON they hold, the bytes a reader
+// decodes.
+func (cp *Checkpoint) Marshal() (data []byte, decoded int64, err error) {
+	js, err := json.Marshal(cp)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out bytes.Buffer
+	z := &checkpointZ
+	z.Lock()
+	defer z.Unlock()
+	if z.w == nil {
+		z.w, _ = gzip.NewWriterLevel(&out, gzip.BestSpeed)
+	} else {
+		z.w.Reset(&out)
+	}
+	if _, err := z.w.Write(js); err != nil {
+		return nil, 0, err
+	}
+	if err := z.w.Close(); err != nil {
+		return nil, 0, err
+	}
+	return out.Bytes(), int64(len(js)), nil
+}
+
+// UnmarshalCheckpoint parses a serialized checkpoint, gzip-compressed JSON.
+// It rejects a file entry that is null or has no path, so State never meets
+// one.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
+	js, err := gunzip(data)
+	if err != nil {
+		return nil, fmt.Errorf("manifest: inflate checkpoint: %w", err)
+	}
+	return parseCheckpoint(js)
+}
+
+// parseCheckpoint parses a checkpoint's JSON.
+func parseCheckpoint(js []byte) (*Checkpoint, error) {
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	if err := json.Unmarshal(js, &cp); err != nil {
 		return nil, fmt.Errorf("manifest: parse checkpoint: %w", err)
 	}
 	for i, f := range cp.Files {
@@ -95,4 +144,22 @@ func Reconstruct(cp *Checkpoint, manifests []CommittedManifest, asOfSeq int64) (
 		}
 	}
 	return s, nil
+}
+
+// gunzip inflates a gzip stream. The trailer's last four bytes record the
+// size of what it holds, which the reader checks at the end; here they size
+// the buffer, so a checkpoint's JSON is allocated once rather than grown. A
+// corrupt size only misjudges the buffer, capped at more than JSON ever
+// deflates by.
+func gunzip(data []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	size := min(uint64(binary.LittleEndian.Uint32(data[len(data)-4:])), 64*uint64(len(data)))
+	out := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := out.ReadFrom(zr); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }

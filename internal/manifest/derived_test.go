@@ -2,68 +2,11 @@ package manifest
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	"polaris/internal/colfile"
 )
-
-// allocatedBy returns the bytes the process allocated while f ran.
-func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// TestAdvanceCostIsIndependentOfHistory: a successor shares its
-// predecessor's tombstone history, so advancing the cache by a commit that
-// replaces one file allocates the same bytes after 10 prior commits as after
-// 1,000 — each of which left a tombstone — and the history still reads back
-// whole, oldest first.
-func TestAdvanceCostIsIndependentOfHistory(t *testing.T) {
-	const measured = 20
-	advance := func(c *SnapshotCache, seq int64) {
-		c.Advance(1, seq, []Action{removeData(fmt.Sprintf("f%d", seq-1)), addData(fmt.Sprintf("f%d", seq), 10)})
-	}
-	cost := func(history int) uint64 {
-		c := NewSnapshotCache()
-		s := NewTableState()
-		must(t, s.Apply(1, []Action{addData("f1", 10)}))
-		c.Put(1, s)
-		c.Advance(1, 1, nil)
-		seq := int64(2)
-		for ; seq <= int64(history)+1; seq++ {
-			advance(c, seq)
-		}
-		bytes := allocatedBy(func() {
-			for i := 0; i < measured; i++ {
-				advance(c, seq)
-				seq++
-			}
-		})
-		got := c.Get(1, seq-1)
-		if got == nil {
-			t.Fatalf("cache lost the table after %d commits", seq-1)
-		}
-		tombs := got.Tombstones()
-		if len(tombs) != history+measured || tombs[0].Path != "f1" || tombs[len(tombs)-1].RemovedSeq != seq-1 {
-			t.Fatalf("after %d commits: %d tombstones, first %+v", seq-1, len(tombs), tombs[0])
-		}
-		for i, tomb := range tombs {
-			if tomb.RemovedSeq != int64(i)+2 {
-				t.Fatalf("tombstone %d = %+v: history out of order", i, tomb)
-			}
-		}
-		return bytes / measured
-	}
-	short, long := cost(10), cost(1000)
-	if long > short+64 {
-		t.Fatalf("one Advance allocates %d bytes after 10 commits but %d after 1,000: the history is copied", short, long)
-	}
-}
 
 // TestDerivedStateIsMemoizedAndReset: LiveFiles and Sketches are computed once
 // per state and shared, Apply on a state still being built drops them, and a

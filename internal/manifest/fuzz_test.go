@@ -2,16 +2,42 @@ package manifest
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"polaris/internal/colfile"
 )
 
+// gz compresses a checkpoint's JSON as Marshal stores it.
+func gz(t testing.TB, js string) []byte {
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	if _, err := zw.Write([]byte(js)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // TestUnmarshalCheckpointRejectsCorrupt: a checkpoint blob is bytes from
 // storage, so a damaged one must be an error at unmarshal time, never a state
 // that panics its readers.
 func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
+	good := gz(t, `{"files":[]}`)
+	for name, data := range map[string][]byte{
+		"plain json":   []byte(`{"files":[]}`),
+		"truncated":    good[:len(good)-5],
+		"trailing":     append(append([]byte{}, good...), 0),
+		"crc mismatch": append(append([]byte{}, good[:len(good)-8]...), 0, 0, 0, 0, 12, 0, 0, 0),
+	} {
+		if cp, err := UnmarshalCheckpoint(data); err == nil || !strings.Contains(err.Error(), "inflate checkpoint") {
+			t.Fatalf("%s: UnmarshalCheckpoint = %v, %v; want an inflate error", name, cp, err)
+		}
+	}
 	for _, tc := range []struct{ name, body, want string }{
 		{"not json", `{"files":`, "parse checkpoint"},
 		{"wrong type", `{"files":{}}`, "parse checkpoint"},
@@ -24,7 +50,7 @@ func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
 		{"ndv past the bitmap", `{"files":[{"path":"a","sketches":[{"rows":1,"ndv":"gBA="}]}]}`, "ndv bitmap: position"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, err := UnmarshalCheckpoint([]byte(tc.body))
+			cp, err := UnmarshalCheckpoint(gz(t, tc.body))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("UnmarshalCheckpoint(%s) = %v, %v; want an error containing %q", tc.body, cp, err, tc.want)
 			}
@@ -47,13 +73,15 @@ func sparseSketchCheckpoint(f *testing.F) []byte {
 	if err := s.Apply(1, []Action{a}); err != nil {
 		f.Fatal(err)
 	}
-	data, err := BuildCheckpoint(7, s).Marshal()
+	data, err := json.Marshal(BuildCheckpoint(7, s))
 	if err != nil {
 		f.Fatal(err)
 	}
 	return data
 }
 
+// FuzzUnmarshalCheckpoint fuzzes the JSON UnmarshalCheckpoint parses once it
+// has inflated a blob; gzip's own checks guard the layer below.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
 	s := NewTableState()
 	if err := s.Apply(1, []Action{addData("a", 10), addData("b", 20)}); err != nil {
@@ -62,7 +90,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	if err := s.Apply(2, []Action{addDV("dv", "a", 2), removeData("b")}); err != nil {
 		f.Fatal(err)
 	}
-	good, err := BuildCheckpoint(42, s).Marshal()
+	good, err := json.Marshal(BuildCheckpoint(42, s))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -74,7 +102,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"files":[{"path":""}]}`))
 	f.Add([]byte(`{"files":[{"path":"a"},{"path":"a","dv":"x"}],"tombstones":[null]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := UnmarshalCheckpoint(data)
+		cp, err := parseCheckpoint(data)
 		if err != nil {
 			return
 		}

@@ -224,7 +224,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	must(t, s.Apply(1, []Action{addData("a", 10), addData("b", 20)}))
 	must(t, s.Apply(2, []Action{addDV("dv", "a", 2), removeData("b")}))
 	cp := BuildCheckpoint(42, s)
-	data, err := cp.Marshal()
+	data, _, err := cp.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

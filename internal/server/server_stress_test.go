@@ -47,7 +47,6 @@ func TestServerConcurrentTrafficStress(t *testing.T) {
 	}
 
 	pcfg := tinyFabric(4) // 4 fabric slots under 8 sessions: admission must queue
-	pcfg.CheckpointEvery = 3
 	pcfg.AutoCompact = true
 	e := newEnv(t, pcfg, Config{
 		QueueDepth:    1024,
@@ -240,6 +239,9 @@ func TestServerConcurrentTrafficStress(t *testing.T) {
 	}
 	if got := e.db.Engine().Work.JoinSpills.Load(); got <= spillsBefore {
 		t.Fatalf("JoinSpills = %d (before %d): stress mix never exercised the spill path", got, spillsBefore)
+	}
+	if len(e.db.Orchestrator().Checkpoints()) == 0 {
+		t.Fatalf("the STO checkpointed no table under concurrent commits (errs %v)", e.db.Orchestrator().Errors())
 	}
 
 	// --- admission counters: real queueing under contention ---

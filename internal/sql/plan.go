@@ -101,11 +101,11 @@ func Execute(tx *core.Txn, st Statement) (*Result, error) {
 			}
 			return &Result{Message: fmt.Sprintf("compacted %d files into %d", res.InputFiles, res.OutputFiles)}, nil
 		case "checkpoint":
-			path, err := tx.CheckpointTable(s.Table)
+			cp, err := tx.CheckpointTable(s.Table)
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Message: "checkpoint " + path}, nil
+			return &Result{Message: "checkpoint " + cp.Path}, nil
 		}
 		return nil, fmt.Errorf("sql: %s must run through a session", s.What)
 	case BeginStmt, CommitStmt, RollbackStmt:

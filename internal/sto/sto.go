@@ -16,11 +16,10 @@ import (
 	"polaris/internal/manifest"
 )
 
-// Config tunes the orchestrator's triggers.
+// Config tunes the orchestrator's triggers. Checkpointing (5.2) has no knob:
+// a table is checkpointed once the manifests committed since its newest
+// checkpoint weigh as much as that checkpoint's decoded JSON (see replayLog).
 type Config struct {
-	// CheckpointEvery creates a manifest checkpoint once a table accumulates
-	// this many manifests since the last checkpoint (5.2). Zero disables.
-	CheckpointEvery int
 	// AutoCompact triggers compaction when a health sample reports a table
 	// unhealthy (5.1).
 	AutoCompact bool
@@ -36,7 +35,7 @@ const compactRetries = 3
 
 // DefaultConfig matches the engine's defaults.
 func DefaultConfig() Config {
-	return Config{CheckpointEvery: 10, AutoCompact: true, PublishDelta: true}
+	return Config{AutoCompact: true, PublishDelta: true}
 }
 
 // HealthSample is one point of a table's storage-health timeline (Fig. 10).
@@ -53,12 +52,76 @@ type HealthSample struct {
 // CheckpointRecord is one checkpoint's lifetime entry (Fig. 11): it is
 // superseded (EndSeq set) when the next checkpoint for the table is created.
 type CheckpointRecord struct {
-	TableID  int64
-	Path     string
-	Seq      int64
-	EndSeq   int64 // 0 while the checkpoint is the newest
-	Created  time.Time
-	Manifest int // manifests folded into this checkpoint
+	TableID int64
+	Path    string
+	Seq     int64
+	EndSeq  int64 // 0 while the checkpoint is the newest
+	Created time.Time
+	Bytes   int64 // the checkpoint file's size
+	Decoded int64 // the size of the JSON the file compresses
+	// Manifest and ManifestBytes count the manifests committed since the
+	// previous checkpoint (or the table's first manifest) that this one
+	// folds; LastManifest is the size of the newest of them.
+	Manifest      int
+	ManifestBytes int64
+	LastManifest  int64
+}
+
+// replayLog is what a cold snapshot of one table replays: a base (its newest
+// checkpoint, or until it has one the first manifest the STO saw for it) and
+// the manifests committed since. The table is due for a checkpoint once the
+// tail weighs as much as the base, so the JSON checkpoints encode stays
+// within one checkpoint of the manifests' and a cold snapshot decodes at most
+// about twice one checkpoint's JSON. Sizes are decoded bytes: a manifest is
+// stored as it decodes, a checkpoint compressed, so the checkpoints' stored
+// bytes stay well below the manifests'.
+type replayLog struct {
+	base      int64 // decoded bytes
+	baseSeq   int64
+	tail      []committedManifest // sequence order is not guaranteed
+	tailBytes int64
+	// checkpointing is set while a checkpoint the log called for runs, so
+	// commits racing it do not start a second one.
+	checkpointing bool
+}
+
+type committedManifest struct{ seq, bytes int64 }
+
+// note records a committed manifest and reports whether the table is now
+// due for a checkpoint.
+func (l *replayLog) note(seq, bytes int64) bool {
+	if seq <= l.baseSeq {
+		return false // already folded into the base
+	}
+	l.tail = append(l.tail, committedManifest{seq, bytes})
+	l.tailBytes += bytes
+	if l.checkpointing || l.tailBytes < l.base {
+		return false
+	}
+	l.checkpointing = true
+	return true
+}
+
+// fold makes cp the base and drops the tail manifests it covers, returning
+// their count, bytes and the size of the newest of them.
+func (l *replayLog) fold(cp core.Checkpoint) (n int, bytes, last int64) {
+	var lastSeq int64
+	kept := l.tail[:0]
+	for _, m := range l.tail {
+		if m.seq > cp.Seq {
+			kept = append(kept, m)
+			continue
+		}
+		n++
+		bytes += m.bytes
+		if m.seq > lastSeq {
+			lastSeq, last = m.seq, m.bytes
+		}
+	}
+	l.tail = kept
+	l.tailBytes -= bytes
+	l.base, l.baseSeq = cp.Decoded, cp.Seq
+	return n, bytes, last
 }
 
 // STO is the orchestrator. Create with New and attach to an engine.
@@ -66,36 +129,40 @@ type STO struct {
 	eng *core.Engine
 	cfg Config
 
-	mu sync.Mutex
-	// manifestsSince counts manifests per table since the last checkpoint.
-	manifestsSince map[int64]int
-	deltaVersions  map[int64]int64
-	icebergChains  map[int64][]manifest.IcebergSnapshot
-	healthLog      []HealthSample
-	checkpoints    []CheckpointRecord
-	compactions    []core.CompactionResult
-	published      []string
-	errs           []error
+	mu            sync.Mutex
+	replay        map[int64]*replayLog
+	deltaVersions map[int64]int64
+	icebergChains map[int64][]manifest.IcebergSnapshot
+	healthLog     []HealthSample
+	checkpoints   []CheckpointRecord
+	compactions   []core.CompactionResult
+	published     []string
+	errs          []error
 }
 
 // New attaches an orchestrator to the engine's commit notifications.
 func New(eng *core.Engine, cfg Config) *STO {
 	s := &STO{
 		eng: eng, cfg: cfg,
-		manifestsSince: make(map[int64]int),
-		deltaVersions:  make(map[int64]int64),
-		icebergChains:  make(map[int64][]manifest.IcebergSnapshot),
+		replay:        make(map[int64]*replayLog),
+		deltaVersions: make(map[int64]int64),
+		icebergChains: make(map[int64][]manifest.IcebergSnapshot),
 	}
 	eng.Subscribe(s.onCommit)
 	return s
 }
 
 // onCommit is the SQL FE's "notify STO on every transaction commit" (5.2,
-// 5.4). It publishes the manifest and, past the threshold, checkpoints.
+// 5.4). It publishes the manifest and, once the table's replay outweighs its
+// checkpoint, checkpoints.
 func (s *STO) onCommit(ev core.CommitEvent) {
 	s.mu.Lock()
-	s.manifestsSince[ev.TableID]++
-	due := s.cfg.CheckpointEvery > 0 && s.manifestsSince[ev.TableID] >= s.cfg.CheckpointEvery
+	due := false
+	if log := s.replay[ev.TableID]; log != nil {
+		due = log.note(ev.Seq, ev.Bytes)
+	} else {
+		s.replay[ev.TableID] = &replayLog{base: ev.Bytes, baseSeq: ev.Seq}
+	}
 	var version int64
 	if s.cfg.PublishDelta || s.cfg.PublishIceberg {
 		version = s.deltaVersions[ev.TableID]
@@ -154,32 +221,23 @@ func (s *STO) stateFor(ev core.CommitEvent) *manifest.TableState {
 
 // CheckpointTable checkpoints one table now and records its lifetime.
 func (s *STO) CheckpointTable(tableID int64) {
-	tx := s.eng.Begin()
-	meta, err := lookupByID(tx, tableID)
-	if err != nil {
-		tx.Rollback()
-		s.recordErr(err)
-		return
-	}
-	path, err := tx.CheckpointTable(meta.Name)
-	if err != nil {
-		tx.Rollback()
-		s.recordErr(err)
-		return
-	}
-	if path == "" {
-		tx.Rollback()
-		return
-	}
-	if err := tx.Commit(); err != nil {
-		s.recordErr(err)
-		return
-	}
-
+	cp, err := s.checkpoint(tableID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	folded := s.manifestsSince[tableID]
-	s.manifestsSince[tableID] = 0
+	log := s.replay[tableID]
+	if log == nil {
+		log = &replayLog{}
+		s.replay[tableID] = log
+	}
+	log.checkpointing = false
+	if err != nil {
+		s.errs = append(s.errs, err)
+		return
+	}
+	if cp.Path == "" {
+		return
+	}
+	n, bytes, last := log.fold(cp)
 	now := time.Now()
 	// close the lifetime of the previous newest checkpoint for this table
 	for i := len(s.checkpoints) - 1; i >= 0; i-- {
@@ -189,9 +247,25 @@ func (s *STO) CheckpointTable(tableID int64) {
 		}
 	}
 	s.checkpoints = append(s.checkpoints, CheckpointRecord{
-		TableID: tableID, Path: path, Seq: s.eng.Catalog.CurrentSeq(),
-		Created: now, Manifest: folded,
+		TableID: tableID, Path: cp.Path, Seq: s.eng.Catalog.CurrentSeq(),
+		Created: now, Bytes: cp.Bytes, Decoded: cp.Decoded,
+		Manifest: n, ManifestBytes: bytes, LastManifest: last,
 	})
+}
+
+// checkpoint writes and commits one checkpoint of the table.
+func (s *STO) checkpoint(tableID int64) (core.Checkpoint, error) {
+	tx := s.eng.Begin()
+	defer tx.Rollback()
+	meta, err := lookupByID(tx, tableID)
+	if err != nil {
+		return core.Checkpoint{}, err
+	}
+	cp, err := tx.CheckpointTable(meta.Name)
+	if err != nil || cp.Path == "" {
+		return core.Checkpoint{}, err
+	}
+	return cp, tx.Commit()
 }
 
 func lookupByID(tx *core.Txn, tableID int64) (catalog.TableMeta, error) {

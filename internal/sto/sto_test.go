@@ -1,7 +1,12 @@
 package sto
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +17,7 @@ import (
 	"polaris/internal/exec"
 	"polaris/internal/manifest"
 	"polaris/internal/objectstore"
+	"polaris/internal/workload"
 )
 
 func testEngine(t *testing.T) *core.Engine {
@@ -77,49 +83,142 @@ func countRows(t *testing.T, e *core.Engine, table string) int {
 	return rows.NumRows()
 }
 
-func TestCheckpointTriggeredByThreshold(t *testing.T) {
+// blobSize reads a blob back from the store and returns its size.
+func blobSize(t *testing.T, e *core.Engine, path string) int64 {
+	t.Helper()
+	data, err := e.Store.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(data))
+}
+
+// inflatedSize reads a gzip-compressed blob back from the store and returns
+// the size of what it holds.
+func inflatedSize(t *testing.T, e *core.Engine, path string) int64 {
+	t.Helper()
+	data, err := e.Store.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCheckpointWhenReplayOutweighsCheckpoint works the STO's rule out by
+// hand from the manifest and checkpoint sizes on the store: a table is
+// checkpointed on exactly the commit whose manifests since its newest
+// checkpoint (until it has one, since its first manifest) reach that
+// checkpoint's decoded bytes, the JSON its compressed file holds.
+func TestCheckpointWhenReplayOutweighsCheckpoint(t *testing.T) {
 	e := testEngine(t)
 	cfg := DefaultConfig()
-	cfg.CheckpointEvery = 5
 	cfg.AutoCompact = false
+	cfg.PublishDelta = false
 	s := New(e, cfg)
+	var manifests []string
+	e.Subscribe(func(ev core.CommitEvent) { manifests = append(manifests, ev.Manifest) })
+	createTable(t, e, "u") // keeps its one manifest throughout
+	insertRows(t, e, "u", 0, 10)
 	createTable(t, e, "t")
-	for i := 0; i < 5; i++ {
-		insertRows(t, e, "t", i*10, i*10+10)
+	insertRows(t, e, "t", 0, 1000)
+	if cps := s.Checkpoints(); len(cps) != 0 {
+		t.Fatalf("a table with one manifest was checkpointed: %+v", cps)
+	}
+
+	base := blobSize(t, e, manifests[1])
+	var tail int64
+	var folded int
+	// commit runs f, which commits one manifest, and reports whether the STO
+	// checkpointed on it, failing unless that is exactly when the manifests
+	// since the base reached it.
+	commit := func(what string, f func()) bool {
+		t.Helper()
+		before := len(s.Checkpoints())
+		f()
+		m := blobSize(t, e, manifests[len(manifests)-1])
+		tail += m
+		folded++
+		cps := s.Checkpoints()
+		due := tail >= base
+		if made := len(cps) - before; made > 1 || (made == 1) != due {
+			t.Fatalf("%s: %d manifest bytes since a %d-byte base made %d checkpoints (errs %v)", what, tail, base, made, s.Errors())
+		}
+		if !due {
+			return false
+		}
+		cp := cps[len(cps)-1]
+		if cp.Bytes != blobSize(t, e, cp.Path) || cp.Decoded != inflatedSize(t, e, cp.Path) || cp.Bytes >= cp.Decoded ||
+			cp.Manifest != folded || cp.ManifestBytes != tail || cp.LastManifest != m {
+			t.Fatalf("%s: checkpoint %+v, want %d manifests of %d bytes, the newest %d", what, cp, folded, tail, m)
+		}
+		base, tail, folded = cp.Decoded, 0, 0
+		return true
+	}
+	next := 1000
+	insert := func() bool {
+		return commit("insert", func() {
+			insertRows(t, e, "t", next, next+10)
+			next += 10
+		})
+	}
+	for phase := 0; phase < 2; phase++ {
+		n := 1
+		for !insert() {
+			n++
+		}
+		if n < 3 {
+			t.Fatalf("checkpoint %d came after %d small inserts: the base is not what it weighs", phase+1, n)
+		}
 	}
 	cps := s.Checkpoints()
-	if len(cps) != 1 {
-		t.Fatalf("checkpoints = %+v", cps)
-	}
-	if cps[0].Manifest != 5 {
-		t.Fatalf("folded %d manifests", cps[0].Manifest)
-	}
-	// 5 more commits: second checkpoint; first gets its EndSeq closed.
-	for i := 5; i < 10; i++ {
-		insertRows(t, e, "t", i*10, i*10+10)
-	}
-	cps = s.Checkpoints()
-	if len(cps) != 2 {
-		t.Fatalf("checkpoints = %d", len(cps))
-	}
-	if cps[0].EndSeq == 0 || cps[1].EndSeq != 0 {
+	if len(cps) != 2 || cps[0].EndSeq != cps[1].Seq || cps[1].EndSeq != 0 {
 		t.Fatalf("lifetimes = %+v", cps)
 	}
-	if countRows(t, e, "t") != 100 {
-		t.Fatal("data corrupted by checkpointing")
+
+	// A COMPACT's manifest rewrites the table's small files: it closes, on
+	// its own commit, a gap several more small inserts would have needed.
+	last := blobSize(t, e, manifests[len(manifests)-1])
+	for base-tail > 3*last {
+		insert()
+	}
+	if !commit("compact", func() { s.Compact("t") }) || len(s.Compactions()) != 1 {
+		t.Fatalf("the compaction did not call for a checkpoint (compactions %+v)", s.Compactions())
+	}
+	for _, cp := range s.Checkpoints() {
+		if cp.TableID != 2 {
+			t.Fatalf("a table with one manifest was checkpointed: %+v", cp)
+		}
+	}
+	if got := countRows(t, e, "t"); got != next {
+		t.Fatalf("rows = %d, want %d: data corrupted by checkpointing", got, next)
+	}
+	e.Cache.Invalidate(2)
+	if got := countRows(t, e, "t"); got != next {
+		t.Fatalf("cold rows = %d, want %d", got, next)
 	}
 }
 
 func TestCheckpointSpeedsReplayAndMatchesFullReplay(t *testing.T) {
 	e := testEngine(t)
 	cfg := DefaultConfig()
-	cfg.CheckpointEvery = 4
 	cfg.AutoCompact = false
 	cfg.PublishDelta = false
-	_ = New(e, cfg)
+	s := New(e, cfg)
 	createTable(t, e, "t")
 	for i := 0; i < 9; i++ {
 		insertRows(t, e, "t", i*5, i*5+5)
+	}
+	cps := s.Checkpoints()
+	if len(cps) == 0 {
+		t.Fatalf("nine manifests wrote no checkpoint (errs %v)", s.Errors())
 	}
 	// Fresh engine cache: reconstruct must use checkpoint + tail.
 	e.Cache.Invalidate(1)
@@ -132,7 +231,6 @@ func TestAutoCompactRestoresHealth(t *testing.T) {
 	e := testEngine(t)
 	cfg := DefaultConfig()
 	cfg.PublishDelta = false
-	cfg.CheckpointEvery = 0
 	s := New(e, cfg)
 	createTable(t, e, "t")
 	insertRows(t, e, "t", 0, 200)
@@ -433,4 +531,110 @@ func TestSTOErrorsSurface(t *testing.T) {
 	if len(s.Errors()) == 0 {
 		t.Fatal("missing table error swallowed")
 	}
+}
+
+// TestColdReplayMatchesWarmStateAcrossCheckpoints: over data-maintenance
+// phases with compaction, after every commit (and the checkpoint it may call
+// for) a snapshot replayed cold — newest checkpoint plus the manifests since
+// — equals the state the snapshot cache advanced to: the same files with
+// their deletion vectors and deleted rows, the same tombstones, and folded
+// sketches bit for bit. Per table, the checkpoints written decode to no more
+// than the manifests committed plus the newest checkpoint.
+func TestColdReplayMatchesWarmStateAcrossCheckpoints(t *testing.T) {
+	e := testEngine(t)
+	s := New(e, Config{})
+	manifestBytes := map[int64]int64{}
+	warmed, checked := false, 0
+	e.Subscribe(func(ev core.CommitEvent) {
+		manifestBytes[ev.TableID] += ev.Bytes
+		if !warmed {
+			return // the load: no reader has replayed a table yet
+		}
+		warm := e.Cache.Get(ev.TableID, ev.Seq)
+		if warm == nil {
+			t.Errorf("seq %d: the cache lost table %d", ev.Seq, ev.TableID)
+			return
+		}
+		e.Cache.Invalidate(ev.TableID)
+		tx := e.Begin()
+		defer tx.Rollback()
+		meta, err := lookupByID(tx, ev.TableID)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cold, _, err := tx.Snapshot(meta.Name, ev.Seq)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if diff := stateDiff(warm, cold, len(meta.Schema)); diff != "" {
+			t.Errorf("seq %d, %s: cold replay differs from the warm state: %s", ev.Seq, meta.Name, diff)
+		}
+		checked++
+	})
+	if err := workload.LoadDS(e, 300); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	for _, name := range workload.DSTableNames() {
+		if _, _, err := tx.Snapshot(name, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.Rollback()
+	warmed = true
+	next := int64(10_000)
+	for phase := 0; phase < 3; phase++ {
+		if _, err := workload.RunDM(e, workload.DMConfig{
+			Tables:     workload.DSTableNames()[:3],
+			InsertRows: 40, DeleteEvery: 3, NextSK: &next,
+			Compact: s.Compact,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if errs := s.Errors(); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	cps := s.Checkpoints()
+	if len(s.Compactions()) == 0 || len(cps) == 0 || checked < 70 {
+		t.Fatalf("%d commits checked, %d compactions, %d checkpoints: the history does not cover the relation",
+			checked, len(s.Compactions()), len(cps))
+	}
+	// The rule bounds the checkpoints' decoded JSON; what they store is less.
+	written, newest := map[int64]int64{}, map[int64]int64{}
+	for _, cp := range cps {
+		if cp.Bytes >= cp.Decoded {
+			t.Errorf("checkpoint %+v stores no fewer bytes than it decodes", cp)
+		}
+		written[cp.TableID] += cp.Decoded
+		newest[cp.TableID] = cp.Decoded
+	}
+	for id, w := range written {
+		if w > manifestBytes[id]+newest[id] {
+			t.Errorf("table %d: %d decoded checkpoint bytes over %d manifest bytes and a %d-byte newest checkpoint",
+				id, w, manifestBytes[id], newest[id])
+		}
+	}
+}
+
+// stateDiff describes how two states of one table differ, or returns "".
+func stateDiff(a, b *manifest.TableState, ncols int) string {
+	fa, _ := json.Marshal(a.LiveFiles())
+	fb, _ := json.Marshal(b.LiveFiles())
+	if !bytes.Equal(fa, fb) {
+		return fmt.Sprintf("files\n%s\n%s", fa, fb)
+	}
+	if ta, tb := a.Tombstones(), b.Tombstones(); !reflect.DeepEqual(ta, tb) {
+		return fmt.Sprintf("tombstones %v, %v", ta, tb)
+	}
+	ska, oka := a.Sketches(ncols)
+	skb, okb := b.Sketches(ncols)
+	ja, _ := json.Marshal(ska)
+	jb, _ := json.Marshal(skb)
+	if oka != okb || !bytes.Equal(ja, jb) {
+		return fmt.Sprintf("sketches %v %s, %v %s", oka, ja, okb, jb)
+	}
+	return ""
 }

@@ -147,7 +147,7 @@ func TestRunDMPhase(t *testing.T) {
 	if err := LoadDS(eng, 300); err != nil {
 		t.Fatal(err)
 	}
-	orchestrator := sto.New(eng, sto.Config{CheckpointEvery: 10, AutoCompact: false, PublishDelta: false})
+	orchestrator := sto.New(eng, sto.Config{})
 	next := int64(10_000)
 	compacted := 0
 	cfg := DMConfig{

@@ -89,9 +89,10 @@ type Config struct {
 	Isolation string
 	// WLMSeparate separates read and write node pools (paper 4.3).
 	WLMSeparate bool
-	// CheckpointEvery triggers a manifest checkpoint per N manifests (5.2).
-	CheckpointEvery int
-	// AutoCompact enables STO-triggered data compaction (5.1).
+	// AutoCompact enables STO-triggered data compaction (5.1). Manifest
+	// checkpointing (5.2) is always on and has no knob: the STO checkpoints
+	// a table once the manifests committed since its newest checkpoint weigh
+	// as much as that checkpoint's JSON, which it stores gzip-compressed.
 	AutoCompact bool
 	// PublishDelta enables async Delta-log publishing (5.4).
 	PublishDelta bool
@@ -111,18 +112,17 @@ type Config struct {
 // DefaultConfig returns laptop-scale defaults with every feature enabled.
 func DefaultConfig() Config {
 	return Config{
-		Elastic:         true,
-		InitNodes:       4,
-		SlotsPerNode:    4,
-		Parallelism:     runtime.GOMAXPROCS(0),
-		Distributions:   8,
-		RowsPerFile:     1 << 14,
-		RowsPerGroup:    1 << 11,
-		Isolation:       "snapshot",
-		WLMSeparate:     true,
-		CheckpointEvery: 10,
-		AutoCompact:     true,
-		PublishDelta:    true,
+		Elastic:       true,
+		InitNodes:     4,
+		SlotsPerNode:  4,
+		Parallelism:   runtime.GOMAXPROCS(0),
+		Distributions: 8,
+		RowsPerFile:   1 << 14,
+		RowsPerGroup:  1 << 11,
+		Isolation:     "snapshot",
+		WLMSeparate:   true,
+		AutoCompact:   true,
+		PublishDelta:  true,
 	}
 }
 
@@ -176,10 +176,9 @@ func Open(cfg Config) *DB {
 	opts.DistributedQueries = cfg.DistributedQueries
 	eng := core.NewEngine(catalog.NewDB(), store, fabric, opts)
 	orch := sto.New(eng, sto.Config{
-		CheckpointEvery: cfg.CheckpointEvery,
-		AutoCompact:     cfg.AutoCompact,
-		PublishDelta:    cfg.PublishDelta,
-		PublishIceberg:  cfg.PublishIceberg,
+		AutoCompact:    cfg.AutoCompact,
+		PublishDelta:   cfg.PublishDelta,
+		PublishIceberg: cfg.PublishIceberg,
 	})
 	return &DB{eng: eng, sto: orch, main: sql.NewSession(eng)}
 }
