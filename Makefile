@@ -60,8 +60,8 @@ bench-check:
 # AppendBatch against per-row Append, never a panic), of the SQL
 # parser (any text: statements or an error, never a panic — clients send it
 # straight to Parse), and of the seven decoders that take bytes from outside
-# the process: the sketch NDV bitmap (dense or sparse wire form: a dense
-# bitmap or an error, and re-encoding is stable), the transient batch
+# the process: the sketch NDV bitmap and sketch list (dense or sparse wire
+# form: a dense bitmap or an error, and re-encoding is stable), the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
 # allocation the input cannot back), the durable file reader (a reader or
 # an error; on a reader every Stats, PruneInt, ReadRowGroup and ReadAll
@@ -72,9 +72,10 @@ bench-check:
 # itself), the deletion-vector decoder (a vector or
 # an error; a vector's runs are ascending, non-empty, non-adjacent and inside
 # the uint32 row space, and it survives a Marshal round trip), the manifest
-# decoder (actions or an error; every action passes Validate and re-encoding
-# is stable) and the checkpoint decoder (a checkpoint or an error; its state
-# names every file by a non-empty path), the catalog's key index (op
+# block decoder (actions or an error, never an allocation the input cannot
+# back; every action passes Validate and re-encoding is stable) and the
+# checkpoint decoder (the same, and its state names every file by a
+# non-empty path), the catalog's key index (op
 # sequences at all three isolation levels: every prefix scan and newest-key
 # lookup equals a walk of every record, and every commit fails exactly when
 # a brute-force validation says it must), plus the three

@@ -154,7 +154,7 @@ func fig10(s bench.Scale) {
 
 func fig11(s bench.Scale) {
 	header("Figure 11: manifest checkpoint lifetimes per table within WP1",
-		"each DM phase creates 10 manifests per table (2 INSERT + 6 DELETE + 2 compactions); a table is checkpointed once the manifests since its last checkpoint weigh as much as that checkpoint's decoded JSON; checkpoints store it gzip-compressed")
+		"each DM phase creates 10 manifests per table (2 INSERT + 6 DELETE + 2 compactions); a table is checkpointed once the manifests since its last checkpoint weigh as much as that checkpoint")
 	rows := bench.Fig11(s)
 	var out [][]string
 	for _, r := range rows {
@@ -164,11 +164,11 @@ func fig11(s bench.Scale) {
 		}
 		out = append(out, []string{
 			r.Table, strconv.FormatInt(r.StartSeq, 10), end, strconv.Itoa(r.Folded),
-			strconv.FormatInt(r.FoldedBytes, 10), strconv.FormatInt(r.Decoded, 10), strconv.FormatInt(r.Bytes, 10),
+			strconv.FormatInt(r.FoldedBytes, 10), strconv.FormatInt(r.Bytes, 10),
 		})
 	}
 	fmt.Print(bench.RenderTable(
-		[]string{"table", "checkpoint_seq", "superseded_at_seq", "manifests_folded", "manifest_bytes_folded", "checkpoint_decoded_bytes", "checkpoint_bytes"}, out))
+		[]string{"table", "checkpoint_seq", "superseded_at_seq", "manifests_folded", "manifest_bytes_folded", "checkpoint_bytes"}, out))
 }
 
 func fig12(s bench.Scale) {

@@ -299,7 +299,6 @@ type Fig11Row struct {
 	StartSeq int64
 	EndSeq   int64 // 0 = still newest
 	Bytes    int64 // the checkpoint file's size
-	Decoded  int64 // the size of the JSON the file compresses
 	// Folded manifests, FoldedBytes of them, were committed since the
 	// previous checkpoint (or the first manifest the STO saw); LastFolded
 	// is the size of the newest.
@@ -344,7 +343,7 @@ func Fig11(s Scale) []Fig11Row {
 	var out []Fig11Row
 	for _, cp := range orch.Checkpoints() {
 		out = append(out, Fig11Row{
-			Table: nameOf[cp.TableID], StartSeq: cp.Seq, EndSeq: cp.EndSeq, Bytes: cp.Bytes, Decoded: cp.Decoded,
+			Table: nameOf[cp.TableID], StartSeq: cp.Seq, EndSeq: cp.EndSeq, Bytes: cp.Bytes,
 			Folded: cp.Manifest, FoldedBytes: cp.ManifestBytes, LastFolded: cp.LastManifest,
 		})
 	}

@@ -1,14 +1,13 @@
 package colfile
 
 import (
-	"encoding/base64"
 	"strings"
 	"testing"
 )
 
 // TestDecodersRejectMalformedInput: the four decoders of bytes from outside
 // the process — a v2 file footer, an inflated column chunk, a batch frame and
-// a sketch's sparse NDV bitmap — read through one byteReader, so the same
+// a sketch's sparse NDV bitmap — read through one wire.Reader, so the same
 // damage is the same error in each: a truncated varint, a non-minimal one, a
 // count the bytes left cannot back and a trailing byte are rejected with an
 // error naming the format and the defect. The sparse bitmap has no counts or
@@ -20,10 +19,7 @@ func TestDecodersRejectMalformedInput(t *testing.T) {
 		return func(b []byte) error { _, err := decodeChunkBody(b, t, n); return err }
 	}
 	frameErr := func(body []byte) error { _, err := UnmarshalBatch(sealFrame(body)); return err }
-	sketchErr := func(raw []byte) error {
-		var b NDVBitmap
-		return b.UnmarshalText([]byte(base64.StdEncoding.EncodeToString(raw)))
-	}
+	sketchErr := func(raw []byte) error { _, err := readNDV(raw); return err }
 	// A frame head: one int64 column "a"; what follows is its row count.
 	head := func(typ DataType) []byte { return append([]byte(frameMagic), 1, byte(typ), 1, 'a') }
 	dense := append(bitmapWith(3, 700), 0)

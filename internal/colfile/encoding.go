@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"sync"
+
+	"polaris/internal/wire"
 )
 
 // Column-chunk encodings. The writer picks automatically: dictionary when a
@@ -28,7 +30,7 @@ const (
 // A chunk is inflated into pooled scratch as well. The scratch goes back to
 // the pool when decodeChunk returns, so nothing a decoder keeps may alias it:
 // numbers and bitmaps are converted into slices of their own, and a string
-// column takes one copy of its region (byteReader.strings).
+// column takes one copy of its region (wire.Reader.Strings).
 var (
 	flateWriters sync.Pool // *flate.Writer at flate.BestSpeed
 	flateReaders sync.Pool // io.ReadCloser from flate.NewReader; a flate.Resetter
@@ -101,22 +103,22 @@ func decodeChunk(data []byte, t DataType, n int) (*Vec, error) {
 
 // decodeChunkBody decodes an inflated chunk of n rows of type t.
 func decodeChunkBody(raw []byte, t DataType, n int) (*Vec, error) {
-	r := byteReader{b: raw}
-	enc := r.byte("encoding bytes")
+	r := wire.NewReader(raw)
+	enc := r.Byte("encoding bytes")
 	v := NewVec(t)
-	v.Nulls = r.nulls(n)
+	v.Nulls = readNulls(r, n)
 	switch {
-	case r.err != nil:
+	case r.Err() != nil:
 	case enc == encPlain:
-		decodePlain(&r, v, n)
+		decodePlain(r, v, n)
 	case enc == encDict && t == String:
-		decodeDict(&r, v, n)
+		decodeDict(r, v, n)
 	case enc == encRLE && t == Int64:
-		decodeRLE(&r, v, n)
+		decodeRLE(r, v, n)
 	default:
-		r.fail("unknown encoding %d of a %s chunk", enc, t)
+		r.Fail("unknown encoding %d of a %s chunk", enc, t)
 	}
-	if err := r.end("chunk"); err != nil {
+	if err := r.End("colfile: chunk"); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -180,134 +182,19 @@ func appendNulls(dst []byte, live []bool) []byte {
 	return dst
 }
 
-// byteReader decodes every byte string colfile takes in — a file footer, an
-// inflated column chunk, a batch frame's body, a sparse sketch — under one
-// set of rules (docs/ARCHITECTURE.md, "Data files"):
-//   - the first error sticks, and every later read returns a zero value, so
-//     a walk ends without sizing anything by what it read after the damage;
-//   - a count is checked against the bytes left before anything is sized by
-//     it (count, claim);
-//   - a varint is canonical: not longer than its value needs, and inside 64
-//     bits;
-//   - a null flag or bool byte is 0 or 1;
-//   - nothing follows the last value (end).
-//
-// A column's values are decoded by one typed loop, not a call per value.
-type byteReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *byteReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-// end fails on trailing bytes and returns the walk's error, if any, prefixed
-// by the name of the format.
-func (r *byteReader) end(format string) error {
-	if r.err == nil && r.pos != len(r.b) {
-		r.fail("%d trailing bytes", len(r.b)-r.pos)
-	}
-	if r.err != nil {
-		return fmt.Errorf("colfile: %s: %w", format, r.err)
-	}
-	return nil
-}
-
-func (r *byteReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	x, w := binary.Uvarint(r.b[r.pos:])
-	switch {
-	case w == 0:
-		r.fail("truncated varint at byte %d (%s)", r.pos, what)
-	case w < 0:
-		r.fail("varint overflows 64 bits at byte %d (%s)", r.pos, what)
-	case w > 1 && r.b[r.pos+w-1] == 0:
-		r.fail("non-minimal varint at byte %d (%s)", r.pos, what)
-	default:
-		r.pos += w
-		return x
-	}
-	return 0
-}
-
-// varint reads a zig-zag varint (binary.AppendVarint's) under uvarint's rules.
-func (r *byteReader) varint(what string) int64 {
-	ux := r.uvarint(what)
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x
-}
-
-// varints fills dst with zig-zag varints. Like strings, it walks a column in
-// one typed loop with binary.Uvarint inlined, not a call per value, and hands
-// a varint uvarint would reject back to uvarint to fail the walk.
-func (r *byteReader) varints(what string, dst []int64) {
-	for i := range dst {
-		x, w := binary.Uvarint(r.b[r.pos:])
-		if r.err != nil || w <= 0 || w > 1 && r.b[r.pos+w-1] == 0 {
-			r.uvarint(what)
-			return
-		}
-		r.pos += w
-		dst[i] = int64(x>>1) ^ -int64(x&1)
-	}
-}
-
-// claim checks that n items of at least width bytes each fit in the bytes
-// left, and returns n, or 0 once the walk has failed.
-func (r *byteReader) claim(what string, n uint64, width int) int {
-	if r.err != nil || n > uint64((len(r.b)-r.pos)/width) {
-		r.fail("%d %s need more than the %d bytes left at byte %d", n, what, len(r.b)-r.pos, r.pos)
-		return 0
-	}
-	return int(n)
-}
-
-// count reads a uvarint announcing that many items of at least width bytes
-// each, and claims them.
-func (r *byteReader) count(what string, width int) int {
-	return r.claim(what, r.uvarint(what), width)
-}
-
-// take returns the next n items of width bytes each, or nil once the walk
-// has failed. The slice aliases the input.
-func (r *byteReader) take(what string, n, width int) []byte {
-	n = r.claim(what, uint64(n), width) * width
-	if r.err != nil {
-		return nil
-	}
-	r.pos += n
-	return r.b[r.pos-n : r.pos]
-}
-
-func (r *byteReader) byte(what string) byte {
-	if b := r.take(what, 1, 1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// nulls reads a null section of n rows (see appendNulls); a bitmap that marks
-// no row decodes to nil like an absent one.
-func (r *byteReader) nulls(n int) []bool {
-	switch flag := r.byte("null flags"); flag {
+// readNulls reads a null section of n rows (see appendNulls); a bitmap that
+// marks no row decodes to nil like an absent one. The flag is 0 or 1.
+func readNulls(r *wire.Reader, n int) []bool {
+	switch flag := r.Byte("null flags"); flag {
 	case 0:
 		return nil
 	case 1:
 	default:
-		r.fail("null flag %d at byte %d", flag, r.pos-1)
+		r.Fail("null flag %d at byte %d", flag, r.Pos()-1)
 		return nil
 	}
-	bits := r.take("null bitmap bytes", (n+7)/8, 1)
-	if r.err != nil {
+	bits := r.Take("null bitmap bytes", (n+7)/8, 1)
+	if r.Err() != nil {
 		return nil
 	}
 	nulls := make([]bool, n)
@@ -315,61 +202,6 @@ func (r *byteReader) nulls(n int) []bool {
 		nulls[i] = bits[i/8]&(1<<(i%8)) != 0
 	}
 	return liveNulls(nulls)
-}
-
-// floats reads n float64s of 8 little-endian bytes each.
-func (r *byteReader) floats(n int) []float64 {
-	raw := r.take("float64 values", n, 8)
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-// bools reads n bools of one byte each, 0 or 1.
-func (r *byteReader) bools(n int) []bool {
-	raw := r.take("bool values", n, 1)
-	out := make([]bool, len(raw))
-	for i, x := range raw {
-		if x > 1 {
-			r.fail("bool value %d is %d", i, x)
-			return nil
-		}
-		out[i] = x == 1
-	}
-	return out
-}
-
-// strings reads n length-prefixed strings. One walk checks every length and
-// finds the run's end; the run is then copied once and the values sliced
-// from the copy, so a string column costs two allocations however many rows
-// it has and aliases nothing of the bytes it came from.
-func (r *byteReader) strings(what string, n int) []string {
-	start := r.pos
-	n = r.claim(what, uint64(n), 1)
-	for i := 0; i < n; i++ {
-		l, w := binary.Uvarint(r.b[r.pos:])
-		if r.err != nil || w <= 0 || w > 1 && r.b[r.pos+w-1] == 0 || l > uint64(len(r.b)-r.pos-w) {
-			r.count("string bytes", 1)
-			return nil
-		}
-		r.pos += w + int(l)
-	}
-	if r.err != nil {
-		return nil
-	}
-	run := r.b[start:r.pos]
-	region := string(run)
-	strs := make([]string, n)
-	at := 0
-	for i := range strs {
-		l, w := binary.Uvarint(run[at:])
-		at += w
-		strs[i] = region[at : at+int(l)]
-		at += int(l)
-	}
-	return strs
 }
 
 func appendPlain(dst []byte, v *Vec) []byte {
@@ -384,7 +216,7 @@ func appendPlain(dst []byte, v *Vec) []byte {
 		}
 	case String:
 		for _, s := range v.Strs {
-			dst = appendString(dst, s)
+			dst = wire.AppendString(dst, s)
 		}
 	case Bool:
 		for _, b := range v.Bools {
@@ -398,19 +230,19 @@ func appendPlain(dst []byte, v *Vec) []byte {
 	return dst
 }
 
-func decodePlain(r *byteReader, v *Vec, n int) {
+func decodePlain(r *wire.Reader, v *Vec, n int) {
 	switch v.Type {
 	case Int64:
 		// A varint takes at least one byte, so a row count the chunk cannot
 		// back is rejected before it sizes a slice.
-		v.Ints = make([]int64, r.claim("int64 values", uint64(n), 1))
-		r.varints("int64 values", v.Ints)
+		v.Ints = make([]int64, r.Claim("int64 values", uint64(n), 1))
+		r.Varints("int64 values", v.Ints)
 	case Float64:
-		v.Floats = r.floats(n)
+		v.Floats = r.Floats(n)
 	case String:
-		v.Strs = r.strings("string values", n)
+		v.Strs = r.Strings("string values", n)
 	case Bool:
-		v.Bools = r.bools(n)
+		v.Bools = r.Bools(n)
 	}
 }
 
@@ -425,7 +257,7 @@ func appendDict(dst []byte, v *Vec) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(order)))
 	for _, s := range order {
-		dst = appendString(dst, s)
+		dst = wire.AppendString(dst, s)
 	}
 	for _, s := range v.Strs {
 		dst = binary.AppendUvarint(dst, dict[s])
@@ -433,15 +265,15 @@ func appendDict(dst []byte, v *Vec) []byte {
 	return dst
 }
 
-func decodeDict(r *byteReader, v *Vec, n int) {
-	dict := r.strings("dict entries", r.count("dict entries", 1))
+func decodeDict(r *wire.Reader, v *Vec, n int) {
+	dict := r.Strings("dict entries", r.Count("dict entries", 1))
 	// A code takes at least one byte.
-	v.Strs = make([]string, r.claim("dict codes", uint64(n), 1))
+	v.Strs = make([]string, r.Claim("dict codes", uint64(n), 1))
 	for i := range v.Strs {
-		if code := r.uvarint("dict codes"); code < uint64(len(dict)) {
+		if code := r.Uvarint("dict codes"); code < uint64(len(dict)) {
 			v.Strs[i] = dict[code]
 		} else {
-			r.fail("dict code %d of %d entries", code, len(dict))
+			r.Fail("dict code %d of %d entries", code, len(dict))
 		}
 	}
 }
@@ -460,16 +292,16 @@ func appendRLE(dst []byte, v *Vec) []byte {
 	return dst
 }
 
-func decodeRLE(r *byteReader, v *Vec, n int) {
+func decodeRLE(r *wire.Reader, v *Vec, n int) {
 	// A run costs two bytes however long it is, so n is bounded by the
 	// footer alone: grow into it instead of trusting it with one allocation.
 	v.Ints = make([]int64, 0, min(n, 1<<16))
-	for len(v.Ints) < n && r.err == nil {
-		val := r.varint("rle values")
-		switch run := r.uvarint("rle runs"); {
-		case r.err != nil:
+	for len(v.Ints) < n && r.Err() == nil {
+		val := r.Varint("rle values")
+		switch run := r.Uvarint("rle runs"); {
+		case r.Err() != nil:
 		case run == 0 || run > uint64(n-len(v.Ints)):
-			r.fail("rle run %d overflows %d rows", run, n)
+			r.Fail("rle run %d overflows %d rows", run, n)
 		default:
 			for ; run > 0; run-- {
 				v.Ints = append(v.Ints, val)

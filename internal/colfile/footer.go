@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"unsafe"
+
+	"polaris/internal/wire"
 )
 
 // Footer format v2, the one every writer seals (magic PCF2). Counts, lengths,
@@ -19,8 +21,8 @@ import (
 //	           varints, floats as 8 bytes little endian, strings
 //
 // It holds exactly what a Reader serves: the per-column sketches are in the
-// manifest's Add action, not here. It decodes under the rules every colfile
-// decoder shares (byteReader; docs/ARCHITECTURE.md, "Data files").
+// manifest's Add action, not here. It decodes under the rules every binary
+// decoder shares (wire.Reader; docs/ARCHITECTURE.md, "Data files").
 
 // Zone-map flags: which ColStats pointers a chunk's stats carry.
 const (
@@ -33,78 +35,128 @@ const (
 	statAll = 1<<iota - 1
 )
 
-func appendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-}
-
 // appendV2 appends the footer's v2 encoding to dst.
 func (m *footer) appendV2(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.Schema)))
 	for _, f := range m.Schema {
-		dst = appendString(append(dst, byte(f.Type)), f.Name)
+		dst = wire.AppendString(append(dst, byte(f.Type)), f.Name)
 	}
-	dst = appendString(dst, m.SortedBy)
+	dst = wire.AppendString(dst, m.SortedBy)
 	dst = binary.AppendUvarint(dst, uint64(m.NumRows))
 	dst = binary.AppendUvarint(dst, uint64(len(m.RowGroups)))
 	for _, rg := range m.RowGroups {
 		dst = binary.AppendUvarint(dst, uint64(rg.NumRows))
 		for _, ch := range rg.Chunks {
-			st := &ch.Stats
 			dst = binary.AppendUvarint(dst, uint64(ch.Offset))
 			dst = binary.AppendUvarint(dst, uint64(ch.Length))
-			dst = binary.AppendUvarint(dst, uint64(st.NullCount))
-			var flags byte
-			for i, set := range []bool{st.MinInt != nil, st.MaxInt != nil, st.MinFloat != nil, st.MaxFloat != nil, st.MinStr != nil, st.MaxStr != nil} {
-				if set {
-					flags |= 1 << i
-				}
-			}
-			dst = append(dst, flags)
-			for _, p := range []*int64{st.MinInt, st.MaxInt} {
-				if p != nil {
-					dst = binary.AppendVarint(dst, *p)
-				}
-			}
-			for _, p := range []*float64{st.MinFloat, st.MaxFloat} {
-				if p != nil {
-					dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(*p))
-				}
-			}
-			for _, p := range []*string{st.MinStr, st.MaxStr} {
-				if p != nil {
-					dst = appendString(dst, *p)
-				}
-			}
+			dst = appendStats(dst, &ch.Stats)
 		}
 	}
 	return dst
 }
 
-// decodeFooterV2 parses a v2 footer: it checks the encoding (see byteReader)
-// and leaves what the values mean to footer.validate. Names and zone-map
-// strings are sliced from one copy of the footer, and the zone-map values of
-// the whole file share three backing arrays, sized for two values per chunk
-// of a column of their type.
+// appendStats appends a zone map: the NULL count as a uvarint, a flags byte
+// naming the bounds present, and those bounds in flag order — ints as
+// zig-zag varints, floats as 8 bytes little endian, strings length-prefixed.
+// A footer writes one per chunk and a sketch one per column (appendSketch).
+func appendStats(dst []byte, st *ColStats) []byte {
+	dst = binary.AppendUvarint(dst, uint64(st.NullCount))
+	var flags byte
+	for i, set := range []bool{st.MinInt != nil, st.MaxInt != nil, st.MinFloat != nil, st.MaxFloat != nil, st.MinStr != nil, st.MaxStr != nil} {
+		if set {
+			flags |= 1 << i
+		}
+	}
+	dst = append(dst, flags)
+	for _, p := range []*int64{st.MinInt, st.MaxInt} {
+		if p != nil {
+			dst = binary.AppendVarint(dst, *p)
+		}
+	}
+	for _, p := range []*float64{st.MinFloat, st.MaxFloat} {
+		if p != nil {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(*p))
+		}
+	}
+	for _, p := range []*string{st.MinStr, st.MaxStr} {
+		if p != nil {
+			dst = wire.AppendString(dst, *p)
+		}
+	}
+	return dst
+}
+
+// statsReader decodes the zone maps appendStats writes. The bounds it reads
+// are appended to three backing arrays a decoder sizes for what it expects,
+// so a footer's or a manifest block's bounds cost three allocations, not one
+// per bound; bounds past a backing array's capacity go to a new one, and the
+// pointers already taken keep the old one alive. str reads one string bound.
+type statsReader struct {
+	r      *wire.Reader
+	ints   []int64
+	floats []float64
+	strs   []string
+	str    func() string
+}
+
+// read decodes one zone map into st.
+func (z *statsReader) read(st *ColStats) {
+	r := z.r
+	st.NullCount = int(r.Uvarint("null count"))
+	flags := r.Byte("zone-map flag bytes")
+	if flags&^statAll != 0 {
+		r.Fail("unknown zone-map flags %#x", flags)
+		return
+	}
+	for _, p := range []**int64{&st.MinInt, &st.MaxInt} {
+		if flags&1 != 0 {
+			z.ints = append(z.ints, r.Varint("zone-map ints"))
+			*p = &z.ints[len(z.ints)-1]
+		}
+		flags >>= 1
+	}
+	for _, p := range []**float64{&st.MinFloat, &st.MaxFloat} {
+		if flags&1 != 0 {
+			z.floats = append(z.floats, r.Float("zone-map float bytes"))
+			*p = &z.floats[len(z.floats)-1]
+		}
+		flags >>= 1
+	}
+	for _, p := range []**string{&st.MinStr, &st.MaxStr} {
+		if flags&1 != 0 {
+			z.strs = append(z.strs, z.str())
+			*p = &z.strs[len(z.strs)-1]
+		}
+		flags >>= 1
+	}
+}
+
+// decodeFooterV2 parses a v2 footer: it checks the encoding (see
+// wire.Reader) and leaves what the values mean to footer.validate. Names and
+// zone-map strings are sliced from one copy of the footer, and the zone-map
+// values of the whole file share three backing arrays, sized for two values
+// per chunk of a column of their type.
 func decodeFooterV2(b []byte) (footer, error) {
-	r := byteReader{b: b}
+	r := wire.NewReader(b)
 	s := string(b)
 	str := func() string {
-		n := r.count("string bytes", 1)
-		r.pos += n
-		return s[r.pos-n : r.pos]
+		n := r.Count("string bytes", 1)
+		at := r.Pos()
+		r.Take("string bytes", n, 1)
+		return s[at : at+n]
 	}
 	var m footer
 	// A column is a type byte and a name length at least; a chunk four
 	// varints and a flags byte; a group its row count and its chunks.
-	ncols := r.count("columns", 2)
+	ncols := r.Count("columns", 2)
 	m.Schema = make(Schema, ncols)
 	for i := range m.Schema {
-		m.Schema[i].Type = DataType(r.byte("column type bytes"))
+		m.Schema[i].Type = DataType(r.Byte("column type bytes"))
 		m.Schema[i].Name = str()
 	}
 	m.SortedBy = str()
-	m.NumRows = int64(r.uvarint("row count"))
-	ngroups := r.count("row groups", 1+4*ncols)
+	m.NumRows = int64(r.Uvarint("row count"))
+	ngroups := r.Count("row groups", 1+4*ncols)
 	chunks := make([]chunkMeta, ngroups*ncols)
 	var perType [Bool + 1]int
 	for _, f := range m.Schema {
@@ -112,63 +164,26 @@ func decodeFooterV2(b []byte) (footer, error) {
 			perType[f.Type] += 2 * ngroups
 		}
 	}
-	// Flags that do not match the column's type can outgrow a backing array:
-	// the values after that go to a new one, and the pointers already taken
-	// keep the old one alive.
-	ints := make([]int64, 0, perType[Int64])
-	floats := make([]float64, 0, perType[Float64])
-	strs := make([]string, 0, perType[String])
-	intPtr := func() *int64 {
-		ints = append(ints, r.varint("zone-map ints"))
-		return &ints[len(ints)-1]
-	}
-	floatPtr := func() *float64 {
-		floats = append(floats, 0)
-		if f := r.take("zone-map float bytes", 1, 8); f != nil {
-			floats[len(floats)-1] = math.Float64frombits(binary.LittleEndian.Uint64(f))
-		}
-		return &floats[len(floats)-1]
-	}
-	strPtr := func() *string {
-		strs = append(strs, str())
-		return &strs[len(strs)-1]
+	z := statsReader{
+		r:      r,
+		ints:   make([]int64, 0, perType[Int64]),
+		floats: make([]float64, 0, perType[Float64]),
+		strs:   make([]string, 0, perType[String]),
+		str:    str,
 	}
 	m.RowGroups = make([]rowGroupMeta, ngroups)
 	for g := range m.RowGroups {
 		rg := &m.RowGroups[g]
-		rg.NumRows = int(r.uvarint("group rows"))
+		rg.NumRows = int(r.Uvarint("group rows"))
 		rg.Chunks = chunks[g*ncols : (g+1)*ncols : (g+1)*ncols]
 		for c := range rg.Chunks {
 			ch := &rg.Chunks[c]
-			ch.Offset = int64(r.uvarint("chunk offset"))
-			ch.Length = int64(r.uvarint("chunk length"))
-			st := &ch.Stats
-			st.NullCount = int(r.uvarint("null count"))
-			flags := r.byte("zone-map flag bytes")
-			if flags&^statAll != 0 {
-				r.fail("unknown zone-map flags %#x", flags)
-			}
-			if flags&statMinInt != 0 {
-				st.MinInt = intPtr()
-			}
-			if flags&statMaxInt != 0 {
-				st.MaxInt = intPtr()
-			}
-			if flags&statMinFloat != 0 {
-				st.MinFloat = floatPtr()
-			}
-			if flags&statMaxFloat != 0 {
-				st.MaxFloat = floatPtr()
-			}
-			if flags&statMinStr != 0 {
-				st.MinStr = strPtr()
-			}
-			if flags&statMaxStr != 0 {
-				st.MaxStr = strPtr()
-			}
+			ch.Offset = int64(r.Uvarint("chunk offset"))
+			ch.Length = int64(r.Uvarint("chunk length"))
+			z.read(&ch.Stats)
 		}
 	}
-	if err := r.end("footer"); err != nil {
+	if err := r.End("colfile: footer"); err != nil {
 		return footer{}, err
 	}
 	return m, nil

@@ -11,7 +11,6 @@ package colfile
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -20,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"polaris/internal/wire"
 )
 
 // fuzzVal is one fuzzed cell: a value of every type plus a NULL flag; typ
@@ -799,56 +800,58 @@ func FuzzVecCopies(f *testing.F) {
 	})
 }
 
-// FuzzNDVBitmap: any bytes, as the wire text of an NDVBitmap (its base64
-// payload) and as the JSON value json.Unmarshal hands it, give a dense bitmap,
-// nil for JSON null, or an error — never a panic. Fed as the base64 of the
-// bytes, the sparse decoder sees them directly. Whatever decodes re-encodes
-// stably: decoding the encoding gives the same bitmap, and encoding that gives
-// the same text. (A dense input with few bits set legitimately comes back
-// sparse.)
+// FuzzNDVBitmap: any bytes, as the raw wire form of an NDVBitmap and as a
+// list of sketches (AppendSketches'), give a value or an error — never a
+// panic, and never an allocation the input cannot back. A bitmap is dense.
+// Whatever decodes re-encodes stably: decoding the encoding gives the same
+// value, and encoding that gives the same bytes. (A dense input with few
+// bits set legitimately comes back sparse.)
 func FuzzNDVBitmap(f *testing.F) {
 	full := bytes.Repeat([]byte{0xFF}, sketchBits/8)
-	for _, seed := range []string{
-		`""`, `"AP8P"`, `null`, `"gA=="`, `"gBA="`, `"BQA="`, `"hQA="`, `[1,2]`, `7`, `"\u0041P8P"`,
-		`"` + base64.StdEncoding.EncodeToString(make([]byte, sketchBits/8)) + `"`,
-		`"` + base64.StdEncoding.EncodeToString(full) + `"`,
+	for _, seed := range [][]byte{
+		{}, {0x00, 0xFF, 0x0F}, {0x80}, {0x80, 0x10}, {0x05, 0x00}, {0x85, 0x00},
+		{0xFF, 0x0F, 0x01}, {0x03, 0xB9, 0x05, 0x01}, append(full, 0),
+		make([]byte, sketchBits/8), full,
+		AppendSketches(nil, []ColSketch{{Rows: 3}, {Rows: 2, Stats: ColStats{NullCount: 2}, Bitmap: bitmapWith()}}),
+		AppendSketches(nil, []ColSketch{{Rows: 9, Bitmap: full}, {Rows: 2, Bitmap: bitmapWith(0, 2047)}}),
 	} {
-		f.Add([]byte(seed))
+		f.Add(seed)
 	}
-	f.Add([]byte{0x00, 0xFF, 0x0F})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded := make([]NDVBitmap, 0, 3)
-		for _, text := range [][]byte{data, []byte(base64.StdEncoding.EncodeToString(data))} {
-			var b NDVBitmap
-			if err := b.UnmarshalText(text); err == nil {
-				if b == nil {
-					t.Fatalf("text %q decoded to nil", text)
-				}
-				decoded = append(decoded, b)
-			}
-		}
-		var b NDVBitmap
-		if err := json.Unmarshal(data, &b); err == nil && b != nil {
-			decoded = append(decoded, b)
-		}
-		for _, b := range decoded {
+		if b, err := readNDV(data); err == nil {
 			if len(b) != sketchBits/8 {
-				t.Fatalf("%q decoded to %d bytes", data, len(b))
+				t.Fatalf("%x decoded to %d bytes", data, len(b))
 			}
-			enc, err := b.MarshalText()
+			enc := b.appendWire(nil)
+			back, err := readNDV(enc)
 			if err != nil {
-				t.Fatalf("encode %x: %v", b, err)
-			}
-			var back NDVBitmap
-			if err := back.UnmarshalText(enc); err != nil {
-				t.Fatalf("re-decode of %s: %v", enc, err)
+				t.Fatalf("re-decode of %x: %v", enc, err)
 			}
 			if !bytes.Equal(back, b) {
-				t.Fatalf("%s decodes to %x, want %x", enc, back, b)
+				t.Fatalf("%x decodes to %x, want %x", enc, back, b)
 			}
-			if again, _ := back.MarshalText(); !bytes.Equal(again, enc) {
-				t.Fatalf("re-encoding is not stable: %s then %s", enc, again)
+			if again := back.appendWire(nil); !bytes.Equal(again, enc) {
+				t.Fatalf("re-encoding is not stable: %x then %x", enc, again)
 			}
+		}
+		r := wire.NewReader(data)
+		sks := ReadSketches(r)
+		if r.End("sketches") != nil {
+			return
+		}
+		for i, sk := range sks {
+			if sk.Bitmap != nil && len(sk.Bitmap) != sketchBits/8 {
+				t.Fatalf("%x: sketch %d has a %d-byte bitmap", data, i, len(sk.Bitmap))
+			}
+		}
+		enc := AppendSketches(nil, sks)
+		r = wire.NewReader(enc)
+		back := ReadSketches(r)
+		if err := r.End("sketches"); err != nil {
+			t.Fatalf("re-decode of %x: %v", enc, err)
+		}
+		if again := AppendSketches(nil, back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable: %x then %x", enc, again)
 		}
 	})
 }

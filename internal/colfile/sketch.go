@@ -1,11 +1,11 @@
 package colfile
 
 import (
-	"encoding/base64"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
+
+	"polaris/internal/wire"
 )
 
 // ColSketch is the per-column statistics sketch a Writer computes while a
@@ -23,13 +23,13 @@ import (
 // acceptable for the planner, which only needs relative cardinalities.
 type ColSketch struct {
 	// Rows counts every value observed, NULLs included.
-	Rows int64 `json:"rows"`
+	Rows int64
 	// Stats carries file-level min/max and the NULL count, in the same
-	// JSON-friendly shape as the per-chunk zone maps.
-	Stats ColStats `json:"stats"`
+	// shape as the per-chunk zone maps.
+	Stats ColStats
 	// Bitmap is the linear-counting bitmap (sketchBits bits). Nil means NDV
 	// is unknown for this column (e.g. a merge involving a pre-sketch file).
-	Bitmap NDVBitmap `json:"ndv,omitempty"`
+	Bitmap NDVBitmap
 }
 
 // sketchBits sizes the linear-counting bitmap: 256 bytes per column per file
@@ -47,89 +47,128 @@ type ColSketch struct {
 const sketchBits = 2048
 
 // NDVBitmap is a sketch's linear-counting bitmap. In memory it is always
-// dense (sketchBits/8 bytes) or nil. On the wire (manifests and checkpoints)
-// it is a base64 JSON string in whichever of two forms is shorter:
+// dense (sketchBits/8 bytes) or nil. On the wire (AppendSketches: manifests
+// and checkpoints) it is written raw in whichever of two forms is shorter:
 //   - dense: the sketchBits/8 bitmap bytes;
 //   - sparse: the positions of the set bits in ascending order, each written
 //     as a uvarint delta from the previous one (the first from zero).
 //
-// The decoded length tells them apart: exactly sketchBits/8 bytes is dense,
+// The length tells them apart: exactly sketchBits/8 bytes is dense,
 // anything else is sparse. Sparse is written only when shorter, so an
-// all-zero bitmap (an all-NULL column) is the empty string and a file of n
+// all-zero bitmap (an all-NULL column) is the empty form and a file of n
 // rows costs at most about 2n bytes. The sparse decoder accepts only the
 // form the encoder writes.
 type NDVBitmap []byte
 
-// MarshalText writes the shorter wire form as base64 text, which
-// encoding/json writes as a string. Only a sketchBits/8-byte bitmap has a
-// wire form; ColSketch omits a nil one. It is a TextMarshaler rather than a
-// json.Marshaler because encoding/json re-scans a MarshalJSON result to
-// compact it, which made a checkpoint's Marshal about half again slower.
-func (b NDVBitmap) MarshalText() ([]byte, error) {
-	if len(b) != sketchBits/8 {
-		return nil, fmt.Errorf("colfile: ndv bitmap of %d bytes, want %d", len(b), sketchBits/8)
-	}
-	var scratch [sketchBits / 8]byte
-	raw, prev := scratch[:0], 0
-	for w := 0; w < len(b) && len(raw) < len(b); w += 8 {
+// appendWire appends the shorter wire form of b, a dense bitmap.
+func (b NDVBitmap) appendWire(dst []byte) []byte {
+	start, prev := len(dst), 0
+	for w := 0; w < len(b) && len(dst)-start < len(b); w += 8 {
 		for x := binary.LittleEndian.Uint64(b[w:]); x != 0; x &= x - 1 {
 			bit := w*8 + bits.TrailingZeros64(x)
-			raw = binary.AppendUvarint(raw, uint64(bit-prev))
+			dst = binary.AppendUvarint(dst, uint64(bit-prev))
 			prev = bit
 		}
 	}
-	if len(raw) >= len(b) {
-		raw = b
+	if len(dst)-start >= len(b) {
+		return append(dst[:start], b...)
 	}
-	return base64.StdEncoding.AppendEncode(nil, raw), nil
+	return dst
 }
 
-// UnmarshalText reads either wire form into a dense bitmap (encoding/json
-// leaves it nil on null). A malformed sparse form is an error, never a panic.
-func (b *NDVBitmap) UnmarshalText(text []byte) error {
-	raw := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
-	n, err := base64.StdEncoding.Decode(raw, text)
-	if err != nil {
-		return fmt.Errorf("colfile: ndv bitmap: %w", err)
+// readNDV reads either wire form into a dense bitmap of its own. A
+// malformed sparse form is an error, never a panic.
+func readNDV(raw []byte) (NDVBitmap, error) {
+	if len(raw) == sketchBits/8 {
+		return append(NDVBitmap(nil), raw...), nil
 	}
-	if raw = raw[:n]; len(raw) == sketchBits/8 {
-		*b = raw
-		return nil
-	}
-	dense, err := decodeSparse(raw)
-	if err != nil {
-		return err
-	}
-	*b = dense
-	return nil
+	return decodeSparse(raw)
 }
 
 // decodeSparse expands the sparse wire form, rejecting every byte string the
-// encoder cannot have written: beyond byteReader's rules, a form longer than
+// encoder cannot have written: beyond wire.Reader's rules, a form longer than
 // dense, a position past the bitmap and a repeated position.
 func decodeSparse(raw []byte) (NDVBitmap, error) {
-	r := byteReader{b: raw}
+	r := wire.NewReader(raw)
 	if len(raw) > sketchBits/8 {
-		r.fail("sparse form longer than dense")
+		r.Fail("sparse form longer than dense")
 	}
 	dense := make(NDVBitmap, sketchBits/8)
-	for prev := 0; r.err == nil && r.pos < len(raw); {
-		first := r.pos == 0
-		switch d := r.uvarint("positions"); {
-		case r.err != nil:
+	for prev := 0; r.Err() == nil && r.Pos() < len(raw); {
+		first := r.Pos() == 0
+		switch d := r.Uvarint("positions"); {
+		case r.Err() != nil:
 		case !first && d == 0:
-			r.fail("duplicate position %d", prev)
+			r.Fail("duplicate position %d", prev)
 		case d >= uint64(sketchBits-prev):
-			r.fail("position %d+%d beyond %d bits", prev, d, sketchBits)
+			r.Fail("position %d+%d beyond %d bits", prev, d, sketchBits)
 		default:
 			prev += int(d)
 			dense[prev/8] |= 1 << (prev % 8)
 		}
 	}
-	if err := r.end("ndv bitmap"); err != nil {
+	if err := r.End("colfile: ndv bitmap"); err != nil {
 		return nil, err
 	}
 	return dense, nil
+}
+
+// AppendSketches appends a file's per-column sketches: their count, then per
+// column its rows as a uvarint, its zone map as a file footer writes one
+// (appendStats), and its NDV bitmap — a uvarint of 0 for nil, else the
+// length of its wire form plus one, then the form. A bitmap that is neither
+// nil nor dense has no wire form and is written as nil: NDV unknown.
+func AppendSketches(dst []byte, sks []ColSketch) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(sks)))
+	var scratch [sketchBits / 8]byte
+	for i := range sks {
+		s := &sks[i]
+		dst = binary.AppendUvarint(dst, uint64(s.Rows))
+		dst = appendStats(dst, &s.Stats)
+		if len(s.Bitmap) != sketchBits/8 {
+			dst = append(dst, 0)
+			continue
+		}
+		form := s.Bitmap.appendWire(scratch[:0])
+		dst = append(binary.AppendUvarint(dst, uint64(len(form))+1), form...)
+	}
+	return dst
+}
+
+// ReadSketches reads the sketches AppendSketches wrote, nil for none. A
+// damaged sketch fails r.
+func ReadSketches(r *wire.Reader) []ColSketch {
+	// A sketch is at least its rows, its NULL count, its flags and its
+	// bitmap's length: four bytes.
+	n := r.Count("sketches", 4)
+	if n == 0 {
+		return nil
+	}
+	sks := make([]ColSketch, n)
+	z := statsReader{r: r, str: func() string { return r.String("zone-map string bytes") }}
+	for i := range sks {
+		s := &sks[i]
+		s.Rows = int64(r.Uvarint("sketch rows"))
+		z.read(&s.Stats)
+		l := r.Uvarint("ndv bitmap bytes")
+		if l == 0 {
+			continue
+		}
+		raw := r.Take("ndv bitmap bytes", r.Claim("ndv bitmap bytes", l-1, 1), 1)
+		if r.Err() != nil {
+			return nil
+		}
+		b, err := readNDV(raw)
+		if err != nil {
+			r.Fail("%w", err)
+			return nil
+		}
+		s.Bitmap = b
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return sks
 }
 
 // fnv64a hashes an encoded value for the NDV bitmap.

@@ -2,10 +2,10 @@ package colfile
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
 	"strings"
 	"testing"
+
+	"polaris/internal/wire"
 )
 
 func intVec(vals ...int64) *Vec {
@@ -141,8 +141,10 @@ func bitmapWith(bits ...int) NDVBitmap {
 }
 
 // TestNDVBitmapWireForms pins the hand-written wire forms of a sketch's
-// bitmap: absent for nil, the empty string for an all-NULL column, the
-// sparse positions when they are shorter and the dense bytes when not.
+// bitmap, as AppendSketches writes one sketch: the count, the rows, the NULL
+// count, no zone-map flags, then the bitmap's length plus one — 0 for nil,
+// 1 for an all-NULL column's empty form — and the sparse positions when they
+// are shorter or the dense bytes when not. Each decodes back to its bitmap.
 func TestNDVBitmapWireForms(t *testing.T) {
 	allNull := NewVec(Int64)
 	allNull.AppendNull()
@@ -156,26 +158,27 @@ func TestNDVBitmapWireForms(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		sk     ColSketch
-		want   string // the sketch's JSON
+		want   []byte
 		bitmap NDVBitmap
 	}{
-		{"nil is absent", ColSketch{Rows: 3}, `{"rows":3,"stats":{"null_count":0}}`, nil},
-		{"all-NULL is empty", nullSk, `{"rows":2,"stats":{"null_count":2},"ndv":""}`, bitmapWith()},
+		{"nil is absent", ColSketch{Rows: 3}, []byte{1, 3, 0, 0, 0}, nil},
+		{"all-NULL is empty", nullSk, []byte{1, 2, 2, 0, 1}, bitmapWith()},
 		// Positions 0 and 2047: uvarints 0x00 and 0xFF 0x0F.
-		{"bits 0 and 2047", ColSketch{Rows: 2, Bitmap: bitmapWith(0, 2047)}, `{"rows":2,"stats":{"null_count":0},"ndv":"AP8P"}`, bitmapWith(0, 2047)},
-		{"saturated stays dense", ColSketch{Rows: 9, Bitmap: saturated}, `{"rows":9,"stats":{"null_count":0},"ndv":"` + strings.Repeat("/", 340) + `/w=="}`, saturated},
+		{"bits 0 and 2047", ColSketch{Rows: 2, Bitmap: bitmapWith(0, 2047)}, []byte{1, 2, 0, 0, 4, 0x00, 0xFF, 0x0F}, bitmapWith(0, 2047)},
+		// 257 is the uvarint 0x81 0x02.
+		{"saturated stays dense", ColSketch{Rows: 9, Bitmap: saturated}, append([]byte{1, 9, 0, 0, 0x81, 0x02}, saturated...), saturated},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := json.Marshal(tc.sk)
-			if err != nil || string(got) != tc.want {
-				t.Fatalf("Marshal = %s, %v; want %s", got, err, tc.want)
+			if got := AppendSketches(nil, []ColSketch{tc.sk}); !bytes.Equal(got, tc.want) {
+				t.Fatalf("AppendSketches = %x, want %x", got, tc.want)
 			}
-			var back ColSketch
-			if err := json.Unmarshal([]byte(tc.want), &back); err != nil {
-				t.Fatal(err)
+			r := wire.NewReader(tc.want)
+			back := ReadSketches(r)
+			if err := r.End("sketches"); err != nil || len(back) != 1 {
+				t.Fatalf("ReadSketches = %+v, %v", back, err)
 			}
-			if (back.Bitmap == nil) != (tc.bitmap == nil) || !bytes.Equal(back.Bitmap, tc.bitmap) {
-				t.Fatalf("decoded bitmap = %x (nil %v), want %x (nil %v)", back.Bitmap, back.Bitmap == nil, tc.bitmap, tc.bitmap == nil)
+			if b := back[0].Bitmap; (b == nil) != (tc.bitmap == nil) || !bytes.Equal(b, tc.bitmap) {
+				t.Fatalf("decoded bitmap = %x (nil %v), want %x (nil %v)", b, b == nil, tc.bitmap, tc.bitmap == nil)
 			}
 		})
 	}
@@ -186,15 +189,13 @@ func TestNDVBitmapWireForms(t *testing.T) {
 // re-encodes to the sparse form.
 func TestNDVBitmapDenseStaysReadable(t *testing.T) {
 	want := bitmapWith(3, 700, 701)
-	dense := `"` + base64.StdEncoding.EncodeToString(want) + `"`
-	var got NDVBitmap
-	if err := json.Unmarshal([]byte(dense), &got); err != nil || !bytes.Equal(got, want) {
+	got, err := readNDV(want)
+	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("decode dense = %x, %v", got, err)
 	}
 	// Positions 3, 700, 701: uvarints 0x03, 0xB9 0x05 (697) and 0x01.
-	wantSparse := `"` + base64.StdEncoding.EncodeToString([]byte{0x03, 0xB9, 0x05, 0x01}) + `"`
-	if enc, err := json.Marshal(got); err != nil || string(enc) != wantSparse {
-		t.Fatalf("re-encode = %s, %v; want %s", enc, err, wantSparse)
+	if enc := got.appendWire(nil); !bytes.Equal(enc, []byte{0x03, 0xB9, 0x05, 0x01}) {
+		t.Fatalf("re-encode = %x, want 03b90501", enc)
 	}
 }
 
@@ -211,15 +212,10 @@ func TestNDVBitmapRejectsMalformed(t *testing.T) {
 		{"duplicate position", []byte{0x05, 0x00}, "duplicate position 5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var b NDVBitmap
-			err := b.UnmarshalText([]byte(base64.StdEncoding.EncodeToString(tc.raw)))
+			b, err := readNDV(tc.raw)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("UnmarshalText(%x) = %x, %v; want an error containing %q", tc.raw, b, err, tc.want)
+				t.Fatalf("readNDV(%x) = %x, %v; want an error containing %q", tc.raw, b, err, tc.want)
 			}
 		})
-	}
-	var b NDVBitmap
-	if err := b.UnmarshalText([]byte("not base64!")); err == nil {
-		t.Fatal("bad base64 decoded")
 	}
 }

@@ -24,7 +24,7 @@ package colfile
 // therefore overwrites its exchange chunk with identical bytes, and two
 // results can be compared by comparing their frames. The decoder rejects bad
 // magic, a checksum mismatch and an unknown type, and decodes the rest under
-// the rules every colfile decoder shares (byteReader; docs/ARCHITECTURE.md,
+// the rules every binary decoder shares (wire.Reader; docs/ARCHITECTURE.md,
 // "Data files").
 
 import (
@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"polaris/internal/wire"
 )
 
 const (
@@ -97,7 +99,7 @@ func MarshalBatch(b *Batch) ([]byte, error) {
 	buf = append(buf, frameMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Schema)))
 	for _, f := range b.Schema {
-		buf = appendString(append(buf, byte(f.Type)), f.Name)
+		buf = wire.AppendString(append(buf, byte(f.Type)), f.Name)
 	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for i, v := range b.Cols {
@@ -123,7 +125,7 @@ func MarshalBatch(b *Batch) ([]byte, error) {
 				if null != nil && null[r] {
 					s = ""
 				}
-				buf = appendString(buf, s)
+				buf = wire.AppendString(buf, s)
 			}
 		case Bool:
 			for r, x := range v.Bools {
@@ -150,41 +152,42 @@ func UnmarshalBatch(data []byte) (*Batch, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, ErrChecksum
 	}
-	r := byteReader{b: body, pos: len(frameMagic)}
-	schema := make(Schema, r.count("columns", 2)) // type byte + name length
+	r := wire.NewReader(body)
+	r.Take("magic bytes", len(frameMagic), 1)
+	schema := make(Schema, r.Count("columns", 2)) // type byte + name length
 	for i := range schema {
-		t := DataType(r.byte("column type bytes"))
+		t := DataType(r.Byte("column type bytes"))
 		if t > Bool {
-			r.fail("column %d has unknown type %d", i, t)
+			r.Fail("column %d has unknown type %d", i, t)
 		}
-		schema[i] = Field{Name: string(r.take("column name bytes", r.count("column name bytes", 1), 1)), Type: t}
+		schema[i] = Field{Name: string(r.Take("column name bytes", r.Count("column name bytes", 1), 1)), Type: t}
 	}
 	// Every column spends at least one byte per row, so the row count is
 	// bounded by the bytes left; a frame without columns has no rows.
-	n := r.count("rows", 1)
+	n := r.Count("rows", 1)
 	if len(schema) == 0 && n != 0 {
-		r.fail("%d rows without columns", n)
+		r.Fail("%d rows without columns", n)
 	}
 	cols := make([]*Vec, len(schema))
 	for i, f := range schema {
-		v := &Vec{Type: f.Type, Nulls: r.nulls(n)}
+		v := &Vec{Type: f.Type, Nulls: readNulls(r, n)}
 		switch f.Type {
 		case Int64:
-			raw := r.take("int64 values", n, 8)
+			raw := r.Take("int64 values", n, 8)
 			v.Ints = make([]int64, len(raw)/8)
 			for j := range v.Ints {
 				v.Ints[j] = int64(binary.LittleEndian.Uint64(raw[8*j:]))
 			}
 		case Float64:
-			v.Floats = r.floats(n)
+			v.Floats = r.Floats(n)
 		case String:
-			v.Strs = r.strings("string values", n)
+			v.Strs = r.Strings("string values", n)
 		case Bool:
-			v.Bools = r.bools(n)
+			v.Bools = r.Bools(n)
 		}
 		cols[i] = v
 	}
-	if err := r.end("batch frame"); err != nil {
+	if err := r.End("colfile: batch frame"); err != nil {
 		return nil, err
 	}
 	return &Batch{Schema: schema, Cols: cols}, nil

@@ -425,10 +425,10 @@ func (p TablePaths) DVFile(txnID int64, n int) string {
 
 // ManifestFile names the transaction manifest blob for txn.
 func (p TablePaths) ManifestFile(txnID int64) string {
-	return fmt.Sprintf("%s%d.json", p.ManifestPrefix(), txnID)
+	return fmt.Sprintf("%s%d.manifest", p.ManifestPrefix(), txnID)
 }
 
-// CheckpointFile names a checkpoint file at a sequence: gzip-compressed JSON.
+// CheckpointFile names a checkpoint file at a sequence.
 func (p TablePaths) CheckpointFile(seq int64) string {
-	return fmt.Sprintf("%s%d.json.gz", p.CheckpointPrefix(), seq)
+	return fmt.Sprintf("%s%d.checkpoint", p.CheckpointPrefix(), seq)
 }

@@ -13,8 +13,8 @@ import (
 
 // storageLayoutGolden is the SHA-256 storageLayoutHash computes. Every write
 // path contributes to it: a change that moves a path, a data-file byte or a
-// manifest line changes it on purpose or not at all.
-const storageLayoutGolden = "dd251577606843c5e5ea0362736bdb15b18848511aac44010d4172047cb867fb"
+// manifest byte changes it on purpose or not at all.
+const storageLayoutGolden = "1049ae64d05e0303d3d1cca5c9a481e18522c4cd3c202f94747909766cdee649"
 
 // layoutRows builds rows [lo, hi) of the layout script's table: 97 distinct
 // distribution keys, a scattered sort column.

@@ -105,10 +105,9 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 
 // Checkpoint is one checkpoint file CheckpointTable wrote.
 type Checkpoint struct {
-	Path    string
-	Seq     int64 // the newest manifest sequence it folds
-	Bytes   int64 // the file's size
-	Decoded int64 // the size of the JSON it compresses: what a reader decodes
+	Path  string
+	Seq   int64 // the newest manifest sequence it folds
+	Bytes int64 // the file's size: what a reader decodes
 }
 
 // CheckpointTable compacts the manifest list into a checkpoint file (5.2).
@@ -127,10 +126,7 @@ func (t *Txn) CheckpointTable(table string) (Checkpoint, error) {
 		return Checkpoint{}, nil // nothing to checkpoint
 	}
 	cp := manifest.BuildCheckpoint(meta.ID, state)
-	data, decoded, err := cp.Marshal()
-	if err != nil {
-		return Checkpoint{}, err
-	}
+	data := cp.Marshal()
 	path := TablePaths{ID: meta.ID}.CheckpointFile(cp.Seq)
 	node := t.writeNode()
 	d, err := node.WriteFile(t.eng.Store, path, data, t.id)
@@ -143,7 +139,7 @@ func (t *Txn) CheckpointTable(table string) (Checkpoint, error) {
 	}); err != nil {
 		return Checkpoint{}, err
 	}
-	return Checkpoint{Path: path, Seq: cp.Seq, Bytes: int64(len(data)), Decoded: decoded}, nil
+	return Checkpoint{Path: path, Seq: cp.Seq, Bytes: int64(len(data))}, nil
 }
 
 // GCResult reports a garbage-collection pass (5.3).

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"polaris/internal/wire"
 )
 
 // Vector is a set of deleted row ordinals for a single data file.
@@ -192,42 +194,40 @@ func (v *Vector) Marshal() []byte {
 
 // Unmarshal parses a serialized vector. It accepts only what Marshal writes:
 // non-empty runs in ascending order, none adjoining the one before it, all
-// inside the uint32 row space, and no bytes after the last run.
+// inside the uint32 row space, canonical varints (wire.Reader) and no bytes
+// after the last run.
 func Unmarshal(data []byte) (*Vector, error) {
 	if len(data) < 4 || binary.LittleEndian.Uint32(data[:4]) != magic {
 		return nil, errors.New("deletevector: bad magic")
 	}
-	p := data[4:]
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return nil, errors.New("deletevector: truncated run count")
-	}
-	p = p[k:]
+	r := wire.NewReader(data)
+	r.Take("magic bytes", 4, 1)
+	// A run is two varints of at least a byte each.
+	n := r.Count("runs", 2)
 	v := New()
-	var prevEnd uint64
-	for i := uint64(0); i < n; i++ {
-		gap, k1 := binary.Uvarint(p)
-		if k1 <= 0 {
-			return nil, fmt.Errorf("deletevector: truncated run %d start", i)
-		}
-		p = p[k1:]
-		length, k2 := binary.Uvarint(p)
-		if k2 <= 0 || length == 0 {
-			return nil, fmt.Errorf("deletevector: truncated or empty run %d", i)
-		}
-		p = p[k2:]
-		if i > 0 && gap == 0 {
-			return nil, fmt.Errorf("deletevector: run %d adjoins the run before it", i)
-		}
-		if gap > math.MaxUint32 || length > math.MaxUint32 || prevEnd+gap+length > math.MaxUint32 {
-			return nil, fmt.Errorf("deletevector: run %d ends past the last row ordinal", i)
-		}
-		start := prevEnd + gap
-		prevEnd = start + length
-		v.runs = append(v.runs, run{uint32(start), uint32(prevEnd)})
+	if n > 0 {
+		v.runs = make([]run, 0, n)
 	}
-	if len(p) > 0 {
-		return nil, fmt.Errorf("deletevector: %d bytes after the last run", len(p))
+	var prevEnd uint64
+	for i := 0; i < n && r.Err() == nil; i++ {
+		gap := r.Uvarint("run starts")
+		length := r.Uvarint("run lengths")
+		switch {
+		case r.Err() != nil:
+		case length == 0:
+			r.Fail("run %d is empty", i)
+		case i > 0 && gap == 0:
+			r.Fail("run %d adjoins the run before it", i)
+		case gap > math.MaxUint32 || length > math.MaxUint32 || prevEnd+gap+length > math.MaxUint32:
+			r.Fail("run %d ends past the last row ordinal", i)
+		default:
+			start := prevEnd + gap
+			prevEnd = start + length
+			v.runs = append(v.runs, run{uint32(start), uint32(prevEnd)})
+		}
+	}
+	if err := r.End("deletevector"); err != nil {
+		return nil, err
 	}
 	return v, nil
 }

@@ -139,11 +139,17 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		"length past uint32":      encoded(1, 0, 1<<32),
 		"adjacent runs":           encoded(2, 0, 1, 0, 1),
 		"trailing bytes":          append(FromRows([]uint32{4, 9}).Marshal(), 0),
+		// One run of one row, its count written 0x81 0x00: the value 1 in
+		// two bytes where one does.
+		"overlong varint": append(binary.LittleEndian.AppendUint32(nil, magic), 0x81, 0x00, 0x01, 0x01),
 	}
 	for name, c := range cases {
 		if v, err := Unmarshal(c); err == nil {
 			t.Errorf("%s: corrupt input accepted as %v", name, v)
 		}
+	}
+	if _, err := Unmarshal(encoded(1, 1, 1)); err != nil {
+		t.Errorf("the overlong varint's control: %v", err)
 	}
 }
 

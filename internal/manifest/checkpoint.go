@@ -1,13 +1,11 @@
 package manifest
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
+
+	"polaris/internal/wire"
 )
 
 // Checkpoint is a compacted representation of a table's full state as of a
@@ -15,12 +13,12 @@ import (
 // a reader loads the newest checkpoint at or below its snapshot sequence and
 // replays only the manifests after it.
 type Checkpoint struct {
-	TableID int64        `json:"table_id"`
-	Seq     int64        `json:"seq"` // state includes all commits with sequence <= Seq
-	Files   []*FileEntry `json:"files"`
+	TableID int64
+	Seq     int64 // state includes all commits with sequence <= Seq
+	Files   []*FileEntry
 	// Tombstones carries forward logically-removed files still within the
 	// retention period so garbage collection can see them across checkpoints.
-	Tombstones []Tombstone `json:"tombstones,omitempty"`
+	Tombstones []Tombstone
 }
 
 // BuildCheckpoint captures the state into a checkpoint at its LastSeq.
@@ -47,67 +45,110 @@ func (cp *Checkpoint) State() *TableState {
 	return s
 }
 
-// checkpointZ is the one gzip writer checkpoints compress through. Its
-// deflate tables are about half a megabyte, more than most checkpoints it
-// compresses, and checkpoints are rare enough that a GC would empty a pool
-// between two of them; so one writer stays resident and checkpoints
-// compress one at a time.
-var checkpointZ struct {
-	sync.Mutex
-	w *gzip.Writer // at gzip.BestSpeed; nil until the first checkpoint
-}
+// Checkpoint format (header "PCK", version 1). Counts and numbers are
+// uvarints:
+//
+//	header      "PCK" and the version byte
+//	table, seq
+//	files       count, then per file the Add action that adds it, in the
+//	            manifest block's encoding (its deletion vector in the
+//	            target slot, its deleted rows in the action's), then the
+//	            sequence that added it
+//	tombstones  count, then per tombstone: its path, front-coded against
+//	            the previous tombstone's; its kind, 0 data or 1 deletion
+//	            vector; and its removal sequence as a zig-zag varint delta
+//	            from the previous tombstone's
+//
+// Files are in path order, so their paths share long prefixes, and
+// tombstones oldest first, so their sequences mostly repeat.
+const checkpointHeader = "PCK\x01"
 
-// Marshal serializes the checkpoint: its JSON, gzip-compressed. A checkpoint
-// is every live file's entry and every tombstone, mostly repeated keys and
-// paths, so it stores in a third to a fifth of its JSON. Marshal returns the
-// stored bytes and the size of the JSON they hold, the bytes a reader
-// decodes.
-func (cp *Checkpoint) Marshal() (data []byte, decoded int64, err error) {
-	js, err := json.Marshal(cp)
-	if err != nil {
-		return nil, 0, err
-	}
-	var out bytes.Buffer
-	z := &checkpointZ
-	z.Lock()
-	defer z.Unlock()
-	if z.w == nil {
-		z.w, _ = gzip.NewWriterLevel(&out, gzip.BestSpeed)
-	} else {
-		z.w.Reset(&out)
-	}
-	if _, err := z.w.Write(js); err != nil {
-		return nil, 0, err
-	}
-	if err := z.w.Close(); err != nil {
-		return nil, 0, err
-	}
-	return out.Bytes(), int64(len(js)), nil
-}
+// Least bytes of a file entry (flags, an empty path's two lengths, the
+// added sequence) and of a tombstone (two lengths, kind, sequence).
+const (
+	minFileBytes      = 4
+	minTombstoneBytes = 4
+)
 
-// UnmarshalCheckpoint parses a serialized checkpoint, gzip-compressed JSON.
-// It rejects a file entry that is null or has no path, so State never meets
-// one.
-func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
-	js, err := gunzip(data)
-	if err != nil {
-		return nil, fmt.Errorf("manifest: inflate checkpoint: %w", err)
+// Marshal serializes the checkpoint.
+func (cp *Checkpoint) Marshal() []byte {
+	e := encoder{buf: append(make([]byte, 0, 64*len(cp.Files)+16*len(cp.Tombstones)), checkpointHeader...)}
+	e.uvarint(uint64(cp.TableID))
+	e.uvarint(uint64(cp.Seq))
+	e.uvarint(uint64(len(cp.Files)))
+	for _, f := range cp.Files {
+		e.action(&Action{
+			Op: OpAdd, Kind: KindData, Path: f.Path, Rows: f.Rows, Size: f.Size,
+			Partition: f.Partition, Target: f.DV, DeletedRows: f.DeletedRows, Sketches: f.Sketches,
+		})
+		e.uvarint(uint64(f.AddedSeq))
 	}
-	return parseCheckpoint(js)
-}
-
-// parseCheckpoint parses a checkpoint's JSON.
-func parseCheckpoint(js []byte) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.Unmarshal(js, &cp); err != nil {
-		return nil, fmt.Errorf("manifest: parse checkpoint: %w", err)
-	}
-	for i, f := range cp.Files {
-		if f == nil || f.Path == "" {
-			return nil, fmt.Errorf("manifest: checkpoint file %d has no path", i)
+	e.uvarint(uint64(len(cp.Tombstones)))
+	e.paths = frontCoder{}
+	var seq int64
+	for _, t := range cp.Tombstones {
+		e.buf = e.paths.append(e.buf, t.Path)
+		kind := byte(0)
+		if t.Kind == KindDV {
+			kind = 1
 		}
+		e.buf = binary.AppendVarint(append(e.buf, kind), t.RemovedSeq-seq)
+		seq = t.RemovedSeq
 	}
-	return &cp, nil
+	return e.buf
+}
+
+// UnmarshalCheckpoint parses a serialized checkpoint. It rejects a file
+// entry that is not an add of a data file or has no path, and a tombstone of
+// an unknown kind, so State never meets one.
+func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
+	r := wire.NewReader(data)
+	if string(r.Take("header bytes", len(checkpointHeader), 1)) != checkpointHeader {
+		r.Fail("bad header")
+	}
+	cp := &Checkpoint{TableID: int64(r.Uvarint("table")), Seq: int64(r.Uvarint("sequence"))}
+	d := newDecoder(r)
+	entries := make([]FileEntry, r.Count("files", minFileBytes))
+	cp.Files = make([]*FileEntry, len(entries))
+	for i := range entries {
+		a := d.action()
+		f := &entries[i]
+		*f = FileEntry{
+			Path: a.Path, Rows: a.Rows, Size: a.Size, Partition: a.Partition,
+			DV: a.Target, DeletedRows: a.DeletedRows, Sketches: a.Sketches,
+			AddedSeq: int64(r.Uvarint("added sequences")),
+		}
+		if r.Err() == nil && (a.Op != OpAdd || a.Kind != KindData || a.Path == "") {
+			r.Fail("file %d is not an add of a data file with a path", i)
+		}
+		if r.Err() != nil {
+			break
+		}
+		cp.Files[i] = f
+	}
+	if n := r.Count("tombstones", minTombstoneBytes); n > 0 {
+		cp.Tombstones = make([]Tombstone, n)
+	}
+	d.paths = frontCoder{}
+	var seq int64
+	for i := range cp.Tombstones {
+		t := &cp.Tombstones[i]
+		t.Path = d.frontCoded(&d.paths, "tombstone paths")
+		switch kind := r.Byte("tombstone kinds"); kind {
+		case 0:
+			t.Kind = KindData
+		case 1:
+			t.Kind = KindDV
+		default:
+			r.Fail("tombstone %d has kind %d", i, kind)
+		}
+		seq += r.Varint("removal sequences")
+		t.RemovedSeq = seq
+	}
+	if err := r.End("manifest: checkpoint"); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }
 
 // CommittedManifest pairs a manifest's commit sequence with its actions, the
@@ -144,22 +185,4 @@ func Reconstruct(cp *Checkpoint, manifests []CommittedManifest, asOfSeq int64) (
 		}
 	}
 	return s, nil
-}
-
-// gunzip inflates a gzip stream. The trailer's last four bytes record the
-// size of what it holds, which the reader checks at the end; here they size
-// the buffer, so a checkpoint's JSON is allocated once rather than grown. A
-// corrupt size only misjudges the buffer, capped at more than JSON ever
-// deflates by.
-func gunzip(data []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	size := min(uint64(binary.LittleEndian.Uint32(data[len(data)-4:])), 64*uint64(len(data)))
-	out := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	if _, err := out.ReadFrom(zr); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
 }

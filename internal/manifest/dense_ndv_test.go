@@ -3,24 +3,23 @@ package manifest
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"testing"
 
 	"polaris/internal/colfile"
 )
 
-// The two fixtures under testdata/ were written by the engine before sketch
-// bitmaps had a sparse wire form, so every "ndv" in them is the dense 256
-// bytes. Table t is (k INT, s VARCHAR, n INT, w INT) over two distributions:
-// one INSERT of 1,600 rows (k = i%10, s = "v"+i%5, n always NULL, w = i·7919
-// mod 100,000), one of 3 rows, a merge-on-read DELETE and a CHECKPOINT.
-// dense_ndv.manifest is the first INSERT's manifest block and
-// dense_ndv.checkpoint the checkpoint's JSON (checkpoints were not yet
-// stored gzip-compressed). Regenerating them with today's encoder would
-// write sparse forms, so they are never regenerated.
+// The two fixtures under testdata/ hold sketches the engine wrote before
+// sketch bitmaps had a sparse wire form, when every bitmap was stored dense
+// in JSON. Table t is (k INT, s VARCHAR, n INT, w INT) over two
+// distributions: one INSERT of 1,600 rows (k = i%10, s = "v"+i%5, n always
+// NULL, w = i·7919 mod 100,000), one of 3 rows, a merge-on-read DELETE and a
+// CHECKPOINT. dense_ndv.manifest is the first INSERT's manifest block and
+// dense_ndv.checkpoint the checkpoint, re-encoded in the binary codec when
+// the JSON path was removed: the bitmaps are the engine's, and each is on
+// the wire in the shorter of its two forms. The files pin the codec's bytes
+// too, so they change only with the format.
 
 // wantSketch is one column's bitmap (SHA-256 of its bytes) and NDV estimate,
 // as the engine that wrote the fixtures decoded them, and whether the dense
@@ -87,27 +86,17 @@ func checkSketches(t *testing.T, where string, got []colfile.ColSketch, want []w
 	}
 }
 
-// checkWireForms re-encodes sketches and requires the sparse form exactly
-// where it is shorter: k, s and the all-NULL n hold a handful of values, while
-// the first INSERT's w holds hundreds, so its dense 256 bytes beat about two
-// bytes per set bit.
+// checkWireForms re-encodes sketches and requires the dense form on the
+// wire exactly where it is the shorter: k, s and the all-NULL n hold a
+// handful of values, while the first INSERT's w holds hundreds, so its dense
+// 256 bytes beat about two bytes per set bit. A dense form is the bitmap
+// itself, last in its sketch's encoding.
 func checkWireForms(t *testing.T, where string, sketches []colfile.ColSketch, want []wantSketch) {
 	t.Helper()
 	for i, sk := range sketches {
-		enc, err := json.Marshal(sk.Bitmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b64 string
-		if err := json.Unmarshal(enc, &b64); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dense := len(raw) == 256; dense != want[i].dense {
-			t.Errorf("%s col %d: re-encoded %d bytes (dense %v), want dense %v", where, i, len(raw), dense, want[i].dense)
+		enc := colfile.AppendSketches(nil, []colfile.ColSketch{sk})
+		if dense := bytes.HasSuffix(enc, sk.Bitmap) && len(sk.Bitmap) > 0; dense != want[i].dense {
+			t.Errorf("%s col %d: %d bytes on the wire (dense %v), want dense %v", where, i, len(enc), dense, want[i].dense)
 		}
 	}
 }
@@ -122,9 +111,9 @@ func readFixture(t *testing.T, name string) []byte {
 }
 
 // TestDenseSketchesStayReadable decodes a manifest block and a checkpoint
-// written with dense bitmaps: every file's bitmap and NDV, and the table fold,
-// equal what the writing engine recorded, and re-encoding them writes the
-// sparse form where that is shorter and decodes back to the same state.
+// whose sketches the engine wrote: every file's bitmap and NDV, and the table
+// fold, equal what the writing engine recorded, dense bitmaps are on the wire
+// dense and sparse ones sparse, and re-encoding gives the fixtures' bytes.
 func TestDenseSketchesStayReadable(t *testing.T) {
 	mdata := readFixture(t, "dense_ndv.manifest")
 	actions, err := Decode(mdata)
@@ -143,20 +132,12 @@ func TestDenseSketchesStayReadable(t *testing.T) {
 	if adds != 2 {
 		t.Fatalf("manifest adds %d data files, want 2", adds)
 	}
-	enc := Encode(actions)
-	if len(enc) >= len(mdata) {
-		t.Fatalf("re-encoded manifest is %d bytes, dense fixture %d", len(enc), len(mdata))
-	}
-	back, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := Encode(back); !bytes.Equal(again, enc) {
-		t.Fatal("re-encoded manifest does not round-trip")
+	if enc := Encode(actions); !bytes.Equal(enc, mdata) {
+		t.Fatalf("re-encoded manifest is %d bytes and differs from the %d-byte fixture", len(enc), len(mdata))
 	}
 
 	cdata := readFixture(t, "dense_ndv.checkpoint")
-	cp, err := parseCheckpoint(cdata)
+	cp, err := UnmarshalCheckpoint(cdata)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,18 +154,7 @@ func TestDenseSketchesStayReadable(t *testing.T) {
 		t.Fatal("fold over the checkpoint failed")
 	}
 	checkSketches(t, "fold", fold, denseFixtureFold)
-
-	cenc, decoded, err := cp.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	if enc := cp.Marshal(); !bytes.Equal(enc, cdata) {
+		t.Fatalf("re-encoded checkpoint is %d bytes and differs from the %d-byte fixture", len(enc), len(cdata))
 	}
-	if decoded >= int64(len(cdata)) {
-		t.Fatalf("re-encoded checkpoint's JSON is %d bytes, dense fixture %d", decoded, len(cdata))
-	}
-	cp2, err := UnmarshalCheckpoint(cenc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fold2, _ := cp2.State().Sketches(4)
-	checkSketches(t, "fold after re-encoding", fold2, denseFixtureFold)
 }

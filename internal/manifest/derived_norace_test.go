@@ -9,18 +9,8 @@ package manifest
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
-
-// allocatedBy returns the bytes the process allocated while f ran.
-func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 // TestAdvanceCostIsIndependentOfHistory: a successor shares its
 // predecessor's tombstone history, so advancing the cache by a commit that

@@ -2,86 +2,75 @@ package manifest
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/json"
-	"strings"
+	"runtime"
 	"testing"
-
-	"polaris/internal/colfile"
 )
 
-// gz compresses a checkpoint's JSON as Marshal stores it.
-func gz(t testing.TB, js string) []byte {
-	var out bytes.Buffer
-	zw := gzip.NewWriter(&out)
-	if _, err := zw.Write([]byte(js)); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+// allocatedBy returns the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestUnmarshalCheckpointRejectsCorrupt: a checkpoint blob is bytes from
-// storage, so a damaged one must be an error at unmarshal time, never a state
-// that panics its readers.
-func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
-	good := gz(t, `{"files":[]}`)
-	for name, data := range map[string][]byte{
-		"plain json":   []byte(`{"files":[]}`),
-		"truncated":    good[:len(good)-5],
-		"trailing":     append(append([]byte{}, good...), 0),
-		"crc mismatch": append(append([]byte{}, good[:len(good)-8]...), 0, 0, 0, 0, 12, 0, 0, 0),
-	} {
-		if cp, err := UnmarshalCheckpoint(data); err == nil || !strings.Contains(err.Error(), "inflate checkpoint") {
-			t.Fatalf("%s: UnmarshalCheckpoint = %v, %v; want an inflate error", name, cp, err)
+// allocLimit bounds what decoding n bytes may allocate. The most a few input
+// bytes can ask for is a sketch: four bytes name an all-zero NDV bitmap,
+// which decodes to 256 dense bytes and an 88-byte ColSketch. Front-coded
+// strings are capped at maxStringExpansion times the input.
+func allocLimit(n int) uint64 { return uint64(128*n + 64<<10) }
+
+// FuzzManifestDecode: any bytes give actions or an error, never a panic and
+// never an allocation the input cannot back. Every action passes Validate,
+// and re-encoding is stable: the actions re-encode to a block that decodes to
+// the same actions and encodes to the same bytes again.
+func FuzzManifestDecode(f *testing.F) {
+	block := Encode([]Action{addData("a", 10), addDV("dv", "a", 2), removeDV("dv", "a"), removeData("a")})
+	edge := Encode(edgeActions())
+	f.Add(block)
+	f.Add(edge)
+	f.Add(append(append([]byte{}, edge...), block...))
+	f.Add(block[:len(block)-1])
+	f.Add(append(append([]byte{}, block...), 0))
+	f.Add([]byte(blockHeader + "\x00"))
+	f.Add([]byte(`{"op":"add","kind":"data","path":"p"}`))
+	// A path sharing its predecessor's whole prefix, twice over.
+	f.Add([]byte(blockHeader + "\x02\x00\x00\x04long\x00\x04\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var actions []Action
+		var err error
+		if grew := allocatedBy(func() { actions, err = Decode(data) }); grew > allocLimit(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, allocLimit(len(data)))
 		}
-	}
-	for _, tc := range []struct{ name, body, want string }{
-		{"not json", `{"files":`, "parse checkpoint"},
-		{"wrong type", `{"files":{}}`, "parse checkpoint"},
-		{"null file", `{"files":[null]}`, "checkpoint file 0 has no path"},
-		{"empty path", `{"seq":3,"files":[{"path":"a","rows":1},{"path":"","rows":1}]}`, "checkpoint file 1 has no path"},
-		{"missing path", `{"files":[{"rows":1}]}`, "checkpoint file 0 has no path"},
-		// Sparse sketch bitmaps: a truncated varint (0x80) and position 2048
-		// (uvarint 0x80 0x10).
-		{"truncated ndv", `{"files":[{"path":"a","sketches":[{"rows":1,"ndv":"gA=="}]}]}`, "ndv bitmap: truncated"},
-		{"ndv past the bitmap", `{"files":[{"path":"a","sketches":[{"rows":1,"ndv":"gBA="}]}]}`, "ndv bitmap: position"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cp, err := UnmarshalCheckpoint(gz(t, tc.body))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("UnmarshalCheckpoint(%s) = %v, %v; want an error containing %q", tc.body, cp, err, tc.want)
+		if err != nil {
+			if actions != nil {
+				t.Fatalf("error %v returned with actions", err)
 			}
-		})
-	}
+			return
+		}
+		for i, a := range actions {
+			if err := a.Validate(); err != nil {
+				t.Fatalf("action %d of %x fails Validate: %v", i, data, err)
+			}
+		}
+		enc := Encode(actions)
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %x: %v", enc, err)
+		}
+		if !sameBits(back, actions) {
+			t.Fatalf("%x re-decodes to %+v, want %+v", enc, back, actions)
+		}
+		if again := Encode(back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", enc, again)
+		}
+	})
 }
 
-// sparseSketchCheckpoint is a checkpoint seed whose file carries sketches in
-// both wire forms: a sparse bitmap of three positions, an all-NULL column's
-// empty one and a saturated dense one.
-func sparseSketchCheckpoint(f *testing.F) []byte {
-	few, full := make(colfile.NDVBitmap, 256), make(colfile.NDVBitmap, 256)
-	few[0], few[100], few[255] = 0x01, 0x10, 0x80
-	for i := range full {
-		full[i] = 0xFF
-	}
-	a := addData("a", 10)
-	a.Sketches = []colfile.ColSketch{{Rows: 10, Bitmap: few}, {Rows: 10, Stats: colfile.ColStats{NullCount: 10}, Bitmap: make(colfile.NDVBitmap, 256)}, {Rows: 10, Bitmap: full}}
-	s := NewTableState()
-	if err := s.Apply(1, []Action{a}); err != nil {
-		f.Fatal(err)
-	}
-	data, err := json.Marshal(BuildCheckpoint(7, s))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
-}
-
-// FuzzUnmarshalCheckpoint fuzzes the JSON UnmarshalCheckpoint parses once it
-// has inflated a blob; gzip's own checks guard the layer below.
+// FuzzUnmarshalCheckpoint: any bytes give a checkpoint or an error, never a
+// panic and never an allocation the input cannot back. A checkpoint's state
+// names every file by a non-empty path, and re-encoding is stable.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
 	s := NewTableState()
 	if err := s.Apply(1, []Action{addData("a", 10), addData("b", 20)}); err != nil {
@@ -90,54 +79,41 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	if err := s.Apply(2, []Action{addDV("dv", "a", 2), removeData("b")}); err != nil {
 		f.Fatal(err)
 	}
-	good, err := json.Marshal(BuildCheckpoint(42, s))
-	if err != nil {
-		f.Fatal(err)
-	}
+	good := BuildCheckpoint(42, s).Marshal()
 	f.Add(good)
-	f.Add(sparseSketchCheckpoint(f))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"files":[null]}`))
-	f.Add([]byte(`{"files":[{"path":""}]}`))
-	f.Add([]byte(`{"files":[{"path":"a"},{"path":"a","dv":"x"}],"tombstones":[null]}`))
+	f.Add(edgeCheckpoint().Marshal())
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte{}, good...), 0))
+	f.Add([]byte(checkpointHeader + "\x00\x00\x00\x00"))
+	f.Add([]byte(`{"files":[]}`))
+	f.Add([]byte(checkpointHeader + "\x01\x02\x01\x80\x00\x01a\x01\x01\x00\x00\x02\x05\x01\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := parseCheckpoint(data)
+		var cp *Checkpoint
+		var err error
+		if grew := allocatedBy(func() { cp, err = UnmarshalCheckpoint(data) }); grew > allocLimit(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, allocLimit(len(data)))
+		}
 		if err != nil {
+			if cp != nil {
+				t.Fatalf("error %v returned with a checkpoint", err)
+			}
 			return
 		}
 		for path, fe := range cp.State().Files {
 			if fe == nil || fe.Path == "" || fe.Path != path {
-				t.Fatalf("state of %q has file %q: %+v", data, path, fe)
+				t.Fatalf("state of %x has file %q: %+v", data, path, fe)
 			}
 		}
-	})
-}
-
-func FuzzManifestDecode(f *testing.F) {
-	f.Add(Encode([]Action{addData("a", 10), addDV("dv", "a", 2), removeDV("dv", "a"), removeData("a")}))
-	f.Add([]byte(`{"op":"add","kind":"data","path":"p","sketches":[{"rows":1,"stats":{"min_float":-0,"min_str":"` + "\xff" + `"},"ndv":""}]}`))
-	f.Add([]byte(`{"op":"add","kind":"data","path":"p","sketches":[{"rows":2,"stats":{"null_count":0},"ndv":"AP8P"}]}`))
-	f.Add([]byte(`{"op":"add","kind":"dv","path":"p"}`))
-	f.Add([]byte("null\n{}"))
-	f.Add([]byte(`{"op":"remove","kind":"data","path":"x"} {"op":"add"`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		actions, err := Decode(data)
+		enc := cp.Marshal()
+		back, err := UnmarshalCheckpoint(enc)
 		if err != nil {
-			return
+			t.Fatalf("re-decode of %x: %v", enc, err)
 		}
-		for i, a := range actions {
-			if err := a.Validate(); err != nil {
-				t.Fatalf("action %d of %q fails Validate: %v", i, data, err)
-			}
+		if !sameBits(back, cp) {
+			t.Fatalf("%x re-decodes to %+v, want %+v", enc, back, cp)
 		}
-		enc := Encode(actions)
-		back, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decode of %q: %v", enc, err)
-		}
-		if again := Encode(back); !bytes.Equal(again, enc) {
-			t.Fatalf("re-encoding is not stable:\n%s\n%s", enc, again)
+		if again := back.Marshal(); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", enc, again)
 		}
 	})
 }

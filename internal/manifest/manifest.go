@@ -4,16 +4,18 @@
 // reconstruction by incremental replay, manifest checkpoints, and the
 // Delta-log-style publishing transform used for async lake snapshots.
 //
-// A manifest file is a sequence of JSON-lines actions. Each BE task
-// serializes its actions as one block of the shared transaction manifest
-// blob; the SQL FE commits the aggregated block list (see objectstore).
-// Because blocks are self-delimiting JSON lines, concatenation of blocks in
-// any task order yields a valid manifest.
+// A manifest file is a sequence of binary action blocks (codec.go). Each BE
+// task serializes its actions as one block of the shared transaction
+// manifest blob; the SQL FE commits the aggregated block list (see
+// objectstore). Because every block starts with its own header and action
+// count and front-codes its paths from scratch, concatenation of blocks in
+// any task order yields a valid manifest. Checkpoints use the same action
+// encoding for their file entries (checkpoint.go). Manifests and
+// checkpoints are durable metadata only this engine reads; the Delta and
+// Iceberg publishers (publish.go, iceberg.go) write JSON for other engines.
 package manifest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"sort"
@@ -40,27 +42,27 @@ const (
 	KindDV   Kind = "dv"
 )
 
-// Action is one line of a transaction manifest: add or remove one data file
+// Action is one entry of a transaction manifest: add or remove one data file
 // or deletion-vector file.
 type Action struct {
-	Op   Op     `json:"op"`
-	Kind Kind   `json:"kind"`
-	Path string `json:"path"`
+	Op   Op
+	Kind Kind
+	Path string
 	// Rows and Size describe a data file (KindData).
-	Rows int64 `json:"rows,omitempty"`
-	Size int64 `json:"size,omitempty"`
+	Rows int64
+	Size int64
 	// Target is the data file a deletion vector applies to (KindDV).
-	Target string `json:"target,omitempty"`
+	Target string
 	// DeletedRows is the cardinality of a deletion vector (KindDV).
-	DeletedRows int64 `json:"deleted_rows,omitempty"`
+	DeletedRows int64
 	// Partition is the distribution bucket the file belongs to, d(r) in the
 	// paper's cell model.
-	Partition int `json:"partition,omitempty"`
+	Partition int
 	// Sketches carries the sealed file's per-column statistics sketches
 	// (KindData; schema-aligned). Optional: actions from before the stats
 	// layer, or writers that skip them, simply leave the planner blind to
 	// this file's NDV/min-max (row counts still come from Rows).
-	Sketches []colfile.ColSketch `json:"sketches,omitempty"`
+	Sketches []colfile.ColSketch
 }
 
 // Validate checks structural invariants of a single action.
@@ -80,45 +82,18 @@ func (a Action) Validate() error {
 	return nil
 }
 
-// Encode serializes actions as JSON lines — the payload of one manifest block.
-func Encode(actions []Action) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, a := range actions {
-		_ = enc.Encode(a) // Action contains no unencodable values
-	}
-	return buf.Bytes()
-}
-
-// Decode parses a manifest file (or block) back into actions.
-func Decode(data []byte) ([]Action, error) {
-	var out []Action
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var a Action
-		if err := dec.Decode(&a); err != nil {
-			return nil, fmt.Errorf("manifest: decode action %d: %w", len(out), err)
-		}
-		if err := a.Validate(); err != nil {
-			return nil, fmt.Errorf("manifest: action %d: %w", len(out), err)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // FileEntry is the live state of one data file within a table snapshot.
 type FileEntry struct {
-	Path        string `json:"path"`
-	Rows        int64  `json:"rows"`
-	Size        int64  `json:"size"`
-	Partition   int    `json:"partition"`
-	DV          string `json:"dv,omitempty"`           // current deletion-vector file, if any
-	DeletedRows int64  `json:"deleted_rows,omitempty"` // cardinality of DV
-	AddedSeq    int64  `json:"added_seq"`              // commit sequence that added the file
+	Path        string
+	Rows        int64
+	Size        int64
+	Partition   int
+	DV          string // current deletion-vector file, if any
+	DeletedRows int64  // cardinality of DV
+	AddedSeq    int64  // commit sequence that added the file
 	// Sketches are the file's per-column statistics sketches, copied from the
 	// Add action (nil for files added before the stats layer existed).
-	Sketches []colfile.ColSketch `json:"sketches,omitempty"`
+	Sketches []colfile.ColSketch
 }
 
 // LiveRows returns the visible row count of the file.
@@ -126,9 +101,9 @@ func (f *FileEntry) LiveRows() int64 { return f.Rows - f.DeletedRows }
 
 // Tombstone records a file that was logically removed, and when.
 type Tombstone struct {
-	Path       string `json:"path"`
-	Kind       Kind   `json:"kind"`
-	RemovedSeq int64  `json:"removed_seq"`
+	Path       string
+	Kind       Kind
+	RemovedSeq int64
 }
 
 // TableState is a reconstructed snapshot of a log-structured table.
@@ -143,8 +118,8 @@ type Tombstone struct {
 // state — its live files in path order and their sketch fold — is computed
 // once, on first use, and shared like the state.
 type TableState struct {
-	Files   map[string]*FileEntry `json:"files"`
-	LastSeq int64                 `json:"last_seq"` // highest sequence replayed
+	Files   map[string]*FileEntry
+	LastSeq int64 // highest sequence replayed
 
 	tombs *tombstones // removal history; nil = none
 

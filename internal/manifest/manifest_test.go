@@ -42,24 +42,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsInvalid(t *testing.T) {
-	bad := []Action{{Op: "frob", Kind: KindData, Path: "x"}}
-	if _, err := Decode(Encode(bad)); err == nil {
-		t.Fatal("invalid op accepted")
-	}
-	if _, err := Decode([]byte(`{"op":"add","kind":"dv","path":"d"}` + "\n")); err == nil {
-		t.Fatal("dv without target accepted")
-	}
-	if _, err := Decode([]byte("{garbage")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// A sparse sketch bitmap naming position 5 twice (uvarints 0x05 0x00).
-	dup := `{"op":"add","kind":"data","path":"p","sketches":[{"rows":2,"stats":{"null_count":0},"ndv":"BQA="}]}`
-	if _, err := Decode([]byte(dup)); err == nil || !strings.Contains(err.Error(), "ndv bitmap: duplicate position") {
-		t.Fatalf("duplicate sketch position: err = %v", err)
-	}
-}
-
 func TestDecodeEmptyIsEmpty(t *testing.T) {
 	got, err := Decode(nil)
 	if err != nil || len(got) != 0 {
@@ -67,16 +49,34 @@ func TestDecodeEmptyIsEmpty(t *testing.T) {
 	}
 }
 
+// TestBlockConcatenationIsValidManifest: write tasks stage their blocks in
+// any order, and the manifest is their concatenation, so blocks decode to
+// the concatenation of their actions in every order — front coding starts
+// over in each block — and an empty action list is no block at all.
 func TestBlockConcatenationIsValidManifest(t *testing.T) {
-	// Blocks from different BE tasks concatenate into one valid manifest.
-	b1 := Encode([]Action{addData("a.parquet", 10)})
-	b2 := Encode([]Action{addData("b.parquet", 20)})
-	got, err := Decode(append(b1, b2...))
-	if err != nil {
-		t.Fatal(err)
+	blocks := [][]Action{
+		edgeActions(),
+		{addData("tables/1/data/7-p0-1.pcf", 5), removeData("tables/1/data/7-p0-0.pcf")},
+		{addDV("tables/1/dv/8-0.dv", "tables/1/data/7-p0-1.pcf", 2)},
+		nil,
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d actions", len(got))
+	if Encode(nil) != nil {
+		t.Fatal("no actions encode to bytes")
+	}
+	for _, order := range [][]int{{0, 1, 2, 3}, {0, 2, 1, 3}, {1, 0, 2, 3}, {1, 3, 2, 0}, {2, 0, 1, 3}, {2, 1, 3, 0}} {
+		var data []byte
+		var want []Action
+		for _, i := range order {
+			data = append(data, Encode(blocks[i])...)
+			want = append(want, blocks[i]...)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("order %v: got %+v, want %+v", order, got, want)
+		}
 	}
 }
 
@@ -224,11 +224,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	must(t, s.Apply(1, []Action{addData("a", 10), addData("b", 20)}))
 	must(t, s.Apply(2, []Action{addDV("dv", "a", 2), removeData("b")}))
 	cp := BuildCheckpoint(42, s)
-	data, _, err := cp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalCheckpoint(data)
+	back, err := UnmarshalCheckpoint(cp.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}

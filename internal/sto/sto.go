@@ -18,7 +18,7 @@ import (
 
 // Config tunes the orchestrator's triggers. Checkpointing (5.2) has no knob:
 // a table is checkpointed once the manifests committed since its newest
-// checkpoint weigh as much as that checkpoint's decoded JSON (see replayLog).
+// checkpoint weigh as much as that checkpoint (see replayLog).
 type Config struct {
 	// AutoCompact triggers compaction when a health sample reports a table
 	// unhealthy (5.1).
@@ -58,7 +58,6 @@ type CheckpointRecord struct {
 	EndSeq  int64 // 0 while the checkpoint is the newest
 	Created time.Time
 	Bytes   int64 // the checkpoint file's size
-	Decoded int64 // the size of the JSON the file compresses
 	// Manifest and ManifestBytes count the manifests committed since the
 	// previous checkpoint (or the table's first manifest) that this one
 	// folds; LastManifest is the size of the newest of them.
@@ -68,15 +67,14 @@ type CheckpointRecord struct {
 }
 
 // replayLog is what a cold snapshot of one table replays: a base (its newest
-// checkpoint, or until it has one the first manifest the STO saw for it) and
-// the manifests committed since. The table is due for a checkpoint once the
-// tail weighs as much as the base, so the JSON checkpoints encode stays
-// within one checkpoint of the manifests' and a cold snapshot decodes at most
-// about twice one checkpoint's JSON. Sizes are decoded bytes: a manifest is
-// stored as it decodes, a checkpoint compressed, so the checkpoints' stored
-// bytes stay well below the manifests'.
+// checkpoint, or until it has one its first manifest) and the manifests
+// committed since. The table is due for a checkpoint once the tail weighs as
+// much as the base, so the bytes checkpoints write stay within one
+// checkpoint of the manifests' and a cold snapshot decodes at most about
+// twice one checkpoint. Manifests and checkpoints share one binary encoding
+// and are stored as they decode, so a blob's size is what it costs to read.
 type replayLog struct {
-	base      int64 // decoded bytes
+	base      int64 // stored bytes
 	baseSeq   int64
 	tail      []committedManifest // sequence order is not guaranteed
 	tailBytes int64
@@ -120,7 +118,7 @@ func (l *replayLog) fold(cp core.Checkpoint) (n int, bytes, last int64) {
 	}
 	l.tail = kept
 	l.tailBytes -= bytes
-	l.base, l.baseSeq = cp.Decoded, cp.Seq
+	l.base, l.baseSeq = cp.Bytes, cp.Seq
 	return n, bytes, last
 }
 
@@ -157,6 +155,17 @@ func New(eng *core.Engine, cfg Config) *STO {
 // checkpoint, checkpoints.
 func (s *STO) onCommit(ev core.CommitEvent) {
 	s.mu.Lock()
+	if s.replay[ev.TableID] == nil {
+		s.mu.Unlock()
+		seeded, err := s.seed(ev.TableID, ev.Seq)
+		s.mu.Lock()
+		if err != nil {
+			s.errs = append(s.errs, err)
+		}
+		if s.replay[ev.TableID] == nil {
+			s.replay[ev.TableID] = seeded
+		}
+	}
 	due := false
 	if log := s.replay[ev.TableID]; log != nil {
 		due = log.note(ev.Seq, ev.Bytes)
@@ -195,6 +204,51 @@ func (s *STO) onCommit(ev core.CommitEvent) {
 	if due {
 		s.CheckpointTable(ev.TableID)
 	}
+}
+
+// seed rebuilds the replay log of a table the STO first meets at a commit of
+// sequence seq from the catalog: the base is the table's newest checkpoint
+// before seq or, without one, its first manifest, and the tail the
+// manifests committed after the base and before seq. An STO attached after
+// a table was loaded so weighs what a cold snapshot of the table replays, as
+// one attached before the load would, instead of taking the first small
+// manifest it sees as the base. It returns nil when the table has no
+// manifest before seq.
+func (s *STO) seed(tableID, seq int64) (*replayLog, error) {
+	tx := s.eng.Catalog.Begin(catalog.Snapshot)
+	defer tx.Rollback()
+	rows, err := catalog.ScanManifests(tx, tableID, seq-1)
+	if err != nil || len(rows) == 0 {
+		return nil, err
+	}
+	cp, ok, err := catalog.LatestCheckpoint(tx, tableID, seq-1)
+	if err != nil {
+		return nil, err
+	}
+	size := func(path string) (int64, error) {
+		info, err := s.eng.Store.Head(path)
+		return info.Size, err
+	}
+	base, baseSeq := rows[0].ManifestFile, rows[0].Seq
+	if ok {
+		base, baseSeq = cp.Path, cp.Seq
+	}
+	log := &replayLog{baseSeq: baseSeq}
+	if log.base, err = size(base); err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if row.Seq <= log.baseSeq {
+			continue
+		}
+		bytes, err := size(row.ManifestFile)
+		if err != nil {
+			return nil, err
+		}
+		log.tail = append(log.tail, committedManifest{row.Seq, bytes})
+		log.tailBytes += bytes
+	}
+	return log, nil
 }
 
 // stateFor returns the post-commit snapshot of the event's table: from the
@@ -248,7 +302,7 @@ func (s *STO) CheckpointTable(tableID int64) {
 	}
 	s.checkpoints = append(s.checkpoints, CheckpointRecord{
 		TableID: tableID, Path: cp.Path, Seq: s.eng.Catalog.CurrentSeq(),
-		Created: now, Bytes: cp.Bytes, Decoded: cp.Decoded,
+		Created: now, Bytes: cp.Bytes,
 		Manifest: n, ManifestBytes: bytes, LastManifest: last,
 	})
 }

@@ -2,10 +2,8 @@ package sto
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,30 +91,11 @@ func blobSize(t *testing.T, e *core.Engine, path string) int64 {
 	return int64(len(data))
 }
 
-// inflatedSize reads a gzip-compressed blob back from the store and returns
-// the size of what it holds.
-func inflatedSize(t *testing.T, e *core.Engine, path string) int64 {
-	t.Helper()
-	data, err := e.Store.Get(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := io.Copy(io.Discard, zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 // TestCheckpointWhenReplayOutweighsCheckpoint works the STO's rule out by
 // hand from the manifest and checkpoint sizes on the store: a table is
 // checkpointed on exactly the commit whose manifests since its newest
 // checkpoint (until it has one, since its first manifest) reach that
-// checkpoint's decoded bytes, the JSON its compressed file holds.
+// checkpoint's bytes.
 func TestCheckpointWhenReplayOutweighsCheckpoint(t *testing.T) {
 	e := testEngine(t)
 	cfg := DefaultConfig()
@@ -155,11 +134,10 @@ func TestCheckpointWhenReplayOutweighsCheckpoint(t *testing.T) {
 			return false
 		}
 		cp := cps[len(cps)-1]
-		if cp.Bytes != blobSize(t, e, cp.Path) || cp.Decoded != inflatedSize(t, e, cp.Path) || cp.Bytes >= cp.Decoded ||
-			cp.Manifest != folded || cp.ManifestBytes != tail || cp.LastManifest != m {
+		if cp.Bytes != blobSize(t, e, cp.Path) || cp.Manifest != folded || cp.ManifestBytes != tail || cp.LastManifest != m {
 			t.Fatalf("%s: checkpoint %+v, want %d manifests of %d bytes, the newest %d", what, cp, folded, tail, m)
 		}
-		base, tail, folded = cp.Decoded, 0, 0
+		base, tail, folded = cp.Bytes, 0, 0
 		return true
 	}
 	next := 1000
@@ -203,6 +181,67 @@ func TestCheckpointWhenReplayOutweighsCheckpoint(t *testing.T) {
 	e.Cache.Invalidate(2)
 	if got := countRows(t, e, "t"); got != next {
 		t.Fatalf("cold rows = %d, want %d", got, next)
+	}
+}
+
+// TestSTOAttachedAfterLoadWeighsTheCatalog: an STO attached to an engine
+// whose tables already hold manifests takes a table's replay from the
+// catalog when it first sees the table, as one attached before would have
+// kept it. Table t was loaded in one large INSERT, so its base is that
+// manifest, not the first small INSERT the STO sees: small INSERTs call for
+// a checkpoint only once they weigh as much as the load. Table u was
+// checkpointed by hand and had two small INSERTs since, so its base is the
+// checkpoint and those INSERTs count towards it.
+func TestSTOAttachedAfterLoadWeighsTheCatalog(t *testing.T) {
+	e := testEngine(t)
+	var manifests []string
+	e.Subscribe(func(ev core.CommitEvent) { manifests = append(manifests, ev.Manifest) })
+	createTable(t, e, "t")
+	insertRows(t, e, "t", 0, 1000)
+	createTable(t, e, "u")
+	insertRows(t, e, "u", 0, 1000)
+	var cpBytes int64
+	if err := e.AutoCommit(func(tx *core.Txn) error {
+		cp, err := tx.CheckpointTable("u")
+		cpBytes = cp.Bytes
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	insertRows(t, e, "u", 1000, 1010)
+	insertRows(t, e, "u", 1010, 1020)
+	cfg := DefaultConfig()
+	cfg.AutoCompact = false
+	cfg.PublishDelta = false
+	s := New(e, cfg)
+
+	for _, tc := range []struct {
+		table string
+		base  int64
+		tail  int64
+	}{
+		{"t", blobSize(t, e, manifests[0]), 0},
+		{"u", cpBytes, blobSize(t, e, manifests[2]) + blobSize(t, e, manifests[3])},
+	} {
+		made := len(s.Checkpoints())
+		tail, inserts := tc.tail, 0
+		for next := 2000; tail < tc.base; next += 10 {
+			if made != len(s.Checkpoints()) {
+				t.Fatalf("%s: checkpointed after %d small inserts, %d of %d bytes (errs %v)", tc.table, inserts, tail, tc.base, s.Errors())
+			}
+			insertRows(t, e, tc.table, next, next+10)
+			tail += blobSize(t, e, manifests[len(manifests)-1])
+			inserts++
+		}
+		if made+1 != len(s.Checkpoints()) {
+			t.Fatalf("%s: %d small inserts reached the %d-byte base, made %d checkpoints (errs %v)", tc.table, inserts, tc.base, len(s.Checkpoints())-made, s.Errors())
+		}
+		if tc.table == "t" && inserts < 3 {
+			t.Fatalf("t: checkpointed after %d small inserts: the load is not the base", inserts)
+		}
+	}
+	if errs := s.Errors(); len(errs) > 0 {
+		t.Fatal(errs)
 	}
 }
 
@@ -602,18 +641,15 @@ func TestColdReplayMatchesWarmStateAcrossCheckpoints(t *testing.T) {
 		t.Fatalf("%d commits checked, %d compactions, %d checkpoints: the history does not cover the relation",
 			checked, len(s.Compactions()), len(cps))
 	}
-	// The rule bounds the checkpoints' decoded JSON; what they store is less.
+	// The rule bounds the bytes checkpoints write.
 	written, newest := map[int64]int64{}, map[int64]int64{}
 	for _, cp := range cps {
-		if cp.Bytes >= cp.Decoded {
-			t.Errorf("checkpoint %+v stores no fewer bytes than it decodes", cp)
-		}
-		written[cp.TableID] += cp.Decoded
-		newest[cp.TableID] = cp.Decoded
+		written[cp.TableID] += cp.Bytes
+		newest[cp.TableID] = cp.Bytes
 	}
 	for id, w := range written {
 		if w > manifestBytes[id]+newest[id] {
-			t.Errorf("table %d: %d decoded checkpoint bytes over %d manifest bytes and a %d-byte newest checkpoint",
+			t.Errorf("table %d: %d checkpoint bytes over %d manifest bytes and a %d-byte newest checkpoint",
 				id, w, manifestBytes[id], newest[id])
 		}
 	}

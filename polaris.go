@@ -92,7 +92,7 @@ type Config struct {
 	// AutoCompact enables STO-triggered data compaction (5.1). Manifest
 	// checkpointing (5.2) is always on and has no knob: the STO checkpoints
 	// a table once the manifests committed since its newest checkpoint weigh
-	// as much as that checkpoint's JSON, which it stores gzip-compressed.
+	// as much as that checkpoint.
 	AutoCompact bool
 	// PublishDelta enables async Delta-log publishing (5.4).
 	PublishDelta bool
