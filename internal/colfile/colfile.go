@@ -64,8 +64,8 @@ func (t DataType) String() string {
 
 // Field is one column in a schema.
 type Field struct {
-	Name string   `json:"name"`
-	Type DataType `json:"type"`
+	Name string
+	Type DataType
 }
 
 // Schema describes the columns of a file or table.

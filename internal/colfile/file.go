@@ -3,7 +3,6 @@ package colfile
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -15,15 +14,10 @@ import (
 //	[chunk bytes ...][footer][footer length: 8 bytes LE][magic: 4 bytes]
 //
 // The footer records the schema, the sort column, the row counts, each row
-// group's per-column chunk extents, and zone-map statistics. Its encoding is
-// named by the magic: "PCF2" is the binary footer every writer seals (see
-// footer.go), "PCF1" the JSON footer of files sealed before it, which also
-// carried per-column sketches that readers skip. OpenReader reads both and
-// validates both the same way.
-var (
-	magicV1 = []byte("PCF1")
-	magicV2 = []byte("PCF2")
-)
+// group's per-column chunk extents, and zone-map statistics, in the binary
+// encoding the magic "PCF2" names (see footer.go). OpenReader rejects any
+// other magic.
+var magicV2 = []byte("PCF2")
 
 // MaxGroupRows is the most rows one row group may hold: WriteBatch refuses a
 // larger batch and OpenReader a footer that claims one. A run-length chunk
@@ -31,38 +25,39 @@ var (
 // size a group's decode.
 const MaxGroupRows = 1 << 16
 
-// ColStats holds the zone map for one column chunk. Min/Max are stored as the
-// JSON-friendly representations of the column type; NullCount counts NULLs.
+// ColStats holds the zone map for one column chunk. Min/Max are set in the
+// field of the column's type, nil when the chunk has no non-NULL value;
+// NullCount counts NULLs.
 type ColStats struct {
-	MinInt    *int64   `json:"min_int,omitempty"`
-	MaxInt    *int64   `json:"max_int,omitempty"`
-	MinFloat  *float64 `json:"min_float,omitempty"`
-	MaxFloat  *float64 `json:"max_float,omitempty"`
-	MinStr    *string  `json:"min_str,omitempty"`
-	MaxStr    *string  `json:"max_str,omitempty"`
-	NullCount int      `json:"null_count"`
+	MinInt    *int64
+	MaxInt    *int64
+	MinFloat  *float64
+	MaxFloat  *float64
+	MinStr    *string
+	MaxStr    *string
+	NullCount int
 }
 
 // chunkMeta locates one column chunk within the file.
 type chunkMeta struct {
-	Offset int64    `json:"offset"`
-	Length int64    `json:"length"`
-	Stats  ColStats `json:"stats"`
+	Offset int64
+	Length int64
+	Stats  ColStats
 }
 
 // rowGroupMeta describes one row group.
 type rowGroupMeta struct {
-	NumRows int         `json:"num_rows"`
-	Chunks  []chunkMeta `json:"chunks"`
+	NumRows int
+	Chunks  []chunkMeta
 }
 
 type footer struct {
-	Schema    Schema         `json:"schema"`
-	RowGroups []rowGroupMeta `json:"row_groups"`
-	NumRows   int64          `json:"num_rows"`
+	Schema    Schema
+	RowGroups []rowGroupMeta
+	NumRows   int64
 	// SortedBy names the column the writer declared rows ordered by within
 	// each row group (Z-order / clustering stand-in); empty if unsorted.
-	SortedBy string `json:"sorted_by,omitempty"`
+	SortedBy string
 }
 
 // Writer builds a columnar file in memory.
@@ -224,18 +219,13 @@ type Reader struct {
 	decodes  atomic.Int64
 }
 
-// OpenReader parses and validates the footer of a sealed file, v1 or v2. A
-// reader it returns can serve every row group the footer describes: chunk
-// extents lie inside the data region, every group has one chunk per schema
-// column and at most MaxGroupRows rows, and row counts are non-negative and
-// sum to the file's.
+// OpenReader parses and validates the footer of a sealed file. A reader it
+// returns can serve every row group the footer describes: chunk extents lie
+// inside the data region, every group has one chunk per schema column and
+// at most MaxGroupRows rows, and row counts are non-negative and sum to the
+// file's.
 func OpenReader(data []byte) (*Reader, error) {
-	if len(data) < 12 {
-		return nil, errors.New("colfile: bad magic")
-	}
-	magic := data[len(data)-4:]
-	v2 := bytes.Equal(magic, magicV2)
-	if !v2 && !bytes.Equal(magic, magicV1) {
+	if len(data) < 12 || !bytes.Equal(data[len(data)-4:], magicV2) {
 		return nil, errors.New("colfile: bad magic")
 	}
 	flen := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
@@ -243,15 +233,9 @@ func OpenReader(data []byte) (*Reader, error) {
 	if flen > uint64(len(data))-12 {
 		return nil, errors.New("colfile: footer length out of range")
 	}
-	raw := data[fstart : fstart+flen]
-	var meta footer
-	if v2 {
-		var err error
-		if meta, err = decodeFooterV2(raw); err != nil {
-			return nil, err
-		}
-	} else if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, fmt.Errorf("colfile: parse footer: %w", err)
+	meta, err := decodeFooterV2(data[fstart : fstart+flen])
+	if err != nil {
+		return nil, err
 	}
 	if err := meta.validate(int64(fstart)); err != nil {
 		return nil, err

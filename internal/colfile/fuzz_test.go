@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -355,10 +354,9 @@ func sealedFile(tb testing.TB) []byte {
 	return data
 }
 
-// refooter returns the file with its footer edited and re-sealed in footer
-// format version v (1: JSON, 2: binary) behind the same chunk region. The
-// footer is the one OpenReader parsed from the file.
-func refooter(tb testing.TB, data []byte, v int, edit func(*footer)) []byte {
+// refooter returns the file with its footer edited and re-sealed behind the
+// same chunk region. The footer is the one OpenReader parsed from the file.
+func refooter(tb testing.TB, data []byte, edit func(*footer)) []byte {
 	tb.Helper()
 	r, err := OpenReader(data)
 	if err != nil {
@@ -366,14 +364,7 @@ func refooter(tb testing.TB, data []byte, v int, edit func(*footer)) []byte {
 	}
 	meta := r.meta
 	edit(&meta)
-	enc, magic := meta.appendV2(nil), magicV2
-	if v == 1 {
-		if enc, err = json.Marshal(meta); err != nil {
-			tb.Fatal(err)
-		}
-		magic = magicV1
-	}
-	return resealFooter(data, enc, magic)
+	return resealFooter(data, meta.appendV2(nil), magicV2)
 }
 
 // resealFooter puts enc behind data's chunk region as a footer under magic.
@@ -388,8 +379,7 @@ func resealFooter(data, enc, magic []byte) []byte {
 // malformedFooters are footers OpenReader used to accept and then could not
 // serve: each opened without error on the parent of the change that added
 // footer validation, and the first three then panicked in ReadColumn, Stats
-// and decodeChunk. Each is sealed in both footer versions; the binary-only
-// cases break the v2 encoding itself.
+// and decodeChunk. The last four break the footer's encoding itself.
 func malformedFooters(tb testing.TB) map[string][]byte {
 	data := sealedFile(tb)
 	edits := map[string]func(m *footer){
@@ -408,9 +398,7 @@ func malformedFooters(tb testing.TB) map[string][]byte {
 	}
 	out := map[string][]byte{}
 	for name, edit := range edits {
-		for v := 1; v <= 2; v++ {
-			out[fmt.Sprintf("v%d %s", v, name)] = refooter(tb, data, v, edit)
-		}
+		out[name] = refooter(tb, data, edit)
 	}
 	r, err := OpenReader(data)
 	if err != nil {
@@ -427,18 +415,16 @@ func malformedFooters(tb testing.TB) map[string][]byte {
 	splice := func(at int, with []byte) []byte {
 		return append(append(append([]byte(nil), enc[:at]...), with...), enc[at+1:]...)
 	}
-	out["v2 truncated varint"] = resealFooter(data, append(enc[:atGroups:atGroups], 0x80), magicV2)
-	out["v2 count past the bytes left"] = resealFooter(data, splice(atGroups, binary.AppendUvarint(nil, 1<<40)), magicV2)
-	out["v2 string past the end"] = resealFooter(data, splice(atName, binary.AppendUvarint(nil, uint64(len(enc)))), magicV2)
-	out["v2 trailing bytes"] = resealFooter(data, append(enc[:len(enc):len(enc)], 0), magicV2)
+	out["truncated varint"] = resealFooter(data, append(enc[:atGroups:atGroups], 0x80), magicV2)
+	out["count past the bytes left"] = resealFooter(data, splice(atGroups, binary.AppendUvarint(nil, 1<<40)), magicV2)
+	out["string past the end"] = resealFooter(data, splice(atName, binary.AppendUvarint(nil, uint64(len(enc)))), magicV2)
+	out["trailing bytes"] = resealFooter(data, append(enc[:len(enc):len(enc)], 0), magicV2)
 	return out
 }
 
 func TestOpenReaderRejectsMalformedFooter(t *testing.T) {
-	for v := 1; v <= 2; v++ {
-		if _, err := OpenReader(refooter(t, sealedFile(t), v, func(*footer) {})); err != nil {
-			t.Fatalf("an unedited footer must re-seal to a v%d file that opens: %v", v, err)
-		}
+	if _, err := OpenReader(refooter(t, sealedFile(t), func(*footer) {})); err != nil {
+		t.Fatalf("an unedited footer must re-seal to a file that opens: %v", err)
 	}
 	for name, data := range malformedFooters(t) {
 		if r, err := OpenReader(data); err == nil {
@@ -449,8 +435,8 @@ func TestOpenReaderRejectsMalformedFooter(t *testing.T) {
 
 // TestOpenReaderRejectsOversizeGroup is a hostile file that decodes: one
 // run-length chunk of a few bytes that backs a group of 2^30 rows. Before
-// the row-group cap it opened in both versions, and a scan then sized its
-// decode and keep mask by the footer's count.
+// the row-group cap it opened, and a scan then sized its decode and keep
+// mask by the footer's count.
 func TestOpenReaderRejectsOversizeGroup(t *testing.T) {
 	raw := binary.AppendUvarint(binary.AppendVarint([]byte{encRLE, 0}, 7), 1<<30)
 	var chunk bytes.Buffer
@@ -472,15 +458,9 @@ func TestOpenReaderRejectsOversizeGroup(t *testing.T) {
 			Length: int64(chunk.Len()), Stats: ColStats{MinInt: &seven, MaxInt: &seven},
 		}}}},
 	}
-	v1, err := json.Marshal(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := append(chunk.Bytes(), make([]byte, 12)...) // an empty footer to replace
-	for _, f := range [][]byte{resealFooter(data, v1, magicV1), resealFooter(data, meta.appendV2(nil), magicV2)} {
-		if r, err := OpenReader(f); err == nil {
-			t.Fatalf("a %d-row group opened (%d rows)", r.RowGroupRows(0), r.NumRows())
-		}
+	if r, err := OpenReader(resealFooter(data, meta.appendV2(nil), magicV2)); err == nil {
+		t.Fatalf("a %d-row group opened (%d rows)", r.RowGroupRows(0), r.NumRows())
 	}
 	w := NewWriter(Schema{{Name: "k", Type: Int64}})
 	b := NewBatch(w.schema)
@@ -581,20 +561,31 @@ func checkMemo(t *testing.T, r *Reader) {
 // FuzzOpenReader feeds the file reader arbitrary bytes: OpenReader returns a
 // reader or an error, and on a reader every Stats, PruneInt, ReadRowGroup and
 // ReadAll returns a value or an error — never a panic — and ReadColumn
-// memoizes what checkMemo says. The seeds are a real sealed file in both
-// footer versions, their truncations, a damaged chunk, the committed v1
-// fixture, and the malformed footers above.
+// memoizes what checkMemo says. The seeds are a real sealed file, its
+// halves, the same file under the retired "PCF1" magic, a damaged chunk, the
+// malformed footers above, and a one-column file of each chunkSeeds vector,
+// so every encoding and type starts out behind a valid footer.
 func FuzzOpenReader(f *testing.F) {
-	v2 := sealedFile(f)
-	for _, data := range [][]byte{v2, refooter(f, v2, 1, func(*footer) {})} {
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		f.Add(data[len(data)/2:])
-	}
+	data := sealedFile(f)
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(data[len(data)/2:])
+	f.Add(withMagic(data, "PCF1"))
 	f.Add(damagedChunks(f))
-	f.Add(v1Fixture(f))
 	for _, bad := range malformedFooters(f) {
 		f.Add(bad)
+	}
+	for _, v := range chunkSeeds() {
+		b := &Batch{Schema: Schema{{Name: "c", Type: v.Type}}, Cols: []*Vec{v}}
+		w := NewWriter(b.Schema)
+		if err := w.WriteBatch(b); err != nil {
+			f.Fatal(err)
+		}
+		sealed, err := w.Finish()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sealed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenReader(data)
@@ -801,19 +792,20 @@ func FuzzVecCopies(f *testing.F) {
 }
 
 // FuzzNDVBitmap: any bytes, as the raw wire form of an NDVBitmap and as a
-// list of sketches (AppendSketches'), give a value or an error — never a
-// panic, and never an allocation the input cannot back. A bitmap is dense.
-// Whatever decodes re-encodes stably: decoding the encoding gives the same
-// value, and encoding that gives the same bytes. (A dense input with few
-// bits set legitimately comes back sparse.)
+// list of sketches (AppendSketches') of a file of any row count, give a
+// value or an error — never a panic, and never an allocation the input
+// cannot back. A bitmap is dense. Whatever decodes re-encodes stably:
+// decoding the encoding gives the same value, and encoding that gives the
+// same bytes. (A dense input with few bits set legitimately comes back
+// sparse.)
 func FuzzNDVBitmap(f *testing.F) {
 	full := bytes.Repeat([]byte{0xFF}, sketchBits/8)
 	for _, seed := range [][]byte{
 		{}, {0x00, 0xFF, 0x0F}, {0x80}, {0x80, 0x10}, {0x05, 0x00}, {0x85, 0x00},
 		{0xFF, 0x0F, 0x01}, {0x03, 0xB9, 0x05, 0x01}, append(full, 0),
 		make([]byte, sketchBits/8), full,
-		AppendSketches(nil, []ColSketch{{Rows: 3}, {Rows: 2, Stats: ColStats{NullCount: 2}, Bitmap: bitmapWith()}}),
-		AppendSketches(nil, []ColSketch{{Rows: 9, Bitmap: full}, {Rows: 2, Bitmap: bitmapWith(0, 2047)}}),
+		AppendSketches(nil, []ColSketch{{}, {Stats: ColStats{NullCount: 2}, Bitmap: bitmapWith()}}),
+		AppendSketches(nil, []ColSketch{{Bitmap: full}, {Bitmap: bitmapWith(0, 2047)}}),
 	} {
 		f.Add(seed)
 	}
@@ -834,8 +826,9 @@ func FuzzNDVBitmap(f *testing.F) {
 				t.Fatalf("re-encoding is not stable: %x then %x", enc, again)
 			}
 		}
+		const rows = 9 // the file's: the wire holds no row counts
 		r := wire.NewReader(data)
-		sks := ReadSketches(r)
+		sks := ReadSketches(r, rows)
 		if r.End("sketches") != nil {
 			return
 		}
@@ -843,10 +836,13 @@ func FuzzNDVBitmap(f *testing.F) {
 			if sk.Bitmap != nil && len(sk.Bitmap) != sketchBits/8 {
 				t.Fatalf("%x: sketch %d has a %d-byte bitmap", data, i, len(sk.Bitmap))
 			}
+			if sk.Rows != rows {
+				t.Fatalf("%x: sketch %d has %d rows, the file %d", data, i, sk.Rows, rows)
+			}
 		}
 		enc := AppendSketches(nil, sks)
 		r = wire.NewReader(enc)
-		back := ReadSketches(r)
+		back := ReadSketches(r, rows)
 		if err := r.End("sketches"); err != nil {
 			t.Fatalf("re-decode of %x: %v", enc, err)
 		}

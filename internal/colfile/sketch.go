@@ -114,16 +114,17 @@ func decodeSparse(raw []byte) (NDVBitmap, error) {
 }
 
 // AppendSketches appends a file's per-column sketches: their count, then per
-// column its rows as a uvarint, its zone map as a file footer writes one
-// (appendStats), and its NDV bitmap — a uvarint of 0 for nil, else the
-// length of its wire form plus one, then the form. A bitmap that is neither
-// nil nor dense has no wire form and is written as nil: NDV unknown.
+// column its zone map as a file footer writes one (appendStats) and its NDV
+// bitmap — a uvarint of 0 for nil, else the length of its wire form plus
+// one, then the form. A bitmap that is neither nil nor dense has no wire
+// form and is written as nil: NDV unknown. Rows are not written: every
+// column of a sealed file observes every row, so each sketch's rows are the
+// file's, which its reader already holds.
 func AppendSketches(dst []byte, sks []ColSketch) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(sks)))
 	var scratch [sketchBits / 8]byte
 	for i := range sks {
 		s := &sks[i]
-		dst = binary.AppendUvarint(dst, uint64(s.Rows))
 		dst = appendStats(dst, &s.Stats)
 		if len(s.Bitmap) != sketchBits/8 {
 			dst = append(dst, 0)
@@ -135,12 +136,12 @@ func AppendSketches(dst []byte, sks []ColSketch) []byte {
 	return dst
 }
 
-// ReadSketches reads the sketches AppendSketches wrote, nil for none. A
-// damaged sketch fails r.
-func ReadSketches(r *wire.Reader) []ColSketch {
-	// A sketch is at least its rows, its NULL count, its flags and its
-	// bitmap's length: four bytes.
-	n := r.Count("sketches", 4)
+// ReadSketches reads the sketches AppendSketches wrote for a file of rows
+// rows, nil for none. A damaged sketch fails r.
+func ReadSketches(r *wire.Reader, rows int64) []ColSketch {
+	// A sketch is at least its NULL count, its flags and its bitmap's
+	// length: three bytes.
+	n := r.Count("sketches", 3)
 	if n == 0 {
 		return nil
 	}
@@ -148,7 +149,7 @@ func ReadSketches(r *wire.Reader) []ColSketch {
 	z := statsReader{r: r, str: func() string { return r.String("zone-map string bytes") }}
 	for i := range sks {
 		s := &sks[i]
-		s.Rows = int64(r.Uvarint("sketch rows"))
+		s.Rows = rows
 		z.read(&s.Stats)
 		l := r.Uvarint("ndv bitmap bytes")
 		if l == 0 {

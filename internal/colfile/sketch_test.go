@@ -141,10 +141,11 @@ func bitmapWith(bits ...int) NDVBitmap {
 }
 
 // TestNDVBitmapWireForms pins the hand-written wire forms of a sketch's
-// bitmap, as AppendSketches writes one sketch: the count, the rows, the NULL
-// count, no zone-map flags, then the bitmap's length plus one — 0 for nil,
-// 1 for an all-NULL column's empty form — and the sparse positions when they
-// are shorter or the dense bytes when not. Each decodes back to its bitmap.
+// bitmap, as AppendSketches writes one sketch: the count, the NULL count, no
+// zone-map flags, then the bitmap's length plus one — 0 for nil, 1 for an
+// all-NULL column's empty form — and the sparse positions when they are
+// shorter or the dense bytes when not. The rows are not on the wire. Each
+// decodes back to its bitmap, with the rows ReadSketches is given.
 func TestNDVBitmapWireForms(t *testing.T) {
 	allNull := NewVec(Int64)
 	allNull.AppendNull()
@@ -161,20 +162,20 @@ func TestNDVBitmapWireForms(t *testing.T) {
 		want   []byte
 		bitmap NDVBitmap
 	}{
-		{"nil is absent", ColSketch{Rows: 3}, []byte{1, 3, 0, 0, 0}, nil},
-		{"all-NULL is empty", nullSk, []byte{1, 2, 2, 0, 1}, bitmapWith()},
+		{"nil is absent", ColSketch{Rows: 3}, []byte{1, 0, 0, 0}, nil},
+		{"all-NULL is empty", nullSk, []byte{1, 2, 0, 1}, bitmapWith()},
 		// Positions 0 and 2047: uvarints 0x00 and 0xFF 0x0F.
-		{"bits 0 and 2047", ColSketch{Rows: 2, Bitmap: bitmapWith(0, 2047)}, []byte{1, 2, 0, 0, 4, 0x00, 0xFF, 0x0F}, bitmapWith(0, 2047)},
+		{"bits 0 and 2047", ColSketch{Rows: 2, Bitmap: bitmapWith(0, 2047)}, []byte{1, 0, 0, 4, 0x00, 0xFF, 0x0F}, bitmapWith(0, 2047)},
 		// 257 is the uvarint 0x81 0x02.
-		{"saturated stays dense", ColSketch{Rows: 9, Bitmap: saturated}, append([]byte{1, 9, 0, 0, 0x81, 0x02}, saturated...), saturated},
+		{"saturated stays dense", ColSketch{Rows: 9, Bitmap: saturated}, append([]byte{1, 0, 0, 0x81, 0x02}, saturated...), saturated},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := AppendSketches(nil, []ColSketch{tc.sk}); !bytes.Equal(got, tc.want) {
 				t.Fatalf("AppendSketches = %x, want %x", got, tc.want)
 			}
 			r := wire.NewReader(tc.want)
-			back := ReadSketches(r)
-			if err := r.End("sketches"); err != nil || len(back) != 1 {
+			back := ReadSketches(r, tc.sk.Rows)
+			if err := r.End("sketches"); err != nil || len(back) != 1 || back[0].Rows != tc.sk.Rows {
 				t.Fatalf("ReadSketches = %+v, %v", back, err)
 			}
 			if b := back[0].Bitmap; (b == nil) != (tc.bitmap == nil) || !bytes.Equal(b, tc.bitmap) {

@@ -14,7 +14,7 @@ import (
 // storageLayoutGolden is the SHA-256 storageLayoutHash computes. Every write
 // path contributes to it: a change that moves a path, a data-file byte or a
 // manifest byte changes it on purpose or not at all.
-const storageLayoutGolden = "1049ae64d05e0303d3d1cca5c9a481e18522c4cd3c202f94747909766cdee649"
+const storageLayoutGolden = "c3d14f028307e3deccc4373661e44c44601620a1126a645daa8c318a4d6cff13"
 
 // layoutRows builds rows [lo, hi) of the layout script's table: 97 distinct
 // distribution keys, a scattered sort column.

@@ -156,6 +156,12 @@ type GCResult struct {
 // on storage referenced by no manifest are deleted only when their creator
 // stamp is below the minimum active transaction ID (they then provably belong
 // to aborted transactions); everything else is retained.
+//
+// What a table removed, and when, is read from the Remove actions of its
+// Manifests rows: a removal is past retention once the current sequence is
+// more than the table's RetentionSeqs beyond its row's. A RESTORE deletes the
+// rows after its mark, so what they removed is live again, and a CLONE copies
+// the rows, so the clone keeps the source's removal history.
 func (e *Engine) GarbageCollect() (GCResult, error) {
 	var res GCResult
 	tx := e.Begin()
@@ -183,6 +189,7 @@ func (e *Engine) GarbageCollect() (GCResult, error) {
 	}
 
 	minTxn := e.MinActiveTxnID()
+	node := tx.anyNode()
 	for _, group := range groups {
 		active := make(map[string]bool)
 		inactive := make(map[string]bool)
@@ -203,20 +210,26 @@ func (e *Engine) GarbageCollect() (GCResult, error) {
 					active[f.DV] = true
 				}
 			}
-			for _, tomb := range state.Tombstones() {
-				if currentSeq-tomb.RemovedSeq > meta.RetentionSeqs {
-					inactive[tomb.Path] = true
-				} else {
-					active[tomb.Path] = true // still within retention
-				}
-			}
 			// Manifest and checkpoint files referenced by the catalog stay.
 			rows, err := catalog.ScanManifests(tx.catTx, id, -1)
 			if err != nil {
 				return res, err
 			}
-			for _, row := range rows {
-				active[row.ManifestFile] = true
+			ms, err := tx.readManifests(node, rows)
+			if err != nil {
+				return res, err
+			}
+			for _, m := range ms {
+				active[m.Path] = true
+				removed := active // still within retention
+				if currentSeq-m.Seq > meta.RetentionSeqs {
+					removed = inactive
+				}
+				for _, a := range m.Actions {
+					if a.Op == manifest.OpRemove {
+						removed[a.Path] = true
+					}
+				}
 			}
 			cps, err := catalog.ListCheckpoints(tx.catTx, id)
 			if err != nil {

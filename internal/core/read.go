@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"polaris/internal/catalog"
@@ -83,23 +84,12 @@ func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.Tabl
 	}
 
 	// Replay manifests after the checkpoint.
-	var committed []manifest.CommittedManifest
-	for _, row := range rows {
-		if cp != nil && row.Seq <= cp.Seq {
-			continue
-		}
-		data, d, err := node.ReadFile(t.eng.Store, row.ManifestFile)
-		if err != nil {
-			return nil, fmt.Errorf("core: read manifest %s: %w", row.ManifestFile, err)
-		}
-		t.charge(d)
-		actions, err := manifest.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode manifest %s: %w", row.ManifestFile, err)
-		}
-		committed = append(committed, manifest.CommittedManifest{
-			Seq: row.Seq, Path: row.ManifestFile, Actions: actions,
-		})
+	if cp != nil {
+		rows = slices.DeleteFunc(rows, func(row catalog.ManifestRow) bool { return row.Seq <= cp.Seq })
+	}
+	committed, err := t.readManifests(node, rows)
+	if err != nil {
+		return nil, err
 	}
 	state, err := manifest.Reconstruct(cp, committed, wantSeq)
 	if err != nil {
@@ -112,6 +102,26 @@ func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.Tabl
 	}
 	t.eng.Cache.Put(meta.ID, state)
 	return state, nil
+}
+
+// readManifests reads and decodes the manifests of rows, in row order: the
+// input of a replay, and the record of every file a table removed that
+// garbage collection reads.
+func (t *Txn) readManifests(node *compute.Node, rows []catalog.ManifestRow) ([]manifest.CommittedManifest, error) {
+	out := make([]manifest.CommittedManifest, 0, len(rows))
+	for _, row := range rows {
+		data, d, err := node.ReadFile(t.eng.Store, row.ManifestFile)
+		if err != nil {
+			return nil, fmt.Errorf("core: read manifest %s: %w", row.ManifestFile, err)
+		}
+		t.charge(d)
+		actions, err := manifest.Decode(data)
+		if err != nil {
+			return nil, fmt.Errorf("core: decode manifest %s: %w", row.ManifestFile, err)
+		}
+		out = append(out, manifest.CommittedManifest{Seq: row.Seq, Path: row.ManifestFile, Actions: actions})
+	}
+	return out, nil
 }
 
 // anyNode picks a live node for FE-side metadata IO (read pool side).

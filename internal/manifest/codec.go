@@ -7,7 +7,7 @@ import (
 	"polaris/internal/wire"
 )
 
-// Manifest block format (header "PMB", version 1). Counts and numbers are
+// Manifest block format (header "PMB", version 2). Counts and numbers are
 // uvarints:
 //
 //	header   "PMB" and the version byte
@@ -19,7 +19,8 @@ import (
 //	  rows, size, partition
 //	  target      front-coded against the block's previous target
 //	  deleted rows
-//	  sketches    colfile.AppendSketches
+//	  sketches    colfile.AppendSketches; each sketch's rows are the
+//	              action's rows
 //
 // A front-coded string is the length of the prefix it shares with the one
 // before it, then the rest, length-prefixed; the first is coded against "".
@@ -27,7 +28,7 @@ import (
 // any order decode to the concatenation of their actions. Every block and
 // checkpoint decodes under the rules every binary decoder shares
 // (wire.Reader; docs/ARCHITECTURE.md, "Data files").
-const blockHeader = "PMB\x01"
+const blockHeader = "PMB\x02"
 
 // Action flags.
 const (
@@ -176,7 +177,7 @@ func (d *decoder) action() Action {
 		a.DeletedRows = int64(r.Uvarint("deleted rows"))
 	}
 	if f&flagSketches != 0 {
-		a.Sketches = colfile.ReadSketches(r)
+		a.Sketches = colfile.ReadSketches(r, a.Rows)
 	}
 	return a
 }

@@ -56,7 +56,8 @@ func sameValue(a, b reflect.Value) bool {
 // edgeSketches are one column of each awkward kind: ±2^62 int bounds, NaN
 // and −0 float bounds, empty-string bounds, an all-NULL column (no min or
 // max, an all-zero bitmap), a nil bitmap, and a dense bitmap beside a sparse
-// one.
+// one. They are the sketches of a 3-row file: every column observes every
+// row, and the wire takes a sketch's rows from its file's.
 func edgeSketches() []colfile.ColSketch {
 	hi, lo := int64(1)<<62, -(int64(1) << 62)
 	nan, negZero, empty := math.NaN(), math.Copysign(0, -1), ""
@@ -70,7 +71,7 @@ func edgeSketches() []colfile.ColSketch {
 		{Rows: 3, Stats: colfile.ColStats{MinFloat: &nan, MaxFloat: &negZero, NullCount: 1}, Bitmap: sparse},
 		{Rows: 3, Stats: colfile.ColStats{MinStr: &empty, MaxStr: &empty}, Bitmap: sparse},
 		{Rows: 3, Stats: colfile.ColStats{NullCount: 3}, Bitmap: make(colfile.NDVBitmap, 256)},
-		{Rows: hi},
+		{Rows: 3},
 	}
 }
 
@@ -87,21 +88,15 @@ func edgeActions() []Action {
 	}
 }
 
-// edgeCheckpoint holds files with and without deletion vectors and sketches
-// and tombstones whose sequences run backwards as well as forwards.
+// edgeCheckpoint holds files with and without deletion vectors and sketches.
 func edgeCheckpoint() *Checkpoint {
 	hi := int64(1) << 62
 	return &Checkpoint{
 		TableID: hi, Seq: hi,
 		Files: []*FileEntry{
-			{Path: "a", Rows: 3, Size: 9, Partition: 2, DV: "tables/1/dv/3-0.dv", DeletedRows: 1, AddedSeq: 4, Sketches: edgeSketches()},
-			{Path: "tables/1/data/7-p0-1.pcf", AddedSeq: hi},
+			{Path: "a", Rows: 3, Size: 9, Partition: 2, DV: "tables/1/dv/3-0.dv", DeletedRows: 1, Sketches: edgeSketches()},
+			{Path: "tables/1/data/7-p0-1.pcf"},
 			{Path: "tables/1/data/7-p0-2.pcf", Rows: hi, DV: "x"},
-		},
-		Tombstones: []Tombstone{
-			{Path: "tables/1/data/5-p0-1.pcf", Kind: KindData, RemovedSeq: 9},
-			{Path: "tables/1/dv/5-0.dv", Kind: KindDV, RemovedSeq: 3},
-			{Path: "b", Kind: KindData, RemovedSeq: hi},
 		},
 	}
 }
@@ -180,7 +175,7 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		{"empty path", block("\x01\x00\x00\x00"), "action 0: manifest: empty path"},
 		{"dv without target", block("\x01\x02\x00\x01d"), "missing target"},
 		// One sketch naming position 5 twice.
-		{"duplicate sketch position", block("\x01\x80\x00\x01p\x01\x02\x00\x00\x03\x05\x00"), "ndv bitmap: duplicate position"},
+		{"duplicate sketch position", block("\x01\x80\x00\x01p\x01\x00\x00\x03\x05\x00"), "ndv bitmap: duplicate position"},
 	})
 	for name, in := range map[string][]byte{
 		"control":         block("\x01\x00\x00\x01p"),
@@ -196,34 +191,32 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 // storage, so a damaged one must be an error at unmarshal time, never a state
 // that panics its readers: the damage every wire.Reader format shares, and a
 // checkpoint's own — a bad header, a file entry that is not an add of a data
-// file or has no path, a tombstone of an unknown kind, a damaged sketch.
+// file or has no path, a damaged sketch.
 func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
 	// A checkpoint of table 1 at sequence 2; what follows is its file count.
 	cp := func(body string) []byte { return []byte(checkpointHeader + "\x01\x02" + body) }
 	decode := func(b []byte) error { _, err := UnmarshalCheckpoint(b); return err }
-	// One file "a" with one sketch whose bitmap's wire form is raw, added
-	// at sequence 1, and no tombstones.
+	// One file "a" with one sketch whose bitmap's wire form is raw.
 	sketched := func(raw string) []byte {
-		return cp("\x01\x80\x00\x01a\x01\x01\x00\x00" + string(rune(len(raw)+1)) + raw + "\x01\x00")
+		return cp("\x01\x80\x00\x01a\x01\x00\x00" + string(rune(len(raw)+1)) + raw)
 	}
 	checkRejects(t, "manifest: checkpoint", decode, []rejectCase{
 		{"truncated varint", cp("\x80"), "truncated varint"},
 		{"non-minimal varint", cp("\x80\x00\x00"), "non-minimal varint"},
 		{"count past the bytes left", cp("\x09\x00"), "9 files need more than"},
-		{"trailing byte", cp("\x00\x00\x00"), "1 trailing bytes"},
+		{"trailing byte", cp("\x00\x00"), "1 trailing bytes"},
 		{"bad header", []byte(`{"files":[]}`), "bad header"},
-		{"file that is a remove", cp("\x01\x01\x00\x01a\x01\x00"), "file 0 is not an add"},
-		{"empty path", cp("\x01\x00\x00\x00\x01\x00"), "file 0 is not an add of a data file with a path"},
-		{"tombstone kind 2", cp("\x00\x01\x00\x01a\x02\x02"), "tombstone 0 has kind 2"},
+		{"file that is a remove", cp("\x01\x01\x00\x01a"), "file 0 is not an add"},
+		{"empty path", cp("\x01\x00\x00\x00"), "file 0 is not an add of a data file with a path"},
 		// Sparse sketch bitmaps: a truncated varint (0x80) and position 2048
 		// (uvarint 0x80 0x10).
 		{"truncated ndv", sketched("\x80"), "ndv bitmap: truncated"},
 		{"ndv past the bitmap", sketched("\x80\x10"), "ndv bitmap: position"},
 	})
 	for name, in := range map[string][]byte{
-		"control":           cp("\x01\x00\x00\x01a\x01\x01\x00\x01a\x01\x02"),
-		"sketch control":    sketched("\x05"),
-		"no files or tombs": cp("\x00\x00"),
+		"control":        cp("\x01\x00\x00\x01a"),
+		"sketch control": sketched("\x05"),
+		"no files":       cp("\x00"),
 	} {
 		if err := decode(in); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -12,11 +12,10 @@ import (
 	"testing"
 )
 
-// TestAdvanceCostIsIndependentOfHistory: a successor shares its
-// predecessor's tombstone history, so advancing the cache by a commit that
-// replaces one file allocates the same bytes after 10 prior commits as after
-// 1,000 — each of which left a tombstone — and the history still reads back
-// whole, oldest first.
+// TestAdvanceCostIsIndependentOfHistory: a state holds its live files, not
+// what the table removed, so advancing the cache by a commit that replaces
+// one file allocates the same bytes after 10 prior commits as after 1,000 —
+// each of which removed a file.
 func TestAdvanceCostIsIndependentOfHistory(t *testing.T) {
 	const measured = 20
 	advance := func(c *SnapshotCache, seq int64) {
@@ -38,18 +37,8 @@ func TestAdvanceCostIsIndependentOfHistory(t *testing.T) {
 				seq++
 			}
 		})
-		got := c.Get(1, seq-1)
-		if got == nil {
+		if c.Get(1, seq-1) == nil {
 			t.Fatalf("cache lost the table after %d commits", seq-1)
-		}
-		tombs := got.Tombstones()
-		if len(tombs) != history+measured || tombs[0].Path != "f1" || tombs[len(tombs)-1].RemovedSeq != seq-1 {
-			t.Fatalf("after %d commits: %d tombstones, first %+v", seq-1, len(tombs), tombs[0])
-		}
-		for i, tomb := range tombs {
-			if tomb.RemovedSeq != int64(i)+2 {
-				t.Fatalf("tombstone %d = %+v: history out of order", i, tomb)
-			}
 		}
 		return bytes / measured
 	}

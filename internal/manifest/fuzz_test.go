@@ -16,7 +16,7 @@ func allocatedBy(f func()) uint64 {
 }
 
 // allocLimit bounds what decoding n bytes may allocate. The most a few input
-// bytes can ask for is a sketch: four bytes name an all-zero NDV bitmap,
+// bytes can ask for is a sketch: three bytes name an all-zero NDV bitmap,
 // which decodes to 256 dense bytes and an 88-byte ColSketch. Front-coded
 // strings are capped at maxStringExpansion times the input.
 func allocLimit(n int) uint64 { return uint64(128*n + 64<<10) }
@@ -84,9 +84,9 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(edgeCheckpoint().Marshal())
 	f.Add(good[:len(good)-1])
 	f.Add(append(append([]byte{}, good...), 0))
-	f.Add([]byte(checkpointHeader + "\x00\x00\x00\x00"))
+	f.Add([]byte(checkpointHeader + "\x00\x00\x00"))
 	f.Add([]byte(`{"files":[]}`))
-	f.Add([]byte(checkpointHeader + "\x01\x02\x01\x80\x00\x01a\x01\x01\x00\x00\x02\x05\x01\x00"))
+	f.Add([]byte(checkpointHeader + "\x01\x02\x01\x80\x00\x01a\x01\x00\x00\x02\x05"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cp *Checkpoint
 		var err error

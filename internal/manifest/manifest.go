@@ -2,7 +2,7 @@
 // Sections 2.2, 3.2): transaction manifest files that record the changes a
 // committed transaction made to a log-structured table, snapshot
 // reconstruction by incremental replay, manifest checkpoints, and the
-// Delta-log-style publishing transform used for async lake snapshots.
+// Delta-log-style publishing transform used for lake snapshots.
 //
 // A manifest file is a sequence of binary action blocks (codec.go). Each BE
 // task serializes its actions as one block of the shared transaction
@@ -90,7 +90,6 @@ type FileEntry struct {
 	Partition   int
 	DV          string // current deletion-vector file, if any
 	DeletedRows int64  // cardinality of DV
-	AddedSeq    int64  // commit sequence that added the file
 	// Sketches are the file's per-column statistics sketches, copied from the
 	// Add action (nil for files added before the stats layer existed).
 	Sketches []colfile.ColSketch
@@ -99,13 +98,6 @@ type FileEntry struct {
 // LiveRows returns the visible row count of the file.
 func (f *FileEntry) LiveRows() int64 { return f.Rows - f.DeletedRows }
 
-// Tombstone records a file that was logically removed, and when.
-type Tombstone struct {
-	Path       string
-	Kind       Kind
-	RemovedSeq int64
-}
-
 // TableState is a reconstructed snapshot of a log-structured table.
 //
 // A state is read-only once it is published: once the snapshot cache holds
@@ -113,28 +105,18 @@ type Tombstone struct {
 // pointer, and nothing writes it again. A change yields a successor (next)
 // instead. Only the state a replay is still building is written, by Apply.
 // File entries are never written once they are in a state's Files, so a
-// successor shares every entry its actions leave alone, and it shares its
-// predecessor's tombstone history too. What is derived from a published
-// state — its live files in path order and their sketch fold — is computed
-// once, on first use, and shared like the state.
+// successor shares every entry its actions leave alone. What is derived from
+// a published state — its live files in path order and their sketch fold —
+// is computed once, on first use, and shared like the state.
+//
+// A state holds the live files only. What a table removed is in the Remove
+// actions of its manifests, where garbage collection reads it.
 type TableState struct {
 	Files   map[string]*FileEntry
 	LastSeq int64 // highest sequence replayed
 
-	tombs *tombstones // removal history; nil = none
-
 	live   atomic.Pointer[[]*FileEntry] // LiveFiles, once computed
 	sketch atomic.Pointer[sketchFold]   // Sketches, once computed
-}
-
-// tombstones is a persistent list of removal batches: each node holds what
-// one Apply removed and links to the history before it. A successor prepends
-// a node to the list its predecessor holds, so recording a commit costs what
-// the commit removed, not the whole history. A linked node is never written.
-type tombstones struct {
-	batch []Tombstone
-	prev  *tombstones
-	n     int // tombstones in this node and all older ones
 }
 
 // sketchFold is the per-column fold of the live files' sketches for a
@@ -153,39 +135,11 @@ func NewTableState() *TableState {
 // next returns the successor of s with actions applied at seq, leaving s as
 // it was: the copy-and-apply of the snapshot cache's Advance and of Overlay.
 func (s *TableState) next(seq int64, actions []Action) (*TableState, error) {
-	out := &TableState{Files: maps.Clone(s.Files), tombs: s.tombs, LastSeq: s.LastSeq}
+	out := &TableState{Files: maps.Clone(s.Files), LastSeq: s.LastSeq}
 	if err := out.Apply(seq, actions); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Tombstones returns the files logically removed so far, oldest first, in a
-// slice the caller owns. Checkpoints and VACUUM read the history; nothing on
-// a statement's path does.
-func (s *TableState) Tombstones() []Tombstone {
-	if s.tombs == nil {
-		return nil
-	}
-	out := make([]Tombstone, s.tombs.n)
-	i := len(out)
-	for t := s.tombs; t != nil; t = t.prev {
-		i -= len(t.batch)
-		copy(out[i:], t.batch)
-	}
-	return out
-}
-
-// addTombstones links a batch of removals onto the history.
-func (s *TableState) addTombstones(batch []Tombstone) {
-	if len(batch) == 0 {
-		return
-	}
-	n := len(batch)
-	if s.tombs != nil {
-		n += s.tombs.n
-	}
-	s.tombs = &tombstones{batch: batch, prev: s.tombs, n: n}
 }
 
 // Apply replays one committed manifest (its actions) at the given commit
@@ -196,21 +150,18 @@ func (s *TableState) addTombstones(batch []Tombstone) {
 func (s *TableState) Apply(seq int64, actions []Action) error {
 	s.live.Store(nil)
 	s.sketch.Store(nil)
-	var removed []Tombstone
 	for _, a := range actions {
 		switch {
 		case a.Kind == KindData && a.Op == OpAdd:
 			s.Files[a.Path] = &FileEntry{
 				Path: a.Path, Rows: a.Rows, Size: a.Size,
-				Partition: a.Partition, AddedSeq: seq,
-				Sketches: a.Sketches,
+				Partition: a.Partition, Sketches: a.Sketches,
 			}
 		case a.Kind == KindData && a.Op == OpRemove:
 			if _, ok := s.Files[a.Path]; !ok {
 				return fmt.Errorf("manifest: remove of unknown data file %s at seq %d", a.Path, seq)
 			}
 			delete(s.Files, a.Path)
-			removed = append(removed, Tombstone{Path: a.Path, Kind: KindData, RemovedSeq: seq})
 		case a.Kind == KindDV && a.Op == OpAdd:
 			f, ok := s.Files[a.Target]
 			if !ok {
@@ -225,10 +176,8 @@ func (s *TableState) Apply(seq int64, actions []Action) error {
 				cp.DV, cp.DeletedRows = "", 0
 				s.Files[a.Target] = &cp
 			}
-			removed = append(removed, Tombstone{Path: a.Path, Kind: KindDV, RemovedSeq: seq})
 		}
 	}
-	s.addTombstones(removed)
 	if seq > s.LastSeq {
 		s.LastSeq = seq
 	}

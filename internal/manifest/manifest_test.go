@@ -90,9 +90,6 @@ func TestApplyAddAndRemove(t *testing.T) {
 	if s.TotalRows() != 20 {
 		t.Fatalf("rows=%d", s.TotalRows())
 	}
-	if tombs := s.Tombstones(); len(tombs) != 1 || tombs[0].Path != "a" || tombs[0].RemovedSeq != 2 {
-		t.Fatalf("tombstones = %+v", tombs)
-	}
 	if s.LastSeq != 2 {
 		t.Fatalf("LastSeq = %d", s.LastSeq)
 	}
@@ -127,14 +124,13 @@ func TestApplyErrors(t *testing.T) {
 
 // TestSuccessorNeverWritesReceiver: a published state is shared, so the
 // copy-and-apply that builds its successor must leave it exactly as it was —
-// its files, its tombstones, and the file entries both states share.
+// its files and the file entries both states share.
 func TestSuccessorNeverWritesReceiver(t *testing.T) {
 	s := NewTableState()
 	must(t, s.Apply(1, []Action{addData("a", 10), addData("b", 10)}))
 	must(t, s.Apply(2, []Action{addDV("dv1", "b", 2), removeData("a"), addData("a2", 10)}))
 	before, err := json.Marshal(s)
 	must(t, err)
-	tombsBefore := s.Tombstones()
 	entryA2, entryB := s.Files["a2"], s.Files["b"]
 
 	c, err := s.next(3, []Action{removeData("a2"), addDV("dv2", "b", 4), removeDV("dv1", "b")})
@@ -142,23 +138,17 @@ func TestSuccessorNeverWritesReceiver(t *testing.T) {
 	if c.Files["b"].DV != "dv2" || c.Files["b"].DeletedRows != 4 || c.LastSeq != 3 {
 		t.Fatalf("successor b = %+v at seq %d", c.Files["b"], c.LastSeq)
 	}
-	// A second successor of the same receiver appends its own tombstones.
+	// A second successor of the same receiver leaves the first as it was.
 	d, err := s.next(3, []Action{removeDV("dv1", "b")})
 	must(t, err)
-	if dt := d.Tombstones(); d.Files["b"].DV != "" || dt[len(dt)-1].Path != "dv1" {
-		t.Fatalf("second successor b = %+v, tombstones %v", d.Files["b"], dt)
-	}
-	if ct := c.Tombstones(); ct[len(ct)-2].Path != "a2" {
-		t.Fatalf("second successor overwrote the first's tombstones: %v", ct)
+	if d.Files["b"].DV != "" || c.Files["b"].DV != "dv2" || c.Files["a2"] != nil {
+		t.Fatalf("second successor b = %+v, first successor b = %+v", d.Files["b"], c.Files["b"])
 	}
 
 	after, err := json.Marshal(s)
 	must(t, err)
 	if !bytes.Equal(before, after) {
 		t.Fatalf("successor wrote its receiver:\n%s\n%s", before, after)
-	}
-	if tombsAfter := s.Tombstones(); !reflect.DeepEqual(tombsBefore, tombsAfter) {
-		t.Fatalf("successor wrote its receiver's tombstones:\n%v\n%v", tombsBefore, tombsAfter)
 	}
 	if s.Files["a2"] != entryA2 || s.Files["b"] != entryB || entryB.DV != "dv1" || entryB.DeletedRows != 2 {
 		t.Fatalf("receiver's entries moved or were written: b = %+v", entryB)
@@ -234,9 +224,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	rs := back.State()
 	if rs.TotalRows() != 8 || rs.Files["a"].DV != "dv" {
 		t.Fatalf("restored rows = %d", rs.TotalRows())
-	}
-	if tombs := rs.Tombstones(); len(tombs) != 1 {
-		t.Fatalf("tombstones = %v", tombs)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package sto implements the System Task Orchestrator (paper Section 5): the
 // dedicated micro-service that watches commit notifications and storage
 // statistics, then triggers data compaction, manifest checkpointing, garbage
-// collection and async lake-snapshot publishing — all without user
-// intervention. The mechanisms live in internal/core (they are ordinary
+// collection and lake-snapshot publishing — all without user intervention.
+// Commit notifications arrive synchronously, inside Txn.Commit, so what the
+// STO does on a commit (publishing, a checkpoint) is in that commit's
+// latency. The mechanisms live in internal/core (they are ordinary
 // transactions); this package provides the triggers, bookkeeping and the
 // timelines the Section 7.3 figures are drawn from.
 package sto

@@ -94,7 +94,9 @@ type Config struct {
 	// a table once the manifests committed since its newest checkpoint weigh
 	// as much as that checkpoint.
 	AutoCompact bool
-	// PublishDelta enables async Delta-log publishing (5.4).
+	// PublishDelta publishes every committed manifest as a Delta log entry
+	// (5.4). It is not asynchronous: the STO writes the entry inside the
+	// committing statement's Txn.Commit, as a commit observer.
 	PublishDelta bool
 	// PublishIceberg additionally publishes Iceberg-shaped metadata (the
 	// planned multi-format converter path, paper footnote 1).
