@@ -40,11 +40,15 @@ func AblationConflictGranularity(writers int) []AblationRow {
 		opts.RowsPerFile = 1000
 		opts.Granularity = gran
 		eng := core.NewDefaultEngine(opts)
+		// A bulk load writes one file per cell whatever its size, where an
+		// INSERT this small would land as one file of mixed cells.
 		err := eng.AutoCommit(func(tx *core.Txn) error {
 			if _, err := tx.CreateTable("t", dsSchema(), "sk", "sk"); err != nil {
 				return err
 			}
-			_, err := tx.Insert("t", workload.DSBatch("t", 0, int64(writers*50)))
+			_, err := tx.BulkLoad("t", []core.SourceFile{{Name: "t", Rows: func() (*colfile.Batch, error) {
+				return workload.DSBatch("t", 0, int64(writers*50)), nil
+			}}})
 			return err
 		})
 		if err != nil {

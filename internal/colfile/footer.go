@@ -131,6 +131,27 @@ func (z *statsReader) read(st *ColStats) {
 	}
 }
 
+// skipStats walks one zone map under read's checks and keeps nothing.
+func skipStats(r *wire.Reader) {
+	r.Uvarint("null count")
+	flags := r.Byte("zone-map flag bytes")
+	if flags&^statAll != 0 {
+		r.Fail("unknown zone-map flags %#x", flags)
+		return
+	}
+	for bit := byte(1); bit <= 1<<5; bit <<= 1 {
+		switch {
+		case flags&bit == 0:
+		case bit <= 1<<1:
+			r.Varint("zone-map ints")
+		case bit <= 1<<3:
+			r.Take("zone-map float bytes", 1, 8)
+		default:
+			r.Take("zone-map string bytes", r.Count("zone-map string bytes", 1), 1)
+		}
+	}
+}
+
 // decodeFooterV2 parses a v2 footer: it checks the encoding (see
 // wire.Reader) and leaves what the values mean to footer.validate. Names and
 // zone-map strings are sliced from one copy of the footer, and the zone-map

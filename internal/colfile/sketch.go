@@ -85,15 +85,24 @@ func readNDV(raw []byte) (NDVBitmap, error) {
 	return decodeSparse(raw)
 }
 
-// decodeSparse expands the sparse wire form, rejecting every byte string the
-// encoder cannot have written: beyond wire.Reader's rules, a form longer than
-// dense, a position past the bitmap and a repeated position.
+// decodeSparse expands the sparse wire form into a dense bitmap of its own.
 func decodeSparse(raw []byte) (NDVBitmap, error) {
+	dense := make(NDVBitmap, sketchBits/8)
+	if err := walkSparse(raw, dense); err != nil {
+		return nil, err
+	}
+	return dense, nil
+}
+
+// walkSparse checks the sparse wire form, rejecting every byte string the
+// encoder cannot have written: beyond wire.Reader's rules, a form longer than
+// dense, a position past the bitmap and a repeated position. It sets each
+// position's bit in dense, or only checks when dense is nil.
+func walkSparse(raw []byte, dense NDVBitmap) error {
 	r := wire.NewReader(raw)
 	if len(raw) > sketchBits/8 {
 		r.Fail("sparse form longer than dense")
 	}
-	dense := make(NDVBitmap, sketchBits/8)
 	for prev := 0; r.Err() == nil && r.Pos() < len(raw); {
 		first := r.Pos() == 0
 		switch d := r.Uvarint("positions"); {
@@ -104,13 +113,12 @@ func decodeSparse(raw []byte) (NDVBitmap, error) {
 			r.Fail("position %d+%d beyond %d bits", prev, d, sketchBits)
 		default:
 			prev += int(d)
-			dense[prev/8] |= 1 << (prev % 8)
+			if dense != nil {
+				dense[prev/8] |= 1 << (prev % 8)
+			}
 		}
 	}
-	if err := r.End("colfile: ndv bitmap"); err != nil {
-		return nil, err
-	}
-	return dense, nil
+	return r.End("colfile: ndv bitmap")
 }
 
 // AppendSketches appends a file's per-column sketches: their count, then per
@@ -151,13 +159,9 @@ func ReadSketches(r *wire.Reader, rows int64) []ColSketch {
 		s := &sks[i]
 		s.Rows = rows
 		z.read(&s.Stats)
-		l := r.Uvarint("ndv bitmap bytes")
-		if l == 0 {
+		raw, ok := readBitmapForm(r)
+		if !ok {
 			continue
-		}
-		raw := r.Take("ndv bitmap bytes", r.Claim("ndv bitmap bytes", l-1, 1), 1)
-		if r.Err() != nil {
-			return nil
 		}
 		b, err := readNDV(raw)
 		if err != nil {
@@ -170,6 +174,34 @@ func ReadSketches(r *wire.Reader, rows int64) []ColSketch {
 		return nil
 	}
 	return sks
+}
+
+// SkipSketches walks the sketches AppendSketches wrote under ReadSketches'
+// checks and keeps none of them: it allocates no bitmap and no zone-map
+// bound. A damaged sketch fails r as ReadSketches would.
+func SkipSketches(r *wire.Reader) {
+	n := r.Count("sketches", 3)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		skipStats(r)
+		raw, ok := readBitmapForm(r)
+		if !ok || len(raw) == sketchBits/8 {
+			continue
+		}
+		if err := walkSparse(raw, nil); err != nil {
+			r.Fail("%w", err)
+		}
+	}
+}
+
+// readBitmapForm reads one sketch's bitmap wire form, aliasing r's bytes; ok
+// is false for a nil bitmap or once r has failed.
+func readBitmapForm(r *wire.Reader) (raw []byte, ok bool) {
+	l := r.Uvarint("ndv bitmap bytes")
+	if l == 0 {
+		return nil, false
+	}
+	raw = r.Take("ndv bitmap bytes", r.Claim("ndv bitmap bytes", l-1, 1), 1)
+	return raw, r.Err() == nil
 }
 
 // fnv64a hashes an encoded value for the NDV bitmap.

@@ -393,9 +393,12 @@ func TestFileGranularityAllowsDisjointFileUpdates(t *testing.T) {
 	e := testEngine(t)
 	e.opts.Granularity = FileGranularity
 	mustCreate(t, e, "t1")
-	// two rows that land in different distribution buckets -> different files
+	// two rows that land in different distribution buckets -> different
+	// files: a bulk load writes one per cell, where an INSERT this small
+	// would write one file of mixed cells
+	rows := rowsBatch(t, t1Schema(), []any{"A", int64(1)}, []any{"B", int64(2)})
 	_ = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Insert("t1", rowsBatch(t, t1Schema(), []any{"A", int64(1)}, []any{"B", int64(2)}))
+		_, err := tx.BulkLoad("t1", []SourceFile{{Name: "s", Rows: func() (*colfile.Batch, error) { return rows, nil }}})
 		return err
 	})
 	tx0 := e.Begin()

@@ -413,8 +413,12 @@ func (p TablePaths) CheckpointPrefix() string { return fmt.Sprintf("tables/%d/ch
 // DeltaLogPrefix is the user-visible published Delta log location (5.4).
 func (p TablePaths) DeltaLogPrefix() string { return fmt.Sprintf("published/%d/_delta_log/", p.ID) }
 
-// DataFile names a data file written by txn for a distribution bucket.
+// DataFile names a data file written by txn for a distribution bucket:
+// <txn>-p<bucket>-<n>.pcf, or <txn>-m-<n>.pcf for a file of mixed cells.
 func (p TablePaths) DataFile(txnID int64, part, n int) string {
+	if part == manifest.MixedCells {
+		return fmt.Sprintf("%s%d-m-%d.pcf", p.DataPrefix(), txnID, n)
+	}
 	return fmt.Sprintf("%s%d-p%d-%d.pcf", p.DataPrefix(), txnID, part, n)
 }
 

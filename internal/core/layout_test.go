@@ -14,7 +14,7 @@ import (
 // storageLayoutGolden is the SHA-256 storageLayoutHash computes. Every write
 // path contributes to it: a change that moves a path, a data-file byte or a
 // manifest byte changes it on purpose or not at all.
-const storageLayoutGolden = "c3d14f028307e3deccc4373661e44c44601620a1126a645daa8c318a4d6cff13"
+const storageLayoutGolden = "638a2368ed1bf23339fd5464c734de02b62e00b7d2ec42ebeb93773f7a2f9f7e"
 
 // layoutRows builds rows [lo, hi) of the layout script's table: 97 distinct
 // distribution keys, a scattered sort column.
@@ -28,9 +28,11 @@ func layoutRows(lo, hi int) *colfile.Batch {
 }
 
 // storageLayoutHash runs one fixed script through every write path on a fresh
-// engine — CREATE, a BULK LOAD of two sources, INSERTs (one transaction holds
-// two), a merge-on-read DELETE, an UPDATE, a copy-on-write DELETE, COMPACT and
-// CHECKPOINT — and hashes every blob the store then holds, name and bytes.
+// engine — CREATE, a BULK LOAD of two sources, an INSERT at the small-file
+// threshold (per-cell files) and INSERTs below it (files of mixed cells; one
+// transaction holds two), a merge-on-read DELETE, an UPDATE, a copy-on-write
+// DELETE, COMPACT and CHECKPOINT — and hashes every blob the store then
+// holds, name and bytes.
 func storageLayoutHash(t *testing.T) string {
 	t.Helper()
 	e := testEngine(t)
@@ -48,6 +50,10 @@ func storageLayoutHash(t *testing.T) string {
 			{Name: "s0", SizeHint: 1 << 16, Rows: func() (*colfile.Batch, error) { return layoutRows(0, 2000), nil }},
 			{Name: "s1", SizeHint: 1 << 16, Rows: func() (*colfile.Batch, error) { return layoutRows(2000, 4000), nil }},
 		})
+		return err
+	})
+	step("insert at the threshold", func(tx *Txn) error {
+		_, err := tx.Insert("t", layoutRows(5000, 5000+int(e.opts.CompactSmallRows)))
 		return err
 	})
 	step("insert", func(tx *Txn) error {
@@ -98,8 +104,13 @@ func storageLayoutHash(t *testing.T) string {
 		fmt.Fprintf(h, "%s %d\n", name, len(data))
 		h.Write(data)
 	}
-	if listing := strings.Join(names, "\n"); !strings.Contains(listing, "/compact-") || !strings.Contains(listing, "/cow-") {
-		t.Fatalf("script did not reach every write path: %v", names)
+	// The INSERT at the threshold is transaction 1003, the first after the
+	// load's.
+	listing := strings.Join(names, "\n")
+	for _, mark := range []string{"/1003-p0-", "-m-", "/cow-", "/compact-"} {
+		if !strings.Contains(listing, mark) {
+			t.Fatalf("script did not reach every write path (no %q): %v", mark, names)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -25,8 +25,12 @@ type CompactionResult struct {
 // CompactTable rewrites low-quality data files (5.1): files below the
 // small-rows threshold or above the deleted-fraction threshold are read,
 // deleted rows are filtered out, and replacement files are written at target
-// size. The operation runs inside this (ordinarily dedicated) transaction
-// with the same SI semantics as user transactions — so it can conflict with
+// size, one set per distribution cell. Every file of mixed cells is small
+// (Insert writes one only below the threshold), so every one is rewritten:
+// its rows are split over the cells by d(r) and merged into those cells'
+// outputs, and no mixed file comes out of compaction. The
+// operation runs inside this (ordinarily dedicated) transaction with the
+// same SI semantics as user transactions — so it can conflict with
 // concurrent updates, which the paper calls out as a known cost.
 func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	var res CompactionResult
@@ -48,20 +52,29 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 			victims = append(victims, f)
 		}
 	}
-	// Compacting a single small healthy file into itself is churn; require
-	// either fragmentation or at least two mergeable files.
-	if len(victims) == 0 || (len(victims) == 1 && victims[0].DeletedRows == 0) {
+	// Compacting a single small healthy cell file into itself is churn;
+	// require fragmentation, mixed cells or at least two mergeable files.
+	if len(victims) == 0 || (len(victims) == 1 && victims[0].DeletedRows == 0 && victims[0].Partition != manifest.MixedCells) {
 		return res, nil
 	}
 	res.InputFiles = len(victims)
 
-	// Read the surviving rows of each victim, grouped by partition so the
+	// Read the surviving rows of each victim, grouped by cell so the
 	// replacement files keep the cell model intact, and remove the victim
 	// logically (GC deletes it after retention, 5.1) ...
 	node := t.writeNode()
 	ts := t.tableState(meta)
 	var actions []manifest.Action
 	byPartition := make(map[int]*colfile.Batch)
+	gather := func(p int, rows *colfile.Batch) {
+		if rows.NumRows() == 0 {
+			return
+		}
+		if byPartition[p] == nil {
+			byPartition[p] = colfile.NewBatch(meta.Schema)
+		}
+		byPartition[p].AppendBatch(rows)
+	}
 	for _, fe := range victims {
 		live, err := t.liveRows(node, fe, nil)
 		if err != nil {
@@ -69,10 +82,13 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 		}
 		res.RowsDropped += fe.Rows - int64(live.NumRows())
 		res.RowsKept += int64(live.NumRows())
-		if byPartition[fe.Partition] == nil {
-			byPartition[fe.Partition] = colfile.NewBatch(meta.Schema)
+		if fe.Partition == manifest.MixedCells {
+			for p, part := range partitionBatch(live, meta.DistributionCol, t.eng.opts.Distributions) {
+				gather(p, part)
+			}
+		} else {
+			gather(fe.Partition, live)
 		}
-		byPartition[fe.Partition].AppendBatch(live)
 		actions = append(actions, ts.removeFile(fe)...)
 	}
 	// ... replaced by the compacted files, partitions in ascending order so
@@ -215,7 +231,7 @@ func (e *Engine) GarbageCollect() (GCResult, error) {
 			if err != nil {
 				return res, err
 			}
-			ms, err := tx.readManifests(node, rows)
+			ms, err := tx.readManifests(node, rows, manifest.DecodeRemovals)
 			if err != nil {
 				return res, err
 			}
@@ -226,9 +242,7 @@ func (e *Engine) GarbageCollect() (GCResult, error) {
 					removed = inactive
 				}
 				for _, a := range m.Actions {
-					if a.Op == manifest.OpRemove {
-						removed[a.Path] = true
-					}
+					removed[a.Path] = true
 				}
 			}
 			cps, err := catalog.ListCheckpoints(tx.catTx, id)

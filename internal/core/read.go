@@ -87,7 +87,7 @@ func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.Tabl
 	if cp != nil {
 		rows = slices.DeleteFunc(rows, func(row catalog.ManifestRow) bool { return row.Seq <= cp.Seq })
 	}
-	committed, err := t.readManifests(node, rows)
+	committed, err := t.readManifests(node, rows, manifest.Decode)
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +104,11 @@ func (t *Txn) reconstruct(meta catalog.TableMeta, asOfSeq int64) (*manifest.Tabl
 	return state, nil
 }
 
-// readManifests reads and decodes the manifests of rows, in row order: the
-// input of a replay, and the record of every file a table removed that
+// readManifests reads the manifests of rows, in row order, and decodes each
+// with decode: manifest.Decode for the input of a replay, and
+// manifest.DecodeRemovals for the record of every file a table removed that
 // garbage collection reads.
-func (t *Txn) readManifests(node *compute.Node, rows []catalog.ManifestRow) ([]manifest.CommittedManifest, error) {
+func (t *Txn) readManifests(node *compute.Node, rows []catalog.ManifestRow, decode func([]byte) ([]manifest.Action, error)) ([]manifest.CommittedManifest, error) {
 	out := make([]manifest.CommittedManifest, 0, len(rows))
 	for _, row := range rows {
 		data, d, err := node.ReadFile(t.eng.Store, row.ManifestFile)
@@ -115,7 +116,7 @@ func (t *Txn) readManifests(node *compute.Node, rows []catalog.ManifestRow) ([]m
 			return nil, fmt.Errorf("core: read manifest %s: %w", row.ManifestFile, err)
 		}
 		t.charge(d)
-		actions, err := manifest.Decode(data)
+		actions, err := decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("core: decode manifest %s: %w", row.ManifestFile, err)
 		}
@@ -156,15 +157,20 @@ type cellFiles struct {
 }
 
 // partitionCells groups a snapshot's live files into per-distribution cell
-// sets, the disjoint task inputs of the paper's data model (2.3).
+// sets, the disjoint task inputs of the paper's data model (2.3). A file of
+// mixed cells (manifest.MixedCells) belongs to no cell: such files are dealt
+// round-robin, in path order, over the same distributions sets, so a read
+// never runs more fetch tasks than there are cells.
 func partitionCells(state *manifest.TableState, distributions int) []cellFiles {
 	cells := make([]cellFiles, distributions)
+	mixed := 0
 	for _, f := range state.LiveFiles() {
-		p := f.Partition % distributions
-		if p < 0 {
-			p += distributions
+		p := f.Partition
+		if p == manifest.MixedCells {
+			p = mixed % distributions
+			mixed++
 		}
-		cells[p].files = append(cells[p].files, f)
+		cells[p%distributions].files = append(cells[p%distributions].files, f)
 	}
 	return cells
 }

@@ -140,8 +140,10 @@ type writeTaskResult struct {
 }
 
 // stageBlock ends a write task: it stages the task's actions as one manifest
-// block, its ID unique per writing attempt (3.2.2), and charges the task's
-// CPU and the block's upload.
+// block, its ID unique per statement and writing attempt (3.2.2) — a
+// transaction's block list names every statement's blocks, so a later
+// statement's block must not replace an earlier one's — and charges the
+// task's CPU and the block's upload.
 func (e *Engine) stageBlock(ctx *dcp.Ctx, blob, blockID string, actions []manifest.Action) (writeTaskResult, error) {
 	res := writeTaskResult{blockID: blockID, actions: actions}
 	for _, a := range actions {
@@ -197,10 +199,17 @@ func (t *Txn) commitWriteJob(ts *txnTable, tasks []*dcp.Task) (int64, error) {
 	return rows, nil
 }
 
-// Insert appends rows to a table. The DML is compiled into one DCP write task
-// per non-empty distribution bucket; each task writes private Parquet files
-// and stages its manifest block; the FE aggregates block IDs and commits the
-// block list, appending to any blocks from prior statements (3.2.2, 3.2.3).
+// Insert appends rows to a table. The DML is compiled into DCP write tasks;
+// each task writes private Parquet files and stages its manifest block; the
+// FE aggregates block IDs and commits the block list, appending to any
+// blocks from prior statements (3.2.2, 3.2.3). A write of at least
+// CompactSmallRows rows runs one task per non-empty distribution cell, each
+// writing that cell's files. A smaller write lands unsplit: one task writes
+// its rows, sorted by the clustering column, as RowsPerFile-row files of
+// mixed cells (manifest.MixedCells). The threshold is the small-file rule
+// itself: each per-cell file such a write would make is smaller still, so
+// the next COMPACT would rewrite it anyway. Compaction instead spreads a
+// mixed file's rows over per-cell files — level 0 of a log-structured merge.
 func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 	if err := t.check(); err != nil {
 		return 0, err
@@ -216,20 +225,29 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 		return 0, nil
 	}
 	ts := t.tableState(meta)
-	eng, txnID := t.eng, t.id
+	eng, txnID, stmt := t.eng, t.id, ts.blockSeq
 	paths := TablePaths{ID: meta.ID}
 	rowsPerFile := eng.opts.RowsPerFile
 
+	split := int64(rows.NumRows()) >= eng.opts.CompactSmallRows
+	parts := []*colfile.Batch{rows}
+	if split {
+		parts = partitionBatch(rows, meta.DistributionCol, eng.opts.Distributions)
+	}
 	var tasks []*dcp.Task
-	fileSeq := ts.blockSeq * 1000 // unique file numbering across statements
-	for p, part := range partitionBatch(rows, meta.DistributionCol, eng.opts.Distributions) {
+	fileSeq := stmt * 1000 // unique file numbering across statements
+	for i, part := range parts {
 		if part.NumRows() == 0 {
 			continue
+		}
+		p, cell := manifest.MixedCells, "m"
+		if split {
+			p, cell = i, fmt.Sprintf("p%d", i)
 		}
 		base := fileSeq
 		fileSeq += (part.NumRows()+rowsPerFile-1)/rowsPerFile + 1
 		tasks = append(tasks, &dcp.Task{
-			ID: p + 1, Name: fmt.Sprintf("insert-%s-p%d", meta.Name, p), Pool: dcp.WritePool,
+			ID: i + 1, Name: fmt.Sprintf("insert-%s-%s", meta.Name, cell), Pool: dcp.WritePool,
 			Exec: func(ctx *dcp.Ctx) (any, error) {
 				sorted, err := sortBatchBy(part, meta.SortCol)
 				if err != nil {
@@ -243,7 +261,7 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 				if err != nil {
 					return nil, err
 				}
-				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-p%d-a%d", txnID, p, ctx.Attempt), actions)
+				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-%d-%s-a%d", txnID, stmt, cell, ctx.Attempt), actions)
 			},
 		})
 	}
@@ -634,7 +652,8 @@ func (t *Txn) BulkLoad(table string, sources []SourceFile) (int64, error) {
 	paths := TablePaths{ID: meta.ID}
 
 	var tasks []*dcp.Task
-	base := ts.blockSeq * 1000
+	stmt := ts.blockSeq
+	base := stmt * 1000
 	for i, src := range sources {
 		tasks = append(tasks, &dcp.Task{
 			ID: i + 1, Name: "load-" + src.Name, Pool: dcp.WritePool,
@@ -662,7 +681,7 @@ func (t *Txn) BulkLoad(table string, sources []SourceFile) (int64, error) {
 					}
 					actions = append(actions, written...)
 				}
-				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-s%d-a%d", txnID, i, ctx.Attempt), actions)
+				return eng.stageBlock(ctx, paths.ManifestFile(txnID), fmt.Sprintf("t%d-%d-s%d-a%d", txnID, stmt, i, ctx.Attempt), actions)
 			},
 		})
 	}

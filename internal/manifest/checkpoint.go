@@ -34,7 +34,7 @@ func (cp *Checkpoint) State() *TableState {
 	return s
 }
 
-// Checkpoint format (header "PCK", version 2). Counts and numbers are
+// Checkpoint format (header "PCK", version 3). Counts and numbers are
 // uvarints:
 //
 //	header  "PCK" and the version byte
@@ -44,7 +44,7 @@ func (cp *Checkpoint) State() *TableState {
 //	        slot, its deleted rows in the action's)
 //
 // Files are in path order, so their paths share long prefixes.
-const checkpointHeader = "PCK\x02"
+const checkpointHeader = "PCK\x03"
 
 // Marshal serializes the checkpoint.
 func (cp *Checkpoint) Marshal() []byte {

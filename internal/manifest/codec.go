@@ -7,8 +7,8 @@ import (
 	"polaris/internal/wire"
 )
 
-// Manifest block format (header "PMB", version 2). Counts and numbers are
-// uvarints:
+// Manifest block format (header "PMB", version 3). Counts and numbers are
+// uvarints, the partition a zig-zag varint:
 //
 //	header   "PMB" and the version byte
 //	actions  count, then per action:
@@ -16,7 +16,7 @@ import (
 //	              vector (else a data file), and bits 2–7 which of the
 //	              fields below follow; a field left out is zero
 //	  path        front-coded against the block's previous path
-//	  rows, size, partition
+//	  rows, size, partition (MixedCells, −1, is one byte)
 //	  target      front-coded against the block's previous target
 //	  deleted rows
 //	  sketches    colfile.AppendSketches; each sketch's rows are the
@@ -28,7 +28,7 @@ import (
 // any order decode to the concatenation of their actions. Every block and
 // checkpoint decodes under the rules every binary decoder shares
 // (wire.Reader; docs/ARCHITECTURE.md, "Data files").
-const blockHeader = "PMB\x02"
+const blockHeader = "PMB\x03"
 
 // Action flags.
 const (
@@ -89,7 +89,7 @@ func (e *encoder) action(a *Action) {
 	}
 	if a.Partition != 0 {
 		f |= flagPartition
-		e.uvarint(uint64(a.Partition))
+		e.buf = binary.AppendVarint(e.buf, int64(a.Partition))
 	}
 	if a.Target != "" {
 		f |= flagTarget
@@ -110,6 +110,9 @@ func (e *encoder) action(a *Action) {
 type decoder struct {
 	r              *wire.Reader
 	paths, targets frontCoder
+	// removals walks a manifest for its Remove actions only: the sketches
+	// of the Add actions are checked and skipped, not decoded.
+	removals bool
 	// room is how many bytes the front-coded strings still to come may
 	// take. Front coding lets a few bytes repeat a long prefix, so without
 	// a cap a damaged block of n bytes could allocate n²/4 bytes of strings;
@@ -168,7 +171,11 @@ func (d *decoder) action() Action {
 		a.Size = int64(r.Uvarint("sizes"))
 	}
 	if f&flagPartition != 0 {
-		a.Partition = int(r.Uvarint("partitions"))
+		p := r.Varint("partitions")
+		if p < MixedCells && r.Err() == nil {
+			r.Fail("partition %d is below %d", p, MixedCells)
+		}
+		a.Partition = int(p)
 	}
 	if f&flagTarget != 0 {
 		a.Target = d.frontCoded(&d.targets, "targets")
@@ -176,7 +183,11 @@ func (d *decoder) action() Action {
 	if f&flagDeleted != 0 {
 		a.DeletedRows = int64(r.Uvarint("deleted rows"))
 	}
-	if f&flagSketches != 0 {
+	switch {
+	case f&flagSketches == 0:
+	case d.removals:
+		colfile.SkipSketches(r)
+	default:
 		a.Sketches = colfile.ReadSketches(r, a.Rows)
 	}
 	return a
@@ -198,25 +209,38 @@ func Encode(actions []Action) []byte {
 
 // Decode parses a manifest — no bytes, one block, or blocks concatenated in
 // any order — into its actions, each of which passes Validate.
-func Decode(data []byte) ([]Action, error) {
+func Decode(data []byte) ([]Action, error) { return decode(data, false) }
+
+// DecodeRemovals parses a manifest as Decode does, under the same checks, and
+// returns only its Remove actions: what garbage collection reads. It skips
+// the Add actions' sketches without decoding them, so it allocates no
+// bitmap and no zone-map bound.
+func DecodeRemovals(data []byte) ([]Action, error) { return decode(data, true) }
+
+func decode(data []byte, removals bool) ([]Action, error) {
 	r := wire.NewReader(data)
 	d := newDecoder(r)
+	d.removals = removals
 	var out []Action
+	seen := 0 // actions walked, in every block so far
 	for r.Err() == nil && r.Pos() < len(data) {
 		if string(r.Take("block header bytes", len(blockHeader), 1)) != blockHeader {
 			r.Fail("bad block header at byte %d", r.Pos()-len(blockHeader))
 		}
 		n := r.Count("actions", minActionBytes)
-		if out == nil && n > 0 {
+		if out == nil && n > 0 && !removals {
 			out = make([]Action, 0, n)
 		}
 		d.paths, d.targets = frontCoder{}, frontCoder{}
 		for i := 0; i < n && r.Err() == nil; i++ {
 			a := d.action()
 			if err := a.Validate(); r.Err() == nil && err != nil {
-				r.Fail("action %d: %w", len(out), err)
+				r.Fail("action %d: %w", seen, err)
 			}
-			out = append(out, a)
+			seen++
+			if !removals || a.Op == OpRemove {
+				out = append(out, a)
+			}
 		}
 	}
 	if err := r.End("manifest: decode"); err != nil {

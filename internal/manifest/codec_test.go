@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -176,6 +177,8 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		{"dv without target", block("\x01\x02\x00\x01d"), "missing target"},
 		// One sketch naming position 5 twice.
 		{"duplicate sketch position", block("\x01\x80\x00\x01p\x01\x00\x00\x03\x05\x00"), "ndv bitmap: duplicate position"},
+		// Flags 0x10 say a partition follows: zig-zag 3 is −2.
+		{"partition below mixed cells", block("\x01\x10\x00\x01p\x03"), "partition -2 is below -1"},
 	})
 	for name, in := range map[string][]byte{
 		"control":         block("\x01\x00\x00\x01p"),
@@ -212,6 +215,7 @@ func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
 		// (uvarint 0x80 0x10).
 		{"truncated ndv", sketched("\x80"), "ndv bitmap: truncated"},
 		{"ndv past the bitmap", sketched("\x80\x10"), "ndv bitmap: position"},
+		{"partition below mixed cells", cp("\x01\x10\x00\x01a\x03"), "partition -2 is below -1"},
 	})
 	for name, in := range map[string][]byte{
 		"control":        cp("\x01\x00\x00\x01a"),
@@ -221,5 +225,67 @@ func TestUnmarshalCheckpointRejectsCorrupt(t *testing.T) {
 		if err := decode(in); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestMixedCellsPartitionCodec: MixedCells (−1) round-trips through the
+// manifest block and the checkpoint in one byte, and no partition below it
+// decodes.
+func TestMixedCellsPartitionCodec(t *testing.T) {
+	mixed := Action{Op: OpAdd, Kind: KindData, Path: "tables/1/data/7-m-1.pcf", Rows: 3, Partition: MixedCells}
+	cell := mixed
+	cell.Partition = 0
+	if got, want := len(Encode([]Action{mixed})), len(Encode([]Action{cell}))+1; got != want {
+		t.Errorf("a mixed Add action encodes to %d bytes, want %d: one more than a cell-0 one's", got, want)
+	}
+	actions, err := Decode(Encode([]Action{mixed}))
+	if err != nil || len(actions) != 1 || actions[0].Partition != MixedCells {
+		t.Fatalf("block round trip: %+v, %v", actions, err)
+	}
+	cp := &Checkpoint{TableID: 1, Seq: 2, Files: []*FileEntry{{Path: mixed.Path, Rows: 3, Partition: MixedCells}}}
+	back, err := UnmarshalCheckpoint(cp.Marshal())
+	if err != nil || !sameBits(back, cp) {
+		t.Fatalf("checkpoint round trip: %+v, %v", back, err)
+	}
+	below := mixed
+	below.Partition = MixedCells - 1
+	if _, err := Decode(Encode([]Action{below})); err == nil || !strings.Contains(err.Error(), "partition -2 is below -1") {
+		t.Fatalf("partition -2 in a block: %v", err)
+	}
+	cp.Files[0].Partition = MixedCells - 1
+	if _, err := UnmarshalCheckpoint(cp.Marshal()); err == nil || !strings.Contains(err.Error(), "partition -2 is below -1") {
+		t.Fatalf("partition -2 in a checkpoint: %v", err)
+	}
+}
+
+// TestDecodeRemovalsSkipsSketches: the removals-only walk returns exactly
+// the Remove actions Decode returns, and it decodes no sketch: over Add
+// actions with four dense sketches each it allocates less than one bitmap's
+// bytes per action, where Decode allocates four bitmaps.
+func TestDecodeRemovalsSkipsSketches(t *testing.T) {
+	var adds, removes []Action
+	for i := 0; i < 200; i++ {
+		a := addData(fmt.Sprintf("tables/1/data/%d-p0-1.pcf", i), 3)
+		dense := edgeSketches()[0]
+		a.Sketches = []colfile.ColSketch{dense, dense, dense, dense}
+		adds = append(adds, a)
+		removes = append(removes, removeData(fmt.Sprintf("tables/1/data/%d-p1-1.pcf", i)))
+	}
+	data := append(Encode(adds), Encode(removes)...)
+	got, err := DecodeRemovals(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, removes) {
+		t.Fatalf("DecodeRemovals returned %d actions, want the %d Removes", len(got), len(removes))
+	}
+	addBlock := Encode(adds)
+	full := allocatedBy(func() { _, err = Decode(addBlock) })
+	walk := allocatedBy(func() { got, err = DecodeRemovals(addBlock) })
+	if err != nil || got != nil {
+		t.Fatalf("DecodeRemovals of Add actions: %v, %v", got, err)
+	}
+	if per := walk / uint64(len(adds)); per >= 256 {
+		t.Fatalf("DecodeRemovals allocated %d bytes per Add action (Decode %d): it decoded sketches", per, full/uint64(len(adds)))
 	}
 }

@@ -17,8 +17,9 @@ import (
 // NULL, w = i·7919 mod 100,000), one of 3 rows, a merge-on-read DELETE and a
 // CHECKPOINT. dense_ndv.manifest is the first INSERT's manifest block and
 // dense_ndv.checkpoint the checkpoint, re-encoded in the binary codec when
-// the JSON path was removed, and again when sketches stopped writing their
-// row counts: the bitmaps are the engine's, and each is on the wire in the
+// the JSON path was removed, again when sketches stopped writing their row
+// counts, and again when partitions became zig-zag varints (format
+// version 3): the bitmaps are the engine's, and each is on the wire in the
 // shorter of its two forms. The files pin the codec's bytes
 // too, so they change only with the format.
 

@@ -37,17 +37,37 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"add","kind":"data","path":"p"}`))
 	// A path sharing its predecessor's whole prefix, twice over.
 	f.Add([]byte(blockHeader + "\x02\x00\x00\x04long\x00\x04\x00"))
+	// A sketched Add of mixed cells beside a deletion vector, which carries
+	// no partition.
+	mixed := addData("tables/1/data/7-m-1.pcf", 3)
+	mixed.Partition, mixed.Sketches = MixedCells, edgeSketches()
+	f.Add(Encode([]Action{mixed, addDV("tables/1/dv/8-0.dv", mixed.Path, 1), removeData("tables/1/data/6-m-1.pcf")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var actions []Action
 		var err error
 		if grew := allocatedBy(func() { actions, err = Decode(data) }); grew > allocLimit(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, allocLimit(len(data)))
 		}
+		// The removals-only walk fails exactly where Decode does, with the
+		// same error, and otherwise returns Decode's Remove actions.
+		removes, rerr := DecodeRemovals(data)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("Decode: %v; DecodeRemovals: %v", err, rerr)
+		}
 		if err != nil {
 			if actions != nil {
 				t.Fatalf("error %v returned with actions", err)
 			}
 			return
+		}
+		var want []Action
+		for _, a := range actions {
+			if a.Op == OpRemove {
+				want = append(want, a)
+			}
+		}
+		if !sameBits(removes, want) {
+			t.Fatalf("DecodeRemovals returned %+v, want %+v", removes, want)
 		}
 		for i, a := range actions {
 			if err := a.Validate(); err != nil {
@@ -87,6 +107,14 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add([]byte(checkpointHeader + "\x00\x00\x00"))
 	f.Add([]byte(`{"files":[]}`))
 	f.Add([]byte(checkpointHeader + "\x01\x02\x01\x80\x00\x01a\x01\x00\x00\x02\x05"))
+	// A sketched file of mixed cells carrying a deletion vector.
+	mixedState := NewTableState()
+	mixed := addData("tables/1/data/7-m-1.pcf", 3)
+	mixed.Partition, mixed.Sketches = MixedCells, edgeSketches()
+	if err := mixedState.Apply(1, []Action{mixed, addDV("tables/1/dv/8-0.dv", mixed.Path, 1)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(BuildCheckpoint(1, mixedState).Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cp *Checkpoint
 		var err error

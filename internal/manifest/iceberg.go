@@ -22,7 +22,9 @@ type IcebergDataFile struct {
 	// Content 0 = data, 1 = position deletes (the DV stand-in).
 	Content        int    `json:"content"`
 	ReferencedFile string `json:"referenced_data_file,omitempty"`
-	Partition      int    `json:"partition"`
+	// Partition is the file's distribution cell, null for a file of mixed
+	// cells.
+	Partition *int `json:"partition"`
 }
 
 // IcebergSnapshot is one snapshot entry of the table metadata.
@@ -49,16 +51,20 @@ type IcebergMetadata struct {
 func ToIcebergManifestList(state *TableState) []byte {
 	var files []IcebergDataFile
 	for _, f := range state.LiveFiles() {
+		var partition *int
+		if f.Partition != MixedCells {
+			partition = &f.Partition
+		}
 		files = append(files, IcebergDataFile{
 			FilePath: f.Path, FileFormat: "PARQUET",
 			RecordCount: f.Rows, FileSizeInBytes: f.Size,
-			Content: 0, Partition: f.Partition,
+			Content: 0, Partition: partition,
 		})
 		if f.DV != "" {
 			files = append(files, IcebergDataFile{
 				FilePath: f.DV, FileFormat: "PARQUET",
 				RecordCount: f.DeletedRows, Content: 1,
-				ReferencedFile: f.Path, Partition: f.Partition,
+				ReferencedFile: f.Path, Partition: partition,
 			})
 		}
 	}

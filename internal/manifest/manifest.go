@@ -42,6 +42,11 @@ const (
 	KindDV   Kind = "dv"
 )
 
+// MixedCells is the Partition of a data file whose rows span distribution
+// cells: a write below the small-file threshold lands as such a file, and
+// compaction spreads its rows over per-cell files.
+const MixedCells = -1
+
 // Action is one entry of a transaction manifest: add or remove one data file
 // or deletion-vector file.
 type Action struct {
@@ -55,8 +60,9 @@ type Action struct {
 	Target string
 	// DeletedRows is the cardinality of a deletion vector (KindDV).
 	DeletedRows int64
-	// Partition is the distribution bucket the file belongs to, d(r) in the
-	// paper's cell model.
+	// Partition is the distribution bucket the data file belongs to, d(r) in
+	// the paper's cell model, or MixedCells for a file whose rows span cells
+	// (KindData; a deletion vector's cell is its target's).
 	Partition int
 	// Sketches carries the sealed file's per-column statistics sketches
 	// (KindData; schema-aligned). Optional: actions from before the stats
@@ -87,7 +93,7 @@ type FileEntry struct {
 	Path        string
 	Rows        int64
 	Size        int64
-	Partition   int
+	Partition   int    // a cell, or MixedCells
 	DV          string // current deletion-vector file, if any
 	DeletedRows int64  // cardinality of DV
 	// Sketches are the file's per-column statistics sketches, copied from the

@@ -57,7 +57,8 @@ func newDagEnv(t *testing.T, mut func(*core.Options), storeOpts ...objectstore.O
 }
 
 // seedDag loads a two-table dataset large enough to split into many morsels:
-// 600 orders across 4 distributions (several files and row groups each) and
+// 600 orders in three INSERTs below the small-file threshold (six files of
+// mixed cells, four row groups each) and
 // 17 customers covering every orders.cust value. All values are derived from
 // the row index, so every environment seeds identical bytes.
 func seedDag(t *testing.T, s *Session) {
@@ -654,9 +655,11 @@ func TestMorselStatementCancel(t *testing.T) {
 			}
 		})
 		mustExec(t, env.sess, `CREATE TABLE many (k INT, v INT) WITH (DISTRIBUTION = k)`)
+		// At least the small-file threshold, so the write fans out over the
+		// cells instead of landing as files of mixed cells.
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO many VALUES ")
-		for i := 0; i < 512; i++ {
+		for i := 0; i < int(env.eng.Options().CompactSmallRows); i++ {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -734,15 +737,15 @@ func TestDAGCountersDeterministic(t *testing.T) {
 	}
 }
 
-// TestDAGScanTasksFollowRowsNotFiles: the write path leaves one file per
-// distribution cell per INSERT, and a DAG statement runs one scan task per
-// base morsel, so the morsel split must pack those small files by rows. A
-// GROUP BY over 32 files at Parallelism 2 (no join, so no builds) runs at
-// most Parallelism×4 = 8 tasks, not one per file.
+// TestDAGScanTasksFollowRowsNotFiles: the write path leaves one small file
+// per small INSERT, and a DAG statement runs one scan task per base morsel,
+// so the morsel split must pack those small files by rows. A GROUP BY over
+// 32 files at Parallelism 2 (no join, so no builds) runs at most
+// Parallelism×4 = 8 tasks, not one per file.
 func TestDAGScanTasksFollowRowsNotFiles(t *testing.T) {
 	env := newDagEnv(t, func(o *core.Options) { o.Parallelism = 2 })
 	mustExec(t, env.sess, `CREATE TABLE cells (k INT, v INT) WITH (DISTRIBUTION = k)`)
-	for load := 0; load < 8; load++ {
+	for load := 0; load < 32; load++ {
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO cells VALUES ")
 		for i := 0; i < 40; i++ {
