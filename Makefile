@@ -59,7 +59,10 @@ bench-check:
 # copies every gather and range copy runs on (AppendTake, Take, Slice and
 # AppendBatch against per-row Append, never a panic), of the SQL
 # parser (any text: statements or an error, never a panic — clients send it
-# straight to Parse), and of the seven decoders that take bytes from outside
+# straight to Parse), of the statement front end against the one it
+# replaced (FuzzLex: the byte-class lexer gives the reference lexer's
+# tokens or error; FuzzInsertValues: a generated INSERT … VALUES binds to
+# the reference binder's batch bytes or error), and of the seven decoders that take bytes from outside
 # the process: the sketch NDV bitmap and sketch list (dense or sparse wire
 # form: a dense bitmap or an error, and re-encoding is stable), the transient batch
 # frame (arbitrary bytes in: a batch or an error, never a panic, never an
@@ -104,6 +107,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzAggEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzJoinEquivalence$$' -fuzztime 5s ./internal/exec
 	$(GO) test -run NONE -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/sql
+	$(GO) test -run NONE -fuzz '^FuzzLex$$' -fuzztime 5s ./internal/sql
+	$(GO) test -run NONE -fuzz '^FuzzInsertValues$$' -fuzztime 5s ./internal/sql
 
 # End-to-end lifecycle gate for the multi-session HTTP front end: boots
 # polaris-server on an ephemeral port, health-checks it, runs DDL + DML + a

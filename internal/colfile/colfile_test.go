@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testSchema() Schema {
@@ -151,6 +152,33 @@ func TestZoneMapStats(t *testing.T) {
 	ss := r.Stats(0, 1)
 	if *ss.MinStr != "a" || *ss.MaxStr != "j" {
 		t.Fatalf("str stats = [%s,%s]", *ss.MinStr, *ss.MaxStr)
+	}
+}
+
+// TestSketchStatsOwnTheirStrings: a file's sketch outlives the batch it was
+// written from, so its string min and max must not point into that batch's
+// string storage — an INSERT … VALUES string is a substring of the whole
+// statement text.
+func TestSketchStatsOwnTheirStrings(t *testing.T) {
+	text := "INSERT INTO t VALUES ('m'), ('b'), ('x')"
+	schema := Schema{{Name: "s", Type: String}}
+	b := NewBatch(schema)
+	for _, i := range []int{23, 30, 37} {
+		b.Cols[0].AppendStr(text[i : i+1])
+	}
+	w := NewWriter(schema)
+	if err := w.WriteBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Sketches()[0].Stats
+	if *st.MinStr != "b" || *st.MaxStr != "x" {
+		t.Fatalf("str stats = [%s,%s]", *st.MinStr, *st.MaxStr)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	for _, s := range []string{*st.MinStr, *st.MaxStr} {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < lo+uintptr(len(text)) {
+			t.Fatalf("stat %q points into the batch's string storage", s)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 )
 
@@ -190,6 +191,12 @@ func computeStats(v *Vec) ColStats {
 	}
 	if nonFinite {
 		st.MinFloat, st.MaxFloat = nil, nil
+	}
+	if st.MinStr != nil {
+		// The zone map outlives v (a file's sketch rides on its manifest Add
+		// action), so it copies its strings rather than pin v's storage: a
+		// string cell of INSERT … VALUES is a substring of the statement text.
+		st.MinStr, st.MaxStr = ptr(strings.Clone(*st.MinStr)), ptr(strings.Clone(*st.MaxStr))
 	}
 	return st
 }

@@ -109,12 +109,44 @@ type SelectStmt struct {
 	Offset  int64
 }
 
-// InsertStmt inserts literal rows or a query's result.
+// InsertStmt inserts VALUES rows or a query's result.
 type InsertStmt struct {
 	Table   string
 	Columns []string // optional
-	Rows    [][]Expr // VALUES form
+	Values  *Values  // VALUES form
 	Query   *SelectStmt
+}
+
+// Values is a VALUES list as one flat, row-major list of cells: row r is
+// Cells[Ends[r-1]:Ends[r]], with Ends[-1] read as 0. Rows keep the width
+// they were written with; binding checks it against the column list.
+type Values struct {
+	Cells []Cell
+	Ends  []int
+	Exprs []Expr // the CellExpr cells' expressions
+}
+
+// CellKind says what a VALUES cell holds.
+type CellKind uint8
+
+// VALUES cell kinds. A bare literal (a number, possibly negated, a string,
+// TRUE, FALSE or NULL) followed by ',' or ')' is typed; any other cell is an
+// expression.
+const (
+	CellNull CellKind = iota
+	CellInt
+	CellFloat
+	CellString
+	CellBool
+	CellExpr
+)
+
+// Cell is one VALUES cell.
+type Cell struct {
+	Kind  CellKind
+	Int   int64 // CellInt; CellBool: 0 or 1; CellExpr: index into Values.Exprs
+	Float float64
+	Str   string
 }
 
 // UpdateStmt updates matching rows.

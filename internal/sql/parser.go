@@ -350,28 +350,8 @@ func (p *parser) insertStmt() (Statement, error) {
 		}
 	}
 	if p.kw("VALUES") {
-		for {
-			if _, err := p.expect(tokSymbol, "("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if !p.accept(tokSymbol, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			st.Rows = append(st.Rows, row)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
+		if st.Values, err = p.values(); err != nil {
+			return nil, err
 		}
 		return st, nil
 	}
@@ -384,6 +364,125 @@ func (p *parser) insertStmt() (Statement, error) {
 		return st, nil
 	}
 	return nil, fmt.Errorf("sql: INSERT needs VALUES or SELECT at %d", p.cur().pos)
+}
+
+// values parses the rows of a VALUES list into one flat cell list, sized
+// once from a count of the list's tokens.
+func (p *parser) values() (*Values, error) {
+	rows, cells := p.valuesShape()
+	v := &Values{Cells: make([]Cell, 0, cells), Ends: make([]int, 0, rows)}
+	for {
+		if _, err := p.expect(tokSymbol, "("); err != nil {
+			return nil, err
+		}
+		for {
+			c, ok, err := p.literalCell()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				e, err := p.parseExpr()
+				if err != nil {
+					return nil, err
+				}
+				c = Cell{Kind: CellExpr, Int: int64(len(v.Exprs))}
+				v.Exprs = append(v.Exprs, e)
+			}
+			v.Cells = append(v.Cells, c)
+			if !p.accept(tokSymbol, ",") {
+				break
+			}
+		}
+		if _, err := p.expect(tokSymbol, ")"); err != nil {
+			return nil, err
+		}
+		v.Ends = append(v.Ends, len(v.Cells))
+		if !p.accept(tokSymbol, ",") {
+			break
+		}
+	}
+	return v, nil
+}
+
+// valuesShape counts the rows of the VALUES list at p.i and an upper bound
+// on its cells (the separators at parenthesis depth 1, plus one per row),
+// without consuming tokens. A malformed list only makes the counts wrong.
+func (p *parser) valuesShape() (rows, cells int) {
+	depth := 0
+	for _, t := range p.toks[p.i:] {
+		if t.kind == tokEOF {
+			break
+		}
+		if t.kind == tokSymbol {
+			switch t.text {
+			case "(":
+				if depth == 0 {
+					rows++
+				}
+				depth++
+				continue
+			case ")":
+				depth--
+				continue
+			case ",":
+				if depth == 1 {
+					cells++
+				}
+				continue
+			}
+		}
+		if depth == 0 {
+			break
+		}
+	}
+	return rows, cells + rows
+}
+
+// literalCell reads a bare literal — a number, possibly negated, a string,
+// TRUE, FALSE or NULL — followed by ',' or ')' as a typed cell. It consumes
+// nothing and reports false for any other cell, which parses as an Expr.
+func (p *parser) literalCell() (Cell, bool, error) {
+	i := p.i
+	neg := p.toks[i].kind == tokSymbol && p.toks[i].text == "-"
+	if neg {
+		i++
+	}
+	t := p.toks[i]
+	if t.kind == tokEOF {
+		return Cell{}, false, nil
+	}
+	if next := p.toks[i+1]; next.kind != tokSymbol || (next.text != "," && next.text != ")") {
+		return Cell{}, false, nil
+	}
+	var c Cell
+	switch {
+	case t.kind == tokNumber:
+		n, f, isFloat, err := number(t.text)
+		if err != nil {
+			return Cell{}, false, err
+		}
+		if neg {
+			n, f = -n, -f
+		}
+		c = Cell{Kind: CellInt, Int: n}
+		if isFloat {
+			c = Cell{Kind: CellFloat, Float: f}
+		}
+	case neg:
+		return Cell{}, false, nil
+	case t.kind == tokString:
+		c = Cell{Kind: CellString, Str: t.text}
+	case t.kind == tokKeyword && t.text == "TRUE":
+		c = Cell{Kind: CellBool, Int: 1}
+	case t.kind == tokKeyword && t.text == "FALSE":
+		c = Cell{Kind: CellBool}
+	case t.kind == tokKeyword && t.text == "NULL":
+		c = Cell{Kind: CellNull}
+	default:
+		return Cell{}, false, nil
+	}
+	p.i = i + 1
+	return c, true, nil
 }
 
 func (p *parser) updateStmt() (Statement, error) {
@@ -825,16 +924,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.kind == tokNumber:
 		p.i++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.text)
-			}
+		n, f, isFloat, err := number(t.text)
+		switch {
+		case err != nil:
+			return nil, err
+		case isFloat:
 			return Lit{Val: f}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %q", t.text)
 		}
 		return Lit{Val: n}, nil
 	case t.kind == tokString:
@@ -886,6 +981,20 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("sql: unexpected %q at %d", t.text, t.pos)
 	}
+}
+
+// number parses a number token: a float64 if it holds a '.', else an int64.
+func number(text string) (n int64, f float64, isFloat bool, err error) {
+	if strings.IndexByte(text, '.') >= 0 {
+		f, err = strconv.ParseFloat(text, 64)
+		isFloat = true
+	} else {
+		n, err = strconv.ParseInt(text, 10, 64)
+	}
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("sql: bad number %q", text)
+	}
+	return n, f, isFloat, nil
 }
 
 func isAggName(s string) bool {

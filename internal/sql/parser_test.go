@@ -168,16 +168,20 @@ func TestParseCloneRestore(t *testing.T) {
 
 func TestParseInsertVariants(t *testing.T) {
 	st := parseOK(t, `INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')`).(*InsertStmt)
-	if len(st.Columns) != 2 || len(st.Rows) != 2 {
+	if len(st.Columns) != 2 || st.Values == nil || len(st.Values.Ends) != 2 || len(st.Values.Cells) != 4 {
 		t.Fatalf("insert = %+v", st)
 	}
 	st = parseOK(t, `INSERT INTO t SELECT * FROM u WHERE a > 0`).(*InsertStmt)
-	if st.Query == nil || st.Rows != nil {
+	if st.Query == nil || st.Values != nil {
 		t.Fatalf("insert-select = %+v", st)
 	}
 	// constant arithmetic in VALUES
 	st = parseOK(t, `INSERT INTO t VALUES (1 + 2 * 3)`).(*InsertStmt)
-	v, err := valuesCell(st.Rows[0][0])
+	c := st.Values.Cells[0]
+	if c.Kind != CellExpr {
+		t.Fatalf("cell = %+v, want an expression", c)
+	}
+	v, err := valuesCell(st.Values.Exprs[c.Int])
 	if err != nil || v != int64(7) {
 		t.Fatalf("const fold = %v, %v", v, err)
 	}

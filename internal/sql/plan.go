@@ -1116,45 +1116,125 @@ func runInsert(tx *core.Txn, st *InsertStmt) (*Result, error) {
 		if batch, err = qb.Convert(meta.Schema); err != nil {
 			return nil, err
 		}
-	} else {
-		cols := st.Columns
-		if cols == nil {
-			cols = make([]string, len(meta.Schema))
-			for i, f := range meta.Schema {
-				cols[i] = f.Name
-			}
-		}
-		colIdx := make([]int, len(cols))
-		for i, c := range cols {
-			idx := meta.Schema.ColIndex(c)
-			if idx < 0 {
-				return nil, fmt.Errorf("sql: unknown column %q", c)
-			}
-			colIdx[i] = idx
-		}
-		batch = colfile.NewBatch(meta.Schema)
-		for _, row := range st.Rows {
-			if len(row) != len(cols) {
-				return nil, fmt.Errorf("sql: row has %d values, expected %d", len(row), len(cols))
-			}
-			vals := make([]any, len(meta.Schema)) // unnamed columns are NULL
-			for i, e := range row {
-				lit, err := valuesCell(e)
-				if err != nil {
-					return nil, err
-				}
-				vals[colIdx[i]] = lit
-			}
-			if err := batch.AppendRow(vals...); err != nil {
-				return nil, err
-			}
-		}
+	} else if batch, err = bindValues(meta.Schema, st.Columns, st.Values); err != nil {
+		return nil, err
 	}
 	n, err := tx.Insert(st.Table, batch)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
+}
+
+// bindValues binds a VALUES list into a batch of schema. cols names the
+// column each cell position fills (nil: every column, in order); columns it
+// leaves out are NULL, and a column named twice takes the later cell. Row by
+// row, the expression cells fold first, in cell order, then every column
+// appends in schema order, so the first error is the one a row of boxed
+// values appended through Batch.AppendRow would report.
+func bindValues(schema colfile.Schema, cols []string, v *Values) (*colfile.Batch, error) {
+	width := len(schema)
+	if cols != nil {
+		width = len(cols)
+	}
+	src := make([]int, len(schema)) // the cell position each column reads, -1: NULL
+	for j := range src {
+		src[j] = -1
+	}
+	for i := 0; i < width; i++ {
+		var name string
+		if cols != nil {
+			name = cols[i]
+		} else {
+			name = schema[i].Name
+		}
+		j := schema.ColIndex(name)
+		if j < 0 {
+			return nil, fmt.Errorf("sql: unknown column %q", name)
+		}
+		src[j] = i
+	}
+	batch := colfile.NewBatch(schema)
+	for _, vec := range batch.Cols {
+		vec.Grow(len(v.Ends))
+	}
+	var folded []any // the row's expression cells, by position
+	start := 0
+	for _, end := range v.Ends {
+		row := v.Cells[start:end]
+		start = end
+		if len(row) != width {
+			return nil, fmt.Errorf("sql: row has %d values, expected %d", len(row), width)
+		}
+		for i, c := range row {
+			if c.Kind != CellExpr {
+				continue
+			}
+			if folded == nil {
+				folded = make([]any, width)
+			}
+			val, err := valuesCell(v.Exprs[c.Int])
+			if err != nil {
+				return nil, err
+			}
+			folded[i] = val
+		}
+		for j, vec := range batch.Cols {
+			var err error
+			switch i := src[j]; {
+			case i < 0:
+				vec.AppendNull()
+			case row[i].Kind == CellExpr:
+				err = vec.AppendValue(folded[i])
+			default:
+				err = appendCell(vec, row[i])
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return batch, nil
+}
+
+// appendCell appends a typed cell with Vec.AppendValue's conversions,
+// unboxed. A cell the column cannot take goes through AppendValue itself,
+// boxed, for its error.
+func appendCell(vec *colfile.Vec, c Cell) error {
+	switch {
+	case c.Kind == CellNull:
+		vec.AppendNull()
+	case c.Kind == CellInt && vec.Type == colfile.Int64:
+		vec.AppendInt(c.Int)
+	case c.Kind == CellInt && vec.Type == colfile.Float64:
+		vec.AppendFloat(float64(c.Int))
+	case c.Kind == CellFloat && vec.Type == colfile.Float64:
+		vec.AppendFloat(c.Float)
+	case c.Kind == CellFloat && vec.Type == colfile.Int64:
+		vec.AppendInt(int64(c.Float))
+	case c.Kind == CellString && vec.Type == colfile.String:
+		vec.AppendStr(c.Str)
+	case c.Kind == CellBool && vec.Type == colfile.Bool:
+		vec.AppendBool(c.Int != 0)
+	default:
+		return vec.AppendValue(c.value())
+	}
+	return nil
+}
+
+// value boxes a literal cell.
+func (c Cell) value() any {
+	switch c.Kind {
+	case CellInt:
+		return c.Int
+	case CellFloat:
+		return c.Float
+	case CellString:
+		return c.Str
+	case CellBool:
+		return c.Int != 0
+	}
+	return nil
 }
 
 // valuesCell evaluates one VALUES cell. A literal is its own value; any other
