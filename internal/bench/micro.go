@@ -89,7 +89,8 @@ func valBelow(limit int64) exec.Expr {
 
 // ParallelScanAggregate runs the scan micro-benchmark pipeline — scan →
 // filter → grouped integer aggregation — at the given DOP through the
-// morsel-driven executor, returning the merged result.
+// morsel-driven executor, returning the merged result sorted by its group
+// key, as the SQL layer orders a grouped statement.
 func ParallelScanAggregate(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	_, progs, err := compileFor(files, valBelow(900), exec.ColRef{Idx: 0, Name: "grp"}, exec.ColRef{Idx: 1})
 	if err != nil {
@@ -115,7 +116,7 @@ func ParallelScanAggregate(files []exec.ScanFile, dop int) (*colfile.Batch, erro
 	}
 	proto := &exec.HashAgg{GroupBy: groupBy, Aggs: aggs, Partial: true}
 	merge := &exec.MergeAgg{In: exec.NewBatchList(proto.Schema(), batches), Groups: 1, Aggs: aggs}
-	return exec.Collect(merge)
+	return exec.Collect(&exec.Sort{In: merge, Keys: []exec.SortKey{{Col: 0}}})
 }
 
 // sortKeys is the ORDER BY of the sort micro-benchmarks: val DESC (only 997

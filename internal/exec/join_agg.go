@@ -569,13 +569,23 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 // appendGroupKey encodes row r's key columns — a group key, or a join key
 // off the word path — into dst with the typed, self-delimiting Vec.AppendKey
 // encoding (NULL is a distinct one-byte tag, so a NULL group can never
-// collide with any value). Both aggregation phases — the partial HashAgg
-// workers and the final MergeAgg — go through this one encoding: groups
-// merge iff their keys are byte-identical, and a bytewise sort of keys orders
-// numeric groups by value.
+// collide with any value), a Float64 zero always as +0: -0 = +0 holds in a
+// WHERE, so the two zeros are one group and one join key. Both aggregation
+// phases — the partial HashAgg workers and the final MergeAgg — and both join
+// sides go through this one encoding: keys are the same key iff their bytes
+// are identical.
+//
+//polaris:kernel r is a physical lane, which callers map through their batch's Sel
 func appendGroupKey(dst []byte, vecs []*colfile.Vec, r int) []byte {
 	for _, v := range vecs {
+		if v.Type == colfile.Float64 && !v.IsNull(r) && v.Floats[r] == 0 {
+			dst = append(dst, plusZeroKey...)
+			continue
+		}
 		dst = v.AppendKey(dst, r)
 	}
 	return dst
 }
+
+// plusZeroKey is AppendKey's encoding of +0.
+var plusZeroKey = (&colfile.Vec{Type: colfile.Float64, Floats: []float64{0}}).AppendKey(nil, 0)

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"math"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // keyList is a sequence of row keys, each with its hash, addressed by
-// position. A key is either encoded bytes (Vec.AppendKey of every key
+// position. A key is either encoded bytes (appendGroupKey of every key
 // column), stored back to back in one arena, or — when the key is one Int64
 // column — the machine word itself (wordKey). One list holds one kind.
 // Offsets are ints and cannot wrap.
@@ -206,20 +205,6 @@ func (t *keyTable) grow() {
 	}
 }
 
-// compareWords orders a word table's ids as their AppendKey bytes would: the
-// NULL key first, then by value.
-func (t *keyTable) compareWords(a, b int32) int {
-	switch {
-	case a == b:
-		return 0
-	case a+1 == t.null:
-		return -1
-	case b+1 == t.null:
-		return 1
-	}
-	return cmp.Compare(t.words[a], t.words[b])
-}
-
 // Key hashing. A row's key hash is computed once, one typed loop per key
 // column over a chunk of rows (hashKeys), and every consumer reads that one
 // value: the keyTable places by its low bits, partOf picks a build partition
@@ -279,9 +264,9 @@ const hashChunk = 1024
 // hashKeys sets hs[r] to the key hash of logical row lo+r over the key
 // columns vecs — physical lane sel[lo+r], or lo+r when sel is nil — for every
 // r in [0, len(hs)). Each column folds into every row's hash in one typed
-// loop: its value as a word (an Int64 as is; a Float64's bits, equal exactly
-// when AppendKey's bytes are; a String's hashKey; a Bool as 0 or 1), or
-// nullWord for NULL.
+// loop: its value as a word (an Int64 as is; a Float64's bits, a zero as
+// +0's, equal exactly when appendGroupKey's bytes are; a String's hashKey; a
+// Bool as 0 or 1), or nullWord for NULL.
 //
 //polaris:kernel lanes are addressed through sel (or dense from lo), the translation the caller's batch carries
 func hashKeys(hs []uint64, vecs []*colfile.Vec, sel []int, lo int) {
@@ -305,7 +290,10 @@ func hashKeys(hs []uint64, vecs []*colfile.Vec, sel []int, lo int) {
 			for r := range hs {
 				w, p := uint64(nullWord), laneFrom(sel, lo, r)
 				if !v.IsNull(p) {
-					w = math.Float64bits(v.Floats[p])
+					w = 0 // -0 as +0: = finds them equal, so they are one key
+					if f := v.Floats[p]; f != 0 {
+						w = math.Float64bits(f)
+					}
 				}
 				hs[r] = fmix64(hs[r] ^ w)
 			}
@@ -411,13 +399,4 @@ func (g *groupTable) resolve(vecs []*colfile.Vec, sel []int, n int) ([]int32, er
 		}
 	}
 	return ids, nil
-}
-
-// compare orders two group ids by their AppendKey bytes, which for a word
-// table is NULL first, then by value.
-func (g *groupTable) compare(a, b int32) int {
-	if wordKey(g.vals) {
-		return g.keys.compareWords(a, b)
-	}
-	return bytes.Compare(g.keys.key(a), g.keys.key(b))
 }

@@ -56,7 +56,6 @@ package exec
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -370,9 +369,11 @@ func (l *BatchList) Next() (*colfile.Batch, error) {
 
 // MergeAgg is the final stage of two-phase parallel aggregation: it consumes
 // the partial-state batches emitted by HashAgg{Partial: true} workers and
-// folds them into final aggregate values. Output rows are ordered by encoded
-// group key, so the result is identical for every degree of parallelism.
-// It is the only final aggregation: every GROUP BY merges its partials here.
+// folds them into final aggregate values. It emits the groups in group-id
+// order — the order their keys first arrive — and sorts nothing: a grouped
+// statement's order is the one Sort or TopN the SQL layer stacks on it (the
+// ORDER BY keys, then the group keys). It is the only final aggregation:
+// every GROUP BY merges its partials here.
 type MergeAgg struct {
 	In     Operator // stream of partial batches (groups + partial agg states)
 	Groups int      // number of leading group-key columns
@@ -419,8 +420,8 @@ func (m *MergeAgg) Schema() colfile.Schema {
 
 // Next implements Operator. It is HashAgg's loop over partial states: one
 // group id per partial row, each aggregate's partial columns merged into its
-// columnar state in arrival order — morsel order — and the groups emitted by
-// ascending encoded key (groupTable.compare).
+// columnar state in arrival order — morsel order — and the groups emitted in
+// group-id order.
 func (m *MergeAgg) Next() (*colfile.Batch, error) {
 	if m.done {
 		return nil, nil
@@ -474,15 +475,5 @@ func (m *MergeAgg) Next() (*colfile.Batch, error) {
 		cols[i].grow(n) // the synthesized row; every seen group is there already
 		out.Cols = append(out.Cols, cols[i].finalCol())
 	}
-	if n == 1 {
-		return out, nil
-	}
-	// Keys are distinct, so their order is a total order and the sort needs
-	// no tie-break to be deterministic.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return groups.compare(int32(a), int32(b)) })
-	return out.Take(order), nil
+	return out, nil
 }

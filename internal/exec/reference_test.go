@@ -408,14 +408,14 @@ type refAgg struct {
 }
 
 // refSame is group and join-key equality: NULL equals NULL here (the join
-// excludes NULL keys before asking), and floats are the same value only when
-// they are the same bits, as the key encoding has it (-0 and +0 are two
-// groups).
+// excludes NULL keys before asking), and floats are the same value when = says
+// so (-0 and +0 are one group) or when they are the same bits (a NaN is its
+// own group).
 func refSame(a, b any) bool {
 	af, aok := a.(float64)
 	bf, bok := b.(float64)
 	if aok && bok {
-		return math.Float64bits(af) == math.Float64bits(bf)
+		return af == bf || math.Float64bits(af) == math.Float64bits(bf)
 	}
 	return a == b
 }

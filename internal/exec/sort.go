@@ -12,6 +12,7 @@ package exec
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sort"
 
 	"polaris/internal/colfile"
@@ -42,8 +43,14 @@ type encodedKeys struct {
 func encodeSortKeys(b *colfile.Batch, keys []SortKey) encodedKeys {
 	n := b.NumRows()
 	ek := encodedKeys{off: make([]int, n+1)}
+	fixed := !slices.ContainsFunc(keys, func(k SortKey) bool { return b.Cols[k.Col].Type == colfile.String })
 	for r := 0; r < n; r++ {
 		ek.buf = appendRowSortKey(ek.buf, b, keys, r)
+		if r == 0 && fixed {
+			// Without a string column every non-NULL key has the first's
+			// width: size the buffer once rather than regrow it.
+			ek.buf = slices.Grow(ek.buf, (n-1)*len(ek.buf))
+		}
 		ek.off[r+1] = len(ek.buf)
 	}
 	return ek

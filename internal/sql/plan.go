@@ -8,10 +8,10 @@ package sql
 // program; the DML statements at the end of the file use them too.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -429,7 +429,7 @@ func (t *selectTail) project(op exec.Operator) exec.Operator {
 // compiled programs alone.
 func (t *selectTail) outSchema() colfile.Schema {
 	if t.agg != nil {
-		return t.agg.finish(nil).Schema()
+		return t.agg.finish(nil).Schema()[:len(t.agg.outNames)]
 	}
 	return t.project(nil).Schema()
 }
@@ -465,22 +465,6 @@ func hasAgg(items []SelectItem, groupBy []Expr, having Expr) bool {
 		}
 	}
 	return false
-}
-
-// finishSelect applies ORDER BY and LIMIT and materializes the result. Under
-// a LIMIT the order is a bounded heap of the LIMIT+OFFSET smallest rows
-// (exec.TopN, tie-stable, so the rows a full stable sort would put first).
-func finishSelect(ctx context.Context, p *selectPlan, outOp exec.Operator) (*colfile.Batch, error) {
-	switch {
-	case len(p.sortKeys) > 0 && p.limit >= 0:
-		outOp = &exec.TopN{In: outOp, Keys: p.sortKeys, N: p.limit + p.offset}
-	case len(p.sortKeys) > 0:
-		outOp = &exec.Sort{In: outOp, Keys: p.sortKeys}
-	}
-	if p.limit >= 0 {
-		outOp = &exec.Limit{In: outOp, N: p.limit, Offset: p.offset}
-	}
-	return exec.CollectCtx(ctx, outOp)
 }
 
 // morselsPerWorker over-decomposes the scan so the morsel queue
@@ -743,17 +727,20 @@ func (r *poolRunner) done(err error) ([]*colfile.Batch, error) { return r.cur, e
 // mergeSelect is the merge tail of a SELECT: it runs the stages on r with
 // the plan's per-fragment suffix (partial aggregation, projection, or sorted
 // runs) and combines the per-morsel batches with the deterministic merge
-// operators — ordered concatenation for projections and joins, key-ordered
-// MergeAgg for aggregates, loser-tree MergeRuns for ORDER BY. The stage
-// runners only decide where the fragments run, so they cannot drift apart
-// downstream of the fragment boundary.
+// operators — ordered concatenation for projections and joins, MergeAgg for
+// aggregates, loser-tree MergeRuns for ORDER BY. The stage runners only
+// decide where the fragments run, so they cannot drift apart downstream of
+// the fragment boundary.
 func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, error) {
 	tail := p.tail
 	var outOp exec.Operator
+	keys, width := p.sortKeys, len(tail.outSchema())
 	if ap := tail.agg; ap != nil {
-		// ORDER BY over an aggregate runs on the FE (finishSelect): the merged
-		// aggregate is already materialized there, one group per row, so
-		// there is nothing left to fan out.
+		// One Sort or TopN on the FE orders the merged groups, one per row:
+		// the ORDER BY keys, then the group keys, which the projection
+		// carries behind the items as hidden columns, dropped after the
+		// limit. The group keys are distinct, so the order is total whatever
+		// order MergeAgg emits in.
 		partial := func(op exec.Operator) exec.Operator {
 			return &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
 		}
@@ -766,6 +753,10 @@ func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, er
 			In:     exec.NewBatchList(partial(nil).Schema(), batches),
 			Groups: len(ap.groupBy), Aggs: ap.aggs,
 		})
+		keys = slices.Clip(keys)
+		for i := range ap.groupBy {
+			keys = append(keys, exec.SortKey{Col: width + i})
+		}
 	} else {
 		// Rows each fragment must ship: all of them (-1), or LIMIT+OFFSET —
 		// under ORDER BY its smallest (TopN), else its first.
@@ -787,7 +778,24 @@ func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, er
 		}
 		outOp = exec.NewBatchList(tail.outSchema(), batches)
 	}
-	return finishSelect(tx.Context(), p, outOp)
+	// Under a LIMIT the order is a bounded heap of the LIMIT+OFFSET smallest
+	// rows (exec.TopN, tie-stable, so the rows a full stable sort would put
+	// first).
+	switch {
+	case len(keys) > 0 && p.limit >= 0:
+		outOp = &exec.TopN{In: outOp, Keys: keys, N: p.limit + p.offset}
+	case len(keys) > 0:
+		outOp = &exec.Sort{In: outOp, Keys: keys}
+	}
+	if p.limit >= 0 {
+		outOp = &exec.Limit{In: outOp, N: p.limit, Offset: p.offset}
+	}
+	b, err := exec.CollectCtx(tx.Context(), outOp)
+	if err != nil {
+		return nil, err
+	}
+	b.Schema, b.Cols = b.Schema[:width], b.Cols[:width]
+	return b, nil
 }
 
 // mergeOrderBy executes a projection's ORDER BY [LIMIT/OFFSET] on the morsel
@@ -939,12 +947,13 @@ func itemName(it SelectItem) string {
 type aggPlan struct {
 	groupBy  []*exec.Prog
 	aggs     []exec.AggSpec
-	out      []*exec.Prog
-	outNames []string
-	having   *exec.Prog // nil = none
+	out      []*exec.Prog // the items, then the group keys as hidden columns
+	outNames []string     // the items' names
+	having   *exec.Prog   // nil = none
 }
 
 // finish stacks HAVING and the output projection on the merged aggregate.
+// The projection's trailing len(groupBy) columns are the hidden group keys.
 func (ap *aggPlan) finish(agg exec.Operator) exec.Operator {
 	if ap.having != nil {
 		agg = &exec.Filter{In: agg, Pred: ap.having}
@@ -1064,6 +1073,9 @@ func buildAggPlan(items []SelectItem, groupBy []Expr, having Expr, sc *scope) (*
 	// Every aggregate is registered now, so the aggregate's output schema is
 	// known; it is a function of the compiled programs alone.
 	asc := &scope{schema: (&exec.HashAgg{GroupBy: ap.groupBy, Aggs: ap.aggs}).Schema()}
+	for i := range groupBy {
+		outs = append(outs, slotRef{idx: i, name: fmt.Sprintf("group%d", i)})
+	}
 	for _, e := range outs {
 		p, err := compile(e, asc)
 		if err != nil {

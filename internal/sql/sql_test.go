@@ -12,7 +12,7 @@ import (
 	"polaris/internal/objectstore"
 )
 
-func testSession(t *testing.T) *Session {
+func testSession(t testing.TB) *Session {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Distributions = 4
@@ -23,7 +23,7 @@ func testSession(t *testing.T) *Session {
 	return NewSession(eng)
 }
 
-func mustExec(t *testing.T, s *Session, q string) *Result {
+func mustExec(t testing.TB, s *Session, q string) *Result {
 	t.Helper()
 	res, err := s.Exec(q)
 	if err != nil {
