@@ -26,7 +26,7 @@ func fencedBlocks(md string) (langs, bodies []string) {
 
 // TestPlannerDocExplainExample keeps the worked example in docs/PLANNER.md
 // "EXPLAIN" honest: the first fenced block of that section is a statement over
-// the planner fixture (openPlannerDB), the second is what EXPLAIN prints for
+// the planner fixture (plannerData), the second is what EXPLAIN prints for
 // it, and the two are compared line for line.
 func TestPlannerDocExplainExample(t *testing.T) {
 	doc, err := os.ReadFile("docs/PLANNER.md")
@@ -43,7 +43,7 @@ func TestPlannerDocExplainExample(t *testing.T) {
 		t.Fatalf("the EXPLAIN section must open with a ```sql statement block followed by its plan block; found blocks %q", langs)
 	}
 
-	db := openPlannerDB(t, 4, 0)
+	db := plannerData.open(t, 4, false, 0)
 	defer db.Close()
 	r, err := db.Query("EXPLAIN " + bodies[0])
 	if err != nil {

@@ -395,8 +395,11 @@ func likeMatchIter(s, pat string) bool {
 // hashed into a typed set at compile time (values whose type cannot occur in
 // the column are dropped — they could never compare equal, matching the
 // scalar reference's boxed-map miss). NULL-propagating; negate flips the
-// result for non-NULL lanes.
-func inListKernel[T comparable](vals func(*colfile.Vec) []T, set map[T]struct{}, negate bool) kernelFn {
+// result for non-NULL lanes. listNull marks a list holding NULL: a lane the
+// set does not hold is then NULL, for IN and NOT IN alike (x = NULL is
+// unknown, so x IN (1, NULL) is TRUE or NULL and x NOT IN (1, NULL) is FALSE
+// or NULL, never the other).
+func inListKernel[T comparable](vals func(*colfile.Vec) []T, set map[T]struct{}, negate, listNull bool) kernelFn {
 	return func(l, _, out *colfile.Vec, sel []int) error {
 		n := len(out.Bools)
 		ls, ob := vals(l), out.Bools
@@ -413,7 +416,21 @@ func inListKernel[T comparable](vals func(*colfile.Vec) []T, set map[T]struct{},
 				body(i)
 			}
 		}
-		unionNulls(l, nil, out, sel, n)
+		if !listNull {
+			unionNulls(l, nil, out, sel, n)
+			return nil
+		}
+		mask := out.NullScratch(n)
+		missed := func(i int) { mask[i] = ob[i] == negate || l.IsNull(i) }
+		if sel == nil {
+			for i := 0; i < n; i++ {
+				missed(i)
+			}
+		} else {
+			for _, i := range sel {
+				missed(i)
+			}
+		}
 		return nil
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -572,7 +573,9 @@ func lazyErrKernel(err error) kernelFn {
 // inListKernelFor builds the typed IN-list kernel for the operand type.
 // Literals of other types are dropped from the set: in the scalar reference
 // they sit in a boxed map that a value of the operand type can never equal.
+// A NULL literal is kept as the kernel's listNull flag instead.
 func inListKernelFor(t colfile.DataType, e InList) kernelFn {
+	listNull := slices.Contains(e.Vals, nil)
 	switch t {
 	case colfile.Int64:
 		set := make(map[int64]struct{}, len(e.Vals))
@@ -581,7 +584,7 @@ func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(intVals, set, e.Negate)
+		return inListKernel(intVals, set, e.Negate, listNull)
 	case colfile.Float64:
 		set := make(map[float64]struct{}, len(e.Vals))
 		for _, x := range e.Vals {
@@ -589,7 +592,7 @@ func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(floatVals, set, e.Negate)
+		return inListKernel(floatVals, set, e.Negate, listNull)
 	case colfile.String:
 		set := make(map[string]struct{}, len(e.Vals))
 		for _, x := range e.Vals {
@@ -597,7 +600,7 @@ func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(strVals, set, e.Negate)
+		return inListKernel(strVals, set, e.Negate, listNull)
 	default: // Bool
 		set := make(map[bool]struct{}, len(e.Vals))
 		for _, x := range e.Vals {
@@ -605,6 +608,6 @@ func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(boolVals, set, e.Negate)
+		return inListKernel(boolVals, set, e.Negate, listNull)
 	}
 }

@@ -385,7 +385,9 @@ func (e InList) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 	}
 	out := colfile.NewVec(colfile.Bool)
 	for i := 0; i < v.Len(); i++ {
-		if v.IsNull(i) {
+		// A value the list does not hold is unknown, not absent, beside a
+		// NULL in the list.
+		if v.IsNull(i) || !set[v.Value(i)] && set[nil] {
 			out.AppendNull()
 			continue
 		}

@@ -109,6 +109,8 @@ func goldenExprs() map[string]Expr {
 	m["in_str"] = InList{E: col("s1"), Vals: []any{"alpha", "", int64(7)}}
 	m["in_float"] = InList{E: col("f2"), Vals: []any{0.5, 3.5}}
 	m["in_bool"] = InList{E: col("b1"), Vals: []any{true}}
+	m["in_null"] = InList{E: col("i1"), Vals: []any{int64(3), nil}}
+	m["not_in_null"] = InList{E: col("s1"), Vals: []any{"alpha", nil}, Negate: true}
 	m["const_int"] = Const{Val: 42}
 	m["const_null"] = Const{Val: nil}
 	m["const_cmp"] = Bin{Kind: OpGe, L: col("i1"), R: Const{Val: 0}}

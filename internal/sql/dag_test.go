@@ -560,7 +560,7 @@ func TestDAGStatementCancel(t *testing.T) {
 		}
 	})
 	seedDag(t, env.sess)
-	_, err := env.sess.ExecWith(sweepQueries[1], ExecOpts{Ctx: ctx})
+	_, err := env.sess.ExecParsedWith(mustParse(t, sweepQueries[1]), ExecOpts{Ctx: ctx})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in chain", err)
 	}
@@ -618,7 +618,7 @@ func TestMorselStatementCancel(t *testing.T) {
 						armed.Store(true)
 					}
 					spillsBefore := env.eng.Work.JoinSpills.Load()
-					_, err := env.sess.ExecWith(q, ExecOpts{Ctx: ctx})
+					_, err := env.sess.ExecParsedWith(mustParse(t, q), ExecOpts{Ctx: ctx})
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("err = %v, want context.Canceled in chain", err)
 					}
@@ -677,7 +677,7 @@ func TestMorselStatementCancel(t *testing.T) {
 
 		fetched.Store(0)
 		canceling.Store(true)
-		_, err := env.sess.ExecWith(q, ExecOpts{Ctx: ctx})
+		_, err := env.sess.ExecParsedWith(mustParse(t, q), ExecOpts{Ctx: ctx})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled in chain", err)
 		}

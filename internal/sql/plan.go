@@ -442,13 +442,13 @@ func (t *selectTail) filter(op exec.Operator) exec.Operator {
 	return &exec.Filter{In: op, Pred: t.where}
 }
 
-// bareLimitSelect reports a bare LIMIT query (no ORDER BY, no aggregation).
+// BareLimit reports a bare LIMIT query (no ORDER BY, no aggregation).
 // Its answer is a prefix of the morsel-order concatenation, so the in-process
 // pool stops scanning once the completed prefix of morsels holds LIMIT+OFFSET
 // rows (exec.RunIndexedPrefix); a task DAG would run — and write to the
 // exchange — every morsel first, so these statements stay in-process even
 // under DistributedQueries.
-func bareLimitSelect(st *SelectStmt) bool {
+func (st *SelectStmt) BareLimit() bool {
 	return st.Limit >= 0 && len(st.OrderBy) == 0 && !selectHasAgg(st)
 }
 

@@ -75,7 +75,7 @@ type selectPlan struct {
 
 	// dag: the stages run as a DCP task DAG rather than on the in-process
 	// morsel pool — Options.DistributedQueries, except for a bare LIMIT (see
-	// bareLimitSelect). EXPLAIN renders it as [dag] on the base scan.
+	// SelectStmt.BareLimit). EXPLAIN renders it as [dag] on the base scan.
 	dag bool
 
 	pushedCount int64 // WHERE conjuncts moved into scans
@@ -93,7 +93,7 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 	p := &selectPlan{
 		items: st.Items, groupBy: st.GroupBy, having: st.Having,
 		orderBy: st.OrderBy, limit: st.Limit, offset: st.Offset,
-		dag: tx.DistributedQueries() && !bareLimitSelect(st),
+		dag: tx.DistributedQueries() && !st.BareLimit(),
 	}
 
 	// Cost-based decisions.

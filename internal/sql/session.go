@@ -62,10 +62,6 @@ func (s *Session) begin() *core.Txn {
 // InTransaction reports whether an explicit transaction is open.
 func (s *Session) InTransaction() bool { return s.tx != nil }
 
-// Txn exposes the open explicit transaction (nil in autocommit mode); used by
-// callers that mix SQL with programmatic API calls.
-func (s *Session) Txn() *core.Txn { return s.tx }
-
 // Close rolls back any open transaction.
 func (s *Session) Close() {
 	if s.tx != nil {
@@ -83,23 +79,6 @@ func (s *Session) Exec(query string) (*Result, error) {
 	return s.ExecParsed(st)
 }
 
-// ExecScript executes a semicolon-separated script, stopping at the first
-// error. It returns the last statement's result.
-func (s *Session) ExecScript(script string) (*Result, error) {
-	stmts, err := ParseScript(script)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, st := range stmts {
-		last, err = s.ExecParsed(st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
-}
-
 // ExecOpts carries per-statement execution overrides from a front end that
 // already holds admission-granted resources for the statement.
 type ExecOpts struct {
@@ -114,15 +93,6 @@ type ExecOpts struct {
 	// returns its error; the statement's spill and exchange files are
 	// cleaned up as on any other error path.
 	Ctx context.Context
-}
-
-// ExecWith parses and executes one statement with execution overrides.
-func (s *Session) ExecWith(query string, opts ExecOpts) (*Result, error) {
-	st, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecParsedWith(st, opts)
 }
 
 // ExecParsed executes an already-parsed statement.

@@ -32,6 +32,15 @@ func mustExec(t testing.TB, s *Session, q string) *Result {
 	return res
 }
 
+func mustParse(t testing.TB, q string) Statement {
+	t.Helper()
+	st, err := Parse(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return st
+}
+
 func seed(t *testing.T, s *Session) {
 	t.Helper()
 	mustExec(t, s, `CREATE TABLE items (id INT, name VARCHAR, price FLOAT, active BOOL) WITH (DISTRIBUTION = id, SORTCOL = id)`)
@@ -455,21 +464,6 @@ func TestIfNotExists(t *testing.T) {
 	res := mustExec(t, s, `CREATE TABLE IF NOT EXISTS t (a INT)`)
 	if res.Message != "table exists" {
 		t.Fatalf("message = %q", res.Message)
-	}
-}
-
-func TestExecScript(t *testing.T) {
-	s := testSession(t)
-	res, err := s.ExecScript(`
-		CREATE TABLE t (a INT) WITH (DISTRIBUTION = a);
-		INSERT INTO t VALUES (1), (2), (3);
-		SELECT COUNT(*) AS n FROM t;
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Batch.Cols[0].Ints[0] != 3 {
-		t.Fatalf("script result = %v", res.Batch.Row(0))
 	}
 }
 

@@ -142,7 +142,7 @@ func loadLayoutData(t *testing.T, eng *core.Engine, sess *sql.Session, l storage
 	insert("part", workload.PartBatch(layoutTPCHScale))
 	insert("nation", workload.NationBatch())
 
-	// The executor matrix's tables (openMatrixDB's rows).
+	// The executor matrix's tables (loadMatrixTables's rows).
 	ddl := []string{
 		`CREATE TABLE a (id INT, s VARCHAR, k INT, v INT, f FLOAT) WITH (DISTRIBUTION = k, SORTCOL = id)`,
 		`CREATE TABLE b (bk INT, tag VARCHAR) WITH (DISTRIBUTION = bk)`,
@@ -255,7 +255,12 @@ func layoutScript(seed int64) []string {
 			out = append(out, what+tables[rng.Intn(len(tables))])
 		}
 	}
-	return append(out, threeValuedDML...)
+	for _, st := range threeValuedStmts {
+		if !strings.HasPrefix(st.sql, "SELECT") {
+			out = append(out, st.sql)
+		}
+	}
+	return out
 }
 
 // maintenanceStmt reports a script step that only layouts that maintain run.
@@ -271,8 +276,10 @@ func layoutQueries() []string {
 		out = append(out, st.sql)
 	}
 	out = append(out, workload.THQueries()...)
-	for _, q := range threeValuedQueries {
-		out = append(out, q.sql)
+	for _, st := range threeValuedStmts {
+		if strings.HasPrefix(st.sql, "SELECT") {
+			out = append(out, st.sql)
+		}
 	}
 	return out
 }

@@ -1,204 +1,106 @@
 package polaris
 
-// Correctness of the morsel-driven parallel executor at the SQL surface:
-// TPC-H-style queries must return the same results whether the engine runs
-// serial (Parallelism 1) or parallel at any degree. Run under -race in CI.
-
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"polaris/internal/workload"
 )
 
-func openTPCH(t *testing.T, parallelism int) *DB {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Parallelism = parallelism
-	db := Open(cfg)
-	if _, err := workload.LoadTPCH(db.Engine(), 0.05, 2); err != nil {
-		t.Fatalf("load tpch: %v", err)
-	}
-	return db
-}
+// tinySpillBudget is far below any TPC-H build side here, so every join
+// build overflows and takes the grace path.
+const tinySpillBudget = 1 << 10
 
-func renderRows(r *Rows) string {
-	out := fmt.Sprintf("%v\n", r.Columns())
-	for i := 0; i < r.Len(); i++ {
-		out += fmt.Sprintf("%v\n", r.Row(i))
-	}
-	return out
-}
-
-// deterministicQueries return byte-identical results on every execution
-// path: projections preserve scan order, global aggregates yield one row,
-// and grouped aggregates are fully ordered by their group keys (all integer
-// aggregates, so no float summation-order effects).
-var deterministicQueries = []string{
-	`SELECT l_orderkey, l_partkey, l_quantity FROM lineitem WHERE l_quantity < 25`,
-	`SELECT COUNT(*) AS n, SUM(l_quantity) AS q, MIN(l_shipdate) AS mn, MAX(l_shipdate) AS mx FROM lineitem`,
-	`SELECT COUNT(*) AS n FROM lineitem WHERE l_shipdate BETWEEN 8500 AND 9500 AND l_quantity < 24`,
-	`SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, COUNT(*) AS n
-		FROM lineitem GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`,
-	`SELECT o.o_orderpriority, COUNT(*) AS order_count FROM orders o
-		JOIN lineitem l ON o.o_orderkey = l.l_orderkey
-		GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority`,
-	`SELECT l_suppkey, COUNT(*) AS n FROM lineitem GROUP BY l_suppkey HAVING COUNT(*) > 2 ORDER BY l_suppkey`,
-}
-
-func TestParallelQueriesOnEmptyTable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Parallelism = 8
-	db := Open(cfg)
-	defer db.Close()
-	db.MustExec(`CREATE TABLE e (k INT, v VARCHAR) WITH (DISTRIBUTION = k)`)
-	r := db.MustExec(`SELECT v FROM e WHERE k = 1`)
-	if r.Len() != 0 {
-		t.Fatalf("rows = %d", r.Len())
-	}
-	r = db.MustExec(`SELECT COUNT(*) AS n, SUM(k) AS s FROM e`)
-	if r.Len() != 1 || r.Value(0, 0).(int64) != 0 || r.Value(0, 1) != nil {
-		t.Fatalf("global agg over empty table = %v", r.Row(0))
-	}
-	r = db.MustExec(`SELECT k, COUNT(*) AS n FROM e GROUP BY k`)
-	if r.Len() != 0 {
-		t.Fatalf("grouped agg over empty table rows = %d", r.Len())
-	}
+// tpchData is TPC-H at scale 0.05 under tinySpillBudget, the dataset of the
+// TPC-H matrix tests. Their statements' results are byte-identical on every
+// path: projections keep scan order, global aggregates yield one row, grouped
+// aggregates are ordered by their group keys, every ORDER BY ends in a unique
+// key, and every aggregate is an integer, so no float summation order shows.
+var tpchData = matrixDataset{
+	name: "tpch", budget: tinySpillBudget,
+	setup: func(t *testing.T, db *DB) {
+		if _, err := workload.LoadTPCH(db.Engine(), 0.05, 2); err != nil {
+			t.Fatalf("load tpch: %v", err)
+		}
+	},
 }
 
 func TestParallelExecutorMatchesSerialOnTPCH(t *testing.T) {
-	serial := openTPCH(t, 1)
-	defer serial.Close()
+	ds := tpchData
+	ds.stmts = tpchScanStmts
+	runMatrix(t, ds)
+}
 
-	want := make([]string, len(deterministicQueries))
-	for i, q := range deterministicQueries {
-		r, err := serial.Query(q)
-		if err != nil {
-			t.Fatalf("serial query %d: %v", i, err)
-		}
-		if r.Len() == 0 {
-			t.Fatalf("serial query %d returned no rows; dataset too small to exercise anything", i)
-		}
-		want[i] = renderRows(r)
-	}
+// TestParallelJoinProbeMatchesSerialOnTPCH runs the join statements with
+// every build in memory: the probe runs per morsel against build tables
+// shared across workers (TestGraceJoinSpillMatchesUnlimited spills them).
+func TestParallelJoinProbeMatchesSerialOnTPCH(t *testing.T) {
+	ds := tpchData
+	ds.budget = 0
+	ds.stmts = tpchJoinStmts
+	runMatrix(t, ds)
+}
 
-	for _, dop := range []int{4, 8} {
-		db := openTPCH(t, dop)
-		for i, q := range deterministicQueries {
-			r, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("dop=%d query %d: %v", dop, i, err)
-			}
-			if got := renderRows(r); got != want[i] {
-				t.Fatalf("dop=%d query %d differs from serial:\ngot:\n%s\nwant:\n%s", dop, i, got, want[i])
-			}
+// TestGroupByDistributionColumnAcrossDOP runs GROUP BYs on, with and without
+// m's distribution column k.
+func TestGroupByDistributionColumnAcrossDOP(t *testing.T) {
+	runMatrix(t, matrixDataset{
+		name: "groupby_distribution", setup: loadGroupTable,
+		stmts: []matrixStmt{
+			{sql: `SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS mn FROM m GROUP BY k ORDER BY k`},
+			{sql: `SELECT k, g, COUNT(*) AS n FROM m GROUP BY k, g ORDER BY k, g`}, // key set covers k
+			{sql: `SELECT g, COUNT(*) AS n, SUM(v) AS s FROM m GROUP BY g ORDER BY g`},
+			{sql: `SELECT k, SUM(v) AS s FROM m WHERE v % 3 = 0 GROUP BY k HAVING COUNT(*) > 2 ORDER BY k`},
+		},
+	})
+}
+
+// loadGroupTable loads m: 300 rows, k with 17 distinct values, g with 5.
+func loadGroupTable(_ *testing.T, db *DB) {
+	db.MustExec(`CREATE TABLE m (k INT, g INT, v INT) WITH (DISTRIBUTION = k)`)
+	for chunk := 0; chunk < 3; chunk++ {
+		rows := make([]string, 100)
+		for i := range rows {
+			r := chunk*100 + i
+			rows[i] = fmt.Sprintf("(%d, %d, %d)", r%17, r%5, r)
 		}
-		db.Close()
+		db.MustExec("INSERT INTO m VALUES " + strings.Join(rows, ", "))
 	}
 }
 
-// joinHeavyQueries are TPC-H Q3/Q10-shaped queries: multi-way joins feeding
-// grouped aggregation. All aggregates are integers and every ORDER BY ends in
-// a unique key, so results are byte-identical across DOP — asserting the
-// morsel-parallel probe's determinism contract. Run under -race in CI.
-var joinHeavyQueries = []string{
+var tpchScanStmts = []matrixStmt{
+	{sql: `SELECT l_orderkey, l_partkey, l_quantity FROM lineitem WHERE l_quantity < 25`, nonEmpty: true},
+	{sql: `SELECT COUNT(*) AS n, SUM(l_quantity) AS q, MIN(l_shipdate) AS mn, MAX(l_shipdate) AS mx FROM lineitem`, nonEmpty: true},
+	{sql: `SELECT COUNT(*) AS n FROM lineitem WHERE l_shipdate BETWEEN 8500 AND 9500 AND l_quantity < 24`, nonEmpty: true},
+	{sql: `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, COUNT(*) AS n
+		FROM lineitem GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`, nonEmpty: true},
+	{sql: `SELECT o.o_orderpriority, COUNT(*) AS order_count FROM orders o
+		JOIN lineitem l ON o.o_orderkey = l.l_orderkey
+		GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority`, nonEmpty: true},
+	{sql: `SELECT l_suppkey, COUNT(*) AS n FROM lineitem GROUP BY l_suppkey HAVING COUNT(*) > 2 ORDER BY l_suppkey`, nonEmpty: true},
+}
+
+// tpchJoinStmts are TPC-H Q3/Q10-shaped: multi-way joins feeding grouped
+// aggregation. At the tiny budget each spills its one build over orders or
+// lineitem; Q10's customer build, one pruned column, stays in memory.
+var tpchJoinStmts = []matrixStmt{
 	// Q3 shape: join, range predicates on both sides, group on the join key.
-	`SELECT o.o_orderkey, COUNT(*) AS n, SUM(l.l_quantity) AS q
+	{sql: `SELECT o.o_orderkey, COUNT(*) AS n, SUM(l.l_quantity) AS q
 		FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
 		WHERE o.o_orderdate < 9200 AND l.l_shipdate > 8200
-		GROUP BY o.o_orderkey ORDER BY o.o_orderkey LIMIT 50`,
+		GROUP BY o.o_orderkey ORDER BY o.o_orderkey LIMIT 50`, nonEmpty: true, spills: 1},
 	// Q10 shape: two probe stages (lineitem→orders→customer), grouped on the
 	// outermost dimension.
-	`SELECT c.c_custkey, COUNT(*) AS n, SUM(l.l_quantity) AS q, MAX(l.l_shipdate) AS mx
+	{sql: `SELECT c.c_custkey, COUNT(*) AS n, SUM(l.l_quantity) AS q, MAX(l.l_shipdate) AS mx
 		FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
 		JOIN customer c ON o.o_custkey = c.c_custkey
 		WHERE l.l_shipdate > 8000
-		GROUP BY c.c_custkey ORDER BY c.c_custkey`,
+		GROUP BY c.c_custkey ORDER BY c.c_custkey`, nonEmpty: true, spills: 1},
 	// Left-outer probe with NULL padding surviving the parallel gather.
-	`SELECT o.o_orderkey, l.l_quantity FROM orders o
+	{sql: `SELECT o.o_orderkey, l.l_quantity FROM orders o
 		LEFT JOIN lineitem l ON o.o_orderkey = l.l_orderkey
-		ORDER BY o.o_orderkey, l.l_quantity LIMIT 80`,
-}
-
-// TestParallelJoinProbeMatchesSerialOnTPCH pins join-heavy query results to
-// the serial executor's bytes at DOP 4 and 8 (the probe runs through
-// RunMorsels; the build tables are shared across workers).
-func TestParallelJoinProbeMatchesSerialOnTPCH(t *testing.T) {
-	serial := openTPCH(t, 1)
-	defer serial.Close()
-
-	want := make([]string, len(joinHeavyQueries))
-	for i, q := range joinHeavyQueries {
-		r, err := serial.Query(q)
-		if err != nil {
-			t.Fatalf("serial join query %d: %v", i, err)
-		}
-		if r.Len() == 0 {
-			t.Fatalf("serial join query %d returned no rows; dataset too small to exercise the probe", i)
-		}
-		want[i] = renderRows(r)
-	}
-
-	for _, dop := range []int{4, 8} {
-		db := openTPCH(t, dop)
-		for i, q := range joinHeavyQueries {
-			r, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("dop=%d join query %d: %v", dop, i, err)
-			}
-			if got := renderRows(r); got != want[i] {
-				t.Fatalf("dop=%d join query %d differs from serial:\ngot:\n%s\nwant:\n%s", dop, i, got, want[i])
-			}
-		}
-		db.Close()
-	}
-}
-
-// TestGroupByDistributionColumnAcrossDOP asserts that GROUP BYs on, with and
-// without the table's distribution column match Parallelism 1 at every DOP.
-func TestGroupByDistributionColumnAcrossDOP(t *testing.T) {
-	load := func(parallelism int) *DB {
-		cfg := DefaultConfig()
-		cfg.Parallelism = parallelism
-		db := Open(cfg)
-		db.MustExec(`CREATE TABLE m (k INT, g INT, v INT) WITH (DISTRIBUTION = k)`)
-		for s := 0; s < 3; s++ {
-			stmt := "INSERT INTO m VALUES "
-			for i := 0; i < 100; i++ {
-				if i > 0 {
-					stmt += ", "
-				}
-				r := s*100 + i
-				stmt += fmt.Sprintf("(%d, %d, %d)", r%17, r%5, r)
-			}
-			db.MustExec(stmt)
-		}
-		return db
-	}
-
-	queries := []string{
-		`SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS mn FROM m GROUP BY k ORDER BY k`,
-		`SELECT k, g, COUNT(*) AS n FROM m GROUP BY k, g ORDER BY k, g`, // key set covers k
-		`SELECT g, COUNT(*) AS n, SUM(v) AS s FROM m GROUP BY g ORDER BY g`,
-		`SELECT k, SUM(v) AS s FROM m WHERE v % 3 = 0 GROUP BY k HAVING COUNT(*) > 2 ORDER BY k`,
-	}
-
-	serial := load(1)
-	defer serial.Close()
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		want[i] = renderRows(serial.MustExec(q))
-	}
-
-	for _, dop := range []int{4, 8} {
-		db := load(dop)
-		for i, q := range queries {
-			if got := renderRows(db.MustExec(q)); got != want[i] {
-				t.Fatalf("dop=%d query %d differs from serial:\ngot:\n%s\nwant:\n%s", dop, i, got, want[i])
-			}
-		}
-		db.Close()
-	}
+		ORDER BY o.o_orderkey, l.l_quantity LIMIT 80`, nonEmpty: true, topN: true, spills: 1},
 }
 
 func TestParallelExecutorRunsFullTHQuerySet(t *testing.T) {
@@ -207,7 +109,7 @@ func TestParallelExecutorRunsFullTHQuerySet(t *testing.T) {
 	}
 	// The full power run is dominated by float SUM/AVG, whose last ulp
 	// follows the morsel split, so this test pins schemas and row counts
-	// rather than bytes (TestExecutorMatrixIdentity pins the bytes of the
+	// rather than bytes (the TPC-H matrix tests pin the bytes of the
 	// non-float shapes at every Parallelism).
 	type shape struct {
 		cols string
@@ -215,7 +117,7 @@ func TestParallelExecutorRunsFullTHQuerySet(t *testing.T) {
 	}
 	shapes := map[int][]shape{}
 	for _, dop := range []int{1, 4} {
-		db := openTPCH(t, dop)
+		db := tpchData.open(t, dop, false, 0)
 		for i, q := range workload.THQueries() {
 			r, err := db.Query(q)
 			if err != nil {

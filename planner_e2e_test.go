@@ -1,22 +1,49 @@
 package polaris
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// openPlannerDB builds the cost-based-planning fixture: a misordered join
-// shape (tiny narrow table named first, 100x-larger wide table joined in)
-// whose probe keys mostly miss the build side, so one statement exercises
-// join reordering, scan predicate/projection pushdown, and bloom runtime
-// pruning at once.
-func openPlannerDB(t *testing.T, parallelism int, budget int64) *DB {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Parallelism = parallelism
-	cfg.JoinMemoryBudget = budget
-	db := Open(cfg)
+// plannerData is the cost-based-planning fixture: a misordered join shape
+// (tiny narrow table named first, 100x-larger wide table joined in) whose
+// probe keys mostly miss the build side, so one statement exercises join
+// reordering, scan predicate/projection pushdown, and bloom runtime pruning
+// at once. Its statements all have a total ORDER BY: the planner's rewrites
+// may never change a byte. B, 64 bytes, is far below the 20-row narrow build
+// side, so even the reordered (smallest) build spills.
+var plannerData = matrixDataset{
+	name: "planner", budget: 64, setup: loadPlannerTables, stmts: plannerStmts,
+	// Every statement is observably reordered, the bloom observably prunes
+	// the 96%-miss probe, and the w.v < 1000 conjunct is pushed.
+	check: func(db *DB, _ int64) error {
+		w := &db.Engine().Work
+		if swaps := w.BuildSideSwaps.Load(); swaps < int64(len(plannerStmts)) {
+			return fmt.Errorf("BuildSideSwaps = %d, want ≥ %d: every statement is misordered", swaps, len(plannerStmts))
+		}
+		if w.RuntimeFilterRows.Load() == 0 {
+			return fmt.Errorf("RuntimeFilterRows = 0, want bloom pruning on the 96%%-miss probe")
+		}
+		if w.PushedFilters.Load() == 0 {
+			return fmt.Errorf("PushedFilters = 0, want the w.v < 1000 conjunct pushed")
+		}
+		return nil
+	},
+}
+
+var plannerStmts = []matrixStmt{
+	// Misordered join: narrow (20 rows) named first, wide (2000) joined in.
+	// The planner must flip the base to wide and build from narrow.
+	{sql: `SELECT n.tag, w.v FROM narrow n JOIN wide w ON n.k = w.k ORDER BY w.v, n.tag`, nonEmpty: true, spills: 1},
+	// Pushdown + reorder + residual cross-table filter in one statement.
+	{sql: `SELECT n.tag, w.v FROM narrow n JOIN wide w ON n.k = w.k WHERE w.v < 1000 AND n.k > 2 ORDER BY w.v, n.tag`, nonEmpty: true, spills: 1},
+	// Aggregation over the reordered, bloom-pruned join.
+	{sql: `SELECT n.tag, COUNT(*) AS c, SUM(w.v) AS sv FROM narrow n JOIN wide w ON n.k = w.k GROUP BY n.tag ORDER BY n.tag`, nonEmpty: true, spills: 1},
+}
+
+func loadPlannerTables(_ *testing.T, db *DB) {
 	db.MustExec(`CREATE TABLE narrow (k INT, tag VARCHAR) WITH (DISTRIBUTION = k)`)
 	var sb strings.Builder
 	sb.WriteString(`INSERT INTO narrow VALUES `)
@@ -39,84 +66,16 @@ func openPlannerDB(t *testing.T, parallelism int, budget int64) *DB {
 		sb.WriteString("(" + strconv.Itoa(i%500) + ", " + strconv.Itoa(i) + ", 'p')")
 	}
 	db.MustExec(sb.String())
-	return db
-}
-
-// plannerQueries all have a total ORDER BY, so byte-identical renders are
-// the correctness bar across every DOP, budget, and plan rewrite.
-var plannerQueries = []string{
-	// Misordered join: narrow (20 rows) named first, wide (2000) joined in.
-	// The planner must flip the base to wide and build from narrow.
-	`SELECT n.tag, w.v FROM narrow n JOIN wide w ON n.k = w.k ORDER BY w.v, n.tag`,
-	// Pushdown + reorder + residual cross-table filter in one statement.
-	`SELECT n.tag, w.v FROM narrow n JOIN wide w ON n.k = w.k WHERE w.v < 1000 AND n.k > 2 ORDER BY w.v, n.tag`,
-	// Aggregation over the reordered, bloom-pruned join.
-	`SELECT n.tag, COUNT(*) AS c, SUM(w.v) AS sv FROM narrow n JOIN wide w ON n.k = w.k GROUP BY n.tag ORDER BY n.tag`,
-}
-
-// TestPlannerByteIdentitySweep is the acceptance gate of the cost-based
-// planner: join reordering, scan pushdown, and bloom runtime pruning may
-// never change results. Every query must render byte-identically to the
-// serial unlimited-memory reference at DOP {1,4,8} × budget {unlimited,
-// tiny-forces-spill}, with the misordered shape observably reordered
-// (BuildSideSwaps), the bloom observably pruning (RuntimeFilterRows), and
-// the tiny budget observably spilling the reordered build.
-func TestPlannerByteIdentitySweep(t *testing.T) {
-	serial := openPlannerDB(t, 1, 0)
-	want := make([]string, len(plannerQueries))
-	for i, q := range plannerQueries {
-		r := serial.MustExec(q)
-		if r.Len() == 0 {
-			t.Fatalf("reference query %d returned no rows", i)
-		}
-		want[i] = renderRows(r)
-	}
-	serial.Close()
-
-	// Far below the 20-row narrow build side, so even the reordered
-	// (smallest) build overflows and takes the grace spill path.
-	const tinyBudget = 64
-
-	for _, dop := range []int{1, 4, 8} {
-		for _, budget := range []int64{0, tinyBudget} {
-			db := openPlannerDB(t, dop, budget)
-			w := &db.Engine().Work
-			for i, q := range plannerQueries {
-				if got := renderRows(db.MustExec(q)); got != want[i] {
-					t.Fatalf("dop=%d budget=%d query %d differs from serial unlimited reference:\ngot:\n%s\nwant:\n%s",
-						dop, budget, i, got, want[i])
-				}
-			}
-			if swaps := w.BuildSideSwaps.Load(); swaps < int64(len(plannerQueries)) {
-				t.Fatalf("dop=%d budget=%d: BuildSideSwaps = %d, want ≥ %d (every query is misordered)",
-					dop, budget, swaps, len(plannerQueries))
-			}
-			if pruned := w.RuntimeFilterRows.Load(); pruned == 0 {
-				t.Fatalf("dop=%d budget=%d: RuntimeFilterRows = 0, want bloom pruning on the 96%%-miss probe", dop, budget)
-			}
-			if pushed := w.PushedFilters.Load(); pushed == 0 {
-				t.Fatalf("dop=%d budget=%d: PushedFilters = 0, want the w.v < 1000 conjunct pushed", dop, budget)
-			}
-			spills := w.JoinSpills.Load()
-			if budget == 0 && spills != 0 {
-				t.Fatalf("dop=%d: unexpected spills under unlimited budget: %d", dop, spills)
-			}
-			if budget > 0 && spills == 0 {
-				t.Fatalf("dop=%d: no spills under %d-byte budget", dop, tinyBudget)
-			}
-			db.Close()
-		}
-	}
 }
 
 // TestBloomPruningReducesProbeRows pins the perf claim behind the runtime
 // filter: on the 96%-miss join the bloom must prune the vast majority of
 // probe rows, in both the in-memory and the spilled regime.
 func TestBloomPruningReducesProbeRows(t *testing.T) {
-	for _, budget := range []int64{0, 64} {
-		db := openPlannerDB(t, 4, budget)
+	for _, budget := range []int64{0, plannerData.budget} {
+		db := plannerData.open(t, 4, false, budget)
 		w := &db.Engine().Work
-		r := db.MustExec(plannerQueries[0])
+		r := db.MustExec(plannerStmts[0].sql)
 		if r.Len() == 0 {
 			t.Fatal("join returned no rows")
 		}

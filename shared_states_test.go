@@ -34,7 +34,7 @@ func TestSnapshotStatesAreNeverWritten(t *testing.T) {
 		for _, dag := range []bool{false, true} {
 			for _, budget := range []int64{0, 256} {
 				name := fmt.Sprintf("parallelism=%d,dag=%v,budget=%d", p, dag, budget)
-				db := openMatrixDB(t, p, dag, budget)
+				db := matrixData.open(t, p, dag, budget)
 				defer db.Close()
 				tables := []string{"a", "b", "c", "e"}
 				var seen []recorded

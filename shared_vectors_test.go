@@ -53,7 +53,7 @@ func TestSharedVectorsAreNeverWritten(t *testing.T) {
 		for _, dag := range []bool{false, true} {
 			for _, budget := range []int64{0, 256} {
 				name := fmt.Sprintf("parallelism=%d,dag=%v,budget=%d", p, dag, budget)
-				db := openMatrixDB(t, p, dag, budget)
+				db := matrixData.open(t, p, dag, budget)
 				defer db.Close()
 				selects(db) // decodes, and memoizes, every column of every file
 				db.MustExec(`UPDATE a SET v = v + 1, f = NULL WHERE id BETWEEN 100 AND 140`)

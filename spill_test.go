@@ -7,6 +7,7 @@ package polaris
 // Run under -race in CI (these tests are not gated behind -short).
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -21,72 +22,20 @@ import (
 	"polaris/internal/workload"
 )
 
-func openTPCHBudget(t *testing.T, parallelism int, budget int64) *DB {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Parallelism = parallelism
-	cfg.JoinMemoryBudget = budget
-	db := Open(cfg)
-	if _, err := workload.LoadTPCH(db.Engine(), 0.05, 2); err != nil {
-		t.Fatalf("load tpch: %v", err)
-	}
-	return db
-}
-
-// tinySpillBudget is far below any TPC-H build side here, so every join
-// build overflows and takes the grace path.
-const tinySpillBudget = 1 << 10
-
 // TestGraceJoinSpillMatchesUnlimited is the acceptance gate of the spill
-// work: join-heavy TPC-H-shaped queries must return byte-identical results
-// across DOP {1,4,8} × budget {unlimited, tiny-forces-spill}, with the tiny
-// budget observably spilling and cleaning its namespace afterwards.
+// work: the join statements spill every large build at tinySpillBudget and
+// must render the bytes of the unlimited budget in every cell, writing spill
+// bytes and leaving no spill file behind.
 func TestGraceJoinSpillMatchesUnlimited(t *testing.T) {
-	serial := openTPCHBudget(t, 1, 0)
-	defer serial.Close()
-	want := make([]string, len(joinHeavyQueries))
-	for i, q := range joinHeavyQueries {
-		r, err := serial.Query(q)
-		if err != nil {
-			t.Fatalf("serial unlimited query %d: %v", i, err)
+	ds := tpchData
+	ds.stmts = tpchJoinStmts
+	ds.check = func(db *DB, budget int64) error {
+		if budget > 0 && db.Engine().Work.JoinSpillBytes.Load() == 0 {
+			return errors.New("JoinSpillBytes = 0 after spilled joins")
 		}
-		if r.Len() == 0 {
-			t.Fatalf("serial unlimited query %d returned no rows", i)
-		}
-		want[i] = renderRows(r)
+		return nil
 	}
-
-	for _, dop := range []int{1, 4, 8} {
-		for _, budget := range []int64{0, tinySpillBudget} {
-			db := openTPCHBudget(t, dop, budget)
-			for i, q := range joinHeavyQueries {
-				before := db.Engine().Work.JoinSpills.Load()
-				r, err := db.Query(q)
-				if err != nil {
-					t.Fatalf("dop=%d budget=%d query %d: %v", dop, budget, i, err)
-				}
-				if got := renderRows(r); got != want[i] {
-					t.Fatalf("dop=%d budget=%d query %d differs from unlimited serial:\ngot:\n%s\nwant:\n%s",
-						dop, budget, i, got, want[i])
-				}
-				spilled := db.Engine().Work.JoinSpills.Load() > before
-				if wantSpill := budget > 0; spilled != wantSpill {
-					t.Fatalf("dop=%d budget=%d query %d: spilled=%v, want %v", dop, budget, i, spilled, wantSpill)
-				}
-			}
-			if budget > 0 {
-				if got := db.Engine().Work.JoinSpillBytes.Load(); got == 0 {
-					t.Fatalf("dop=%d: JoinSpillBytes = 0 after spilled joins", dop)
-				}
-			}
-			// Spill files are query-scoped: nothing may remain once the
-			// statements finish.
-			if leaked := db.Engine().Store.List(objectstore.SpillPrefix); len(leaked) != 0 {
-				t.Fatalf("dop=%d budget=%d: %d spill files leaked: %v", dop, budget, len(leaked), leaked[:min(3, len(leaked))])
-			}
-			db.Close()
-		}
-	}
+	runMatrix(t, ds)
 }
 
 // randTableDDL generates a pair of joinable tables with integer, string and
@@ -356,7 +305,7 @@ func TestConcurrentPartitionJoins(t *testing.T) {
 		JOIN customer c ON o.o_custkey = c.c_custkey
 		WHERE l.l_shipdate > 8000
 		ORDER BY c.c_custkey, l.l_quantity, l.l_shipdate`
-	serial := openTPCHBudget(t, 1, 0)
+	serial := tpchData.open(t, 1, false, 0)
 	want := renderRows(serial.MustExec(q))
 	serial.Close()
 	if want == "" {
@@ -371,7 +320,7 @@ func TestConcurrentPartitionJoins(t *testing.T) {
 	var wantParts int64 = -1
 	for _, dop := range []int{1, 4, 8} {
 		for _, budget := range []int64{0, twoBuildBudget} {
-			db := openTPCHBudget(t, dop, budget)
+			db := tpchData.open(t, dop, false, budget)
 			if got := renderRows(db.MustExec(q)); got != want {
 				t.Fatalf("dop=%d budget=%d: parallel partition-wise join differs from unlimited serial:\ngot:\n%s\nwant:\n%s",
 					dop, budget, got, want)
@@ -648,7 +597,7 @@ func runKeepingSpills(t *testing.T, q string, par int, dag bool) (string, int64,
 // result equals the unlimited-budget run at Parallelism {1,4} on the morsel
 // pool and the DAG.
 func TestSpilledProbeCarriesOnlyWhatTheJoinReads(t *testing.T) {
-	ref := openTPCHBudget(t, 1, 0)
+	ref := tpchData.open(t, 1, false, 0)
 	r, err := ref.Query(q12Shaped)
 	ref.Close()
 	if err != nil || r.Len() == 0 {

@@ -1,12 +1,5 @@
 package polaris
 
-import (
-	"fmt"
-	"testing"
-
-	"polaris/internal/objectstore"
-)
-
 // threeValuedSetup creates and fills u and w: u holds (1,'x'), (2,NULL),
 // (NULL,'y'), (4,'z'), and w joins u's keys 1, 2 and 4.
 var threeValuedSetup = []string{
@@ -16,82 +9,41 @@ var threeValuedSetup = []string{
 	`INSERT INTO w VALUES (1, 'p'), (2, 'q'), (4, NULL)`,
 }
 
-// threeValuedDML finds its rows through a three-valued predicate: (2,NULL),
-// (NULL,'y') and (4,'z') all match, so each statement affects 3 rows.
-var threeValuedDML = []string{
-	`UPDATE u SET b = b WHERE a > 1 OR b = 'y'`,
-	`DELETE FROM u WHERE a > 1 OR b = 'y'`,
+// threeValuedData holds OR, NOT-over-AND and IN predicates over NULLs to
+// answers computed by hand under SQL's three-valued logic — TRUE OR NULL is
+// TRUE, FALSE AND NULL is FALSE, x IN (…, NULL) is TRUE or NULL — not taken
+// from another path of this engine.
+var threeValuedData = matrixDataset{
+	name: "three_valued", distributions: 4, budget: 256,
+	setup: execAll(threeValuedSetup...), stmts: threeValuedStmts,
 }
 
-// threeValuedQueries are OR, NOT-over-AND and IN-or predicates over NULLs,
-// answered by hand under SQL's three-valued logic over threeValuedSetup's
-// tables.
-var threeValuedQueries = []struct{ sql, want string }{
+var threeValuedStmts = []matrixStmt{
 	// (2,NULL): TRUE OR NULL; (NULL,'y'): NULL OR TRUE.
-	{`SELECT a, b FROM u WHERE a > 1 OR b LIKE 'y%' ORDER BY b`,
-		"[a b]\n[2 <nil>]\n[<nil> y]\n[4 z]\n"},
-	{`SELECT COUNT(*) AS n FROM u WHERE a > 1 OR a <= 1 OR a IS NULL`, "[n]\n[4]\n"},
+	{sql: `SELECT a, b FROM u WHERE a > 1 OR b LIKE 'y%' ORDER BY b`,
+		want: "[a b]\n[2 <nil>]\n[<nil> y]\n[4 z]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE a > 1 OR a <= 1 OR a IS NULL`, want: "[n]\n[4]\n"},
 	// (NULL,'y'): NOT (NULL AND FALSE) = NOT FALSE; (2,NULL) stays NULL.
-	{`SELECT COUNT(*) AS n FROM u WHERE NOT (a > 1 AND b = 'q')`, "[n]\n[3]\n"},
-	{`SELECT COUNT(*) AS n FROM u WHERE a IN (1, 4) OR b = 'y'`, "[n]\n[3]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE NOT (a > 1 AND b = 'q')`, want: "[n]\n[3]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE a IN (1, 4) OR b = 'y'`, want: "[n]\n[3]\n"},
 	// (NULL,'y'): NOT (NULL AND FALSE) AND NOT (FALSE AND NULL), TRUE;
 	// (2,NULL): its second conjunct is NOT (NULL AND TRUE), NULL.
-	{`SELECT COUNT(*) AS n FROM u WHERE NOT (a = 1 AND b IS NULL) AND NOT (b = 'x' AND a > 1)`, "[n]\n[3]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE NOT (a = 1 AND b IS NULL) AND NOT (b = 'x' AND a > 1)`, want: "[n]\n[3]\n"},
 	// The residual WHERE after a join: (2,NULL,2,'q') is NULL OR TRUE.
-	{`SELECT u.a, w.t FROM u JOIN w ON u.a = w.k WHERE u.b = 'x' OR w.t = 'q' ORDER BY u.a`,
-		"[a t]\n[1 p]\n[2 q]\n"},
-}
-
-// TestThreeValuedLogicAcrossExecutors runs OR, NOT-over-AND and IN-or
-// predicates over NULLs on every Parallelism × DistributedQueries ×
-// JoinMemoryBudget cell. The answers are computed by hand under SQL's
-// three-valued logic — TRUE OR NULL is TRUE, FALSE AND NULL is FALSE — not
-// taken from another path of this engine: u holds (1,'x'), (2,NULL),
-// (NULL,'y'), (4,'z'), and w joins u's keys 1, 2 and 4.
-func TestThreeValuedLogicAcrossExecutors(t *testing.T) {
-	for _, p := range []int{1, 4, 8} {
-		for _, dag := range []bool{false, true} {
-			for _, budget := range []int64{0, 256} {
-				name := fmt.Sprintf("parallelism=%d,dag=%v,budget=%d", p, dag, budget)
-				cfg := DefaultConfig()
-				cfg.Parallelism = p
-				cfg.DistributedQueries = dag
-				cfg.JoinMemoryBudget = budget
-				cfg.Distributions = 4
-				db := Open(cfg)
-				for _, st := range threeValuedSetup {
-					db.MustExec(st)
-				}
-				for _, q := range threeValuedQueries {
-					r, err := db.Query(q.sql)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", name, q.sql, err)
-					}
-					if got := renderRows(r); got != q.want {
-						t.Errorf("%s: wrong result\nsql: %s\ngot:\n%s\nwant:\n%s", name, q.sql, got, q.want)
-					}
-				}
-				for _, dml := range threeValuedDML {
-					r, err := db.Query(dml)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", name, dml, err)
-					}
-					if got := r.RowsAffected(); got != 3 {
-						t.Errorf("%s: %s affected %d rows, want 3", name, dml, got)
-					}
-				}
-				r, err := db.Query(`SELECT a, b FROM u`)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := renderRows(r), "[a b]\n[1 x]\n"; got != want {
-					t.Errorf("%s: rows left after the DELETE:\n%s\nwant:\n%s", name, got, want)
-				}
-				if leaked := db.Engine().Store.List(objectstore.SpillPrefix); len(leaked) != 0 {
-					t.Fatalf("%s: %d spill/exchange blobs leaked", name, len(leaked))
-				}
-				db.Close()
-			}
-		}
-	}
+	{sql: `SELECT u.a, w.t FROM u JOIN w ON u.a = w.k WHERE u.b = 'x' OR w.t = 'q' ORDER BY u.a`,
+		want: "[a t]\n[1 p]\n[2 q]\n"},
+	// A NULL in the list: a value the list does not hold compares unknown to
+	// the NULL, so IN is TRUE or NULL and NOT IN FALSE or NULL — no row
+	// passes NOT IN (1, NULL). Without the NULL, 4 passes NOT IN (1, 2).
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE a NOT IN (1, NULL)`, want: "[n]\n[0]\n"},
+	{sql: `SELECT a, a IN (1, NULL) AS i, a NOT IN (1, NULL) AS ni FROM u ORDER BY a`,
+		want: "[a i ni]\n[<nil> <nil> <nil>]\n[1 true false]\n[2 <nil> <nil>]\n[4 <nil> <nil>]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE NOT (b IN ('x', NULL))`, want: "[n]\n[0]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM u WHERE a NOT IN (1, 2)`, want: "[n]\n[1]\n"},
+	// DML finds its rows through the same predicates: NOT IN (1, NULL)
+	// matches none; (2,NULL), (NULL,'y') and (4,'z') match the OR.
+	{sql: `DELETE FROM u WHERE a NOT IN (1, NULL)`, affected: 0},
+	{sql: `UPDATE u SET b = b WHERE a > 1 OR b = 'y'`, affected: 3},
+	{sql: `DELETE FROM u WHERE a > 1 OR b = 'y'`, affected: 3},
+	{sql: `SELECT a, b FROM u`, want: "[a b]\n[1 x]\n"},
 }
