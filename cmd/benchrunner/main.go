@@ -154,7 +154,7 @@ func fig10(s bench.Scale) {
 
 func fig11(s bench.Scale) {
 	header("Figure 11: manifest checkpoint lifetimes per table within WP1",
-		"each DM phase creates 10 manifests per table (2 INSERT + 6 DELETE + 2 compactions); a table is checkpointed once the manifests since its last checkpoint weigh as much as that checkpoint")
+		"each DM phase creates 9 manifests per table (2 INSERT + 6 DELETE + 1 compaction; the second compaction finds no victim and commits nothing); a table is checkpointed once the manifests since its last checkpoint weigh as much as that checkpoint")
 	rows := bench.Fig11(s)
 	var out [][]string
 	for _, r := range rows {

@@ -9,7 +9,7 @@
 //	polaris-server -addr :8080 -demo    # preload TPC-H SF 0.1
 //	polaris-server -session-budget 4096 # per-session join memory budget
 //	polaris-server -smoke               # self-test: start, health-check,
-//	                                    # run a query, drain, exit
+//	                                    # run a query, COMPACT twice, drain, exit
 //
 // The HTTP API (POST /v1/query, POST/DELETE /v1/session, GET /healthz,
 // GET /metrics), the admission model and the drain semantics are documented
@@ -47,7 +47,7 @@ func main() {
 		admitTimeout  = flag.Duration("admit-timeout", 10*time.Second, "max time a statement may wait in the admission queue before 504")
 		slotsPerQry   = flag.Int("slots-per-query", 0, "fabric slots requested per admitted statement (0 = engine parallelism)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight statements on shutdown")
-		smoke         = flag.Bool("smoke", false, "start on an ephemeral port, health-check, run one query, drain, exit")
+		smoke         = flag.Bool("smoke", false, "start on an ephemeral port, health-check, run one query and two COMPACTs, drain, exit")
 		distributed   = flag.Bool("distributed", false, "execute parallel SELECTs as DCP task DAGs with object-store exchange (see docs/DCP-QUERIES.md)")
 	)
 	flag.Parse()
@@ -118,8 +118,8 @@ func main() {
 	}
 }
 
-// runSmoke exercises the serve → query → drain lifecycle end to end against
-// the live listener: the `make server-smoke` CI gate.
+// runSmoke exercises the serve → query → compact → drain lifecycle end to
+// end against the live listener: the `make server-smoke` CI gate.
 func runSmoke(addr string, srv *server.Server, db *polaris.DB) error {
 	base := "http://" + addr
 	get := func(path string) (int, []byte, error) {
@@ -145,25 +145,48 @@ func runSmoke(addr string, srv *server.Server, db *polaris.DB) error {
 	if code, body, err := get("/healthz"); err != nil || code != http.StatusOK {
 		return fmt.Errorf("healthz: code=%d err=%v body=%s", code, err, body)
 	}
-	stmts := []string{
+	query := func(sql string) (server.QueryResponse, error) {
+		var qr server.QueryResponse
+		code, body, err := post("/v1/query", map[string]string{"sql": sql})
+		if err != nil || code != http.StatusOK {
+			return qr, fmt.Errorf("query %q: code=%d err=%v body=%s", sql, code, err, body)
+		}
+		if err := json.Unmarshal(body, &qr); err != nil {
+			return qr, fmt.Errorf("query %q: response %v (%s)", sql, err, body)
+		}
+		return qr, nil
+	}
+	for _, q := range []string{
 		"CREATE TABLE smoke (k INT, v INT) WITH (DISTRIBUTION = k)",
 		"INSERT INTO smoke VALUES (1, 10), (2, 20), (3, 30)",
-	}
-	for _, q := range stmts {
-		if code, body, err := post("/v1/query", map[string]string{"sql": q}); err != nil || code != http.StatusOK {
-			return fmt.Errorf("query %q: code=%d err=%v body=%s", q, code, err, body)
+	} {
+		if _, err := query(q); err != nil {
+			return err
 		}
 	}
-	code, body, err := post("/v1/query", map[string]string{"sql": "SELECT SUM(v) FROM smoke"})
-	if err != nil || code != http.StatusOK {
-		return fmt.Errorf("select: code=%d err=%v body=%s", code, err, body)
-	}
-	var qr server.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		return fmt.Errorf("select response: %v (%s)", err, body)
+	qr, err := query("SELECT SUM(v) FROM smoke")
+	if err != nil {
+		return err
 	}
 	if len(qr.Rows) != 1 || len(qr.Rows[0]) != 1 || qr.Rows[0][0] != float64(60) {
 		return fmt.Errorf("SELECT SUM(v) = %v, want [[60]]", qr.Rows)
+	}
+	// COMPACT converges: it leaves a table SHOW STATS calls healthy, and a
+	// second COMPACT has nothing to rewrite.
+	if _, err := query("COMPACT TABLE smoke"); err != nil {
+		return err
+	}
+	if qr, err = query("SHOW STATS smoke"); err != nil {
+		return err
+	}
+	if last := len(qr.Columns) - 1; len(qr.Rows) != 1 || last < 0 || qr.Columns[last] != "healthy" || qr.Rows[0][last] != true {
+		return fmt.Errorf("SHOW STATS after COMPACT: %v %v, want healthy true", qr.Columns, qr.Rows)
+	}
+	if qr, err = query("COMPACT TABLE smoke"); err != nil {
+		return err
+	}
+	if qr.Message != "compacted 0 files into 0" {
+		return fmt.Errorf("second COMPACT: %q, want %q", qr.Message, "compacted 0 files into 0")
 	}
 	if code, _, err := get("/metrics"); err != nil || code != http.StatusOK {
 		return fmt.Errorf("metrics: code=%d err=%v", code, err)

@@ -308,8 +308,10 @@ type Fig11Row struct {
 }
 
 // Fig11 runs the WP1 longevity pattern: each DM phase issues 2 INSERTs and 6
-// DELETEs per table with compaction run twice (between each set of 3
-// deletes), i.e. 10 manifests per table per phase. The paper checkpoints
+// DELETEs per table with compaction run twice (after each set of 3
+// deletes). The first rewrites the INSERTs' files of mixed cells; the
+// second finds no victim (the last 3 deletes fragment no file) and commits
+// nothing, so a phase adds 9 manifests per table. The paper checkpoints
 // after a count of manifests; here a table is checkpointed once the
 // manifests since its last checkpoint weigh as much as that checkpoint (the
 // STO's rule, internal/sto), so the checkpoints a phase mints follow the

@@ -22,16 +22,18 @@ type CompactionResult struct {
 	RowsDropped int64 // deleted rows physically filtered out
 }
 
-// CompactTable rewrites low-quality data files (5.1): files below the
-// small-rows threshold or above the deleted-fraction threshold are read,
-// deleted rows are filtered out, and replacement files are written at target
-// size, one set per distribution cell. Every file of mixed cells is small
-// (Insert writes one only below the threshold), so every one is rewritten:
-// its rows are split over the cells by d(r) and merged into those cells'
-// outputs, and no mixed file comes out of compaction. The
-// operation runs inside this (ordinarily dedicated) transaction with the
-// same SI semantics as user transactions — so it can conflict with
-// concurrent updates, which the paper calls out as a known cost.
+// CompactTable rewrites low-quality data files (5.1): the files
+// manifest.TableState.CompactionVictims picks — every file of mixed cells and
+// every fragmented file, and a cell's small files where merging them lowers
+// its file count — are read, deleted rows are filtered out, and replacement
+// files are written at target size, one set per distribution cell. A mixed
+// file's rows are split over the cells by d(r) and merged into those cells'
+// outputs, so no mixed file comes out of compaction. The victim rule is the
+// health rule (TableState.AssessHealth): a table SHOW STATS calls healthy has
+// no victim, and a compaction with none commits nothing. The operation runs
+// inside this (ordinarily dedicated) transaction with the same SI semantics
+// as user transactions — so it can conflict with concurrent updates, which
+// the paper calls out as a known cost.
 func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	var res CompactionResult
 	if err := t.check(); err != nil {
@@ -41,20 +43,9 @@ func (t *Txn) CompactTable(table string) (CompactionResult, error) {
 	if err != nil {
 		return res, err
 	}
-	smallRows := t.eng.opts.CompactSmallRows
-	maxFrac := t.eng.opts.CompactDeletedFrac
-
-	var victims []*manifest.FileEntry
-	for _, f := range state.LiveFiles() {
-		fragmented := f.Rows > 0 && float64(f.DeletedRows)/float64(f.Rows) > maxFrac
-		small := f.Rows < smallRows
-		if fragmented || small {
-			victims = append(victims, f)
-		}
-	}
-	// Compacting a single small healthy cell file into itself is churn;
-	// require fragmentation, mixed cells or at least two mergeable files.
-	if len(victims) == 0 || (len(victims) == 1 && victims[0].DeletedRows == 0 && victims[0].Partition != manifest.MixedCells) {
+	opts := t.eng.opts
+	victims := state.CompactionVictims(opts.CompactSmallRows, opts.CompactDeletedFrac, opts.RowsPerFile)
+	if len(victims) == 0 {
 		return res, nil
 	}
 	res.InputFiles = len(victims)

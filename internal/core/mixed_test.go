@@ -327,3 +327,96 @@ func TestMixedFileConflictsUntilCompacted(t *testing.T) {
 		t.Fatalf("deletes in two cells' files after COMPACT: %d of 2 committed, want 2", got)
 	}
 }
+
+// TestCompactConverges: over the cell counts, file sizes and small-file
+// thresholds of the root layout-invariance layouts, COMPACT leaves a table
+// that Stats calls healthy, and a second COMPACT finds no victim and commits
+// nothing. Each round adds per-cell and mixed files, small and large ones,
+// and deletes enough to fragment some of them.
+func TestCompactConverges(t *testing.T) {
+	c1 := exec.ColRef{Idx: 0, Name: "c1"}
+	c2 := exec.ColRef{Idx: 1, Name: "c2"}
+	for _, dist := range []int{1, 8, 13} {
+		for _, rowsPerFile := range []int{50, DefaultOptions().RowsPerFile} {
+			for _, small := range []int64{0, DefaultOptions().CompactSmallRows} {
+				t.Run(fmt.Sprintf("dist=%d,rowsPerFile=%d,small=%d", dist, rowsPerFile, small), func(t *testing.T) {
+					e := testEngine(t)
+					e.opts.Distributions, e.opts.RowsPerFile, e.opts.CompactSmallRows = dist, rowsPerFile, small
+					mustCreate(t, e, "t")
+					step := func(what string, fn func(tx *Txn) error) {
+						t.Helper()
+						if err := e.AutoCommit(fn); err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+					}
+					stats := func() TableStats {
+						t.Helper()
+						tx := e.Begin()
+						defer tx.Rollback()
+						s, err := tx.Stats("t")
+						if err != nil {
+							t.Fatal(err)
+						}
+						return s
+					}
+					compact := func() CompactionResult {
+						t.Helper()
+						var res CompactionResult
+						step("compact", func(tx *Txn) error {
+							var err error
+							res, err = tx.CompactTable("t")
+							return err
+						})
+						return res
+					}
+					for round := 0; round < 2; round++ {
+						base := round * 10000
+						step("bulk load", func(tx *Txn) error {
+							_, err := tx.BulkLoad("t", []SourceFile{{Name: "s", SizeHint: 1 << 16, Rows: func() (*colfile.Batch, error) {
+								return layoutRows(base, base+2000), nil
+							}}})
+							return err
+						})
+						step("insert at the default threshold", func(tx *Txn) error {
+							_, err := tx.Insert("t", layoutRows(base+2000, base+3024))
+							return err
+						})
+						for lo := base + 3024; lo < base+3624; lo += 150 {
+							step("small insert", func(tx *Txn) error {
+								_, err := tx.Insert("t", layoutRows(lo, lo+150))
+								return err
+							})
+						}
+						step("delete", func(tx *Txn) error {
+							_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(1500 + 200*round)}})
+							return err
+						})
+						step("update", func(tx *Txn) error {
+							set := map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpAdd, L: c2, R: exec.Const{Val: int64(1)}}}
+							_, err := tx.Update("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set)
+							return err
+						})
+						before := stats()
+						if res := compact(); res.InputFiles == 0 {
+							t.Fatalf("round %d: COMPACT found no victim in %+v", round, before.Health)
+						}
+						after := stats()
+						if !after.Health.Healthy() {
+							t.Fatalf("round %d: unhealthy after COMPACT: %+v", round, after.Health)
+						}
+						if after.Rows != before.Rows {
+							t.Fatalf("round %d: COMPACT took %d live rows to %d", round, before.Rows, after.Rows)
+						}
+						seq := e.Catalog.CurrentSeq()
+						if res := compact(); res.InputFiles != 0 || res.OutputFiles != 0 {
+							t.Fatalf("round %d: a second COMPACT rewrote %+v", round, res)
+						}
+						if got := e.Catalog.CurrentSeq(); got != seq {
+							t.Fatalf("round %d: a second COMPACT moved the sequence %d -> %d", round, seq, got)
+						}
+					}
+				})
+			}
+		}
+	}
+}

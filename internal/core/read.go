@@ -425,14 +425,11 @@ func (t *Txn) Stats(table string) (TableStats, error) {
 	if err != nil {
 		return TableStats{}, err
 	}
-	h := state.AssessHealth(t.eng.opts.CompactSmallRows, t.eng.opts.CompactDeletedFrac)
-	var deleted int64
-	for _, f := range state.Files {
-		deleted += f.DeletedRows
-	}
+	opts := t.eng.opts
+	h := state.AssessHealth(opts.CompactSmallRows, opts.CompactDeletedFrac, opts.RowsPerFile)
 	return TableStats{
 		Name: meta.Name, TableID: meta.ID,
-		Files: len(state.Files), Rows: state.TotalRows(), Deleted: deleted,
+		Files: h.NumFiles, Rows: h.TotalRows - h.DeletedRows, Deleted: h.DeletedRows,
 		SizeBytes: state.TotalSize(), Manifests: len(rows), LastSeq: state.LastSeq,
 		//polaris:nondet SnapshotAt is the wall-clock time the statistics were taken, reported to the caller and never written to storage
 		Health: h, SnapshotAt: time.Now(),

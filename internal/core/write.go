@@ -207,8 +207,8 @@ func (t *Txn) commitWriteJob(ts *txnTable, tasks []*dcp.Task) (int64, error) {
 // writing that cell's files. A smaller write lands unsplit: one task writes
 // its rows, sorted by the clustering column, as RowsPerFile-row files of
 // mixed cells (manifest.MixedCells). The threshold is the small-file rule
-// itself: each per-cell file such a write would make is smaller still, so
-// the next COMPACT would rewrite it anyway. Compaction instead spreads a
+// itself: each per-cell file such a write would make would be small too, one
+// more small file in every cell it reaches. Compaction instead spreads a
 // mixed file's rows over per-cell files — level 0 of a log-structured merge.
 func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 	if err := t.check(); err != nil {

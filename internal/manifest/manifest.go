@@ -255,10 +255,12 @@ func (s *TableState) Overlay(actions []Action) (*TableState, error) {
 }
 
 // Health summarizes storage quality for compaction decisions (paper 5.1).
+// Its victim counts split CompactionVictims, so a table is healthy exactly
+// when COMPACT would rewrite nothing.
 type Health struct {
 	NumFiles        int
-	SmallFiles      int // files under the small-file threshold
-	FragmentedFiles int // files whose deleted-row ratio exceeds threshold
+	SmallFiles      int // unfragmented victims: files of mixed cells and small files
+	FragmentedFiles int // files whose deleted-row ratio exceeds the threshold
 	TotalRows       int64
 	DeletedRows     int64
 }
@@ -266,21 +268,87 @@ type Health struct {
 // Healthy reports whether no file needs compaction.
 func (h Health) Healthy() bool { return h.SmallFiles == 0 && h.FragmentedFiles == 0 }
 
-// AssessHealth scans live files against compaction thresholds: files with
-// fewer than smallRows rows are "small"; files whose deleted fraction exceeds
-// maxDeletedFrac are "fragmented".
-func (s *TableState) AssessHealth(smallRows int64, maxDeletedFrac float64) Health {
+// AssessHealth sums the live files and counts the compaction victims
+// CompactionVictims picks under the same thresholds.
+func (s *TableState) AssessHealth(smallRows int64, maxDeletedFrac float64, rowsPerFile int) Health {
 	var h Health
-	for _, f := range s.Files {
+	for _, f := range s.LiveFiles() {
 		h.NumFiles++
 		h.TotalRows += f.Rows
 		h.DeletedRows += f.DeletedRows
-		if f.Rows < smallRows {
-			h.SmallFiles++
-		}
-		if f.Rows > 0 && float64(f.DeletedRows)/float64(f.Rows) > maxDeletedFrac {
+	}
+	for _, f := range s.CompactionVictims(smallRows, maxDeletedFrac, rowsPerFile) {
+		if f.fragmented(maxDeletedFrac) {
 			h.FragmentedFiles++
+		} else {
+			h.SmallFiles++
 		}
 	}
 	return h
+}
+
+// CompactionVictims returns, in path order, the live files a compaction
+// rewrites (paper 5.1). It merges only where that lowers the file count —
+// level 0 of a log-structured merge:
+//
+//   - every file of mixed cells and every fragmented file (more than
+//     maxDeletedFrac of its rows deleted) is a victim;
+//   - a cell's small files (fewer than smallRows rows) are victims when
+//     their live rows and those of the cell's fragmented files pack into
+//     fewer rowsPerFile-row files (0: one file) than the small files plus
+//     the fragmented files' rows alone would make;
+//   - while a file of mixed cells is a victim, every small file is one too,
+//     since its rows may reach any cell.
+//
+// A large, unfragmented file is never a victim. Compaction writes each
+// cell's victims as full files and at most one partial one, so the rule
+// finds no victim right after it: a table converges.
+func (s *TableState) CompactionVictims(smallRows int64, maxDeletedFrac float64, rowsPerFile int) []*FileEntry {
+	type cell struct {
+		small               int64 // small, unfragmented files
+		smallRows, fragRows int64 // live rows of those and of fragmented files
+	}
+	cells := make(map[int]*cell)
+	mixed := false
+	for _, f := range s.LiveFiles() {
+		if f.Partition == MixedCells {
+			mixed = true
+			continue
+		}
+		c := cells[f.Partition]
+		if c == nil {
+			c = new(cell)
+			cells[f.Partition] = c
+		}
+		switch {
+		case f.fragmented(maxDeletedFrac):
+			c.fragRows += f.LiveRows()
+		case f.Rows < smallRows:
+			c.small++
+			c.smallRows += f.LiveRows()
+		}
+	}
+	files := func(rows int64) int64 {
+		if rows == 0 || rowsPerFile <= 0 {
+			return min(rows, 1)
+		}
+		return (rows + int64(rowsPerFile) - 1) / int64(rowsPerFile)
+	}
+	var victims []*FileEntry
+	for _, f := range s.LiveFiles() {
+		switch c := cells[f.Partition]; {
+		case f.Partition == MixedCells, f.fragmented(maxDeletedFrac):
+		case f.Rows < smallRows && (mixed || files(c.smallRows+c.fragRows) < c.small+files(c.fragRows)):
+		default:
+			continue
+		}
+		victims = append(victims, f)
+	}
+	return victims
+}
+
+// fragmented reports whether more than maxDeletedFrac of f's rows are
+// deleted.
+func (f *FileEntry) fragmented(maxDeletedFrac float64) bool {
+	return f.Rows > 0 && float64(f.DeletedRows)/float64(f.Rows) > maxDeletedFrac
 }

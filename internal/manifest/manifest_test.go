@@ -266,20 +266,72 @@ func TestReconstructIgnoresCheckpointNewerThanAsOf(t *testing.T) {
 	}
 }
 
+// TestHealthAssessment checks hand-computed compaction victims: a table is
+// healthy exactly when it has none, and the counts split them by cause.
+// Thresholds: small below 100 rows, fragmented above half deleted.
 func TestHealthAssessment(t *testing.T) {
-	s := NewTableState()
-	must(t, s.Apply(1, []Action{addData("big", 10000), addData("small", 10)}))
-	must(t, s.Apply(2, []Action{addDV("dv", "big", 6000)}))
-	h := s.AssessHealth(100, 0.5)
-	if h.NumFiles != 2 || h.SmallFiles != 1 || h.FragmentedFiles != 1 {
-		t.Fatalf("health = %+v", h)
+	in := func(cell int, path string, rows int64) Action {
+		a := addData(path, rows)
+		a.Partition = cell
+		return a
 	}
-	if h.Healthy() {
-		t.Fatal("unhealthy state reported healthy")
+	cases := []struct {
+		name        string
+		rowsPerFile int
+		actions     []Action
+		victims     []string // path order
+		small, frag int
+	}{
+		{name: "empty table", rowsPerFile: 1000},
+		{name: "one small clean file per cell", rowsPerFile: 1000,
+			actions: []Action{in(0, "a", 10), in(1, "b", 20), in(2, "c", 30)}},
+		{name: "two small files in one cell", rowsPerFile: 1000,
+			actions: []Action{in(0, "a", 10), in(0, "b", 20), in(1, "c", 30)},
+			victims: []string{"a", "b"}, small: 2},
+		{name: "a small file beside a mixed file", rowsPerFile: 1000,
+			actions: []Action{in(MixedCells, "m", 10), in(0, "a", 10), in(1, "big", 500)},
+			victims: []string{"a", "m"}, small: 2},
+		{name: "a fragmented large file alone", rowsPerFile: 1000,
+			actions: []Action{in(0, "big", 500), addDV("dv", "big", 300)},
+			victims: []string{"big"}, frag: 1},
+		{name: "a large clean file beside a small one", rowsPerFile: 1000,
+			actions: []Action{in(0, "big", 500), in(0, "a", 10)}},
+		{name: "a large clean file beside two small ones", rowsPerFile: 1000,
+			actions: []Action{in(0, "big", 500), in(0, "a", 10), in(0, "b", 10)},
+			victims: []string{"a", "b"}, small: 2},
+		{name: "a small file beside a fragmented one", rowsPerFile: 1000,
+			actions: []Action{in(0, "a", 10), in(0, "f", 90), addDV("dv", "f", 60), in(1, "b", 10)},
+			victims: []string{"a", "f"}, small: 1, frag: 1},
+		{name: "RowsPerFile 50 with full 50-row files", rowsPerFile: 50,
+			actions: []Action{in(0, "a", 50), in(0, "b", 50), in(0, "c", 20), in(1, "d", 50)}},
+		{name: "RowsPerFile 50 with files that pack into fewer", rowsPerFile: 50,
+			actions: []Action{in(0, "a", 50), in(0, "b", 30), in(0, "c", 20)},
+			victims: []string{"a", "b", "c"}, small: 3},
+		{name: "RowsPerFile 0 packs a cell into one file", rowsPerFile: 0,
+			actions: []Action{in(0, "a", 50), in(0, "b", 30), in(1, "c", 20)},
+			victims: []string{"a", "b"}, small: 2},
 	}
-	h2 := NewTableState().AssessHealth(100, 0.5)
-	if !h2.Healthy() {
-		t.Fatal("empty table not healthy")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewTableState()
+			for i, a := range tc.actions {
+				must(t, s.Apply(int64(i+1), []Action{a}))
+			}
+			var got []string
+			for _, f := range s.CompactionVictims(100, 0.5, tc.rowsPerFile) {
+				got = append(got, f.Path)
+			}
+			if !reflect.DeepEqual(got, tc.victims) {
+				t.Fatalf("victims %v, want %v", got, tc.victims)
+			}
+			h := s.AssessHealth(100, 0.5, tc.rowsPerFile)
+			if h.SmallFiles != tc.small || h.FragmentedFiles != tc.frag || h.NumFiles != len(s.Files) {
+				t.Fatalf("health %+v, want %d small and %d fragmented of %d files", h, tc.small, tc.frag, len(s.Files))
+			}
+			if h.Healthy() != (len(tc.victims) == 0) {
+				t.Fatalf("Healthy() = %v with victims %v", h.Healthy(), got)
+			}
+		})
 	}
 }
 
