@@ -60,7 +60,7 @@ func AblationConflictGranularity(writers int) []AblationRow {
 			txs[i] = eng.Begin()
 		}
 		for i, tx := range txs {
-			if _, err := tx.Delete("t", exec.Bin{
+			if _, err := tx.Delete(context.Background(), "t", exec.Bin{
 				Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(i)},
 			}); err != nil {
 				panic(err)
@@ -169,7 +169,7 @@ func AblationCompaction() []AblationRow {
 		// delete 60% of rows in several statements -> fragmentation
 		for k := int64(0); k < 3; k++ {
 			err := eng.AutoCommit(func(tx *core.Txn) error {
-				_, err := tx.Delete("t", exec.Bin{
+				_, err := tx.Delete(context.Background(), "t", exec.Bin{
 					Kind: exec.OpEq,
 					L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(5)}},
 					R:    exec.Const{Val: k},
@@ -215,7 +215,7 @@ func scanRows(tx *core.Txn, table string) int64 {
 	if err != nil {
 		panic(err)
 	}
-	ms, err := tx.Morsels(state, meta, 0)
+	ms, err := tx.Morsels(context.Background(), state, meta, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -255,7 +255,7 @@ func AblationCoWvsMoR() []AblationRow {
 		var delCost time.Duration
 		err = eng.AutoCommit(func(tx *core.Txn) error {
 			before := tx.SimTime()
-			_, err := tx.Delete("t", exec.Bin{
+			_, err := tx.Delete(context.Background(), "t", exec.Bin{
 				Kind: exec.OpEq,
 				L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: int64(100)}},
 				R:    exec.Const{Val: int64(7)},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -64,7 +65,7 @@ func scanTable(tx *Txn, table string, cols []string, asOfSeq int64) (exec.Operat
 	if err != nil {
 		return nil, err
 	}
-	ms, err := tx.Morsels(state, meta, 0)
+	ms, err := tx.Morsels(context.Background(), state, meta, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +185,7 @@ func TestPaperSection42Example(t *testing.T) {
 	if _, err := x2.Insert("T1", rowsBatch(t, t1Schema(), []any{"D", int64(4)}, []any{"E", int64(5)})); err != nil {
 		t.Fatal(err)
 	}
-	n, err := x2.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+	n, err := x2.Delete(context.Background(), "T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestPaperSection42Example(t *testing.T) {
 	if err := x2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x3.Delete("T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
+	if _, err := x3.Delete(context.Background(), "T1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
 		t.Fatal(err)
 	}
 	// X3 still sees its snapshot minus B: 1+3 = 4... wait, snapshot had A,B,C.
@@ -239,7 +240,7 @@ func TestDeleteWithMergedDV(t *testing.T) {
 	// two committed deletes against the same files: the second must merge
 	for _, victim := range []string{"A", "C"} {
 		err := e.AutoCommit(func(tx *Txn) error {
-			n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: victim}})
+			n, err := tx.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: victim}})
 			if err != nil {
 				return err
 			}
@@ -278,7 +279,7 @@ func TestMultiStatementVisibility(t *testing.T) {
 		t.Fatalf("stmt2 cannot see stmt1: %d", got)
 	}
 	// statement 3 deletes the row inserted by statement 1
-	n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+	n, err := tx.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestUpdateIsDeletePlusInsert(t *testing.T) {
 		return err
 	})
 	err := e.AutoCommit(func(tx *Txn) error {
-		n, err := tx.Update("t1",
+		n, err := tx.Update(context.Background(), "t1",
 			exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}},
 			map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpMul, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(100)}}})
 		if err != nil {
@@ -362,10 +363,10 @@ func TestConcurrentUpdatersConflictAndRetrySucceeds(t *testing.T) {
 	b := e.Begin()
 	delA := exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}
 	delB := exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}
-	if _, err := a.Delete("t1", delA); err != nil {
+	if _, err := a.Delete(context.Background(), "t1", delA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", delB); err != nil {
+	if _, err := b.Delete(context.Background(), "t1", delB); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -376,7 +377,7 @@ func TestConcurrentUpdatersConflictAndRetrySucceeds(t *testing.T) {
 	}
 	// paper: the failed transaction is retried and then succeeds
 	err := e.RunWithRetries(3, func(tx *Txn) error {
-		_, err := tx.Delete("t1", delB)
+		_, err := tx.Delete(context.Background(), "t1", delB)
 		return err
 	})
 	if err != nil {
@@ -413,10 +414,10 @@ func TestFileGranularityAllowsDisjointFileUpdates(t *testing.T) {
 
 	a := e.Begin()
 	b := e.Begin()
-	if _, err := a.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}); err != nil {
+	if _, err := a.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
+	if _, err := b.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -440,10 +441,10 @@ func TestFileGranularitySameFileConflicts(t *testing.T) {
 	pred := exec.Bin{Kind: exec.OpGe, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(1)}}
 	a := e.Begin()
 	b := e.Begin()
-	if _, err := a.Delete("t1", pred); err != nil {
+	if _, err := a.Delete(context.Background(), "t1", pred); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Delete("t1", pred); err != nil {
+	if _, err := b.Delete(context.Background(), "t1", pred); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
@@ -726,13 +727,13 @@ func TestMultiTableRollbackIsAtomic(t *testing.T) {
 	pred := exec.Bin{Kind: exec.OpGe, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(0)}}
 	txA := e.Begin()
 	txB := e.Begin()
-	if _, err := txA.Delete("a", pred); err != nil {
+	if _, err := txA.Delete(context.Background(), "a", pred); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txB.Delete("a", pred); err != nil {
+	if _, err := txB.Delete(context.Background(), "a", pred); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txB.Delete("b", pred); err != nil {
+	if _, err := txB.Delete(context.Background(), "b", pred); err != nil {
 		t.Fatal(err)
 	}
 	if err := txA.Commit(); err != nil {
@@ -787,7 +788,7 @@ func TestStats(t *testing.T) {
 		return err
 	})
 	_ = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+		_, err := tx.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 		return err
 	})
 	tx := e.Begin()
@@ -950,7 +951,7 @@ func TestCopyOnWriteDelete(t *testing.T) {
 		return err
 	})
 	err := e.AutoCommit(func(tx *Txn) error {
-		n, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}})
+		n, err := tx.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "B"}})
 		if err != nil {
 			return err
 		}
@@ -977,7 +978,7 @@ func TestCopyOnWriteDelete(t *testing.T) {
 	}
 	// repeated delete on the rewritten file still works
 	err = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+		_, err := tx.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 		return err
 	})
 	if err != nil {
@@ -1091,7 +1092,7 @@ func TestUpdateUnknownColumnErrorIsStable(t *testing.T) {
 	one := exec.Const{Val: int64(1)}
 	for run := 0; run < 20; run++ {
 		tx := e.Begin()
-		_, err := tx.Update("t1", exec.Const{Val: true}, map[string]exec.Expr{"zz": one, "yy": one})
+		_, err := tx.Update(context.Background(), "t1", exec.Const{Val: true}, map[string]exec.Expr{"zz": one, "yy": one})
 		tx.Rollback()
 		if want := `core: unknown column "yy" in UPDATE`; err == nil || err.Error() != want {
 			t.Fatalf("run %d: err = %v, want %s", run, err, want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -287,7 +288,7 @@ func TestIcebergPublish(t *testing.T) {
 	}
 	// a delete adds a position-delete entry on the next publish
 	_ = e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
+		_, err := tx.Delete(context.Background(), "t1", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: "A"}})
 		return err
 	})
 	tx2 := e.Begin()

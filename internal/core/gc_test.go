@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -77,7 +78,7 @@ func TestGarbageCollectExact(t *testing.T) {
 	c2 := exec.ColRef{Idx: 1, Name: "c2"}
 	del := func(kind exec.BinKind, v int64) func(tx *Txn) error {
 		return func(tx *Txn) error {
-			_, err := tx.Delete("t", exec.Bin{Kind: kind, L: c2, R: exec.Const{Val: v}})
+			_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: kind, L: c2, R: exec.Const{Val: v}})
 			return err
 		}
 	}

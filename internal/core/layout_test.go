@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -68,17 +69,17 @@ func storageLayoutHash(t *testing.T) string {
 		return err
 	})
 	step("merge-on-read delete", func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(400)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(400)}})
 		return err
 	})
 	step("update", func(tx *Txn) error {
 		set := map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpAdd, L: c2, R: exec.Const{Val: int64(1)}}}
-		_, err := tx.Update("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set)
+		_, err := tx.Update(context.Background(), "t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set)
 		return err
 	})
 	e.opts.Deletes = CopyOnWrite
 	step("copy-on-write delete", func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k5"}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k5"}})
 		return err
 	})
 	e.opts.Deletes = MergeOnRead

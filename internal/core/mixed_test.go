@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -114,7 +115,7 @@ func TestCompactSpreadsMixedFilesOverCells(t *testing.T) {
 	}
 	c2 := exec.ColRef{Idx: 1, Name: "c2"}
 	if err := e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(500)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(500)}})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -300,7 +301,7 @@ func TestMixedFileConflictsUntilCompacted(t *testing.T) {
 		for _, key := range keys {
 			tx := e.Begin()
 			txs = append(txs, tx)
-			n, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: key}})
+			n, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: key}})
 			if err != nil || n == 0 {
 				t.Fatalf("delete of %s: %d rows, %v", key, n, err)
 			}
@@ -388,12 +389,12 @@ func TestCompactConverges(t *testing.T) {
 							})
 						}
 						step("delete", func(tx *Txn) error {
-							_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(1500 + 200*round)}})
+							_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: c2, R: exec.Const{Val: int64(1500 + 200*round)}})
 							return err
 						})
 						step("update", func(tx *Txn) error {
 							set := map[string]exec.Expr{"c2": exec.Bin{Kind: exec.OpAdd, L: c2, R: exec.Const{Val: int64(1)}}}
-							_, err := tx.Update("t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set)
+							_, err := tx.Update(context.Background(), "t", exec.Bin{Kind: exec.OpEq, L: c1, R: exec.Const{Val: "k3"}}, set)
 							return err
 						})
 						before := stats()

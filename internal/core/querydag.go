@@ -53,13 +53,13 @@ func (t *Txn) closeJob(job *dcp.Job) (*dcp.Result, error) {
 }
 
 // StartQueryJob starts the job a distributed query grows one stage at a time,
-// under the statement's context and the engine's retry policy, with nodes
+// under the statement's context ctx and the engine's retry policy, with nodes
 // allocated once for want tasks, the most the job can run.
-func (t *Txn) StartQueryJob(want int) (*dcp.Job, error) {
+func (t *Txn) StartQueryJob(ctx context.Context, want int) (*dcp.Job, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	return t.startJob(t.Context(), want, t.eng.opts.QueryFailureInjector), nil
+	return t.startJob(ctx, want, t.eng.opts.QueryFailureInjector), nil
 }
 
 // CloseQueryJob closes a query job, charges its makespan and records the Dag*

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -178,11 +179,11 @@ func partitionCells(state *manifest.TableState, distributions int) []cellFiles {
 // fetchScanFiles runs the distributed fetch phase of a read: one DCP task
 // per non-empty cell set pulls that cell's data and deletion-vector files
 // through the node cache hierarchy, charging simulated IO and CPU plus the
-// engine-wide modeled work counters. It runs under the statement's context,
-// so a cancelled statement abandons the cells not yet started. Cell file
+// engine-wide modeled work counters. It runs under the statement's context
+// ctx, so a cancelled statement abandons the cells not yet started. Cell file
 // lists are returned in cell order, which fixes the global row order every
 // downstream packaging preserves; empty cells are dropped.
-func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta) ([]cellFiles, error) {
+func (t *Txn) fetchScanFiles(ctx context.Context, state *manifest.TableState, meta catalog.TableMeta) ([]cellFiles, error) {
 	eng := t.eng
 	model := t.eng.Fabric.Model()
 	var cells []cellFiles
@@ -218,7 +219,7 @@ func (t *Txn) fetchScanFiles(state *manifest.TableState, meta catalog.TableMeta)
 		return nil, nil
 	}
 
-	outs, err := t.runJob(t.Context(), tasks)
+	outs, err := t.runJob(ctx, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -295,9 +296,9 @@ type MorselScan struct {
 // large files split by row group (exec.SplitMorsels) — and none for an empty
 // table. want <= 0 asks for exactly one morsel holding every file in table
 // order (empty for an empty table) — the input of a consumer that drains the
-// table whole, such as a join build.
-func (t *Txn) Morsels(state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
-	cells, err := t.fetchScanFiles(state, meta)
+// table whole, such as a join build. The fetch runs under ctx.
+func (t *Txn) Morsels(ctx context.Context, state *manifest.TableState, meta catalog.TableMeta, want int) (*MorselScan, error) {
+	cells, err := t.fetchScanFiles(ctx, state, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -328,28 +329,12 @@ func (t *Txn) ScanMorsels(table string, asOfSeq int64, want int) (*MorselScan, e
 	if want < 1 {
 		want = 1
 	}
-	return t.Morsels(state, meta, want)
+	//polaris:ctx harness entry point: benchmarks fetch a whole table with no statement behind it
+	return t.Morsels(context.Background(), state, meta, want)
 }
 
 // Parallelism returns the engine's configured intra-query parallelism target.
 func (t *Txn) Parallelism() int { return t.eng.opts.Parallelism }
-
-// JoinMemoryBudget returns the hash-join build-side memory budget in bytes
-// for this transaction: the per-transaction override when one was set (see
-// SetJoinMemoryBudget), the engine-wide configuration otherwise (0 or
-// negative = unlimited, never spill).
-func (t *Txn) JoinMemoryBudget() int64 {
-	if t.joinBudget != nil {
-		return *t.joinBudget
-	}
-	return t.eng.opts.JoinMemoryBudget
-}
-
-// SetJoinMemoryBudget overrides the engine-wide JoinMemoryBudget for this
-// transaction only — the hook a serving front end uses to give each session
-// its own memory budget (0 or negative = unlimited). Call before the
-// statement's joins start draining their build sides.
-func (t *Txn) SetJoinMemoryBudget(b int64) { t.joinBudget = &b }
 
 // NewSpillDir allocates a fresh query-scoped spill namespace in the object
 // store for a grace-spilling join. The caller owns cleanup: spill files are
@@ -368,37 +353,11 @@ func (t *Txn) Work() *WorkStats { return &t.eng.Work }
 
 // LeaseDOP reserves up to want worker slots on the fabric for this query's
 // morsel workers, returning the granted degree of parallelism and a release
-// function (safe to call more than once). When the front end has adopted an
-// admission-granted lease onto the transaction (AdoptLease), that grant is
-// returned instead — capped at want — and the release is a no-op because
-// the admission layer owns the lease's lifetime.
+// function (safe to call more than once).
 func (t *Txn) LeaseDOP(want int) (int, func()) {
-	if t.adoptedDOP > 0 {
-		n := t.adoptedDOP
-		if want > 0 && n > want {
-			n = want
-		}
-		return n, func() {}
-	}
 	lease := t.eng.Fabric.LeaseSlots(want)
 	return lease.Granted(), lease.Release
 }
-
-// AdoptLease hands the transaction a worker-slot count that an admission
-// controller already leased from the fabric for the current statement;
-// LeaseDOP will return it instead of leasing again (avoiding the double
-// accounting of an admission slot plus an executor slot for one statement).
-// The caller keeps ownership of the underlying lease and must clear the
-// adoption (ClearAdoptedLease) before releasing it.
-func (t *Txn) AdoptLease(granted int) {
-	if granted > 0 {
-		t.adoptedDOP = granted
-	}
-}
-
-// ClearAdoptedLease detaches the admission-granted slot count set by
-// AdoptLease, returning the transaction to direct fabric leasing.
-func (t *Txn) ClearAdoptedLease() { t.adoptedDOP = 0 }
 
 // TableStats summarizes a table snapshot for the STO and for SHOW commands.
 type TableStats struct {

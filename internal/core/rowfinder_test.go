@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"polaris/internal/catalog"
@@ -201,7 +204,7 @@ func checkFinder(t *testing.T, tx *Txn, p finderPred) *colfile.Batch {
 		t.Fatal(err)
 	}
 	for _, wide := range []bool{false, true} {
-		got, err := tx.findRows(state, meta, prog, wide)
+		got, err := tx.findRows(context.Background(), state, meta, prog, wide)
 		if err != nil {
 			t.Fatalf("findRows(%s, wide=%v): %v", p.expr, wide, err)
 		}
@@ -244,7 +247,7 @@ func TestRowFinderMatchesDenseReference(t *testing.T) {
 			// A committed delete, so files carry deletion vectors before
 			// the transaction under test starts.
 			committed := randomPred(rng)
-			if err := e.AutoCommit(func(tx *Txn) error { _, err := tx.Delete("t", committed.expr); return err }); err != nil {
+			if err := e.AutoCommit(func(tx *Txn) error { _, err := tx.Delete(context.Background(), "t", committed.expr); return err }); err != nil {
 				t.Fatal(err)
 			}
 
@@ -264,7 +267,7 @@ func TestRowFinderMatchesDenseReference(t *testing.T) {
 				var n int64
 				var err error
 				if step%2 == 0 {
-					n, err = tx.Delete("t", p.expr)
+					n, err = tx.Delete(context.Background(), "t", p.expr)
 				} else {
 					// SET s = 'upd', k = k + 1000: new versions computed
 					// by hand from the reference's old versions.
@@ -272,7 +275,7 @@ func TestRowFinderMatchesDenseReference(t *testing.T) {
 						"s": exec.Const{Val: "upd"},
 						"k": exec.Bin{Kind: exec.OpAdd, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(1000)}},
 					}
-					n, err = tx.Update("t", p.expr, set)
+					n, err = tx.Update(context.Background(), "t", p.expr, set)
 					for i := 0; i < matched.NumRows(); i++ {
 						row := matched.Row(i)
 						row[0] = "upd"
@@ -319,7 +322,7 @@ func TestDMLPredicateNeverSeesDeletedRows(t *testing.T) {
 	}
 	k := exec.ColRef{Idx: 1, Name: "k"}
 	if err := e.AutoCommit(func(tx *Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: k, R: exec.Const{Val: int64(1)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpEq, L: k, R: exec.Const{Val: int64(1)}})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -342,11 +345,11 @@ func TestDMLPredicateNeverSeesDeletedRows(t *testing.T) {
 	if _, _, err := matchRowsDense(tx, state, meta, prog); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("the dense reference should trip over the deleted v = 0 row, got %v", err)
 	}
-	n, err := tx.Delete("t", pred)
+	n, err := tx.Delete(context.Background(), "t", pred)
 	if err != nil || n != 1 {
 		t.Fatalf("DELETE WHERE 10 / v = 1 over a deleted v = 0: %d rows, %v", n, err)
 	}
-	if n, err = tx.Update("t", tenOver(exec.Bin{Kind: exec.OpSub, L: exec.ColRef{Idx: 3}, R: exec.Const{Val: -5.0}}),
+	if n, err = tx.Update(context.Background(), "t", tenOver(exec.Bin{Kind: exec.OpSub, L: exec.ColRef{Idx: 3}, R: exec.Const{Val: -5.0}}),
 		map[string]exec.Expr{"s": exec.Const{Val: "x"}}); err != nil || n != 1 {
 		t.Fatalf("UPDATE WHERE 10 / (v + 5) = 1 over a deleted v = 0: %d rows, %v", n, err)
 	}
@@ -354,10 +357,10 @@ func TestDMLPredicateNeverSeesDeletedRows(t *testing.T) {
 	if _, err := tx.Insert("t", rowsBatch(t, finderSchema(), []any{"live", int64(9), int64(0), 0.0})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Delete("t", pred); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := tx.Delete(context.Background(), "t", pred); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("DELETE over a live v = 0: %v", err)
 	}
-	if _, err := tx.Update("t", pred, map[string]exec.Expr{"s": exec.Const{Val: "x"}}); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := tx.Update(context.Background(), "t", pred, map[string]exec.Expr{"s": exec.Const{Val: "x"}}); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("UPDATE over a live v = 0: %v", err)
 	}
 	tx.Rollback()
@@ -449,7 +452,7 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wide := range []bool{false, true} {
-		found, err := tx.findRows(state, meta, prog, wide)
+		found, err := tx.findRows(context.Background(), state, meta, prog, wide)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +476,7 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 		t.Fatal("a full scan decoded garbled chunks")
 	}
 	// UPDATE needs the old row versions, but only of the group that matched.
-	n, err := tx.Update("t", keys.expr, map[string]exec.Expr{"s": exec.Const{Val: "upd"}})
+	n, err := tx.Update(context.Background(), "t", keys.expr, map[string]exec.Expr{"s": exec.Const{Val: "upd"}})
 	if err != nil || n != 10 {
 		t.Fatalf("UPDATE of 10 keys: %d rows, %v", n, err)
 	}
@@ -483,9 +486,101 @@ func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
 	damageColumn(t, e, 2, func(g int) bool { return true })
 	damageColumn(t, e, 3, func(g int) bool { return true })
 	tx = e.Begin()
-	n, err = tx.Delete("t", keys.expr)
+	n, err = tx.Delete(context.Background(), "t", keys.expr)
 	if err != nil || n != 10 {
 		t.Fatalf("DELETE of 10 keys: %d rows, %v", n, err)
 	}
 	tx.Rollback()
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled after its
+// n-th call. It is never Done, so only code that polls Err sees the cancel,
+// and it lands at the same poll on every run.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDMLRowScanObservesCancel: a DELETE or UPDATE cancelled inside its row
+// scan — after the fetch job, between two scan batches — returns
+// context.Canceled before it stages anything, in autocommit and inside an
+// explicit transaction, whose earlier insert then commits alone. Nothing is
+// left leased or under the spill prefix.
+func TestDMLRowScanObservesCancel(t *testing.T) {
+	e := finderEngine(t, MergeOnRead, 4)
+	if err := e.AutoCommit(func(tx *Txn) error {
+		_, err := tx.Insert("t", randomRows(t, rand.New(rand.NewSource(7)), 64))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pred := exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(150)}}
+	set := map[string]exec.Expr{"s": exec.Const{Val: "upd"}}
+	dml := map[string]func(ctx context.Context, tx *Txn) error{
+		"delete": func(ctx context.Context, tx *Txn) error { _, err := tx.Delete(ctx, "t", pred); return err },
+		"update": func(ctx context.Context, tx *Txn) error { _, err := tx.Update(ctx, "t", pred, set); return err },
+	}
+	extra := rowsBatch(t, finderSchema(), []any{"x", int64(1), int64(1), 1.0})
+	for _, name := range []string{"delete", "update"} {
+		for _, explicit := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s,explicit=%v", name, explicit), func(t *testing.T) {
+				tx := e.Begin()
+				before := tableRows(t, tx)
+				state, _, err := tx.Snapshot("t", -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The fetch job polls Err once per Run and once per cell
+				// task; the scan's first poll passes, its second cancels.
+				fetch := int64(1)
+				for _, cell := range partitionCells(state, e.opts.Distributions) {
+					if len(cell.files) > 0 {
+						fetch++
+					}
+				}
+				ctx := &cancelAfter{Context: context.Background(), n: fetch + 1}
+				want := before
+				if explicit {
+					if _, err := tx.Insert("t", extra); err != nil {
+						t.Fatal(err)
+					}
+					want = sorted(append(append([]string{}, before...), rowStrings(extra)...))
+					err = dml[name](ctx, tx)
+				} else {
+					tx.Rollback()
+					err = e.AutoCommit(func(tx *Txn) error { return dml[name](ctx, tx) })
+				}
+				if !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "dcp") {
+					t.Fatalf("err = %v, want context.Canceled from the row scan, not the fetch job", err)
+				}
+				if got := ctx.calls.Load(); got != ctx.n+1 {
+					t.Fatalf("Err polled %d times, want %d: the statement went on after the cancel", got, ctx.n+1)
+				}
+				if explicit {
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				after := e.Begin()
+				defer after.Rollback()
+				if got := tableRows(t, after); !reflect.DeepEqual(got, want) {
+					t.Fatalf("rows after the cancelled %s:\n%v\nwant\n%v", name, got, want)
+				}
+				if n := e.Fabric.LeasedSlots(); n != 0 {
+					t.Fatalf("%d fabric slots still leased", n)
+				}
+				if left := e.Store.List(objectstore.SpillPrefix); len(left) != 0 {
+					t.Fatalf("spill blobs left behind: %v", left)
+				}
+			})
+		}
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -52,31 +51,6 @@ type Txn struct {
 	tables map[int64]*txnTable
 	sim    time.Duration
 	done   bool
-	// joinBudget, when non-nil, overrides the engine-wide JoinMemoryBudget
-	// for this transaction (per-session budgets in a serving front end).
-	joinBudget *int64
-	// adoptedDOP, when > 0, is an admission-granted worker-slot count the
-	// front end already holds for the current statement: LeaseDOP returns
-	// it instead of leasing from the fabric again (the lease's owner
-	// releases it when the statement finishes).
-	adoptedDOP int
-	// qctx, when non-nil, is the cancellation context the front end
-	// attached for the current statement (Session.ExecOpts.Ctx); SELECT
-	// execution — morsel pool and query DAG alike — observes it. Never
-	// stored across statements.
-	qctx context.Context
-}
-
-// SetContext attaches a cancellation context for the duration of the
-// current statement. Pass nil to detach.
-func (t *Txn) SetContext(ctx context.Context) { t.qctx = ctx }
-
-// Context returns the statement's cancellation context, never nil.
-func (t *Txn) Context() context.Context {
-	if t.qctx == nil {
-		return context.Background()
-	}
-	return t.qctx
 }
 
 // SimTime returns the simulated time consumed by this transaction so far.

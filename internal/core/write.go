@@ -169,6 +169,7 @@ func (t *Txn) commitWriteJob(ts *txnTable, tasks []*dcp.Task) (int64, error) {
 	// Write jobs run to completion, not under the statement's context: an
 	// UPDATE cancelled between its delete half and its insert half would
 	// leave an explicit transaction holding the delete alone.
+	//polaris:ctx write jobs run to completion once their statement stages anything (statement atomicity)
 	outs, err := t.runJob(context.Background(), tasks)
 	if err != nil {
 		return 0, err
@@ -273,8 +274,9 @@ func (t *Txn) Insert(table string, rows *colfile.Batch) (int64, error) {
 // file already carries a DV (committed or from an earlier statement of this
 // txn), the new DV is the merge, recorded as Remove(old)+Add(merged) (4.2).
 // In copy-on-write mode (2.1) affected files are rewritten without the
-// deleted rows.
-func (t *Txn) Delete(table string, pred exec.Expr) (int64, error) {
+// deleted rows. The row scan runs under ctx; a cancel there returns before
+// anything is staged.
+func (t *Txn) Delete(ctx context.Context, table string, pred exec.Expr) (int64, error) {
 	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
@@ -293,7 +295,7 @@ func (t *Txn) Delete(table string, pred exec.Expr) (int64, error) {
 		return 0, err
 	}
 	// The finder decodes the predicate's columns and nothing else.
-	found, err := t.findRows(state, meta, prog, false)
+	found, err := t.findRows(ctx, state, meta, prog, false)
 	if err != nil {
 		return 0, err
 	}
@@ -430,8 +432,9 @@ type foundRows struct {
 // Without wide the scan is projected to the predicate's columns (DELETE needs
 // ordinals only); with it every column is read and the matching old row
 // versions are returned too (UPDATE computes the new versions from them).
-func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog, wide bool) (*foundRows, error) {
-	cells, err := t.fetchScanFiles(state, meta)
+// The fetch and the scan run under ctx, checked between batches.
+func (t *Txn) findRows(ctx context.Context, state *manifest.TableState, meta catalog.TableMeta, pred *exec.Prog, wide bool) (*foundRows, error) {
+	cells, err := t.fetchScanFiles(ctx, state, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -455,6 +458,9 @@ func (t *Txn) findRows(state *manifest.TableState, meta catalog.TableMeta, pred 
 			return nil, err
 		}
 		for {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			b, err := s.Next()
 			if err != nil {
 				return nil, err
@@ -551,8 +557,10 @@ func reconcileActions(actions []manifest.Action) []manifest.Action {
 
 // Update rewrites matching rows: per the paper, an update is a deletion of
 // the old row versions plus an insertion of the new versions (4.1.1 step 2).
-// set maps column names to expressions evaluated over the old rows.
-func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (int64, error) {
+// set maps column names to expressions evaluated over the old rows. The row
+// scan and the new versions' projection run under ctx; a cancel there returns
+// before anything is staged.
+func (t *Txn) Update(ctx context.Context, table string, pred exec.Expr, set map[string]exec.Expr) (int64, error) {
 	meta, err := t.Table(table)
 	if err != nil {
 		return 0, err
@@ -588,7 +596,7 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 	}
 	// One pass finds the matching rows' ordinals and their old versions;
 	// the new versions are materialized before the old ones are deleted.
-	found, err := t.findRows(state, meta, predProg, true)
+	found, err := t.findRows(ctx, state, meta, predProg, true)
 	if err != nil {
 		return 0, err
 	}
@@ -596,7 +604,7 @@ func (t *Txn) Update(table string, pred exec.Expr, set map[string]exec.Expr) (in
 		return 0, nil
 	}
 	proj := &exec.Project{In: exec.NewBatchSource(found.rows), Exprs: exprs, Names: fieldNames(meta.Schema)}
-	newRows, err := exec.Collect(proj)
+	newRows, err := exec.CollectCtx(ctx, proj)
 	if err != nil {
 		return 0, err
 	}

@@ -10,20 +10,22 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"polaris/internal/colfile"
 )
 
-// fuzzExprs is the catalog sampled by the fuzzer. Columns: 0=i (Int64),
-// 1=j (Int64), 2=f (Float64), 3=s (String), 4=b (Bool). Every kernel family
-// appears, including the faulting ones (div/mod by fuzzer-chosen values);
-// then conjunctions of Int64 comparisons whose zone-map ranges the fuzzer
-// checks (Prog.Ranges), and the tail is statically ill-typed trees:
-// Compile's error must equal the reference's, and must win over any
-// data-dependent error below it.
-var fuzzExprs = []Expr{
+// fuzzExprs is the catalog sampled by the fuzzer: its three groups, appended
+// in order. Each seed loop ranges over its own group, so an entry added to
+// one group moves no other group's seeds. Columns: 0=i (Int64), 1=j (Int64),
+// 2=f (Float64), 3=s (String), 4=b (Bool).
+var fuzzExprs = slices.Concat(kernelExprs, rangedExprs, illTypedExprs)
+
+// kernelExprs: every kernel family, including the faulting ones (div/mod by
+// fuzzer-chosen values).
+var kernelExprs = []Expr{
 	Bin{Kind: OpEq, L: ColRef{Idx: 0}, R: ColRef{Idx: 1}},
 	Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: ColRef{Idx: 2}}, // mixed int/float
 	Bin{Kind: OpGe, L: ColRef{Idx: 2}, R: ColRef{Idx: 2}},
@@ -43,6 +45,11 @@ var fuzzExprs = []Expr{
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(0), int64(1), int64(-1)}},
 	InList{E: ColRef{Idx: 3}, Vals: []any{"a", ""}, Negate: true},
 	Bin{Kind: OpLt, L: ColRef{Idx: 3}, R: ColRef{Idx: 0}}, // lazy type error
+}
+
+// rangedExprs: conjunctions of Int64 comparisons whose zone-map ranges the
+// fuzzer checks (Prog.Ranges).
+var rangedExprs = []Expr{
 	Bin{Kind: OpAnd, L: Bin{Kind: OpGe, L: ColRef{Idx: 0}, R: Const{Val: int64(-5)}}, R: Bin{Kind: OpLt, L: ColRef{Idx: 1}, R: Const{Val: int64(3)}}},
 	Bin{Kind: OpAnd, L: Bin{Kind: OpGt, L: ColRef{Idx: 0}, R: Const{Val: int64(math.MinInt64)}}, R: Bin{Kind: OpLe, L: ColRef{Idx: 0}, R: Const{Val: int64(math.MaxInt64 - 1)}}},
 	Bin{Kind: OpAnd, L: Bin{Kind: OpEq, L: ColRef{Idx: 1}, R: Const{Val: int64(math.MaxInt64)}}, R: Bin{Kind: OpGe, L: ColRef{Idx: 0}, R: Const{Val: int64(math.MinInt64)}}},
@@ -50,6 +57,11 @@ var fuzzExprs = []Expr{
 	Bin{Kind: OpAnd, L: Bin{Kind: OpAnd, L: Bin{Kind: OpGt, L: ColRef{Idx: 0}, R: Const{Val: -1}}, R: Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: Const{Val: 9}}},
 		R: Bin{Kind: OpOr, L: Bin{Kind: OpEq, L: ColRef{Idx: 0}, R: Const{Val: int64(1)}}, R: Bin{Kind: OpNe, L: ColRef{Idx: 1}, R: Const{Val: int64(0)}}}},
 	Bin{Kind: OpAnd, L: Not{E: Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: Const{Val: int64(3)}}}, R: Bin{Kind: OpGe, L: ColRef{Idx: 1}, R: Const{Val: int64(-2)}}},
+}
+
+// illTypedExprs: statically ill-typed trees. Compile's error must equal the
+// reference's, and must win over any data-dependent error below it.
+var illTypedExprs = []Expr{
 	Not{E: ColRef{Idx: 0}},
 	Bin{Kind: OpAnd, L: ColRef{Idx: 0}, R: ColRef{Idx: 4}},
 	Bin{Kind: OpOr, L: ColRef{Idx: 4}, R: ColRef{Idx: 3}},
@@ -74,12 +86,13 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(3), int64(0), 1.5, "al%pha", true, uint8(0b10101), uint8(8), uint8(2), 5)
 	f.Add(int64(-7), int64(2), -0.0, "", false, uint8(0), uint8(9), uint8(0), 1)
 	f.Add(int64(42), int64(-1), 1e18, "a_b", true, uint8(0xff), uint8(18), uint8(3), 9)
-	for pick := 19; pick < 25; pick++ { // every ranged conjunction, over the int64 extremes
+	ranged := len(kernelExprs)
+	for pick := ranged; pick < ranged+len(rangedExprs); pick++ { // every ranged conjunction, over the int64 extremes
 		f.Add(int64(math.MinInt64), int64(math.MaxInt64), 0.5, "r", false, uint8(0b00010), uint8(pick), uint8(0), 7)
 		f.Add(int64(-6), int64(1), 0.5, "r", true, uint8(0), uint8(pick), uint8(0), 12)
 		f.Add(int64(-6), int64(1), 0.5, "r", true, uint8(0b00010), uint8(pick), uint8(2), 16)
 	}
-	for pick := 25; pick < len(fuzzExprs); pick++ { // every ill-typed tree, over zero divisors
+	for pick := ranged + len(rangedExprs); pick < len(fuzzExprs); pick++ { // every ill-typed tree, over zero divisors
 		f.Add(int64(1), int64(0), 0.0, "s", true, uint8(0), uint8(pick), uint8(pick), 4)
 	}
 	f.Fuzz(func(t *testing.T, i, j int64, fv float64, s string, bv bool,

@@ -28,6 +28,7 @@ var CtxBoundary = &Analyzer{
 		"polaris/internal/exec",
 		"polaris/internal/dcp",
 		"polaris/internal/sql",
+		"polaris/internal/core",
 	),
 	Run: runCtxBoundary,
 }

@@ -8,8 +8,8 @@
 // executes: it must be granted a slot lease from the same fabric pool that
 // sizes intra-query worker pools (compute.Admission over
 // Fabric.LeaseSlotsCtx). When leases run dry, statements queue FIFO in a
-// bounded queue with a wait timeout; the granted lease is adopted by the
-// statement's transaction as its worker-pool size, so one statement holds
+// bounded queue with a wait timeout; the granted lease is handed to the
+// statement (sql.ExecOpts.DOP) as its worker-pool size, so one statement holds
 // exactly one lease. Each session carries its own JoinMemoryBudget, and the
 // server exposes health, a JSON metrics endpoint (cumulative WorkStats,
 // admission counters, fabric gauges, recent per-query records) and graceful

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestSharedConstantsAreNeverWritten(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, q, err)
 					}
-					b, err := p.run(tx)
+					b, err := p.run(&handle{tx: tx, ctx: context.Background(), budget: budget})
 					if err != nil || b.NumRows() == 0 {
 						t.Fatalf("%s: %s: %v rows, err %v", name, q, b.NumRows(), err)
 					}

@@ -140,7 +140,7 @@ func (r *dagRunner) builds() ([]*exec.JoinSource, error) {
 	// Nodes are allocated once, for the most tasks the job can run: with
 	// every build spilled, each join adds a gather and M segment tasks.
 	var err error
-	if r.job, err = r.tx.StartQueryJob(J + M + J*(1+M)); err != nil {
+	if r.job, err = r.tx.StartQueryJob(r.ctx, J+M+J*(1+M)); err != nil {
 		return nil, err
 	}
 	tasks := make([]*dcp.Task, J)
@@ -250,5 +250,5 @@ func (r *dagRunner) done(err error) ([]*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.ex.readAll(r.tx.Context(), nil, r.names)
+	return r.ex.readAll(r.ctx, nil, r.names)
 }

@@ -1,6 +1,6 @@
 package sql
 
-// Statement execution. Execute dispatches a parsed statement. A SELECT runs
+// Statement execution. execute dispatches a parsed statement. A SELECT runs
 // one way: planSelect (planner.go) returns the plan, open fetches its morsels,
 // runStages runs its stages on a stage runner — the in-process pool here, a
 // DCP job in dag.go — and mergeSelect combines their outputs. bind and
@@ -47,12 +47,14 @@ func (r *Result) Columns() []string {
 	return out
 }
 
-// Execute compiles and runs one parsed statement inside the transaction.
-// Transaction-control statements are the session's job, not Execute's.
-func Execute(tx *core.Txn, st Statement) (*Result, error) {
+// execute compiles and runs one parsed statement inside the handle's
+// transaction. Transaction-control statements are the session's job, not
+// execute's.
+func execute(h *handle, st Statement) (*Result, error) {
+	tx := h.tx
 	switch s := st.(type) {
 	case *SelectStmt:
-		b, err := runSelect(tx, s)
+		b, err := runSelect(h, s)
 		if err != nil {
 			return nil, err
 		}
@@ -60,11 +62,11 @@ func Execute(tx *core.Txn, st Statement) (*Result, error) {
 	case *ExplainStmt:
 		return runExplain(tx, s.Query)
 	case *InsertStmt:
-		return runInsert(tx, s)
+		return runInsert(h, s)
 	case *UpdateStmt:
-		return runUpdate(tx, s)
+		return runUpdate(h, s)
 	case *DeleteStmt:
-		return runDelete(tx, s)
+		return runDelete(h, s)
 	case *CreateTableStmt:
 		if s.IfNotExists {
 			if _, err := tx.Table(s.Name); err == nil {
@@ -335,37 +337,43 @@ func binOpKind(op string) (exec.BinKind, bool) {
 // per-morsel outputs are combined by the deterministic merge tail
 // (mergeSelect). Parallelism sizes the decomposition and the worker lease; it
 // selects no code path, so Parallelism 1 is the same plan run by one worker.
-func runSelect(tx *core.Txn, st *SelectStmt) (*colfile.Batch, error) {
-	p, err := planSelect(tx, st)
+func runSelect(h *handle, st *SelectStmt) (*colfile.Batch, error) {
+	p, err := planSelect(h.tx, st)
 	if err != nil {
 		return nil, err
 	}
-	return p.run(tx)
+	return p.run(h)
 }
 
 // run opens and executes a planned SELECT.
-func (p *selectPlan) run(tx *core.Txn) (*colfile.Batch, error) {
+func (p *selectPlan) run(h *handle) (*colfile.Batch, error) {
+	tx := h.tx
 	p.recordWork(tx)
 
 	// Grace-join spill context: the join memory budget plus the statement's
 	// spill and exchange namespaces. finish() runs after the result is
 	// materialized, so they are deleted on success and error alike.
-	spill := newJoinSpill(tx)
+	spill := &joinSpill{tx: tx, budget: h.budget}
 	defer spill.finish()
 
-	// When concurrent queries hold the fabric's slots the lease degrades the
-	// worker count (possibly to 1); the plan shape — and therefore the output
-	// — depends on the configured Parallelism only.
-	dop, release := tx.LeaseDOP(tx.Parallelism())
+	// An admitted statement runs on the slots its admission leased (the
+	// admission layer releases them); otherwise it leases here, and when
+	// concurrent queries hold the fabric's slots the lease degrades the
+	// worker count (possibly to 1). The plan shape — and therefore the
+	// output — depends on the configured Parallelism only.
+	dop, release := min(h.admitted, tx.Parallelism()), func() {}
+	if h.admitted <= 0 {
+		dop, release = tx.LeaseDOP(tx.Parallelism())
+	}
 	defer release()
-	if err := p.open(tx, spill); err != nil {
+	if err := p.open(h, spill); err != nil {
 		return nil, err
 	}
-	env, M := stageEnv{tx: tx, p: p, spill: spill, dop: dop}, len(p.base.ms.Morsels)
+	env, M := stageEnv{handle: h, p: p, spill: spill, dop: dop}, len(p.base.ms.Morsels)
 	if p.dag {
-		return mergeSelect(tx, p, &dagRunner{stageEnv: env, names: make([]string, M)})
+		return mergeSelect(h, p, &dagRunner{stageEnv: env, names: make([]string, M)})
 	}
-	return mergeSelect(tx, p, &poolRunner{stageEnv: env, cur: make([]*colfile.Batch, M)})
+	return mergeSelect(h, p, &poolRunner{stageEnv: env, cur: make([]*colfile.Batch, M)})
 }
 
 // open fetches every relation's morsels from the snapshot the plan already
@@ -374,12 +382,12 @@ func (p *selectPlan) run(tx *core.Txn) (*colfile.Batch, error) {
 // one: a lease only caps live workers, so the decomposition — and with it
 // float-aggregation order — cannot shift under slot contention. A build side
 // is drained whole, in table order, so it is one morsel holding all its files.
-func (p *selectPlan) open(tx *core.Txn, spill *joinSpill) (err error) {
-	if p.base.ms, err = tx.Morsels(p.base.state, p.base.meta, tx.Parallelism()*morselsPerWorker); err != nil {
+func (p *selectPlan) open(h *handle, spill *joinSpill) (err error) {
+	if p.base.ms, err = h.tx.Morsels(h.ctx, p.base.state, p.base.meta, h.tx.Parallelism()*morselsPerWorker); err != nil {
 		return err
 	}
 	for _, j := range p.joins {
-		if j.build.ms, err = tx.Morsels(j.build.state, j.build.meta, 0); err != nil {
+		if j.build.ms, err = h.tx.Morsels(h.ctx, j.build.state, j.build.meta, 0); err != nil {
 			return err
 		}
 		j.cfg = spill.config()
@@ -487,10 +495,6 @@ type joinSpill struct {
 	budget  int64
 	dirs    []*objectstore.SpillDir
 	spilled []*exec.SpilledJoin
-}
-
-func newJoinSpill(tx *core.Txn) *joinSpill {
-	return &joinSpill{tx: tx, budget: tx.JoinMemoryBudget()}
 }
 
 // newDir allocates a query-scoped namespace and registers it for cleanup.
@@ -606,7 +610,7 @@ type segmentOpener func(i int, prev *colfile.Batch, pruned *atomic.Int64) (exec.
 // stageEnv is what both stage runners hold: the statement, its opened plan,
 // its spill state and the worker count its lease granted.
 type stageEnv struct {
-	tx    *core.Txn
+	*handle
 	p     *selectPlan
 	spill *joinSpill
 	dop   int
@@ -688,7 +692,7 @@ type poolRunner struct {
 func (r *poolRunner) builds() ([]*exec.JoinSource, error) {
 	srcs := make([]*exec.JoinSource, len(r.p.joins))
 	for j, pj := range r.p.joins {
-		if err := r.tx.Context().Err(); err != nil {
+		if err := r.ctx.Err(); err != nil {
 			return srcs, err
 		}
 		src, err := pj.runBuild(r.tx.Parallelism())
@@ -706,9 +710,9 @@ func (r *poolRunner) segment(_ int, open segmentOpener, limit int64) (err error)
 		return open(i, r.cur[i], &r.tx.Work().RuntimeFilterRows)
 	}
 	if limit >= 0 {
-		r.cur, err = exec.RunIndexedPrefix(r.tx.Context(), len(r.cur), r.dop, limit, build)
+		r.cur, err = exec.RunIndexedPrefix(r.ctx, len(r.cur), r.dop, limit, build)
 	} else {
-		r.cur, err = exec.RunIndexed(r.tx.Context(), len(r.cur), r.dop, build)
+		r.cur, err = exec.RunIndexed(r.ctx, len(r.cur), r.dop, build)
 	}
 	return err
 }
@@ -716,7 +720,7 @@ func (r *poolRunner) segment(_ int, open segmentOpener, limit int64) (err error)
 func (r *poolRunner) join(j int, sj *exec.SpilledJoin) (err error) {
 	pj := r.p.joins[j]
 	var c exec.JoinCounts
-	if r.cur, c, err = sj.JoinBatches(r.tx.Context(), r.cur, pj.leftKeys, pj.leftSchema, pj.cols, r.dop); err == nil {
+	if r.cur, c, err = sj.JoinBatches(r.ctx, r.cur, pj.leftKeys, pj.leftSchema, pj.cols, r.dop); err == nil {
 		r.spill.joined(c)
 	}
 	return err
@@ -731,7 +735,7 @@ func (r *poolRunner) done(err error) ([]*colfile.Batch, error) { return r.cur, e
 // aggregates, loser-tree MergeRuns for ORDER BY. The stage runners only
 // decide where the fragments run, so they cannot drift apart downstream of
 // the fragment boundary.
-func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, error) {
+func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error) {
 	tail := p.tail
 	var outOp exec.Operator
 	keys, width := p.sortKeys, len(tail.outSchema())
@@ -765,7 +769,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, er
 			bound = p.limit + p.offset
 		}
 		if len(p.sortKeys) > 0 {
-			return mergeOrderBy(tx, p, r, bound)
+			return mergeOrderBy(h, p, r, bound)
 		}
 		batches, err := runStages(p, r, func(op exec.Operator) exec.Operator {
 			if bound >= 0 {
@@ -790,7 +794,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, er
 	if p.limit >= 0 {
 		outOp = &exec.Limit{In: outOp, N: p.limit, Offset: p.offset}
 	}
-	b, err := exec.CollectCtx(tx.Context(), outOp)
+	b, err := exec.CollectCtx(h.ctx, outOp)
 	if err != nil {
 		return nil, err
 	}
@@ -808,7 +812,7 @@ func mergeSelect(tx *core.Txn, p *selectPlan, r stageRunner) (*colfile.Batch, er
 // the paper's distributed top-N shape, counted in WorkStats.TopNPushdowns)
 // and the merge cuts off after LIMIT+OFFSET rows, so neither the workers nor
 // the FE ever materialize the full sorted result.
-func mergeOrderBy(tx *core.Txn, p *selectPlan, r stageRunner, bound int64) (*colfile.Batch, error) {
+func mergeOrderBy(h *handle, p *selectPlan, r stageRunner, bound int64) (*colfile.Batch, error) {
 	project, keys := p.tail.project, p.sortKeys
 	batches, err := runStages(p, r, func(op exec.Operator) exec.Operator {
 		if bound >= 0 {
@@ -820,13 +824,13 @@ func mergeOrderBy(tx *core.Txn, p *selectPlan, r stageRunner, bound int64) (*col
 		return nil, err
 	}
 	if bound >= 0 {
-		tx.Work().TopNPushdowns.Add(1)
+		h.tx.Work().TopNPushdowns.Add(1)
 	}
 	var out exec.Operator = exec.NewMergeRuns(p.tail.outSchema(), batches, keys, bound)
 	if p.limit >= 0 {
 		out = &exec.Limit{In: out, N: p.limit, Offset: p.offset}
 	}
-	return exec.CollectCtx(tx.Context(), out)
+	return exec.CollectCtx(h.ctx, out)
 }
 
 func aliasOf(r TableRef) string {
@@ -1111,14 +1115,15 @@ func aggKind(f FuncExpr) (exec.AggKind, error) {
 	return 0, fmt.Errorf("sql: unknown aggregate %s", f.Name)
 }
 
-func runInsert(tx *core.Txn, st *InsertStmt) (*Result, error) {
+func runInsert(h *handle, st *InsertStmt) (*Result, error) {
+	tx := h.tx
 	meta, err := tx.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	var batch *colfile.Batch
 	if st.Query != nil {
-		qb, err := runSelect(tx, st.Query)
+		qb, err := runSelect(h, st.Query)
 		if err != nil {
 			return nil, err
 		}
@@ -1270,8 +1275,8 @@ func valuesCell(e Expr) (any, error) {
 	return v.Value(0), nil
 }
 
-func runUpdate(tx *core.Txn, st *UpdateStmt) (*Result, error) {
-	meta, err := tx.Table(st.Table)
+func runUpdate(h *handle, st *UpdateStmt) (*Result, error) {
+	meta, err := h.tx.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -1295,15 +1300,15 @@ func runUpdate(tx *core.Txn, st *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := tx.Update(st.Table, pred, set)
+	n, err := h.tx.Update(h.ctx, st.Table, pred, set)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
 }
 
-func runDelete(tx *core.Txn, st *DeleteStmt) (*Result, error) {
-	meta, err := tx.Table(st.Table)
+func runDelete(h *handle, st *DeleteStmt) (*Result, error) {
+	meta, err := h.tx.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -1311,7 +1316,7 @@ func runDelete(tx *core.Txn, st *DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := tx.Delete(st.Table, pred)
+	n, err := h.tx.Delete(h.ctx, st.Table, pred)
 	if err != nil {
 		return nil, err
 	}

@@ -263,14 +263,13 @@ func TestExplainDoesNotExecuteOrCount(t *testing.T) {
 	}
 
 	// What EXPLAIN renders is the planned, unopened value: it holds no
-	// morsels and, even under a spilling budget, no spill namespace.
+	// morsels and no spill namespace (planSelect never sees a budget).
 	st, err := Parse(`SELECT o.oid, i.name FROM items i JOIN orders o ON o.item_id = i.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx := eng.Begin()
 	defer tx.Rollback()
-	tx.SetJoinMemoryBudget(64)
 	p, err := planSelect(tx, st.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,8 @@ type Session struct {
 	// Vacuum hooks engine GC for the VACUUM utility statement.
 	Vacuum func() (core.GCResult, error)
 	// joinBudget, when non-nil, overrides the engine-wide JoinMemoryBudget
-	// on every transaction this session begins (explicit and autocommit) —
-	// the per-session memory budget of a serving front end.
+	// for every statement of this session — the per-session memory budget
+	// of a serving front end.
 	joinBudget *int64
 }
 
@@ -41,23 +41,9 @@ func NewSession(eng *core.Engine) *Session {
 
 // SetJoinMemoryBudget gives this session its own hash-join build-side
 // memory budget in bytes, overriding the engine-wide configuration for
-// every transaction the session begins from now on (0 or negative =
-// unlimited). An already-open explicit transaction is updated too.
-func (s *Session) SetJoinMemoryBudget(b int64) {
-	s.joinBudget = &b
-	if s.tx != nil {
-		s.tx.SetJoinMemoryBudget(b)
-	}
-}
-
-// begin starts an engine transaction carrying the session's overrides.
-func (s *Session) begin() *core.Txn {
-	tx := s.eng.Begin()
-	if s.joinBudget != nil {
-		tx.SetJoinMemoryBudget(*s.joinBudget)
-	}
-	return tx
-}
+// every statement the session runs from now on (0 or negative =
+// unlimited).
+func (s *Session) SetJoinMemoryBudget(b int64) { s.joinBudget = &b }
 
 // InTransaction reports whether an explicit transaction is open.
 func (s *Session) InTransaction() bool { return s.tx != nil }
@@ -108,7 +94,7 @@ func (s *Session) ExecParsedWith(st Statement, opts ExecOpts) (*Result, error) {
 		if s.tx != nil {
 			return nil, errors.New("sql: transaction already open")
 		}
-		s.tx = s.begin()
+		s.tx = s.eng.Begin()
 		return &Result{Message: "transaction started"}, nil
 	case CommitStmt:
 		if s.tx == nil {
@@ -146,18 +132,18 @@ func (s *Session) ExecParsedWith(st Statement, opts ExecOpts) (*Result, error) {
 	// (or rolled back) before it returns, and its SimTime includes the commit.
 	tx, auto := s.tx, s.tx == nil
 	if auto {
-		tx = s.begin()
+		tx = s.eng.Begin()
 	}
-	if opts.DOP > 0 {
-		tx.AdoptLease(opts.DOP)
-		defer tx.ClearAdoptedLease()
+	h := &handle{tx: tx, ctx: opts.Ctx, admitted: opts.DOP, budget: s.eng.Options().JoinMemoryBudget}
+	if h.ctx == nil {
+		//polaris:ctx nil ExecOpts.Ctx default: a caller with no context runs the statement uncancellable
+		h.ctx = context.Background()
 	}
-	if opts.Ctx != nil {
-		tx.SetContext(opts.Ctx)
-		defer tx.SetContext(nil)
+	if s.joinBudget != nil {
+		h.budget = *s.joinBudget
 	}
 	before := tx.SimTime()
-	res, err := Execute(tx, st)
+	res, err := execute(h, st)
 	if auto {
 		if err != nil {
 			tx.Rollback()
@@ -170,4 +156,16 @@ func (s *Session) ExecParsedWith(st Statement, opts ExecOpts) (*Result, error) {
 	}
 	res.SimTime = tx.SimTime() - before
 	return res, nil
+}
+
+// handle is one statement's execution state, built by ExecParsedWith and
+// passed to everything that runs the statement, so the transaction — which
+// may span many statements — carries none of it.
+type handle struct {
+	tx  *core.Txn
+	ctx context.Context // the statement's cancellation context, never nil
+	// admitted is the worker-slot count an admission controller granted the
+	// statement (ExecOpts.DOP); 0 leases from the fabric.
+	admitted int
+	budget   int64 // the hash-join build budget: the session's, else the engine's
 }

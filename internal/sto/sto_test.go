@@ -2,6 +2,7 @@ package sto
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -65,7 +66,7 @@ func countRows(t *testing.T, e *core.Engine, table string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := tx.Morsels(state, meta, 0)
+	ms, err := tx.Morsels(context.Background(), state, meta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestAutoCompactRestoresHealth(t *testing.T) {
 	insertRows(t, e, "t", 0, 200)
 	// delete 60% of rows -> fragmentation beyond threshold
 	if err := e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(120)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(120)}})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -308,7 +309,7 @@ func TestCompactionPhysicallyDropsDeletedRows(t *testing.T) {
 	createTable(t, e, "t")
 	insertRows(t, e, "t", 0, 100)
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(50)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(50)}})
 		return err
 	})
 	s.Compact("t")
@@ -338,7 +339,7 @@ func TestCompactionConflictsWithConcurrentUserTxnAndRetries(t *testing.T) {
 	createTable(t, e, "t")
 	insertRows(t, e, "t", 0, 100)
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}})
 		return err
 	})
 	// A user transaction commits an update between compaction's snapshot and
@@ -350,7 +351,7 @@ func TestCompactionConflictsWithConcurrentUserTxnAndRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(70)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpEq, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(70)}})
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -410,7 +411,7 @@ func TestGarbageCollectionRetention(t *testing.T) {
 	// removing commit.
 	setRetention(t, e, "t", 0)
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}})
+		_, err := tx.Delete(context.Background(), "t", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(60)}})
 		return err
 	})
 	s.Compact("t") // logically removes the fragmented originals
@@ -459,7 +460,7 @@ func TestGCCloneSharedLineage(t *testing.T) {
 	}
 	// src compacts away its original files; the clone still references them.
 	_ = e.AutoCommit(func(tx *core.Txn) error {
-		_, err := tx.Delete("src", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(40)}})
+		_, err := tx.Delete(context.Background(), "src", exec.Bin{Kind: exec.OpLt, L: exec.ColRef{Idx: 1}, R: exec.Const{Val: int64(40)}})
 		return err
 	})
 	s.Compact("src")

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -173,7 +174,7 @@ func dmSteps(eng *core.Engine, cfg DMConfig, res *PhaseResult) []func() error {
 			steps = append(steps, func() error {
 				mod := cfg.DeleteEvery + int64(s)
 				err := eng.RunWithRetries(3, func(tx *core.Txn) error {
-					n, err := tx.Delete(table, exec.Bin{
+					n, err := tx.Delete(context.Background(), table, exec.Bin{
 						Kind: exec.OpEq,
 						L:    exec.Bin{Kind: exec.OpMod, L: exec.ColRef{Idx: 0}, R: exec.Const{Val: cfg.DeleteEvery * 7}},
 						R:    exec.Const{Val: mod},

@@ -33,6 +33,7 @@
 package polaris
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -197,8 +198,21 @@ func (db *DB) Orchestrator() *sto.STO { return db.sto }
 
 // Exec runs one SQL statement on the database's main session (autocommit
 // unless a BEGIN is open on it).
-func (db *DB) Exec(query string) (*Rows, error) {
-	res, err := db.main.Exec(query)
+func (db *DB) Exec(query string) (*Rows, error) { return db.ExecContext(context.Background(), query) }
+
+// ExecContext is Exec under ctx: a statement whose ctx is cancelled stops at
+// its next batch, spill-file or task boundary, cleans up its spill files and
+// returns an error wrapping ctx's.
+func (db *DB) ExecContext(ctx context.Context, query string) (*Rows, error) {
+	return execContext(ctx, db.main, query)
+}
+
+func execContext(ctx context.Context, s *sql.Session, query string) (*Rows, error) {
+	st, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.ExecParsedWith(st, sql.ExecOpts{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -247,11 +261,12 @@ type Session struct{ s *sql.Session }
 
 // Exec runs one SQL statement.
 func (s *Session) Exec(query string) (*Rows, error) {
-	res, err := s.s.Exec(query)
-	if err != nil {
-		return nil, err
-	}
-	return wrap(res), nil
+	return s.ExecContext(context.Background(), query)
+}
+
+// ExecContext is Exec under ctx (see DB.ExecContext).
+func (s *Session) ExecContext(ctx context.Context, query string) (*Rows, error) {
+	return execContext(ctx, s.s, query)
 }
 
 // MustExec is Exec that panics on error.
@@ -265,7 +280,7 @@ func (s *Session) MustExec(query string) *Rows {
 
 // SetJoinMemoryBudget gives this session its own hash-join build-side
 // memory budget in bytes, overriding Config.JoinMemoryBudget for every
-// transaction the session begins from now on (0 or negative = unlimited).
+// statement the session runs from now on (0 or negative = unlimited).
 // This is the per-session budget hook a multi-tenant front end uses to
 // isolate sessions' spill behavior from each other.
 func (s *Session) SetJoinMemoryBudget(b int64) { s.s.SetJoinMemoryBudget(b) }

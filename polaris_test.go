@@ -1,6 +1,8 @@
 package polaris
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -176,4 +178,34 @@ func TestOpenRejectsOversizeRowGroups(t *testing.T) {
 	}()
 	db := Open(cfg)
 	db.Close()
+}
+
+// TestExecContextCancelled: a SELECT run under an already-cancelled context
+// returns context.Canceled and holds no worker slot, on the DB's main
+// session and on an opened one; under a live context it answers.
+func TestExecContextCancelled(t *testing.T) {
+	db := Open(smallConfig())
+	defer db.Close()
+	db.MustExec(`CREATE TABLE t (k INT, v INT) WITH (DISTRIBUTION = k)`)
+	db.MustExec(`INSERT INTO t VALUES (1, 10), (2, 20), (1, 30)`)
+	s := db.Session()
+	defer s.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const q = `SELECT k, SUM(v) AS total FROM t GROUP BY k ORDER BY k`
+	for _, c := range []struct {
+		name string
+		exec func(context.Context, string) (*Rows, error)
+	}{{"db", db.ExecContext}, {"session", s.ExecContext}} {
+		if _, err := c.exec(cancelled, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", c.name, err)
+		}
+		if n := db.Engine().Fabric.LeasedSlots(); n != 0 {
+			t.Fatalf("%s: %d fabric slots still leased", c.name, n)
+		}
+		r, err := c.exec(context.Background(), q)
+		if err != nil || r.Len() != 2 || r.Value(0, 1) != int64(40) {
+			t.Fatalf("%s: live context: %v, err %v", c.name, r, err)
+		}
+	}
 }
