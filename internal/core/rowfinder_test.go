@@ -584,3 +584,92 @@ func TestDMLRowScanObservesCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestDMLEveryRowOfAGroup: UPDATE and DELETE whose predicate passes every
+// live row of a row group — the scan then emits the group with no selection,
+// or with an exact copy of its live rows when a deletion vector removed some
+// — affect exactly the rows counted by hand, and leave exactly the rows
+// written by hand after COMMIT, under both delete modes. The table is one
+// file of four 10-row groups whose k and v are the row number.
+func TestDMLEveryRowOfAGroup(t *testing.T) {
+	for _, mode := range []DeleteMode{MergeOnRead, CopyOnWrite} {
+		opts := DefaultOptions()
+		opts.Distributions, opts.RowsPerFile, opts.RowsPerGroup, opts.Deletes = 1, 40, 10, mode
+		fabric := compute.NewFabric(compute.Config{Elastic: true, InitNodes: 2, SlotsPer: 2})
+		e := NewEngine(catalog.NewDB(), objectstore.New(), fabric, opts)
+		if err := e.AutoCommit(func(tx *Txn) error {
+			if _, err := tx.CreateTable("t", finderSchema(), "d", "k"); err != nil {
+				return err
+			}
+			b := colfile.NewBatch(finderSchema())
+			for i := 0; i < 40; i++ {
+				if err := b.AppendRow("x", int64(i), int64(0), float64(i)); err != nil {
+					return err
+				}
+			}
+			_, err := tx.Insert("t", b)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k, v := exec.ColRef{Idx: 1, Name: "k"}, exec.ColRef{Idx: 3, Name: "v"}
+		keys := func(lo, hi int64) exec.Expr { // lo <= k AND k <= hi
+			return exec.Bin{Kind: exec.OpAnd,
+				L: exec.Bin{Kind: exec.OpGe, L: k, R: exec.Const{Val: lo}},
+				R: exec.Bin{Kind: exec.OpLe, L: k, R: exec.Const{Val: hi}}}
+		}
+		bump := map[string]exec.Expr{"v": exec.Bin{Kind: exec.OpAdd, L: v, R: exec.Const{Val: 100.0}}}
+		ctx := context.Background()
+		steps := []struct {
+			name string
+			run  func(tx *Txn) (int64, error)
+			want int64
+		}{
+			{"delete rows 3-4 of group 0", func(tx *Txn) (int64, error) { return tx.Delete(ctx, "t", keys(3, 4)) }, 2},
+			{"update the live rows of group 0", func(tx *Txn) (int64, error) { return tx.Update(ctx, "t", keys(0, 9), bump) }, 8},
+			{"update every row of group 1", func(tx *Txn) (int64, error) { return tx.Update(ctx, "t", keys(10, 19), bump) }, 10},
+			{"delete every row of group 2", func(tx *Txn) (int64, error) { return tx.Delete(ctx, "t", keys(20, 29)) }, 10},
+		}
+		// The first step commits alone, so the others scan a group that a
+		// committed deletion vector (or rewrite) thinned; the rest commit
+		// together.
+		for i, batch := range [][]int{{0}, {1, 2, 3}} {
+			tx := e.Begin()
+			for _, s := range batch {
+				if n, err := steps[s].run(tx); err != nil || n != steps[s].want {
+					t.Fatalf("mode %d: %s: %d rows, err %v; want %d", mode, steps[s].name, n, err, steps[s].want)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("mode %d: commit %d: %v", mode, i, err)
+			}
+		}
+		var want []string
+		for i := 0; i < 40; i++ {
+			switch {
+			case i == 3 || i == 4 || i >= 20 && i < 30:
+			case i < 20:
+				want = append(want, fmt.Sprint([]any{"x", int64(i), int64(0), float64(i) + 100}...))
+			default:
+				want = append(want, fmt.Sprint([]any{"x", int64(i), int64(0), float64(i)}...))
+			}
+		}
+		tx := e.Begin()
+		if got := tableRows(t, tx); !reflect.DeepEqual(got, sorted(want)) {
+			t.Fatalf("mode %d: rows after COMMIT:\n got %v\nwant %v", mode, got, sorted(want))
+		}
+		// The updated rows now live in the files the UPDATEs wrote: a
+		// DELETE of every key below 20 finds exactly the 18 left there.
+		if n, err := tx.Delete(ctx, "t", keys(0, 19)); err != nil || n != 18 {
+			t.Fatalf("mode %d: delete of the updated rows: %d rows, err %v; want 18", mode, n, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tx = e.Begin()
+		if got := tableRows(t, tx); !reflect.DeepEqual(got, sorted(want[18:])) {
+			t.Fatalf("mode %d: rows after the second COMMIT:\n got %v\nwant %v", mode, got, sorted(want[18:]))
+		}
+		tx.Rollback()
+	}
+}

@@ -260,6 +260,40 @@ func TestFilterOperator(t *testing.T) {
 	}
 }
 
+// TestCollectPassesLoneDenseBatch: Collect hands a stream of one dense batch
+// back uncopied, and copies any other stream — a selected batch before it
+// asks for the next, since Filter reuses its selection and header across
+// calls.
+func TestCollectPassesLoneDenseBatch(t *testing.T) {
+	schema := intSchema("k")
+	batch := func(lo int) *colfile.Batch {
+		b := colfile.NewBatch(schema)
+		for k := lo; k < lo+10; k++ {
+			b.Cols[0].AppendInt(int64(k))
+		}
+		return b
+	}
+	lone := batch(0)
+	out, err := Collect(NewBatchSource(lone))
+	if err != nil || out.NumRows() != 10 || out.Cols[0] != lone.Cols[0] {
+		t.Fatalf("a lone dense batch was copied (or lost): %d rows, err %v", out.NumRows(), err)
+	}
+	k := ColRef{Idx: 0, Name: "k"}
+	for _, c := range []struct {
+		pred Expr
+		want []int64
+	}{
+		{Bin{Kind: OpEq, L: Bin{Kind: OpMod, L: k, R: Const{Val: int64(2)}}, R: Const{Val: int64(0)}}, []int64{0, 2, 4, 6, 8, 10, 12, 14, 16, 18}},
+		{Bin{Kind: OpLt, L: k, R: Const{Val: int64(13)}}, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}, // a dense batch, then a selected one
+	} {
+		in := NewBatchList(schema, []*colfile.Batch{batch(0), batch(10)})
+		out, err := Collect(&Filter{In: in, Pred: prog(t, schema, c.pred)})
+		if err != nil || out.Sel != nil || !reflect.DeepEqual(out.Cols[0].Ints, c.want) {
+			t.Fatalf("%s: collected %v (selection %v), err %v; want %v", c.pred, out.Cols[0].Ints, out.Sel, err, c.want)
+		}
+	}
+}
+
 func TestFilterComplexPredicate(t *testing.T) {
 	f := lineFile(t, 100)
 	s, _ := NewScan([]ScanFile{{R: mustOpen(t, f)}}, nil, nil, nil)
@@ -751,6 +785,41 @@ func TestScanOrdinals(t *testing.T) {
 	s, _ = NewScan(files, nil, even, nil)
 	if got := collect(s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("wide pushed scan ordinals = %v, want %v", got, want)
+	}
+
+	// k % 100 >= 5 passes every row of groups 1 and 2 of both files and none
+	// of group 0. File 0's group 1 lost rows 5 and 6 to its deletion vector,
+	// so its selection is the live rows 7–9; its group 2 lost none, and
+	// neither did file 1's groups, so they are dense batches.
+	tail, err := Compile(Bin{Kind: OpGe, L: Bin{Kind: OpMod, L: ColRef{Idx: 1}, R: Const{Val: int64(100)}}, R: Const{Val: int64(5)}}, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = map[int][]uint32{0: {7, 8, 9, 10, 11, 12, 13, 14}, 1: {5, 6, 7, 8, 9, 10, 11, 12, 13, 14}}
+	wantSels := [][]int{{2, 3, 4}, nil, nil, nil}
+	for _, c := range []struct {
+		cols []string
+		pred *Prog
+	}{{[]string{"k"}, tail.Narrow()}, {nil, tail}} {
+		s, _ = NewScan(files, c.cols, c.pred, nil)
+		if got := collect(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("every-row scan ordinals = %v, want %v", got, want)
+		}
+		s, _ = NewScan(files, c.cols, c.pred, nil)
+		var sels [][]int
+		for {
+			b, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			sels = append(sels, b.Sel)
+		}
+		if !reflect.DeepEqual(sels, wantSels) {
+			t.Fatalf("every-row scan selections = %v, want %v", sels, wantSels)
+		}
 	}
 
 	// A windowed morsel starts counting at its window's first row.

@@ -44,8 +44,13 @@ var kernelExprs = []Expr{
 	IsNull{E: ColRef{Idx: 2}, Negate: true},
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(0), int64(1), int64(-1)}},
 	InList{E: ColRef{Idx: 3}, Vals: []any{"a", ""}, Negate: true},
-	Bin{Kind: OpLt, L: ColRef{Idx: 3}, R: ColRef{Idx: 0}}, // lazy type error
+	Bin{Kind: OpLt, L: ColRef{Idx: 3}, R: ColRef{Idx: 0}},               // lazy type error
+	InList{E: ColRef{Idx: 0}, Vals: []any{int64(1), nil}},               // TRUE on 1, else NULL
+	InList{E: ColRef{Idx: 0}, Vals: []any{int64(1), nil}, Negate: true}, // FALSE on 1, else NULL
 }
+
+// nullInLists is how many IN lists with a NULL end kernelExprs.
+const nullInLists = 2
 
 // rangedExprs: conjunctions of Int64 comparisons whose zone-map ranges the
 // fuzzer checks (Prog.Ranges).
@@ -86,6 +91,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(3), int64(0), 1.5, "al%pha", true, uint8(0b10101), uint8(8), uint8(2), 5)
 	f.Add(int64(-7), int64(2), -0.0, "", false, uint8(0), uint8(9), uint8(0), 1)
 	f.Add(int64(42), int64(-1), 1e18, "a_b", true, uint8(0xff), uint8(18), uint8(3), 9)
+	for pick := len(kernelExprs) - nullInLists; pick < len(kernelExprs); pick++ { // i = 0, 1, 2, …, NULL on even rows: NULL, TRUE (or FALSE), NULL, …
+		f.Add(int64(0), int64(1), 0.0, "n", true, uint8(0b00001), uint8(pick), uint8(0), 6)
+	}
 	ranged := len(kernelExprs)
 	for pick := ranged; pick < ranged+len(rangedExprs); pick++ { // every ranged conjunction, over the int64 extremes
 		f.Add(int64(math.MinInt64), int64(math.MaxInt64), 0.5, "r", false, uint8(0b00010), uint8(pick), uint8(0), 7)

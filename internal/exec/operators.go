@@ -21,6 +21,9 @@ type Telemetry struct {
 }
 
 // Operator is a pull-based batch iterator. Next returns nil at end of stream.
+// A batch Next returns is read-only. A dense one stays valid after the next
+// call; a selected one only until it, because an operator may reuse its
+// selection and header (Filter does).
 type Operator interface {
 	Schema() colfile.Schema
 	Next() (*colfile.Batch, error)
@@ -57,15 +60,17 @@ type Scan struct {
 	// morsel's only file).
 	groupLo, groupHi int
 
-	// pred is the scan's predicate (shared immutable Prog, per-scan
-	// EvalCtx; nil = none). A row group outside one of its Ranges is
-	// skipped unread. Otherwise the DV-live selection is computed first,
-	// then only the predicate's columns are decoded and evaluated; the
-	// remaining projected columns are decoded only for groups with at
-	// least one qualifying row. See NewScan.
+	// pred is the scan's predicate (shared immutable Prog; nil = none). A
+	// row group outside one of its Ranges is skipped unread. Otherwise the
+	// DV-live selection is computed first, then only the predicate's columns
+	// are decoded and evaluated; the remaining projected columns are decoded
+	// only for groups with at least one qualifying row. See NewScan.
 	pred     *Prog
 	predCols []int // projected-schema positions decoded to evaluate pred
-	predCtx  *EvalCtx
+	// predCtx is pred's evaluation context. It comes from evalCtxPool on
+	// the first pushed group and goes back, released from pred, at end of
+	// stream; its output never leaves readGroupPushdown.
+	predCtx *EvalCtx
 
 	fileIdx  int
 	reader   *colfile.Reader
@@ -80,11 +85,15 @@ type Scan struct {
 	// live holds a row group's live offsets under its deletion vector. It
 	// comes from liveSelPool on first use and goes back at end of stream;
 	// it never reaches an emitted batch (Take copies, and a pushed
-	// predicate's survivors are a selection of their own).
+	// predicate's survivors are a selection of their own, sized to their
+	// count, or none when every row of the group passes).
 	live *[]int
 }
 
-var liveSelPool = sync.Pool{New: func() any { return new([]int) }}
+var (
+	liveSelPool = sync.Pool{New: func() any { return new([]int) }}
+	evalCtxPool = sync.Pool{New: func() any { return new(EvalCtx) }}
+)
 
 // liveRows returns the offsets of the live rows among a group's n rows at
 // file ordinal base, in the scan's pooled selection; valid until the next
@@ -115,7 +124,7 @@ func NewScan(files []ScanFile, cols []string, pred *Prog, tel *Telemetry) (*Scan
 		if err := CheckPredicate(pred); err != nil {
 			return nil, err
 		}
-		s.pred, s.predCols, s.predCtx = pred, pred.Cols(), pred.NewCtx()
+		s.pred, s.predCols = pred, pred.Cols()
 		if len(s.predCols) == 0 {
 			s.predCols = []int{0} // a constant predicate still needs the row count
 		}
@@ -174,6 +183,11 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 				if s.live != nil {
 					liveSelPool.Put(s.live)
 					s.live = nil
+				}
+				if s.predCtx != nil {
+					s.predCtx.release(s.pred)
+					evalCtxPool.Put(s.predCtx)
+					s.predCtx = nil
 				}
 				return nil, nil
 			}
@@ -304,17 +318,20 @@ func (s *Scan) Ordinals() (file int, ords []uint32) {
 // predicate's columns are decoded and the program runs over that selection;
 // (3) the remaining projected columns are decoded only when at least one row
 // qualifies. Returns nil (no batch) when the whole group is filtered out.
+// The survivors are counted before they are gathered, so the batch's
+// selection holds exactly them; when every row of the group passes it has
+// none.
 //
 //polaris:kernel the predicate program is position-aligned with its inputs, so pv lanes are read at the same physical positions the selection enumerates
 func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch, error) {
-	var sel []int
+	var live []int // nil = every row of the group is live
 	if dv := s.files[s.fileIdx].DV; dv != nil && !dv.IsEmpty() {
-		sel = s.liveRows(dv, base, groupRows)
-		if len(sel) == 0 {
+		live = s.liveRows(dv, base, groupRows)
+		if len(live) == 0 {
 			return nil, nil
 		}
-		if len(sel) == groupRows {
-			sel = nil // dense
+		if len(live) == groupRows {
+			live = nil
 		}
 	}
 
@@ -326,33 +343,55 @@ func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch,
 		}
 		cols[c] = v
 	}
-	pb := &colfile.Batch{Schema: s.schema, Cols: cols, Sel: sel}
+	pb := &colfile.Batch{Schema: s.schema, Cols: cols, Sel: live}
 	if cols[0] == nil {
 		// PhysRows reads Cols[0].Len(); alias a decoded predicate column
 		// there purely for its length — the program only dereferences the
 		// slots it reads, and the alias is overwritten below.
 		pb.Cols[0] = cols[s.predCols[0]]
 	}
+	if s.predCtx == nil {
+		s.predCtx = evalCtxPool.Get().(*EvalCtx)
+	}
 	pv, err := s.pred.Run(s.predCtx, pb)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, pb.NumRows())
-	if sel == nil {
+	n := 0
+	if live == nil {
 		for i := 0; i < groupRows; i++ {
-			if !pv.IsNull(i) && pv.Bools[i] {
-				out = append(out, i)
+			if passes(pv, i) {
+				n++
 			}
 		}
 	} else {
-		for _, i := range sel {
-			if !pv.IsNull(i) && pv.Bools[i] {
-				out = append(out, i)
+		for _, i := range live {
+			if passes(pv, i) {
+				n++
 			}
 		}
 	}
-	if len(out) == 0 {
+	var sel []int // nil = every row of the group
+	switch {
+	case n == 0:
 		return nil, nil
+	case live == nil && n == groupRows:
+	case n == len(live):
+		sel = append(make([]int, 0, n), live...) // live is the scan's pooled scratch
+	case live == nil:
+		sel = make([]int, 0, n)
+		for i := 0; i < groupRows; i++ {
+			if passes(pv, i) {
+				sel = append(sel, i)
+			}
+		}
+	default:
+		sel = make([]int, 0, n)
+		for _, i := range live {
+			if passes(pv, i) {
+				sel = append(sel, i)
+			}
+		}
 	}
 
 	have := make([]bool, len(s.schema))
@@ -369,8 +408,13 @@ func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch,
 		}
 		cols[c] = v
 	}
-	return &colfile.Batch{Schema: s.schema, Cols: cols, Sel: out}, nil
+	return &colfile.Batch{Schema: s.schema, Cols: cols, Sel: sel}, nil
 }
+
+// passes reports whether lane i of a predicate's result is TRUE.
+//
+//polaris:kernel i is a physical lane: readGroupPushdown passes the positions its selection enumerates
+func passes(pv *colfile.Vec, i int) bool { return pv.Bools[i] && !pv.IsNull(i) }
 
 func (s *Scan) fullSchemaMatches(other colfile.Schema) bool {
 	if s.colIdxs == nil {
@@ -597,18 +641,28 @@ func sliceBatch(b *colfile.Batch, lo, hi int) *colfile.Batch {
 
 // Collect drains an operator into a single batch, for callers with no
 // statement context: the storage engine's DML scans, benchmarks and tests.
-// SELECT execution uses CollectCtx.
+// SELECT execution uses CollectCtx. Its result is read-only, as CollectCtx's.
 func Collect(op Operator) (*colfile.Batch, error) {
 	//polaris:ctx entry point for callers outside statement execution (core DML, harnesses)
 	return CollectCtx(context.Background(), op)
 }
 
-// CollectCtx drains an operator into a single batch, checking ctx between
-// batches: when a sibling unit of a ForEachIndexed pool fails (or the caller
-// cancels), the drain stops at the next batch boundary instead of paying the
-// remaining scan/probe/spill cost of a doomed plan fragment.
+// CollectCtx drains an operator into a single dense batch, checking ctx
+// between batches: when a sibling unit of a ForEachIndexed pool fails (or the
+// caller cancels), the drain stops at the next batch boundary instead of
+// paying the remaining scan/probe/spill cost of a doomed plan fragment.
+//
+// A stream of one dense batch is passed through uncopied, under a header of
+// the caller's own (op's schema, the batch's columns): a sorted run, a lone
+// morsel's output, a single row group. So the result is read-only — its
+// vectors may be a scan's, shared with every statement reading the file — and
+// only its Schema and Cols fields may be changed (resliced, never written
+// through). Any other stream is concatenated into new vectors. A dense batch
+// may be held across the next Next (see Operator); a selected one is copied
+// before it, because Filter reuses its selection and header.
 func CollectCtx(ctx context.Context, op Operator) (*colfile.Batch, error) {
-	out := colfile.NewBatch(op.Schema())
+	schema := op.Schema()
+	var lone, out *colfile.Batch // lone: the stream's only batch so far, dense and uncopied
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -617,11 +671,24 @@ func CollectCtx(ctx context.Context, op Operator) (*colfile.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if b == nil {
-			return out, nil
+		if schema == nil && b != nil {
+			schema = b.Schema // op was built without one
 		}
-		if out.Schema == nil {
-			out = colfile.NewBatch(b.Schema)
+		switch {
+		case b == nil && out != nil:
+			return out, nil
+		case b == nil && lone != nil:
+			return &colfile.Batch{Schema: schema, Cols: lone.Cols}, nil
+		case b == nil:
+			return colfile.NewBatch(schema), nil
+		case out == nil && lone == nil && b.Sel == nil:
+			lone = b
+			continue
+		case out == nil:
+			out = colfile.NewBatch(schema)
+			if lone != nil {
+				out.AppendBatch(lone)
+			}
 		}
 		out.AppendBatch(b)
 	}

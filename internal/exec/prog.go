@@ -191,10 +191,25 @@ func (p *Prog) ColRef() (int, bool) {
 // slot's entry in own is only a capped view ([:n:n]) of the program's shared
 // broadcast, so nothing written through the ctx can reach the shared array.
 // An EvalCtx must not be shared across goroutines; the vector returned by Run
-// is valid until the next Run on the same ctx.
+// is valid until the next Run on the same ctx. A context may move to another
+// program once release has cut it loose from the one it ran (a scan's
+// pooled predicate context does): its scratch vectors are kept for reuse.
 type EvalCtx struct {
 	ptrs []*colfile.Vec
 	own  []colfile.Vec
+}
+
+// release drops what ties the context to p: its views of p's broadcast
+// constants and its pointers into the last batch. A later program whose slot
+// i is scratch would otherwise ResetLen the view of p's constant i, whose
+// capacity is the published array's, and write its kernel output there.
+func (ctx *EvalCtx) release(p *Prog) {
+	for si := range p.slots {
+		if p.slots[si].kind == slotConst && si < len(ctx.own) {
+			ctx.own[si] = colfile.Vec{}
+		}
+	}
+	clear(ctx.ptrs)
 }
 
 // NewCtx returns a fresh evaluation context for the program.
@@ -207,9 +222,13 @@ func (p *Prog) NewCtx() *EvalCtx { return &EvalCtx{} }
 // ctx-owned scratch — read it before the next Run on the same ctx and never
 // mutate it.
 func (p *Prog) Run(ctx *EvalCtx, b *colfile.Batch) (*colfile.Vec, error) {
-	if ctx.ptrs == nil {
-		ctx.ptrs = make([]*colfile.Vec, len(p.slots))
-		ctx.own = make([]colfile.Vec, len(p.slots))
+	if len(ctx.ptrs) != len(p.slots) {
+		// A fresh context, or one another program released: every slot's
+		// pointer is set below, and own keeps the scratch it has.
+		ctx.ptrs = slices.Grow(ctx.ptrs[:0], len(p.slots))[:len(p.slots)]
+		if n := len(p.slots) - len(ctx.own); n > 0 {
+			ctx.own = append(ctx.own, make([]colfile.Vec, n)...)
+		}
 	}
 	n := b.PhysRows()
 	sel := b.Sel

@@ -8,9 +8,11 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"polaris/internal/colfile"
+	"polaris/internal/deletevector"
 )
 
 // TestProbeScratchOutlivesMorsel: a probe that drains to the end of its
@@ -101,5 +103,132 @@ func TestSpilledJoinAllocationGate(t *testing.T) {
 	t.Logf("JoinBatches allocates %d bytes per probe row", per)
 	if per > spillGateBytesPerRow {
 		t.Fatalf("JoinBatches allocates %d bytes per probe row, want at most %d", per, spillGateBytesPerRow)
+	}
+}
+
+// pushedScanFile is one row group of rows rows whose k is its row number.
+func pushedScanFile(t *testing.T, rows int) *colfile.Reader {
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "v", Type: colfile.Int64}}
+	group := make([][]any, rows)
+	for i := range group {
+		group[i] = []any{int64(i), int64(i % 7)}
+	}
+	return mustOpen(t, makeFile(t, schema, [][][]any{group}))
+}
+
+// scanOnce drains a pushed scan of files under pred and returns its batches.
+func scanOnce(t *testing.T, files []ScanFile, pred *Prog) []*colfile.Batch {
+	s, err := NewScan(files, nil, pred, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*colfile.Batch
+	for {
+		b, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return out
+		}
+		out = append(out, b)
+	}
+}
+
+// TestPushedScanSelectionSizedToSurvivors: a pushed scan's selection holds
+// exactly the row group's survivors — one entry for a point predicate, not
+// one per row — and none at all when every row passes and no row is deleted.
+// When a deletion vector removed some rows and every live row passes, the
+// selection is an exact copy of the live rows (the scan's own live selection
+// is pooled scratch and never leaves it).
+func TestPushedScanSelectionSizedToSurvivors(t *testing.T) {
+	const rows = 4096
+	r := pushedScanFile(t, rows)
+	schema := r.Schema()
+	k := ColRef{Idx: 0, Name: "k"}
+	point := prog(t, schema, Bin{Kind: OpEq, L: k, R: Const{Val: int64(1234)}})
+	every := prog(t, schema, Bin{Kind: OpGe, L: k, R: Const{Val: int64(0)}})
+
+	out := scanOnce(t, []ScanFile{{R: r}}, point)
+	if len(out) != 1 || len(out[0].Sel) != 1 || cap(out[0].Sel) != 1 || out[0].Sel[0] != 1234 {
+		t.Fatalf("point scan: %d batches, want one whose selection is [1234] with capacity 1 (got %v)", len(out), out)
+	}
+
+	out = scanOnce(t, []ScanFile{{R: r}}, every)
+	if len(out) != 1 || out[0].Sel != nil || out[0].NumRows() != rows {
+		t.Fatalf("every row passes: want one dense batch of %d rows, got %d batches", rows, len(out))
+	}
+
+	deleted := []uint32{3, 100, 4095}
+	out = scanOnce(t, []ScanFile{{R: r, DV: deletevector.FromRows(deleted)}}, every)
+	if len(out) != 1 {
+		t.Fatalf("every live row passes: %d batches, want 1", len(out))
+	}
+	var want []int
+	for i := 0; i < rows; i++ {
+		if !slices.Contains(deleted, uint32(i)) {
+			want = append(want, i)
+		}
+	}
+	if sel := out[0].Sel; !slices.Equal(sel, want) || cap(sel) != len(want) {
+		t.Fatalf("every live row passes: selection of %d entries (capacity %d), want the %d live rows exactly", len(sel), cap(sel), len(want))
+	}
+}
+
+// TestPushedScanPredicateScratchOutlivesScan: a pushed scan's predicate
+// context goes back to the pool at end of stream, so the next scan of the
+// same shape allocates no kernel scratch: a point scan of one 4,096-row group
+// allocates less than its predicate's 4,096-lane BOOL output would take.
+func TestPushedScanPredicateScratchOutlivesScan(t *testing.T) {
+	const rows = 4096
+	r := pushedScanFile(t, rows)
+	k := ColRef{Idx: 0, Name: "k"}
+	point := prog(t, r.Schema(), Bin{Kind: OpEq, L: k, R: Const{Val: int64(1234)}})
+	files := []ScanFile{{R: r}}
+	scanOnce(t, files, point) // the first scan sizes the scratch
+	const scans = 10
+	per := allocatedBy(func() {
+		for i := 0; i < scans; i++ {
+			scanOnce(t, files, point)
+		}
+	}) / scans
+	t.Logf("a warm pushed scan allocates %d bytes", per)
+	if per >= rows {
+		t.Fatalf("a warm pushed scan of %d rows allocates %d bytes, want fewer than %d: its predicate scratch was allocated again", rows, per, rows)
+	}
+}
+
+// TestReleasedCtxKeepsConstants: a context that ran a program with a
+// constant in slot 1 and was released may run a program whose slot 1 is
+// kernel scratch — the pooled scan context does exactly that — and the
+// first program's broadcast constants stay intact.
+func TestReleasedCtxKeepsConstants(t *testing.T) {
+	schema := colfile.Schema{{Name: "b", Type: colfile.Bool}}
+	b := colfile.NewBatch(schema)
+	for i := 0; i < 64; i++ {
+		b.Cols[0].AppendBool(i%2 == 0)
+	}
+	flag := ColRef{Idx: 0, Name: "b"}
+	withConst := prog(t, schema, Bin{Kind: OpOr, L: flag, R: Const{Val: true}}) // slot 1: TRUE
+	withScratch := prog(t, schema, Bin{Kind: OpOr, L: Not{E: flag}, R: flag})   // slot 1: NOT b
+	if withConst.slots[1].kind != slotConst || withScratch.slots[1].kind != slotScratch {
+		t.Fatal("the programs no longer put a constant and scratch in slot 1")
+	}
+	ctx := &EvalCtx{}
+	if _, err := withConst.Run(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	ctx.release(withConst)
+	v, err := withScratch.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range v.Bools {
+		if !x {
+			t.Fatalf("NOT b OR b is FALSE on lane %d", i)
+		}
+	}
+	if err := withConst.CheckConstants(); err != nil {
+		t.Fatal(err)
 	}
 }

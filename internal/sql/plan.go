@@ -798,6 +798,7 @@ func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error
 	if err != nil {
 		return nil, err
 	}
+	// The header is ours to reslice; the vectors under it may be a scan's.
 	b.Schema, b.Cols = b.Schema[:width], b.Cols[:width]
 	return b, nil
 }
