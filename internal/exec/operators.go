@@ -375,17 +375,14 @@ func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch,
 	switch {
 	case n == 0:
 		return nil, nil
-	case live == nil && n == groupRows:
-	case n == len(live):
-		sel = append(make([]int, 0, n), live...) // live is the scan's pooled scratch
-	case live == nil:
+	case live == nil && n < groupRows:
 		sel = make([]int, 0, n)
 		for i := 0; i < groupRows; i++ {
 			if passes(pv, i) {
 				sel = append(sel, i)
 			}
 		}
-	default:
+	case live != nil: // a selection of its own: live is the scan's pooled scratch
 		sel = make([]int, 0, n)
 		for _, i := range live {
 			if passes(pv, i) {
