@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -353,6 +355,92 @@ func TestLimitAndOffset(t *testing.T) {
 	}
 	if out.NumRows() != 5 || out.Cols[0].Ints[0] != 10 || out.Cols[0].Ints[4] != 14 {
 		t.Fatalf("limit = %v", out.Cols[0].Ints)
+	}
+}
+
+// batchList is an operator over given batches, in order.
+type batchList []*colfile.Batch
+
+func (l *batchList) Schema() colfile.Schema { return (*l)[0].Schema }
+
+func (l *batchList) Next() (*colfile.Batch, error) {
+	if len(*l) == 0 {
+		return nil, nil
+	}
+	b := (*l)[0]
+	*l = (*l)[1:]
+	return b, nil
+}
+
+// TestLimitGathersOnlyKeptRows: LIMIT 3 OFFSET n over a 4,096-row batch that
+// selects every other row returns the selection's rows n, n+1 and n+2 (fewer
+// at its end), and allocates for those rows only, not for a gather of the
+// whole selection. A batch OFFSET skips whole is passed over by its count.
+func TestLimitGathersOnlyKeptRows(t *testing.T) {
+	const rows = 4096
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "s", Type: colfile.String}}
+	b := colfile.NewBatch(schema)
+	for i := 0; i < rows; i++ {
+		b.Cols[0].AppendInt(int64(i))
+		b.Cols[1].AppendStr(fmt.Sprintf("row-%d", i))
+	}
+	for i := 0; i < rows; i += 2 {
+		b.Sel = append(b.Sel, i)
+	}
+	limitN := func(n, offset int64, in ...*colfile.Batch) []int64 {
+		src := batchList(in)
+		out, err := Collect(&Limit{In: &src, N: n, Offset: offset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Sel != nil {
+			t.Fatalf("OFFSET %d: a selected result", offset)
+		}
+		for i, k := range out.Cols[0].Ints {
+			if s := out.Cols[1].Value(i); s != fmt.Sprintf("row-%d", k) {
+				t.Fatalf("OFFSET %d: row %d is (%d, %v)", offset, i, k, s)
+			}
+		}
+		return out.Cols[0].Ints
+	}
+	limit := func(offset int64, in ...*colfile.Batch) []int64 { return limitN(3, offset, in...) }
+	for _, c := range []struct {
+		offset int64
+		want   []int64
+	}{
+		{0, []int64{0, 2, 4}},
+		{5, []int64{10, 12, 14}},
+		{2046, []int64{4092, 4094}},
+		{2048, nil},
+	} {
+		if got := limit(c.offset, b); !slices.Equal(got, c.want) {
+			t.Errorf("LIMIT 3 OFFSET %d = %v, want %v", c.offset, got, c.want)
+		}
+	}
+	if got, want := limit(2047, b, b), []int64{4094, 0, 2}; !slices.Equal(got, want) {
+		t.Errorf("LIMIT 3 OFFSET 2047 over two batches = %v, want %v", got, want)
+	}
+	if got, want := limit(2050, b, b), []int64{4, 6, 8}; !slices.Equal(got, want) {
+		t.Errorf("LIMIT 3 OFFSET 2050 over two batches = %v, want %v", got, want)
+	}
+	// The largest LIMIT, the "OFFSET only" idiom, keeps every row after
+	// the OFFSET: LIMIT+OFFSET does not fit an int64.
+	for _, offset := range []int64{1, 2049} {
+		got := limitN(math.MaxInt64, offset, b, b)
+		if len(got) != 2*rows/2-int(offset) || got[0] != 2*(offset%(rows/2)) || got[len(got)-1] != rows-2 {
+			t.Errorf("LIMIT MaxInt64 OFFSET %d over two batches: %d rows, %v … %v", offset, len(got), got[:min(len(got), 3)], got[max(len(got)-3, 0):])
+		}
+	}
+	const runs = 10
+	per := allocatedBy(func() {
+		for i := 0; i < runs; i++ {
+			limit(1000, b)
+		}
+	}) / runs
+	// Three kept rows are 3 ints and 3 string headers; a gather of the
+	// selection would be 2,048 of each.
+	if bound := uint64(1024); per > bound {
+		t.Fatalf("LIMIT 3 over a selected %d-row batch allocates %d bytes, want at most %d: it gathered rows it does not keep", rows, per, bound)
 	}
 }
 

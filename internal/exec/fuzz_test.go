@@ -45,6 +45,8 @@ var kernelExprs = []Expr{
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(0), int64(1), int64(-1)}},
 	InList{E: ColRef{Idx: 3}, Vals: []any{"a", ""}, Negate: true},
 	Bin{Kind: OpLt, L: ColRef{Idx: 3}, R: ColRef{Idx: 0}},               // lazy type error
+	InList{E: ColRef{Idx: 0}, Vals: []any{1.0, int64(-1), 2.5}},         // a float literal against ints
+	InList{E: ColRef{Idx: 2}, Vals: []any{int64(0), 1.5}, Negate: true}, // an int literal against floats
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(1), nil}},               // TRUE on 1, else NULL
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(1), nil}, Negate: true}, // FALSE on 1, else NULL
 }
@@ -62,6 +64,9 @@ var rangedExprs = []Expr{
 	Bin{Kind: OpAnd, L: Bin{Kind: OpAnd, L: Bin{Kind: OpGt, L: ColRef{Idx: 0}, R: Const{Val: -1}}, R: Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: Const{Val: 9}}},
 		R: Bin{Kind: OpOr, L: Bin{Kind: OpEq, L: ColRef{Idx: 0}, R: Const{Val: int64(1)}}, R: Bin{Kind: OpNe, L: ColRef{Idx: 1}, R: Const{Val: int64(0)}}}},
 	Bin{Kind: OpAnd, L: Not{E: Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: Const{Val: int64(3)}}}, R: Bin{Kind: OpGe, L: ColRef{Idx: 1}, R: Const{Val: int64(-2)}}},
+	// A range on i, a range on j and a residual that may divide by zero.
+	Bin{Kind: OpAnd, L: Bin{Kind: OpAnd, L: Bin{Kind: OpGe, L: ColRef{Idx: 0}, R: Const{Val: int64(-6)}}, R: Bin{Kind: OpLe, L: ColRef{Idx: 1}, R: Const{Val: int64(1)}}},
+		R: Bin{Kind: OpEq, L: Bin{Kind: OpMod, L: ColRef{Idx: 0}, R: ColRef{Idx: 1}}, R: Const{Val: int64(0)}}},
 }
 
 // illTypedExprs: statically ill-typed trees. Compile's error must equal the

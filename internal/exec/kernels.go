@@ -275,6 +275,33 @@ func logicalKernel(kind BinKind) kernelFn {
 	}
 }
 
+// rangeKernel tests Int64 lanes against [lo, hi] — a column's conjunction of
+// comparisons with integer literals, in one pass and with no broadcast
+// operand — or, when empty, against no value. One unsigned comparison
+// decides a lane: lo ≤ x ≤ hi iff uint64(x-lo) ≤ uint64(hi-lo). The test is
+// NULL exactly on a NULL lane.
+func rangeKernel(lo, hi int64, empty bool) kernelFn {
+	base, width := uint64(lo), uint64(hi)-uint64(lo)
+	return func(l, _, out *colfile.Vec, sel []int) error {
+		n := len(out.Bools)
+		xs, ob := l.Ints[:n], out.Bools[:n]
+		switch {
+		case empty:
+			clear(ob)
+		case sel == nil:
+			for i, x := range xs {
+				ob[i] = uint64(x)-base <= width
+			}
+		default:
+			for _, i := range sel {
+				ob[i] = uint64(xs[i])-base <= width
+			}
+		}
+		unionNulls(l, nil, out, sel, n)
+		return nil
+	}
+}
+
 // notKernel negates Bool lanes, NULL-propagating.
 func notKernel(l, _, out *colfile.Vec, sel []int) error {
 	n := len(out.Bools)
@@ -392,19 +419,22 @@ func likeMatchIter(s, pat string) bool {
 }
 
 // inListKernel builds the typed membership kernel: the literal list is
-// hashed into a typed set at compile time (values whose type cannot occur in
-// the column are dropped — they could never compare equal, matching the
-// scalar reference's boxed-map miss). NULL-propagating; negate flips the
-// result for non-NULL lanes. listNull marks a list holding NULL: a lane the
-// set does not hold is then NULL, for IN and NOT IN alike (x = NULL is
-// unknown, so x IN (1, NULL) is TRUE or NULL and x NOT IN (1, NULL) is FALSE
-// or NULL, never the other).
-func inListKernel[T comparable](vals func(*colfile.Vec) []T, set map[T]struct{}, negate, listNull bool) kernelFn {
+// hashed into a typed set at compile time, and promoted, when not nil, looks
+// up a value the set misses among the literals of the other numeric type
+// (see inListKernelFor). NULL-propagating; negate flips the result for
+// non-NULL lanes. listNull marks a list holding NULL: a lane the list does
+// not hold is then NULL, for IN and NOT IN alike (x = NULL is unknown, so
+// x IN (1, NULL) is TRUE or NULL and x NOT IN (1, NULL) is FALSE or NULL,
+// never the other).
+func inListKernel[T comparable](vals func(*colfile.Vec) []T, set map[T]struct{}, promoted func(T) bool, negate, listNull bool) kernelFn {
 	return func(l, _, out *colfile.Vec, sel []int) error {
 		n := len(out.Bools)
 		ls, ob := vals(l), out.Bools
 		body := func(i int) {
 			_, ok := set[ls[i]]
+			if !ok && promoted != nil {
+				ok = promoted(ls[i])
+			}
 			ob[i] = ok != negate
 		}
 		if sel == nil {

@@ -110,3 +110,43 @@ func TestLogicalKeepsOperandErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestInListPromotesNumbers is IN's truth table over an INT column i and a
+// FLOAT column f, written out by hand (nil is NULL): a literal of the other
+// numeric type compares as = compares it, so f IN (1) holds where f = 1 does
+// and i IN (1.5) holds nowhere. Strings never match a number.
+func TestInListPromotesNumbers(t *testing.T) {
+	schema := colfile.Schema{{Name: "i", Type: colfile.Int64}, {Name: "f", Type: colfile.Float64}}
+	b := colfile.NewBatch(schema)
+	for _, row := range [][2]any{{int64(1), 1.0}, {int64(2), 2.5}, {int64(-3), -0.0}, {nil, nil}} {
+		if err := b.AppendRow(row[0], row[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i, f := ColRef{Idx: 0, Name: "i"}, ColRef{Idx: 1, Name: "f"}
+	for _, c := range []struct {
+		e    Expr
+		want []any // per row
+	}{
+		{InList{E: f, Vals: []any{int64(1)}}, []any{true, false, false, nil}},
+		{InList{E: i, Vals: []any{1.0}}, []any{true, false, false, nil}},
+		{InList{E: i, Vals: []any{1.5}}, []any{false, false, false, nil}},
+		{InList{E: i, Vals: []any{2.5, int64(-3)}}, []any{false, false, true, nil}},
+		{InList{E: i, Vals: []any{1.0, int64(2)}, Negate: true}, []any{false, false, true, nil}},
+		{InList{E: f, Vals: []any{int64(0), 2.5}}, []any{false, true, true, nil}}, // -0 = 0
+		{InList{E: f, Vals: []any{int64(1), nil}, Negate: true}, []any{false, nil, nil, nil}},
+		{InList{E: i, Vals: []any{"1", 1.5}}, []any{false, false, false, nil}},
+	} {
+		for name, eval := range map[string]func(Expr, *colfile.Batch) (*colfile.Vec, error){"kernel": evalVector, "reference": evalScalar} {
+			got, err := eval(c.e, b)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.e, err)
+			}
+			for r, w := range c.want {
+				if g := got.Value(r); g != w {
+					t.Errorf("%s %s: row %d = %v, want %v", name, c.e, r, g, w)
+				}
+			}
+		}
+	}
+}

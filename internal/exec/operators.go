@@ -598,33 +598,37 @@ type Limit struct {
 // Schema implements Operator.
 func (l *Limit) Schema() colfile.Schema { return l.In.Schema() }
 
-// Next implements Operator.
+// Next implements Operator. A batch OFFSET skips whole is dropped by its row
+// count, and of the rest only the rows kept are gathered.
 func (l *Limit) Next() (*colfile.Batch, error) {
-	for {
-		if l.emitted >= l.N {
-			return nil, nil
-		}
+	for l.emitted < l.N {
 		b, err := l.In.Next()
 		if err != nil || b == nil {
 			return nil, err
 		}
-		b = b.Materialize() // sliceBatch addresses physical positions
 		n := int64(b.NumRows())
-		if l.skipped < l.Offset {
-			toSkip := l.Offset - l.skipped
-			if n <= toSkip {
-				l.skipped += n
-				continue
-			}
-			b = sliceBatch(b, int(toSkip), int(n))
-			l.skipped = l.Offset
-			n = int64(b.NumRows())
+		lo := min(n, max(l.Offset-l.skipped, 0))
+		l.skipped += lo
+		hi := lo + min(n-lo, l.N-l.emitted) // cannot overflow, unlike lo+l.N
+		if lo == hi {
+			continue
 		}
-		if l.emitted+n > l.N {
-			b = sliceBatch(b, 0, int(l.N-l.emitted))
-		}
-		l.emitted += int64(b.NumRows())
-		return b, nil
+		l.emitted += hi - lo
+		return cutBatch(b, int(lo), int(hi)), nil
+	}
+	return nil, nil
+}
+
+// cutBatch returns logical rows [lo, hi) of b as a dense batch: b itself when
+// that is all of a dense b, otherwise a gather of those rows only.
+func cutBatch(b *colfile.Batch, lo, hi int) *colfile.Batch {
+	switch {
+	case b.Sel != nil:
+		return (&colfile.Batch{Schema: b.Schema, Cols: b.Cols, Sel: b.Sel[lo:hi]}).Materialize()
+	case lo == 0 && hi == b.NumRows():
+		return b
+	default:
+		return sliceBatch(b, lo, hi)
 	}
 }
 

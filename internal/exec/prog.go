@@ -351,64 +351,151 @@ func fillConst(v *colfile.Vec, t colfile.DataType, val any, n int) {
 // error as the statement's. Errors that depend on the data — division by
 // zero, comparing a string with a number — compile to kernels that raise
 // them when a selected, non-NULL lane is reached.
+//
+// The top-level AND conjuncts that record a range (see Ranges) compile to one
+// range instruction per column, ahead of the other conjuncts (see
+// compileRanged).
 func Compile(e Expr, schema colfile.Schema) (*Prog, error) {
 	p := &Prog{src: e.String()}
+	lanes := addRanges(nil, e, schema)
+	if len(lanes) > 0 {
+		p.ranges = make([]Range, len(lanes))
+		for i, l := range lanes {
+			p.ranges[i] = l.Range
+		}
+		if out, ok := p.compileRanged(e, schema, lanes); ok {
+			p.out = out
+			return p, nil
+		}
+		p = &Prog{src: p.src, ranges: p.ranges}
+	}
 	out, err := p.compileNode(e, schema)
 	if err != nil {
 		return nil, err
 	}
 	p.out = out
-	p.ranges = addRanges(nil, e, schema)
 	return p, nil
 }
 
+// laneRange is the exact set of values on which one column's range conjuncts
+// are all TRUE: [Lo, Hi], or no value at all when empty. Its Range is what
+// Ranges reports, which only has to be sound for pruning: `x < MinInt64`
+// records [MinInt64, MinInt64] there, but its lanes must all be FALSE.
+type laneRange struct {
+	Range
+	empty bool
+}
+
 // addRanges intersects into rs the range each top-level AND conjunct of e
-// implies (see Prog.Ranges). e has compiled, so its AND operands are boolean.
-func addRanges(rs []Range, e Expr, schema colfile.Schema) []Range {
-	b, ok := e.(Bin)
-	if !ok {
-		return rs
-	}
-	if b.Kind == OpAnd {
+// implies (see Prog.Ranges), one entry per column in order of first mention.
+func addRanges(rs []laneRange, e Expr, schema colfile.Schema) []laneRange {
+	if b, ok := e.(Bin); ok && b.Kind == OpAnd {
 		return addRanges(addRanges(rs, b.L, schema), b.R, schema)
 	}
-	c, cok := b.L.(ColRef)
-	k, kok := b.R.(Const)
-	if !cok || !kok || schema[c.Idx].Type != colfile.Int64 {
-		return rs
-	}
-	v, ok := normalize(k.Val).(int64)
+	r, ok := rangeConjunct(e, schema)
 	if !ok {
-		return rs
-	}
-	r := Range{Col: c.Idx, Lo: math.MinInt64, Hi: math.MaxInt64}
-	switch b.Kind {
-	case OpEq:
-		r.Lo, r.Hi = v, v
-	case OpGe:
-		r.Lo = v
-	case OpGt: // > MaxInt64 holds on no row, so any range covers its rows
-		r.Lo = v
-		if v < math.MaxInt64 {
-			r.Lo++
-		}
-	case OpLe:
-		r.Hi = v
-	case OpLt: // likewise < MinInt64
-		r.Hi = v
-		if v > math.MinInt64 {
-			r.Hi--
-		}
-	default:
 		return rs
 	}
 	for i := range rs {
 		if rs[i].Col == r.Col {
 			rs[i].Lo, rs[i].Hi = max(rs[i].Lo, r.Lo), min(rs[i].Hi, r.Hi)
+			rs[i].empty = rs[i].empty || r.empty || rs[i].Lo > rs[i].Hi
 			return rs
 		}
 	}
 	return append(rs, r)
+}
+
+// rangeConjunct recognizes a conjunct of the form column op int-literal (op
+// one of = < <= > >=) over an Int64 column, and returns the values it is TRUE
+// on. It is the one recognizer behind both zone-map pruning and the range
+// instruction.
+func rangeConjunct(e Expr, schema colfile.Schema) (laneRange, bool) {
+	b, ok := e.(Bin)
+	if !ok {
+		return laneRange{}, false
+	}
+	c, cok := b.L.(ColRef)
+	k, kok := b.R.(Const)
+	if !cok || !kok || c.Idx < 0 || c.Idx >= len(schema) || schema[c.Idx].Type != colfile.Int64 {
+		return laneRange{}, false
+	}
+	v, ok := normalize(k.Val).(int64)
+	if !ok {
+		return laneRange{}, false
+	}
+	r := laneRange{Range: Range{Col: c.Idx, Lo: math.MinInt64, Hi: math.MaxInt64}}
+	switch b.Kind {
+	case OpEq:
+		r.Lo, r.Hi = v, v
+	case OpGe:
+		r.Lo = v
+	case OpGt: // > MaxInt64 holds on no row; the pruning range saturates
+		r.Lo, r.empty = v, v == math.MaxInt64
+		if !r.empty {
+			r.Lo++
+		}
+	case OpLe:
+		r.Hi = v
+	case OpLt: // likewise < MinInt64
+		r.Hi, r.empty = v, v == math.MinInt64
+		if !r.empty {
+			r.Hi--
+		}
+	default:
+		return laneRange{}, false
+	}
+	return r, true
+}
+
+// compileRanged compiles e, whose top-level AND conjuncts include the range
+// conjuncts lanes summarizes, as one range instruction per column, ANDed
+// together, followed by the other conjuncts in their original order, each
+// ANDed in by a logical instruction. Kleene AND is commutative and
+// associative, and a range conjunct raises no error, so the result and any
+// data-dependent error are the tree's. It reports false when another
+// conjunct does not compile to BOOL; Compile then compiles e as written,
+// which reports the error the tree states.
+func (p *Prog) compileRanged(e Expr, schema colfile.Schema, lanes []laneRange) (int, bool) {
+	acc := -1
+	for _, l := range lanes {
+		col := p.addSlot(progSlot{kind: slotCol, col: l.Col, typ: colfile.Int64})
+		dst := p.scratch(colfile.Bool)
+		p.emit(rangeKernel(l.Lo, l.Hi, l.empty), col, -1, dst)
+		acc = p.and(acc, dst)
+	}
+	return p.andResiduals(acc, e, schema)
+}
+
+// and emits acc AND in into a new Bool slot and returns it, or returns in
+// when acc is -1 (nothing yet).
+func (p *Prog) and(acc, in int) int {
+	if acc < 0 {
+		return in
+	}
+	dst := p.scratch(colfile.Bool)
+	p.emit(logicalKernel(OpAnd), acc, in, dst)
+	return dst
+}
+
+// andResiduals ANDs into slot acc, left to right, the top-level AND
+// conjuncts of e that record no range.
+func (p *Prog) andResiduals(acc int, e Expr, schema colfile.Schema) (int, bool) {
+	if b, ok := e.(Bin); ok && b.Kind == OpAnd {
+		acc, ok := p.andResiduals(acc, b.L, schema)
+		if !ok {
+			return 0, false
+		}
+		return p.andResiduals(acc, b.R, schema)
+	}
+	if _, ok := rangeConjunct(e, schema); ok {
+		return acc, true
+	}
+	in, err := p.compileNode(e, schema)
+	if err != nil || p.slots[in].typ != colfile.Bool {
+		return 0, false
+	}
+	return p.and(acc, in), true
 }
 
 func (p *Prog) addSlot(s progSlot) int {
@@ -590,28 +677,47 @@ func lazyErrKernel(err error) kernelFn {
 }
 
 // inListKernelFor builds the typed IN-list kernel for the operand type.
-// Literals of other types are dropped from the set: in the scalar reference
-// they sit in a boxed map that a value of the operand type can never equal.
-// A NULL literal is kept as the kernel's listNull flag instead.
+// Numbers compare as = compares them: an Int64 lane matches an int literal it
+// equals and a float literal its float64 equals, and a Float64 lane matches
+// either literal by float64 value. Literals of other types are dropped from
+// the set, so a string never matches a number (where = would raise an
+// error). A NULL literal is kept as the kernel's listNull flag instead.
 func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 	listNull := slices.Contains(e.Vals, nil)
 	switch t {
 	case colfile.Int64:
-		set := make(map[int64]struct{}, len(e.Vals))
+		ints := make(map[int64]struct{}, len(e.Vals))
+		var floats map[float64]struct{}
 		for _, x := range e.Vals {
-			if v, ok := normalize(x).(int64); ok {
-				set[v] = struct{}{}
+			switch v := normalize(x).(type) {
+			case int64:
+				ints[v] = struct{}{}
+			case float64:
+				if floats == nil {
+					floats = make(map[float64]struct{})
+				}
+				floats[v] = struct{}{}
 			}
 		}
-		return inListKernel(intVals, set, e.Negate, listNull)
+		var promoted func(int64) bool
+		if floats != nil {
+			promoted = func(x int64) bool {
+				_, ok := floats[float64(x)]
+				return ok
+			}
+		}
+		return inListKernel(intVals, ints, promoted, e.Negate, listNull)
 	case colfile.Float64:
 		set := make(map[float64]struct{}, len(e.Vals))
 		for _, x := range e.Vals {
-			if v, ok := normalize(x).(float64); ok {
+			switch v := normalize(x).(type) {
+			case int64:
+				set[float64(v)] = struct{}{}
+			case float64:
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(floatVals, set, e.Negate, listNull)
+		return inListKernel(floatVals, set, nil, e.Negate, listNull)
 	case colfile.String:
 		set := make(map[string]struct{}, len(e.Vals))
 		for _, x := range e.Vals {
@@ -619,7 +725,7 @@ func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(strVals, set, e.Negate, listNull)
+		return inListKernel(strVals, set, nil, e.Negate, listNull)
 	default: // Bool
 		set := make(map[bool]struct{}, len(e.Vals))
 		for _, x := range e.Vals {
@@ -627,6 +733,6 @@ func inListKernelFor(t colfile.DataType, e InList) kernelFn {
 				set[v] = struct{}{}
 			}
 		}
-		return inListKernel(boolVals, set, e.Negate, listNull)
+		return inListKernel(boolVals, set, nil, e.Negate, listNull)
 	}
 }

@@ -12,6 +12,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"polaris/internal/colfile"
@@ -379,21 +380,49 @@ func (e InList) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := make(map[any]bool, len(e.Vals))
-	for _, x := range e.Vals {
-		set[normalize(x)] = true
-	}
+	listNull := slices.Contains(e.Vals, nil)
 	out := colfile.NewVec(colfile.Bool)
 	for i := 0; i < v.Len(); i++ {
+		hit := !v.IsNull(i) && slices.ContainsFunc(e.Vals, func(x any) bool { return refInEqual(v.Value(i), x) })
 		// A value the list does not hold is unknown, not absent, beside a
 		// NULL in the list.
-		if v.IsNull(i) || !set[v.Value(i)] && set[nil] {
+		if v.IsNull(i) || !hit && listNull {
 			out.AppendNull()
 			continue
 		}
-		out.AppendBool(set[v.Value(i)] != e.Negate)
+		out.AppendBool(hit != e.Negate)
 	}
 	return out, nil
+}
+
+// refInEqual is IN's test of a non-NULL value against one literal: numbers
+// compare as = compares them — exactly when both are ints, by float64 value
+// otherwise — and any other pair only when it is the same value of the same
+// type.
+func refInEqual(v, lit any) bool {
+	lit = normalize(lit)
+	vi, vInt := v.(int64)
+	li, lInt := lit.(int64)
+	if vInt && lInt {
+		return vi == li
+	}
+	vf, vNum := refNum(v)
+	lf, lNum := refNum(lit)
+	if vNum && lNum {
+		return vf == lf
+	}
+	return v == lit
+}
+
+// refNum is a number's float64 value, as numAt coerces it.
+func refNum(x any) (float64, bool) {
+	switch n := x.(type) {
+	case int64:
+		return float64(n), true
+	case float64:
+		return n, true
+	}
+	return 0, false
 }
 
 // The scalar reference operators: a row-at-a-time aggregator and a

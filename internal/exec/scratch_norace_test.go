@@ -232,3 +232,36 @@ func TestReleasedCtxKeepsConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPushedBetweenScanAllocatesNothingForItsPredicate: a statement compiles
+// its own predicate, so a point UPDATE's `k BETWEEN lo AND hi` is a new
+// program on every statement. Pushed into a warm scan of a row group none of
+// whose rows it passes (and whose zone map it cannot prune), the new program
+// allocates nothing beyond its compilation: no broadcast literal, no kernel
+// scratch. The file's k is even and the range holds one odd value.
+func TestPushedBetweenScanAllocatesNothingForItsPredicate(t *testing.T) {
+	const rows = 4096
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "v", Type: colfile.Int64}}
+	group := make([][]any, rows)
+	for i := range group {
+		group[i] = []any{int64(2 * i), int64(i % 7)}
+	}
+	files := []ScanFile{{R: mustOpen(t, makeFile(t, schema, [][][]any{group}))}}
+	k := ColRef{Idx: 0, Name: "k"}
+	between := func() *Prog {
+		return prog(t, schema, Bin{Kind: OpAnd,
+			L: Bin{Kind: OpGe, L: k, R: Const{Val: int64(1001)}},
+			R: Bin{Kind: OpLe, L: k, R: Const{Val: int64(1001)}}})
+	}
+	warm := between()
+	if out := scanOnce(t, files, warm); len(out) != 0 {
+		t.Fatalf("the scan returned %d batches, want none", len(out))
+	}
+	const runs = 20
+	compile := testing.AllocsPerRun(runs, func() { between() })
+	shared := testing.AllocsPerRun(runs, func() { scanOnce(t, files, warm) })
+	fresh := testing.AllocsPerRun(runs, func() { scanOnce(t, files, between()) })
+	if fresh > compile+shared {
+		t.Fatalf("a pushed BETWEEN scan with a new program allocates %v times, want at most %v (%v to compile, %v to scan with a warm program): the predicate allocates while it runs", fresh, compile+shared, compile, shared)
+	}
+}

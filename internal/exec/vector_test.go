@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -441,5 +442,113 @@ func TestProgRanges(t *testing.T) {
 	}
 	if got, want := p.Ranges(), []Range{{1, lo, 7}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Narrow changed the original's ranges to %v, want %v", got, want)
+	}
+}
+
+// TestRangeInstruction states by hand what the range instruction computes at
+// the int64 extremes, over NULL lanes, on two columns and beside a residual
+// conjunct, and checks the compiled program, the scalar reference and the
+// pruning ranges against it. The lane test is exact where the pruning range
+// only has to be sound: x > MaxInt64 prunes with [MaxInt64, MaxInt64] but is
+// FALSE on a MaxInt64 lane.
+func TestRangeInstruction(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	i, j := ColRef{Idx: 0, Name: "i"}, ColRef{Idx: 1, Name: "j"}
+	cmp := func(k BinKind, c ColRef, v int64) Expr { return Bin{Kind: k, L: c, R: Const{Val: v}} }
+	and := func(l, r Expr) Expr { return Bin{Kind: OpAnd, L: l, R: r} }
+	residual := Bin{Kind: OpGt, L: Bin{Kind: OpDiv, L: Const{Val: int64(10)}, R: j}, R: Const{Val: int64(0)}}
+	// (i, j) per row; nil is NULL.
+	rows := [][2]any{{int64(lo), int64(0)}, {int64(-1), int64(5)}, {int64(0), nil}, {int64(5), int64(1)}, {nil, int64(2)}, {int64(hi), int64(3)}, {int64(1), int64(-7)}}
+	b := colfile.NewBatch(fuzzSchema)
+	for _, r := range rows {
+		if err := b.AppendRow(r[0], r[1], 0.0, "", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const T, F, N = "T", "F", "N"
+	for _, c := range []struct {
+		e      Expr
+		sel    []int
+		want   []string // per logical row
+		ranges []Range
+		err    string
+	}{
+		{e: cmp(OpEq, i, lo), want: []string{T, F, F, F, N, F, F}, ranges: []Range{{0, lo, lo}}},
+		{e: cmp(OpLe, i, lo), want: []string{T, F, F, F, N, F, F}, ranges: []Range{{0, lo, lo}}},
+		{e: cmp(OpEq, i, hi), want: []string{F, F, F, F, N, T, F}, ranges: []Range{{0, hi, hi}}},
+		{e: cmp(OpGe, i, hi), want: []string{F, F, F, F, N, T, F}, ranges: []Range{{0, hi, hi}}},
+		{e: cmp(OpGt, i, hi), want: []string{F, F, F, F, N, F, F}, ranges: []Range{{0, hi, hi}}},
+		{e: cmp(OpLt, i, lo), want: []string{F, F, F, F, N, F, F}, ranges: []Range{{0, lo, lo}}},
+		{e: and(cmp(OpGe, i, 5), cmp(OpLe, i, 1)), want: []string{F, F, F, F, N, F, F}, ranges: []Range{{0, 5, 1}}},
+		{e: and(cmp(OpGt, i, lo), cmp(OpLt, i, hi)), want: []string{F, T, T, T, N, F, T}, ranges: []Range{{0, lo + 1, hi - 1}}},
+		{e: and(cmp(OpGe, i, 0), cmp(OpLt, j, 3)), want: []string{F, F, N, T, N, F, T}, ranges: []Range{{0, 0, hi}, {1, lo, 2}}},
+		// NULL AND FALSE is FALSE (row 4), TRUE AND NULL is NULL (row 2),
+		// whichever column comes first.
+		{e: and(cmp(OpGe, i, 0), cmp(OpGt, j, 2)), want: []string{F, F, N, F, F, T, F}, ranges: []Range{{0, 0, hi}, {1, 3, hi}}},
+		{e: and(cmp(OpGt, j, 2), cmp(OpGe, i, 0)), want: []string{F, F, N, F, F, T, F}, ranges: []Range{{1, 3, hi}, {0, 0, hi}}},
+		// Under a selection only its lanes are read.
+		{e: cmp(OpGt, i, hi), sel: []int{4, 5}, want: []string{N, F}, ranges: []Range{{0, hi, hi}}},
+		{e: and(cmp(OpGe, i, 0), cmp(OpGt, j, 2)), sel: []int{1, 2, 5}, want: []string{F, N, T}, ranges: []Range{{0, 0, hi}, {1, 3, hi}}},
+		// The residual divides by j = 0 on row 0, which the range excludes:
+		// the error stands, as in the tree, whose every conjunct is evaluated.
+		{e: and(and(cmp(OpGe, i, 1), residual), cmp(OpLe, i, 9)), err: "exec: integer division by zero", ranges: []Range{{0, 1, 9}}},
+		{e: and(and(cmp(OpGe, i, 1), residual), cmp(OpLe, i, 9)), sel: []int{1, 2, 3, 4, 5, 6},
+			want: []string{F, F, T, N, F, F}, ranges: []Range{{0, 1, 9}}},
+	} {
+		p, err := Compile(c.e, fuzzSchema)
+		if err != nil {
+			t.Fatalf("%s: %v", c.e, err)
+		}
+		if got := p.Ranges(); !reflect.DeepEqual(got, c.ranges) {
+			t.Errorf("%s: ranges %v, want %v", c.e, got, c.ranges)
+		}
+		in := *b
+		in.Sel = c.sel
+		got, gotErr := evalVector(c.e, &in)
+		ref, refErr := evalScalar(c.e, &in)
+		if c.err != "" {
+			if gotErr == nil || gotErr.Error() != c.err || refErr == nil || refErr.Error() != c.err {
+				t.Errorf("%s: errors %v (compiled) and %v (reference), want %q", c.e, gotErr, refErr, c.err)
+			}
+			continue
+		}
+		if gotErr != nil || refErr != nil {
+			t.Fatalf("%s: errors %v (compiled) and %v (reference)", c.e, gotErr, refErr)
+		}
+		for r, w := range c.want {
+			for name, v := range map[string]*colfile.Vec{"compiled": got, "reference": ref} {
+				s := N
+				if !v.IsNull(r) {
+					s = map[bool]string{true: T, false: F}[v.Bools[r]]
+				}
+				if s != w {
+					t.Errorf("%s: %s row %d is %s, want %s", c.e, name, r, s, w)
+				}
+			}
+		}
+	}
+}
+
+// TestBetweenIsOneInstruction: an int BETWEEN compiles to one range
+// instruction over its column, with no broadcast constant, and a residual
+// conjunct adds its own instructions and one AND.
+func TestBetweenIsOneInstruction(t *testing.T) {
+	a := ColRef{Idx: 0, Name: "i"}
+	between := Bin{Kind: OpAnd,
+		L: Bin{Kind: OpGe, L: a, R: Const{Val: int64(1)}},
+		R: Bin{Kind: OpLe, L: a, R: Const{Val: int64(9)}}}
+	p, err := Compile(between, fuzzSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.instrs) != 1 || p.consts != nil || slices.ContainsFunc(p.slots, func(s progSlot) bool { return s.kind == slotConst }) {
+		t.Fatalf("i BETWEEN 1 AND 9: %d instructions, constants %v, slots %+v; want one instruction and no constant", len(p.instrs), p.consts != nil, p.slots)
+	}
+	withResidual := Bin{Kind: OpAnd, L: between, R: Not{E: ColRef{Idx: 4, Name: "b"}}}
+	if p, err = Compile(withResidual, fuzzSchema); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.instrs) != 3 {
+		t.Fatalf("%s: %d instructions, want 3 (range, NOT, AND)", withResidual, len(p.instrs))
 	}
 }

@@ -10,6 +10,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -738,6 +739,7 @@ func (r *poolRunner) done(err error) ([]*colfile.Batch, error) { return r.cur, e
 func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error) {
 	tail := p.tail
 	var outOp exec.Operator
+	bound := p.rowBound()
 	keys, width := p.sortKeys, len(tail.outSchema())
 	if ap := tail.agg; ap != nil {
 		// One Sort or TopN on the FE orders the merged groups, one per row:
@@ -764,10 +766,6 @@ func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error
 	} else {
 		// Rows each fragment must ship: all of them (-1), or LIMIT+OFFSET —
 		// under ORDER BY its smallest (TopN), else its first.
-		bound := int64(-1)
-		if p.limit >= 0 {
-			bound = p.limit + p.offset
-		}
 		if len(p.sortKeys) > 0 {
 			return mergeOrderBy(h, p, r, bound)
 		}
@@ -786,8 +784,8 @@ func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error
 	// rows (exec.TopN, tie-stable, so the rows a full stable sort would put
 	// first).
 	switch {
-	case len(keys) > 0 && p.limit >= 0:
-		outOp = &exec.TopN{In: outOp, Keys: keys, N: p.limit + p.offset}
+	case len(keys) > 0 && bound >= 0:
+		outOp = &exec.TopN{In: outOp, Keys: keys, N: bound}
 	case len(keys) > 0:
 		outOp = &exec.Sort{In: outOp, Keys: keys}
 	}
@@ -801,6 +799,16 @@ func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error
 	// The header is ours to reslice; the vectors under it may be a scan's.
 	b.Schema, b.Cols = b.Schema[:width], b.Cols[:width]
 	return b, nil
+}
+
+// rowBound is how many rows the LIMIT needs from the rows before it:
+// LIMIT+OFFSET, or -1 (every row) with no LIMIT or when the sum does not fit
+// an int64, as in the "OFFSET only" idiom LIMIT 9223372036854775807 OFFSET n.
+func (p *selectPlan) rowBound() int64 {
+	if p.limit < 0 || p.limit > math.MaxInt64-p.offset {
+		return -1
+	}
+	return p.limit + p.offset
 }
 
 // mergeOrderBy executes a projection's ORDER BY [LIMIT/OFFSET] on the morsel

@@ -408,12 +408,24 @@ func TestOrderByPositionAndDesc(t *testing.T) {
 	}
 }
 
+// TestLimitOffset: LIMIT 2 OFFSET 2, and LIMIT 9223372036854775807 OFFSET 1,
+// whose LIMIT+OFFSET does not fit an int64, keeping every row after the
+// first — bare, under ORDER BY and under a grouped ORDER BY.
 func TestLimitOffset(t *testing.T) {
 	s := testSession(t)
 	seed(t, s)
 	res := mustExec(t, s, `SELECT id FROM items ORDER BY id LIMIT 2 OFFSET 2`)
 	if res.Batch.NumRows() != 2 || res.Batch.Cols[0].Ints[0] != 3 {
 		t.Fatalf("rows = %v", res.Batch.Cols[0].Ints)
+	}
+	for _, q := range []string{
+		`SELECT id FROM items LIMIT 9223372036854775807 OFFSET 1`,
+		`SELECT id FROM items ORDER BY id LIMIT 9223372036854775807 OFFSET 1`,
+		`SELECT id, COUNT(*) AS n FROM items GROUP BY id ORDER BY id LIMIT 9223372036854775807 OFFSET 1`,
+	} {
+		if res := mustExec(t, s, q); res.Batch.NumRows() != 4 {
+			t.Errorf("%s: %d rows, want 4", q, res.Batch.NumRows())
+		}
 	}
 }
 

@@ -1,12 +1,15 @@
 package polaris
 
-// threeValuedSetup creates and fills u and w: u holds (1,'x'), (2,NULL),
-// (NULL,'y'), (4,'z'), and w joins u's keys 1, 2 and 4.
+// threeValuedSetup creates and fills u, w and m: u holds (1,'x'), (2,NULL),
+// (NULL,'y'), (4,'z'), w joins u's keys 1, 2 and 4, and m holds an INT and a
+// FLOAT column for IN lists whose literals are the other numeric type.
 var threeValuedSetup = []string{
 	`CREATE TABLE u (a INT, b VARCHAR) WITH (DISTRIBUTION = a)`,
 	`INSERT INTO u VALUES (1, 'x'), (2, NULL), (NULL, 'y'), (4, 'z')`,
 	`CREATE TABLE w (k INT, t VARCHAR) WITH (DISTRIBUTION = k)`,
 	`INSERT INTO w VALUES (1, 'p'), (2, 'q'), (4, NULL)`,
+	`CREATE TABLE m (a INT, f FLOAT) WITH (DISTRIBUTION = a)`,
+	`INSERT INTO m VALUES (1, 1.0), (2, 2.5), (NULL, NULL), (3, 3.0)`,
 }
 
 // threeValuedData holds OR, NOT-over-AND and IN predicates over NULLs to
@@ -46,4 +49,13 @@ var threeValuedStmts = []matrixStmt{
 	{sql: `UPDATE u SET b = b WHERE a > 1 OR b = 'y'`, affected: 3},
 	{sql: `DELETE FROM u WHERE a > 1 OR b = 'y'`, affected: 3},
 	{sql: `SELECT a, b FROM u`, want: "[a b]\n[1 x]\n"},
+	// IN compares numbers as = does: f IN (1) is f = 1, a IN (1.0) is
+	// a = 1.0, and no INT equals 1.5.
+	{sql: `SELECT a, f = 1 AS fe, f IN (1) AS fi, a = 1.0 AS ae, a IN (1.0) AS ai FROM m ORDER BY a`,
+		want: "[a fe fi ae ai]\n[<nil> <nil> <nil> <nil> <nil>]\n[1 true true true true]\n[2 false false false false]\n[3 false false false false]\n"},
+	{sql: `SELECT COUNT(*) AS n FROM m WHERE a IN (1.5)`, want: "[n]\n[0]\n"},
+	{sql: `SELECT a FROM m WHERE f IN (1, 3) ORDER BY a`, want: "[a]\n[1]\n[3]\n"},
+	{sql: `SELECT a FROM m WHERE a NOT IN (1.0, 2.5) ORDER BY a`, want: "[a]\n[2]\n[3]\n"},
+	{sql: `DELETE FROM m WHERE a IN (1.0, 2.5)`, affected: 1},
+	{sql: `SELECT a, f FROM m ORDER BY a`, want: "[a f]\n[<nil> <nil>]\n[2 2.5]\n[3 3]\n"},
 }
