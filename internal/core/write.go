@@ -424,11 +424,13 @@ type foundRows struct {
 // snapshot that satisfy pred, found the way SELECT finds them. The snapshot's
 // files come through the shared fetch (fetchScanFiles), and each cell runs as
 // one exec.Scan with pred pushed into it — row groups outside the
-// predicate's zone-map ranges skipped, deletion-vector-live rows only, the
-// predicate's columns decoded first, the rest only for row groups with a
-// match — so the work follows the rows touched rather than the table. Rows a
-// deletion vector already removed are never evaluated; a runtime error on a
-// live row is the statement's error.
+// predicate's zone-map ranges skipped, the predicate's columns decoded and
+// evaluated first, the deletion vector consulted only for a row group with
+// a match, the rest of the columns read only for row groups with a live
+// match — so the work follows the rows touched rather than the table. Rows
+// a deletion vector already removed never fail the statement (the scan
+// re-runs the predicate over the live rows when a run fails); a runtime
+// error on a live row is the statement's error.
 // Without wide the scan is projected to the predicate's columns (DELETE needs
 // ordinals only); with it every column is read and the matching old row
 // versions are returned too (UPDATE computes the new versions from them).

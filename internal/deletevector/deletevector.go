@@ -87,22 +87,53 @@ func (v *Vector) Contains(row uint32) bool {
 }
 
 // AppendLive appends to dst the offsets i in [0, n) whose row base+i is not
-// deleted, in ascending order: one binary search for the first run that can
-// reach the window, then a walk of the runs inside it — not a Contains per
-// row.
+// deleted, in ascending order: a walk of the runs inside the window (Runs),
+// not a Contains per row.
 func (v *Vector) AppendLive(dst []int, base uint32, n int) []int {
-	lo, end := uint64(base), uint64(base)+uint64(n)
-	next := lo // the first row not yet known deleted or emitted
-	for i := sort.Search(len(v.runs), func(i int) bool { return v.runs[i].end > base }); i < len(v.runs) && uint64(v.runs[i].start) < end; i++ {
-		for x := next; x < uint64(v.runs[i].start); x++ {
-			dst = append(dst, int(x-lo))
+	next := 0 // the first offset not yet known deleted or emitted
+	r := v.Runs(base, n)
+	for lo, hi, ok := r.Next(); ok; lo, hi, ok = r.Next() {
+		for x := next; x < lo; x++ {
+			dst = append(dst, x)
 		}
-		next = max(next, uint64(v.runs[i].end))
+		next = hi
 	}
-	for x := next; x < end; x++ {
-		dst = append(dst, int(x-lo))
+	for x := next; x < n; x++ {
+		dst = append(dst, x)
 	}
 	return dst
+}
+
+// Runs is a cursor over the deleted runs that meet a window of rows, as
+// offsets from the window's first row; see Vector.Runs. It is a plain value:
+// copying it restarts the walk from where the copy was made, and walking it
+// allocates nothing.
+type Runs struct {
+	runs      []run  // from the first run that can reach the window on
+	base, end uint64 // the window's rows [base, end)
+}
+
+// Runs returns a cursor over the deleted runs that meet the n rows from row
+// base on: one binary search for the first run that can reach the window,
+// after which Next steps run by run.
+func (v *Vector) Runs(base uint32, n int) Runs {
+	if n <= 0 {
+		return Runs{}
+	}
+	i := sort.Search(len(v.runs), func(i int) bool { return v.runs[i].end > base })
+	return Runs{runs: v.runs[i:], base: uint64(base), end: uint64(base) + uint64(n)}
+}
+
+// Next returns the next deleted run inside the window as offsets [lo, hi)
+// from its first row, clipped to the window, in ascending order; ok is false
+// once no run is left inside it.
+func (r *Runs) Next() (lo, hi int, ok bool) {
+	if len(r.runs) == 0 || uint64(r.runs[0].start) >= r.end {
+		return 0, 0, false
+	}
+	x := r.runs[0]
+	r.runs = r.runs[1:]
+	return int(max(uint64(x.start), r.base) - r.base), int(min(uint64(x.end), r.end) - r.base), true
 }
 
 // Cardinality returns the number of deleted rows.

@@ -181,6 +181,17 @@ func FuzzDeletionVectorUnmarshal(f *testing.F) {
 		if err != nil || !back.Equal(v) {
 			t.Fatalf("round trip of %v: %v, %v", v, back, err)
 		}
+		// The run cursor agrees with Contains on windows at 0, at the top of
+		// the row space and around the first few runs.
+		checkRuns(t, v, 0, 64)
+		checkRuns(t, v, math.MaxUint32-64, 64)
+		i := 0
+		v.ForEachRun(func(start, end uint32) {
+			if i++; i <= 4 {
+				base := start - min(start, 3)
+				checkRuns(t, v, base, int(min(uint64(end-base)+3, 256, math.MaxUint32+1-uint64(base))))
+			}
+		})
 	})
 }
 
@@ -341,6 +352,95 @@ func TestAppendLiveMatchesContains(t *testing.T) {
 			}
 		}
 		check(FromRows(rows), uint32(r.Intn(420)), r.Intn(200))
+	}
+}
+
+// checkRuns checks the run cursor over the window of n rows from base
+// against Contains: its runs are non-empty, ascending, never adjoining the
+// one before (the vector's runs are maximal), inside the window, and cover
+// exactly the window's deleted offsets. A copy of the cursor walks the same
+// runs again.
+func checkRuns(t testing.TB, v *Vector, base uint32, n int) {
+	t.Helper()
+	deleted := make([]bool, n)
+	r := v.Runs(base, n)
+	again := r
+	prev := -1
+	for lo, hi, ok := r.Next(); ok; lo, hi, ok = r.Next() {
+		if lo >= hi || lo <= prev || hi > n {
+			t.Fatalf("%v window [%d,+%d): run [%d,%d) after one ending at %d", v, base, n, lo, hi, prev)
+		}
+		if lo2, hi2, ok2 := again.Next(); !ok2 || lo2 != lo || hi2 != hi {
+			t.Fatalf("%v window [%d,+%d): a copy of the cursor walked [%d,%d), not [%d,%d)", v, base, n, lo2, hi2, lo, hi)
+		}
+		for x := lo; x < hi; x++ {
+			deleted[x] = true
+		}
+		prev = hi
+	}
+	if _, _, ok := r.Next(); ok {
+		t.Fatalf("%v window [%d,+%d): the cursor moved past its end", v, base, n)
+	}
+	for x, d := range deleted {
+		if want := v.Contains(base + uint32(x)); d != want {
+			t.Fatalf("%v window [%d,+%d): offset %d deleted=%v, Contains says %v", v, base, n, x, d, want)
+		}
+	}
+}
+
+// TestRunsMatchContains: the run cursor marks exactly the rows Contains
+// deletes, on random vectors and windows, and on the edges — windows at 0,
+// at the top of the row space, past every run, inside one run, between two
+// runs, empty — and walking it allocates nothing.
+func TestRunsMatchContains(t *testing.T) {
+	straddle := FromRows([]uint32{2, 3, 4, 5, 9, 14, 15, 16})
+	checkRuns(t, straddle, 0, 30)
+	checkRuns(t, straddle, 0, 2)   // at 0, no run inside
+	checkRuns(t, straddle, 4, 10)  // runs cross both ends
+	checkRuns(t, straddle, 3, 2)   // inside one run
+	checkRuns(t, straddle, 6, 3)   // between two runs
+	checkRuns(t, straddle, 100, 5) // past the last run
+	checkRuns(t, straddle, 5, 0)   // empty window
+	checkRuns(t, New(), 0, 10)     // empty vector
+	checkRuns(t, New(), 1<<31, 3)  // empty vector, high window
+	edge := New()
+	edge.AddRange(0, 3)
+	edge.AddRange(math.MaxUint32-4, math.MaxUint32)
+	checkRuns(t, edge, math.MaxUint32-10, 10) // the window ends at the top of the row space
+	checkRuns(t, edge, math.MaxUint32-3, 3)   // inside the top run
+	checkRuns(t, edge, math.MaxUint32-20, 8)  // below the top run, no run inside
+	checkRuns(t, edge, 0, 8)
+
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		var rows []uint32
+		top := uint32(0)
+		if r.Intn(4) == 0 {
+			top = math.MaxUint32 - 500 // the same shapes at the top of the row space
+		}
+		for j := r.Intn(60); j > 0; j-- {
+			start := top + uint32(r.Intn(400))
+			for k := r.Intn(8); k >= 0; k-- {
+				rows = append(rows, start+uint32(k))
+			}
+		}
+		base := top
+		if r.Intn(5) > 0 {
+			base += uint32(r.Intn(420))
+		}
+		checkRuns(t, FromRows(rows), base, r.Intn(min(200, int(math.MaxUint32-base)+1)))
+	}
+
+	many := New()
+	for x := uint32(0); x < 8192; x += 3 {
+		many.Add(x)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		c := many.Runs(1000, 4096)
+		for _, _, ok := c.Next(); ok; _, _, ok = c.Next() {
+		}
+	}); a != 0 {
+		t.Fatalf("walking the runs of a window allocates %v times, want 0", a)
 	}
 }
 

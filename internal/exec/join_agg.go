@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -485,6 +486,14 @@ func (h *HashAgg) Schema() colfile.Schema {
 		}
 	}
 	return h.schema
+}
+
+// On returns a HashAgg like h over in that shares h's output schema, so the
+// per-morsel copies of one aggregation name their columns once, not once
+// per morsel. Schema builds h's schema on first use, so call it before
+// workers make copies concurrently.
+func (h *HashAgg) On(in Operator) *HashAgg {
+	return &HashAgg{In: in, GroupBy: h.GroupBy, Aggs: h.Aggs, Partial: h.Partial, schema: slices.Clip(h.Schema())}
 }
 
 // Next implements Operator. Per batch it resolves one group id per row

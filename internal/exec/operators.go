@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,10 +44,10 @@ type ScanFile struct {
 	DV *deletevector.Vector // nil when no rows are deleted
 }
 
-// Scan reads a set of immutable columnar files, filters deleted rows via the
-// deletion vector (merge-on-read, paper Section 2.1), evaluates its
-// predicate, skipping the row groups whose zone maps rule it out, and
-// projects the requested columns.
+// Scan reads a set of immutable columnar files, evaluates its predicate,
+// skipping the row groups whose zone maps rule it out, filters deleted rows
+// via the deletion vector (merge-on-read, paper Section 2.1), and projects
+// the requested columns.
 type Scan struct {
 	files   []ScanFile
 	cols    []string // nil = all
@@ -61,16 +62,19 @@ type Scan struct {
 	groupLo, groupHi int
 
 	// pred is the scan's predicate (shared immutable Prog; nil = none). A
-	// row group outside one of its Ranges is skipped unread. Otherwise the
-	// DV-live selection is computed first, then only the predicate's columns
-	// are decoded and evaluated; the remaining projected columns are decoded
-	// only for groups with at least one qualifying row. See NewScan.
+	// row group outside one of its Ranges is skipped unread. Otherwise only
+	// the predicate's columns are decoded and evaluated, densely over the
+	// whole group; the deletion vector is consulted only for a group with a
+	// passing row, to drop the deleted ones (and the predicate runs again
+	// over the live rows if the dense run fails); the remaining projected
+	// columns are decoded only for groups with at least one live qualifying
+	// row. See readGroupPushdown.
 	pred     *Prog
 	predCols []int // projected-schema positions decoded to evaluate pred
-	// predCtx is pred's evaluation context. It comes from evalCtxPool on
-	// the first pushed group and goes back, released from pred, at end of
-	// stream; its output never leaves readGroupPushdown.
-	predCtx *EvalCtx
+	// push is pred's evaluation scratch. It comes from pushPool on the first
+	// pushed group and goes back at end of stream; nothing in it leaves
+	// readGroupPushdown.
+	push *pushScratch
 
 	fileIdx  int
 	reader   *colfile.Reader
@@ -82,8 +86,9 @@ type Scan struct {
 	lastBase           uint32
 	lastSel            []int // the pushed predicate's survivors; nil = every live row of the group
 
-	// live holds a row group's live offsets under its deletion vector. It
-	// comes from liveSelPool on first use and goes back at end of stream;
+	// live holds a row group's live offsets under its deletion vector: an
+	// unpushed scan's, or a pushed scan's whose dense predicate run failed.
+	// It comes from liveSelPool on first use and goes back at end of stream;
 	// it never reaches an emitted batch (Take copies, and a pushed
 	// predicate's survivors are a selection of their own, sized to their
 	// count, or none when every row of the group passes).
@@ -92,8 +97,25 @@ type Scan struct {
 
 var (
 	liveSelPool = sync.Pool{New: func() any { return new([]int) }}
-	evalCtxPool = sync.Pool{New: func() any { return new(EvalCtx) }}
+	pushPool    = sync.Pool{New: func() any { return new(pushScratch) }}
 )
+
+// pushScratch is what a pushed predicate runs with: its evaluation context
+// and the batch of the current group's predicate columns it runs over. Both
+// are reused group to group — an emitted batch gets columns of its own — so
+// a group without survivors allocates nothing.
+type pushScratch struct {
+	ctx   EvalCtx
+	batch colfile.Batch
+}
+
+// release readies the scratch for the pool: the context is released from
+// pred and the batch keeps no column of the scan's files alive.
+func (p *pushScratch) release(pred *Prog) {
+	p.ctx.release(pred)
+	clear(p.batch.Cols)
+	p.batch.Schema, p.batch.Sel = nil, nil
+}
 
 // liveRows returns the offsets of the live rows among a group's n rows at
 // file ordinal base, in the scan's pooled selection; valid until the next
@@ -112,12 +134,16 @@ func (s *Scan) liveRows(dv *deletevector.Vector, base uint32, n int) []int {
 //
 // pred (nil = none) is compiled against the projected schema and must
 // return Bool: a row it does not map to TRUE is dropped before downstream
-// operators — or the remaining columns — ever see it. Deleted rows are
-// excluded before evaluation, so the predicate cannot observe them, and a
+// operators — or the remaining columns — ever see it. The predicate runs
+// first, over every row of a group, and the deletion vector then drops the
+// deleted rows among its survivors; a group no row of which passes never
+// consults the deletion vector. A deleted row still cannot affect the
+// result: kernels are lane-local, and when a run fails on a group with
+// deleted rows the predicate runs again over the live rows alone, so a
 // runtime error on a live row is the scan's error, exactly as from a Filter
-// above it. (The planner pushes only conjuncts that cannot raise one, but
-// that is its own rule for reordering conjuncts of a WHERE, not something
-// the scan needs.)
+// above it, and one on a deleted row is none. (The planner pushes only
+// conjuncts that cannot raise one, but that is its own rule for reordering
+// conjuncts of a WHERE, not something the scan needs.)
 func NewScan(files []ScanFile, cols []string, pred *Prog, tel *Telemetry) (*Scan, error) {
 	s := &Scan{files: files, cols: cols, tel: tel}
 	if pred != nil {
@@ -184,10 +210,10 @@ func (s *Scan) Next() (*colfile.Batch, error) {
 					liveSelPool.Put(s.live)
 					s.live = nil
 				}
-				if s.predCtx != nil {
-					s.predCtx.release(s.pred)
-					evalCtxPool.Put(s.predCtx)
-					s.predCtx = nil
+				if s.push != nil {
+					s.push.release(s.pred)
+					pushPool.Put(s.push)
+					s.push = nil
 				}
 				return nil, nil
 			}
@@ -312,91 +338,113 @@ func (s *Scan) Ordinals() (file int, ords []uint32) {
 	return s.lastFile, ords
 }
 
-// readGroupPushdown reads row group g under the pushed predicate. Order
-// matters for correctness: (1) the deletion vector produces the live
-// selection, so the predicate never evaluates deleted rows; (2) only the
-// predicate's columns are decoded and the program runs over that selection;
-// (3) the remaining projected columns are decoded only when at least one row
-// qualifies. Returns nil (no batch) when the whole group is filtered out.
-// The survivors are counted before they are gathered, so the batch's
-// selection holds exactly them; when every row of the group passes it has
-// none.
+// readGroupPushdown reads row group g under the pushed predicate, predicate
+// first and deletion vector second: (1) only the predicate's columns are
+// decoded and the program runs densely over every row of the group;
+// (2) a group none of whose rows passes ends there, its deletion vector
+// untouched; (3) otherwise the deletion vector's runs inside the group drop
+// the deleted survivors; (4) the remaining projected columns are decoded
+// only when a live row qualifies. Returns nil (no batch) when the whole
+// group is filtered out. The survivors are counted before they are
+// gathered, so the batch's selection holds exactly them; when every row of
+// the group passes and none is deleted it has none.
+//
+// Kernels are lane-local, so a dense run gives every live lane the value it
+// would have had alone. Only a runtime error can tell the orders apart, and
+// a deleted row must never fail the statement: when the dense run fails and
+// the group has deleted rows, the program runs again over the live rows
+// alone, and that run's result or error is the group's.
 //
 //polaris:kernel the predicate program is position-aligned with its inputs, so pv lanes are read at the same physical positions the selection enumerates
 func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch, error) {
-	var live []int // nil = every row of the group is live
-	if dv := s.files[s.fileIdx].DV; dv != nil && !dv.IsEmpty() {
-		live = s.liveRows(dv, base, groupRows)
-		if len(live) == 0 {
-			return nil, nil
-		}
-		if len(live) == groupRows {
-			live = nil
-		}
+	if s.push == nil {
+		s.push = pushPool.Get().(*pushScratch)
+		s.push.batch.Schema = s.schema
+		s.push.batch.Cols = slices.Grow(s.push.batch.Cols[:0], len(s.schema))[:len(s.schema)]
 	}
-
-	cols := make([]*colfile.Vec, len(s.schema))
+	pb := &s.push.batch
 	for _, c := range s.predCols {
 		v, err := s.reader.ReadColumn(g, s.fileCol(c))
 		if err != nil {
 			return nil, err
 		}
-		cols[c] = v
+		pb.Cols[c] = v
 	}
-	pb := &colfile.Batch{Schema: s.schema, Cols: cols, Sel: live}
-	if cols[0] == nil {
+	if s.predCols[0] != 0 {
 		// PhysRows reads Cols[0].Len(); alias a decoded predicate column
 		// there purely for its length — the program only dereferences the
-		// slots it reads, and the alias is overwritten below.
-		pb.Cols[0] = cols[s.predCols[0]]
+		// slots it reads.
+		pb.Cols[0] = pb.Cols[s.predCols[0]]
 	}
-	if s.predCtx == nil {
-		s.predCtx = evalCtxPool.Get().(*EvalCtx)
-	}
-	pv, err := s.pred.Run(s.predCtx, pb)
+	pb.Sel = nil
+	pv, err := s.pred.Run(&s.push.ctx, pb)
+	dv := s.files[s.fileIdx].DV
 	if err != nil {
-		return nil, err
+		if dv == nil {
+			return nil, err
+		}
+		switch live := s.liveRows(dv, base, groupRows); len(live) {
+		case groupRows: // no deleted row to have raised it
+			return nil, err
+		case 0:
+			return nil, nil
+		default:
+			pb.Sel = live
+		}
+		// Lanes outside the live rows are unspecified from here on; every
+		// read below either counts them out again or skips them.
+		if pv, err = s.pred.Run(&s.push.ctx, pb); err != nil {
+			return nil, err
+		}
 	}
-	n := 0
-	if live == nil {
-		for i := 0; i < groupRows; i++ {
+	n := countPassing(pv, groupRows)
+	if n == 0 {
+		return nil, nil
+	}
+	// Drop the deleted survivors: uncount the passing lanes inside the
+	// group's deleted runs, then gather the passing lanes between them. A
+	// group without a deleted run walks no run and gathers in one loop.
+	var dead deletevector.Runs // the deleted runs inside the group
+	if dv != nil {
+		dead = dv.Runs(base, groupRows)
+	}
+	runs := dead
+	for lo, hi, ok := runs.Next(); ok; lo, hi, ok = runs.Next() {
+		for i := lo; i < hi; i++ {
 			if passes(pv, i) {
-				n++
+				n--
 			}
 		}
-	} else {
-		for _, i := range live {
-			if passes(pv, i) {
-				n++
-			}
-		}
+	}
+	if n == 0 {
+		return nil, nil
 	}
 	var sel []int // nil = every row of the group
-	switch {
-	case n == 0:
-		return nil, nil
-	case live == nil && n < groupRows:
+	if n < groupRows {
 		sel = make([]int, 0, n)
-		for i := 0; i < groupRows; i++ {
-			if passes(pv, i) {
-				sel = append(sel, i)
+		next := 0 // the first lane not yet known deleted or gathered
+		runs = dead
+		for lo, hi, ok := runs.Next(); ok; lo, hi, ok = runs.Next() {
+			for i := next; i < lo; i++ {
+				if passes(pv, i) {
+					sel = append(sel, i)
+				}
 			}
+			next = hi
 		}
-	case live != nil: // a selection of its own: live is the scan's pooled scratch
-		sel = make([]int, 0, n)
-		for _, i := range live {
+		for i := next; i < groupRows; i++ {
 			if passes(pv, i) {
 				sel = append(sel, i)
 			}
 		}
 	}
 
-	have := make([]bool, len(s.schema))
+	cols := make([]*colfile.Vec, len(s.schema))
 	for _, c := range s.predCols {
-		have[c] = true
+		cols[c] = pb.Cols[c]
 	}
-	for c := range s.schema {
-		if have[c] {
+	for c := range cols {
+		if cols[c] != nil {
 			continue
 		}
 		v, err := s.reader.ReadColumn(g, s.fileCol(c))
@@ -406,6 +454,31 @@ func (s *Scan) readGroupPushdown(g, groupRows int, base uint32) (*colfile.Batch,
 		cols[c] = v
 	}
 	return &colfile.Batch{Schema: s.schema, Cols: cols, Sel: sel}, nil
+}
+
+// countPassing returns how many of the first n lanes of a predicate's result
+// are TRUE: the scan's test of every row group, so it reads the lanes as
+// plain slices, with one loop for a result without NULLs.
+//
+//polaris:kernel the lanes counted are the physical lanes of a dense predicate run
+func countPassing(pv *colfile.Vec, n int) int {
+	c := 0
+	bools := pv.Bools[:n]
+	if pv.Nulls == nil {
+		for _, b := range bools {
+			if b {
+				c++
+			}
+		}
+		return c
+	}
+	nulls := pv.Nulls[:n]
+	for i, b := range bools {
+		if b && !nulls[i] {
+			c++
+		}
+	}
+	return c
 }
 
 // passes reports whether lane i of a predicate's result is TRUE.

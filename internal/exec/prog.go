@@ -62,7 +62,7 @@ type Prog struct {
 	slots  []progSlot
 	instrs []progInstr
 	out    int
-	src    string
+	src    Expr        // the expression compiled, rendered only by String
 	consts *constCache // nil when the program has no constant slot
 	ranges []Range     // see Ranges
 }
@@ -116,8 +116,9 @@ func (p *Prog) constants(n int) *constSet {
 func (p *Prog) OutType() colfile.DataType { return p.slots[p.out].typ }
 
 // String renders the expression the program was compiled from; operators use
-// it as the default output column name.
-func (p *Prog) String() string { return p.src }
+// it as the default output column name. Compile renders nothing, so a
+// statement pays to render only the programs it names.
+func (p *Prog) String() string { return p.src.String() }
 
 // Cols returns the distinct input column indexes the program reads, in
 // ascending order. The scan uses it to decode only the predicate's columns
@@ -284,7 +285,7 @@ func (p *Prog) CheckConstants() error {
 		var want colfile.Vec
 		fillConst(&want, s.typ, s.cval, cs.n)
 		if v := &cs.vecs[si]; !reflect.DeepEqual(*v, want) {
-			return fmt.Errorf("exec: broadcast constant %v of %q was written", s.cval, p.src)
+			return fmt.Errorf("exec: broadcast constant %v of %q was written", s.cval, p.String())
 		}
 	}
 	return nil
@@ -356,7 +357,7 @@ func fillConst(v *colfile.Vec, t colfile.DataType, val any, n int) {
 // range instruction per column, ahead of the other conjuncts (see
 // compileRanged).
 func Compile(e Expr, schema colfile.Schema) (*Prog, error) {
-	p := &Prog{src: e.String()}
+	p := &Prog{src: e}
 	lanes := addRanges(nil, e, schema)
 	if len(lanes) > 0 {
 		p.ranges = make([]Range, len(lanes))

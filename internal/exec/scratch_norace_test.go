@@ -265,3 +265,91 @@ func TestPushedBetweenScanAllocatesNothingForItsPredicate(t *testing.T) {
 		t.Fatalf("a pushed BETWEEN scan with a new program allocates %v times, want at most %v (%v to compile, %v to scan with a warm program): the predicate allocates while it runs", fresh, compile+shared, compile, shared)
 	}
 }
+
+// TestPushedScanConsultsDeletionVectorOnlyForSurvivors: the pushed predicate
+// runs before the deletion vector. A warm pushed scan over row groups that
+// each carry deleted rows and hold no survivor allocates nothing per group
+// and never takes the pooled live selection; a group whose only passing rows
+// are deleted returns no batch, and neither takes the live selection.
+func TestPushedScanConsultsDeletionVectorOnlyForSurvivors(t *testing.T) {
+	const groupRows = 512
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "v", Type: colfile.Int64}}
+	file := func(groups int) ScanFile {
+		all := make([][][]any, groups)
+		var deleted []uint32
+		for g := range all {
+			all[g] = make([][]any, groupRows)
+			for i := range all[g] {
+				row := g*groupRows + i
+				all[g][i] = []any{int64(2 * (i*groups + g)), int64(i % 7)} // every group spans the key range: no zone map prunes
+				if row%3 == 0 {
+					deleted = append(deleted, uint32(row))
+				}
+			}
+		}
+		return ScanFile{R: mustOpen(t, makeFile(t, schema, all)), DV: deletevector.FromRows(deleted)}
+	}
+	one, many := []ScanFile{file(1)}, []ScanFile{file(16)}
+	k := ColRef{Idx: 0, Name: "k"}
+	odd := prog(t, schema, Bin{Kind: OpAnd,
+		L: Bin{Kind: OpGe, L: k, R: Const{Val: int64(1001)}},
+		R: Bin{Kind: OpLe, L: k, R: Const{Val: int64(1001)}}})
+	if out := scanOnce(t, many, odd); len(out) != 0 {
+		t.Fatalf("the scan returned %d batches, want none", len(out))
+	}
+	const runs = 20
+	perOne := testing.AllocsPerRun(runs, func() { scanOnce(t, one, odd) })
+	perMany := testing.AllocsPerRun(runs, func() { scanOnce(t, many, odd) })
+	if perMany != perOne {
+		t.Fatalf("a warm pushed scan without survivors allocates %v times over 16 row groups and %v over one: want nothing per group", perMany, perOne)
+	}
+
+	// Group 3's keys 2*(i*16+3): i = 0 and 2 give 6 and 70, rows 1536 and
+	// 1538, both deleted (1536%3 == 0; 1538 is added). Group 5's key 10
+	// (row 2560) passes and is live. The first batch is group 5's, so group
+	// 3 returned none, and the live selection is still untaken mid-stream.
+	f := ScanFile{R: many[0].R, DV: deletevector.New().Union(many[0].DV)}
+	f.DV.Add(3*groupRows + 2)
+	eq := func(v int64) Expr { return Bin{Kind: OpEq, L: k, R: Const{Val: v}} }
+	pred := prog(t, schema, Bin{Kind: OpOr, L: Bin{Kind: OpOr, L: eq(6), R: eq(70)}, R: eq(10)})
+	s, err := NewScan([]ScanFile{f}, nil, pred, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Next()
+	if err != nil || b == nil || !slices.Equal(b.Sel, []int{0}) {
+		t.Fatalf("deleted matches in group 3, a live one in group 5: batch %v, %v; want group 5's offset 0 alone", b, err)
+	}
+	if file, ords := s.Ordinals(); file != 0 || !slices.Equal(ords, []uint32{5 * groupRows}) {
+		t.Fatalf("Ordinals = %d, %v; want file 0, row %d", file, ords, 5*groupRows)
+	}
+	if s.live != nil {
+		t.Fatal("the pushed scan took the pooled live selection")
+	}
+	if b, err := s.Next(); err != nil || b != nil {
+		t.Fatalf("after group 5: batch %v, %v; want end of stream", b, err)
+	}
+}
+
+// TestCompileRendersNothing: Compile keeps the expression and renders it
+// only when String is asked, so a statement that compiles a point range
+// pays for its program, not for its text: compiling `k >= 1001 AND k <=
+// 1010` takes 7 allocations, 15 when Compile rendered it. The gate sits at 8.
+func TestCompileRendersNothing(t *testing.T) {
+	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "v", Type: colfile.Int64}}
+	k := ColRef{Idx: 0, Name: "k"}
+	e := Expr(Bin{Kind: OpAnd,
+		L: Bin{Kind: OpGe, L: k, R: Const{Val: int64(1001)}},
+		R: Bin{Kind: OpLe, L: k, R: Const{Val: int64(1010)}}})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(e, schema); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("compiling %v allocates %v times, want at most 8", e, allocs)
+	}
+	if got, want := prog(t, schema, e).String(), e.String(); got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+}

@@ -747,16 +747,17 @@ func mergeSelect(h *handle, p *selectPlan, r stageRunner) (*colfile.Batch, error
 		// carries behind the items as hidden columns, dropped after the
 		// limit. The group keys are distinct, so the order is total whatever
 		// order MergeAgg emits in.
-		partial := func(op exec.Operator) exec.Operator {
-			return &exec.HashAgg{In: op, GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
-		}
+		proto := &exec.HashAgg{GroupBy: ap.groupBy, Aggs: ap.aggs, Partial: true}
+		// the partial layout is a function of the programs alone, built
+		// here once, before the workers copy it
+		layout := proto.Schema()
+		partial := func(op exec.Operator) exec.Operator { return proto.On(op) }
 		batches, err := runStages(p, r, partial, -1)
 		if err != nil {
 			return nil, err
 		}
 		outOp = ap.finish(&exec.MergeAgg{
-			// the partial layout is a function of the programs alone
-			In:     exec.NewBatchList(partial(nil).Schema(), batches),
+			In:     exec.NewBatchList(layout, batches),
 			Groups: len(ap.groupBy), Aggs: ap.aggs,
 		})
 		keys = slices.Clip(keys)
