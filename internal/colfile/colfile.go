@@ -31,6 +31,7 @@ package colfile
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 )
@@ -97,6 +98,21 @@ func (s Schema) Equal(o Schema) bool {
 // Vec is a typed column vector: the unit of data exchanged between the file
 // format and the vectorized execution engine. Exactly one payload slice is
 // populated according to Type. Nulls, when non-nil, marks NULL positions.
+//
+// A String vector may instead be dictionary-coded, the layout of a
+// dictionary array: Ints is non-nil and holds one code per lane, Strs is the
+// dictionary, its entries distinct, and lane i is Strs[Ints[i]] (Str reads
+// it; a NULL lane's code means nothing). So two lanes' codes are equal
+// exactly when their strings are, and a consumer that groups by the column
+// resolves each dictionary entry once and then every row by its code, while
+// the column costs a code per lane, not a string header. DictCoded mints the
+// coding of a column; Plain decodes it. The copies — Append, AppendTake,
+// Take, Slice and AppendBatch — keep lanes coded while every coded source
+// appended shares one dictionary (SameDict) and decode them otherwise; every
+// other mutator decodes the vector first. Only the executor's join probe emits
+// coded vectors, for the group keys it feeds (exec.Probe.Coded): kernels and
+// the file and spill writers read Strs as lanes, so a coded vector reaches
+// them only through Plain.
 type Vec struct {
 	Type   DataType
 	Ints   []int64
@@ -117,11 +133,137 @@ func (v *Vec) Len() int {
 	case Float64:
 		return len(v.Floats)
 	case String:
+		if v.Ints != nil {
+			return len(v.Ints)
+		}
 		return len(v.Strs)
 	case Bool:
 		return len(v.Bools)
 	}
 	return 0
+}
+
+// Str returns lane i of a String vector, coded or not.
+func (v *Vec) Str(i int) string {
+	if v.Ints != nil {
+		return v.Strs[v.Ints[i]]
+	}
+	return v.Strs[i]
+}
+
+// DictCoded returns String vector v dictionary-coded: v itself when it is
+// coded already, otherwise a new vector with v's NULL bitmap (shared, not
+// copied) whose dictionary is v's distinct non-NULL values in lane order. v is
+// not changed, so a vector other statements share may be coded.
+func (v *Vec) DictCoded() *Vec {
+	if v.Ints != nil {
+		return v
+	}
+	codes := make([]int64, len(v.Strs))
+	var dict []string
+	// An open-addressing index of dict, at most half full: code + 1 per
+	// slot, 0 = empty. Which slot a value takes depends on the hash; its
+	// code does not.
+	slots := make([]int32, 16)
+	for i, s := range v.Strs {
+		if v.IsNull(i) {
+			continue
+		}
+		mask := uint64(len(slots) - 1)
+		j := maphash.String(codeSeed, s) & mask
+		for slots[j] != 0 && dict[slots[j]-1] != s {
+			j = (j + 1) & mask
+		}
+		if slots[j] != 0 {
+			codes[i] = int64(slots[j] - 1)
+			continue
+		}
+		codes[i] = int64(len(dict))
+		dict = append(dict, s)
+		slots[j] = int32(len(dict))
+		if 2*len(dict) > len(slots) {
+			slots = reindex(dict, 2*len(slots))
+		}
+	}
+	if dict == nil {
+		dict = []string{}
+	}
+	return &Vec{Type: String, Ints: codes, Strs: dict, Nulls: v.Nulls}
+}
+
+// reindex returns DictCoded's index of dict in size slots.
+func reindex(dict []string, size int) []int32 {
+	slots := make([]int32, size)
+	mask := uint64(size - 1)
+	for code, s := range dict {
+		j := maphash.String(codeSeed, s) & mask
+		for slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		slots[j] = int32(code) + 1
+	}
+	return slots
+}
+
+// codeSeed seeds DictCoded's index.
+var codeSeed = maphash.MakeSeed()
+
+// SameDict reports whether two dictionaries are one: the same entries in the
+// same backing array, so a code means the same string under either.
+func SameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// Plain returns v with its lanes as strings: v itself unless it is a coded
+// String vector, otherwise a new vector (sharing v's NULL bitmap) that leaves
+// what one Append per lane would.
+func (v *Vec) Plain() *Vec {
+	if !v.coded() {
+		return v
+	}
+	out := &Vec{Type: String, Nulls: v.Nulls}
+	out.decodeFrom(v)
+	return out
+}
+
+// decode makes a coded String vector plain in place; a plain one is left as
+// it is.
+func (v *Vec) decode() {
+	if v.coded() {
+		src := *v
+		v.Ints, v.Strs = nil, nil
+		v.decodeFrom(&src)
+	}
+}
+
+// decodeFrom sets v.Strs to the lanes of coded src, "" under a NULL.
+func (v *Vec) decodeFrom(src *Vec) {
+	v.Strs = make([]string, len(src.Ints))
+	for i, c := range src.Ints {
+		if !src.IsNull(i) {
+			v.Strs[i] = src.Strs[c]
+		}
+	}
+}
+
+// codedCopy prepares String vector v, holding base lanes, for lanes of src
+// appended by a bulk copy. It reports whether they go on coded — src is
+// coded, and v is empty or coded under the same dictionary, and then v is
+// left coded under src's — and otherwise leaves v plain.
+func (v *Vec) codedCopy(src *Vec, base int) bool {
+	switch {
+	case src.Ints == nil:
+	case base == 0:
+		if v.Ints == nil {
+			v.Ints = []int64{}
+		}
+		v.Ints, v.Strs = v.Ints[:0], src.Strs
+		return true
+	case v.Ints != nil && SameDict(v.Strs, src.Strs):
+		return true
+	}
+	v.decode()
+	return false
 }
 
 // IsNull reports whether position i is NULL.
@@ -155,6 +297,10 @@ func (v *Vec) ResetLen(t DataType, n int) {
 			v.Floats = v.Floats[:n]
 		}
 	case String:
+		if v.Ints != nil {
+			// A coded vector's Strs is a dictionary, perhaps shared.
+			v.Ints, v.Strs = nil, nil
+		}
 		if cap(v.Strs) < n {
 			v.Strs = make([]string, n)
 		} else {
@@ -192,7 +338,7 @@ func (v *Vec) AppendInt(x int64) { v.Ints = append(v.Ints, x); v.growNull(false)
 func (v *Vec) AppendFloat(x float64) { v.Floats = append(v.Floats, x); v.growNull(false) }
 
 // AppendStr appends a string value.
-func (v *Vec) AppendStr(x string) { v.Strs = append(v.Strs, x); v.growNull(false) }
+func (v *Vec) AppendStr(x string) { v.decode(); v.Strs = append(v.Strs, x); v.growNull(false) }
 
 // AppendBool appends a bool value.
 func (v *Vec) AppendBool(x bool) { v.Bools = append(v.Bools, x); v.growNull(false) }
@@ -205,6 +351,7 @@ func (v *Vec) AppendNull() {
 	case Float64:
 		v.Floats = append(v.Floats, 0)
 	case String:
+		v.decode()
 		v.Strs = append(v.Strs, "")
 	case Bool:
 		v.Bools = append(v.Bools, false)
@@ -235,7 +382,7 @@ func (v *Vec) Value(i int) any {
 	case Float64:
 		return v.Floats[i]
 	case String:
-		return v.Strs[i]
+		return v.Str(i)
 	case Bool:
 		return v.Bools[i]
 	}
@@ -275,7 +422,7 @@ func (v *Vec) AppendKey(dst []byte, i int) []byte {
 		}
 		return binary.BigEndian.AppendUint64(append(dst, keyValue), u)
 	case String:
-		s := v.Strs[i]
+		s := v.Str(i)
 		dst = binary.AppendUvarint(append(dst, keyValue), uint64(len(s)))
 		return append(dst, s...)
 	case Bool:
@@ -308,7 +455,7 @@ func (v *Vec) AppendSortKey(dst []byte, i int, desc bool) []byte {
 	case v.IsNull(i):
 		dst = append(dst, keyNull)
 	case v.Type == String:
-		s := v.Strs[i]
+		s := v.Str(i)
 		dst = append(dst, keyValue)
 		for j := 0; j < len(s); j++ {
 			if s[j] == 0x00 {
@@ -329,8 +476,14 @@ func (v *Vec) AppendSortKey(dst []byte, i int, desc bool) []byte {
 	return dst
 }
 
-// Append appends position i of src (which must have the same type).
+// Append appends position i of src (which must have the same type). A
+// coded lane stays coded under the rule of the bulk copies.
 func (v *Vec) Append(src *Vec, i int) {
+	if v.Type == String && v.codedCopy(src, v.Len()) {
+		v.Ints = append(v.Ints, src.Ints[i])
+		v.growNull(src.IsNull(i))
+		return
+	}
 	if src.IsNull(i) {
 		v.AppendNull()
 		return
@@ -341,7 +494,7 @@ func (v *Vec) Append(src *Vec, i int) {
 	case Float64:
 		v.AppendFloat(src.Floats[i])
 	case String:
-		v.AppendStr(src.Strs[i])
+		v.AppendStr(src.Str(i))
 	case Bool:
 		v.AppendBool(src.Bools[i])
 	}
@@ -364,7 +517,14 @@ func (v *Vec) AppendTake(src *Vec, idx []int) {
 	case Float64:
 		v.Floats, null = appendTake(v.Floats, src.Floats, src.Nulls, idx)
 	case String:
-		v.Strs, null = appendTake(v.Strs, src.Strs, src.Nulls, idx)
+		switch {
+		case v.codedCopy(src, base):
+			v.Ints, null = appendTake(v.Ints, src.Ints, src.Nulls, idx)
+		case src.Ints != nil:
+			v.Strs, null = appendTakeCoded(v.Strs, src, idx)
+		default:
+			v.Strs, null = appendTake(v.Strs, src.Strs, src.Nulls, idx)
+		}
 	case Bool:
 		v.Bools, null = appendTake(v.Bools, src.Bools, src.Nulls, idx)
 	}
@@ -408,6 +568,31 @@ func appendTake[T any](dst, src []T, nulls []bool, idx []int) ([]T, bool) {
 	return dst, null
 }
 
+// appendTakeCoded is appendTake of coded String vector src's lanes as
+// strings.
+func appendTakeCoded(dst []string, src *Vec, idx []int) ([]string, bool) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	null := false
+	for k, i := range idx {
+		if i < 0 || src.IsNull(i) {
+			dst[n+k], null = "", true
+			continue
+		}
+		dst[n+k] = src.Strs[src.Ints[i]]
+	}
+	return dst, null
+}
+
+// span returns the positions [lo, hi).
+func span(lo, hi int) []int {
+	idx := make([]int, hi-lo)
+	for k := range idx {
+		idx[k] = lo + k
+	}
+	return idx
+}
+
 // anyNullAt reports whether any of positions idx is NULL.
 func (v *Vec) anyNullAt(idx []int) bool {
 	if v.Nulls == nil {
@@ -437,7 +622,14 @@ func (v *Vec) appendRange(src *Vec, lo, hi int) {
 	case Float64:
 		v.Floats = appendRange(v.Floats, src.Floats[lo:hi], nulls)
 	case String:
-		v.Strs = appendRange(v.Strs, src.Strs[lo:hi], nulls)
+		switch {
+		case v.codedCopy(src, base):
+			v.Ints = appendRange(v.Ints, src.Ints[lo:hi], nulls)
+		case src.Ints != nil:
+			v.Strs, _ = appendTakeCoded(v.Strs, src, span(lo, hi))
+		default:
+			v.Strs = appendRange(v.Strs, src.Strs[lo:hi], nulls)
+		}
 	case Bool:
 		v.Bools = appendRange(v.Bools, src.Bools[lo:hi], nulls)
 	}
@@ -475,7 +667,11 @@ func (v *Vec) Grow(n int) {
 	case Float64:
 		v.Floats = slices.Grow(v.Floats, n)
 	case String:
-		v.Strs = slices.Grow(v.Strs, n)
+		if v.Ints != nil {
+			v.Ints = slices.Grow(v.Ints, n)
+		} else {
+			v.Strs = slices.Grow(v.Strs, n)
+		}
 	case Bool:
 		v.Bools = slices.Grow(v.Bools, n)
 	}
@@ -601,19 +797,26 @@ func (b *Batch) RowIdx(i int) int {
 	return i
 }
 
-// Materialize returns a dense batch: b itself when no selection vector is
-// present, otherwise a new batch whose columns hold exactly the selected rows
-// (a typed bulk gather, no per-value boxing).
+// Materialize returns a dense batch of plain columns: b itself when no
+// selection vector is present and no column is dictionary-coded, otherwise a
+// new batch whose columns hold exactly the selected rows (a typed bulk
+// gather, no per-value boxing), each coded column decoded (Vec.Plain).
 func (b *Batch) Materialize() *Batch {
-	if b.Sel == nil {
+	if b.Sel == nil && !slices.ContainsFunc(b.Cols, (*Vec).coded) {
 		return b
 	}
 	out := &Batch{Schema: b.Schema, Cols: make([]*Vec, len(b.Cols))}
 	for i, v := range b.Cols {
-		out.Cols[i] = v.Take(b.Sel)
+		if b.Sel != nil {
+			v = v.Take(b.Sel)
+		}
+		out.Cols[i] = v.Plain()
 	}
 	return out
 }
+
+// coded reports whether v is a dictionary-coded String vector.
+func (v *Vec) coded() bool { return v.Type == String && v.Ints != nil }
 
 // AppendRow appends one row given as Go values.
 func (b *Batch) AppendRow(vals ...any) error {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -734,10 +735,115 @@ func checkCopies(t *testing.T, cell string, src *Vec, idx []int, lo, hi int) {
 	}
 }
 
+// checkCodedCopies fails unless every copy of plain String vector src's
+// dictionary coding holds the lanes of src: a coded result has every non-NULL
+// lane in its dictionary, and the lane the copy asked for. The copies are
+// Take and AppendTake of idx, Slice of [lo, hi), AppendBatch of a coded
+// window and per-row Append, onto an empty vector, a plain one, a vector
+// coded with the same dictionary and one coded with another dictionary of
+// the same strings, and into a scratch vector reused after a coded copy.
+// Neither dictionary is ever written.
+func checkCodedCopies(t *testing.T, cell string, src *Vec, idx []int, lo, hi int) {
+	t.Helper()
+	// other holds src's lanes under a dictionary of its own, numbered in
+	// reverse lane order, so the two codings disagree on codes.
+	rev := span(0, src.Len())
+	slices.Reverse(rev)
+	coded, other := src.DictCoded(), src.Take(rev).DictCoded().Take(rev)
+	if coded.Ints == nil || SameDict(coded.Strs, other.Strs) && len(coded.Strs) > 0 {
+		t.Fatalf("%s: DictCoded gave %+v and %+v", cell, coded, other)
+	}
+	dict, otherDict := slices.Clone(coded.Strs), slices.Clone(other.Strs)
+	// lanes is what a copy must hold: "" and NULL, or a string.
+	type lane struct {
+		s    string
+		null bool
+	}
+	lanes := func(v *Vec) []lane {
+		out := make([]lane, v.Len())
+		for i := range out {
+			if v.IsNull(i) {
+				out[i].null = true
+				continue
+			}
+			if v.Ints != nil && (v.Ints[i] < 0 || int(v.Ints[i]) >= len(v.Strs)) {
+				t.Fatalf("%s: lane %d's code %d is outside a dictionary of %d", cell, i, v.Ints[i], len(v.Strs))
+			}
+			out[i].s = v.Str(i)
+		}
+		return out
+	}
+	check := func(what string, got, want *Vec) {
+		t.Helper()
+		if g, w := lanes(got), lanes(want); !slices.Equal(g, w) {
+			t.Fatalf("%s %s: lanes %v, want %v", cell, what, g, w)
+		}
+		if got.Ints != nil && !SameDict(got.Strs, coded.Strs) && !SameDict(got.Strs, other.Strs) {
+			t.Fatalf("%s %s: coded under a dictionary of neither source", cell, what)
+		}
+	}
+	if g, w := lanes(coded), lanes(src); !slices.Equal(g, w) {
+		t.Fatalf("%s: DictCoded lanes %v, want %v", cell, g, w)
+	}
+	if g, w := coded.MemSize(), coded.Plain().MemSize(); g != w {
+		t.Fatalf("%s: a coded column meters %d bytes, its plain form %d", cell, g, w)
+	}
+	span := span(lo, hi)
+	check("Take", coded.Take(idx), appendRef(NewVec(String), src, idx))
+	check("Slice", coded.Slice(lo, hi), appendRef(NewVec(String), src, span))
+	prefixes := append(slices.Clone(copyPrefixes), []struct {
+		name string
+		make func(t DataType) *Vec
+	}{
+		{"same dictionary", func(DataType) *Vec { return coded.Take([]int{0, 0}[:min(2, src.Len())]) }},
+		{"other dictionary", func(DataType) *Vec { return other.Take([]int{0}[:min(1, src.Len())]) }},
+	}...)
+	schema := Schema{{Name: "c", Type: String}}
+	for _, p := range prefixes {
+		want := func(idx []int) *Vec { return appendRef(p.make(String).Plain(), src, idx) }
+		got := p.make(String)
+		got.AppendTake(coded, idx)
+		check("AppendTake onto "+p.name, got, want(idx))
+		got = p.make(String)
+		got.AppendTake(coded, idx)
+		got.AppendTake(other, idx)
+		check("AppendTake of both onto "+p.name, got, appendRef(want(idx), src, idx))
+		b := &Batch{Schema: schema, Cols: []*Vec{p.make(String)}}
+		b.AppendBatch(&Batch{Schema: schema, Cols: []*Vec{codedWindow(coded, lo, hi)}})
+		check("AppendBatch onto "+p.name, b.Cols[0], want(span))
+		check("Append onto "+p.name, appendRef(p.make(String), coded, idx), want(idx))
+	}
+	// A scratch vector reused: coded by a copy, then reset and filled as
+	// kernel output, then coded again from the other dictionary.
+	scratch := coded.Take(idx)
+	scratch.ResetLen(String, len(idx))
+	for i := range scratch.Strs {
+		scratch.Strs[i] = "scratch"
+	}
+	scratch.AppendStr("z")
+	scratch.ResetLen(String, 0)
+	scratch.AppendTake(other, idx)
+	check("reused scratch", scratch, appendRef(NewVec(String), src, idx))
+	if !slices.Equal(coded.Strs, dict) || !slices.Equal(other.Strs, otherDict) {
+		t.Fatalf("%s: a copy wrote a dictionary: %q, %q; want %q, %q", cell, coded.Strs, other.Strs, dict, otherDict)
+	}
+}
+
+// codedWindow returns lanes [lo, hi) of coded v as a vector sharing its
+// slices and dictionary.
+func codedWindow(v *Vec, lo, hi int) *Vec {
+	w := &Vec{Type: String, Ints: v.Ints[lo:hi], Strs: v.Strs}
+	if v.Nulls != nil {
+		w.Nulls = v.Nulls[lo:hi]
+	}
+	return w
+}
+
 // TestAppendTakeMatchesAppend: every copy of column values — AppendTake and
 // Take under random index lists (empty, repeated and -1 indexes included),
 // Slice and AppendBatch of a dense batch under random ranges — leaves
-// exactly the vector, and the frame bytes, that one Append per row leaves:
+// exactly the vector, and the frame bytes, that one Append per row leaves
+// (and, of a String column's dictionary coding, its lanes: checkCodedCopies):
 // for every type, with and without NULLs in the source (a non-zero payload
 // under each), onto an empty vector, one with values and no bitmap, and one
 // that already has a bitmap. AppendBatch over a selected batch matches the
@@ -773,6 +879,9 @@ func TestAppendTakeMatchesAppend(t *testing.T) {
 				hi := lo + rng.Intn(n+1-lo)
 				cell := fmt.Sprintf("%v nulls=%v, %d indexes, range [%d,%d)", typ, nulls, len(idx), lo, hi)
 				checkCopies(t, cell, src, idx, lo, hi)
+				if typ == String {
+					checkCodedCopies(t, cell, src, idx, lo, hi)
+				}
 			}
 		}
 	}

@@ -749,7 +749,9 @@ func TestReaderSharedAcrossGoroutines(t *testing.T) {
 // FuzzVecCopies: for a fuzzed type, length, NULL pattern (junk payload under
 // each NULL; nulls == 0 is no bitmap, a pattern past the last row an
 // all-false one), index list (repeats and -1s) and range, AppendTake, Take,
-// Slice and AppendBatch each leave the vector of per-row Append, and none
+// Slice and AppendBatch each leave the vector of per-row Append, and a String
+// source's dictionary coding goes through the same copies (checkCodedCopies),
+// and none
 // panics.
 func FuzzVecCopies(f *testing.F) {
 	f.Add(uint8(0), uint64(0), []byte{1, 2, 3, 4}, []byte{0, 4, 2, 2}, uint8(1), uint8(3))
@@ -788,6 +790,9 @@ func FuzzVecCopies(f *testing.F) {
 			l, h = h, l
 		}
 		checkCopies(t, fmt.Sprintf("%v, %d rows", src.Type, n), src, idx, l, h)
+		if src.Type == String {
+			checkCodedCopies(t, fmt.Sprintf("coded, %d rows", n), src, idx, l, h)
+		}
 	})
 }
 

@@ -203,6 +203,15 @@ func (v *Vec) MemSize() int64 {
 	case Float64:
 		n = 8 * int64(len(v.Floats))
 	case String:
+		if v.coded() { // what the plain column would take
+			for i, c := range v.Ints {
+				n += 16
+				if !v.IsNull(i) {
+					n += int64(len(v.Strs[c]))
+				}
+			}
+			break
+		}
 		for _, s := range v.Strs {
 			n += 16 + int64(len(s))
 		}
@@ -263,7 +272,9 @@ func (b *Batch) Meter(cols []int) RowMeter {
 func (m RowMeter) Row(r int) int64 {
 	n := m.fixed
 	for _, v := range m.strs {
-		n += int64(len(v.Strs[r]))
+		if !v.coded() || !v.IsNull(r) {
+			n += int64(len(v.Str(r)))
+		}
 	}
 	return n
 }

@@ -187,13 +187,6 @@ func (v *Vector) Rows() []uint32 {
 	return out
 }
 
-// ForEachRun calls fn for each maximal deleted run [start,end) in order.
-func (v *Vector) ForEachRun(fn func(start, end uint32)) {
-	for _, r := range v.runs {
-		fn(r.start, r.end)
-	}
-}
-
 // Equal reports whether two vectors mark exactly the same rows.
 func (v *Vector) Equal(o *Vector) bool {
 	if len(v.runs) != len(o.runs) {

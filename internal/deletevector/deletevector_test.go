@@ -170,13 +170,14 @@ func FuzzDeletionVectorUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first, prevEnd := true, uint32(0)
-		v.ForEachRun(func(start, end uint32) {
+		first, prevEnd := true, 0
+		all := v.Runs(0, math.MaxUint32+1)
+		for start, end, ok := all.Next(); ok; start, end, ok = all.Next() {
 			if start >= end || (!first && start <= prevEnd) {
 				t.Fatalf("non-canonical run [%d,%d) after end %d in %v", start, end, prevEnd, v)
 			}
 			first, prevEnd = false, end
-		})
+		}
 		back, err := Unmarshal(v.Marshal())
 		if err != nil || !back.Equal(v) {
 			t.Fatalf("round trip of %v: %v, %v", v, back, err)
@@ -185,21 +186,29 @@ func FuzzDeletionVectorUnmarshal(f *testing.F) {
 		// the row space and around the first few runs.
 		checkRuns(t, v, 0, 64)
 		checkRuns(t, v, math.MaxUint32-64, 64)
-		i := 0
-		v.ForEachRun(func(start, end uint32) {
-			if i++; i <= 4 {
-				base := start - min(start, 3)
-				checkRuns(t, v, base, int(min(uint64(end-base)+3, 256, math.MaxUint32+1-uint64(base))))
+		all = v.Runs(0, math.MaxUint32+1)
+		for i := 0; i < 4; i++ {
+			lo, hi, ok := all.Next()
+			if !ok {
+				break
 			}
-		})
+			start, end := uint32(lo), uint32(hi)
+			base := start - min(start, 3)
+			checkRuns(t, v, base, int(min(uint64(end-base)+3, 256, math.MaxUint32+1-uint64(base))))
+		}
 	})
 }
 
-func TestForEachRun(t *testing.T) {
+// TestRunsOverWholeVector: a cursor over a window from row 0 that covers
+// every row walks the vector's maximal runs in order.
+func TestRunsOverWholeVector(t *testing.T) {
 	v := FromRows([]uint32{1, 2, 3, 10})
-	var got [][2]uint32
-	v.ForEachRun(func(s, e uint32) { got = append(got, [2]uint32{s, e}) })
-	if len(got) != 2 || got[0] != [2]uint32{1, 4} || got[1] != [2]uint32{10, 11} {
+	var got [][2]int
+	r := v.Runs(0, math.MaxUint32+1)
+	for lo, hi, ok := r.Next(); ok; lo, hi, ok = r.Next() {
+		got = append(got, [2]int{lo, hi})
+	}
+	if len(got) != 2 || got[0] != [2]int{1, 4} || got[1] != [2]int{10, 11} {
 		t.Fatalf("runs = %v", got)
 	}
 }

@@ -11,11 +11,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -178,20 +181,27 @@ func checkAggAgainstReference(t testing.TB, c aggCase) {
 	rng := rand.New(rand.NewSource(c.seed))
 	rows := diffRows(rng, c.rows, c.domain, c.nullPct)
 	batches := diffBatches(t, rng, diffSchema, rows, c.splits, c.selected)
+	compareAgg(t, c, rows, batches, c.groupCols, diffAggs)
+}
 
+// compareAgg aggregates batches — rows, cut and coded in some way — by
+// groupCols with aggregates refs, a final HashAgg when c.morsels is 0 and
+// partials under a MergeAgg otherwise, and compares the bytes with
+// refAggregate's over rows.
+func compareAgg(t testing.TB, c aggCase, rows [][]any, batches []*colfile.Batch, groupCols []int, refs []refAgg) {
 	var groupBy []*Prog
-	for _, g := range c.groupCols {
+	for _, g := range groupCols {
 		groupBy = append(groupBy, prog(t, diffSchema, ColRef{Idx: g, Name: diffSchema[g].Name}))
 	}
-	aggs := make([]AggSpec, len(diffAggs))
-	for i, a := range diffAggs {
+	aggs := make([]AggSpec, len(refs))
+	for i, a := range refs {
 		aggs[i] = AggSpec{Kind: a.kind, Name: fmt.Sprintf("a%d", i)}
 		if a.kind != AggCountStar {
 			aggs[i].Arg = prog(t, diffSchema, ColRef{Idx: a.col})
 		}
 	}
 
-	want := refAggregate(rows, c.groupCols, diffAggs)
+	want := refAggregate(rows, groupCols, refs)
 	var got *colfile.Batch
 	var err error
 	if c.morsels == 0 {
@@ -219,7 +229,158 @@ func checkAggAgainstReference(t testing.TB, c aggCase) {
 	// sides are sorted by the group columns, which are distinct per group.
 	wantBatch := rowsBatch(t, (&HashAgg{GroupBy: groupBy, Aggs: aggs}).Schema(), want)
 	if g, w := batchBytes(sortByGroups(got, len(groupBy))), batchBytes(sortByGroups(wantBatch, len(groupBy))); !bytes.Equal(g, w) {
-		t.Fatalf("%+v: aggregate differs from the reference\ngot:\n%s\nwant:\n%s", c, g, w)
+		t.Fatalf("%+v, groups %v: aggregate differs from the reference\ngot:\n%s\nwant:\n%s", c, groupCols, g, w)
+	}
+}
+
+// checkCodedAggAgainstReference runs one case's rows, with NaNs of two bit
+// patterns in the float column, through the aggregation with its String
+// columns dictionary-coded by a real BuildHashJoin and Probe: all coded under
+// one build's dictionaries, each half of the rows under the dictionaries of
+// its own build of the same rows (so two dictionaries share every string,
+// under other codes: the second build holds the rows in reverse),
+// and half coded, half as scanned. The keys are the case's, the fixed-width
+// composite (f, i, b) and (s, s2, f); the aggregates are every one but MIN
+// and MAX of f, whose NaN order the reference does not model.
+func checkCodedAggAgainstReference(t testing.TB, c aggCase) {
+	rng := rand.New(rand.NewSource(c.seed))
+	rows := diffRows(rng, c.rows, c.domain, c.nullPct)
+	for i, row := range rows {
+		if f, ok := row[1].(float64); ok && f > 0 && i%5 == 0 {
+			row[1] = math.Float64frombits(0x7FF8000000000000 | uint64(i%2+1)) // two NaNs
+		}
+	}
+	var refs []refAgg
+	for _, a := range diffAggs {
+		if a.col != 1 || a.kind != AggMin && a.kind != AggMax {
+			refs = append(refs, a)
+		}
+	}
+	// The build side: every row and its row number, id; the probe side
+	// asks for rows by id, so the join's output is the rows in order, with
+	// s and s2 gathered coded.
+	bschema := append(slices.Clip(diffSchema), colfile.Field{Name: "id", Type: colfile.Int64})
+	build := func(reverse bool) *JoinTable {
+		brows := make([][]any, len(rows))
+		for i, row := range rows {
+			brows[i] = append(slices.Clip(row), int64(i))
+		}
+		if reverse {
+			slices.Reverse(brows) // the other build numbers its strings in another order
+		}
+		jt, err := BuildHashJoin(NewBatchList(bschema, diffBatches(t, rng, bschema, brows, 3, false)), []int{len(diffSchema)}, InnerJoin, 1+c.morsels%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jt
+	}
+	pschema := colfile.Schema{{Name: "pid", Type: colfile.Int64}}
+	cols, coded := make([]int, len(diffSchema)), []int{2, 3}
+	for i := range cols {
+		cols[i] = 1 + i
+	}
+	probe := func(jt *JoinTable, lo, hi int) []*colfile.Batch {
+		ids := make([][]any, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			ids = append(ids, []any{int64(i)})
+		}
+		var out []*colfile.Batch
+		for _, b := range diffBatches(t, rng, pschema, ids, c.splits, c.selected) {
+			p := &Probe{In: NewBatchSource(b), Table: jt, LeftKeys: []int{0}, Cols: cols, Coded: coded}
+			for {
+				ob, err := p.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ob == nil {
+					break
+				}
+				if ob.Cols[2].Ints == nil && ob.Cols[2].Len() > 0 {
+					t.Fatalf("%+v: the probe gathered s plain", c)
+				}
+				out = append(out, ob)
+			}
+		}
+		return out
+	}
+	one, other := build(false), build(true)
+	half := len(rows) / 2
+	shapes := map[string][]*colfile.Batch{
+		"one build":  probe(one, 0, len(rows)),
+		"two builds": append(probe(one, 0, half), probe(other, half, len(rows))...),
+		"coded and scanned": append(probe(other, 0, half),
+			diffBatches(t, rng, diffSchema, rows[half:], c.splits, c.selected)...),
+	}
+	for _, name := range []string{"one build", "two builds", "coded and scanned"} {
+		for _, groupCols := range [][]int{c.groupCols, {1, 0, 4}, {2, 3, 1}} {
+			compareAgg(t, c, rows, shapes[name], groupCols, refs)
+		}
+	}
+}
+
+// TestGroupKeysAsWords states the group-key answers the word path must give:
+// "x" coded under two dictionaries is one group; (1, -0.0) and (1, +0.0) are
+// one group, and so are NULL and NULL; two NaN bit patterns are two groups.
+func TestGroupKeysAsWords(t *testing.T) {
+	count := func(schema colfile.Schema, keys []int, batches ...*colfile.Batch) map[string]int64 {
+		t.Helper()
+		var groupBy []Expr
+		for _, k := range keys {
+			groupBy = append(groupBy, ColRef{Idx: k, Name: schema[k].Name})
+		}
+		out, err := Collect(&HashAgg{In: NewBatchList(schema, batches), GroupBy: progs(t, schema, groupBy...),
+			Aggs: []AggSpec{{Kind: AggCountStar, Name: "n"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for r := 0; r < out.NumRows(); r++ {
+			var key []string
+			for c := range keys {
+				v := out.Cols[c].Value(r)
+				if f, ok := v.(float64); ok {
+					v = fmt.Sprintf("%x", math.Float64bits(f))
+				}
+				key = append(key, fmt.Sprint(v))
+			}
+			got[strings.Join(key, ",")] = out.Cols[len(keys)].Ints[r]
+		}
+		return got
+	}
+	strs := colfile.Schema{{Name: "s", Type: colfile.String}}
+	x := func(vals ...string) *colfile.Batch {
+		v := colfile.NewVec(colfile.String)
+		for _, s := range vals {
+			v.AppendStr(s)
+		}
+		return &colfile.Batch{Schema: strs, Cols: []*colfile.Vec{v.DictCoded()}}
+	}
+	a, b := x("x", "y"), x("y", "x", "x")
+	if colfile.SameDict(a.Cols[0].Strs, b.Cols[0].Strs) {
+		t.Fatal("the two batches share a dictionary")
+	}
+	if got, want := count(strs, []int{0}, a, b), map[string]int64{"x": 3, "y": 2}; !maps.Equal(got, want) {
+		t.Errorf(`"x" and "y" under two dictionaries: groups %v, want %v`, got, want)
+	}
+	if got, want := count(strs, []int{0}, a, rowsBatch(t, strs, [][]any{{"x"}, {nil}, {"z"}})), map[string]int64{"x": 2, "y": 1, "<nil>": 1, "z": 1}; !maps.Equal(got, want) {
+		t.Errorf("coded and plain: groups %v, want %v", got, want)
+	}
+
+	fixed := colfile.Schema{{Name: "i", Type: colfile.Int64}, {Name: "f", Type: colfile.Float64}}
+	nan1, nan2 := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0x7FF8000000000002)
+	in := rowsBatch(t, fixed, [][]any{
+		{int64(1), math.Copysign(0, -1)}, {int64(1), 0.0}, {int64(1), nan1}, {int64(1), nan2}, {int64(1), nan1},
+		{nil, nil}, {nil, nil}, {int64(0), 0.0},
+	})
+	// A group's key is its first row's: here -0.0, bits 8000000000000000.
+	want := map[string]int64{
+		"1,8000000000000000": 2, "1,7ff8000000000001": 2, "1,7ff8000000000002": 1, "<nil>,<nil>": 2, "0,0": 1,
+	}
+	if got := count(fixed, []int{0, 1}, in); !maps.Equal(got, want) {
+		t.Errorf("(i, f): groups %v, want %v", got, want)
+	}
+	if got, want := count(fixed, []int{1}, in), map[string]int64{"8000000000000000": 3, "7ff8000000000001": 2, "7ff8000000000002": 1, "<nil>": 2}; !maps.Equal(got, want) {
+		t.Errorf("f alone: groups %v, want %v", got, want)
 	}
 }
 
@@ -363,8 +524,8 @@ func TestJoinMatchesReference(t *testing.T) {
 // plus a NULL key that keeps its id across growths, is never found, and
 // orders first.
 func TestKeyTableMatchesMap(t *testing.T) {
-	pairA := appendGroupKey(nil, []*colfile.Vec{{Type: colfile.String, Strs: []string{"a\x00"}}, {Type: colfile.String, Strs: []string{"b"}}}, 0)
-	pairB := appendGroupKey(nil, []*colfile.Vec{{Type: colfile.String, Strs: []string{"a"}}, {Type: colfile.String, Strs: []string{"\x00b"}}}, 0)
+	pairA := appendJoinKey(nil, []*colfile.Vec{{Type: colfile.String, Strs: []string{"a\x00"}}, {Type: colfile.String, Strs: []string{"b"}}}, 0)
+	pairB := appendJoinKey(nil, []*colfile.Vec{{Type: colfile.String, Strs: []string{"a"}}, {Type: colfile.String, Strs: []string{"\x00b"}}}, 0)
 	if bytes.Equal(pairA, pairB) {
 		t.Fatal(`("a\x00","b") and ("a","\x00b") encode to the same key`)
 	}

@@ -372,12 +372,9 @@ func (l *batchList) Next() (*colfile.Batch, error) {
 	return b, nil
 }
 
-// TestLimitGathersOnlyKeptRows: LIMIT 3 OFFSET n over a 4,096-row batch that
-// selects every other row returns the selection's rows n, n+1 and n+2 (fewer
-// at its end), and allocates for those rows only, not for a gather of the
-// whole selection. A batch OFFSET skips whole is passed over by its count.
-func TestLimitGathersOnlyKeptRows(t *testing.T) {
-	const rows = 4096
+// everyOtherRow returns a batch of rows (k, "row-k") for k in [0, rows) that
+// selects every other row, from row 0.
+func everyOtherRow(rows int) *colfile.Batch {
 	schema := colfile.Schema{{Name: "k", Type: colfile.Int64}, {Name: "s", Type: colfile.String}}
 	b := colfile.NewBatch(schema)
 	for i := 0; i < rows; i++ {
@@ -387,6 +384,16 @@ func TestLimitGathersOnlyKeptRows(t *testing.T) {
 	for i := 0; i < rows; i += 2 {
 		b.Sel = append(b.Sel, i)
 	}
+	return b
+}
+
+// TestLimitGathersOnlyKeptRows: LIMIT 3 OFFSET n over a 4,096-row batch that
+// selects every other row returns the selection's rows n, n+1 and n+2 (fewer
+// at its end). A batch OFFSET skips whole is passed over by its count. What
+// the LIMIT allocates is TestLimitAllocatesOnlyKeptRows' (not under -race).
+func TestLimitGathersOnlyKeptRows(t *testing.T) {
+	const rows = 4096
+	b := everyOtherRow(rows)
 	limitN := func(n, offset int64, in ...*colfile.Batch) []int64 {
 		src := batchList(in)
 		out, err := Collect(&Limit{In: &src, N: n, Offset: offset})
@@ -430,17 +437,6 @@ func TestLimitGathersOnlyKeptRows(t *testing.T) {
 		if len(got) != 2*rows/2-int(offset) || got[0] != 2*(offset%(rows/2)) || got[len(got)-1] != rows-2 {
 			t.Errorf("LIMIT MaxInt64 OFFSET %d over two batches: %d rows, %v … %v", offset, len(got), got[:min(len(got), 3)], got[max(len(got)-3, 0):])
 		}
-	}
-	const runs = 10
-	per := allocatedBy(func() {
-		for i := 0; i < runs; i++ {
-			limit(1000, b)
-		}
-	}) / runs
-	// Three kept rows are 3 ints and 3 string headers; a gather of the
-	// selection would be 2,048 of each.
-	if bound := uint64(1024); per > bound {
-		t.Fatalf("LIMIT 3 over a selected %d-row batch allocates %d bytes, want at most %d: it gathered rows it does not keep", rows, per, bound)
 	}
 }
 

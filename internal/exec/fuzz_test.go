@@ -187,8 +187,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 // FuzzAggEquivalence drives HashAgg — alone, and as partial aggregates under a
 // MergeAgg — against the scalar reference aggregator (refAggregate) with
 // fuzzer-chosen data, grouping columns, NULL rate, batch splits, morsel count
-// and selection shape. Any difference in groups, their order, values, NULLs or
-// float bits is a bug in the operators or the key table under them.
+// and selection shape — and the same rows again with their strings
+// dictionary-coded by a join build and NaNs among the floats
+// (checkCodedAggAgainstReference). Any difference in groups, their order,
+// values, NULLs or float bits is a bug in the operators or the key table
+// under them.
 func FuzzAggEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(9), uint8(20), uint8(0b00001), uint8(4), uint8(0), false)
 	f.Add(int64(2), uint16(700), uint8(5), uint8(0), uint8(0b01100), uint8(7), uint8(3), true)
@@ -208,6 +211,7 @@ func FuzzAggEquivalence(f *testing.F) {
 			}
 		}
 		checkAggAgainstReference(t, c)
+		checkCodedAggAgainstReference(t, c)
 	})
 }
 

@@ -30,6 +30,13 @@ type JoinTable struct {
 	build *colfile.Batch
 	keys  []*colfile.Vec // the build side's key columns
 	typ   JoinType
+	coded []codedCol // per build column, its coding once a probe asked for it
+}
+
+// codedCol is one build column's coding, made at most once (codedCol).
+type codedCol struct {
+	once sync.Once
+	vec  *colfile.Vec
 }
 
 // joinPart is one build partition: the distinct keys that hash to it and,
@@ -135,7 +142,7 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int) (*
 					case word:
 						rk.hashes = append(rk.hashes, h)
 					default:
-						scratch = appendGroupKey(scratch[:0], vecs, i)
+						scratch = appendJoinKey(scratch[:0], vecs, i)
 						rk.add(scratch, h)
 					}
 					part := partOf(h, p)
@@ -160,7 +167,17 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int) (*
 	}
 	wg.Wait()
 
-	return &JoinTable{parts: parts, build: all, keys: vecs, typ: typ}, nil
+	return &JoinTable{parts: parts, build: all, keys: vecs, typ: typ, coded: make([]codedCol, len(all.Cols))}, nil
+}
+
+// codedCol is String build column c dictionary-coded (colfile.Vec.DictCoded):
+// minted once, by the first probe that gathers the column coded, and then
+// shared by every probe. The build's own vector is not changed: a collected
+// batch may share its vectors with a scan.
+func (jt *JoinTable) codedCol(c int) *colfile.Vec {
+	cc := &jt.coded[c]
+	cc.once.Do(func() { cc.vec = jt.build.Cols[c].DictCoded() })
+	return cc.vec
 }
 
 // buildJoinPart builds partition w from every range's keys for it: one pass
@@ -224,11 +241,12 @@ func anyNull(vecs []*colfile.Vec, i int) bool {
 	return false
 }
 
-// keyVecs returns batch b's key columns, reusing dst.
+// keyVecs returns batch b's key columns, reusing dst: plain, since a join
+// key is hashed and encoded as strings.
 func keyVecs(dst []*colfile.Vec, b *colfile.Batch, keys []int) []*colfile.Vec {
 	dst = dst[:0]
 	for _, c := range keys {
-		dst = append(dst, b.Cols[c])
+		dst = append(dst, b.Cols[c].Plain())
 	}
 	return dst
 }
@@ -255,6 +273,12 @@ type Probe struct {
 	// Pruned, when set, accumulates the rows Bloom rejected (row-based, so
 	// DOP-invariant; the planner points it at WorkStats.RuntimeFilterRows).
 	Pruned *atomic.Int64
+	// Coded lists output positions of build-side String columns that the
+	// probe gathers dictionary-coded (see colfile.Vec): a code per row, not
+	// a string, which a GROUP BY over the column resolves by the code. The
+	// planner lists only columns that nothing reads before the aggregation
+	// but its group key.
+	Coded []int
 
 	schema  colfile.Schema
 	scratch *probeScratch // taken on the first batch, given back at end of stream
@@ -370,7 +394,7 @@ func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
 			case word:
 				matches = jt.lookupWord(s.vecs[0].Ints[phys], h)
 			default:
-				s.keyBuf = appendGroupKey(s.keyBuf[:0], s.vecs, phys)
+				s.keyBuf = appendJoinKey(s.keyBuf[:0], s.vecs, phys)
 				matches = jt.lookup(s.keyBuf, h)
 			}
 			switch jt.typ {
@@ -407,9 +431,12 @@ func (p *Probe) probeBatch(lb *colfile.Batch) (*colfile.Batch, error) {
 		if p.Cols != nil {
 			c = p.Cols[i]
 		}
-		if c < leftCols {
+		switch {
+		case c < leftCols:
 			out.Cols[i] = lb.Cols[c].Take(s.lIdx)
-		} else {
+		case slices.Contains(p.Coded, i):
+			out.Cols[i] = jt.codedCol(c - leftCols).Take(s.rIdx)
+		default:
 			out.Cols[i] = jt.build.Cols[c-leftCols].Take(s.rIdx)
 		}
 	}
@@ -543,27 +570,32 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 			if argVecs[i], err = a.Arg.Run(&argCtxs[i], b); err != nil {
 				return nil, err
 			}
+			argVecs[i] = argVecs[i].Plain() // the aggregates read strings as lanes
 		}
 		ids, err := groups.resolve(keyVecs, b.Sel, b.NumRows())
 		if err != nil {
 			return nil, err
 		}
 		for i := range cols {
-			cols[i].grow(groups.keys.len())
+			cols[i].grow(groups.len())
 			cols[i].fold(argVecs[i], b.Sel, ids)
 		}
 	}
 
 	// Global aggregate with no groups and no input still yields one row
 	// (in partial mode MergeAgg synthesizes it, so workers stay silent).
-	n := groups.keys.len()
+	n := groups.len()
 	if n == 0 && len(h.GroupBy) == 0 && !h.Partial {
 		n = 1
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	out := &colfile.Batch{Schema: h.Schema(), Cols: append([]*colfile.Vec(nil), groups.vals...)}
+	keys := groups.plain()
+	if h.Partial {
+		keys = append([]*colfile.Vec(nil), groups.vals...)
+	}
+	out := &colfile.Batch{Schema: h.Schema(), Cols: keys}
 	for i := range cols {
 		cols[i].grow(n) // the synthesized row; every seen group is there already
 		if h.Partial {
@@ -575,17 +607,15 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 	return out, nil
 }
 
-// appendGroupKey encodes row r's key columns — a group key, or a join key
-// off the word path — into dst with the typed, self-delimiting Vec.AppendKey
-// encoding (NULL is a distinct one-byte tag, so a NULL group can never
-// collide with any value), a Float64 zero always as +0: -0 = +0 holds in a
-// WHERE, so the two zeros are one group and one join key. Both aggregation
-// phases — the partial HashAgg workers and the final MergeAgg — and both join
-// sides go through this one encoding: keys are the same key iff their bytes
-// are identical.
+// appendJoinKey encodes row r's join key columns, off the word path, into
+// dst with the typed, self-delimiting Vec.AppendKey encoding (NULL is a
+// distinct one-byte tag, so it can never collide with any value), a Float64
+// zero always as +0: -0 = +0 holds in a WHERE, so the two zeros are one join
+// key, as they are one group (groupTable). Both join sides go through this
+// one encoding: keys are the same key iff their bytes are identical.
 //
 //polaris:kernel r is a physical lane, which callers map through their batch's Sel
-func appendGroupKey(dst []byte, vecs []*colfile.Vec, r int) []byte {
+func appendJoinKey(dst []byte, vecs []*colfile.Vec, r int) []byte {
 	for _, v := range vecs {
 		if v.Type == colfile.Float64 && !v.IsNull(r) && v.Floats[r] == 0 {
 			dst = append(dst, plusZeroKey...)

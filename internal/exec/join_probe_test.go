@@ -50,8 +50,8 @@ func TestTypedKeysFixSeparatorCollision(t *testing.T) {
 	}
 
 	// The typed encoding keeps the rows distinct.
-	n0 := appendGroupKey(nil, b.Cols, 0)
-	n1 := appendGroupKey(nil, b.Cols, 1)
+	n0 := appendJoinKey(nil, b.Cols, 0)
+	n1 := appendJoinKey(nil, b.Cols, 1)
 	if string(n0) == string(n1) {
 		t.Fatalf("typed keys collide: %q", n0)
 	}

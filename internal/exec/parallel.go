@@ -452,7 +452,7 @@ func (m *MergeAgg) Next() (*colfile.Batch, error) {
 		}
 		col := m.Groups
 		for i := range cols {
-			cols[i].grow(groups.keys.len())
+			cols[i].grow(groups.len())
 			var cnt *colfile.Vec
 			if partialWidth(cols[i].kind) == 2 {
 				cnt = b.Cols[col+1]
@@ -463,14 +463,14 @@ func (m *MergeAgg) Next() (*colfile.Batch, error) {
 	}
 
 	// A global aggregate over zero partial rows still yields one row.
-	n := groups.keys.len()
+	n := groups.len()
 	if n == 0 && m.Groups == 0 {
 		n = 1
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	out := &colfile.Batch{Schema: m.Schema(), Cols: append([]*colfile.Vec(nil), groups.vals...)}
+	out := &colfile.Batch{Schema: m.Schema(), Cols: groups.plain()}
 	for i := range cols {
 		cols[i].grow(n) // the synthesized row; every seen group is there already
 		out.Cols = append(out.Cols, cols[i].finalCol())

@@ -221,7 +221,8 @@ func (p *Prog) NewCtx() *EvalCtx { return &EvalCtx{} }
 // position-aligned with the batch's columns (length PhysRows); lanes outside
 // the selection are unspecified. The result aliases either an input column or
 // ctx-owned scratch — read it before the next Run on the same ctx and never
-// mutate it.
+// mutate it. A bare column reference returns the column as it is, dictionary
+// coded or not (colfile.Vec); a kernel reads a coded column decoded.
 func (p *Prog) Run(ctx *EvalCtx, b *colfile.Batch) (*colfile.Vec, error) {
 	if len(ctx.ptrs) != len(p.slots) {
 		// A fresh context, or one another program released: every slot's
@@ -245,6 +246,9 @@ func (p *Prog) Run(ctx *EvalCtx, b *colfile.Batch) (*colfile.Vec, error) {
 				return nil, fmt.Errorf("exec: column %d out of range", s.col)
 			}
 			ctx.ptrs[si] = b.Cols[s.col]
+			if len(p.instrs) > 0 {
+				ctx.ptrs[si] = b.Cols[s.col].Plain()
+			}
 		case slotConst:
 			ctx.own[si] = capped(&consts.vecs[si], n)
 			ctx.ptrs[si] = &ctx.own[si]

@@ -353,3 +353,30 @@ func TestCompileRendersNothing(t *testing.T) {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
+
+// TestLimitAllocatesOnlyKeptRows: LIMIT 3 OFFSET 1000 over a 4,096-row batch
+// that selects every other row allocates for the three rows it keeps, not for
+// a gather of the whole selection. The race runtime allocates more for the
+// same LIMIT, so the bound lives here.
+func TestLimitAllocatesOnlyKeptRows(t *testing.T) {
+	const rows = 4096
+	b := everyOtherRow(rows)
+	limit := func() {
+		src := batchList([]*colfile.Batch{b})
+		out, err := Collect(&Limit{In: &src, N: 3, Offset: 1000})
+		if err != nil || out.NumRows() != 3 {
+			t.Fatalf("LIMIT 3 OFFSET 1000: %v rows, %v", out.NumRows(), err)
+		}
+	}
+	const runs = 10
+	per := allocatedBy(func() {
+		for i := 0; i < runs; i++ {
+			limit()
+		}
+	}) / runs
+	// Three kept rows are 3 ints and 3 string headers; a gather of the
+	// selection would be 2,048 of each.
+	if bound := uint64(1024); per > bound {
+		t.Fatalf("LIMIT 3 over a selected %d-row batch allocates %d bytes, want at most %d: it gathered rows it does not keep", rows, per, bound)
+	}
+}

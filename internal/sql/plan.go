@@ -659,8 +659,15 @@ func runStages(p *selectPlan, r stageRunner, suffix func(exec.Operator) exec.Ope
 				in = exec.NewBatchSource(prev)
 			}
 			for j := from; j < to; j++ {
+				// Coded columns are read by the aggregation alone, which
+				// only the last segment runs: a barrier's spill writer
+				// takes plain ones.
+				var coded []int
+				if to == J {
+					coded = p.joins[j].coded
+				}
 				in = &exec.Probe{In: in, Table: srcs[j].Table, LeftKeys: p.joins[j].leftKeys,
-					Cols: p.joins[j].cols, Bloom: blooms[j], Pruned: pruned}
+					Cols: p.joins[j].cols, Coded: coded, Bloom: blooms[j], Pruned: pruned}
 			}
 			if to == J {
 				in = suffix(p.tail.filter(in))

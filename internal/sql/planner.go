@@ -51,6 +51,7 @@ type planJoin struct {
 	typ                 exec.JoinType
 	leftSchema          colfile.Schema // the probe side entering this stage
 	cols                []int          // the columns the probe gathers (exec.Probe.Cols; nil = all)
+	coded               []int          // output positions the probe gathers dictionary-coded (exec.Probe.Coded) when it runs in the last segment
 	reordered           bool           // cost-based reordering moved this build from its syntactic slot
 
 	cfg exec.SpillConfig // budget and spill namespace: set by open
@@ -162,10 +163,84 @@ func planSelect(tx *core.Txn, st *SelectStmt) (*selectPlan, error) {
 	if p.tail, err = compileTail(p, sc); err != nil {
 		return nil, err
 	}
+	p.codeGroupKeys(sc, ons)
 	if p.sortKeys, err = orderKeys(p.orderBy, p.items, sc, p.tail.outSchema()); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// codeGroupKeys lists, for each join, the build-side String columns its
+// probe gathers dictionary-coded (exec.Probe.Coded): those an aggregation
+// groups by as a bare column and that nothing else reads before it — no
+// residual WHERE, ON condition, aggregate argument or other expression — so
+// the only reader of the coded column is the group key. Items, HAVING and
+// ORDER BY read the aggregate's output, but one that names the column inside
+// an expression keeps it plain too, to stay on the safe side. A column is
+// traced back from sc, the scope after the last join, through the joins after
+// the one whose build it comes from. A key of the base scan, or one computed
+// from a column, is interned per row instead.
+func (p *selectPlan) codeGroupKeys(sc *scope, ons []Expr) {
+	if p.tail.agg == nil {
+		return
+	}
+	read := make([]bool, len(sc.schema)) // read other than as a bare column
+	note := func(e Expr) {
+		walkCols(e, func(c ColName) {
+			for f := range sc.schema {
+				if strings.EqualFold(sc.schema[f].Name, c.Name) && (c.Table == "" || strings.EqualFold(sc.quals[f], c.Table)) {
+					read[f] = true
+				}
+			}
+		})
+	}
+	if p.where != nil {
+		note(p.where)
+	}
+	if p.having != nil {
+		note(p.having)
+	}
+	for _, on := range ons {
+		note(on)
+	}
+	for _, it := range p.items {
+		if _, bare := it.Expr.(ColName); !bare && it.Expr != nil {
+			note(it.Expr)
+		}
+	}
+	for _, o := range p.orderBy {
+		if _, bare := o.Expr.(ColName); !bare {
+			note(o.Expr)
+		}
+	}
+	for _, g := range p.groupBy {
+		if _, bare := g.(ColName); !bare {
+			note(g)
+		}
+	}
+	for _, g := range p.groupBy {
+		c, ok := g.(ColName)
+		if !ok {
+			continue
+		}
+		f, err := sc.resolve(c)
+		if err != nil || read[f] || sc.schema[f].Type != colfile.String {
+			continue
+		}
+		// f is an output position of join j; full, its position among the
+		// probe side's columns and then the build side's.
+		for j := len(p.joins) - 1; j >= 0; j-- {
+			full := f
+			if p.joins[j].cols != nil {
+				full = p.joins[j].cols[f]
+			}
+			if full >= len(p.joins[j].leftSchema) {
+				p.joins[j].coded = append(p.joins[j].coded, f)
+				break
+			}
+			f = full
+		}
+	}
 }
 
 // laterRefs returns, for each join i, the column references something after

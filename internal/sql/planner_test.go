@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -303,6 +305,68 @@ func TestSelectResolvesEachRelationOnce(t *testing.T) {
 			if got := lookups() - before; got != c.relations {
 				t.Errorf("%s%s: %d snapshot-cache lookups, want %d (one per relation)", prefix, c.q, got, c.relations)
 			}
+		}
+	}
+}
+
+// TestCodedGroupKeys: a join gathers a build-side String column
+// dictionary-coded (planJoin.coded) exactly when an aggregation groups by it
+// as a bare column and nothing else reads it before the aggregation — not a
+// probe-side column, not a non-String one, not without an aggregation, and
+// not one a WHERE, HAVING, aggregate argument or later ON reads. A column
+// coded by the first join stays coded through a second.
+func TestCodedGroupKeys(t *testing.T) {
+	s := testSession(t)
+	mustExec(t, s, `CREATE TABLE fact (k INT, d INT, fs VARCHAR) WITH (DISTRIBUTION = k)`)
+	mustExec(t, s, `CREATE TABLE dim (d INT, ds VARCHAR, dt VARCHAR) WITH (DISTRIBUTION = d)`)
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO fact VALUES `)
+	for k := 0; k < 64; k++ {
+		if k > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, 'f%d')", k, k%3, k%5)
+	}
+	mustExec(t, s, sb.String())
+	mustExec(t, s, `INSERT INTO dim VALUES (0, 'a', 'x'), (1, 'b', 'y'), (2, 'c', 'z')`)
+	const from = ` FROM fact f JOIN dim d ON f.d = d.d`
+	for _, c := range []struct {
+		q    string
+		want []string
+	}{
+		{`SELECT d.ds, COUNT(*) AS n` + from + ` GROUP BY d.ds`, []string{"ds"}},
+		{`SELECT d.ds, d.dt, SUM(f.k) AS n` + from + ` GROUP BY d.ds, d.dt ORDER BY n`, []string{"ds", "dt"}},
+		{`SELECT d.ds, COUNT(*) AS n` + from + ` JOIN dim e ON e.d = f.d GROUP BY d.ds`, []string{"ds"}},
+		{`SELECT f.fs, COUNT(*) AS n` + from + ` GROUP BY f.fs`, nil},
+		{`SELECT d.d, COUNT(*) AS n` + from + ` GROUP BY d.d`, nil},
+		{`SELECT d.ds, f.k` + from, nil},
+		{`SELECT d.ds, COUNT(*) AS n` + from + ` WHERE d.ds <> f.fs GROUP BY d.ds`, nil},
+		{`SELECT d.ds, COUNT(*) AS n` + from + ` GROUP BY d.ds HAVING d.ds > 'a'`, nil},
+		{`SELECT d.ds, MIN(d.ds) AS m` + from + ` GROUP BY d.ds`, nil},
+		{`SELECT d.ds, COUNT(*) AS n` + from + ` JOIN dim e ON e.ds = d.ds GROUP BY d.ds`, nil},
+	} {
+		st, err := Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := engineOf(s).Begin()
+		p, err := planSelect(tx, st.(*SelectStmt))
+		tx.Rollback()
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		var got []string
+		for _, j := range p.joins {
+			out := append(slices.Clip(j.leftSchema), j.build.schema...)
+			for _, f := range j.coded {
+				if j.cols != nil {
+					f = j.cols[f]
+				}
+				got = append(got, out[f].Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: coded %q, want %q", c.q, got, c.want)
 		}
 	}
 }
