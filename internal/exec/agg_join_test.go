@@ -384,6 +384,70 @@ func TestGroupKeysAsWords(t *testing.T) {
 	}
 }
 
+// TestCodingChargedToJoinBudget pins that a build column's coding is charged
+// to the join budget the build was admitted under: 8 bytes a code plus its
+// dictionary. A probe gathers the column coded exactly when the budget has
+// room for that, and plain otherwise, with the same strings either way.
+func TestCodingChargedToJoinBudget(t *testing.T) {
+	const n = 1000
+	bschema := colfile.Schema{{Name: "id", Type: colfile.Int64}, {Name: "s", Type: colfile.String}}
+	build := &colfile.Batch{Schema: bschema, Cols: []*colfile.Vec{colfile.NewVec(colfile.Int64), colfile.NewVec(colfile.String)}}
+	probe := &colfile.Batch{Schema: colfile.Schema{{Name: "pid", Type: colfile.Int64}}, Cols: []*colfile.Vec{colfile.NewVec(colfile.Int64)}}
+	for i := 0; i < n; i++ {
+		build.Cols[0].AppendInt(int64(i))
+		build.Cols[1].AppendStr(fmt.Sprintf("value-%04d", i%(n/2)))
+		probe.Cols[0].AppendInt(int64(n - 1 - i))
+	}
+	admitted := build.MemSize()
+	coding := 8*int64(n) + (n/2)*(16+10) // the codes, and n/2 distinct 10-byte strings
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, fmt.Sprintf("value-%04d", (n-1-i)%(n/2)))
+	}
+	for _, c := range []struct {
+		budget int64
+		coded  bool
+	}{
+		{0, true}, // no budget: nothing to charge
+		{admitted, false},
+		{admitted + 8*n, false}, // the codes fit, the dictionary does not
+		{admitted + coding - 1, false},
+		{admitted + coding, true},
+	} {
+		src, err := BuildGraceJoin(NewBatchSource(build), []int{0}, InnerJoin, 1, SpillConfig{Budget: c.budget, Store: NewMemSpillStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src.Table == nil {
+			t.Fatalf("budget %d: the build spilled", c.budget)
+		}
+		p := &Probe{In: NewBatchSource(probe), Table: src.Table, LeftKeys: []int{0}, Cols: []int{2}, Coded: []int{0}}
+		out, err := Collect(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Cols[0].Ints != nil; got != c.coded {
+			t.Errorf("budget %d (build %d, coding %d): gathered coded %v, want %v", c.budget, admitted, coding, got, c.coded)
+		}
+		var got []string
+		for i := 0; i < out.NumRows(); i++ {
+			got = append(got, out.Cols[0].Str(i))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("budget %d: probe strings differ from the build's", c.budget)
+		}
+		switch room := src.Table.codeRoom; {
+		case c.budget <= 0:
+		case room == nil:
+			t.Errorf("budget %d: the coding is not metered", c.budget)
+		case room.Load() < 0:
+			t.Errorf("budget %d: %d bytes over it", c.budget, -room.Load())
+		case !c.coded && room.Load() != c.budget-admitted:
+			t.Errorf("budget %d: a refused coding kept %d bytes", c.budget, c.budget-admitted-room.Load())
+		}
+	}
+}
+
 // sortByGroups orders an aggregate's rows by its first groups columns.
 func sortByGroups(b *colfile.Batch, groups int) *colfile.Batch {
 	keys := make([]SortKey, groups)

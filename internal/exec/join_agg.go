@@ -31,6 +31,10 @@ type JoinTable struct {
 	keys  []*colfile.Vec // the build side's key columns
 	typ   JoinType
 	coded []codedCol // per build column, its coding once a probe asked for it
+	// codeRoom, when set, is what the join memory budget has left after
+	// admitting the build: a column's coding is charged to it, and a column
+	// whose coding does not fit is gathered plain.
+	codeRoom *atomic.Int64
 }
 
 // codedCol is one build column's coding, made at most once (codedCol).
@@ -173,11 +177,42 @@ func BuildHashJoin(build Operator, keys []int, typ JoinType, parallelism int) (*
 // codedCol is String build column c dictionary-coded (colfile.Vec.DictCoded):
 // minted once, by the first probe that gathers the column coded, and then
 // shared by every probe. The build's own vector is not changed: a collected
-// batch may share its vectors with a scan.
+// batch may share its vectors with a scan. The coding — 8 bytes a code, plus
+// the dictionary as MemSize meters strings — is charged to codeRoom; when it
+// does not fit, codedCol is the plain column.
 func (jt *JoinTable) codedCol(c int) *colfile.Vec {
 	cc := &jt.coded[c]
-	cc.once.Do(func() { cc.vec = jt.build.Cols[c].DictCoded() })
+	cc.once.Do(func() {
+		plain := jt.build.Cols[c]
+		cc.vec = plain
+		codes := 8 * int64(plain.Len())
+		if !jt.charge(codes) {
+			return
+		}
+		coded := plain.DictCoded()
+		if !jt.charge((&colfile.Vec{Type: colfile.String, Strs: coded.Strs}).MemSize()) {
+			jt.codeRoom.Add(codes)
+			return
+		}
+		cc.vec = coded
+	})
 	return cc.vec
+}
+
+// charge takes n bytes from codeRoom, reporting whether they fit.
+func (jt *JoinTable) charge(n int64) bool {
+	if jt.codeRoom == nil {
+		return true
+	}
+	for {
+		room := jt.codeRoom.Load()
+		if room < n {
+			return false
+		}
+		if jt.codeRoom.CompareAndSwap(room, room-n) {
+			return true
+		}
+	}
 }
 
 // buildJoinPart builds partition w from every range's keys for it: one pass

@@ -369,12 +369,17 @@ type groupTable struct {
 	keys   keyTable
 	vals   []*colfile.Vec // per group-key column, the key value of every id
 	strs   []strCol       // per group-key column, its string ids (String columns)
-	byStr  []int32        // a one-String-column key's group id + 1 by string id, 0 = not yet seen
-	nStr   int32          // a one-String-column key's groups, NULL's included
-	null   int32          // a one-String-column key's NULL group id + 1, 0 = none
 	words  []int64        // a chunk's keys, width words each
 	hashes []uint64       // a chunk's key hashes, for keys of two or more columns
 	ids    []int32
+
+	// byStr resolves a one-String-column key without keys: the group id + 1
+	// of string id s is byStr[s+1], of NULL byStr[0], 0 = not yet seen.
+	// Its ids are dense, so a group costs 4 bytes here against some 28 in
+	// keys (a word, a hash and two index slots), and a row no hash. nStr
+	// counts its groups.
+	byStr []int32
+	nStr  int32
 }
 
 // strCol numbers the values of one String group-key column with dense ids.
@@ -388,10 +393,6 @@ type strCol struct {
 	more  []string // the values of ids len(dict) on
 	slots []int32  // id + 1 of every value, by hashKey, once any is looked up by string; at most half full
 	memos []dictMemo
-	// recent caches the id + 1 of values looked up by string, by their
-	// length and end bytes: a column of a few short values (a flag, a
-	// status) resolves without hashing.
-	recent [16]int32
 }
 
 // dictMemo is the string ids of one dictionary's codes: ids[code] is the
@@ -411,20 +412,6 @@ func (sc *strCol) value(id int32) string {
 
 // id returns the id of string s, numbering it when it is new.
 func (sc *strCol) id(s string) int32 {
-	if len(s) == 0 {
-		return sc.index(s)
-	}
-	c := &sc.recent[(len(s)+int(s[0])+int(s[len(s)-1])<<2)&15]
-	if *c != 0 && sc.value(*c-1) == s {
-		return *c - 1
-	}
-	id := sc.index(s)
-	*c = id + 1
-	return id
-}
-
-// index is id by the hash index.
-func (sc *strCol) index(s string) int32 {
 	n := len(sc.dict) + len(sc.more)
 	if 2*(n+1) > len(sc.slots) {
 		sc.reindex(n + 1)
@@ -569,8 +556,6 @@ func (g *groupTable) resolve(vecs []*colfile.Vec, sel []int, n int) ([]int32, er
 			case width > 1:
 				id, added = g.keys.insertWords(ws[j*width:(j+1)*width], g.hashes[j])
 			case str1:
-				// One String column needs no key table: its string ids
-				// are dense, so a row finds its group by an array load.
 				id, added = g.strGroup(ws[j], one.IsNull(p))
 			case one.IsNull(p):
 				id, added = g.keys.insertNull()
@@ -600,23 +585,23 @@ func hashWords(key []int64, k int) uint64 {
 }
 
 // strGroup returns the group id of a one-String-column key with string id
-// sid, or of its NULL, adding it (added = true) when it is new.
+// sid, or of NULL when null, adding it (added = true) when it is new.
 func (g *groupTable) strGroup(sid int64, null bool) (id int32, added bool) {
-	slot := &g.null
-	if !null {
-		if sid >= int64(len(g.byStr)) {
-			// Grown by at least the dictionary the column is coded with.
-			size := max(2*int(sid)+2, len(g.strs[0].dict), 64)
-			g.byStr = slices.Grow(g.byStr, size-len(g.byStr))[:size]
-		}
-		slot = &g.byStr[sid]
+	i := int(sid) + 1
+	if null {
+		i = 0
 	}
-	if *slot != 0 {
-		return *slot - 1, false
+	if i >= len(g.byStr) {
+		// Grown by at least the dictionary the column is coded with.
+		size := max(2*i, len(g.strs[0].dict)+1, 64)
+		g.byStr = slices.Grow(g.byStr, size-len(g.byStr))[:size]
+	}
+	if s := g.byStr[i]; s != 0 {
+		return s - 1, false
 	}
 	id = g.nStr
 	g.nStr++
-	*slot = id + 1
+	g.byStr[i] = id + 1
 	return id, true
 }
 

@@ -411,6 +411,10 @@ func BuildGraceJoin(build Operator, keys []int, typ JoinType, parallelism int, c
 			if err != nil {
 				return nil, err
 			}
+			if cfg.Budget > 0 {
+				jt.codeRoom = new(atomic.Int64)
+				jt.codeRoom.Store(cfg.Budget - total)
+			}
 			return &JoinSource{Table: jt}, nil
 		}
 		drained = append(drained, b)
